@@ -11,11 +11,11 @@ GO ?= go
 #   make bench-compare BENCH_OUT=new.txt
 #   benchstat old.txt new.txt
 # The default filter is the guarded set the CI benchmark gate enforces.
-BENCH ?= BenchmarkSelectEmpirically|BenchmarkMeasureThenRun|BenchmarkPartitionBuild|BenchmarkAppendEdges|BenchmarkRemoveEdges|BenchmarkRestoreVsRebuild|BenchmarkSparseFrontier|BenchmarkScalingSweep|BenchmarkScale/1M
+BENCH ?= BenchmarkSelectEmpirically|BenchmarkMeasureThenRun|BenchmarkTriangleCount|BenchmarkPartitionBuild|BenchmarkAppendEdges|BenchmarkRemoveEdges|BenchmarkRestoreVsRebuild|BenchmarkSparseFrontier|BenchmarkScalingSweep|BenchmarkScale/1M
 BENCH_COUNT ?= 10
 BENCH_OUT ?= bench.txt
 
-.PHONY: all build test vet lint race bench bench-smoke bench-compare bench-scale bench-scale-xl scalebench loadgen-smoke dist-smoke fuzz fuzz-smoke compat check
+.PHONY: all build test benchmark-test vet lint race bench bench-smoke bench-compare bench-scale bench-scale-xl scalebench loadgen-smoke dist-smoke fuzz fuzz-smoke compat check
 
 all: check
 
@@ -24,6 +24,11 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Unit tests of the benchmark program (BENCHMARK.json, benchmark/): a nested
+# module, so `go test ./...` from the root never reaches them.
+benchmark-test:
+	cd benchmark && $(GO) test .
 
 vet:
 	$(GO) vet ./...
@@ -45,11 +50,12 @@ lint: vet
 # (store single-flight, Session mixed workload, cutfitd handlers), the
 # delta-append path (root equivalence suite, graph generations, store
 # chain, topology patching), the persistence layer (snap codecs, disk
-# tier spill/restore, warm-start handlers) and the distributed runtime
+# tier spill/restore, warm-start handlers), the distributed runtime
 # (coordinator/worker exchange over loopback sockets, equivalence and
-# failure suites).
+# failure suites) and the Triangle Count kernel (shared plan, pooled mark
+# sets, equivalence with the reference at one and many workers).
 race:
-	$(GO) test -race . ./cmd/cutfitd/... ./internal/graph/... ./internal/pregel/... ./internal/testutil/... ./internal/partition/... ./internal/store/... ./internal/snap/... ./internal/obsv/... ./internal/dist/...
+	$(GO) test -race . ./cmd/cutfitd/... ./internal/graph/... ./internal/pregel/... ./internal/algorithms/... ./internal/testutil/... ./internal/partition/... ./internal/store/... ./internal/snap/... ./internal/obsv/... ./internal/dist/...
 
 # Hot-path benchmarks: partition construction (old vs new, and across
 # dataset analogs × strategies), the sparse-frontier scan payoff,
@@ -57,7 +63,7 @@ race:
 # and the compact worker sweep.
 bench:
 	$(GO) test -run='^$$' -bench='BenchmarkPartitionBuild|BenchmarkSparseFrontier' -benchmem ./internal/pregel/
-	$(GO) test -run='^$$' -bench='BenchmarkPartitionBuild|BenchmarkSuperstepAllocs|BenchmarkSelectEmpirically|BenchmarkMeasureThenRun|BenchmarkScalingSweep' -benchmem .
+	$(GO) test -run='^$$' -bench='BenchmarkPartitionBuild|BenchmarkSuperstepAllocs|BenchmarkSelectEmpirically|BenchmarkMeasureThenRun|BenchmarkTriangleCount|BenchmarkScalingSweep' -benchmem .
 
 # Full multi-core scaling sweep: worker ladder × components × dataset
 # analogs, JSON for the benchgate efficiency gate plus a markdown table.

@@ -26,6 +26,7 @@ import (
 	"cutfit/internal/bench"
 	"cutfit/internal/cluster"
 	"cutfit/internal/datasets"
+	"cutfit/internal/gen"
 	"cutfit/internal/metrics"
 	"cutfit/internal/partition"
 	"cutfit/internal/pregel"
@@ -462,6 +463,44 @@ func BenchmarkSuperstepAllocs(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkTriangleCount measures one served Triangle Count request on a
+// warm topology: R-MAT scale 15 (262k edges, the serve-hot benchmark's
+// graph shape) under 2D at 64 partitions, with the graph's canonical-edge
+// view, the topology's triangle plan and the workers' mark sets already
+// built, so an iteration is the kernel plus the model accounting and
+// nothing per-generation.
+func BenchmarkTriangleCount(b *testing.B) {
+	g, err := gen.RMAT(gen.DefaultRMAT(15, 8, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	pg, err := cutfit.PartitionWithOptions(g, cutfit.EdgePartition2D(), 64, cutfit.PartitionOptions{ReuseBuffers: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	want := g.TotalTriangles()
+	ctx := context.Background()
+	run := func() {
+		counts, _, err := cutfit.RunTriangleCount(ctx, pg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var sum int64
+		for _, c := range counts {
+			sum += c
+		}
+		if sum/3 != want {
+			b.Fatalf("%d triangles, oracle %d", sum/3, want)
+		}
+	}
+	run() // warm: view, plan, pooled scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
 	}
 }
 

@@ -379,6 +379,38 @@ func TestServerSlideWindow(t *testing.T) {
 	}
 }
 
+// TestServerTrianglesAfterExpiry: Triangle Count on a generation carrying
+// tombstones (the sliding-window expiry path) answers 200 with the shrunk
+// graph's total. It used to panic past the partitions' live edge lists,
+// which reset the client's connection.
+func TestServerTrianglesAfterExpiry(t *testing.T) {
+	ts := newTestServer(t)
+	run := map[string]any{"graph": "tri", "alg": "triangles", "strategy": "2D", "parts": 4}
+	var before cutfit.RunReport
+	post(t, ts, "/v1/run", run, &before)
+	if before.Triangles != 2 {
+		t.Fatalf("%d triangles before expiry, want 2", before.Triangles)
+	}
+
+	// Expire edge 0→1: one tombstone in seven slots stays under the
+	// compaction threshold, and opens the triangle {0,1,2}.
+	var rep appendReply
+	post(t, ts, "/v1/graphs/tri/edges", map[string]any{"expire_before": 1}, &rep)
+	if rep.Expired != 1 || rep.Edges != 6 {
+		t.Fatalf("expiry reply %+v, want 1 expired / 6 live edges", rep)
+	}
+	var after cutfit.RunReport
+	post(t, ts, "/v1/run", run, &after)
+	if after.Triangles != 1 {
+		t.Fatalf("%d triangles after expiry, want 1", after.Triangles)
+	}
+	var stats cutfit.CacheStats
+	get(t, ts, "/v1/stats", &stats)
+	if stats.DeltaDerived == 0 {
+		t.Fatalf("expiry compacted or rebuilt instead of tombstoning: %+v", stats)
+	}
+}
+
 // TestServerOversizedBodyReturns413: a request body over the 64 MiB cap is
 // "too large", not "malformed" — the handler must answer 413, not 400.
 func TestServerOversizedBodyReturns413(t *testing.T) {

@@ -35,10 +35,12 @@ func mergeMin(a, b DistMap) DistMap {
 	return out
 }
 
-// improves reports whether merging m into base would lower any entry.
-func improves(base, m DistMap) bool {
-	for k, v := range m {
-		if cur, ok := base[k]; !ok || v < cur {
+// improvesByHop reports whether src would lower (or gain) any entry by
+// adopting dst's distances one hop further — the test SendMsg needs,
+// answered without building the candidate map.
+func improvesByHop(src, dst DistMap) bool {
+	for k, v := range dst {
+		if cur, ok := src[k]; !ok || v+1 < cur {
 			return true
 		}
 	}
@@ -75,16 +77,14 @@ func ShortestPaths(ctx context.Context, pg *pregel.PartitionedGraph, landmarks [
 		SendMsg: func(t *pregel.Triplet[DistMap], emit pregel.Emitter[DistMap]) {
 			// Distances travel against edge direction: src reaches every
 			// landmark dst reaches, one hop further.
-			if len(t.DstVal) == 0 {
+			if !improvesByHop(t.SrcVal, t.DstVal) {
 				return
 			}
 			cand := make(DistMap, len(t.DstVal))
 			for k, v := range t.DstVal {
 				cand[k] = v + 1
 			}
-			if improves(t.SrcVal, cand) {
-				emit.ToSrc(cand)
-			}
+			emit.ToSrc(cand)
 		},
 		MergeMsg:        mergeMin,
 		InitialMsg:      nil,

@@ -3,6 +3,8 @@ package algorithms
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sync"
 
 	"cutfit/internal/graph"
 	"cutfit/internal/pregel"
@@ -37,6 +39,24 @@ const hashSetOpUnits = 16
 // vertices. This is exactly why the paper finds Triangle Count correlated
 // with the Cut metric rather than CommCost (§4, Figure 5).
 //
+// Two things are kept apart here. The returned RunStats are the model of
+// that GraphX job: ComputePerPart charges hashSetOpUnits for every element
+// of both endpoint sets of every canonical edge, ApplyPerShard charges
+// cutVertexReductionUnits per cut vertex, whatever this process spends.
+// The kernel that produces the counts does far less: nothing that depends
+// only on the graph or the topology is recomputed per call (the canonical
+// edges come from graph.CanonicalEdges, their per-partition grouping from
+// pregel's TrianglePlan, neighbor sets straight from the undirected CSR),
+// and each partition walks its canonical edges hub by hub — it marks the
+// higher-degree endpoint's set once in a vertex bitset, probes it with the
+// lower-degree endpoint of every edge in the run, and clears it by
+// re-walking the hub's list — so the work follows Σ min(deg u, deg v)
+// rather than Σ (deg u + deg v). A hub with a single edge in the partition
+// is not worth marking: that edge is intersected directly, by a merge or,
+// when one list is far shorter, by searching the long one. Per call it
+// allocates the result and the per-partition count slices, nothing sized by
+// the edge list.
+//
 // It returns the triangle count through each dense vertex index (each
 // triangle contributes 1 to each corner) and single-superstep run stats.
 func TriangleCount(ctx context.Context, pg *pregel.PartitionedGraph) ([]int64, *pregel.RunStats, error) {
@@ -44,65 +64,10 @@ func TriangleCount(ctx context.Context, pg *pregel.PartitionedGraph) ([]int64, *
 		return nil, nil, fmt.Errorf("algorithms: TriangleCount: %w", err)
 	}
 	g := pg.G
-	verts := g.Vertices()
-	nv := len(verts)
+	nv := g.NumVertices()
 	numParts := pg.NumParts
-
-	// Neighbor sets (sorted dense indices) for every vertex.
-	nbr := make([][]int32, nv)
-	for v := 0; v < nv; v++ {
-		nbr[v] = g.UndirectedNeighbors(int32(v))
-	}
-
-	// canonical[i] marks the single directed edge that represents each
-	// undirected pair: the first occurrence of (u,v) with u<v, or of (v,u)
-	// when the (u,v) orientation never appears. Self loops never count.
-	edges := g.Edges()
-	canonical := make([]bool, len(edges))
-	type pair struct{ a, b graph.VertexID }
-	chosen := make(map[pair]struct{}, len(edges))
-	has := make(map[pair]struct{}, len(edges))
-	for _, e := range edges {
-		has[pair{e.Src, e.Dst}] = struct{}{}
-	}
-	for i, e := range edges {
-		if e.Src == e.Dst {
-			continue
-		}
-		u, v := e.Src, e.Dst
-		if u > v {
-			u, v = v, u
-		}
-		key := pair{u, v}
-		if _, done := chosen[key]; done {
-			continue
-		}
-		if e.Src < e.Dst {
-			canonical[i] = true
-			chosen[key] = struct{}{}
-			continue
-		}
-		// Reverse orientation: only canonical if (u,v) never appears.
-		if _, fwd := has[pair{u, v}]; !fwd {
-			canonical[i] = true
-			chosen[key] = struct{}{}
-		}
-	}
-	// canonicalLocal[p][j] mirrors canonical[] for partition p's j-th edge.
-	canonicalLocal := make([][]bool, numParts)
-	{
-		cursor := make([]int, numParts)
-		for p := 0; p < numParts; p++ {
-			canonicalLocal[p] = make([]bool, pg.Parts[p].NumEdges())
-		}
-		// Edges were appended to partitions in graph order, so a second
-		// pass in the same order aligns global and local indices.
-		asn := pg.AssignOrder()
-		for i, p := range asn {
-			canonicalLocal[p][cursor[p]] = canonical[i]
-			cursor[p]++
-		}
-	}
+	off, adj := g.UndirectedAdjacency()
+	plan := pg.TrianglePlan()
 
 	ss := pregel.SuperstepStats{
 		Superstep:      1,
@@ -116,39 +81,61 @@ func TriangleCount(ctx context.Context, pg *pregel.PartitionedGraph) ([]int64, *
 	for v := int32(0); v < int32(nv); v++ {
 		m := int64(pg.Mirrors(v))
 		ss.BroadcastMsgs += m
-		ss.BroadcastBytes += m * (16 + 4*int64(len(nbr[v])))
+		ss.BroadcastBytes += m * (16 + 4*(off[v+1]-off[v]))
 	}
 
 	// Compute phase: per-partition canonical-edge intersections.
 	// ForEachPartition runs concurrently; each closure writes only its own
 	// partition's slots.
 	partCounts := make([][]int64, numParts)
-	scannedPerPart := make([]int64, numParts)
 	if err := pg.ForEachPartition(func(p int) {
 		part := pg.Parts[p]
 		counts := make([]int64, part.NumLocalVertices())
-		var cost float64
-		for j := 0; j < part.NumEdges(); j++ {
-			if !canonicalLocal[p][j] {
-				continue
+		marks := takeMarks(nv)
+		// setOps is Σ (|N(u)| + |N(v)|) over the partition's canonical edges:
+		// the model charges GraphX's two boxed hash sets per edge whatever
+		// this kernel actually touches.
+		var setOps int64
+		pos := plan[p]
+		for i := 0; i < len(pos); {
+			hubL := part.TriangleHub(pos[i], off)
+			hub := neighbors(part, hubL, off, adj)
+			// The hub's run: every following edge with the same hub. Marking
+			// pays for itself from the second edge on.
+			end := i + 1
+			for end < len(pos) && part.TriangleHub(pos[end], off) == hubL {
+				end++
 			}
-			sL, dL := part.EdgeAt(j)
-			sG := part.LocalVerts[sL]
-			dG := part.LocalVerts[dL]
-			a, b := nbr[sG], nbr[dG]
-			common := int64(intersectSortedCount(a, b))
-			counts[sL] += common
-			counts[dL] += common
-			cost += hashSetOpUnits * float64(len(a)+len(b))
-			scannedPerPart[p]++
+			marked := end-i > 1
+			if marked {
+				marks.set(hub)
+			}
+			for ; i < end; i++ {
+				sL, dL := part.EdgeAt(int(pos[i]))
+				leafL := sL ^ dL ^ hubL // the endpoint that is not the hub
+				leaf := neighbors(part, leafL, off, adj)
+				var common int
+				if marked {
+					common = marks.count(leaf)
+				} else {
+					common = intersectSortedCount(leaf, hub)
+				}
+				counts[hubL] += int64(common)
+				counts[leafL] += int64(common)
+				setOps += int64(len(hub) + len(leaf))
+			}
+			if marked {
+				marks.clear(hub)
+			}
 		}
+		markPool.Put(marks) // all zero again: every set was cleared
 		partCounts[p] = counts
-		ss.ComputePerPart[p] = cost
+		ss.ComputePerPart[p] = hashSetOpUnits * float64(setOps)
 	}); err != nil {
 		return nil, nil, err
 	}
-	for _, s := range scannedPerPart {
-		ss.EdgesScanned += s
+	for _, pos := range plan {
+		ss.EdgesScanned += int64(len(pos))
 	}
 
 	// Reduce phase: one partial count per (partition, vertex with nonzero
@@ -195,8 +182,76 @@ func TriangleCount(ctx context.Context, pg *pregel.PartitionedGraph) ([]int64, *
 	return total, stats, nil
 }
 
-// intersectSortedCount returns |a ∩ b| for sorted slices.
+// neighbors returns the undirected neighbor set (sorted global dense
+// indices) of the partition's local vertex l, straight from the graph's CSR.
+func neighbors(part *pregel.Partition, l int32, off []int64, adj []int32) []int32 {
+	g := part.LocalVerts[l]
+	return adj[off[g]:off[g+1]]
+}
+
+// markSet is one worker's vertex-presence scratch: a bitset over global
+// dense vertex indices holding one hub's neighbor set at a time. It is all
+// zero whenever it is not inside a set/clear pair, so it can be pooled.
+type markSet struct{ words []uint64 }
+
+func (m *markSet) set(vs []int32) {
+	w := m.words
+	for _, v := range vs {
+		w[v>>6] |= 1 << (uint32(v) & 63)
+	}
+}
+
+// clear undoes set(vs) by re-walking the list: a hub's set touches far
+// fewer words than the graph has.
+func (m *markSet) clear(vs []int32) {
+	w := m.words
+	for _, v := range vs {
+		w[v>>6] = 0
+	}
+}
+
+// count returns how many of vs are marked.
+func (m *markSet) count(vs []int32) int {
+	w := m.words
+	n := 0
+	for _, v := range vs {
+		n += int(w[v>>6] >> (uint32(v) & 63) & 1)
+	}
+	return n
+}
+
+// markPool parks markSets between partitions and between calls, so a
+// request allocates no vertex-sized scratch once the pool is warm.
+var markPool sync.Pool
+
+// takeMarks returns an all-zero markSet covering nv vertices.
+func takeMarks(nv int) *markSet {
+	words := (nv + 63) / 64
+	if m, ok := markPool.Get().(*markSet); ok && len(m.words) >= words {
+		return m
+	}
+	return &markSet{words: make([]uint64, words)}
+}
+
+// searchRatio is how many times longer the long list must be before
+// intersectSortedCount stops merging and looks each element of the short
+// list up instead: a lookup costs about log2 |long| steps, a merge step per
+// element of both lists costs one.
+const searchRatio = 16
+
+// intersectSortedCount returns |a ∩ b| for sorted, duplicate-free slices.
 func intersectSortedCount(a, b []int32) int {
+	if len(a) > len(b) {
+		a, b = b, a
+	}
+	if len(b) >= searchRatio*len(a) {
+		return searchCount(a, b)
+	}
+	return mergeCount(a, b)
+}
+
+// mergeCount intersects by a two-pointer merge: O(|a| + |b|).
+func mergeCount(a, b []int32) int {
 	i, j, n := 0, 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -208,6 +263,25 @@ func intersectSortedCount(a, b []int32) int {
 			i++
 		default:
 			j++
+		}
+	}
+	return n
+}
+
+// searchCount intersects by binary-searching each element of short in the
+// part of long that earlier elements have not ruled out: O(|short| · log
+// |long|).
+func searchCount(short, long []int32) int {
+	n := 0
+	for _, v := range short {
+		k, found := slices.BinarySearch(long, v)
+		if found {
+			n++
+			k++
+		}
+		long = long[k:]
+		if len(long) == 0 {
+			break
 		}
 	}
 	return n

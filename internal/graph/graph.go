@@ -25,6 +25,7 @@ import (
 	"iter"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -114,6 +115,10 @@ type Graph struct {
 	csrIn        *csr
 	csrUndirOnce viewOnce
 	csrUndir     *csr // undirected, deduplicated, no self loops
+	canonOnce    viewOnce
+	canon        []uint64 // canonical-undirected-edge bitset over dense edge positions
+	symOnce      viewOnce
+	symPct       float64 // SymmetryPct
 	fpOnce       viewOnce
 	fp           uint64 // content fingerprint: edge fold + tombstone fold
 	fpEdges      uint64 // sequential edge/weight fold only (extendable by Grow)
@@ -282,6 +287,9 @@ func (g *Graph) invalidate() {
 	g.csrIn = nil
 	g.csrUndirOnce.reset()
 	g.csrUndir = nil
+	g.canonOnce.reset()
+	g.canon = nil
+	g.symOnce.reset()
 	g.fpOnce.reset()
 	g.fp = 0
 	g.fpEdges = 0
@@ -987,7 +995,8 @@ func (g *Graph) RestoreWeights(weights []float64) error {
 // fit the dense edge list (no bits at or beyond NumEdges) and numDead must
 // equal its popcount. The vertex set is unchanged by tombstones (dead
 // edges keep their endpoints listed), so only the views that skip dead
-// edges — degrees, CSRs, the fingerprint — are invalidated.
+// edges — degrees, CSRs, the canonical-edge and symmetry views, the
+// fingerprint — are invalidated.
 func (g *Graph) RestoreTombstones(dead []uint64, numDead int) error {
 	ne := g.NumEdges()
 	if len(dead)*64 > (ne+63)&^63 {
@@ -1011,6 +1020,9 @@ func (g *Graph) RestoreTombstones(dead []uint64, numDead int) error {
 	g.csrIn = nil
 	g.csrUndirOnce.reset()
 	g.csrUndir = nil
+	g.canonOnce.reset()
+	g.canon = nil
+	g.symOnce.reset()
 	g.fpOnce.reset()
 	return nil
 }
@@ -1136,8 +1148,7 @@ func (g *Graph) buildCSR(direction string, undirected, dedup bool) *csr {
 	})
 	c := &csr{offsets: offsets, adj: adj}
 	for i := int32(0); i < int32(n); i++ {
-		nb := c.neighbors(i)
-		sort.Slice(nb, func(a, b int) bool { return nb[a] < nb[b] })
+		slices.Sort(c.neighbors(i))
 	}
 	if dedup {
 		c = c.deduplicate(n)
@@ -1192,3 +1203,77 @@ func (g *Graph) InNeighbors(i int32) []int32 { return g.inCSR().neighbors(i) }
 // UndirectedNeighbors returns the sorted, deduplicated, loop-free neighbor
 // set of dense vertex i in the undirected projection of the graph.
 func (g *Graph) UndirectedNeighbors(i int32) []int32 { return g.undirCSR().neighbors(i) }
+
+// UndirectedAdjacency returns the CSR arrays behind UndirectedNeighbors:
+// the neighbor set of dense vertex i is adj[offsets[i]:offsets[i+1]]. Hot
+// loops that visit many rows read these directly instead of paying the
+// view check of UndirectedNeighbors per vertex. Callers must not modify
+// either slice.
+func (g *Graph) UndirectedAdjacency() (offsets []int64, adj []int32) {
+	c := g.undirCSR()
+	return c.offsets, c.adj
+}
+
+// CanonicalEdges returns the canonical-undirected-edge view: a bitset over
+// dense edge positions (bit i of word i/64) marking the one live edge that
+// represents each undirected pair {u,v}, u ≠ v — the first occurrence of
+// the u<v orientation, or the first occurrence of (v,u) when the forward
+// orientation never appears live. Self loops and tombstoned slots are never
+// canonical, so the set bits number exactly the edges of the undirected
+// projection. Consumers that must visit every undirected edge once while
+// staying aligned with per-edge artifacts (Triangle Count over a
+// partitioned topology) read it instead of deduplicating per request.
+//
+// The view is built once per generation, without hashing: every pair has a
+// unique slot in the undirected CSR (the higher endpoint's position in the
+// lower endpoint's row), so two bitsets over those slots — "forward
+// orientation present" and "pair already represented" — replace the
+// edge-pair maps, and the edge list is streamed block-at-a-time so a
+// block-backed graph is never densified. It costs NumEdges/8 bytes
+// retained. Callers must not modify it.
+func (g *Graph) CanonicalEdges() []uint64 {
+	g.canonOnce.do(func() { g.canon = g.buildCanonicalEdges() })
+	return g.canon
+}
+
+func (g *Graph) buildCanonicalEdges() []uint64 {
+	c := g.undirCSR() // also builds the vertex index denseIndexOf reads
+	canon := make([]uint64, (g.NumEdges()+63)/64)
+	// slot locates the pair lo<hi (dense indices, which order like vertex
+	// IDs) in the CSR; the pair is live, so the search always hits.
+	slot := func(lo, hi int32) int {
+		k, _ := slices.BinarySearch(c.neighbors(lo), hi)
+		return int(c.offsets[lo]) + k
+	}
+	slotWords := (len(c.adj) + 63) / 64
+	forward := make([]uint64, slotWords)
+	g.mustEdgeBlocks(func(start int, edges []Edge, _ []float64) {
+		for i, e := range edges {
+			if e.Src >= e.Dst || (g.numDead != 0 && !g.EdgeAlive(start+i)) {
+				continue
+			}
+			s := slot(g.denseIndexOf(e.Src), g.denseIndexOf(e.Dst))
+			forward[s>>6] |= 1 << (uint(s) & 63)
+		}
+	})
+	chosen := make([]uint64, slotWords)
+	g.mustEdgeBlocks(func(start int, edges []Edge, _ []float64) {
+		for i, e := range edges {
+			if e.Src == e.Dst || (g.numDead != 0 && !g.EdgeAlive(start+i)) {
+				continue
+			}
+			lo, hi := e.Src, e.Dst
+			if lo > hi {
+				lo, hi = hi, lo
+			}
+			s := slot(g.denseIndexOf(lo), g.denseIndexOf(hi))
+			w, bit := s>>6, uint64(1)<<(uint(s)&63)
+			if chosen[w]&bit != 0 || (e.Src > e.Dst && forward[w]&bit != 0) {
+				continue
+			}
+			chosen[w] |= bit
+			canon[(start+i)>>6] |= 1 << (uint(start+i) & 63)
+		}
+	})
+	return canon
+}

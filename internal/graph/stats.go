@@ -46,33 +46,41 @@ func (g *Graph) Characterize(diameterSamples int, seed uint64) Stats {
 
 // SymmetryPct returns the percentage (0–100) of directed edges (u,v) for
 // which the reverse edge (v,u) also exists. Self loops count as symmetric.
-// An empty graph reports 100.
+// An empty graph reports 100. Tombstoned edges neither count nor
+// reciprocate. Computed once per generation and cached: the advisor asks on
+// every request.
 func (g *Graph) SymmetryPct() float64 {
-	if g.NumLiveEdges() == 0 {
+	g.symOnce.do(func() { g.symPct = g.computeSymmetryPct() })
+	return g.symPct
+}
+
+// computeSymmetryPct merges each vertex's out-row against its in-row (both
+// sorted): an out-edge u→v is reciprocated exactly when v is among u's
+// in-neighbors. Every parallel copy on the out side counts (the measure is
+// per directed edge); the in side only answers membership.
+func (g *Graph) computeSymmetryPct() float64 {
+	live := g.NumLiveEdges()
+	if live == 0 {
 		return 100
 	}
-	type pair struct{ a, b VertexID }
-	set := make(map[pair]struct{}, g.NumEdges())
-	g.mustEdgeBlocks(func(start int, edges []Edge, _ []float64) {
-		for i, e := range edges {
-			if g.numDead != 0 && !g.EdgeAlive(start+i) {
-				continue
-			}
-			set[pair{e.Src, e.Dst}] = struct{}{}
-		}
-	})
+	out, in := g.outCSR(), g.inCSR()
 	recip := 0
-	g.mustEdgeBlocks(func(start int, edges []Edge, _ []float64) {
-		for i, e := range edges {
-			if g.numDead != 0 && !g.EdgeAlive(start+i) {
-				continue
+	for v := int32(0); v < int32(len(g.verts)); v++ {
+		from := in.neighbors(v)
+		j := 0
+		for _, d := range out.neighbors(v) {
+			for j < len(from) && from[j] < d {
+				j++
 			}
-			if _, ok := set[pair{e.Dst, e.Src}]; ok {
+			if j == len(from) {
+				break
+			}
+			if from[j] == d {
 				recip++
 			}
 		}
-	})
-	return 100 * float64(recip) / float64(g.NumLiveEdges())
+	}
+	return 100 * float64(recip) / float64(live)
 }
 
 // ZeroDegreePct returns the percentages (0–100) of vertices with zero

@@ -164,6 +164,13 @@ type PartitionedGraph struct {
 	// CC's vertex IDs) keep separate pools and never evict each other.
 	scratchMu    sync.Mutex
 	scratchPools map[string][]any
+
+	// triPlan is the lazily built triangle plan (see TrianglePlan), with the
+	// same life-cycle as the partitions' frontier index: built at most once,
+	// immutable afterwards, counted by MemoryFootprint once triBuilt is set.
+	triOnce  sync.Once
+	triPlan  [][]int32
+	triBuilt atomic.Bool
 }
 
 // maxScratchTypes bounds how many distinct program types park scratches on
@@ -764,7 +771,8 @@ func (pg *PartitionedGraph) TotalMirrors() int64 {
 
 // MemoryFootprint approximates the bytes retained by the partitioned
 // topology itself — the shared edge buffer, per-partition mirror tables,
-// the routing CSR and the retained assignment — excluding the underlying
+// the routing CSR, the retained assignment and the lazily built frontier
+// index and triangle plan once they exist — excluding the underlying
 // Graph and any parked engine scratch. Cache layers use it as the eviction
 // cost of a built topology.
 func (pg *PartitionedGraph) MemoryFootprint() int64 {
@@ -781,6 +789,13 @@ func (pg *PartitionedGraph) MemoryFootprint() int64 {
 		if part.frontierBuilt.Load() {
 			m, n := int64(len(part.edges)), int64(len(part.LocalVerts))
 			b += 2*m*4 + 2*(n+1)*4
+		}
+	}
+	// Triangle plan: one position per canonical edge, lazily built like the
+	// frontier index and read behind its flag for the same reason.
+	if pg.triBuilt.Load() {
+		for _, pos := range pg.triPlan {
+			b += int64(len(pos)) * 4
 		}
 	}
 	return b

@@ -8,6 +8,7 @@ import (
 
 	"cutfit"
 	"cutfit/internal/datasets"
+	"cutfit/internal/gen"
 )
 
 // retractBatch picks up to n distinct live edge positions of g at random
@@ -304,5 +305,64 @@ func TestEmptyBatchMintsNoGeneration(t *testing.T) {
 	}
 	if after.Hits == before.Hits {
 		t.Fatal("serving the parent after no-op steps should hit the cache")
+	}
+}
+
+// TestTrianglesOnRetractedGraph is the regression for Triangle Count on a
+// graph carrying tombstones, which used to index past the partitions' live
+// edge lists and panic: after a retraction the patched topology and a cold
+// session building the same tombstoned generation from scratch must both
+// count the graph oracle's total, with identical run statistics.
+func TestTrianglesOnRetractedGraph(t *testing.T) {
+	const parts = 16
+	ctx := context.Background()
+	g, err := gen.RMAT(gen.DefaultRMAT(10, 8, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := cutfit.EdgePartition2D()
+	se := cutfit.NewSession(cutfit.SessionOptions{})
+	rep, err := se.Run(ctx, g, s, parts, "triangles", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := g.TotalTriangles(); rep.Triangles != want {
+		t.Fatalf("before retraction: %d triangles, oracle %d", rep.Triangles, want)
+	}
+
+	var batch []cutfit.Edge
+	for i, e := range g.Edges() {
+		if i%7 == 0 {
+			batch = append(batch, e)
+		}
+	}
+	ng, err := se.RemoveEdges(g, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ng.NumDeadEdges() == 0 {
+		t.Fatal("retraction compacted: the test needs tombstones")
+	}
+	want := ng.TotalTriangles()
+	if want == g.TotalTriangles() {
+		t.Fatal("retraction removed no triangle")
+	}
+
+	patched, err := se.Run(ctx, ng, s, parts, "triangles", 0)
+	if err != nil {
+		t.Fatalf("patched topology: %v", err)
+	}
+	if se.CacheStats().DeltaDerived == 0 {
+		t.Fatal("the retraction never exercised the delta chain")
+	}
+	cold, err := cutfit.NewSession(cutfit.SessionOptions{}).Run(ctx, ng, s, parts, "triangles", 0)
+	if err != nil {
+		t.Fatalf("cold build of the tombstoned graph: %v", err)
+	}
+	if patched.Triangles != want || cold.Triangles != want {
+		t.Fatalf("triangles: patched %d, cold %d, oracle %d", patched.Triangles, cold.Triangles, want)
+	}
+	if !reflect.DeepEqual(patched, cold) {
+		t.Fatalf("patched and cold reports differ:\n got %+v\nwant %+v", patched, cold)
 	}
 }
