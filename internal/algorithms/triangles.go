@@ -3,7 +3,6 @@ package algorithms
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync"
 
 	"cutfit/internal/graph"
@@ -51,11 +50,8 @@ const hashSetOpUnits = 16
 // higher-degree endpoint's set once in a vertex bitset, probes it with the
 // lower-degree endpoint of every edge in the run, and clears it by
 // re-walking the hub's list — so the work follows Σ min(deg u, deg v)
-// rather than Σ (deg u + deg v). A hub with a single edge in the partition
-// is not worth marking: that edge is intersected directly, by a merge or,
-// when one list is far shorter, by searching the long one. Per call it
-// allocates the result and the per-partition count slices, nothing sized by
-// the edge list.
+// rather than Σ (deg u + deg v). Per call it allocates the result and the
+// per-partition count slices, nothing sized by the edge list.
 //
 // It returns the triangle count through each dense vertex index (each
 // triangle contributes 1 to each corner) and single-superstep run stats.
@@ -66,7 +62,6 @@ func TriangleCount(ctx context.Context, pg *pregel.PartitionedGraph) ([]int64, *
 	g := pg.G
 	nv := g.NumVertices()
 	numParts := pg.NumParts
-	off, adj := g.UndirectedAdjacency()
 	plan := pg.TrianglePlan()
 
 	ss := pregel.SuperstepStats{
@@ -81,7 +76,7 @@ func TriangleCount(ctx context.Context, pg *pregel.PartitionedGraph) ([]int64, *
 	for v := int32(0); v < int32(nv); v++ {
 		m := int64(pg.Mirrors(v))
 		ss.BroadcastMsgs += m
-		ss.BroadcastBytes += m * (16 + 4*(off[v+1]-off[v]))
+		ss.BroadcastBytes += m * (16 + 4*int64(len(g.UndirectedNeighbors(v))))
 	}
 
 	// Compute phase: per-partition canonical-edge intersections.
@@ -96,37 +91,22 @@ func TriangleCount(ctx context.Context, pg *pregel.PartitionedGraph) ([]int64, *
 		// the model charges GraphX's two boxed hash sets per edge whatever
 		// this kernel actually touches.
 		var setOps int64
-		pos := plan[p]
-		for i := 0; i < len(pos); {
-			hubL := part.TriangleHub(pos[i], off)
-			hub := neighbors(part, hubL, off, adj)
-			// The hub's run: every following edge with the same hub. Marking
-			// pays for itself from the second edge on.
-			end := i + 1
-			for end < len(pos) && part.TriangleHub(pos[end], off) == hubL {
-				end++
+		runs := plan[p]
+		for hubL := range counts {
+			leaves := runs.Leaf[runs.Off[hubL]:runs.Off[hubL+1]]
+			if len(leaves) == 0 {
+				continue
 			}
-			marked := end-i > 1
-			if marked {
-				marks.set(hub)
-			}
-			for ; i < end; i++ {
-				sL, dL := part.EdgeAt(int(pos[i]))
-				leafL := sL ^ dL ^ hubL // the endpoint that is not the hub
-				leaf := neighbors(part, leafL, off, adj)
-				var common int
-				if marked {
-					common = marks.count(leaf)
-				} else {
-					common = intersectSortedCount(leaf, hub)
-				}
-				counts[hubL] += int64(common)
-				counts[leafL] += int64(common)
+			hub := g.UndirectedNeighbors(part.LocalVerts[hubL])
+			marks.set(hub)
+			for _, leafL := range leaves {
+				leaf := g.UndirectedNeighbors(part.LocalVerts[leafL])
+				common := int64(marks.count(leaf))
+				counts[hubL] += common
+				counts[leafL] += common
 				setOps += int64(len(hub) + len(leaf))
 			}
-			if marked {
-				marks.clear(hub)
-			}
+			marks.clear(hub)
 		}
 		markPool.Put(marks) // all zero again: every set was cleared
 		partCounts[p] = counts
@@ -134,8 +114,8 @@ func TriangleCount(ctx context.Context, pg *pregel.PartitionedGraph) ([]int64, *
 	}); err != nil {
 		return nil, nil, err
 	}
-	for _, pos := range plan {
-		ss.EdgesScanned += int64(len(pos))
+	for _, runs := range plan {
+		ss.EdgesScanned += int64(len(runs.Leaf))
 	}
 
 	// Reduce phase: one partial count per (partition, vertex with nonzero
@@ -182,13 +162,6 @@ func TriangleCount(ctx context.Context, pg *pregel.PartitionedGraph) ([]int64, *
 	return total, stats, nil
 }
 
-// neighbors returns the undirected neighbor set (sorted global dense
-// indices) of the partition's local vertex l, straight from the graph's CSR.
-func neighbors(part *pregel.Partition, l int32, off []int64, adj []int32) []int32 {
-	g := part.LocalVerts[l]
-	return adj[off[g]:off[g+1]]
-}
-
 // markSet is one worker's vertex-presence scratch: a bitset over global
 // dense vertex indices holding one hub's neighbor set at a time. It is all
 // zero whenever it is not inside a set/clear pair, so it can be pooled.
@@ -231,60 +204,6 @@ func takeMarks(nv int) *markSet {
 		return m
 	}
 	return &markSet{words: make([]uint64, words)}
-}
-
-// searchRatio is how many times longer the long list must be before
-// intersectSortedCount stops merging and looks each element of the short
-// list up instead: a lookup costs about log2 |long| steps, a merge step per
-// element of both lists costs one.
-const searchRatio = 16
-
-// intersectSortedCount returns |a ∩ b| for sorted, duplicate-free slices.
-func intersectSortedCount(a, b []int32) int {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	if len(b) >= searchRatio*len(a) {
-		return searchCount(a, b)
-	}
-	return mergeCount(a, b)
-}
-
-// mergeCount intersects by a two-pointer merge: O(|a| + |b|).
-func mergeCount(a, b []int32) int {
-	i, j, n := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			n++
-			i++
-			j++
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return n
-}
-
-// searchCount intersects by binary-searching each element of short in the
-// part of long that earlier elements have not ruled out: O(|short| · log
-// |long|).
-func searchCount(short, long []int32) int {
-	n := 0
-	for _, v := range short {
-		k, found := slices.BinarySearch(long, v)
-		if found {
-			n++
-			k++
-		}
-		long = long[k:]
-		if len(long) == 0 {
-			break
-		}
-	}
-	return n
 }
 
 // TriangleCountSeq is the sequential oracle, returning per-vertex triangle

@@ -78,9 +78,8 @@ func checkEdgeViews(t *testing.T, g *Graph) {
 	if want := canonicalEdgesRef(g); !reflect.DeepEqual(canon, want) {
 		t.Fatalf("canonical view\n got %x\nwant %x", canon, want)
 	}
-	_, adj := g.UndirectedAdjacency()
-	if got := popcount(canon); 2*got != len(adj) {
-		t.Fatalf("%d canonical edges for %d undirected adjacency entries", got, len(adj))
+	if got, adj := popcount(canon), len(g.undirCSR().adj); 2*got != adj {
+		t.Fatalf("%d canonical edges for %d undirected adjacency entries", got, adj)
 	}
 	if got, want := g.SymmetryPct(), symmetryPctRef(g); got != want {
 		t.Fatalf("SymmetryPct = %v, reference %v", got, want)

@@ -1148,7 +1148,8 @@ func (g *Graph) buildCSR(direction string, undirected, dedup bool) *csr {
 	})
 	c := &csr{offsets: offsets, adj: adj}
 	for i := int32(0); i < int32(n); i++ {
-		slices.Sort(c.neighbors(i))
+		nb := c.neighbors(i)
+		sort.Slice(nb, func(a, b int) bool { return nb[a] < nb[b] })
 	}
 	if dedup {
 		c = c.deduplicate(n)
@@ -1203,16 +1204,6 @@ func (g *Graph) InNeighbors(i int32) []int32 { return g.inCSR().neighbors(i) }
 // UndirectedNeighbors returns the sorted, deduplicated, loop-free neighbor
 // set of dense vertex i in the undirected projection of the graph.
 func (g *Graph) UndirectedNeighbors(i int32) []int32 { return g.undirCSR().neighbors(i) }
-
-// UndirectedAdjacency returns the CSR arrays behind UndirectedNeighbors:
-// the neighbor set of dense vertex i is adj[offsets[i]:offsets[i+1]]. Hot
-// loops that visit many rows read these directly instead of paying the
-// view check of UndirectedNeighbors per vertex. Callers must not modify
-// either slice.
-func (g *Graph) UndirectedAdjacency() (offsets []int64, adj []int32) {
-	c := g.undirCSR()
-	return c.offsets, c.adj
-}
 
 // CanonicalEdges returns the canonical-undirected-edge view: a bitset over
 // dense edge positions (bit i of word i/64) marking the one live edge that

@@ -169,7 +169,7 @@ type PartitionedGraph struct {
 	// same life-cycle as the partitions' frontier index: built at most once,
 	// immutable afterwards, counted by MemoryFootprint once triBuilt is set.
 	triOnce  sync.Once
-	triPlan  [][]int32
+	triPlan  []TriangleRuns
 	triBuilt atomic.Bool
 }
 
@@ -791,11 +791,12 @@ func (pg *PartitionedGraph) MemoryFootprint() int64 {
 			b += 2*m*4 + 2*(n+1)*4
 		}
 	}
-	// Triangle plan: one position per canonical edge, lazily built like the
-	// frontier index and read behind its flag for the same reason.
+	// Triangle plan: one leaf per canonical edge and one offset per local
+	// vertex, lazily built like the frontier index and read behind its flag
+	// for the same reason.
 	if pg.triBuilt.Load() {
-		for _, pos := range pg.triPlan {
-			b += int64(len(pos)) * 4
+		for _, runs := range pg.triPlan {
+			b += int64(len(runs.Off)+len(runs.Leaf)) * 4
 		}
 	}
 	return b

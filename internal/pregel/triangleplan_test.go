@@ -11,45 +11,43 @@ import (
 	"cutfit/internal/partition"
 )
 
-// checkTrianglePlan verifies the plan against its definition: the
-// partitions' positions are exactly the graph's canonical live edges, each
-// once, and every hub's edges form one run with ascending positions.
+// checkTrianglePlan verifies the plan against its definition: every
+// partition's runs hold exactly its canonical live edges, each under its
+// endpoint with the larger undirected neighbor set (the source on ties) and
+// in edge order.
 func checkTrianglePlan(t *testing.T, pg *PartitionedGraph) {
 	t.Helper()
 	plan := pg.TrianglePlan()
 	g := pg.G
 	canon := g.CanonicalEdges()
-	want := make([][]int32, pg.NumParts)
-	cursor := make([]int32, pg.NumParts)
+	want := make([][][]int32, pg.NumParts) // partition -> hub -> leaves
+	for p, part := range pg.Parts {
+		want[p] = make([][]int32, part.NumLocalVertices())
+	}
+	cursor := make([]int, pg.NumParts)
 	for i, p := range pg.AssignOrder() {
 		if !g.EdgeAlive(i) {
 			continue
 		}
 		if canon[i>>6]&(1<<(uint(i)&63)) != 0 {
-			want[p] = append(want[p], cursor[p])
+			part := pg.Parts[p]
+			hub, leaf := part.EdgeAt(cursor[p])
+			if len(g.UndirectedNeighbors(part.LocalVerts[leaf])) > len(g.UndirectedNeighbors(part.LocalVerts[hub])) {
+				hub, leaf = leaf, hub
+			}
+			want[p][hub] = append(want[p][hub], leaf)
 		}
 		cursor[p]++
 	}
-	off, _ := g.UndirectedAdjacency()
-	for p, pos := range plan {
-		part := pg.Parts[p]
-		if sorted := slices.Sorted(slices.Values(pos)); !slices.Equal(sorted, want[p]) {
-			t.Fatalf("partition %d: plan holds %v, canonical positions are %v", p, sorted, want[p])
+	for p, runs := range plan {
+		n := pg.Parts[p].NumLocalVertices()
+		if len(runs.Off) != n+1 || runs.Off[0] != 0 || int(runs.Off[n]) != len(runs.Leaf) {
+			t.Fatalf("partition %d: offsets %v do not frame %d leaves of %d vertices", p, runs.Off, len(runs.Leaf), n)
 		}
-		closed := make(map[int32]bool)
-		prevHub, prevPos := int32(-1), int32(-1)
-		for _, j := range pos {
-			hub := part.TriangleHub(j, off)
-			switch {
-			case hub != prevHub:
-				if closed[hub] {
-					t.Fatalf("partition %d: hub %d appears in two runs", p, hub)
-				}
-				closed[prevHub] = true
-			case j <= prevPos:
-				t.Fatalf("partition %d: positions descend inside hub %d's run", p, hub)
+		for hub := 0; hub < n; hub++ {
+			if got := runs.Leaf[runs.Off[hub]:runs.Off[hub+1]]; !slices.Equal(got, want[p][hub]) {
+				t.Fatalf("partition %d hub %d: leaves %v, want %v", p, hub, got, want[p][hub])
 			}
-			prevHub, prevPos = hub, j
 		}
 	}
 }
@@ -71,7 +69,7 @@ func TestTrianglePlan(t *testing.T) {
 
 		before := pg.MemoryFootprint()
 		var wg sync.WaitGroup
-		plans := make([][][]int32, 6)
+		plans := make([][]TriangleRuns, 6)
 		for i := range plans {
 			wg.Add(1)
 			go func() {
@@ -81,16 +79,16 @@ func TestTrianglePlan(t *testing.T) {
 		}
 		wg.Wait()
 		var held int64
-		for p := range plans[0] {
-			held += int64(len(plans[0][p]))
-			for i := range plans {
-				if len(plans[0][p]) > 0 && &plans[i][p][0] != &plans[0][p][0] {
-					t.Fatalf("%s: concurrent first callers saw different plans", s.Name())
-				}
+		for _, runs := range plans[0] {
+			held += int64(len(runs.Off) + len(runs.Leaf))
+		}
+		for i := range plans {
+			if &plans[i][0] != &plans[0][0] {
+				t.Fatalf("%s: concurrent first callers saw different plans", s.Name())
 			}
 		}
 		if grew := pg.MemoryFootprint() - before; grew != 4*held {
-			t.Fatalf("%s: footprint grew %d bytes for %d planned edges", s.Name(), grew, held)
+			t.Fatalf("%s: footprint grew %d bytes for %d plan entries", s.Name(), grew, held)
 		}
 		checkTrianglePlan(t, pg)
 
