@@ -11,7 +11,7 @@ GO ?= go
 #   make bench-compare BENCH_OUT=new.txt
 #   benchstat old.txt new.txt
 # The default filter is the guarded set the CI benchmark gate enforces.
-BENCH ?= BenchmarkSelectEmpirically|BenchmarkMeasureThenRun|BenchmarkTriangleCount|BenchmarkPartitionBuild|BenchmarkAppendEdges|BenchmarkRemoveEdges|BenchmarkRestoreVsRebuild|BenchmarkSparseFrontier|BenchmarkScalingSweep|BenchmarkScale/1M
+BENCH ?= BenchmarkSelectEmpirically|BenchmarkMeasureThenRun|BenchmarkTriangleCount|BenchmarkPartitionBuild|BenchmarkAppendEdges|BenchmarkRemoveEdges|BenchmarkRestoreVsRebuild|BenchmarkReadEdgeList|BenchmarkSparseFrontier|BenchmarkScalingSweep|BenchmarkScale/1M
 BENCH_COUNT ?= 10
 BENCH_OUT ?= bench.txt
 
@@ -59,11 +59,12 @@ race:
 
 # Hot-path benchmarks: partition construction (old vs new, and across
 # dataset analogs × strategies), the sparse-frontier scan payoff,
-# per-superstep allocation footprint, the single-pass selection pipeline
-# and the compact worker sweep.
+# per-superstep allocation footprint, the single-pass selection pipeline,
+# the compact worker sweep and the two loaders (text ingest, snapshot
+# restore against rebuild).
 bench:
 	$(GO) test -run='^$$' -bench='BenchmarkPartitionBuild|BenchmarkSparseFrontier' -benchmem ./internal/pregel/
-	$(GO) test -run='^$$' -bench='BenchmarkPartitionBuild|BenchmarkSuperstepAllocs|BenchmarkSelectEmpirically|BenchmarkMeasureThenRun|BenchmarkTriangleCount|BenchmarkScalingSweep' -benchmem .
+	$(GO) test -run='^$$' -bench='BenchmarkPartitionBuild|BenchmarkSuperstepAllocs|BenchmarkSelectEmpirically|BenchmarkMeasureThenRun|BenchmarkTriangleCount|BenchmarkScalingSweep|BenchmarkReadEdgeList|BenchmarkRestoreVsRebuild' -benchmem .
 
 # Full multi-core scaling sweep: worker ladder × components × dataset
 # analogs, JSON for the benchgate efficiency gate plus a markdown table.
@@ -134,7 +135,8 @@ bench-smoke:
 bench-compare:
 	$(GO) test -run='^$$' -bench='$(BENCH)' -benchmem -count=$(BENCH_COUNT) . ./internal/pregel/ | tee $(BENCH_OUT)
 
-# Longer fuzz session: the edge-list ingest path, the incremental topology
+# Longer fuzz session: the edge-list ingest path (round trip, and the parser
+# against its strconv reference), the incremental topology
 # patchers (delta append and shrink/slide-window, each cross-checked
 # against a full rebuild), the dense/sparse/auto engine scan equivalence
 # (including density-threshold crossovers mid-run), and the snapshot
@@ -143,6 +145,7 @@ bench-compare:
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadEdgeList -fuzztime=$(FUZZTIME) ./internal/graph/
+	$(GO) test -run='^$$' -fuzz=FuzzStreamEdgeList -fuzztime=$(FUZZTIME) ./internal/graph/
 	$(GO) test -run='^$$' -fuzz=FuzzApplyDelta -fuzztime=$(FUZZTIME) ./internal/pregel/
 	$(GO) test -run='^$$' -fuzz=FuzzApplyShrink -fuzztime=$(FUZZTIME) ./internal/pregel/
 	$(GO) test -run='^$$' -fuzz=FuzzFrontierScanEquivalence -fuzztime=$(FUZZTIME) ./internal/pregel/
@@ -154,6 +157,7 @@ fuzz:
 # enough for every PR.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadEdgeList -fuzztime=5s ./internal/graph/
+	$(GO) test -run='^$$' -fuzz=FuzzStreamEdgeList -fuzztime=5s ./internal/graph/
 	$(GO) test -run='^$$' -fuzz=FuzzApplyDelta -fuzztime=5s ./internal/pregel/
 	$(GO) test -run='^$$' -fuzz=FuzzApplyShrink -fuzztime=5s ./internal/pregel/
 	$(GO) test -run='^$$' -fuzz=FuzzFrontierScanEquivalence -fuzztime=5s ./internal/pregel/

@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -323,4 +325,100 @@ func TestMetricsUnderConcurrentLoad(t *testing.T) {
 	}
 	close(stop)
 	writers.Wait()
+}
+
+// lockedBuffer is a log sink the test may read while request goroutines are
+// still writing their closing log lines.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestPanickingHandlerReleasesSlotAndIsCounted: a handler that panics
+// limit+1 times must not exhaust the global limiter (the slot release is
+// deferred), and each panic must come back as a JSON 500 that reaches the
+// request counter, the latency histogram, the error counter and the log
+// with its request id — not as a dropped connection nothing accounts for.
+func TestPanickingHandlerReleasesSlotAndIsCounted(t *testing.T) {
+	const limit = 2
+	var logs lockedBuffer
+	s := mustServer(t, serverOptions{
+		maxConcurrent: limit,
+		maxQueue:      -1, // no queue: a leaked slot shows as an instant 429
+		logger:        slog.New(slog.NewJSONHandler(&logs, nil)),
+	})
+	s.mux.HandleFunc("GET /test/panic", func(http.ResponseWriter, *http.Request) { panic("boom") })
+	s.mux.HandleFunc("GET /test/late-panic", func(w http.ResponseWriter, _ *http.Request) {
+		writeJSON(w, http.StatusOK, map[string]string{"partial": "reply"})
+		panic("after the reply began")
+	})
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+
+	requests := mHTTPRequests.With("/test/panic", "500")
+	latency := hHTTPLatency.With("/test/panic")
+	failures := mHTTPErrors.With("/test/panic", codeInternal)
+	before := [3]int64{requests.Value(), latency.Count(), failures.Value()}
+	for i := 0; i <= limit; i++ {
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/test/panic", nil)
+		req.Header.Set("X-Request-ID", fmt.Sprintf("panic-%d", i))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("request %d: %v (a panic must be answered, not drop the connection)", i, err)
+		}
+		var e errorReply
+		_ = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusInternalServerError || e.Code != codeInternal {
+			t.Fatalf("request %d: got (%d, %q), want (500, %q)", i, resp.StatusCode, e.Code, codeInternal)
+		}
+		if !strings.Contains(logs.String(), fmt.Sprintf(`"msg":"handler panic","id":"panic-%d"`, i)) {
+			t.Errorf("request %d: no panic log line carries its request id:\n%s", i, logs.String())
+		}
+	}
+	after := [3]int64{requests.Value(), latency.Count(), failures.Value()}
+	for i, name := range []string{"cutfit_http_requests_total", "cutfit_http_request_seconds", "cutfit_http_errors_total"} {
+		if got := after[i] - before[i]; got != limit+1 {
+			t.Errorf("%s grew by %d over %d panics", name, got, limit+1)
+		}
+	}
+
+	// A panic after the reply began cannot change what the client got, but
+	// is accounted as the failure it is.
+	late := mHTTPRequests.With("/test/late-panic", "500")
+	lateBefore := late.Value()
+	resp, err := http.Get(ts.URL + "/test/late-panic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || late.Value() != lateBefore+1 {
+		t.Errorf("late panic: client saw %d, 500s counted %d; want 200 and 1", resp.StatusCode, late.Value()-lateBefore)
+	}
+
+	// Every slot is back: the limiter admits limit requests at once again.
+	var held []func()
+	for i := 0; i < limit; i++ {
+		release := s.limiter.TryAcquire()
+		if release == nil {
+			t.Fatalf("only %d of %d global slots free after the panics", i, limit)
+		}
+		held = append(held, release)
+	}
+	for _, release := range held {
+		release()
+	}
 }

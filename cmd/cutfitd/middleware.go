@@ -3,10 +3,12 @@ package main
 import (
 	"crypto/rand"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -116,8 +118,9 @@ func exemptFromAdmission(path string) bool {
 }
 
 // ServeHTTP is the daemon's middleware stack: request ID, in-flight
-// gauge, global admission control, then the mux, then the request
-// counter/latency/error series and one structured log line.
+// gauge, global admission control and panic recovery (serveAdmitted), then
+// the mux, then the request counter/latency/error series and one
+// structured log line.
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	rid := r.Header.Get("X-Request-ID")
@@ -131,10 +134,7 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	defer gHTTPInFlight.Add(-1)
 
 	sw := &statusWriter{ResponseWriter: w}
-	if release, ok := s.admit(sw, r, "global", s.limiter); ok {
-		s.mux.ServeHTTP(sw, r)
-		release()
-	}
+	s.serveAdmitted(sw, r, rid)
 	if sw.status == 0 {
 		sw.status = http.StatusOK
 	}
@@ -161,6 +161,34 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		"duration", elapsed,
 		"remote", r.RemoteAddr,
 	)
+}
+
+// serveAdmitted runs the mux under the global admission limit. The slot is
+// released however the handler ends, and a panicking handler ends as a 500:
+// logged with the request's id and counted by ServeHTTP like any other
+// response, where net/http's own recovery would drop the connection, count
+// nothing and — before the release was deferred — leak the slot.
+func (s *server) serveAdmitted(sw *statusWriter, r *http.Request, rid string) {
+	release, ok := s.admit(sw, r, "global", s.limiter)
+	if !ok {
+		return
+	}
+	defer release()
+	defer func() {
+		p := recover()
+		if p == nil {
+			return
+		}
+		s.logger.Error("handler panic", "id", rid, "method", r.Method, "path", r.URL.Path,
+			"panic", fmt.Sprint(p), "stack", string(debug.Stack()))
+		if sw.status == 0 {
+			writeError(sw, http.StatusInternalServerError, errors.New("internal error"))
+		}
+		// A response already begun cannot be taken back; it is still
+		// accounted as the failure it is.
+		sw.status = http.StatusInternalServerError
+	}()
+	s.mux.ServeHTTP(sw, r)
 }
 
 // endpointLabel resolves the mux pattern the request will route to, so

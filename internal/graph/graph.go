@@ -686,7 +686,7 @@ func (g *Graph) buildVerts() {
 				}
 			}
 		})
-		if minV >= 0 && uint64(maxV) <= uint64(ne)*8+1024 {
+		if minV >= 0 && bitmapFits(maxV, ne) {
 			words := make([]uint64, (int64(maxV)>>6)+1)
 			g.mustEdgeBlocks(func(_ int, edges []Edge, _ []float64) {
 				for _, e := range edges {
@@ -719,6 +719,13 @@ func (g *Graph) buildVerts() {
 		sort.Slice(verts, func(i, j int) bool { return verts[i] < verts[j] })
 		g.verts = verts
 	})
+}
+
+// bitmapFits is the rule for collecting or checking a vertex set of ne
+// edges with a bitmap over [0, maxV]: at most ~8 bits per edge, so the
+// scratch never outweighs the edge list. maxV must be non-negative.
+func bitmapFits(maxV VertexID, ne int) bool {
+	return uint64(maxV) <= uint64(ne)*8+1024
 }
 
 // buildIndex computes the vertex ID -> dense index view from the vertex
@@ -1148,8 +1155,7 @@ func (g *Graph) buildCSR(direction string, undirected, dedup bool) *csr {
 	})
 	c := &csr{offsets: offsets, adj: adj}
 	for i := int32(0); i < int32(n); i++ {
-		nb := c.neighbors(i)
-		sort.Slice(nb, func(a, b int) bool { return nb[a] < nb[b] })
+		slices.Sort(c.neighbors(i))
 	}
 	if dedup {
 		c = c.deduplicate(n)

@@ -2,13 +2,16 @@ package graph
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"slices"
 	"strconv"
-	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // WriteEdgeList writes the graph in SNAP-style text format: one "src dst"
@@ -56,6 +59,11 @@ const streamBatchEdges = 8192
 // implicitly weigh 1 per edge; a consumer building a weighted artifact must
 // backfill ones for them, exactly as the dense tier's weight promotion
 // does. The slices are reused between batches — fn must not retain them.
+//
+// The two vertex IDs are scanned straight from the scanner's buffer, so an
+// unweighted line costs no allocation. The accepted language is that of
+// strings.Fields + strconv.ParseInt(·, 10, 64), and a rejected field goes
+// through strconv for its error.
 func StreamEdgeList(r io.Reader, fn func(edges []Edge, weights []float64) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<20)
@@ -72,47 +80,67 @@ func StreamEdgeList(r io.Reader, fn func(edges []Edge, weights []float64) error)
 		}
 		return err
 	}
+	sc.Split(scanLineBlocks)
 	lineNo := 0
 	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || line[0] == '#' || line[0] == '%' {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			return fmt.Errorf("graph: line %d: expected \"src dst\", got %q", lineNo, line)
-		}
-		src, err := strconv.ParseInt(fields[0], 10, 64)
-		if err != nil {
-			return fmt.Errorf("graph: line %d: bad source vertex %q: %w", lineNo, fields[0], err)
-		}
-		dst, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
-			return fmt.Errorf("graph: line %d: bad destination vertex %q: %w", lineNo, fields[1], err)
-		}
-		if len(fields) >= 3 {
-			wt, err := strconv.ParseFloat(fields[2], 64)
-			if err != nil {
-				return fmt.Errorf("graph: line %d: bad edge weight %q: %w", lineNo, fields[2], err)
+		// The block is parsed in place, line by line: '\n' is whitespace to
+		// every helper but skipBlank, which stops in front of it, so a field
+		// scan can never run on into the next line. Each line's handling
+		// leaves p on the line's '\n' (or at the end of the block).
+		block := sc.Bytes()
+		for p := 0; p < len(block); p++ {
+			lineNo++
+			p = skipBlank(block, p)
+			if atLineEnd(block, p) {
+				continue
 			}
-			if !(wt > 0) || math.IsInf(wt, 1) {
-				return fmt.Errorf("graph: line %d: edge weight %g must be finite and positive", lineNo, wt)
+			if block[p] == '#' || block[p] == '%' {
+				p = lineEnd(block, p)
+				continue
 			}
-			if weights == nil {
-				weights = make([]float64, len(edges), streamBatchEdges)
-				for i := range weights {
-					weights[i] = 1
+			// A lone field is reported as such before it is judged as a number.
+			srcAt := p
+			src, srcEnd, srcOK := scanVertexID(block, srcAt)
+			if !srcOK {
+				srcEnd = fieldEnd(block, srcAt)
+			}
+			dstAt := skipBlank(block, srcEnd)
+			if atLineEnd(block, dstAt) {
+				return fmt.Errorf("graph: line %d: expected \"src dst\", got %q", lineNo, block[srcAt:srcEnd])
+			}
+			if !srcOK {
+				return badVertexField(lineNo, "source", block[srcAt:srcEnd])
+			}
+			dst, dstEnd, ok := scanVertexID(block, dstAt)
+			if !ok {
+				return badVertexField(lineNo, "destination", block[dstAt:fieldEnd(block, dstAt)])
+			}
+			if p = skipBlank(block, dstEnd); !atLineEnd(block, p) {
+				wtEnd := fieldEnd(block, p)
+				wtField := block[p:wtEnd]
+				wt, err := strconv.ParseFloat(string(wtField), 64)
+				if err != nil {
+					return fmt.Errorf("graph: line %d: bad edge weight %q: %w", lineNo, wtField, err)
 				}
+				if !(wt > 0) || math.IsInf(wt, 1) {
+					return fmt.Errorf("graph: line %d: edge weight %g must be finite and positive", lineNo, wt)
+				}
+				if weights == nil {
+					weights = make([]float64, len(edges), streamBatchEdges)
+					for i := range weights {
+						weights[i] = 1
+					}
+				}
+				weights = append(weights, wt)
+				p = lineEnd(block, wtEnd)
+			} else if weights != nil {
+				weights = append(weights, 1)
 			}
-			weights = append(weights, wt)
-		} else if weights != nil {
-			weights = append(weights, 1)
-		}
-		edges = append(edges, Edge{Src: VertexID(src), Dst: VertexID(dst)})
-		if len(edges) == streamBatchEdges {
-			if err := flush(); err != nil {
-				return err
+			edges = append(edges, Edge{Src: VertexID(src), Dst: VertexID(dst)})
+			if len(edges) == streamBatchEdges {
+				if err := flush(); err != nil {
+					return err
+				}
 			}
 		}
 	}
@@ -120,6 +148,143 @@ func StreamEdgeList(r io.Reader, fn func(edges []Edge, weights []float64) error)
 		return fmt.Errorf("graph: scanning edge list: %w", err)
 	}
 	return flush()
+}
+
+// scanLineBlocks is a bufio.SplitFunc delivering every complete line the
+// buffer holds as one token (bufio.ScanLines pays a Scan round trip per
+// line), and an unterminated last line at EOF. A line is held to the
+// scanner's token limit exactly as under ScanLines: a token is requested
+// beyond the buffer only when the buffer starts with a line that has no end
+// in it.
+func scanLineBlocks(data []byte, atEOF bool) (advance int, token []byte, err error) {
+	if nl := bytes.LastIndexByte(data, '\n'); nl >= 0 {
+		return nl + 1, data[:nl+1], nil
+	}
+	if atEOF && len(data) > 0 {
+		return len(data), data, nil
+	}
+	return 0, nil, nil
+}
+
+// asciiSpace marks the ASCII whitespace characters (strings.Fields' set).
+var asciiSpace = [utf8.RuneSelf]uint8{'\t': 1, '\n': 1, '\v': 1, '\f': 1, '\r': 1, ' ': 1}
+
+// spaceAt returns the width of the whitespace character at b[p], 0 when
+// there is none. Whitespace is unicode.IsSpace, as strings.Fields has it.
+func spaceAt(b []byte, p int) int {
+	if c := b[p]; c < utf8.RuneSelf {
+		return int(asciiSpace[c])
+	}
+	return wideSpaceAt(b, p)
+}
+
+// wideSpaceAt is spaceAt for the whitespace beyond ASCII (U+0085, U+00A0,
+// U+2000…), kept apart so that spaceAt inlines.
+func wideSpaceAt(b []byte, p int) int {
+	if r, size := utf8.DecodeRune(b[p:]); unicode.IsSpace(r) {
+		return size
+	}
+	return 0
+}
+
+// skipBlank returns the position of the first byte of b at or after p that
+// is not whitespace or is the '\n' ending the line, len(b) when there is
+// none.
+func skipBlank(b []byte, p int) int {
+	for p < len(b) && b[p] != '\n' {
+		n := spaceAt(b, p)
+		if n == 0 {
+			break
+		}
+		p += n
+	}
+	return p
+}
+
+// atLineEnd reports whether p, a position skipBlank returned, ends a line.
+func atLineEnd(b []byte, p int) bool { return p == len(b) || b[p] == '\n' }
+
+// lineEnd returns the position of the '\n' at or after p, len(b) when there
+// is none.
+func lineEnd(b []byte, p int) int {
+	if nl := bytes.IndexByte(b[p:], '\n'); nl >= 0 {
+		return p + nl
+	}
+	return len(b)
+}
+
+// fieldEnd returns the end of the field starting at b[p]: the position of
+// the next whitespace character, or len(b).
+func fieldEnd(b []byte, p int) int {
+	for p < len(b) && spaceAt(b, p) == 0 {
+		p++
+	}
+	return p
+}
+
+// scanVertexID parses the field starting at b[p] (p < len(b), not
+// whitespace) as strconv.ParseInt(field, 10, 64) would — optional sign,
+// decimal digits only, the full int64 range — and returns the position just
+// past it. ok == false for any field ParseInt rejects; end is then
+// meaningless.
+func scanVertexID(b []byte, p int) (v int64, end int, ok bool) {
+	neg := b[p] == '-'
+	if neg || b[p] == '+' {
+		p++
+	}
+	// At cutoff and beyond one more digit exceeds 2^63; below it n*10+9
+	// cannot wrap.
+	const cutoff = 1<<63/10 + 1
+	var n uint64
+	digits := p
+	if p+8 <= len(b) {
+		var k int
+		n, k = leadingDigits(binary.LittleEndian.Uint64(b[p:]))
+		p += k
+	}
+	for ; p < len(b); p++ {
+		d := uint64(b[p] - '0')
+		if d > 9 {
+			break
+		}
+		if n >= cutoff {
+			return 0, p, false
+		}
+		n = n*10 + d
+	}
+	if p == digits || (p < len(b) && spaceAt(b, p) == 0) {
+		return 0, p, false
+	}
+	if neg {
+		return int64(-n), p, n <= 1<<63
+	}
+	return int64(n), p, n < 1<<63
+}
+
+// leadingDigits takes eight bytes of text loaded little-endian and returns
+// how many of them, from the first, are decimal digits, and the value of that
+// run — without a branch, where a digit loop mispredicts its exit on every
+// field.
+func leadingDigits(w uint64) (v uint64, k int) {
+	// Per byte: a digit becomes 0..9; anything else keeps a bit in its high
+	// nibble, or gets one from the +6. A carry out of a byte only disturbs
+	// bytes after the first non-digit.
+	x := w ^ 0x3030303030303030
+	k = bits.TrailingZeros64((x|(x+0x0606060606060606))&0xf0f0f0f0f0f0f0f0) >> 3
+	// Left-align the run as eight digits with leading zeros, then add
+	// neighbours pairwise: 2 × 1 digit, 2 × 2 digits, 2 × 4 digits.
+	x <<= uint(8-k) * 8
+	x = (x*10 + x>>8) & 0x00ff00ff00ff00ff
+	x = (x*100 + x>>16) & 0x0000ffff0000ffff
+	return (x*10000 + x>>32) & 0xffffffff, k
+}
+
+// badVertexField builds the error of a vertex field scanVertexID rejected:
+// strconv.ParseInt rejects it too, and its error is the text callers have
+// always seen.
+func badVertexField(lineNo int, which string, field []byte) error {
+	_, err := strconv.ParseInt(string(field), 10, 64)
+	return fmt.Errorf("graph: line %d: bad %s vertex %q: %w", lineNo, which, field, err)
 }
 
 // ReadEdgeList parses a SNAP-style text edge list: lines of "src dst"
@@ -222,30 +387,59 @@ func decodeEdgesInto(data []byte, dst []Edge) ([]Edge, error) {
 	if count > uint64(len(data))/2+1 {
 		return nil, fmt.Errorf("graph: edge count %d exceeds payload size", count)
 	}
-	edges := dst[:0]
-	if uint64(cap(edges)) < count {
-		edges = make([]Edge, 0, count)
+	var edges []Edge
+	if uint64(cap(dst)) < count {
+		edges = make([]Edge, count)
+	} else {
+		edges = dst[:count]
 	}
 	var prevSrc int64
-	for i := uint64(0); i < count; i++ {
-		ds, n := binary.Varint(data)
-		if n <= 0 {
-			return nil, fmt.Errorf("graph: edge %d: reading src: malformed varint", i)
+	p := 0
+	for i := range edges {
+		ds, n := shortVarint(data, p)
+		if n == 0 {
+			if ds, n = binary.Varint(data[p:]); n <= 0 {
+				return nil, fmt.Errorf("graph: edge %d: reading src: malformed varint", i)
+			}
 		}
-		data = data[n:]
+		p += n
 		src := prevSrc + ds
-		dd, n := binary.Varint(data)
-		if n <= 0 {
-			return nil, fmt.Errorf("graph: edge %d: reading dst: malformed varint", i)
+		dd, n := shortVarint(data, p)
+		if n == 0 {
+			if dd, n = binary.Varint(data[p:]); n <= 0 {
+				return nil, fmt.Errorf("graph: edge %d: reading dst: malformed varint", i)
+			}
 		}
-		data = data[n:]
-		edges = append(edges, Edge{Src: VertexID(src), Dst: VertexID(src + dd)})
+		p += n
+		edges[i] = Edge{Src: VertexID(src), Dst: VertexID(src + dd)}
 		prevSrc = src
 	}
-	if len(data) != 0 {
-		return nil, fmt.Errorf("graph: %d trailing bytes after edge payload", len(data))
+	if p != len(data) {
+		return nil, fmt.Errorf("graph: %d trailing bytes after edge payload", len(data)-p)
 	}
 	return edges, nil
+}
+
+// shortVarint decodes the zig-zag varint at data[p:] when its encoding is
+// at most three bytes long — every delta below 2^20, which is nearly all of
+// them on graphs of up to a million vertices — and returns n == 0 for
+// anything longer, truncated or malformed, which the caller hands to
+// binary.Varint.
+func shortVarint(data []byte, p int) (v int64, n int) {
+	if p+3 > len(data) {
+		return 0, 0
+	}
+	ux, n := uint64(data[p]), 1
+	if ux >= 0x80 {
+		ux, n = ux&0x7f|uint64(data[p+1])<<7, 2
+		if ux >= 0x4000 {
+			ux, n = ux&0x3fff|uint64(data[p+2])<<14, 3
+			if ux >= 0x200000 {
+				return 0, 0
+			}
+		}
+	}
+	return int64(ux>>1) ^ -int64(ux&1), n
 }
 
 // WriteBinary writes a compact binary encoding of the edge list: the magic
@@ -327,6 +521,96 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	return FromEdges(edges), nil
 }
 
+// checkVertexListShape rejects a persisted vertex list that is not
+// non-negative and strictly ascending.
+func checkVertexListShape(verts []VertexID) error {
+	if len(verts) > 0 && verts[0] < 0 {
+		return fmt.Errorf("graph: restored vertex list has negative vertex ID %d", verts[0])
+	}
+	for i := 1; i < len(verts); i++ {
+		if verts[i] <= verts[i-1] {
+			return fmt.Errorf("graph: restored vertex list not strictly ascending at index %d", i)
+		}
+	}
+	return nil
+}
+
+// checkVertexCoverage proves that a shape-checked vertex list is exactly
+// the endpoint set of edges: every endpoint listed, every listed vertex an
+// endpoint. One pass over the edges with no per-endpoint search: ID spaces
+// the buildVerts bitmap rule covers (every generator in this module, real
+// SNAP datasets) test and mark two bitsets — listed and used — which must
+// come out equal; sparse or huge ID spaces pay one hash lookup per endpoint.
+func checkVertexCoverage(edges []Edge, verts []VertexID) error {
+	missing := func(i int) error {
+		return fmt.Errorf("graph: edge %d (%d -> %d) has an endpoint missing from the restored vertex list", i, edges[i].Src, edges[i].Dst)
+	}
+	unused := func(i int) error {
+		return fmt.Errorf("graph: restored vertex list entry %d (vertex %d) appears in no edge", i, verts[i])
+	}
+	if len(verts) == 0 {
+		if len(edges) > 0 {
+			return missing(0)
+		}
+		return nil
+	}
+	last := verts[len(verts)-1]
+	if !bitmapFits(last, len(edges)) {
+		used := make(map[VertexID]bool, len(verts))
+		for _, v := range verts {
+			used[v] = false
+		}
+		for i, e := range edges {
+			su, sok := used[e.Src]
+			du, dok := used[e.Dst]
+			if !sok || !dok {
+				return missing(i)
+			}
+			if !su {
+				used[e.Src] = true
+			}
+			if !du {
+				used[e.Dst] = true
+			}
+		}
+		for i, v := range verts {
+			if !used[v] {
+				return unused(i)
+			}
+		}
+		return nil
+	}
+	maxV := uint64(last)
+	nw := int(maxV>>6) + 1
+	words := make([]uint64, 2*nw)
+	listed, used := words[:nw], words[nw:]
+	for _, v := range verts {
+		listed[v>>6] |= 1 << (uint64(v) & 63)
+	}
+	for i, e := range edges {
+		// A negative ID converts to a value above maxV.
+		s, d := uint64(e.Src), uint64(e.Dst)
+		if s > maxV || d > maxV {
+			return missing(i)
+		}
+		sw, sb := s>>6, uint64(1)<<(s&63)
+		dw, db := d>>6, uint64(1)<<(d&63)
+		if listed[sw]&sb == 0 || listed[dw]&db == 0 {
+			return missing(i)
+		}
+		used[sw] |= sb
+		used[dw] |= db
+	}
+	if !slices.Equal(listed, used) {
+		for i, v := range verts {
+			if used[v>>6]&(1<<(uint64(v)&63)) == 0 {
+				return unused(i)
+			}
+		}
+	}
+	return nil
+}
+
 // FromEdgesAndVertices restores a graph from a decoded edge list plus its
 // sorted unique vertex list, as persisted by the snapshot codec. The vertex
 // list is validated against the edges — strictly ascending, non-negative,
@@ -336,43 +620,11 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 // process-unique version (like Clone/Grow), so cache layers can never
 // confuse it with a freed graph reallocated at the same address.
 func FromEdgesAndVertices(edges []Edge, verts []VertexID) (*Graph, error) {
-	if len(verts) > 0 && verts[0] < 0 {
-		return nil, fmt.Errorf("graph: restored vertex list has negative vertex ID %d", verts[0])
+	if err := checkVertexListShape(verts); err != nil {
+		return nil, err
 	}
-	for i := 1; i < len(verts); i++ {
-		if verts[i] <= verts[i-1] {
-			return nil, fmt.Errorf("graph: restored vertex list not strictly ascending at index %d", i)
-		}
-	}
-	// Membership + coverage: every endpoint must be listed, every listed
-	// vertex must be an endpoint. Dense ID spaces (all generators in this
-	// module) take the O(1)-per-endpoint fast path.
-	used := make([]bool, len(verts))
-	dense := len(verts) > 0 && verts[0] == 0 && verts[len(verts)-1] == VertexID(len(verts)-1)
-	locate := func(v VertexID) int {
-		if dense {
-			if v < 0 || int(v) >= len(verts) {
-				return -1
-			}
-			return int(v)
-		}
-		if i, ok := slices.BinarySearch(verts, v); ok {
-			return i
-		}
-		return -1
-	}
-	for i, e := range edges {
-		si, di := locate(e.Src), locate(e.Dst)
-		if si < 0 || di < 0 {
-			return nil, fmt.Errorf("graph: edge %d (%d -> %d) has an endpoint missing from the restored vertex list", i, e.Src, e.Dst)
-		}
-		used[si] = true
-		used[di] = true
-	}
-	for i, u := range used {
-		if !u {
-			return nil, fmt.Errorf("graph: restored vertex list entry %d (vertex %d) appears in no edge", i, verts[i])
-		}
+	if err := checkVertexCoverage(edges, verts); err != nil {
+		return nil, err
 	}
 	g := FromEdges(edges)
 	g.verts = verts
@@ -390,13 +642,8 @@ func FromEdgesAndVertices(edges []Edge, verts []VertexID) (*Graph, error) {
 // recorded fingerprint chain. The list is seeded as the graph's vertex
 // view so restoring never pays the O(|E|) derivation scan.
 func FromBlocksAndVertices(bs *BlockStore, verts []VertexID) (*Graph, error) {
-	if len(verts) > 0 && verts[0] < 0 {
-		return nil, fmt.Errorf("graph: restored vertex list has negative vertex ID %d", verts[0])
-	}
-	for i := 1; i < len(verts); i++ {
-		if verts[i] <= verts[i-1] {
-			return nil, fmt.Errorf("graph: restored vertex list not strictly ascending at index %d", i)
-		}
+	if err := checkVertexListShape(verts); err != nil {
+		return nil, err
 	}
 	g := FromBlocks(bs)
 	g.verts = verts

@@ -5,11 +5,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"cutfit/internal/graph"
+	"cutfit/internal/metrics"
 	"cutfit/internal/partition"
+	"cutfit/internal/pregel"
 )
 
 // diskFiles lists the .snap entries of a disk tier directory.
@@ -350,6 +353,94 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 		mutated[i] ^= 0xFF
 		if _, err := New(Config{}).Restore(bytes.NewReader(mutated)); err == nil {
 			t.Fatalf("flip at byte %d restored successfully", i)
+		}
+	}
+}
+
+// restoredState flattens everything a Restore put into a store, in LRU
+// order (most recent first): per entry its key and the artifact's content,
+// plus the restored graphs' edges and vertex lists by label.
+func restoredState(t *testing.T, st *Store, named map[string]*graph.Graph) []any {
+	t.Helper()
+	labels := make([]string, 0, len(named))
+	for label := range named {
+		labels = append(labels, label)
+	}
+	sort.Strings(labels)
+	var state []any
+	for _, label := range labels {
+		g := named[label]
+		state = append(state, label, g.Edges(), g.Vertices(), g.Fingerprint())
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for el := st.lru.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*entry)
+		state = append(state, e.key.strategy, e.key.numParts, e.key.kind, e.cost)
+		switch v := e.val.(type) {
+		case *partition.Assignment:
+			state = append(state, v.PIDs, v.EdgesPerPart, v.Strategy)
+		case *metrics.Result:
+			state = append(state, *v)
+		case *pregel.PartitionedGraph:
+			state = append(state, v.RawTables())
+		default:
+			t.Fatalf("restored entry holds a %T", e.val)
+		}
+	}
+	return state
+}
+
+// TestRestoreParallelMatchesSerial: decoding the artifact records on many
+// workers restores exactly what one worker restores — the same graphs, the
+// same assignments, metric sets and topologies, in the same cache order,
+// with the same evictions when the budget is too small for the snapshot.
+// Part of `make race`.
+func TestRestoreParallelMatchesSerial(t *testing.T) {
+	g := testGraph(t, 400, 3000, 21)
+	other := testGraph(t, 150, 700, 22)
+	st := New(Config{})
+	for _, s := range partition.All() {
+		if _, err := st.Metrics(g, s, 16); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := st.Built(g, partition.EdgePartition2D(), 16); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Built(other, partition.SourceCut(), 8); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	sum, err := st.Persist(&buf, map[string]*graph.Graph{"g": g, "other": other})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 2*len(partition.All()) + 1 + 2; sum.Artifacts != want {
+		t.Fatalf("snapshot holds %d artifacts, want %d", sum.Artifacts, want)
+	}
+
+	for _, maxBytes := range []int64{0, st.Stats().Bytes / 2} {
+		restore := func(parallelism int) ([]any, Stats) {
+			st := New(Config{MaxBytes: maxBytes, Build: pregel.BuildOptions{Parallelism: parallelism}})
+			named, err := st.Restore(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatalf("parallelism %d: %v", parallelism, err)
+			}
+			return restoredState(t, st, named), st.Stats()
+		}
+		serial, serialStats := restore(1)
+		if maxBytes != 0 && serialStats.Evictions == 0 {
+			t.Fatalf("budget %d evicted nothing: the eviction order is not exercised", maxBytes)
+		}
+		for _, parallelism := range []int{0, 2, 8} {
+			got, stats := restore(parallelism)
+			if !reflect.DeepEqual(got, serial) {
+				t.Errorf("budget %d: parallelism %d restored a different cache than parallelism 1", maxBytes, parallelism)
+			}
+			if stats != serialStats {
+				t.Errorf("budget %d: parallelism %d stats %+v, serial %+v", maxBytes, parallelism, stats, serialStats)
+			}
 		}
 	}
 }

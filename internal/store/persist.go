@@ -6,9 +6,12 @@ import (
 	"os"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"cutfit/internal/graph"
 	"cutfit/internal/metrics"
+	"cutfit/internal/par"
 	"cutfit/internal/partition"
 	"cutfit/internal/pregel"
 	"cutfit/internal/snap"
@@ -184,48 +187,86 @@ func (st *Store) Restore(r io.Reader) (map[string]*graph.Graph, error) {
 			named[label] = g
 		}
 	}
+	// The artifact records are independent of each other once their graphs
+	// exist, so they decode concurrently, on as many workers as the store's
+	// builds use; they enter the cache afterwards in record order, which keeps
+	// LRU, eviction and spill order those of a serial restore. Everything
+	// decoded is held until then — no more than the persisting store's
+	// memory budget, since Persist writes only memory-resident entries.
+	restored := make([]restoredArtifact, len(sa))
+	errs := make([]error, len(sa))
+	workers := st.build.Parallelism
+	if workers < 1 {
+		workers = par.DefaultParallelism()
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(workers, len(sa)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(sa); i = int(next.Add(1)) - 1 {
+				restored[i], errs[i] = st.decodeArtifact(sa[i], graphs[sa[i].GraphIndex])
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("store: restoring artifact %d: %w", i, err)
+		}
+	}
 	for i, rec := range sa {
 		g := graphs[rec.GraphIndex]
-		var (
-			val      any
-			cost     int64
-			kd       kind
-			numParts int
-		)
-		// Each decode verifies the embedded container's strategy key
-		// against the bundle record's — the key the artifact will be cached
-		// under — so a relabeled record can never plant an artifact under
-		// another tuple's key; the partition counts are cross-checked below
-		// for the same reason.
-		switch rec.Stage {
-		case snap.StageAssignment:
-			a, err := snap.DecodeAssignment(rec.Data, g, rec.StrategyKey)
-			if err != nil {
-				return nil, fmt.Errorf("store: restoring artifact %d: %w", i, err)
-			}
-			val, cost, kd, numParts = a, a.MemoryFootprint(), kindAssignment, a.NumParts
-		case snap.StageMetrics:
-			m, err := snap.DecodeMetrics(rec.Data, g, rec.StrategyKey)
-			if err != nil {
-				return nil, fmt.Errorf("store: restoring artifact %d: %w", i, err)
-			}
-			val, cost, kd, numParts = m, metricsFootprint(m), kindMetrics, m.NumParts
-		case snap.StageTopology:
-			pg, err := snap.DecodeTopology(rec.Data, g, rec.StrategyKey, st.build)
-			if err != nil {
-				return nil, fmt.Errorf("store: restoring artifact %d: %w", i, err)
-			}
-			val, cost, kd, numParts = pg, pg.MemoryFootprint(), kindBuilt, pg.NumParts
-		}
-		if numParts != rec.NumParts {
-			return nil, fmt.Errorf("store: restoring artifact %d: holds %d parts, record says %d", i, numParts, rec.NumParts)
-		}
-		k := key{g: g, version: g.Version(), strategy: rec.StrategyKey, numParts: rec.NumParts, kind: kd}
+		k := key{g: g, version: g.Version(), strategy: rec.StrategyKey, numParts: rec.NumParts, kind: restored[i].kind}
 		st.mu.Lock()
-		evicted := st.insert(k, val, cost)
+		evicted := st.insert(k, restored[i].val, restored[i].cost)
 		st.syncGauges()
 		st.mu.Unlock()
 		st.spill(evicted)
 	}
 	return named, nil
+}
+
+// restoredArtifact is one decoded artifact record on its way into the cache.
+type restoredArtifact struct {
+	val  any
+	cost int64
+	kind kind
+}
+
+// decodeArtifact decodes one artifact record against its restored graph.
+// Each decode verifies the embedded container's strategy key against the
+// bundle record's — the key the artifact will be cached under — so a
+// relabeled record can never plant an artifact under another tuple's key;
+// the partition counts are cross-checked for the same reason.
+func (st *Store) decodeArtifact(rec snap.StoreArtifact, g *graph.Graph) (restoredArtifact, error) {
+	var (
+		r        restoredArtifact
+		numParts int
+	)
+	switch rec.Stage {
+	case snap.StageAssignment:
+		a, err := snap.DecodeAssignment(rec.Data, g, rec.StrategyKey)
+		if err != nil {
+			return r, err
+		}
+		r, numParts = restoredArtifact{a, a.MemoryFootprint(), kindAssignment}, a.NumParts
+	case snap.StageMetrics:
+		m, err := snap.DecodeMetrics(rec.Data, g, rec.StrategyKey)
+		if err != nil {
+			return r, err
+		}
+		r, numParts = restoredArtifact{m, metricsFootprint(m), kindMetrics}, m.NumParts
+	case snap.StageTopology:
+		pg, err := snap.DecodeTopology(rec.Data, g, rec.StrategyKey, st.build)
+		if err != nil {
+			return r, err
+		}
+		r, numParts = restoredArtifact{pg, pg.MemoryFootprint(), kindBuilt}, pg.NumParts
+	}
+	if numParts != rec.NumParts {
+		return r, fmt.Errorf("holds %d parts, record says %d", numParts, rec.NumParts)
+	}
+	return r, nil
 }

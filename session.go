@@ -512,24 +512,37 @@ func (se *Session) runCC(ctx context.Context, pg *pregel.PartitionedGraph, iters
 	return algorithms.ConnectedComponents(ctx, pg, iters)
 }
 
-// topRanks extracts the k highest-ranked vertices, ties broken by vertex
-// ID for determinism.
+// rankedBefore is the order of a pagerank report: rank descending, ties
+// broken by vertex ID for determinism.
+func rankedBefore(a, b VertexRank) bool {
+	if a.Rank != b.Rank {
+		return a.Rank > b.Rank
+	}
+	return a.Vertex < b.Vertex
+}
+
+// topRanks extracts the k highest-ranked vertices in rankedBefore order:
+// one pass over the ranks, holding the best k seen so far in order.
 func topRanks(g *Graph, ranks []float64, k int) []VertexRank {
 	verts := g.Vertices()
-	all := make([]VertexRank, len(ranks))
+	top := make([]VertexRank, 0, min(k, len(ranks)))
+	if cap(top) == 0 {
+		return top
+	}
 	for i, r := range ranks {
-		all[i] = VertexRank{Vertex: verts[i], Rank: r}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Rank != all[j].Rank {
-			return all[i].Rank > all[j].Rank
+		c := VertexRank{Vertex: verts[i], Rank: r}
+		if len(top) < cap(top) {
+			top = append(top, c)
+		} else if !rankedBefore(c, top[len(top)-1]) {
+			continue
 		}
-		return all[i].Vertex < all[j].Vertex
-	})
-	if k > len(all) {
-		k = len(all)
+		j := len(top) - 1
+		for ; j > 0 && rankedBefore(c, top[j-1]); j-- {
+			top[j] = top[j-1]
+		}
+		top[j] = c
 	}
-	return all[:k:k]
+	return top
 }
 
 // The report types below are the one JSON encoding shared by the cutfit
