@@ -1,6 +1,8 @@
 # Tier-1 verification and benchmark targets. `make check` is the one
-# command a PR must keep green: build, tests, vet, the race determinism
-# suite and a short fuzz smoke in one run.
+# command a PR must keep green: build, tests (the nested benchmark module's
+# too: it imports internal packages, and `go test ./...` from the root never
+# builds it), vet, the race determinism suite and a short fuzz smoke in one
+# run.
 
 GO ?= go
 
@@ -11,7 +13,7 @@ GO ?= go
 #   make bench-compare BENCH_OUT=new.txt
 #   benchstat old.txt new.txt
 # The default filter is the guarded set the CI benchmark gate enforces.
-BENCH ?= BenchmarkSelectEmpirically|BenchmarkMeasureThenRun|BenchmarkTriangleCount|BenchmarkPartitionBuild|BenchmarkAppendEdges|BenchmarkRemoveEdges|BenchmarkRestoreVsRebuild|BenchmarkReadEdgeList|BenchmarkSparseFrontier|BenchmarkScalingSweep|BenchmarkScale/1M
+BENCH ?= BenchmarkSelectEmpirically|BenchmarkMeasureThenRun|BenchmarkTriangleCount|BenchmarkPartitionBuild|BenchmarkAppendEdges|BenchmarkRemoveEdges|BenchmarkRestoreVsRebuild|BenchmarkReadEdgeList|BenchmarkSparseFrontier|BenchmarkScalingSweep|BenchmarkScale/1M|BenchmarkDistRun
 BENCH_COUNT ?= 10
 BENCH_OUT ?= bench.txt
 
@@ -52,18 +54,21 @@ lint: vet
 # chain, topology patching), the persistence layer (snap codecs, disk
 # tier spill/restore, warm-start handlers), the distributed runtime
 # (coordinator/worker exchange over loopback sockets, equivalence and
-# failure suites) and the Triangle Count kernel (shared plan, pooled mark
-# sets, equivalence with the reference at one and many workers).
+# failure suites, hostile step frames, the bulk mirror/message slabs against
+# their per-pair oracle) and the Triangle Count kernel (shared plan, pooled
+# mark sets, equivalence with the reference at one and many workers).
 race:
 	$(GO) test -race . ./cmd/cutfitd/... ./internal/graph/... ./internal/pregel/... ./internal/algorithms/... ./internal/testutil/... ./internal/partition/... ./internal/store/... ./internal/snap/... ./internal/obsv/... ./internal/dist/...
 
 # Hot-path benchmarks: partition construction (old vs new, and across
 # dataset analogs × strategies), the sparse-frontier scan payoff,
 # per-superstep allocation footprint, the single-pass selection pipeline,
-# the compact worker sweep and the two loaders (text ingest, snapshot
-# restore against rebuild).
+# the compact worker sweep, the two loaders (text ingest, snapshot
+# restore against rebuild) and whole distributed runs on two loopback
+# workers.
 bench:
 	$(GO) test -run='^$$' -bench='BenchmarkPartitionBuild|BenchmarkSparseFrontier' -benchmem ./internal/pregel/
+	$(GO) test -run='^$$' -bench='BenchmarkDistRun' -benchmem ./internal/dist/
 	$(GO) test -run='^$$' -bench='BenchmarkPartitionBuild|BenchmarkSuperstepAllocs|BenchmarkSelectEmpirically|BenchmarkMeasureThenRun|BenchmarkTriangleCount|BenchmarkScalingSweep|BenchmarkReadEdgeList|BenchmarkRestoreVsRebuild' -benchmem .
 
 # Full multi-core scaling sweep: worker ladder × components × dataset
@@ -133,15 +138,17 @@ bench-smoke:
 # $(BENCH_COUNT) times into $(BENCH_OUT) so two runs can be compared with
 # `benchstat old.txt new.txt`.
 bench-compare:
-	$(GO) test -run='^$$' -bench='$(BENCH)' -benchmem -count=$(BENCH_COUNT) . ./internal/pregel/ | tee $(BENCH_OUT)
+	$(GO) test -run='^$$' -bench='$(BENCH)' -benchmem -count=$(BENCH_COUNT) . ./internal/pregel/ ./internal/dist/ | tee $(BENCH_OUT)
 
 # Longer fuzz session: the edge-list ingest path (round trip, and the parser
 # against its strconv reference), the incremental topology
 # patchers (delta append and shrink/slide-window, each cross-checked
 # against a full rebuild), the dense/sparse/auto engine scan equivalence
-# (including density-threshold crossovers mid-run), and the snapshot
+# (including density-threshold crossovers mid-run), the snapshot
 # decoders (container parsing + the assignment codec, seeded from the
-# golden corpus). FUZZTIME is per target; the nightly workflow raises it.
+# golden corpus), and the distributed worker's step endpoint (arbitrary
+# broadcast frames against a bound run). FUZZTIME is per target; the
+# nightly workflow raises it.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadEdgeList -fuzztime=$(FUZZTIME) ./internal/graph/
@@ -151,10 +158,11 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzFrontierScanEquivalence -fuzztime=$(FUZZTIME) ./internal/pregel/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeSnapshot -fuzztime=$(FUZZTIME) ./internal/snap/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeAssignment -fuzztime=$(FUZZTIME) ./internal/snap/
+	$(GO) test -run='^$$' -fuzz=FuzzStepFrame -fuzztime=$(FUZZTIME) ./internal/dist/
 
 # Seconds-long fuzz smoke for make check: long enough to catch parser,
-# delta-patch and snapshot-decoder regressions on the seed corpus, short
-# enough for every PR.
+# delta-patch, snapshot-decoder and step-frame regressions on the seed
+# corpus, short enough for every PR.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadEdgeList -fuzztime=5s ./internal/graph/
 	$(GO) test -run='^$$' -fuzz=FuzzStreamEdgeList -fuzztime=5s ./internal/graph/
@@ -163,6 +171,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzFrontierScanEquivalence -fuzztime=5s ./internal/pregel/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeSnapshot -fuzztime=5s ./internal/snap/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeAssignment -fuzztime=5s ./internal/snap/
+	$(GO) test -run='^$$' -fuzz=FuzzStepFrame -fuzztime=5s ./internal/dist/
 
 # Golden-corpus compatibility gate: the committed format-v1 snapshots must
 # re-encode byte-identically and decode to bit-identical artifacts. Run by
@@ -170,4 +179,4 @@ fuzz-smoke:
 compat:
 	$(GO) test -run='TestGolden' -count=1 ./internal/snap/
 
-check: build test vet race fuzz-smoke
+check: build test benchmark-test vet race fuzz-smoke

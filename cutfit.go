@@ -552,7 +552,10 @@ type (
 	// Program defines a custom Pregel computation over vertex values V
 	// and messages M.
 	Program[V, M any] = pregel.Program[V, M]
-	// Triplet presents an edge with its endpoint values to SendMsg.
+	// Triplet presents an edge with its endpoint values to SendMsg. It
+	// addresses the endpoints by dense vertex index (SrcIdx, DstIdx:
+	// positions in Graph.Vertices() and Graph.OutDegrees()); SrcID() and
+	// DstID() resolve the vertex IDs when a program needs them.
 	Triplet[V any] = pregel.Triplet[V]
 	// MessageEmitter delivers messages to a triplet's endpoints.
 	MessageEmitter[M any] = pregel.Emitter[M]

@@ -37,7 +37,11 @@ func main() {
 		},
 		SendMsg: func(t *cutfit.Triplet[cutfit.VertexID], emit cutfit.MessageEmitter[cutfit.VertexID]) {
 			// Push the larger label both ways: the graph is treated as
-			// undirected, exactly like Connected Components.
+			// undirected, exactly like Connected Components. Only the
+			// endpoint values matter here; a program that needs per-vertex
+			// data indexes a table by t.SrcIdx / t.DstIdx (dense positions
+			// in g.Vertices(), e.g. g.OutDegrees()[t.SrcIdx]), and
+			// t.SrcID() / t.DstID() give the vertex IDs themselves.
 			if t.SrcVal > t.DstVal {
 				emit.ToDst(t.SrcVal)
 			} else if t.DstVal > t.SrcVal {

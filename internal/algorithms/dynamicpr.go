@@ -30,7 +30,7 @@ func DynamicPageRank(ctx context.Context, pg *pregel.PartitionedGraph, tol, rese
 	if resetProb < 0 || resetProb >= 1 {
 		return nil, nil, fmt.Errorf("algorithms: DynamicPageRank resetProb %g out of [0,1)", resetProb)
 	}
-	prog := DynamicPageRankProgram(tol, resetProb, maxIter, GraphDegreeFunc(pg.G))
+	prog := DynamicPageRankProgram(tol, resetProb, maxIter, pg.G.OutDegrees())
 	vals, stats, err := pregel.Run(ctx, pg, prog)
 	if err != nil {
 		return nil, nil, err
@@ -43,8 +43,10 @@ func DynamicPageRank(ctx context.Context, pg *pregel.PartitionedGraph, tol, rese
 }
 
 // DynamicPageRankProgram is the until-convergence PageRank Pregel program,
-// exported so the distributed worker runs exactly the engine's program.
-func DynamicPageRankProgram(tol, resetProb float64, maxIter int, degOf func(graph.VertexID) float64) pregel.Program[PRState, float64] {
+// exported so the distributed worker runs exactly the engine's program;
+// outDeg is the out-degree table by dense vertex index, as for
+// PageRankProgram.
+func DynamicPageRankProgram(tol, resetProb float64, maxIter int, outDeg []int32) pregel.Program[PRState, float64] {
 	return pregel.Program[PRState, float64]{
 		Init: func(id graph.VertexID) PRState { return PRState{} },
 		VProg: func(id graph.VertexID, val PRState, msg float64) PRState {
@@ -54,9 +56,8 @@ func DynamicPageRankProgram(tol, resetProb float64, maxIter int, degOf func(grap
 		SendMsg: func(t *pregel.Triplet[PRState], emit pregel.Emitter[float64]) {
 			// Only still-moving sources propagate their delta.
 			if t.SrcVal.Delta > tol {
-				d := degOf(t.SrcID)
-				if d > 0 {
-					emit.ToDst(t.SrcVal.Delta / d)
+				if d := outDeg[t.SrcIdx]; d > 0 {
+					emit.ToDst(t.SrcVal.Delta / float64(d))
 				}
 			}
 		},

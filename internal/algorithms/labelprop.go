@@ -202,10 +202,10 @@ func KCoreMembership(ctx context.Context, pg *pregel.PartitionedGraph, k int32) 
 			Init:  func(id graph.VertexID) bool { return aliveOf(id) },
 			VProg: func(id graph.VertexID, val bool, msg int32) bool { return val },
 			SendMsg: func(t *pregel.Triplet[bool], emit pregel.Emitter[int32]) {
-				if t.SrcID == t.DstID || !t.SrcVal || !t.DstVal {
+				if t.SrcIdx == t.DstIdx || !t.SrcVal || !t.DstVal {
 					return
 				}
-				key := canon(t.SrcID, t.DstID)
+				key := canon(t.SrcID(), t.DstID())
 				mu.Lock()
 				if _, dup := counted[key]; dup {
 					mu.Unlock()

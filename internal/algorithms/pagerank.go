@@ -33,25 +33,16 @@ func PageRank(ctx context.Context, pg *pregel.PartitionedGraph, numIter int, res
 	if resetProb < 0 || resetProb >= 1 {
 		return nil, nil, fmt.Errorf("algorithms: PageRank resetProb %g out of [0,1)", resetProb)
 	}
-	return pregel.Run(ctx, pg, PageRankProgram(numIter, resetProb, GraphDegreeFunc(pg.G)))
-}
-
-// GraphDegreeFunc returns the out-degree lookup the PageRank programs use,
-// backed by the graph's dense index. The distributed worker builds the same
-// closure from its shard's shipped degree table instead — both must agree
-// for the source-side rank division to stay bit-identical.
-func GraphDegreeFunc(g *graph.Graph) func(graph.VertexID) float64 {
-	outDeg := g.OutDegrees()
-	return func(id graph.VertexID) float64 {
-		i, _ := g.Index(id)
-		return float64(outDeg[i])
-	}
+	return pregel.Run(ctx, pg, PageRankProgram(numIter, resetProb, pg.G.OutDegrees()))
 }
 
 // PageRankProgram is the static-PageRank Pregel program, exported so the
 // distributed worker can instantiate exactly the engine's program from the
-// run spec (same constants, same float operation order).
-func PageRankProgram(numIter int, resetProb float64, degOf func(graph.VertexID) float64) pregel.Program[float64, float64] {
+// run spec (same constants, same float operation order). outDeg is the
+// out-degree table the source-side rank division reads, one entry per dense
+// vertex index: Graph.OutDegrees() locally, the copy shipped in the shard on
+// a worker — the same integers, so the quotients are bit-identical.
+func PageRankProgram(numIter int, resetProb float64, outDeg []int32) pregel.Program[float64, float64] {
 	return pregel.Program[float64, float64]{
 		Init: func(id graph.VertexID) float64 { return 1.0 },
 		VProg: func(id graph.VertexID, val, msg float64) float64 {
@@ -61,9 +52,8 @@ func PageRankProgram(numIter int, resetProb float64, degOf func(graph.VertexID) 
 			return resetProb + (1-resetProb)*msg
 		},
 		SendMsg: func(t *pregel.Triplet[float64], emit pregel.Emitter[float64]) {
-			d := degOf(t.SrcID)
-			if d > 0 {
-				emit.ToDst(t.SrcVal / d)
+			if d := outDeg[t.SrcIdx]; d > 0 {
+				emit.ToDst(t.SrcVal / float64(d))
 			}
 		},
 		MergeMsg:        func(a, b float64) float64 { return a + b },

@@ -23,7 +23,7 @@ func PageRank(ctx context.Context, pool *Pool, pg *pregel.PartitionedGraph, numI
 	if resetProb < 0 || resetProb >= 1 {
 		return nil, nil, fmt.Errorf("dist: PageRank resetProb %g out of [0,1)", resetProb)
 	}
-	prog := algorithms.PageRankProgram(numIter, resetProb, algorithms.GraphDegreeFunc(pg.G))
+	prog := algorithms.PageRankProgram(numIter, resetProb, pg.G.OutDegrees())
 	spec := RunSpec{Algorithm: "pagerank", Iters: numIter, ResetProb: resetProb}
 	return runDist(ctx, pool, pg, prog, spec, f64Codec{}, f64Codec{})
 }
@@ -45,7 +45,7 @@ func DynamicPageRank(ctx context.Context, pool *Pool, pg *pregel.PartitionedGrap
 	if resetProb < 0 || resetProb >= 1 {
 		return nil, nil, fmt.Errorf("dist: DynamicPageRank resetProb %g out of [0,1)", resetProb)
 	}
-	prog := algorithms.DynamicPageRankProgram(tol, resetProb, maxIter, algorithms.GraphDegreeFunc(pg.G))
+	prog := algorithms.DynamicPageRankProgram(tol, resetProb, maxIter, pg.G.OutDegrees())
 	spec := RunSpec{Algorithm: "dynamicpr", Iters: maxIter, Tol: tol, ResetProb: resetProb}
 	vals, stats, err := runDist(ctx, pool, pg, prog, spec, prStateCodec{}, f64Codec{})
 	if err != nil {

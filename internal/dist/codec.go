@@ -8,16 +8,8 @@ import (
 	"cutfit/internal/graph"
 )
 
-// Codec fixes the wire form of one vertex-state or message type: a fixed
-// byte width, an appender and a decoder. Values are little-endian and
-// bit-exact (float64 travels as its IEEE-754 bits), so a value decoded on
-// the far side is the identical bit pattern — the precondition for
-// bit-identical distributed runs.
-type Codec[T any] interface {
-	Size() int
-	Append(dst []byte, v T) []byte
-	Decode(p []byte) T
-}
+// The wire forms of the served algorithms' vertex states and messages, as
+// pregel.Codec implementations.
 
 // f64Codec carries float64 ranks and messages.
 type f64Codec struct{}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"time"
 
@@ -14,9 +15,9 @@ import (
 )
 
 // prepareWorker ensures worker wIdx holds the shard for (pg, key): nothing
-// if the cache says it is already installed (a stale cache is healed by
-// RunStart's 404 → full re-ship), a delta patch when the previous
-// generation is a compatible base, else a full container. Caller holds
+// if the cache says it was sent and not since pushed out (a stale cache is
+// healed by RunStart's 404 → full re-ship), a delta patch when the newest
+// shard sent is a compatible base, else a full container. Caller holds
 // pool.mu.
 func (p *Pool) prepareWorker(ctx context.Context, wIdx int, key string, pg *pregel.PartitionedGraph) error {
 	url := p.urls[wIdx]
@@ -25,16 +26,17 @@ func (p *Pool) prepareWorker(ctx context.Context, wIdx int, key string, pg *preg
 		wc = &workerCache{}
 		p.cache[url] = wc
 	}
-	if wc.lastKey == key {
+	if slices.Contains(wc.keys, key) {
 		cShards.With("reused").Inc()
 		return nil
 	}
-	if wc.lastPG != nil && wc.lastKey != "" {
-		if sp, ok := diffShard(wc.lastPG, pg, wc.lastKey, wIdx, len(p.urls)); ok {
-			err := p.tr.InstallDelta(ctx, url, key, wc.lastKey, snap.EncodeShard(sp))
+	if wc.lastPG != nil {
+		baseKey := wc.keys[len(wc.keys)-1]
+		if sp, ok := diffShard(wc.lastPG, pg, baseKey, wIdx, len(p.urls)); ok {
+			err := p.tr.InstallDelta(ctx, url, key, baseKey, snap.EncodeShard(sp))
 			if err == nil {
 				cShards.With("delta").Inc()
-				wc.lastKey, wc.lastPG = key, pg
+				wc.sent(key, pg)
 				return nil
 			}
 			if !errors.Is(err, ErrBaseMissing) {
@@ -48,7 +50,7 @@ func (p *Pool) prepareWorker(ctx context.Context, wIdx int, key string, pg *preg
 		return err
 	}
 	cShards.With("full").Inc()
-	wc.lastKey, wc.lastPG = key, pg
+	wc.sent(key, pg)
 	return nil
 }
 
@@ -56,83 +58,119 @@ func (p *Pool) prepareWorker(ctx context.Context, wIdx int, key string, pg *preg
 // frames out to every worker, one barrier wait, reduce frames merged back
 // in ascending partition order.
 type exchanger[V, M any] struct {
-	pool       *Pool
-	pg         *pregel.PartitionedGraph
-	runID      string
-	vc         Codec[V]
-	mc         Codec[M]
-	stateBytes func(V) int
+	pool  *Pool
+	pg    *pregel.PartitionedGraph
+	runID string
+	prog  *pregel.Program[V, M]
+	vc    pregel.Codec[V]
+	mc    pregel.Codec[M]
 
-	// bufs accumulates each partition's (local, value) broadcast pairs;
-	// reused across supersteps.
-	bufs []framePart
+	// Broadcast scratch, reused across supersteps: each partition's pair
+	// count, the unwritten rest of its slab inside its worker's frame, the
+	// frames themselves and one encoded value. replies holds each worker's
+	// reduce frame, read into the same storage every superstep.
+	counts  []int
+	slabs   [][]byte
+	frames  [][]byte
+	val     []byte
+	replies [][]byte
 }
 
-func newExchanger[V, M any](pool *Pool, pg *pregel.PartitionedGraph, runID string, prog *pregel.Program[V, M], vc Codec[V], mc Codec[M]) *exchanger[V, M] {
-	sb := prog.StateBytes
-	if sb == nil {
-		sb = func(V) int { return 8 }
-	}
+func newExchanger[V, M any](pool *Pool, pg *pregel.PartitionedGraph, runID string, prog *pregel.Program[V, M], vc pregel.Codec[V], mc pregel.Codec[M]) *exchanger[V, M] {
 	return &exchanger[V, M]{
-		pool:       pool,
-		pg:         pg,
-		runID:      runID,
-		vc:         vc,
-		mc:         mc,
-		stateBytes: sb,
-		bufs:       make([]framePart, pg.NumParts),
+		pool:    pool,
+		pg:      pg,
+		runID:   runID,
+		prog:    prog,
+		vc:      vc,
+		mc:      mc,
+		counts:  make([]int, pg.NumParts),
+		slabs:   make([][]byte, pg.NumParts),
+		frames:  make([][]byte, pool.Size()),
+		replies: make([][]byte, pool.Size()),
 	}
+}
+
+// forEachChanged calls fn with every set bit of the frontier, ascending.
+func forEachChanged(changed []uint64, fn func(v int32)) {
+	for wi, w := range changed {
+		base := int32(wi << 6)
+		for w != 0 {
+			fn(base + int32(bits.TrailingZeros64(w)))
+			w &= w - 1
+		}
+	}
+}
+
+// encodeBroadcast fills one broadcast frame per worker (only its owned
+// partitions with changed mirrors) straight from the routing CSR: a counting
+// walk sizes every slab, the frames are laid out, and a second walk encodes
+// each changed value once and copies it into the slab of every mirror. The
+// frontier is walked ascending and LocalVerts is sorted by global index, so
+// each slab ends up ascending by local index.
+func (ex *exchanger[V, M]) encodeBroadcast(step int, changed []uint64, masterVals []V, ss *pregel.SuperstepStats) {
+	pg, numParts, W := ex.pg, ex.pg.NumParts, len(ex.frames)
+	pairSize := 4 + ex.vc.Size()
+	clear(ex.counts)
+	forEachChanged(changed, func(v int32) {
+		for _, ref := range pg.MirrorsOf(v) {
+			ex.counts[ref.Part]++
+		}
+	})
+	for w := 0; w < W; w++ {
+		size, sections := frameHeaderSize, 0
+		for p := w; p < numParts; p += W {
+			if n := ex.counts[p]; n > 0 {
+				size += partHeaderSize + n*pairSize
+				sections++
+			}
+		}
+		frame := slices.Grow(ex.frames[w][:0], size)[:size]
+		ex.frames[w] = frame
+		putFrameHeader(frame, magicBroadcast, step, sections)
+		off := frameHeaderSize
+		for p := w; p < numParts; p += W {
+			if n := ex.counts[p]; n > 0 {
+				binary.LittleEndian.PutUint32(frame[off:], uint32(p))
+				binary.LittleEndian.PutUint32(frame[off+4:], uint32(n))
+				off += partHeaderSize
+				ex.slabs[p] = frame[off : off+n*pairSize]
+				off += n * pairSize
+			}
+		}
+	}
+	forEachChanged(changed, func(v int32) {
+		val := masterVals[v]
+		refs := pg.MirrorsOf(v)
+		ss.BroadcastMsgs += int64(len(refs))
+		ss.BroadcastBytes += int64(len(refs)) * int64(ex.prog.StateSize(val))
+		ex.val = ex.vc.Append(ex.val[:0], val)
+		for _, ref := range refs {
+			slab := ex.slabs[ref.Part]
+			binary.LittleEndian.PutUint32(slab, uint32(ref.Local))
+			copy(slab[4:pairSize], ex.val)
+			ex.slabs[ref.Part] = slab[pairSize:]
+		}
+	})
 }
 
 func (ex *exchanger[V, M]) Exchange(ctx context.Context, step int, changed []uint64, masterVals []V, deliver func(gidx int32, m M), ss *pregel.SuperstepStats) error {
 	numParts := ex.pg.NumParts
 	W := ex.pool.Size()
-	for p := range ex.bufs {
-		ex.bufs[p].part = p
-		ex.bufs[p].n = 0
-		ex.bufs[p].pairs = ex.bufs[p].pairs[:0]
-	}
+	ex.encodeBroadcast(step, changed, masterVals, ss)
 
-	// Batch broadcast pairs per partition, walking the changed bitset
-	// ascending; mirror slots of one vertex are visited in routing-CSR
-	// order, so each partition's pair list ends up ascending by local index
-	// (LocalVerts is sorted by global index).
-	for wi, w := range changed {
-		base := int32(wi << 6)
-		for w != 0 {
-			v := base + int32(bits.TrailingZeros64(w))
-			w &= w - 1
-			val := masterVals[v]
-			ex.pg.ForEachMirror(v, func(part, local int32) {
-				buf := &ex.bufs[part]
-				buf.pairs = binary.LittleEndian.AppendUint32(buf.pairs, uint32(local))
-				buf.pairs = ex.vc.Append(buf.pairs, val)
-				buf.n++
-				ss.BroadcastMsgs++
-				ss.BroadcastBytes += int64(ex.stateBytes(val))
-			})
-		}
-	}
-
-	// One frame per worker (only its owned partitions with changed
-	// mirrors), posted concurrently; waiting for the slowest worker is the
-	// superstep barrier.
-	frames := make([][]byte, W)
+	// One frame per worker, posted concurrently; waiting for the slowest
+	// worker is the superstep barrier. A frame buffer is free for the next
+	// superstep once its worker has answered: the answer follows the scan,
+	// which follows reading the whole frame.
 	errs := make([]error, W)
 	barrierStart := time.Now()
 	var wg sync.WaitGroup
 	for w := 0; w < W; w++ {
-		var wparts []framePart
-		for p := w; p < numParts; p += W {
-			if ex.bufs[p].n > 0 {
-				wparts = append(wparts, ex.bufs[p])
-			}
-		}
-		frame := encodeBroadcastFrame(step, wparts)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			frames[w], errs[w] = ex.pool.tr.Step(ctx, ex.pool.urls[w], ex.runID, frame)
+			ex.replies[w], errs[w] = ex.pool.tr.Step(ctx, ex.pool.urls[w], ex.runID, ex.frames[w], ex.replies[w])
 		}()
 	}
 	wg.Wait()
@@ -147,7 +185,7 @@ func (ex *exchanger[V, M]) Exchange(ctx context.Context, step int, changed []uin
 	// report exactly once.
 	entries := make([]*framePart, numParts)
 	for w := 0; w < W; w++ {
-		gotStep, parts, err := parseFrame(frames[w], magicReduce, ex.mc.Size(), true)
+		gotStep, parts, err := parseFrame(ex.replies[w], magicReduce, ex.mc.Size(), true)
 		if err != nil {
 			return fmt.Errorf("dist: worker %s reduce frame: %w", ex.pool.urls[w], err)
 		}
@@ -200,12 +238,12 @@ func (ex *exchanger[V, M]) Exchange(ctx context.Context, step int, changed []uin
 // worker, bind a run, then let the engine drive supersteps through the
 // exchanger. Any worker failure fails the whole run — the caller
 // (Session) falls back to a local run, which is bit-identical anyway.
-func runDist[V, M any](ctx context.Context, pool *Pool, pg *pregel.PartitionedGraph, prog pregel.Program[V, M], spec RunSpec, vc Codec[V], mc Codec[M]) ([]V, *pregel.RunStats, error) {
+func runDist[V, M any](ctx context.Context, pool *Pool, pg *pregel.PartitionedGraph, prog pregel.Program[V, M], spec RunSpec, vc pregel.Codec[V], mc pregel.Codec[M]) ([]V, *pregel.RunStats, error) {
 	W := pool.Size()
 	if W == 0 {
 		return nil, nil, errors.New("dist: pool has no workers")
 	}
-	sum := topoSum(pg)
+	sum := pg.TopologySum()
 	keys := make([]string, W)
 
 	pool.mu.Lock()

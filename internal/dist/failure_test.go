@@ -77,7 +77,7 @@ func TestOutOfSequenceStepRejected(t *testing.T) {
 	pg := mustPartition(t, hubAndChain(6, 8), partition.RandomVertexCut(), 3)
 
 	// Install the shard and bind a run by hand.
-	sum := topoSum(pg)
+	sum := pg.TopologySum()
 	key := shardKey(pg.G, sum, pg.NumParts, 0, 1)
 	ctx := context.Background()
 	if err := pool.prepareWorker(ctx, 0, key, pg); err != nil {
@@ -88,10 +88,10 @@ func TestOutOfSequenceStepRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	frame := encodeBroadcastFrame(1, nil)
-	if _, err := pool.tr.Step(ctx, srv.URL, "replay-test", frame); err != nil {
+	if _, err := pool.tr.Step(ctx, srv.URL, "replay-test", frame, nil); err != nil {
 		t.Fatalf("first step: %v", err)
 	}
-	if _, err := pool.tr.Step(ctx, srv.URL, "replay-test", frame); err == nil {
+	if _, err := pool.tr.Step(ctx, srv.URL, "replay-test", frame, nil); err == nil {
 		t.Fatal("replayed superstep frame was accepted")
 	}
 }

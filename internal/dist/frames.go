@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"cutfit/internal/pregel"
 )
 
 // Binary frame layouts (all integers little-endian, values fixed-width per
@@ -93,23 +95,18 @@ func (r *frameReader) finish() error {
 	return nil
 }
 
-// encodeBroadcastFrame assembles one worker's broadcast frame from the
-// per-partition pair slabs the exchanger batched.
-func encodeBroadcastFrame(step int, parts []framePart) []byte {
-	size := 12
-	for i := range parts {
-		size += 8 + len(parts[i].pairs)
-	}
-	out := make([]byte, 0, size)
-	out = binary.LittleEndian.AppendUint32(out, magicBroadcast)
-	out = binary.LittleEndian.AppendUint32(out, uint32(step))
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(parts)))
-	for i := range parts {
-		out = binary.LittleEndian.AppendUint32(out, uint32(parts[i].part))
-		out = binary.LittleEndian.AppendUint32(out, uint32(parts[i].n))
-		out = append(out, parts[i].pairs...)
-	}
-	return out
+// Frame and section header widths: magic, superstep and part count; part
+// and pair count.
+const (
+	frameHeaderSize = 12
+	partHeaderSize  = 8
+)
+
+// putFrameHeader writes a frame's 12-byte header at the start of b.
+func putFrameHeader(b []byte, magic uint32, step, partCount int) {
+	binary.LittleEndian.PutUint32(b, magic)
+	binary.LittleEndian.PutUint32(b[4:], uint32(step))
+	binary.LittleEndian.PutUint32(b[8:], uint32(partCount))
 }
 
 // parseFrame validates a frame against the expected magic and the run's
@@ -152,51 +149,29 @@ func parseFrame(frame []byte, wantMagic uint32, valSize int, withStats bool) (in
 	return step, parts, nil
 }
 
-// reduceFrameBuilder assembles a worker's reduce frame incrementally: one
-// beginPart/endPart bracket per owned partition, message pairs appended in
-// between.
+// reduceFrameBuilder assembles a worker's reduce frame in a buffer the run
+// keeps between supersteps: reset, then per owned partition beginPart, the
+// pair slab appended straight onto buf, endPart with the pair count.
 type reduceFrameBuilder struct {
-	buf     []byte
-	nOff    int // offset of the open partition's pair-count field
-	nPairs  int
-	nParts  int
-	cntOff  int // offset of the frame's partition-count field
-	valSize int
+	buf  []byte
+	nOff int // offset of the open partition's pair-count field
 }
 
-func newReduceFrameBuilder(step, valSize int) *reduceFrameBuilder {
-	b := &reduceFrameBuilder{valSize: valSize}
-	b.buf = binary.LittleEndian.AppendUint32(b.buf, magicReduce)
-	b.buf = binary.LittleEndian.AppendUint32(b.buf, uint32(step))
-	b.cntOff = len(b.buf)
-	b.buf = binary.LittleEndian.AppendUint32(b.buf, 0) // partCount, backfilled
-	return b
+func (b *reduceFrameBuilder) reset(step, partCount int) {
+	b.buf = append(b.buf[:0], make([]byte, frameHeaderSize)...)
+	putFrameHeader(b.buf, magicReduce, step, partCount)
 }
 
-func (b *reduceFrameBuilder) beginPart(part int, scanned, visited, emitted int64, cost float64) {
+func (b *reduceFrameBuilder) beginPart(part int, cs pregel.ComputeStats) {
 	b.buf = binary.LittleEndian.AppendUint32(b.buf, uint32(part))
 	b.nOff = len(b.buf)
-	b.nPairs = 0
-	b.buf = binary.LittleEndian.AppendUint32(b.buf, 0) // n, backfilled
-	b.buf = binary.LittleEndian.AppendUint64(b.buf, uint64(scanned))
-	b.buf = binary.LittleEndian.AppendUint64(b.buf, uint64(visited))
-	b.buf = binary.LittleEndian.AppendUint64(b.buf, uint64(emitted))
-	b.buf = binary.LittleEndian.AppendUint64(b.buf, math.Float64bits(cost))
+	b.buf = binary.LittleEndian.AppendUint32(b.buf, 0) // n, backfilled by endPart
+	b.buf = binary.LittleEndian.AppendUint64(b.buf, uint64(cs.Scanned))
+	b.buf = binary.LittleEndian.AppendUint64(b.buf, uint64(cs.Visited))
+	b.buf = binary.LittleEndian.AppendUint64(b.buf, uint64(cs.Emitted))
+	b.buf = binary.LittleEndian.AppendUint64(b.buf, math.Float64bits(cs.Cost))
 }
 
-// pairPrefix appends the local index of the next pair; the caller appends
-// the value bytes through its Codec immediately after.
-func (b *reduceFrameBuilder) pairPrefix(local int32) {
-	b.buf = binary.LittleEndian.AppendUint32(b.buf, uint32(local))
-	b.nPairs++
-}
-
-func (b *reduceFrameBuilder) endPart() {
-	binary.LittleEndian.PutUint32(b.buf[b.nOff:], uint32(b.nPairs))
-	b.nParts++
-}
-
-func (b *reduceFrameBuilder) bytes() []byte {
-	binary.LittleEndian.PutUint32(b.buf[b.cntOff:], uint32(b.nParts))
-	return b.buf
+func (b *reduceFrameBuilder) endPart(nPairs int) {
+	binary.LittleEndian.PutUint32(b.buf[b.nOff:], uint32(nPairs))
 }

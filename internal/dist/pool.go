@@ -36,15 +36,29 @@ type Transport interface {
 	InstallShard(ctx context.Context, url, key string, payload []byte) error
 	InstallDelta(ctx context.Context, url, key, baseKey string, payload []byte) error
 	StartRun(ctx context.Context, url string, spec RunSpec) error
-	Step(ctx context.Context, url, runID string, frame []byte) ([]byte, error)
+	// Step posts one broadcast frame and returns the worker's reduce frame,
+	// read into reply's storage (which may be nil).
+	Step(ctx context.Context, url, runID string, frame, reply []byte) ([]byte, error)
 	FinishRun(ctx context.Context, url, runID string) error
 }
 
-// workerCache remembers what a worker most recently received so the next
-// run for a grown/shrunk generation can ship a delta instead of the world.
+// workerCache mirrors what one worker holds: the keys it was sent, oldest
+// first and bounded by maxShards exactly as the worker's own cache is, so
+// graphs alternating on the cluster stay resident; and the topology of the
+// newest key, so the next run for a grown/shrunk generation can ship a delta
+// instead of the world.
 type workerCache struct {
-	lastKey string
-	lastPG  *pregel.PartitionedGraph
+	keys   []string
+	lastPG *pregel.PartitionedGraph
+}
+
+// sent records a shipped shard as the worker's newest.
+func (wc *workerCache) sent(key string, pg *pregel.PartitionedGraph) {
+	wc.keys = append(wc.keys, key)
+	if len(wc.keys) > maxShards {
+		wc.keys = wc.keys[1:]
+	}
+	wc.lastPG = pg
 }
 
 // Pool is a fixed set of workers plus the per-worker shard caches. It is
@@ -125,9 +139,10 @@ func newHTTPTransport() *httpTransport {
 	return &httpTransport{client: &http.Client{Timeout: 5 * time.Minute}}
 }
 
-// do runs one instrumented RPC and returns the response body for 2xx.
-// wantErr maps one non-2xx status to a sentinel error.
-func (t *httpTransport) do(ctx context.Context, rpc, method, url string, headers map[string]string, body []byte, errStatus int, errSentinel error) ([]byte, error) {
+// do runs one instrumented RPC and returns the response body for 2xx, read
+// into reply's storage. errStatus maps one non-2xx status to a sentinel
+// error.
+func (t *httpTransport) do(ctx context.Context, rpc, method, url string, headers map[string]string, body, reply []byte, errStatus int, errSentinel error) ([]byte, error) {
 	start := time.Now()
 	resp, err := t.roundTrip(ctx, method, url, headers, body)
 	hRPCSeconds.With(rpc).Observe(time.Since(start).Seconds())
@@ -136,7 +151,7 @@ func (t *httpTransport) do(ctx context.Context, rpc, method, url string, headers
 		return nil, fmt.Errorf("dist: %s %s: %w", rpc, url, err)
 	}
 	defer resp.Body.Close()
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
+	respBody, err := readSized(reply, io.LimitReader(resp.Body, maxBodyBytes), resp.ContentLength)
 	if err != nil {
 		cRPCErrors.With(rpc).Inc()
 		return nil, fmt.Errorf("dist: %s %s: reading response: %w", rpc, url, err)
@@ -163,7 +178,7 @@ func (t *httpTransport) roundTrip(ctx context.Context, method, url string, heade
 }
 
 func (t *httpTransport) Healthz(ctx context.Context, url string) (int, error) {
-	body, err := t.do(ctx, "Health", http.MethodGet, url+"/dist/v1/healthz", nil, nil, 0, nil)
+	body, err := t.do(ctx, "Health", http.MethodGet, url+"/dist/v1/healthz", nil, nil, nil, 0, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -178,13 +193,13 @@ func (t *httpTransport) Healthz(ctx context.Context, url string) (int, error) {
 
 func (t *httpTransport) InstallShard(ctx context.Context, url, key string, payload []byte) error {
 	_, err := t.do(ctx, "ShardInstall", http.MethodPost, url+"/dist/v1/shards",
-		map[string]string{HeaderShardKey: key}, payload, 0, nil)
+		map[string]string{HeaderShardKey: key}, payload, nil, 0, nil)
 	return err
 }
 
 func (t *httpTransport) InstallDelta(ctx context.Context, url, key, baseKey string, payload []byte) error {
 	_, err := t.do(ctx, "ShardDelta", http.MethodPost, url+"/dist/v1/shards/delta",
-		map[string]string{HeaderShardKey: key, HeaderShardBase: baseKey}, payload,
+		map[string]string{HeaderShardKey: key, HeaderShardBase: baseKey}, payload, nil,
 		http.StatusConflict, ErrBaseMissing)
 	return err
 }
@@ -195,15 +210,15 @@ func (t *httpTransport) StartRun(ctx context.Context, url string, spec RunSpec) 
 		return err
 	}
 	_, err = t.do(ctx, "RunStart", http.MethodPost, url+"/dist/v1/runs",
-		map[string]string{"Content-Type": "application/json"}, body,
+		map[string]string{"Content-Type": "application/json"}, body, nil,
 		http.StatusNotFound, ErrShardMissing)
 	return err
 }
 
-func (t *httpTransport) Step(ctx context.Context, url, runID string, frame []byte) ([]byte, error) {
+func (t *httpTransport) Step(ctx context.Context, url, runID string, frame, reply []byte) ([]byte, error) {
 	cBytes.With("broadcast").Add(int64(len(frame)))
 	resp, err := t.do(ctx, "SuperstepExchange", http.MethodPost, url+"/dist/v1/runs/"+runID+"/step",
-		map[string]string{"Content-Type": "application/octet-stream"}, frame, 0, nil)
+		map[string]string{"Content-Type": "application/octet-stream"}, frame, reply, 0, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -212,6 +227,6 @@ func (t *httpTransport) Step(ctx context.Context, url, runID string, frame []byt
 }
 
 func (t *httpTransport) FinishRun(ctx context.Context, url, runID string) error {
-	_, err := t.do(ctx, "RunFinish", http.MethodPost, url+"/dist/v1/runs/"+runID+"/finish", nil, nil, 0, nil)
+	_, err := t.do(ctx, "RunFinish", http.MethodPost, url+"/dist/v1/runs/"+runID+"/finish", nil, nil, nil, 0, nil)
 	return err
 }

@@ -1,0 +1,58 @@
+package dist
+
+import (
+	"context"
+	"testing"
+
+	"cutfit/internal/algorithms"
+	"cutfit/internal/partition"
+	"cutfit/internal/pregel"
+)
+
+// TestAlternatingGraphsStayResident runs two unrelated graphs turn about on
+// one cluster. Workers keep maxShards generations, so the coordinator must
+// remember more than the last key per worker: each graph ships once per
+// worker (4 full containers), and the four later runs ship nothing.
+func TestAlternatingGraphsStayResident(t *testing.T) {
+	ctx := context.Background()
+	pool, _ := startCluster(t, 2)
+	// Different partition counts: no delta is possible between the two.
+	graphs := []*pregel.PartitionedGraph{
+		mustPartition(t, randomGraph(31, 60, 300), partition.RandomVertexCut(), 4),
+		mustPartition(t, hubAndChain(9, 14), partition.RandomVertexCut(), 5),
+	}
+	fullBefore := cShards.With("full").Value()
+	reusedBefore := cShards.With("reused").Value()
+	for round := 0; round < 3; round++ {
+		for i, pg := range graphs {
+			want, _, err := algorithms.PageRank(ctx, pg, 3, algorithms.DefaultResetProb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := PageRank(ctx, pool, pg, 3, algorithms.DefaultResetProb)
+			if err != nil {
+				t.Fatalf("round %d graph %d: %v", round, i, err)
+			}
+			assertBitEqualF64(t, "alternating", got, want)
+		}
+	}
+	if got := cShards.With("full").Value() - fullBefore; got != 4 {
+		t.Errorf("six alternating runs shipped %d full shards, want 4", got)
+	}
+	if got := cShards.With("reused").Value() - reusedBefore; got != 8 {
+		t.Errorf("six alternating runs reused %d shards, want 8", got)
+	}
+}
+
+// TestWorkerCacheBound: the coordinator forgets keys in the order the worker
+// evicts them, so its view never outgrows what the worker can hold.
+func TestWorkerCacheBound(t *testing.T) {
+	var wc workerCache
+	pg := mustPartition(t, hubAndChain(3, 3), partition.RandomVertexCut(), 2)
+	for i := 0; i < maxShards+3; i++ {
+		wc.sent(string(rune('a'+i)), pg)
+	}
+	if len(wc.keys) != maxShards || wc.keys[0] != "d" || wc.keys[maxShards-1] != string(rune('a'+maxShards+2)) {
+		t.Fatalf("after %d shards the cache holds %q, want the newest %d", maxShards+3, wc.keys, maxShards)
+	}
+}

@@ -24,37 +24,6 @@ func ownedParts(numParts, wIdx, W int) []int {
 // workerOf returns the worker index that owns partition p.
 func workerOf(p, W int) int { return p % W }
 
-// topoSum content-addresses the partitioned topology: an FNV-1a fold over
-// every partition's local vertex table and edge list. Combined with the
-// graph fingerprint it names a shard generation, so a worker holding a
-// stale shard (e.g. after a coordinator restart rebuilt partitions
-// differently) can never silently serve the wrong topology.
-func topoSum(pg *pregel.PartitionedGraph) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	put(uint64(pg.NumParts))
-	for p, part := range pg.Parts {
-		put(uint64(p))
-		put(uint64(len(part.LocalVerts)))
-		for _, g := range part.LocalVerts {
-			put(uint64(uint32(g)))
-		}
-		ne := part.NumEdges()
-		put(uint64(ne))
-		for j := 0; j < ne; j++ {
-			s, d := part.EdgeAt(j)
-			put(uint64(uint32(s))<<32 | uint64(uint32(d)))
-		}
-	}
-	return h.Sum64()
-}
-
 // shardKey is the content-addressed identity of one worker's shard of one
 // topology generation.
 func shardKey(g *graph.Graph, sum uint64, numParts, wIdx, W int) string {

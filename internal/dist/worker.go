@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -23,6 +24,11 @@ const maxShards = 8
 // maxBodyBytes caps request bodies (shard containers dominate).
 const maxBodyBytes = 1 << 30
 
+// maxNumParts caps the partition count a shard may declare: the worker's
+// tables are indexed by partition, so the count sizes allocations before any
+// partition has been seen.
+const maxNumParts = 1 << 20
+
 // rawPart keeps one owned partition's wire tables so a later delta can
 // append to or compare against them without re-deriving anything from the
 // built engine structures.
@@ -32,28 +38,29 @@ type rawPart struct {
 
 // workerShard is one installed shard generation: raw tables (for delta
 // application), built engine partitions, and the vertex/degree tables the
-// algorithm programs need.
+// algorithm programs need. raw and parts are indexed by partition and nil
+// where another worker owns it.
 type workerShard struct {
-	key      string
-	numParts int
-	verts    []graph.VertexID
-	outDeg   []int32
-	raw      map[int]*rawPart
-	parts    map[int]*pregel.Partition
-	idx      map[graph.VertexID]int32
-	owned    []int // sorted partition indices
+	key    string
+	verts  []graph.VertexID
+	outDeg []int32
+	raw    []*rawPart
+	parts  []*pregel.Partition
+	owned  []int // sorted partition indices
 }
 
 // buildWorkerShard materializes a shard payload, either standalone or as a
 // delta over base. Raw tables are never mutated after build, so unchanged
 // delta entries share the base's slices.
 func buildWorkerShard(key string, sp *snap.ShardPayload, base *workerShard) (*workerShard, error) {
+	if sp.NumParts > maxNumParts {
+		return nil, fmt.Errorf("dist: shard %s claims %d partitions, limit %d", key, sp.NumParts, maxNumParts)
+	}
 	ws := &workerShard{
-		key:      key,
-		numParts: sp.NumParts,
-		outDeg:   sp.OutDeg,
-		raw:      make(map[int]*rawPart),
-		parts:    make(map[int]*pregel.Partition),
+		key:    key,
+		outDeg: sp.OutDeg,
+		raw:    make([]*rawPart, sp.NumParts),
+		parts:  make([]*pregel.Partition, sp.NumParts),
 	}
 	if sp.IsDelta() {
 		if base == nil {
@@ -76,20 +83,20 @@ func buildWorkerShard(key string, sp *snap.ShardPayload, base *workerShard) (*wo
 
 	for i := range sp.Parts {
 		p := &sp.Parts[i]
+		var old *rawPart
+		if base != nil && p.Index < len(base.raw) {
+			old = base.raw[p.Index]
+		}
 		var rp *rawPart
 		switch p.Mode {
 		case snap.ShardPartReplace:
 			rp = &rawPart{lv: p.LocalVerts, src: p.EdgeSrc, dst: p.EdgeDst}
 		case snap.ShardPartUnchanged:
-			if base == nil || base.raw[p.Index] == nil {
+			if old == nil {
 				return nil, fmt.Errorf("dist: shard %s marks partition %d unchanged without a base copy", key, p.Index)
 			}
-			rp = base.raw[p.Index]
+			rp = old
 		case snap.ShardPartAppend:
-			old := (*rawPart)(nil)
-			if base != nil {
-				old = base.raw[p.Index]
-			}
 			if old == nil {
 				return nil, fmt.Errorf("dist: shard %s appends to partition %d without a base copy", key, p.Index)
 			}
@@ -108,62 +115,42 @@ func buildWorkerShard(key string, sp *snap.ShardPayload, base *workerShard) (*wo
 		ws.owned = append(ws.owned, p.Index)
 	}
 	sort.Ints(ws.owned)
-	ws.idx = make(map[graph.VertexID]int32, len(ws.verts))
-	for i, v := range ws.verts {
-		ws.idx[v] = int32(i)
-	}
 	return ws, nil
-}
-
-// degOf is the out-degree closure the PageRank programs divide by; it must
-// agree bit-for-bit with the coordinator's GraphDegreeFunc, which it does
-// because the degree table ships verbatim in the shard.
-func (ws *workerShard) degOf(id graph.VertexID) float64 {
-	i, ok := ws.idx[id]
-	if !ok {
-		return 0
-	}
-	return float64(ws.outDeg[i])
 }
 
 // shardRun erases the program's type parameters so the worker can hold runs
 // of different algorithms in one table; shardRunT carries the real types.
 type shardRun interface {
 	begin()
-	setMirror(p int, local int32, raw []byte) error
+	setMirrors(p int, pairs []byte) error
 	compute(p int) (pregel.ComputeStats, error)
-	appendMessages(p int, b *reduceFrameBuilder)
+	appendMessages(p int, dst []byte) ([]byte, int)
 	valSize() int
-	msgSize() int
 }
 
 type shardRunT[V, M any] struct {
 	sc *pregel.ShardCompute[V, M]
-	vc Codec[V]
-	mc Codec[M]
+	vc pregel.Codec[V]
+	mc pregel.Codec[M]
 }
 
 func (r *shardRunT[V, M]) begin() { r.sc.BeginSuperstep() }
 
-func (r *shardRunT[V, M]) setMirror(p int, local int32, raw []byte) error {
-	return r.sc.SetMirror(p, local, r.vc.Decode(raw))
+func (r *shardRunT[V, M]) setMirrors(p int, pairs []byte) error {
+	return r.sc.SetMirrors(p, pairs, r.vc)
 }
 
 func (r *shardRunT[V, M]) compute(p int) (pregel.ComputeStats, error) {
 	return r.sc.Compute(p)
 }
 
-func (r *shardRunT[V, M]) appendMessages(p int, b *reduceFrameBuilder) {
-	r.sc.Messages(p, func(local int32, m M) {
-		b.pairPrefix(local)
-		b.buf = r.mc.Append(b.buf, m)
-	})
+func (r *shardRunT[V, M]) appendMessages(p int, dst []byte) ([]byte, int) {
+	return r.sc.AppendMessages(p, dst, r.mc)
 }
 
 func (r *shardRunT[V, M]) valSize() int { return r.vc.Size() }
-func (r *shardRunT[V, M]) msgSize() int { return r.mc.Size() }
 
-func newShardRunT[V, M any](prog pregel.Program[V, M], ws *workerShard, vc Codec[V], mc Codec[M]) (shardRun, error) {
+func newShardRunT[V, M any](prog pregel.Program[V, M], ws *workerShard, vc pregel.Codec[V], mc pregel.Codec[M]) (shardRun, error) {
 	sc, err := pregel.NewShardCompute(prog, ws.verts, ws.parts)
 	if err != nil {
 		return nil, err
@@ -178,24 +165,30 @@ func newShardRunT[V, M any](prog pregel.Program[V, M], ws *workerShard, vc Codec
 func newShardRun(spec RunSpec, ws *workerShard) (shardRun, error) {
 	switch spec.Algorithm {
 	case "pagerank":
-		prog := algorithms.PageRankProgram(spec.Iters, spec.ResetProb, ws.degOf)
+		prog := algorithms.PageRankProgram(spec.Iters, spec.ResetProb, ws.outDeg)
 		return newShardRunT(prog, ws, f64Codec{}, f64Codec{})
 	case "cc":
 		prog := algorithms.ConnectedComponentsProgram(spec.Iters)
 		return newShardRunT(prog, ws, vidCodec{}, vidCodec{})
 	case "dynamicpr":
-		prog := algorithms.DynamicPageRankProgram(spec.Tol, spec.ResetProb, spec.Iters, ws.degOf)
+		prog := algorithms.DynamicPageRankProgram(spec.Tol, spec.ResetProb, spec.Iters, ws.outDeg)
 		return newShardRunT(prog, ws, prStateCodec{}, f64Codec{})
 	}
 	return nil, fmt.Errorf("dist: unknown algorithm %q", spec.Algorithm)
 }
 
 // workerRun is one live run's compute state plus its superstep sequencer.
+// body and reduce are the run's frame buffers: one superstep's frames are
+// about the size of the last one's, so the broadcast frame is read and the
+// reduce frame built in the same storage round after round, and both go
+// with the run at RunFinish.
 type workerRun struct {
 	mu       sync.Mutex
 	shard    *workerShard
 	run      shardRun
 	lastStep int
+	body     []byte
+	reduce   reduceFrameBuilder
 }
 
 // Worker owns a process's shard cache and live runs and serves the
@@ -302,11 +295,28 @@ func (w *Worker) handleHealth(rw http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(rw).Encode(map[string]any{"status": "ok", "shards": w.NumShards()})
 }
 
-func readBody(rw http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(rw, r.Body, maxBodyBytes))
+// maxPresize bounds how much of a declared Content-Length is allocated before
+// any of the body has arrived; a longer body grows the buffer as it comes.
+const maxPresize = 64 << 20
+
+// readSized reads r to EOF into buf's storage, grown up front to the declared
+// length n (an HTTP Content-Length, -1 when unknown), so a megabyte frame
+// costs at most one allocation where io.ReadAll regrows from 512 bytes, and
+// none when buf already held a frame of that size.
+func readSized(buf []byte, r io.Reader, n int64) ([]byte, error) {
+	b := bytes.NewBuffer(buf[:0])
+	// MinRead beyond n, so the read that reports EOF has somewhere to go.
+	b.Grow(int(max(0, min(n, maxPresize))) + bytes.MinRead)
+	_, err := b.ReadFrom(r)
+	return b.Bytes(), err
+}
+
+// readBody reads a request body, bounded by maxBodyBytes, into buf's storage.
+func readBody(buf []byte, rw http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := readSized(buf, http.MaxBytesReader(rw, r.Body, maxBodyBytes), r.ContentLength)
 	if err != nil {
 		http.Error(rw, "reading body: "+err.Error(), http.StatusBadRequest)
-		return nil, false
+		return body, false
 	}
 	return body, true
 }
@@ -317,7 +327,7 @@ func (w *Worker) handleShardInstall(rw http.ResponseWriter, r *http.Request) {
 		http.Error(rw, "missing "+HeaderShardKey, http.StatusBadRequest)
 		return
 	}
-	body, ok := readBody(rw, r)
+	body, ok := readBody(nil, rw, r)
 	if !ok {
 		return
 	}
@@ -351,7 +361,7 @@ func (w *Worker) handleShardDelta(rw http.ResponseWriter, r *http.Request) {
 		http.Error(rw, "base shard not installed: "+baseKey, http.StatusConflict)
 		return
 	}
-	body, ok := readBody(rw, r)
+	body, ok := readBody(nil, rw, r)
 	if !ok {
 		return
 	}
@@ -412,14 +422,12 @@ func (w *Worker) handleStep(rw http.ResponseWriter, r *http.Request) {
 		http.Error(rw, "unknown run: "+id, http.StatusNotFound)
 		return
 	}
-	body, ok := readBody(rw, r)
-	if !ok {
-		return
-	}
-
 	wr.mu.Lock()
 	defer wr.mu.Unlock()
-	step, parts, err := parseFrame(body, magicBroadcast, wr.run.valSize(), false)
+	if wr.body, ok = readBody(wr.body, rw, r); !ok {
+		return
+	}
+	step, parts, err := parseFrame(wr.body, magicBroadcast, wr.run.valSize(), false)
 	if err != nil {
 		http.Error(rw, err.Error(), http.StatusBadRequest)
 		return
@@ -433,40 +441,34 @@ func (w *Worker) handleStep(rw http.ResponseWriter, r *http.Request) {
 	}
 
 	wr.run.begin()
-	pairSize := 4 + wr.run.valSize()
 	for i := range parts {
-		fp := &parts[i]
-		if wr.shard.parts[fp.part] == nil {
-			http.Error(rw, fmt.Sprintf("partition %d not owned here", fp.part), http.StatusBadRequest)
+		if err := wr.run.setMirrors(parts[i].part, parts[i].pairs); err != nil {
+			http.Error(rw, err.Error(), http.StatusBadRequest)
 			return
-		}
-		for off := 0; off < len(fp.pairs); off += pairSize {
-			local := int32(uint32(fp.pairs[off]) | uint32(fp.pairs[off+1])<<8 | uint32(fp.pairs[off+2])<<16 | uint32(fp.pairs[off+3])<<24)
-			if err := wr.run.setMirror(fp.part, local, fp.pairs[off+4:off+pairSize]); err != nil {
-				http.Error(rw, err.Error(), http.StatusBadRequest)
-				return
-			}
 		}
 	}
 
 	// Compute every owned partition, ascending — AllEdges programs scan
 	// regardless of frontier, and the reduce frame must report stats even
 	// for partitions that produced no messages.
-	b := newReduceFrameBuilder(step, wr.run.msgSize())
+	b := &wr.reduce
+	b.reset(step, len(wr.shard.owned))
 	for _, p := range wr.shard.owned {
 		cs, err := wr.run.compute(p)
 		if err != nil {
 			http.Error(rw, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		b.beginPart(p, cs.Scanned, cs.Visited, cs.Emitted, cs.Cost)
-		wr.run.appendMessages(p, b)
-		b.endPart()
+		b.beginPart(p, cs)
+		var n int
+		b.buf, n = wr.run.appendMessages(p, b.buf)
+		b.endPart(n)
 	}
 	wr.lastStep = step
 
 	rw.Header().Set("Content-Type", "application/octet-stream")
-	rw.Write(b.bytes())
+	rw.Header().Set("Content-Length", strconv.Itoa(len(b.buf)))
+	rw.Write(b.buf)
 }
 
 func (w *Worker) handleRunFinish(rw http.ResponseWriter, r *http.Request) {

@@ -19,11 +19,12 @@ import (
 // scratch; it may be nil (allocated on first sparse use) and the returned
 // slice must be kept by the caller for reuse. The mask is all-zero on
 // return (the scan clears words as it consumes them).
-func computePart[V, M any](prog *Program[V, M], edgeCost func(*Triplet[V]) float64, part *Partition, verts []graph.VertexID, pv []V, fw []uint64, act int, mask []uint64, em *partEmitter[M]) (nScan, nVisited int64, cost float64, maskOut []uint64) {
+func computePart[V, M any](prog *Program[V, M], part *Partition, verts []graph.VertexID, pv []V, fw []uint64, act int, mask []uint64, em *partEmitter[M]) (nScan, nVisited int64, cost float64, maskOut []uint64) {
 	dir := prog.ActiveDirection
 	lv := part.LocalVerts
 	edges := part.edges
-	var t Triplet[V]
+	edgeCost := prog.EdgeCost
+	t := Triplet[V]{verts: verts}
 
 	if dir == AllEdges {
 		// Always-active programs (PageRank): unconditional scan, no
@@ -31,16 +32,18 @@ func computePart[V, M any](prog *Program[V, M], edgeCost func(*Triplet[V]) float
 		for i := range edges {
 			e := edges[i]
 			nScan++
-			t.SrcID = verts[lv[e.src]]
-			t.DstID = verts[lv[e.dst]]
+			t.SrcIdx = lv[e.src]
+			t.DstIdx = lv[e.dst]
 			t.SrcVal = pv[e.src]
 			t.DstVal = pv[e.dst]
 			em.srcLocal = e.src
 			em.dstLocal = e.dst
 			prog.SendMsg(&t, em)
-			cost += edgeCost(&t)
+			if edgeCost != nil {
+				cost += edgeCost(&t)
+			}
 		}
-		return nScan, int64(len(edges)), cost, mask
+		return nScan, int64(len(edges)), unitCost(edgeCost, nScan, cost), mask
 	}
 
 	sparse := prog.ScanPolicy == ScanSparse ||
@@ -66,16 +69,18 @@ func computePart[V, M any](prog *Program[V, M], edgeCost func(*Triplet[V]) float
 				continue
 			}
 			nScan++
-			t.SrcID = verts[lv[e.src]]
-			t.DstID = verts[lv[e.dst]]
+			t.SrcIdx = lv[e.src]
+			t.DstIdx = lv[e.dst]
 			t.SrcVal = pv[e.src]
 			t.DstVal = pv[e.dst]
 			em.srcLocal = e.src
 			em.dstLocal = e.dst
 			prog.SendMsg(&t, em)
-			cost += edgeCost(&t)
+			if edgeCost != nil {
+				cost += edgeCost(&t)
+			}
 		}
-		return nScan, int64(len(edges)), cost, mask
+		return nScan, int64(len(edges)), unitCost(edgeCost, nScan, cost), mask
 	}
 
 	// Sparse scan. Gather: walk the frontier index of each live vertex
@@ -131,15 +136,27 @@ func computePart[V, M any](prog *Program[V, M], edgeCost func(*Triplet[V]) float
 				continue
 			}
 			nScan++
-			t.SrcID = verts[lv[e.src]]
-			t.DstID = verts[lv[e.dst]]
+			t.SrcIdx = lv[e.src]
+			t.DstIdx = lv[e.dst]
 			t.SrcVal = pv[e.src]
 			t.DstVal = pv[e.dst]
 			em.srcLocal = e.src
 			em.dstLocal = e.dst
 			prog.SendMsg(&t, em)
-			cost += edgeCost(&t)
+			if edgeCost != nil {
+				cost += edgeCost(&t)
+			}
 		}
 	}
-	return nScan, nVisited, cost, mask
+	return nScan, nVisited, unitCost(edgeCost, nScan, cost), mask
+}
+
+// unitCost is the scan's summed edge cost: the accumulated sum when the
+// program prices edges itself, else one unit per scanned edge — exactly what
+// adding 1.0 per edge would have produced.
+func unitCost[V any](edgeCost func(*Triplet[V]) float64, nScan int64, sum float64) float64 {
+	if edgeCost == nil {
+		return float64(nScan)
+	}
+	return sum
 }

@@ -86,11 +86,26 @@ func (sp ScanPolicy) String() string {
 const sparseDenominator = 8
 
 // Triplet presents one edge together with the current values of its
-// endpoints to the send-message function.
+// endpoints to the send-message function. Endpoints are addressed by global
+// dense vertex index — the position in Graph.Vertices(), Graph.OutDegrees()
+// and every other per-vertex table — which is what the scan has in hand;
+// per-vertex side data (degrees, weights, precomputed sets) should be a slice
+// indexed by SrcIdx/DstIdx, not a map keyed by vertex ID.
 type Triplet[V any] struct {
-	SrcID, DstID   graph.VertexID
+	SrcIdx, DstIdx int32
 	SrcVal, DstVal V
+
+	verts []graph.VertexID
 }
+
+// SrcID resolves the source's vertex ID: one extra load per call. Worth
+// calling only when the ID itself is the datum (an ordering between
+// endpoints, a canonical edge key); to find per-vertex data, index a table
+// by SrcIdx instead.
+func (t *Triplet[V]) SrcID() graph.VertexID { return t.verts[t.SrcIdx] }
+
+// DstID resolves the destination's vertex ID; see SrcID.
+func (t *Triplet[V]) DstID() graph.VertexID { return t.verts[t.DstIdx] }
 
 // Emitter delivers messages from a triplet to one of its endpoints. GraphX
 // semantics: messages may only target the edge's own source or destination.
@@ -110,7 +125,9 @@ type Program[V, M any] struct {
 	// value. Required.
 	VProg func(id graph.VertexID, val V, msg M) V
 	// SendMsg inspects one active triplet and emits messages to its
-	// endpoints. Required.
+	// endpoints. It runs once per scanned edge per superstep, so anything it
+	// looks up per vertex should be a slice indexed by the triplet's
+	// SrcIdx/DstIdx. Required.
 	SendMsg func(t *Triplet[V], emit Emitter[M])
 	// MergeMsg combines two messages bound for the same vertex. Must be
 	// commutative and associative. Required.
@@ -126,14 +143,15 @@ type Program[V, M any] struct {
 	// (default ScanAuto). Results are identical under every policy.
 	ScanPolicy ScanPolicy
 
-	// StateBytes sizes a vertex value for traffic accounting (default: a
-	// constant 8 bytes).
+	// StateBytes sizes a vertex value for traffic accounting; nil means a
+	// constant 8 bytes, and costs no call per mirror.
 	StateBytes func(val V) int
-	// MsgBytes sizes a message for traffic accounting (default 8 bytes).
+	// MsgBytes sizes a message for traffic accounting; nil means a constant
+	// 8 bytes, and costs no call per message.
 	MsgBytes func(m M) int
-	// EdgeCost is the abstract compute cost of scanning one triplet
-	// (default 1). Heavy per-edge algorithms (triangle intersection)
-	// override it.
+	// EdgeCost is the abstract compute cost of scanning one triplet; nil
+	// means 1, and costs no call per edge. Heavy per-edge algorithms
+	// (triangle intersection) override it.
 	EdgeCost func(t *Triplet[V]) float64
 	// ApplyCost is the abstract compute cost of one vertex-program
 	// application (default 1).
@@ -150,6 +168,24 @@ type Program[V, M any] struct {
 // ErrHalt, returned from Program.OnSuperstep, stops the computation after
 // the current superstep without error.
 var ErrHalt = errors.New("pregel: halt requested")
+
+// StateSize is the accounted size of a vertex value: StateBytes(val), or 8
+// when StateBytes is nil.
+func (p *Program[V, M]) StateSize(val V) int {
+	if p.StateBytes == nil {
+		return 8
+	}
+	return p.StateBytes(val)
+}
+
+// MsgSize is the accounted size of a message: MsgBytes(m), or 8 when
+// MsgBytes is nil.
+func (p *Program[V, M]) MsgSize(m M) int {
+	if p.MsgBytes == nil {
+		return 8
+	}
+	return p.MsgBytes(m)
+}
 
 func (p *Program[V, M]) validate() error {
 	if p.Init == nil || p.VProg == nil || p.SendMsg == nil || p.MergeMsg == nil {
@@ -343,18 +379,6 @@ func runEngine[V, M any](ctx context.Context, pg *PartitionedGraph, prog Program
 	if err := prog.validate(); err != nil {
 		return nil, nil, err
 	}
-	stateBytes := prog.StateBytes
-	if stateBytes == nil {
-		stateBytes = func(V) int { return 8 }
-	}
-	msgBytes := prog.MsgBytes
-	if msgBytes == nil {
-		msgBytes = func(M) int { return 8 }
-	}
-	edgeCost := prog.EdgeCost
-	if edgeCost == nil {
-		edgeCost = func(*Triplet[V]) float64 { return 1 }
-	}
 	applyCost := prog.ApplyCost
 	if applyCost == 0 {
 		applyCost = 1
@@ -445,12 +469,12 @@ func runEngine[V, M any](ctx context.Context, pg *PartitionedGraph, prog Program
 					masterHas[gidx] = true
 				}
 				ss.ReduceMsgs++
-				ss.ReduceBytes += int64(msgBytes(m))
+				ss.ReduceBytes += int64(prog.MsgSize(m))
 			}
 			if err := ex.Exchange(ctx, step, changedBits, masterVals, deliver, &ss); err != nil {
 				return nil, nil, fmt.Errorf("pregel: superstep %d exchange: %w", step, err)
 			}
-		} else if err := localSuperstep(ctx, pg, &prog, sc, &ss, edgeCost, stateBytes, msgBytes, step, shards, nw, nv, wShard); err != nil {
+		} else if err := localSuperstep(ctx, pg, &prog, sc, &ss, step, shards, nw, nv, wShard); err != nil {
 			return nil, nil, err
 		}
 
@@ -514,7 +538,7 @@ func runEngine[V, M any](ctx context.Context, pg *PartitionedGraph, prog Program
 // changed masters to mirrors, compute every partition, reduce the combined
 // messages back to the master arrays. Factored out of runEngine so the
 // distributed branch above replaces exactly this block and nothing else.
-func localSuperstep[V, M any](ctx context.Context, pg *PartitionedGraph, prog *Program[V, M], sc *engineScratch[V, M], ss *SuperstepStats, edgeCost func(*Triplet[V]) float64, stateBytes func(V) int, msgBytes func(M) int, step, shards, nw, nv, wShard int) error {
+func localSuperstep[V, M any](ctx context.Context, pg *PartitionedGraph, prog *Program[V, M], sc *engineScratch[V, M], ss *SuperstepStats, step, shards, nw, nv, wShard int) error {
 	_ = ctx
 	verts := pg.G.Vertices()
 	numParts := pg.NumParts
@@ -548,9 +572,9 @@ func localSuperstep[V, M any](ctx context.Context, pg *PartitionedGraph, prog *P
 				v := wi<<6 + bits.TrailingZeros64(w)
 				w &= w - 1
 				val := masterVals[v]
-				sz := int64(stateBytes(val))
+				sz := int64(prog.StateSize(val))
 				for _, ref := range routRefs[offs[v]:offs[v+1]] {
-					vals[ref.part][ref.local] = val
+					vals[ref.Part][ref.Local] = val
 					msgs++
 					bytes += sz
 				}
@@ -607,7 +631,7 @@ func localSuperstep[V, M any](ctx context.Context, pg *PartitionedGraph, prog *P
 				act += bits.OnesCount64(w)
 			}
 		}
-		nScan, nVisited, cost, mask := computePart(prog, edgeCost, part, verts, vals[p], fw, act, sc.edgeMask[p], em)
+		nScan, nVisited, cost, mask := computePart(prog, part, verts, vals[p], fw, act, sc.edgeMask[p], em)
 		sc.edgeMask[p] = mask
 		scanned[p] = nScan
 		emitted[p] = em.emitted
@@ -659,7 +683,7 @@ func localSuperstep[V, M any](ctx context.Context, pg *PartitionedGraph, prog *P
 						masterHas[gidx] = true
 					}
 					msgs++
-					bytes += int64(msgBytes(m))
+					bytes += int64(prog.MsgSize(m))
 				}
 			}
 			rMsgs[sh] += msgs

@@ -2,12 +2,44 @@ package pregel
 
 import (
 	"context"
+	"fmt"
 	"math/bits"
 	"reflect"
 	"testing"
 
 	"cutfit/internal/partition"
 )
+
+// setMirrorRef is the per-pair mirror install the bulk SetMirrors replaced,
+// kept as its oracle: one value, one frontier bit, one popcount step.
+func (sc *ShardCompute[V, M]) setMirrorRef(p int, local int32, v V) error {
+	sp, err := sc.owned(p)
+	if err != nil {
+		return err
+	}
+	if local < 0 || int(local) >= len(sp.vals) {
+		return fmt.Errorf("pregel: shard compute: partition %d local index %d out of range [0,%d)", p, local, len(sp.vals))
+	}
+	sp.vals[local] = v
+	w := &sp.fw[local>>6]
+	bit := uint64(1) << (uint32(local) & 63)
+	if *w&bit == 0 {
+		*w |= bit
+		sp.act++
+	}
+	return nil
+}
+
+// messagesRef is the per-pair message iterator AppendMessages replaced, kept
+// as its oracle: partition p's combined messages in ascending local order.
+func (sc *ShardCompute[V, M]) messagesRef(p int, fn func(local int32, m M)) {
+	em := &sc.parts[p].em
+	for l, ok := range em.has {
+		if ok {
+			fn(int32(l), em.acc[l])
+		}
+	}
+}
 
 // loopExchanger implements the Exchanger contract entirely in-process via
 // ShardCompute — a wire-free replica of what internal/dist does over HTTP.
@@ -23,19 +55,11 @@ type loopExchanger[V, M any] struct {
 
 func newLoopExchanger[V, M any](t *testing.T, pg *PartitionedGraph, prog Program[V, M]) *loopExchanger[V, M] {
 	t.Helper()
-	parts := make(map[int]*Partition, pg.NumParts)
-	for p, part := range pg.Parts {
-		parts[p] = part
-	}
-	sc, err := NewShardCompute(prog, pg.G.Vertices(), parts)
+	sc, err := NewShardCompute(prog, pg.G.Vertices(), pg.Parts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb := prog.StateBytes
-	if sb == nil {
-		sb = func(V) int { return 8 }
-	}
-	return &loopExchanger[V, M]{pg: pg, sc: sc, stateBytes: sb}
+	return &loopExchanger[V, M]{pg: pg, sc: sc, stateBytes: prog.StateSize}
 }
 
 func (ex *loopExchanger[V, M]) Exchange(_ context.Context, _ int, changed []uint64, masterVals []V, deliver func(gidx int32, m M), ss *SuperstepStats) error {
@@ -48,16 +72,12 @@ func (ex *loopExchanger[V, M]) Exchange(_ context.Context, _ int, changed []uint
 			v := base + int32(bits.TrailingZeros64(w))
 			w &= w - 1
 			val := masterVals[v]
-			var err error
-			ex.pg.ForEachMirror(v, func(part, local int32) {
-				if e := ex.sc.SetMirror(int(part), local, val); e != nil && err == nil {
-					err = e
+			for _, ref := range ex.pg.MirrorsOf(v) {
+				if err := ex.sc.setMirrorRef(int(ref.Part), ref.Local, val); err != nil {
+					return err
 				}
 				ss.BroadcastMsgs++
 				ss.BroadcastBytes += int64(ex.stateBytes(val))
-			})
-			if err != nil {
-				return err
 			}
 		}
 	}
@@ -79,7 +99,7 @@ func (ex *loopExchanger[V, M]) Exchange(_ context.Context, _ int, changed []uint
 	// the engine's reduce phase.
 	for p := 0; p < ex.pg.NumParts; p++ {
 		lv := ex.pg.Parts[p].LocalVerts
-		ex.sc.Messages(p, func(local int32, m M) {
+		ex.sc.messagesRef(p, func(local int32, m M) {
 			deliver(lv[local], m)
 		})
 	}
@@ -113,7 +133,7 @@ func runBoth[V comparable, M any](t *testing.T, pg *PartitionedGraph, prog Progr
 }
 
 // TestExchangerEquivalence proves the Exchanger seam is lossless: an
-// in-process exchanger built from the exported ShardCompute/ForEachMirror
+// in-process exchanger built from the exported ShardCompute/MirrorsOf
 // surface reproduces Run bit-for-bit (values and stats) for a dense
 // AllEdges program (PageRank-shaped, float64 merge-order-sensitive) and a
 // sparse frontier program (CC-shaped), across partition counts and both

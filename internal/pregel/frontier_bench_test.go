@@ -48,7 +48,7 @@ func hotRingProgram(policy ScanPolicy, supersteps int) Program[int64, int64] {
 		Init:  func(id graph.VertexID) int64 { return int64(id) },
 		VProg: func(_ graph.VertexID, val, msg int64) int64 { return val + msg },
 		SendMsg: func(t *Triplet[int64], emit Emitter[int64]) {
-			if t.SrcID%hotStride == 0 && t.DstID%hotStride == 0 {
+			if t.SrcID()%hotStride == 0 && t.DstID()%hotStride == 0 {
 				emit.ToDst(1)
 			}
 		},

@@ -54,6 +54,7 @@ import (
 	"cutfit/internal/graph"
 	"cutfit/internal/par"
 	"cutfit/internal/partition"
+	"cutfit/internal/rng"
 )
 
 // localEdge is an edge expressed in partition-local vertex indices.
@@ -108,10 +109,10 @@ func (p *Partition) EdgeAt(j int) (src, dst int32) {
 // the partition.
 func (p *Partition) NumLocalVertices() int { return len(p.LocalVerts) }
 
-// mirrorRef locates one mirror of a vertex: partition p, local slot l.
-type mirrorRef struct {
-	part  int32
-	local int32
+// MirrorRef locates one mirror of a vertex: partition Part, local slot Local.
+type MirrorRef struct {
+	Part  int32
+	Local int32
 }
 
 // BuildOptions tunes partitioned-graph construction and engine execution.
@@ -146,7 +147,7 @@ type PartitionedGraph struct {
 	// indices: mirrors of vertex v are
 	// routingRefs[routingOffsets[v]:routingOffsets[v+1]].
 	routingOffsets []int64
-	routingRefs    []mirrorRef
+	routingRefs    []MirrorRef
 
 	// Parallelism is the number of worker goroutines used for partition
 	// phases; defaults to GOMAXPROCS.
@@ -171,6 +172,11 @@ type PartitionedGraph struct {
 	triOnce  sync.Once
 	triPlan  []TriangleRuns
 	triBuilt atomic.Bool
+
+	// topoSum is the lazily computed content hash of the partition tables
+	// (see TopologySum).
+	topoOnce sync.Once
+	topoSum  uint64
 }
 
 // maxScratchTypes bounds how many distinct program types park scratches on
@@ -634,10 +640,10 @@ func (pg *PartitionedGraph) buildRouting() {
 	for i := 0; i < nv; i++ {
 		offsets[i+1] += offsets[i]
 	}
-	refs := make([]mirrorRef, offsets[nv])
+	refs := make([]MirrorRef, offsets[nv])
 	for p := 0; p < pg.NumParts; p++ {
 		for l, gidx := range pg.Parts[p].LocalVerts {
-			refs[offsets[gidx]] = mirrorRef{part: int32(p), local: int32(l)}
+			refs[offsets[gidx]] = MirrorRef{Part: int32(p), Local: int32(l)}
 			offsets[gidx]++
 		}
 	}
@@ -748,19 +754,38 @@ func (pg *PartitionedGraph) Mirrors(v int32) int {
 	return int(pg.routingOffsets[v+1] - pg.routingOffsets[v])
 }
 
-// mirrorsOf returns the mirror references of v.
-func (pg *PartitionedGraph) mirrorsOf(v int32) []mirrorRef {
+// MirrorsOf returns the mirrors of global dense vertex v — its row of the
+// routing CSR, ascending by partition. The distributed broadcast path walks
+// it to address mirror updates exactly as the in-process broadcast phase
+// does. Callers must not modify the returned slice.
+func (pg *PartitionedGraph) MirrorsOf(v int32) []MirrorRef {
 	return pg.routingRefs[pg.routingOffsets[v]:pg.routingOffsets[v+1]]
 }
 
-// ForEachMirror visits every (partition, local slot) mirror of global dense
-// vertex v, in the routing CSR's order (ascending partition, then ascending
-// local slot). The distributed broadcast path walks this to address mirror
-// updates exactly as the in-process broadcast phase does.
-func (pg *PartitionedGraph) ForEachMirror(v int32, fn func(part, local int32)) {
-	for _, ref := range pg.mirrorsOf(v) {
-		fn(ref.part, ref.local)
-	}
+// TopologySum content-addresses the partitioned topology: a fold over every
+// partition's local vertex table and edge list, one 64-bit word at a time
+// (the chaining Graph.Fingerprint uses).
+// Combined with the graph fingerprint it names a shard generation in
+// internal/dist, so a worker holding a stale shard can never silently serve
+// the wrong topology. A built topology is immutable — ApplyDelta returns a
+// new PartitionedGraph — so the sum is computed on first use and never
+// invalidated.
+func (pg *PartitionedGraph) TopologySum() uint64 {
+	pg.topoOnce.Do(func() {
+		h := rng.Combine2(0, uint64(pg.NumParts))
+		for _, part := range pg.Parts {
+			h = rng.Combine2(h, uint64(len(part.LocalVerts)))
+			for _, g := range part.LocalVerts {
+				h = rng.Combine2(h, uint64(uint32(g)))
+			}
+			h = rng.Combine2(h, uint64(len(part.edges)))
+			for _, e := range part.edges {
+				h = rng.Combine2(h, uint64(uint32(e.src))<<32|uint64(uint32(e.dst)))
+			}
+		}
+		pg.topoSum = h
+	})
+	return pg.topoSum
 }
 
 // TotalMirrors returns the total number of mirror slots across all

@@ -73,8 +73,8 @@ func (pg *PartitionedGraph) RawTables() RawTables {
 		copy(rt.LocalVerts[rt.LocalVertsOffsets[p]:], part.LocalVerts)
 	}
 	for j, ref := range pg.routingRefs {
-		rt.RoutingParts[j] = ref.part
-		rt.RoutingLocals[j] = ref.local
+		rt.RoutingParts[j] = ref.Part
+		rt.RoutingLocals[j] = ref.Local
 	}
 	return rt
 }
@@ -208,7 +208,7 @@ func FromRawTables(g *graph.Graph, rt RawTables, opts BuildOptions) (*Partitione
 	// span the partitions ascend strictly, and every ref resolves to a
 	// LocalVerts slot holding exactly that vertex (with equal totals, that
 	// forces a bijection).
-	refs := make([]mirrorRef, len(rt.RoutingParts))
+	refs := make([]MirrorRef, len(rt.RoutingParts))
 	for v := 0; v < nv; v++ {
 		prev := int32(-1)
 		for j := rt.RoutingOffsets[v]; j < rt.RoutingOffsets[v+1]; j++ {
@@ -227,7 +227,7 @@ func FromRawTables(g *graph.Graph, rt RawTables, opts BuildOptions) (*Partitione
 			if rt.LocalVerts[lo+int64(l)] != int32(v) {
 				return nil, fmt.Errorf("pregel: vertex %d routing ref resolves to mirror of vertex %d", v, rt.LocalVerts[lo+int64(l)])
 			}
-			refs[j] = mirrorRef{part: p, local: l}
+			refs[j] = MirrorRef{Part: p, Local: l}
 		}
 	}
 	pg.routingOffsets = rt.RoutingOffsets

@@ -200,7 +200,7 @@ func pagerankProgram(pg *PartitionedGraph) Program[float64, float64] {
 		Init:  func(id graph.VertexID) float64 { return 1.0 },
 		VProg: func(id graph.VertexID, val, msg float64) float64 { return 0.15 + 0.85*msg },
 		SendMsg: func(tr *Triplet[float64], emit Emitter[float64]) {
-			if d := outDeg[idx[tr.SrcID]]; d > 0 {
+			if d := outDeg[idx[tr.SrcID()]]; d > 0 {
 				emit.ToDst(tr.SrcVal / float64(d))
 			}
 		},

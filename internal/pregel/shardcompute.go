@@ -1,7 +1,9 @@
 package pregel
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"cutfit/internal/graph"
 )
@@ -45,65 +47,81 @@ type ComputeStats struct {
 	Cost    float64 // summed EdgeCost of scanned triplets
 }
 
+// Codec fixes the wire form of one vertex-state or message type: a fixed
+// byte width, an appender and a decoder. Values are little-endian and
+// bit-exact (float64 travels as its IEEE-754 bits), so a value decoded on
+// the far side is the identical bit pattern — the precondition for
+// bit-identical distributed runs.
+type Codec[T any] interface {
+	Size() int
+	Append(dst []byte, v T) []byte
+	Decode(p []byte) T
+}
+
+// shardPart is one owned partition's compute state.
+type shardPart[V, M any] struct {
+	part *Partition
+	vals []V
+	fw   []uint64 // mirror frontier bitset, rebuilt per superstep
+	act  int      // frontier popcount
+	fed  bool     // a slab arrived this superstep
+	mask []uint64 // sparse-scan edge bitmap, reused
+	em   partEmitter[M]
+}
+
 // ShardCompute runs the mirror half of a superstep for one worker's owned
 // partitions: accept broadcast mirror values, execute the compute scan via
 // the engine's computePart (so edge order — and therefore float64 combine
 // order — is byte-identical to the local path), and hand back the locally
-// combined per-vertex messages for the reduce frame.
+// combined per-vertex messages for the reduce frame. Mirror values enter and
+// messages leave as pair slabs, n × (u32 little-endian local index, value
+// bytes per the Codec) ascending by local index — the partition section of
+// internal/dist's frames — so nothing is called per pair between the wire
+// and the scan but the Codec.
 type ShardCompute[V, M any] struct {
-	prog     Program[V, M]
-	verts    []graph.VertexID
-	edgeCost func(*Triplet[V]) float64
-	parts    map[int]*Partition
-	vals     map[int][]V
-	fw       map[int][]uint64 // mirror frontier bitsets, rebuilt per superstep
-	act      map[int]int      // frontier popcounts
-	mask     map[int][]uint64 // sparse-scan edge bitmaps, reused
-	emitters map[int]*partEmitter[M]
-	msgAcc   map[int][]M
-	msgHas   map[int][]bool
-	nv       int
+	prog  Program[V, M]
+	verts []graph.VertexID
+	parts []shardPart[V, M] // by partition index; part == nil where not owned
 }
 
-// NewShardCompute prepares the compute state for the given owned partitions.
-// verts is the full graph's dense vertex-ID table (local and distributed
-// runs share it via the shard snapshot), prog the same program the
-// coordinator's engine runs.
-func NewShardCompute[V, M any](prog Program[V, M], verts []graph.VertexID, parts map[int]*Partition) (*ShardCompute[V, M], error) {
+// NewShardCompute prepares the compute state for the owned partitions: parts
+// is indexed by partition, nil where another worker owns it. verts is the
+// full graph's dense vertex-ID table (local and distributed runs share it via
+// the shard snapshot), prog the same program the coordinator's engine runs.
+func NewShardCompute[V, M any](prog Program[V, M], verts []graph.VertexID, parts []*Partition) (*ShardCompute[V, M], error) {
 	if err := prog.validate(); err != nil {
 		return nil, err
 	}
-	edgeCost := prog.EdgeCost
-	if edgeCost == nil {
-		edgeCost = func(*Triplet[V]) float64 { return 1 }
-	}
 	sc := &ShardCompute[V, M]{
-		prog:     prog,
-		verts:    verts,
-		edgeCost: edgeCost,
-		parts:    parts,
-		vals:     make(map[int][]V, len(parts)),
-		fw:       make(map[int][]uint64, len(parts)),
-		act:      make(map[int]int, len(parts)),
-		mask:     make(map[int][]uint64, len(parts)),
-		emitters: make(map[int]*partEmitter[M], len(parts)),
-		msgAcc:   make(map[int][]M, len(parts)),
-		msgHas:   make(map[int][]bool, len(parts)),
-		nv:       len(verts),
+		prog:  prog,
+		verts: verts,
+		parts: make([]shardPart[V, M], len(parts)),
 	}
 	for p, part := range parts {
+		if part == nil {
+			continue
+		}
 		n := len(part.LocalVerts)
-		sc.vals[p] = make([]V, n)
-		sc.fw[p] = make([]uint64, (n+63)/64)
-		sc.msgAcc[p] = make([]M, n)
-		sc.msgHas[p] = make([]bool, n)
-		sc.emitters[p] = &partEmitter[M]{
-			merge: prog.MergeMsg,
-			acc:   sc.msgAcc[p],
-			has:   sc.msgHas[p],
+		sc.parts[p] = shardPart[V, M]{
+			part: part,
+			vals: make([]V, n),
+			fw:   make([]uint64, (n+63)/64),
+			em: partEmitter[M]{
+				merge: prog.MergeMsg,
+				acc:   make([]M, n),
+				has:   make([]bool, n),
+			},
 		}
 	}
 	return sc, nil
+}
+
+// owned returns partition p's state, or an error when p is not owned here.
+func (sc *ShardCompute[V, M]) owned(p int) (*shardPart[V, M], error) {
+	if p < 0 || p >= len(sc.parts) || sc.parts[p].part == nil {
+		return nil, fmt.Errorf("pregel: shard compute: partition %d not owned here", p)
+	}
+	return &sc.parts[p], nil
 }
 
 // BeginSuperstep resets the per-round frontier and message state. Mirror
@@ -111,55 +129,85 @@ func NewShardCompute[V, M any](prog Program[V, M], verts []graph.VertexID, parts
 // matching the engine's scratch semantics.
 func (sc *ShardCompute[V, M]) BeginSuperstep() {
 	for p := range sc.parts {
-		clear(sc.fw[p])
-		sc.act[p] = 0
-		clear(sc.msgHas[p])
-		sc.emitters[p].emitted = 0
+		sp := &sc.parts[p]
+		clear(sp.fw)
+		sp.act = 0
+		sp.fed = false
+		clear(sp.em.has)
+		sp.em.emitted = 0
 	}
 }
 
-// SetMirror installs a broadcast master value for partition p's local slot,
-// marking it frontier-active for this round's scan.
-func (sc *ShardCompute[V, M]) SetMirror(p int, local int32, v V) error {
-	vals, ok := sc.vals[p]
-	if !ok {
-		return fmt.Errorf("pregel: shard compute: partition %d not owned here", p)
+// SetMirrors installs one broadcast slab — the changed masters mirrored in
+// partition p — marking each slot frontier-active for this round's scan. A
+// slab that is not a whole number of pairs, that names a local index outside
+// the partition, or that is the partition's second this superstep, is
+// rejected.
+func (sc *ShardCompute[V, M]) SetMirrors(p int, pairs []byte, vc Codec[V]) error {
+	sp, err := sc.owned(p)
+	if err != nil {
+		return err
 	}
-	if local < 0 || int(local) >= len(vals) {
-		return fmt.Errorf("pregel: shard compute: partition %d local index %d out of range [0,%d)", p, local, len(vals))
+	if sp.fed {
+		return fmt.Errorf("pregel: shard compute: partition %d sent twice in one superstep", p)
 	}
-	vals[local] = v
-	w := &sc.fw[p][local>>6]
-	bit := uint64(1) << (uint32(local) & 63)
-	if *w&bit == 0 {
-		*w |= bit
-		sc.act[p]++
+	sp.fed = true
+	pairSize := 4 + vc.Size()
+	if len(pairs)%pairSize != 0 {
+		return fmt.Errorf("pregel: shard compute: partition %d slab of %d bytes is not a multiple of the %d-byte pair", p, len(pairs), pairSize)
 	}
+	vals, fw := sp.vals, sp.fw
+	// Pairs arrive ascending, so the frontier word under construction stays
+	// in w until the slab moves on to the next one; folding it in with the
+	// bits already set keeps the popcount exact for any order.
+	wi, w, act := 0, uint64(0), sp.act
+	for ; len(pairs) >= pairSize; pairs = pairs[pairSize:] {
+		local := binary.LittleEndian.Uint32(pairs)
+		if uint64(local) >= uint64(len(vals)) {
+			return fmt.Errorf("pregel: shard compute: partition %d local index %d out of range [0,%d)", p, local, len(vals))
+		}
+		vals[local] = vc.Decode(pairs[4:pairSize])
+		if int(local>>6) != wi {
+			act += bits.OnesCount64(w &^ fw[wi])
+			fw[wi] |= w
+			wi, w = int(local>>6), 0
+		}
+		w |= 1 << (local & 63)
+	}
+	if w != 0 {
+		act += bits.OnesCount64(w &^ fw[wi])
+		fw[wi] |= w
+	}
+	sp.act = act
 	return nil
 }
 
 // Compute scans partition p with the engine's shared triplet scan and
 // combines messages into the partition-local accumulator.
 func (sc *ShardCompute[V, M]) Compute(p int) (ComputeStats, error) {
-	part, ok := sc.parts[p]
-	if !ok {
-		return ComputeStats{}, fmt.Errorf("pregel: shard compute: partition %d not owned here", p)
+	sp, err := sc.owned(p)
+	if err != nil {
+		return ComputeStats{}, err
 	}
-	em := sc.emitters[p]
-	nScan, nVisited, cost, mask := computePart(&sc.prog, sc.edgeCost, part, sc.verts, sc.vals[p], sc.fw[p], sc.act[p], sc.mask[p], em)
-	sc.mask[p] = mask
-	return ComputeStats{Scanned: nScan, Visited: nVisited, Emitted: em.emitted, Cost: cost}, nil
+	nScan, nVisited, cost, mask := computePart(&sc.prog, sp.part, sc.verts, sp.vals, sp.fw, sp.act, sp.mask, &sp.em)
+	sp.mask = mask
+	return ComputeStats{Scanned: nScan, Visited: nVisited, Emitted: sp.em.emitted, Cost: cost}, nil
 }
 
-// Messages iterates partition p's combined messages in ascending local
-// order — the order the reduce frame must preserve so the coordinator's
-// per-destination merges match the local engine's.
-func (sc *ShardCompute[V, M]) Messages(p int, fn func(local int32, m M)) {
-	has := sc.msgHas[p]
-	acc := sc.msgAcc[p]
-	for l, ok := range has {
+// AppendMessages appends the combined messages of partition p — one Compute
+// has just scanned — to dst as a pair slab and returns the extended buffer
+// and the pair count. Pairs are in ascending local order — the order the
+// reduce frame must preserve so the coordinator's per-destination merges
+// match the local engine's.
+func (sc *ShardCompute[V, M]) AppendMessages(p int, dst []byte, mc Codec[M]) ([]byte, int) {
+	em := &sc.parts[p].em
+	n := 0
+	for l, ok := range em.has {
 		if ok {
-			fn(int32(l), acc[l])
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(l))
+			dst = mc.Append(dst, em.acc[l])
+			n++
 		}
 	}
+	return dst, n
 }
