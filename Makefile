@@ -13,7 +13,7 @@ GO ?= go
 #   make bench-compare BENCH_OUT=new.txt
 #   benchstat old.txt new.txt
 # The default filter is the guarded set the CI benchmark gate enforces.
-BENCH ?= BenchmarkSelectEmpirically|BenchmarkMeasureThenRun|BenchmarkTriangleCount|BenchmarkPartitionBuild|BenchmarkAppendEdges|BenchmarkRemoveEdges|BenchmarkRestoreVsRebuild|BenchmarkReadEdgeList|BenchmarkSparseFrontier|BenchmarkScalingSweep|BenchmarkScale/1M|BenchmarkDistRun
+BENCH ?= BenchmarkSelectEmpirically|BenchmarkMeasureThenRun|BenchmarkTriangleCount|BenchmarkPartitionBuild|BenchmarkAppendEdges|BenchmarkRemoveEdges|BenchmarkStreamCycle|BenchmarkRestoreVsRebuild|BenchmarkReadEdgeList|BenchmarkSparseFrontier|BenchmarkScalingSweep|BenchmarkScale/1M|BenchmarkDistRun
 BENCH_COUNT ?= 10
 BENCH_OUT ?= bench.txt
 
@@ -51,7 +51,9 @@ lint: vet
 # parallel hash assignment, the scratch-pool engine, the serving layer
 # (store single-flight, Session mixed workload, cutfitd handlers), the
 # delta-append path (root equivalence suite, graph generations, store
-# chain, topology patching), the persistence layer (snap codecs, disk
+# chain, topology patching; generations extending one shared edge array and
+# runs reviving one lineage's scratch, from eight goroutines at once), the
+# persistence layer (snap codecs, disk
 # tier spill/restore, warm-start handlers), the distributed runtime
 # (coordinator/worker exchange over loopback sockets, equivalence and
 # failure suites, hostile step frames, the bulk mirror/message slabs against
@@ -64,12 +66,13 @@ race:
 # dataset analogs × strategies), the sparse-frontier scan payoff,
 # per-superstep allocation footprint, the single-pass selection pipeline,
 # the compact worker sweep, the two loaders (text ingest, snapshot
-# restore against rebuild) and whole distributed runs on two loopback
-# workers.
+# restore against rebuild), a stream-update cycle on a caching Session
+# (bytes allocated per generation step, live heap per cached byte) and whole
+# distributed runs on two loopback workers.
 bench:
 	$(GO) test -run='^$$' -bench='BenchmarkPartitionBuild|BenchmarkSparseFrontier' -benchmem ./internal/pregel/
 	$(GO) test -run='^$$' -bench='BenchmarkDistRun' -benchmem ./internal/dist/
-	$(GO) test -run='^$$' -bench='BenchmarkPartitionBuild|BenchmarkSuperstepAllocs|BenchmarkSelectEmpirically|BenchmarkMeasureThenRun|BenchmarkTriangleCount|BenchmarkScalingSweep|BenchmarkReadEdgeList|BenchmarkRestoreVsRebuild' -benchmem .
+	$(GO) test -run='^$$' -bench='BenchmarkPartitionBuild|BenchmarkSuperstepAllocs|BenchmarkSelectEmpirically|BenchmarkMeasureThenRun|BenchmarkTriangleCount|BenchmarkScalingSweep|BenchmarkReadEdgeList|BenchmarkRestoreVsRebuild|BenchmarkStreamCycle' -benchmem .
 
 # Full multi-core scaling sweep: worker ladder × components × dataset
 # analogs, JSON for the benchgate efficiency gate plus a markdown table.
@@ -141,7 +144,8 @@ bench-compare:
 	$(GO) test -run='^$$' -bench='$(BENCH)' -benchmem -count=$(BENCH_COUNT) . ./internal/pregel/ ./internal/dist/ | tee $(BENCH_OUT)
 
 # Longer fuzz session: the edge-list ingest path (round trip, and the parser
-# against its strconv reference), the incremental topology
+# against its strconv reference), the retraction resolver (bit filter
+# against one map probe per edge), the incremental topology
 # patchers (delta append and shrink/slide-window, each cross-checked
 # against a full rebuild), the dense/sparse/auto engine scan equivalence
 # (including density-threshold crossovers mid-run), the snapshot
@@ -153,6 +157,7 @@ FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadEdgeList -fuzztime=$(FUZZTIME) ./internal/graph/
 	$(GO) test -run='^$$' -fuzz=FuzzStreamEdgeList -fuzztime=$(FUZZTIME) ./internal/graph/
+	$(GO) test -run='^$$' -fuzz=FuzzResolveRetractions -fuzztime=$(FUZZTIME) ./internal/graph/
 	$(GO) test -run='^$$' -fuzz=FuzzApplyDelta -fuzztime=$(FUZZTIME) ./internal/pregel/
 	$(GO) test -run='^$$' -fuzz=FuzzApplyShrink -fuzztime=$(FUZZTIME) ./internal/pregel/
 	$(GO) test -run='^$$' -fuzz=FuzzFrontierScanEquivalence -fuzztime=$(FUZZTIME) ./internal/pregel/
@@ -166,6 +171,7 @@ fuzz:
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadEdgeList -fuzztime=5s ./internal/graph/
 	$(GO) test -run='^$$' -fuzz=FuzzStreamEdgeList -fuzztime=5s ./internal/graph/
+	$(GO) test -run='^$$' -fuzz=FuzzResolveRetractions -fuzztime=5s ./internal/graph/
 	$(GO) test -run='^$$' -fuzz=FuzzApplyDelta -fuzztime=5s ./internal/pregel/
 	$(GO) test -run='^$$' -fuzz=FuzzApplyShrink -fuzztime=5s ./internal/pregel/
 	$(GO) test -run='^$$' -fuzz=FuzzFrontierScanEquivalence -fuzztime=5s ./internal/pregel/

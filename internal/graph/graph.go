@@ -76,6 +76,17 @@ type Graph struct {
 	// unweighted graph (every edge then weighs 1).
 	weights []float64
 
+	// edgesTail, weightsTail, srcTail and dstTail are the shared backing
+	// arrays behind edges, weights, srcIdx and dstIdx on a generation
+	// produced by Grow (see Tail): the slices above are clamped to this
+	// generation's length, the arrays may hold spare capacity that the next
+	// Grow claims instead of copying. Nil on a graph that owns its slices
+	// outright; mutation drops them (a mutated graph's slices live elsewhere,
+	// so it could not extend the arrays anyway and should not pin them).
+	edgesTail        *Tail[Edge]
+	weightsTail      *Tail[float64]
+	srcTail, dstTail *Tail[int32]
+
 	// blocks, when non-nil, is the graph's canonical edge storage: the
 	// compressed block tier. edges/weights are then merely a cached dense
 	// materialization, built on demand under denseOnce (Edges() is the
@@ -270,6 +281,7 @@ func (g *Graph) AddEdges(edges ...Edge) {
 
 func (g *Graph) invalidate() {
 	g.version.Add(1)
+	g.edgesTail, g.weightsTail, g.srcTail, g.dstTail = nil, nil, nil, nil
 	g.vertsOnce.reset()
 	g.verts = nil
 	g.idxOnce.reset()

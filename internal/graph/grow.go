@@ -57,9 +57,19 @@ const compactionThreshold = 4 // compact when numDead*compactionThreshold >= len
 //     vertices shifted dense indices — and patched with the suffix;
 //   - the ID->index map and the CSR adjacency views stay lazy.
 //
-// The edge slice itself is copied (one memcpy), never shared, so neither
-// generation can observe the other's mutations. The new generation starts
-// at a fresh process-unique version.
+// What is shared and who pays: the edge list (and weights, and the endpoint
+// view) is copied once, on a graph's first Grow, into a backing array with
+// spare capacity (Tail); from then on each generation of the lineage holds a
+// length- and capacity-clamped slice of that one array and Grow writes only
+// the suffix into slots no existing generation covers. A second child of
+// the same parent, or a parent since mutated by AddEdge, loses the claim
+// and copies, so no generation can ever observe another's edges, and
+// AddEdge on any generation still reallocates. Shares reports the array
+// under one key from every generation of the lineage, so a cache charges it
+// once however many generations it holds. The vertex list is shared when the
+// suffix adds no vertex, the tombstone bitset when the step retracts
+// nothing; degree tables are per generation. The new generation starts at a
+// fresh process-unique version.
 //
 // An empty suffix is a no-op: Grow returns g itself (Delta.Old ==
 // Delta.New), never minting a content-identical generation that would
@@ -126,33 +136,29 @@ func (g *Graph) advance(suffix []Edge, sufWeights []float64, removeIdx []int) (*
 	} else if len(suffix) == 0 {
 		// Pure shrink: the dense list is unchanged, so the child shares the
 		// parent's edge slice (capacity-clamped — neither generation can
-		// append into the other) and, when weighted, the weight slice.
+		// append into the other) and, when weighted, the weight slice. It
+		// shares the backing arrays' spare capacity too: whichever of the two
+		// grows first extends in place, the other copies.
 		ng = FromEdges(g.edges[:oldLen:oldLen])
+		ng.edgesTail = g.edgesTail
 		if childWeighted {
-			ng.weights = g.weights[:oldLen:oldLen]
+			ng.weights, ng.weightsTail = g.weights[:oldLen:oldLen], g.weightsTail
 		}
 	} else {
-		combined := make([]Edge, oldLen+len(suffix))
-		copy(combined, g.edges)
-		copy(combined[oldLen:], suffix)
-		ng = FromEdges(combined)
+		// Append: claim the suffix's slots in the lineage's backing arrays,
+		// copying only when there is no spare capacity to claim (the first
+		// growth of a graph, a second child of one parent, a full array).
+		ng = &Graph{}
+		ng.edges, ng.edgesTail = g.edgesTail.Extend(g.edges, suffix)
 		if childWeighted {
-			w := make([]float64, oldLen+len(suffix))
-			if g.weights != nil {
-				copy(w, g.weights)
-			} else {
-				for i := 0; i < oldLen; i++ {
-					w[i] = 1
-				}
+			prefixW, sufW := g.weights, sufWeights
+			if prefixW == nil {
+				prefixW = slices.Repeat([]float64{1}, oldLen) // promotion: the parent's edges keep weight 1
 			}
-			if sufWeights != nil {
-				copy(w[oldLen:], sufWeights)
-			} else {
-				for i := oldLen; i < len(w); i++ {
-					w[i] = 1
-				}
+			if sufW == nil {
+				sufW = slices.Repeat([]float64{1}, len(suffix))
 			}
-			ng.weights = w
+			ng.weights, ng.weightsTail = g.weightsTail.Extend(prefixW, sufW)
 		}
 	}
 	ng.version.Store(nextGenerationVersion())
@@ -298,14 +304,10 @@ func (g *Graph) advance(suffix []Edge, sufWeights []float64, removeIdx []int) (*
 	if remap == nil && g.endpointOnce.built() {
 		if len(suffix) == 0 {
 			ng.srcIdx, ng.dstIdx = g.srcIdx, g.dstIdx
+			ng.srcTail, ng.dstTail = g.srcTail, g.dstTail
 		} else {
-			src := make([]int32, ng.NumEdges())
-			dst := make([]int32, ng.NumEdges())
-			copy(src, g.srcIdx)
-			copy(dst, g.dstIdx)
-			copy(src[oldLen:], sufSrc)
-			copy(dst[oldLen:], sufDst)
-			ng.srcIdx, ng.dstIdx = src, dst
+			ng.srcIdx, ng.srcTail = g.srcTail.Extend(g.srcIdx, sufSrc)
+			ng.dstIdx, ng.dstTail = g.dstTail.Extend(g.dstIdx, sufDst)
 		}
 		ng.endpointOnce.markBuilt()
 	}

@@ -34,6 +34,12 @@ type Assignment struct {
 	// during validation; tombstoned edges do not count.
 	EdgesPerPart []int64
 
+	// pidsTail is the shared backing array behind PIDs on an assignment
+	// produced by Extend (nil otherwise): PIDs is clamped to this
+	// generation's length, and extending the newest assignment of a lineage
+	// writes only the suffix's PIDs into the array's spare capacity.
+	pidsTail *graph.Tail[PID]
+
 	// strategyKey is the producing strategy's cache identity
 	// (partition.KeyOf); Extend refuses to continue under a different key.
 	strategyKey string
@@ -56,17 +62,27 @@ type Assignment struct {
 // NumEdges returns the number of assigned edges.
 func (a *Assignment) NumEdges() int { return len(a.PIDs) }
 
-// MemoryFootprint approximates the bytes retained by the assignment (the
-// PID slice, the histogram and any retained streaming state), used as its
-// eviction cost by cache layers.
+// MemoryFootprint approximates the bytes the assignment alone retains —
+// the histogram and any retained streaming state — used as its eviction
+// cost by cache layers. The PID slice is priced separately, by PIDShare:
+// the topology built from the assignment holds the same slice, and the
+// assignments of a lineage's generations share one backing array.
 func (a *Assignment) MemoryFootprint() int64 {
-	b := int64(len(a.PIDs))*4 + int64(len(a.EdgesPerPart))*8
+	b := int64(len(a.EdgesPerPart)) * 8
 	a.streamMu.Lock()
 	if a.stream != nil {
 		b += a.stream.MemoryFootprint()
 	}
 	a.streamMu.Unlock()
 	return b
+}
+
+// PIDShare prices the storage behind PIDs, keyed so that every holder of
+// it — this assignment, the topology built from it, the assignments Extend
+// derived from it in place — reports the same Share and a cache charges it
+// once. ok is false for an empty assignment.
+func (a *Assignment) PIDShare() (s graph.Share, ok bool) {
+	return graph.SliceShare(a.PIDs, a.pidsTail)
 }
 
 // takeStream removes and returns the retained streaming state (nil if

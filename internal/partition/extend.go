@@ -55,10 +55,20 @@ func (a *Assignment) Extend(grown *graph.Graph, s Strategy) (*Assignment, error)
 	// serving; EdgeRange materializes just it (a copy on a block-backed
 	// graph, a subslice on a dense one).
 	suffix, wSuffix := grown.EdgeRange(oldLen, ne)
+	// inherit returns the grown PID slice with the suffix's slots claimed
+	// (zeroed, for the strategy to fill): this assignment's own slice on a
+	// pure shrink — PIDs are immutable, so the two share it — and otherwise
+	// an in-place extension of the lineage's backing array when this is its
+	// newest assignment, a copy with headroom when not.
 	var pids []PID
+	var tail *graph.Tail[PID]
 	inherit := func() []PID {
-		out := make([]PID, ne)
-		copy(out, a.PIDs)
+		if ne == oldLen {
+			tail = a.pidsTail
+			return a.PIDs[:oldLen:oldLen]
+		}
+		var out []PID
+		out, tail = a.pidsTail.Extend(a.PIDs, make([]PID, ne-oldLen))
 		return out
 	}
 	var retained *StreamState
@@ -70,12 +80,16 @@ func (a *Assignment) Extend(grown *graph.Graph, s Strategy) (*Assignment, error)
 			return nil, err
 		}
 	case Resumable:
-		pids = inherit()
 		st := a.takeStream()
-		if st == nil {
+		if st != nil {
+			pids = inherit()
+		} else {
 			// State already taken (or the assignment was hand-built):
-			// replay the prefix, block at a time. Streaming strategies are
-			// deterministic, so the replayed prefix equals the retained one.
+			// replay the prefix, block at a time, into a private slice — the
+			// inherited one is shared with this assignment and must not be
+			// written. Streaming strategies are deterministic, so the
+			// replayed prefix equals the retained one.
+			pids = make([]PID, ne)
 			fresh, err := t.NewStream(a.NumParts)
 			if err != nil {
 				return nil, err
@@ -120,7 +134,7 @@ func (a *Assignment) Extend(grown *graph.Graph, s Strategy) (*Assignment, error)
 			counts[p]++
 		}
 		subtractRetractions(counts, pids, a.G, grown, oldLen)
-		na = &Assignment{G: grown, Strategy: s.Name(), strategyKey: KeyOf(s), NumParts: a.NumParts, PIDs: pids, EdgesPerPart: counts, extendedFrom: oldLen}
+		na = &Assignment{G: grown, Strategy: s.Name(), strategyKey: KeyOf(s), NumParts: a.NumParts, PIDs: pids, pidsTail: tail, EdgesPerPart: counts, extendedFrom: oldLen}
 	} else {
 		var err error
 		na, err = NewAssignment(grown, s.Name(), pids, a.NumParts)

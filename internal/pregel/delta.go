@@ -31,9 +31,15 @@ import (
 // per-partition edge order (global edge order within each partition), same
 // sorted LocalVerts tables, same routing CSR — so engine runs and derived
 // metrics are bit-for-bit equal to the full rebuild. The receiver is only
-// read, never mutated: in-flight runs on the old topology are unaffected,
-// and the two topologies share no mutable state (the new one starts with
-// empty scratch pools).
+// read, never mutated: in-flight runs on the old topology are unaffected.
+//
+// What the two topologies share, and who is charged (see Shares): the
+// engine scratch pool — one per lineage, so the derived topology's first run
+// revives buffers its parent parked, refitted to the new sizes, instead of
+// allocating a set and leaving the parent's behind a topology nobody will
+// run again; the assignment's PID array; every partition's mirror table
+// that the step left unchanged (counted by both MemoryFootprints). Edge
+// buffers and routing tables are the derived topology's own.
 //
 // Cost: O(|E|) straight copies and merges plus O(|delta| log |delta|)
 // sorting of the suffix endpoints — no per-partition endpoint re-sort, no
@@ -123,7 +129,9 @@ func (pg *PartitionedGraph) ApplyDelta(a *partition.Assignment, remap []int32) (
 		assign:       a.PIDs,
 		Parallelism:  pg.Parallelism,
 		ReuseBuffers: pg.ReuseBuffers,
+		scratch:      pg.scratch,
 	}
+	npg.assignShare, _ = a.PIDShare()
 	parts := make([]*Partition, numParts)
 	npg.Parts = parts
 	err := pg.forEachPart(func(p int) {

@@ -7,6 +7,7 @@ import (
 	"math/bits"
 	"sort"
 	"time"
+	"unsafe"
 
 	"cutfit/internal/graph"
 )
@@ -199,11 +200,18 @@ func (p *Program[V, M]) validate() error {
 
 // engineScratch is the run-scoped buffer set of one Run invocation: master
 // and mirror state, per-partition combine accumulators and the per-phase
-// counter slices. It is allocated once per run and zeroed — never
-// reallocated — between supersteps; with PartitionedGraph.ReuseBuffers it
-// is parked on the graph after a successful run and revived by the next
-// Run with matching V/M types, so steady-state supersteps allocate only
-// the two per-superstep stat slices that escape into RunStats.
+// counter slices. It is fitted to the topology once per run and zeroed —
+// never reallocated — between supersteps; with PartitionedGraph.ReuseBuffers
+// it is parked in the lineage's pool after a successful run and revived by
+// the next Run with matching V/M types on that topology or one ApplyDelta
+// derived from it, so steady-state supersteps allocate only the two
+// per-superstep stat slices that escape into RunStats.
+//
+// Every per-vertex, per-mirror and per-edge array is one flat buffer; the
+// per-partition slices are views carved out of it. That is what lets a
+// scratch move between topologies of different shape: fit reslices the flat
+// buffers to the taker's sizes and reallocates one only when its capacity
+// is short.
 type engineScratch[V, M any] struct {
 	// Master state, indexed by global dense vertex. changedBits is the
 	// frontier as a bitset (bit v set ⇔ vertex v changed last superstep);
@@ -214,10 +222,15 @@ type engineScratch[V, M any] struct {
 	masterMsg   []M
 	masterHas   []bool
 
-	// Mirror state, indexed by [partition][local vertex].
-	vals   [][]V
-	msgAcc [][]M
-	msgHas [][]bool
+	// Mirror state: valsBuf, accBuf and hasBuf hold one slot per mirror,
+	// partition after partition; vals, msgAcc and msgHas index them by
+	// [partition][local vertex].
+	valsBuf []V
+	accBuf  []M
+	hasBuf  []bool
+	vals    [][]V
+	msgAcc  [][]M
+	msgHas  [][]bool
 
 	// frontier[p] is partition p's mirror-side frontier bitset (one bit per
 	// local vertex), derived from changedBits at the start of every compute
@@ -226,10 +239,11 @@ type engineScratch[V, M any] struct {
 	// path's candidate-edge bitmap (one bit per partition edge): the gather
 	// pass sets bits through the frontier index, the scan pass consumes
 	// words in ascending order and clears them, so the mask is all-zero
-	// between supersteps (and between runs). Both allocate lazily — an
+	// between supersteps (and between runs). Both are views of frontBuf and
+	// maskBuf, which only a frontier-driven program makes fit allocate — an
 	// AllEdges program (PageRank) never touches either.
-	frontier [][]uint64
-	edgeMask [][]uint64
+	frontBuf, maskBuf  []uint64
+	frontier, edgeMask [][]uint64
 
 	// emitters[p] is partition p's reusable message emitter; its acc/has
 	// point into msgAcc/msgHas. Slots are cache-line padded: workers scan
@@ -248,29 +262,74 @@ type engineScratch[V, M any] struct {
 	applyPerShard  []float64
 }
 
-func newEngineScratch[V, M any](pg *PartitionedGraph, shards int) *engineScratch[V, M] {
+// resized returns buf with length n, reusing its storage when the capacity
+// allows and otherwise allocating with an eighth of headroom, so a scratch
+// following a growing lineage reallocates every few generations rather than
+// every one. Contents are unspecified: callers overwrite or clear.
+func resized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n, n+n/8)
+	}
+	return buf[:n]
+}
+
+// fit shapes the scratch for a run on pg, whatever it was shaped for before,
+// and clears the flag and mask arrays over the fitted extent. Value and
+// message buffers need no clearing: every slot is rewritten before it is
+// read (superstep 0 initializes all masters and all changed words, broadcast
+// populates mirrors, the has-flags gate the accumulators, the frontier is
+// rebuilt word-by-word each compute phase). The edge masks are all-zero by
+// the scan pass's clear-as-you-go invariant, but only over the extent of the
+// topology that parked them, so they are cleared here too. frontiers says
+// whether the program scans by frontier (anything but AllEdges).
+func (s *engineScratch[V, M]) fit(pg *PartitionedGraph, shards int, frontiers bool) {
 	nv := pg.G.NumVertices()
 	numParts := pg.NumParts
-	s := &engineScratch[V, M]{
-		masterVals:  make([]V, nv),
-		changedBits: make([]uint64, (nv+63)/64),
-		masterMsg:   make([]M, nv),
-		masterHas:   make([]bool, nv),
-		vals:        make([][]V, numParts),
-		msgAcc:      make([][]M, numParts),
-		msgHas:      make([][]bool, numParts),
-		frontier:    make([][]uint64, numParts),
-		edgeMask:    make([][]uint64, numParts),
-		emitters:    make([]emitterSlot[M], numParts),
+	s.masterVals = resized(s.masterVals, nv)
+	s.changedBits = resized(s.changedBits, (nv+63)/64)
+	s.masterMsg = resized(s.masterMsg, nv)
+	s.masterHas = resized(s.masterHas, nv)
+	clear(s.masterHas)
+
+	mirrors, frontWords, maskWords := 0, 0, 0
+	for _, part := range pg.Parts {
+		mirrors += len(part.LocalVerts)
+		frontWords += (len(part.LocalVerts) + 63) / 64
+		maskWords += (len(part.edges) + 63) / 64
 	}
-	for p := 0; p < numParts; p++ {
-		n := len(pg.Parts[p].LocalVerts)
-		s.vals[p] = make([]V, n)
-		s.msgAcc[p] = make([]M, n)
-		s.msgHas[p] = make([]bool, n)
+	if !frontiers {
+		frontWords, maskWords = 0, 0
+	}
+	s.valsBuf = resized(s.valsBuf, mirrors)
+	s.accBuf = resized(s.accBuf, mirrors)
+	s.hasBuf = resized(s.hasBuf, mirrors)
+	clear(s.hasBuf)
+	s.frontBuf = resized(s.frontBuf, frontWords)
+	s.maskBuf = resized(s.maskBuf, maskWords)
+	clear(s.maskBuf)
+
+	s.vals = resized(s.vals, numParts)
+	s.msgAcc = resized(s.msgAcc, numParts)
+	s.msgHas = resized(s.msgHas, numParts)
+	s.frontier = resized(s.frontier, numParts)
+	s.edgeMask = resized(s.edgeMask, numParts)
+	s.emitters = resized(s.emitters, numParts)
+	at, fAt, mAt := 0, 0, 0
+	for p, part := range pg.Parts {
+		n := len(part.LocalVerts)
+		s.vals[p] = s.valsBuf[at : at+n : at+n]
+		s.msgAcc[p] = s.accBuf[at : at+n : at+n]
+		s.msgHas[p] = s.hasBuf[at : at+n : at+n]
+		at += n
+		s.frontier[p], s.edgeMask[p] = nil, nil
+		if frontiers {
+			fw, mw := (n+63)/64, (len(part.edges)+63)/64
+			s.frontier[p] = s.frontBuf[fAt : fAt+fw : fAt+fw]
+			s.edgeMask[p] = s.maskBuf[mAt : mAt+mw : mAt+mw]
+			fAt, mAt = fAt+fw, mAt+mw
+		}
 	}
 	s.sizeCounters(numParts, shards)
-	return s
 }
 
 // sizeCounters (re)allocates the small counter slices if the shard or
@@ -292,23 +351,14 @@ func (s *engineScratch[V, M]) sizeCounters(numParts, shards int) {
 	}
 }
 
-// reset clears the flag arrays a revived scratch inherits from its previous
-// run. Value and message buffers need no clearing: every slot is rewritten
-// before it is read (superstep 0 initializes all masters and all changed
-// words, broadcast populates mirrors, the has-flags gate the accumulators,
-// the frontier is rebuilt word-by-word each compute phase). The edge masks
-// are all-zero by the scan pass's clear-as-you-go invariant; they are
-// cleared again here only as cheap defense against a future path that
-// parks a scratch mid-superstep.
-func (s *engineScratch[V, M]) reset(numParts, shards int) {
-	s.sizeCounters(numParts, shards)
-	clear(s.masterHas)
-	for p := range s.msgHas {
-		clear(s.msgHas[p])
-	}
-	for p := range s.edgeMask {
-		clear(s.edgeMask[p])
-	}
+// footprint is the capacity of the flat buffers in bytes — what a parked
+// scratch keeps alive (the per-partition views and counters are noise).
+func (s *engineScratch[V, M]) footprint() int64 {
+	var v V
+	var m M
+	perVertex := int64(unsafe.Sizeof(v)) + int64(unsafe.Sizeof(m)) + 1
+	return int64(cap(s.masterVals)+cap(s.valsBuf))*perVertex +
+		int64(cap(s.changedBits)+cap(s.frontBuf)+cap(s.maskBuf))*8
 }
 
 // scratchKey returns the pool key of the [V, M] program type: the concrete
@@ -319,20 +369,23 @@ func scratchKey[V, M any]() string {
 }
 
 // scratchFor checks a parked scratch of this program type out of the
-// graph's pool when buffer reuse is enabled, else builds a fresh one.
-// Concurrent Runs of the same program each get their own scratch: the pool
-// hands out distinct buffer sets and runs that find the pool empty fall
-// back to fresh allocation.
-func scratchFor[V, M any](pg *PartitionedGraph, shards int) *engineScratch[V, M] {
+// lineage's pool when buffer reuse is enabled, else starts from an empty
+// one, and fits it to pg. Concurrent Runs of the same program each get their
+// own scratch: the pool hands out distinct buffer sets and runs that find
+// the pool empty fall back to fresh allocation.
+func scratchFor[V, M any](pg *PartitionedGraph, shards int, frontiers bool) *engineScratch[V, M] {
+	var s *engineScratch[V, M]
 	if pg.ReuseBuffers {
-		if s, ok := pg.takeScratch(scratchKey[V, M]()).(*engineScratch[V, M]); ok {
-			s.reset(pg.NumParts, shards)
-			mScratchReused.Inc()
-			return s
-		}
+		s, _ = pg.scratch.take(scratchKey[V, M]()).(*engineScratch[V, M])
 	}
-	mScratchAllocated.Inc()
-	return newEngineScratch[V, M](pg, shards)
+	if s != nil {
+		mScratchReused.Inc()
+	} else {
+		mScratchAllocated.Inc()
+		s = &engineScratch[V, M]{}
+	}
+	s.fit(pg, shards, frontiers)
+	return s
 }
 
 // Exchanger replaces the mirror half of a superstep — broadcast, the
@@ -397,7 +450,7 @@ func runEngine[V, M any](ctx context.Context, pg *PartitionedGraph, prog Program
 		shards = 1
 	}
 
-	sc := scratchFor[V, M](pg, shards)
+	sc := scratchFor[V, M](pg, shards, prog.ActiveDirection != AllEdges)
 	masterVals := sc.masterVals
 	changedBits := sc.changedBits
 	masterMsg := sc.masterMsg
@@ -609,10 +662,6 @@ func localSuperstep[V, M any](ctx context.Context, pg *PartitionedGraph, prog *P
 		act := 0
 		if prog.ActiveDirection != AllEdges {
 			fw = sc.frontier[p]
-			if fw == nil {
-				fw = make([]uint64, (len(lv)+63)/64)
-				sc.frontier[p] = fw
-			}
 			// Frontier bitset: bit l ⇔ local vertex l's master changed
 			// last round. Built branch-free, one changed-bit gather per
 			// local vertex; popcount gives the density decision.
@@ -631,8 +680,7 @@ func localSuperstep[V, M any](ctx context.Context, pg *PartitionedGraph, prog *P
 				act += bits.OnesCount64(w)
 			}
 		}
-		nScan, nVisited, cost, mask := computePart(prog, part, verts, vals[p], fw, act, sc.edgeMask[p], em)
-		sc.edgeMask[p] = mask
+		nScan, nVisited, cost, _ := computePart(prog, part, verts, vals[p], fw, act, sc.edgeMask[p], em)
 		scanned[p] = nScan
 		emitted[p] = em.emitted
 		visited[p] = nVisited
@@ -718,7 +766,7 @@ func finishRun[V, M any](pg *PartitionedGraph, sc *engineScratch[V, M], masterVa
 	}
 	out := make([]V, len(masterVals))
 	copy(out, masterVals)
-	pg.putScratch(scratchKey[V, M](), sc)
+	pg.scratch.put(scratchKey[V, M](), sc, pg.scratchDepth())
 	return out
 }
 

@@ -12,7 +12,12 @@ import (
 // directly; no re-partitioning or re-validation pass runs beyond the
 // build's own sharded count.
 func NewPartitionedGraphFromAssignment(a *partition.Assignment, opts BuildOptions) (*PartitionedGraph, error) {
-	return NewPartitionedGraphOpts(a.G, a.PIDs, a.NumParts, opts)
+	pg, err := NewPartitionedGraphOpts(a.G, a.PIDs, a.NumParts, opts)
+	if err != nil {
+		return nil, err
+	}
+	pg.assignShare, _ = a.PIDShare()
+	return pg, nil
 }
 
 // Metrics derives the full §3.1 metric set from the already-built

@@ -40,14 +40,13 @@
 // The only allocations retained per partition are the exact-size LocalVerts
 // table and a subslice of the shared edge buffer; all intermediate state
 // lives in per-worker scratch that is reused across the partitions a worker
-// processes. The reference hash-map construction is kept (unexported) as
-// the equivalence oracle for tests and as the benchmark baseline.
+// processes. The reference hash-map construction lives in the tests, as
+// the equivalence oracle and the benchmark baseline.
 package pregel
 
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -123,12 +122,12 @@ type BuildOptions struct {
 	Parallelism int
 	// ReuseBuffers lets the engine park its run-scoped scratch (mirror
 	// value/activity tables, combine accumulators, per-phase counters) in
-	// per-program-type pools on the PartitionedGraph between runs, so
-	// repeated runs over the same topology — benchmark loops, advisor
-	// selection, concurrent serving — reallocate nothing. Pools hold up to
-	// max(4, Parallelism) scratches per program type, so N simultaneous
-	// Runs of one algorithm all reuse buffers; runs that find their pool
-	// empty fall back to fresh allocation.
+	// per-program-type pools between runs, so repeated runs over the same
+	// topology — benchmark loops, advisor selection, concurrent serving —
+	// and first runs over a topology ApplyDelta derived from it reallocate
+	// nothing. Pools hold up to max(4, Parallelism) scratches per program
+	// type, so N simultaneous Runs of one algorithm all reuse buffers; runs
+	// that find their pool empty fall back to fresh allocation.
 	ReuseBuffers bool
 }
 
@@ -157,14 +156,16 @@ type PartitionedGraph struct {
 	// BuildOptions.ReuseBuffers).
 	ReuseBuffers bool
 
-	// scratchMu guards scratchPools: per-program-type stacks of parked
-	// engine scratches, keyed by the scratch's concrete type. Pools — not
-	// single slots — so N simultaneous Runs of the same algorithm on one
-	// graph each check out their own buffer set and park it back on
-	// completion; different [V, M]-typed programs (PageRank's float64s,
-	// CC's vertex IDs) keep separate pools and never evict each other.
-	scratchMu    sync.Mutex
-	scratchPools map[string][]any
+	// assignShare prices the storage behind assign (see Shares): the PID
+	// slice is the Assignment's, not a copy, and along a lineage one backing
+	// array serves every generation.
+	assignShare graph.Share
+
+	// scratch is where runs park their engine scratch between runs. One
+	// pool serves a whole lineage: a topology derived by ApplyDelta holds
+	// its parent's pool, so the first run on a streamed generation revives
+	// the buffers its predecessor parked.
+	scratch *scratchPool
 
 	// triPlan is the lazily built triangle plan (see TrianglePlan), with the
 	// same life-cycle as the partitions' frontier index: built at most once,
@@ -179,8 +180,8 @@ type PartitionedGraph struct {
 	topoSum  uint64
 }
 
-// maxScratchTypes bounds how many distinct program types park scratches on
-// one PartitionedGraph; beyond it, additional types simply run with fresh
+// maxScratchTypes bounds how many distinct program types park scratches in
+// one pool; beyond it, additional types simply run with fresh
 // buffers. Generously above the built-in algorithm mix, it exists so a
 // server executing arbitrary custom programs cannot grow the pool map
 // without bound.
@@ -229,7 +230,9 @@ func NewPartitionedGraphOpts(g *graph.Graph, assign []partition.PID, numParts in
 		assign:       assign,
 		Parallelism:  workers,
 		ReuseBuffers: opts.ReuseBuffers,
+		scratch:      &scratchPool{},
 	}
+	pg.assignShare, _ = graph.SliceShare(assign, nil)
 	if err := pg.buildSortScatter(); err != nil {
 		return nil, err
 	}
@@ -653,89 +656,6 @@ func (pg *PartitionedGraph) buildRouting() {
 	pg.routingRefs = refs
 }
 
-// newPartitionedGraphMaps is the original hash-map construction, retained
-// as the equivalence oracle for the sort/scatter build and as the baseline
-// for BenchmarkPartitionBuild. Three sequential passes; one map[int32]int32
-// per partition.
-func newPartitionedGraphMaps(g *graph.Graph, assign []partition.PID, numParts int) (*PartitionedGraph, error) {
-	if numParts <= 0 {
-		return nil, fmt.Errorf("pregel: numParts must be positive, got %d", numParts)
-	}
-	edges := g.Edges()
-	if len(assign) != len(edges) {
-		return nil, fmt.Errorf("pregel: assignment has %d entries for %d edges", len(assign), len(edges))
-	}
-
-	parts := make([]*Partition, numParts)
-	for p := range parts {
-		parts[p] = &Partition{}
-	}
-	numDead := g.NumDeadEdges()
-	counts := make([]int, numParts)
-	for i := range edges {
-		p := assign[i]
-		if p < 0 || int(p) >= numParts {
-			return nil, fmt.Errorf("pregel: edge %d assigned to out-of-range partition %d", i, p)
-		}
-		if numDead != 0 && !g.EdgeAlive(i) {
-			continue
-		}
-		counts[p]++
-	}
-	type vset map[int32]int32
-	seen := make([]vset, numParts)
-	for p := range seen {
-		seen[p] = make(vset)
-	}
-	for i, e := range edges {
-		if numDead != 0 && !g.EdgeAlive(i) {
-			continue
-		}
-		p := assign[i]
-		si, _ := g.Index(e.Src)
-		di, _ := g.Index(e.Dst)
-		if _, ok := seen[p][si]; !ok {
-			seen[p][si] = 0
-		}
-		if _, ok := seen[p][di]; !ok {
-			seen[p][di] = 0
-		}
-	}
-	for p := 0; p < numParts; p++ {
-		lv := make([]int32, 0, len(seen[p]))
-		for gidx := range seen[p] {
-			lv = append(lv, gidx)
-		}
-		slices.Sort(lv)
-		for l, gidx := range lv {
-			seen[p][gidx] = int32(l)
-		}
-		parts[p].LocalVerts = lv
-		parts[p].edges = make([]localEdge, 0, counts[p])
-	}
-	for i, e := range edges {
-		if numDead != 0 && !g.EdgeAlive(i) {
-			continue
-		}
-		p := assign[i]
-		si, _ := g.Index(e.Src)
-		di, _ := g.Index(e.Dst)
-		parts[p].edges = append(parts[p].edges, localEdge{
-			src: seen[p][si],
-			dst: seen[p][di],
-		})
-	}
-	pg := &PartitionedGraph{
-		G:           g,
-		NumParts:    numParts,
-		Parts:       parts,
-		assign:      assign,
-		Parallelism: par.DefaultParallelism(),
-	}
-	pg.buildRouting()
-	return pg, nil
-}
-
 // AssignOrder returns the original per-edge partition assignment, aligned
 // with G.Edges(). Edges were appended to each partition in this order, so
 // a second pass over it reproduces local edge indices. Callers must not
@@ -794,15 +714,16 @@ func (pg *PartitionedGraph) TotalMirrors() int64 {
 	return int64(len(pg.routingRefs))
 }
 
-// MemoryFootprint approximates the bytes retained by the partitioned
-// topology itself — the shared edge buffer, per-partition mirror tables,
-// the routing CSR, the retained assignment and the lazily built frontier
-// index and triangle plan once they exist — excluding the underlying
-// Graph and any parked engine scratch. Cache layers use it as the eviction
-// cost of a built topology.
+// MemoryFootprint approximates the bytes the topology alone retains — the
+// shared edge buffer, per-partition mirror tables, the routing CSR, and the
+// lazily built frontier index and triangle plan once they exist — and so
+// grows when the first sparse scan or triangle run builds them; cache layers
+// re-price after a run. What the topology holds together with others is
+// priced by Shares instead: the Graph, the assignment's PID slice, the
+// lineage's parked engine scratch. Mirror tables an ApplyDelta child
+// inherited unchanged are counted by both topologies.
 func (pg *PartitionedGraph) MemoryFootprint() int64 {
-	b := int64(len(pg.assign)) * 4
-	b += int64(len(pg.routingOffsets)) * 8
+	b := int64(len(pg.routingOffsets)) * 8
 	b += int64(len(pg.routingRefs)) * 8
 	for _, part := range pg.Parts {
 		b += int64(len(part.edges))*8 + int64(len(part.LocalVerts))*4
@@ -827,47 +748,85 @@ func (pg *PartitionedGraph) MemoryFootprint() int64 {
 	return b
 }
 
-// takeScratch checks out one parked engine scratch of the given program
-// type, or nil when that type's pool is empty. Other types' pools are
-// untouched.
-func (pg *PartitionedGraph) takeScratch(typeKey string) any {
-	pg.scratchMu.Lock()
-	defer pg.scratchMu.Unlock()
-	pool := pg.scratchPools[typeKey]
-	n := len(pool)
+// Shares lists the storage the topology keeps alive together with other
+// artifacts: everything its Graph reports (graph.Graph.Shares), the PID
+// slice it holds jointly with the Assignment it was built from, and the
+// scratch pool it holds jointly with every topology of its ApplyDelta
+// lineage, priced at what is parked in it right now. A cache charges each
+// key once, to whichever of its entries hold it, and frees the charge with
+// the last of them.
+func (pg *PartitionedGraph) Shares() []graph.Share {
+	out := pg.G.Shares()
+	if pg.assignShare.Key != nil {
+		out = append(out, pg.assignShare)
+	}
+	return append(out, graph.Share{Key: pg.scratch, Bytes: pg.scratch.parkedBytes()})
+}
+
+// scratchPool parks engine scratches between runs: one stack per program
+// type, keyed by the scratch's concrete type, so N simultaneous Runs of one
+// algorithm each check out their own buffer set and park it back on
+// completion, and different [V, M]-typed programs (PageRank's float64s, CC's
+// vertex IDs) never evict each other. The topologies of one ApplyDelta
+// lineage share a pool; a taker refits the buffers to its own topology.
+type scratchPool struct {
+	mu     sync.Mutex
+	byType map[string][]parkedScratch
+	bytes  int64 // Σ footprint of everything parked
+}
+
+// parkedScratch is what the pool needs of an engineScratch[V, M].
+type parkedScratch interface{ footprint() int64 }
+
+// take checks out one parked scratch of the given program type, or nil when
+// that type's stack is empty. Other types' stacks are untouched.
+func (sp *scratchPool) take(typeKey string) parkedScratch {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	stack := sp.byType[typeKey]
+	n := len(stack)
 	if n == 0 {
 		return nil
 	}
-	s := pool[n-1]
-	pool[n-1] = nil
-	pg.scratchPools[typeKey] = pool[:n-1]
+	s := stack[n-1]
+	stack[n-1] = nil
+	sp.byType[typeKey] = stack[:n-1]
+	sp.bytes -= s.footprint()
 	return s
 }
 
-// putScratch parks an engine scratch in its program type's pool; a full
-// pool (or a full type map) drops it for the garbage collector.
-func (pg *PartitionedGraph) putScratch(typeKey string, s any) {
-	pg.scratchMu.Lock()
-	defer pg.scratchMu.Unlock()
-	pool, ok := pg.scratchPools[typeKey]
-	if !ok && len(pg.scratchPools) >= maxScratchTypes {
+// put parks a scratch on its program type's stack; a stack already depth
+// deep (or a full type map) drops it for the garbage collector.
+func (sp *scratchPool) put(typeKey string, s parkedScratch, depth int) {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	stack, ok := sp.byType[typeKey]
+	if !ok && len(sp.byType) >= maxScratchTypes {
 		return
 	}
-	if len(pool) >= pg.scratchDepth() {
+	if len(stack) >= depth {
 		return
 	}
-	if pg.scratchPools == nil {
-		pg.scratchPools = make(map[string][]any)
+	if sp.byType == nil {
+		sp.byType = make(map[string][]parkedScratch)
 	}
-	pg.scratchPools[typeKey] = append(pool, s)
+	sp.byType[typeKey] = append(stack, s)
+	sp.bytes += s.footprint()
 }
 
-// parkedScratches reports how many scratches of the given type are parked
-// (test hook).
-func (pg *PartitionedGraph) parkedScratches(typeKey string) int {
-	pg.scratchMu.Lock()
-	defer pg.scratchMu.Unlock()
-	return len(pg.scratchPools[typeKey])
+// parked reports how many scratches of the given type are parked (test
+// hook).
+func (sp *scratchPool) parked(typeKey string) int {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	return len(sp.byType[typeKey])
+}
+
+// parkedBytes is the summed buffer capacity of everything parked.
+func (sp *scratchPool) parkedBytes() int64 {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	return sp.bytes
 }
 
 // panicCatcher records the first panic raised by any pool worker so it can

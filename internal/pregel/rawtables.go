@@ -174,7 +174,9 @@ func FromRawTables(g *graph.Graph, rt RawTables, opts BuildOptions) (*Partitione
 		assign:       rt.Assign,
 		Parallelism:  workers,
 		ReuseBuffers: opts.ReuseBuffers,
+		scratch:      &scratchPool{},
 	}
+	pg.assignShare, _ = graph.SliceShare(rt.Assign, nil)
 	// Assemble the edge buffer, validating each localized endpoint against
 	// its partition's mirror-table size in the same pass.
 	edgeBuf := make([]localEdge, live)

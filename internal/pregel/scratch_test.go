@@ -2,6 +2,7 @@ package pregel
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"testing"
 
@@ -46,26 +47,34 @@ func TestScratchPoolsKeepDistinctProgramTypes(t *testing.T) {
 	}
 	runTrivial[float64](t, pg)
 	runTrivial[int64](t, pg)
-	if got := pg.parkedScratches(f64Key); got != 1 {
+	if got := pg.scratch.parked(f64Key); got != 1 {
 		t.Fatalf("float64 pool holds %d scratches, want 1", got)
 	}
-	if got := pg.parkedScratches(i64Key); got != 1 {
+	if got := pg.scratch.parked(i64Key); got != 1 {
 		t.Fatalf("int64 pool holds %d scratches, want 1", got)
 	}
-	f64Scratch := pg.takeScratch(f64Key)
+	f64Scratch := pg.scratch.take(f64Key)
 	if f64Scratch == nil {
 		t.Fatal("no float64 scratch parked")
 	}
-	pg.putScratch(f64Key, f64Scratch)
+	pg.scratch.put(f64Key, f64Scratch, pg.scratchDepth())
 	// A third run of the float64 program must revive that exact scratch
 	// and park it again, leaving the int64 one untouched.
 	runTrivial[float64](t, pg)
-	if got := pg.parkedScratches(f64Key); got != 1 {
+	if got := pg.scratch.parked(f64Key); got != 1 {
 		t.Fatalf("float64 pool holds %d scratches after revival, want 1", got)
 	}
-	if s := pg.takeScratch(f64Key); s != f64Scratch {
+	if s := pg.scratch.take(f64Key); s != f64Scratch {
 		t.Fatal("float64 run allocated a new scratch instead of reviving the parked one")
 	}
+}
+
+// newEngineScratch builds a scratch fitted to pg, as a run that found the
+// pool empty would.
+func newEngineScratch[V, M any](pg *PartitionedGraph, shards int) *engineScratch[V, M] {
+	s := &engineScratch[V, M]{}
+	s.fit(pg, shards, true)
+	return s
 }
 
 // TestScratchPoolBounds checks the per-type depth bound and the distinct
@@ -84,17 +93,17 @@ func TestScratchPoolBounds(t *testing.T) {
 	key := scratchKey[float64, float64]()
 	depth := pg.scratchDepth()
 	for i := 0; i < depth+3; i++ {
-		pg.putScratch(key, newEngineScratch[float64, float64](pg, 1))
+		pg.scratch.put(key, newEngineScratch[float64, float64](pg, 1), depth)
 	}
-	if got := pg.parkedScratches(key); got != depth {
+	if got := pg.scratch.parked(key); got != depth {
 		t.Fatalf("pool depth %d, want bound %d", got, depth)
 	}
 	for i := 0; i < maxScratchTypes+4; i++ {
-		pg.putScratch(string(rune('a'+i)), newEngineScratch[int64, int64](pg, 1))
+		pg.scratch.put(string(rune('a'+i)), newEngineScratch[int64, int64](pg, 1), depth)
 	}
-	pg.scratchMu.Lock()
-	types := len(pg.scratchPools)
-	pg.scratchMu.Unlock()
+	pg.scratch.mu.Lock()
+	types := len(pg.scratch.byType)
+	pg.scratch.mu.Unlock()
 	if types > maxScratchTypes {
 		t.Fatalf("%d distinct scratch types parked, want ≤ %d", types, maxScratchTypes)
 	}
@@ -176,7 +185,7 @@ func TestConcurrentRunsShareGraph(t *testing.T) {
 			t.Fatalf("worker %d: %v", w, err)
 		}
 	}
-	if got := pg.parkedScratches(scratchKey[float64, float64]()); got == 0 {
+	if got := pg.scratch.parked(scratchKey[float64, float64]()); got == 0 {
 		t.Fatal("no float64 scratches parked after concurrent runs")
 	}
 }
@@ -228,5 +237,94 @@ func minLabelProgram() Program[int64, int64] {
 		InitialMsg:      int64(1) << 62,
 		MaxIterations:   6,
 		ActiveDirection: Either,
+	}
+}
+
+// TestScratchFollowsLineage: a topology derived by ApplyDelta holds its
+// parent's scratch pool, so its first run revives the scratch the parent's
+// run parked — refitted to the new sizes, reallocating only when a buffer's
+// capacity is short — and the pool reports what it holds.
+func TestScratchFollowsLineage(t *testing.T) {
+	const parts = 4
+	s := partition.EdgePartition2D()
+	g := randomGraph(60, 400, 5)
+	a, err := partition.Assign(g, s, parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg, err := NewPartitionedGraphFromAssignment(a, BuildOptions{ReuseBuffers: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := scratchKey[int64, int64]()
+	run := func(pg *PartitionedGraph) []int64 {
+		t.Helper()
+		vals, _, err := Run(context.Background(), pg, minLabelProgram())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return vals
+	}
+	run(pg)
+	if got := pg.scratch.parkedBytes(); got == 0 {
+		t.Fatal("a parked scratch weighs nothing")
+	}
+	parked := pg.scratch.take(key)
+	if parked == nil {
+		t.Fatal("the parent's run parked no scratch")
+	}
+	if got := pg.scratch.parkedBytes(); got != 0 {
+		t.Fatalf("an empty pool weighs %d bytes", got)
+	}
+	pg.scratch.put(key, parked, pg.scratchDepth())
+	masterCap := cap(parked.(*engineScratch[int64, int64]).masterVals)
+
+	// A small step fits the parked buffers; a step that doubles the vertex
+	// count does not.
+	for _, grow := range []int{3, 2 * g.NumVertices()} {
+		var suffix []graph.Edge
+		for i := 0; i < grow; i++ {
+			suffix = append(suffix, graph.Edge{Src: graph.VertexID(1000 + i), Dst: graph.VertexID(i % 60)})
+		}
+		ng, d := pg.G.Grow(suffix)
+		na, err := a.Extend(ng, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		remap, err := graph.RemapVertices(d.OldVerts, ng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		child, err := pg.ApplyDelta(na, remap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if child.scratch != pg.scratch {
+			t.Fatal("ApplyDelta gave the child its own scratch pool")
+		}
+		got := run(child)
+		fresh, err := NewPartitionedGraphFromAssignment(na, BuildOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := run(fresh); !slices.Equal(got, want) {
+			t.Fatal("a run on a revived scratch differs from a run on a fresh one")
+		}
+		if n := child.scratch.parked(key); n != 1 {
+			t.Fatalf("lineage pool holds %d scratches after the child's run, want the one revived", n)
+		}
+		revived := child.scratch.take(key)
+		if revived != parked {
+			t.Fatal("the child's run allocated a scratch instead of reviving its parent's")
+		}
+		sc := revived.(*engineScratch[int64, int64])
+		if len(sc.masterVals) != ng.NumVertices() {
+			t.Fatalf("revived scratch fitted to %d vertices, child has %d", len(sc.masterVals), ng.NumVertices())
+		}
+		if fits := ng.NumVertices() <= masterCap; fits != (cap(sc.masterVals) == masterCap) {
+			t.Fatalf("refit reallocated=%v with %d vertices against capacity %d", !fits, ng.NumVertices(), masterCap)
+		}
+		child.scratch.put(key, revived, child.scratchDepth())
+		pg, a, masterCap = child, na, cap(sc.masterVals)
 	}
 }

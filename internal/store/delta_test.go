@@ -215,10 +215,28 @@ func TestDeltaStreamTransferKeepsBytesAccurate(t *testing.T) {
 	if st.Stats().DeltaDerived == 0 {
 		t.Fatal("expected a delta-derived assignment")
 	}
-	want := a0.MemoryFootprint() + a1.MemoryFootprint()
+	want := pricedBytes(a0, a1)
 	if got := st.Stats().Bytes; got != want {
 		t.Fatalf("cache bytes %d, want %d (ancestor entry not re-priced after stream transfer)", got, want)
 	}
+}
+
+// pricedBytes is what a cache holding exactly vals reports: each artifact's
+// own bytes plus every distinct shared allocation once.
+func pricedBytes(vals ...any) int64 {
+	var b int64
+	shared := map[any]int64{}
+	for _, v := range vals {
+		p := priceOf(v)
+		b += p.own
+		for _, s := range p.shares {
+			shared[s.Key] = s.Bytes
+		}
+	}
+	for _, n := range shared {
+		b += n
+	}
+	return b
 }
 
 // TestRecordDeltaByteBudget: delta records pin parent generations; the
@@ -226,10 +244,11 @@ func TestDeltaStreamTransferKeepsBytesAccurate(t *testing.T) {
 // budget), not just the record count.
 func TestRecordDeltaByteBudget(t *testing.T) {
 	st := New(Config{MaxBytes: 1 << 20}) // pinned-generation budget: 256 KiB
-	mk := func() *graph.Graph { return graph.FromEdges([]graph.Edge{{Src: 0, Dst: 1}}) }
+	child := graph.FromEdges([]graph.Edge{{Src: 0, Dst: 1}})
 	for i := 0; i < 10; i++ {
-		// Each record claims a 256 KiB parent edge list (16 KiB edges x 16B).
-		st.RecordDelta(graph.Delta{Old: mk(), New: mk(), OldLen: 1 << 14})
+		// Each record pins a 256 KiB parent edge list (16 Ki edges x 16 B)
+		// that the child does not share.
+		st.RecordDelta(graph.Delta{Old: graph.FromEdges(make([]graph.Edge, 1<<14)), New: child.Clone(), OldLen: 1 << 14})
 	}
 	st.mu.Lock()
 	n, pinned, budget := len(st.deltas), st.deltaBytes, st.deltaBudget

@@ -293,19 +293,18 @@ func (st *Store) spill(evicted []*entry) {
 // artifact is validated against g (content fingerprint, counts, structural
 // invariants) and against the requested tuple; any mismatch or decode error
 // deletes the file and falls through to computation.
-func (st *Store) fromDisk(g *graph.Graph, strategyKey string, numParts int, kd kind) (any, int64, bool) {
+func (st *Store) fromDisk(g *graph.Graph, strategyKey string, numParts int, kd kind) (any, bool) {
 	if st.disk == nil {
-		return nil, 0, false
+		return nil, false
 	}
 	name := diskName(g.Fingerprint(), strategyKey, numParts, kd)
 	data, ok := st.disk.get(name)
 	if !ok {
-		return nil, 0, false
+		return nil, false
 	}
 	var (
-		val  any
-		cost int64
-		err  error
+		val any
+		err error
 	)
 	switch kd {
 	case kindAssignment:
@@ -314,7 +313,7 @@ func (st *Store) fromDisk(g *graph.Graph, strategyKey string, numParts int, kd k
 			if a.NumParts != numParts {
 				err = fmt.Errorf("store: disk entry holds %d parts, want %d", a.NumParts, numParts)
 			} else {
-				val, cost = a, a.MemoryFootprint()
+				val = a
 			}
 		}
 	case kindMetrics:
@@ -323,7 +322,7 @@ func (st *Store) fromDisk(g *graph.Graph, strategyKey string, numParts int, kd k
 			if m.NumParts != numParts {
 				err = fmt.Errorf("store: disk entry holds %d parts, want %d", m.NumParts, numParts)
 			} else {
-				val, cost = m, metricsFootprint(m)
+				val = m
 			}
 		}
 	case kindBuilt:
@@ -332,19 +331,19 @@ func (st *Store) fromDisk(g *graph.Graph, strategyKey string, numParts int, kd k
 			if pg.NumParts != numParts {
 				err = fmt.Errorf("store: disk entry holds %d parts, want %d", pg.NumParts, numParts)
 			} else {
-				val, cost = pg, pg.MemoryFootprint()
+				val = pg
 			}
 		}
 	}
 	if err != nil {
 		st.disk.remove(name)
-		return nil, 0, false
+		return nil, false
 	}
 	st.mu.Lock()
 	st.diskHits++
 	st.mu.Unlock()
 	mDiskHits.Inc()
-	return val, cost, true
+	return val, true
 }
 
 // FlushDisk writes every live cached artifact through to the disk tier

@@ -219,8 +219,9 @@ func (st *Store) Restore(r io.Reader) (map[string]*graph.Graph, error) {
 	for i, rec := range sa {
 		g := graphs[rec.GraphIndex]
 		k := key{g: g, version: g.Version(), strategy: rec.StrategyKey, numParts: rec.NumParts, kind: restored[i].kind}
+		p := priceOf(restored[i].val)
 		st.mu.Lock()
-		evicted := st.insert(k, restored[i].val, restored[i].cost)
+		evicted := st.insert(k, restored[i].val, p)
 		st.syncGauges()
 		st.mu.Unlock()
 		st.spill(evicted)
@@ -231,7 +232,6 @@ func (st *Store) Restore(r io.Reader) (map[string]*graph.Graph, error) {
 // restoredArtifact is one decoded artifact record on its way into the cache.
 type restoredArtifact struct {
 	val  any
-	cost int64
 	kind kind
 }
 
@@ -251,19 +251,19 @@ func (st *Store) decodeArtifact(rec snap.StoreArtifact, g *graph.Graph) (restore
 		if err != nil {
 			return r, err
 		}
-		r, numParts = restoredArtifact{a, a.MemoryFootprint(), kindAssignment}, a.NumParts
+		r, numParts = restoredArtifact{a, kindAssignment}, a.NumParts
 	case snap.StageMetrics:
 		m, err := snap.DecodeMetrics(rec.Data, g, rec.StrategyKey)
 		if err != nil {
 			return r, err
 		}
-		r, numParts = restoredArtifact{m, metricsFootprint(m), kindMetrics}, m.NumParts
+		r, numParts = restoredArtifact{m, kindMetrics}, m.NumParts
 	case snap.StageTopology:
 		pg, err := snap.DecodeTopology(rec.Data, g, rec.StrategyKey, st.build)
 		if err != nil {
 			return r, err
 		}
-		r, numParts = restoredArtifact{pg, pg.MemoryFootprint(), kindBuilt}, pg.NumParts
+		r, numParts = restoredArtifact{pg, kindBuilt}, pg.NumParts
 	}
 	if numParts != rec.NumParts {
 		return r, fmt.Errorf("holds %d parts, record says %d", numParts, rec.NumParts)

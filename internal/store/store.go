@@ -17,10 +17,14 @@
 //   - Chained artifacts. Metrics and Built both obtain the Assignment
 //     through the store, so a Measure followed by a Partition — or either
 //     racing the other — shares one assignment pass.
-//   - Size-bounded LRU eviction. Every artifact carries a byte cost
-//     (MemoryFootprint); inserts evict least-recently-used entries until
-//     the cache fits MaxBytes. Evicted artifacts remain valid for holders —
-//     eviction only means the next request recomputes.
+//   - Size-bounded LRU eviction. Every artifact carries a byte cost: its
+//     own MemoryFootprint plus the storage it keeps alive together with
+//     other artifacts (the graph generation, the lineage's edge arrays, the
+//     assignment's PID array, parked engine scratch), each such allocation
+//     charged once however many entries hold it. Inserts evict
+//     least-recently-used entries until the cache fits MaxBytes. Evicted
+//     artifacts remain valid for holders — eviction only means the next
+//     request recomputes.
 //
 // Keys include the graph's mutation version, so a graph that is mutated
 // (against the serving contract, but possible) can never be served stale
@@ -47,6 +51,7 @@ package store
 
 import (
 	"container/list"
+	"slices"
 	"sync"
 
 	"cutfit/internal/graph"
@@ -132,12 +137,48 @@ type Stats struct {
 	DiskBytes   int64 `json:"diskBytes"`
 }
 
-// entry is one cached artifact with its LRU bookkeeping.
+// entry is one cached artifact with its LRU bookkeeping: cost is what the
+// artifact alone retains, shares the keys of what it holds with others.
 type entry struct {
-	key  key
-	val  any
-	cost int64
-	elem *list.Element
+	key    key
+	val    any
+	cost   int64
+	shares []graph.Share
+	elem   *list.Element
+}
+
+// price is what caching an artifact costs: own bytes, charged to its entry,
+// and the storage it keeps alive together with other artifacts, charged
+// once per allocation across all entries (see graph.Share).
+type price struct {
+	own    int64
+	shares []graph.Share
+}
+
+// priceOf prices an artifact as it is now: a topology's frontier index and
+// triangle plan count once built, a lineage's scratch pool at what is parked
+// in it, a graph's lazily built views once they exist.
+func priceOf(v any) price {
+	switch a := v.(type) {
+	case *partition.Assignment:
+		shares := a.G.Shares()
+		if s, ok := a.PIDShare(); ok {
+			shares = append(shares, s)
+		}
+		return price{a.MemoryFootprint(), shares}
+	case *pregel.PartitionedGraph:
+		return price{a.MemoryFootprint(), a.Shares()}
+	case *metrics.Result:
+		return price{own: metricsFootprint(a)}
+	}
+	return price{}
+}
+
+// sharedStorage is one allocation held by at least one cached artifact,
+// counted in Store.bytes at its latest reported size while refs > 0.
+type sharedStorage struct {
+	refs  int
+	bytes int64
 }
 
 // flight is one in-progress computation; waiters block on done.
@@ -158,7 +199,8 @@ type Store struct {
 	entries  map[key]*entry
 	lru      *list.List // front = most recently used; values are *entry
 	inflight map[key]*flight
-	bytes    int64
+	shared   map[any]*sharedStorage // by graph.Share key
+	bytes    int64                  // Σ entry costs + Σ shared storage
 	hits     int64
 	misses   int64
 	waits    int64
@@ -172,13 +214,14 @@ type Store struct {
 	repEntries int64
 	repBytes   int64
 
-	// deltas records append relationships between graph generations, keyed
-	// by the new generation; deltaFIFO orders them for eviction. Each
-	// record pins its parent generation's Graph (edge list + vertex list),
-	// so retention is bounded both by count and by estimated pinned bytes
-	// (deltaBytes vs deltaBudget) — a streamed large graph must not pin
-	// dozens of full edge-list copies outside the LRU budget.
-	deltas      map[*graph.Graph]graph.Delta
+	// deltas records the generation steps registered by RecordDelta, keyed
+	// by the new generation; deltaFIFO orders them for eviction. A record
+	// keeps its two generations reachable, so their storage counts toward
+	// bytes while it lives (see deltaRecord), and retention is bounded both by
+	// count and by what the records pin on their own account (deltaBytes vs
+	// deltaBudget) — a chain of steps that share nothing (first Grows,
+	// block-tier appends) must not crowd every artifact out of the cache.
+	deltas      map[*graph.Graph]deltaRecord
 	deltaFIFO   []*graph.Graph
 	deltaBytes  int64
 	deltaBudget int64
@@ -189,17 +232,30 @@ type Store struct {
 // generations become collectable.
 const maxDeltaRecords = 64
 
-// deltaPinnedBytes estimates the memory a delta record keeps reachable:
-// the parent generation's edge list and vertex list. A block-backed
-// parent pins only its encoded payloads (heap-resident blocks; a
-// file-backed store pins nearly nothing), not a dense 16-byte-per-edge
-// materialization.
-func deltaPinnedBytes(d graph.Delta) int64 {
-	edges := int64(d.OldLen) * 16
-	if d.Old != nil && d.Old.BlockBacked() {
-		edges = d.Old.Blocks().HeapBytes()
+// deltaRecord is one recorded generation step. A record keeps both
+// generations reachable whether or not any artifact of theirs is cached, so
+// it pins their storage in the cache's byte count like an entry does
+// (shares); pinned is what it adds on its own account — the parent's
+// storage that the child does not share — and is what the chain's separate
+// budget bounds. Along a Grow lineage the edge arrays are shared (and after
+// a pure shrink the vertex list and endpoint views too), so a record pins
+// only the parent's own tables and, across a shrink, its tombstone bitset; a
+// first Grow or a block-tier append pins the parent's whole edge storage.
+type deltaRecord struct {
+	graph.Delta
+	shares []graph.Share
+	pinned int64
+}
+
+func newDeltaRecord(d graph.Delta) deltaRecord {
+	rec := deltaRecord{Delta: d, shares: d.New.Shares()}
+	for _, s := range d.Old.Shares() {
+		if !slices.ContainsFunc(rec.shares, func(held graph.Share) bool { return held.Key == s.Key }) {
+			rec.pinned += s.Bytes
+			rec.shares = append(rec.shares, s)
+		}
 	}
-	return edges + int64(len(d.OldVerts))*8
+	return rec
 }
 
 // maxDeltaDepth bounds how many generations a derive-on-miss walk crosses
@@ -222,7 +278,8 @@ func New(cfg Config) *Store {
 		entries:     make(map[key]*entry),
 		lru:         list.New(),
 		inflight:    make(map[key]*flight),
-		deltas:      make(map[*graph.Graph]graph.Delta),
+		shared:      make(map[any]*sharedStorage),
+		deltas:      make(map[*graph.Graph]deltaRecord),
 		deltaBudget: budget,
 	}
 	if cfg.DiskDir != "" {
@@ -251,22 +308,37 @@ func (st *Store) RecordDelta(d graph.Delta) {
 	if d.Old == nil || d.New == nil || d.Old == d.New || d.Compacted {
 		return
 	}
+	rec := newDeltaRecord(d)
 	st.mu.Lock()
-	defer st.mu.Unlock()
+	st.pin(rec.shares)
 	if old, ok := st.deltas[d.New]; ok {
-		st.deltaBytes -= deltaPinnedBytes(old)
+		st.dropDelta(old)
 	} else {
 		st.deltaFIFO = append(st.deltaFIFO, d.New)
 	}
-	st.deltas[d.New] = d
-	st.deltaBytes += deltaPinnedBytes(d)
+	st.deltas[d.New] = rec
+	st.deltaBytes += rec.pinned
 	for len(st.deltaFIFO) > 1 &&
 		(len(st.deltaFIFO) > maxDeltaRecords || st.deltaBytes > st.deltaBudget) {
-		drop := st.deltaFIFO[0]
+		st.dropDelta(st.deltas[st.deltaFIFO[0]])
+		st.deltaFIFO[0] = nil // the array outlives the reslice: do not pin the generation from it
 		st.deltaFIFO = st.deltaFIFO[1:]
-		st.deltaBytes -= deltaPinnedBytes(st.deltas[drop])
-		delete(st.deltas, drop)
 	}
+	var evicted []*entry
+	if st.maxBytes >= 0 {
+		evicted = st.evictOverBudget()
+	}
+	st.syncGauges()
+	st.mu.Unlock()
+	st.spill(evicted)
+}
+
+// dropDelta forgets one recorded step and releases what it pinned. Callers
+// must hold st.mu and fix up deltaFIFO themselves.
+func (st *Store) dropDelta(rec deltaRecord) {
+	st.deltaBytes -= rec.pinned
+	st.unpin(rec.shares)
+	delete(st.deltas, rec.New)
 }
 
 // Assignment returns the cached edge assignment of (g, s, numParts),
@@ -274,18 +346,14 @@ func (st *Store) RecordDelta(d graph.Delta) {
 // many callers race.
 func (st *Store) Assignment(g *graph.Graph, s partition.Strategy, numParts int) (*partition.Assignment, error) {
 	k := st.keyFor(g, s, numParts, kindAssignment)
-	v, err := st.do(k, func() (any, int64, error) {
-		if v, cost, ok := st.fromDisk(g, k.strategy, numParts, kindAssignment); ok {
-			return v, cost, nil
+	v, err := st.do(k, func() (any, error) {
+		if v, ok := st.fromDisk(g, k.strategy, numParts, kindAssignment); ok {
+			return v, nil
 		}
 		if a, ok := st.assignmentViaDelta(g, s, numParts); ok {
-			return a, a.MemoryFootprint(), nil
+			return a, nil
 		}
-		a, err := partition.Assign(g, s, numParts)
-		if err != nil {
-			return nil, 0, err
-		}
-		return a, a.MemoryFootprint(), nil
+		return partition.Assign(g, s, numParts)
 	})
 	if err != nil {
 		return nil, err
@@ -298,22 +366,18 @@ func (st *Store) Assignment(g *graph.Graph, s partition.Strategy, numParts int) 
 // result as immutable — it is shared with every other caller of this key.
 func (st *Store) Metrics(g *graph.Graph, s partition.Strategy, numParts int) (*metrics.Result, error) {
 	k := st.keyFor(g, s, numParts, kindMetrics)
-	v, err := st.do(k, func() (any, int64, error) {
-		if v, cost, ok := st.fromDisk(g, k.strategy, numParts, kindMetrics); ok {
-			return v, cost, nil
+	v, err := st.do(k, func() (any, error) {
+		if v, ok := st.fromDisk(g, k.strategy, numParts, kindMetrics); ok {
+			return v, nil
 		}
 		if m, ok := st.metricsViaDelta(g, s, numParts); ok {
-			return m, metricsFootprint(m), nil
+			return m, nil
 		}
 		a, err := st.Assignment(g, s, numParts)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		m, err := metrics.FromAssignment(a)
-		if err != nil {
-			return nil, 0, err
-		}
-		return m, metricsFootprint(m), nil
+		return metrics.FromAssignment(a)
 	})
 	if err != nil {
 		return nil, err
@@ -327,22 +391,18 @@ func (st *Store) Metrics(g *graph.Graph, s partition.Strategy, numParts int) (*m
 // lives in per-run pooled scratch) and must not be mutated.
 func (st *Store) Built(g *graph.Graph, s partition.Strategy, numParts int) (*pregel.PartitionedGraph, error) {
 	k := st.keyFor(g, s, numParts, kindBuilt)
-	v, err := st.do(k, func() (any, int64, error) {
-		if v, cost, ok := st.fromDisk(g, k.strategy, numParts, kindBuilt); ok {
-			return v, cost, nil
+	v, err := st.do(k, func() (any, error) {
+		if v, ok := st.fromDisk(g, k.strategy, numParts, kindBuilt); ok {
+			return v, nil
 		}
 		if pg, ok := st.builtViaDelta(g, s, numParts); ok {
-			return pg, pg.MemoryFootprint(), nil
+			return pg, nil
 		}
 		a, err := st.Assignment(g, s, numParts)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		pg, err := pregel.NewPartitionedGraphFromAssignment(a, st.build)
-		if err != nil {
-			return nil, 0, err
-		}
-		return pg, pg.MemoryFootprint(), nil
+		return pregel.NewPartitionedGraphFromAssignment(a, st.build)
 	})
 	if err != nil {
 		return nil, err
@@ -374,11 +434,12 @@ func (st *Store) findBase(g *graph.Graph, s partition.Strategy, numParts int, kd
 	cur := g
 	for depth := 0; depth < maxDeltaDepth; depth++ {
 		st.mu.Lock()
-		d, ok := st.deltas[cur]
+		rec, ok := st.deltas[cur]
 		st.mu.Unlock()
 		if !ok {
 			break
 		}
+		d := rec.Delta
 		k := key{g: d.Old, version: d.OldVersion, strategy: partition.KeyOf(s), numParts: numParts, kind: kd}
 		if v, ok := st.peek(k); ok {
 			return v, d, true
@@ -424,24 +485,44 @@ func (st *Store) assignmentViaDelta(g *graph.Graph, s partition.Strategy, numPar
 		return nil, false // fall back to the full pass
 	}
 	// Extend moves the ancestor's retained streaming state into the
-	// derived assignment; refresh the cached ancestor's byte cost so the
-	// LRU accounting keeps matching actually-retained memory.
-	st.refreshCost(key{g: d.Old, version: d.OldVersion, strategy: partition.KeyOf(s), numParts: numParts, kind: kindAssignment}, ba.MemoryFootprint())
+	// derived assignment; re-price the cached ancestor so the LRU
+	// accounting keeps matching actually-retained memory.
+	st.reprice(key{g: d.Old, version: d.OldVersion, strategy: partition.KeyOf(s), numParts: numParts, kind: kindAssignment})
 	st.countDerived()
 	return na, true
 }
 
-// refreshCost re-prices an existing cache entry (no-op if the key is
-// absent). A growth re-price can push the cache past its byte bound with no
-// insert coming to run the eviction pass — a graph served only through
-// delta derivations may never insert again — so the pass runs here too,
-// spilling any evictions to the disk tier outside the lock.
-func (st *Store) refreshCost(k key, cost int64) {
+// reprice prices an existing cache entry afresh (no-op if the key is
+// absent): what an artifact retains changes after it was inserted — Extend
+// takes an assignment's streaming state, the first sparse superstep builds
+// a topology's frontier index, a run parks its scratch, a graph's views are
+// built on first use. A growth re-price can push the cache past its byte
+// bound with no insert coming to run the eviction pass — a graph served
+// only through delta derivations may never insert again — so the pass runs
+// here too, spilling any evictions to the disk tier outside the lock.
+func (st *Store) reprice(k key) {
+	st.mu.Lock()
+	e, ok := st.entries[k]
+	var v any
+	if ok {
+		v = e.val
+	}
+	st.mu.Unlock()
+	if !ok {
+		return
+	}
+	p := priceOf(v)
 	st.mu.Lock()
 	var evicted []*entry
-	if e, ok := st.entries[k]; ok {
-		st.bytes += cost - e.cost
-		e.cost = cost
+	if st.entries[k] == e && e.val == v {
+		st.bytes += p.own - e.cost
+		e.cost = p.own
+		// Pin the new set before unpinning the old one, so storage held by
+		// both never drops to zero references in between.
+		old := e.shares
+		e.shares = p.shares
+		st.pin(e.shares)
+		st.unpin(old)
 		if st.maxBytes >= 0 && st.bytes > st.maxBytes {
 			evicted = st.evictOverBudget()
 		}
@@ -449,6 +530,41 @@ func (st *Store) refreshCost(k key, cost int64) {
 	st.syncGauges()
 	st.mu.Unlock()
 	st.spill(evicted)
+}
+
+// RepriceBuilt re-prices the cached topology of (g, s, numParts), if any.
+// Callers that ran an algorithm on it call this when the run returns: the
+// run may have built the frontier index or the triangle plan, and has
+// parked its scratch.
+func (st *Store) RepriceBuilt(g *graph.Graph, s partition.Strategy, numParts int) {
+	st.reprice(st.keyFor(g, s, numParts, kindBuilt))
+}
+
+// pin adds one reference to each share and brings its charge up to date
+// with the size just reported. Callers must hold st.mu.
+func (st *Store) pin(shares []graph.Share) {
+	for _, s := range shares {
+		sh := st.shared[s.Key]
+		if sh == nil {
+			sh = &sharedStorage{}
+			st.shared[s.Key] = sh
+		}
+		sh.refs++
+		st.bytes += s.Bytes - sh.bytes
+		sh.bytes = s.Bytes
+	}
+}
+
+// unpin drops one reference from each share, releasing the charge of
+// storage no cached artifact holds any more. Callers must hold st.mu.
+func (st *Store) unpin(shares []graph.Share) {
+	for _, s := range shares {
+		sh := st.shared[s.Key]
+		if sh.refs--; sh.refs == 0 {
+			st.bytes -= sh.bytes
+			delete(st.shared, s.Key)
+		}
+	}
 }
 
 // builtViaDelta derives g's topology by patching the nearest cached
@@ -519,18 +635,13 @@ func (st *Store) InvalidateGraph(g *graph.Graph) {
 	defer st.syncGauges()
 	for k, e := range st.entries {
 		if k.g == g {
-			st.lru.Remove(e.elem)
-			delete(st.entries, k)
-			st.bytes -= e.cost
-			st.evicted++
-			mEvicted.Inc()
+			st.remove(e)
 		}
 	}
 	kept := st.deltaFIFO[:0]
 	for _, ng := range st.deltaFIFO {
 		if d := st.deltas[ng]; d.Old == g || d.New == g {
-			st.deltaBytes -= deltaPinnedBytes(d)
-			delete(st.deltas, ng)
+			st.dropDelta(d)
 			continue
 		}
 		kept = append(kept, ng)
@@ -574,7 +685,7 @@ func (st *Store) keyFor(g *graph.Graph, s partition.Strategy, numParts int, kd k
 // it; otherwise the caller computes (without holding the lock), publishes,
 // and wakes all waiters. Errors are returned to every waiter of the flight
 // but never cached — a transient failure does not poison the key.
-func (st *Store) do(k key, build func() (val any, cost int64, err error)) (any, error) {
+func (st *Store) do(k key, build func() (val any, err error)) (any, error) {
 	st.mu.Lock()
 	if e, ok := st.entries[k]; ok {
 		st.lru.MoveToFront(e.elem)
@@ -597,14 +708,18 @@ func (st *Store) do(k key, build func() (val any, cost int64, err error)) (any, 
 	st.mu.Unlock()
 	mMisses.Inc()
 
-	v, cost, err := build()
+	v, err := build()
 	f.val, f.err = v, err
+	var p price
+	if err == nil {
+		p = priceOf(v)
+	}
 
 	st.mu.Lock()
 	delete(st.inflight, k)
 	var evicted []*entry
 	if err == nil {
-		evicted = st.insert(k, v, cost)
+		evicted = st.insert(k, v, p)
 		st.syncGauges()
 	}
 	st.mu.Unlock()
@@ -621,19 +736,23 @@ func (st *Store) do(k key, build func() (val any, cost int64, err error)) (any, 
 // entry is never evicted, so an artifact larger than the whole budget is
 // still served (and becomes the eviction victim of the next insert).
 // Callers must hold st.mu.
-func (st *Store) insert(k key, v any, cost int64) []*entry {
-	if e, ok := st.entries[k]; ok {
+func (st *Store) insert(k key, v any, p price) []*entry {
+	e, ok := st.entries[k]
+	if ok {
 		// A racing flight of the same key can slip in between generations;
 		// refresh in place.
-		st.bytes += cost - e.cost
-		e.val, e.cost = v, cost
+		st.bytes -= e.cost
 		st.lru.MoveToFront(e.elem)
 	} else {
-		e := &entry{key: k, val: v, cost: cost}
+		e = &entry{key: k}
 		e.elem = st.lru.PushFront(e)
 		st.entries[k] = e
-		st.bytes += cost
 	}
+	old := e.shares
+	e.val, e.cost, e.shares = v, p.own, p.shares
+	st.bytes += e.cost
+	st.pin(e.shares)
+	st.unpin(old)
 	if st.maxBytes < 0 {
 		return nil
 	}
@@ -646,16 +765,22 @@ func (st *Store) insert(k key, v any, cost int64) []*entry {
 func (st *Store) evictOverBudget() []*entry {
 	var evicted []*entry
 	for st.bytes > st.maxBytes && st.lru.Len() > 1 {
-		tail := st.lru.Back()
-		e := tail.Value.(*entry)
-		st.lru.Remove(tail)
-		delete(st.entries, e.key)
-		st.bytes -= e.cost
-		st.evicted++
-		mEvicted.Inc()
+		e := st.lru.Back().Value.(*entry)
+		st.remove(e)
 		evicted = append(evicted, e)
 	}
 	return evicted
+}
+
+// remove drops an entry from the cache and releases what it was charged
+// for, counting an eviction. Callers must hold st.mu.
+func (st *Store) remove(e *entry) {
+	st.lru.Remove(e.elem)
+	delete(st.entries, e.key)
+	st.bytes -= e.cost
+	st.unpin(e.shares)
+	st.evicted++
+	mEvicted.Inc()
 }
 
 // metricsFootprint approximates the retained bytes of a metric set: the

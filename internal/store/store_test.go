@@ -1,11 +1,13 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"cutfit/internal/algorithms"
 	"cutfit/internal/gen"
 	"cutfit/internal/graph"
 	"cutfit/internal/metrics"
@@ -209,8 +211,18 @@ func TestLRUEviction(t *testing.T) {
 		return &countingStrategy{inner: partition.RandomVertexCut(), name: name}
 	}
 	s1, s2, s3 := mk("s1"), mk("s2"), mk("s3")
-	one := (&partition.Assignment{PIDs: make([]partition.PID, g.NumEdges()), EdgesPerPart: make([]int64, 4)}).MemoryFootprint()
-	st := New(Config{MaxBytes: 2 * one})
+	// The first assignment of a graph is charged the graph too; every
+	// further one only its own PIDs and histogram.
+	probe := New(Config{})
+	if _, err := probe.Assignment(g, mk("p1"), 4); err != nil {
+		t.Fatal(err)
+	}
+	first := probe.Stats().Bytes
+	if _, err := probe.Assignment(g, mk("p2"), 4); err != nil {
+		t.Fatal(err)
+	}
+	one := probe.Stats().Bytes - first
+	st := New(Config{MaxBytes: first + one + one/2})
 
 	for _, s := range []*countingStrategy{s1, s2, s3} {
 		if _, err := st.Assignment(g, s, 4); err != nil {
@@ -219,7 +231,7 @@ func TestLRUEviction(t *testing.T) {
 	}
 	stats := st.Stats()
 	if stats.Evictions == 0 {
-		t.Fatalf("no evictions with budget %d and three %d-byte entries", 2*one, one)
+		t.Fatalf("no evictions with budget %d and three %d-byte entries", stats.MaxBytes, one)
 	}
 	if stats.Bytes > stats.MaxBytes {
 		t.Fatalf("cache holds %d bytes over budget %d", stats.Bytes, stats.MaxBytes)
@@ -325,35 +337,53 @@ func TestInvalidateGraph(t *testing.T) {
 	}
 }
 
-// TestRefreshCostEvictsOverBudget: a growth re-price (Extend moving
-// retained streaming state between assignments) must run the eviction pass
-// itself. A graph served only through delta derivations may never insert
-// again, so deferring eviction to "the next insert" can leave the cache
-// over its byte budget indefinitely.
+// TestRefreshCostEvictsOverBudget: a growth re-price (a run building a
+// topology's frontier index and parking its scratch, Extend moving retained
+// streaming state between assignments) must run the eviction pass itself. A
+// graph served only through delta derivations may never insert again, so
+// deferring eviction to "the next insert" can leave the cache over its byte
+// budget indefinitely.
 func TestRefreshCostEvictsOverBudget(t *testing.T) {
-	st := New(Config{MaxBytes: 1000})
-	mk := func(id int) key {
-		return key{strategy: "s", numParts: id, kind: kindAssignment}
-	}
-	for i := 0; i < 4; i++ {
-		if _, err := st.do(mk(i), func() (any, int64, error) { return i, 200, nil }); err != nil {
-			t.Fatal(err)
+	s := partition.EdgePartition2D()
+	graphs := []*graph.Graph{testGraph(t, 200, 2000, 1), testGraph(t, 200, 2000, 2), testGraph(t, 200, 2000, 3)}
+	fill := func(st *Store) *pregel.PartitionedGraph {
+		var pg *pregel.PartitionedGraph
+		for _, g := range graphs {
+			var err error
+			if pg, err = st.Built(g, s, 4); err != nil {
+				t.Fatal(err)
+			}
 		}
+		return pg
 	}
-	if got := st.Stats().Bytes; got != 800 {
-		t.Fatalf("setup bytes = %d, want 800", got)
+	probe := New(Config{})
+	fill(probe)
+	budget := probe.Stats().Bytes + 64
+
+	st := New(Config{MaxBytes: budget, Build: pregel.BuildOptions{ReuseBuffers: true}})
+	pg := fill(st)
+	if ev := st.Stats().Evictions; ev != 0 {
+		t.Fatalf("setup evicted %d entries inside a budget sized to fit", ev)
 	}
-	// Re-price the most recent entry far past the budget: the eviction pass
-	// must run now, not on a next insert that may never come.
-	st.refreshCost(mk(3), 900)
+	before := pg.MemoryFootprint()
+	if _, _, err := algorithms.ConnectedComponents(context.Background(), pg, 0); err != nil {
+		t.Fatal(err)
+	}
+	if pg.MemoryFootprint() <= before {
+		t.Fatal("cc built no frontier index: the topology did not grow")
+	}
+	// Re-price the most recent entry past the budget: the eviction pass must
+	// run now, not on a next insert that may never come.
+	last := graphs[len(graphs)-1]
+	st.RepriceBuilt(last, s, 4)
 	stats := st.Stats()
-	if stats.Bytes > 1000 {
-		t.Fatalf("cache holds %d bytes after refreshCost, budget is 1000", stats.Bytes)
+	if stats.Bytes > budget {
+		t.Fatalf("cache holds %d bytes after the re-price, budget is %d", stats.Bytes, budget)
 	}
 	if stats.Evictions == 0 {
-		t.Fatal("over-budget refreshCost evicted nothing")
+		t.Fatal("over-budget re-price evicted nothing")
 	}
-	if _, ok := st.peek(mk(3)); !ok {
+	if _, ok := st.peek(st.keyFor(last, s, 4, kindBuilt)); !ok {
 		t.Fatal("the re-priced (most recently used) entry was evicted")
 	}
 }

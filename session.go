@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"slices"
 	"sort"
 
 	"cutfit/internal/algorithms"
@@ -401,11 +402,7 @@ func (se *Session) Run(ctx context.Context, g *Graph, s Strategy, numParts int, 
 			return nil, err
 		}
 		stats = st
-		seen := make(map[VertexID]struct{}, 16)
-		for _, l := range labels {
-			seen[l] = struct{}{}
-		}
-		rep.Components = len(seen)
+		rep.Components = countLabels(g.Vertices(), labels, st.Converged)
 	case "triangles":
 		counts, st, err := algorithms.TriangleCount(ctx, pg)
 		if err != nil {
@@ -437,6 +434,12 @@ func (se *Session) Run(ctx context.Context, g *Graph, s Strategy, numParts int, 
 	default:
 		return nil, fmt.Errorf("cutfit: unknown algorithm %q (want pagerank, dynamicpr, cc, triangles or sssp)", alg)
 	}
+	if se.st != nil {
+		// The run may have built the topology's frontier index or triangle
+		// plan, and has parked its scratch: bring the cache's price for the
+		// entry up to date (and let it evict if that no longer fits).
+		se.st.RepriceBuilt(g, s, numParts)
+	}
 	rep.Supersteps = stats.NumSupersteps()
 	rep.Converged = stats.Converged
 	rep.Halted = stats.Halted
@@ -458,6 +461,34 @@ func (se *Session) Run(ctx context.Context, g *Graph, s Strategy, numParts int, 
 	}
 	rep.SimSecs = b.TotalSecs()
 	return rep, nil
+}
+
+// countLabels counts the distinct values of a connected-components
+// labelling (labels[i] belongs to verts[i]; a label is the smallest vertex ID
+// the vertex has heard of, so always some vertex's ID). A converged run
+// labels every component with its minimum vertex, which is then the one
+// vertex of the component labelled with itself; a run stopped early may use
+// a label its owner has already abandoned, so those are marked in a bitset
+// at the label's position in the sorted vertex list.
+func countLabels(verts, labels []VertexID, converged bool) int {
+	n := 0
+	if converged {
+		for i, l := range labels {
+			if l == verts[i] {
+				n++
+			}
+		}
+		return n
+	}
+	seen := make([]uint64, (len(verts)+63)/64)
+	for _, l := range labels {
+		i, _ := slices.BinarySearch(verts, l)
+		if w, bit := i>>6, uint64(1)<<(uint(i)&63); seen[w]&bit == 0 {
+			seen[w] |= bit
+			n++
+		}
+	}
+	return n
 }
 
 // distFallback decides whether a failed distributed run should fall back
