@@ -31,7 +31,10 @@ var errStopReplay = errors.New("partition: stop prefix replay")
 //     may then differ from this assignment's — downstream topology
 //     patching detects that and rebuilds.
 //
-// The prefix PID entries and the histogram are reused, never recounted.
+// The prefix PID entries and the histogram are reused, never recounted, and
+// the PID array itself is shared: a pure shrink returns this assignment's
+// slice, an append writes only the suffix's PIDs into the lineage's backing
+// array (graph.Tail) when this is its newest assignment, and copies when not.
 func (a *Assignment) Extend(grown *graph.Graph, s Strategy) (*Assignment, error) {
 	if key := KeyOf(s); a.strategyKey != "" && key != a.strategyKey {
 		return nil, fmt.Errorf("partition: cannot extend %s assignment with strategy %s", a.strategyKey, key)

@@ -263,14 +263,18 @@ type engineScratch[V, M any] struct {
 }
 
 // resized returns buf with length n, reusing its storage when the capacity
-// allows and otherwise allocating with an eighth of headroom, so a scratch
-// following a growing lineage reallocates every few generations rather than
-// every one. Contents are unspecified: callers overwrite or clear.
+// allows. A first allocation is exact; a buffer that has proved too small
+// once is replaced with an eighth of headroom, so a scratch following a
+// growing lineage reallocates every few generations rather than every one.
+// Contents are unspecified: callers overwrite or clear.
 func resized[T any](buf []T, n int) []T {
-	if cap(buf) < n {
-		return make([]T, n, n+n/8)
+	switch {
+	case cap(buf) >= n:
+		return buf[:n]
+	case buf == nil:
+		return make([]T, n)
 	}
-	return buf[:n]
+	return make([]T, n, n+n/8)
 }
 
 // fit shapes the scratch for a run on pg, whatever it was shaped for before,

@@ -279,12 +279,13 @@ func TestScratchFollowsLineage(t *testing.T) {
 	pg.scratch.put(key, parked, pg.scratchDepth())
 	masterCap := cap(parked.(*engineScratch[int64, int64]).masterVals)
 
-	// A small step fits the parked buffers; a step that doubles the vertex
-	// count does not.
-	for _, grow := range []int{3, 2 * g.NumVertices()} {
+	// The first allocation is exact, so the first step outgrows it and the
+	// buffers are replaced with headroom; the next small step fits; a step
+	// that doubles the vertex count does not.
+	for _, grow := range []int{3, 3, 2 * g.NumVertices()} {
 		var suffix []graph.Edge
 		for i := 0; i < grow; i++ {
-			suffix = append(suffix, graph.Edge{Src: graph.VertexID(1000 + i), Dst: graph.VertexID(i % 60)})
+			suffix = append(suffix, graph.Edge{Src: graph.VertexID(1000 + pg.G.NumVertices() + i), Dst: graph.VertexID(i % 60)})
 		}
 		ng, d := pg.G.Grow(suffix)
 		na, err := a.Extend(ng, s)
