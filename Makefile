@@ -13,7 +13,7 @@ GO ?= go
 #   make bench-compare BENCH_OUT=new.txt
 #   benchstat old.txt new.txt
 # The default filter is the guarded set the CI benchmark gate enforces.
-BENCH ?= BenchmarkSelectEmpirically|BenchmarkMeasureThenRun|BenchmarkTriangleCount|BenchmarkPartitionBuild|BenchmarkAppendEdges|BenchmarkRemoveEdges|BenchmarkStreamCycle|BenchmarkRestoreVsRebuild|BenchmarkReadEdgeList|BenchmarkSparseFrontier|BenchmarkScalingSweep|BenchmarkScale/1M|BenchmarkDistRun
+BENCH ?= BenchmarkSelectEmpirically|BenchmarkMeasureThenRun|BenchmarkTriangleCount|BenchmarkPartitionBuild|BenchmarkAppendEdges|BenchmarkRemoveEdges|BenchmarkStreamCycle|BenchmarkRestoreVsRebuild|BenchmarkReadEdgeList|BenchmarkSparseFrontier|BenchmarkScalingSweep|BenchmarkScale/1M|BenchmarkDistRun|BenchmarkServedSSSP
 BENCH_COUNT ?= 10
 BENCH_OUT ?= bench.txt
 
@@ -57,8 +57,10 @@ lint: vet
 # tier spill/restore, warm-start handlers), the distributed runtime
 # (coordinator/worker exchange over loopback sockets, equivalence and
 # failure suites, hostile step frames, the bulk mirror/message slabs against
-# their per-pair oracle) and the Triangle Count kernel (shared plan, pooled
-# mark sets, equivalence with the reference at one and many workers).
+# their per-pair oracle), the Triangle Count kernel (shared plan, pooled
+# mark sets, equivalence with the reference at one and many workers) and the
+# fixed-width shortest-paths program (equivalence with its map-valued
+# reference on fresh and revived scratches, one and eight workers).
 race:
 	$(GO) test -race . ./cmd/cutfitd/... ./internal/graph/... ./internal/pregel/... ./internal/algorithms/... ./internal/testutil/... ./internal/partition/... ./internal/store/... ./internal/snap/... ./internal/obsv/... ./internal/dist/...
 
@@ -67,12 +69,13 @@ race:
 # per-superstep allocation footprint, the single-pass selection pipeline,
 # the compact worker sweep, the two loaders (text ingest, snapshot
 # restore against rebuild), a stream-update cycle on a caching Session
-# (bytes allocated per generation step, live heap per cached byte) and whole
-# distributed runs on two loopback workers.
+# (bytes allocated per generation step, live heap per cached byte), whole
+# distributed runs on two loopback workers and a warm served sssp request
+# (allocs/op: per superstep and partition, never per vertex or message).
 bench:
 	$(GO) test -run='^$$' -bench='BenchmarkPartitionBuild|BenchmarkSparseFrontier' -benchmem ./internal/pregel/
 	$(GO) test -run='^$$' -bench='BenchmarkDistRun' -benchmem ./internal/dist/
-	$(GO) test -run='^$$' -bench='BenchmarkPartitionBuild|BenchmarkSuperstepAllocs|BenchmarkSelectEmpirically|BenchmarkMeasureThenRun|BenchmarkTriangleCount|BenchmarkScalingSweep|BenchmarkReadEdgeList|BenchmarkRestoreVsRebuild|BenchmarkStreamCycle' -benchmem .
+	$(GO) test -run='^$$' -bench='BenchmarkPartitionBuild|BenchmarkSuperstepAllocs|BenchmarkSelectEmpirically|BenchmarkMeasureThenRun|BenchmarkTriangleCount|BenchmarkScalingSweep|BenchmarkReadEdgeList|BenchmarkRestoreVsRebuild|BenchmarkStreamCycle|BenchmarkServedSSSP' -benchmem .
 
 # Full multi-core scaling sweep: worker ladder × components × dataset
 # analogs, JSON for the benchgate efficiency gate plus a markdown table.
@@ -148,7 +151,9 @@ bench-compare:
 # against one map probe per edge), the incremental topology
 # patchers (delta append and shrink/slide-window, each cross-checked
 # against a full rebuild), the dense/sparse/auto engine scan equivalence
-# (including density-threshold crossovers mid-run), the snapshot
+# (including density-threshold crossovers mid-run), the fixed-width
+# shortest-paths program against its map-valued reference (random graphs and
+# landmark sets, duplicates and absent landmarks included), the snapshot
 # decoders (container parsing + the assignment codec, seeded from the
 # golden corpus), and the distributed worker's step endpoint (arbitrary
 # broadcast frames against a bound run). FUZZTIME is per target; the
@@ -161,6 +166,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzApplyDelta -fuzztime=$(FUZZTIME) ./internal/pregel/
 	$(GO) test -run='^$$' -fuzz=FuzzApplyShrink -fuzztime=$(FUZZTIME) ./internal/pregel/
 	$(GO) test -run='^$$' -fuzz=FuzzFrontierScanEquivalence -fuzztime=$(FUZZTIME) ./internal/pregel/
+	$(GO) test -run='^$$' -fuzz=FuzzHopDistances -fuzztime=$(FUZZTIME) ./internal/algorithms/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeSnapshot -fuzztime=$(FUZZTIME) ./internal/snap/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeAssignment -fuzztime=$(FUZZTIME) ./internal/snap/
 	$(GO) test -run='^$$' -fuzz=FuzzStepFrame -fuzztime=$(FUZZTIME) ./internal/dist/
@@ -175,6 +181,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzApplyDelta -fuzztime=5s ./internal/pregel/
 	$(GO) test -run='^$$' -fuzz=FuzzApplyShrink -fuzztime=5s ./internal/pregel/
 	$(GO) test -run='^$$' -fuzz=FuzzFrontierScanEquivalence -fuzztime=5s ./internal/pregel/
+	$(GO) test -run='^$$' -fuzz=FuzzHopDistances -fuzztime=5s ./internal/algorithms/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeSnapshot -fuzztime=5s ./internal/snap/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeAssignment -fuzztime=5s ./internal/snap/
 	$(GO) test -run='^$$' -fuzz=FuzzStepFrame -fuzztime=5s ./internal/dist/

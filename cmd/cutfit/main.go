@@ -276,18 +276,12 @@ func cmdRun(args []string) error {
 	case "sssp":
 		verts := g.Vertices()
 		landmark := verts[0]
-		dists, st, err := cutfit.RunShortestPaths(ctx, pg, []cutfit.VertexID{landmark}, 0)
+		hops, st, err := cutfit.RunHopDistances(ctx, pg, []cutfit.VertexID{landmark}, 0)
 		if err != nil {
 			return err
 		}
 		stats = st
-		reached := 0
-		for _, d := range dists {
-			if len(d) > 0 {
-				reached++
-			}
-		}
-		fmt.Printf("sssp: landmark %d reached from %d/%d vertices\n", landmark, reached, len(dists))
+		fmt.Printf("sssp: landmark %d reached from %d/%d vertices\n", landmark, hops.Reached(), hops.NumVertices())
 	default:
 		return fmt.Errorf("unknown algorithm %q", *alg)
 	}

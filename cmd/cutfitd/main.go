@@ -105,6 +105,15 @@ import (
 // termination signal before the final snapshot is taken.
 const shutdownGrace = 10 * time.Second
 
+// newHTTPServer is the daemon's listener configuration. A client gets ten
+// seconds to finish its request headers and an idle keep-alive connection is
+// closed after two minutes, so stalled or abandoned connections cannot pile
+// up; there is no WriteTimeout, because a run on a large graph may
+// legitimately take minutes to answer.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: 10 * time.Second, IdleTimeout: 2 * time.Minute}
+}
+
 // stringList is a repeatable comma-separated flag value.
 type stringList []string
 
@@ -182,7 +191,7 @@ func main() {
 		log.Printf("opened block graph %s from %s: %d vertices, %d edges", name, path, n.vertices, n.edges)
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv}
+	httpSrv := newHTTPServer(*addr, srv)
 	errCh := make(chan error, 1)
 	go func() {
 		log.Printf("cutfitd listening on %s", *addr)

@@ -24,7 +24,7 @@
 //   - a GraphX-style vertex-cut Pregel engine that executes computations
 //     in parallel while counting all cross-partition traffic (Partition,
 //     RunPageRank, RunConnectedComponents, RunTriangleCount,
-//     RunShortestPaths);
+//     RunHopDistances, RunShortestPaths);
 //   - a cluster cost model that converts engine statistics into simulated
 //     execution time for the paper's four cluster configurations
 //     (ConfigI…ConfigIV, Simulate);
@@ -244,8 +244,22 @@ type (
 	ClusterConfig = cluster.Config
 	// Breakdown is a simulated execution time split by phase.
 	Breakdown = cluster.Breakdown
-	// DistMap is the ShortestPaths result per vertex: landmark → distance.
+	// HopTable is the RunHopDistances result: a row-major vertices ×
+	// landmarks table of hop distances, Unreached where there is no path.
+	HopTable = algorithms.HopTable
+	// DistMap is the RunShortestPaths result per vertex: landmark →
+	// distance, holding only the landmarks the vertex reaches.
 	DistMap = algorithms.DistMap
+)
+
+// Shortest-paths limits and conventions.
+const (
+	// Unreached is the HopTable distance from a vertex with no path to the
+	// landmark.
+	Unreached = algorithms.Unreached
+	// MaxLandmarks is the most distinct landmarks one shortest-paths run
+	// accepts.
+	MaxLandmarks = algorithms.MaxLandmarks
 )
 
 // Advisor types.
@@ -434,8 +448,22 @@ func RunTriangleCount(ctx context.Context, pg *PartitionedGraph) ([]int64, *RunS
 	return algorithms.TriangleCount(ctx, pg)
 }
 
-// RunShortestPaths computes hop distances to the landmark vertices;
-// maxIter of 0 runs to convergence.
+// RunHopDistances computes every vertex's hop distance to each landmark
+// along outgoing edges and returns them as one flat table: a column per
+// distinct landmark (duplicates share one; at most MaxLandmarks, more is an
+// error), Unreached where no path exists — in particular a whole column of
+// it for a landmark that is not a vertex of the graph. maxIter of 0 runs to
+// convergence.
+func RunHopDistances(ctx context.Context, pg *PartitionedGraph, landmarks []VertexID, maxIter int) (HopTable, *RunStats, error) {
+	return algorithms.HopDistances(ctx, pg, landmarks, maxIter)
+}
+
+// RunShortestPaths is RunHopDistances with the result converted to one map
+// per vertex, landmark → distance, holding only the landmarks that vertex
+// reaches (an unreached landmark has no entry rather than Unreached). The
+// same limit applies: more than MaxLandmarks (64) distinct landmarks is an
+// error. Prefer RunHopDistances on large graphs — the maps are built after
+// the run, one per vertex.
 func RunShortestPaths(ctx context.Context, pg *PartitionedGraph, landmarks []VertexID, maxIter int) ([]DistMap, *RunStats, error) {
 	return algorithms.ShortestPaths(ctx, pg, landmarks, maxIter)
 }

@@ -79,6 +79,13 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		if d := dists[i4][0]; d != 2 { // 4 -> 2 -> 0
 			t.Fatalf("%s: dist(4,0) = %d, want 2", s.Name(), d)
 		}
+		hops, _, err := cutfit.RunHopDistances(ctx, pg, []cutfit.VertexID{0, 99}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row := hops.Row(int(i4)); row[0] != 2 || row[1] != cutfit.Unreached {
+			t.Fatalf("%s: hop distances of 4 to {0, absent 99} = %v, want [2 Unreached]", s.Name(), row)
+		}
 	}
 }
 

@@ -3,100 +3,194 @@ package algorithms
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/bits"
+	"slices"
 
 	"cutfit/internal/graph"
 	"cutfit/internal/pregel"
 )
 
-// DistMap maps a landmark vertex to the shortest known hop distance.
+// Unreached is the distance HopTable reports from a vertex that cannot
+// reach the landmark.
+const Unreached int32 = math.MaxInt32
+
+// MaxLandmarks is the most distinct landmarks one run can carry: the vertex
+// value is a fixed-width distance vector, and 64 slots is its widest form.
+const MaxLandmarks = 64
+
+// DistMap maps a landmark vertex to the shortest known hop distance — the
+// per-vertex form ShortestPaths and ShortestPathsSeq return their results
+// in.
 type DistMap map[graph.VertexID]int32
 
-// clone returns a copy of m.
-func (m DistMap) clone() DistMap {
-	out := make(DistMap, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
+// HopTable is the result of HopDistances: one row per vertex (aligned with
+// Graph.Vertices()), one column per distinct landmark.
+type HopTable struct {
+	// Landmarks are the distinct landmarks in first-occurrence order;
+	// Landmarks[j] heads column j.
+	Landmarks []graph.VertexID
+	// Dist is row-major: Dist[v*len(Landmarks)+j] is the hop distance from
+	// vertex v to Landmarks[j], or Unreached.
+	Dist []int32
 }
 
-// mergeMin returns the element-wise minimum union of a and b, reusing a
-// when possible is avoided to keep messages immutable.
-func mergeMin(a, b DistMap) DistMap {
-	out := make(DistMap, len(a)+len(b))
-	for k, v := range a {
-		out[k] = v
+// NumVertices is the number of rows.
+func (h HopTable) NumVertices() int { return len(h.Dist) / max(len(h.Landmarks), 1) }
+
+// Row returns vertex v's distances, one per landmark.
+func (h HopTable) Row(v int) []int32 {
+	k := len(h.Landmarks)
+	return h.Dist[v*k : (v+1)*k]
+}
+
+// Reached counts the vertices that reach at least one landmark.
+func (h HopTable) Reached() int {
+	n := 0
+	for v := 0; v < h.NumVertices(); v++ {
+		if slices.ContainsFunc(h.Row(v), func(d int32) bool { return d != Unreached }) {
+			n++
+		}
 	}
-	for k, v := range b {
-		if cur, ok := out[k]; !ok || v < cur {
-			out[k] = v
+	return n
+}
+
+// DistMaps converts the table to one map per vertex holding only the
+// landmarks that vertex reaches.
+func (h HopTable) DistMaps() []DistMap {
+	out := make([]DistMap, h.NumVertices())
+	for v := range out {
+		out[v] = DistMap{}
+		for j, d := range h.Row(v) {
+			if d != Unreached {
+				out[v][h.Landmarks[j]] = d
+			}
 		}
 	}
 	return out
 }
 
-// improvesByHop reports whether src would lower (or gain) any entry by
-// adopting dst's distances one hop further — the test SendMsg needs,
-// answered without building the candidate map.
-func improvesByHop(src, dst DistMap) bool {
-	for k, v := range dst {
-		if cur, ok := src[k]; !ok || v+1 < cur {
-			return true
-		}
-	}
-	return false
+// distVec is a vertex value and a message of the shortest-paths program:
+// slot j holds the hop distance to landmark j, Unreached until one is known.
+// Fixed-width and pointer-free, so a superstep allocates nothing per vertex
+// or message and a parked scratch weighs exactly what its slots do. Slots
+// past the landmark count stay Unreached and are never counted.
+type distVec interface {
+	~[1]int32 | ~[2]int32 | ~[4]int32 | ~[8]int32 | ~[16]int32 | ~[32]int32 | ~[64]int32
 }
 
-// ShortestPaths computes, for every vertex, the hop distance to each of the
+// HopDistances computes, for every vertex, the hop distance to each of the
 // given landmark vertices along outgoing edges, exactly like GraphX's
-// ShortestPaths: distance maps propagate backwards (from edge destination
-// to source), and each vertex value is a map landmark→distance containing
-// only reachable landmarks. maxIter of 0 runs to convergence.
-func ShortestPaths(ctx context.Context, pg *pregel.PartitionedGraph, landmarks []graph.VertexID, maxIter int) ([]DistMap, *pregel.RunStats, error) {
-	if len(landmarks) == 0 {
-		return nil, nil, fmt.Errorf("algorithms: ShortestPaths needs at least one landmark")
-	}
-	isLandmark := make(map[graph.VertexID]bool, len(landmarks))
+// ShortestPaths: distances propagate backwards (from edge destination to
+// source), one hop per superstep. Duplicate landmarks share one column, a
+// landmark that is not a vertex of the graph is reached from nowhere, and
+// more than MaxLandmarks distinct landmarks is an error. maxIter of 0 runs
+// to convergence.
+func HopDistances(ctx context.Context, pg *pregel.PartitionedGraph, landmarks []graph.VertexID, maxIter int) (HopTable, *pregel.RunStats, error) {
+	var lm []graph.VertexID
 	for _, l := range landmarks {
-		isLandmark[l] = true
+		if slices.Contains(lm, l) {
+			continue
+		}
+		if len(lm) == MaxLandmarks {
+			return HopTable{}, nil, fmt.Errorf("algorithms: shortest paths take at most %d distinct landmarks", MaxLandmarks)
+		}
+		lm = append(lm, l)
 	}
-	mapBytes := func(m DistMap) int { return 16 + 12*len(m) }
-	prog := pregel.Program[DistMap, DistMap]{
-		Init: func(id graph.VertexID) DistMap {
-			if isLandmark[id] {
-				return DistMap{id: 0}
+	if len(lm) == 0 {
+		return HopTable{}, nil, fmt.Errorf("algorithms: ShortestPaths needs at least one landmark")
+	}
+	// The narrowest vector that holds them: widths are powers of two.
+	run := [...]func(context.Context, *pregel.PartitionedGraph, []graph.VertexID, int) ([]int32, *pregel.RunStats, error){
+		hopDistances[[1]int32], hopDistances[[2]int32], hopDistances[[4]int32], hopDistances[[8]int32],
+		hopDistances[[16]int32], hopDistances[[32]int32], hopDistances[[64]int32],
+	}[bits.Len(uint(len(lm)-1))]
+	dist, stats, err := run(ctx, pg, lm, maxIter)
+	if err != nil {
+		return HopTable{}, nil, err
+	}
+	return HopTable{Landmarks: lm, Dist: dist}, stats, nil
+}
+
+// hopDistances runs the shortest-paths program at one vector width and
+// returns the distances of the first len(lm) slots, row-major.
+func hopDistances[V distVec](ctx context.Context, pg *pregel.PartitionedGraph, lm []graph.VertexID, maxIter int) ([]int32, *pregel.RunStats, error) {
+	var none V
+	for j := 0; j < len(none); j++ {
+		none[j] = Unreached
+	}
+	reached := func(v V) int {
+		n := 0
+		for j := 0; j < len(v); j++ {
+			if v[j] != Unreached {
+				n++
 			}
-			return DistMap{}
-		},
-		VProg: func(id graph.VertexID, val, msg DistMap) DistMap {
-			if msg == nil { // superstep-0 initial message
-				return val
+		}
+		return n
+	}
+	// Accounted as the landmark→distance map GraphX ships: a 16-byte header
+	// and 12 bytes per reached landmark.
+	vecBytes := func(v V) int { return 16 + 12*reached(v) }
+	minVec := func(a, b V) V {
+		for j := 0; j < len(a); j++ {
+			a[j] = min(a[j], b[j])
+		}
+		return a
+	}
+	prog := pregel.Program[V, V]{
+		Init: func(id graph.VertexID) V {
+			v := none
+			if j := slices.Index(lm, id); j >= 0 {
+				v[j] = 0
 			}
-			return mergeMin(val, msg)
+			return v
 		},
-		SendMsg: func(t *pregel.Triplet[DistMap], emit pregel.Emitter[DistMap]) {
+		VProg: func(_ graph.VertexID, val, msg V) V { return minVec(val, msg) },
+		SendMsg: func(t *pregel.Triplet[V], emit pregel.Emitter[V]) {
 			// Distances travel against edge direction: src reaches every
 			// landmark dst reaches, one hop further.
-			if !improvesByHop(t.SrcVal, t.DstVal) {
-				return
+			cand, improves := none, false
+			for j := 0; j < len(none); j++ {
+				if d := t.DstVal[j]; d != Unreached {
+					cand[j] = d + 1
+					improves = improves || d+1 < t.SrcVal[j]
+				}
 			}
-			cand := make(DistMap, len(t.DstVal))
-			for k, v := range t.DstVal {
-				cand[k] = v + 1
+			if improves {
+				emit.ToSrc(cand)
 			}
-			emit.ToSrc(cand)
 		},
-		MergeMsg:        mergeMin,
-		InitialMsg:      nil,
+		MergeMsg:        minVec,
+		InitialMsg:      none,
 		MaxIterations:   maxIter,
 		ActiveDirection: pregel.In, // scan edges whose destination updated
-		StateBytes:      mapBytes,
-		MsgBytes:        mapBytes,
-		EdgeCost: func(t *pregel.Triplet[DistMap]) float64 {
-			return 1 + float64(len(t.DstVal))
+		StateBytes:      vecBytes,
+		MsgBytes:        vecBytes,
+		EdgeCost: func(t *pregel.Triplet[V]) float64 {
+			return 1 + float64(reached(t.DstVal))
 		},
 	}
-	return pregel.Run(ctx, pg, prog)
+	vals, stats, err := pregel.Run(ctx, pg, prog)
+	if err != nil {
+		return nil, nil, err
+	}
+	k := len(lm)
+	dist := make([]int32, 0, len(vals)*k)
+	for i := range vals {
+		for j := 0; j < k; j++ {
+			dist = append(dist, vals[i][j])
+		}
+	}
+	return dist, stats, nil
+}
+
+// ShortestPaths is HopDistances with the result as one DistMap per vertex.
+func ShortestPaths(ctx context.Context, pg *pregel.PartitionedGraph, landmarks []graph.VertexID, maxIter int) ([]DistMap, *pregel.RunStats, error) {
+	h, stats, err := HopDistances(ctx, pg, landmarks, maxIter)
+	if err != nil {
+		return nil, nil, err
+	}
+	return h.DistMaps(), stats, nil
 }
 
 // ShortestPathsSeq is the sequential oracle: BFS from each landmark over

@@ -212,7 +212,7 @@ func (e *Experiment) runCell(ctx context.Context, g *graph.Graph, dataset string
 		var acc cluster.Breakdown
 		merged := &pregel.RunStats{Converged: true}
 		for _, l := range landmarks {
-			_, stats, err := algorithms.ShortestPaths(ctx, pg, []graph.VertexID{l}, 0)
+			_, stats, err := algorithms.HopDistances(ctx, pg, []graph.VertexID{l}, 0)
 			if err != nil {
 				return Run{}, err
 			}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"reflect"
 	"sort"
 	"time"
 	"unsafe"
@@ -202,10 +203,11 @@ func (p *Program[V, M]) validate() error {
 // and mirror state, per-partition combine accumulators and the per-phase
 // counter slices. It is fitted to the topology once per run and zeroed —
 // never reallocated — between supersteps; with PartitionedGraph.ReuseBuffers
-// it is parked in the lineage's pool after a successful run and revived by
-// the next Run with matching V/M types on that topology or one ApplyDelta
-// derived from it, so steady-state supersteps allocate only the two
-// per-superstep stat slices that escape into RunStats.
+// (and pointer-free V and M, see parkable) it is parked in the lineage's pool
+// after a successful run and revived by the next Run with matching V/M types
+// on that topology or one ApplyDelta derived from it, so steady-state
+// supersteps allocate only the two per-superstep stat slices that escape
+// into RunStats.
 //
 // Every per-vertex, per-mirror and per-edge array is one flat buffer; the
 // per-partition slices are views carved out of it. That is what lets a
@@ -357,6 +359,7 @@ func (s *engineScratch[V, M]) sizeCounters(numParts, shards int) {
 
 // footprint is the capacity of the flat buffers in bytes — what a parked
 // scratch keeps alive (the per-partition views and counters are noise).
+// Exact because only pointer-free slots are ever parked (see parkable).
 func (s *engineScratch[V, M]) footprint() int64 {
 	var v V
 	var m M
@@ -372,14 +375,44 @@ func scratchKey[V, M any]() string {
 	return fmt.Sprintf("%T", (*engineScratch[V, M])(nil))
 }
 
+// parkable reports whether scratches of this program type may be parked
+// between runs. footprint prices a slot by unsafe.Sizeof, which is all a slot
+// keeps alive only when neither V nor M holds a pointer; a map- or
+// slice-valued program would leave the pool pinning heap that no cache can
+// see, so it runs on fresh buffers every time.
+func parkable[V, M any]() bool {
+	return pointerFree(reflect.TypeFor[V]()) && pointerFree(reflect.TypeFor[M]())
+}
+
+// pointerFree reports whether values of type t are scalars all the way down.
+func pointerFree(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Bool,
+		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return true
+	case reflect.Array:
+		return t.Len() == 0 || pointerFree(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if !pointerFree(t.Field(i).Type) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
+}
+
 // scratchFor checks a parked scratch of this program type out of the
-// lineage's pool when buffer reuse is enabled, else starts from an empty
-// one, and fits it to pg. Concurrent Runs of the same program each get their
-// own scratch: the pool hands out distinct buffer sets and runs that find
-// the pool empty fall back to fresh allocation.
-func scratchFor[V, M any](pg *PartitionedGraph, shards int, frontiers bool) *engineScratch[V, M] {
+// lineage's pool when reuse is set, else starts from an empty one, and fits
+// it to pg. Concurrent Runs of the same program each get their own scratch:
+// the pool hands out distinct buffer sets and runs that find the pool empty
+// fall back to fresh allocation.
+func scratchFor[V, M any](pg *PartitionedGraph, shards int, frontiers, reuse bool) *engineScratch[V, M] {
 	var s *engineScratch[V, M]
-	if pg.ReuseBuffers {
+	if reuse {
 		s, _ = pg.scratch.take(scratchKey[V, M]()).(*engineScratch[V, M])
 	}
 	if s != nil {
@@ -454,7 +487,8 @@ func runEngine[V, M any](ctx context.Context, pg *PartitionedGraph, prog Program
 		shards = 1
 	}
 
-	sc := scratchFor[V, M](pg, shards, prog.ActiveDirection != AllEdges)
+	reuse := pg.ReuseBuffers && parkable[V, M]()
+	sc := scratchFor[V, M](pg, shards, prog.ActiveDirection != AllEdges, reuse)
 	masterVals := sc.masterVals
 	changedBits := sc.changedBits
 	masterMsg := sc.masterMsg
@@ -581,14 +615,14 @@ func runEngine[V, M any](ctx context.Context, pg *PartitionedGraph, prog Program
 			case errors.Is(err, ErrHalt):
 				stats.Halted = true
 				stats.Converged = false
-				return finishRun(pg, sc, masterVals), stats, nil
+				return finishRun(pg, sc, reuse), stats, nil
 			case err != nil:
 				return nil, nil, fmt.Errorf("pregel: superstep %d monitor: %w", step, err)
 			}
 		}
 	}
 	stats.Converged = activeCount == 0
-	return finishRun(pg, sc, masterVals), stats, nil
+	return finishRun(pg, sc, reuse), stats, nil
 }
 
 // localSuperstep runs phases 1–3 of one superstep in-process: broadcast
@@ -760,16 +794,16 @@ func localSuperstep[V, M any](ctx context.Context, pg *PartitionedGraph, prog *P
 	return nil
 }
 
-// finishRun hands the final vertex values to the caller. With buffer reuse
-// the scratch (including masterVals) is parked for the next run, so the
-// caller gets a private copy; otherwise the scratch-owned slice itself is
-// returned and the scratch is dropped.
-func finishRun[V, M any](pg *PartitionedGraph, sc *engineScratch[V, M], masterVals []V) []V {
-	if !pg.ReuseBuffers {
-		return masterVals
+// finishRun hands the final vertex values to the caller. With reuse the
+// scratch (including masterVals) is parked for the next run, so the caller
+// gets a private copy; otherwise the scratch-owned slice itself is returned
+// and the scratch is dropped.
+func finishRun[V, M any](pg *PartitionedGraph, sc *engineScratch[V, M], reuse bool) []V {
+	if !reuse {
+		return sc.masterVals
 	}
-	out := make([]V, len(masterVals))
-	copy(out, masterVals)
+	out := make([]V, len(sc.masterVals))
+	copy(out, sc.masterVals)
 	pg.scratch.put(scratchKey[V, M](), sc, pg.scratchDepth())
 	return out
 }

@@ -127,7 +127,9 @@ type BuildOptions struct {
 	// and first runs over a topology ApplyDelta derived from it reallocate
 	// nothing. Pools hold up to max(4, Parallelism) scratches per program
 	// type, so N simultaneous Runs of one algorithm all reuse buffers; runs
-	// that find their pool empty fall back to fresh allocation.
+	// that find their pool empty fall back to fresh allocation. Only
+	// programs whose vertex value and message types hold no pointers park
+	// anything: a pool must be able to say exactly what it keeps alive.
 	ReuseBuffers bool
 }
 
@@ -182,10 +184,11 @@ type PartitionedGraph struct {
 
 // maxScratchTypes bounds how many distinct program types park scratches in
 // one pool; beyond it, additional types simply run with fresh
-// buffers. Generously above the built-in algorithm mix, it exists so a
-// server executing arbitrary custom programs cannot grow the pool map
-// without bound.
-const maxScratchTypes = 8
+// buffers. Above the built-in algorithm mix (PageRank, dynamic PageRank, CC,
+// k-core and the seven shortest-paths widths), it exists so a server
+// executing arbitrary custom programs cannot grow the pool map without
+// bound.
+const maxScratchTypes = 16
 
 // minScratchDepth is the per-type pool depth floor. The effective depth is
 // max(minScratchDepth, Parallelism): concurrency beyond the worker pool

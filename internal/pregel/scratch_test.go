@@ -2,6 +2,7 @@ package pregel
 
 import (
 	"context"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -327,5 +328,106 @@ func TestScratchFollowsLineage(t *testing.T) {
 		}
 		child.scratch.put(key, revived, child.scratchDepth())
 		pg, a, masterCap = child, na, cap(sc.masterVals)
+	}
+}
+
+// TestPointerFree: the rule that decides whether a program's scratch may be
+// parked — scalars, and arrays and structs of them, all the way down.
+func TestPointerFree(t *testing.T) {
+	type flat struct {
+		rank, delta float64
+		done        bool
+		dist        [4]int32
+	}
+	type holder struct {
+		n    int
+		vote map[graph.VertexID]int64
+	}
+	for _, c := range []struct {
+		typ  reflect.Type
+		want bool
+	}{
+		{reflect.TypeFor[float64](), true},
+		{reflect.TypeFor[graph.VertexID](), true},
+		{reflect.TypeFor[[64]int32](), true},
+		{reflect.TypeFor[flat](), true},
+		{reflect.TypeFor[[2]flat](), true},
+		{reflect.TypeFor[[0]*int](), true},
+		{reflect.TypeFor[struct{}](), true},
+		{reflect.TypeFor[map[graph.VertexID]int32](), false},
+		{reflect.TypeFor[[]int32](), false},
+		{reflect.TypeFor[string](), false},
+		{reflect.TypeFor[*int](), false},
+		{reflect.TypeFor[any](), false},
+		{reflect.TypeFor[func()](), false},
+		{reflect.TypeFor[chan int](), false},
+		{reflect.TypeFor[holder](), false},
+		{reflect.TypeFor[[3]holder](), false},
+	} {
+		if got := pointerFree(c.typ); got != c.want {
+			t.Errorf("pointerFree(%v) = %v, want %v", c.typ, got, c.want)
+		}
+	}
+}
+
+// TestPointerValuedProgramNeverParks: a program whose messages are maps runs
+// on a ReuseBuffers topology like any other, but its scratch — whose slots
+// would keep maps alive that footprint cannot see — is dropped, not parked,
+// while a scalar program on the same topology parks as before.
+func TestPointerValuedProgramNeverParks(t *testing.T) {
+	g := randomGraph(21, 40, 200)
+	assign, err := partition.RandomVertexCut().Partition(g, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type votes map[graph.VertexID]int64
+	prog := Program[graph.VertexID, votes]{
+		Init: func(id graph.VertexID) graph.VertexID { return id },
+		VProg: func(id graph.VertexID, val graph.VertexID, msg votes) graph.VertexID {
+			return val + graph.VertexID(len(msg))
+		},
+		SendMsg: func(tr *Triplet[graph.VertexID], emit Emitter[votes]) {
+			emit.ToDst(votes{tr.SrcVal: 1})
+		},
+		MergeMsg: func(a, b votes) votes {
+			out := votes{}
+			for k, v := range a {
+				out[k] += v
+			}
+			for k, v := range b {
+				out[k] += v
+			}
+			return out
+		},
+		MaxIterations:   3,
+		ActiveDirection: AllEdges,
+	}
+	var want []graph.VertexID
+	for _, reuse := range []bool{false, true, true} {
+		pg, err := NewPartitionedGraphOpts(g, assign, 4, BuildOptions{ReuseBuffers: reuse})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := Run(context.Background(), pg, prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = got
+		} else if !slices.Equal(got, want) {
+			t.Fatalf("ReuseBuffers=%v changed the result", reuse)
+		}
+		if n := pg.scratch.parked(scratchKey[graph.VertexID, votes]()); n != 0 {
+			t.Fatalf("%d map-valued scratches parked", n)
+		}
+		if b := pg.scratch.parkedBytes(); b != 0 {
+			t.Fatalf("pool weighs %d bytes after a map-valued run", b)
+		}
+		if reuse {
+			runTrivial[int64](t, pg)
+			if pg.scratch.parked(scratchKey[int64, int64]()) != 1 {
+				t.Fatal("a scalar program no longer parks its scratch")
+			}
+		}
 	}
 }

@@ -420,16 +420,12 @@ func (se *Session) Run(ctx context.Context, g *Graph, s Strategy, numParts int, 
 			return nil, fmt.Errorf("cutfit: sssp needs a non-empty graph")
 		}
 		landmark := verts[0]
-		dists, st, err := algorithms.ShortestPaths(ctx, pg, []VertexID{landmark}, 0)
+		hops, st, err := algorithms.HopDistances(ctx, pg, []VertexID{landmark}, 0)
 		if err != nil {
 			return nil, err
 		}
 		stats = st
-		for _, d := range dists {
-			if len(d) > 0 {
-				rep.Reached++
-			}
-		}
+		rep.Reached = hops.Reached()
 		rep.Landmark = &landmark
 	default:
 		return nil, fmt.Errorf("cutfit: unknown algorithm %q (want pagerank, dynamicpr, cc, triangles or sssp)", alg)
