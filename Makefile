@@ -56,13 +56,19 @@ lint: vet
 # persistence layer (snap codecs, disk
 # tier spill/restore, warm-start handlers), the distributed runtime
 # (coordinator/worker exchange over loopback sockets, equivalence and
-# failure suites, hostile step frames, the bulk mirror/message slabs against
-# their per-pair oracle), the Triangle Count kernel (shared plan, pooled
-# mark sets, equivalence with the reference at one and many workers) and the
+# failure suites, hostile step frames, a cancelled superstep, the
+# vertex-frame fan-out and parallel scan against the per-slab oracle), the
+# Triangle Count kernel (shared plan, pooled mark sets, equivalence with the
+# reference at one and many workers) and the
 # fixed-width shortest-paths program (equivalence with its map-valued
-# reference on fresh and revived scratches, one and eight workers).
+# reference on fresh and revived scratches, one and eight workers). The
+# engine and the distributed runtime run at -cpu 1,4: their parallel paths
+# (a worker's fan-out and partition scan, the coordinator's concurrent
+# encode and sharded merge, par.ForEach under both) are exercised with all
+# goroutines interleaved on one thread and truly concurrent on four.
 race:
-	$(GO) test -race . ./cmd/cutfitd/... ./internal/graph/... ./internal/pregel/... ./internal/algorithms/... ./internal/testutil/... ./internal/partition/... ./internal/store/... ./internal/snap/... ./internal/obsv/... ./internal/dist/...
+	$(GO) test -race . ./cmd/cutfitd/... ./cmd/cutfit-worker/... ./internal/graph/... ./internal/algorithms/... ./internal/testutil/... ./internal/partition/... ./internal/store/... ./internal/snap/... ./internal/obsv/...
+	$(GO) test -race -cpu 1,4 ./internal/par/... ./internal/pregel/... ./internal/dist/...
 
 # Hot-path benchmarks: partition construction (old vs new, and across
 # dataset analogs × strategies), the sparse-frontier scan payoff,

@@ -48,6 +48,16 @@ import (
 // termination signal.
 const shutdownGrace = 10 * time.Second
 
+// newHTTPServer is the worker's listener configuration, the daemon's: a
+// client gets ten seconds to finish its request headers and an idle
+// keep-alive connection is closed after two minutes — the coordinator keeps
+// one per worker between supersteps and reconnects transparently after a
+// longer pause — and there is no WriteTimeout, because a superstep on a large
+// shard may legitimately take minutes to answer.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: 10 * time.Second, IdleTimeout: 2 * time.Minute}
+}
+
 func main() {
 	addr := flag.String("addr", ":9090", "listen address")
 	flag.Parse()
@@ -63,7 +73,7 @@ func main() {
 		_ = obsv.Default.WritePrometheus(w)
 	})
 
-	httpSrv := &http.Server{Addr: *addr, Handler: mux}
+	httpSrv := newHTTPServer(*addr, mux)
 	errCh := make(chan error, 1)
 	go func() {
 		logger.Info("cutfit-worker listening", "addr", *addr)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -14,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"cutfit/internal/testutil"
 )
 
 // TestMethodNotAllowed: a known path with an unregistered method gets
@@ -430,49 +431,5 @@ func TestPanickingHandlerReleasesSlotAndIsCounted(t *testing.T) {
 // sends half a request and stalls is closed by the server once the header
 // timeout passes, without a reply.
 func TestStalledHeadersAreClosed(t *testing.T) {
-	hs := newHTTPServer("127.0.0.1:0", http.NotFoundHandler())
-	if hs.ReadHeaderTimeout <= 0 || hs.IdleTimeout <= 0 {
-		t.Fatalf("ReadHeaderTimeout %v, IdleTimeout %v: both must be set", hs.ReadHeaderTimeout, hs.IdleTimeout)
-	}
-	if hs.WriteTimeout != 0 {
-		t.Fatalf("WriteTimeout %v: a long run must not be cut off", hs.WriteTimeout)
-	}
-	// The production value is seconds; the mechanism is the same at 200 ms.
-	const timeout = 200 * time.Millisecond
-	hs.ReadHeaderTimeout = timeout
-	ln, err := net.Listen("tcp", hs.Addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	served := make(chan error, 1)
-	go func() { served <- hs.Serve(ln) }()
-	defer func() {
-		hs.Close()
-		if err := <-served; err != http.ErrServerClosed {
-			t.Errorf("Serve: %v", err)
-		}
-	}()
-
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	start := time.Now()
-	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: cutfitd\r\n"); err != nil {
-		t.Fatal(err)
-	}
-	// The test's own patience: far beyond the timeout, so hitting it means
-	// the server never hung up.
-	conn.SetReadDeadline(start.Add(20 * timeout))
-	reply, err := io.ReadAll(conn)
-	if err != nil {
-		t.Fatalf("the server kept a connection with unfinished headers open: %v", err)
-	}
-	if len(reply) != 0 {
-		t.Fatalf("the server answered half a request: %q", reply)
-	}
-	if waited := time.Since(start); waited < timeout {
-		t.Fatalf("closed after %v, before the %v header timeout", waited, timeout)
-	}
+	testutil.CheckStalledHeadersAreClosed(t, newHTTPServer("127.0.0.1:0", http.NotFoundHandler()))
 }

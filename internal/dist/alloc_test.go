@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 
 	"cutfit/internal/algorithms"
@@ -38,8 +39,9 @@ func (w *nullWriter) Write(p []byte) (int, error) { return len(p), nil }
 func (w *nullWriter) WriteHeader(code int)        { w.code = code }
 
 // TestHandleStepAllocs: once a run's frame buffers have seen one superstep,
-// ingesting a broadcast frame, scanning and building the reduce frame
-// allocate per request and per partition, never per pair.
+// ingesting a broadcast frame, fanning it out, scanning on the pool and
+// building the reduce frame allocate per request, per scan goroutine and per
+// partition, never per pair or mirror.
 func TestHandleStepAllocs(t *testing.T) {
 	pg := allocGraph(t)
 	w := NewWorker()
@@ -55,17 +57,15 @@ func TestHandleStepAllocs(t *testing.T) {
 		t.Fatalf("RunStart: %d %s", rec.Code, rec.Body)
 	}
 
-	var parts []framePart
-	pairs := 0
-	for p, part := range pg.Parts {
-		fp := framePart{part: p, n: part.NumLocalVertices()}
-		for l := 0; l < fp.n; l++ {
-			fp.pairs = f64Pair(fp.pairs, uint32(l), 1)
-		}
-		parts = append(parts, fp)
-		pairs += fp.n
+	// Every vertex changes: one pair each in, one write per mirror slot and
+	// one pair per message out.
+	nv := pg.G.NumVertices()
+	var pairs []byte
+	for v := 0; v < nv; v++ {
+		pairs = f64Pair(pairs, uint32(v), 1)
 	}
-	frame := encodeBroadcastFrame(0, parts)
+	frame := broadcastFrame(0, pairs)
+	items := nv + int(pg.TotalMirrors())
 	step := 0
 	post := func() {
 		step++
@@ -81,9 +81,9 @@ func TestHandleStepAllocs(t *testing.T) {
 	post() // sizes the run's buffers
 	allocs := testing.AllocsPerRun(20, post)
 	budget := float64(32 + 8*pg.NumParts)
-	t.Logf("%.0f allocations per superstep of %d pairs over %d partitions (budget %.0f)", allocs, pairs, pg.NumParts, budget)
-	if pairs < 100*int(budget) {
-		t.Fatalf("fixture too small to tell: %d pairs against a budget of %.0f", pairs, budget)
+	t.Logf("%.0f allocations per superstep of %d pairs and mirror slots over %d partitions (budget %.0f)", allocs, items, pg.NumParts, budget)
+	if items < 100*int(budget) {
+		t.Fatalf("fixture too small to tell: %d pairs and mirror slots against a budget of %.0f", items, budget)
 	}
 	if allocs > budget {
 		t.Errorf("handleStep allocates %.0f times per superstep, budget %.0f", allocs, budget)
@@ -91,8 +91,9 @@ func TestHandleStepAllocs(t *testing.T) {
 }
 
 // TestExchangeAllocs: the coordinator's side of a steady-state superstep —
-// encode, two round trips over loopback, parse, merge — allocates per worker
-// and per partition (most of it net/http's, per request), never per pair.
+// concurrent encode, two round trips over loopback, replies validated as they
+// arrive, sharded merge — allocates per worker, per merge shard and per
+// partition (most of it net/http's, per request), never per pair.
 func TestExchangeAllocs(t *testing.T) {
 	ctx := context.Background()
 	pg := allocGraph(t)
@@ -118,8 +119,9 @@ func TestExchangeAllocs(t *testing.T) {
 	for i := range vals {
 		vals[i] = 1
 	}
-	delivered := 0
-	deliver := func(int32, float64) { delivered++ }
+	// Merge shards deliver concurrently (to different vertices).
+	var delivered atomic.Int64
+	deliver := func(int32, float64) { delivered.Add(1) }
 	step := 0
 	var ss pregel.SuperstepStats
 	exchange := func() {
@@ -131,7 +133,10 @@ func TestExchangeAllocs(t *testing.T) {
 	}
 	exchange() // sizes the frame and reply buffers
 	allocs := testing.AllocsPerRun(20, exchange)
-	pairs := int(ss.BroadcastMsgs) + delivered/step
+	pairs := int(delivered.Load()) / step
+	for _, frame := range ex.frames {
+		pairs += (len(frame) - frameHeaderSize) / 12
+	}
 	budget := float64(400 + 8*pg.NumParts)
 	t.Logf("%.0f allocations per superstep of %d pairs over %d partitions (budget %.0f)", allocs, pairs, pg.NumParts, budget)
 	if pairs < 20*int(budget) {

@@ -7,6 +7,7 @@ import (
 
 	"cutfit/internal/algorithms"
 	"cutfit/internal/gen"
+	"cutfit/internal/obsv"
 	"cutfit/internal/partition"
 	"cutfit/internal/pregel"
 )
@@ -42,7 +43,10 @@ func benchCluster(b *testing.B) (*Pool, *pregel.PartitionedGraph) {
 // superstep's encode, round trip, scan and merge, RunFinish — for the three
 // served algorithms. The first run outside the timer ships the shards, so the
 // loop measures the steady state a warm cluster serves. MB/s is frame bytes
-// (both directions) per run.
+// (both directions) per run; bcast_B/step is the broadcast frames' bytes per
+// superstep, and coord_ms/step what a superstep costs on the coordinator
+// alone while the workers idle — its wall time less the barrier: encode,
+// merge, apply.
 func BenchmarkDistRun(b *testing.B) {
 	ctx := context.Background()
 	runs := []struct {
@@ -62,6 +66,8 @@ func BenchmarkDistRun(b *testing.B) {
 			return err
 		}},
 	}
+	// The engine's own superstep histogram, found by name.
+	hSuperstep := obsv.Default.Histogram("cutfit_pregel_superstep_seconds", "", obsv.DefBuckets)
 	pool, pg := benchCluster(b)
 	for _, r := range runs {
 		b.Run(r.name, func(b *testing.B) {
@@ -74,12 +80,18 @@ func BenchmarkDistRun(b *testing.B) {
 			}
 			b.SetBytes(frameBytes() - before)
 			b.ReportAllocs()
+			bcast, steps := cBytes.With("broadcast").Value(), hSuperstep.Count()
+			stepSecs, barrierSecs := hSuperstep.Sum(), hBarrierSeconds.Sum()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := r.run(pool, pg); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.StopTimer()
+			steps = hSuperstep.Count() - steps
+			b.ReportMetric(float64(cBytes.With("broadcast").Value()-bcast)/float64(steps), "bcast_B/step")
+			b.ReportMetric(1e3*((hSuperstep.Sum()-stepSecs)-(hBarrierSeconds.Sum()-barrierSecs))/float64(steps), "coord_ms/step")
 		})
 	}
 }

@@ -7,9 +7,10 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sync"
+	"sort"
 	"time"
 
+	"cutfit/internal/par"
 	"cutfit/internal/pregel"
 	"cutfit/internal/snap"
 )
@@ -17,15 +18,14 @@ import (
 // prepareWorker ensures worker wIdx holds the shard for (pg, key): nothing
 // if the cache says it was sent and not since pushed out (a stale cache is
 // healed by RunStart's 404 → full re-ship), a delta patch when the newest
-// shard sent is a compatible base, else a full container. Caller holds
-// pool.mu.
+// shard sent is a compatible base, else a full container. It holds the
+// worker's cache lock for the duration, so two runs cannot interleave delta
+// chains on one worker; other workers are not kept waiting.
 func (p *Pool) prepareWorker(ctx context.Context, wIdx int, key string, pg *pregel.PartitionedGraph) error {
 	url := p.urls[wIdx]
-	wc := p.cache[url]
-	if wc == nil {
-		wc = &workerCache{}
-		p.cache[url] = wc
-	}
+	wc := &p.caches[wIdx]
+	wc.mu.Lock()
+	defer wc.mu.Unlock()
 	if slices.Contains(wc.keys, key) {
 		cShards.With("reused").Inc()
 		return nil
@@ -45,18 +45,64 @@ func (p *Pool) prepareWorker(ctx context.Context, wIdx int, key string, pg *preg
 			// Base evicted on the worker: fall through to a full ship.
 		}
 	}
-	full := snap.EncodeShard(extractShard(pg, wIdx, len(p.urls)))
-	if err := p.tr.InstallShard(ctx, url, key, full); err != nil {
+	if err := p.shipFull(ctx, wIdx, key, pg); err != nil {
 		return err
 	}
-	cShards.With("full").Inc()
 	wc.sent(key, pg)
 	return nil
 }
 
-// exchanger ships the engine's mirror phases over the pool: broadcast
-// frames out to every worker, one barrier wait, reduce frames merged back
-// in ascending partition order.
+// shipFull installs worker wIdx's whole shard of pg under key.
+func (p *Pool) shipFull(ctx context.Context, wIdx int, key string, pg *pregel.PartitionedGraph) error {
+	full := snap.EncodeShard(extractShard(pg, wIdx, len(p.urls)))
+	if err := p.tr.InstallShard(ctx, p.urls[wIdx], key, full); err != nil {
+		return err
+	}
+	cShards.With("full").Inc()
+	return nil
+}
+
+// startWorker brings worker wIdx to the point where it can step the run:
+// its shard resident, the run bound to it.
+func (p *Pool) startWorker(ctx context.Context, wIdx int, pg *pregel.PartitionedGraph, spec RunSpec) error {
+	if err := p.prepareWorker(ctx, wIdx, spec.Shard, pg); err != nil {
+		return err
+	}
+	err := p.tr.StartRun(ctx, p.urls[wIdx], spec)
+	if errors.Is(err, ErrShardMissing) {
+		// The worker evicted the shard (or restarted) since the cache
+		// last shipped it: re-ship a full container and retry once.
+		if err = p.shipFull(ctx, wIdx, spec.Shard, pg); err == nil {
+			err = p.tr.StartRun(ctx, p.urls[wIdx], spec)
+		}
+	}
+	return err
+}
+
+// forEachWorker runs fn for every worker index at once and returns the first
+// error in worker order, else ctx's if it ended before every worker had its
+// turn.
+func (p *Pool) forEachWorker(ctx context.Context, fn func(w int) error) error {
+	W := len(p.urls)
+	errs := make([]error, W)
+	cancelled := par.ForEach(ctx, W, W, func(w int) { errs[w] = fn(w) })
+	return firstError(errs, cancelled)
+}
+
+// firstError returns the first non-nil error of errs, else last.
+func firstError(errs []error, last error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return last
+}
+
+// exchanger ships the engine's mirror phases over the pool: one vertex frame
+// out to every worker, one barrier wait, reduce frames validated as they
+// arrive and merged back in ascending partition order, sharded by vertex
+// range.
 type exchanger[V, M any] struct {
 	pool  *Pool
 	pg    *pregel.PartitionedGraph
@@ -65,178 +111,202 @@ type exchanger[V, M any] struct {
 	vc    pregel.Codec[V]
 	mc    pregel.Codec[M]
 
-	// Broadcast scratch, reused across supersteps: each partition's pair
-	// count, the unwritten rest of its slab inside its worker's frame, the
-	// frames themselves and one encoded value. replies holds each worker's
-	// reduce frame, read into the same storage every superstep.
-	counts  []int
-	slabs   [][]byte
-	frames  [][]byte
-	val     []byte
-	replies [][]byte
+	// mirrored[w] is the set of vertices with at least one mirror in a
+	// partition worker w owns, as a bitset over global dense indices: ANDed
+	// with the frontier it is exactly what w's broadcast frame must carry.
+	mirrored [][]uint64
+
+	// Scratch reused across supersteps: the broadcast frames, each worker's
+	// reduce frame (read into the same storage every superstep), the reduce
+	// sections filed by partition, the round-trip times behind the barrier
+	// metric and the merge's per-shard counters.
+	frames   [][]byte
+	replies  [][]byte
+	sections []reduceSection
+	rtt      []time.Duration // per worker: frame posted to reply validated
+	errs     []error         // per worker
+	rMsgs    []int64
+	rBytes   []int64
 }
 
 func newExchanger[V, M any](pool *Pool, pg *pregel.PartitionedGraph, runID string, prog *pregel.Program[V, M], vc pregel.Codec[V], mc pregel.Codec[M]) *exchanger[V, M] {
-	return &exchanger[V, M]{
-		pool:    pool,
-		pg:      pg,
-		runID:   runID,
-		prog:    prog,
-		vc:      vc,
-		mc:      mc,
-		counts:  make([]int, pg.NumParts),
-		slabs:   make([][]byte, pg.NumParts),
-		frames:  make([][]byte, pool.Size()),
-		replies: make([][]byte, pool.Size()),
+	W := pool.Size()
+	shards := max(pg.Parallelism, 1)
+	ex := &exchanger[V, M]{
+		pool:     pool,
+		pg:       pg,
+		runID:    runID,
+		prog:     prog,
+		vc:       vc,
+		mc:       mc,
+		mirrored: make([][]uint64, W),
+		frames:   make([][]byte, W),
+		replies:  make([][]byte, W),
+		sections: make([]reduceSection, pg.NumParts),
+		rtt:      make([]time.Duration, W),
+		errs:     make([]error, W),
+		rMsgs:    make([]int64, shards),
+		rBytes:   make([]int64, shards),
 	}
-}
-
-// forEachChanged calls fn with every set bit of the frontier, ascending.
-func forEachChanged(changed []uint64, fn func(v int32)) {
-	for wi, w := range changed {
-		base := int32(wi << 6)
-		for w != 0 {
-			fn(base + int32(bits.TrailingZeros64(w)))
-			w &= w - 1
+	words := (pg.G.NumVertices() + 63) / 64
+	for w := range ex.mirrored {
+		ex.mirrored[w] = make([]uint64, words)
+	}
+	for p, part := range pg.Parts {
+		m := ex.mirrored[workerOf(p, W)]
+		for _, v := range part.LocalVerts {
+			m[v>>6] |= 1 << (uint32(v) & 63)
 		}
 	}
+	return ex
 }
 
-// encodeBroadcast fills one broadcast frame per worker (only its owned
-// partitions with changed mirrors) straight from the routing CSR: a counting
-// walk sizes every slab, the frames are laid out, and a second walk encodes
-// each changed value once and copies it into the slab of every mirror. The
-// frontier is walked ascending and LocalVerts is sorted by global index, so
-// each slab ends up ascending by local index.
-func (ex *exchanger[V, M]) encodeBroadcast(step int, changed []uint64, masterVals []V, ss *pregel.SuperstepStats) {
-	pg, numParts, W := ex.pg, ex.pg.NumParts, len(ex.frames)
+// encodeBroadcast fills worker w's broadcast frame: every changed vertex
+// mirrored on w, once, ascending — the frontier ANDed with the worker's
+// mirrored set, a word at a time (a popcount pass sizes the frame, a second
+// pass encodes in place).
+func (ex *exchanger[V, M]) encodeBroadcast(w, step int, changed []uint64, masterVals []V) {
+	mirrored := ex.mirrored[w]
+	n := 0
+	for wi, c := range changed {
+		n += bits.OnesCount64(c & mirrored[wi])
+	}
 	pairSize := 4 + ex.vc.Size()
-	clear(ex.counts)
-	forEachChanged(changed, func(v int32) {
-		for _, ref := range pg.MirrorsOf(v) {
-			ex.counts[ref.Part]++
-		}
-	})
-	for w := 0; w < W; w++ {
-		size, sections := frameHeaderSize, 0
-		for p := w; p < numParts; p += W {
-			if n := ex.counts[p]; n > 0 {
-				size += partHeaderSize + n*pairSize
-				sections++
-			}
-		}
-		frame := slices.Grow(ex.frames[w][:0], size)[:size]
-		ex.frames[w] = frame
-		putFrameHeader(frame, magicBroadcast, step, sections)
-		off := frameHeaderSize
-		for p := w; p < numParts; p += W {
-			if n := ex.counts[p]; n > 0 {
-				binary.LittleEndian.PutUint32(frame[off:], uint32(p))
-				binary.LittleEndian.PutUint32(frame[off+4:], uint32(n))
-				off += partHeaderSize
-				ex.slabs[p] = frame[off : off+n*pairSize]
-				off += n * pairSize
-			}
+	size := frameHeaderSize + n*pairSize
+	frame := slices.Grow(ex.frames[w][:0], size)[:size]
+	ex.frames[w] = frame
+	putFrameHeader(frame, magicBroadcast, step, n)
+	off := frameHeaderSize
+	for wi, c := range changed {
+		c &= mirrored[wi]
+		for c != 0 {
+			v := wi<<6 + bits.TrailingZeros64(c)
+			c &= c - 1
+			binary.LittleEndian.PutUint32(frame[off:], uint32(v))
+			ex.vc.Append(frame[off+4:off+4], masterVals[v])
+			off += pairSize
 		}
 	}
-	forEachChanged(changed, func(v int32) {
-		val := masterVals[v]
-		refs := pg.MirrorsOf(v)
-		ss.BroadcastMsgs += int64(len(refs))
-		ss.BroadcastBytes += int64(len(refs)) * int64(ex.prog.StateSize(val))
-		ex.val = ex.vc.Append(ex.val[:0], val)
-		for _, ref := range refs {
-			slab := ex.slabs[ref.Part]
-			binary.LittleEndian.PutUint32(slab, uint32(ref.Local))
-			copy(slab[4:pairSize], ex.val)
-			ex.slabs[ref.Part] = slab[pairSize:]
-		}
-	})
 }
 
-func (ex *exchanger[V, M]) Exchange(ctx context.Context, step int, changed []uint64, masterVals []V, deliver func(gidx int32, m M), ss *pregel.SuperstepStats) error {
-	numParts := ex.pg.NumParts
-	W := ex.pool.Size()
-	ex.encodeBroadcast(step, changed, masterVals, ss)
+// countBroadcast charges the superstep what the paper's CommCost counts and
+// the local broadcast phase would have: one message per mirror of every
+// changed vertex, whichever partition and worker holds it. The mirror counts
+// come from the routing offsets; the wire carries each vertex once per worker.
+func (ex *exchanger[V, M]) countBroadcast(changed []uint64, masterVals []V, ss *pregel.SuperstepStats) {
+	for wi, c := range changed {
+		for c != 0 {
+			v := int32(wi<<6 + bits.TrailingZeros64(c))
+			c &= c - 1
+			mirrors := int64(ex.pg.Mirrors(v))
+			ss.BroadcastMsgs += mirrors
+			ss.BroadcastBytes += mirrors * int64(ex.prog.StateSize(masterVals[v]))
+		}
+	}
+}
 
-	// One frame per worker, posted concurrently; waiting for the slowest
-	// worker is the superstep barrier. A frame buffer is free for the next
-	// superstep once its worker has answered: the answer follows the scan,
-	// which follows reading the whole frame.
-	errs := make([]error, W)
-	barrierStart := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < W; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ex.replies[w], errs[w] = ex.pool.tr.Step(ctx, ex.pool.urls[w], ex.runID, ex.frames[w], ex.replies[w])
-		}()
+// roundTrip is worker w's share of a superstep's barrier: encode its frame,
+// post it, and validate and file the reply while the other workers still
+// scan. The frame buffer is free for the next superstep once the worker has
+// answered: the answer follows the scan, which follows reading the whole
+// frame.
+func (ex *exchanger[V, M]) roundTrip(ctx context.Context, w, step int, changed []uint64, masterVals []V) error {
+	ex.encodeBroadcast(w, step, changed, masterVals)
+	url := ex.pool.urls[w]
+	start := time.Now()
+	reply, err := ex.pool.tr.Step(ctx, url, ex.runID, ex.frames[w], ex.replies[w])
+	if err != nil {
+		return err
 	}
-	wg.Wait()
-	hBarrierSeconds.Observe(time.Since(barrierStart).Seconds())
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	ex.replies[w] = reply
+	gotStep, err := parseReduceFrame(reply, ex.mc.Size(), ex.pg, w, len(ex.frames), ex.sections)
+	ex.rtt[w] = time.Since(start)
+	if err != nil {
+		return fmt.Errorf("dist: worker %s reduce frame: %w", url, err)
 	}
-
-	// Decode reduce frames and index partitions; every partition must
-	// report exactly once.
-	entries := make([]*framePart, numParts)
-	for w := 0; w < W; w++ {
-		gotStep, parts, err := parseFrame(ex.replies[w], magicReduce, ex.mc.Size(), true)
-		if err != nil {
-			return fmt.Errorf("dist: worker %s reduce frame: %w", ex.pool.urls[w], err)
-		}
-		if gotStep != step {
-			return fmt.Errorf("dist: worker %s answered superstep %d, want %d", ex.pool.urls[w], gotStep, step)
-		}
-		for i := range parts {
-			fp := &parts[i]
-			if fp.part < 0 || fp.part >= numParts || workerOf(fp.part, W) != w {
-				return fmt.Errorf("dist: worker %s reported partition %d it does not own", ex.pool.urls[w], fp.part)
-			}
-			if entries[fp.part] != nil {
-				return fmt.Errorf("dist: partition %d reported twice", fp.part)
-			}
-			entries[fp.part] = fp
-		}
+	if gotStep != step {
+		return fmt.Errorf("dist: worker %s answered superstep %d, want %d", url, gotStep, step)
 	}
-
-	// Merge in ascending partition order — per destination vertex that is
-	// exactly the local reduce phase's ascending-partition merge order, so
-	// float64 combines associate identically.
-	ss.ComputePerPart = make([]float64, numParts)
-	pairSize := 4 + ex.mc.Size()
-	var nPost int64
-	for p := 0; p < numParts; p++ {
-		e := entries[p]
-		if e == nil {
-			return fmt.Errorf("dist: partition %d missing from reduce frames", p)
-		}
-		ss.EdgesScanned += e.scanned
-		ss.ActiveEdges += e.visited
-		ss.MsgsEmitted += e.emitted
-		ss.ComputePerPart[p] = e.cost
-		lv := ex.pg.Parts[p].LocalVerts
-		for off := 0; off < len(e.pairs); off += pairSize {
-			local := binary.LittleEndian.Uint32(e.pairs[off:])
-			if int(local) >= len(lv) {
-				return fmt.Errorf("dist: partition %d reduce pair local %d out of range [0,%d)", p, local, len(lv))
-			}
-			deliver(lv[local], ex.mc.Decode(e.pairs[off+4:]))
-			nPost++
-		}
-	}
-	cMsgsPre.Add(ss.MsgsEmitted)
-	cMsgsPost.Add(nPost)
 	return nil
 }
 
-// runDist executes one algorithm distributed: prepare shards on every
-// worker, bind a run, then let the engine drive supersteps through the
-// exchanger. Any worker failure fails the whole run — the caller
+// mergeShard is the sh-th share of a superstep's merge, sharded by
+// destination-vertex range as the local reduce phase is: every slab ascends
+// by local index and LocalVerts ascends by global index, so a shard
+// binary-searches its range in each partition's slab and walks the partitions
+// ascending. Each vertex still merges p0, p1, … in order — float64 combines
+// associate exactly as they do locally — and shards own disjoint vertices, so
+// they merge concurrently, each counting what it delivered.
+func (ex *exchanger[V, M]) mergeShard(sh int, deliver func(gidx int32, m M)) {
+	nv, shards := ex.pg.G.NumVertices(), len(ex.rMsgs)
+	chunk := (nv + shards - 1) / shards
+	gLo, gHi := int32(min(sh*chunk, nv)), int32(min((sh+1)*chunk, nv))
+	pairSize := 4 + ex.mc.Size()
+	var msgs, bytes int64
+	for p := range ex.sections {
+		sec := &ex.sections[p]
+		lv := ex.pg.Parts[p].LocalVerts
+		lLo, _ := slices.BinarySearch(lv, gLo)
+		lHi, _ := slices.BinarySearch(lv, gHi)
+		first := sort.Search(sec.n, func(i int) bool {
+			return int(binary.LittleEndian.Uint32(sec.pairs[i*pairSize:])) >= lLo
+		})
+		for off := first * pairSize; off < len(sec.pairs); off += pairSize {
+			local := int(binary.LittleEndian.Uint32(sec.pairs[off:]))
+			if local >= lHi {
+				break
+			}
+			m := ex.mc.Decode(sec.pairs[off+4 : off+pairSize])
+			deliver(lv[local], m)
+			msgs++
+			bytes += int64(ex.prog.MsgSize(m))
+		}
+	}
+	ex.rMsgs[sh], ex.rBytes[sh] = msgs, bytes
+}
+
+func (ex *exchanger[V, M]) Exchange(ctx context.Context, step int, changed []uint64, masterVals []V, deliver func(gidx int32, m M), ss *pregel.SuperstepStats) error {
+	// One round trip per worker, all at once; waiting for the slowest is the
+	// superstep barrier.
+	clear(ex.sections)
+	clear(ex.rtt)
+	clear(ex.errs)
+	W := len(ex.frames)
+	cancelled := par.ForEach(ctx, W, W, func(w int) { ex.errs[w] = ex.roundTrip(ctx, w, step, changed, masterVals) })
+	hBarrierSeconds.Observe(slices.Max(ex.rtt).Seconds())
+	if err := firstError(ex.errs, cancelled); err != nil {
+		return err
+	}
+
+	ex.countBroadcast(changed, masterVals, ss)
+	ss.ComputePerPart = make([]float64, ex.pg.NumParts)
+	for p := range ex.sections {
+		sec := &ex.sections[p]
+		if !sec.seen {
+			return fmt.Errorf("dist: partition %d missing from reduce frames", p)
+		}
+		ss.EdgesScanned += sec.scanned
+		ss.ActiveEdges += sec.visited
+		ss.MsgsEmitted += sec.emitted
+		ss.ComputePerPart[p] = sec.cost
+	}
+
+	shards := len(ex.rMsgs)
+	if err := par.ForEach(ctx, shards, shards, func(sh int) { ex.mergeShard(sh, deliver) }); err != nil {
+		return err
+	}
+	for sh := range ex.rMsgs {
+		ss.ReduceMsgs += ex.rMsgs[sh]
+		ss.ReduceBytes += ex.rBytes[sh]
+	}
+	cMsgsPre.Add(ss.MsgsEmitted)
+	cMsgsPost.Add(ss.ReduceMsgs)
+	return nil
+}
+
+// runDist executes one algorithm distributed: prepare shards and bind a run
+// on every worker, concurrently, then let the engine drive supersteps
+// through the exchanger. Any worker failure fails the whole run — the caller
 // (Session) falls back to a local run, which is bit-identical anyway.
 func runDist[V, M any](ctx context.Context, pool *Pool, pg *pregel.PartitionedGraph, prog pregel.Program[V, M], spec RunSpec, vc pregel.Codec[V], mc pregel.Codec[M]) ([]V, *pregel.RunStats, error) {
 	W := pool.Size()
@@ -244,49 +314,27 @@ func runDist[V, M any](ctx context.Context, pool *Pool, pg *pregel.PartitionedGr
 		return nil, nil, errors.New("dist: pool has no workers")
 	}
 	sum := pg.TopologySum()
-	keys := make([]string, W)
+	spec.Run = pool.nextRunID()
 
-	pool.mu.Lock()
-	for w := 0; w < W; w++ {
-		keys[w] = shardKey(pg.G, sum, pg.NumParts, w, W)
-		if err := pool.prepareWorker(ctx, w, keys[w], pg); err != nil {
-			pool.mu.Unlock()
-			return nil, nil, err
-		}
-	}
-	pool.mu.Unlock()
+	// Best-effort release of worker state, also after a failure — a run may
+	// be bound on some workers when another refuses; a worker that is gone
+	// or never bound it simply errors and is ignored.
+	defer func() {
+		finishCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 10*time.Second)
+		defer cancel()
+		_ = pool.forEachWorker(finishCtx, func(w int) error { return pool.tr.FinishRun(finishCtx, pool.urls[w], spec.Run) })
+	}()
 
-	runID := pool.nextRunID()
-	for w := 0; w < W; w++ {
+	if err := pool.forEachWorker(ctx, func(w int) error {
 		s := spec
-		s.Run = runID
-		s.Shard = keys[w]
-		err := pool.tr.StartRun(ctx, pool.urls[w], s)
-		if errors.Is(err, ErrShardMissing) {
-			// The worker evicted the shard (or restarted) since the cache
-			// last shipped it: re-ship a full container and retry once.
-			full := snap.EncodeShard(extractShard(pg, w, W))
-			if err = pool.tr.InstallShard(ctx, pool.urls[w], keys[w], full); err == nil {
-				cShards.With("full").Inc()
-				err = pool.tr.StartRun(ctx, pool.urls[w], s)
-			}
-		}
-		if err != nil {
-			return nil, nil, err
-		}
+		s.Shard = shardKey(pg.G, sum, pg.NumParts, w, W)
+		return pool.startWorker(ctx, w, pg, s)
+	}); err != nil {
+		return nil, nil, err
 	}
 
-	ex := newExchanger(pool, pg, runID, &prog, vc, mc)
+	ex := newExchanger(pool, pg, spec.Run, &prog, vc, mc)
 	vals, stats, err := pregel.RunExchanged(ctx, pg, prog, ex)
-
-	// Best-effort release of worker state, even after failure; a worker
-	// that is gone simply errors and is ignored.
-	finishCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 10*time.Second)
-	defer cancel()
-	for w := 0; w < W; w++ {
-		_ = pool.tr.FinishRun(finishCtx, pool.urls[w], runID)
-	}
-
 	if err != nil {
 		return nil, nil, err
 	}

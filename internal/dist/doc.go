@@ -6,11 +6,16 @@
 // The split follows the engine's Exchanger seam (pregel.RunExchanged):
 // superstep 0, message application and loop control stay in the
 // coordinator's engine — literally the same code the local path runs —
-// while broadcast, compute and reduce travel over the wire. Workers run the
-// scan through pregel.ShardCompute, which shares the engine's computePart,
-// so candidate edges are visited in the identical ascending order and
-// float64 message combines happen in the identical sequence: a distributed
-// run is bit-identical to pregel.Run on the same assignment.
+// while broadcast, compute and reduce travel over the wire. A superstep
+// sends each changed vertex once to every worker that mirrors it; the worker
+// fans the value out to its mirror slots and scans its partitions in parallel
+// through pregel.ShardCompute, which shares the engine's routing build,
+// frontier derivation and computePart, so candidate edges are visited in the
+// identical ascending order; the coordinator validates the replies as they
+// arrive and merges them sharded by vertex range, each vertex's messages in
+// ascending partition order, so float64 message combines happen in the
+// identical sequence: a distributed run is bit-identical to pregel.Run on the
+// same assignment.
 //
 // Shards ship as internal/snap containers (KindShard), content-addressed by
 // graph fingerprint plus a topology checksum, with unchanged/append/replace

@@ -2,9 +2,12 @@ package dist
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"math/bits"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"cutfit/internal/algorithms"
@@ -95,10 +98,27 @@ func assertStatsEqual(t *testing.T, label string, got, want *pregel.RunStats) {
 	}
 }
 
+// parallelShapes are the (worker scan goroutines, coordinator Parallelism)
+// pairs the equivalence suites run under: everything on one goroutine,
+// everything on eight, and the two mixed.
+var parallelShapes = [][2]int{{1, 1}, {8, 8}, {1, 8}, {8, 1}}
+
+// setScanWorkers makes the in-process workers size their scan pools as a
+// process that can run n goroutines at once would — they take
+// par.DefaultParallelism() when a run starts — until the test ends.
+func setScanWorkers(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // TestDistributedEquivalence is the core contract: every supported
 // algorithm, over both graph families and several partition counts,
 // produces bit-identical values AND identical engine statistics whether
-// the supersteps run in-process or across workers on loopback sockets.
+// the supersteps run in-process or across one, two or three workers on
+// loopback sockets — workers scanning on one goroutine or eight, the
+// coordinator merging on one or eight, and (with more than one worker) some
+// changed vertices having no mirror on one of them.
 func TestDistributedEquivalence(t *testing.T) {
 	ctx := context.Background()
 	graphs := map[string]*graph.Graph{
@@ -106,66 +126,97 @@ func TestDistributedEquivalence(t *testing.T) {
 		"hubchain": hubAndChain(12, 20),
 	}
 	strat := partition.RandomVertexCut()
-	for _, W := range []int{1, 2, 3} {
-		pool, _ := startCluster(t, W)
-		for gname, g := range graphs {
-			for _, parts := range []int{1, 4, 7} {
-				pg := mustPartition(t, g, strat, parts)
+	sawUnmirrored := false
+	for _, shape := range parallelShapes {
+		setScanWorkers(t, shape[0])
+		for _, W := range []int{1, 2, 3} {
+			pool, _ := startCluster(t, W)
+			for gname, g := range graphs {
+				for _, parts := range []int{1, 4, 7} {
+					pg := mustPartition(t, g, strat, parts)
+					pg.Parallelism = shape[1]
+					label := fmt.Sprintf("%s W=%d parts=%d scan=%d merge=%d", gname, W, parts, shape[0], shape[1])
 
-				// pagerank
-				wantPR, wantStats, err := algorithms.PageRank(ctx, pg, 5, algorithms.DefaultResetProb)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gotPR, gotStats, err := PageRank(ctx, pool, pg, 5, algorithms.DefaultResetProb)
-				if err != nil {
-					t.Fatalf("dist pagerank (%s, W=%d, parts=%d): %v", gname, W, parts, err)
-				}
-				assertBitEqualF64(t, "pagerank/"+gname, gotPR, wantPR)
-				assertStatsEqual(t, "pagerank/"+gname, gotStats, wantStats)
+					// pagerank
+					wantPR, wantStats, err := algorithms.PageRank(ctx, pg, 5, algorithms.DefaultResetProb)
+					if err != nil {
+						t.Fatal(err)
+					}
+					gotPR, gotStats, err := PageRank(ctx, pool, pg, 5, algorithms.DefaultResetProb)
+					if err != nil {
+						t.Fatalf("dist pagerank (%s): %v", label, err)
+					}
+					assertBitEqualF64(t, "pagerank/"+label, gotPR, wantPR)
+					assertStatsEqual(t, "pagerank/"+label, gotStats, wantStats)
 
-				// cc
-				wantCC, wantStats2, err := algorithms.ConnectedComponents(ctx, pg, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gotCC, gotStats2, err := ConnectedComponents(ctx, pool, pg, 0)
-				if err != nil {
-					t.Fatalf("dist cc (%s, W=%d, parts=%d): %v", gname, W, parts, err)
-				}
-				if !reflect.DeepEqual(gotCC, wantCC) {
-					t.Fatalf("cc/%s: labels diverge", gname)
-				}
-				assertStatsEqual(t, "cc/"+gname, gotStats2, wantStats2)
+					// cc
+					wantCC, wantStats2, err := algorithms.ConnectedComponents(ctx, pg, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					gotCC, gotStats2, err := ConnectedComponents(ctx, pool, pg, 0)
+					if err != nil {
+						t.Fatalf("dist cc (%s): %v", label, err)
+					}
+					if !reflect.DeepEqual(gotCC, wantCC) {
+						t.Fatalf("cc/%s: labels diverge", label)
+					}
+					assertStatsEqual(t, "cc/"+label, gotStats2, wantStats2)
 
-				// dynamicpr
-				wantDPR, wantStats3, err := algorithms.DynamicPageRank(ctx, pg, 1e-3, algorithms.DefaultResetProb, 20)
-				if err != nil {
-					t.Fatal(err)
+					// dynamicpr
+					wantDPR, wantStats3, err := algorithms.DynamicPageRank(ctx, pg, 1e-3, algorithms.DefaultResetProb, 20)
+					if err != nil {
+						t.Fatal(err)
+					}
+					gotDPR, gotStats3, err := DynamicPageRank(ctx, pool, pg, 1e-3, algorithms.DefaultResetProb, 20)
+					if err != nil {
+						t.Fatalf("dist dynamicpr (%s): %v", label, err)
+					}
+					assertBitEqualF64(t, "dynamicpr/"+label, gotDPR, wantDPR)
+					assertStatsEqual(t, "dynamicpr/"+label, gotStats3, wantStats3)
+
+					prog := algorithms.ConnectedComponentsProgram(0)
+					for _, mirrored := range newExchanger(pool, pg, "", &prog, vidCodec{}, vidCodec{}).mirrored {
+						n := 0
+						for _, w := range mirrored {
+							n += bits.OnesCount64(w)
+						}
+						sawUnmirrored = sawUnmirrored || (parts >= W && n < g.NumVertices())
+					}
 				}
-				gotDPR, gotStats3, err := DynamicPageRank(ctx, pool, pg, 1e-3, algorithms.DefaultResetProb, 20)
-				if err != nil {
-					t.Fatalf("dist dynamicpr (%s, W=%d, parts=%d): %v", gname, W, parts, err)
-				}
-				assertBitEqualF64(t, "dynamicpr/"+gname, gotDPR, wantDPR)
-				assertStatsEqual(t, "dynamicpr/"+gname, gotStats3, wantStats3)
 			}
 		}
+	}
+	if !sawUnmirrored {
+		t.Error("no configuration had a worker that owns partitions yet mirrors only some of the vertices")
 	}
 }
 
 // TestDistributedGenerations grows and then shrinks a graph, running
 // distributed after every generation step; the second and third runs must
-// ship deltas, not full shards, and every run must stay bit-identical to
-// the local engine.
+// ship deltas, not full shards — the worker rebuilds its routing over the
+// patched partitions — and every run must stay bit-identical to the local
+// engine, values and statistics, on one to three workers under every
+// parallel shape.
 func TestDistributedGenerations(t *testing.T) {
+	for _, shape := range parallelShapes {
+		setScanWorkers(t, shape[0])
+		for _, W := range []int{1, 2, 3} {
+			testGenerations(t, W, shape[1])
+		}
+	}
+}
+
+func testGenerations(t *testing.T, W, mergeShards int) {
 	ctx := context.Background()
-	pool, _ := startCluster(t, 2)
+	pool, _ := startCluster(t, W)
 	strat := partition.RandomVertexCut()
 	const parts = 5
 
 	check := func(label string, pg *pregel.PartitionedGraph) {
 		t.Helper()
+		pg.Parallelism = mergeShards
+		label = fmt.Sprintf("%s W=%d merge=%d", label, W, mergeShards)
 		want, wantStats, err := algorithms.PageRank(ctx, pg, 6, algorithms.DefaultResetProb)
 		if err != nil {
 			t.Fatal(err)
@@ -177,17 +228,18 @@ func TestDistributedGenerations(t *testing.T) {
 		assertBitEqualF64(t, label, got, want)
 		assertStatsEqual(t, label, gotStats, wantStats)
 
-		wantCC, _, err := algorithms.ConnectedComponents(ctx, pg, 0)
+		wantCC, wantCCStats, err := algorithms.ConnectedComponents(ctx, pg, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotCC, _, err := ConnectedComponents(ctx, pool, pg, 0)
+		gotCC, gotCCStats, err := ConnectedComponents(ctx, pool, pg, 0)
 		if err != nil {
 			t.Fatalf("%s: dist cc: %v", label, err)
 		}
 		if !reflect.DeepEqual(gotCC, wantCC) {
 			t.Fatalf("%s: cc labels diverge", label)
 		}
+		assertStatsEqual(t, label+" cc", gotCCStats, wantCCStats)
 	}
 
 	g1 := randomGraph(7, 50, 250)

@@ -2,13 +2,18 @@ package dist
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"cutfit/internal/algorithms"
+	"cutfit/internal/graph"
 	"cutfit/internal/partition"
+	"cutfit/internal/pregel"
 )
 
 // TestDeadWorkerFailsRun: a pool pointing at a worker that never answers
@@ -87,11 +92,95 @@ func TestOutOfSequenceStepRejected(t *testing.T) {
 	if err := pool.tr.StartRun(ctx, srv.URL, spec); err != nil {
 		t.Fatal(err)
 	}
-	frame := encodeBroadcastFrame(1, nil)
+	frame := broadcastFrame(1, nil)
 	if _, err := pool.tr.Step(ctx, srv.URL, "replay-test", frame, nil); err != nil {
 		t.Fatalf("first step: %v", err)
 	}
 	if _, err := pool.tr.Step(ctx, srv.URL, "replay-test", frame, nil); err == nil {
 		t.Fatal("replayed superstep frame was accepted")
+	}
+}
+
+// TestCancelledRunStopsScanning cancels the coordinator's context in the
+// middle of a superstep. The worker learns of it when the connection closes,
+// stops at the next partition boundary — scanning a few of its sixty-four
+// partitions, not all — answers nothing, leaves the superstep unacknowledged,
+// and RunFinish releases the run's state.
+func TestCancelledRunStopsScanning(t *testing.T) {
+	const numParts, edgesPerPart = 64, 20
+	edges := make([]graph.Edge, numParts*edgesPerPart)
+	assign := make([]partition.PID, len(edges))
+	for i := range edges {
+		edges[i] = graph.Edge{Src: graph.VertexID(i % 97), Dst: graph.VertexID(i % 89)}
+		assign[i] = partition.PID(i / edgesPerPart)
+	}
+	g := graph.FromEdges(edges)
+	pg, err := pregel.NewPartitionedGraph(g, assign, numParts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	worker := NewWorker()
+	stepReturned := make(chan struct{}, 1)
+	inner := worker.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		inner.ServeHTTP(rw, r)
+		if strings.HasSuffix(r.URL.Path, "/step") {
+			stepReturned <- struct{}{}
+		}
+	}))
+	defer srv.Close()
+	pool := NewPool([]string{srv.URL})
+
+	ws, err := buildWorkerShard("k", extractShard(pg, 0, 1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A run whose scan is slow — every edge takes a tenth of a millisecond,
+	// a partition two, the shard over a hundred — and that cancels the
+	// coordinator at its first edge.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var scanned atomic.Int64
+	prog := algorithms.PageRankProgram(1, algorithms.DefaultResetProb, g.OutDegrees())
+	prog.SendMsg = func(*pregel.Triplet[float64], pregel.Emitter[float64]) {
+		cancel()
+		scanned.Add(1)
+		time.Sleep(100 * time.Microsecond)
+	}
+	run, err := newShardRunT(prog, ws, f64Codec{}, f64Codec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wr := &workerRun{shard: ws, run: run}
+	worker.mu.Lock()
+	worker.runs["cancelled"] = wr
+	worker.mu.Unlock()
+
+	statusBefore := cWorkerRequests.With("SuperstepExchange", "499").Value()
+	if _, err := pool.tr.Step(ctx, srv.URL, "cancelled", broadcastFrame(1, nil), nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("step under a cancelled context: %v, want context.Canceled", err)
+	}
+	select {
+	case <-stepReturned:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the worker is still scanning half a minute after the coordinator hung up")
+	}
+	if got := scanned.Load(); got == 0 || got > numParts*edgesPerPart/4 {
+		t.Errorf("%d of %d edges scanned after the cancel at the first: the scan did not stop at a partition boundary soon after", got, len(edges))
+	}
+	if wr.lastStep != 0 {
+		t.Errorf("the abandoned superstep was acknowledged: lastStep %d", wr.lastStep)
+	}
+	if got := cWorkerRequests.With("SuperstepExchange", "499").Value() - statusBefore; got != 1 {
+		t.Errorf("%d abandoned supersteps counted under code 499, want 1", got)
+	}
+	if err := pool.tr.FinishRun(context.Background(), srv.URL, "cancelled"); err != nil {
+		t.Fatal(err)
+	}
+	worker.mu.Lock()
+	defer worker.mu.Unlock()
+	if len(worker.runs) != 0 {
+		t.Errorf("RunFinish left %d runs on the worker", len(worker.runs))
 	}
 }

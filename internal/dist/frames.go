@@ -11,9 +11,12 @@ import (
 // Binary frame layouts (all integers little-endian, values fixed-width per
 // the run's Codec):
 //
-//	BroadcastFrame ("CFDB"): u32 magic, u32 superstep, u32 partCount,
-//	  then per partition: u32 part, u32 n, n × (u32 local, V bytes).
-//	  Only partitions with at least one changed mirror appear.
+//	BroadcastFrame ("CFDV"): u32 magic, u32 superstep, u32 n, then
+//	  n × (u32 global dense vertex index, V bytes), strictly ascending by
+//	  index: the changed vertices that have at least one mirror in a
+//	  partition the receiving worker owns, each once however many mirrors
+//	  it has there. The worker fans a value out to its mirror slots through
+//	  the routing CSR its shard carries.
 //
 //	ReduceFrame ("CFDR"): u32 magic, u32 superstep, u32 partCount,
 //	  then per owned partition, ascending by index: u32 part, u32 n,
@@ -21,22 +24,26 @@ import (
 //	  n × (u32 local, M bytes). Every owned partition appears, message
 //	  count zero or not, so compute stats always arrive.
 //
-// Within a partition the (local, value) pairs are ascending by local index;
-// across partitions the reduce frame is ascending by partition index. The
-// coordinator merges partitions in ascending order per destination vertex,
-// reproducing the local reduce phase's merge order exactly.
+// Within a reduce section the (local, message) pairs are strictly ascending
+// by local index; across sections the frame is ascending by partition index.
+// The coordinator merges partitions in ascending order per destination
+// vertex, reproducing the local reduce phase's merge order exactly.
+//
+// "CFDB" was the broadcast magic while the frame carried one pair per mirror,
+// grouped by partition; a worker answers it, like any unknown magic, with 400.
 const (
-	magicBroadcast uint32 = 'C' | 'F'<<8 | 'D'<<16 | 'B'<<24
+	magicBroadcast uint32 = 'C' | 'F'<<8 | 'D'<<16 | 'V'<<24
 	magicReduce    uint32 = 'C' | 'F'<<8 | 'D'<<16 | 'R'<<24
 )
 
-// framePart is one partition's slab inside a broadcast or reduce frame.
-type framePart struct {
+// reduceSection is one partition's section of a reduce frame: its compute
+// stats and its n combined messages as a pair slab.
+type reduceSection struct {
+	seen  bool // filed this superstep
 	part  int
 	n     int
-	pairs []byte // n × (u32 local, value bytes)
+	pairs []byte // n × (u32 local, M bytes)
 
-	// Reduce-frame compute stats; zero in broadcast frames.
 	scanned, visited, emitted int64
 	cost                      float64
 }
@@ -95,66 +102,98 @@ func (r *frameReader) finish() error {
 	return nil
 }
 
-// Frame and section header widths: magic, superstep and part count; part
-// and pair count.
-const (
-	frameHeaderSize = 12
-	partHeaderSize  = 8
-)
+// frameHeaderSize is the width of both frames' header: magic, superstep and
+// pair (broadcast) or section (reduce) count.
+const frameHeaderSize = 12
 
 // putFrameHeader writes a frame's 12-byte header at the start of b.
-func putFrameHeader(b []byte, magic uint32, step, partCount int) {
+func putFrameHeader(b []byte, magic uint32, step, count int) {
 	binary.LittleEndian.PutUint32(b, magic)
 	binary.LittleEndian.PutUint32(b[4:], uint32(step))
-	binary.LittleEndian.PutUint32(b[8:], uint32(partCount))
+	binary.LittleEndian.PutUint32(b[8:], uint32(count))
 }
 
-// parseFrame validates a frame against the expected magic and the run's
-// value width and returns the superstep plus the partition slabs.
-func parseFrame(frame []byte, wantMagic uint32, valSize int, withStats bool) (int, []framePart, error) {
-	r := &frameReader{b: frame}
+// frameHeader reads and checks a frame's header and returns the superstep
+// and the count field.
+func frameHeader(r *frameReader, wantMagic uint32) (step, count int, err error) {
 	if m := r.u32(); r.err == nil && m != wantMagic {
-		return 0, nil, fmt.Errorf("dist: frame magic %08x, want %08x", m, wantMagic)
+		return 0, 0, fmt.Errorf("dist: frame magic %08x, want %08x", m, wantMagic)
 	}
-	step := int(r.u32())
-	count := int(r.u32())
-	if r.err != nil {
-		return 0, nil, r.err
-	}
-	if count < 0 || count > (len(frame)+7)/8 {
-		return 0, nil, fmt.Errorf("dist: frame part count %d exceeds frame size", count)
-	}
-	parts := make([]framePart, 0, count)
-	pair := 4 + valSize
-	for i := 0; i < count && r.err == nil; i++ {
-		fp := framePart{
-			part: int(r.u32()),
-			n:    int(r.u32()),
-		}
-		if withStats {
-			fp.scanned = r.i64()
-			fp.visited = r.i64()
-			fp.emitted = r.i64()
-			fp.cost = r.f64()
-		}
-		if r.err == nil && (fp.n < 0 || fp.n > (len(frame)-r.off)/pair) {
-			return 0, nil, fmt.Errorf("dist: frame partition %d claims %d pairs, frame too small", fp.part, fp.n)
-		}
-		fp.pairs = r.take(fp.n * pair)
-		parts = append(parts, fp)
-	}
-	if err := r.finish(); err != nil {
+	step, count = int(r.u32()), int(r.u32())
+	return step, count, r.err
+}
+
+// parseBroadcastFrame checks a broadcast frame's envelope against the run's
+// value width — magic, a pair count that is exactly what the body holds — and
+// returns the superstep and the body. What the pairs say is for
+// ShardCompute.Ingest to check against the shard.
+func parseBroadcastFrame(frame []byte, valSize int) (step int, pairs []byte, err error) {
+	r := &frameReader{b: frame}
+	step, n, err := frameHeader(r, magicBroadcast)
+	if err != nil {
 		return 0, nil, err
 	}
-	return step, parts, nil
+	pairs = frame[r.off:]
+	if pair := 4 + valSize; len(pairs)%pair != 0 || n != len(pairs)/pair {
+		return 0, nil, fmt.Errorf("dist: broadcast frame claims %d pairs of %d bytes, body holds %d bytes", n, pair, len(pairs))
+	}
+	return step, pairs, nil
+}
+
+// parseReduceFrame validates worker w's reduce frame against the topology —
+// every section a partition w owns (of W workers), none twice, every pair's
+// local index inside the partition's vertex table and strictly ascending, so
+// the merge may binary-search the slab — and files each section under its
+// partition in sections. Workers own disjoint partitions, so their frames may
+// be parsed into one table concurrently. It returns the superstep.
+func parseReduceFrame(frame []byte, msgSize int, pg *pregel.PartitionedGraph, w, W int, sections []reduceSection) (int, error) {
+	r := &frameReader{b: frame}
+	step, count, err := frameHeader(r, magicReduce)
+	if err != nil {
+		return 0, err
+	}
+	pair := 4 + msgSize
+	for i := 0; i < count; i++ {
+		sec := reduceSection{
+			seen:    true,
+			part:    int(r.u32()),
+			n:       int(r.u32()),
+			scanned: r.i64(),
+			visited: r.i64(),
+			emitted: r.i64(),
+			cost:    r.f64(),
+		}
+		if r.err != nil {
+			return 0, r.err
+		}
+		if sec.part < 0 || sec.part >= pg.NumParts || workerOf(sec.part, W) != w {
+			return 0, fmt.Errorf("dist: reduce frame reports partition %d, which worker %d does not own", sec.part, w)
+		}
+		if sections[sec.part].seen {
+			return 0, fmt.Errorf("dist: partition %d reported twice", sec.part)
+		}
+		if sec.n < 0 || sec.n > (len(frame)-r.off)/pair {
+			return 0, fmt.Errorf("dist: reduce frame partition %d claims %d pairs, frame too small", sec.part, sec.n)
+		}
+		sec.pairs = r.take(sec.n * pair)
+		nLocal, prev := int64(pg.Parts[sec.part].NumLocalVertices()), int64(-1)
+		for off := 0; off < len(sec.pairs); off += pair {
+			local := int64(binary.LittleEndian.Uint32(sec.pairs[off:]))
+			if local <= prev || local >= nLocal {
+				return 0, fmt.Errorf("dist: partition %d reduce pair local %d after %d, want strictly ascending in [0,%d)", sec.part, local, prev, nLocal)
+			}
+			prev = local
+		}
+		sections[sec.part] = sec
+	}
+	return step, r.finish()
 }
 
 // reduceFrameBuilder assembles a worker's reduce frame in a buffer the run
-// keeps between supersteps: reset, then per owned partition beginPart, the
-// pair slab appended straight onto buf, endPart with the pair count.
+// keeps between supersteps: reset, then one appendSection per owned
+// partition, ascending.
 type reduceFrameBuilder struct {
-	buf  []byte
-	nOff int // offset of the open partition's pair-count field
+	buf []byte
 }
 
 func (b *reduceFrameBuilder) reset(step, partCount int) {
@@ -162,16 +201,12 @@ func (b *reduceFrameBuilder) reset(step, partCount int) {
 	putFrameHeader(b.buf, magicReduce, step, partCount)
 }
 
-func (b *reduceFrameBuilder) beginPart(part int, cs pregel.ComputeStats) {
+func (b *reduceFrameBuilder) appendSection(part int, cs pregel.ComputeStats, pairs []byte, n int) {
 	b.buf = binary.LittleEndian.AppendUint32(b.buf, uint32(part))
-	b.nOff = len(b.buf)
-	b.buf = binary.LittleEndian.AppendUint32(b.buf, 0) // n, backfilled by endPart
+	b.buf = binary.LittleEndian.AppendUint32(b.buf, uint32(n))
 	b.buf = binary.LittleEndian.AppendUint64(b.buf, uint64(cs.Scanned))
 	b.buf = binary.LittleEndian.AppendUint64(b.buf, uint64(cs.Visited))
 	b.buf = binary.LittleEndian.AppendUint64(b.buf, uint64(cs.Emitted))
 	b.buf = binary.LittleEndian.AppendUint64(b.buf, math.Float64bits(cs.Cost))
-}
-
-func (b *reduceFrameBuilder) endPart(nPairs int) {
-	binary.LittleEndian.PutUint32(b.buf[b.nOff:], uint32(nPairs))
+	b.buf = append(b.buf, pairs...)
 }

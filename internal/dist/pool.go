@@ -46,8 +46,9 @@ type Transport interface {
 // first and bounded by maxShards exactly as the worker's own cache is, so
 // graphs alternating on the cluster stay resident; and the topology of the
 // newest key, so the next run for a grown/shrunk generation can ship a delta
-// instead of the world.
+// instead of the world. mu is held while a shard ships to the worker.
 type workerCache struct {
+	mu     sync.Mutex
 	keys   []string
 	lastPG *pregel.PartitionedGraph
 }
@@ -62,14 +63,13 @@ func (wc *workerCache) sent(key string, pg *pregel.PartitionedGraph) {
 }
 
 // Pool is a fixed set of workers plus the per-worker shard caches. It is
-// safe for concurrent use; the shard-prepare phase is serialized so two
-// concurrent runs cannot interleave delta chains on the same worker.
+// safe for concurrent use; shard preparation is serialized per worker, so
+// two concurrent runs cannot interleave delta chains on the same worker,
+// while different workers are shipped to at the same time.
 type Pool struct {
-	urls []string
-	tr   Transport
-
-	mu    sync.Mutex
-	cache map[string]*workerCache
+	urls   []string
+	tr     Transport
+	caches []workerCache // by worker index
 
 	runPrefix string
 	runSeq    atomic.Uint64
@@ -83,7 +83,7 @@ func NewPool(urls []string) *Pool {
 	p := &Pool{
 		urls:      append([]string(nil), urls...),
 		tr:        newHTTPTransport(),
-		cache:     make(map[string]*workerCache),
+		caches:    make([]workerCache, len(urls)),
 		runPrefix: hex.EncodeToString(prefix[:]),
 	}
 	return p
@@ -215,10 +215,13 @@ func (t *httpTransport) StartRun(ctx context.Context, url string, spec RunSpec) 
 	return err
 }
 
+// frameHeaders are the request headers of every superstep; read-only.
+var frameHeaders = map[string]string{"Content-Type": "application/octet-stream"}
+
 func (t *httpTransport) Step(ctx context.Context, url, runID string, frame, reply []byte) ([]byte, error) {
 	cBytes.With("broadcast").Add(int64(len(frame)))
 	resp, err := t.do(ctx, "SuperstepExchange", http.MethodPost, url+"/dist/v1/runs/"+runID+"/step",
-		map[string]string{"Content-Type": "application/octet-stream"}, frame, reply, 0, nil)
+		frameHeaders, frame, reply, 0, nil)
 	if err != nil {
 		return nil, err
 	}

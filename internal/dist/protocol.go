@@ -60,7 +60,7 @@ var ProtocolMessages = []ProtocolMessage{
 	{
 		Name: "BroadcastFrame",
 		Kind: "frame",
-		Doc:  "binary master→mirror value batches, one section per partition with changed mirrors",
+		Doc:  "binary changed master values, one (global index, value) pair per vertex mirrored on the worker",
 	},
 	{
 		Name: "ReduceFrame",

@@ -2,11 +2,11 @@ package dist
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -24,6 +24,11 @@ const maxShards = 8
 // maxBodyBytes caps request bodies (shard containers dominate).
 const maxBodyBytes = 1 << 30
 
+// statusClientClosedRequest is the code the request counter shows for a
+// superstep abandoned because the coordinator hung up (nginx's convention;
+// net/http has no name for it). Nothing reads the reply.
+const statusClientClosedRequest = 499
+
 // maxNumParts caps the partition count a shard may declare: the worker's
 // tables are indexed by partition, so the count sizes allocations before any
 // partition has been seen.
@@ -37,16 +42,15 @@ type rawPart struct {
 }
 
 // workerShard is one installed shard generation: raw tables (for delta
-// application), built engine partitions, and the vertex/degree tables the
-// algorithm programs need. raw and parts are indexed by partition and nil
-// where another worker owns it.
+// application), the built engine partitions with the routing CSR over them,
+// and the vertex/degree tables the algorithm programs need. raw is indexed by
+// partition and nil where another worker owns it.
 type workerShard struct {
 	key    string
 	verts  []graph.VertexID
 	outDeg []int32
 	raw    []*rawPart
-	parts  []*pregel.Partition
-	owned  []int // sorted partition indices
+	topo   *pregel.ShardTopology
 }
 
 // buildWorkerShard materializes a shard payload, either standalone or as a
@@ -60,8 +64,8 @@ func buildWorkerShard(key string, sp *snap.ShardPayload, base *workerShard) (*wo
 		key:    key,
 		outDeg: sp.OutDeg,
 		raw:    make([]*rawPart, sp.NumParts),
-		parts:  make([]*pregel.Partition, sp.NumParts),
 	}
+	parts := make([]*pregel.Partition, sp.NumParts)
 	if sp.IsDelta() {
 		if base == nil {
 			return nil, fmt.Errorf("dist: delta shard %s has no base", key)
@@ -111,51 +115,44 @@ func buildWorkerShard(key string, sp *snap.ShardPayload, base *workerShard) (*wo
 		if err != nil {
 			return nil, fmt.Errorf("dist: shard %s partition %d: %w", key, p.Index, err)
 		}
-		ws.parts[p.Index] = part
-		ws.owned = append(ws.owned, p.Index)
+		parts[p.Index] = part
 	}
-	sort.Ints(ws.owned)
+	ws.topo = pregel.NewShardTopology(ws.verts, parts)
 	return ws, nil
 }
 
 // shardRun erases the program's type parameters so the worker can hold runs
 // of different algorithms in one table; shardRunT carries the real types.
 type shardRun interface {
-	begin()
-	setMirrors(p int, pairs []byte) error
-	compute(p int) (pregel.ComputeStats, error)
-	appendMessages(p int, dst []byte) ([]byte, int)
-	valSize() int
+	ingest(ctx context.Context, pairs []byte) error
+	scan(ctx context.Context) error
+	section(p int) (cs pregel.ComputeStats, pairs []byte, n int)
+	broadcastValSize() int
 }
 
 type shardRunT[V, M any] struct {
-	sc *pregel.ShardCompute[V, M]
-	vc pregel.Codec[V]
-	mc pregel.Codec[M]
+	sc      *pregel.ShardCompute[V, M]
+	valSize int
 }
 
-func (r *shardRunT[V, M]) begin() { r.sc.BeginSuperstep() }
-
-func (r *shardRunT[V, M]) setMirrors(p int, pairs []byte) error {
-	return r.sc.SetMirrors(p, pairs, r.vc)
+func (r *shardRunT[V, M]) ingest(ctx context.Context, pairs []byte) error {
+	return r.sc.Ingest(ctx, pairs)
 }
 
-func (r *shardRunT[V, M]) compute(p int) (pregel.ComputeStats, error) {
-	return r.sc.Compute(p)
+func (r *shardRunT[V, M]) scan(ctx context.Context) error { return r.sc.Scan(ctx) }
+
+func (r *shardRunT[V, M]) section(p int) (pregel.ComputeStats, []byte, int) {
+	return r.sc.Section(p)
 }
 
-func (r *shardRunT[V, M]) appendMessages(p int, dst []byte) ([]byte, int) {
-	return r.sc.AppendMessages(p, dst, r.mc)
-}
-
-func (r *shardRunT[V, M]) valSize() int { return r.vc.Size() }
+func (r *shardRunT[V, M]) broadcastValSize() int { return r.valSize }
 
 func newShardRunT[V, M any](prog pregel.Program[V, M], ws *workerShard, vc pregel.Codec[V], mc pregel.Codec[M]) (shardRun, error) {
-	sc, err := pregel.NewShardCompute(prog, ws.verts, ws.parts)
+	sc, err := pregel.NewShardCompute(prog, ws.topo, vc, mc)
 	if err != nil {
 		return nil, err
 	}
-	return &shardRunT[V, M]{sc: sc, vc: vc, mc: mc}, nil
+	return &shardRunT[V, M]{sc: sc, valSize: vc.Size()}, nil
 }
 
 // newShardRun instantiates the worker-side program named by the run spec —
@@ -427,7 +424,7 @@ func (w *Worker) handleStep(rw http.ResponseWriter, r *http.Request) {
 	if wr.body, ok = readBody(wr.body, rw, r); !ok {
 		return
 	}
-	step, parts, err := parseFrame(wr.body, magicBroadcast, wr.run.valSize(), false)
+	step, pairs, err := parseBroadcastFrame(wr.body, wr.run.broadcastValSize())
 	if err != nil {
 		http.Error(rw, err.Error(), http.StatusBadRequest)
 		return
@@ -440,29 +437,35 @@ func (w *Worker) handleStep(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	wr.run.begin()
-	for i := range parts {
-		if err := wr.run.setMirrors(parts[i].part, parts[i].pairs); err != nil {
-			http.Error(rw, err.Error(), http.StatusBadRequest)
-			return
-		}
+	// The request's context ends when the coordinator hangs up — its run was
+	// cancelled or has failed on another worker. Nobody is left to read a
+	// reply, so the superstep stops at the next partition boundary and the
+	// handler only records why; the run's state goes with RunFinish.
+	ctx := r.Context()
+	err = wr.run.ingest(ctx, pairs)
+	status := http.StatusBadRequest
+	if err == nil {
+		err = wr.run.scan(ctx)
+		status = http.StatusInternalServerError
+	}
+	if ctx.Err() != nil {
+		rw.WriteHeader(statusClientClosedRequest)
+		return
+	}
+	if err != nil {
+		http.Error(rw, err.Error(), status)
+		return
 	}
 
-	// Compute every owned partition, ascending — AllEdges programs scan
-	// regardless of frontier, and the reduce frame must report stats even
-	// for partitions that produced no messages.
+	// Every owned partition reports, ascending — AllEdges programs scan
+	// regardless of frontier, and the coordinator needs the compute stats
+	// even of partitions that produced no messages.
+	owned := wr.shard.topo.Owned()
 	b := &wr.reduce
-	b.reset(step, len(wr.shard.owned))
-	for _, p := range wr.shard.owned {
-		cs, err := wr.run.compute(p)
-		if err != nil {
-			http.Error(rw, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		b.beginPart(p, cs)
-		var n int
-		b.buf, n = wr.run.appendMessages(p, b.buf)
-		b.endPart(n)
+	b.reset(step, len(owned))
+	for _, p := range owned {
+		cs, slab, n := wr.run.section(p)
+		b.appendSection(p, cs, slab, n)
 	}
 	wr.lastStep = step
 

@@ -438,12 +438,15 @@ func scratchFor[V, M any](pg *PartitionedGraph, shards int, frontiers, reuse boo
 //     both are read-only.
 //   - Combined messages must be handed to deliver as (global dense vertex,
 //     message), at most once per (partition, vertex) pair, with each
-//     vertex's calls in ascending partition order — the same per-
-//     destination merge order the local reduce phase uses.
+//     vertex's calls one after another in ascending partition order — the
+//     same per-destination merge order the local reduce phase uses. Calls
+//     for different vertices may run concurrently, which is how an exchanger
+//     shards its merge by vertex range the way the local reduce phase does.
 //   - ss must be filled with the phase counters the engine cannot see:
-//     BroadcastMsgs/BroadcastBytes, EdgesScanned, ActiveEdges, MsgsEmitted
-//     and ComputePerPart. (ReduceMsgs/ReduceBytes are counted by the
-//     engine as deliver is called.)
+//     BroadcastMsgs/BroadcastBytes, EdgesScanned, ActiveEdges, MsgsEmitted,
+//     ComputePerPart, and ReduceMsgs/ReduceBytes — one message of
+//     Program.MsgSize bytes per deliver call, summed however the exchanger
+//     shards them.
 type Exchanger[V, M any] interface {
 	Exchange(ctx context.Context, step int, changed []uint64, masterVals []V, deliver func(gidx int32, m M), ss *SuperstepStats) error
 }
@@ -549,9 +552,10 @@ func runEngine[V, M any](ctx context.Context, pg *PartitionedGraph, prog Program
 
 		if ex != nil {
 			// Phases 1–3, distributed: the exchanger ships the frontier,
-			// runs the compute scans remotely and streams combined messages
+			// runs the compute scans remotely and hands the combined messages
 			// back; the merge below is the local reduce phase's per-vertex
-			// merge verbatim, so per-destination combine order is preserved.
+			// merge verbatim (each slot has one writer at a time), so
+			// per-destination combine order is preserved.
 			deliver := func(gidx int32, m M) {
 				if masterHas[gidx] {
 					masterMsg[gidx] = prog.MergeMsg(masterMsg[gidx], m)
@@ -559,8 +563,6 @@ func runEngine[V, M any](ctx context.Context, pg *PartitionedGraph, prog Program
 					masterMsg[gidx] = m
 					masterHas[gidx] = true
 				}
-				ss.ReduceMsgs++
-				ss.ReduceBytes += int64(prog.MsgSize(m))
 			}
 			if err := ex.Exchange(ctx, step, changedBits, masterVals, deliver, &ss); err != nil {
 				return nil, nil, fmt.Errorf("pregel: superstep %d exchange: %w", step, err)
@@ -692,7 +694,6 @@ func localSuperstep[V, M any](ctx context.Context, pg *PartitionedGraph, prog *P
 	visited := sc.visited
 	if err := pg.forEachPart(func(p int) {
 		part := pg.Parts[p]
-		lv := part.LocalVerts
 		em := &sc.emitters[p].partEmitter
 		em.emitted = 0
 
@@ -700,23 +701,7 @@ func localSuperstep[V, M any](ctx context.Context, pg *PartitionedGraph, prog *P
 		act := 0
 		if prog.ActiveDirection != AllEdges {
 			fw = sc.frontier[p]
-			// Frontier bitset: bit l ⇔ local vertex l's master changed
-			// last round. Built branch-free, one changed-bit gather per
-			// local vertex; popcount gives the density decision.
-			for wi := range fw {
-				var w uint64
-				base := wi << 6
-				end := base + 64
-				if end > len(lv) {
-					end = len(lv)
-				}
-				for l := base; l < end; l++ {
-					gi := lv[l]
-					w |= (changedBits[gi>>6] >> (uint32(gi) & 63) & 1) << uint(l-base)
-				}
-				fw[wi] = w
-				act += bits.OnesCount64(w)
-			}
+			act = deriveFrontier(fw, part.LocalVerts, changedBits)
 		}
 		nScan, nVisited, cost, _ := computePart(prog, part, verts, vals[p], fw, act, sc.edgeMask[p], em)
 		scanned[p] = nScan
@@ -792,6 +777,29 @@ func localSuperstep[V, M any](ctx context.Context, pg *PartitionedGraph, prog *P
 		return fmt.Errorf("pregel: superstep %d: %w", step, err)
 	}
 	return nil
+}
+
+// deriveFrontier fills fw, a partition's frontier bitset (bit l ⇔ local
+// vertex l's master changed last round), from the changed-vertex bitset and
+// returns its popcount, which decides the scan's density. Built branch-free,
+// one changed-bit gather per local vertex, by the partition's own worker — so
+// no two goroutines ever write the same word.
+func deriveFrontier(fw []uint64, lv []int32, changedBits []uint64) (act int) {
+	for wi := range fw {
+		var w uint64
+		base := wi << 6
+		end := base + 64
+		if end > len(lv) {
+			end = len(lv)
+		}
+		for l := base; l < end; l++ {
+			gi := lv[l]
+			w |= (changedBits[gi>>6] >> (uint32(gi) & 63) & 1) << uint(l-base)
+		}
+		fw[wi] = w
+		act += bits.OnesCount64(w)
+	}
+	return act
 }
 
 // finishRun hands the final vertex values to the caller. With reuse the

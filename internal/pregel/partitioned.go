@@ -630,33 +630,44 @@ func (s *localizeScratch) localize(part *Partition, nv int) {
 	}
 }
 
-// buildRouting constructs the mirror routing CSR from the per-partition
-// local vertex tables. Mirror refs of a vertex are ordered by ascending
-// partition, matching the reference construction. The fill pass uses the
-// offsets themselves as cursors (shifting them one slot, restored by a
-// final copy-down) instead of a separate per-vertex cursor array.
+// buildRouting constructs the topology's mirror routing CSR.
 func (pg *PartitionedGraph) buildRouting() {
-	nv := pg.G.NumVertices()
-	offsets := make([]int64, nv+1)
-	for p := 0; p < pg.NumParts; p++ {
-		for _, gidx := range pg.Parts[p].LocalVerts {
+	pg.routingOffsets, pg.routingRefs = routingCSR(pg.G.NumVertices(), pg.Parts)
+}
+
+// routingCSR constructs a mirror routing CSR over nv global dense vertices
+// from the partitions' local vertex tables; nil entries of parts (partitions
+// a distributed worker does not own) contribute nothing. Mirror refs of a
+// vertex are ordered by ascending partition, matching the reference
+// construction. The fill pass uses the offsets themselves as cursors
+// (shifting them one slot, restored by a final copy-down) instead of a
+// separate per-vertex cursor array.
+func routingCSR(nv int, parts []*Partition) (offsets []int64, refs []MirrorRef) {
+	offsets = make([]int64, nv+1)
+	for _, part := range parts {
+		if part == nil {
+			continue
+		}
+		for _, gidx := range part.LocalVerts {
 			offsets[gidx+1]++
 		}
 	}
 	for i := 0; i < nv; i++ {
 		offsets[i+1] += offsets[i]
 	}
-	refs := make([]MirrorRef, offsets[nv])
-	for p := 0; p < pg.NumParts; p++ {
-		for l, gidx := range pg.Parts[p].LocalVerts {
+	refs = make([]MirrorRef, offsets[nv])
+	for p, part := range parts {
+		if part == nil {
+			continue
+		}
+		for l, gidx := range part.LocalVerts {
 			refs[offsets[gidx]] = MirrorRef{Part: int32(p), Local: int32(l)}
 			offsets[gidx]++
 		}
 	}
 	copy(offsets[1:], offsets[:nv])
 	offsets[0] = 0
-	pg.routingOffsets = offsets
-	pg.routingRefs = refs
+	return offsets, refs
 }
 
 // AssignOrder returns the original per-edge partition assignment, aligned

@@ -1,11 +1,12 @@
 package pregel
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
-	"math/bits"
 
 	"cutfit/internal/graph"
+	"cutfit/internal/par"
 )
 
 // NewPartition builds a standalone Partition from local-index tables — the
@@ -38,7 +39,7 @@ func NewPartition(nv int, localVerts, edgeSrc, edgeDst []int32) (*Partition, err
 }
 
 // ComputeStats is one partition's compute-phase counters, reported by
-// ShardCompute.Compute so the distributed reduce frame can carry them back
+// ShardCompute.Section so the distributed reduce frame can carry them back
 // to the coordinator's SuperstepStats.
 type ComputeStats struct {
 	Scanned int64   // edges whose SendMsg actually ran
@@ -58,156 +59,234 @@ type Codec[T any] interface {
 	Decode(p []byte) T
 }
 
-// shardPart is one owned partition's compute state.
+// ShardTopology is the immutable half of one worker's shard: the partitions
+// it owns and the mirror routing CSR over them — for every global vertex, its
+// mirror slots in owned partitions only. Built once when a shard is installed
+// or patched and shared by every run on it, as a PartitionedGraph's routing
+// is.
+type ShardTopology struct {
+	verts []graph.VertexID
+	parts []*Partition // by partition index; nil where another worker owns it
+	owned []int        // ascending
+
+	routingOffsets []int64
+	routingRefs    []MirrorRef
+}
+
+// NewShardTopology indexes a worker's owned partitions. verts is the full
+// graph's dense vertex-ID table (local and distributed runs share it via the
+// shard snapshot); parts is indexed by partition, nil where not owned.
+func NewShardTopology(verts []graph.VertexID, parts []*Partition) *ShardTopology {
+	st := &ShardTopology{verts: verts, parts: parts}
+	for p, part := range parts {
+		if part != nil {
+			st.owned = append(st.owned, p)
+		}
+	}
+	st.routingOffsets, st.routingRefs = routingCSR(len(verts), parts)
+	return st
+}
+
+// Owned returns the owned partition indices, ascending. Callers must not
+// modify the returned slice.
+func (st *ShardTopology) Owned() []int { return st.owned }
+
+// shardPart is one owned partition's compute state. The slices are views of
+// the run's flat buffers (see NewShardCompute).
 type shardPart[V, M any] struct {
 	part *Partition
 	vals []V
-	fw   []uint64 // mirror frontier bitset, rebuilt per superstep
-	act  int      // frontier popcount
-	fed  bool     // a slab arrived this superstep
-	mask []uint64 // sparse-scan edge bitmap, reused
+	fw   []uint64 // frontier bitset, derived per superstep; nil for AllEdges programs
+	mask []uint64 // sparse-scan edge bitmap; nil for AllEdges programs
 	em   partEmitter[M]
+
+	// Results of the last Scan: the compute counters and the combined
+	// messages as a pair slab of n pairs.
+	stats ComputeStats
+	slab  []byte
+	n     int
 }
 
 // ShardCompute runs the mirror half of a superstep for one worker's owned
-// partitions: accept broadcast mirror values, execute the compute scan via
-// the engine's computePart (so edge order — and therefore float64 combine
-// order — is byte-identical to the local path), and hand back the locally
-// combined per-vertex messages for the reduce frame. Mirror values enter and
-// messages leave as pair slabs, n × (u32 little-endian local index, value
-// bytes per the Codec) ascending by local index — the partition section of
-// internal/dist's frames — so nothing is called per pair between the wire
-// and the scan but the Codec.
+// partitions — the local engine's phases 1 and 2 restricted to them: fan the
+// changed master values out to their mirror slots through the shard's routing
+// CSR, derive each partition's frontier from the changed-vertex bitset, and
+// scan with the engine's computePart (so edge order — and therefore float64
+// combine order — is byte-identical to the local path), partitions in
+// parallel on as many goroutines as the process can run. Values enter as one
+// vertex frame body, n × (u32 little-endian global dense index, value bytes
+// per the Codec) ascending by index; messages leave as one pair slab per
+// partition, n × (u32 local index, message bytes) ascending by local index —
+// the byte layouts of internal/dist's frames, so nothing is called per pair
+// between the wire and the scan but the Codec.
 type ShardCompute[V, M any] struct {
-	prog  Program[V, M]
-	verts []graph.VertexID
-	parts []shardPart[V, M] // by partition index; part == nil where not owned
+	prog    Program[V, M]
+	topo    *ShardTopology
+	vc      Codec[V]
+	mc      Codec[M]
+	parts   []shardPart[V, M] // by partition index; part == nil where not owned
+	changed []uint64          // changed-vertex bitset, rebuilt per superstep; nil for AllEdges programs
+	workers int
+	scan    func(i int) // scanOwned, bound once so a superstep does not allocate it
 }
 
-// NewShardCompute prepares the compute state for the owned partitions: parts
-// is indexed by partition, nil where another worker owns it. verts is the
-// full graph's dense vertex-ID table (local and distributed runs share it via
-// the shard snapshot), prog the same program the coordinator's engine runs.
-func NewShardCompute[V, M any](prog Program[V, M], verts []graph.VertexID, parts []*Partition) (*ShardCompute[V, M], error) {
+// NewShardCompute prepares one run's compute state on the shard. prog is the
+// same program the coordinator's engine runs; vc and mc are the wire forms of
+// its values and messages. As in the engine's scratch, every per-mirror and
+// per-edge array is one flat buffer with the partitions' slices carved out of
+// it — mirror values, combine accumulators, a reduce slab wide enough for a
+// message to every mirror and, for a frontier-driven program, the frontier
+// and edge bitsets — so a run allocates per buffer, not per partition, and a
+// superstep allocates none of them.
+func NewShardCompute[V, M any](prog Program[V, M], topo *ShardTopology, vc Codec[V], mc Codec[M]) (*ShardCompute[V, M], error) {
 	if err := prog.validate(); err != nil {
 		return nil, err
 	}
+	frontiers := prog.ActiveDirection != AllEdges
 	sc := &ShardCompute[V, M]{
-		prog:  prog,
-		verts: verts,
-		parts: make([]shardPart[V, M], len(parts)),
+		prog:    prog,
+		topo:    topo,
+		vc:      vc,
+		mc:      mc,
+		parts:   make([]shardPart[V, M], len(topo.parts)),
+		workers: par.DefaultParallelism(),
 	}
-	for p, part := range parts {
-		if part == nil {
-			continue
-		}
+	sc.scan = sc.scanOwned
+	mirrors, frontWords, maskWords := 0, 0, 0
+	for _, p := range topo.owned {
+		part := topo.parts[p]
+		mirrors += len(part.LocalVerts)
+		frontWords += (len(part.LocalVerts) + 63) / 64
+		maskWords += (len(part.edges) + 63) / 64
+	}
+	pairSize := 4 + mc.Size()
+	vals, acc, has := make([]V, mirrors), make([]M, mirrors), make([]bool, mirrors)
+	slabs := make([]byte, mirrors*pairSize)
+	var bitsets []uint64
+	if frontiers {
+		sc.changed = make([]uint64, (len(topo.verts)+63)/64)
+		bitsets = make([]uint64, frontWords+maskWords)
+	}
+	at, bAt := 0, 0
+	for _, p := range topo.owned {
+		part := topo.parts[p]
 		n := len(part.LocalVerts)
-		sc.parts[p] = shardPart[V, M]{
-			part: part,
-			vals: make([]V, n),
-			fw:   make([]uint64, (n+63)/64),
-			em: partEmitter[M]{
-				merge: prog.MergeMsg,
-				acc:   make([]M, n),
-				has:   make([]bool, n),
-			},
+		sp := &sc.parts[p]
+		sp.part = part
+		sp.vals = vals[at : at+n : at+n]
+		sp.em = partEmitter[M]{
+			merge: prog.MergeMsg,
+			acc:   acc[at : at+n : at+n],
+			has:   has[at : at+n : at+n],
+		}
+		sp.slab = slabs[at*pairSize : at*pairSize : (at+n)*pairSize]
+		at += n
+		if frontiers {
+			fw, mw := (n+63)/64, (len(part.edges)+63)/64
+			sp.fw = bitsets[bAt : bAt+fw : bAt+fw]
+			sp.mask = bitsets[bAt+fw : bAt+fw+mw : bAt+fw+mw]
+			bAt += fw + mw
 		}
 	}
 	return sc, nil
 }
 
-// owned returns partition p's state, or an error when p is not owned here.
-func (sc *ShardCompute[V, M]) owned(p int) (*shardPart[V, M], error) {
-	if p < 0 || p >= len(sc.parts) || sc.parts[p].part == nil {
-		return nil, fmt.Errorf("pregel: shard compute: partition %d not owned here", p)
-	}
-	return &sc.parts[p], nil
-}
+// fanOutGrain is the fewest pairs worth a goroutine of their own in Ingest:
+// a sparse superstep's handful of changed vertices fans out on the caller's.
+const fanOutGrain = 1024
 
-// BeginSuperstep resets the per-round frontier and message state. Mirror
-// values persist between rounds (only changed masters are re-broadcast),
-// matching the engine's scratch semantics.
-func (sc *ShardCompute[V, M]) BeginSuperstep() {
-	for p := range sc.parts {
-		sp := &sc.parts[p]
-		clear(sp.fw)
-		sp.act = 0
-		sp.fed = false
-		clear(sp.em.has)
-		sp.em.emitted = 0
-	}
-}
-
-// SetMirrors installs one broadcast slab — the changed masters mirrored in
-// partition p — marking each slot frontier-active for this round's scan. A
-// slab that is not a whole number of pairs, that names a local index outside
-// the partition, or that is the partition's second this superstep, is
-// rejected.
-func (sc *ShardCompute[V, M]) SetMirrors(p int, pairs []byte, vc Codec[V]) error {
-	sp, err := sc.owned(p)
-	if err != nil {
-		return err
-	}
-	if sp.fed {
-		return fmt.Errorf("pregel: shard compute: partition %d sent twice in one superstep", p)
-	}
-	sp.fed = true
+// Ingest installs one superstep's changed master values from a vertex frame
+// body. The whole body is checked before any mirror is written — whole pairs
+// only, every index inside the vertex table, strictly ascending (so no vertex
+// is named twice and concurrent fan-out never writes one slot from two
+// goroutines) and mirrored in at least one owned partition — so a rejected
+// frame leaves the run's mirror values as they were. Mirror values persist
+// between supersteps (only changed masters are re-sent), matching the
+// engine's scratch semantics. Once ctx is done the fan-out stops and Ingest
+// returns ctx's error.
+func (sc *ShardCompute[V, M]) Ingest(ctx context.Context, pairs []byte) error {
+	vc := sc.vc
 	pairSize := 4 + vc.Size()
 	if len(pairs)%pairSize != 0 {
-		return fmt.Errorf("pregel: shard compute: partition %d slab of %d bytes is not a multiple of the %d-byte pair", p, len(pairs), pairSize)
+		return fmt.Errorf("pregel: shard compute: vertex frame body of %d bytes is not a multiple of the %d-byte pair", len(pairs), pairSize)
 	}
-	vals, fw := sp.vals, sp.fw
-	// Pairs arrive ascending, so the frontier word under construction stays
-	// in w until the slab moves on to the next one; folding it in with the
-	// bits already set keeps the popcount exact for any order.
-	wi, w, act := 0, uint64(0), sp.act
-	for ; len(pairs) >= pairSize; pairs = pairs[pairSize:] {
-		local := binary.LittleEndian.Uint32(pairs)
-		if uint64(local) >= uint64(len(vals)) {
-			return fmt.Errorf("pregel: shard compute: partition %d local index %d out of range [0,%d)", p, local, len(vals))
+	offs, refs := sc.topo.routingOffsets, sc.topo.routingRefs
+	nv := len(sc.topo.verts)
+	prev := int64(-1)
+	for off := 0; off < len(pairs); off += pairSize {
+		g := int64(binary.LittleEndian.Uint32(pairs[off:]))
+		switch {
+		case g >= int64(nv):
+			return fmt.Errorf("pregel: shard compute: vertex index %d out of range [0,%d)", g, nv)
+		case g <= prev:
+			return fmt.Errorf("pregel: shard compute: vertex index %d after %d, want strictly ascending", g, prev)
+		case offs[g] == offs[g+1]:
+			return fmt.Errorf("pregel: shard compute: vertex %d has no mirror in a partition owned here", g)
 		}
-		vals[local] = vc.Decode(pairs[4:pairSize])
-		if int(local>>6) != wi {
-			act += bits.OnesCount64(w &^ fw[wi])
-			fw[wi] |= w
-			wi, w = int(local>>6), 0
+		prev = g
+	}
+
+	if sc.changed != nil {
+		clear(sc.changed)
+		for off := 0; off < len(pairs); off += pairSize {
+			g := binary.LittleEndian.Uint32(pairs[off:])
+			sc.changed[g>>6] |= 1 << (g & 63)
 		}
-		w |= 1 << (local & 63)
 	}
-	if w != 0 {
-		act += bits.OnesCount64(w &^ fw[wi])
-		fw[wi] |= w
-	}
-	sp.act = act
-	return nil
+	// Fan out in contiguous runs of pairs, one per goroutine: every mirror
+	// slot belongs to exactly one vertex, so no two runs write the same one.
+	n := len(pairs) / pairSize
+	chunks := min(sc.workers, (n+fanOutGrain-1)/fanOutGrain)
+	return par.ForEach(ctx, chunks, chunks, func(c int) {
+		for off, end := c*n/chunks*pairSize, (c+1)*n/chunks*pairSize; off < end; off += pairSize {
+			g := binary.LittleEndian.Uint32(pairs[off:])
+			val := vc.Decode(pairs[off+4 : off+pairSize])
+			for _, ref := range refs[offs[g]:offs[g+1]] {
+				sc.parts[ref.Part].vals[ref.Local] = val
+			}
+		}
+	})
 }
 
-// Compute scans partition p with the engine's shared triplet scan and
-// combines messages into the partition-local accumulator.
-func (sc *ShardCompute[V, M]) Compute(p int) (ComputeStats, error) {
-	sp, err := sc.owned(p)
-	if err != nil {
-		return ComputeStats{}, err
-	}
-	nScan, nVisited, cost, mask := computePart(&sc.prog, sp.part, sc.verts, sp.vals, sp.fw, sp.act, sp.mask, &sp.em)
-	sp.mask = mask
-	return ComputeStats{Scanned: nScan, Visited: nVisited, Emitted: sp.em.emitted, Cost: cost}, nil
+// Scan runs the compute phase over every owned partition, in parallel:
+// derive the partition's frontier from the changed vertices of the last
+// Ingest exactly as the local engine does, scan it with the engine's shared
+// triplet scan, and encode its combined messages — ascending by local index,
+// the order the reduce frame must preserve so the coordinator's
+// per-destination merges match the local engine's — into the partition's
+// slab. Once ctx is done no further partition is started and Scan returns
+// ctx's error; a panic in the program comes back as an error.
+func (sc *ShardCompute[V, M]) Scan(ctx context.Context) error {
+	return par.ForEach(ctx, sc.workers, len(sc.topo.owned), sc.scan)
 }
 
-// AppendMessages appends the combined messages of partition p — one Compute
-// has just scanned — to dst as a pair slab and returns the extended buffer
-// and the pair count. Pairs are in ascending local order — the order the
-// reduce frame must preserve so the coordinator's per-destination merges
-// match the local engine's.
-func (sc *ShardCompute[V, M]) AppendMessages(p int, dst []byte, mc Codec[M]) ([]byte, int) {
-	em := &sc.parts[p].em
-	n := 0
+// scanOwned is Scan's share for the i-th owned partition.
+func (sc *ShardCompute[V, M]) scanOwned(i int) {
+	sp := &sc.parts[sc.topo.owned[i]]
+	act := 0
+	if sc.changed != nil {
+		act = deriveFrontier(sp.fw, sp.part.LocalVerts, sc.changed)
+	}
+	em := &sp.em
+	clear(em.has)
+	em.emitted = 0
+	nScan, nVisited, cost, _ := computePart(&sc.prog, sp.part, sc.topo.verts, sp.vals, sp.fw, act, sp.mask, em)
+	sp.stats = ComputeStats{Scanned: nScan, Visited: nVisited, Emitted: em.emitted, Cost: cost}
+
+	slab, n := sp.slab[:0], 0
 	for l, ok := range em.has {
 		if ok {
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(l))
-			dst = mc.Append(dst, em.acc[l])
+			slab = sc.mc.Append(binary.LittleEndian.AppendUint32(slab, uint32(l)), em.acc[l])
 			n++
 		}
 	}
-	return dst, n
+	sp.slab, sp.n = slab, n
+}
+
+// Section returns what the last Scan left for owned partition p: its compute
+// counters and its combined messages as a slab of n pairs. The slab is the
+// run's storage, overwritten by the next Scan.
+func (sc *ShardCompute[V, M]) Section(p int) (cs ComputeStats, slab []byte, n int) {
+	sp := &sc.parts[p]
+	return sp.stats, sp.slab, sp.n
 }

@@ -1,9 +1,13 @@
 package pregel
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"cutfit/internal/graph"
@@ -20,95 +24,86 @@ func (i64Wire) Append(dst []byte, v int64) []byte {
 }
 func (i64Wire) Decode(p []byte) int64 { return int64(binary.LittleEndian.Uint64(p)) }
 
-// appendPair appends one (local, value) pair of a slab.
-func appendPair(slab []byte, local int32, v int64) []byte {
-	return i64Wire{}.Append(binary.LittleEndian.AppendUint32(slab, uint32(local)), v)
+// appendPair appends one (index, value) pair — a slab's (local, value) or a
+// vertex frame's (global, value); the layouts are the same.
+func appendPair(slab []byte, idx int32, v int64) []byte {
+	return i64Wire{}.Append(binary.LittleEndian.AppendUint32(slab, uint32(idx)), v)
 }
 
-// TestBulkMirrorsAndMessagesMatchPerPair feeds the same mirror updates to two
-// ShardComputes — one pair at a time through the per-pair oracle, one slab at
-// a time through SetMirrors — and requires identical mirror values, frontier
-// words, popcounts, compute stats and, through AppendMessages against
-// messagesRef, identical reduce pairs. Slabs are ascending (what the
-// coordinator sends), shuffled, and shuffled with every pair doubled: the
-// frontier popcount must stay exact in any order.
-func TestBulkMirrorsAndMessagesMatchPerPair(t *testing.T) {
-	orders := []string{"ascending", "shuffled", "doubled"}
+// TestVertexFrameFanOutMatchesSlabIngest feeds the same changed masters to
+// two ShardComputes on one shard topology — one through the production path
+// (a vertex frame into Ingest, then Scan), one slab per partition through the
+// slabRef oracle — and requires identical mirror values, frontier words,
+// compute stats and reduce slabs, over supersteps whose frontier is dense,
+// sparse and empty, with the shard owning every partition and every second
+// one, scanning on one goroutine and on eight.
+func TestVertexFrameFanOutMatchesSlabIngest(t *testing.T) {
+	ctx := context.Background()
+	// One changed vertex in `every`, per superstep: dense, sparse, none,
+	// dense again (mirror values must have persisted through the empty one).
+	frontiers := []int{2, 40, 0, 3}
 	for _, seed := range []uint64{3, 11, 29} {
 		g := randomGraph(seed, 300, 2500)
+		nv := g.NumVertices()
 		for _, numParts := range []int{1, 5} {
 			pg := mustPartition(t, g, partition.RandomVertexCut(), numParts)
-			for _, policy := range []ScanPolicy{ScanDense, ScanSparse} {
-				prog := minLabelProgram()
-				prog.ScanPolicy = policy
-				for _, order := range orders {
-					ref, err := NewShardCompute(prog, g.Vertices(), pg.Parts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					bulk, err := NewShardCompute(prog, g.Vertices(), pg.Parts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					r := rng.New(seed ^ uint64(numParts))
-					for step := 0; step < 3; step++ {
-						ref.BeginSuperstep()
-						bulk.BeginSuperstep()
-						for p, part := range pg.Parts {
-							// A third of the partition's mirrors change, fewer each round.
-							var locals []int32
-							for l := range part.LocalVerts {
-								if r.Intn(3+4*step) == 0 {
-									locals = append(locals, int32(l))
+			for _, W := range []int{1, 2} {
+				topo := shardTopologies(pg, W)[0]
+				for _, policy := range []ScanPolicy{ScanDense, ScanSparse} {
+					for _, scanWorkers := range []int{1, 8} {
+						prog := minLabelProgram()
+						prog.ScanPolicy = policy
+						ref := newSlabRef(t, prog, topo, i64Wire{}, i64Wire{})
+						got, err := NewShardCompute(prog, topo, i64Wire{}, i64Wire{})
+						if err != nil {
+							t.Fatal(err)
+						}
+						got.workers = scanWorkers
+						r := rng.New(seed ^ uint64(numParts))
+						for step, every := range frontiers {
+							changed := make([]uint64, (nv+63)/64)
+							masterVals := make([]int64, nv)
+							for v := 0; v < nv; v++ {
+								if every > 0 && r.Intn(every) == 0 {
+									changed[v>>6] |= 1 << (v & 63)
+									masterVals[v] = int64(r.Intn(1000)) - 500
 								}
 							}
-							if order != "ascending" {
-								for i := len(locals) - 1; i > 0; i-- {
-									j := r.Intn(i + 1)
-									locals[i], locals[j] = locals[j], locals[i]
+							if err := got.Ingest(ctx, vertexFrame(topo, changed, masterVals, i64Wire{})); err != nil {
+								t.Fatal(err)
+							}
+							if err := got.Scan(ctx); err != nil {
+								t.Fatal(err)
+							}
+
+							ref.beginSuperstep()
+							for _, p := range topo.owned {
+								var slab []byte
+								for l, v := range pg.Parts[p].LocalVerts {
+									if changed[v>>6]>>(uint32(v)&63)&1 != 0 {
+										slab = appendPair(slab, int32(l), masterVals[v])
+									}
 								}
-							}
-							if order == "doubled" {
-								locals = append(locals, locals...)
-							}
-							var slab []byte
-							for _, l := range locals {
-								v := int64(r.Intn(1000)) - 500
-								slab = appendPair(slab, l, v)
-								if err := ref.setMirrorRef(p, l, v); err != nil {
+								if err := ref.setMirrorsRef(p, slab); err != nil {
 									t.Fatal(err)
 								}
 							}
-							if err := bulk.SetMirrors(p, slab, i64Wire{}); err != nil {
-								t.Fatal(err)
-							}
-						}
-						for p := range pg.Parts {
-							a, b := &ref.parts[p], &bulk.parts[p]
-							if !slices.Equal(a.vals, b.vals) || !slices.Equal(a.fw, b.fw) || a.act != b.act {
-								t.Fatalf("seed %d parts %d %s step %d part %d: mirror state diverges (act %d vs %d)",
-									seed, numParts, order, step, p, a.act, b.act)
-							}
-							csRef, err := ref.Compute(p)
-							if err != nil {
-								t.Fatal(err)
-							}
-							csBulk, err := bulk.Compute(p)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if csRef != csBulk {
-								t.Fatalf("part %d: compute stats %+v vs %+v", p, csRef, csBulk)
-							}
-							var want []byte
-							nWant := 0
-							ref.messagesRef(p, func(local int32, m int64) {
-								want = appendPair(want, local, m)
-								nWant++
-							})
-							got, n := bulk.AppendMessages(p, []byte("prefix"), i64Wire{})
-							if n != nWant || string(got) != "prefix"+string(want) {
-								t.Fatalf("part %d: AppendMessages wrote %d pairs, oracle %d, or different bytes", p, n, nWant)
+							for _, p := range topo.owned {
+								label := fmt.Sprintf("seed %d parts %d W %d %v scan %d step %d part %d", seed, numParts, W, policy, scanWorkers, step, p)
+								if !slices.Equal(got.parts[p].fw, ref.fw[p]) {
+									t.Fatalf("%s: frontier derived from the changed bitset differs from the slab's", label)
+								}
+								wantCS, wantSlab, wantN := ref.computeRef(p)
+								if !slices.Equal(got.parts[p].vals, ref.sc.parts[p].vals) {
+									t.Fatalf("%s: mirror values diverge", label)
+								}
+								cs, slab, n := got.Section(p)
+								if cs != wantCS {
+									t.Fatalf("%s: compute stats %+v, oracle %+v", label, cs, wantCS)
+								}
+								if n != wantN || !bytes.Equal(slab, wantSlab) {
+									t.Fatalf("%s: reduce slab of %d pairs, oracle %d, or different bytes", label, n, wantN)
+								}
 							}
 						}
 					}
@@ -118,47 +113,108 @@ func TestBulkMirrorsAndMessagesMatchPerPair(t *testing.T) {
 	}
 }
 
-// TestSetMirrorsRejects pins the slab checks: ownership, pair alignment,
-// local range, and one slab per partition per superstep.
-func TestSetMirrorsRejects(t *testing.T) {
+// TestIngestRejects pins the vertex frame checks — whole pairs, index range,
+// strictly ascending, mirrored on this shard — and that a rejected frame
+// writes no mirror: every hostile body leads with a well-formed pair whose
+// value would show.
+func TestIngestRejects(t *testing.T) {
+	ctx := context.Background()
 	g := randomGraph(5, 40, 200)
 	pg := mustPartition(t, g, partition.RandomVertexCut(), 3)
-	parts := slices.Clone(pg.Parts)
-	parts[1] = nil // owned by another worker
-	sc, err := NewShardCompute(minLabelProgram(), g.Vertices(), parts)
+	topo := shardTopologies(pg, 3)[1] // owns partition 1 only
+	sc, err := NewShardCompute(minLabelProgram(), topo, i64Wire{}, i64Wire{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := int32(len(pg.Parts[0].LocalVerts))
-	good := appendPair(nil, 0, 7)
-	cases := []struct {
-		name string
-		p    int
-		slab []byte
-	}{
-		{"unowned partition", 1, good},
-		{"partition below range", -1, good},
-		{"partition above range", 3, good},
-		{"truncated pair", 0, good[:len(good)-1]},
-		{"one byte over", 0, append(slices.Clone(good), 0)},
-		{"local index at the end of the table", 0, appendPair(nil, n, 7)},
-		{"local index far out of range", 0, appendPair(nil, -1, 7)},
-	}
-	for _, tc := range cases {
-		sc.BeginSuperstep()
-		if err := sc.SetMirrors(tc.p, tc.slab, i64Wire{}); err == nil {
-			t.Errorf("%s: slab accepted", tc.name)
+	nv := int32(g.NumVertices())
+	var here []int32 // mirrored on this shard
+	absent := int32(-1)
+	for v := int32(0); v < nv; v++ {
+		if topo.routingOffsets[v] != topo.routingOffsets[v+1] {
+			here = append(here, v)
+		} else {
+			absent = v
 		}
 	}
-	sc.BeginSuperstep()
-	if err := sc.SetMirrors(0, good, i64Wire{}); err != nil {
+	if len(here) < 3 || absent < 0 {
+		t.Fatalf("fixture: %d vertices mirrored on the shard, absent vertex %d", len(here), absent)
+	}
+	const sentinel = 424242
+	lead := appendPair(nil, here[0], sentinel)
+	cases := []struct {
+		name  string
+		frame []byte
+	}{
+		{"truncated pair", lead[:len(lead)-1]},
+		{"one byte over", append(slices.Clone(lead), 0)},
+		{"index at the end of the vertex table", appendPair(slices.Clone(lead), nv, 7)},
+		{"index far out of range", appendPair(slices.Clone(lead), -1, 7)},
+		{"descending", appendPair(appendPair(slices.Clone(lead), here[2], 7), here[1], 7)},
+		{"vertex named twice", appendPair(appendPair(slices.Clone(lead), here[1], 7), here[1], 7)},
+		{"vertex with no mirror on this shard", func() []byte {
+			// Keep the frame ascending whichever side of here[0] it falls.
+			if absent < here[0] {
+				return appendPair(appendPair(nil, absent, 7), here[0], sentinel)
+			}
+			return appendPair(slices.Clone(lead), absent, 7)
+		}()},
+	}
+	before := slices.Clone(sc.parts[1].vals)
+	for _, tc := range cases {
+		if err := sc.Ingest(ctx, tc.frame); err == nil {
+			t.Errorf("%s: frame accepted", tc.name)
+		}
+		if !slices.Equal(sc.parts[1].vals, before) {
+			t.Fatalf("%s: a rejected frame wrote mirror values", tc.name)
+		}
+	}
+	if err := sc.Ingest(ctx, lead); err != nil {
 		t.Fatal(err)
 	}
-	if err := sc.SetMirrors(0, good, i64Wire{}); err == nil {
-		t.Error("second slab for one partition in one superstep accepted")
+	if slices.Equal(sc.parts[1].vals, before) {
+		t.Fatal("the well-formed lead pair alone changed nothing: the fixture cannot tell")
 	}
-	if _, err := sc.Compute(1); err == nil {
-		t.Error("Compute on an unowned partition succeeded")
+}
+
+// TestScanStopsWhenCancelled: Scan hands out no partition once its context
+// is done. The program cancels on the first edge any goroutine scans, so at
+// most one partition per scan goroutine — the ones already started — runs to
+// its end, out of sixty-four.
+func TestScanStopsWhenCancelled(t *testing.T) {
+	const numParts, edgesPerPart, scanWorkers = 64, 50, 4
+	edges := make([]graph.Edge, numParts*edgesPerPart)
+	assign := make([]partition.PID, len(edges))
+	for i := range edges {
+		edges[i] = graph.Edge{Src: graph.VertexID(i % 97), Dst: graph.VertexID(i % 89)}
+		assign[i] = partition.PID(i / edgesPerPart)
+	}
+	g := graph.FromEdges(edges)
+	pg, err := NewPartitionedGraph(g, assign, numParts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var scanned atomic.Int64
+	prog := pagerankProgram(pg)
+	prog.SendMsg = func(*Triplet[float64], Emitter[float64]) {
+		cancel()
+		scanned.Add(1)
+	}
+	sc, err := NewShardCompute(prog, shardTopologies(pg, 1)[0], f64Wire{}, f64Wire{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.workers = scanWorkers
+	if err := sc.Ingest(ctx, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.Scan(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Scan under a cancelled context: %v, want context.Canceled", err)
+	}
+	if got := scanned.Load(); got == 0 || got > scanWorkers*edgesPerPart {
+		t.Fatalf("%d edges scanned after the cancel at the first: want at most %d (one partition per goroutine) of %d",
+			got, scanWorkers*edgesPerPart, len(edges))
 	}
 }
 
@@ -239,27 +295,23 @@ func TestTripletIndexAddressing(t *testing.T) {
 			}
 			check(s.name, got)
 
-			// The worker's scan: every mirror installed from a slab, then
-			// Compute partition by partition.
+			// The worker's scan: every mirror installed from a vertex frame,
+			// then one goroutine scanning the partitions ascending.
 			got = got[:0]
-			sc, err := NewShardCompute(recordingProgram(s.policy, s.dir, &got), verts, pg.Parts)
+			sc, err := NewShardCompute(recordingProgram(s.policy, s.dir, &got), shardTopologies(pg, 1)[0], i64Wire{}, i64Wire{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			sc.BeginSuperstep()
-			for p, part := range pg.Parts {
-				var slab []byte
-				for l := range part.LocalVerts {
-					slab = appendPair(slab, int32(l), 0)
-				}
-				if err := sc.SetMirrors(p, slab, i64Wire{}); err != nil {
-					t.Fatal(err)
-				}
+			sc.workers = 1
+			var frame []byte
+			for v := range verts {
+				frame = appendPair(frame, int32(v), 0)
 			}
-			for p := range pg.Parts {
-				if _, err := sc.Compute(p); err != nil {
-					t.Fatal(err)
-				}
+			if err := sc.Ingest(context.Background(), frame); err != nil {
+				t.Fatal(err)
+			}
+			if err := sc.Scan(context.Background()); err != nil {
+				t.Fatal(err)
 			}
 			check("sharded "+s.name, got)
 		}

@@ -19,6 +19,9 @@
 //   - the mirror routing table agrees with an independent recount, and
 //     TotalMirrors == CommCost + NonCut as computed by the metrics package
 //     from the raw assignment.
+//
+// It also holds CheckStalledHeadersAreClosed, the listener-configuration
+// check shared by the commands that serve HTTP.
 package testutil
 
 import (
