@@ -13,7 +13,7 @@ GO ?= go
 #   make bench-compare BENCH_OUT=new.txt
 #   benchstat old.txt new.txt
 # The default filter is the guarded set the CI benchmark gate enforces.
-BENCH ?= BenchmarkSelectEmpirically|BenchmarkMeasureThenRun|BenchmarkTriangleCount|BenchmarkPartitionBuild|BenchmarkAppendEdges|BenchmarkRemoveEdges|BenchmarkStreamCycle|BenchmarkRestoreVsRebuild|BenchmarkReadEdgeList|BenchmarkSparseFrontier|BenchmarkScalingSweep|BenchmarkScale/1M|BenchmarkDistRun|BenchmarkServedSSSP
+BENCH ?= BenchmarkSelectEmpirically|BenchmarkMeasureThenRun|BenchmarkTriangleCount|BenchmarkPartitionBuild|BenchmarkAppendEdges|BenchmarkRemoveEdges|BenchmarkStreamCycle|BenchmarkRestoreVsRebuild|BenchmarkReadEdgeList|BenchmarkTailorCold|BenchmarkSparseFrontier|BenchmarkScalingSweep|BenchmarkScale/1M|BenchmarkDistRun|BenchmarkServedSSSP
 BENCH_COUNT ?= 10
 BENCH_OUT ?= bench.txt
 
@@ -59,29 +59,35 @@ lint: vet
 # failure suites, hostile step frames, a cancelled superstep, the
 # vertex-frame fan-out and parallel scan against the per-slab oracle), the
 # Triangle Count kernel (shared plan, pooled mark sets, equivalence with the
-# reference at one and many workers) and the
+# reference at one and many workers), the
 # fixed-width shortest-paths program (equivalence with its map-valued
-# reference on fresh and revived scratches, one and eight workers). The
-# engine and the distributed runtime run at -cpu 1,4: their parallel paths
-# (a worker's fan-out and partition scan, the coordinator's concurrent
-# encode and sharded merge, par.ForEach under both) are exercised with all
-# goroutines interleaved on one thread and truly concurrent on four.
+# reference on fresh and revived scratches, one and eight workers) and cold
+# tailoring (the chunked text parser against its line-by-line reference at
+# every chunk boundary; candidates measured concurrently against the
+# sequential selection, finishing in a forced order). The engine, the
+# distributed runtime, the selection fan-out and the metrics it calls run at
+# -cpu 1,4: their parallel paths (a worker's fan-out and partition scan, the
+# coordinator's concurrent encode and sharded merge, par.ForEach under all of
+# them) are exercised with all goroutines interleaved on one thread and truly
+# concurrent on four.
 race:
 	$(GO) test -race . ./cmd/cutfitd/... ./cmd/cutfit-worker/... ./internal/graph/... ./internal/algorithms/... ./internal/testutil/... ./internal/partition/... ./internal/store/... ./internal/snap/... ./internal/obsv/...
-	$(GO) test -race -cpu 1,4 ./internal/par/... ./internal/pregel/... ./internal/dist/...
+	$(GO) test -race -cpu 1,4 ./internal/par/... ./internal/pregel/... ./internal/dist/... ./internal/core/... ./internal/metrics/...
 
 # Hot-path benchmarks: partition construction (old vs new, and across
 # dataset analogs × strategies), the sparse-frontier scan payoff,
 # per-superstep allocation footprint, the single-pass selection pipeline,
 # the compact worker sweep, the two loaders (text ingest, snapshot
-# restore against rebuild), a stream-update cycle on a caching Session
+# restore against rebuild), one whole cold tailoring (text to ranks: the
+# tailor-cold operation, for profiles and bytes per operation), a
+# stream-update cycle on a caching Session
 # (bytes allocated per generation step, live heap per cached byte), whole
 # distributed runs on two loopback workers and a warm served sssp request
 # (allocs/op: per superstep and partition, never per vertex or message).
 bench:
 	$(GO) test -run='^$$' -bench='BenchmarkPartitionBuild|BenchmarkSparseFrontier' -benchmem ./internal/pregel/
 	$(GO) test -run='^$$' -bench='BenchmarkDistRun' -benchmem ./internal/dist/
-	$(GO) test -run='^$$' -bench='BenchmarkPartitionBuild|BenchmarkSuperstepAllocs|BenchmarkSelectEmpirically|BenchmarkMeasureThenRun|BenchmarkTriangleCount|BenchmarkScalingSweep|BenchmarkReadEdgeList|BenchmarkRestoreVsRebuild|BenchmarkStreamCycle|BenchmarkServedSSSP' -benchmem .
+	$(GO) test -run='^$$' -bench='BenchmarkPartitionBuild|BenchmarkSuperstepAllocs|BenchmarkSelectEmpirically|BenchmarkMeasureThenRun|BenchmarkTriangleCount|BenchmarkScalingSweep|BenchmarkReadEdgeList|BenchmarkTailorCold|BenchmarkRestoreVsRebuild|BenchmarkStreamCycle|BenchmarkServedSSSP' -benchmem .
 
 # Full multi-core scaling sweep: worker ladder × components × dataset
 # analogs, JSON for the benchgate efficiency gate plus a markdown table.

@@ -1,5 +1,6 @@
 // Benchmark harness: one testing.B benchmark per table and figure of the
-// paper's evaluation, plus the ablation benchmarks listed in DESIGN.md.
+// paper's evaluation, plus three ablation benchmarks (A1–A3, at the end of
+// this file).
 //
 // The benchmarks regenerate the paper artifacts and report the headline
 // quantities (correlation coefficients, reductions, winner agreement) as
@@ -7,7 +8,8 @@
 // the full pipeline and records the reproduced numbers. The companion
 // commands under cmd/ print the full tables.
 //
-// Expected shapes (paper → this reproduction, see EXPERIMENTS.md):
+// Expected shapes (paper → this reproduction; `go run ./cmd/runexp -alg
+// <name>` prints the full tables):
 //
 //	Figure 3  PageRank  CommCost r ≈ 0.95/0.96   → strong (≥0.9)
 //	Figure 4  CC        CommCost r ≈ 0.92/0.94   → strong (≥0.9)
@@ -262,8 +264,8 @@ func advisorAgreement(res *bench.Result) (agree, total int, err error) {
 }
 
 // BenchmarkAblationStreaming compares the paper's six hash strategies with
-// the streaming Greedy/HDRF partitioners on communication cost (A1 in
-// DESIGN.md), reporting the streaming partitioners' mean CommCost relative
+// the streaming Greedy/HDRF partitioners on communication cost (ablation
+// A1), reporting the streaming partitioners' mean CommCost relative
 // to 2D on the mid-sized datasets.
 func BenchmarkAblationStreaming(b *testing.B) {
 	specNames := []string{"pocek", "soclivejournal"}
@@ -297,7 +299,7 @@ func BenchmarkAblationStreaming(b *testing.B) {
 }
 
 // BenchmarkAblationCostModel perturbs the cost-model constants by ±50% and
-// reports how stable the Figure 3 correlation is (A2 in DESIGN.md): the
+// reports how stable the Figure 3 correlation is (ablation A2): the
 // paper's conclusion should not hinge on exact hardware constants.
 func BenchmarkAblationCostModel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -330,7 +332,7 @@ func BenchmarkAblationCostModel(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationRangeVsModulo (A3 in DESIGN.md) separates the two
+// BenchmarkAblationRangeVsModulo (ablation A3) separates the two
 // ingredients of the paper's SC/DC proposal — exploiting ID order vs
 // simple modulo striping — by comparing SC against a contiguous-block
 // Range partitioner on the road networks, whose IDs follow geography. It

@@ -347,8 +347,7 @@ func TestInfraSpreadGrowsWithInfrastructure(t *testing.T) {
 	// as fixed costs (storage load) shrink, the partitioner-driven share
 	// of the runtime grows. (Between (ii) and (iii) the analog scale
 	// diverges from the paper: at 1/100 data size the 1 Gb/s network
-	// dominates config (ii), so the spread there is already extreme; see
-	// EXPERIMENTS.md.)
+	// dominates config (ii), so the spread there is already extreme.)
 	if !(r.SpreadIV > r.SpreadIII) {
 		t.Fatalf("partitioner spread did not grow iii->iv: ii=+%.1f%% iii=+%.1f%% iv=+%.1f%%",
 			100*r.SpreadII, 100*r.SpreadIII, 100*r.SpreadIV)

@@ -88,9 +88,9 @@ func (c Config) RemoteFraction() float64 {
 // per-superstep overhead (NetworkLatencySecs) is kept small relative to
 // shuffle volume — as it is at the paper's full data scale, where each
 // superstep moves gigabytes — and the per-unit compute costs reflect
-// JVM-executed triplet processing. EXPERIMENTS.md records the calibration
-// and the sensitivity ablation (BenchmarkAblationCostModel) shows the
-// correlation conclusions are stable under ±50 % perturbation.
+// JVM-executed triplet processing. The sensitivity ablation
+// (BenchmarkAblationCostModel, root package) shows the correlation
+// conclusions are stable under ±50 % perturbation.
 func base() Config {
 	return Config{
 		NumExecutors:       4,

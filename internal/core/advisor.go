@@ -17,10 +17,12 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"cutfit/internal/graph"
 	"cutfit/internal/metrics"
+	"cutfit/internal/par"
 	"cutfit/internal/partition"
 	"cutfit/internal/pregel"
 	"cutfit/internal/store"
@@ -202,26 +204,14 @@ func SelectEmpiricallyIn(st *store.Store, g *graph.Graph, candidates []partition
 	if len(candidates) == 0 {
 		return nil, fmt.Errorf("core: no candidate strategies")
 	}
+	measured, err := measureCandidates(st, g, candidates, numParts, true)
+	if err != nil {
+		return nil, err
+	}
 	sel := &Selection{Results: make(map[string]*metrics.Result, len(candidates))}
 	bestVal := 0.0
-	for _, s := range candidates {
-		var (
-			a   *partition.Assignment
-			m   *metrics.Result
-			err error
-		)
-		if st != nil {
-			if a, err = st.Assignment(g, s, numParts); err == nil {
-				m, err = st.Metrics(g, s, numParts)
-			}
-		} else {
-			if a, err = partition.Assign(g, s, numParts); err == nil {
-				m, err = metrics.FromAssignment(a)
-			}
-		}
-		if err != nil {
-			return nil, fmt.Errorf("core: measuring %s: %w", s.Name(), err)
-		}
+	for i, s := range candidates {
+		m := measured[i].metrics
 		sel.Results[partition.KeyOf(s)] = m
 		v, err := m.MetricByName(p.Metric)
 		if err != nil {
@@ -229,11 +219,72 @@ func SelectEmpiricallyIn(st *store.Store, g *graph.Graph, candidates []partition
 		}
 		if sel.Strategy == nil || v < bestVal {
 			sel.Strategy = s
-			sel.Assignment = a
+			sel.Assignment = measured[i].assignment
 			bestVal = v
 		}
 	}
 	return sel, nil
+}
+
+// measurement is what measuring one candidate yields.
+type measurement struct {
+	assignment *partition.Assignment // nil unless asked for
+	metrics    *metrics.Result
+}
+
+// measureCandidates measures every candidate on g, concurrently: on as many
+// goroutines as the store's builds use (par.DefaultParallelism without a
+// store or a setting), each candidate through the store's single-flight
+// Assignment and Metrics when there is a store, directly otherwise. The
+// result is aligned with candidates, and so is the error: of several
+// failing candidates the first in candidate order is reported, whichever
+// failed first. Nothing a caller sees depends on which candidate finished
+// when — each measurement is a function of (g, strategy, numParts) alone,
+// and callers pick from the slice in candidate order. (The graph's lazy
+// views they share are each built by whichever needs one first, under the
+// graph's own once-guards; a selection the store answers builds none.)
+func measureCandidates(st *store.Store, g *graph.Graph, candidates []partition.Strategy, numParts int, withAssignments bool) ([]measurement, error) {
+	workers := 0
+	if st != nil {
+		workers = st.BuildOptions().Parallelism
+	}
+	if workers < 1 {
+		workers = par.DefaultParallelism()
+	}
+	out := make([]measurement, len(candidates))
+	errs := make([]error, len(candidates))
+	if err := par.ForEach(context.TODO(), workers, len(candidates), func(i int) {
+		var (
+			s   = candidates[i]
+			a   *partition.Assignment
+			m   *metrics.Result
+			err error
+		)
+		if st == nil {
+			if a, err = partition.Assign(g, s, numParts); err == nil {
+				m, err = metrics.FromAssignment(a)
+			}
+		} else {
+			if withAssignments {
+				a, err = st.Assignment(g, s, numParts)
+			}
+			if err == nil {
+				m, err = st.Metrics(g, s, numParts)
+			}
+		}
+		if !withAssignments {
+			a = nil
+		}
+		out[i], errs[i] = measurement{a, m}, err
+	}); err != nil {
+		return nil, err
+	}
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("core: measuring %s: %w", candidates[i].Name(), err)
+		}
+	}
+	return out, nil
 }
 
 // DetectIDLocality estimates whether consecutive vertex IDs are correlated

@@ -178,25 +178,18 @@ func TrainPredictorIn(st *store.Store, g *graph.Graph, candidates []partition.St
 	if len(timesByStrategy) < 2 {
 		return nil, nil, fmt.Errorf("core: need at least 2 timed strategies, got %d", len(timesByStrategy))
 	}
+	measured, err := measureCandidates(st, g, candidates, numParts, false)
+	if err != nil {
+		return nil, nil, err
+	}
 	results := make(map[string]*metrics.Result, len(candidates))
 	var xs, ys []float64
-	for _, s := range candidates {
-		var (
-			m   *metrics.Result
-			err error
-		)
-		if st != nil {
-			m, err = st.Metrics(g, s, numParts)
-		} else {
-			m, err = metrics.ComputeFor(g, s, numParts)
-		}
-		if err != nil {
-			return nil, nil, err
-		}
+	for i, s := range candidates {
 		// Results and time samples are keyed by partition.KeyOf — the
 		// strategy name except for parameterized variants (Hybrid:<t>,
 		// HDRF:<λ>), which must not alias one row or one time sample.
 		key := partition.KeyOf(s)
+		m := measured[i].metrics
 		results[key] = m
 		t, ok := timesByStrategy[key]
 		if !ok {

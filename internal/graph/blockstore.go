@@ -349,8 +349,9 @@ func (bs *BlockStore) WeightAt(i int) (float64, error) {
 
 // blockScratch is a pooled decode buffer pair for full scans.
 type blockScratch struct {
-	edges   []Edge
-	weights []float64
+	edges    []Edge
+	weights  []float64
+	src, dst []int32 // endpoint indices of edges (ForEachEndpointBlock)
 }
 
 var blockScratchPool = sync.Pool{New: func() any { return &blockScratch{} }}

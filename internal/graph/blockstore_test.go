@@ -431,6 +431,87 @@ func TestForEachEdgeBlockAllocs(t *testing.T) {
 	}
 }
 
+// TestForEachEndpointBlockMatchesLookup checks the shared endpoint iterator
+// against LookupIndices over ForEachEdgeBlock — the scratch loop each of its
+// callers used to carry — on dense, block-backed, weighted and tombstoned
+// graphs: the pieces tile the requested range in order, indices and weights
+// agree edge for edge, a dense graph gets one piece of its cached slices, and
+// a block-backed one pieces no longer than a block, without weights unless
+// asked, from ranges that start and end inside blocks.
+func TestForEachEndpointBlockMatchesLookup(t *testing.T) {
+	const n, blockEdges = 2000, 128
+	edges := randEdges(n, 300, 21)
+	weights := randWeights(n, 22)
+	shrunk := func(g *Graph) *Graph {
+		t.Helper()
+		out, _, err := g.Shrink([]Edge{edges[5], edges[900], edges[1999]})
+		if err != nil || out.NumDeadEdges() == 0 {
+			t.Fatalf("shrink: %v, %d dead", err, out.NumDeadEdges())
+		}
+		return out
+	}
+	weightedDense, err := FromWeightedEdges(append([]Edge(nil), edges...), append([]float64(nil), weights...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]*Graph{
+		"dense":                     FromEdges(append([]Edge(nil), edges...)),
+		"dense weighted":            weightedDense,
+		"dense tombstoned":          shrunk(FromEdges(append([]Edge(nil), edges...))),
+		"block":                     FromBlocks(buildBlocks(t, edges, nil, blockEdges)),
+		"block weighted":            FromBlocks(buildBlocks(t, edges, weights, blockEdges)),
+		"block weighted tombstoned": shrunk(FromBlocks(buildBlocks(t, edges, weights, blockEdges))),
+	} {
+		wantSrc, wantDst := make([]int32, n), make([]int32, n)
+		var wantW []float64
+		if err := g.ForEachEdgeBlock(func(start int, es []Edge, ws []float64) error {
+			g.LookupIndices(es, wantSrc[start:], wantDst[start:])
+			wantW = append(wantW, ws...)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range [][2]int{{0, n}, {0, 0}, {n, n}, {0, 1}, {127, 129}, {128, 256}, {130, 140}, {1, n - 1}, {1920, n}, {1999, n}} {
+			for _, withWeights := range []bool{false, true} {
+				next, pieces := r[0], 0
+				err := g.ForEachEndpointBlock(r[0], r[1], withWeights, func(start int, src, dst []int32, ws []float64) error {
+					pieces++
+					if start != next || len(src) == 0 || len(dst) != len(src) {
+						t.Fatalf("%s %v: piece at %d of %d/%d indices, want one at %d", name, r, start, len(src), len(dst), next)
+					}
+					if g.BlockBacked() && len(src) > blockEdges {
+						t.Fatalf("%s %v: a piece of %d edges from %d-edge blocks", name, r, len(src), blockEdges)
+					}
+					if wantWs := withWeights && g.Weighted(); (ws != nil) != wantWs || (wantWs && len(ws) != len(src)) {
+						t.Fatalf("%s %v: %d weights for %d edges, weights wanted: %t", name, r, len(ws), len(src), wantWs)
+					}
+					for j := range src {
+						if src[j] != wantSrc[start+j] || dst[j] != wantDst[start+j] || (ws != nil && ws[j] != wantW[start+j]) {
+							t.Fatalf("%s %v: edge %d differs from LookupIndices", name, r, start+j)
+						}
+					}
+					next += len(src)
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if next != max(r[0], r[1]) || (!g.BlockBacked() && pieces > 1) {
+					t.Fatalf("%s %v: %d pieces ending at %d", name, r, pieces, next)
+				}
+			}
+		}
+		if s1, _ := g.EdgeEndpointIndices(); !g.BlockBacked() {
+			_ = g.ForEachEndpointBlock(10, 20, false, func(_ int, src, _ []int32, _ []float64) error {
+				if &src[0] != &s1[10] {
+					t.Fatalf("%s: a dense graph's piece is not its cached slice", name)
+				}
+				return nil
+			})
+		}
+	}
+}
+
 func TestEdgeSeqStreams(t *testing.T) {
 	edges := randEdges(500, 100, 18)
 	g := FromBlocks(buildBlocks(t, edges, nil, 128))

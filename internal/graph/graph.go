@@ -579,6 +579,72 @@ func (g *Graph) LookupIndices(edges []Edge, src, dst []int32) {
 	}
 }
 
+// ForEachEndpointBlock streams the dense endpoint indices of the edge
+// positions [lo, hi) through fn in contiguous pieces, in ascending order:
+// fn(start, src, dst, weights), where edge start+j goes from dense vertex
+// src[j] to dst[j] and, when withWeights is set and the graph is weighted,
+// weighs weights[j] (weights is nil otherwise). Tombstoned slots are
+// included (filter with EdgeAlive(start+j)).
+//
+// A dense graph hands fn one piece of its cached EdgeEndpointIndices
+// slices, so every consumer after the first pays no lookup at all. A
+// block-backed graph never materializes those O(E) slices: it decodes the
+// covering blocks one at a time — skipping the weight sidecar unless asked
+// for it — and resolves each into pooled block-sized scratch that is valid
+// only during the callback. fn must not retain or modify the slices. Safe
+// for concurrent use, which is how the partition build calls it: one range
+// per worker.
+func (g *Graph) ForEachEndpointBlock(lo, hi int, withWeights bool, fn func(start int, src, dst []int32, weights []float64) error) error {
+	if hi <= lo {
+		return nil
+	}
+	bs := g.blocks
+	if bs == nil {
+		src, dst := g.EdgeEndpointIndices()
+		var ws []float64
+		if withWeights && g.weights != nil {
+			ws = g.weights[lo:hi]
+		}
+		return fn(lo, src[lo:hi], dst[lo:hi], ws)
+	}
+	sc := blockScratchPool.Get().(*blockScratch)
+	defer blockScratchPool.Put(sc)
+	for b := lo / bs.blockEdges; b*bs.blockEdges < hi; b++ {
+		var (
+			es  []Edge
+			ws  []float64
+			err error
+		)
+		if withWeights {
+			es, ws, err = bs.DecodeBlockInto(b, sc.edges, sc.weights)
+		} else {
+			es, err = bs.DecodeBlockEdges(b, sc.edges)
+		}
+		if err != nil {
+			return err
+		}
+		sc.edges = es[:0]
+		if ws != nil && !bs.isSharedOnes(ws) {
+			sc.weights = ws[:0]
+		}
+		start := b * bs.blockEdges
+		from, to := max(lo-start, 0), min(hi-start, len(es))
+		if ws != nil {
+			ws = ws[from:to]
+		}
+		if cap(sc.src) < to-from {
+			sc.src = make([]int32, max(to-from, bs.blockEdges))
+			sc.dst = make([]int32, len(sc.src))
+		}
+		src, dst := sc.src[:to-from], sc.dst[:to-from]
+		g.LookupIndices(es[from:to], src, dst)
+		if err := fn(start+from, src, dst, ws); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Version returns the mutation counter: 0 for a graph built by New or
 // FromEdges, a fresh process-unique base for graphs derived from another
 // graph (Clone, Reverse, Grow), incremented by every AddEdge/AddEdges.
@@ -825,8 +891,8 @@ func (g *Graph) Index(v VertexID) (int32, bool) {
 // partitioned-graph builder runs once per candidate strategy in the
 // advisor's empirical-selection loop) pay the vertex-index map lookups a
 // single time. Callers must not modify the returned slices. The slices
-// are O(E) — block-tier consumers stream LookupIndices over blocks
-// instead of calling this.
+// are O(E) — consumers that must also serve the block tier stream
+// ForEachEndpointBlock instead of calling this.
 func (g *Graph) EdgeEndpointIndices() (src, dst []int32) {
 	g.endpointOnce.do(func() {
 		g.buildVertexIndex()

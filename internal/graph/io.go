@@ -10,8 +10,11 @@ import (
 	"math/bits"
 	"slices"
 	"strconv"
+	"sync"
 	"unicode"
 	"unicode/utf8"
+
+	"cutfit/internal/par"
 )
 
 // WriteEdgeList writes the graph in SNAP-style text format: one "src dst"
@@ -47,9 +50,19 @@ func (g *Graph) WriteEdgeList(w io.Writer) error {
 }
 
 // streamBatchEdges is the batch granularity of StreamEdgeList: large
-// enough to amortize the callback, small enough that the parser's working
+// enough to amortize the callback, small enough that a consumer's working
 // set stays a few hundred KiB regardless of input size.
 const streamBatchEdges = 8192
+
+// The text parser cuts its input into chunks of whole lines, about
+// ingestChunkBytes each, and parses them concurrently. A line of
+// maxLineBytes or more (its newline not counted) is rejected: the limit of
+// the bufio.Scanner the parser was first built on, whose error it still
+// returns.
+const (
+	ingestChunkBytes = 128 << 10
+	maxLineBytes     = 1 << 20
+)
 
 // StreamEdgeList parses a SNAP-style text edge list (the ReadEdgeList
 // format) and delivers the edges to fn in batches instead of materializing
@@ -60,110 +73,327 @@ const streamBatchEdges = 8192
 // backfill ones for them, exactly as the dense tier's weight promotion
 // does. The slices are reused between batches — fn must not retain them.
 //
-// The two vertex IDs are scanned straight from the scanner's buffer, so an
-// unweighted line costs no allocation. The accepted language is that of
-// strings.Fields + strconv.ParseInt(·, 10, 64), and a rejected field goes
-// through strconv for its error.
+// The text is parsed a chunk of whole lines at a time, on up to
+// par.DefaultParallelism() goroutines that run at most twice that many
+// chunks ahead of fn; fn itself is called from the caller's goroutine, in
+// input order, and sees what a line-by-line parser would have shown it. The
+// two vertex IDs are scanned straight from the chunk, so an unweighted line
+// costs no allocation. The accepted language is that of strings.Fields +
+// strconv.ParseInt(·, 10, 64), and a rejected field goes through strconv for
+// its error.
 func StreamEdgeList(r io.Reader, fn func(edges []Edge, weights []float64) error) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<20)
-	edges := make([]Edge, 0, streamBatchEdges)
-	var weights []float64
-	flush := func() error {
-		if len(edges) == 0 {
-			return nil
-		}
-		err := fn(edges, weights)
-		edges = edges[:0]
-		if weights != nil {
-			weights = weights[:0]
-		}
-		return err
-	}
-	sc.Split(scanLineBlocks)
-	lineNo := 0
-	for sc.Scan() {
-		// The block is parsed in place, line by line: '\n' is whitespace to
-		// every helper but skipBlank, which stops in front of it, so a field
-		// scan can never run on into the next line. Each line's handling
-		// leaves p on the line's '\n' (or at the end of the block).
-		block := sc.Bytes()
-		for p := 0; p < len(block); p++ {
-			lineNo++
-			p = skipBlank(block, p)
-			if atLineEnd(block, p) {
-				continue
-			}
-			if block[p] == '#' || block[p] == '%' {
-				p = lineEnd(block, p)
-				continue
-			}
-			// A lone field is reported as such before it is judged as a number.
-			srcAt := p
-			src, srcEnd, srcOK := scanVertexID(block, srcAt)
-			if !srcOK {
-				srcEnd = fieldEnd(block, srcAt)
-			}
-			dstAt := skipBlank(block, srcEnd)
-			if atLineEnd(block, dstAt) {
-				return fmt.Errorf("graph: line %d: expected \"src dst\", got %q", lineNo, block[srcAt:srcEnd])
-			}
-			if !srcOK {
-				return badVertexField(lineNo, "source", block[srcAt:srcEnd])
-			}
-			dst, dstEnd, ok := scanVertexID(block, dstAt)
-			if !ok {
-				return badVertexField(lineNo, "destination", block[dstAt:fieldEnd(block, dstAt)])
-			}
-			if p = skipBlank(block, dstEnd); !atLineEnd(block, p) {
-				wtEnd := fieldEnd(block, p)
-				wtField := block[p:wtEnd]
-				wt, err := strconv.ParseFloat(string(wtField), 64)
-				if err != nil {
-					return fmt.Errorf("graph: line %d: bad edge weight %q: %w", lineNo, wtField, err)
-				}
-				if !(wt > 0) || math.IsInf(wt, 1) {
-					return fmt.Errorf("graph: line %d: edge weight %g must be finite and positive", lineNo, wt)
-				}
-				if weights == nil {
-					weights = make([]float64, len(edges), streamBatchEdges)
-					for i := range weights {
-						weights[i] = 1
-					}
-				}
-				weights = append(weights, wt)
-				p = lineEnd(block, wtEnd)
-			} else if weights != nil {
-				weights = append(weights, 1)
-			}
-			edges = append(edges, Edge{Src: VertexID(src), Dst: VertexID(dst)})
-			if len(edges) == streamBatchEdges {
-				if err := flush(); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("graph: scanning edge list: %w", err)
-	}
-	return flush()
+	return streamEdgeList(r, ingestChunkBytes, par.DefaultParallelism(), fn)
 }
 
-// scanLineBlocks is a bufio.SplitFunc delivering every complete line the
-// buffer holds as one token (bufio.ScanLines pays a Scan round trip per
-// line), and an unterminated last line at EOF. A line is held to the
-// scanner's token limit exactly as under ScanLines: a token is requested
-// beyond the buffer only when the buffer starts with a line that has no end
-// in it.
-func scanLineBlocks(data []byte, atEOF bool) (advance int, token []byte, err error) {
-	if nl := bytes.LastIndexByte(data, '\n'); nl >= 0 {
-		return nl + 1, data[:nl+1], nil
+func streamEdgeList(r io.Reader, chunkBytes, workers int, fn func(edges []Edge, weights []float64) error) error {
+	b := edgeBatcher{fn: fn, edges: make([]Edge, 0, streamBatchEdges)}
+	if err := streamSlabs(r, chunkBytes, workers, b.add); err != nil {
+		return err
 	}
-	if atEOF && len(data) > 0 {
-		return len(data), data, nil
+	return b.flush()
+}
+
+// edgeBatcher cuts the parsed slabs, taken in input order, into
+// StreamEdgeList's batches: streamBatchEdges edges each but the last,
+// weights nil until the batch that holds the first weighted line.
+type edgeBatcher struct {
+	fn      func(edges []Edge, weights []float64) error
+	edges   []Edge
+	weights []float64
+}
+
+func (b *edgeBatcher) add(s *edgeSlab) error {
+	for i := 0; i < len(s.edges); {
+		n := min(streamBatchEdges-len(b.edges), len(s.edges)-i)
+		if b.weights == nil && s.firstWeighted >= 0 && s.firstWeighted < i+n {
+			b.weights = appendOnes(make([]float64, 0, streamBatchEdges), len(b.edges))
+		}
+		b.edges = append(b.edges, s.edges[i:i+n]...)
+		if b.weights != nil {
+			if s.firstWeighted >= 0 {
+				b.weights = append(b.weights, s.weights[i:i+n]...)
+			} else {
+				b.weights = appendOnes(b.weights, n)
+			}
+		}
+		i += n
+		if len(b.edges) == streamBatchEdges {
+			if err := b.flush(); err != nil {
+				return err
+			}
+		}
 	}
-	return 0, nil, nil
+	return nil
+}
+
+func (b *edgeBatcher) flush() error {
+	if len(b.edges) == 0 {
+		return nil
+	}
+	err := b.fn(b.edges, b.weights)
+	b.edges = b.edges[:0]
+	if b.weights != nil {
+		b.weights = b.weights[:0]
+	}
+	return err
+}
+
+func appendOnes(ws []float64, n int) []float64 {
+	for ; n > 0; n-- {
+		ws = append(ws, 1)
+	}
+	return ws
+}
+
+// edgeSlab is one chunk of the text and what its lines parse to.
+type edgeSlab struct {
+	text []byte // whole lines; only the input's last may lack its '\n'
+	line int    // lines of input in front of text
+	rows int    // lines in text, an upper bound on its edges
+
+	// edges holds the edges of the lines up to the first one rejected, err
+	// that line's error. firstWeighted is the edge of the first line that
+	// carries a weight, -1 when none does; from there on weights is aligned
+	// with edges, and holds ones in front of it.
+	edges         []Edge
+	weights       []float64
+	firstWeighted int
+	err           error
+
+	parsed chan struct{} // receives once per parse
+}
+
+// streamSlabs cuts r into chunks of whole lines, parses them on up to
+// workers goroutines and hands the slabs to deliver in input order, from the
+// calling goroutine. At most 2 × workers chunks are read beyond the one being
+// delivered; with one worker, or when a chunk is all there is to parse, the
+// caller parses it itself and no goroutine is started. Slabs are reused once
+// delivered: deliver keeps a slab's edges or weights beyond its return by
+// setting the field to nil. It stops at the first error, in input order: a
+// rejected line (after its slab, which holds the edges in front of it, has
+// been delivered), deliver's own, or — after everything read has been
+// delivered — a read error or an over-long line.
+func streamSlabs(r io.Reader, chunkBytes, workers int, deliver func(*edgeSlab) error) error {
+	src := lineChunker{r: r, size: chunkBytes}
+	lookahead := 0
+	if workers > 1 {
+		lookahead = 2 * workers
+	}
+	var (
+		work    chan *edgeSlab
+		started int
+		wg      sync.WaitGroup
+		pending []*edgeSlab // read and not yet delivered, in input order
+		free    []*edgeSlab
+	)
+	defer func() {
+		if work != nil {
+			close(work)
+			wg.Wait()
+		}
+	}()
+	deliverFirst := func() error {
+		s := pending[0]
+		pending = pending[:copy(pending, pending[1:])]
+		<-s.parsed
+		if err := deliver(s); err != nil {
+			return err
+		}
+		free = append(free, s)
+		return s.err
+	}
+	for {
+		var s *edgeSlab
+		if n := len(free); n > 0 {
+			s, free = free[n-1], free[:n-1]
+		} else {
+			s = &edgeSlab{parsed: make(chan struct{}, 1)}
+		}
+		if !src.next(s) {
+			break
+		}
+		pending = append(pending, s)
+		if lookahead == 0 || (src.err != nil && len(pending) == 1) {
+			s.parse()
+		} else {
+			if work == nil {
+				work = make(chan *edgeSlab, lookahead+1) // every pending slab fits: a send never blocks
+			}
+			if started < workers {
+				started++
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for s := range work {
+						s.parse()
+					}
+				}()
+			}
+			work <- s
+		}
+		if len(pending) > lookahead {
+			if err := deliverFirst(); err != nil {
+				return err
+			}
+		}
+	}
+	for len(pending) > 0 {
+		if err := deliverFirst(); err != nil {
+			return err
+		}
+	}
+	if src.err != io.EOF {
+		return fmt.Errorf("graph: scanning edge list: %w", src.err)
+	}
+	return nil
+}
+
+// lineChunker cuts a reader's bytes into chunks of whole lines.
+type lineChunker struct {
+	r     io.Reader
+	size  int    // a chunk is read up to this many bytes and cut at its last '\n'
+	tail  []byte // the unfinished line behind the previous chunk
+	lines int    // lines handed out
+	err   error  // why reading stopped; io.EOF at the end of the input
+}
+
+// next reads the next chunk into s.text's array — grown when a single line
+// needs more than c.size — and reports whether there was one; after the
+// last, c.err tells why. A read error ends the input behind the bytes that
+// came with it, as it does under a bufio.Scanner, whose limits these also
+// are: a line must end within maxLineBytes unless the input ends first, and
+// a hundred reads in a row without a byte or an error are io.ErrNoProgress.
+func (c *lineChunker) next(s *edgeSlab) bool {
+	if s.text == nil {
+		s.text = make([]byte, 0, c.size)
+	}
+	buf := append(s.text[:0], c.tail...)
+	c.tail = c.tail[:0]
+	nl := -1 // the last '\n' in buf
+	for empty := 0; c.err == nil && (len(buf) < c.size || nl < 0); {
+		end := c.size
+		if len(buf) >= c.size {
+			end += len(buf)
+		}
+		if nl < 0 {
+			if len(buf) >= maxLineBytes {
+				c.err = bufio.ErrTooLong
+				return false
+			}
+			end = min(end, maxLineBytes)
+		}
+		buf = slices.Grow(buf, end-len(buf))
+		n, err := c.r.Read(buf[len(buf):end])
+		if n < 0 || n > end-len(buf) {
+			c.err = bufio.ErrBadReadCount
+			return false
+		}
+		if i := bytes.LastIndexByte(buf[len(buf):len(buf)+n], '\n'); i >= 0 {
+			nl = len(buf) + i
+		}
+		buf = buf[:len(buf)+n]
+		switch {
+		case err != nil:
+			c.err = err
+		case n > 0:
+			empty = 0
+		default:
+			if empty++; empty == 100 {
+				c.err = io.ErrNoProgress
+			}
+		}
+	}
+	if c.err == nil {
+		c.tail = append(c.tail, buf[nl+1:]...)
+		buf = buf[:nl+1]
+	}
+	s.text, s.line = buf, c.lines
+	s.rows = bytes.Count(buf, []byte{'\n'})
+	if len(buf) > 0 && buf[len(buf)-1] != '\n' {
+		s.rows++
+	}
+	c.lines += s.rows
+	return len(buf) > 0
+}
+
+// parse fills the slab from its text and signals s.parsed.
+func (s *edgeSlab) parse() {
+	if cap(s.edges) < s.rows {
+		s.edges = make([]Edge, 0, s.rows)
+	}
+	s.edges, s.weights, s.firstWeighted, s.err = parseEdgeLines(s.text, s.line, s.rows, s.edges[:0], s.weights[:0])
+	s.parsed <- struct{}{}
+}
+
+// parseEdgeLines parses the lines of block, the first of which is line
+// lineNo+1 of the input, and appends their edges to edges, which has room
+// for one per line, up to the first line it rejects. weights is appended to
+// from the first weighted line on, after ones for the edges in front of it;
+// firstWeighted is that line's edge, or -1.
+//
+// The block is parsed in place: '\n' is whitespace to every helper but
+// skipBlank, which stops in front of it, so a field scan can never run on
+// into the next line. Each line's handling leaves p on the line's '\n' (or at
+// the end of the block).
+func parseEdgeLines(block []byte, lineNo, rows int, edges []Edge, weights []float64) (_ []Edge, _ []float64, firstWeighted int, err error) {
+	firstWeighted = -1
+	for p := 0; p < len(block); p++ {
+		lineNo++
+		p = skipBlank(block, p)
+		if atLineEnd(block, p) {
+			continue
+		}
+		if block[p] == '#' || block[p] == '%' {
+			p = lineEnd(block, p)
+			continue
+		}
+		// A lone field is reported as such before it is judged as a number.
+		srcAt := p
+		src, srcEnd, srcOK := scanVertexID(block, srcAt)
+		if !srcOK {
+			srcEnd = fieldEnd(block, srcAt)
+		}
+		dstAt := skipBlank(block, srcEnd)
+		if atLineEnd(block, dstAt) {
+			err = fmt.Errorf("graph: line %d: expected \"src dst\", got %q", lineNo, block[srcAt:srcEnd])
+			break
+		}
+		if !srcOK {
+			err = badVertexField(lineNo, "source", block[srcAt:srcEnd])
+			break
+		}
+		dst, dstEnd, ok := scanVertexID(block, dstAt)
+		if !ok {
+			err = badVertexField(lineNo, "destination", block[dstAt:fieldEnd(block, dstAt)])
+			break
+		}
+		if p = skipBlank(block, dstEnd); !atLineEnd(block, p) {
+			wtEnd := fieldEnd(block, p)
+			wtField := block[p:wtEnd]
+			wt, werr := strconv.ParseFloat(string(wtField), 64)
+			if werr != nil {
+				err = fmt.Errorf("graph: line %d: bad edge weight %q: %w", lineNo, wtField, werr)
+				break
+			}
+			if !(wt > 0) || math.IsInf(wt, 1) {
+				err = fmt.Errorf("graph: line %d: edge weight %g must be finite and positive", lineNo, wt)
+				break
+			}
+			if firstWeighted < 0 {
+				firstWeighted = len(edges)
+				if cap(weights) < rows {
+					weights = make([]float64, 0, rows)
+				}
+				weights = appendOnes(weights, len(edges))
+			}
+			weights = append(weights, wt)
+			p = lineEnd(block, wtEnd)
+		} else if firstWeighted >= 0 {
+			weights = append(weights, 1)
+		}
+		edges = append(edges, Edge{Src: VertexID(src), Dst: VertexID(dst)})
+	}
+	return edges, weights, firstWeighted, err
 }
 
 // asciiSpace marks the ASCII whitespace characters (strings.Fields' set).
@@ -291,30 +521,50 @@ func badVertexField(lineNo int, which string, field []byte) error {
 // separated by whitespace, with an optional third field holding a
 // positive float64 edge weight; lines starting with '#' or '%' are
 // comments. If any line carries a weight the graph is weighted and
-// weight-less lines default to 1. It streams through StreamEdgeList, so
-// the parser never holds more than one batch beyond the graph itself.
+// weight-less lines default to 1. It parses like StreamEdgeList, keeps the
+// parsed slabs and copies them into an edge array (and weight array)
+// allocated once at its final size — so ingest allocates about twice the
+// result, and both are live until it returns.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
-	g := New(1024)
-	if err := StreamEdgeList(r, func(edges []Edge, weights []float64) error {
-		if weights != nil && g.weights == nil {
-			g.weights = make([]float64, len(g.edges), cap(g.edges))
-			for i := range g.weights {
-				g.weights[i] = 1
-			}
+	return readEdgeList(r, ingestChunkBytes, par.DefaultParallelism())
+}
+
+func readEdgeList(r io.Reader, chunkBytes, workers int) (*Graph, error) {
+	type slab struct {
+		edges   []Edge
+		weights []float64 // nil: no weighted line in the slab
+	}
+	var slabs []slab
+	total, weighted := 0, false
+	if err := streamSlabs(r, chunkBytes, workers, func(s *edgeSlab) error {
+		kept := slab{edges: s.edges}
+		s.edges = nil
+		if s.firstWeighted >= 0 {
+			kept.weights, s.weights, weighted = s.weights, nil, true
 		}
-		g.edges = append(g.edges, edges...)
-		if g.weights != nil {
-			if weights != nil {
-				g.weights = append(g.weights, weights...)
-			} else {
-				for range edges {
-					g.weights = append(g.weights, 1)
-				}
-			}
-		}
+		slabs = append(slabs, kept)
+		total += len(kept.edges)
 		return nil
 	}); err != nil {
 		return nil, err
+	}
+	g := &Graph{}
+	if len(slabs) == 1 {
+		g.edges, g.weights = slabs[0].edges, slabs[0].weights
+	} else {
+		g.edges = make([]Edge, 0, total)
+		if weighted {
+			g.weights = make([]float64, 0, total)
+		}
+		for _, sl := range slabs {
+			g.edges = append(g.edges, sl.edges...)
+			switch {
+			case sl.weights != nil:
+				g.weights = append(g.weights, sl.weights...)
+			case weighted:
+				g.weights = appendOnes(g.weights, len(sl.edges))
+			}
+		}
 	}
 	g.invalidate()
 	return g, nil

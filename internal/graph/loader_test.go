@@ -6,9 +6,12 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"cutfit/internal/rng"
 )
@@ -191,15 +194,198 @@ func TestStreamEdgeListShortReads(t *testing.T) {
 	}
 }
 
+// chunked is the parser cutting its input every chunkBytes bytes (moved up
+// to the next line end) and parsing on workers goroutines.
+func chunked(chunkBytes, workers int) func(io.Reader, func([]Edge, []float64) error) error {
+	return func(r io.Reader, fn func([]Edge, []float64) error) error {
+		return streamEdgeList(r, chunkBytes, workers, fn)
+	}
+}
+
+// readResult is what ReadEdgeList shows a caller.
+type readResult struct {
+	edges   []Edge
+	weights []float64
+	err     string
+}
+
+// readRef is ReadEdgeList as it was: the reference parser's batches appended
+// to one array, weights promoted at the first weighted batch.
+func readRef(data []byte) readResult {
+	var res readResult
+	res.edges = []Edge{}
+	err := streamEdgeListRef(bytes.NewReader(data), func(edges []Edge, weights []float64) error {
+		if weights != nil && res.weights == nil {
+			res.weights = appendOnes(make([]float64, 0, len(res.edges)), len(res.edges))
+		}
+		res.edges = append(res.edges, edges...)
+		switch {
+		case weights != nil:
+			res.weights = append(res.weights, weights...)
+		case res.weights != nil:
+			res.weights = appendOnes(res.weights, len(edges))
+		}
+		return nil
+	})
+	if err != nil {
+		return readResult{err: err.Error()}
+	}
+	return res
+}
+
+func sameRead(g *Graph, err error, want readResult) error {
+	if err != nil || want.err != "" {
+		if err == nil || err.Error() != want.err {
+			return fmt.Errorf("error %v, reference %q", err, want.err)
+		}
+		return nil
+	}
+	if !slices.Equal(g.Edges(), want.edges) || g.Edges() == nil {
+		return fmt.Errorf("edges differ from the reference")
+	}
+	if (g.Weights() == nil) != (want.weights == nil) || !slices.Equal(g.Weights(), want.weights) {
+		return fmt.Errorf("weights differ from the reference")
+	}
+	return nil
+}
+
+// TestStreamEdgeListChunkBoundaries cuts the parser's input every few
+// bytes, so that chunk ends fall everywhere a line, a batch and the first
+// weight can meet them, and requires of one and of eight parsing goroutines
+// what the line-by-line reference delivers: batches, weights, error text and
+// line number — and of ReadEdgeList the same edge and weight arrays.
+func TestStreamEdgeListChunkBoundaries(t *testing.T) {
+	batch := strings.Repeat("1 2\n", streamBatchEdges)
+	inputs := append([]string{
+		"1 2\n3 4\n5 6\n7 8 2.5\n9 10\n",                     // the first weight in a later chunk than weightless lines
+		batch + "1 2\n3 4\n" + "5 6 0.5\n" + batch + "7 8\n", // ... and in a later batch, mid-batch
+		batch[:len(batch)-4] + "5 6 0.5\n" + batch,           // ... on a batch's last edge
+		"1 2\r\n3 4 1.5\r\n\r\n5 6\r\n",                      // CRLF
+		"1 2\n3 4\n5 6",                                      // no trailing newline
+		"1 2\n3 4 7",                                         // ... on a weighted line
+		"1 2\n# one\n# two\n\n%\n   \n# three\n3 4\n",        // chunks of comments and blanks only
+		"1 2\n3 4 " + strings.Repeat("9", 300) + "\n5 6\n",   // a line longer than any chunk here
+		"1 2\nx y\n3 4\nz\n5 6 -1\n",                         // bad lines in later chunks too: the first one wins
+		"1 2\n3 4 0\n5\n",                                    // ... a bad weight before a lone field
+		batch + "1 2\n3 4\nx\n" + batch + "y\n",              // ... after a full batch was delivered
+	}, streamSeeds...)
+	for _, in := range inputs {
+		want := collectStream(streamEdgeListRef, []byte(in))
+		wantRead := readRef([]byte(in))
+		sizes := []int{1, 2, 3, 4, 5, 7, 8, 9, 13, 16, 31, 64, 4096}
+		if len(in) > 1<<12 {
+			sizes = []int{3, 8, 100, 4096} // the long seeds: a sample is enough
+		}
+		for _, size := range sizes {
+			for _, workers := range []int{1, 8} {
+				show := in
+				if len(show) > 40 {
+					show = show[:40] + "…"
+				}
+				if err := sameStream(collectStream(chunked(size, workers), []byte(in)), want); err != nil {
+					t.Errorf("input %q, chunks of %d, %d workers: %v", show, size, workers, err)
+				}
+				g, err := readEdgeList(strings.NewReader(in), size, workers)
+				if err := sameRead(g, err, wantRead); err != nil {
+					t.Errorf("input %q read in chunks of %d, %d workers: %v", show, size, workers, err)
+				}
+			}
+		}
+	}
+}
+
+// TestStreamEdgeListLineLimitChunked is the 1 MiB line limit seen through
+// chunks far smaller than the line.
+func TestStreamEdgeListLineLimitChunked(t *testing.T) {
+	const limit = 1 << 20
+	for name, in := range map[string]string{
+		"fits":            "5 6\n1 2 " + strings.Repeat("x", limit-5) + "\n3 4\n",
+		"too long":        "5 6\n1 2 " + strings.Repeat("x", limit-4) + "\n3 4\n",
+		"bad line before": "5 6\nx y\n1 2 " + strings.Repeat("x", limit-4) + "\n3 4\n",
+		"fits at the end": "5 6\n" + strings.Repeat("7", limit-1),
+		"too long at end": "5 6\n" + strings.Repeat("7", limit),
+	} {
+		want := collectStream(streamEdgeListRef, []byte(in))
+		for _, size := range []int{5, 1000, 1 << 16} {
+			if err := sameStream(collectStream(chunked(size, 8), []byte(in)), want); err != nil {
+				t.Errorf("%s, chunks of %d: %v", name, size, err)
+			}
+		}
+	}
+}
+
+// failingReader returns its data and then, in place of io.EOF, err.
+type failingReader struct {
+	data []byte
+	err  error
+}
+
+func (f *failingReader) Read(p []byte) (int, error) {
+	if len(f.data) == 0 {
+		return 0, f.err
+	}
+	n := copy(p, f.data)
+	f.data = f.data[n:]
+	return n, nil
+}
+
+// TestStreamEdgeListReadError: what was read before a reader failed is
+// parsed, an unfinished last line included, and a bad line in it is reported
+// rather than the read error — the bufio.Scanner's order.
+func TestStreamEdgeListReadError(t *testing.T) {
+	boom := fmt.Errorf("boom")
+	for _, in := range []string{"1 2\n3 4\n5 6", "1 2\nx\n3 4\n", ""} {
+		for _, size := range []int{2, 5, 1 << 16} {
+			collect := func(stream func(io.Reader, func([]Edge, []float64) error) error) (edges []Edge, err error) {
+				err = stream(&failingReader{data: []byte(in), err: boom}, func(es []Edge, _ []float64) error {
+					edges = append(edges, es...)
+					return nil
+				})
+				return edges, err
+			}
+			got, gerr := collect(chunked(size, 8))
+			want, werr := collect(streamEdgeListRef)
+			if gerr == nil || gerr.Error() != werr.Error() || !slices.Equal(got, want) {
+				t.Errorf("input %q, chunks of %d: %d edges and error %v, reference %d and %v", in, size, len(got), gerr, len(want), werr)
+			}
+		}
+	}
+}
+
+// TestStreamEdgeListStopsOnCallbackError: an error from fn ends the stream
+// with that error, and fn is not called again.
+func TestStreamEdgeListStopsOnCallbackError(t *testing.T) {
+	in := strings.Repeat("1 2\n", 5*streamBatchEdges)
+	stop := fmt.Errorf("stop")
+	for _, workers := range []int{1, 8} {
+		calls := 0
+		err := streamEdgeList(strings.NewReader(in), 1000, workers, func([]Edge, []float64) error {
+			if calls++; calls == 2 {
+				return stop
+			}
+			return nil
+		})
+		if err != stop || calls != 2 {
+			t.Errorf("%d workers: error %v after %d calls, want %v after 2", workers, err, calls, stop)
+		}
+	}
+}
+
 // FuzzStreamEdgeList requires the parser and its strconv reference to agree
 // on every input: the same batches of edges, the same weights, the same
-// error text with the same line number.
+// error text with the same line number — as shipped (chunk 0) and cut every
+// chunk bytes for one to eight parsing goroutines.
 func FuzzStreamEdgeList(f *testing.F) {
 	for _, s := range streamSeeds {
-		f.Add([]byte(s))
+		f.Add([]byte(s), uint16(0), uint8(0))
+		f.Add([]byte(s), uint16(5), uint8(7))
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		got := collectStream(StreamEdgeList, data)
+	f.Fuzz(func(t *testing.T, data []byte, chunk uint16, workers uint8) {
+		stream := StreamEdgeList
+		if chunk > 0 {
+			stream = chunked(int(chunk), 1+int(workers%8))
+		}
+		got := collectStream(stream, data)
 		want := collectStream(streamEdgeListRef, data)
 		if err := sameStream(got, want); err != nil {
 			t.Fatal(err)
@@ -237,10 +423,10 @@ func TestLeadingDigits(t *testing.T) {
 	}
 }
 
-// TestReadEdgeListAllocsPerBatch pins ingest to O(batches) allocations —
-// the scanner, its buffer, the batch and the edge array's regrowth — where a
-// per-line string, field slice or boxed error would cost one or more per
-// each of the 100k lines.
+// TestReadEdgeListAllocsPerBatch pins ingest to O(batches) allocations — a
+// few per chunk of text (its buffer, its slab of edges) and the final array
+// — where a per-line string, field slice or boxed error would cost one or
+// more per each of the 100k lines.
 func TestReadEdgeListAllocsPerBatch(t *testing.T) {
 	const lines = 100_000
 	var text bytes.Buffer
@@ -257,6 +443,39 @@ func TestReadEdgeListAllocsPerBatch(t *testing.T) {
 	})
 	if limit := float64(4 * batches); allocs > limit {
 		t.Fatalf("ingesting %d lines in %d batches made %.0f allocations, want at most %.0f", lines, batches, allocs, limit)
+	}
+}
+
+// TestReadEdgeListAllocatesTwiceTheResult bounds what ingest allocates at
+// the size of the tailor-cold benchmark graph: the slabs (once the edge
+// array), the array itself and a few chunks of text in flight — no more than
+// 2.2 × the edge array with two parsing goroutines, where growing the array
+// by append allocated 4.8 ×.
+func TestReadEdgeListAllocatesTwiceTheResult(t *testing.T) {
+	const lines = 1 << 19
+	text := make([]byte, 0, 14*lines)
+	r := rng.New(5)
+	for i := 0; i < lines; i++ {
+		text = strconv.AppendUint(text, r.Uint64()%65536, 10)
+		text = append(text, '\t')
+		text = strconv.AppendUint(text, r.Uint64()%65536, 10)
+		text = append(text, '\n')
+	}
+	const runs = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		g, err := readEdgeList(bytes.NewReader(text), ingestChunkBytes, 2)
+		if err != nil || g.NumEdges() != lines {
+			t.Fatalf("ingest: %v, %d edges", err, g.NumEdges())
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perRun := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	edgeArray := float64(lines) * float64(unsafe.Sizeof(Edge{}))
+	if perRun > 2.2*edgeArray {
+		t.Fatalf("ingesting %d lines allocated %.1f MB, %.2f × the %.1f MB edge array; want at most 2.2 ×",
+			lines, perRun/1e6, perRun/edgeArray, edgeArray/1e6)
 	}
 }
 

@@ -96,18 +96,12 @@ func FromAssignment(a *partition.Assignment) (*Result, error) {
 		wdeg = make([]float64, nv)
 	}
 	numDead := g.NumDeadEdges()
-	// Block at a time with batch endpoint lookup — same ascending edge
-	// order as a dense loop (float sums stay bit-identical) without
-	// materializing the O(E) endpoint-index and weight slices.
-	var sidx, didx []int32
-	if err := g.ForEachEdgeBlock(func(start int, edges []graph.Edge, ws []float64) error {
-		if cap(sidx) < len(edges) {
-			sidx = make([]int32, len(edges))
-			didx = make([]int32, len(edges))
-		}
-		sidx, didx = sidx[:len(edges)], didx[:len(edges)]
-		g.LookupIndices(edges, sidx, didx)
-		for j := range edges {
+	// Ascending edge order on either tier, so the float sums are
+	// bit-identical: the dense tier reads the graph's cached endpoint
+	// indices — the ones the build of whichever candidate wins needs anyway —
+	// and the block tier resolves them a block at a time.
+	if err := g.ForEachEndpointBlock(0, g.NumEdges(), true, func(start int, sidx, didx []int32, ws []float64) error {
+		for j := range sidx {
 			i := start + j
 			if numDead != 0 && !g.EdgeAlive(i) {
 				continue

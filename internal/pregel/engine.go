@@ -632,7 +632,6 @@ func runEngine[V, M any](ctx context.Context, pg *PartitionedGraph, prog Program
 // messages back to the master arrays. Factored out of runEngine so the
 // distributed branch above replaces exactly this block and nothing else.
 func localSuperstep[V, M any](ctx context.Context, pg *PartitionedGraph, prog *Program[V, M], sc *engineScratch[V, M], ss *SuperstepStats, step, shards, nw, nv, wShard int) error {
-	_ = ctx
 	verts := pg.G.Vertices()
 	numParts := pg.NumParts
 	masterVals := sc.masterVals
@@ -688,11 +687,16 @@ func localSuperstep[V, M any](ctx context.Context, pg *PartitionedGraph, prog *P
 	// never touches it, so no word is shared), then hands the triplet scan
 	// to computePart — the same code the distributed worker runs, so both
 	// paths deliver messages in ascending edge order and results are
-	// identical; only where the scan executes differs.
+	// identical; only where the scan executes differs. Like the worker's
+	// Scan, it starts no partition once ctx is done: a caller that gave up
+	// costs each scan goroutine at most the partition it is in.
 	scanned := sc.scanned
 	emitted := sc.emitted
 	visited := sc.visited
 	if err := pg.forEachPart(func(p int) {
+		if ctx.Err() != nil {
+			return
+		}
 		part := pg.Parts[p]
 		em := &sc.emitters[p].partEmitter
 		em.emitted = 0
@@ -709,6 +713,9 @@ func localSuperstep[V, M any](ctx context.Context, pg *PartitionedGraph, prog *P
 		visited[p] = nVisited
 		sc.computePerPart[p] = cost
 	}); err != nil {
+		return fmt.Errorf("pregel: superstep %d compute: %w", step, err)
+	}
+	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("pregel: superstep %d compute: %w", step, err)
 	}
 	for p := 0; p < numParts; p++ {

@@ -2,9 +2,11 @@ package pregel
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"cutfit/internal/graph"
@@ -401,5 +403,40 @@ func TestOnSuperstepErrorAborts(t *testing.T) {
 	_, _, err := Run(context.Background(), pg, prog)
 	if err == nil || !strings.Contains(err.Error(), "monitor failure") {
 		t.Fatalf("err = %v, want monitor failure", err)
+	}
+}
+
+// TestLocalRunStopsWhenCancelled is TestScanStopsWhenCancelled for the
+// in-process engine: the compute phase starts no partition once the run's
+// context is done. The program cancels on the first edge any goroutine
+// scans, so at most one partition per scan goroutine — the ones already
+// started — runs to its end, out of sixty-four, and the run returns the
+// context's error instead of finishing the superstep.
+func TestLocalRunStopsWhenCancelled(t *testing.T) {
+	const numParts, edgesPerPart, scanWorkers = 64, 50, 4
+	edges := make([]graph.Edge, numParts*edgesPerPart)
+	assign := make([]partition.PID, len(edges))
+	for i := range edges {
+		edges[i] = graph.Edge{Src: graph.VertexID(i % 97), Dst: graph.VertexID(i % 89)}
+		assign[i] = partition.PID(i / edgesPerPart)
+	}
+	pg, err := NewPartitionedGraphOpts(graph.FromEdges(edges), assign, numParts, BuildOptions{Parallelism: scanWorkers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var scanned atomic.Int64
+	prog := pagerankProgram(pg)
+	prog.SendMsg = func(*Triplet[float64], Emitter[float64]) {
+		cancel()
+		scanned.Add(1)
+	}
+	if _, _, err := Run(ctx, pg, prog); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run under a context cancelled mid-superstep: %v, want context.Canceled", err)
+	}
+	if got := scanned.Load(); got == 0 || got > scanWorkers*edgesPerPart {
+		t.Fatalf("%d edges scanned after the cancel at the first: want at most %d (one partition per goroutine) of %d",
+			got, scanWorkers*edgesPerPart, len(edges))
 	}
 }

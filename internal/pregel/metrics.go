@@ -1,7 +1,6 @@
 package pregel
 
 import (
-	"cutfit/internal/graph"
 	"cutfit/internal/metrics"
 	"cutfit/internal/partition"
 )
@@ -59,18 +58,8 @@ func (pg *PartitionedGraph) Metrics() *metrics.Result {
 		numDead := g.NumDeadEdges()
 		res.WeightPerPart = make([]float64, numParts)
 		wdeg = make([]float64, nv)
-		// Block at a time with batch endpoint lookup: same ascending edge
-		// order as the dense loop (so the float sums stay bit-identical)
-		// without materializing the O(E) weight and index slices.
-		var sidx, didx []int32
-		if err := g.ForEachEdgeBlock(func(start int, edges []graph.Edge, weights []float64) error {
-			if cap(sidx) < len(edges) {
-				sidx = make([]int32, len(edges))
-				didx = make([]int32, len(edges))
-			}
-			sidx, didx = sidx[:len(edges)], didx[:len(edges)]
-			g.LookupIndices(edges, sidx, didx)
-			for j := range edges {
+		if err := g.ForEachEndpointBlock(0, g.NumEdges(), true, func(start int, sidx, didx []int32, weights []float64) error {
+			for j := range sidx {
 				i := start + j
 				if numDead != 0 && !g.EdgeAlive(i) {
 					continue

@@ -251,39 +251,32 @@ func NewPartitionedGraphOpts(g *graph.Graph, assign []partition.PID, numParts in
 // local vertex tables by sort + dedup. Tombstoned edges are validated (the
 // assignment stays dense-aligned) but never scattered: partitions hold live
 // edges only, exactly as a rebuild over the compacted list would produce.
+//
+// Both passes shard the edge list into the same contiguous ranges — whole
+// blocks on a block-backed graph — and the scatter reads endpoint indices
+// through Graph.ForEachEndpointBlock: the cached O(E) slices of a dense
+// graph, per-worker block-sized scratch on the block tier, which never
+// materializes them (most of its peak-heap win at scale).
 func (pg *PartitionedGraph) buildSortScatter() error {
 	g, assign, numParts := pg.G, pg.assign, pg.NumParts
 	ne := len(assign)
 	numDead := g.NumDeadEdges()
 
-	// A block-backed graph scatters block at a time through per-worker
-	// decode scratch — the O(E) endpoint-index slices of the dense path are
-	// never materialized, which is most of the peak-heap win at scale.
-	if g.BlockBacked() {
-		return pg.buildSortScatterBlocks()
+	unit, units := 1, ne
+	if bs := g.Blocks(); bs != nil {
+		unit, units = bs.BlockEdges(), bs.NumBlocks()
 	}
-	srcIdx, dstIdx := g.EdgeEndpointIndices()
+	shards := max(min(pg.Parallelism, units), 1)
+	chunk := (units + shards - 1) / shards * unit
 
-	shards := pg.Parallelism
-	if shards > ne {
-		shards = ne
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	chunk := (ne + shards - 1) / shards
-
-	// Pass 1: per-(shard, partition) edge counts, sharded over contiguous
-	// edge ranges. Each shard validates its own PIDs.
+	// Pass 1: per-(shard, partition) live edge counts. Each shard validates
+	// its own PIDs; it needs only the assignment and tombstones, never the
+	// edges themselves.
 	shardCounts := make([]int64, shards*numParts)
 	var badEdge, badPID int64 = -1, 0
 	var badMu sync.Mutex
 	var wg sync.WaitGroup
 	for s := 0; s < shards; s++ {
-		lo, hi := s*chunk, (s+1)*chunk
-		if hi > ne {
-			hi = ne
-		}
 		wg.Add(1)
 		go func(s, lo, hi int) {
 			defer wg.Done()
@@ -303,7 +296,7 @@ func (pg *PartitionedGraph) buildSortScatter() error {
 				}
 				counts[p]++
 			}
-		}(s, lo, hi)
+		}(s, min(s*chunk, ne), min((s+1)*chunk, ne))
 	}
 	wg.Wait()
 	if badEdge >= 0 {
@@ -337,154 +330,25 @@ func (pg *PartitionedGraph) buildSortScatter() error {
 	// The buffer holds live edges only — the count pass skipped tombstones
 	// with the same predicate, so the cursors line up exactly.
 	edgeBuf := make([]localEdge, partStart[numParts])
-	for s := 0; s < shards; s++ {
-		lo, hi := s*chunk, (s+1)*chunk
-		if hi > ne {
-			hi = ne
-		}
-		wg.Add(1)
-		go func(s, lo, hi int) {
-			defer wg.Done()
-			cur := cursors[s*numParts : (s+1)*numParts]
-			for i := lo; i < hi; i++ {
-				if numDead != 0 && !g.EdgeAlive(i) {
-					continue
-				}
-				p := assign[i]
-				edgeBuf[cur[p]] = localEdge{src: srcIdx[i], dst: dstIdx[i]}
-				cur[p]++
-			}
-		}(s, lo, hi)
-	}
-	wg.Wait()
-
-	pg.scatterFinish(edgeBuf, partStart)
-	return nil
-}
-
-// buildSortScatterBlocks is buildSortScatter for block-backed graphs: the
-// same counting sort, but shards cover contiguous BLOCK ranges (the count
-// and scatter passes walk identical edge spans, so the cursors line up)
-// and each scatter worker decodes its blocks into private scratch,
-// resolving endpoint indices per block with the batch lookup instead of
-// the O(E) EdgeEndpointIndices slices.
-func (pg *PartitionedGraph) buildSortScatterBlocks() error {
-	g, assign, numParts := pg.G, pg.assign, pg.NumParts
-	bs := g.Blocks()
-	ne := len(assign)
-	numDead := g.NumDeadEdges()
-	blockEdges := bs.BlockEdges()
-	numBlocks := bs.NumBlocks()
-
-	// Build the vertex index once up front so the concurrent per-block
-	// endpoint lookups below never race on construction.
-	g.LookupIndices(nil, nil, nil)
-
-	shards := pg.Parallelism
-	if shards > numBlocks {
-		shards = numBlocks
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	bchunk := (numBlocks + shards - 1) / shards
-
-	// Pass 1: per-(shard, partition) live edge counts over block-aligned
-	// edge ranges. Needs only the assignment and tombstones, never the
-	// edges themselves.
-	shardCounts := make([]int64, shards*numParts)
-	var badEdge, badPID int64 = -1, 0
-	var badMu sync.Mutex
-	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
-		lo, hi := s*bchunk*blockEdges, (s+1)*bchunk*blockEdges
-		if hi > ne {
-			hi = ne
-		}
-		wg.Add(1)
-		go func(s, lo, hi int) {
-			defer wg.Done()
-			counts := shardCounts[s*numParts : (s+1)*numParts]
-			for i := lo; i < hi; i++ {
-				p := assign[i]
-				if p < 0 || int(p) >= numParts {
-					badMu.Lock()
-					if badEdge < 0 || int64(i) < badEdge {
-						badEdge, badPID = int64(i), int64(p)
-					}
-					badMu.Unlock()
-					return
-				}
-				if numDead != 0 && !g.EdgeAlive(i) {
-					continue
-				}
-				counts[p]++
-			}
-		}(s, lo, hi)
-	}
-	wg.Wait()
-	if badEdge >= 0 {
-		return fmt.Errorf("pregel: edge %d assigned to out-of-range partition %d", badEdge, badPID)
-	}
-
-	partStart := make([]int64, numParts+1)
-	for p := 0; p < numParts; p++ {
-		var total int64
-		for s := 0; s < shards; s++ {
-			total += shardCounts[s*numParts+p]
-		}
-		partStart[p+1] = partStart[p] + total
-	}
-	cursors := shardCounts // reuse: overwrite counts with absolute cursors
-	for p := 0; p < numParts; p++ {
-		pos := partStart[p]
-		for s := 0; s < shards; s++ {
-			c := shardCounts[s*numParts+p]
-			cursors[s*numParts+p] = pos
-			pos += c
-		}
-	}
-
-	// Pass 2: scatter, one worker per contiguous block range, decoding
-	// into per-worker scratch.
-	edgeBuf := make([]localEdge, partStart[numParts])
 	errs := make([]error, shards)
 	for s := 0; s < shards; s++ {
-		b0, b1 := s*bchunk, (s+1)*bchunk
-		if b1 > numBlocks {
-			b1 = numBlocks
-		}
 		wg.Add(1)
-		go func(s, b0, b1 int) {
+		go func(s, lo, hi int) {
 			defer wg.Done()
 			cur := cursors[s*numParts : (s+1)*numParts]
-			var ebuf []graph.Edge
-			var sidx, didx []int32
-			for b := b0; b < b1; b++ {
-				es, err := bs.DecodeBlockEdges(b, ebuf)
-				if err != nil {
-					errs[s] = err
-					return
-				}
-				ebuf = es[:0]
-				if cap(sidx) < len(es) {
-					sidx = make([]int32, len(es))
-					didx = make([]int32, len(es))
-				}
-				sidx, didx = sidx[:len(es)], didx[:len(es)]
-				g.LookupIndices(es, sidx, didx)
-				start := b * blockEdges
-				for j := range es {
+			errs[s] = g.ForEachEndpointBlock(lo, hi, false, func(start int, srcIdx, dstIdx []int32, _ []float64) error {
+				for j := range srcIdx {
 					i := start + j
 					if numDead != 0 && !g.EdgeAlive(i) {
 						continue
 					}
 					p := assign[i]
-					edgeBuf[cur[p]] = localEdge{src: sidx[j], dst: didx[j]}
+					edgeBuf[cur[p]] = localEdge{src: srcIdx[j], dst: dstIdx[j]}
 					cur[p]++
 				}
-			}
-		}(s, b0, b1)
+				return nil
+			})
+		}(s, min(s*chunk, ne), min((s+1)*chunk, ne))
 	}
 	wg.Wait()
 	for _, err := range errs {

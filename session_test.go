@@ -123,6 +123,56 @@ func TestSessionSingleFlight(t *testing.T) {
 	}
 }
 
+// TestSessionConcurrentSelectsAssignOnce: eight goroutines selecting over
+// the same candidates on one caching Session — each of them fanning its
+// candidates out in turn — run every candidate's Partition exactly once and
+// compute twelve artifacts, an assignment and a metric set per candidate;
+// everything else is a hit or a wait on the flight that computes. All eight
+// get the same selection.
+func TestSessionConcurrentSelectsAssignOnce(t *testing.T) {
+	g := sessionTestGraph(t)
+	var counted []*countingSessionStrategy
+	var candidates []cutfit.Strategy
+	for _, s := range cutfit.Strategies() {
+		cs := &countingSessionStrategy{inner: s}
+		counted = append(counted, cs)
+		candidates = append(candidates, cs)
+	}
+	se := cutfit.NewSession(cutfit.SessionOptions{Parallelism: 8})
+	const k, parts = 8, 8
+	sels := make([]*cutfit.Selection, k)
+	errs := make([]error, k)
+	var wg, start sync.WaitGroup
+	start.Add(1)
+	for i := 0; i < k; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			start.Wait()
+			sels[i], errs[i] = se.Select(g, candidates, parts, cutfit.ProfilePageRank)
+		}(i)
+	}
+	start.Done()
+	wg.Wait()
+	for i := range sels {
+		if errs[i] != nil {
+			t.Fatalf("select %d: %v", i, errs[i])
+		}
+		if sels[i].Strategy != sels[0].Strategy || sels[i].Assignment != sels[0].Assignment ||
+			!reflect.DeepEqual(sels[i].Results, sels[0].Results) {
+			t.Fatalf("select %d chose %s, select 0 %s: not the same shared selection", i, sels[i].Strategy.Name(), sels[0].Strategy.Name())
+		}
+	}
+	for _, cs := range counted {
+		if got := cs.calls.Load(); got != 1 {
+			t.Errorf("%s: Partition ran %d times under %d concurrent selects, want 1", cs.Name(), got, k)
+		}
+	}
+	if st := se.CacheStats(); st.Misses != int64(2*len(candidates)) {
+		t.Errorf("%d store misses, want %d: one assignment and one metric set per candidate", st.Misses, 2*len(candidates))
+	}
+}
+
 // TestSessionConcurrentMixedWorkload drives one Session from many
 // goroutines with a mixed Select/Measure/Run workload over two program
 // types and asserts every result is bit-identical to the serial answers
