@@ -6,18 +6,7 @@
 
 GO ?= go
 
-# bench-compare knobs: the benchmark filter, sample count and output file.
-# Typical use, before and after a change:
-#   make bench-compare BENCH_OUT=old.txt
-#   ...apply change...
-#   make bench-compare BENCH_OUT=new.txt
-#   benchstat old.txt new.txt
-# The default filter is the guarded set the CI benchmark gate enforces.
-BENCH ?= BenchmarkSelectEmpirically|BenchmarkMeasureThenRun|BenchmarkTriangleCount|BenchmarkPartitionBuild|BenchmarkAppendEdges|BenchmarkRemoveEdges|BenchmarkStreamCycle|BenchmarkRestoreVsRebuild|BenchmarkReadEdgeList|BenchmarkTailorCold|BenchmarkSparseFrontier|BenchmarkScalingSweep|BenchmarkScale/1M|BenchmarkDistRun|BenchmarkServedSSSP
-BENCH_COUNT ?= 10
-BENCH_OUT ?= bench.txt
-
-.PHONY: all build test benchmark-test vet lint race bench bench-smoke bench-compare bench-scale bench-scale-xl scalebench loadgen-smoke dist-smoke fuzz fuzz-smoke compat check
+.PHONY: all build test benchmark-test benchmark vet lint race bench bench-smoke bench-scale bench-scale-xl fuzz fuzz-smoke compat check
 
 all: check
 
@@ -31,6 +20,12 @@ test:
 # module, so `go test ./...` from the root never reaches them.
 benchmark-test:
 	cd benchmark && $(GO) test .
+
+# The benchmark itself: both passes of all five workloads (~4.5 min). Exits
+# non-zero on any wrong result, non-200 reply or local fallback; the nightly
+# workflow runs the same command and archives its output.
+benchmark:
+	bash benchmark/run.sh
 
 vet:
 	$(GO) vet ./...
@@ -49,59 +44,52 @@ lint: vet
 
 # Race determinism regression for the parallel partition build, the
 # parallel hash assignment, the scratch-pool engine, the serving layer
-# (store single-flight, Session mixed workload, cutfitd handlers), the
+# (store single-flight, Session mixed workload, cutfitd handlers: appends,
+# slides and re-registrations racing runs, advise and metrics), the
 # delta-append path (root equivalence suite, graph generations, store
 # chain, topology patching; generations extending one shared edge array and
 # runs reviving one lineage's scratch, from eight goroutines at once), the
-# persistence layer (snap codecs, disk
-# tier spill/restore, warm-start handlers), the distributed runtime
-# (coordinator/worker exchange over loopback sockets, equivalence and
-# failure suites, hostile step frames, a cancelled superstep, the
-# vertex-frame fan-out and parallel scan against the per-slab oracle), the
-# Triangle Count kernel (shared plan, pooled mark sets, equivalence with the
-# reference at one and many workers), the
+# persistence layer (snap codecs, disk tier spill/restore, warm-start
+# handlers), the distributed runtime (coordinator/worker exchange over
+# loopback sockets, equivalence and failure suites, hostile step frames, a
+# cancelled superstep, the vertex-frame fan-out and parallel scan against
+# the per-slab oracle; a coordinator cutfitd against a local one, reply for
+# reply, across an append), the Triangle Count kernel (shared plan, pooled
+# mark sets, equivalence with the reference at one and many workers), the
 # fixed-width shortest-paths program (equivalence with its map-valued
-# reference on fresh and revived scratches, one and eight workers) and cold
+# reference on fresh and revived scratches, one and eight workers), cold
 # tailoring (the chunked text parser against its line-by-line reference at
 # every chunk boundary; candidates measured concurrently against the
-# sequential selection, finishing in a forced order). The engine, the
-# distributed runtime, the selection fan-out and the metrics it calls run at
-# -cpu 1,4: their parallel paths (a worker's fan-out and partition scan, the
-# coordinator's concurrent encode and sharded merge, par.ForEach under all of
-# them) are exercised with all goroutines interleaved on one thread and truly
+# sequential selection, finishing in a forced order) and the cutfit CLI on
+# an edgeless input. The engine, the distributed runtime, the selection
+# fan-out and the metrics it calls run at -cpu 1,4: their parallel paths are
+# exercised with all goroutines interleaved on one thread and truly
 # concurrent on four.
 race:
-	$(GO) test -race . ./cmd/cutfitd/... ./cmd/cutfit-worker/... ./internal/graph/... ./internal/algorithms/... ./internal/testutil/... ./internal/partition/... ./internal/store/... ./internal/snap/... ./internal/obsv/...
+	$(GO) test -race . ./cmd/cutfit/... ./cmd/cutfitd/... ./cmd/cutfit-worker/... ./internal/graph/... ./internal/algorithms/... ./internal/testutil/... ./internal/partition/... ./internal/store/... ./internal/snap/... ./internal/obsv/...
 	$(GO) test -race -cpu 1,4 ./internal/par/... ./internal/pregel/... ./internal/dist/... ./internal/core/... ./internal/metrics/...
 
 # Hot-path benchmarks: partition construction (old vs new, and across
 # dataset analogs × strategies), the sparse-frontier scan payoff,
 # per-superstep allocation footprint, the single-pass selection pipeline,
-# the compact worker sweep, the two loaders (text ingest, snapshot
-# restore against rebuild), one whole cold tailoring (text to ranks: the
-# tailor-cold operation, for profiles and bytes per operation), a
-# stream-update cycle on a caching Session
-# (bytes allocated per generation step, live heap per cached byte), whole
-# distributed runs on two loopback workers and a warm served sssp request
-# (allocs/op: per superstep and partition, never per vertex or message).
+# the compact worker sweep (w1 against wmax: the inline multi-core scaling
+# signal), the two loaders (text ingest, snapshot restore against rebuild),
+# one whole cold tailoring (text to ranks: the tailor-cold operation, for
+# profiles and bytes per operation), a stream-update cycle on a caching
+# Session (bytes allocated per generation step, live heap per cached byte),
+# whole distributed runs on two loopback workers and a warm served sssp
+# request (allocs/op: per superstep and partition, never per vertex or
+# message). For profiles and per-operation costs; a speed claim cites a
+# BENCHMARK.json metric from `make benchmark` instead.
 bench:
 	$(GO) test -run='^$$' -bench='BenchmarkPartitionBuild|BenchmarkSparseFrontier' -benchmem ./internal/pregel/
 	$(GO) test -run='^$$' -bench='BenchmarkDistRun' -benchmem ./internal/dist/
 	$(GO) test -run='^$$' -bench='BenchmarkPartitionBuild|BenchmarkSuperstepAllocs|BenchmarkSelectEmpirically|BenchmarkMeasureThenRun|BenchmarkTriangleCount|BenchmarkScalingSweep|BenchmarkReadEdgeList|BenchmarkTailorCold|BenchmarkRestoreVsRebuild|BenchmarkStreamCycle|BenchmarkServedSSSP' -benchmem .
 
-# Full multi-core scaling sweep: worker ladder × components × dataset
-# analogs, JSON for the benchgate efficiency gate plus a markdown table.
-# The nightly workflow archives both artifacts.
-SCALE_JSON ?= scalebench.json
-SCALE_MD ?= scalebench.md
-scalebench:
-	$(GO) run ./cmd/scalebench -reps 5 -json $(SCALE_JSON) -md $(SCALE_MD)
-	@cat $(SCALE_MD)
-
 # Out-of-core scale family: the 1M and 10M R-MAT cells, dense vs block
 # tier, one iteration each — the dense-vs-block peak-heap-MB and wall
 # ratios the paper reproduction claims. Nightly runs this and archives
-# the output; the 1M cells are also in the $(BENCH) guarded set above.
+# the output.
 bench-scale:
 	$(GO) test -run='^$$' -bench='BenchmarkScale/' -benchtime=1x -benchmem -timeout=30m .
 
@@ -110,53 +98,10 @@ bench-scale:
 bench-scale-xl:
 	CUTFIT_SCALE_XL=1 $(GO) test -run='^$$' -bench='BenchmarkScaleXL' -benchtime=1x -benchmem -timeout=120m .
 
-# End-to-end load smoke: boot a real cutfitd, drive the default mixed
-# workload at $(LOADGEN_RPS) req/s for $(LOADGEN_DURATION), then fail on
-# any 5xx or transport error (loadgen's exit contract). The quantile
-# table and a post-run /metrics scrape land in $(LOADGEN_OUT) /
-# $(LOADGEN_METRICS); the nightly loadgen-smoke job archives both.
-LOADGEN_ADDR ?= 127.0.0.1:18080
-LOADGEN_RPS ?= 50
-LOADGEN_DURATION ?= 30s
-LOADGEN_OUT ?= loadgen-table.txt
-LOADGEN_METRICS ?= loadgen-metrics.txt
-loadgen-smoke:
-	$(GO) build -o ./bin/cutfitd ./cmd/cutfitd
-	$(GO) build -o ./bin/loadgen ./cmd/loadgen
-	@set -e; \
-	./bin/cutfitd -addr $(LOADGEN_ADDR) & daemon=$$!; \
-	trap "kill $$daemon 2>/dev/null || true" EXIT; \
-	./bin/loadgen -addr http://$(LOADGEN_ADDR) -rps $(LOADGEN_RPS) \
-		-duration $(LOADGEN_DURATION) -out $(LOADGEN_OUT) -metrics-out $(LOADGEN_METRICS); \
-	echo "loadgen-smoke: zero 5xx at $(LOADGEN_RPS) req/s for $(LOADGEN_DURATION)"
-
-# Distributed-serving smoke: boot 2 cutfit-workers + a coordinator
-# cutfitd (-workers) + a plain local daemon, run the loadgen mix at the
-# coordinator (zero 5xx), assert /v1/run bodies are byte-equal between
-# the two daemons before and after an edge append, and require every run
-# to have dispatched distributed (zero fallbacks). The coordinator's
-# final /metrics scrape lands in $(DIST_METRICS); nightly archives it.
-DIST_RPS ?= 30
-DIST_DURATION ?= 10s
-DIST_OUT ?= dist-loadgen-table.txt
-DIST_METRICS ?= dist-metrics.txt
-dist-smoke:
-	$(GO) build -o ./bin/cutfitd ./cmd/cutfitd
-	$(GO) build -o ./bin/cutfit-worker ./cmd/cutfit-worker
-	$(GO) build -o ./bin/loadgen ./cmd/loadgen
-	$(GO) run ./cmd/distsmoke -bin-dir ./bin -rps $(DIST_RPS) \
-		-duration $(DIST_DURATION) -out $(DIST_OUT) -metrics-out $(DIST_METRICS)
-
 # One-iteration pass over the concurrent-serving benchmarks: fast enough
 # for CI, still executes the pooled/fresh and hit/miss paths end to end.
 bench-smoke:
 	$(GO) test -run='^$$' -bench='BenchmarkConcurrentRuns|BenchmarkSessionCache' -benchtime=1x -benchmem .
-
-# benchstat-friendly sampling: repeat the $(BENCH) benchmarks
-# $(BENCH_COUNT) times into $(BENCH_OUT) so two runs can be compared with
-# `benchstat old.txt new.txt`.
-bench-compare:
-	$(GO) test -run='^$$' -bench='$(BENCH)' -benchmem -count=$(BENCH_COUNT) . ./internal/pregel/ ./internal/dist/ | tee $(BENCH_OUT)
 
 # Longer fuzz session: the edge-list ingest path (round trip, and the parser
 # against its strconv reference), the retraction resolver (bit filter

@@ -275,6 +275,9 @@ func cmdRun(args []string) error {
 		fmt.Printf("triangles: %d\n", total/3)
 	case "sssp":
 		verts := g.Vertices()
+		if len(verts) == 0 {
+			return fmt.Errorf("sssp needs a non-empty graph")
+		}
 		landmark := verts[0]
 		hops, st, err := cutfit.RunHopDistances(ctx, pg, []cutfit.VertexID{landmark}, 0)
 		if err != nil {
@@ -401,7 +404,7 @@ func cmdAdvise(args []string) error {
 	fs := flag.NewFlagSet("advise", flag.ExitOnError)
 	in := fs.String("in", "", "input edge-list file")
 	dataset := fs.String("dataset", "", "analog dataset name")
-	alg := fs.String("alg", "pagerank", "algorithm: pagerank, cc, triangles, sssp")
+	alg := fs.String("alg", "pagerank", "algorithm: pagerank, dynamicpr, cc, triangles, sssp")
 	parts := fs.Int("parts", 128, "number of partitions")
 	measure := fs.Bool("measure", false, "empirically measure and rank all strategies")
 	asJSON := fs.Bool("json", false, "emit the cutfitd AdviseReport JSON encoding instead of text")

@@ -73,8 +73,8 @@
 // over-limit requests wait in a bounded queue (-admission-queue) up to
 // -admission-timeout, then receive 429 with a Retry-After header.
 // /healthz and /metrics are exempt so a saturated daemon stays
-// observable. cmd/loadgen drives a mixed workload against the daemon
-// and reports the resulting latency quantiles.
+// observable. The benchmark's serve-hot workload (benchmark/README.md)
+// drives a real daemon and reports per-operation latency quantiles.
 //
 // # Distributed runs
 //

@@ -550,43 +550,86 @@ func tryPost(ts *httptest.Server, path string, body any, out any) error {
 	return nil
 }
 
-// TestServerConcurrentAppendsAndRuns: appends race runs and other appends;
-// every append must land (lost updates forbidden) and no run may error.
+// TestServerConcurrentAppendsAndRuns: appends, window slides and
+// re-registrations race runs, metrics, advice and each other; every request
+// must be answered 200 and every write must land (lost updates forbidden),
+// so the final live-edge counts are exact.
 func TestServerConcurrentAppendsAndRuns(t *testing.T) {
 	ts := newTestServer(t)
-	const appenders, runners, batches = 4, 4, 5
+	const appenders, sliders, registrars, runners, batches = 4, 3, 2, 4, 5
+
+	// The sliding graph: a 64-edge ring. Each slide appends two edges and
+	// expires below a position of its own, at most sliders*batches = 15 —
+	// under the quarter of the list at which a generation compacts and
+	// renumbers positions — so in any order the slides leave exactly the
+	// positions below 15 dead.
+	const winBase = 64
+	var ring bytes.Buffer
+	for i := 0; i < winBase; i++ {
+		fmt.Fprintf(&ring, "%d %d\n", i, (i+1)%winBase)
+	}
+	post(t, ts, "/v1/graphs", map[string]any{"name": "win", "edges": ring.String()}, nil)
+
 	var wg sync.WaitGroup
-	for a := 0; a < appenders; a++ {
-		wg.Add(1)
-		go func(a int) {
-			defer wg.Done()
-			for i := 0; i < batches; i++ {
-				v := 100 + a*batches + i
-				if err := tryPost(ts, "/v1/graphs/tri/edges", map[string]any{"edges": fmt.Sprintf("%d %d\n", v, v+1)}, nil); err != nil {
-					t.Error(err)
-					return
+	spawn := func(n int, step func(worker, i int) error) {
+		for w := 0; w < n; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < batches; i++ {
+					if err := step(w, i); err != nil {
+						t.Error(err)
+						return
+					}
 				}
-			}
-		}(a)
+			}()
+		}
 	}
-	for r := 0; r < runners; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < batches; i++ {
-				var rep cutfit.RunReport
-				if err := tryPost(ts, "/v1/run", map[string]any{"graph": "tri", "alg": "cc", "strategy": "2D", "parts": 4}, &rep); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
+	spawn(appenders, func(a, i int) error {
+		v := 100 + a*batches + i
+		return tryPost(ts, "/v1/graphs/tri/edges", map[string]any{"edges": fmt.Sprintf("%d %d\n", v, v+1)}, nil)
+	})
+	spawn(sliders, func(s, i int) error {
+		v := 100 + 2*(s*batches+i)
+		return tryPost(ts, "/v1/graphs/win/edges", map[string]any{
+			"edges":         fmt.Sprintf("%d %d\n%d %d\n", v, v+1, v+1, v),
+			"expire_before": 1 + s*batches + i,
+		}, nil)
+	})
+	// Two registrars replace the same three names with different three-edge
+	// paths: whoever wins, each name ends with three edges.
+	spawn(registrars, func(r, i int) error {
+		v := 1000*r + 10*i
+		return tryPost(ts, "/v1/graphs", map[string]any{
+			"name":  fmt.Sprintf("reg-%d", (r+i)%3),
+			"edges": fmt.Sprintf("%d %d\n%d %d\n%d %d\n", v, v+1, v+1, v+2, v+2, v+3),
+		}, nil)
+	})
+	spawn(runners, func(r, i int) error {
+		graph := []string{"tri", "win"}[(r+i)%2]
+		if err := tryPost(ts, "/v1/run", map[string]any{"graph": graph, "alg": "cc", "strategy": "2D", "parts": 4}, new(cutfit.RunReport)); err != nil {
+			return err
+		}
+		if err := tryPost(ts, "/v1/metrics", map[string]any{"graph": graph, "strategy": "2D", "parts": 4}, new(cutfit.MetricsReport)); err != nil {
+			return err
+		}
+		return tryPost(ts, "/v1/advise", map[string]any{"graph": graph, "alg": "pagerank", "parts": 4}, new(cutfit.AdviseReport))
+	})
 	wg.Wait()
+
 	var graphs []graphReply
 	get(t, ts, "/v1/graphs", &graphs)
-	if len(graphs) != 1 || graphs[0].Edges != 7+appenders*batches {
-		t.Fatalf("after concurrent appends: %+v, want %d edges", graphs, 7+appenders*batches)
+	got := make(map[string]int, len(graphs))
+	for _, g := range graphs {
+		got[g.Name] = g.Edges
+	}
+	want := map[string]int{
+		"tri":   7 + appenders*batches,
+		"win":   winBase + 2*sliders*batches - sliders*batches,
+		"reg-0": 3, "reg-1": 3, "reg-2": 3,
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("live edges after the concurrent writes: %v, want %v", got, want)
 	}
 }
 

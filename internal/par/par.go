@@ -22,7 +22,7 @@ import (
 
 // DefaultParallelism returns the worker count used when a caller does not
 // set one explicitly: the process's GOMAXPROCS at call time (respecting
-// runtime.GOMAXPROCS overrides, e.g. the scalebench sweep).
+// runtime.GOMAXPROCS overrides, e.g. go test -cpu).
 func DefaultParallelism() int { return runtime.GOMAXPROCS(0) }
 
 // ForEach runs fn(i) for every i in [0, n) on up to workers goroutines —

@@ -36,8 +36,8 @@ import (
 // read, versus a cold graph re-deriving its views and re-running the whole
 // pipeline.
 //
-// The same four cells run on the youtube analog (names unchanged, so the
-// bench gate's history continues) and, under rmat16/, on the 524k-edge
+// The same four cells run on the youtube analog (names unchanged, so
+// earlier recorded numbers stay comparable) and, under rmat16/, on the 524k-edge
 // R-MAT graph of BenchmarkReadEdgeList and the warm-restart benchmark
 // workload — big enough that the per-edge cost of the snapshot decoder is
 // what the restart cells measure.

@@ -62,8 +62,8 @@ func peakHeapMB(f func()) float64 {
 // the generator streams into compressed blocks which are spilled to disk
 // and served back from the file, so edge payloads never stay heap-resident
 // past the load. Peak heap over the whole pass is reported as peak-heap-MB
-// next to ns/op, which is what `benchgate -mem-threshold` and the
-// dense-vs-block acceptance ratio key off.
+// next to ns/op, which is what the dense-vs-block acceptance ratio keys
+// off.
 func runScalePipeline(b *testing.B, cfg gen.RMATConfig, block bool) {
 	s, err := cutfit.StrategyByName("Greedy")
 	if err != nil {
@@ -115,9 +115,8 @@ func runScalePipeline(b *testing.B, cfg gen.RMATConfig, block bool) {
 
 // BenchmarkScale is the out-of-core bench family: each size runs the full
 // pipeline twice, once per edge tier, so one bench invocation yields the
-// dense-vs-block peak-heap and wall-clock ratios directly. The 1M cells
-// are part of the PR bench gate's guarded set; 10M runs nightly via
-// `make bench-scale`. Sub-bench names are chosen so the gate's
+// dense-vs-block peak-heap and wall-clock ratios directly. Both sizes run
+// nightly via `make bench-scale`. Sub-bench names are chosen so a
 // "BenchmarkScale/1M" filter cannot accidentally match the 10M cells.
 func BenchmarkScale(b *testing.B) {
 	cells := []struct {

@@ -1,7 +1,6 @@
-// Multi-core scaling benchmarks guarded by bench-compare: a compact
-// worker sweep over the topology build and a frontier algorithm, so a
-// change that serializes either hot path shows up as a w-max ns/op
-// regression even without running the full cmd/scalebench rig.
+// Multi-core scaling benchmark: a compact worker sweep over the topology
+// build and a frontier algorithm, so a change that serializes either hot
+// path shows up as a w-max ns/op regression.
 package cutfit_test
 
 import (
@@ -16,8 +15,7 @@ import (
 // BenchmarkScalingSweep times the engine-side components whose hot loops
 // the per-partition workers parallelize — topology build and connected
 // components — at one worker and at GOMAXPROCS. On multi-core machines the
-// w1/wmax ratio is the inline scaling signal; cmd/scalebench produces the
-// full dataset × component × ladder table nightly.
+// w1/wmax ratio is the scaling signal.
 func BenchmarkScalingSweep(b *testing.B) {
 	g := benchGraph(b, "youtube")
 	const numParts = 64
@@ -61,8 +59,8 @@ func BenchmarkScalingSweep(b *testing.B) {
 	}
 }
 
-// benchWorkerName names a sweep cell w1/w2/... so bench-compare matches
-// cells across machines with the same core count.
+// benchWorkerName names a sweep cell w1/w2/... so benchstat matches cells
+// across machines with the same core count.
 func benchWorkerName(component string, workers int) string {
 	return fmt.Sprintf("%s-w%d", component, workers)
 }
