@@ -45,7 +45,7 @@ import (
 	"sort"
 
 	"cutfit"
-	"cutfit/internal/core"
+	"cutfit/internal/algorithms"
 )
 
 func main() {
@@ -145,6 +145,10 @@ func cmdGenerate(args []string) error {
 // the -strategy flags of the metrics and run subcommands.
 const strategyFlagHelp = "partitioning strategy: RVC, 1D, 2D, CRVC, SC, DC, Greedy, HDRF, Range, Hybrid or Hybrid:<in-degree threshold>"
 
+// algFlagHelp lists the served-algorithm table's names, shared by the -alg
+// flags of the run and advise subcommands.
+var algFlagHelp = "algorithm: " + algorithms.NameList(algorithms.Served(), "or")
+
 // graphLabel names the graph in JSON reports: the dataset name or the
 // input path.
 func graphLabel(in, dataset string) string {
@@ -202,123 +206,43 @@ func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	in := fs.String("in", "", "input edge-list file")
 	dataset := fs.String("dataset", "", "analog dataset name")
-	alg := fs.String("alg", "pagerank", "algorithm: pagerank, cc, triangles, sssp")
+	alg := fs.String("alg", "pagerank", algFlagHelp)
 	strategy := fs.String("strategy", "2D", strategyFlagHelp+", or \"auto\" to select empirically for -alg")
 	parts := fs.Int("parts", 128, "number of partitions")
-	iters := fs.Int("iters", 10, "iterations for pagerank/cc")
+	iters := fs.Int("iters", 10, "iteration cap for the iterative algorithms (0 = to convergence where the algorithm allows)")
 	fs.Parse(args)
 	g, err := loadGraph(*in, *dataset)
 	if err != nil {
 		return err
 	}
-	// One assignment pass feeds everything downstream: with an explicit
-	// strategy the graph is assigned once and built from that assignment;
-	// with "auto" every candidate is assigned once, ranked by the
-	// algorithm's predictive metric, and the winner's retained assignment
-	// is built directly — no re-partitioning either way.
-	var a *cutfit.Assignment
+	// The server's run path, through a caching session: with "auto" every
+	// candidate is assigned once and ranked by the algorithm's predictive
+	// metric, and the winner is built from its cached assignment — no
+	// re-partitioning either way.
+	se := cutfit.NewSession(cutfit.SessionOptions{})
+	var s cutfit.Strategy
 	if *strategy == "auto" {
 		profile, err := cutfit.ProfileFor(*alg)
 		if err != nil {
 			return err
 		}
-		sel, err := cutfit.Select(g, cutfit.Strategies(), *parts, profile)
+		sel, err := se.Select(g, cutfit.Strategies(), *parts, profile)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("auto-selected strategy %s (minimizes %s)\n", sel.Strategy.Name(), profile.Metric)
-		a = sel.Assignment
-	} else {
-		s, err := cutfit.StrategyByName(*strategy)
-		if err != nil {
-			return err
-		}
-		if a, err = cutfit.PartitionAssignment(g, s, *parts); err != nil {
-			return err
-		}
+		s = sel.Strategy
+	} else if s, err = cutfit.StrategyByName(*strategy); err != nil {
+		return err
 	}
-	pg, err := cutfit.PartitionFromAssignment(a, cutfit.PartitionOptions{})
+	rep, err := se.Run(context.Background(), g, s, *parts, *alg, *iters)
 	if err != nil {
 		return err
 	}
-	ctx := context.Background()
-	var stats *cutfit.RunStats
-	switch *alg {
-	case "pagerank":
-		ranks, st, err := cutfit.RunPageRank(ctx, pg, *iters)
-		if err != nil {
-			return err
-		}
-		stats = st
-		printTopRanks(g, ranks, 5)
-	case "cc":
-		labels, st, err := cutfit.RunConnectedComponents(ctx, pg, *iters)
-		if err != nil {
-			return err
-		}
-		stats = st
-		set := map[cutfit.VertexID]bool{}
-		for _, l := range labels {
-			set[l] = true
-		}
-		fmt.Printf("components: %d (converged=%v)\n", len(set), st.Converged)
-	case "triangles":
-		counts, st, err := cutfit.RunTriangleCount(ctx, pg)
-		if err != nil {
-			return err
-		}
-		stats = st
-		var total int64
-		for _, c := range counts {
-			total += c
-		}
-		fmt.Printf("triangles: %d\n", total/3)
-	case "sssp":
-		verts := g.Vertices()
-		if len(verts) == 0 {
-			return fmt.Errorf("sssp needs a non-empty graph")
-		}
-		landmark := verts[0]
-		hops, st, err := cutfit.RunHopDistances(ctx, pg, []cutfit.VertexID{landmark}, 0)
-		if err != nil {
-			return err
-		}
-		stats = st
-		fmt.Printf("sssp: landmark %d reached from %d/%d vertices\n", landmark, hops.Reached(), hops.NumVertices())
-	default:
-		return fmt.Errorf("unknown algorithm %q", *alg)
-	}
-	cfg := cutfit.ConfigI()
-	cfg.NumPartitions = *parts
-	b, err := cfg.Simulate(stats, cutfit.EstimateGraphBytes(g.NumEdges()))
-	if err != nil {
-		return err
-	}
-	fmt.Printf("supersteps=%d broadcastMsgs=%d reduceMsgs=%d\n",
-		stats.NumSupersteps(), stats.TotalBroadcastMsgs(), stats.TotalReduceMsgs())
-	fmt.Println("simulated cluster time:", b)
+	fmt.Println(rep.Text)
+	fmt.Printf("supersteps=%d broadcastMsgs=%d reduceMsgs=%d\n", rep.Supersteps, rep.BroadcastMsgs, rep.ReduceMsgs)
+	fmt.Println("simulated cluster time:", rep.Sim)
 	return nil
-}
-
-func printTopRanks(g *cutfit.Graph, ranks []float64, k int) {
-	type vr struct {
-		v cutfit.VertexID
-		r float64
-	}
-	verts := g.Vertices()
-	top := make([]vr, len(ranks))
-	for i, r := range ranks {
-		top[i] = vr{verts[i], r}
-	}
-	sort.Slice(top, func(i, j int) bool { return top[i].r > top[j].r })
-	if k > len(top) {
-		k = len(top)
-	}
-	fmt.Print("top ranks:")
-	for _, t := range top[:k] {
-		fmt.Printf(" %d=%.3f", t.v, t.r)
-	}
-	fmt.Println()
 }
 
 // cmdSnapshot warms a session — one assignment pass, one metric set and
@@ -404,7 +328,7 @@ func cmdAdvise(args []string) error {
 	fs := flag.NewFlagSet("advise", flag.ExitOnError)
 	in := fs.String("in", "", "input edge-list file")
 	dataset := fs.String("dataset", "", "analog dataset name")
-	alg := fs.String("alg", "pagerank", "algorithm: pagerank, dynamicpr, cc, triangles, sssp")
+	alg := fs.String("alg", "pagerank", algFlagHelp)
 	parts := fs.Int("parts", 128, "number of partitions")
 	measure := fs.Bool("measure", false, "empirically measure and rank all strategies")
 	asJSON := fs.Bool("json", false, "emit the cutfitd AdviseReport JSON encoding instead of text")
@@ -417,9 +341,7 @@ func cmdAdvise(args []string) error {
 	if err != nil {
 		return err
 	}
-	facts := cutfit.Facts(g)
-	facts.IDLocality = core.DetectIDLocality(g, 256, 0.5)
-	rec := cutfit.Advise(profile, facts, *parts)
+	rec := (&cutfit.Session{}).Advise(g, profile, *parts)
 	rep := cutfit.NewAdviseReport(*alg, *parts, rec)
 	rep.Graph = graphLabel(*in, *dataset)
 	if *measure {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"cutfit"
+	"cutfit/internal/algorithms"
 )
 
 // TestAPIDocCoversRoutes keeps docs/API.md in sync with the daemon's
@@ -57,6 +58,47 @@ func TestOperationsDocCoversMetrics(t *testing.T) {
 	for _, m := range re.FindAllStringSubmatch(doc, -1) {
 		if !registered[m[1]] {
 			t.Errorf("docs/OPERATIONS.md names %q, which is not in the registry", m[1])
+		}
+	}
+}
+
+// TestDocsNameServedAlgorithms keeps the documents that list algorithm names
+// in step with the served-algorithm table: each carries the table's names —
+// all of them, or the ones the cluster runs — as one backticked list in table
+// order, so adding, removing or reordering an entry fails here until the
+// sentence is rewritten.
+func TestDocsNameServedAlgorithms(t *testing.T) {
+	list := func(entries []*algorithms.Entry, conj string) string {
+		var b strings.Builder
+		for i, e := range entries {
+			switch {
+			case i > 0 && i == len(entries)-1:
+				b.WriteString(" " + conj + " ")
+			case i > 0:
+				b.WriteString(", ")
+			}
+			b.WriteString("`" + e.Name + "`")
+		}
+		return b.String()
+	}
+	served, cluster := algorithms.Served(), algorithms.ClusterServed()
+	for _, tc := range []struct {
+		file, phrase string
+		times        int
+	}{
+		{"docs/API.md", "`alg` is one of " + list(served, "or"), 2}, // /v1/advise and /v1/run
+		{"docs/DISTRIBUTED.md", "`algorithm` is one of " + list(cluster, "or"), 1},
+		{"docs/OPERATIONS.md", "dispatches " + list(cluster, "and") + " runs", 1},
+		{"internal/README.md", "for " + list(served, "and"), 1},
+	} {
+		raw, err := os.ReadFile("../../" + tc.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The lists wrap with the prose around them.
+		doc := strings.Join(strings.Fields(string(raw)), " ")
+		if got := strings.Count(doc, tc.phrase); got < tc.times {
+			t.Errorf("%s says %q %d times, want %d", tc.file, tc.phrase, got, tc.times)
 		}
 	}
 }

@@ -99,6 +99,8 @@ import (
 	"strings"
 	"syscall"
 	"time"
+
+	"cutfit/internal/algorithms"
 )
 
 // shutdownGrace bounds how long in-flight requests may run after a
@@ -141,7 +143,7 @@ func main() {
 	var blockGraphs stringList
 	flag.Var(&blockGraphs, "block-graph", "name=path of an on-disk block-graph file to register at boot, served straight from the file (comma-separated, repeatable)")
 	var workers stringList
-	flag.Var(&workers, "workers", "cutfit-worker base URLs (comma-separated, repeatable); non-empty enables distributed runs for pagerank, dynamicpr and cc with local fallback")
+	flag.Var(&workers, "workers", "cutfit-worker base URLs (comma-separated, repeatable); non-empty enables distributed runs for "+algorithms.NameList(algorithms.ClusterServed(), "and")+" with local fallback")
 	flag.Parse()
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))

@@ -45,9 +45,9 @@ type serverOptions struct {
 	logger *slog.Logger
 
 	// workers lists cutfit-worker base URLs (-workers). Non-empty attaches
-	// a cutfit.WorkerPool to the Session, so /v1/run dispatches pagerank,
-	// dynamicpr and cc across the cluster — bit-identical to local runs,
-	// with automatic local fallback if any worker fails mid-run.
+	// a cutfit.WorkerPool to the Session, so /v1/run dispatches the
+	// cluster-run algorithms across it — bit-identical to local runs, with
+	// automatic local fallback if any worker fails mid-run.
 	workers []string
 }
 

@@ -8,10 +8,12 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
 	"cutfit"
+	"cutfit/internal/algorithms"
 )
 
 // edge list shared by the handler tests: two triangles joined by a bridge.
@@ -667,5 +669,36 @@ func TestServerBlockGraphRegistration(t *testing.T) {
 
 	if _, err := srv.registerBlockGraph("bad", filepath.Join(t.TempDir(), "absent.cfb")); err == nil {
 		t.Fatal("registered a missing block-graph file")
+	}
+}
+
+// TestServerUnknownAlgorithmBuildsNothing: /v1/run naming an algorithm the
+// served-algorithm table does not hold answers 400 with the table's names,
+// having assigned, built and cached nothing — /v1/stats reads the same before
+// and after.
+func TestServerUnknownAlgorithmBuildsNothing(t *testing.T) {
+	ts := newTestServer(t)
+	var before, after cutfit.CacheStats
+	get(t, ts, "/v1/stats", &before)
+
+	b, _ := json.Marshal(map[string]any{"graph": "tri", "alg": "nope", "strategy": "2D", "parts": 4})
+	resp, err := http.Post(ts.URL+"/v1/run", "application/json", bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e errorReply
+	_ = json.NewDecoder(resp.Body).Decode(&e)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400", resp.StatusCode)
+	}
+	for _, entry := range algorithms.Served() {
+		if !strings.Contains(e.Error, entry.Name) {
+			t.Errorf("error %q does not list %s", e.Error, entry.Name)
+		}
+	}
+	get(t, ts, "/v1/stats", &after)
+	if after != before {
+		t.Errorf("the refused run moved the cache: %+v, was %+v", after, before)
 	}
 }

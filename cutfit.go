@@ -509,7 +509,8 @@ var (
 	ProfileShortestPaths       = core.ProfileSSSP
 )
 
-// ProfileFor resolves "pagerank", "cc", "triangles" or "sssp".
+// ProfileFor resolves a served algorithm's profile by name — any name
+// Session.Run accepts.
 func ProfileFor(alg string) (Profile, error) { return core.ProfileFor(alg) }
 
 // Facts extracts advisor-relevant facts from a graph.

@@ -10,7 +10,9 @@ import (
 	"testing"
 
 	"cutfit"
+	"cutfit/internal/algorithms"
 	"cutfit/internal/dist"
+	"cutfit/internal/obsv"
 )
 
 // TestSessionDistributedRun drives Session.Run through an attached worker
@@ -30,7 +32,10 @@ func TestSessionDistributedRun(t *testing.T) {
 	}
 	distSe.AttachWorkers(cutfit.NewWorkerPool(urls))
 
-	for _, alg := range []string{"pagerank", "dynamicpr", "cc"} {
+	distBefore := distributedRuns()
+	cluster := algorithms.ClusterServed()
+	for _, e := range cluster {
+		alg := e.Name
 		want, err := local.Run(ctx, g, cutfit.EdgePartition2D(), 6, alg, 8)
 		if err != nil {
 			t.Fatal(err)
@@ -43,6 +48,14 @@ func TestSessionDistributedRun(t *testing.T) {
 			t.Fatalf("%s: distributed report diverges from local\n got: %+v\nwant: %+v", alg, got, want)
 		}
 	}
+	if got := distributedRuns() - distBefore; got != int64(len(cluster)) || got == 0 {
+		t.Fatalf("%d runs crossed the cluster, want one per cluster entry of the table (%d)", got, len(cluster))
+	}
+}
+
+// distributedRuns reads cutfit_dist_runs_total{mode="distributed"}.
+func distributedRuns() int64 {
+	return obsv.Default.CounterVec("cutfit_dist_runs_total", "", "mode").With("distributed").Value()
 }
 
 // TestSessionDistributedFallback attaches a pool of dead workers: Run must

@@ -16,7 +16,9 @@ import (
 func main() {
 	ctx := context.Background()
 	const parts = 128
-	cfg := cutfit.ConfigI()
+	// A caching session: each strategy is assigned and built once, however
+	// many algorithms run on it.
+	se := cutfit.NewSession(cutfit.SessionOptions{})
 
 	for _, dsName := range []string{"pocek", "orkut"} {
 		spec, err := cutfit.DatasetByName(dsName)
@@ -45,25 +47,11 @@ func main() {
 			}
 			var results []result
 			for _, s := range cutfit.Strategies() {
-				pg, err := cutfit.Partition(g, s, parts)
+				rep, err := se.Run(ctx, g, s, parts, algName, 10)
 				if err != nil {
 					log.Fatal(err)
 				}
-				var stats *cutfit.RunStats
-				switch algName {
-				case "pagerank":
-					_, stats, err = cutfit.RunPageRank(ctx, pg, 10)
-				case "triangles":
-					_, stats, err = cutfit.RunTriangleCount(ctx, pg)
-				}
-				if err != nil {
-					log.Fatal(err)
-				}
-				b, err := cfg.Simulate(stats, cutfit.EstimateGraphBytes(g.NumEdges()))
-				if err != nil {
-					log.Fatal(err)
-				}
-				results = append(results, result{s.Name(), b.TotalSecs()})
+				results = append(results, result{s.Name(), rep.SimSecs})
 			}
 			sort.Slice(results, func(i, j int) bool { return results[i].secs < results[j].secs })
 			fmt.Print("  measured ranking:")

@@ -1,18 +1,19 @@
-package cutfit
+package algorithms
 
 import (
 	"context"
 	"testing"
 
-	"cutfit/internal/algorithms"
 	"cutfit/internal/gen"
+	"cutfit/internal/graph"
+	"cutfit/internal/partition"
 	"cutfit/internal/pregel"
 )
 
-// countLabelsRef is the component count as Session.Run used to take it: one
+// countLabelsRef is the component count as the cc summary used to take it: one
 // hash-set insert per vertex.
-func countLabelsRef(labels []VertexID) int {
-	seen := make(map[VertexID]struct{}, 16)
+func countLabelsRef(labels []graph.VertexID) int {
+	seen := make(map[graph.VertexID]struct{}, 16)
 	for _, l := range labels {
 		seen[l] = struct{}{}
 	}
@@ -36,8 +37,12 @@ func TestCountLabelsMatchesSet(t *testing.T) {
 	if shrunk.NumDeadEdges() == 0 {
 		t.Fatal("shrink tombstoned nothing")
 	}
-	for name, g := range map[string]*Graph{"dense": g, "tombstoned": shrunk} {
-		pg, err := (&Session{}).Partition(g, EdgePartition2D(), 8)
+	for name, g := range map[string]*graph.Graph{"dense": g, "tombstoned": shrunk} {
+		a, err := partition.Assign(g, partition.EdgePartition2D(), 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pg, err := pregel.NewPartitionedGraphFromAssignment(a, pregel.BuildOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,9 +62,9 @@ func TestCountLabelsMatchesSet(t *testing.T) {
 	}
 }
 
-func checkCountLabels(t *testing.T, name string, pg *pregel.PartitionedGraph, iters int) *RunStats {
+func checkCountLabels(t *testing.T, name string, pg *pregel.PartitionedGraph, iters int) *pregel.RunStats {
 	t.Helper()
-	labels, st, err := algorithms.ConnectedComponents(context.Background(), pg, iters)
+	labels, st, err := ConnectedComponents(context.Background(), pg, iters)
 	if err != nil {
 		t.Fatal(err)
 	}

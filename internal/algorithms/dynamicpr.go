@@ -9,8 +9,8 @@ import (
 )
 
 // PRState is the vertex value of dynamic PageRank: the current rank and
-// the last change (delta), which gates further propagation. Exported so
-// the distributed worker can decode the 16-byte state off the wire.
+// the last change (delta), which gates further propagation. PRStateCodec is
+// its 16-byte wire form.
 type PRState struct {
 	Rank  float64
 	Delta float64
@@ -24,52 +24,58 @@ type PRState struct {
 //
 // maxIter of 0 means no cap.
 func DynamicPageRank(ctx context.Context, pg *pregel.PartitionedGraph, tol, resetProb float64, maxIter int) ([]float64, *pregel.RunStats, error) {
-	if tol <= 0 {
-		return nil, nil, fmt.Errorf("algorithms: DynamicPageRank needs tol > 0, got %g", tol)
-	}
-	if resetProb < 0 || resetProb >= 1 {
-		return nil, nil, fmt.Errorf("algorithms: DynamicPageRank resetProb %g out of [0,1)", resetProb)
-	}
-	prog := DynamicPageRankProgram(tol, resetProb, maxIter, pg.G.OutDegrees())
-	vals, stats, err := pregel.Run(ctx, pg, prog)
-	if err != nil {
-		return nil, nil, err
-	}
-	ranks := make([]float64, len(vals))
-	for i, v := range vals {
-		ranks[i] = v.Rank
-	}
-	return ranks, stats, nil
+	return typed[[]float64](dynamicPRAlg.Run(ctx, pg, Params{Iters: maxIter, Tol: tol, ResetProb: resetProb}))
 }
 
-// DynamicPageRankProgram is the until-convergence PageRank Pregel program,
-// exported so the distributed worker runs exactly the engine's program;
-// outDeg is the out-degree table by dense vertex index, as for
-// PageRankProgram.
-func DynamicPageRankProgram(tol, resetProb float64, maxIter int, outDeg []int32) pregel.Program[PRState, float64] {
-	return pregel.Program[PRState, float64]{
-		Init: func(id graph.VertexID) PRState { return PRState{} },
-		VProg: func(id graph.VertexID, val PRState, msg float64) PRState {
-			newRank := val.Rank + (1-resetProb)*msg
-			return PRState{Rank: newRank, Delta: newRank - val.Rank}
-		},
-		SendMsg: func(t *pregel.Triplet[PRState], emit pregel.Emitter[float64]) {
-			// Only still-moving sources propagate their delta.
-			if t.SrcVal.Delta > tol {
-				if d := outDeg[t.SrcIdx]; d > 0 {
-					emit.ToDst(t.SrcVal.Delta / float64(d))
+// The convergence-gated variant shares PageRank's communication structure,
+// so the advisor treats the two alike.
+var dynamicPRAlg = vertexEntry(Entry{
+	Name:    "dynamicpr",
+	Profile: ProfilePageRank,
+	Check: func(p Params) error {
+		if !(p.Tol > 0) {
+			return fmt.Errorf("algorithms: DynamicPageRank needs tol > 0, got %g", p.Tol)
+		}
+		return checkResetProb("DynamicPageRank", p.ResetProb)
+	},
+	Summarize: summarizeRanks,
+	Seq:       func(g *graph.Graph, p Params) any { return DynamicPageRankSeq(g, p.Tol, p.ResetProb) },
+}, Vertex[PRState, float64]{
+	Program: func(p Params, outDeg []int32) pregel.Program[PRState, float64] {
+		tol, resetProb := p.Tol, p.ResetProb
+		return pregel.Program[PRState, float64]{
+			Init: func(id graph.VertexID) PRState { return PRState{} },
+			VProg: func(id graph.VertexID, val PRState, msg float64) PRState {
+				newRank := val.Rank + (1-resetProb)*msg
+				return PRState{Rank: newRank, Delta: newRank - val.Rank}
+			},
+			SendMsg: func(t *pregel.Triplet[PRState], emit pregel.Emitter[float64]) {
+				// Only still-moving sources propagate their delta.
+				if t.SrcVal.Delta > tol {
+					if d := outDeg[t.SrcIdx]; d > 0 {
+						emit.ToDst(t.SrcVal.Delta / float64(d))
+					}
 				}
-			}
-		},
-		MergeMsg: func(a, b float64) float64 { return a + b },
-		// GraphX's initial message: after superstep 0 every rank is
-		// resetProb and every delta is resetProb (> tol), so the first
-		// real round is fully active.
-		InitialMsg:      resetProb / (1 - resetProb),
-		MaxIterations:   maxIter,
-		ActiveDirection: pregel.Out,
-	}
-}
+			},
+			MergeMsg: func(a, b float64) float64 { return a + b },
+			// GraphX's initial message: after superstep 0 every rank is
+			// resetProb and every delta is resetProb (> tol), so the first
+			// real round is fully active.
+			InitialMsg:      resetProb / (1 - resetProb),
+			MaxIterations:   p.Iters,
+			ActiveDirection: pregel.Out,
+		}
+	},
+	VC: PRStateCodec{},
+	MC: F64Codec{},
+	Values: func(states []PRState) any {
+		ranks := make([]float64, len(states))
+		for i, s := range states {
+			ranks[i] = s.Rank
+		}
+		return ranks
+	},
+})
 
 // DynamicPageRankSeq is the sequential oracle: Jacobi iteration of the
 // same update until every per-vertex change is at most tol.

@@ -2,7 +2,9 @@
 // paper's evaluation — PageRank, Connected Components, Triangle Count and
 // Single-Source Shortest Paths — on the Pregel engine, mirroring their
 // GraphX implementations, together with sequential reference
-// implementations used as correctness oracles in tests.
+// implementations used as correctness oracles in tests. served.go holds the
+// table of the algorithms the library serves by name: the one description of
+// each that Session.Run, the CLI, the advisor and the cluster all look up.
 package algorithms
 
 import (
@@ -27,41 +29,46 @@ const prInitSentinel = -1.0
 // It returns the rank per dense vertex index (aligned with pg.G.Vertices())
 // and the engine statistics.
 func PageRank(ctx context.Context, pg *pregel.PartitionedGraph, numIter int, resetProb float64) ([]float64, *pregel.RunStats, error) {
-	if numIter <= 0 {
-		return nil, nil, fmt.Errorf("algorithms: PageRank needs numIter > 0, got %d", numIter)
-	}
-	if resetProb < 0 || resetProb >= 1 {
-		return nil, nil, fmt.Errorf("algorithms: PageRank resetProb %g out of [0,1)", resetProb)
-	}
-	return pregel.Run(ctx, pg, PageRankProgram(numIter, resetProb, pg.G.OutDegrees()))
+	return typed[[]float64](pageRankAlg.Run(ctx, pg, Params{Iters: numIter, ResetProb: resetProb}))
 }
 
-// PageRankProgram is the static-PageRank Pregel program, exported so the
-// distributed worker can instantiate exactly the engine's program from the
-// run spec (same constants, same float operation order). outDeg is the
-// out-degree table the source-side rank division reads, one entry per dense
-// vertex index: Graph.OutDegrees() locally, the copy shipped in the shard on
-// a worker — the same integers, so the quotients are bit-identical.
-func PageRankProgram(numIter int, resetProb float64, outDeg []int32) pregel.Program[float64, float64] {
-	return pregel.Program[float64, float64]{
-		Init: func(id graph.VertexID) float64 { return 1.0 },
-		VProg: func(id graph.VertexID, val, msg float64) float64 {
-			if msg == prInitSentinel {
-				return val
-			}
-			return resetProb + (1-resetProb)*msg
-		},
-		SendMsg: func(t *pregel.Triplet[float64], emit pregel.Emitter[float64]) {
-			if d := outDeg[t.SrcIdx]; d > 0 {
-				emit.ToDst(t.SrcVal / float64(d))
-			}
-		},
-		MergeMsg:        func(a, b float64) float64 { return a + b },
-		InitialMsg:      prInitSentinel,
-		MaxIterations:   numIter,
-		ActiveDirection: pregel.AllEdges, // static PR scans all edges every round
-	}
-}
+var pageRankAlg = vertexEntry(Entry{
+	Name:    "pagerank",
+	Profile: ProfilePageRank,
+	Check: func(p Params) error {
+		if p.Iters <= 0 {
+			return fmt.Errorf("algorithms: PageRank needs numIter > 0, got %d", p.Iters)
+		}
+		return checkResetProb("PageRank", p.ResetProb)
+	},
+	Summarize: summarizeRanks,
+	Seq:       func(g *graph.Graph, p Params) any { return PageRankSeq(g, p.Iters, p.ResetProb) },
+}, Vertex[float64, float64]{
+	Program: func(p Params, outDeg []int32) pregel.Program[float64, float64] {
+		resetProb := p.ResetProb
+		return pregel.Program[float64, float64]{
+			Init: func(id graph.VertexID) float64 { return 1.0 },
+			VProg: func(id graph.VertexID, val, msg float64) float64 {
+				if msg == prInitSentinel {
+					return val
+				}
+				return resetProb + (1-resetProb)*msg
+			},
+			SendMsg: func(t *pregel.Triplet[float64], emit pregel.Emitter[float64]) {
+				if d := outDeg[t.SrcIdx]; d > 0 {
+					emit.ToDst(t.SrcVal / float64(d))
+				}
+			},
+			MergeMsg:        func(a, b float64) float64 { return a + b },
+			InitialMsg:      prInitSentinel,
+			MaxIterations:   p.Iters,
+			ActiveDirection: pregel.AllEdges, // static PR scans all edges every round
+		}
+	},
+	VC:     F64Codec{},
+	MC:     F64Codec{},
+	Values: func(ranks []float64) any { return ranks },
+})
 
 // PageRankSeq is the sequential oracle with identical semantics to
 // PageRank (only vertices with at least one incoming edge update).

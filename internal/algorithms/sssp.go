@@ -2,6 +2,7 @@ package algorithms
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -232,4 +233,40 @@ func ShortestPathsSeq(g *graph.Graph, landmarks []graph.VertexID) []DistMap {
 		}
 	}
 	return out
+}
+
+var ssspAlg = &Entry{
+	Name:    "sssp",
+	Profile: ProfileSSSP,
+	Check:   noParams,
+	Run: func(ctx context.Context, pg *pregel.PartitionedGraph, p Params) (any, *pregel.RunStats, error) {
+		lm, err := landmarksOr(pg.G, p.Landmarks)
+		if err != nil {
+			return nil, nil, err
+		}
+		hops, stats, err := HopDistances(ctx, pg, lm, 0)
+		return hops, stats, err
+	},
+	Summarize: func(_ *graph.Graph, values any, _ *pregel.RunStats) Summary {
+		hops := values.(HopTable)
+		landmark, reached := hops.Landmarks[0], hops.Reached()
+		return Summary{Landmark: &landmark, Reached: reached,
+			Text: fmt.Sprintf("sssp: landmark %d reached from %d/%d vertices", landmark, reached, hops.NumVertices())}
+	},
+	Seq: func(g *graph.Graph, p Params) any {
+		lm, _ := landmarksOr(g, p.Landmarks) // no vertices: no landmark, no rows
+		return ShortestPathsSeq(g, lm)
+	},
+}
+
+// landmarksOr returns the given sssp landmarks, or g's first vertex for none.
+func landmarksOr(g *graph.Graph, landmarks []graph.VertexID) ([]graph.VertexID, error) {
+	if landmarks != nil {
+		return landmarks, nil
+	}
+	verts := g.Vertices()
+	if len(verts) == 0 {
+		return nil, errors.New("algorithms: sssp needs a non-empty graph")
+	}
+	return verts[:1], nil
 }

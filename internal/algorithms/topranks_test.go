@@ -1,4 +1,4 @@
-package cutfit
+package algorithms
 
 import (
 	"math"
@@ -6,12 +6,13 @@ import (
 	"sort"
 	"testing"
 
+	"cutfit/internal/graph"
 	"cutfit/internal/rng"
 )
 
 // topRanksRef is topRanks as it was: a VertexRank for every vertex, fully
 // sorted, cut to k.
-func topRanksRef(g *Graph, ranks []float64, k int) []VertexRank {
+func topRanksRef(g *graph.Graph, ranks []float64, k int) []VertexRank {
 	verts := g.Vertices()
 	all := make([]VertexRank, len(ranks))
 	for i, r := range ranks {
@@ -34,11 +35,11 @@ func topRanksRef(g *Graph, ranks []float64, k int) []VertexRank {
 // ties, negative and infinite ranks, and for every k including k > len.
 func TestTopRanksMatchesFullSort(t *testing.T) {
 	const n = 40
-	edges := make([]Edge, n)
+	edges := make([]graph.Edge, n)
 	for i := range edges {
-		edges[i] = Edge{Src: VertexID(3 * i), Dst: VertexID(3 * ((i + 1) % n))}
+		edges[i] = graph.Edge{Src: graph.VertexID(3 * i), Dst: graph.VertexID(3 * ((i + 1) % n))}
 	}
-	g := FromEdges(edges)
+	g := graph.FromEdges(edges)
 	if g.NumVertices() != n {
 		t.Fatalf("%d vertices, want %d", g.NumVertices(), n)
 	}
@@ -68,7 +69,7 @@ func TestTopRanksMatchesFullSort(t *testing.T) {
 			}
 		}
 	}
-	if got := topRanks(FromEdges(nil), nil, 5); len(got) != 0 {
+	if got := topRanks(graph.FromEdges(nil), nil, 5); len(got) != 0 {
 		t.Errorf("empty graph: %v", got)
 	}
 }

@@ -221,3 +221,18 @@ func TotalTriangles(perVertex []int64) int64 {
 	}
 	return s / 3
 }
+
+var trianglesAlg = &Entry{
+	Name:    "triangles",
+	Profile: ProfileTR,
+	Check:   noParams,
+	Run: func(ctx context.Context, pg *pregel.PartitionedGraph, _ Params) (any, *pregel.RunStats, error) {
+		counts, stats, err := TriangleCount(ctx, pg)
+		return counts, stats, err
+	},
+	Summarize: func(_ *graph.Graph, values any, _ *pregel.RunStats) Summary {
+		n := TotalTriangles(values.([]int64))
+		return Summary{Triangles: n, Text: fmt.Sprintf("triangles: %d", n)}
+	},
+	Seq: func(g *graph.Graph, _ Params) any { return TriangleCountSeq(g) },
+}

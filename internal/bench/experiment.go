@@ -115,10 +115,8 @@ func (e *Experiment) Validate() error {
 	if len(e.Datasets) == 0 || len(e.Strategies) == 0 || len(e.Configs) == 0 {
 		return fmt.Errorf("bench: experiment needs datasets, strategies and configs")
 	}
-	switch e.Algorithm {
-	case PageRank, ConnectedComponents, Triangles, SSSP:
-	default:
-		return fmt.Errorf("bench: unknown algorithm %q", e.Algorithm)
+	if _, err := algorithms.Lookup(string(e.Algorithm)); err != nil {
+		return fmt.Errorf("bench: %w", err)
 	}
 	if e.Algorithm == PageRank && e.PRIterations <= 0 {
 		return fmt.Errorf("bench: PageRank needs positive iterations")
@@ -172,73 +170,57 @@ func (e *Experiment) runCell(ctx context.Context, g *graph.Graph, dataset string
 	}
 	m := pg.Metrics()
 
-	graphBytes := cluster.EstimateGraphBytes(g.NumEdges())
-	start := time.Now()
-	var breakdown cluster.Breakdown
+	entry, err := algorithms.Lookup(string(e.Algorithm))
+	if err != nil {
+		return Run{}, err
+	}
+	params := algorithms.Params{ResetProb: algorithms.DefaultResetProb}
 	switch e.Algorithm {
 	case PageRank:
-		_, stats, err := algorithms.PageRank(ctx, pg, e.PRIterations, algorithms.DefaultResetProb)
-		if err != nil {
-			return Run{}, err
-		}
-		breakdown, err = cfg.Simulate(stats, graphBytes)
-		if err != nil {
-			return Run{}, err
-		}
-		return e.finishRun(dataset, strat, cfg, m, stats, breakdown, start), nil
+		params.Iters = e.PRIterations
 	case ConnectedComponents:
-		_, stats, err := algorithms.ConnectedComponents(ctx, pg, e.CCIterations)
-		if err != nil {
-			return Run{}, err
-		}
-		breakdown, err = cfg.Simulate(stats, graphBytes)
-		if err != nil {
-			return Run{}, err
-		}
-		return e.finishRun(dataset, strat, cfg, m, stats, breakdown, start), nil
-	case Triangles:
-		_, stats, err := algorithms.TriangleCount(ctx, pg)
-		if err != nil {
-			return Run{}, err
-		}
-		breakdown, err = cfg.Simulate(stats, graphBytes)
-		if err != nil {
-			return Run{}, err
-		}
-		return e.finishRun(dataset, strat, cfg, m, stats, breakdown, start), nil
-	case SSSP:
-		// One single-source run per landmark, averaged — mirroring the
-		// paper's average over 5 source vertices.
-		var acc cluster.Breakdown
-		merged := &pregel.RunStats{Converged: true}
-		for _, l := range landmarks {
-			_, stats, err := algorithms.HopDistances(ctx, pg, []graph.VertexID{l}, 0)
-			if err != nil {
-				return Run{}, err
-			}
-			b, err := cfg.Simulate(stats, graphBytes)
-			if err != nil {
-				return Run{}, err
-			}
-			acc.LoadSecs += b.LoadSecs
-			acc.ComputeSecs += b.ComputeSecs
-			acc.NetworkSecs += b.NetworkSecs
-			acc.BarrierSecs += b.BarrierSecs
-			merged.Supersteps = append(merged.Supersteps, stats.Supersteps...)
-			merged.Converged = merged.Converged && stats.Converged
-		}
-		n := float64(len(landmarks))
-		breakdown = cluster.Breakdown{
-			LoadSecs:    acc.LoadSecs / n,
-			ComputeSecs: acc.ComputeSecs / n,
-			NetworkSecs: acc.NetworkSecs / n,
-			BarrierSecs: acc.BarrierSecs / n,
-		}
-		run := e.finishRun(dataset, strat, cfg, m, merged, breakdown, start)
-		run.WallSecs /= n
-		return run, nil
+		params.Iters = e.CCIterations
 	}
-	return Run{}, fmt.Errorf("unknown algorithm %q", e.Algorithm)
+	// One run per cell — except Shortest Paths, which runs once per landmark
+	// and averages, mirroring the paper's average over 5 source vertices.
+	runs := [][]graph.VertexID{nil}
+	if e.Algorithm == SSSP {
+		runs = runs[:0]
+		for _, l := range landmarks {
+			runs = append(runs, []graph.VertexID{l})
+		}
+	}
+	graphBytes := cluster.EstimateGraphBytes(g.NumEdges())
+	start := time.Now()
+	var acc cluster.Breakdown
+	merged := &pregel.RunStats{Converged: true}
+	for _, lm := range runs {
+		params.Landmarks = lm
+		_, stats, err := entry.Run(ctx, pg, params)
+		if err != nil {
+			return Run{}, err
+		}
+		b, err := cfg.Simulate(stats, graphBytes)
+		if err != nil {
+			return Run{}, err
+		}
+		acc.LoadSecs += b.LoadSecs
+		acc.ComputeSecs += b.ComputeSecs
+		acc.NetworkSecs += b.NetworkSecs
+		acc.BarrierSecs += b.BarrierSecs
+		merged.Supersteps = append(merged.Supersteps, stats.Supersteps...)
+		merged.Converged = merged.Converged && stats.Converged
+	}
+	n := float64(len(runs))
+	breakdown := cluster.Breakdown{
+		LoadSecs:    acc.LoadSecs / n,
+		ComputeSecs: acc.ComputeSecs / n,
+		NetworkSecs: acc.NetworkSecs / n,
+		BarrierSecs: acc.BarrierSecs / n,
+	}
+	run := e.finishRun(dataset, strat, cfg, m, merged, breakdown, start)
+	run.WallSecs /= n
+	return run, nil
 }
 
 func (e *Experiment) finishRun(dataset string, strat partition.Strategy, cfg cluster.Config,

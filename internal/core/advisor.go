@@ -20,6 +20,7 @@ import (
 	"context"
 	"fmt"
 
+	"cutfit/internal/algorithms"
 	"cutfit/internal/graph"
 	"cutfit/internal/metrics"
 	"cutfit/internal/par"
@@ -29,46 +30,26 @@ import (
 )
 
 // Profile classifies an algorithm by its communication structure, which
-// determines the predictive partitioning metric.
-type Profile struct {
-	// Name is a human-readable algorithm name.
-	Name string
-	// EdgeBound is true when complexity is dominated by edge traversal
-	// with small per-vertex state (PageRank, CC, SSSP); false when the
-	// algorithm keeps heavy per-vertex state (Triangle Count).
-	EdgeBound bool
-	// Metric is the partitioning metric that predicts execution time for
-	// this profile: "CommCost" for edge-bound algorithms, "Cut" otherwise.
-	Metric string
-	// IterationsScaleWithDiameter is true for algorithms whose superstep
-	// count follows the graph diameter (SSSP, CC to convergence).
-	IterationsScaleWithDiameter bool
-}
+// determines the predictive partitioning metric. Each served algorithm's
+// table entry (internal/algorithms) carries one.
+type Profile = algorithms.Profile
 
 // Built-in profiles for the paper's four algorithms.
 var (
-	ProfilePageRank = Profile{Name: "pagerank", EdgeBound: true, Metric: "CommCost"}
-	ProfileCC       = Profile{Name: "cc", EdgeBound: true, Metric: "CommCost", IterationsScaleWithDiameter: true}
-	ProfileTR       = Profile{Name: "triangles", EdgeBound: false, Metric: "Cut"}
-	ProfileSSSP     = Profile{Name: "sssp", EdgeBound: true, Metric: "CommCost", IterationsScaleWithDiameter: true}
+	ProfilePageRank = algorithms.ProfilePageRank
+	ProfileCC       = algorithms.ProfileCC
+	ProfileTR       = algorithms.ProfileTR
+	ProfileSSSP     = algorithms.ProfileSSSP
 )
 
-// ProfileFor returns the built-in profile for one of the four paper
-// algorithms ("pagerank", "cc", "triangles", "sssp"). "dynamicpr" — the
-// convergence-gated PageRank variant — shares PageRank's communication
-// structure and resolves to its profile.
+// ProfileFor returns the profile of a served algorithm, by the name its
+// table entry carries.
 func ProfileFor(alg string) (Profile, error) {
-	switch alg {
-	case "pagerank", "dynamicpr":
-		return ProfilePageRank, nil
-	case "cc":
-		return ProfileCC, nil
-	case "triangles":
-		return ProfileTR, nil
-	case "sssp":
-		return ProfileSSSP, nil
+	e, err := algorithms.Lookup(alg)
+	if err != nil {
+		return Profile{}, err
 	}
-	return Profile{}, fmt.Errorf("core: unknown algorithm %q", alg)
+	return e.Profile, nil
 }
 
 // GraphFacts are the dataset properties the heuristic advisor consults.

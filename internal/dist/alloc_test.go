@@ -98,7 +98,8 @@ func TestExchangeAllocs(t *testing.T) {
 	ctx := context.Background()
 	pg := allocGraph(t)
 	pool, _ := startCluster(t, 2)
-	prog := algorithms.PageRankProgram(1000, algorithms.DefaultResetProb, pg.G.OutDegrees())
+	pr := vertexOf[float64, float64](t, "pagerank")
+	prog := pr.Program(algorithms.ServedParams(1000), pg.G.OutDegrees())
 	for w := 0; w < 2; w++ {
 		key := shardKey(pg.G, pg.TopologySum(), pg.NumParts, w, 2)
 		if err := pool.prepareWorker(ctx, w, key, pg); err != nil {
@@ -109,7 +110,7 @@ func TestExchangeAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ex := newExchanger(pool, pg, "allocs", &prog, f64Codec{}, f64Codec{})
+	ex := newExchanger(pool, pg, "allocs", &prog, pr.VC, pr.MC)
 	nv := pg.G.NumVertices()
 	changed := make([]uint64, (nv+63)/64)
 	for v := 0; v < nv; v++ {

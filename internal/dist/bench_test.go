@@ -40,8 +40,8 @@ func benchCluster(b *testing.B) (*Pool, *pregel.PartitionedGraph) {
 }
 
 // BenchmarkDistRun times whole distributed runs — shard reuse, RunStart, every
-// superstep's encode, round trip, scan and merge, RunFinish — for the three
-// served algorithms. The first run outside the timer ships the shards, so the
+// superstep's encode, round trip, scan and merge, RunFinish — for every
+// cluster entry of the served-algorithm table. The first run outside the timer ships the shards, so the
 // loop measures the steady state a warm cluster serves. MB/s is frame bytes
 // (both directions) per run; bcast_B/step is the broadcast frames' bytes per
 // superstep, and coord_ms/step what a superstep costs on the coordinator
@@ -49,33 +49,25 @@ func benchCluster(b *testing.B) (*Pool, *pregel.PartitionedGraph) {
 // merge, apply.
 func BenchmarkDistRun(b *testing.B) {
 	ctx := context.Background()
-	runs := []struct {
-		name string
-		run  func(*Pool, *pregel.PartitionedGraph) error
-	}{
-		{"pagerank", func(pool *Pool, pg *pregel.PartitionedGraph) error {
-			_, _, err := PageRank(ctx, pool, pg, 10, algorithms.DefaultResetProb)
-			return err
-		}},
-		{"cc", func(pool *Pool, pg *pregel.PartitionedGraph) error {
-			_, _, err := ConnectedComponents(ctx, pool, pg, 0)
-			return err
-		}},
-		{"dynamicpr", func(pool *Pool, pg *pregel.PartitionedGraph) error {
-			_, _, err := DynamicPageRank(ctx, pool, pg, 1e-3, algorithms.DefaultResetProb, 0)
-			return err
-		}},
-	}
 	// The engine's own superstep histogram, found by name.
 	hSuperstep := obsv.Default.Histogram("cutfit_pregel_superstep_seconds", "", obsv.DefBuckets)
 	pool, pg := benchCluster(b)
-	for _, r := range runs {
-		b.Run(r.name, func(b *testing.B) {
+	for _, e := range algorithms.ClusterServed() {
+		// Ten rounds where the algorithm needs a cap, else to convergence.
+		p := algorithms.ServedParams(0)
+		if e.Check(p) != nil {
+			p = algorithms.ServedParams(10)
+		}
+		run := func() error {
+			_, _, err := Run(ctx, pool, pg, e, p)
+			return err
+		}
+		b.Run(e.Name, func(b *testing.B) {
 			frameBytes := func() int64 {
 				return cBytes.With("broadcast").Value() + cBytes.With("reduce").Value()
 			}
 			before := frameBytes()
-			if err := r.run(pool, pg); err != nil {
+			if err := run(); err != nil {
 				b.Fatal(err)
 			}
 			b.SetBytes(frameBytes() - before)
@@ -84,7 +76,7 @@ func BenchmarkDistRun(b *testing.B) {
 			stepSecs, barrierSecs := hSuperstep.Sum(), hBarrierSeconds.Sum()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := r.run(pool, pg); err != nil {
+				if err := run(); err != nil {
 					b.Fatal(err)
 				}
 			}

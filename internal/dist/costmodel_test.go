@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"cutfit/internal/algorithms"
 	"cutfit/internal/cluster"
 	"cutfit/internal/partition"
 )
@@ -25,7 +24,7 @@ func TestClusterModelVsMeasured(t *testing.T) {
 	pg := mustPartition(t, g, partition.RandomVertexCut(), 8)
 
 	start := time.Now()
-	_, stats, err := PageRank(ctx, pool, pg, 10, algorithms.DefaultResetProb)
+	_, stats, err := runPageRank(ctx, pool, pg, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,6 +63,28 @@ func hubAndChain(spokes, chain int) *graph.Graph {
 	return graph.FromEdges(edges)
 }
 
+// vertexOf returns the typed vertex program of a cluster entry of the table.
+func vertexOf[V, M any](t testing.TB, name string) algorithms.Vertex[V, M] {
+	t.Helper()
+	e, err := algorithms.Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e.Vertex.(algorithms.Vertex[V, M])
+}
+
+// runPageRank is a distributed static PageRank with the served reset
+// probability: the run the transport, cache and failure tests drive.
+func runPageRank(ctx context.Context, pool *Pool, pg *pregel.PartitionedGraph, iters int) ([]float64, *pregel.RunStats, error) {
+	e, err := algorithms.Lookup("pagerank")
+	if err != nil {
+		return nil, nil, err
+	}
+	vals, stats, err := Run(ctx, pool, pg, e, algorithms.ServedParams(iters))
+	ranks, _ := vals.([]float64)
+	return ranks, stats, err
+}
+
 func mustPartition(t *testing.T, g *graph.Graph, s partition.Strategy, parts int) *pregel.PartitionedGraph {
 	t.Helper()
 	assign, err := s.Partition(g, parts)
@@ -91,6 +113,54 @@ func assertBitEqualF64(t *testing.T, label string, got, want []float64) {
 	}
 }
 
+// assertValuesEqual requires a distributed run's values to be the local
+// run's, bit for bit where they are floats.
+func assertValuesEqual(t *testing.T, label string, got, want any) {
+	t.Helper()
+	if w, ok := want.([]float64); ok {
+		g, _ := got.([]float64)
+		assertBitEqualF64(t, label, g, w)
+		return
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: distributed values diverge from local", label)
+	}
+}
+
+// servedRuns are the parameter sets the suites run every cluster entry of
+// the served-algorithm table with — capped at a few rounds, and to
+// convergence — less those an entry's own check refuses (pagerank needs a
+// cap).
+var servedRuns = []algorithms.Params{algorithms.ServedParams(5), algorithms.ServedParams(0)}
+
+// forEachClusterRun calls fn for every cluster entry and every parameter set
+// of servedRuns the entry accepts.
+func forEachClusterRun(fn func(label string, e *algorithms.Entry, p algorithms.Params)) {
+	for _, e := range algorithms.ClusterServed() {
+		for _, p := range servedRuns {
+			if e.Check(p) == nil {
+				fn(fmt.Sprintf("%s iters=%d", e.Name, p.Iters), e, p)
+			}
+		}
+	}
+}
+
+// checkMatchesLocal runs e distributed and in process on pg and requires
+// identical values and identical statistics, every field.
+func checkMatchesLocal(t *testing.T, label string, pool *Pool, pg *pregel.PartitionedGraph, e *algorithms.Entry, p algorithms.Params) {
+	t.Helper()
+	want, wantStats, err := e.Run(context.Background(), pg, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, gotStats, err := Run(context.Background(), pool, pg, e, p)
+	if err != nil {
+		t.Fatalf("dist %s: %v", label, err)
+	}
+	assertValuesEqual(t, label, got, want)
+	assertStatsEqual(t, label, gotStats, wantStats)
+}
+
 func assertStatsEqual(t *testing.T, label string, got, want *pregel.RunStats) {
 	t.Helper()
 	if !reflect.DeepEqual(got, want) {
@@ -112,15 +182,15 @@ func setScanWorkers(t *testing.T, n int) {
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
-// TestDistributedEquivalence is the core contract: every supported
-// algorithm, over both graph families and several partition counts,
+// TestDistributedEquivalence is the core contract: every entry of the
+// served-algorithm table that carries codecs, over both graph families and
+// several partition counts,
 // produces bit-identical values AND identical engine statistics whether
 // the supersteps run in-process or across one, two or three workers on
 // loopback sockets — workers scanning on one goroutine or eight, the
 // coordinator merging on one or eight, and (with more than one worker) some
 // changed vertices having no mirror on one of them.
 func TestDistributedEquivalence(t *testing.T) {
-	ctx := context.Background()
 	graphs := map[string]*graph.Graph{
 		"random":   randomGraph(42, 60, 300),
 		"hubchain": hubAndChain(12, 20),
@@ -137,46 +207,13 @@ func TestDistributedEquivalence(t *testing.T) {
 					pg.Parallelism = shape[1]
 					label := fmt.Sprintf("%s W=%d parts=%d scan=%d merge=%d", gname, W, parts, shape[0], shape[1])
 
-					// pagerank
-					wantPR, wantStats, err := algorithms.PageRank(ctx, pg, 5, algorithms.DefaultResetProb)
-					if err != nil {
-						t.Fatal(err)
-					}
-					gotPR, gotStats, err := PageRank(ctx, pool, pg, 5, algorithms.DefaultResetProb)
-					if err != nil {
-						t.Fatalf("dist pagerank (%s): %v", label, err)
-					}
-					assertBitEqualF64(t, "pagerank/"+label, gotPR, wantPR)
-					assertStatsEqual(t, "pagerank/"+label, gotStats, wantStats)
+					forEachClusterRun(func(run string, e *algorithms.Entry, p algorithms.Params) {
+						checkMatchesLocal(t, run+"/"+label, pool, pg, e, p)
+					})
 
-					// cc
-					wantCC, wantStats2, err := algorithms.ConnectedComponents(ctx, pg, 0)
-					if err != nil {
-						t.Fatal(err)
-					}
-					gotCC, gotStats2, err := ConnectedComponents(ctx, pool, pg, 0)
-					if err != nil {
-						t.Fatalf("dist cc (%s): %v", label, err)
-					}
-					if !reflect.DeepEqual(gotCC, wantCC) {
-						t.Fatalf("cc/%s: labels diverge", label)
-					}
-					assertStatsEqual(t, "cc/"+label, gotStats2, wantStats2)
-
-					// dynamicpr
-					wantDPR, wantStats3, err := algorithms.DynamicPageRank(ctx, pg, 1e-3, algorithms.DefaultResetProb, 20)
-					if err != nil {
-						t.Fatal(err)
-					}
-					gotDPR, gotStats3, err := DynamicPageRank(ctx, pool, pg, 1e-3, algorithms.DefaultResetProb, 20)
-					if err != nil {
-						t.Fatalf("dist dynamicpr (%s): %v", label, err)
-					}
-					assertBitEqualF64(t, "dynamicpr/"+label, gotDPR, wantDPR)
-					assertStatsEqual(t, "dynamicpr/"+label, gotStats3, wantStats3)
-
-					prog := algorithms.ConnectedComponentsProgram(0)
-					for _, mirrored := range newExchanger(pool, pg, "", &prog, vidCodec{}, vidCodec{}).mirrored {
+					cc := vertexOf[graph.VertexID, graph.VertexID](t, "cc")
+					prog := cc.Program(algorithms.Params{}, nil)
+					for _, mirrored := range newExchanger(pool, pg, "", &prog, cc.VC, cc.MC).mirrored {
 						n := 0
 						for _, w := range mirrored {
 							n += bits.OnesCount64(w)
@@ -208,7 +245,6 @@ func TestDistributedGenerations(t *testing.T) {
 }
 
 func testGenerations(t *testing.T, W, mergeShards int) {
-	ctx := context.Background()
 	pool, _ := startCluster(t, W)
 	strat := partition.RandomVertexCut()
 	const parts = 5
@@ -217,29 +253,9 @@ func testGenerations(t *testing.T, W, mergeShards int) {
 		t.Helper()
 		pg.Parallelism = mergeShards
 		label = fmt.Sprintf("%s W=%d merge=%d", label, W, mergeShards)
-		want, wantStats, err := algorithms.PageRank(ctx, pg, 6, algorithms.DefaultResetProb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, gotStats, err := PageRank(ctx, pool, pg, 6, algorithms.DefaultResetProb)
-		if err != nil {
-			t.Fatalf("%s: dist pagerank: %v", label, err)
-		}
-		assertBitEqualF64(t, label, got, want)
-		assertStatsEqual(t, label, gotStats, wantStats)
-
-		wantCC, wantCCStats, err := algorithms.ConnectedComponents(ctx, pg, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotCC, gotCCStats, err := ConnectedComponents(ctx, pool, pg, 0)
-		if err != nil {
-			t.Fatalf("%s: dist cc: %v", label, err)
-		}
-		if !reflect.DeepEqual(gotCC, wantCC) {
-			t.Fatalf("%s: cc labels diverge", label)
-		}
-		assertStatsEqual(t, label+" cc", gotCCStats, wantCCStats)
+		forEachClusterRun(func(run string, e *algorithms.Entry, p algorithms.Params) {
+			checkMatchesLocal(t, run+"/"+label, pool, pg, e, p)
+		})
 	}
 
 	g1 := randomGraph(7, 50, 250)
@@ -280,12 +296,12 @@ func TestShardReuse(t *testing.T) {
 	pool, _ := startCluster(t, 2)
 	pg := mustPartition(t, hubAndChain(8, 10), partition.RandomVertexCut(), 4)
 
-	if _, _, err := PageRank(ctx, pool, pg, 3, algorithms.DefaultResetProb); err != nil {
+	if _, _, err := runPageRank(ctx, pool, pg, 3); err != nil {
 		t.Fatal(err)
 	}
 	reusedBefore := cShards.With("reused").Value()
 	fullBefore := cShards.With("full").Value()
-	if _, _, err := PageRank(ctx, pool, pg, 3, algorithms.DefaultResetProb); err != nil {
+	if _, _, err := runPageRank(ctx, pool, pg, 3); err != nil {
 		t.Fatal(err)
 	}
 	if got := cShards.With("reused").Value(); got != reusedBefore+2 {
@@ -308,7 +324,7 @@ func TestWorkerEvictionRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := PageRank(ctx, pool, pg, 4, algorithms.DefaultResetProb)
+	got, _, err := runPageRank(ctx, pool, pg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +336,7 @@ func TestWorkerEvictionRecovery(t *testing.T) {
 	workers[0].order = nil
 	workers[0].mu.Unlock()
 
-	got, _, err = PageRank(ctx, pool, pg, 4, algorithms.DefaultResetProb)
+	got, _, err = runPageRank(ctx, pool, pg, 4)
 	if err != nil {
 		t.Fatalf("run after worker wipe: %v", err)
 	}

@@ -39,19 +39,24 @@ func TestBroadcastIsThePapersCommCost(t *testing.T) {
 	ctx := context.Background()
 	const parts = 6
 	g := randomGraph(91, 200, 1500)
-	oneSuperstep := []struct {
-		name    string
+	// The cluster entries whose first superstep has every vertex changed:
+	// the rank programs (cc's first round moves only some labels), with the
+	// width of their state on the wire.
+	type allActive struct {
+		e       *algorithms.Entry
 		valSize int64
-		run     func(*Pool, *pregel.PartitionedGraph) (*pregel.RunStats, error)
-	}{
-		{"pagerank", 8, func(pool *Pool, pg *pregel.PartitionedGraph) (*pregel.RunStats, error) {
-			_, stats, err := PageRank(ctx, pool, pg, 1, algorithms.DefaultResetProb)
-			return stats, err
-		}},
-		{"dynamicpr", 16, func(pool *Pool, pg *pregel.PartitionedGraph) (*pregel.RunStats, error) {
-			_, stats, err := DynamicPageRank(ctx, pool, pg, 1e-3, algorithms.DefaultResetProb, 1)
-			return stats, err
-		}},
+	}
+	var oneSuperstep []allActive
+	for _, e := range algorithms.ClusterServed() {
+		switch v := e.Vertex.(type) {
+		case algorithms.Vertex[float64, float64]:
+			oneSuperstep = append(oneSuperstep, allActive{e, int64(v.VC.Size())})
+		case algorithms.Vertex[algorithms.PRState, float64]:
+			oneSuperstep = append(oneSuperstep, allActive{e, int64(v.VC.Size())})
+		}
+	}
+	if len(oneSuperstep) < 2 {
+		t.Fatalf("%d rank programs among the cluster entries, want both PageRank flavors", len(oneSuperstep))
 	}
 	for _, s := range partition.All() { // the paper's six
 		a, err := partition.Assign(g, s, parts)
@@ -85,22 +90,22 @@ func TestBroadcastIsThePapersCommCost(t *testing.T) {
 			for _, alg := range oneSuperstep {
 				counter.pairs.Store(0)
 				bytesBefore := cBytes.With("broadcast").Value()
-				stats, err := alg.run(pool, pg)
+				_, stats, err := Run(ctx, pool, pg, alg.e, algorithms.ServedParams(1))
 				if err != nil {
 					t.Fatal(err)
 				}
 				if len(stats.Supersteps) != 1 || stats.Supersteps[0].ActiveVertices != int64(g.NumVertices()) {
-					t.Fatalf("%s: want one all-active superstep, got %+v", alg.name, stats.Supersteps)
+					t.Fatalf("%s: want one all-active superstep, got %+v", alg.e.Name, stats.Supersteps)
 				}
 				if got, want := stats.Supersteps[0].BroadcastMsgs, m.CommCost+m.NonCut; got != want {
-					t.Errorf("%s %s W=%d: BroadcastMsgs %d, CommCost+NonCut of the assignment %d", s.Name(), alg.name, W, got, want)
+					t.Errorf("%s %s W=%d: BroadcastMsgs %d, CommCost+NonCut of the assignment %d", s.Name(), alg.e.Name, W, got, want)
 				}
 				pairs, want := counter.pairs.Load(), cm.CommCost+cm.NonCut
 				if pairs != want {
-					t.Errorf("%s %s W=%d: %d pairs in the broadcast frames, CommCost+NonCut of the assignment coarsened per worker %d", s.Name(), alg.name, W, pairs, want)
+					t.Errorf("%s %s W=%d: %d pairs in the broadcast frames, CommCost+NonCut of the assignment coarsened per worker %d", s.Name(), alg.e.Name, W, pairs, want)
 				}
 				if got, want := cBytes.With("broadcast").Value()-bytesBefore, int64(W)*frameHeaderSize+pairs*(4+alg.valSize); got != want {
-					t.Errorf("%s %s W=%d: broadcast bytes grew by %d, want W·%d + pairs·%d = %d", s.Name(), alg.name, W, got, frameHeaderSize, 4+alg.valSize, want)
+					t.Errorf("%s %s W=%d: broadcast bytes grew by %d, want W·%d + pairs·%d = %d", s.Name(), alg.e.Name, W, got, frameHeaderSize, 4+alg.valSize, want)
 				}
 			}
 		}

@@ -30,7 +30,7 @@ func TestAlternatingGraphsStayResident(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := PageRank(ctx, pool, pg, 3, algorithms.DefaultResetProb)
+			got, _, err := runPageRank(ctx, pool, pg, 3)
 			if err != nil {
 				t.Fatalf("round %d graph %d: %v", round, i, err)
 			}
@@ -102,7 +102,7 @@ func TestSlowWorkerDoesNotDelayShipping(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		vals, _, err := PageRank(ctx, pool, pg, 3, algorithms.DefaultResetProb)
+		vals, _, err := runPageRank(ctx, pool, pg, 3)
 		done <- result{vals, err}
 	}()
 	released := false

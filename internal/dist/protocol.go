@@ -38,7 +38,7 @@ var ProtocolMessages = []ProtocolMessage{
 		Name:  "RunStart",
 		Kind:  "rpc",
 		Route: "POST /dist/v1/runs",
-		Doc:   "bind a run id to a shard + algorithm spec (404 if the shard is missing)",
+		Doc:   "bind a run id to a shard + algorithm spec (404 if the shard is missing, 400 if the algorithm's table entry refuses the spec)",
 	},
 	{
 		Name:  "SuperstepExchange",

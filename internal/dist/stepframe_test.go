@@ -134,7 +134,7 @@ func (r *stepRig) freshReduce(tb testing.TB, frame []byte) []byte {
 // serves runs pagerank across the cluster and requires the local bits.
 func (r *stepRig) serves(tb testing.TB) {
 	tb.Helper()
-	got, _, err := PageRank(context.Background(), r.pool, r.pg, 4, algorithms.DefaultResetProb)
+	got, _, err := runPageRank(context.Background(), r.pool, r.pg, 4)
 	if err != nil {
 		tb.Fatalf("valid run after hostile frames: %v", err)
 	}

@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"sync"
 
-	"cutfit/internal/algorithms"
 	"cutfit/internal/graph"
 	"cutfit/internal/pregel"
 	"cutfit/internal/snap"
@@ -20,6 +19,13 @@ import (
 // generations are evicted first. Deep enough for a base plus several
 // Grow/Shrink generations of a handful of graphs.
 const maxShards = 8
+
+// maxRuns bounds the worker's live runs: one whose coordinator died between
+// RunStart and RunFinish would hold its compute slabs, and its shard against
+// eviction, forever. Beyond the bound (four times what a coordinator admits
+// at once by default) the run started longest ago is dropped; a coordinator
+// alive after all gets 404 for its next superstep and falls back to local.
+const maxRuns = 256
 
 // maxBodyBytes caps request bodies (shard containers dominate).
 const maxBodyBytes = 1 << 30
@@ -121,57 +127,13 @@ func buildWorkerShard(key string, sp *snap.ShardPayload, base *workerShard) (*wo
 	return ws, nil
 }
 
-// shardRun erases the program's type parameters so the worker can hold runs
-// of different algorithms in one table; shardRunT carries the real types.
+// shardRun is a run's compute state with the program's type parameters
+// erased, so the worker can hold runs of different algorithms in one table:
+// the methods of *pregel.ShardCompute[V, M], none of which mention V or M.
 type shardRun interface {
-	ingest(ctx context.Context, pairs []byte) error
-	scan(ctx context.Context) error
-	section(p int) (cs pregel.ComputeStats, pairs []byte, n int)
-	broadcastValSize() int
-}
-
-type shardRunT[V, M any] struct {
-	sc      *pregel.ShardCompute[V, M]
-	valSize int
-}
-
-func (r *shardRunT[V, M]) ingest(ctx context.Context, pairs []byte) error {
-	return r.sc.Ingest(ctx, pairs)
-}
-
-func (r *shardRunT[V, M]) scan(ctx context.Context) error { return r.sc.Scan(ctx) }
-
-func (r *shardRunT[V, M]) section(p int) (pregel.ComputeStats, []byte, int) {
-	return r.sc.Section(p)
-}
-
-func (r *shardRunT[V, M]) broadcastValSize() int { return r.valSize }
-
-func newShardRunT[V, M any](prog pregel.Program[V, M], ws *workerShard, vc pregel.Codec[V], mc pregel.Codec[M]) (shardRun, error) {
-	sc, err := pregel.NewShardCompute(prog, ws.topo, vc, mc)
-	if err != nil {
-		return nil, err
-	}
-	return &shardRunT[V, M]{sc: sc, valSize: vc.Size()}, nil
-}
-
-// newShardRun instantiates the worker-side program named by the run spec —
-// the same constructors the local path uses, fed by the shard's shipped
-// degree table, so SendMsg/MergeMsg/VProg are the identical float
-// operations in the identical order.
-func newShardRun(spec RunSpec, ws *workerShard) (shardRun, error) {
-	switch spec.Algorithm {
-	case "pagerank":
-		prog := algorithms.PageRankProgram(spec.Iters, spec.ResetProb, ws.outDeg)
-		return newShardRunT(prog, ws, f64Codec{}, f64Codec{})
-	case "cc":
-		prog := algorithms.ConnectedComponentsProgram(spec.Iters)
-		return newShardRunT(prog, ws, vidCodec{}, vidCodec{})
-	case "dynamicpr":
-		prog := algorithms.DynamicPageRankProgram(spec.Tol, spec.ResetProb, spec.Iters, ws.outDeg)
-		return newShardRunT(prog, ws, prStateCodec{}, f64Codec{})
-	}
-	return nil, fmt.Errorf("dist: unknown algorithm %q", spec.Algorithm)
+	Ingest(ctx context.Context, pairs []byte) error
+	Scan(ctx context.Context) error
+	Section(p int) (cs pregel.ComputeStats, pairs []byte, n int)
 }
 
 // workerRun is one live run's compute state plus its superstep sequencer.
@@ -183,6 +145,8 @@ type workerRun struct {
 	mu       sync.Mutex
 	shard    *workerShard
 	run      shardRun
+	valSize  int    // bytes of one vertex value in a broadcast frame
+	started  uint64 // Worker.started when the run was bound
 	lastStep int
 	body     []byte
 	reduce   reduceFrameBuilder
@@ -191,10 +155,11 @@ type workerRun struct {
 // Worker owns a process's shard cache and live runs and serves the
 // /dist/v1 protocol.
 type Worker struct {
-	mu     sync.Mutex
-	shards map[string]*workerShard
-	order  []string // install order, oldest first, for eviction
-	runs   map[string]*workerRun
+	mu      sync.Mutex
+	shards  map[string]*workerShard
+	order   []string // install order, oldest first, for eviction
+	runs    map[string]*workerRun
+	started uint64 // runs bound so far; a run's is its age
 }
 
 // NewWorker returns an empty worker.
@@ -218,6 +183,25 @@ func (w *Worker) installShard(ws *workerShard) {
 		oldest := w.order[0]
 		w.order = w.order[1:]
 		delete(w.shards, oldest)
+	}
+}
+
+// bindRun makes wr the live run id, dropping the run started longest ago
+// beyond the bound.
+func (w *Worker) bindRun(id string, wr *workerRun) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.started++
+	wr.started = w.started
+	w.runs[id] = wr
+	if len(w.runs) > maxRuns {
+		oldest := id
+		for k, r := range w.runs {
+			if r.started < w.runs[oldest].started {
+				oldest = k
+			}
+		}
+		delete(w.runs, oldest)
 	}
 }
 
@@ -399,14 +383,19 @@ func (w *Worker) handleRunStart(rw http.ResponseWriter, r *http.Request) {
 		http.Error(rw, "shard not installed: "+spec.Shard, http.StatusNotFound)
 		return
 	}
-	run, err := newShardRun(spec, ws)
+	// The spec came off the network: an algorithm the cluster does not run,
+	// or parameters its table entry's check refuses, bind nothing.
+	wiring, err := wiringFor(spec.Algorithm)
 	if err != nil {
 		http.Error(rw, err.Error(), http.StatusBadRequest)
 		return
 	}
-	w.mu.Lock()
-	w.runs[spec.Run] = &workerRun{shard: ws, run: run}
-	w.mu.Unlock()
+	run, valSize, err := wiring.shard(spec, ws)
+	if err != nil {
+		http.Error(rw, err.Error(), http.StatusBadRequest)
+		return
+	}
+	w.bindRun(spec.Run, &workerRun{shard: ws, run: run, valSize: valSize})
 	rw.WriteHeader(http.StatusNoContent)
 }
 
@@ -424,7 +413,7 @@ func (w *Worker) handleStep(rw http.ResponseWriter, r *http.Request) {
 	if wr.body, ok = readBody(wr.body, rw, r); !ok {
 		return
 	}
-	step, pairs, err := parseBroadcastFrame(wr.body, wr.run.broadcastValSize())
+	step, pairs, err := parseBroadcastFrame(wr.body, wr.valSize)
 	if err != nil {
 		http.Error(rw, err.Error(), http.StatusBadRequest)
 		return
@@ -442,10 +431,10 @@ func (w *Worker) handleStep(rw http.ResponseWriter, r *http.Request) {
 	// reply, so the superstep stops at the next partition boundary and the
 	// handler only records why; the run's state goes with RunFinish.
 	ctx := r.Context()
-	err = wr.run.ingest(ctx, pairs)
+	err = wr.run.Ingest(ctx, pairs)
 	status := http.StatusBadRequest
 	if err == nil {
-		err = wr.run.scan(ctx)
+		err = wr.run.Scan(ctx)
 		status = http.StatusInternalServerError
 	}
 	if ctx.Err() != nil {
@@ -464,7 +453,7 @@ func (w *Worker) handleStep(rw http.ResponseWriter, r *http.Request) {
 	b := &wr.reduce
 	b.reset(step, len(owned))
 	for _, p := range owned {
-		cs, slab, n := wr.run.section(p)
+		cs, slab, n := wr.run.Section(p)
 		b.appendSection(p, cs, slab, n)
 	}
 	wr.lastStep = step

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"slices"
 	"sort"
 
 	"cutfit/internal/algorithms"
@@ -85,9 +84,10 @@ func NewWorkerPool(urls []string) *WorkerPool { return dist.NewPool(urls) }
 type WorkerStatus = dist.WorkerStatus
 
 // AttachWorkers attaches a distributed worker pool: subsequent Run calls
-// for pagerank, dynamicpr and cc dispatch supersteps across the pool's
-// workers, falling back to an in-process run (with identical results) if
-// any worker fails mid-run. Attach before serving; a nil pool detaches.
+// for the algorithms the served-algorithm table marks as cluster-run
+// dispatch supersteps across the pool's workers, falling back to an
+// in-process run (with identical results) if any worker fails mid-run.
+// Attach before serving; a nil pool detaches.
 func (se *Session) AttachWorkers(p *WorkerPool) { se.pool = p }
 
 // Workers returns the attached worker pool, or nil when runs are local.
@@ -355,80 +355,28 @@ func RestoreSession(r io.Reader, opts SessionOptions) (*Session, map[string]*Gra
 	return se, named, nil
 }
 
-// topRankCount is how many top-ranked vertices a pagerank RunReport
-// carries.
-const topRankCount = 5
-
-// dynamicPRTol is the per-vertex convergence tolerance Run uses for the
-// "dynamicpr" algorithm (GraphX's runUntilConvergence flavor).
-const dynamicPRTol = 1e-3
-
-// Run executes the named algorithm ("pagerank", "dynamicpr", "cc",
-// "triangles", "sssp") on the session's cached topology of (g, s,
-// numParts) and returns the shared run encoding: superstep/traffic counts,
-// a simulated cluster time, and the algorithm's headline result. iters
-// caps pagerank, dynamicpr and cc rounds (dynamicpr and cc accept 0 = run
-// to convergence); triangles and sssp ignore it. Safe for any number of
-// concurrent callers.
+// Run executes the named algorithm — an entry of the served-algorithm table
+// in internal/algorithms — on the session's cached topology of (g, s,
+// numParts) and returns the shared run encoding: superstep/traffic counts, a
+// simulated cluster time, and the algorithm's headline result. iters is the
+// table's Params.Iters. An unknown name or a refused parameter is an error
+// before anything is partitioned. Safe for any number of concurrent callers.
 func (se *Session) Run(ctx context.Context, g *Graph, s Strategy, numParts int, alg string, iters int) (*RunReport, error) {
+	e, err := algorithms.Lookup(alg)
+	if err != nil {
+		return nil, err
+	}
+	p := algorithms.ServedParams(iters)
+	if err := e.Check(p); err != nil {
+		return nil, err
+	}
 	pg, err := se.Partition(g, s, numParts)
 	if err != nil {
 		return nil, err
 	}
-	rep := &RunReport{
-		Algorithm: alg,
-		Strategy:  s.Name(),
-		Parts:     numParts,
-	}
-	var stats *RunStats
-	switch alg {
-	case "pagerank":
-		ranks, st, err := se.runPageRank(ctx, pg, iters)
-		if err != nil {
-			return nil, err
-		}
-		stats = st
-		rep.TopRanks = topRanks(g, ranks, topRankCount)
-	case "dynamicpr":
-		ranks, st, err := se.runDynamicPR(ctx, pg, iters)
-		if err != nil {
-			return nil, err
-		}
-		stats = st
-		rep.TopRanks = topRanks(g, ranks, topRankCount)
-	case "cc":
-		labels, st, err := se.runCC(ctx, pg, iters)
-		if err != nil {
-			return nil, err
-		}
-		stats = st
-		rep.Components = countLabels(g.Vertices(), labels, st.Converged)
-	case "triangles":
-		counts, st, err := algorithms.TriangleCount(ctx, pg)
-		if err != nil {
-			return nil, err
-		}
-		stats = st
-		var total int64
-		for _, c := range counts {
-			total += c
-		}
-		rep.Triangles = total / 3
-	case "sssp":
-		verts := g.Vertices()
-		if len(verts) == 0 {
-			return nil, fmt.Errorf("cutfit: sssp needs a non-empty graph")
-		}
-		landmark := verts[0]
-		hops, st, err := algorithms.HopDistances(ctx, pg, []VertexID{landmark}, 0)
-		if err != nil {
-			return nil, err
-		}
-		stats = st
-		rep.Reached = hops.Reached()
-		rep.Landmark = &landmark
-	default:
-		return nil, fmt.Errorf("cutfit: unknown algorithm %q (want pagerank, dynamicpr, cc, triangles or sssp)", alg)
+	values, stats, err := se.execute(ctx, pg, e, p)
+	if err != nil {
+		return nil, err
 	}
 	if se.st != nil {
 		// The run may have built the topology's frontier index or triangle
@@ -436,13 +384,19 @@ func (se *Session) Run(ctx context.Context, g *Graph, s Strategy, numParts int, 
 		// entry up to date (and let it evict if that no longer fits).
 		se.st.RepriceBuilt(g, s, numParts)
 	}
-	rep.Supersteps = stats.NumSupersteps()
-	rep.Converged = stats.Converged
-	rep.Halted = stats.Halted
-	rep.BroadcastMsgs = stats.TotalBroadcastMsgs()
-	rep.ReduceMsgs = stats.TotalReduceMsgs()
-	rep.ActiveEdges = stats.TotalActiveEdges()
-	rep.Frontier = frontierTrace(stats)
+	rep := &RunReport{
+		Algorithm:     alg,
+		Strategy:      s.Name(),
+		Parts:         numParts,
+		Supersteps:    stats.NumSupersteps(),
+		Converged:     stats.Converged,
+		Halted:        stats.Halted,
+		BroadcastMsgs: stats.TotalBroadcastMsgs(),
+		ReduceMsgs:    stats.TotalReduceMsgs(),
+		ActiveEdges:   stats.TotalActiveEdges(),
+		Frontier:      frontierTrace(stats),
+		Summary:       e.Summarize(g, values, stats),
+	}
 
 	var cfg ClusterConfig
 	if se.cluster != nil {
@@ -455,121 +409,27 @@ func (se *Session) Run(ctx context.Context, g *Graph, s Strategy, numParts int, 
 	if err != nil {
 		return nil, err
 	}
-	rep.SimSecs = b.TotalSecs()
+	rep.Sim, rep.SimSecs = b, b.TotalSecs()
 	return rep, nil
 }
 
-// countLabels counts the distinct values of a connected-components
-// labelling (labels[i] belongs to verts[i]; a label is the smallest vertex ID
-// the vertex has heard of, so always some vertex's ID). A converged run
-// labels every component with its minimum vertex, which is then the one
-// vertex of the component labelled with itself; a run stopped early may use
-// a label its owner has already abandoned, so those are marked in a bitset
-// at the label's position in the sorted vertex list.
-func countLabels(verts, labels []VertexID, converged bool) int {
-	n := 0
-	if converged {
-		for i, l := range labels {
-			if l == verts[i] {
-				n++
-			}
-		}
-		return n
-	}
-	seen := make([]uint64, (len(verts)+63)/64)
-	for _, l := range labels {
-		i, _ := slices.BinarySearch(verts, l)
-		if w, bit := i>>6, uint64(1)<<(uint(i)&63); seen[w]&bit == 0 {
-			seen[w] |= bit
-			n++
-		}
-	}
-	return n
-}
-
-// distFallback decides whether a failed distributed run should fall back
-// to local execution (yes, unless the caller's context is the reason it
-// failed) and logs the degradation. A fallback is safe by construction:
-// the local engine produces bit-identical results on the same topology.
-func distFallback(ctx context.Context, alg string, err error) bool {
-	if ctx.Err() != nil {
-		return false
-	}
-	dist.NoteFallback()
-	slog.Error("cutfit: distributed "+alg+" failed; falling back to local run", "err", err)
-	return true
-}
-
-func (se *Session) runPageRank(ctx context.Context, pg *pregel.PartitionedGraph, iters int) ([]float64, *RunStats, error) {
-	if se.pool != nil {
-		ranks, st, err := dist.PageRank(ctx, se.pool, pg, iters, algorithms.DefaultResetProb)
+// execute runs e on pg: across the attached pool when the cluster runs e,
+// else in process. A failed distributed run falls back to a local one unless
+// the caller's context is why it failed — safe, the local engine produces
+// bit-identical results on the same topology — and is counted and logged.
+func (se *Session) execute(ctx context.Context, pg *PartitionedGraph, e *algorithms.Entry, p algorithms.Params) (any, *RunStats, error) {
+	if se.pool != nil && e.Vertex != nil {
+		values, stats, err := dist.Run(ctx, se.pool, pg, e, p)
 		if err == nil {
-			return ranks, st, nil
+			return values, stats, nil
 		}
-		if !distFallback(ctx, "pagerank", err) {
+		if ctx.Err() != nil {
 			return nil, nil, err
 		}
+		dist.NoteFallback()
+		slog.Error("cutfit: distributed "+e.Name+" failed; falling back to local run", "err", err)
 	}
-	return algorithms.PageRank(ctx, pg, iters, algorithms.DefaultResetProb)
-}
-
-func (se *Session) runDynamicPR(ctx context.Context, pg *pregel.PartitionedGraph, iters int) ([]float64, *RunStats, error) {
-	if se.pool != nil {
-		ranks, st, err := dist.DynamicPageRank(ctx, se.pool, pg, dynamicPRTol, algorithms.DefaultResetProb, iters)
-		if err == nil {
-			return ranks, st, nil
-		}
-		if !distFallback(ctx, "dynamicpr", err) {
-			return nil, nil, err
-		}
-	}
-	return algorithms.DynamicPageRank(ctx, pg, dynamicPRTol, algorithms.DefaultResetProb, iters)
-}
-
-func (se *Session) runCC(ctx context.Context, pg *pregel.PartitionedGraph, iters int) ([]VertexID, *RunStats, error) {
-	if se.pool != nil {
-		labels, st, err := dist.ConnectedComponents(ctx, se.pool, pg, iters)
-		if err == nil {
-			return labels, st, nil
-		}
-		if !distFallback(ctx, "cc", err) {
-			return nil, nil, err
-		}
-	}
-	return algorithms.ConnectedComponents(ctx, pg, iters)
-}
-
-// rankedBefore is the order of a pagerank report: rank descending, ties
-// broken by vertex ID for determinism.
-func rankedBefore(a, b VertexRank) bool {
-	if a.Rank != b.Rank {
-		return a.Rank > b.Rank
-	}
-	return a.Vertex < b.Vertex
-}
-
-// topRanks extracts the k highest-ranked vertices in rankedBefore order:
-// one pass over the ranks, holding the best k seen so far in order.
-func topRanks(g *Graph, ranks []float64, k int) []VertexRank {
-	verts := g.Vertices()
-	top := make([]VertexRank, 0, min(k, len(ranks)))
-	if cap(top) == 0 {
-		return top
-	}
-	for i, r := range ranks {
-		c := VertexRank{Vertex: verts[i], Rank: r}
-		if len(top) < cap(top) {
-			top = append(top, c)
-		} else if !rankedBefore(c, top[len(top)-1]) {
-			continue
-		}
-		j := len(top) - 1
-		for ; j > 0 && rankedBefore(c, top[j-1]); j-- {
-			top[j] = top[j-1]
-		}
-		top[j] = c
-	}
-	return top
+	return e.Run(ctx, pg, p)
 }
 
 // The report types below are the one JSON encoding shared by the cutfit
@@ -659,10 +519,7 @@ func RankFromSelection(sel *Selection, metricName string) ([]StrategyRank, error
 }
 
 // VertexRank pairs a vertex with its PageRank score.
-type VertexRank struct {
-	Vertex VertexID `json:"vertex"`
-	Rank   float64  `json:"rank"`
-}
+type VertexRank = algorithms.VertexRank
 
 // FrontierStep is one superstep's frontier accounting in a RunReport: how
 // many vertices were active, how many edges the compute phase actually
@@ -697,7 +554,8 @@ func frontierTrace(stats *RunStats) []FrontierStep {
 
 // RunReport is the JSON encoding of one algorithm execution: engine
 // accounting, the simulated cluster time, and the algorithm's headline
-// result (only the matching result field is populated).
+// result — the embedded Summary's TopRanks, Components, Triangles, Landmark
+// and Reached, of which only the matching ones are populated.
 type RunReport struct {
 	Graph         string `json:"graph,omitempty"`
 	Algorithm     string `json:"algorithm"`
@@ -713,12 +571,7 @@ type RunReport struct {
 	ActiveEdges int64          `json:"activeEdges"`
 	Frontier    []FrontierStep `json:"frontier,omitempty"`
 	SimSecs     float64        `json:"simSecs"`
+	Sim         Breakdown      `json:"-"` // SimSecs by phase
 
-	TopRanks   []VertexRank `json:"topRanks,omitempty"`
-	Components int          `json:"components,omitempty"`
-	Triangles  int64        `json:"triangles,omitempty"`
-	// Landmark is a pointer: the sssp source is usually vertex 0, which
-	// omitempty on a plain VertexID would silently drop.
-	Landmark *VertexID `json:"landmark,omitempty"`
-	Reached  int       `json:"reached,omitempty"`
+	algorithms.Summary
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"cutfit"
+	"cutfit/internal/algorithms"
 )
 
 // sessionTestGraph builds a deterministic medium graph for the concurrency
@@ -339,5 +340,31 @@ func TestOneShotWrappersStayOneShot(t *testing.T) {
 	}
 	if got := cs.calls.Load(); got != 2 {
 		t.Fatalf("one-shot Measure called Partition %d times across two calls, want 2", got)
+	}
+}
+
+// TestRunRefusedBeforePartitioning: a name the served-algorithm table does
+// not hold, or parameters the named algorithm refuses, fail Session.Run
+// before it assigns, builds or caches anything — the cache counters do not
+// move — and the unknown-name error lists the table's names.
+func TestRunRefusedBeforePartitioning(t *testing.T) {
+	g := sessionTestGraph(t)
+	se := cutfit.NewSession(cutfit.SessionOptions{})
+	before := se.CacheStats()
+
+	_, err := se.Run(context.Background(), g, cutfit.EdgePartition2D(), 6, "nope", 8)
+	if err == nil {
+		t.Fatal("unknown algorithm ran")
+	}
+	for _, e := range algorithms.Served() {
+		if !strings.Contains(err.Error(), e.Name) {
+			t.Errorf("error %q does not list %s", err, e.Name)
+		}
+	}
+	if _, err := se.Run(context.Background(), g, cutfit.EdgePartition2D(), 6, "pagerank", 0); err == nil {
+		t.Fatal("pagerank ran for zero iterations")
+	}
+	if after := se.CacheStats(); after != before {
+		t.Errorf("refused runs moved the cache: %+v, was %+v", after, before)
 	}
 }
