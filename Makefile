@@ -60,8 +60,11 @@ lint: vet
 # reference on fresh and revived scratches, one and eight workers), cold
 # tailoring (the chunked text parser against its line-by-line reference at
 # every chunk boundary; candidates measured concurrently against the
-# sequential selection, finishing in a forced order) and the cutfit CLI on
-# an edgeless input. The engine, the distributed runtime, the selection
+# sequential selection, finishing in a forced order), the cutfit CLI on
+# an edgeless input, and seeded starts (root package: the cc equivalence
+# matrix, the retraction shapes, the 700-step stateful model test with
+# answers evicted mid-chain, eight goroutines seeding sibling generations off
+# one parent answer). The engine, the distributed runtime, the selection
 # fan-out and the metrics it calls run at -cpu 1,4: their parallel paths are
 # exercised with all goroutines interleaved on one thread and truly
 # concurrent on four.
@@ -100,8 +103,11 @@ bench-scale-xl:
 
 # One-iteration pass over the concurrent-serving benchmarks: fast enough
 # for CI, still executes the pooled/fresh and hit/miss paths end to end.
+# Then ten stream-update cycles, which fail unless both cc runs of a cycle
+# start from the parent generation's answer (seeded/op ≥ 1.9).
 bench-smoke:
 	$(GO) test -run='^$$' -bench='BenchmarkConcurrentRuns|BenchmarkSessionCache' -benchtime=1x -benchmem .
+	$(GO) test -run='^$$' -bench='BenchmarkStreamCycle$$' -benchtime=10x -benchmem .
 
 # Longer fuzz session: the edge-list ingest path (round trip, and the parser
 # against its strconv reference), the retraction resolver (bit filter
@@ -112,9 +118,14 @@ bench-smoke:
 # shortest-paths program against its map-valued reference (random graphs and
 # landmark sets, duplicates and absent landmarks included), the snapshot
 # decoders (container parsing + the assignment codec, seeded from the
-# golden corpus), and the distributed worker's step endpoint (arbitrary
-# broadcast frames against a bound run). FUZZTIME is per target; the
-# nightly workflow raises it.
+# golden corpus), the distributed worker's step endpoint (arbitrary
+# broadcast frames against a bound run), and a whole caching Session under
+# scripts of register / append / remove / slide / run steps, every cc run
+# (seeded from the parent generation's answer or cold) against union-find
+# over a model of the live edges and every cached answer against the stamp
+# invariant (its inputs are long, so minimizing an interesting one is capped:
+# the default minute would be most of a short session). FUZZTIME is per
+# target; the nightly workflow raises it.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadEdgeList -fuzztime=$(FUZZTIME) ./internal/graph/
@@ -127,6 +138,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeSnapshot -fuzztime=$(FUZZTIME) ./internal/snap/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeAssignment -fuzztime=$(FUZZTIME) ./internal/snap/
 	$(GO) test -run='^$$' -fuzz=FuzzStepFrame -fuzztime=$(FUZZTIME) ./internal/dist/
+	$(GO) test -run='^$$' -fuzz=FuzzSessionStream -fuzztime=$(FUZZTIME) -fuzzminimizetime=5s .
 
 # Seconds-long fuzz smoke for make check: long enough to catch parser,
 # delta-patch, snapshot-decoder and step-frame regressions on the seed
@@ -142,6 +154,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeSnapshot -fuzztime=5s ./internal/snap/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeAssignment -fuzztime=5s ./internal/snap/
 	$(GO) test -run='^$$' -fuzz=FuzzStepFrame -fuzztime=5s ./internal/dist/
+	$(GO) test -run='^$$' -fuzz=FuzzSessionStream -fuzztime=5s -fuzzminimizetime=1s .
 
 # Golden-corpus compatibility gate: the committed format-v1 snapshots must
 # re-encode byte-identically and decode to bit-identical artifacts. Run by

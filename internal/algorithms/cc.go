@@ -22,7 +22,7 @@ func ConnectedComponents(ctx context.Context, pg *pregel.PartitionedGraph, maxIt
 	return typed[[]graph.VertexID](ccAlg.Run(ctx, pg, Params{Iters: maxIter}))
 }
 
-var ccAlg = vertexEntry(Entry{
+var ccAlg = resumable[graph.VertexID, graph.VertexID](vertexEntry(Entry{
 	Name:    "cc",
 	Profile: ProfileCC,
 	Check:   noParams,
@@ -62,7 +62,7 @@ var ccAlg = vertexEntry(Entry{
 	VC:     VertexIDCodec{},
 	MC:     VertexIDCodec{},
 	Values: func(labels []graph.VertexID) any { return labels },
-})
+}))
 
 // ConnectedComponentsSeq is the union-find oracle; it returns the minimum
 // vertex ID of each vertex's component, aligned with g.Vertices().

@@ -95,6 +95,15 @@ type Entry struct {
 	// Vertex is the program with its types still known — a Vertex[V, M] —
 	// for the algorithms the cluster runs; nil marks one as local-only.
 	Vertex any
+	// Resume, set by the algorithms whose converged answer can start the run
+	// on a descendant generation (see resumable), is Run for a caller that
+	// keeps answers: the same program through the same engine, which also
+	// records each vertex's change stamp and returns values and stamps as an
+	// answer to cache, and which starts from the ancestor answer in from
+	// instead of superstep 0 when from is not nil. Values are those of a cold
+	// run either way; the RunStats describe the run that happened.
+	// pregel.ErrStampClock means from cannot be continued: call again with nil.
+	Resume func(ctx context.Context, pg *pregel.PartitionedGraph, p Params, from *pregel.Parent) (any, pregel.StoredAnswer, *pregel.RunStats, error)
 }
 
 // Vertex is a served Pregel vertex program over values V and messages M with
@@ -125,6 +134,34 @@ func vertexEntry[V, M any](e Entry, v Vertex[V, M]) *Entry {
 		return v.Values(vals), stats, nil
 	}
 	return &e
+}
+
+// resumable declares the label-propagation vertex program of e (a vertex
+// starts at Init, its value only ever falls, and at the fixpoint an edge's
+// endpoints agree) seedable from a parent generation's answer: it sets
+// Entry.Resume. See pregel.SeedLabels for why the values cannot differ from a
+// cold run's.
+func resumable[V comparable, M any](e *Entry) *Entry {
+	v := e.Vertex.(Vertex[V, M])
+	e.Resume = func(ctx context.Context, pg *pregel.PartitionedGraph, p Params, from *pregel.Parent) (any, pregel.StoredAnswer, *pregel.RunStats, error) {
+		if err := e.Check(p); err != nil {
+			return nil, nil, nil, err
+		}
+		prog := v.Program(p, pg.G.OutDegrees())
+		var start *pregel.Start[V]
+		if from != nil {
+			var err error
+			if start, err = pregel.SeedLabels(pg, from.Answer.(*pregel.Answer[V]), from.OldLen, from.Remap, prog.Init); err != nil {
+				return nil, nil, nil, err
+			}
+		}
+		ans, stats, err := pregel.RunStamped(ctx, pg, prog, start)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		return v.Values(ans.Vals), ans, stats, nil
+	}
+	return e
 }
 
 // typed gives an Entry.Run result its static type back.

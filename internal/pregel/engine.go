@@ -455,7 +455,7 @@ type Exchanger[V, M any] interface {
 // vertex values (indexed by the graph's dense vertex order, i.e. aligned
 // with pg.G.Vertices()) and the per-superstep statistics.
 func Run[V, M any](ctx context.Context, pg *PartitionedGraph, prog Program[V, M]) ([]V, *RunStats, error) {
-	return runEngine[V, M](ctx, pg, prog, nil)
+	return runEngine[V, M](ctx, pg, prog, nil, nil)
 }
 
 // RunExchanged executes the program with the mirror-side phases delegated
@@ -465,10 +465,21 @@ func RunExchanged[V, M any](ctx context.Context, pg *PartitionedGraph, prog Prog
 	if ex == nil {
 		return nil, nil, errors.New("pregel: RunExchanged requires an Exchanger")
 	}
-	return runEngine(ctx, pg, prog, ex)
+	return runEngine(ctx, pg, prog, ex, nil)
 }
 
-func runEngine[V, M any](ctx context.Context, pg *PartitionedGraph, prog Program[V, M], ex Exchanger[V, M]) ([]V, *RunStats, error) {
+// fullWord is word wi of a bitset whose first nv bits (and no others) are set.
+func fullWord(wi, nv int) uint64 {
+	if n := nv - wi<<6; n < 64 {
+		return 1<<uint(n) - 1
+	}
+	return ^uint64(0)
+}
+
+// runEngine is the one BSP loop. start is nil for a plain run; a non-nil
+// start asks for change stamps and, when it carries values, replaces
+// superstep 0 with them (see Start).
+func runEngine[V, M any](ctx context.Context, pg *PartitionedGraph, prog Program[V, M], ex Exchanger[V, M], start *Start[V]) ([]V, *RunStats, error) {
 	if err := prog.validate(); err != nil {
 		return nil, nil, err
 	}
@@ -506,30 +517,40 @@ func runEngine[V, M any](ctx context.Context, pg *PartitionedGraph, prog Program
 		}
 	}
 
-	// Superstep 0: every vertex applies the initial message at the master.
-	// Sharded over bitset words, so every changedBits word is written whole
-	// by exactly one shard.
-	if err := pg.forEachShard(nw, func(lo, hi int) {
+	var stamps []uint32
+	var clock uint32
+	if start != nil {
+		stamps, clock = start.Stamps, start.Clock
+	}
+	// fill says the mirrors hold nothing yet: the next broadcast ships every
+	// master, whatever the frontier. Superstep 0 leaves every vertex changed,
+	// so a cold run gets that for free; a seeded start has to ask.
+	fill := false
+	activeCount := int64(nv)
+	if start != nil && start.Vals != nil {
+		copy(masterVals, start.Vals)
+		copy(changedBits, start.Active)
+		activeCount = 0
+		for _, w := range changedBits {
+			activeCount += int64(bits.OnesCount64(w))
+		}
+		fill = true
+	} else if err := pg.forEachShard(nw, func(lo, hi int) {
+		// Superstep 0: every vertex applies the initial message at the
+		// master. Sharded over bitset words, so every changedBits word is
+		// written whole by exactly one shard.
 		for wi := lo; wi < hi; wi++ {
 			base := wi << 6
-			end := base + 64
-			if end > nv {
-				end = nv
-			}
+			end := min(base+64, nv)
 			for v := base; v < end; v++ {
 				id := verts[v]
 				masterVals[v] = prog.VProg(id, prog.Init(id), prog.InitialMsg)
 			}
-			if end-base == 64 {
-				changedBits[wi] = ^uint64(0)
-			} else {
-				changedBits[wi] = 1<<uint(end-base) - 1
-			}
+			changedBits[wi] = fullWord(wi, nv)
 		}
 	}); err != nil {
 		return nil, nil, err
 	}
-	activeCount := int64(nv)
 
 	stats := &RunStats{}
 
@@ -567,9 +588,10 @@ func runEngine[V, M any](ctx context.Context, pg *PartitionedGraph, prog Program
 			if err := ex.Exchange(ctx, step, changedBits, masterVals, deliver, &ss); err != nil {
 				return nil, nil, fmt.Errorf("pregel: superstep %d exchange: %w", step, err)
 			}
-		} else if err := localSuperstep(ctx, pg, &prog, sc, &ss, step, shards, nw, nv, wShard); err != nil {
+		} else if err := localSuperstep(ctx, pg, &prog, sc, &ss, step, shards, nw, nv, wShard, fill); err != nil {
 			return nil, nil, err
 		}
+		fill = false
 
 		// Phase 4: apply at the master. Sharded over frontier words, so
 		// every changedBits word is rebuilt whole by exactly one shard.
@@ -597,6 +619,11 @@ func runEngine[V, M any](ctx context.Context, pg *PartitionedGraph, prog Program
 					}
 				}
 				changedBits[wi] = w
+				if stamps != nil {
+					for ; w != 0; w &= w - 1 {
+						stamps[base+bits.TrailingZeros64(w)] = clock + uint32(step)
+					}
+				}
 			}
 			counts[sh] += n
 			applyPerShard[sh] += float64(n) * applyCost
@@ -631,7 +658,7 @@ func runEngine[V, M any](ctx context.Context, pg *PartitionedGraph, prog Program
 // changed masters to mirrors, compute every partition, reduce the combined
 // messages back to the master arrays. Factored out of runEngine so the
 // distributed branch above replaces exactly this block and nothing else.
-func localSuperstep[V, M any](ctx context.Context, pg *PartitionedGraph, prog *Program[V, M], sc *engineScratch[V, M], ss *SuperstepStats, step, shards, nw, nv, wShard int) error {
+func localSuperstep[V, M any](ctx context.Context, pg *PartitionedGraph, prog *Program[V, M], sc *engineScratch[V, M], ss *SuperstepStats, step, shards, nw, nv, wShard int, fill bool) error {
 	verts := pg.G.Vertices()
 	numParts := pg.NumParts
 	masterVals := sc.masterVals
@@ -660,6 +687,9 @@ func localSuperstep[V, M any](ctx context.Context, pg *PartitionedGraph, prog *P
 		var msgs, bytes int64
 		for wi := lo; wi < hi; wi++ {
 			w := changedBits[wi]
+			if fill {
+				w = fullWord(wi, nv)
+			}
 			for w != 0 {
 				v := wi<<6 + bits.TrailingZeros64(w)
 				w &= w - 1

@@ -1,0 +1,227 @@
+package pregel
+
+import (
+	"context"
+	"errors"
+	"math/rand"
+	"slices"
+	"sync/atomic"
+	"testing"
+
+	"cutfit/internal/graph"
+	"cutfit/internal/partition"
+)
+
+// checkStampInvariant fails unless a carries the invariant Answer documents:
+// every vertex whose value is not its own initial value has a live neighbour
+// with the same value and a strictly smaller stamp, and no stamp is past the
+// clock.
+func checkStampInvariant(t *testing.T, a *Answer[int64]) {
+	t.Helper()
+	g := a.G
+	verts := g.Vertices()
+	supported := make([]bool, len(verts))
+	src, dst := g.EdgeEndpointIndices()
+	for i := range src {
+		if !g.EdgeAlive(i) {
+			continue
+		}
+		u, v := src[i], dst[i]
+		if a.Vals[u] != a.Vals[v] {
+			t.Fatalf("edge %d: endpoint values %d and %d differ in a converged answer", i, a.Vals[u], a.Vals[v])
+		}
+		switch {
+		case a.Stamps[u] < a.Stamps[v]:
+			supported[v] = true
+		case a.Stamps[v] < a.Stamps[u]:
+			supported[u] = true
+		}
+	}
+	for v, id := range verts {
+		if a.Stamps[v] > a.Clock {
+			t.Fatalf("vertex %d stamped %d, past the clock %d", id, a.Stamps[v], a.Clock)
+		}
+		if a.Vals[v] != int64(id) && !supported[v] {
+			t.Fatalf("vertex %d holds %d (stamp %d) with no earlier-stamped neighbour holding it", id, a.Vals[v], a.Stamps[v])
+		}
+	}
+}
+
+// seededStep advances (pg, parent) by one generation step the way the store
+// does — Extend, RemapVertices, ApplyDelta — and runs the cc program seeded
+// from parent on the result, checking values against a cold run and
+// union-find and the stamp invariant.
+func seededStep(t *testing.T, pg *PartitionedGraph, a *partition.Assignment, s partition.Strategy, parent *Answer[int64], ng *graph.Graph, d graph.Delta) (*PartitionedGraph, *partition.Assignment, *Answer[int64], *RunStats) {
+	t.Helper()
+	na, err := a.Extend(ng, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remap, err := graph.RemapVertices(d.OldVerts, ng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	npg, err := pg.ApplyDelta(na, remap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := ccTestProgram(ScanAuto)
+	start, err := SeedLabels(npg, parent, d.OldLen, remap, prog.Init)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ans, stats, err := RunStamped(context.Background(), npg, prog, start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, _, err := Run(context.Background(), npg, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(ans.Vals, cold) {
+		t.Fatalf("seeded values differ from the cold run's")
+	}
+	want, _ := ng.ConnectedComponents()
+	for v, l := range want {
+		if ans.Vals[v] != int64(l) {
+			t.Fatalf("vertex %d: seeded label %d, union-find %d", ng.Vertices()[v], ans.Vals[v], l)
+		}
+	}
+	if !stats.Converged {
+		t.Fatal("seeded run did not converge")
+	}
+	if want := parent.Clock + uint32(stats.NumSupersteps()); ans.Clock != want {
+		t.Fatalf("clock %d after %d supersteps from %d", ans.Clock, stats.NumSupersteps(), parent.Clock)
+	}
+	checkStampInvariant(t, ans)
+	return npg, na, ans, stats
+}
+
+// TestSeededChain: twelve generations of random appends, retractions and
+// window slides (new vertices below, between and above the old ones), each
+// seeded from the one before, on one and on many partitions.
+func TestSeededChain(t *testing.T) {
+	for _, numParts := range []int{1, 7} {
+		r := rand.New(rand.NewSource(int64(numParts)))
+		edge := func(nv int) graph.Edge {
+			return graph.Edge{Src: graph.VertexID(100 + r.Intn(nv)), Dst: graph.VertexID(100 + r.Intn(nv))}
+		}
+		base := make([]graph.Edge, 260)
+		for i := range base {
+			base[i] = edge(300)
+		}
+		g := graph.FromEdges(base)
+		s := partition.EdgePartition2D()
+		a, err := partition.Assign(g, s, numParts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pg, err := NewPartitionedGraphFromAssignment(a, BuildOptions{Parallelism: 3, ReuseBuffers: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ans, stats, err := RunStamped(context.Background(), pg, ccTestProgram(ScanAuto), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, plainStats, _ := Run(context.Background(), pg, ccTestProgram(ScanAuto))
+		if !slices.Equal(ans.Vals, plain) || stats.NumSupersteps() != plainStats.NumSupersteps() {
+			t.Fatal("recording stamps changed a cold run")
+		}
+		checkStampInvariant(t, ans)
+		coldSteps := stats.NumSupersteps()
+
+		for step := 0; step < 12; step++ {
+			var ng *graph.Graph
+			var d graph.Delta
+			switch step % 3 {
+			case 0:
+				batch := []graph.Edge{edge(300), edge(300), {Src: graph.VertexID(step), Dst: 150}, {Src: 250, Dst: graph.VertexID(1000 + step)}}
+				ng, d = g.Grow(batch)
+			case 1:
+				var batch []graph.Edge
+				for i := 0; len(batch) < 9 && i < g.NumEdges(); i += 1 + r.Intn(40) {
+					if g.EdgeAlive(i) {
+						batch = append(batch, g.EdgeAt(i))
+					}
+				}
+				ng, d, err = g.Shrink(batch)
+			default:
+				ng, d, err = g.SlideWindow([]graph.Edge{edge(300), edge(300), edge(300)}, nil, 3*step)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d.Compacted {
+				t.Fatalf("step %d compacted: the chain is meant to stay below the threshold", step)
+			}
+			pg, a, ans, stats = seededStep(t, pg, a, s, ans, ng, d)
+			g = ng
+			if stats.NumSupersteps() > 0 && stats.Supersteps[0].BroadcastMsgs != pg.TotalMirrors() {
+				t.Fatalf("first seeded superstep broadcast %d values, want every mirror (%d)", stats.Supersteps[0].BroadcastMsgs, pg.TotalMirrors())
+			}
+		}
+		if ans.Clock <= uint32(coldSteps) {
+			t.Fatalf("clock %d did not advance past the cold run's %d", ans.Clock, coldSteps)
+		}
+	}
+}
+
+// TestSeedRefusesExhaustedClock: a parent whose clock reached the limit is
+// not continued.
+func TestSeedRefusesExhaustedClock(t *testing.T) {
+	g := graph.FromEdges([]graph.Edge{{Src: 1, Dst: 2}})
+	pg, err := NewPartitionedGraph(g, []partition.PID{0}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parent := &Answer[int64]{G: g, Vals: []int64{1, 1}, Stamps: []uint32{0, 1}, Clock: maxSeedClock}
+	if _, err := SeedLabels(pg, parent, 1, nil, ccTestProgram(ScanAuto).Init); !errors.Is(err, ErrStampClock) {
+		t.Fatalf("SeedLabels at clock %d: %v, want ErrStampClock", parent.Clock, err)
+	}
+	parent.Clock--
+	if _, err := SeedLabels(pg, parent, 1, nil, ccTestProgram(ScanAuto).Init); err != nil {
+		t.Fatalf("SeedLabels one below the limit: %v", err)
+	}
+}
+
+// TestSeededRunStopsWhenCancelled is TestLocalRunStopsWhenCancelled for a
+// seeded start: the first (mirror-filling) superstep starts no partition once
+// the context is done.
+func TestSeededRunStopsWhenCancelled(t *testing.T) {
+	const numParts, edgesPerPart, scanWorkers = 64, 50, 4
+	edges := make([]graph.Edge, numParts*edgesPerPart)
+	assign := make([]partition.PID, len(edges))
+	for i := range edges {
+		edges[i] = graph.Edge{Src: graph.VertexID(i % 97), Dst: graph.VertexID(i % 89)}
+		assign[i] = partition.PID(i / edgesPerPart)
+	}
+	g := graph.FromEdges(edges)
+	pg, err := NewPartitionedGraphOpts(g, assign, numParts, BuildOptions{Parallelism: scanWorkers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every vertex its own label and on the frontier: each edge has something
+	// to send.
+	nv := g.NumVertices()
+	start := &Start[int64]{Vals: make([]int64, nv), Stamps: make([]uint32, nv), Active: make([]uint64, (nv+63)/64), Clock: 5}
+	for v, id := range g.Vertices() {
+		start.Vals[v] = int64(id)
+		start.Active[v>>6] |= 1 << (uint(v) & 63)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var scanned atomic.Int64
+	prog := ccTestProgram(ScanAuto)
+	prog.SendMsg = func(*Triplet[int64], Emitter[int64]) {
+		cancel()
+		scanned.Add(1)
+	}
+	if _, _, err := RunStamped(ctx, pg, prog, start); !errors.Is(err, context.Canceled) {
+		t.Fatalf("seeded run under a context cancelled mid-superstep: %v, want context.Canceled", err)
+	}
+	if got := scanned.Load(); got == 0 || got > scanWorkers*edgesPerPart {
+		t.Fatalf("%d edges scanned after the cancel at the first: want at most %d (one partition per goroutine) of %d",
+			got, scanWorkers*edgesPerPart, len(edges))
+	}
+}

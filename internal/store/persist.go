@@ -17,21 +17,56 @@ import (
 	"cutfit/internal/snap"
 )
 
-// readAllSized reads r to EOF, pre-sizing the buffer from Stat when r is a
-// file. io.ReadAll's incremental growth would otherwise allocate and copy
-// several times the snapshot size — measurable on every warm start.
+// readAllSized reads r to EOF into a buffer sized once by what r has left
+// to give: Len() where the reader offers it (bytes.Reader, bytes.Buffer,
+// strings.Reader), size less the current offset for a seekable regular file —
+// so a file handed over after some of it was consumed reads to its end rather
+// than past it. io.ReadAll's doubling would otherwise allocate and copy
+// several times the snapshot size on every warm start; it remains the
+// fallback for a reader that tells neither. The size is a hint, not a
+// contract: a source that turns out longer is still read whole.
 func readAllSized(r io.Reader) ([]byte, error) {
-	type sizer interface{ Stat() (os.FileInfo, error) }
-	if s, ok := r.(sizer); ok {
-		if info, err := s.Stat(); err == nil && info.Mode().IsRegular() && info.Size() > 0 {
-			buf := make([]byte, info.Size())
-			if _, err := io.ReadFull(r, buf); err != nil {
-				return nil, err
-			}
+	n := remaining(r)
+	if n <= 0 {
+		return io.ReadAll(r)
+	}
+	// One spare byte, so the read that finds EOF fits without growing.
+	buf := make([]byte, 0, n+1)
+	for {
+		m, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+m]
+		if err == io.EOF {
 			return buf, nil
 		}
+		if err != nil {
+			return nil, err
+		}
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
 	}
-	return io.ReadAll(r)
+}
+
+// remaining is how many bytes r has left, or 0 when it does not say.
+func remaining(r io.Reader) int64 {
+	switch s := r.(type) {
+	case interface{ Len() int }:
+		return int64(s.Len())
+	case interface {
+		io.Seeker
+		Stat() (os.FileInfo, error)
+	}:
+		info, err := s.Stat()
+		if err != nil || !info.Mode().IsRegular() {
+			return 0
+		}
+		at, err := s.Seek(0, io.SeekCurrent)
+		if err != nil {
+			return 0
+		}
+		return info.Size() - at
+	}
+	return 0
 }
 
 // PersistSummary reports what one Persist call wrote.

@@ -47,6 +47,13 @@
 // generation's key; a chain with no cached ancestor (or a strategy whose
 // prefix is not stable under growth) falls back to the full computation.
 // Stats.DeltaDerived counts artifacts produced this way.
+//
+// The chain also carries answers. A converged run's result
+// (pregel.StoredAnswer) is a fourth kind of entry, put by the caller
+// (PutAnswer) rather than computed on a miss, keyed by generation and
+// algorithm; AnswerBase walks to the nearest ancestor's so that the run on a
+// new generation can start from it. Answers are priced and evicted like the
+// rest but never leave memory.
 package store
 
 import (
@@ -67,6 +74,12 @@ const (
 	kindAssignment kind = iota
 	kindMetrics
 	kindBuilt
+	// kindAnswer is a converged run's answer (pregel.StoredAnswer), kept for
+	// the generations that descend from its graph: it belongs to the
+	// generation, not to a partitioning, so its key carries the algorithm's
+	// name in the strategy slot and no partition count. Memory only: Persist,
+	// FlushDisk and eviction spill skip it.
+	kindAnswer
 )
 
 // key identifies one artifact: the graph (by pointer identity and mutation
@@ -120,6 +133,9 @@ type Stats struct {
 	// DeltaDerived counts artifacts derived from a cached ancestor
 	// generation through the delta chain instead of computed from scratch.
 	DeltaDerived int64 `json:"deltaDerived"`
+	// Seeded counts runs that started from a cached ancestor answer instead
+	// of superstep 0 (see AnswerBase).
+	Seeded int64 `json:"seeded"`
 	// DiskHits counts misses satisfied by decoding a disk-tier entry
 	// instead of recomputing (each also counts as a Miss at the memory
 	// tier).
@@ -170,6 +186,8 @@ func priceOf(v any) price {
 		return price{a.MemoryFootprint(), a.Shares()}
 	case *metrics.Result:
 		return price{own: metricsFootprint(a)}
+	case pregel.StoredAnswer:
+		return price{a.MemoryFootprint(), a.Shares()}
 	}
 	return price{}
 }
@@ -206,6 +224,7 @@ type Store struct {
 	waits    int64
 	evicted  int64
 	derived  int64
+	seeded   int64
 	diskHits int64
 
 	// repEntries and repBytes are the last values this store published
@@ -430,7 +449,7 @@ func (st *Store) peek(k key) (any, bool) {
 // within maxDeltaDepth has the artifact cached — deriving would then first
 // have to compute on a superseded generation, which is never cheaper than
 // computing on g directly.
-func (st *Store) findBase(g *graph.Graph, s partition.Strategy, numParts int, kd kind) (any, graph.Delta, bool) {
+func (st *Store) findBase(g *graph.Graph, strategyKey string, numParts int, kd kind) (any, graph.Delta, bool) {
 	cur := g
 	for depth := 0; depth < maxDeltaDepth; depth++ {
 		st.mu.Lock()
@@ -440,7 +459,7 @@ func (st *Store) findBase(g *graph.Graph, s partition.Strategy, numParts int, kd
 			break
 		}
 		d := rec.Delta
-		k := key{g: d.Old, version: d.OldVersion, strategy: partition.KeyOf(s), numParts: numParts, kind: kd}
+		k := key{g: d.Old, version: d.OldVersion, strategy: strategyKey, numParts: numParts, kind: kd}
 		if v, ok := st.peek(k); ok {
 			return v, d, true
 		}
@@ -475,7 +494,7 @@ func (st *Store) assignmentViaDelta(g *graph.Graph, s partition.Strategy, numPar
 	if !extendable(s) {
 		return nil, false
 	}
-	base, d, ok := st.findBase(g, s, numParts, kindAssignment)
+	base, d, ok := st.findBase(g, partition.KeyOf(s), numParts, kindAssignment)
 	if !ok {
 		return nil, false
 	}
@@ -575,7 +594,7 @@ func (st *Store) builtViaDelta(g *graph.Graph, s partition.Strategy, numParts in
 	if !extendable(s) {
 		return nil, false
 	}
-	base, d, ok := st.findBase(g, s, numParts, kindBuilt)
+	base, d, ok := st.findBase(g, partition.KeyOf(s), numParts, kindBuilt)
 	if !ok {
 		return nil, false
 	}
@@ -608,7 +627,7 @@ func (st *Store) metricsViaDelta(g *graph.Graph, s partition.Strategy, numParts 
 	if !extendable(s) {
 		return nil, false
 	}
-	if _, _, ok := st.findBase(g, s, numParts, kindBuilt); !ok {
+	if _, _, ok := st.findBase(g, partition.KeyOf(s), numParts, kindBuilt); !ok {
 		return nil, false
 	}
 	pg, err := st.Built(g, s, numParts)
@@ -619,6 +638,63 @@ func (st *Store) metricsViaDelta(g *graph.Graph, s partition.Strategy, numParts 
 	// counted if (and only if) the topology really came through the chain
 	// rather than a full-rebuild fallback.
 	return pg.Metrics(), true
+}
+
+// AnswerBase finds the nearest ancestor of g, along the recorded delta chain
+// (the walk topologies and assignments are derived by), that holds a cached
+// answer of alg, and places it under g: the ancestor's dense edge count and
+// the vertex remap onto g. When there is none it says why, in the words of the
+// cutfit_run_starts_total reason label: "no_parent" — g has no recorded
+// parent (a first generation, one past a compaction, a chain dropped by
+// RecordDelta's bounds or by InvalidateGraph); "no_answer" — no generation
+// within maxDeltaDepth holds one (never run to convergence, evicted, or
+// mutated since); "remap" — the ancestor's vertices do not map onto g's.
+func (st *Store) AnswerBase(g *graph.Graph, alg string) (*pregel.Parent, string) {
+	st.mu.Lock()
+	_, chained := st.deltas[g]
+	st.mu.Unlock()
+	if !chained {
+		return nil, "no_parent"
+	}
+	v, d, ok := st.findBase(g, alg, 0, kindAnswer)
+	if !ok || d.Old.Version() != d.OldVersion {
+		return nil, "no_answer"
+	}
+	remap, err := graph.RemapVertices(d.OldVerts, g)
+	if err != nil {
+		return nil, "remap"
+	}
+	return &pregel.Parent{Answer: v.(pregel.StoredAnswer), OldLen: d.OldLen, Remap: remap}, ""
+}
+
+// PutAnswer caches a converged run's answer of alg on g for g's descendants
+// to start from, priced and evicted like any entry; seeded says the run that
+// produced it started from an ancestor's (counted in Stats.Seeded).
+func (st *Store) PutAnswer(g *graph.Graph, alg string, a pregel.StoredAnswer, seeded bool) {
+	k := key{g: g, version: g.Version(), strategy: alg, kind: kindAnswer}
+	p := priceOf(a)
+	st.mu.Lock()
+	if seeded {
+		st.seeded++
+	}
+	evicted := st.insert(k, a, p)
+	st.syncGauges()
+	st.mu.Unlock()
+	st.spill(evicted)
+}
+
+// Answers lists the cached answers, in no particular order: a hook for tests
+// that check what the cache holds.
+func (st *Store) Answers() []pregel.StoredAnswer {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	var out []pregel.StoredAnswer
+	for k, e := range st.entries {
+		if k.kind == kindAnswer {
+			out = append(out, e.val.(pregel.StoredAnswer))
+		}
+	}
+	return out
 }
 
 // InvalidateGraph drops every cached artifact of g (all versions, all
@@ -663,6 +739,7 @@ func (st *Store) Stats() Stats {
 		Misses:       st.misses,
 		Waits:        st.waits,
 		DeltaDerived: st.derived,
+		Seeded:       st.seeded,
 		DiskHits:     st.diskHits,
 		Evictions:    st.evicted,
 		Entries:      len(st.entries),

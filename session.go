@@ -2,6 +2,7 @@ package cutfit
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -11,6 +12,7 @@ import (
 	"cutfit/internal/core"
 	"cutfit/internal/dist"
 	"cutfit/internal/metrics"
+	"cutfit/internal/obsv"
 	"cutfit/internal/partition"
 	"cutfit/internal/pregel"
 	"cutfit/internal/store"
@@ -192,6 +194,17 @@ func (se *Session) Forget(g *Graph) {
 	}
 }
 
+// checkAppended rejects a batch holding a negative vertex ID: the engine
+// reserves them.
+func checkAppended(edges []Edge) error {
+	for i, e := range edges {
+		if e.Src < 0 || e.Dst < 0 {
+			return fmt.Errorf("cutfit: appended edge %d (%d -> %d) has negative vertex ID", i, e.Src, e.Dst)
+		}
+	}
+	return nil
+}
+
 // AppendEdges returns the next generation of g: a new Graph holding g's
 // edges followed by edges, derived incrementally (graph.Grow) without
 // mutating g — in-flight requests against g keep running untouched, which
@@ -210,10 +223,8 @@ func (se *Session) Forget(g *Graph) {
 // Edges with negative vertex IDs are rejected (the engine reserves them).
 // An empty batch returns g unchanged.
 func (se *Session) AppendEdges(g *Graph, edges []Edge) (*Graph, error) {
-	for i, e := range edges {
-		if e.Src < 0 || e.Dst < 0 {
-			return nil, fmt.Errorf("cutfit: appended edge %d (%d -> %d) has negative vertex ID", i, e.Src, e.Dst)
-		}
+	if err := checkAppended(edges); err != nil {
+		return nil, err
 	}
 	if len(edges) == 0 {
 		return g, nil
@@ -233,10 +244,8 @@ func (se *Session) AppendWeightedEdges(g *Graph, edges []Edge, weights []float64
 	if weights == nil {
 		return se.AppendEdges(g, edges)
 	}
-	for i, e := range edges {
-		if e.Src < 0 || e.Dst < 0 {
-			return nil, fmt.Errorf("cutfit: appended edge %d (%d -> %d) has negative vertex ID", i, e.Src, e.Dst)
-		}
+	if err := checkAppended(edges); err != nil {
+		return nil, err
 	}
 	if len(edges) == 0 {
 		return g, nil
@@ -289,10 +298,8 @@ func (se *Session) RemoveEdges(g *Graph, edges []Edge) (*Graph, error) {
 // is clamped to g's edge count and never expires the suffix appended by the
 // same step. A step netting zero change returns g unchanged.
 func (se *Session) SlideWindow(g *Graph, edges []Edge, weights []float64, expireBefore int) (*Graph, error) {
-	for i, e := range edges {
-		if e.Src < 0 || e.Dst < 0 {
-			return nil, fmt.Errorf("cutfit: appended edge %d (%d -> %d) has negative vertex ID", i, e.Src, e.Dst)
-		}
+	if err := checkAppended(edges); err != nil {
+		return nil, err
 	}
 	ng, d, err := g.SlideWindow(edges, weights, expireBefore)
 	if err != nil {
@@ -361,6 +368,14 @@ func RestoreSession(r io.Reader, opts SessionOptions) (*Session, map[string]*Gra
 // simulated cluster time, and the algorithm's headline result. iters is the
 // table's Params.Iters. An unknown name or a refused parameter is an error
 // before anything is partitioned. Safe for any number of concurrent callers.
+//
+// A caching session keeps the converged answer of an algorithm that can
+// resume from one (cc) with its generation, and a run to convergence on a
+// generation whose recorded delta chain reaches such an answer starts from it
+// instead of from superstep 0: same values, bit for bit, at the cost of the
+// delta; the report says Seeded and its superstep counts describe the run
+// that happened. See docs/ARCHITECTURE.md, "Seeded starts", for when a run
+// starts cold instead.
 func (se *Session) Run(ctx context.Context, g *Graph, s Strategy, numParts int, alg string, iters int) (*RunReport, error) {
 	e, err := algorithms.Lookup(alg)
 	if err != nil {
@@ -374,7 +389,7 @@ func (se *Session) Run(ctx context.Context, g *Graph, s Strategy, numParts int, 
 	if err != nil {
 		return nil, err
 	}
-	values, stats, err := se.execute(ctx, pg, e, p)
+	values, stats, seeded, err := se.execute(ctx, pg, e, p)
 	if err != nil {
 		return nil, err
 	}
@@ -395,6 +410,7 @@ func (se *Session) Run(ctx context.Context, g *Graph, s Strategy, numParts int, 
 		ReduceMsgs:    stats.TotalReduceMsgs(),
 		ActiveEdges:   stats.TotalActiveEdges(),
 		Frontier:      frontierTrace(stats),
+		Seeded:        seeded,
 		Summary:       e.Summarize(g, values, stats),
 	}
 
@@ -413,11 +429,77 @@ func (se *Session) Run(ctx context.Context, g *Graph, s Strategy, numParts int, 
 	return rep, nil
 }
 
-// execute runs e on pg: across the attached pool when the cluster runs e,
-// else in process. A failed distributed run falls back to a local one unless
-// the caller's context is why it failed — safe, the local engine produces
-// bit-identical results on the same topology — and is counted and logged.
-func (se *Session) execute(ctx context.Context, pg *PartitionedGraph, e *algorithms.Entry, p algorithms.Params) (any, *RunStats, error) {
+// mRunStarts counts Session.Run executions by how they started: seeded from a
+// cached ancestor answer (reason "parent") or cold, and then why.
+var mRunStarts = obsv.Default.CounterVec("cutfit_run_starts_total",
+	"Session runs by how they started: seeded from a cached ancestor generation's answer, or cold (from superstep 0) and why.",
+	"algorithm", "start", "reason")
+
+// neverSeeds says why a run of e with p cannot start from an ancestor's
+// answer whatever the cache holds, or "" when it can.
+func (se *Session) neverSeeds(e *algorithms.Entry, p algorithms.Params) string {
+	switch {
+	case e.Resume == nil:
+		return "unseedable"
+	case p.Iters != 0:
+		// A capped run's values are not the fixpoint, and a seeded run cannot
+		// reproduce where a cold one would have stopped.
+		return "capped"
+	case se.pool != nil:
+		return "workers"
+	case se.st == nil:
+		return "no_parent"
+	}
+	return ""
+}
+
+// execute runs e on pg and reports whether the run was seeded. An algorithm
+// that resumes, run to convergence on a caching session with no workers
+// attached, starts from the nearest cached ancestor answer when the store
+// finds one (store.AnswerBase) and from superstep 0 otherwise, and leaves its
+// own converged answer with the generation either way. Everything else runs
+// cold: across the attached pool when the cluster runs e, else in process. A
+// failed distributed run falls back to a local one unless the caller's
+// context is why it failed — safe, the local engine produces bit-identical
+// results on the same topology — and is counted and logged.
+func (se *Session) execute(ctx context.Context, pg *PartitionedGraph, e *algorithms.Entry, p algorithms.Params) (any, *RunStats, bool, error) {
+	if why := se.neverSeeds(e, p); why != "" {
+		mRunStarts.With(e.Name, "cold", why).Inc()
+		values, stats, err := se.runCold(ctx, pg, e, p)
+		return values, stats, false, err
+	}
+	from, why := se.st.AnswerBase(pg.G, e.Name)
+	var (
+		values any
+		ans    pregel.StoredAnswer
+		stats  *RunStats
+		err    error
+	)
+	if from != nil {
+		values, ans, stats, err = e.Resume(ctx, pg, p, from)
+		if errors.Is(err, pregel.ErrStampClock) {
+			from, why = nil, "clock"
+		}
+	}
+	if from == nil {
+		values, ans, stats, err = e.Resume(ctx, pg, p, nil)
+	}
+	if err != nil {
+		return nil, nil, false, err
+	}
+	start := "cold"
+	if from != nil {
+		start, why = "seeded", "parent"
+	}
+	mRunStarts.With(e.Name, start, why).Inc()
+	if stats.Converged {
+		se.st.PutAnswer(pg.G, e.Name, ans, from != nil)
+	}
+	return values, stats, from != nil, nil
+}
+
+// runCold runs e from superstep 0 without keeping an answer.
+func (se *Session) runCold(ctx context.Context, pg *PartitionedGraph, e *algorithms.Entry, p algorithms.Params) (any, *RunStats, error) {
 	if se.pool != nil && e.Vertex != nil {
 		values, stats, err := dist.Run(ctx, se.pool, pg, e, p)
 		if err == nil {
@@ -570,8 +652,14 @@ type RunReport struct {
 	// Frontier breaks it down per superstep.
 	ActiveEdges int64          `json:"activeEdges"`
 	Frontier    []FrontierStep `json:"frontier,omitempty"`
-	SimSecs     float64        `json:"simSecs"`
-	Sim         Breakdown      `json:"-"` // SimSecs by phase
+	// Seeded marks a run that started from a cached ancestor generation's
+	// answer rather than from superstep 0: Supersteps, the message counts and
+	// Frontier then describe that shorter run (whose first superstep ships
+	// every master to its mirrors, as a cold one's does). The result is the
+	// cold run's, bit for bit.
+	Seeded  bool      `json:"seeded,omitempty"`
+	SimSecs float64   `json:"simSecs"`
+	Sim     Breakdown `json:"-"` // SimSecs by phase
 
 	algorithms.Summary
 }

@@ -24,6 +24,10 @@ type streamRig struct {
 	cur     *cutfit.Graph
 	batches [][]cutfit.Edge
 	cycle   int
+
+	// spans, when set, is called with every generation step's parent and
+	// child (BenchmarkStreamCycle's span-sharing count).
+	spans func(parent, child *cutfit.Graph)
 }
 
 const (
@@ -71,6 +75,9 @@ func (r *streamRig) grow() *cutfit.Graph {
 		r.tb.Fatal(err)
 	}
 	r.run(g)
+	if r.spans != nil {
+		r.spans(r.cur, g)
+	}
 	return g
 }
 
@@ -82,6 +89,9 @@ func (r *streamRig) step() {
 		r.tb.Fatal(err)
 	}
 	r.run(shrunk)
+	if r.spans != nil {
+		r.spans(grown, shrunk)
+	}
 	r.cur = shrunk
 	r.cycle++
 }
@@ -134,10 +144,49 @@ func TestStoreBoundsLiveHeap(t *testing.T) {
 // a budget that holds about ten generations. B/op is what a generation step
 // allocates; heap/priced is the live heap above the pre-session baseline
 // divided by CacheStats().Bytes at the end of the run — how much the cache
-// keeps alive per byte it accounts for.
+// keeps alive per byte it accounts for. seeded/op is how many of a cycle's two
+// cc runs started from the parent generation's answer; below 1.9 (both,
+// compaction boundaries aside) the benchmark fails, and `make bench-smoke`
+// with it.
+//
+// parts_touched/step and midtable_frac size ROADMAP 4a (share the edge spans
+// of partitions a step left alone) before anyone builds it: of the 64
+// partitions, how many gained or lost an edge in a generation step, and in
+// what share of those a mirror entered or left the table before its end —
+// which shifts every later local index, so the span cannot be patched by
+// appending to it either. Counted off the clock.
 func BenchmarkStreamCycle(b *testing.B) {
 	base := liveHeap()
 	r := newStreamRig(b, 15, 64<<20)
+	var steps, touched, shifted int
+	r.spans = func(parent, child *cutfit.Graph) {
+		b.StopTimer()
+		defer b.StartTimer()
+		ppg, err := r.se.Partition(parent, r.s, streamRigParts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cpg, err := r.se.Partition(child, r.s, streamRigParts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		steps++
+		pv, cv := parent.Vertices(), child.Vertices()
+		for p, cp := range cpg.Parts {
+			pp := ppg.Parts[p]
+			if pp.NumEdges() == cp.NumEdges() {
+				continue // a step here only appends or only retracts
+			}
+			touched++
+			for l, gv := range pp.LocalVerts {
+				if l == len(cp.LocalVerts) || cv[cp.LocalVerts[l]] != pv[gv] {
+					shifted++
+					break
+				}
+			}
+		}
+	}
+	seeded := r.se.CacheStats().Seeded
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -145,7 +194,15 @@ func BenchmarkStreamCycle(b *testing.B) {
 	}
 	b.StopTimer()
 	live := float64(liveHeap() - base)
-	b.ReportMetric(live/float64(r.se.CacheStats().Bytes), "heap/priced")
+	st := r.se.CacheStats()
+	b.ReportMetric(live/float64(st.Bytes), "heap/priced")
+	perOp := float64(st.Seeded-seeded) / float64(b.N)
+	b.ReportMetric(perOp, "seeded/op")
+	if perOp < 1.9 {
+		b.Errorf("%.2f of a cycle's two cc runs were seeded, want ≥ 1.9: seeded starts are not engaging", perOp)
+	}
+	b.ReportMetric(float64(touched)/float64(steps), "parts_touched/step")
+	b.ReportMetric(float64(shifted)/float64(max(touched, 1)), "midtable_frac")
 	runtime.KeepAlive(r)
 }
 
@@ -213,4 +270,9 @@ func TestConcurrentLineage(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	// Every worker's steps descend from base, whose answer the first run left:
+	// unless the 2 MiB budget evicted every parent in time, they were seeded.
+	if st := se.CacheStats(); st.Seeded == 0 {
+		t.Errorf("none of the 48 runs on descendant generations was seeded: %+v", st)
+	}
 }
