@@ -13,8 +13,13 @@ all: check
 build:
 	$(GO) build ./...
 
+# Every package carries tests: a `[no test files]` line fails the target.
 test:
-	$(GO) test ./...
+	@out=$$($(GO) test ./... 2>&1); status=$$?; echo "$$out"; \
+	if [ $$status -ne 0 ]; then exit $$status; fi; \
+	if echo "$$out" | grep '\[no test files\]'; then \
+		echo "make test: the packages above have no tests"; exit 1; \
+	fi
 
 # Unit tests of the benchmark program (BENCHMARK.json, benchmark/): a nested
 # module, so `go test ./...` from the root never reaches them.
@@ -61,7 +66,7 @@ lint: vet
 # tailoring (the chunked text parser against its line-by-line reference at
 # every chunk boundary; candidates measured concurrently against the
 # sequential selection, finishing in a forced order), the cutfit CLI on
-# an edgeless input, and seeded starts (root package: the cc equivalence
+# an edgeless input and `cutfit paper`'s goldens, and seeded starts (root package: the cc equivalence
 # matrix, the retraction shapes, the 700-step stateful model test with
 # answers evicted mid-chain, eight goroutines seeding sibling generations off
 # one parent answer). The engine, the distributed runtime, the selection

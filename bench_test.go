@@ -5,11 +5,11 @@
 // The benchmarks regenerate the paper artifacts and report the headline
 // quantities (correlation coefficients, reductions, winner agreement) as
 // custom benchmark metrics, so `go test -bench=. -benchmem` both exercises
-// the full pipeline and records the reproduced numbers. The companion
-// commands under cmd/ print the full tables.
+// the full pipeline and records the reproduced numbers. `cutfit paper`
+// prints the full tables.
 //
-// Expected shapes (paper → this reproduction; `go run ./cmd/runexp -alg
-// <name>` prints the full tables):
+// Expected shapes (paper → this reproduction; `go run ./cmd/cutfit paper
+// figure -alg <name>` prints the full tables):
 //
 //	Figure 3  PageRank  CommCost r ≈ 0.95/0.96   → strong (≥0.9)
 //	Figure 4  CC        CommCost r ≈ 0.92/0.94   → strong (≥0.9)
@@ -31,7 +31,6 @@ import (
 	"cutfit/internal/gen"
 	"cutfit/internal/metrics"
 	"cutfit/internal/partition"
-	"cutfit/internal/pregel"
 )
 
 // BenchmarkTable1Characterize regenerates Table 1: the structural
@@ -98,10 +97,9 @@ func benchmarkMetricsTable(b *testing.B, parts int) {
 
 // benchmarkFigure runs the full correlation experiment for one algorithm
 // and reports the paper-figure coefficients as custom metrics.
-func benchmarkFigure(b *testing.B, alg bench.Algorithm, metric string) {
+func benchmarkFigure(b *testing.B, alg, metric string) {
 	for i := 0; i < b.N; i++ {
-		e := bench.DefaultExperiment(alg)
-		res, err := e.Run(context.Background())
+		res, err := runFigure(alg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -123,13 +121,13 @@ func benchmarkFigure(b *testing.B, alg bench.Algorithm, metric string) {
 // BenchmarkFigure3PageRank regenerates Figure 3: PageRank execution time vs
 // Communication Cost (paper: r = 0.95 / 0.96).
 func BenchmarkFigure3PageRank(b *testing.B) {
-	benchmarkFigure(b, bench.PageRank, "CommCost")
+	benchmarkFigure(b, "pagerank", "CommCost")
 }
 
 // BenchmarkFigure4ConnectedComponents regenerates Figure 4: CC execution
 // time vs Communication Cost (paper: r = 0.92 / 0.94).
 func BenchmarkFigure4ConnectedComponents(b *testing.B) {
-	benchmarkFigure(b, bench.ConnectedComponents, "CommCost")
+	benchmarkFigure(b, "cc", "CommCost")
 }
 
 // BenchmarkFigure5TriangleCount regenerates Figure 5: Triangle Count
@@ -138,8 +136,7 @@ func BenchmarkFigure4ConnectedComponents(b *testing.B) {
 // alongside for the contrast.
 func BenchmarkFigure5TriangleCount(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		e := bench.DefaultExperiment(bench.Triangles)
-		res, err := e.Run(context.Background())
+		res, err := runFigure("triangles")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -169,7 +166,7 @@ func BenchmarkFigure5TriangleCount(b *testing.B) {
 // BenchmarkFigure6SSSP regenerates Figure 6: SSSP execution time vs
 // Communication Cost (paper: r = 0.80 / 0.86; road networks excluded).
 func BenchmarkFigure6SSSP(b *testing.B) {
-	benchmarkFigure(b, bench.SSSP, "CommCost")
+	benchmarkFigure(b, "sssp", "CommCost")
 }
 
 // BenchmarkInfraExperiment regenerates the §4 infrastructure experiment:
@@ -177,7 +174,12 @@ func BenchmarkFigure6SSSP(b *testing.B) {
 // (paper: −15 % and −20 %).
 func BenchmarkInfraExperiment(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := bench.InfraExperiment(context.Background(), 10, pregel.BuildOptions{ReuseBuffers: true})
+		e := bench.InfraExperiment()
+		res, err := e.Run(context.Background())
+		if err != nil {
+			b.Fatal(err)
+		}
+		r, err := res.Infra()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -191,8 +193,7 @@ func BenchmarkInfraExperiment(b *testing.B) {
 // how often the paper's CommCost-optimizing strategies (2D/DC) win.
 func BenchmarkBestStrategy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		e := bench.DefaultExperiment(bench.PageRank)
-		res, err := e.Run(context.Background())
+		res, err := runFigure("pagerank")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -212,8 +213,7 @@ func BenchmarkBestStrategy(b *testing.B) {
 // strategy for PageRank across the grid.
 func BenchmarkAdvisor(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		e := bench.DefaultExperiment(bench.PageRank)
-		res, err := e.Run(context.Background())
+		res, err := runFigure("pagerank")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -223,6 +223,16 @@ func BenchmarkAdvisor(b *testing.B) {
 		}
 		b.ReportMetric(float64(agree)/float64(total)*100, "advisor_within10pct_%")
 	}
+}
+
+// runFigure runs the paper's experiment for one algorithm's figure.
+func runFigure(alg string) (*bench.Result, error) {
+	f, err := bench.FigureOf(alg)
+	if err != nil {
+		return nil, err
+	}
+	e := f.Experiment()
+	return e.Run(context.Background())
 }
 
 // advisorAgreement counts (dataset, config) cells where the advisor's
@@ -306,7 +316,11 @@ func BenchmarkAblationCostModel(b *testing.B) {
 		var minR, maxR float64
 		first := true
 		for _, scale := range []float64{0.5, 1.0, 1.5} {
-			e := bench.DefaultExperiment(bench.PageRank)
+			f, err := bench.FigureOf("pagerank")
+			if err != nil {
+				b.Fatal(err)
+			}
+			e := f.Experiment()
 			for j := range e.Configs {
 				e.Configs[j].SecsPerComputeUnit *= scale
 				e.Configs[j].NetworkGbps /= scale
@@ -511,8 +525,7 @@ func BenchmarkTriangleCount(b *testing.B) {
 // configuration should win, as the advisor predicts.
 func BenchmarkGranularityAdvisor(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		e := bench.DefaultExperiment(bench.ConnectedComponents)
-		res, err := e.Run(context.Background())
+		res, err := runFigure("cc")
 		if err != nil {
 			b.Fatal(err)
 		}

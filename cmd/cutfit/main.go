@@ -34,6 +34,13 @@
 //	    Decode and fully validate a snapshot, then report its graphs and
 //	    restored cache contents. A non-zero exit means the snapshot is
 //	    corrupt or from an incompatible format version.
+//
+//	cutfit paper <table1|fig1|fig2|tables|figure|infra|all> [flags]
+//	    Regenerate the paper's evidence from the dataset analogs: Table 1,
+//	    Figures 1 and 2, Tables 2 and 3 (-parts 128 or 256), Figures 3–6
+//	    and the §4 infrastructure experiment, or all six in that order. The
+//	    defaults are the paper's grid; -dataset and -strategies restrict it.
+//	    Every number is simulated from deterministic counts.
 package main
 
 import (
@@ -67,6 +74,8 @@ func main() {
 		err = cmdSnapshot(os.Args[2:])
 	case "restore":
 		err = cmdRestore(os.Args[2:])
+	case "paper":
+		err = cmdPaper(os.Stdout, os.Args[2:])
 	case "-h", "--help", "help":
 		usage()
 	default:
@@ -81,13 +90,15 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: cutfit <generate|metrics|run|advise|snapshot|restore> [flags]
+	fmt.Fprintln(os.Stderr, `usage: cutfit <generate|metrics|run|advise|snapshot|restore|paper> [flags]
   generate -dataset <name> -out <file>
   metrics  -in <file>|-dataset <name> -strategy <name> -parts <n> [-json]
   run      -in <file>|-dataset <name> -alg <name> -strategy <name> -parts <n>
   advise   -in <file>|-dataset <name> -alg <name> -parts <n> [-measure] [-json]
   snapshot -in <file>|-dataset <name> -strategies <csv> -parts <n> -out <file.snap> [-name <label>]
-  restore  -in <file.snap>`)
+  restore  -in <file.snap>
+  paper    <table1|fig1|fig2|tables|figure|infra|all> [-dataset <name>] [-strategies <csv>] [-parts <n>]
+           [-alg <name>] [-metric <name>] [-winners] [-plot] [-csv <prefix>]`)
 }
 
 // loadGraph reads a graph from -in or builds a named analog dataset.

@@ -23,13 +23,10 @@ type CorrelationSeries struct {
 	Metric string
 	Points []CorrelationPoint
 	// Pearson is the correlation between metric and simulated time across
-	// all points, computed on per-dataset mean-normalized values so that
-	// the coefficient reflects both cross-dataset scaling and
+	// all points, so it reflects both cross-dataset scaling and
 	// within-dataset strategy effects, as in the paper's figures.
 	Pearson float64
-	// PearsonRaw is the correlation on raw (unnormalized) values.
-	PearsonRaw float64
-	// Spearman is the rank correlation on raw values.
+	// Spearman is the rank correlation.
 	Spearman float64
 }
 
@@ -62,7 +59,7 @@ func (r *Result) Correlate(metricName, configName string) (*CorrelationSeries, e
 		ys[i] = p.SimSecs
 	}
 	var err error
-	s.PearsonRaw, err = stats.Pearson(xs, ys)
+	s.Pearson, err = stats.Pearson(xs, ys)
 	if err != nil {
 		return nil, err
 	}
@@ -70,7 +67,6 @@ func (r *Result) Correlate(metricName, configName string) (*CorrelationSeries, e
 	if err != nil {
 		return nil, err
 	}
-	s.Pearson = s.PearsonRaw
 	return s, nil
 }
 
@@ -160,17 +156,6 @@ func (r *Result) Winners() []Winner {
 		return out[i].Dataset < out[j].Dataset
 	})
 	return out
-}
-
-// BestStrategy returns the fastest strategy name for a dataset+config, or
-// an error if the cell was not part of the experiment.
-func (r *Result) BestStrategy(dataset, configName string) (string, error) {
-	for _, w := range r.Winners() {
-		if w.Dataset == dataset && w.Config == configName {
-			return w.Strategy, nil
-		}
-	}
-	return "", fmt.Errorf("bench: no runs for dataset %q config %q", dataset, configName)
 }
 
 // GranularitySpeedup returns, per dataset, the ratio of best config-i time

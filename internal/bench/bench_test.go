@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -25,21 +26,24 @@ func tinyConfigs() []cluster.Config {
 	return []cluster.Config{coarse, fine}
 }
 
-func tinyExperiment(alg Algorithm) Experiment {
+func tinyExperiment(alg string) Experiment {
+	f, err := FigureOf(alg)
+	if err != nil {
+		panic(err)
+	}
 	return Experiment{
-		Algorithm:     alg,
-		Datasets:      datasets.TinySuite(),
-		Strategies:    partition.All(),
-		Configs:       tinyConfigs(),
-		PRIterations:  5,
-		CCIterations:  10,
-		SSSPLandmarks: 2,
-		Seed:          7,
+		Algorithm:  alg,
+		Datasets:   datasets.TinySuite(),
+		Strategies: partition.All(),
+		Configs:    tinyConfigs(),
+		Iters:      5,
+		Sources:    min(f.Sources, 2),
+		Seed:       7,
 	}
 }
 
 func TestExperimentValidate(t *testing.T) {
-	e := tinyExperiment(PageRank)
+	e := tinyExperiment("pagerank")
 	if err := e.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -54,22 +58,27 @@ func TestExperimentValidate(t *testing.T) {
 		t.Error("no datasets should fail validation")
 	}
 	bad = e
-	bad.PRIterations = 0
+	bad.Iters = 0
 	if err := bad.Validate(); err == nil {
 		t.Error("PR without iterations should fail validation")
 	}
-	bad = tinyExperiment(SSSP)
-	bad.SSSPLandmarks = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("SSSP without landmarks should fail validation")
+	bad = tinyExperiment("cc")
+	bad.Iters = 0
+	if err := bad.Validate(); err != nil {
+		t.Errorf("cc runs to convergence without an iteration cap: %v", err)
+	}
+	if _, err := FigureOf("sorting"); err == nil {
+		t.Error("FigureOf should reject an unknown algorithm")
+	}
+	if _, err := FigureOf("dynamicpr"); err == nil {
+		t.Error("FigureOf should reject a served algorithm the paper has no figure for")
 	}
 }
 
 func TestExperimentRunAllAlgorithms(t *testing.T) {
-	for _, alg := range Algorithms() {
-		alg := alg
-		t.Run(string(alg), func(t *testing.T) {
-			e := tinyExperiment(alg)
+	for _, f := range Figures {
+		t.Run(f.Alg, func(t *testing.T) {
+			e := tinyExperiment(f.Alg)
 			res, err := e.Run(context.Background())
 			if err != nil {
 				t.Fatal(err)
@@ -91,7 +100,7 @@ func TestExperimentRunAllAlgorithms(t *testing.T) {
 }
 
 func TestCorrelateAndWinners(t *testing.T) {
-	e := tinyExperiment(PageRank)
+	e := tinyExperiment("pagerank")
 	res, err := e.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -125,17 +134,10 @@ func TestCorrelateAndWinners(t *testing.T) {
 			t.Fatalf("winner gap negative: %+v", w)
 		}
 	}
-	best, err := res.BestStrategy(winners[0].Dataset, winners[0].Config)
-	if err != nil || best != winners[0].Strategy {
-		t.Fatalf("BestStrategy = %q, %v", best, err)
-	}
-	if _, err := res.BestStrategy("nope", "tiny-coarse"); err == nil {
-		t.Error("unknown dataset should error")
-	}
 }
 
 func TestPerDatasetCorrelation(t *testing.T) {
-	e := tinyExperiment(PageRank)
+	e := tinyExperiment("pagerank")
 	res, err := e.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +157,7 @@ func TestPerDatasetCorrelation(t *testing.T) {
 }
 
 func TestGranularitySpeedup(t *testing.T) {
-	e := tinyExperiment(ConnectedComponents)
+	e := tinyExperiment("cc")
 	res, err := e.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -238,7 +240,7 @@ func TestFigure1And2(t *testing.T) {
 }
 
 func TestWriteCorrelationAndWinners(t *testing.T) {
-	e := tinyExperiment(PageRank)
+	e := tinyExperiment("pagerank")
 	res, err := e.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -293,29 +295,85 @@ func TestPickLandmarksDistinct(t *testing.T) {
 }
 
 func TestDefaultExperimentExcludesRoadsForSSSP(t *testing.T) {
-	e := DefaultExperiment(SSSP)
+	f, err := FigureOf("sssp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := f.Experiment()
 	for _, spec := range e.Datasets {
 		if spec.Road {
 			t.Fatalf("SSSP experiment includes road network %s", spec.Name)
 		}
 	}
-	if len(e.Datasets) != 6 {
-		t.Fatalf("SSSP datasets = %d, want 6", len(e.Datasets))
+	if len(e.Datasets) != 6 || e.Sources != 5 {
+		t.Fatalf("SSSP datasets = %d, sources = %d, want 6 and 5", len(e.Datasets), e.Sources)
 	}
-	pr := DefaultExperiment(PageRank)
-	if len(pr.Datasets) != 9 {
-		t.Fatalf("PR datasets = %d, want 9", len(pr.Datasets))
+	for _, f := range Figures[:3] {
+		if e := f.Experiment(); len(e.Datasets) != 9 || e.Sources != 0 {
+			t.Fatalf("%s datasets = %d, sources = %d, want 9 and 0", f.Alg, len(e.Datasets), e.Sources)
+		}
 	}
+}
+
+// TestRunSharesCellsAcrossConfigs: configurations with one partition count
+// price one run per (dataset, strategy) — the same statistics, not a rerun —
+// and the runs come back in dataset, config, strategy order.
+func TestRunSharesCellsAcrossConfigs(t *testing.T) {
+	e := tinyExperiment("sssp")
+	e.Configs = []cluster.Config{cluster.ConfigII(), cluster.ConfigIII(), cluster.ConfigIV()}
+	for i := range e.Configs {
+		e.Configs[i].NumPartitions = 8
+	}
+	res, err := e.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	per := len(e.Strategies)
+	if len(res.Runs) != len(e.Datasets)*len(e.Configs)*per {
+		t.Fatalf("runs = %d", len(res.Runs))
+	}
+	for i, run := range res.Runs {
+		ds, cfg, strat := i/(len(e.Configs)*per), i/per%len(e.Configs), i%per
+		if run.Dataset != e.Datasets[ds].Name || run.Config != e.Configs[cfg].Name || run.Strategy != e.Strategies[strat].Name() {
+			t.Fatalf("run %d is %s/%s/%s", i, run.Dataset, run.Config, run.Strategy)
+		}
+		if first := res.Runs[i-cfg*per]; run.Stats != first.Stats || run.Metrics != first.Metrics {
+			t.Fatalf("run %d (%s) re-ran the cell of %s", i, run.Config, first.Config)
+		}
+		if got := run.Stats.NumSupersteps(); got == 0 {
+			t.Fatalf("run %d has no supersteps", i)
+		}
+	}
+	if _, err := res.Infra(); err != nil {
+		t.Fatal(err)
+	}
+	res.Runs = slices.DeleteFunc(res.Runs, func(r Run) bool { return r.Strategy == "2D" })
+	if _, err := res.Infra(); err == nil {
+		t.Error("Infra without a 2D run should fail")
+	}
+}
+
+// infra runs the infrastructure experiment at three iterations.
+func infra(t *testing.T) *InfraResult {
+	t.Helper()
+	e := InfraExperiment()
+	e.Iters = 3
+	res, err := e.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := res.Infra()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 func TestInfraExperimentShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("infra experiment builds follow-dec")
 	}
-	r, err := InfraExperiment(context.Background(), 3, pregel.BuildOptions{ReuseBuffers: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := infra(t)
 	if r.SecsIII >= r.SecsII {
 		t.Fatalf("config iii (%g) not faster than ii (%g)", r.SecsIII, r.SecsII)
 	}
@@ -338,10 +396,7 @@ func TestInfraSpreadGrowsWithInfrastructure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("infra experiment builds follow-dec")
 	}
-	r, err := InfraExperiment(context.Background(), 3, pregel.BuildOptions{ReuseBuffers: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := infra(t)
 	// The paper's conclusion — partitioner choice matters more on better
 	// infrastructure — reproduces between configurations (iii) and (iv):
 	// as fixed costs (storage load) shrink, the partitioner-driven share
@@ -358,7 +413,7 @@ func TestInfraSpreadGrowsWithInfrastructure(t *testing.T) {
 // partitioning, execution, accounting, simulation — must be bit-for-bit
 // reproducible across runs.
 func TestExperimentDeterministic(t *testing.T) {
-	e := tinyExperiment(PageRank)
+	e := tinyExperiment("pagerank")
 	a, err := e.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)

@@ -1,16 +1,12 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"text/tabwriter"
 
-	"cutfit/internal/algorithms"
 	"cutfit/internal/cluster"
 	"cutfit/internal/datasets"
-	"cutfit/internal/partition"
-	"cutfit/internal/pregel"
 	"cutfit/internal/stats"
 )
 
@@ -120,54 +116,24 @@ type InfraResult struct {
 	SpreadII, SpreadIII, SpreadIV float64
 }
 
-// InfraExperiment runs PageRank on follow-dec under configurations (ii),
-// (iii) and (iv), reproducing the network/storage upgrade experiment at
-// the end of §4: once with the best strategy (2D) for the upgrade
-// reductions, and across all six strategies for the partitioner-impact
-// spread. build tunes the partition construction and engine buffers for
-// every run.
-func InfraExperiment(ctx context.Context, iterations int, build pregel.BuildOptions) (*InfraResult, error) {
-	spec, err := datasets.ByName("follow-dec")
-	if err != nil {
-		return nil, err
-	}
-	g, err := spec.BuildCached()
-	if err != nil {
-		return nil, err
-	}
-	configs := []cluster.Config{cluster.ConfigII(), cluster.ConfigIII(), cluster.ConfigIV()}
-	best := make([]float64, len(configs))
-	spread := make([]float64, len(configs))
-	graphBytes := cluster.EstimateGraphBytes(g.NumEdges())
+// infraStrategy is the strategy the upgrade reductions follow: the paper's
+// best for PageRank.
+const infraStrategy = "2D"
 
-	// The partitioned graph and run stats depend only on the partition
-	// count, which is identical for configs (ii)–(iv); reuse the runs and
-	// price them under each configuration.
-	statsByStrategy := map[string]*pregel.RunStats{}
-	for _, strat := range partition.All() {
-		assign, err := strat.Partition(g, configs[0].NumPartitions)
-		if err != nil {
-			return nil, err
-		}
-		pg, err := pregel.NewPartitionedGraphOpts(g, assign, configs[0].NumPartitions, build)
-		if err != nil {
-			return nil, err
-		}
-		_, st, err := algorithms.PageRank(ctx, pg, iterations, algorithms.DefaultResetProb)
-		if err != nil {
-			return nil, err
-		}
-		statsByStrategy[strat.Name()] = st
-	}
+// Infra reduces a result on InfraExperiment's grid (its dataset and
+// strategies may be restricted, as long as 2D stays) to the upgrade
+// reductions and the partitioner-impact spreads.
+func (r *Result) Infra() (*InfraResult, error) {
+	configs := []string{cluster.ConfigII().Name, cluster.ConfigIII().Name, cluster.ConfigIV().Name}
+	var best, spread [3]float64
 	for i, cfg := range configs {
 		minT, maxT := 0.0, 0.0
-		for name, st := range statsByStrategy {
-			b, err := cfg.Simulate(st, graphBytes)
-			if err != nil {
-				return nil, err
+		for _, run := range r.Runs {
+			if run.Config != cfg {
+				continue
 			}
-			t := b.TotalSecs()
-			if name == "2D" {
+			t := run.SimSecs
+			if run.Strategy == infraStrategy {
 				best[i] = t
 			}
 			if minT == 0 || t < minT {
@@ -177,23 +143,21 @@ func InfraExperiment(ctx context.Context, iterations int, build pregel.BuildOpti
 				maxT = t
 			}
 		}
-		if minT > 0 {
-			spread[i] = (maxT - minT) / minT
+		if best[i] == 0 {
+			return nil, fmt.Errorf("bench: the infrastructure result has no %s run under %s", infraStrategy, cfg)
 		}
+		spread[i] = (maxT - minT) / minT
 	}
-	res := &InfraResult{
-		Dataset:  spec.Name,
-		Strategy: "2D",
-		SecsII:   best[0],
-		SecsIII:  best[1],
-		SecsIV:   best[2],
-		SpreadII: spread[0], SpreadIII: spread[1], SpreadIV: spread[2],
-	}
-	if best[0] > 0 {
-		res.ReductionIII = (best[0] - best[1]) / best[0]
-		res.ReductionIV = (best[0] - best[2]) / best[0]
-	}
-	return res, nil
+	return &InfraResult{
+		Dataset:      r.Runs[0].Dataset,
+		Strategy:     infraStrategy,
+		SecsII:       best[0],
+		SecsIII:      best[1],
+		SecsIV:       best[2],
+		ReductionIII: (best[0] - best[1]) / best[0],
+		ReductionIV:  (best[0] - best[2]) / best[0],
+		SpreadII:     spread[0], SpreadIII: spread[1], SpreadIV: spread[2],
+	}, nil
 }
 
 // WriteInfra renders the infrastructure experiment result.

@@ -194,24 +194,6 @@ func TestSymmetrizeRejectsBadTarget(t *testing.T) {
 	}
 }
 
-func TestInjectLeaves(t *testing.T) {
-	g := graph.FromEdges([]graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 0}})
-	out, err := InjectLeaves(g, 3, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.NumVertices() != 7 {
-		t.Fatalf("V = %d, want 7", out.NumVertices())
-	}
-	zi, zo := out.ZeroDegreePct()
-	if zi != 3.0/7*100 {
-		t.Fatalf("zeroIn = %g", zi)
-	}
-	if zo != 2.0/7*100 {
-		t.Fatalf("zeroOut = %g", zo)
-	}
-}
-
 func TestInjectLeavesTarget(t *testing.T) {
 	g, err := RMAT(DefaultRMAT(10, 8, 11))
 	if err != nil {
@@ -343,23 +325,6 @@ func TestPairSubsetIsSubset(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestEdgeSubsetBounds(t *testing.T) {
-	g := graph.FromEdges([]graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 3}})
-	if _, err := EdgeSubset(g, 0, 1); err == nil {
-		t.Error("fraction 0 should error")
-	}
-	if _, err := EdgeSubset(g, 1.5, 1); err == nil {
-		t.Error("fraction > 1 should error")
-	}
-	sub, err := EdgeSubset(g, 0.5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.NumEdges() < 1 || sub.NumEdges() > 2 {
-		t.Fatalf("subset edges = %d", sub.NumEdges())
 	}
 }
 

@@ -31,100 +31,3 @@ func ErdosRenyi(n, m int, seed uint64) (*graph.Graph, error) {
 	}
 	return graph.FromEdges(edges), nil
 }
-
-// WattsStrogatzConfig parameterizes the small-world generator.
-type WattsStrogatzConfig struct {
-	N int // vertices
-	K int // each vertex connects to its K nearest ring neighbors (even)
-	// Beta is the rewiring probability: 0 keeps the ring lattice (high
-	// clustering, high diameter), 1 approaches a random graph.
-	Beta float64
-	Seed uint64
-}
-
-// Validate reports whether the configuration is usable.
-func (c WattsStrogatzConfig) Validate() error {
-	if c.N < 4 {
-		return fmt.Errorf("gen: Watts-Strogatz needs N >= 4, got %d", c.N)
-	}
-	if c.K < 2 || c.K%2 != 0 || c.K >= c.N {
-		return fmt.Errorf("gen: Watts-Strogatz needs even 2 <= K < N, got K=%d N=%d", c.K, c.N)
-	}
-	if c.Beta < 0 || c.Beta > 1 {
-		return fmt.Errorf("gen: Watts-Strogatz beta %g out of [0,1]", c.Beta)
-	}
-	return nil
-}
-
-// WattsStrogatz generates an undirected small-world graph (stored with
-// both edge orientations): a ring lattice where each vertex connects to
-// its K nearest neighbors, with each edge rewired to a random endpoint
-// with probability Beta. Ring order means vertex IDs encode locality, so
-// this family sits between road networks (pure locality) and social
-// graphs (none) — useful for partitioner locality ablations.
-func WattsStrogatz(cfg WattsStrogatzConfig) (*graph.Graph, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	r := rng.New(cfg.Seed)
-	type pair struct{ a, b int64 }
-	canon := func(a, b int64) pair {
-		if a > b {
-			a, b = b, a
-		}
-		return pair{a, b}
-	}
-	have := make(map[pair]struct{}, cfg.N*cfg.K/2)
-	var order []pair
-	addEdge := func(u, v int64) bool {
-		if u == v {
-			return false
-		}
-		k := canon(u, v)
-		if _, ok := have[k]; ok {
-			return false
-		}
-		have[k] = struct{}{}
-		order = append(order, k)
-		return true
-	}
-	n := int64(cfg.N)
-	for u := int64(0); u < n; u++ {
-		for j := 1; j <= cfg.K/2; j++ {
-			addEdge(u, (u+int64(j))%n)
-		}
-	}
-	// Rewire: with probability Beta replace the far endpoint.
-	for i, e := range order {
-		if r.Float64() >= cfg.Beta {
-			continue
-		}
-		delete(have, e)
-		for tries := 0; tries < 100; tries++ {
-			w := int64(r.Intn(cfg.N))
-			k := canon(e.a, w)
-			if e.a == w {
-				continue
-			}
-			if _, dup := have[k]; dup {
-				continue
-			}
-			have[k] = struct{}{}
-			order[i] = k
-			break
-		}
-		if _, ok := have[canon(order[i].a, order[i].b)]; !ok {
-			// Rewiring failed after all tries; restore the original edge.
-			have[e] = struct{}{}
-			order[i] = e
-		}
-	}
-	edges := make([]graph.Edge, 0, 2*len(order))
-	for _, e := range order {
-		edges = append(edges,
-			graph.Edge{Src: graph.VertexID(e.a), Dst: graph.VertexID(e.b)},
-			graph.Edge{Src: graph.VertexID(e.b), Dst: graph.VertexID(e.a)},
-		)
-	}
-	return graph.FromEdges(edges), nil
-}

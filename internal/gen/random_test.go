@@ -1,9 +1,6 @@
 package gen
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestErdosRenyi(t *testing.T) {
 	g, err := ErdosRenyi(100, 500, 1)
@@ -46,77 +43,5 @@ func TestErdosRenyiDegreeHomogeneous(t *testing.T) {
 	mean := float64(g.NumEdges()) / float64(g.NumVertices())
 	if float64(maxDeg) > 3*mean {
 		t.Fatalf("max out-degree %d too skewed for ER (mean %.1f)", maxDeg, mean)
-	}
-}
-
-func TestWattsStrogatzValidate(t *testing.T) {
-	bad := []WattsStrogatzConfig{
-		{N: 3, K: 2},
-		{N: 10, K: 3}, // odd K
-		{N: 10, K: 0},
-		{N: 10, K: 10}, // K >= N
-		{N: 10, K: 4, Beta: 1.5},
-	}
-	for i, cfg := range bad {
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("config %d should be invalid", i)
-		}
-	}
-}
-
-func TestWattsStrogatzRingLattice(t *testing.T) {
-	// Beta = 0: pure ring lattice with exactly N*K/2 undirected edges,
-	// connected, every vertex degree K.
-	g, err := WattsStrogatz(WattsStrogatzConfig{N: 30, K: 4, Beta: 0, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumEdges() != 2*30*4/2 {
-		t.Fatalf("edges = %d, want %d", g.NumEdges(), 2*30*4/2)
-	}
-	if _, count := g.ConnectedComponents(); count != 1 {
-		t.Fatalf("components = %d", count)
-	}
-	for _, d := range g.OutDegrees() {
-		if d != 4 {
-			t.Fatalf("lattice degree %d, want 4", d)
-		}
-	}
-	if pct := g.SymmetryPct(); pct != 100 {
-		t.Fatalf("symmetry = %g", pct)
-	}
-	// Ring lattice with K=4 has triangles.
-	if g.TotalTriangles() == 0 {
-		t.Fatal("ring lattice should have triangles")
-	}
-}
-
-func TestWattsStrogatzRewiringShrinksDiameter(t *testing.T) {
-	lattice, err := WattsStrogatz(WattsStrogatzConfig{N: 200, K: 4, Beta: 0, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rewired, err := WattsStrogatz(WattsStrogatzConfig{N: 200, K: 4, Beta: 0.3, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dl := lattice.ApproxDiameter(4, 1)
-	dr := rewired.ApproxDiameter(4, 1)
-	if dr >= dl {
-		t.Fatalf("rewiring did not shrink diameter: %d -> %d", dl, dr)
-	}
-}
-
-func TestWattsStrogatzEdgeCountStable(t *testing.T) {
-	check := func(seed uint64) bool {
-		g, err := WattsStrogatz(WattsStrogatzConfig{N: 40, K: 4, Beta: 0.5, Seed: seed})
-		if err != nil {
-			return false
-		}
-		// Rewiring preserves the number of undirected edges.
-		return g.NumEdges() == 2*40*4/2 && g.SymmetryPct() == 100
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -2,7 +2,6 @@ package gen
 
 import (
 	"fmt"
-	"sort"
 
 	"cutfit/internal/graph"
 	"cutfit/internal/rng"
@@ -95,39 +94,6 @@ func Symmetrize(g *graph.Graph, targetPct float64, seed uint64) (*graph.Graph, e
 			return nil, fmt.Errorf("gen: symmetrize could not reach %g%% (got %g%%)",
 				targetPct, 100*float64(recip)/float64(total))
 		}
-	}
-	return graph.FromEdges(edges), nil
-}
-
-// InjectLeaves appends fresh vertices with exactly one edge each: zeroIn
-// vertices that only point at existing vertices (so they have no incoming
-// edges) and zeroOut vertices that are only pointed at (no outgoing edges).
-// This reproduces the "leaf" vertices that forest-fire crawling leaves in
-// sampled social graphs (§2 of the paper).
-func InjectLeaves(g *graph.Graph, zeroIn, zeroOut int, seed uint64) (*graph.Graph, error) {
-	if zeroIn < 0 || zeroOut < 0 {
-		return nil, fmt.Errorf("gen: negative leaf counts (%d, %d)", zeroIn, zeroOut)
-	}
-	verts := g.Vertices()
-	if len(verts) == 0 && zeroIn+zeroOut > 0 {
-		return nil, fmt.Errorf("gen: cannot inject leaves into an empty graph")
-	}
-	r := rng.New(seed)
-	next := int64(0)
-	if len(verts) > 0 {
-		next = int64(verts[len(verts)-1]) + 1
-	}
-	edges := make([]graph.Edge, 0, g.NumEdges()+zeroIn+zeroOut)
-	edges = append(edges, g.Edges()...)
-	for i := 0; i < zeroIn; i++ {
-		target := verts[r.Intn(len(verts))]
-		edges = append(edges, graph.Edge{Src: graph.VertexID(next), Dst: target})
-		next++
-	}
-	for i := 0; i < zeroOut; i++ {
-		source := verts[r.Intn(len(verts))]
-		edges = append(edges, graph.Edge{Src: source, Dst: graph.VertexID(next)})
-		next++
 	}
 	return graph.FromEdges(edges), nil
 }
@@ -321,8 +287,8 @@ func InjectLeavesTarget(g *graph.Graph, zeroInPct, zeroOutPct float64, seed uint
 
 // PairSubset samples a fraction of the graph's unordered endpoint pairs
 // and keeps every edge whose pair was chosen, preserving reciprocation
-// (unlike EdgeSubset, which samples directed edges independently and
-// destroys symmetry). Used to derive follow-jul from follow-dec.
+// (sampling directed edges independently would destroy symmetry). Used to
+// derive follow-jul from follow-dec.
 func PairSubset(g *graph.Graph, fraction float64, seed uint64) (*graph.Graph, error) {
 	if fraction <= 0 || fraction > 1 {
 		return nil, fmt.Errorf("gen: pair subset fraction %g out of (0,1]", fraction)
@@ -381,27 +347,4 @@ func AddFragments(g *graph.Graph, count int, seed uint64) (*graph.Graph, error) 
 		next += int64(length)
 	}
 	return graph.FromEdges(edges), nil
-}
-
-// EdgeSubset returns a new graph with a uniformly sampled fraction of the
-// edges (used to derive the follow-jul analog as a subset of follow-dec,
-// mirroring the paper's crawl relationship). fraction must be in (0, 1].
-func EdgeSubset(g *graph.Graph, fraction float64, seed uint64) (*graph.Graph, error) {
-	if fraction <= 0 || fraction > 1 {
-		return nil, fmt.Errorf("gen: edge subset fraction %g out of (0,1]", fraction)
-	}
-	r := rng.New(seed)
-	src := g.Edges()
-	idx := r.Perm(len(src))
-	k := int(fraction * float64(len(src)))
-	if k == 0 && len(src) > 0 {
-		k = 1
-	}
-	chosen := idx[:k]
-	sort.Ints(chosen)
-	out := make([]graph.Edge, 0, k)
-	for _, i := range chosen {
-		out = append(out, src[i])
-	}
-	return graph.FromEdges(out), nil
 }

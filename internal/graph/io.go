@@ -589,18 +589,12 @@ func ReadEdgeListBlocks(r io.Reader, blockEdges int) (*Graph, error) {
 // Binary edge payload: edge count (uvarint), then per edge the src delta
 // (zig-zag varint from the previous src) and dst (zig-zag varint from src).
 // Sorting by src before writing makes the deltas small; the format does not
-// require sorted input, it only compresses better with it.
-//
-// The payload is shared by two containers: the legacy bare WriteBinary /
-// ReadBinary stream below (magic "CFG1" + payload) and the versioned,
-// CRC-checked snapshot container in internal/snap, which supersedes it for
-// anything durable.
-const binaryMagic = "CFG1"
+// require sorted input, it only compresses better with it. The payload is
+// the edge section of internal/snap's versioned, CRC-checked graph container
+// and the unit of the block tier's compressed edge blocks.
 
 // EncodeEdges appends the delta-varint binary encoding of edges to dst and
-// returns the extended slice — the same payload WriteBinary streams,
-// materialized for the internal/snap graph section (whose container needs
-// section bytes up front).
+// returns the extended slice.
 func EncodeEdges(dst []byte, edges []Edge) []byte {
 	var buf [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(buf[:], uint64(len(edges)))
@@ -690,85 +684,6 @@ func shortVarint(data []byte, p int) (v int64, n int) {
 		}
 	}
 	return int64(ux>>1) ^ -int64(ux&1), n
-}
-
-// WriteBinary writes a compact binary encoding of the edge list: the magic
-// followed by the EncodeEdges payload, streamed through a buffered writer
-// so arbitrarily large graphs never materialize the encoding in memory.
-// The snapshot container in internal/snap supersedes this bare format for
-// durable artifacts (same payload, plus versioning and CRCs).
-func (g *Graph) WriteBinary(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], uint64(g.NumEdges()))
-	if _, err := bw.Write(buf[:n]); err != nil {
-		return err
-	}
-	var prevSrc int64
-	if err := g.edgeBlocks(func(_ int, edges []Edge, _ []float64) error {
-		for _, e := range edges {
-			n = binary.PutVarint(buf[:], int64(e.Src)-prevSrc)
-			if _, err := bw.Write(buf[:n]); err != nil {
-				return err
-			}
-			n = binary.PutVarint(buf[:], int64(e.Dst)-int64(e.Src))
-			if _, err := bw.Write(buf[:n]); err != nil {
-				return err
-			}
-			prevSrc = int64(e.Src)
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// ReadBinary reads the binary encoding produced by WriteBinary, streaming
-// (it never holds the raw bytes and the decoded edges at once — snapshot
-// restores, which have the payload in memory anyway, use DecodeEdges).
-func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	magic := make([]byte, len(binaryMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("graph: reading binary magic: %w", err)
-	}
-	if string(magic) != binaryMagic {
-		return nil, fmt.Errorf("graph: bad binary magic %q (want %q)", magic, binaryMagic)
-	}
-	count, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("graph: reading edge count: %w", err)
-	}
-	const maxEdges = 1 << 34
-	if count > maxEdges {
-		return nil, fmt.Errorf("graph: edge count %d exceeds sanity limit", count)
-	}
-	// Cap the up-front allocation: a forged header must not commit memory
-	// the stream cannot back; append grows normally past the cap.
-	hint := count
-	if hint > 1<<20 {
-		hint = 1 << 20
-	}
-	edges := make([]Edge, 0, hint)
-	var prevSrc int64
-	for i := uint64(0); i < count; i++ {
-		ds, err := binary.ReadVarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("graph: edge %d: reading src: %w", i, err)
-		}
-		src := prevSrc + ds
-		dd, err := binary.ReadVarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("graph: edge %d: reading dst: %w", i, err)
-		}
-		edges = append(edges, Edge{Src: VertexID(src), Dst: VertexID(src + dd)})
-		prevSrc = src
-	}
-	return FromEdges(edges), nil
 }
 
 // checkVertexListShape rejects a persisted vertex list that is not

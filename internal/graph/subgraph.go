@@ -1,62 +1,5 @@
 package graph
 
-// InducedSubgraph returns the subgraph induced by keep: every live edge
-// whose endpoints both satisfy keep(v). Vertex IDs (and edge weights, on a
-// weighted graph) are preserved; tombstoned edges are dropped.
-func (g *Graph) InducedSubgraph(keep func(v VertexID) bool) *Graph {
-	ne := g.NumEdges()
-	out := make([]Edge, 0, ne/2)
-	var w []float64
-	if g.Weighted() {
-		w = make([]float64, 0, ne/2)
-	}
-	g.mustEdgeBlocks(func(start int, edges []Edge, weights []float64) {
-		for i, e := range edges {
-			if g.numDead != 0 && !g.EdgeAlive(start+i) {
-				continue
-			}
-			if keep(e.Src) && keep(e.Dst) {
-				out = append(out, e)
-				if w != nil {
-					w = append(w, weights[i])
-				}
-			}
-		}
-	})
-	sub := FromEdges(out)
-	sub.weights = w
-	return sub
-}
-
-// GiantComponent returns the subgraph induced by the largest weakly
-// connected component, along with the fraction of vertices it contains.
-// An empty graph returns an empty graph and fraction 0.
-func (g *Graph) GiantComponent() (*Graph, float64) {
-	labels, count := g.ConnectedComponents()
-	if count == 0 {
-		return New(0), 0
-	}
-	size := make(map[VertexID]int, count)
-	for _, l := range labels {
-		size[l]++
-	}
-	var giant VertexID
-	best := -1
-	for l, n := range size {
-		if n > best || (n == best && l < giant) {
-			giant, best = l, n
-		}
-	}
-	inGiant := make(map[VertexID]bool, best)
-	for i, l := range labels {
-		if l == giant {
-			inGiant[g.verts[i]] = true
-		}
-	}
-	sub := g.InducedSubgraph(func(v VertexID) bool { return inGiant[v] })
-	return sub, float64(best) / float64(len(labels))
-}
-
 // DegreeStats summarizes the degree distribution of the graph.
 type DegreeStats struct {
 	MeanOut, MeanIn   float64

@@ -1,59 +1,6 @@
 package graph
 
-import (
-	"testing"
-	"testing/quick"
-)
-
-func TestInducedSubgraph(t *testing.T) {
-	g := FromEdges([]Edge{{0, 1}, {1, 2}, {2, 3}, {3, 0}})
-	sub := g.InducedSubgraph(func(v VertexID) bool { return v <= 2 })
-	if sub.NumEdges() != 2 { // (0,1) and (1,2)
-		t.Fatalf("edges = %d, want 2", sub.NumEdges())
-	}
-	if sub.NumVertices() != 3 {
-		t.Fatalf("vertices = %d, want 3", sub.NumVertices())
-	}
-}
-
-func TestGiantComponent(t *testing.T) {
-	g := FromEdges([]Edge{
-		{0, 1}, {1, 2}, {2, 0}, // triangle: 3 vertices
-		{10, 11}, // pair
-		{20, 21}, // pair
-	})
-	giant, frac := g.GiantComponent()
-	if giant.NumVertices() != 3 {
-		t.Fatalf("giant vertices = %d, want 3", giant.NumVertices())
-	}
-	if frac != 3.0/7 {
-		t.Fatalf("fraction = %g, want %g", frac, 3.0/7)
-	}
-	if _, count := giant.ConnectedComponents(); count != 1 {
-		t.Fatalf("giant has %d components", count)
-	}
-}
-
-func TestGiantComponentEmpty(t *testing.T) {
-	giant, frac := New(0).GiantComponent()
-	if giant.NumVertices() != 0 || frac != 0 {
-		t.Fatal("empty graph should give empty giant")
-	}
-}
-
-func TestGiantComponentIsSubset(t *testing.T) {
-	check := func(seed uint64) bool {
-		g := randomGraph(seed, 40, 100)
-		giant, frac := g.GiantComponent()
-		if giant.NumVertices() > g.NumVertices() || giant.NumEdges() > g.NumEdges() {
-			return false
-		}
-		return frac > 0 && frac <= 1
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}
+import "testing"
 
 func TestDegreeStats(t *testing.T) {
 	g := FromEdges([]Edge{{0, 1}, {0, 2}, {0, 3}, {1, 0}})

@@ -3,7 +3,6 @@ package snap
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 
 	"cutfit/internal/graph"
@@ -439,21 +438,6 @@ func decodeGraphContainer(c *Container) (*graph.Graph, error) {
 		return nil, fmt.Errorf("snap: graph fingerprint mismatch: decoded %016x, recorded %016x", g.Fingerprint(), fp)
 	}
 	return g, nil
-}
-
-// WriteGraph writes EncodeGraph(g) to w.
-func WriteGraph(w io.Writer, g *graph.Graph) error {
-	_, err := w.Write(EncodeGraph(g))
-	return err
-}
-
-// ReadGraph decodes a graph container from r.
-func ReadGraph(r io.Reader) (*graph.Graph, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("snap: reading graph container: %w", err)
-	}
-	return DecodeGraph(data)
 }
 
 // checkStrategyKey pairs a decoded artifact with the strategy tuple it is

@@ -348,18 +348,3 @@ func TestUnweightedEncodingUnchanged(t *testing.T) {
 		t.Fatal("unweighted metrics container carries a weighted section")
 	}
 }
-
-func TestWriteReadGraph(t *testing.T) {
-	g := testGraph(t)
-	var buf bytes.Buffer
-	if err := WriteGraph(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadGraph(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back.Edges(), g.Edges()) {
-		t.Fatal("edges differ after Write/Read round trip")
-	}
-}

@@ -149,12 +149,6 @@ func (b *Builder) Bytes() []byte {
 	return out
 }
 
-// WriteTo writes the encoded container to w.
-func (b *Builder) WriteTo(w io.Writer) (int64, error) {
-	n, err := w.Write(b.Bytes())
-	return int64(n), err
-}
-
 // Container is a decoded, CRC-verified container.
 type Container struct {
 	// Kind is the artifact kind recorded in the header.

@@ -227,20 +227,3 @@ func Quantile(sorted []float64, q float64) float64 {
 	}
 	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }
-
-// Normalize returns xs scaled by the mean of xs (each value divided by the
-// mean). The harness uses it to make execution times comparable across
-// datasets of very different scales before correlating. A zero-mean input
-// is returned unchanged.
-func Normalize(xs []float64) []float64 {
-	m := Mean(xs)
-	out := make([]float64, len(xs))
-	if m == 0 {
-		copy(out, xs)
-		return out
-	}
-	for i, x := range xs {
-		out[i] = x / m
-	}
-	return out
-}

@@ -219,17 +219,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	out := Normalize([]float64{1, 2, 3})
-	if !almost(Mean(out), 1) {
-		t.Fatalf("normalized mean = %g", Mean(out))
-	}
-	zero := Normalize([]float64{0, 0})
-	if zero[0] != 0 || zero[1] != 0 {
-		t.Fatal("zero-mean input should pass through")
-	}
-}
-
 func TestSummarizeDoesNotMutate(t *testing.T) {
 	xs := []float64{3, 1, 2}
 	Summarize(xs)

@@ -16,8 +16,10 @@ import (
 // TestNoAlgorithmSwitchOutsideTheTable keeps algorithm dispatch in one place:
 // no non-test Go file outside internal/algorithms (the table) and benchmark/
 // (the independent oracle side) may switch on, or compare against, a served
-// algorithm's name as a string literal. A layer that needs to know what an
-// algorithm is looks its entry up.
+// algorithm's name as a string literal, or declare a const or var whose
+// value is one — the parallel enum that would carry a switch past the
+// literal check. A layer that needs to know what an algorithm is looks its
+// entry up.
 func TestNoAlgorithmSwitchOutsideTheTable(t *testing.T) {
 	served := map[string]bool{}
 	for _, e := range algorithms.Served() {
@@ -62,6 +64,12 @@ func TestNoAlgorithmSwitchOutsideTheTable(t *testing.T) {
 			case *ast.BinaryExpr:
 				if (n.Op == token.EQL || n.Op == token.NEQ) && (isServedName(n.X) || isServedName(n.Y)) {
 					t.Errorf("%s: comparison with a served algorithm's name; use algorithms.Lookup", fset.Position(n.Pos()))
+				}
+			case *ast.ValueSpec:
+				for _, x := range n.Values {
+					if isServedName(x) {
+						t.Errorf("%s: %s declared as a served algorithm's name — a parallel enum; use algorithms.Lookup", fset.Position(x.Pos()), x.(*ast.BasicLit).Value)
+					}
 				}
 			}
 			return true
