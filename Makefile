@@ -53,11 +53,12 @@ lint: vet
 # slides and re-registrations racing runs, advise and metrics), the
 # delta-append path (root equivalence suite, graph generations, store
 # chain, topology patching; generations extending one shared edge array and
-# runs reviving one lineage's scratch, from eight goroutines at once), the
+# runs reviving one lineage's scratch, from eight goroutines at once; first
+# readers of a patched topology's lazy routing CSR racing runs on it), the
 # persistence layer (snap codecs, disk tier spill/restore, warm-start
 # handlers), the distributed runtime (coordinator/worker exchange over
 # loopback sockets, equivalence and failure suites, hostile step frames, a
-# cancelled superstep, the vertex-frame fan-out and parallel scan against
+# cancelled superstep, the vertex-frame ingest, mirror pull and parallel scan against
 # the per-slab oracle; a coordinator cutfitd against a local one, reply for
 # reply, across an append), the Triangle Count kernel (shared plan, pooled
 # mark sets, equivalence with the reference at one and many workers), the
@@ -109,7 +110,8 @@ bench-scale-xl:
 # One-iteration pass over the concurrent-serving benchmarks: fast enough
 # for CI, still executes the pooled/fresh and hit/miss paths end to end.
 # Then ten stream-update cycles, which fail unless both cc runs of a cycle
-# start from the parent generation's answer (seeded/op ≥ 1.9).
+# start from the parent generation's answer (seeded/op ≥ 1.9), or when an
+# append half builds a routing CSR (routed/op counts the generations that did).
 bench-smoke:
 	$(GO) test -run='^$$' -bench='BenchmarkConcurrentRuns|BenchmarkSessionCache' -benchtime=1x -benchmem .
 	$(GO) test -run='^$$' -bench='BenchmarkStreamCycle$$' -benchtime=10x -benchmem .

@@ -8,9 +8,10 @@
 // coordinator's engine — literally the same code the local path runs —
 // while broadcast, compute and reduce travel over the wire. A superstep
 // sends each changed vertex once to every worker that mirrors it; the worker
-// fans the value out to its mirror slots and scans its partitions in parallel
-// through pregel.ShardCompute, which shares the engine's routing build,
-// frontier derivation and computePart, so candidate edges are visited in the
+// records the values by vertex and scans its partitions in parallel through
+// pregel.ShardCompute, whose partitions pull their mirror values and derive
+// their frontiers with the engine's own pullMirrors and scan with its
+// computePart, so candidate edges are visited in the
 // identical ascending order; the coordinator validates the replies as they
 // arrive and merges them sharded by vertex range, each vertex's messages in
 // ascending partition order, so float64 message combines happen in the

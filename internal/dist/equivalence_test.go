@@ -231,8 +231,8 @@ func TestDistributedEquivalence(t *testing.T) {
 
 // TestDistributedGenerations grows and then shrinks a graph, running
 // distributed after every generation step; the second and third runs must
-// ship deltas, not full shards — the worker rebuilds its routing over the
-// patched partitions — and every run must stay bit-identical to the local
+// ship deltas, not full shards — the worker rebuilds its mirrored-vertex set
+// over the patched partitions — and every run must stay bit-identical to the local
 // engine, values and statistics, on one to three workers under every
 // parallel shape.
 func TestDistributedGenerations(t *testing.T) {

@@ -15,8 +15,8 @@ import (
 //	  n × (u32 global dense vertex index, V bytes), strictly ascending by
 //	  index: the changed vertices that have at least one mirror in a
 //	  partition the receiving worker owns, each once however many mirrors
-//	  it has there. The worker fans a value out to its mirror slots through
-//	  the routing CSR its shard carries.
+//	  it has there. The worker records the values by vertex; each owned
+//	  partition pulls the ones it mirrors into its slots before its scan.
 //
 //	ReduceFrame ("CFDR"): u32 magic, u32 superstep, u32 partCount,
 //	  then per owned partition, ascending by index: u32 part, u32 n,

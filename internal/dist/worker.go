@@ -48,7 +48,7 @@ type rawPart struct {
 }
 
 // workerShard is one installed shard generation: raw tables (for delta
-// application), the built engine partitions with the routing CSR over them,
+// application), the built engine partitions with their mirrored-vertex set,
 // and the vertex/degree tables the algorithm programs need. raw is indexed by
 // partition and nil where another worker owns it.
 type workerShard struct {

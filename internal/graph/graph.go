@@ -133,6 +133,10 @@ type Graph struct {
 	fpOnce       viewOnce
 	fp           uint64 // content fingerprint: edge fold + tombstone fold
 	fpEdges      uint64 // sequential edge/weight fold only (extendable by Grow)
+
+	// step is what the generation step that minted this graph resolved (see
+	// StepFrom); nil on a graph no step minted, and dropped by mutation.
+	step *Step
 }
 
 // viewOnce guards one lazily-built derived view for concurrent first use.
@@ -305,6 +309,7 @@ func (g *Graph) invalidate() {
 	g.fpOnce.reset()
 	g.fp = 0
 	g.fpEdges = 0
+	g.step = nil
 }
 
 // fingerprintSeed starts every fingerprint chain; folding edges onto it is

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"slices"
+	"weak"
 )
 
 // Delta describes one generation step: the boundary between a parent graph
@@ -37,6 +38,34 @@ type Delta struct {
 	// Delta consumers (the artifact store) skip compacted deltas, severing
 	// the derivation chain; the child's artifacts are computed fresh.
 	Compacted bool
+}
+
+// Step is what the generation step that minted a graph resolved about its
+// batch, in the graph's own dense vertex indices, so incremental consumers
+// deriving from the direct parent need not search the vertex list again.
+// Read-only once published.
+type Step struct {
+	parent        weak.Pointer[Graph]
+	parentVersion uint64
+	// SufSrc and SufDst index the endpoints of the appended suffix — the
+	// edges at dense positions [parent.NumEdges(), NumEdges()) — in order.
+	SufSrc, SufDst []int32
+	// RemSrc and RemDst index the endpoints of the edges the step retracted,
+	// ascending by dense position; nil when the step did not resolve them
+	// (it does only when it patches built degree tables).
+	RemSrc, RemDst []int32
+}
+
+// StepFrom returns what the step that minted g resolved, when parent is the
+// graph that step started from, as it was then; nil otherwise — an older
+// ancestor, a graph not minted by a step (built, restored, compacted) or
+// either graph mutated since.
+func (g *Graph) StepFrom(parent *Graph) *Step {
+	st := g.step
+	if st == nil || st.parent.Value() != parent || parent.Version() != st.parentVersion {
+		return nil
+	}
+	return st
 }
 
 // compactionThreshold is the tombstone density (dead/dense) at which a
@@ -215,15 +244,21 @@ func (g *Graph) advance(suffix []Edge, sufWeights []float64, removeIdx []int) (*
 	// New vertex IDs introduced by the suffix: endpoints absent from the
 	// parent's sorted list. Retraction never removes vertices — tombstoned
 	// edges keep their endpoints listed until compaction — so the vertex
-	// set can only grow.
+	// set can only grow. The same search leaves each endpoint's rank among
+	// the old vertices in sufSrc/sufDst.
+	sufSrc := make([]int32, len(suffix))
+	sufDst := make([]int32, len(suffix))
 	var added []VertexID
-	for _, e := range suffix {
-		if _, ok := slices.BinarySearch(oldVerts, e.Src); !ok {
+	for i, e := range suffix {
+		si, ok := slices.BinarySearch(oldVerts, e.Src)
+		if !ok {
 			added = append(added, e.Src)
 		}
-		if _, ok := slices.BinarySearch(oldVerts, e.Dst); !ok {
+		di, ok := slices.BinarySearch(oldVerts, e.Dst)
+		if !ok {
 			added = append(added, e.Dst)
 		}
+		sufSrc[i], sufDst[i] = int32(si), int32(di)
 	}
 	slices.Sort(added)
 	added = slices.Compact(added)
@@ -258,14 +293,19 @@ func (g *Graph) advance(suffix []Edge, sufWeights []float64, removeIdx []int) (*
 	ng.vertsOnce.markBuilt()
 
 	// Dense endpoint indices of the suffix, shared by the degree and
-	// endpoint seeding below.
-	sufSrc := make([]int32, len(suffix))
-	sufDst := make([]int32, len(suffix))
-	for i, e := range suffix {
-		si, _ := slices.BinarySearch(ng.verts, e.Src)
-		di, _ := slices.BinarySearch(ng.verts, e.Dst)
-		sufSrc[i], sufDst[i] = int32(si), int32(di)
+	// endpoint seeding below and carried on the generation (Step): a vertex's
+	// index in the merged list is its rank among the old vertices plus its
+	// rank among the added ones.
+	if len(added) > 0 {
+		for i, e := range suffix {
+			si, _ := slices.BinarySearch(added, e.Src)
+			di, _ := slices.BinarySearch(added, e.Dst)
+			sufSrc[i] += int32(si)
+			sufDst[i] += int32(di)
+		}
 	}
+	step := &Step{parent: weak.Make(g), parentVersion: g.Version(), SufSrc: sufSrc, SufDst: sufDst}
+	ng.step = step
 
 	nv := len(ng.verts)
 	if g.degOnce.built() {
@@ -284,10 +324,13 @@ func (g *Graph) advance(suffix []Edge, sufWeights []float64, removeIdx []int) (*
 			out[sufSrc[i]]++
 			in[sufDst[i]]++
 		}
-		for _, i := range removeIdx {
+		step.RemSrc = make([]int32, len(removeIdx))
+		step.RemDst = make([]int32, len(removeIdx))
+		for k, i := range removeIdx {
 			e := g.edgeAt(i)
 			si, _ := slices.BinarySearch(ng.verts, e.Src)
 			di, _ := slices.BinarySearch(ng.verts, e.Dst)
+			step.RemSrc[k], step.RemDst[k] = int32(si), int32(di)
 			out[si]--
 			in[di]--
 		}

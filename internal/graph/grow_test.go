@@ -107,6 +107,82 @@ func TestGrowColdParentViews(t *testing.T) {
 	checkViewsEqual(t, ng)
 }
 
+// TestStepFromResolvesTheBatch: a generation carries its step's endpoint
+// indices — the suffix's always, the retracted edges' when the step patched
+// degree tables — equal to searching its own vertex list, and hands them only
+// to its direct parent as it was then.
+func TestStepFromResolvesTheBatch(t *testing.T) {
+	check := func(name string, parent, ng *Graph) {
+		t.Helper()
+		st := ng.StepFrom(parent)
+		if st == nil {
+			t.Fatalf("%s: no step from the direct parent", name)
+		}
+		oldLen := parent.NumEdges()
+		src, dst := ng.EdgeEndpointIndices()
+		if !reflect.DeepEqual(st.SufSrc, src[oldLen:]) || !reflect.DeepEqual(st.SufDst, dst[oldLen:]) {
+			t.Fatalf("%s: suffix indices differ from the endpoint view", name)
+		}
+		if st.RemSrc == nil {
+			return
+		}
+		k := 0
+		for i := 0; i < oldLen; i++ {
+			if parent.EdgeAlive(i) && !ng.EdgeAlive(i) {
+				if st.RemSrc[k] != src[i] || st.RemDst[k] != dst[i] {
+					t.Fatalf("%s: retracted edge %d resolved to (%d,%d), want (%d,%d)", name, i, st.RemSrc[k], st.RemDst[k], src[i], dst[i])
+				}
+				k++
+			}
+		}
+		if k != len(st.RemSrc) {
+			t.Fatalf("%s: %d retracted edges resolved, %d retracted", name, len(st.RemSrc), k)
+		}
+	}
+	g := FromEdges(randomEdges(8, 40, 300))
+	// Interleaved new IDs shift old indices, and new high ones append.
+	grown, _ := g.Grow([]Edge{{Src: 5, Dst: 1000}, {Src: 7, Dst: 3}, {Src: 999, Dst: 998}, {Src: 41, Dst: 5}})
+	check("append", g, grown)
+
+	grown.OutDegrees() // the next step patches degree tables, so resolves its retractions
+	edges := grown.Edges()
+	shrunk, _, err := grown.Shrink([]Edge{edges[3], edges[301], edges[120]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("shrink", grown, shrunk)
+	slid, _, err := grown.SlideWindow([]Edge{{Src: 3, Dst: 2000}, {Src: 2, Dst: 6}}, nil, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("slide", grown, slid)
+	if shrunk.StepFrom(grown).RemSrc == nil || len(slid.StepFrom(grown).RemSrc) != 10 {
+		t.Fatal("a step that patched degree tables left its retractions unresolved")
+	}
+	cold, _, err := g.Shrink([]Edge{edges[3]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := cold.StepFrom(g); st == nil || st.RemSrc != nil {
+		t.Fatal("a step over unbuilt degree tables should carry its suffix only")
+	}
+
+	if shrunk.StepFrom(g) != nil {
+		t.Fatal("a grandparent got the last step's indices")
+	}
+	if g.StepFrom(nil) != nil || FromEdges(edges).StepFrom(grown) != nil {
+		t.Fatal("a graph no step minted carries a step")
+	}
+	grown.AddEdge(1, 2)
+	if shrunk.StepFrom(grown) != nil {
+		t.Fatal("a parent mutated since the step still gets its indices")
+	}
+	shrunk.AddEdge(1, 2)
+	if shrunk.StepFrom(grown) != nil || shrunk.step != nil {
+		t.Fatal("mutation kept the generation's step")
+	}
+}
+
 func TestRemapVertices(t *testing.T) {
 	g := FromEdges([]Edge{{Src: 2, Dst: 10}, {Src: 10, Dst: 20}})
 	oldVerts := g.Vertices()

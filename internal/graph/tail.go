@@ -79,9 +79,10 @@ type Share struct {
 // (inherited by an append step), a block store (shared by a pure shrink) —
 // plus one keyed by g itself for what is never shared: the degree tables,
 // the ID index, the CSR views and the canonical-edge bitset, each counted
-// once built. Cache layers sum Bytes over distinct keys to price exactly
-// what their graphs pin. Safe to call while views are being built; a view
-// under construction is simply not counted yet.
+// once built, and the endpoint indices its generation step resolved. Cache
+// layers sum Bytes over distinct keys to price exactly what their graphs
+// pin. Safe to call while views are being built; a view under construction
+// is simply not counted yet.
 func (g *Graph) Shares() []Share {
 	out := make([]Share, 0, 8)
 	add := func(s Share, ok bool) {
@@ -126,6 +127,9 @@ func (g *Graph) Shares() []Share {
 	}
 	if g.canonOnce.built() {
 		own += int64(len(g.canon)) * 8
+	}
+	if st := g.step; st != nil {
+		own += int64(len(st.SufSrc)+len(st.SufDst)+len(st.RemSrc)+len(st.RemDst)) * 4
 	}
 	return append(out, Share{Key: g, Bytes: own})
 }

@@ -1,10 +1,13 @@
 package pregel
 
 import (
+	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"cutfit/internal/graph"
+	"cutfit/internal/par"
 	"cutfit/internal/partition"
 )
 
@@ -29,9 +32,10 @@ import (
 // The derived topology is structurally identical to what
 // NewPartitionedGraphFromAssignment would build from scratch — same
 // per-partition edge order (global edge order within each partition), same
-// sorted LocalVerts tables, same routing CSR — so engine runs and derived
-// metrics are bit-for-bit equal to the full rebuild. The receiver is only
-// read, never mutated: in-flight runs on the old topology are unaffected.
+// sorted LocalVerts tables, hence the same routing CSR once a reader builds
+// it — so engine runs and derived metrics are bit-for-bit equal to the full
+// rebuild. The receiver is only read, never mutated: in-flight runs on the
+// old topology are unaffected.
 //
 // What the two topologies share, and who is charged (see Shares): the
 // engine scratch pool — one per lineage, so the derived topology's first run
@@ -39,7 +43,8 @@ import (
 // allocating a set and leaving the parent's behind a topology nobody will
 // run again; the assignment's PID array; every partition's mirror table
 // that the step left unchanged (counted by both MemoryFootprints). Edge
-// buffers and routing tables are the derived topology's own.
+// buffers are the derived topology's own, and so are the lazily built
+// tables (routing CSR, frontier index, triangle plan).
 //
 // Cost: O(|E|) straight copies and merges plus O(|delta| log |delta|)
 // sorting of the suffix endpoints — no per-partition endpoint re-sort, no
@@ -65,22 +70,31 @@ func (pg *PartitionedGraph) ApplyDelta(a *partition.Assignment, remap []int32) (
 		}
 	}
 	numParts := pg.NumParts
-	// Dense endpoint indices of just the suffix, by binary search on the
-	// grown vertex list — O(|delta| log |V|), without forcing the grown
-	// graph's full per-edge endpoint view.
-	verts := a.G.Vertices()
-	sufEdges, _ := a.G.EdgeRange(oldLen, ne)
-	sufSrc := make([]int32, len(sufEdges))
-	sufDst := make([]int32, len(sufEdges))
-	for i, e := range sufEdges {
-		si, _ := slices.BinarySearch(verts, e.Src)
-		di, _ := slices.BinarySearch(verts, e.Dst)
-		sufSrc[i], sufDst[i] = int32(si), int32(di)
+	// Dense endpoint indices of just the suffix: the ones the generation step
+	// resolved when this topology's graph is its direct parent, else by
+	// binary search on the grown vertex list — O(|delta| log |V|), without
+	// forcing the grown graph's full per-edge endpoint view.
+	var sufSrc, sufDst []int32
+	if st := a.G.StepFrom(pg.G); st != nil && len(st.SufSrc) == ne-oldLen {
+		sufSrc, sufDst = st.SufSrc, st.SufDst
+	} else {
+		verts := a.G.Vertices()
+		sufEdges, _ := a.G.EdgeRange(oldLen, ne)
+		sufSrc = make([]int32, len(sufEdges))
+		sufDst = make([]int32, len(sufEdges))
+		for i, e := range sufEdges {
+			si, _ := slices.BinarySearch(verts, e.Src)
+			di, _ := slices.BinarySearch(verts, e.Dst)
+			sufSrc[i], sufDst[i] = int32(si), int32(di)
+		}
 	}
 
 	// Retractions this step introduced, as positions in each partition's old
 	// (live) edge list; nil when the step retracted nothing.
-	removed := retractionPositions(pg, a.G, oldLen)
+	removed, err := retractionPositions(pg, a.G, oldLen)
+	if err != nil {
+		return nil, err
+	}
 
 	// Per-partition span sizes: old counts from the built partitions minus
 	// this step's retractions, delta counts from the suffix (already
@@ -134,7 +148,7 @@ func (pg *PartitionedGraph) ApplyDelta(a *partition.Assignment, remap []int32) (
 	npg.assignShare, _ = a.PIDShare()
 	parts := make([]*Partition, numParts)
 	npg.Parts = parts
-	err := pg.forEachPart(func(p int) {
+	err = pg.forEachPart(func(p int) {
 		old := pg.Parts[p]
 		var rm []int32
 		if removed != nil {
@@ -150,56 +164,87 @@ func (pg *PartitionedGraph) ApplyDelta(a *partition.Assignment, remap []int32) (
 	if err != nil {
 		return nil, err
 	}
-	npg.buildRouting()
 	return npg, nil
 }
 
+// retractionChunk is the dense edge span one task of retractionPositions
+// covers; a multiple of 64, so chunks split the tombstone bitsets at word
+// boundaries.
+const retractionChunk = 1 << 14
+
 // retractionPositions diffs the tombstone bitsets of the built generation
 // and the advanced one over the old dense span and returns, per partition,
-// the ascending positions (in the old partition's live edge list) of the
-// edges this step retracted. nil when nothing was retracted.
-func retractionPositions(pg *PartitionedGraph, ng *graph.Graph, oldLen int) [][]int32 {
-	newDead := ng.Tombstones()
-	if len(newDead) == 0 {
-		return nil
-	}
+// the ascending positions (in the old partition's live edge list, the order
+// the build scattered them in) of the edges this step retracted. nil when
+// nothing was retracted.
+//
+// The old span is cut into chunks spread over Parallelism workers. Each chunk
+// counts its live edges per partition and notes its retractions at their
+// positions within the chunk; a prefix sum over the chunks' counts, in chunk
+// order, then turns those into positions in the partition's whole list.
+func retractionPositions(pg *PartitionedGraph, ng *graph.Graph, oldLen int) ([][]int32, error) {
 	og := pg.G
-	oldDead := og.Tombstones()
-	// Quick reject: any bit newly dead within the old span?
-	any := false
-	for w := 0; w*64 < oldLen && w < len(newDead); w++ {
-		var ow uint64
+	newDead, oldDead := ng.Tombstones(), og.Tombstones()
+	found := false
+	for w := 0; w<<6 < oldLen && w < len(newDead) && !found; w++ {
+		d := newDead[w] & fullWord(w, oldLen)
 		if w < len(oldDead) {
-			ow = oldDead[w]
+			d &^= oldDead[w]
 		}
-		diff := newDead[w] &^ ow
-		if rem := oldLen - w*64; rem < 64 {
-			diff &= 1<<uint(rem) - 1
+		found = d != 0
+	}
+	if !found {
+		return nil, nil
+	}
+	numParts := pg.NumParts
+	nChunks := (oldLen + retractionChunk - 1) / retractionChunk
+	type hit struct{ p, pos int32 }
+	hits := make([][]hit, nChunks)
+	counts := make([]int32, nChunks*numParts)
+	if err := par.ForEach(context.Background(), pg.Parallelism, nChunks, func(c int) {
+		cc := counts[c*numParts : (c+1)*numParts]
+		hi := min((c+1)*retractionChunk, oldLen)
+		// A tombstone word at a time: a word of live edges none of which
+		// this step retracted only counts.
+		for base := c * retractionChunk; base < hi; base += 64 {
+			w := base >> 6
+			live, gone := fullWord(w, oldLen), uint64(0)
+			if w < len(oldDead) {
+				live &^= oldDead[w]
+			}
+			if w < len(newDead) {
+				gone = newDead[w]
+			}
+			assign := pg.assign[base:min(base+64, hi)]
+			if live == ^uint64(0) && gone == 0 {
+				for _, p := range assign {
+					cc[p]++
+				}
+				continue
+			}
+			for ; live != 0; live &= live - 1 {
+				b := bits.TrailingZeros64(live)
+				p := assign[b]
+				if gone>>b&1 != 0 {
+					hits[c] = append(hits[c], hit{int32(p), cc[p]})
+				}
+				cc[p]++
+			}
 		}
-		if diff != 0 {
-			any = true
-			break
+	}); err != nil {
+		return nil, err
+	}
+	removed := make([][]int32, numParts)
+	base := make([]int32, numParts)
+	for c, hs := range hits {
+		for _, h := range hs {
+			removed[h.p] = append(removed[h.p], base[h.p]+h.pos)
+		}
+		for p, n := range counts[c*numParts : (c+1)*numParts] {
+			base[p] += n
 		}
 	}
-	if !any {
-		return nil
-	}
-	// One ascending pass tracks each partition's running position in its old
-	// live edge list (the order the build scattered them in).
-	removed := make([][]int32, pg.NumParts)
-	pos := make([]int32, pg.NumParts)
-	ogDead := og.NumDeadEdges()
-	for i := 0; i < oldLen; i++ {
-		if ogDead != 0 && !og.EdgeAlive(i) {
-			continue
-		}
-		p := pg.assign[i]
-		if !ng.EdgeAlive(i) {
-			removed[p] = append(removed[p], pos[p])
-		}
-		pos[p]++
-	}
-	return removed
+	return removed, nil
 }
 
 // patchPartition derives one partition of the advanced topology and returns

@@ -217,8 +217,7 @@ func (p *Program[V, M]) validate() error {
 type engineScratch[V, M any] struct {
 	// Master state, indexed by global dense vertex. changedBits is the
 	// frontier as a bitset (bit v set ⇔ vertex v changed last superstep);
-	// broadcast and apply shard over whole words so every word has exactly
-	// one writer.
+	// apply shards over whole words so every word has exactly one writer.
 	masterVals  []V
 	changedBits []uint64
 	masterMsg   []M
@@ -236,14 +235,15 @@ type engineScratch[V, M any] struct {
 
 	// frontier[p] is partition p's mirror-side frontier bitset (one bit per
 	// local vertex), derived from changedBits at the start of every compute
-	// phase by the partition's own worker — never written by broadcast, so
-	// no two workers ever touch the same word. edgeMask[p] is the sparse
-	// path's candidate-edge bitmap (one bit per partition edge): the gather
-	// pass sets bits through the frontier index, the scan pass consumes
-	// words in ascending order and clears them, so the mask is all-zero
-	// between supersteps (and between runs). Both are views of frontBuf and
-	// maskBuf, which only a frontier-driven program makes fit allocate — an
-	// AllEdges program (PageRank) never touches either.
+	// phase by the partition's own worker, which pulls its mirror values in
+	// the same pass — so no two workers ever touch the same word or slot.
+	// edgeMask[p] is the sparse path's candidate-edge bitmap (one bit per
+	// partition edge): the gather pass sets bits through the frontier
+	// index, the scan pass consumes words in ascending order and clears
+	// them, so the mask is all-zero between supersteps (and between runs).
+	// Both are views of frontBuf and maskBuf, which only a frontier-driven
+	// program makes fit allocate — an AllEdges program (PageRank) never
+	// touches either.
 	frontBuf, maskBuf  []uint64
 	frontier, edgeMask [][]uint64
 
@@ -253,10 +253,10 @@ type engineScratch[V, M any] struct {
 	// adjacent unpadded emitters would false-share.
 	emitters []emitterSlot[M]
 
-	// Per-shard / per-partition counters, zeroed each superstep.
-	bMsgs, bBytes  []int64 // broadcast, per shard
+	// Per-shard / per-partition counters, rewritten each superstep.
 	rMsgs, rBytes  []int64 // reduce, per shard
 	applyCounts    []int64 // apply, per shard
+	bMsgs, bBytes  []int64 // broadcast, per partition
 	scanned        []int64 // compute, per partition
 	emitted        []int64
 	visited        []int64 // edges actually examined, per partition
@@ -282,8 +282,8 @@ func resized[T any](buf []T, n int) []T {
 // fit shapes the scratch for a run on pg, whatever it was shaped for before,
 // and clears the flag and mask arrays over the fitted extent. Value and
 // message buffers need no clearing: every slot is rewritten before it is
-// read (superstep 0 initializes all masters and all changed words, broadcast
-// populates mirrors, the has-flags gate the accumulators, the frontier is
+// read (superstep 0 initializes all masters and all changed words, the first
+// pull fills every mirror, the has-flags gate the accumulators, the frontier is
 // rebuilt word-by-word each compute phase). The edge masks are all-zero by
 // the scan pass's clear-as-you-go invariant, but only over the extent of the
 // topology that parked them, so they are cleared here too. frontiers says
@@ -341,15 +341,15 @@ func (s *engineScratch[V, M]) fit(pg *PartitionedGraph, shards int, frontiers bo
 // sizeCounters (re)allocates the small counter slices if the shard or
 // partition count changed since the scratch was built.
 func (s *engineScratch[V, M]) sizeCounters(numParts, shards int) {
-	if len(s.bMsgs) != shards {
-		s.bMsgs = make([]int64, shards)
-		s.bBytes = make([]int64, shards)
+	if len(s.rMsgs) != shards {
 		s.rMsgs = make([]int64, shards)
 		s.rBytes = make([]int64, shards)
 		s.applyCounts = make([]int64, shards)
 		s.applyPerShard = make([]float64, shards)
 	}
 	if len(s.scanned) != numParts {
+		s.bMsgs = make([]int64, numParts)
+		s.bBytes = make([]int64, numParts)
 		s.scanned = make([]int64, numParts)
 		s.emitted = make([]int64, numParts)
 		s.visited = make([]int64, numParts)
@@ -492,8 +492,8 @@ func runEngine[V, M any](ctx context.Context, pg *PartitionedGraph, prog Program
 	verts := g.Vertices()
 	nv := len(verts)
 	numParts := pg.NumParts
-	// The frontier bitset spans nv bits; broadcast and apply shard over its
-	// words so each word has exactly one writer per phase.
+	// The frontier bitset spans nv bits; apply shards over its words so each
+	// word has exactly one writer.
 	nw := (nv + 63) / 64
 
 	shards := pg.Parallelism
@@ -522,8 +522,8 @@ func runEngine[V, M any](ctx context.Context, pg *PartitionedGraph, prog Program
 	if start != nil {
 		stamps, clock = start.Stamps, start.Clock
 	}
-	// fill says the mirrors hold nothing yet: the next broadcast ships every
-	// master, whatever the frontier. Superstep 0 leaves every vertex changed,
+	// fill says the mirrors hold nothing yet: the next broadcast fills every
+	// mirror, whatever the frontier. Superstep 0 leaves every vertex changed,
 	// so a cold run gets that for free; a seeded start has to ask.
 	fill := false
 	activeCount := int64(nv)
@@ -588,7 +588,7 @@ func runEngine[V, M any](ctx context.Context, pg *PartitionedGraph, prog Program
 			if err := ex.Exchange(ctx, step, changedBits, masterVals, deliver, &ss); err != nil {
 				return nil, nil, fmt.Errorf("pregel: superstep %d exchange: %w", step, err)
 			}
-		} else if err := localSuperstep(ctx, pg, &prog, sc, &ss, step, shards, nw, nv, wShard, fill); err != nil {
+		} else if err := localSuperstep(ctx, pg, &prog, sc, &ss, step, shards, nv, fill); err != nil {
 			return nil, nil, err
 		}
 		fill = false
@@ -654,72 +654,27 @@ func runEngine[V, M any](ctx context.Context, pg *PartitionedGraph, prog Program
 	return finishRun(pg, sc, reuse), stats, nil
 }
 
-// localSuperstep runs phases 1–3 of one superstep in-process: broadcast
-// changed masters to mirrors, compute every partition, reduce the combined
-// messages back to the master arrays. Factored out of runEngine so the
+// localSuperstep runs phases 1–3 of one superstep in-process: mirrors pull
+// their changed masters, every partition computes, the combined messages
+// reduce back to the master arrays. Factored out of runEngine so the
 // distributed branch above replaces exactly this block and nothing else.
-func localSuperstep[V, M any](ctx context.Context, pg *PartitionedGraph, prog *Program[V, M], sc *engineScratch[V, M], ss *SuperstepStats, step, shards, nw, nv, wShard int, fill bool) error {
+func localSuperstep[V, M any](ctx context.Context, pg *PartitionedGraph, prog *Program[V, M], sc *engineScratch[V, M], ss *SuperstepStats, step, shards, nv int, fill bool) error {
 	verts := pg.G.Vertices()
 	numParts := pg.NumParts
-	masterVals := sc.masterVals
-	changedBits := sc.changedBits
 	masterMsg := sc.masterMsg
 	masterHas := sc.masterHas
-	vals := sc.vals
 	msgAcc := sc.msgAcc
 	msgHas := sc.msgHas
 
-	// Phase 1: broadcast changed master values to mirrors. Sharded over
-	// frontier words: a zero word skips 64 vertices in one compare, and
-	// each mirror slot is still written by exactly one vertex. The
-	// routing CSR walk hoists the offset pair once per vertex and ranges
-	// over one subslice, so the inner loop carries no per-ref bounds
-	// checks.
-	bMsgs := sc.bMsgs
-	bBytes := sc.bBytes
-	for sh := 0; sh < shards; sh++ {
-		bMsgs[sh], bBytes[sh] = 0, 0
-	}
-	offs := pg.routingOffsets
-	routRefs := pg.routingRefs
-	if err := pg.forEachShard(nw, func(lo, hi int) {
-		sh := lo / wShard
-		var msgs, bytes int64
-		for wi := lo; wi < hi; wi++ {
-			w := changedBits[wi]
-			if fill {
-				w = fullWord(wi, nv)
-			}
-			for w != 0 {
-				v := wi<<6 + bits.TrailingZeros64(w)
-				w &= w - 1
-				val := masterVals[v]
-				sz := int64(prog.StateSize(val))
-				for _, ref := range routRefs[offs[v]:offs[v+1]] {
-					vals[ref.Part][ref.Local] = val
-					msgs++
-					bytes += sz
-				}
-			}
-		}
-		bMsgs[sh] += msgs
-		bBytes[sh] += bytes
-	}); err != nil {
-		return fmt.Errorf("pregel: superstep %d broadcast: %w", step, err)
-	}
-	for sh := 0; sh < shards; sh++ {
-		ss.BroadcastMsgs += bMsgs[sh]
-		ss.BroadcastBytes += bBytes[sh]
-	}
-
-	// Phase 2: compute. Each partition derives its frontier bitset from
-	// the master changed bitset (its own worker writes it — broadcast
-	// never touches it, so no word is shared), then hands the triplet scan
-	// to computePart — the same code the distributed worker runs, so both
-	// paths deliver messages in ascending edge order and results are
-	// identical; only where the scan executes differs. Like the worker's
-	// Scan, it starts no partition once ctx is done: a caller that gave up
-	// costs each scan goroutine at most the partition it is in.
+	// Phases 1 and 2: broadcast and compute, partition by partition on the
+	// partition's own worker. pullMirrors copies the changed masters into the
+	// partition's mirror slots and derives its frontier in one pass (no slot
+	// or word is shared between workers, and masters are read-only until
+	// apply), then computePart scans — the same two calls the distributed
+	// worker makes, so both paths deliver messages in ascending edge order
+	// and results are identical; only where the scan executes differs. Like
+	// the worker's Scan, it starts no partition once ctx is done: a caller
+	// that gave up costs each scan goroutine at most the partition it is in.
 	scanned := sc.scanned
 	emitted := sc.emitted
 	visited := sc.visited
@@ -731,13 +686,10 @@ func localSuperstep[V, M any](ctx context.Context, pg *PartitionedGraph, prog *P
 		em := &sc.emitters[p].partEmitter
 		em.emitted = 0
 
-		var fw []uint64
-		act := 0
-		if prog.ActiveDirection != AllEdges {
-			fw = sc.frontier[p]
-			act = deriveFrontier(fw, part.LocalVerts, changedBits)
-		}
-		nScan, nVisited, cost, _ := computePart(prog, part, verts, vals[p], fw, act, sc.edgeMask[p], em)
+		fw := sc.frontier[p] // nil for an AllEdges program
+		act, msgs, bytes := pullMirrors(prog, part.LocalVerts, sc.vals[p], sc.masterVals, sc.changedBits, fill, fw)
+		sc.bMsgs[p], sc.bBytes[p] = msgs, bytes
+		nScan, nVisited, cost, _ := computePart(prog, part, verts, sc.vals[p], fw, act, sc.edgeMask[p], em)
 		scanned[p] = nScan
 		emitted[p] = em.emitted
 		visited[p] = nVisited
@@ -749,6 +701,8 @@ func localSuperstep[V, M any](ctx context.Context, pg *PartitionedGraph, prog *P
 		return fmt.Errorf("pregel: superstep %d compute: %w", step, err)
 	}
 	for p := 0; p < numParts; p++ {
+		ss.BroadcastMsgs += sc.bMsgs[p]
+		ss.BroadcastBytes += sc.bBytes[p]
 		ss.EdgesScanned += scanned[p]
 		ss.MsgsEmitted += emitted[p]
 		ss.ActiveEdges += visited[p]
@@ -816,27 +770,44 @@ func localSuperstep[V, M any](ctx context.Context, pg *PartitionedGraph, prog *P
 	return nil
 }
 
-// deriveFrontier fills fw, a partition's frontier bitset (bit l ⇔ local
-// vertex l's master changed last round), from the changed-vertex bitset and
-// returns its popcount, which decides the scan's density. Built branch-free,
-// one changed-bit gather per local vertex, by the partition's own worker — so
-// no two goroutines ever write the same word.
-func deriveFrontier(fw []uint64, lv []int32, changedBits []uint64) (act int) {
-	for wi := range fw {
+// pullMirrors is one partition's broadcast, run by the partition's own worker
+// at the start of its compute: every mirror whose master changed last round —
+// every mirror when fill is set — copies masterVals[lv[l]] into its slot
+// vals[l] and counts as one broadcast message of Program.StateSize bytes,
+// which is the paper's CommCost, per mirror. The same pass fills fw, when
+// non-nil, with the partition's frontier (bit l ⇔ local vertex l's master
+// changed, fill or not) and returns its popcount act, which decides the
+// scan's density. The changed bits are gathered branch-free, one per mirror.
+// Only this partition's slots and words are written, so partitions pull
+// concurrently.
+func pullMirrors[V, M any](prog *Program[V, M], lv []int32, vals, masterVals []V, changed []uint64, fill bool, fw []uint64) (act int, msgs, bytes int64) {
+	for base := 0; base < len(lv); base += 64 {
+		end := min(base+64, len(lv))
 		var w uint64
-		base := wi << 6
-		end := base + 64
-		if end > len(lv) {
-			end = len(lv)
-		}
 		for l := base; l < end; l++ {
 			gi := lv[l]
-			w |= (changedBits[gi>>6] >> (uint32(gi) & 63) & 1) << uint(l-base)
+			w |= (changed[gi>>6] >> (uint32(gi) & 63) & 1) << uint(l-base)
 		}
-		fw[wi] = w
-		act += bits.OnesCount64(w)
+		if fw != nil {
+			fw[base>>6] = w
+			act += bits.OnesCount64(w)
+		}
+		if fill {
+			w = fullWord(base>>6, len(lv))
+		}
+		msgs += int64(bits.OnesCount64(w))
+		for ; w != 0; w &= w - 1 {
+			l := base + bits.TrailingZeros64(w)
+			vals[l] = masterVals[lv[l]]
+			if prog.StateBytes != nil {
+				bytes += int64(prog.StateBytes(vals[l]))
+			}
+		}
 	}
-	return act
+	if prog.StateBytes == nil {
+		bytes = 8 * msgs // StateSize's constant, without a call per mirror
+	}
+	return act, msgs, bytes
 }
 
 // finishRun hands the final vertex values to the caller. With reuse the

@@ -47,18 +47,29 @@ func checkEquivalent(a, b *PartitionedGraph) error {
 			return fmt.Errorf("partition %d: destination frontier index differs", p)
 		}
 	}
-	if len(a.routingRefs) != len(b.routingRefs) {
-		return fmt.Errorf("routing refs %d != %d", len(a.routingRefs), len(b.routingRefs))
-	}
-	for i := range a.routingRefs {
-		if a.routingRefs[i] != b.routingRefs[i] {
-			return fmt.Errorf("routing ref %d: %v != %v", i, a.routingRefs[i], b.routingRefs[i])
+	// The routing CSR is built lazily too: force both, and hold each to the
+	// serial reference construction over its own mirror tables.
+	for _, pg := range []*PartitionedGraph{a, b} {
+		if err := checkRouting(pg); err != nil {
+			return err
 		}
 	}
-	for i := range a.routingOffsets {
-		if a.routingOffsets[i] != b.routingOffsets[i] {
-			return fmt.Errorf("routing offset %d: %d != %d", i, a.routingOffsets[i], b.routingOffsets[i])
-		}
+	return nil
+}
+
+// checkRouting builds pg's routing CSR through an accessor and requires it
+// to equal routingCSR over pg's mirror tables.
+func checkRouting(pg *PartitionedGraph) error {
+	pg.TotalMirrors()
+	if !pg.RoutingBuilt() {
+		return fmt.Errorf("TotalMirrors left the routing CSR unbuilt")
+	}
+	offs, refs := routingCSR(pg.G.NumVertices(), pg.Parts)
+	if !slices.Equal(pg.routingOffsets, offs) {
+		return fmt.Errorf("routing offsets differ from the reference construction")
+	}
+	if !slices.Equal(pg.routingRefs, refs) {
+		return fmt.Errorf("routing refs differ from the reference construction")
 	}
 	return nil
 }

@@ -151,7 +151,7 @@ func vertexFrame[V any](topo *ShardTopology, changed []uint64, masterVals []V, v
 		for w != 0 {
 			v := wi<<6 + bits.TrailingZeros64(w)
 			w &= w - 1
-			if topo.routingOffsets[v] != topo.routingOffsets[v+1] {
+			if topo.mirrored[v>>6]>>(v&63)&1 != 0 {
 				frame = vc.Append(binary.LittleEndian.AppendUint32(frame, uint32(v)), masterVals[v])
 			}
 		}

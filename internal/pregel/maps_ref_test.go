@@ -81,14 +81,44 @@ func newPartitionedGraphMaps(g *graph.Graph, assign []partition.PID, numParts in
 			dst: seen[p][di],
 		})
 	}
-	pg := &PartitionedGraph{
+	return &PartitionedGraph{
 		G:           g,
 		NumParts:    numParts,
 		Parts:       parts,
 		assign:      assign,
 		Parallelism: par.DefaultParallelism(),
 		scratch:     &scratchPool{},
+	}, nil
+}
+
+// routingCSR is the serial reference construction of the mirror routing CSR
+// over nv global dense vertices, kept as the oracle for the sharded lazy
+// build: one counting pass, a prefix sum, and a fill that walks the
+// partitions ascending, so a vertex's refs ascend by partition. nil entries
+// of parts contribute nothing.
+func routingCSR(nv int, parts []*Partition) (offsets []int64, refs []MirrorRef) {
+	offsets = make([]int64, nv+1)
+	for _, part := range parts {
+		if part == nil {
+			continue
+		}
+		for _, gidx := range part.LocalVerts {
+			offsets[gidx+1]++
+		}
 	}
-	pg.buildRouting()
-	return pg, nil
+	for i := 0; i < nv; i++ {
+		offsets[i+1] += offsets[i]
+	}
+	refs = make([]MirrorRef, offsets[nv])
+	cursor := slices.Clone(offsets[:nv])
+	for p, part := range parts {
+		if part == nil {
+			continue
+		}
+		for l, gidx := range part.LocalVerts {
+			refs[cursor[gidx]] = MirrorRef{Part: int32(p), Local: int32(l)}
+			cursor[gidx]++
+		}
+	}
+	return offsets, refs
 }

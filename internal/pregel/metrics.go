@@ -24,7 +24,8 @@ func NewPartitionedGraphFromAssignment(a *partition.Assignment, opts BuildOption
 // and the mirror routing CSR encode everything the metrics package would
 // otherwise recompute with a per-vertex replica-bitset scan over all edges
 // (O(|E| + |V|·numParts/64)); here the same numbers fall out of the
-// structure in O(|V| + numParts):
+// structure in O(|V| + numParts), plus the routing CSR's O(|V| + mirrors)
+// build if no earlier reader built it:
 //
 //   - EdgesPerPart / VerticesPerPart are the partition sizes;
 //   - a vertex's replica count is its mirror-routing span, giving
@@ -74,8 +75,9 @@ func (pg *PartitionedGraph) Metrics() *metrics.Result {
 			panic("pregel: block decode failed: " + err.Error())
 		}
 	}
+	offs, _ := pg.routing()
 	for v := 0; v < nv; v++ {
-		replicas := pg.routingOffsets[v+1] - pg.routingOffsets[v]
+		replicas := offs[v+1] - offs[v]
 		switch {
 		case replicas == 1:
 			res.NonCut++

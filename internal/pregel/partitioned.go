@@ -5,8 +5,10 @@
 // edge partitions (GraphX's VertexRDD). Every superstep proceeds in three
 // phases, exactly mirroring GraphX's communication pattern:
 //
-//  1. broadcast: updated master values are shipped to every mirror — this
-//     traffic is what the CommCost metric counts;
+//  1. broadcast: every mirror whose master changed receives the new value —
+//     this traffic is what the CommCost metric counts. Each partition's own
+//     worker pulls the values into its mirror slots at the start of its
+//     compute, so the phase needs no routing table;
 //  2. compute: each partition scans its active triplets in parallel and
 //     combines emitted messages locally per destination vertex;
 //  3. reduce: one partial aggregate per (partition, vertex) is shipped back
@@ -45,8 +47,10 @@
 package pregel
 
 import (
+	"context"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -134,7 +138,8 @@ type BuildOptions struct {
 }
 
 // PartitionedGraph is the topology shared by all jobs: the per-partition
-// edge lists, local vertex tables and the mirror routing table.
+// edge lists and local vertex tables, plus the mirror routing table once a
+// reader asks for it.
 type PartitionedGraph struct {
 	G        *graph.Graph
 	NumParts int
@@ -146,7 +151,12 @@ type PartitionedGraph struct {
 
 	// routingOffsets/routingRefs form a CSR over global dense vertex
 	// indices: mirrors of vertex v are
-	// routingRefs[routingOffsets[v]:routingOffsets[v+1]].
+	// routingRefs[routingOffsets[v]:routingOffsets[v+1]]. No superstep reads
+	// it — mirrors pull their masters' values — so, like the frontier index,
+	// it is built on first use (routing) and counted by MemoryFootprint once
+	// routeBuilt is set.
+	routeOnce      sync.Once
+	routeBuilt     atomic.Bool
 	routingOffsets []int64
 	routingRefs    []MirrorRef
 
@@ -239,10 +249,9 @@ func NewPartitionedGraphOpts(g *graph.Graph, assign []partition.PID, numParts in
 	if err := pg.buildSortScatter(); err != nil {
 		return nil, err
 	}
-	pg.buildRouting()
-	// The frontier index is NOT built here: each partition builds it lazily
-	// on its first sparse scan (ensureFrontierIndex), so dense-only
-	// workloads never hold the extra 8 bytes per edge.
+	// Neither the routing CSR nor the frontier index is built here: both are
+	// built on first use (routing, ensureFrontierIndex), so a run that needs
+	// neither never pays for them.
 	return pg, nil
 }
 
@@ -403,7 +412,7 @@ func (pg *PartitionedGraph) scatterFinish(edgeBuf []localEdge, partStart []int64
 // sorts of the edge positions grouped by local source and by local
 // destination. O(|edges| + |LocalVerts|), no comparison sort. The offset
 // tables double as scatter cursors (shifted one slot during the fill,
-// restored by a final copy-down), as in buildRouting.
+// restored by a final copy-down).
 func buildEdgeIndex(part *Partition) {
 	n := len(part.LocalVerts)
 	m := len(part.edges)
@@ -494,44 +503,73 @@ func (s *localizeScratch) localize(part *Partition, nv int) {
 	}
 }
 
-// buildRouting constructs the topology's mirror routing CSR.
-func (pg *PartitionedGraph) buildRouting() {
-	pg.routingOffsets, pg.routingRefs = routingCSR(pg.G.NumVertices(), pg.Parts)
+// routing returns the mirror routing CSR, building it on first use. Safe for
+// concurrent callers; the tables never change afterwards.
+func (pg *PartitionedGraph) routing() (offsets []int64, refs []MirrorRef) {
+	pg.routeOnce.Do(func() {
+		pg.buildRouting()
+		pg.routeBuilt.Store(true)
+	})
+	return pg.routingOffsets, pg.routingRefs
 }
 
-// routingCSR constructs a mirror routing CSR over nv global dense vertices
-// from the partitions' local vertex tables; nil entries of parts (partitions
-// a distributed worker does not own) contribute nothing. Mirror refs of a
-// vertex are ordered by ascending partition, matching the reference
-// construction. The fill pass uses the offsets themselves as cursors
-// (shifting them one slot, restored by a final copy-down) instead of a
-// separate per-vertex cursor array.
-func routingCSR(nv int, parts []*Partition) (offsets []int64, refs []MirrorRef) {
-	offsets = make([]int64, nv+1)
-	for _, part := range parts {
-		if part == nil {
-			continue
-		}
-		for _, gidx := range part.LocalVerts {
-			offsets[gidx+1]++
+// RoutingBuilt reports whether the mirror routing CSR has been built — by
+// Mirrors, MirrorsOf, TotalMirrors, Metrics or a seeded start's trim; no
+// superstep needs it.
+func (pg *PartitionedGraph) RoutingBuilt() bool { return pg.routeBuilt.Load() }
+
+// buildRouting builds the mirror routing CSR, sharded by global vertex range
+// over Parallelism workers the way the reduce phase splits its merge: a shard
+// finds its range in each partition by binary search (LocalVerts is sorted)
+// and owns the offsets of its range. One pass counts every vertex's mirrors,
+// a prefix sum turns the counts into offsets, and a second pass fills each
+// shard's refs partition by partition — so a vertex's refs ascend by
+// partition — with the shard's offsets as cursors, shifted back after.
+func (pg *PartitionedGraph) buildRouting() {
+	nv := pg.G.NumVertices()
+	shards := max(pg.Parallelism, 1)
+	chunk := (nv + shards - 1) / shards
+	span := func(lv []int32, sh int) (lo, hi int) {
+		lo, _ = slices.BinarySearch(lv, int32(min(sh*chunk, nv)))
+		hi, _ = slices.BinarySearch(lv, int32(min((sh+1)*chunk, nv)))
+		return lo, hi
+	}
+	perShard := func(fn func(sh int)) {
+		if err := par.ForEach(context.Background(), shards, shards, fn); err != nil {
+			panic(err)
 		}
 	}
-	for i := 0; i < nv; i++ {
-		offsets[i+1] += offsets[i]
-	}
-	refs = make([]MirrorRef, offsets[nv])
-	for p, part := range parts {
-		if part == nil {
-			continue
+	offsets := make([]int64, nv+1)
+	perShard(func(sh int) {
+		for _, part := range pg.Parts {
+			lo, hi := span(part.LocalVerts, sh)
+			for _, g := range part.LocalVerts[lo:hi] {
+				offsets[g+1]++
+			}
 		}
-		for l, gidx := range part.LocalVerts {
-			refs[offsets[gidx]] = MirrorRef{Part: int32(p), Local: int32(l)}
-			offsets[gidx]++
-		}
+	})
+	for v := range nv {
+		offsets[v+1] += offsets[v]
 	}
-	copy(offsets[1:], offsets[:nv])
-	offsets[0] = 0
-	return offsets, refs
+	refs := make([]MirrorRef, offsets[nv])
+	perShard(func(sh int) {
+		gLo, gHi := min(sh*chunk, nv), min((sh+1)*chunk, nv)
+		if gLo == gHi {
+			return
+		}
+		start := offsets[gLo]
+		for p, part := range pg.Parts {
+			lo, hi := span(part.LocalVerts, sh)
+			for l := lo; l < hi; l++ {
+				g := part.LocalVerts[l]
+				refs[offsets[g]] = MirrorRef{Part: int32(p), Local: int32(l)}
+				offsets[g]++
+			}
+		}
+		copy(offsets[gLo+1:gHi], offsets[gLo:gHi-1])
+		offsets[gLo] = start
+	})
+	pg.routingOffsets, pg.routingRefs = offsets, refs
 }
 
 // AssignOrder returns the original per-edge partition assignment, aligned
@@ -549,15 +587,16 @@ func (pg *PartitionedGraph) ForEachPartition(fn func(p int)) error { return pg.f
 // Mirrors returns the number of partitions vertex v (global dense index) is
 // replicated into.
 func (pg *PartitionedGraph) Mirrors(v int32) int {
-	return int(pg.routingOffsets[v+1] - pg.routingOffsets[v])
+	offs, _ := pg.routing()
+	return int(offs[v+1] - offs[v])
 }
 
 // MirrorsOf returns the mirrors of global dense vertex v — its row of the
-// routing CSR, ascending by partition. The distributed broadcast path walks
-// it to address mirror updates exactly as the in-process broadcast phase
-// does. Callers must not modify the returned slice.
+// routing CSR, ascending by partition. Callers must not modify the returned
+// slice.
 func (pg *PartitionedGraph) MirrorsOf(v int32) []MirrorRef {
-	return pg.routingRefs[pg.routingOffsets[v]:pg.routingOffsets[v+1]]
+	offs, refs := pg.routing()
+	return refs[offs[v]:offs[v+1]]
 }
 
 // TopologySum content-addresses the partitioned topology: a fold over every
@@ -589,20 +628,25 @@ func (pg *PartitionedGraph) TopologySum() uint64 {
 // TotalMirrors returns the total number of mirror slots across all
 // partitions (= Σ_v Mirrors(v) = metrics CommCost + NonCut).
 func (pg *PartitionedGraph) TotalMirrors() int64 {
-	return int64(len(pg.routingRefs))
+	_, refs := pg.routing()
+	return int64(len(refs))
 }
 
 // MemoryFootprint approximates the bytes the topology alone retains — the
-// shared edge buffer, per-partition mirror tables, the routing CSR, and the
-// lazily built frontier index and triangle plan once they exist — and so
-// grows when the first sparse scan or triangle run builds them; cache layers
-// re-price after a run. What the topology holds together with others is
-// priced by Shares instead: the Graph, the assignment's PID slice, the
-// lineage's parked engine scratch. Mirror tables an ApplyDelta child
-// inherited unchanged are counted by both topologies.
+// shared edge buffer, per-partition mirror tables, and the lazily built
+// routing CSR, frontier index and triangle plan once they exist — and so
+// grows when a first reader builds one of them; cache layers re-price after
+// a run. What the topology holds together with others is priced by Shares
+// instead: the Graph, the assignment's PID slice, the lineage's parked engine
+// scratch. Mirror tables an ApplyDelta child inherited unchanged are counted
+// by both topologies.
 func (pg *PartitionedGraph) MemoryFootprint() int64 {
-	b := int64(len(pg.routingOffsets)) * 8
-	b += int64(len(pg.routingRefs)) * 8
+	var b int64
+	// Routing CSR: an offset per vertex and a ref per mirror, read behind its
+	// flag like the lazy tables below.
+	if pg.routeBuilt.Load() {
+		b += int64(len(pg.routingOffsets))*8 + int64(len(pg.routingRefs))*8
+	}
 	for _, part := range pg.Parts {
 		b += int64(len(part.edges))*8 + int64(len(part.LocalVerts))*4
 		// Frontier index: two position arrays and two offset tables. Built

@@ -29,17 +29,10 @@ type RawTables struct {
 	// LocalVerts; len == NumParts+1.
 	LocalVertsOffsets []int64
 	// LocalVerts is the concatenation of every partition's sorted mirror
-	// table (global dense vertex indices).
+	// table (global dense vertex indices). The mirror routing CSR is a pure
+	// function of these tables, so it is not part of the persisted form: a
+	// restored topology builds it on first use, like any other.
 	LocalVerts []int32
-	// RoutingOffsets/RoutingParts/RoutingLocals form the mirror routing CSR
-	// over global dense vertex indices: mirrors of vertex v are the
-	// (RoutingParts[j], RoutingLocals[j]) pairs for j in
-	// [RoutingOffsets[v], RoutingOffsets[v+1]). The routing CSR is a pure
-	// function of the mirror tables; FromRawTables accepts a nil
-	// RoutingOffsets and derives it (the snapshot codec never persists it).
-	RoutingOffsets []int64
-	RoutingParts   []int32
-	RoutingLocals  []int32
 }
 
 // RawTables flattens the partitioned topology into its persistable form.
@@ -50,9 +43,6 @@ func (pg *PartitionedGraph) RawTables() RawTables {
 		Assign:            append([]partition.PID(nil), pg.assign...),
 		PartStart:         make([]int64, pg.NumParts+1),
 		LocalVertsOffsets: make([]int64, pg.NumParts+1),
-		RoutingOffsets:    append([]int64(nil), pg.routingOffsets...),
-		RoutingParts:      make([]int32, len(pg.routingRefs)),
-		RoutingLocals:     make([]int32, len(pg.routingRefs)),
 	}
 	var ne, nlv int64
 	for p, part := range pg.Parts {
@@ -72,23 +62,16 @@ func (pg *PartitionedGraph) RawTables() RawTables {
 		}
 		copy(rt.LocalVerts[rt.LocalVertsOffsets[p]:], part.LocalVerts)
 	}
-	for j, ref := range pg.routingRefs {
-		rt.RoutingParts[j] = ref.Part
-		rt.RoutingLocals[j] = ref.Local
-	}
 	return rt
 }
 
 // FromRawTables assembles a PartitionedGraph for g from its persisted
 // tables, validating every structural invariant first: PID ranges and
-// per-partition counts against PartStart, offset monotonicity of all three
+// per-partition counts against PartStart, offset monotonicity of both
 // CSR-shaped tables, sorted deduplicated mirror tables with in-range global
-// indices, in-range local edge endpoints, and a routing table that is an
-// exact bijection onto the mirror slots (each ref resolves to a LocalVerts
-// slot holding exactly its vertex, in ascending partition order). Corrupt
-// or forged tables therefore fail loudly instead of producing a
-// wrong-but-plausible topology. The tables are retained (not copied);
-// callers must hand over ownership.
+// indices, and in-range local edge endpoints. Corrupt or forged tables
+// therefore fail loudly instead of producing a wrong-but-plausible topology.
+// The tables are retained (not copied); callers must hand over ownership.
 func FromRawTables(g *graph.Graph, rt RawTables, opts BuildOptions) (*PartitionedGraph, error) {
 	numParts := rt.NumParts
 	if numParts <= 0 {
@@ -148,21 +131,6 @@ func FromRawTables(g *graph.Graph, rt RawTables, opts BuildOptions) (*Partitione
 			}
 		}
 	}
-	// Routing CSR pre-checks (only when one was supplied: a nil
-	// RoutingOffsets means "derive from the mirror tables" below). The
-	// per-ref checks are fused with the routing-table build.
-	if rt.RoutingOffsets != nil {
-		if err := checkOffsets("RoutingOffsets", rt.RoutingOffsets, nv, int64(len(rt.RoutingParts))); err != nil {
-			return nil, err
-		}
-		if len(rt.RoutingParts) != len(rt.RoutingLocals) {
-			return nil, fmt.Errorf("pregel: routing tables disagree: %d parts, %d locals", len(rt.RoutingParts), len(rt.RoutingLocals))
-		}
-		if int64(len(rt.RoutingParts)) != int64(len(rt.LocalVerts)) {
-			return nil, fmt.Errorf("pregel: %d routing refs for %d mirror slots", len(rt.RoutingParts), len(rt.LocalVerts))
-		}
-	}
-
 	workers := opts.Parallelism
 	if workers < 1 {
 		workers = par.DefaultParallelism()
@@ -195,45 +163,9 @@ func FromRawTables(g *graph.Graph, rt RawTables, opts BuildOptions) (*Partitione
 			edges:      edgeBuf[rt.PartStart[p]:rt.PartStart[p+1]:rt.PartStart[p+1]],
 		}
 	}
-	// The frontier index, like the routing CSR below, is derived rather
-	// than persisted: it is a pure function of the (validated) edge tables,
-	// built lazily by the first sparse scan that needs it.
-	// No routing supplied: derive it from the (already validated) mirror
-	// tables — cheaper than validating a persisted copy, and correct by
-	// construction.
-	if rt.RoutingOffsets == nil {
-		pg.buildRouting()
-		return pg, nil
-	}
-	// Assemble the supplied routing table, proving in the same pass that it
-	// is an exact bijection onto the mirror slots: within each vertex's
-	// span the partitions ascend strictly, and every ref resolves to a
-	// LocalVerts slot holding exactly that vertex (with equal totals, that
-	// forces a bijection).
-	refs := make([]MirrorRef, len(rt.RoutingParts))
-	for v := 0; v < nv; v++ {
-		prev := int32(-1)
-		for j := rt.RoutingOffsets[v]; j < rt.RoutingOffsets[v+1]; j++ {
-			p, l := rt.RoutingParts[j], rt.RoutingLocals[j]
-			if p <= prev {
-				return nil, fmt.Errorf("pregel: vertex %d routing refs not strictly ascending by partition", v)
-			}
-			prev = p
-			if int(p) >= numParts {
-				return nil, fmt.Errorf("pregel: vertex %d routed to out-of-range partition %d", v, p)
-			}
-			lo, hi := rt.LocalVertsOffsets[p], rt.LocalVertsOffsets[p+1]
-			if l < 0 || int64(l) >= hi-lo {
-				return nil, fmt.Errorf("pregel: vertex %d routed to out-of-range mirror slot %d of partition %d", v, l, p)
-			}
-			if rt.LocalVerts[lo+int64(l)] != int32(v) {
-				return nil, fmt.Errorf("pregel: vertex %d routing ref resolves to mirror of vertex %d", v, rt.LocalVerts[lo+int64(l)])
-			}
-			refs[j] = MirrorRef{Part: p, Local: l}
-		}
-	}
-	pg.routingOffsets = rt.RoutingOffsets
-	pg.routingRefs = refs
+	// The frontier index and the routing CSR are derived rather than
+	// persisted: pure functions of the (validated) tables, built by their
+	// first reader.
 	return pg, nil
 }
 

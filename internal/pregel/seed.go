@@ -112,7 +112,8 @@ func RunStamped[V, M any](ctx context.Context, pg *PartitionedGraph, prog Progra
 //     live neighbour of equal value and strictly smaller stamp that has not
 //     itself been reset is reset to init (stamp = clock), and its later-stamped
 //     neighbours become suspects in turn. Neighbours are read off pg's
-//     frontier index, which the seeded run needs anyway;
+//     frontier index, which the seeded run needs anyway, through its routing
+//     CSR, which only this trim builds on a streamed generation;
 //   - puts the reset vertices and the endpoints of the appended edges on the
 //     frontier.
 //
@@ -155,23 +156,31 @@ func SeedLabels[V comparable](pg *PartitionedGraph, parent *Answer[V], oldLen in
 		v, _ := slices.BinarySearch(verts, id)
 		return int32(v)
 	}
+	// When the ancestor is g's direct parent, the step that minted g already
+	// resolved the batch's endpoints; the searches are the fallback.
+	step := g.StepFrom(parent.G)
 
 	// Appended since the ancestor and still live: both endpoints are active.
 	if ne := g.NumEdges(); ne > oldLen {
 		dead := g.NumDeadEdges()
 		edges, _ := g.EdgeRange(oldLen, ne)
 		for i, e := range edges {
-			if dead != 0 && !g.EdgeAlive(oldLen+i) {
-				continue
+			switch {
+			case dead != 0 && !g.EdgeAlive(oldLen+i):
+			case step != nil:
+				activate(step.SufSrc[i])
+				activate(step.SufDst[i])
+			default:
+				activate(index(e.Src))
+				activate(index(e.Dst))
 			}
-			activate(index(e.Src))
-			activate(index(e.Dst))
 		}
 	}
 
 	// Retracted since the ancestor: the later-stamped endpoint is a suspect.
 	var suspects []int32
 	oldDead, newDead := parent.G.Tombstones(), g.Tombstones()
+	k := 0 // retracted edges met so far, in position order
 	for w := 0; w<<6 < oldLen && w < len(newDead); w++ {
 		diff := newDead[w]
 		if w < len(oldDead) {
@@ -182,8 +191,14 @@ func SeedLabels[V comparable](pg *PartitionedGraph, parent *Answer[V], oldLen in
 		}
 		edges, _ := g.EdgeRange(w<<6, min(w<<6+64, oldLen))
 		for ; diff != 0; diff &= diff - 1 {
-			e := edges[bits.TrailingZeros64(diff)]
-			a, b := index(e.Src), index(e.Dst)
+			var a, b int32
+			if step != nil && step.RemSrc != nil {
+				a, b = step.RemSrc[k], step.RemDst[k]
+			} else {
+				e := edges[bits.TrailingZeros64(diff)]
+				a, b = index(e.Src), index(e.Dst)
+			}
+			k++
 			switch {
 			case stamps[a] < stamps[b]:
 				suspects = append(suspects, b)
@@ -237,7 +252,7 @@ func SeedLabels[V comparable](pg *PartitionedGraph, parent *Answer[V], oldLen in
 // neighbors yields the other endpoint of every live edge at global dense
 // vertex v, partition by partition through the frontier index (an edge met
 // from both sides, a parallel edge or a self-loop yields its vertex again).
-// The partitions' frontier indexes are built as needed.
+// The partitions' frontier indexes and the routing CSR are built as needed.
 func (pg *PartitionedGraph) neighbors(v int32) iter.Seq[int32] {
 	return func(yield func(int32) bool) {
 		for _, ref := range pg.MirrorsOf(v) {

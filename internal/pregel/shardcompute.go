@@ -60,30 +60,32 @@ type Codec[T any] interface {
 }
 
 // ShardTopology is the immutable half of one worker's shard: the partitions
-// it owns and the mirror routing CSR over them — for every global vertex, its
-// mirror slots in owned partitions only. Built once when a shard is installed
-// or patched and shared by every run on it, as a PartitionedGraph's routing
-// is.
+// it owns and the set of vertices mirrored in them. Built once when a shard
+// is installed or patched and shared by every run on it.
 type ShardTopology struct {
 	verts []graph.VertexID
 	parts []*Partition // by partition index; nil where another worker owns it
 	owned []int        // ascending
 
-	routingOffsets []int64
-	routingRefs    []MirrorRef
+	// mirrored has bit v set when global vertex v has a mirror in an owned
+	// partition: the vertices a broadcast frame may name.
+	mirrored []uint64
 }
 
 // NewShardTopology indexes a worker's owned partitions. verts is the full
 // graph's dense vertex-ID table (local and distributed runs share it via the
 // shard snapshot); parts is indexed by partition, nil where not owned.
 func NewShardTopology(verts []graph.VertexID, parts []*Partition) *ShardTopology {
-	st := &ShardTopology{verts: verts, parts: parts}
+	st := &ShardTopology{verts: verts, parts: parts, mirrored: make([]uint64, (len(verts)+63)/64)}
 	for p, part := range parts {
-		if part != nil {
-			st.owned = append(st.owned, p)
+		if part == nil {
+			continue
+		}
+		st.owned = append(st.owned, p)
+		for _, g := range part.LocalVerts {
+			st.mirrored[g>>6] |= 1 << (uint32(g) & 63)
 		}
 	}
-	st.routingOffsets, st.routingRefs = routingCSR(len(verts), parts)
 	return st
 }
 
@@ -108,24 +110,25 @@ type shardPart[V, M any] struct {
 }
 
 // ShardCompute runs the mirror half of a superstep for one worker's owned
-// partitions — the local engine's phases 1 and 2 restricted to them: fan the
-// changed master values out to their mirror slots through the shard's routing
-// CSR, derive each partition's frontier from the changed-vertex bitset, and
-// scan with the engine's computePart (so edge order — and therefore float64
-// combine order — is byte-identical to the local path), partitions in
-// parallel on as many goroutines as the process can run. Values enter as one
-// vertex frame body, n × (u32 little-endian global dense index, value bytes
-// per the Codec) ascending by index; messages leave as one pair slab per
-// partition, n × (u32 local index, message bytes) ascending by local index —
-// the byte layouts of internal/dist's frames, so nothing is called per pair
-// between the wire and the scan but the Codec.
+// partitions — the local engine's phases 1 and 2 restricted to them: install
+// the changed master values by vertex, then per partition pull them into the
+// mirror slots and derive the frontier with the engine's pullMirrors, and
+// scan with its computePart (so edge order — and therefore float64 combine
+// order — is byte-identical to the local path), partitions in parallel on as
+// many goroutines as the process can run. Values enter as one vertex frame
+// body, n × (u32 little-endian global dense index, value bytes per the Codec)
+// ascending by index; messages leave as one pair slab per partition, n × (u32
+// local index, message bytes) ascending by local index — the byte layouts of
+// internal/dist's frames, so nothing is called per pair between the wire and
+// the scan but the Codec.
 type ShardCompute[V, M any] struct {
 	prog    Program[V, M]
 	topo    *ShardTopology
 	vc      Codec[V]
 	mc      Codec[M]
 	parts   []shardPart[V, M] // by partition index; part == nil where not owned
-	changed []uint64          // changed-vertex bitset, rebuilt per superstep; nil for AllEdges programs
+	master  []V               // master values by global vertex, as the frames left them
+	changed []uint64          // vertices the last frame named
 	workers int
 	scan    func(i int) // scanOwned, bound once so a superstep does not allocate it
 }
@@ -137,18 +140,22 @@ type ShardCompute[V, M any] struct {
 // it — mirror values, combine accumulators, a reduce slab wide enough for a
 // message to every mirror and, for a frontier-driven program, the frontier
 // and edge bitsets — so a run allocates per buffer, not per partition, and a
-// superstep allocates none of them.
+// superstep allocates none of them. The master values and the changed bitset
+// are one slot and one bit per vertex of the graph.
 func NewShardCompute[V, M any](prog Program[V, M], topo *ShardTopology, vc Codec[V], mc Codec[M]) (*ShardCompute[V, M], error) {
 	if err := prog.validate(); err != nil {
 		return nil, err
 	}
 	frontiers := prog.ActiveDirection != AllEdges
+	nv := len(topo.verts)
 	sc := &ShardCompute[V, M]{
 		prog:    prog,
 		topo:    topo,
 		vc:      vc,
 		mc:      mc,
 		parts:   make([]shardPart[V, M], len(topo.parts)),
+		master:  make([]V, nv),
+		changed: make([]uint64, (nv+63)/64),
 		workers: par.DefaultParallelism(),
 	}
 	sc.scan = sc.scanOwned
@@ -164,7 +171,6 @@ func NewShardCompute[V, M any](prog Program[V, M], topo *ShardTopology, vc Codec
 	slabs := make([]byte, mirrors*pairSize)
 	var bitsets []uint64
 	if frontiers {
-		sc.changed = make([]uint64, (len(topo.verts)+63)/64)
 		bitsets = make([]uint64, frontWords+maskWords)
 	}
 	at, bAt := 0, 0
@@ -191,26 +197,22 @@ func NewShardCompute[V, M any](prog Program[V, M], topo *ShardTopology, vc Codec
 	return sc, nil
 }
 
-// fanOutGrain is the fewest pairs worth a goroutine of their own in Ingest:
-// a sparse superstep's handful of changed vertices fans out on the caller's.
-const fanOutGrain = 1024
-
 // Ingest installs one superstep's changed master values from a vertex frame
-// body. The whole body is checked before any mirror is written — whole pairs
-// only, every index inside the vertex table, strictly ascending (so no vertex
-// is named twice and concurrent fan-out never writes one slot from two
-// goroutines) and mirrored in at least one owned partition — so a rejected
-// frame leaves the run's mirror values as they were. Mirror values persist
-// between supersteps (only changed masters are re-sent), matching the
-// engine's scratch semantics. Once ctx is done the fan-out stops and Ingest
-// returns ctx's error.
+// body: each named vertex's value into the run's master table and its bit
+// into the changed set, which the next Scan pulls into the mirror slots. The
+// whole body is checked before anything is written — whole pairs only, every
+// index inside the vertex table, strictly ascending (so no vertex is named
+// twice) and mirrored in at least one owned partition — so a rejected frame
+// leaves the run as it was; so does a ctx already done, whose error Ingest
+// returns. Master values persist between supersteps (only changed masters
+// are re-sent), matching the engine's scratch semantics.
 func (sc *ShardCompute[V, M]) Ingest(ctx context.Context, pairs []byte) error {
 	vc := sc.vc
 	pairSize := 4 + vc.Size()
 	if len(pairs)%pairSize != 0 {
 		return fmt.Errorf("pregel: shard compute: vertex frame body of %d bytes is not a multiple of the %d-byte pair", len(pairs), pairSize)
 	}
-	offs, refs := sc.topo.routingOffsets, sc.topo.routingRefs
+	mirrored := sc.topo.mirrored
 	nv := len(sc.topo.verts)
 	prev := int64(-1)
 	for off := 0; off < len(pairs); off += pairSize {
@@ -220,42 +222,31 @@ func (sc *ShardCompute[V, M]) Ingest(ctx context.Context, pairs []byte) error {
 			return fmt.Errorf("pregel: shard compute: vertex index %d out of range [0,%d)", g, nv)
 		case g <= prev:
 			return fmt.Errorf("pregel: shard compute: vertex index %d after %d, want strictly ascending", g, prev)
-		case offs[g] == offs[g+1]:
+		case mirrored[g>>6]>>(g&63)&1 == 0:
 			return fmt.Errorf("pregel: shard compute: vertex %d has no mirror in a partition owned here", g)
 		}
 		prev = g
 	}
-
-	if sc.changed != nil {
-		clear(sc.changed)
-		for off := 0; off < len(pairs); off += pairSize {
-			g := binary.LittleEndian.Uint32(pairs[off:])
-			sc.changed[g>>6] |= 1 << (g & 63)
-		}
+	if err := ctx.Err(); err != nil {
+		return err
 	}
-	// Fan out in contiguous runs of pairs, one per goroutine: every mirror
-	// slot belongs to exactly one vertex, so no two runs write the same one.
-	n := len(pairs) / pairSize
-	chunks := min(sc.workers, (n+fanOutGrain-1)/fanOutGrain)
-	return par.ForEach(ctx, chunks, chunks, func(c int) {
-		for off, end := c*n/chunks*pairSize, (c+1)*n/chunks*pairSize; off < end; off += pairSize {
-			g := binary.LittleEndian.Uint32(pairs[off:])
-			val := vc.Decode(pairs[off+4 : off+pairSize])
-			for _, ref := range refs[offs[g]:offs[g+1]] {
-				sc.parts[ref.Part].vals[ref.Local] = val
-			}
-		}
-	})
+	clear(sc.changed)
+	for off := 0; off < len(pairs); off += pairSize {
+		g := binary.LittleEndian.Uint32(pairs[off:])
+		sc.changed[g>>6] |= 1 << (g & 63)
+		sc.master[g] = vc.Decode(pairs[off+4 : off+pairSize])
+	}
+	return nil
 }
 
-// Scan runs the compute phase over every owned partition, in parallel:
-// derive the partition's frontier from the changed vertices of the last
-// Ingest exactly as the local engine does, scan it with the engine's shared
-// triplet scan, and encode its combined messages — ascending by local index,
-// the order the reduce frame must preserve so the coordinator's
-// per-destination merges match the local engine's — into the partition's
-// slab. Once ctx is done no further partition is started and Scan returns
-// ctx's error; a panic in the program comes back as an error.
+// Scan runs the compute phase over every owned partition, in parallel: pull
+// the changed master values of the last Ingest into the partition's mirror
+// slots and derive its frontier exactly as the local engine does, scan it
+// with the engine's shared triplet scan, and encode its combined messages —
+// ascending by local index, the order the reduce frame must preserve so the
+// coordinator's per-destination merges match the local engine's — into the
+// partition's slab. Once ctx is done no further partition is started and
+// Scan returns ctx's error; a panic in the program comes back as an error.
 func (sc *ShardCompute[V, M]) Scan(ctx context.Context) error {
 	return par.ForEach(ctx, sc.workers, len(sc.topo.owned), sc.scan)
 }
@@ -263,10 +254,7 @@ func (sc *ShardCompute[V, M]) Scan(ctx context.Context) error {
 // scanOwned is Scan's share for the i-th owned partition.
 func (sc *ShardCompute[V, M]) scanOwned(i int) {
 	sp := &sc.parts[sc.topo.owned[i]]
-	act := 0
-	if sc.changed != nil {
-		act = deriveFrontier(sp.fw, sp.part.LocalVerts, sc.changed)
-	}
+	act, _, _ := pullMirrors(&sc.prog, sp.part.LocalVerts, sp.vals, sc.master, sc.changed, false, sp.fw)
 	em := &sp.em
 	clear(em.has)
 	em.emitted = 0

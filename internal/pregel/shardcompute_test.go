@@ -114,9 +114,10 @@ func TestVertexFrameFanOutMatchesSlabIngest(t *testing.T) {
 }
 
 // TestIngestRejects pins the vertex frame checks — whole pairs, index range,
-// strictly ascending, mirrored on this shard — and that a rejected frame
-// writes no mirror: every hostile body leads with a well-formed pair whose
-// value would show.
+// strictly ascending, mirrored on this shard — and that a rejected frame, or
+// one arriving after the run's context is done, writes nothing: no master
+// value, no changed bit, no mirror. Every hostile body leads with a
+// well-formed pair whose value would show.
 func TestIngestRejects(t *testing.T) {
 	ctx := context.Background()
 	g := randomGraph(5, 40, 200)
@@ -130,7 +131,7 @@ func TestIngestRejects(t *testing.T) {
 	var here []int32 // mirrored on this shard
 	absent := int32(-1)
 	for v := int32(0); v < nv; v++ {
-		if topo.routingOffsets[v] != topo.routingOffsets[v+1] {
+		if topo.mirrored[v>>6]>>(v&63)&1 != 0 {
 			here = append(here, v)
 		} else {
 			absent = v
@@ -159,20 +160,37 @@ func TestIngestRejects(t *testing.T) {
 			return appendPair(slices.Clone(lead), absent, 7)
 		}()},
 	}
-	before := slices.Clone(sc.parts[1].vals)
+	master, changed, mirrors := slices.Clone(sc.master), slices.Clone(sc.changed), slices.Clone(sc.parts[1].vals)
+	unchanged := func() bool {
+		return slices.Equal(sc.master, master) && slices.Equal(sc.changed, changed) && slices.Equal(sc.parts[1].vals, mirrors)
+	}
 	for _, tc := range cases {
 		if err := sc.Ingest(ctx, tc.frame); err == nil {
 			t.Errorf("%s: frame accepted", tc.name)
 		}
-		if !slices.Equal(sc.parts[1].vals, before) {
-			t.Fatalf("%s: a rejected frame wrote mirror values", tc.name)
+		if !unchanged() {
+			t.Fatalf("%s: a rejected frame wrote run state", tc.name)
 		}
+	}
+	done, cancel := context.WithCancel(ctx)
+	cancel()
+	if err := sc.Ingest(done, lead); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Ingest under a cancelled context: %v, want context.Canceled", err)
+	}
+	if !unchanged() {
+		t.Fatal("a frame refused for a cancelled context wrote run state")
 	}
 	if err := sc.Ingest(ctx, lead); err != nil {
 		t.Fatal(err)
 	}
-	if slices.Equal(sc.parts[1].vals, before) {
+	if slices.Equal(sc.master, master) || slices.Equal(sc.changed, changed) {
 		t.Fatal("the well-formed lead pair alone changed nothing: the fixture cannot tell")
+	}
+	if err := sc.Scan(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if slices.Equal(sc.parts[1].vals, mirrors) {
+		t.Fatal("Scan pulled nothing into the mirrors from the lead pair")
 	}
 }
 

@@ -719,11 +719,12 @@ func decodeMetricsContainer(c *Container, g *graph.Graph, wantStrategyKey string
 // little-endian arrays, plus the graph identity. Two things are
 // deliberately not persisted: build options (parallelism, buffer reuse —
 // execution policy, the restoring side applies its own) and the mirror
-// routing CSR, which is a pure function of the mirror tables; deriving it
-// on restore (pregel's buildRouting, O(mirrors), no sort) is cheaper than
-// reading, CRC-checking and validating a persisted copy, and removes a
-// whole class of forgeable tables. strategyKey records the producing
-// strategy's cache identity so decode can reject a relabeled container.
+// routing CSR, which is a pure function of the mirror tables; the restored
+// topology builds it on first use (O(mirrors), no sort, and only if a reader
+// needs it), which is cheaper than reading, CRC-checking and validating a
+// persisted copy, and removes a whole class of forgeable tables. strategyKey
+// records the producing strategy's cache identity so decode can reject a
+// relabeled container.
 func EncodeTopology(pg *pregel.PartitionedGraph, strategyKey string) []byte {
 	rt := pg.RawTables()
 	var meta []byte
@@ -828,7 +829,5 @@ func decodeTopologyContainer(c *Container, g *graph.Graph, wantStrategyKey strin
 	if serr != nil {
 		return nil, serr
 	}
-	// Routing tables are left nil: FromRawTables derives the routing CSR
-	// from the validated mirror tables.
 	return pregel.FromRawTables(g, rt, opts)
 }

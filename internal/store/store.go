@@ -616,13 +616,17 @@ func (st *Store) builtViaDelta(g *graph.Graph, s partition.Strategy, numParts in
 
 // metricsViaDelta derives g's metric set from its built topology — exact
 // (O(|V| + parts)) and far cheaper than the replica-bitset scan — when the
-// topology is already cached for g or derivable from a cached ancestor.
+// topology is already cached for g or derivable from a cached ancestor. The
+// metrics read the topology's routing CSR, which the first reader builds, so
+// the topology's entry is re-priced afterwards.
 func (st *Store) metricsViaDelta(g *graph.Graph, s partition.Strategy, numParts int) (*metrics.Result, bool) {
 	// A topology already cached for g answers exactly, delta or not — not
 	// counted as DeltaDerived, since no chain was crossed.
 	k := st.keyFor(g, s, numParts, kindBuilt)
 	if v, ok := st.peek(k); ok {
-		return v.(*pregel.PartitionedGraph).Metrics(), true
+		m := v.(*pregel.PartitionedGraph).Metrics()
+		st.reprice(k)
+		return m, true
 	}
 	if !extendable(s) {
 		return nil, false
@@ -637,7 +641,9 @@ func (st *Store) metricsViaDelta(g *graph.Graph, s partition.Strategy, numParts 
 	// Not counted as DeltaDerived here: Built's own derivation already
 	// counted if (and only if) the topology really came through the chain
 	// rather than a full-rebuild fallback.
-	return pg.Metrics(), true
+	m := pg.Metrics()
+	st.reprice(k)
+	return m, true
 }
 
 // AnswerBase finds the nearest ancestor of g, along the recorded delta chain

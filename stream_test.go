@@ -154,11 +154,13 @@ func TestStoreBoundsLiveHeap(t *testing.T) {
 // partitions, how many gained or lost an edge in a generation step, and in
 // what share of those a mirror entered or left the table before its end —
 // which shifts every later local index, so the span cannot be patched by
-// appending to it either. Counted off the clock.
+// appending to it either. routed/op is how many of a cycle's two generations
+// ended up with a routing CSR: only a retraction's seeded trim walks one, so
+// an append half that built one fails the benchmark. Counted off the clock.
 func BenchmarkStreamCycle(b *testing.B) {
 	base := liveHeap()
 	r := newStreamRig(b, 15, 64<<20)
-	var steps, touched, shifted int
+	var steps, touched, shifted, routed int
 	r.spans = func(parent, child *cutfit.Graph) {
 		b.StopTimer()
 		defer b.StartTimer()
@@ -171,6 +173,12 @@ func BenchmarkStreamCycle(b *testing.B) {
 			b.Fatal(err)
 		}
 		steps++
+		if cpg.RoutingBuilt() {
+			routed++
+			if child.NumEdges() > parent.NumEdges() {
+				b.Errorf("step %d appended and built its routing CSR: no reader of an append step should need one", steps)
+			}
+		}
 		pv, cv := parent.Vertices(), child.Vertices()
 		for p, cp := range cpg.Parts {
 			pp := ppg.Parts[p]
@@ -203,7 +211,33 @@ func BenchmarkStreamCycle(b *testing.B) {
 	}
 	b.ReportMetric(float64(touched)/float64(steps), "parts_touched/step")
 	b.ReportMetric(float64(shifted)/float64(max(touched, 1)), "midtable_frac")
+	b.ReportMetric(float64(routed)/float64(b.N), "routed/op")
 	runtime.KeepAlive(r)
+}
+
+// TestAppendStepLeavesRoutingUnbuilt: an append step and its seeded cc run
+// leave the child topology without a routing CSR — the patch does not build
+// one and no superstep reads one — while the first reader that wants it still
+// gets it.
+func TestAppendStepLeavesRoutingUnbuilt(t *testing.T) {
+	r := newStreamRig(t, 11, 64<<20)
+	grown, err := r.se.AppendEdges(r.cur, r.batch(r.cycle))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := r.run(grown); !rep.Seeded {
+		t.Fatal("cc on the appended generation did not start from its parent's answer")
+	}
+	pg, err := r.se.Partition(grown, r.s, streamRigParts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pg.RoutingBuilt() {
+		t.Fatal("an append step plus its seeded cc built the child's routing CSR")
+	}
+	if pg.TotalMirrors() == 0 || !pg.RoutingBuilt() {
+		t.Fatal("TotalMirrors did not build the routing CSR")
+	}
 }
 
 // TestConcurrentLineage: eight goroutines append to, retract from and run cc
