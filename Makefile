@@ -54,7 +54,8 @@ lint: vet
 # delta-append path (root equivalence suite, graph generations, store
 # chain, topology patching; generations extending one shared edge array and
 # runs reviving one lineage's scratch, from eight goroutines at once; first
-# readers of a patched topology's lazy routing CSR racing runs on it), the
+# readers of a patched topology's lazy routing CSR racing runs on it; a patch
+# carrying a parent's frontier index while a run is building it), the
 # persistence layer (snap codecs, disk tier spill/restore, warm-start
 # handlers), the distributed runtime (coordinator/worker exchange over
 # loopback sockets, equivalence and failure suites, hostile step frames, a
@@ -79,7 +80,8 @@ race:
 	$(GO) test -race -cpu 1,4 ./internal/par/... ./internal/pregel/... ./internal/dist/... ./internal/core/... ./internal/metrics/...
 
 # Hot-path benchmarks: partition construction (old vs new, and across
-# dataset analogs × strategies), the sparse-frontier scan payoff,
+# dataset analogs × strategies), the sparse-frontier scan payoff, an append
+# step's carried frontier index against the counting sort it replaces,
 # per-superstep allocation footprint, the single-pass selection pipeline,
 # the compact worker sweep (w1 against wmax: the inline multi-core scaling
 # signal), the two loaders (text ingest, snapshot restore against rebuild),
@@ -91,7 +93,7 @@ race:
 # message). For profiles and per-operation costs; a speed claim cites a
 # BENCHMARK.json metric from `make benchmark` instead.
 bench:
-	$(GO) test -run='^$$' -bench='BenchmarkPartitionBuild|BenchmarkSparseFrontier' -benchmem ./internal/pregel/
+	$(GO) test -run='^$$' -bench='BenchmarkPartitionBuild|BenchmarkSparseFrontier|BenchmarkCarryFrontierIndex' -benchmem ./internal/pregel/
 	$(GO) test -run='^$$' -bench='BenchmarkDistRun' -benchmem ./internal/dist/
 	$(GO) test -run='^$$' -bench='BenchmarkPartitionBuild|BenchmarkSuperstepAllocs|BenchmarkSelectEmpirically|BenchmarkMeasureThenRun|BenchmarkTriangleCount|BenchmarkScalingSweep|BenchmarkReadEdgeList|BenchmarkTailorCold|BenchmarkRestoreVsRebuild|BenchmarkStreamCycle|BenchmarkServedSSSP' -benchmem .
 
@@ -110,8 +112,10 @@ bench-scale-xl:
 # One-iteration pass over the concurrent-serving benchmarks: fast enough
 # for CI, still executes the pooled/fresh and hit/miss paths end to end.
 # Then ten stream-update cycles, which fail unless both cc runs of a cycle
-# start from the parent generation's answer (seeded/op ≥ 1.9), or when an
-# append half builds a routing CSR (routed/op counts the generations that did).
+# start from the parent generation's answer (seeded/op ≥ 1.9), when an
+# append half builds a routing CSR (routed/op counts the generations that did),
+# or when an append half builds a frontier index its parent's could have been
+# carried into (index_built/op and index_carried/op count both ways).
 bench-smoke:
 	$(GO) test -run='^$$' -bench='BenchmarkConcurrentRuns|BenchmarkSessionCache' -benchtime=1x -benchmem .
 	$(GO) test -run='^$$' -bench='BenchmarkStreamCycle$$' -benchtime=10x -benchmem .

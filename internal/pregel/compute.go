@@ -15,11 +15,11 @@ import (
 //
 // fw is the partition's frontier bitset (bit l set ⇔ local vertex l's
 // master changed last round) and act its popcount; both are ignored for
-// AllEdges programs. mask is the sparse path's candidate-edge bitmap
-// scratch; it may be nil (allocated on first sparse use) and the returned
-// slice must be kept by the caller for reuse. The mask is all-zero on
+// AllEdges programs. mask is the sparse path's candidate-edge bitmap, one
+// bit per edge, all-zero on entry — the caller's scratch, fitted to the
+// partition (engineScratch.fit, NewShardCompute) — and all-zero again on
 // return (the scan clears words as it consumes them).
-func computePart[V, M any](prog *Program[V, M], part *Partition, verts []graph.VertexID, pv []V, fw []uint64, act int, mask []uint64, em *partEmitter[M]) (nScan, nVisited int64, cost float64, maskOut []uint64) {
+func computePart[V, M any](prog *Program[V, M], part *Partition, verts []graph.VertexID, pv []V, fw []uint64, act int, mask []uint64, em *partEmitter[M]) (nScan, nVisited int64, cost float64) {
 	dir := prog.ActiveDirection
 	lv := part.LocalVerts
 	edges := part.edges
@@ -43,7 +43,7 @@ func computePart[V, M any](prog *Program[V, M], part *Partition, verts []graph.V
 				cost += edgeCost(&t)
 			}
 		}
-		return nScan, int64(len(edges)), unitCost(edgeCost, nScan, cost), mask
+		return nScan, int64(len(edges)), unitCost(edgeCost, nScan, cost)
 	}
 
 	sparse := prog.ScanPolicy == ScanSparse ||
@@ -80,7 +80,7 @@ func computePart[V, M any](prog *Program[V, M], part *Partition, verts []graph.V
 				cost += edgeCost(&t)
 			}
 		}
-		return nScan, int64(len(edges)), unitCost(edgeCost, nScan, cost), mask
+		return nScan, int64(len(edges)), unitCost(edgeCost, nScan, cost)
 	}
 
 	// Sparse scan. Gather: walk the frontier index of each live vertex
@@ -93,9 +93,6 @@ func computePart[V, M any](prog *Program[V, M], part *Partition, verts []graph.V
 	// message merges combine in the same sequence and results stay
 	// bit-identical.
 	part.ensureFrontierIndex()
-	if mask == nil {
-		mask = make([]uint64, (len(edges)+63)/64)
-	}
 	gather := func(off, pos []int32) {
 		for wi, w := range fw {
 			if w == 0 {
@@ -148,7 +145,7 @@ func computePart[V, M any](prog *Program[V, M], part *Partition, verts []graph.V
 			}
 		}
 	}
-	return nScan, nVisited, unitCost(edgeCost, nScan, cost), mask
+	return nScan, nVisited, unitCost(edgeCost, nScan, cost)
 }
 
 // unitCost is the scan's summed edge cost: the accumulated sum when the

@@ -44,7 +44,10 @@ import (
 // run again; the assignment's PID array; every partition's mirror table
 // that the step left unchanged (counted by both MemoryFootprints). Edge
 // buffers are the derived topology's own, and so are the lazily built
-// tables (routing CSR, frontier index, triangle plan).
+// tables (routing CSR, frontier index, triangle plan). A partition the step
+// appended to without retracting from it, whose parent already holds a
+// frontier index, gets its own index at once, carried from the parent's by
+// run copies (carryFrontierIndex) rather than left to a counting sort.
 //
 // Cost: O(|E|) straight copies and merges plus O(|delta| log |delta|)
 // sorting of the suffix endpoints — no per-partition endpoint re-sort, no
@@ -150,15 +153,19 @@ func (pg *PartitionedGraph) ApplyDelta(a *partition.Assignment, remap []int32) (
 	npg.Parts = parts
 	err = pg.forEachPart(func(p int) {
 		old := pg.Parts[p]
-		var rm []int32
-		if removed != nil {
-			rm = removed[p]
+		np := &Partition{edges: edgeBuf[partStart[p]:partStart[p+1]:partStart[p+1]]}
+		if removed != nil && len(removed[p]) != 0 {
+			// Retracting shifts every later edge position, and remapping them
+			// all costs about what the counting sort does: the child builds
+			// its frontier index lazily, like every other construction path.
+			np.LocalVerts = patchPartitionRetract(old, np.edges, remap, removed[p])
+		} else {
+			var freshAt []int32
+			np.LocalVerts, freshAt = patchPartition(old, np.edges, remap)
+			if old.frontierBuilt.Load() {
+				np.carryFrontierIndex(old, freshAt)
+			}
 		}
-		span := edgeBuf[partStart[p]:partStart[p+1]:partStart[p+1]]
-		np := &Partition{LocalVerts: patchPartition(old, span, remap, rm), edges: span}
-		// The frontier index is a pure function of the patched edge list, so
-		// it is not patched: the fresh partition rebuilds it lazily on its
-		// first sparse scan, like every other construction path.
 		parts[p] = np
 	})
 	if err != nil {
@@ -247,8 +254,9 @@ func retractionPositions(pg *PartitionedGraph, ng *graph.Graph, oldLen int) ([][
 	return removed, nil
 }
 
-// patchPartition derives one partition of the advanced topology and returns
-// its new LocalVerts table:
+// patchPartition derives one partition of the advanced topology on a step
+// that retracted none of its edges, and returns its new LocalVerts table and
+// the new local indices of the mirrors the step added (see mergedMirrors):
 //
 //  1. the old LocalVerts table is remapped to grown-graph dense indices
 //     (remapping is monotone, so the table stays sorted);
@@ -260,16 +268,10 @@ func retractionPositions(pg *PartitionedGraph, ng *graph.Graph, oldLen int) ([][
 //  4. the staged suffix edges (global indices) are rewritten in place to
 //     local indices by binary search, as in the full build.
 //
-// removed lists the positions (ascending, in old.edges) of the edges this
-// step retracted; a non-empty list takes the retraction path, which also
-// drops mirrors left with no referencing edge. It is called per partition
-// on the worker pool; span is the partition's region of the new shared edge
-// buffer, whose tail holds the staged suffix.
-func patchPartition(old *Partition, span []localEdge, remap, removed []int32) []int32 {
-	if len(removed) != 0 {
-		return patchPartitionRetract(old, span, remap, removed)
-	}
-	merged, shift := mergedMirrors(old, span, remap)
+// It is called per partition on the worker pool; span is the partition's
+// region of the new shared edge buffer, whose tail holds the staged suffix.
+func patchPartition(old *Partition, span []localEdge, remap []int32) (merged, freshAt []int32) {
+	merged, shift, freshAt := mergedMirrors(old, span, remap)
 	oldEdges := old.edges
 	if shift == nil {
 		copy(span, oldEdges)
@@ -284,7 +286,81 @@ func patchPartition(old *Partition, span []localEdge, remap, removed []int32) []
 		dst, _ := slices.BinarySearch(merged, e.dst)
 		span[j] = localEdge{src: int32(src), dst: int32(dst)}
 	}
-	return merged
+	return merged, freshAt
+}
+
+// carryFrontierIndex gives np, which patchPartition derived from old, old's
+// frontier index carried over instead of a counting sort. freshAt lists the
+// new local indices of the mirrors the step added, ascending. Nothing was
+// retracted, so old edge j is still edge j, and old locals keep their order
+// with the fresh mirrors slotted in between: every group of the child is its
+// old local's group, unchanged, followed by the batch's positions (all ≥
+// len(old.edges), so ascending after it), and a fresh mirror's group is batch
+// positions only. One pass over the new locals writes the offsets; each run
+// of old locals up to the next fresh mirror or batch edge costs one copy of
+// the parent's positions. The result equals buildEdgeIndex on np. old's index
+// must be built.
+func (np *Partition) carryFrontierIndex(old *Partition, freshAt []int32) {
+	base := len(old.edges)
+	srcKeys := make([]uint64, 0, len(np.edges)-base)
+	dstKeys := make([]uint64, 0, len(np.edges)-base)
+	for j, e := range np.edges[base:] {
+		srcKeys = append(srcKeys, uint64(e.src)<<32|uint64(base+j))
+		dstKeys = append(dstKeys, uint64(e.dst)<<32|uint64(base+j))
+	}
+	// One allocation holds all four tables.
+	n, m := len(np.LocalVerts), len(np.edges)
+	buf := make([]int32, 2*(n+1)+2*m)
+	np.frontierOnce.Do(func() {
+		np.srcOff, np.srcPos = buf[:n+1:n+1], buf[n+1:n+1+m:n+1+m]
+		np.dstOff, np.dstPos = buf[n+1+m:2*(n+1)+m:2*(n+1)+m], buf[2*(n+1)+m:]
+		carryGroups(np.srcOff, np.srcPos, old.srcOff, old.srcPos, freshAt, srcKeys)
+		carryGroups(np.dstOff, np.dstPos, old.dstOff, old.dstPos, freshAt, dstKeys)
+	})
+	np.frontierBuilt.Store(true)
+	mFrontierCarried.Inc()
+}
+
+// carryGroups is one direction of carryFrontierIndex: it fills the child's
+// off and pos from oldOff/oldPos, the parent's CSR, and keys, the batch edges
+// as (new local << 32 | position).
+func carryGroups(off, pos, oldOff, oldPos, freshAt []int32, keys []uint64) {
+	slices.Sort(keys)
+	n := len(off) - 1
+	var d int32 // batch positions placed so far
+	l, k, f := 0, 0, 0
+	for L := 0; L < n; L++ {
+		// New locals L … next-1 are old locals l, l+1, …: nothing was
+		// inserted among them and none has a batch edge.
+		next := n
+		if k < len(keys) {
+			next = int(keys[k] >> 32)
+		}
+		fresh := f < len(freshAt) && int(freshAt[f]) <= next
+		if fresh {
+			next = int(freshAt[f])
+			f++
+		}
+		r := l + next - L
+		dst, src := off[L+1:next+1], oldOff[l+1:r+1]
+		for i, o := range src {
+			dst[i] = o + d
+		}
+		// An old local with batch edges ends the run: the same copy takes its
+		// old group along.
+		if L = next; L < n && !fresh {
+			r++
+		}
+		copy(pos[oldOff[l]+d:], oldPos[oldOff[l]:oldOff[r]])
+		if l = r; L == n {
+			break
+		}
+		for ; k < len(keys) && int(keys[k]>>32) == L; k++ {
+			pos[oldOff[l]+d] = int32(uint32(keys[k]))
+			d++
+		}
+		off[L+1] = oldOff[l] + d
+	}
 }
 
 // patchPartitionRetract is the retraction path of patchPartition: drop the
@@ -398,13 +474,14 @@ func patchPartitionRetract(old *Partition, span []localEdge, remap, removed []in
 	return merged
 }
 
-// mergedMirrors computes the partition's new sorted mirror table and, when
-// mirrors were inserted (not just appended), the per-old-local-index shift
-// (shift[l] = number of new mirrors inserted before old entry l). A nil
+// mergedMirrors computes the partition's new sorted mirror table, the new
+// local indices of the mirrors it inserted (ascending; nil when none) and,
+// when mirrors were inserted (not just appended), the per-old-local-index
+// shift (shift[l] = number of new mirrors inserted before old entry l). A nil
 // shift means old local indices are unchanged. The remap of the old table
 // to grown-graph dense indices is fused into the merge/copy passes, so the
 // only allocations are the outputs themselves.
-func mergedMirrors(old *Partition, span []localEdge, remap []int32) (merged []int32, shift []int32) {
+func mergedMirrors(old *Partition, span []localEdge, remap []int32) (merged, shift, freshAt []int32) {
 	lv := old.LocalVerts
 	// at maps an old-table entry to grown-graph dense indexing. Remapping
 	// is monotone, so the remapped view of lv is still sorted and can be
@@ -440,13 +517,13 @@ func mergedMirrors(old *Partition, span []localEdge, remap []int32) (merged []in
 	if len(fresh) == 0 {
 		if remap == nil {
 			// Nothing inserted, nothing remapped: share the old table.
-			return old.LocalVerts, nil
+			return old.LocalVerts, nil, nil
 		}
 		merged = make([]int32, len(lv))
 		for i := range lv {
 			merged[i] = remap[lv[i]]
 		}
-		return merged, nil
+		return merged, nil, nil
 	}
 	slices.Sort(fresh)
 	fresh = slices.Compact(fresh)
@@ -461,7 +538,10 @@ func mergedMirrors(old *Partition, span []localEdge, remap []int32) (merged []in
 			}
 		}
 		copy(merged[len(lv):], fresh)
-		return merged, nil
+		for j := range fresh {
+			fresh[j] = int32(len(lv) + j)
+		}
+		return merged, nil, fresh
 	}
 	shift = make([]int32, len(lv))
 	i, j, k := 0, 0, 0
@@ -472,9 +552,10 @@ func mergedMirrors(old *Partition, span []localEdge, remap []int32) (merged []in
 			i++
 		} else {
 			merged[k] = fresh[j]
+			fresh[j] = int32(k) // consumed: now its local index
 			j++
 		}
 		k++
 	}
-	return merged, shift
+	return merged, shift, fresh
 }

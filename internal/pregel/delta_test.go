@@ -17,10 +17,48 @@ func deltaEdges(seed int64, nv, ne int) []graph.Edge {
 	return edges
 }
 
+// deltaStep patches pg to na. With indexParent it first builds every
+// partition's frontier index, so that ApplyDelta carries it; either way it
+// checks that exactly the partitions whose parent held an index and which
+// the step retracted nothing from come out indexed, carried rather than
+// built.
+func deltaStep(t testing.TB, pg *PartitionedGraph, na *partition.Assignment, remap []int32, indexParent bool) *PartitionedGraph {
+	t.Helper()
+	if indexParent {
+		for _, part := range pg.Parts {
+			part.ensureFrontierIndex()
+		}
+	}
+	removed, err := retractionPositions(pg, na.G, len(pg.assign))
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, carried := mFrontierBuilt.Value(), mFrontierCarried.Value()
+	child, err := pg.ApplyDelta(na, remap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for p, part := range child.Parts {
+		carry := pg.Parts[p].frontierBuilt.Load() && (removed == nil || len(removed[p]) == 0)
+		if carry {
+			want++
+		}
+		if got := part.frontierBuilt.Load(); got != carry {
+			t.Fatalf("partition %d: indexed=%v after ApplyDelta, want %v", p, got, carry)
+		}
+	}
+	if b, c := mFrontierBuilt.Value()-built, mFrontierCarried.Value()-carried; b != 0 || c != int64(want) {
+		t.Fatalf("ApplyDelta counted %d built and %d carried indexes, want 0 and %d", b, c, want)
+	}
+	return child
+}
+
 // buildDelta assigns base, grows it by suffix, extends the assignment and
-// patches the topology; it returns the patched and the from-scratch
-// topologies of the grown graph for comparison.
-func buildDelta(t testing.TB, s partition.Strategy, base, suffix []graph.Edge, numParts, par int) (patched, rebuilt *PartitionedGraph) {
+// patches the topology — after indexing the parent's partitions, when
+// indexParent is set, so the patch carries their indexes; it returns the
+// patched and the from-scratch topologies of the grown graph for comparison.
+func buildDelta(t testing.TB, s partition.Strategy, base, suffix []graph.Edge, numParts, par int, indexParent bool) (patched, rebuilt *PartitionedGraph) {
 	t.Helper()
 	g := graph.FromEdges(append([]graph.Edge(nil), base...))
 	a, err := partition.Assign(g, s, numParts)
@@ -40,10 +78,7 @@ func buildDelta(t testing.TB, s partition.Strategy, base, suffix []graph.Edge, n
 	if err != nil {
 		t.Fatal(err)
 	}
-	patched, err = pg.ApplyDelta(na, remap)
-	if err != nil {
-		t.Fatal(err)
-	}
+	patched = deltaStep(t, pg, na, remap, indexParent)
 	rebuilt, err = NewPartitionedGraphFromAssignment(na, BuildOptions{Parallelism: par})
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +88,8 @@ func buildDelta(t testing.TB, s partition.Strategy, base, suffix []graph.Edge, n
 
 // TestApplyDeltaMatchesFullBuild proves the patched topology is
 // structurally identical — partitions, local vertex tables, edge order,
-// routing — to a from-scratch build of the grown graph.
+// frontier index, routing — to a from-scratch build of the grown graph,
+// whether the patch carried the parent's frontier index or left it lazy.
 func TestApplyDeltaMatchesFullBuild(t *testing.T) {
 	strategies := append(partition.Extended(), partition.Hybrid(8))
 	cases := []struct {
@@ -71,9 +107,11 @@ func TestApplyDeltaMatchesFullBuild(t *testing.T) {
 			for _, s := range strategies {
 				for _, numParts := range []int{1, 7, 32} {
 					for _, par := range []int{1, 4} {
-						patched, rebuilt := buildDelta(t, s, tc.base, tc.suffix, numParts, par)
-						if err := checkEquivalent(rebuilt, patched); err != nil {
-							t.Fatalf("%s parts=%d par=%d: %v", s.Name(), numParts, par, err)
+						for _, indexed := range []bool{false, true} {
+							patched, rebuilt := buildDelta(t, s, tc.base, tc.suffix, numParts, par, indexed)
+							if err := checkEquivalent(rebuilt, patched); err != nil {
+								t.Fatalf("%s parts=%d par=%d indexed=%v: %v", s.Name(), numParts, par, indexed, err)
+							}
 						}
 					}
 				}
@@ -170,9 +208,12 @@ func FuzzApplyDelta(f *testing.F) {
 				Dst: graph.VertexID(r.Intn(3 * nv)),
 			}
 		}
-		patched, rebuilt := buildDelta(t, s, base, suffix, numParts, 1+r.Intn(4))
-		if err := checkEquivalent(rebuilt, patched); err != nil {
-			t.Fatalf("%s parts=%d: %v", s.Name(), numParts, err)
+		par := 1 + r.Intn(4)
+		for _, indexed := range []bool{false, true} {
+			patched, rebuilt := buildDelta(t, s, base, suffix, numParts, par, indexed)
+			if err := checkEquivalent(rebuilt, patched); err != nil {
+				t.Fatalf("%s parts=%d indexed=%v: %v", s.Name(), numParts, indexed, err)
+			}
 		}
 	})
 }

@@ -689,7 +689,7 @@ func localSuperstep[V, M any](ctx context.Context, pg *PartitionedGraph, prog *P
 		fw := sc.frontier[p] // nil for an AllEdges program
 		act, msgs, bytes := pullMirrors(prog, part.LocalVerts, sc.vals[p], sc.masterVals, sc.changedBits, fill, fw)
 		sc.bMsgs[p], sc.bBytes[p] = msgs, bytes
-		nScan, nVisited, cost, _ := computePart(prog, part, verts, sc.vals[p], fw, act, sc.edgeMask[p], em)
+		nScan, nVisited, cost := computePart(prog, part, verts, sc.vals[p], fw, act, sc.edgeMask[p], em)
 		scanned[p] = nScan
 		emitted[p] = em.emitted
 		visited[p] = nVisited
@@ -712,7 +712,8 @@ func localSuperstep[V, M any](ctx context.Context, pg *PartitionedGraph, prog *P
 	// Phase 3: reduce. One partial aggregate per (partition, vertex)
 	// ships to the master. Shard by global vertex ranges: LocalVerts
 	// is sorted, so each shard binary-searches its subrange in every
-	// partition; shards own disjoint ranges, so merging is race-free.
+	// partition; shards own disjoint ranges, so merging is race-free. A
+	// partition that emitted nothing has no has-flag set and is skipped.
 	rMsgs := sc.rMsgs
 	rBytes := sc.rBytes
 	for sh := 0; sh < shards; sh++ {
@@ -728,6 +729,9 @@ func localSuperstep[V, M any](ctx context.Context, pg *PartitionedGraph, prog *P
 			}
 			var msgs, bytes int64
 			for p := 0; p < numParts; p++ {
+				if emitted[p] == 0 {
+					continue
+				}
 				lv := pg.Parts[p].LocalVerts
 				has := msgHas[p]
 				acc := msgAcc[p]
@@ -759,11 +763,14 @@ func localSuperstep[V, M any](ctx context.Context, pg *PartitionedGraph, prog *P
 		ss.ReduceBytes += rBytes[sh]
 	}
 
-	// Clear per-partition accumulators for the next round. (The frontier
-	// bitsets are rebuilt word-by-word each compute phase and the edge
-	// bitmaps self-clear during the scan, so neither needs a pass here.)
+	// Clear per-partition accumulators for the next round, where anything
+	// was emitted. (The frontier bitsets are rebuilt word-by-word each
+	// compute phase and the edge bitmaps self-clear during the scan, so
+	// neither needs a pass here.)
 	if err := pg.forEachPart(func(p int) {
-		clear(msgHas[p])
+		if emitted[p] != 0 {
+			clear(msgHas[p])
+		}
 	}); err != nil {
 		return fmt.Errorf("pregel: superstep %d: %w", step, err)
 	}

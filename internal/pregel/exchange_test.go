@@ -106,7 +106,7 @@ func (ref *slabRef[V, M]) computeRef(p int) (ComputeStats, []byte, int) {
 	em := &sp.em
 	clear(em.has)
 	em.emitted = 0
-	nScan, nVisited, cost, _ := computePart(&ref.sc.prog, sp.part, ref.sc.topo.verts, sp.vals, ref.fw[p], ref.act[p], sp.mask, em)
+	nScan, nVisited, cost := computePart(&ref.sc.prog, sp.part, ref.sc.topo.verts, sp.vals, ref.fw[p], ref.act[p], sp.mask, em)
 	var slab []byte
 	n := 0
 	for l, ok := range em.has {

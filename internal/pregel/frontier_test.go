@@ -206,7 +206,7 @@ func frontierTopologies(t testing.TB, base []graph.Edge, s partition.Strategy, n
 		t.Fatal(err)
 	}
 
-	grown, _ := buildDelta(t, s, base, deltaEdges(23, 2*len(base)/3, len(base)/8+4), numParts, par)
+	grown, _ := buildDelta(t, s, base, deltaEdges(23, 2*len(base)/3, len(base)/8+4), numParts, par, false)
 
 	r := rand.New(rand.NewSource(31))
 	batch := retractBatch(r, g, len(base)/10+1)

@@ -6,8 +6,15 @@ import "cutfit/internal/obsv"
 // registry at package init. Per-run aggregates stay in RunStats (the
 // structured return value); these series are the process-wide streaming
 // view: superstep latency and active-edge distributions across every
-// run in the process, plus scratch-pool effectiveness.
+// run in the process, plus scratch-pool effectiveness and how partitions
+// got their frontier index.
 var (
+	mFrontierIndex = obsv.Default.CounterVec("cutfit_pregel_frontier_index_total",
+		"Partition frontier indexes made, by how: built by a counting sort, or carried from an append-only parent's.",
+		"how")
+	mFrontierBuilt   = mFrontierIndex.With("built")
+	mFrontierCarried = mFrontierIndex.With("carried")
+
 	hSuperstepSeconds = obsv.Default.Histogram("cutfit_pregel_superstep_seconds",
 		"Wall time of one full BSP superstep (broadcast, compute, reduce, apply).",
 		obsv.DefBuckets)

@@ -82,11 +82,14 @@ type Partition struct {
 	// edge, so it is built lazily on the first sparse scan that needs it
 	// (frontierOnce) — dense-only workloads such as full PageRank supersteps
 	// never pay for it — and never changes afterwards: it is a pure function
-	// of the edge list, which is immutable once the partition is built.
+	// of the edge list, which is immutable once the partition is built. The
+	// one exception to lazy: ApplyDelta derives an append-only child's index
+	// from its parent's when the parent has one (carryFrontierIndex), and
+	// hands the child over with frontierOnce already done.
 	srcOff, srcPos []int32
 	dstOff, dstPos []int32
 	frontierOnce   sync.Once
-	frontierBuilt  atomic.Bool // for lock-free footprint accounting only
+	frontierBuilt  atomic.Bool // set once the index is readable; lock-free footprint and carry checks
 }
 
 // ensureFrontierIndex builds the partition's frontier index on first use.
@@ -96,6 +99,7 @@ func (p *Partition) ensureFrontierIndex() {
 	p.frontierOnce.Do(func() {
 		buildEdgeIndex(p)
 		p.frontierBuilt.Store(true)
+		mFrontierBuilt.Inc()
 	})
 }
 
@@ -517,6 +521,18 @@ func (pg *PartitionedGraph) routing() (offsets []int64, refs []MirrorRef) {
 // Mirrors, MirrorsOf, TotalMirrors, Metrics or a seeded start's trim; no
 // superstep needs it.
 func (pg *PartitionedGraph) RoutingBuilt() bool { return pg.routeBuilt.Load() }
+
+// FrontierIndexes reports how many partitions hold a frontier index, built
+// by a sparse scan or a seeded start's trim, or carried over by ApplyDelta.
+func (pg *PartitionedGraph) FrontierIndexes() int {
+	n := 0
+	for _, part := range pg.Parts {
+		if part.frontierBuilt.Load() {
+			n++
+		}
+	}
+	return n
+}
 
 // buildRouting builds the mirror routing CSR, sharded by global vertex range
 // over Parallelism workers the way the reduce phase splits its merge: a shard

@@ -86,7 +86,7 @@ func TestShardTopologyMirroredSet(t *testing.T) {
 func TestRoutingConcurrentFirstUse(t *testing.T) {
 	s := partition.EdgePartition2D()
 	for _, par := range []int{1, 4} {
-		patched, rebuilt := buildDelta(t, s, deltaEdges(31, 90, 1500), deltaEdges(32, 120, 200), 8, par)
+		patched, rebuilt := buildDelta(t, s, deltaEdges(31, 90, 1500), deltaEdges(32, 120, 200), 8, par, false)
 		want := rebuilt.Metrics()
 		wantRanks, wantStats, err := Run(context.Background(), rebuilt, pagerankProgram(rebuilt))
 		if err != nil {

@@ -111,17 +111,20 @@ func RunStamped[V, M any](ctx context.Context, pg *PartitionedGraph, prog Progra
 //     stamps the later-stamped endpoint is a suspect; a suspect left with no
 //     live neighbour of equal value and strictly smaller stamp that has not
 //     itself been reset is reset to init (stamp = clock), and its later-stamped
-//     neighbours become suspects in turn. Neighbours are read off pg's
-//     frontier index, which the seeded run needs anyway, through its routing
-//     CSR, which only this trim builds on a streamed generation;
-//   - puts the reset vertices and the endpoints of the appended edges on the
-//     frontier.
+//     neighbours become suspects in turn. The retracted edges' suspects are
+//     checked on every core before the serial worklist takes the unsupported
+//     ones. Neighbours are read off pg's frontier index, which the seeded run
+//     needs anyway, through its routing CSR, which only this trim builds on a
+//     streamed generation;
+//   - puts the reset vertices, and both endpoints of every appended edge
+//     whose endpoints' values disagree, on the frontier.
 //
 // Afterwards every value is still the initial value of a vertex in the same
 // component of pg.G (the stamp invariant holds over the live edges), and an
-// edge whose endpoints disagree was appended or touches a reset vertex — so it
-// touches the frontier, and propagation from here reaches the same fixpoint
-// as from superstep 0.
+// edge whose endpoints disagree was appended disagreeing or touches a reset
+// vertex — so it touches the frontier, and propagation from here reaches the
+// same fixpoint as from superstep 0. An edge whose endpoints agree sends
+// nothing in a label-propagation program, so it needs no frontier.
 func SeedLabels[V comparable](pg *PartitionedGraph, parent *Answer[V], oldLen int, remap []int32, init func(graph.VertexID) V) (*Start[V], error) {
 	if parent.Clock >= maxSeedClock {
 		return nil, ErrStampClock
@@ -160,19 +163,25 @@ func SeedLabels[V comparable](pg *PartitionedGraph, parent *Answer[V], oldLen in
 	// resolved the batch's endpoints; the searches are the fallback.
 	step := g.StepFrom(parent.G)
 
-	// Appended since the ancestor and still live: both endpoints are active.
+	// Appended since the ancestor and still live: an edge whose endpoints
+	// disagree puts both on the frontier. One whose endpoints agree sends
+	// nothing; should the trim below reset an endpoint, the reset activates it.
 	if ne := g.NumEdges(); ne > oldLen {
 		dead := g.NumDeadEdges()
 		edges, _ := g.EdgeRange(oldLen, ne)
 		for i, e := range edges {
-			switch {
-			case dead != 0 && !g.EdgeAlive(oldLen+i):
-			case step != nil:
-				activate(step.SufSrc[i])
-				activate(step.SufDst[i])
-			default:
-				activate(index(e.Src))
-				activate(index(e.Dst))
+			if dead != 0 && !g.EdgeAlive(oldLen+i) {
+				continue
+			}
+			var a, b int32
+			if step != nil {
+				a, b = step.SufSrc[i], step.SufDst[i]
+			} else {
+				a, b = index(e.Src), index(e.Dst)
+			}
+			if vals[a] != vals[b] {
+				activate(a)
+				activate(b)
 			}
 		}
 	}
@@ -220,29 +229,49 @@ func SeedLabels[V comparable](pg *PartitionedGraph, parent *Answer[V], oldLen in
 	// from then on: never reset twice, and no support for a neighbour (whose
 	// value it could only share by having been that value's root, and roots
 	// are never suspects' victims — nothing is stamped earlier than they are).
-	for len(suspects) > 0 {
-		v := suspects[len(suspects)-1]
-		suspects = suspects[:len(suspects)-1]
+	unsupported := func(v int32) bool {
 		val, stamp := vals[v], stamps[v]
-		own := init(verts[v])
-		if val == own {
-			continue
+		if val == init(verts[v]) {
+			return false
 		}
-		supported := false
 		for u := range pg.neighbors(v) {
 			if vals[u] == val && stamps[u] < stamp {
-				supported = true
-				break
+				return false
 			}
 		}
-		if supported {
+		return true
+	}
+	// The initial suspects are checked on every core: nothing is reset yet,
+	// so the checks only read. Only the unsupported ones enter the worklist.
+	// A reset only takes support away, and it pushes every later-stamped
+	// neighbour of equal value — every vertex it could have supported — so
+	// the worklist still reaches the one set of vertices left unsupported.
+	keep := make([]bool, len(suspects))
+	if err := pg.forEachShard(len(suspects), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			keep[i] = unsupported(suspects[i])
+		}
+	}); err != nil {
+		return nil, err
+	}
+	work := suspects[:0]
+	for i, v := range suspects {
+		if keep[i] {
+			work = append(work, v)
+		}
+	}
+	for len(work) > 0 {
+		v := work[len(work)-1]
+		work = work[:len(work)-1]
+		if !unsupported(v) {
 			continue
 		}
-		vals[v], stamps[v] = own, clock
+		val, stamp := vals[v], stamps[v]
+		vals[v], stamps[v] = init(verts[v]), clock
 		activate(v)
 		for u := range pg.neighbors(v) {
 			if vals[u] == val && stamps[u] > stamp {
-				suspects = append(suspects, u)
+				work = append(work, u)
 			}
 		}
 	}

@@ -225,3 +225,216 @@ func TestSeededRunStopsWhenCancelled(t *testing.T) {
 			got, scanWorkers*edgesPerPart, len(edges))
 	}
 }
+
+// TestSeededAppendActivatesOnlyDisagreeingEdges: a batch whose every edge
+// joins two vertices already in one component changes no label, so the
+// seeded start has an empty frontier and the run takes no superstep. A batch
+// edge joining two components puts exactly its two endpoints on the frontier.
+func TestSeededAppendActivatesOnlyDisagreeingEdges(t *testing.T) {
+	var base []graph.Edge
+	for v := graph.VertexID(0); v < 40; v++ {
+		if v != 19 {
+			base = append(base, graph.Edge{Src: v, Dst: v + 1}) // paths 0..19 and 20..40
+		}
+	}
+	g := graph.FromEdges(base)
+	s := partition.EdgePartition2D()
+	a, err := partition.Assign(g, s, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg, err := NewPartitionedGraphFromAssignment(a, BuildOptions{Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ans, _, err := RunStamped(context.Background(), pg, ccTestProgram(ScanAuto), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		batch  []graph.Edge
+		active []int32 // dense indices; the vertex IDs are 0..40
+	}{
+		{[]graph.Edge{{Src: 0, Dst: 19}, {Src: 12, Dst: 3}, {Src: 40, Dst: 25}, {Src: 30, Dst: 30}}, nil},
+		{[]graph.Edge{{Src: 5, Dst: 7}, {Src: 33, Dst: 2}, {Src: 21, Dst: 39}}, []int32{2, 33}},
+	} {
+		ng, d := g.Grow(tc.batch)
+		npg, _, _, stats := seededStep(t, pg, a, s, ans, ng, d)
+		start, err := SeedLabels(npg, ans, d.OldLen, nil, ccTestProgram(ScanAuto).Init)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var active []int32
+		for v := range int32(ng.NumVertices()) {
+			if start.Active[v>>6]>>(v&63)&1 != 0 {
+				active = append(active, v)
+			}
+		}
+		if !slices.Equal(active, tc.active) {
+			t.Fatalf("batch %v: seeded frontier %v, want %v", tc.batch, active, tc.active)
+		}
+		if len(tc.active) == 0 && stats.NumSupersteps() != 0 {
+			t.Fatalf("batch %v changes no label, but the seeded run took %d supersteps", tc.batch, stats.NumSupersteps())
+		}
+	}
+}
+
+// seedLabelsSerial is the trim SeedLabels replaced, kept as its reference: a
+// serial worklist over every suspect, with neighbours read off g's live edge
+// list rather than the topology. The reset set does not depend on the order
+// the worklist takes, so its Start must equal SeedLabels' exactly.
+func seedLabelsSerial(g *graph.Graph, parent *Answer[int64], oldLen int, remap []int32, init func(graph.VertexID) int64) *Start[int64] {
+	verts := g.Vertices()
+	nv := len(verts)
+	st := &Start[int64]{Vals: make([]int64, nv), Stamps: make([]uint32, nv), Active: make([]uint64, (nv+63)/64), Clock: parent.Clock}
+	vals, stamps := st.Vals, st.Stamps
+	for v, id := range verts {
+		vals[v], stamps[v] = init(id), parent.Clock
+	}
+	for old := range parent.Vals {
+		v := old
+		if remap != nil {
+			v = int(remap[old])
+		}
+		vals[v], stamps[v] = parent.Vals[old], parent.Stamps[old]
+	}
+	activate := func(v int32) { st.Active[v>>6] |= 1 << (uint32(v) & 63) }
+	src, dst := g.EdgeEndpointIndices()
+	adj := make([][]int32, nv)
+	var suspects []int32
+	for i := range src {
+		a, b := src[i], dst[i]
+		switch {
+		case g.EdgeAlive(i):
+			adj[a], adj[b] = append(adj[a], b), append(adj[b], a)
+			if i >= oldLen && vals[a] != vals[b] {
+				activate(a)
+				activate(b)
+			}
+		case i < oldLen && parent.G.EdgeAlive(i) && stamps[a] < stamps[b]:
+			suspects = append(suspects, b)
+		case i < oldLen && parent.G.EdgeAlive(i) && stamps[b] < stamps[a]:
+			suspects = append(suspects, a)
+		}
+	}
+	for len(suspects) > 0 {
+		v := suspects[len(suspects)-1]
+		suspects = suspects[:len(suspects)-1]
+		val, stamp, own := vals[v], stamps[v], init(verts[v])
+		if val == own || slices.ContainsFunc(adj[v], func(u int32) bool { return vals[u] == val && stamps[u] < stamp }) {
+			continue
+		}
+		vals[v], stamps[v] = own, parent.Clock
+		activate(v)
+		for _, u := range adj[v] {
+			if vals[u] == val && stamps[u] > stamp {
+				suspects = append(suspects, u)
+			}
+		}
+	}
+	return st
+}
+
+// TestSeedLabelsTrimMatchesSerial: the Start SeedLabels returns — values,
+// stamps and frontier — is the same at Parallelism 1 and 4 and equals the
+// serial reference's, on the retraction shapes of the root package's
+// TestSeededRetractionShapes: after the retraction, and after the retracted
+// edges come back.
+func TestSeedLabelsTrimMatchesSerial(t *testing.T) {
+	E := func(a, b int) graph.Edge { return graph.Edge{Src: graph.VertexID(a), Dst: graph.VertexID(b)} }
+	path := func(lo, hi int) (es []graph.Edge) {
+		for v := lo; v < hi; v++ {
+			if v%2 == 0 {
+				es = append(es, E(v, v+1))
+			} else {
+				es = append(es, E(v+1, v))
+			}
+		}
+		return es
+	}
+	clique := func(lo, n int) (es []graph.Edge) {
+		for a := lo; a < lo+n; a++ {
+			for b := a + 1; b < lo+n; b++ {
+				es = append(es, E(b, a))
+			}
+		}
+		return es
+	}
+	star := func(hub, lo, hi int) (es []graph.Edge) {
+		for v := lo; v <= hi; v++ {
+			es = append(es, E(hub, v))
+		}
+		return es
+	}
+	shapes := []struct {
+		name           string
+		edges, retract []graph.Edge
+	}{
+		{"path cut in the middle", path(0, 40), []graph.Edge{E(20, 21)}},
+		{"ring cut once", append(path(0, 40), E(40, 0)), []graph.Edge{E(20, 21)}},
+		{"ring cut twice", append(path(0, 40), E(40, 0)), []graph.Edge{E(20, 21), E(6, 7)}},
+		{"star losing hub edges", star(100, 1, 40), []graph.Edge{E(100, 1), E(100, 2), E(100, 17), E(100, 40)}},
+		{"two cliques and a bridge", append(append(clique(0, 6), clique(10, 6)...), E(12, 3)), []graph.Edge{E(12, 3)}},
+		{"one of two parallel edges", append(path(0, 30), E(10, 11), E(14, 15)), []graph.Edge{E(10, 11), E(14, 15)}},
+		{"self-loops", append(path(0, 30), E(5, 5), E(5, 5), E(0, 0), E(29, 29)), []graph.Edge{E(5, 5), E(0, 0), E(6, 5)}},
+		{"minimum vertex cut off", path(0, 40), []graph.Edge{E(0, 1)}},
+		{"minimum vertex cut off a ring", append(path(0, 40), E(40, 0)), []graph.Edge{E(0, 1), E(40, 0)}},
+		{"pendant endpoint left isolated", append(path(0, 30), E(50, 10)), []graph.Edge{E(50, 10)}},
+		{"tree under the cut", append(append(path(0, 20), star(10, 21, 30)...), star(25, 31, 40)...), []graph.Edge{E(10, 25)}},
+	}
+	s := partition.EdgePartition2D()
+	init := ccTestProgram(ScanAuto).Init
+	for _, sh := range shapes {
+		for _, parts := range []int{1, 4} {
+			g := graph.FromEdges(sh.edges)
+			a, err := partition.Assign(g, s, parts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pg, err := NewPartitionedGraphFromAssignment(a, BuildOptions{Parallelism: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ans, _, err := RunStamped(context.Background(), pg, ccTestProgram(ScanAuto), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cut, dCut, err := g.Shrink(sh.retract)
+			if err != nil {
+				t.Fatal(err)
+			}
+			back, dBack := cut.Grow(sh.retract)
+			for step, d := range []graph.Delta{dCut, dBack} {
+				ng := []*graph.Graph{cut, back}[step]
+				remap, err := graph.RemapVertices(d.OldVerts, ng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				na, err := a.Extend(ng, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				npg, err := pg.ApplyDelta(na, remap)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := seedLabelsSerial(ng, ans, d.OldLen, remap, init)
+				for _, par := range []int{1, 4} {
+					npg.Parallelism = par
+					got, err := SeedLabels(npg, ans, d.OldLen, remap, init)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(got.Vals, want.Vals) || !slices.Equal(got.Stamps, want.Stamps) ||
+						!slices.Equal(got.Active, want.Active) || got.Clock != want.Clock {
+						t.Fatalf("%s/%d parts, step %d, parallelism %d: seeded start differs from the serial trim's", sh.name, parts, step, par)
+					}
+				}
+				if ans, _, err = RunStamped(context.Background(), npg, ccTestProgram(ScanAuto), want); err != nil {
+					t.Fatal(err)
+				}
+				g, a, pg = ng, na, npg
+			}
+		}
+	}
+}

@@ -258,7 +258,7 @@ func (sc *ShardCompute[V, M]) scanOwned(i int) {
 	em := &sp.em
 	clear(em.has)
 	em.emitted = 0
-	nScan, nVisited, cost, _ := computePart(&sc.prog, sp.part, sc.topo.verts, sp.vals, sp.fw, act, sp.mask, em)
+	nScan, nVisited, cost := computePart(&sc.prog, sp.part, sc.topo.verts, sp.vals, sp.fw, act, sp.mask, em)
 	sp.stats = ComputeStats{Scanned: nScan, Visited: nVisited, Emitted: em.emitted, Cost: cost}
 
 	slab, n := sp.slab[:0], 0

@@ -362,7 +362,7 @@ func TestTopologySumOncePerTopology(t *testing.T) {
 		t.Fatalf("second TopologySum re-hashed the topology: %016x then %016x", sum, again)
 	}
 
-	patched, rebuilt := buildDelta(t, s, base, suffix, 4, 1)
+	patched, rebuilt := buildDelta(t, s, base, suffix, 4, 1, false)
 	if patched.TopologySum() == sum {
 		t.Fatal("patched generation has its base's topology sum")
 	}

@@ -67,10 +67,9 @@ func TestApplyDeltaShrinkMatchesFullBuild(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					patched, err := pg.ApplyDelta(na, remap)
-					if err != nil {
-						t.Fatal(err)
-					}
+					// Odd steps index the parent first: partitions the step
+					// retracted nothing from carry it.
+					patched := deltaStep(t, pg, na, remap, step%2 == 1)
 					rebuilt, err := NewPartitionedGraphFromAssignment(na, BuildOptions{Parallelism: 4})
 					if err != nil {
 						t.Fatal(err)
@@ -142,47 +141,50 @@ func TestApplyDeltaShrinkDropsOrphanMirrors(t *testing.T) {
 
 // TestApplyDeltaSlideWindowMatchesFullBuild: one generation step that both
 // appends a suffix and expires the oldest live prefix must patch to exactly
-// the rebuilt topology.
+// the rebuilt topology — with the parent indexed, partitions the expiry
+// missed carry their index and the others rebuild it lazily (deltaStep
+// checks which is which).
 func TestApplyDeltaSlideWindowMatchesFullBuild(t *testing.T) {
 	strategies := append(partition.Extended(), partition.Hybrid(8))
 	base := deltaEdges(13, 60, 600)
 	suffix := deltaEdges(14, 90, 80)
 	for _, s := range strategies {
 		t.Run(s.Name(), func(t *testing.T) {
-			g := graph.FromEdges(append([]graph.Edge(nil), base...))
-			a, err := partition.Assign(g, s, 16)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pg, err := NewPartitionedGraphFromAssignment(a, BuildOptions{Parallelism: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ng, d, err := g.SlideWindow(append([]graph.Edge(nil), suffix...), nil, 120)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d.Compacted {
-				t.Fatal("unexpected compaction")
-			}
-			na, err := a.Extend(ng, s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			remap, err := graph.RemapVertices(d.OldVerts, ng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			patched, err := pg.ApplyDelta(na, remap)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rebuilt, err := NewPartitionedGraphFromAssignment(na, BuildOptions{Parallelism: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := checkEquivalent(rebuilt, patched); err != nil {
-				t.Fatalf("%s: %v", s.Name(), err)
+			for _, expire := range []int{6, 120} {
+				for _, indexed := range []bool{false, true} {
+					g := graph.FromEdges(append([]graph.Edge(nil), base...))
+					a, err := partition.Assign(g, s, 16)
+					if err != nil {
+						t.Fatal(err)
+					}
+					pg, err := NewPartitionedGraphFromAssignment(a, BuildOptions{Parallelism: 4})
+					if err != nil {
+						t.Fatal(err)
+					}
+					ng, d, err := g.SlideWindow(append([]graph.Edge(nil), suffix...), nil, expire)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if d.Compacted {
+						t.Fatal("unexpected compaction")
+					}
+					na, err := a.Extend(ng, s)
+					if err != nil {
+						t.Fatal(err)
+					}
+					remap, err := graph.RemapVertices(d.OldVerts, ng)
+					if err != nil {
+						t.Fatal(err)
+					}
+					patched := deltaStep(t, pg, na, remap, indexed)
+					rebuilt, err := NewPartitionedGraphFromAssignment(na, BuildOptions{Parallelism: 4})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := checkEquivalent(rebuilt, patched); err != nil {
+						t.Fatalf("%s expire=%d indexed=%v: %v", s.Name(), expire, indexed, err)
+					}
+				}
 			}
 		})
 	}
@@ -252,16 +254,16 @@ func FuzzApplyShrink(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		patched, err := pg.ApplyDelta(na, remap)
-		if err != nil {
-			t.Fatal(err)
-		}
 		rebuilt, err := NewPartitionedGraphFromAssignment(na, BuildOptions{Parallelism: 1 + r.Intn(4)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := checkEquivalent(rebuilt, patched); err != nil {
-			t.Fatalf("%s parts=%d: %v", s.Name(), numParts, err)
+		// Lazy first, then carried from the parent indexed in between.
+		for _, indexed := range []bool{false, true} {
+			patched := deltaStep(t, pg, na, remap, indexed)
+			if err := checkEquivalent(rebuilt, patched); err != nil {
+				t.Fatalf("%s parts=%d indexed=%v: %v", s.Name(), numParts, indexed, err)
+			}
 		}
 	})
 }

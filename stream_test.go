@@ -9,6 +9,7 @@ import (
 
 	"cutfit"
 	"cutfit/internal/gen"
+	"cutfit/internal/obsv"
 )
 
 // streamRig is a caching Session driven the way the benchmark's
@@ -156,11 +157,19 @@ func TestStoreBoundsLiveHeap(t *testing.T) {
 // which shifts every later local index, so the span cannot be patched by
 // appending to it either. routed/op is how many of a cycle's two generations
 // ended up with a routing CSR: only a retraction's seeded trim walks one, so
-// an append half that built one fails the benchmark. Counted off the clock.
+// an append half that built one fails the benchmark. index_built/op and
+// index_carried/op count the partition frontier indexes a cycle built by
+// counting sort and carried from the parent's
+// (cutfit_pregel_frontier_index_total): an append step must carry every
+// index its parent holds, so one that built more than its parent's unindexed
+// partitions account for fails the benchmark. Counted off the clock.
 func BenchmarkStreamCycle(b *testing.B) {
 	base := liveHeap()
 	r := newStreamRig(b, 15, 64<<20)
+	frontier := obsv.Default.CounterVec("cutfit_pregel_frontier_index_total", "", "how")
+	built, carried := frontier.With("built"), frontier.With("carried")
 	var steps, touched, shifted, routed int
+	var idxBuilt, idxCarried, lastBuilt, lastCarried int64
 	r.spans = func(parent, child *cutfit.Graph) {
 		b.StopTimer()
 		defer b.StartTimer()
@@ -179,6 +188,12 @@ func BenchmarkStreamCycle(b *testing.B) {
 				b.Errorf("step %d appended and built its routing CSR: no reader of an append step should need one", steps)
 			}
 		}
+		nb, nc := built.Value()-lastBuilt, carried.Value()-lastCarried
+		idxBuilt, idxCarried = idxBuilt+nb, idxCarried+nc
+		if unindexed := streamRigParts - ppg.FrontierIndexes(); child.NumEdges() > parent.NumEdges() && nb > int64(unindexed) {
+			b.Errorf("step %d appended to a parent with %d unindexed partitions and built %d frontier indexes: an indexed parent's were not carried", steps, unindexed, nb)
+		}
+		lastBuilt, lastCarried = built.Value(), carried.Value()
 		pv, cv := parent.Vertices(), child.Vertices()
 		for p, cp := range cpg.Parts {
 			pp := ppg.Parts[p]
@@ -195,6 +210,7 @@ func BenchmarkStreamCycle(b *testing.B) {
 		}
 	}
 	seeded := r.se.CacheStats().Seeded
+	lastBuilt, lastCarried = built.Value(), carried.Value()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -212,6 +228,8 @@ func BenchmarkStreamCycle(b *testing.B) {
 	b.ReportMetric(float64(touched)/float64(steps), "parts_touched/step")
 	b.ReportMetric(float64(shifted)/float64(max(touched, 1)), "midtable_frac")
 	b.ReportMetric(float64(routed)/float64(b.N), "routed/op")
+	b.ReportMetric(float64(idxBuilt)/float64(b.N), "index_built/op")
+	b.ReportMetric(float64(idxCarried)/float64(b.N), "index_carried/op")
 	runtime.KeepAlive(r)
 }
 
