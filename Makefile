@@ -53,8 +53,7 @@ lint: vet
 # slides and re-registrations racing runs, advise and metrics), the
 # delta-append path (root equivalence suite, graph generations, store
 # chain, topology patching; generations extending one shared edge array and
-# runs reviving one lineage's scratch, from eight goroutines at once; first
-# readers of a patched topology's lazy routing CSR racing runs on it; a patch
+# runs reviving one lineage's scratch, from eight goroutines at once; a patch
 # carrying a parent's frontier index while a run is building it), the
 # persistence layer (snap codecs, disk tier spill/restore, warm-start
 # handlers), the distributed runtime (coordinator/worker exchange over
@@ -112,10 +111,9 @@ bench-scale-xl:
 # One-iteration pass over the concurrent-serving benchmarks: fast enough
 # for CI, still executes the pooled/fresh and hit/miss paths end to end.
 # Then ten stream-update cycles, which fail unless both cc runs of a cycle
-# start from the parent generation's answer (seeded/op ≥ 1.9), when an
-# append half builds a routing CSR (routed/op counts the generations that did),
-# or when an append half builds a frontier index its parent's could have been
-# carried into (index_built/op and index_carried/op count both ways).
+# start from the parent generation's answer (seeded/op ≥ 1.9), or when an
+# append half builds a frontier index its parent's could have been carried
+# into (index_built/op and index_carried/op count both ways).
 bench-smoke:
 	$(GO) test -run='^$$' -bench='BenchmarkConcurrentRuns|BenchmarkSessionCache' -benchtime=1x -benchmem .
 	$(GO) test -run='^$$' -bench='BenchmarkStreamCycle$$' -benchtime=10x -benchmem .

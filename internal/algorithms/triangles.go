@@ -73,8 +73,9 @@ func TriangleCount(ctx context.Context, pg *pregel.PartitionedGraph) ([]int64, *
 
 	// Broadcast phase accounting: each mirror receives its vertex's full
 	// neighbor set (16 bytes header + 4 bytes per neighbor).
+	reps := pg.ReplicaCounts()
 	for v := int32(0); v < int32(nv); v++ {
-		m := int64(pg.Mirrors(v))
+		m := int64(reps[v])
 		ss.BroadcastMsgs += m
 		ss.BroadcastBytes += m * (16 + 4*int64(len(g.UndirectedNeighbors(v))))
 	}
@@ -142,8 +143,7 @@ func TriangleCount(ctx context.Context, pg *pregel.PartitionedGraph) ([]int64, *
 	// more than the fixed-size aggregation of PageRank-like algorithms;
 	// cutVertexReductionUnits captures that fixed overhead per cut vertex.
 	var applyUnits float64
-	for v := int32(0); v < int32(nv); v++ {
-		m := pg.Mirrors(v)
+	for _, m := range reps {
 		applyUnits += float64(m)
 		if m > 1 {
 			applyUnits += cutVertexReductionUnits

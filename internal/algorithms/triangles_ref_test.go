@@ -80,8 +80,9 @@ func triangleCountRef(pg *pregel.PartitionedGraph) ([]int64, *pregel.RunStats, e
 		ComputePerPart: make([]float64, numParts),
 		ApplyPerShard:  make([]float64, 1),
 	}
+	reps := pg.ReplicaCounts()
 	for v := int32(0); v < int32(nv); v++ {
-		m := int64(pg.Mirrors(v))
+		m := int64(reps[v])
 		ss.BroadcastMsgs += m
 		ss.BroadcastBytes += m * (16 + 4*int64(len(nbr[v])))
 	}
@@ -126,8 +127,7 @@ func triangleCountRef(pg *pregel.PartitionedGraph) ([]int64, *pregel.RunStats, e
 		}
 	}
 	var applyUnits float64
-	for v := int32(0); v < int32(nv); v++ {
-		m := pg.Mirrors(v)
+	for _, m := range reps {
 		applyUnits += float64(m)
 		if m > 1 {
 			applyUnits += cutVertexReductionUnits

@@ -114,7 +114,9 @@ type exchanger[V, M any] struct {
 	// mirrored[w] is the set of vertices with at least one mirror in a
 	// partition worker w owns, as a bitset over global dense indices: ANDed
 	// with the frontier it is exactly what w's broadcast frame must carry.
+	// replicas[v] is how many partitions, on any worker, mirror vertex v.
 	mirrored [][]uint64
+	replicas []int32
 
 	// Scratch reused across supersteps: the broadcast frames, each worker's
 	// reduce frame (read into the same storage every superstep), the reduce
@@ -140,6 +142,7 @@ func newExchanger[V, M any](pool *Pool, pg *pregel.PartitionedGraph, runID strin
 		vc:       vc,
 		mc:       mc,
 		mirrored: make([][]uint64, W),
+		replicas: make([]int32, pg.G.NumVertices()),
 		frames:   make([][]byte, W),
 		replies:  make([][]byte, W),
 		sections: make([]reduceSection, pg.NumParts),
@@ -156,6 +159,7 @@ func newExchanger[V, M any](pool *Pool, pg *pregel.PartitionedGraph, runID strin
 		m := ex.mirrored[workerOf(p, W)]
 		for _, v := range part.LocalVerts {
 			m[v>>6] |= 1 << (uint32(v) & 63)
+			ex.replicas[v]++
 		}
 	}
 	return ex
@@ -191,14 +195,15 @@ func (ex *exchanger[V, M]) encodeBroadcast(w, step int, changed []uint64, master
 
 // countBroadcast charges the superstep what the paper's CommCost counts and
 // the local broadcast phase would have: one message per mirror of every
-// changed vertex, whichever partition and worker holds it. The mirror counts
-// come from the routing offsets; the wire carries each vertex once per worker.
+// changed vertex, whichever partition and worker holds it. The replica counts
+// come from the pass that built the mirrored sets; the wire carries each
+// vertex once per worker.
 func (ex *exchanger[V, M]) countBroadcast(changed []uint64, masterVals []V, ss *pregel.SuperstepStats) {
 	for wi, c := range changed {
 		for c != 0 {
 			v := int32(wi<<6 + bits.TrailingZeros64(c))
 			c &= c - 1
-			mirrors := int64(ex.pg.Mirrors(v))
+			mirrors := int64(ex.replicas[v])
 			ss.BroadcastMsgs += mirrors
 			ss.BroadcastBytes += mirrors * int64(ex.prog.StateSize(masterVals[v]))
 		}

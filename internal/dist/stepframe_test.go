@@ -97,8 +97,16 @@ func newStepRig(tb testing.TB) *stepRig {
 	}
 	r.serves(tb)
 	r.key = shardKey(pg.G, pg.TopologySum(), pg.NumParts, 0, 2)
+	onWorker0 := func(v int32) bool {
+		for p, part := range pg.Parts {
+			if _, ok := slices.BinarySearch(part.LocalVerts, v); ok && workerOf(p, 2) == 0 {
+				return true
+			}
+		}
+		return false
+	}
 	for v := int32(0); int(v) < g.NumVertices(); v++ {
-		if slices.ContainsFunc(pg.MirrorsOf(v), func(ref pregel.MirrorRef) bool { return workerOf(int(ref.Part), 2) == 0 }) {
+		if onWorker0(v) {
 			r.here = append(r.here, v)
 		} else {
 			r.absent = v

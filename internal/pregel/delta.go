@@ -32,9 +32,8 @@ import (
 // The derived topology is structurally identical to what
 // NewPartitionedGraphFromAssignment would build from scratch — same
 // per-partition edge order (global edge order within each partition), same
-// sorted LocalVerts tables, hence the same routing CSR once a reader builds
-// it — so engine runs and derived metrics are bit-for-bit equal to the full
-// rebuild. The receiver is only read, never mutated: in-flight runs on the
+// sorted LocalVerts tables, hence the same replica counts — so engine runs
+// and derived metrics are bit-for-bit equal to the full rebuild. The receiver is only read, never mutated: in-flight runs on the
 // old topology are unaffected.
 //
 // What the two topologies share, and who is charged (see Shares): the
@@ -44,7 +43,7 @@ import (
 // run again; the assignment's PID array; every partition's mirror table
 // that the step left unchanged (counted by both MemoryFootprints). Edge
 // buffers are the derived topology's own, and so are the lazily built
-// tables (routing CSR, frontier index, triangle plan). A partition the step
+// tables (frontier index, triangle plan). A partition the step
 // appended to without retracting from it, whose parent already holds a
 // frontier index, gets its own index at once, carried from the parent's by
 // run copies (carryFrontierIndex) rather than left to a counting sort.

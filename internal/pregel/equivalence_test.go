@@ -11,7 +11,7 @@ import (
 
 // checkEquivalent compares two partitioned representations structurally:
 // same partitions, same local vertex tables, same local edges in the same
-// order, same mirror routing.
+// order, same replica counts.
 func checkEquivalent(a, b *PartitionedGraph) error {
 	if a.NumParts != b.NumParts {
 		return fmt.Errorf("NumParts %d != %d", a.NumParts, b.NumParts)
@@ -47,29 +47,27 @@ func checkEquivalent(a, b *PartitionedGraph) error {
 			return fmt.Errorf("partition %d: destination frontier index differs", p)
 		}
 	}
-	// The routing CSR is built lazily too: force both, and hold each to the
-	// serial reference construction over its own mirror tables.
 	for _, pg := range []*PartitionedGraph{a, b} {
-		if err := checkRouting(pg); err != nil {
+		if err := checkReplicas(pg); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// checkRouting builds pg's routing CSR through an accessor and requires it
-// to equal routingCSR over pg's mirror tables.
-func checkRouting(pg *PartitionedGraph) error {
-	pg.TotalMirrors()
-	if !pg.RoutingBuilt() {
-		return fmt.Errorf("TotalMirrors left the routing CSR unbuilt")
+// checkReplicas requires pg's ReplicaCounts to equal replicaCountsRef over
+// pg's mirror tables, and TotalMirrors to equal their sum.
+func checkReplicas(pg *PartitionedGraph) error {
+	want := replicaCountsRef(pg.G.NumVertices(), pg.Parts)
+	if !slices.Equal(pg.ReplicaCounts(), want) {
+		return fmt.Errorf("replica counts differ from the serial count")
 	}
-	offs, refs := routingCSR(pg.G.NumVertices(), pg.Parts)
-	if !slices.Equal(pg.routingOffsets, offs) {
-		return fmt.Errorf("routing offsets differ from the reference construction")
+	var sum int64
+	for _, c := range want {
+		sum += int64(c)
 	}
-	if !slices.Equal(pg.routingRefs, refs) {
-		return fmt.Errorf("routing refs differ from the reference construction")
+	if got := pg.TotalMirrors(); got != sum {
+		return fmt.Errorf("TotalMirrors() = %d, the serial count sums to %d", got, sum)
 	}
 	return nil
 }

@@ -195,12 +195,13 @@ func newLoopExchanger[V, M any](t *testing.T, pg *PartitionedGraph, prog Program
 func (ex *loopExchanger[V, M]) Exchange(ctx context.Context, _ int, changed []uint64, masterVals []V, deliver func(gidx int32, m M), ss *SuperstepStats) error {
 	// Broadcast is charged per mirror, as the engine's phase 1 counts it,
 	// however few pairs the frames carry.
+	reps := ex.pg.ReplicaCounts()
 	for wi, w := range changed {
 		for w != 0 {
 			v := int32(wi<<6 + bits.TrailingZeros64(w))
 			w &= w - 1
-			ss.BroadcastMsgs += int64(ex.pg.Mirrors(v))
-			ss.BroadcastBytes += int64(ex.pg.Mirrors(v)) * int64(ex.prog.StateSize(masterVals[v]))
+			ss.BroadcastMsgs += int64(reps[v])
+			ss.BroadcastBytes += int64(reps[v]) * int64(ex.prog.StateSize(masterVals[v]))
 		}
 	}
 	for w, sc := range ex.shards {

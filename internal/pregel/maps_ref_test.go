@@ -91,34 +91,19 @@ func newPartitionedGraphMaps(g *graph.Graph, assign []partition.PID, numParts in
 	}, nil
 }
 
-// routingCSR is the serial reference construction of the mirror routing CSR
-// over nv global dense vertices, kept as the oracle for the sharded lazy
-// build: one counting pass, a prefix sum, and a fill that walks the
-// partitions ascending, so a vertex's refs ascend by partition. nil entries
-// of parts contribute nothing.
-func routingCSR(nv int, parts []*Partition) (offsets []int64, refs []MirrorRef) {
-	offsets = make([]int64, nv+1)
+// replicaCountsRef is the serial reference count of every vertex's
+// replicas over nv global dense vertices, kept as the oracle for the sharded
+// ReplicaCounts: one pass over the mirror tables. nil entries of parts
+// contribute nothing.
+func replicaCountsRef(nv int, parts []*Partition) []int32 {
+	counts := make([]int32, nv)
 	for _, part := range parts {
 		if part == nil {
 			continue
 		}
 		for _, gidx := range part.LocalVerts {
-			offsets[gidx+1]++
+			counts[gidx]++
 		}
 	}
-	for i := 0; i < nv; i++ {
-		offsets[i+1] += offsets[i]
-	}
-	refs = make([]MirrorRef, offsets[nv])
-	cursor := slices.Clone(offsets[:nv])
-	for p, part := range parts {
-		if part == nil {
-			continue
-		}
-		for l, gidx := range part.LocalVerts {
-			refs[cursor[gidx]] = MirrorRef{Part: int32(p), Local: int32(l)}
-			cursor[gidx]++
-		}
-	}
-	return offsets, refs
+	return counts
 }

@@ -20,16 +20,14 @@ func NewPartitionedGraphFromAssignment(a *partition.Assignment, opts BuildOption
 }
 
 // Metrics derives the full §3.1 metric set from the already-built
-// partitioned topology. The per-partition edge lists, local vertex tables
-// and the mirror routing CSR encode everything the metrics package would
-// otherwise recompute with a per-vertex replica-bitset scan over all edges
-// (O(|E| + |V|·numParts/64)); here the same numbers fall out of the
-// structure in O(|V| + numParts), plus the routing CSR's O(|V| + mirrors)
-// build if no earlier reader built it:
+// partitioned topology. The per-partition edge lists and local vertex tables
+// encode everything the metrics package would otherwise recompute with a
+// per-vertex replica-bitset scan over all edges (O(|E| + |V|·numParts/64));
+// here the same numbers fall out of the structure in O(|V| + mirrors):
 //
 //   - EdgesPerPart / VerticesPerPart are the partition sizes;
-//   - a vertex's replica count is its mirror-routing span, giving
-//     NonCut, Cut and CommCost directly;
+//   - ReplicaCounts counts every vertex's replicas off the local vertex
+//     tables, giving NonCut, Cut and CommCost directly;
 //   - the derived fields (Balance, PartStDev, MaxEdges, MaxVertices,
 //     ReplicationFactor) come from metrics.Finalize, the same code every
 //     other Result producer uses, so results are bit-for-bit identical to
@@ -75,15 +73,13 @@ func (pg *PartitionedGraph) Metrics() *metrics.Result {
 			panic("pregel: block decode failed: " + err.Error())
 		}
 	}
-	offs, _ := pg.routing()
-	for v := 0; v < nv; v++ {
-		replicas := offs[v+1] - offs[v]
+	for v, replicas := range pg.ReplicaCounts() {
 		switch {
 		case replicas == 1:
 			res.NonCut++
 		case replicas > 1:
 			res.Cut++
-			res.CommCost += replicas
+			res.CommCost += int64(replicas)
 			if wdeg != nil {
 				res.WeightedCommCost += float64(replicas) * wdeg[v]
 			}

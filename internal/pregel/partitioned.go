@@ -8,7 +8,8 @@
 //  1. broadcast: every mirror whose master changed receives the new value —
 //     this traffic is what the CommCost metric counts. Each partition's own
 //     worker pulls the values into its mirror slots at the start of its
-//     compute, so the phase needs no routing table;
+//     compute, so the phase needs no vertex → partitions routing table, and
+//     the topology keeps none;
 //  2. compute: each partition scans its active triplets in parallel and
 //     combines emitted messages locally per destination vertex;
 //  3. reduce: one partial aggregate per (partition, vertex) is shipped back
@@ -47,7 +48,6 @@
 package pregel
 
 import (
-	"context"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -116,12 +116,6 @@ func (p *Partition) EdgeAt(j int) (src, dst int32) {
 // the partition.
 func (p *Partition) NumLocalVertices() int { return len(p.LocalVerts) }
 
-// MirrorRef locates one mirror of a vertex: partition Part, local slot Local.
-type MirrorRef struct {
-	Part  int32
-	Local int32
-}
-
 // BuildOptions tunes partitioned-graph construction and engine execution.
 // The zero value is ready to use.
 type BuildOptions struct {
@@ -142,8 +136,10 @@ type BuildOptions struct {
 }
 
 // PartitionedGraph is the topology shared by all jobs: the per-partition
-// edge lists and local vertex tables, plus the mirror routing table once a
-// reader asks for it.
+// edge lists and local vertex tables. It keeps no per-vertex index of where
+// the mirrors are: a reader that wants replica counts counts them
+// (ReplicaCounts), and a partition finds its own slot of a vertex by binary
+// search in its sorted LocalVerts.
 type PartitionedGraph struct {
 	G        *graph.Graph
 	NumParts int
@@ -152,17 +148,6 @@ type PartitionedGraph struct {
 	// assign is the original per-edge partition assignment, retained so
 	// jobs can align global edge order with per-partition edge order.
 	assign []partition.PID
-
-	// routingOffsets/routingRefs form a CSR over global dense vertex
-	// indices: mirrors of vertex v are
-	// routingRefs[routingOffsets[v]:routingOffsets[v+1]]. No superstep reads
-	// it — mirrors pull their masters' values — so, like the frontier index,
-	// it is built on first use (routing) and counted by MemoryFootprint once
-	// routeBuilt is set.
-	routeOnce      sync.Once
-	routeBuilt     atomic.Bool
-	routingOffsets []int64
-	routingRefs    []MirrorRef
 
 	// Parallelism is the number of worker goroutines used for partition
 	// phases; defaults to GOMAXPROCS.
@@ -253,9 +238,8 @@ func NewPartitionedGraphOpts(g *graph.Graph, assign []partition.PID, numParts in
 	if err := pg.buildSortScatter(); err != nil {
 		return nil, err
 	}
-	// Neither the routing CSR nor the frontier index is built here: both are
-	// built on first use (routing, ensureFrontierIndex), so a run that needs
-	// neither never pays for them.
+	// The frontier index is not built here but on first use
+	// (ensureFrontierIndex), so a run that needs none never pays for it.
 	return pg, nil
 }
 
@@ -507,21 +491,6 @@ func (s *localizeScratch) localize(part *Partition, nv int) {
 	}
 }
 
-// routing returns the mirror routing CSR, building it on first use. Safe for
-// concurrent callers; the tables never change afterwards.
-func (pg *PartitionedGraph) routing() (offsets []int64, refs []MirrorRef) {
-	pg.routeOnce.Do(func() {
-		pg.buildRouting()
-		pg.routeBuilt.Store(true)
-	})
-	return pg.routingOffsets, pg.routingRefs
-}
-
-// RoutingBuilt reports whether the mirror routing CSR has been built — by
-// Mirrors, MirrorsOf, TotalMirrors, Metrics or a seeded start's trim; no
-// superstep needs it.
-func (pg *PartitionedGraph) RoutingBuilt() bool { return pg.routeBuilt.Load() }
-
 // FrontierIndexes reports how many partitions hold a frontier index, built
 // by a sparse scan or a seeded start's trim, or carried over by ApplyDelta.
 func (pg *PartitionedGraph) FrontierIndexes() int {
@@ -534,58 +503,25 @@ func (pg *PartitionedGraph) FrontierIndexes() int {
 	return n
 }
 
-// buildRouting builds the mirror routing CSR, sharded by global vertex range
-// over Parallelism workers the way the reduce phase splits its merge: a shard
-// finds its range in each partition by binary search (LocalVerts is sorted)
-// and owns the offsets of its range. One pass counts every vertex's mirrors,
-// a prefix sum turns the counts into offsets, and a second pass fills each
-// shard's refs partition by partition — so a vertex's refs ascend by
-// partition — with the shard's offsets as cursors, shifted back after.
-func (pg *PartitionedGraph) buildRouting() {
-	nv := pg.G.NumVertices()
-	shards := max(pg.Parallelism, 1)
-	chunk := (nv + shards - 1) / shards
-	span := func(lv []int32, sh int) (lo, hi int) {
-		lo, _ = slices.BinarySearch(lv, int32(min(sh*chunk, nv)))
-		hi, _ = slices.BinarySearch(lv, int32(min((sh+1)*chunk, nv)))
-		return lo, hi
-	}
-	perShard := func(fn func(sh int)) {
-		if err := par.ForEach(context.Background(), shards, shards, fn); err != nil {
-			panic(err)
-		}
-	}
-	offsets := make([]int64, nv+1)
-	perShard(func(sh int) {
+// ReplicaCounts returns, per global dense vertex, how many partitions mirror
+// it: the replica count the §3.1 metrics sum. Nothing is kept; every call
+// counts afresh, sharded by global vertex range over Parallelism workers the
+// way the reduce phase splits its merge: a shard finds its range in each
+// partition by binary search (LocalVerts is sorted) and owns its counts.
+func (pg *PartitionedGraph) ReplicaCounts() []int32 {
+	counts := make([]int32, pg.G.NumVertices())
+	if err := pg.forEachShard(len(counts), func(gLo, gHi int) {
 		for _, part := range pg.Parts {
-			lo, hi := span(part.LocalVerts, sh)
+			lo, _ := slices.BinarySearch(part.LocalVerts, int32(gLo))
+			hi, _ := slices.BinarySearch(part.LocalVerts, int32(gHi))
 			for _, g := range part.LocalVerts[lo:hi] {
-				offsets[g+1]++
+				counts[g]++
 			}
 		}
-	})
-	for v := range nv {
-		offsets[v+1] += offsets[v]
+	}); err != nil {
+		panic(err)
 	}
-	refs := make([]MirrorRef, offsets[nv])
-	perShard(func(sh int) {
-		gLo, gHi := min(sh*chunk, nv), min((sh+1)*chunk, nv)
-		if gLo == gHi {
-			return
-		}
-		start := offsets[gLo]
-		for p, part := range pg.Parts {
-			lo, hi := span(part.LocalVerts, sh)
-			for l := lo; l < hi; l++ {
-				g := part.LocalVerts[l]
-				refs[offsets[g]] = MirrorRef{Part: int32(p), Local: int32(l)}
-				offsets[g]++
-			}
-		}
-		copy(offsets[gLo+1:gHi], offsets[gLo:gHi-1])
-		offsets[gLo] = start
-	})
-	pg.routingOffsets, pg.routingRefs = offsets, refs
+	return counts
 }
 
 // AssignOrder returns the original per-edge partition assignment, aligned
@@ -599,21 +535,6 @@ func (pg *PartitionedGraph) AssignOrder() []partition.PID { return pg.assign }
 // only write state owned by its partition. A panic in fn is returned as
 // an error.
 func (pg *PartitionedGraph) ForEachPartition(fn func(p int)) error { return pg.forEachPart(fn) }
-
-// Mirrors returns the number of partitions vertex v (global dense index) is
-// replicated into.
-func (pg *PartitionedGraph) Mirrors(v int32) int {
-	offs, _ := pg.routing()
-	return int(offs[v+1] - offs[v])
-}
-
-// MirrorsOf returns the mirrors of global dense vertex v — its row of the
-// routing CSR, ascending by partition. Callers must not modify the returned
-// slice.
-func (pg *PartitionedGraph) MirrorsOf(v int32) []MirrorRef {
-	offs, refs := pg.routing()
-	return refs[offs[v]:offs[v+1]]
-}
 
 // TopologySum content-addresses the partitioned topology: a fold over every
 // partition's local vertex table and edge list, one 64-bit word at a time
@@ -642,27 +563,25 @@ func (pg *PartitionedGraph) TopologySum() uint64 {
 }
 
 // TotalMirrors returns the total number of mirror slots across all
-// partitions (= Σ_v Mirrors(v) = metrics CommCost + NonCut).
+// partitions (= Σ ReplicaCounts = metrics CommCost + NonCut).
 func (pg *PartitionedGraph) TotalMirrors() int64 {
-	_, refs := pg.routing()
-	return int64(len(refs))
+	var n int64
+	for _, part := range pg.Parts {
+		n += int64(len(part.LocalVerts))
+	}
+	return n
 }
 
 // MemoryFootprint approximates the bytes the topology alone retains — the
 // shared edge buffer, per-partition mirror tables, and the lazily built
-// routing CSR, frontier index and triangle plan once they exist — and so
-// grows when a first reader builds one of them; cache layers re-price after
-// a run. What the topology holds together with others is priced by Shares
-// instead: the Graph, the assignment's PID slice, the lineage's parked engine
-// scratch. Mirror tables an ApplyDelta child inherited unchanged are counted
-// by both topologies.
+// frontier index and triangle plan once they exist — and so grows when a
+// first reader builds one of them; cache layers re-price after a run. What
+// the topology holds together with others is priced by Shares instead: the
+// Graph, the assignment's PID slice, the lineage's parked engine scratch.
+// Mirror tables an ApplyDelta child inherited unchanged are counted by both
+// topologies.
 func (pg *PartitionedGraph) MemoryFootprint() int64 {
 	var b int64
-	// Routing CSR: an offset per vertex and a ref per mirror, read behind its
-	// flag like the lazy tables below.
-	if pg.routeBuilt.Load() {
-		b += int64(len(pg.routingOffsets))*8 + int64(len(pg.routingRefs))*8
-	}
 	for _, part := range pg.Parts {
 		b += int64(len(part.edges))*8 + int64(len(part.LocalVerts))*4
 		// Frontier index: two position arrays and two offset tables. Built

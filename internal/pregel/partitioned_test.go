@@ -1,6 +1,7 @@
 package pregel
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -64,11 +65,8 @@ func TestPartitionedGraphStructure(t *testing.T) {
 		t.Fatalf("local vertices: %d, %d", pg.Parts[0].NumLocalVertices(), pg.Parts[1].NumLocalVertices())
 	}
 	// Vertices 0 and 2 are replicated twice; 1 and 3 once.
-	wantMirrors := map[int32]int{0: 2, 1: 1, 2: 2, 3: 1}
-	for v, want := range wantMirrors {
-		if got := pg.Mirrors(v); got != want {
-			t.Errorf("Mirrors(%d) = %d, want %d", v, got, want)
-		}
+	if got, want := pg.ReplicaCounts(), []int32{2, 1, 2, 1}; !slices.Equal(got, want) {
+		t.Errorf("ReplicaCounts = %v, want %v", got, want)
 	}
 	if pg.TotalMirrors() != 6 {
 		t.Fatalf("TotalMirrors = %d, want 6", pg.TotalMirrors())
@@ -88,9 +86,9 @@ func TestLocalVertsSorted(t *testing.T) {
 	}
 }
 
-// TestMirrorsMatchMetrics cross-checks the engine's routing table against
+// TestMirrorsMatchMetrics cross-checks the engine's replica counts against
 // the independent metrics computation: Σ mirrors must equal CommCost+NonCut
-// and the per-vertex mirror counts must match the bitset-based replicas.
+// and the per-vertex replica counts must match the bitset-based replicas.
 func TestMirrorsMatchMetrics(t *testing.T) {
 	check := func(seed uint64, partsRaw uint8) bool {
 		numParts := 1 + int(partsRaw)%24
@@ -112,10 +110,10 @@ func TestMirrorsMatchMetrics(t *testing.T) {
 				return false
 			}
 			var cut, noncut int64
-			for v := 0; v < g.NumVertices(); v++ {
-				if pg.Mirrors(int32(v)) > 1 {
+			for _, reps := range pg.ReplicaCounts() {
+				if reps > 1 {
 					cut++
-				} else if pg.Mirrors(int32(v)) == 1 {
+				} else if reps == 1 {
 					noncut++
 				}
 			}

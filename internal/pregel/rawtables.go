@@ -29,9 +29,9 @@ type RawTables struct {
 	// LocalVerts; len == NumParts+1.
 	LocalVertsOffsets []int64
 	// LocalVerts is the concatenation of every partition's sorted mirror
-	// table (global dense vertex indices). The mirror routing CSR is a pure
-	// function of these tables, so it is not part of the persisted form: a
-	// restored topology builds it on first use, like any other.
+	// table (global dense vertex indices). Replica counts are a pure function
+	// of these tables, so they are not part of the persisted form: readers
+	// count them off the restored tables, as on any other topology.
 	LocalVerts []int32
 }
 
@@ -163,9 +163,9 @@ func FromRawTables(g *graph.Graph, rt RawTables, opts BuildOptions) (*Partitione
 			edges:      edgeBuf[rt.PartStart[p]:rt.PartStart[p+1]:rt.PartStart[p+1]],
 		}
 	}
-	// The frontier index and the routing CSR are derived rather than
-	// persisted: pure functions of the (validated) tables, built by their
-	// first reader.
+	// The frontier index and the replica counts are derived rather than
+	// persisted: pure functions of the (validated) tables, the index built by
+	// its first reader, the counts by every reader that wants them.
 	return pg, nil
 }
 

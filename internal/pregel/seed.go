@@ -114,8 +114,8 @@ func RunStamped[V, M any](ctx context.Context, pg *PartitionedGraph, prog Progra
 //     neighbours become suspects in turn. The retracted edges' suspects are
 //     checked on every core before the serial worklist takes the unsupported
 //     ones. Neighbours are read off pg's frontier index, which the seeded run
-//     needs anyway, through its routing CSR, which only this trim builds on a
-//     streamed generation;
+//     needs anyway, in the partitions a binary search of their sorted mirror
+//     tables finds the vertex in, stopping once its replica count is met;
 //   - puts the reset vertices, and both endpoints of every appended edge
 //     whose endpoints' values disagree, on the frontier.
 //
@@ -225,6 +225,7 @@ func SeedLabels[V comparable](pg *PartitionedGraph, parent *Answer[V], oldLen in
 	if err := pg.forEachPart(func(p int) { pg.Parts[p].ensureFrontierIndex() }); err != nil {
 		return nil, err
 	}
+	reps := pg.ReplicaCounts()
 	// A reset vertex holds its own initial value again, so it reads as a root
 	// from then on: never reset twice, and no support for a neighbour (whose
 	// value it could only share by having been that value's root, and roots
@@ -234,7 +235,7 @@ func SeedLabels[V comparable](pg *PartitionedGraph, parent *Answer[V], oldLen in
 		if val == init(verts[v]) {
 			return false
 		}
-		for u := range pg.neighbors(v) {
+		for u := range pg.neighbors(reps, v) {
 			if vals[u] == val && stamps[u] < stamp {
 				return false
 			}
@@ -269,7 +270,7 @@ func SeedLabels[V comparable](pg *PartitionedGraph, parent *Answer[V], oldLen in
 		val, stamp := vals[v], stamps[v]
 		vals[v], stamps[v] = init(verts[v]), clock
 		activate(v)
-		for u := range pg.neighbors(v) {
+		for u := range pg.neighbors(reps, v) {
 			if vals[u] == val && stamps[u] > stamp {
 				work = append(work, u)
 			}
@@ -281,13 +282,23 @@ func SeedLabels[V comparable](pg *PartitionedGraph, parent *Answer[V], oldLen in
 // neighbors yields the other endpoint of every live edge at global dense
 // vertex v, partition by partition through the frontier index (an edge met
 // from both sides, a parallel edge or a self-loop yields its vertex again).
-// The partitions' frontier indexes and the routing CSR are built as needed.
-func (pg *PartitionedGraph) neighbors(v int32) iter.Seq[int32] {
+// The partitions holding v are found by binary search in their sorted
+// LocalVerts, ascending, and the search stops once it has found all reps[v]
+// of them (reps from ReplicaCounts). The partitions' frontier indexes are
+// built as needed.
+func (pg *PartitionedGraph) neighbors(reps []int32, v int32) iter.Seq[int32] {
 	return func(yield func(int32) bool) {
-		for _, ref := range pg.MirrorsOf(v) {
-			part := pg.Parts[ref.Part]
+		left := reps[v]
+		for _, part := range pg.Parts {
+			if left == 0 {
+				return
+			}
+			l, ok := slices.BinarySearch(part.LocalVerts, v)
+			if !ok {
+				continue
+			}
+			left--
 			part.ensureFrontierIndex()
-			l := ref.Local
 			for _, j := range part.srcPos[part.srcOff[l]:part.srcOff[l+1]] {
 				if !yield(part.LocalVerts[part.edges[j].dst]) {
 					return

@@ -335,11 +335,27 @@ func seedLabelsSerial(g *graph.Graph, parent *Answer[int64], oldLen int, remap [
 	return st
 }
 
+// edgeRule is a strategy that places every edge by its endpoints alone, so
+// extending an assignment replays its prefix exactly.
+type edgeRule func(e graph.Edge, numParts int) partition.PID
+
+func (edgeRule) Name() string { return "rule" }
+
+func (r edgeRule) Partition(g *graph.Graph, numParts int) ([]partition.PID, error) {
+	edges := g.Edges()
+	pids := make([]partition.PID, len(edges))
+	for i, e := range edges {
+		pids[i] = r(e, numParts)
+	}
+	return pids, nil
+}
+
 // TestSeedLabelsTrimMatchesSerial: the Start SeedLabels returns — values,
 // stamps and frontier — is the same at Parallelism 1 and 4 and equals the
 // serial reference's, on the retraction shapes of the root package's
-// TestSeededRetractionShapes: after the retraction, and after the retracted
-// edges come back.
+// TestSeededRetractionShapes over 1, 4 and 64 partitions (most of them empty
+// at 64), and on a suspect mirrored only in the first and the last partition:
+// after the retraction, and after the retracted edges come back.
 func TestSeedLabelsTrimMatchesSerial(t *testing.T) {
 	E := func(a, b int) graph.Edge { return graph.Edge{Src: graph.VertexID(a), Dst: graph.VertexID(b)} }
 	path := func(lo, hi int) (es []graph.Edge) {
@@ -366,10 +382,24 @@ func TestSeedLabelsTrimMatchesSerial(t *testing.T) {
 		}
 		return es
 	}
-	shapes := []struct {
+	// Cut from 10, vertex 11 is a suspect whose edges left are one in the
+	// first partition and one in the last; the rest of the path fills
+	// partitions 1 to 3, and those between them and the last stay empty.
+	firstLast := edgeRule(func(e graph.Edge, numParts int) partition.PID {
+		lo, hi := min(e.Src, e.Dst), max(e.Src, e.Dst)
+		switch {
+		case lo == 11 && hi == 12:
+			return 0
+		case lo == 11 && hi == 30:
+			return partition.PID(numParts - 1)
+		}
+		return partition.PID(1 + lo%3)
+	})
+	type shape struct {
 		name           string
 		edges, retract []graph.Edge
-	}{
+	}
+	shapes := []shape{
 		{"path cut in the middle", path(0, 40), []graph.Edge{E(20, 21)}},
 		{"ring cut once", append(path(0, 40), E(40, 0)), []graph.Edge{E(20, 21)}},
 		{"ring cut twice", append(path(0, 40), E(40, 0)), []graph.Edge{E(20, 21), E(6, 7)}},
@@ -382,58 +412,66 @@ func TestSeedLabelsTrimMatchesSerial(t *testing.T) {
 		{"pendant endpoint left isolated", append(path(0, 30), E(50, 10)), []graph.Edge{E(50, 10)}},
 		{"tree under the cut", append(append(path(0, 20), star(10, 21, 30)...), star(25, 31, 40)...), []graph.Edge{E(10, 25)}},
 	}
-	s := partition.EdgePartition2D()
 	init := ccTestProgram(ScanAuto).Init
-	for _, sh := range shapes {
-		for _, parts := range []int{1, 4} {
-			g := graph.FromEdges(sh.edges)
-			a, err := partition.Assign(g, s, parts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pg, err := NewPartitionedGraphFromAssignment(a, BuildOptions{Parallelism: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ans, _, err := RunStamped(context.Background(), pg, ccTestProgram(ScanAuto), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cut, dCut, err := g.Shrink(sh.retract)
-			if err != nil {
-				t.Fatal(err)
-			}
-			back, dBack := cut.Grow(sh.retract)
-			for step, d := range []graph.Delta{dCut, dBack} {
-				ng := []*graph.Graph{cut, back}[step]
-				remap, err := graph.RemapVertices(d.OldVerts, ng)
+	for _, run := range []struct {
+		s      partition.Strategy
+		parts  []int
+		shapes []shape
+	}{
+		{partition.EdgePartition2D(), []int{1, 4, 64}, shapes},
+		{firstLast, []int{8, 64}, []shape{{"suspect in the first and the last partition", append(path(0, 20), E(11, 30)), []graph.Edge{E(10, 11)}}}},
+	} {
+		for _, sh := range run.shapes {
+			for _, parts := range run.parts {
+				g := graph.FromEdges(sh.edges)
+				a, err := partition.Assign(g, run.s, parts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				na, err := a.Extend(ng, s)
+				pg, err := NewPartitionedGraphFromAssignment(a, BuildOptions{Parallelism: 4})
 				if err != nil {
 					t.Fatal(err)
 				}
-				npg, err := pg.ApplyDelta(na, remap)
+				ans, _, err := RunStamped(context.Background(), pg, ccTestProgram(ScanAuto), nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := seedLabelsSerial(ng, ans, d.OldLen, remap, init)
-				for _, par := range []int{1, 4} {
-					npg.Parallelism = par
-					got, err := SeedLabels(npg, ans, d.OldLen, remap, init)
+				cut, dCut, err := g.Shrink(sh.retract)
+				if err != nil {
+					t.Fatal(err)
+				}
+				back, dBack := cut.Grow(sh.retract)
+				for step, d := range []graph.Delta{dCut, dBack} {
+					ng := []*graph.Graph{cut, back}[step]
+					remap, err := graph.RemapVertices(d.OldVerts, ng)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !slices.Equal(got.Vals, want.Vals) || !slices.Equal(got.Stamps, want.Stamps) ||
-						!slices.Equal(got.Active, want.Active) || got.Clock != want.Clock {
-						t.Fatalf("%s/%d parts, step %d, parallelism %d: seeded start differs from the serial trim's", sh.name, parts, step, par)
+					na, err := a.Extend(ng, run.s)
+					if err != nil {
+						t.Fatal(err)
 					}
+					npg, err := pg.ApplyDelta(na, remap)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := seedLabelsSerial(ng, ans, d.OldLen, remap, init)
+					for _, par := range []int{1, 4} {
+						npg.Parallelism = par
+						got, err := SeedLabels(npg, ans, d.OldLen, remap, init)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !slices.Equal(got.Vals, want.Vals) || !slices.Equal(got.Stamps, want.Stamps) ||
+							!slices.Equal(got.Active, want.Active) || got.Clock != want.Clock {
+							t.Fatalf("%s/%d parts, step %d, parallelism %d: seeded start differs from the serial trim's", sh.name, parts, step, par)
+						}
+					}
+					if ans, _, err = RunStamped(context.Background(), npg, ccTestProgram(ScanAuto), want); err != nil {
+						t.Fatal(err)
+					}
+					g, a, pg = ng, na, npg
 				}
-				if ans, _, err = RunStamped(context.Background(), npg, ccTestProgram(ScanAuto), want); err != nil {
-					t.Fatal(err)
-				}
-				g, a, pg = ng, na, npg
 			}
 		}
 	}

@@ -134,7 +134,7 @@ func TestApplyDeltaShrinkDropsOrphanMirrors(t *testing.T) {
 	if !ok {
 		t.Fatal("vertex 999 left the graph before compaction")
 	}
-	if m := patched.Mirrors(idx); m != 0 {
+	if m := patched.ReplicaCounts()[idx]; m != 0 {
 		t.Fatalf("orphaned vertex 999 still has %d mirrors", m)
 	}
 }

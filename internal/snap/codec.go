@@ -718,11 +718,11 @@ func decodeMetricsContainer(c *Container, g *graph.Graph, wantStrategyKey string
 // container: the dense tables of pregel.RawTables written verbatim as
 // little-endian arrays, plus the graph identity. Two things are
 // deliberately not persisted: build options (parallelism, buffer reuse —
-// execution policy, the restoring side applies its own) and the mirror
-// routing CSR, which is a pure function of the mirror tables; the restored
-// topology builds it on first use (O(mirrors), no sort, and only if a reader
-// needs it), which is cheaper than reading, CRC-checking and validating a
-// persisted copy, and removes a whole class of forgeable tables. strategyKey
+// execution policy, the restoring side applies its own) and per-vertex
+// replica counts, which are a pure function of the mirror tables; a reader
+// counts them off the restored tables (O(|V| + mirrors), no sort), which is
+// cheaper than reading, CRC-checking and validating a persisted copy, and
+// removes a whole class of forgeable tables. strategyKey
 // records the producing strategy's cache identity so decode can reject a
 // relabeled container.
 func EncodeTopology(pg *pregel.PartitionedGraph, strategyKey string) []byte {

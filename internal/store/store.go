@@ -41,7 +41,7 @@
 //
 //	assignment: ancestor Assignment ──Extend──► suffix-only pass
 //	topology:   ancestor topology ──ApplyDelta──► patched, no re-sort
-//	metrics:    derived topology ──Metrics()──► O(|V| + parts)
+//	metrics:    derived topology ──Metrics()──► O(|V| + mirrors)
 //
 // Derivations are still single-flight and cached under the new
 // generation's key; a chain with no cached ancestor (or a strategy whose
@@ -615,10 +615,12 @@ func (st *Store) builtViaDelta(g *graph.Graph, s partition.Strategy, numParts in
 }
 
 // metricsViaDelta derives g's metric set from its built topology — exact
-// (O(|V| + parts)) and far cheaper than the replica-bitset scan — when the
+// (O(|V| + mirrors)) and far cheaper than the replica-bitset scan — when the
 // topology is already cached for g or derivable from a cached ancestor. The
-// metrics read the topology's routing CSR, which the first reader builds, so
-// the topology's entry is re-priced afterwards.
+// replica counts the metrics read are kept nowhere, but on a weighted graph
+// Metrics walks the edges' endpoint indices, which can build the graph's
+// endpoint view (ForEachEndpointBlock → EdgeEndpointIndices) and grow what
+// the entry holds, so the topology's entry is re-priced afterwards.
 func (st *Store) metricsViaDelta(g *graph.Graph, s partition.Strategy, numParts int) (*metrics.Result, bool) {
 	// A topology already cached for g answers exactly, delta or not — not
 	// counted as DeltaDerived, since no chain was crossed.

@@ -16,7 +16,7 @@
 //   - local vertex tables are strictly sorted, deduplicated, in-range, and
 //     contain exactly the vertices touched by the partition's edges — no
 //     phantom mirrors;
-//   - the mirror routing table agrees with an independent recount, and
+//   - the replica counts agree with an independent recount, and
 //     TotalMirrors == CommCost + NonCut as computed by the metrics package
 //     from the raw assignment.
 //
@@ -132,18 +132,19 @@ func CheckPartitionInvariants(g *graph.Graph, assign []partition.PID, numParts i
 		}
 	}
 
-	// Mirror routing table vs an independent recount, and vs the metrics
-	// package computed from the raw assignment.
-	mirrorCount := make([]int, nv)
+	// Replica counts vs an independent recount, and vs the metrics package
+	// computed from the raw assignment.
+	mirrorCount := make([]int32, nv)
 	for _, part := range pg.Parts {
 		for _, gidx := range part.LocalVerts {
 			mirrorCount[gidx]++
 		}
 	}
 	var totalMirrors int64
+	reps := pg.ReplicaCounts()
 	for v := 0; v < nv; v++ {
-		if got := pg.Mirrors(int32(v)); got != mirrorCount[v] {
-			return fmt.Errorf("Mirrors(%d) = %d, recount gives %d", v, got, mirrorCount[v])
+		if reps[v] != mirrorCount[v] {
+			return fmt.Errorf("ReplicaCounts()[%d] = %d, recount gives %d", v, reps[v], mirrorCount[v])
 		}
 		totalMirrors += int64(mirrorCount[v])
 	}

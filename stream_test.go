@@ -155,9 +155,7 @@ func TestStoreBoundsLiveHeap(t *testing.T) {
 // partitions, how many gained or lost an edge in a generation step, and in
 // what share of those a mirror entered or left the table before its end —
 // which shifts every later local index, so the span cannot be patched by
-// appending to it either. routed/op is how many of a cycle's two generations
-// ended up with a routing CSR: only a retraction's seeded trim walks one, so
-// an append half that built one fails the benchmark. index_built/op and
+// appending to it either. index_built/op and
 // index_carried/op count the partition frontier indexes a cycle built by
 // counting sort and carried from the parent's
 // (cutfit_pregel_frontier_index_total): an append step must carry every
@@ -168,7 +166,7 @@ func BenchmarkStreamCycle(b *testing.B) {
 	r := newStreamRig(b, 15, 64<<20)
 	frontier := obsv.Default.CounterVec("cutfit_pregel_frontier_index_total", "", "how")
 	built, carried := frontier.With("built"), frontier.With("carried")
-	var steps, touched, shifted, routed int
+	var steps, touched, shifted int
 	var idxBuilt, idxCarried, lastBuilt, lastCarried int64
 	r.spans = func(parent, child *cutfit.Graph) {
 		b.StopTimer()
@@ -182,12 +180,6 @@ func BenchmarkStreamCycle(b *testing.B) {
 			b.Fatal(err)
 		}
 		steps++
-		if cpg.RoutingBuilt() {
-			routed++
-			if child.NumEdges() > parent.NumEdges() {
-				b.Errorf("step %d appended and built its routing CSR: no reader of an append step should need one", steps)
-			}
-		}
 		nb, nc := built.Value()-lastBuilt, carried.Value()-lastCarried
 		idxBuilt, idxCarried = idxBuilt+nb, idxCarried+nc
 		if unindexed := streamRigParts - ppg.FrontierIndexes(); child.NumEdges() > parent.NumEdges() && nb > int64(unindexed) {
@@ -227,35 +219,9 @@ func BenchmarkStreamCycle(b *testing.B) {
 	}
 	b.ReportMetric(float64(touched)/float64(steps), "parts_touched/step")
 	b.ReportMetric(float64(shifted)/float64(max(touched, 1)), "midtable_frac")
-	b.ReportMetric(float64(routed)/float64(b.N), "routed/op")
 	b.ReportMetric(float64(idxBuilt)/float64(b.N), "index_built/op")
 	b.ReportMetric(float64(idxCarried)/float64(b.N), "index_carried/op")
 	runtime.KeepAlive(r)
-}
-
-// TestAppendStepLeavesRoutingUnbuilt: an append step and its seeded cc run
-// leave the child topology without a routing CSR — the patch does not build
-// one and no superstep reads one — while the first reader that wants it still
-// gets it.
-func TestAppendStepLeavesRoutingUnbuilt(t *testing.T) {
-	r := newStreamRig(t, 11, 64<<20)
-	grown, err := r.se.AppendEdges(r.cur, r.batch(r.cycle))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep := r.run(grown); !rep.Seeded {
-		t.Fatal("cc on the appended generation did not start from its parent's answer")
-	}
-	pg, err := r.se.Partition(grown, r.s, streamRigParts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pg.RoutingBuilt() {
-		t.Fatal("an append step plus its seeded cc built the child's routing CSR")
-	}
-	if pg.TotalMirrors() == 0 || !pg.RoutingBuilt() {
-		t.Fatal("TotalMirrors did not build the routing CSR")
-	}
 }
 
 // TestConcurrentLineage: eight goroutines append to, retract from and run cc
