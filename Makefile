@@ -128,7 +128,10 @@ bench-smoke:
 # landmark sets, duplicates and absent landmarks included), the snapshot
 # decoders (container parsing + the assignment codec, seeded from the
 # golden corpus), the distributed worker's step endpoint (arbitrary
-# broadcast frames against a bound run), and a whole caching Session under
+# broadcast frames against a bound run) and its shard-install endpoint
+# (arbitrary shard containers, seeded from a real one and its mutations:
+# 204 or 400, and an installed shard indexes only inside its own tables),
+# and a whole caching Session under
 # scripts of register / append / remove / slide / run steps, every cc run
 # (seeded from the parent generation's answer or cold) against union-find
 # over a model of the live edges and every cached answer against the stamp
@@ -147,10 +150,11 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeSnapshot -fuzztime=$(FUZZTIME) ./internal/snap/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeAssignment -fuzztime=$(FUZZTIME) ./internal/snap/
 	$(GO) test -run='^$$' -fuzz=FuzzStepFrame -fuzztime=$(FUZZTIME) ./internal/dist/
+	$(GO) test -run='^$$' -fuzz=FuzzShardInstall -fuzztime=$(FUZZTIME) ./internal/dist/
 	$(GO) test -run='^$$' -fuzz=FuzzSessionStream -fuzztime=$(FUZZTIME) -fuzzminimizetime=5s .
 
 # Seconds-long fuzz smoke for make check: long enough to catch parser,
-# delta-patch, snapshot-decoder and step-frame regressions on the seed
+# delta-patch, snapshot-decoder, step-frame and shard-install regressions on the seed
 # corpus, short enough for every PR.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadEdgeList -fuzztime=5s ./internal/graph/
@@ -163,6 +167,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeSnapshot -fuzztime=5s ./internal/snap/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeAssignment -fuzztime=5s ./internal/snap/
 	$(GO) test -run='^$$' -fuzz=FuzzStepFrame -fuzztime=5s ./internal/dist/
+	$(GO) test -run='^$$' -fuzz=FuzzShardInstall -fuzztime=5s ./internal/dist/
 	$(GO) test -run='^$$' -fuzz=FuzzSessionStream -fuzztime=5s -fuzzminimizetime=1s .
 
 # Golden-corpus compatibility gate: the committed format-v1 snapshots must

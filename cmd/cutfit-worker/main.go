@@ -4,8 +4,8 @@
 // each superstep against them, and answers reduce frames of
 // combiner-pre-aggregated messages. One worker serves many runs and
 // many graph generations concurrently; shards are content-addressed, so
-// a re-run on an unchanged graph ships nothing and a run after an
-// append ships only a delta.
+// a re-run on an unchanged graph ships nothing and a run on a new
+// generation (after an append or a window slide) ships its shard once.
 //
 // Usage:
 //
@@ -15,7 +15,6 @@
 //
 //	GET  /dist/v1/healthz                 liveness + resident shard count
 //	POST /dist/v1/shards                  install a full shard container
-//	POST /dist/v1/shards/delta            patch a shard from a resident base
 //	POST /dist/v1/runs                    bind a run to a resident shard
 //	POST /dist/v1/runs/{id}/step          one superstep: broadcast frame in,
 //	                                      reduce frame out

@@ -61,11 +61,12 @@ func distCounters(t *testing.T, ts *httptest.Server, series ...string) []int64 {
 // workers is indistinguishable over HTTP from a plain local one, except for
 // where the supersteps ran. /v1/cluster reports every worker healthy; the
 // /v1/run bodies for pagerank, dynamicpr and cc are byte-equal between the
-// two daemons on the registered graph and again after the same batch is
-// appended to both; and the coordinator's counters show that all six of its
-// runs went distributed, none fell back — a silently degraded cluster would
-// still answer correctly, so only the counters catch it — and the grown
-// generation reached the workers as delta shards.
+// two daemons on the registered graph, again after the same batch is
+// appended to both, and again after the same window slide; and the
+// coordinator's counters show, per generation, that all three runs went
+// distributed and none fell back — a silently degraded cluster would still
+// answer correctly, so only the counters catch it — and that the first run
+// shipped each worker its whole shard once and the other two reused it.
 func TestCoordinatorMatchesLocalAcrossAppend(t *testing.T) {
 	urls := make([]string, 2)
 	for i := range urls {
@@ -89,9 +90,12 @@ func TestCoordinatorMatchesLocalAcrossAppend(t *testing.T) {
 		}
 	}
 	// The registry is process-global: other tests' runs are in the counters,
-	// so only their growth across this test says anything.
-	series := []string{`runs_total{mode="distributed"}`, `runs_total{mode="fallback"}`, `shards_shipped_total{kind="delta"}`}
-	before := distCounters(t, coord, series...)
+	// so only their growth across a generation says anything.
+	series := []string{`runs_total{mode="distributed"}`, `runs_total{mode="fallback"}`,
+		`shards_shipped_total{kind="full"}`, `shards_shipped_total{kind="reused"}`}
+	// Per generation: three runs, all distributed; the first ships each of
+	// the two workers its shard, the other two reuse both.
+	want := []int64{3, 0, 2, 4}
 
 	// A 120-vertex ring with chords, then a batch hanging 30 new vertices
 	// off it.
@@ -112,23 +116,22 @@ func TestCoordinatorMatchesLocalAcrossAppend(t *testing.T) {
 	}
 	compareRuns := func(phase string) {
 		t.Helper()
+		before := distCounters(t, coord, series...)
 		for _, alg := range []string{"pagerank", "dynamicpr", "cc"} {
 			both(phase, "/v1/run", `{"graph":"ring","alg":"`+alg+`","strategy":"2D","parts":6,"iters":8}`)
+		}
+		after := distCounters(t, coord, series...)
+		for i, name := range series {
+			if got := after[i] - before[i]; got != want[i] {
+				t.Errorf("%s: cutfit_dist_%s grew by %d, want %d", phase, name, got, want[i])
+			}
 		}
 	}
 	both("register", "/v1/graphs", `{"name":"ring","edges":`+strconv.Quote(base.String())+`}`)
 	compareRuns("base generation")
 	both("append", "/v1/graphs/ring/edges", `{"edges":`+strconv.Quote(batch.String())+`}`)
 	compareRuns("grown generation")
-
-	after := distCounters(t, coord, series...)
-	if got := after[0] - before[0]; got < 6 {
-		t.Errorf("%d runs dispatched distributed, want ≥ 6 (did the pool attach?)", got)
-	}
-	if got := after[1] - before[1]; got != 0 {
-		t.Errorf("%d runs fell back to local execution: the cluster is silently degraded", got)
-	}
-	if after[2] == before[2] {
-		t.Error("no delta shard shipped: the grown generation was not patched onto the workers' shards")
-	}
+	// Retire the oldest half of the ring's edges: a pure window slide.
+	both("slide", "/v1/graphs/ring/edges", `{"expire_before":120}`)
+	compareRuns("slid generation")
 }

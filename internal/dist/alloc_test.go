@@ -45,7 +45,7 @@ func (w *nullWriter) WriteHeader(code int)        { w.code = code }
 func TestHandleStepAllocs(t *testing.T) {
 	pg := allocGraph(t)
 	w := NewWorker()
-	ws, err := buildWorkerShard("k", extractShard(pg, 0, 1), nil)
+	ws, err := buildWorkerShard("k", extractShard(pg, 0, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,12 +17,10 @@ import (
 
 // prepareWorker ensures worker wIdx holds the shard for (pg, key): nothing
 // if the cache says it was sent and not since pushed out (a stale cache is
-// healed by RunStart's 404 → full re-ship), a delta patch when the newest
-// shard sent is a compatible base, else a full container. It holds the
-// worker's cache lock for the duration, so two runs cannot interleave delta
-// chains on one worker; other workers are not kept waiting.
+// healed by RunStart's 404 → re-ship), else the whole shard container. It
+// holds the worker's cache lock for the duration, so two runs needing the
+// same new shard ship it once; other workers are not kept waiting.
 func (p *Pool) prepareWorker(ctx context.Context, wIdx int, key string, pg *pregel.PartitionedGraph) error {
-	url := p.urls[wIdx]
 	wc := &p.caches[wIdx]
 	wc.mu.Lock()
 	defer wc.mu.Unlock()
@@ -30,25 +28,10 @@ func (p *Pool) prepareWorker(ctx context.Context, wIdx int, key string, pg *preg
 		cShards.With("reused").Inc()
 		return nil
 	}
-	if wc.lastPG != nil {
-		baseKey := wc.keys[len(wc.keys)-1]
-		if sp, ok := diffShard(wc.lastPG, pg, baseKey, wIdx, len(p.urls)); ok {
-			err := p.tr.InstallDelta(ctx, url, key, baseKey, snap.EncodeShard(sp))
-			if err == nil {
-				cShards.With("delta").Inc()
-				wc.sent(key, pg)
-				return nil
-			}
-			if !errors.Is(err, ErrBaseMissing) {
-				return err
-			}
-			// Base evicted on the worker: fall through to a full ship.
-		}
-	}
 	if err := p.shipFull(ctx, wIdx, key, pg); err != nil {
 		return err
 	}
-	wc.sent(key, pg)
+	wc.sent(key)
 	return nil
 }
 

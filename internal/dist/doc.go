@@ -19,8 +19,8 @@
 // same assignment.
 //
 // Shards ship as internal/snap containers (KindShard), content-addressed by
-// graph fingerprint plus a topology checksum, with unchanged/append/replace
-// per-partition deltas across Grow/Shrink generations. The wire codec is a
+// graph fingerprint plus a topology checksum, each new generation whole
+// (a shard one worker already holds ships nothing). The wire codec is a
 // plain HTTP/1.1+JSON/binary-frame transport behind the Transport
 // interface, so a gRPC transport can slot in without touching the
 // coordinator or worker logic. docs/DISTRIBUTED.md documents the protocol;

@@ -56,13 +56,10 @@ func TestDistributedDocCoversProtocol(t *testing.T) {
 	}
 }
 
-// TestDistributedDocCoversHeaders keeps the shard-transfer header names
-// in the doc in sync with the constants the wire actually uses.
+// TestDistributedDocCoversHeaders keeps the shard-transfer header name in
+// the doc in sync with the constant the wire actually uses.
 func TestDistributedDocCoversHeaders(t *testing.T) {
-	doc := readDistributedDoc(t)
-	for _, h := range []string{HeaderShardKey, HeaderShardBase} {
-		if !strings.Contains(doc, h) {
-			t.Errorf("header %q is not documented in docs/DISTRIBUTED.md", h)
-		}
+	if doc := readDistributedDoc(t); !strings.Contains(doc, HeaderShardKey) {
+		t.Errorf("header %q is not documented in docs/DISTRIBUTED.md", HeaderShardKey)
 	}
 }

@@ -85,7 +85,7 @@ func runPageRank(ctx context.Context, pool *Pool, pg *pregel.PartitionedGraph, i
 	return ranks, stats, err
 }
 
-func mustPartition(t *testing.T, g *graph.Graph, s partition.Strategy, parts int) *pregel.PartitionedGraph {
+func mustPartition(t testing.TB, g *graph.Graph, s partition.Strategy, parts int) *pregel.PartitionedGraph {
 	t.Helper()
 	assign, err := s.Partition(g, parts)
 	if err != nil {
@@ -230,11 +230,10 @@ func TestDistributedEquivalence(t *testing.T) {
 }
 
 // TestDistributedGenerations grows and then shrinks a graph, running
-// distributed after every generation step; the second and third runs must
-// ship deltas, not full shards — the worker rebuilds its mirrored-vertex set
-// over the patched partitions — and every run must stay bit-identical to the local
-// engine, values and statistics, on one to three workers under every
-// parallel shape.
+// distributed after every generation step; each generation ships exactly one
+// whole shard per worker, the later runs on it reuse them, and every run must
+// stay bit-identical to the local engine, values and statistics, on one to
+// three workers under every parallel shape.
 func TestDistributedGenerations(t *testing.T) {
 	for _, shape := range parallelShapes {
 		setScanWorkers(t, shape[0])
@@ -253,9 +252,13 @@ func testGenerations(t *testing.T, W, mergeShards int) {
 		t.Helper()
 		pg.Parallelism = mergeShards
 		label = fmt.Sprintf("%s W=%d merge=%d", label, W, mergeShards)
+		fullBefore := cShards.With("full").Value()
 		forEachClusterRun(func(run string, e *algorithms.Entry, p algorithms.Params) {
 			checkMatchesLocal(t, run+"/"+label, pool, pg, e, p)
 		})
+		if got := cShards.With("full").Value() - fullBefore; got != int64(W) {
+			t.Errorf("%s: generation shipped %d full shards, want %d (one per worker)", label, got, W)
+		}
 	}
 
 	g1 := randomGraph(7, 50, 250)
@@ -271,22 +274,11 @@ func testGenerations(t *testing.T, W, mergeShards int) {
 		{Src: 1, Dst: graph.VertexID(nv + 3)},
 	}
 	g2, _ := g1.Grow(batch)
-	pg2 := mustPartition(t, g2, strat, parts)
-
-	deltasBefore := cShards.With("delta").Value()
-	check("grown", pg2)
-	if got := cShards.With("delta").Value(); got <= deltasBefore {
-		t.Fatalf("grown generation shipped no delta shards (counter %d -> %d)", deltasBefore, got)
-	}
+	check("grown", mustPartition(t, g2, strat, parts))
 
 	// Shrink: retire the oldest quarter of the edge window.
 	g3, _ := g2.ShrinkBefore(g2.NumEdges() / 4)
-	pg3 := mustPartition(t, g3, strat, parts)
-	deltasBefore = cShards.With("delta").Value()
-	check("shrunk", pg3)
-	if got := cShards.With("delta").Value(); got <= deltasBefore {
-		t.Logf("note: shrunk generation shipped full shards (counter %d -> %d)", deltasBefore, got)
-	}
+	check("shrunk", mustPartition(t, g3, strat, parts))
 }
 
 // TestShardReuse verifies that re-running on an unchanged topology ships

@@ -133,7 +133,7 @@ func TestCancelledRunStopsScanning(t *testing.T) {
 	defer srv.Close()
 	pool := NewPool([]string{srv.URL})
 
-	ws, err := buildWorkerShard("k", extractShard(pg, 0, 1), nil)
+	ws, err := buildWorkerShard("k", extractShard(pg, 0, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

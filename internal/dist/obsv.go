@@ -28,7 +28,7 @@ var (
 		"Runs dispatched to the cluster, by outcome mode (distributed|fallback).",
 		"mode")
 	cShards = obsv.Default.CounterVec("cutfit_dist_shards_shipped_total",
-		"Shard transfers by kind: full container, delta patch, or reused (already installed).",
+		"Shard transfers by kind: full container shipped, or reused (already installed).",
 		"kind")
 	cWorkerRequests = obsv.Default.CounterVec("cutfit_dist_worker_requests_total",
 		"Worker-side HTTP requests, by endpoint name and status code.",

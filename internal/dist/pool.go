@@ -13,20 +13,13 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"cutfit/internal/pregel"
 )
 
-// Sentinel errors the transport maps well-known worker status codes to, so
-// the coordinator can re-ship shards instead of failing the run.
-var (
-	// ErrShardMissing is RunStart's 404: the worker evicted or never had
-	// the shard; the coordinator re-ships a full container and retries.
-	ErrShardMissing = errors.New("dist: shard not installed on worker")
-	// ErrBaseMissing is ShardDelta's 409: the delta's base generation is
-	// gone; the coordinator falls back to a full container.
-	ErrBaseMissing = errors.New("dist: delta base shard not installed on worker")
-)
+// ErrShardMissing is RunStart's 404, which the transport maps to a sentinel
+// so the coordinator can re-ship instead of failing the run: the worker
+// evicted or never had the shard, so the coordinator ships the container and
+// retries.
+var ErrShardMissing = errors.New("dist: shard not installed on worker")
 
 // Transport is the wire behind the coordinator: one method per protocol
 // RPC. The default is HTTP/1.1 (httpTransport); a gRPC implementation can
@@ -34,7 +27,6 @@ var (
 type Transport interface {
 	Healthz(ctx context.Context, url string) (shards int, err error)
 	InstallShard(ctx context.Context, url, key string, payload []byte) error
-	InstallDelta(ctx context.Context, url, key, baseKey string, payload []byte) error
 	StartRun(ctx context.Context, url string, spec RunSpec) error
 	// Step posts one broadcast frame and returns the worker's reduce frame,
 	// read into reply's storage (which may be nil).
@@ -44,27 +36,24 @@ type Transport interface {
 
 // workerCache mirrors what one worker holds: the keys it was sent, oldest
 // first and bounded by maxShards exactly as the worker's own cache is, so
-// graphs alternating on the cluster stay resident; and the topology of the
-// newest key, so the next run for a grown/shrunk generation can ship a delta
-// instead of the world. mu is held while a shard ships to the worker.
+// graphs alternating on the cluster stay resident. mu is held while a shard
+// ships to the worker.
 type workerCache struct {
-	mu     sync.Mutex
-	keys   []string
-	lastPG *pregel.PartitionedGraph
+	mu   sync.Mutex
+	keys []string
 }
 
 // sent records a shipped shard as the worker's newest.
-func (wc *workerCache) sent(key string, pg *pregel.PartitionedGraph) {
+func (wc *workerCache) sent(key string) {
 	wc.keys = append(wc.keys, key)
 	if len(wc.keys) > maxShards {
 		wc.keys = wc.keys[1:]
 	}
-	wc.lastPG = pg
 }
 
 // Pool is a fixed set of workers plus the per-worker shard caches. It is
 // safe for concurrent use; shard preparation is serialized per worker, so
-// two concurrent runs cannot interleave delta chains on the same worker,
+// two concurrent runs needing one new generation ship it to a worker once,
 // while different workers are shipped to at the same time.
 type Pool struct {
 	urls   []string
@@ -194,13 +183,6 @@ func (t *httpTransport) Healthz(ctx context.Context, url string) (int, error) {
 func (t *httpTransport) InstallShard(ctx context.Context, url, key string, payload []byte) error {
 	_, err := t.do(ctx, "ShardInstall", http.MethodPost, url+"/dist/v1/shards",
 		map[string]string{HeaderShardKey: key}, payload, nil, 0, nil)
-	return err
-}
-
-func (t *httpTransport) InstallDelta(ctx context.Context, url, key, baseKey string, payload []byte) error {
-	_, err := t.do(ctx, "ShardDelta", http.MethodPost, url+"/dist/v1/shards/delta",
-		map[string]string{HeaderShardKey: key, HeaderShardBase: baseKey}, payload, nil,
-		http.StatusConflict, ErrBaseMissing)
 	return err
 }
 

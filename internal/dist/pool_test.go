@@ -17,7 +17,6 @@ import (
 func TestAlternatingGraphsStayResident(t *testing.T) {
 	ctx := context.Background()
 	pool, _ := startCluster(t, 2)
-	// Different partition counts: no delta is possible between the two.
 	graphs := []*pregel.PartitionedGraph{
 		mustPartition(t, randomGraph(31, 60, 300), partition.RandomVertexCut(), 4),
 		mustPartition(t, hubAndChain(9, 14), partition.RandomVertexCut(), 5),
@@ -49,9 +48,8 @@ func TestAlternatingGraphsStayResident(t *testing.T) {
 // evicts them, so its view never outgrows what the worker can hold.
 func TestWorkerCacheBound(t *testing.T) {
 	var wc workerCache
-	pg := mustPartition(t, hubAndChain(3, 3), partition.RandomVertexCut(), 2)
 	for i := 0; i < maxShards+3; i++ {
-		wc.sent(string(rune('a'+i)), pg)
+		wc.sent(string(rune('a' + i)))
 	}
 	if len(wc.keys) != maxShards || wc.keys[0] != "d" || wc.keys[maxShards-1] != string(rune('a'+maxShards+2)) {
 		t.Fatalf("after %d shards the cache holds %q, want the newest %d", maxShards+3, wc.keys, maxShards)

@@ -29,12 +29,6 @@ var ProtocolMessages = []ProtocolMessage{
 		Doc:   "install a full shard container under its content-addressed key",
 	},
 	{
-		Name:  "ShardDelta",
-		Kind:  "rpc",
-		Route: "POST /dist/v1/shards/delta",
-		Doc:   "patch a base shard into a new generation (409 if the base is gone)",
-	},
-	{
 		Name:  "RunStart",
 		Kind:  "rpc",
 		Route: "POST /dist/v1/runs",
@@ -86,9 +80,6 @@ type RunSpec struct {
 	ResetProb float64 `json:"resetProb"`
 }
 
-// Shard transfer headers: the content-addressed key the payload installs,
-// and (for deltas) the base key it patches.
-const (
-	HeaderShardKey  = "X-Cutfit-Shard-Key"
-	HeaderShardBase = "X-Cutfit-Shard-Base"
-)
+// HeaderShardKey carries the content-addressed key a ShardInstall payload
+// installs under.
+const HeaderShardKey = "X-Cutfit-Shard-Key"

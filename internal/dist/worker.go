@@ -40,91 +40,42 @@ const statusClientClosedRequest = 499
 // partition has been seen.
 const maxNumParts = 1 << 20
 
-// rawPart keeps one owned partition's wire tables so a later delta can
-// append to or compare against them without re-deriving anything from the
-// built engine structures.
-type rawPart struct {
-	lv, src, dst []int32
-}
-
-// workerShard is one installed shard generation: raw tables (for delta
-// application), the built engine partitions with their mirrored-vertex set,
-// and the vertex/degree tables the algorithm programs need. raw is indexed by
-// partition and nil where another worker owns it.
+// workerShard is one installed shard generation: the built engine partitions
+// with their mirrored-vertex set, and the vertex/degree tables the algorithm
+// programs need.
 type workerShard struct {
 	key    string
 	verts  []graph.VertexID
 	outDeg []int32
-	raw    []*rawPart
 	topo   *pregel.ShardTopology
 }
 
-// buildWorkerShard materializes a shard payload, either standalone or as a
-// delta over base. Raw tables are never mutated after build, so unchanged
-// delta entries share the base's slices.
-func buildWorkerShard(key string, sp *snap.ShardPayload, base *workerShard) (*workerShard, error) {
+// buildWorkerShard materializes a decoded shard payload.
+func buildWorkerShard(key string, sp *snap.ShardPayload) (*workerShard, error) {
 	if sp.NumParts > maxNumParts {
 		return nil, fmt.Errorf("dist: shard %s claims %d partitions, limit %d", key, sp.NumParts, maxNumParts)
 	}
-	ws := &workerShard{
-		key:    key,
-		outDeg: sp.OutDeg,
-		raw:    make([]*rawPart, sp.NumParts),
-	}
-	parts := make([]*pregel.Partition, sp.NumParts)
-	if sp.IsDelta() {
-		if base == nil {
-			return nil, fmt.Errorf("dist: delta shard %s has no base", key)
-		}
-		if len(base.verts) != sp.OldNumVerts {
-			return nil, fmt.Errorf("dist: delta base holds %d vertices, payload expects %d", len(base.verts), sp.OldNumVerts)
-		}
-		ws.verts = make([]graph.VertexID, 0, sp.NumVerts)
-		ws.verts = append(append(ws.verts, base.verts...), sp.Verts...)
-	} else {
-		ws.verts = sp.Verts
-	}
-	if len(ws.verts) != sp.NumVerts {
-		return nil, fmt.Errorf("dist: shard %s holds %d vertices, meta says %d", key, len(ws.verts), sp.NumVerts)
+	if len(sp.Verts) != sp.NumVerts {
+		return nil, fmt.Errorf("dist: shard %s holds %d vertices, meta says %d", key, len(sp.Verts), sp.NumVerts)
 	}
 	if len(sp.OutDeg) != sp.NumVerts {
 		return nil, fmt.Errorf("dist: shard %s out-degree table holds %d entries, want %d", key, len(sp.OutDeg), sp.NumVerts)
 	}
-
+	parts := make([]*pregel.Partition, sp.NumParts)
 	for i := range sp.Parts {
 		p := &sp.Parts[i]
-		var old *rawPart
-		if base != nil && p.Index < len(base.raw) {
-			old = base.raw[p.Index]
-		}
-		var rp *rawPart
-		switch p.Mode {
-		case snap.ShardPartReplace:
-			rp = &rawPart{lv: p.LocalVerts, src: p.EdgeSrc, dst: p.EdgeDst}
-		case snap.ShardPartUnchanged:
-			if old == nil {
-				return nil, fmt.Errorf("dist: shard %s marks partition %d unchanged without a base copy", key, p.Index)
-			}
-			rp = old
-		case snap.ShardPartAppend:
-			if old == nil {
-				return nil, fmt.Errorf("dist: shard %s appends to partition %d without a base copy", key, p.Index)
-			}
-			rp = &rawPart{
-				lv:  append(append(make([]int32, 0, len(old.lv)+len(p.LocalVerts)), old.lv...), p.LocalVerts...),
-				src: append(append(make([]int32, 0, len(old.src)+len(p.EdgeSrc)), old.src...), p.EdgeSrc...),
-				dst: append(append(make([]int32, 0, len(old.dst)+len(p.EdgeDst)), old.dst...), p.EdgeDst...),
-			}
-		}
-		ws.raw[p.Index] = rp
-		part, err := pregel.NewPartition(sp.NumVerts, rp.lv, rp.src, rp.dst)
+		part, err := pregel.NewPartition(sp.NumVerts, p.LocalVerts, p.EdgeSrc, p.EdgeDst)
 		if err != nil {
 			return nil, fmt.Errorf("dist: shard %s partition %d: %w", key, p.Index, err)
 		}
 		parts[p.Index] = part
 	}
-	ws.topo = pregel.NewShardTopology(ws.verts, parts)
-	return ws, nil
+	return &workerShard{
+		key:    key,
+		verts:  sp.Verts,
+		outDeg: sp.OutDeg,
+		topo:   pregel.NewShardTopology(sp.Verts, parts),
+	}, nil
 }
 
 // shardRun is a run's compute state with the program's type parameters
@@ -240,8 +191,6 @@ func (w *Worker) handlerFor(name string) http.HandlerFunc {
 		return w.handleHealth
 	case "ShardInstall":
 		return w.handleShardInstall
-	case "ShardDelta":
-		return w.handleShardDelta
 	case "RunStart":
 		return w.handleRunStart
 	case "SuperstepExchange":
@@ -317,49 +266,7 @@ func (w *Worker) handleShardInstall(rw http.ResponseWriter, r *http.Request) {
 		http.Error(rw, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if sp.IsDelta() {
-		http.Error(rw, "delta payload on the full-install endpoint", http.StatusBadRequest)
-		return
-	}
-	ws, err := buildWorkerShard(key, sp, nil)
-	if err != nil {
-		http.Error(rw, err.Error(), http.StatusBadRequest)
-		return
-	}
-	w.installShard(ws)
-	rw.WriteHeader(http.StatusNoContent)
-}
-
-func (w *Worker) handleShardDelta(rw http.ResponseWriter, r *http.Request) {
-	key := r.Header.Get(HeaderShardKey)
-	baseKey := r.Header.Get(HeaderShardBase)
-	if key == "" || baseKey == "" {
-		http.Error(rw, "missing shard key headers", http.StatusBadRequest)
-		return
-	}
-	base, ok := w.shard(baseKey)
-	if !ok {
-		http.Error(rw, "base shard not installed: "+baseKey, http.StatusConflict)
-		return
-	}
-	body, ok := readBody(nil, rw, r)
-	if !ok {
-		return
-	}
-	sp, err := snap.DecodeShard(body)
-	if err != nil {
-		http.Error(rw, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if !sp.IsDelta() {
-		http.Error(rw, "full payload on the delta endpoint", http.StatusBadRequest)
-		return
-	}
-	if sp.BaseFP != keyFP(baseKey) {
-		http.Error(rw, "delta base fingerprint does not match "+baseKey, http.StatusBadRequest)
-		return
-	}
-	ws, err := buildWorkerShard(key, sp, base)
+	ws, err := buildWorkerShard(key, sp)
 	if err != nil {
 		http.Error(rw, err.Error(), http.StatusBadRequest)
 		return

@@ -61,7 +61,7 @@ type Codec[T any] interface {
 
 // ShardTopology is the immutable half of one worker's shard: the partitions
 // it owns and the set of vertices mirrored in them. Built once when a shard
-// is installed or patched and shared by every run on it.
+// is installed and shared by every run on it.
 type ShardTopology struct {
 	verts []graph.VertexID
 	parts []*Partition // by partition index; nil where another worker owns it

@@ -300,8 +300,9 @@ func encodeVertexList(verts []graph.VertexID) []byte {
 	return vsec
 }
 
-// decodeVertexList unpacks a delta-uvarint vertex list, validating the
-// entry count against the recorded meta count.
+// decodeVertexList unpacks a delta-uvarint vertex list, validating that it
+// ascends strictly (only the first delta, the first ID itself, may be zero)
+// and the entry count against the recorded meta count.
 func decodeVertexList(vsec []byte, numVerts uint64) ([]graph.VertexID, error) {
 	if numVerts > uint64(len(vsec)) { // each vertex costs at least one byte
 		return nil, fmt.Errorf("snap: vertex count %d exceeds section size", numVerts)
@@ -314,6 +315,9 @@ func decodeVertexList(vsec []byte, numVerts uint64) ([]graph.VertexID, error) {
 			return nil, fmt.Errorf("snap: malformed vertex delta at entry %d", len(verts))
 		}
 		vsec = vsec[n:]
+		if d == 0 && len(verts) > 0 {
+			return nil, fmt.Errorf("snap: vertex list repeats vertex %d at entry %d", prev, len(verts))
+		}
 		if d > math.MaxInt64-uint64(prev) {
 			return nil, fmt.Errorf("snap: vertex delta overflows at entry %d", len(verts))
 		}

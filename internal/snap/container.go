@@ -72,7 +72,7 @@ const (
 	KindBlockGraph Kind = 6
 	// KindShard is one worker's slice of a partitioned topology — the
 	// vertex table, out-degrees and owned partitions the distributed
-	// coordinator ships to a worker, full or as a delta on a base shard.
+	// coordinator ships to a worker. A wire form only: never persisted.
 	KindShard Kind = 7
 )
 

@@ -15,79 +15,41 @@ const (
 	secShardParts  = 4
 )
 
-// ShardPartMode says how one partition entry in a shard payload relates to
-// the receiver's current copy of that partition.
-type ShardPartMode uint32
-
-const (
-	// ShardPartUnchanged ships nothing: the receiver's tables are current.
-	ShardPartUnchanged ShardPartMode = 0
-	// ShardPartReplace ships full tables that supersede the old ones.
-	ShardPartReplace ShardPartMode = 1
-	// ShardPartAppend ships only table suffixes to append to the old ones
-	// (a Grow generation extends partitions in place).
-	ShardPartAppend ShardPartMode = 2
-)
-
-func (m ShardPartMode) String() string {
-	switch m {
-	case ShardPartUnchanged:
-		return "unchanged"
-	case ShardPartReplace:
-		return "replace"
-	case ShardPartAppend:
-		return "append"
-	}
-	return fmt.Sprintf("mode(%d)", uint32(m))
-}
-
 // ShardPart is one owned partition's tables inside a shard payload: the
 // local→global vertex map and the edge endpoint columns, in partition edge
 // order (which the compute scan preserves).
 type ShardPart struct {
 	Index      int
-	Mode       ShardPartMode
 	LocalVerts []int32
 	EdgeSrc    []int32
 	EdgeDst    []int32
 }
 
-// ShardPayload is one worker's slice of a partitioned topology. GraphFP
-// names the graph generation the shard belongs to; BaseFP is zero for a
-// full shard, or the GraphFP of the base generation a delta patches. The
-// vertex table ships whole for full shards; a delta with OldNumVerts > 0
-// ships only the suffix (the dense vertex table only ever grows in place
-// across Grow generations — anything else forces a full shard).
+// ShardPayload is one worker's slice of a partitioned topology: the whole
+// dense vertex table and out-degrees, and the tables of the partitions the
+// worker owns, ascending by index. GraphFP names the graph generation the
+// shard belongs to.
 type ShardPayload struct {
-	GraphFP     uint64
-	BaseFP      uint64
-	NumParts    int
-	NumVerts    int
-	OldNumVerts int
-	Verts       []graph.VertexID
-	OutDeg      []int32
-	Parts       []ShardPart
+	GraphFP  uint64
+	NumParts int
+	NumVerts int
+	Verts    []graph.VertexID
+	OutDeg   []int32
+	Parts    []ShardPart
 }
-
-// IsDelta reports whether the payload patches a base shard rather than
-// standing alone.
-func (sp *ShardPayload) IsDelta() bool { return sp.BaseFP != 0 }
 
 // EncodeShard packs a shard payload into a container.
 func EncodeShard(sp *ShardPayload) []byte {
 	var meta []byte
 	meta = binary.LittleEndian.AppendUint64(meta, sp.GraphFP)
-	meta = binary.LittleEndian.AppendUint64(meta, sp.BaseFP)
 	meta = binary.LittleEndian.AppendUint64(meta, uint64(sp.NumParts))
 	meta = binary.LittleEndian.AppendUint64(meta, uint64(sp.NumVerts))
-	meta = binary.LittleEndian.AppendUint64(meta, uint64(sp.OldNumVerts))
 
 	var parts []byte
 	parts = binary.LittleEndian.AppendUint32(parts, uint32(len(sp.Parts)))
 	for i := range sp.Parts {
 		p := &sp.Parts[i]
 		parts = binary.LittleEndian.AppendUint32(parts, uint32(p.Index))
-		parts = binary.LittleEndian.AppendUint32(parts, uint32(p.Mode))
 		parts = appendBlob(parts, encodeI32s(p.LocalVerts))
 		parts = appendBlob(parts, encodeI32s(p.EdgeSrc))
 		parts = appendBlob(parts, encodeI32s(p.EdgeDst))
@@ -101,7 +63,8 @@ func EncodeShard(sp *ShardPayload) []byte {
 	return b.Bytes()
 }
 
-// DecodeShard unpacks a shard container, validating structure (CRCs are
+// DecodeShard unpacks a shard container, validating structure: a strictly
+// ascending vertex table and strictly ascending partition indices (CRCs are
 // checked by the container layer; topology validation — ascending local
 // vertex tables, in-range endpoints — is the consumer's job via
 // pregel.NewPartition).
@@ -120,33 +83,22 @@ func DecodeShard(data []byte) (*ShardPayload, error) {
 	}
 	mr := &fieldReader{b: msec}
 	sp := &ShardPayload{
-		GraphFP:     mr.u64(),
-		BaseFP:      mr.u64(),
-		NumParts:    int(mr.u64()),
-		NumVerts:    int(mr.u64()),
-		OldNumVerts: int(mr.u64()),
+		GraphFP:  mr.u64(),
+		NumParts: int(mr.u64()),
+		NumVerts: int(mr.u64()),
 	}
 	if err := mr.finish(); err != nil {
 		return nil, err
 	}
-	if sp.NumParts <= 0 || sp.NumVerts < 0 || sp.OldNumVerts < 0 {
-		return nil, fmt.Errorf("snap: shard meta out of range: parts=%d verts=%d oldVerts=%d", sp.NumParts, sp.NumVerts, sp.OldNumVerts)
+	if sp.NumParts <= 0 || sp.NumVerts < 0 {
+		return nil, fmt.Errorf("snap: shard meta out of range: parts=%d verts=%d", sp.NumParts, sp.NumVerts)
 	}
 
 	vsec, err := section(c, secShardVerts, "vertex list")
 	if err != nil {
 		return nil, err
 	}
-	// A full shard ships all NumVerts vertices; a delta ships the suffix
-	// beyond OldNumVerts.
-	wantVerts := sp.NumVerts
-	if sp.IsDelta() {
-		wantVerts = sp.NumVerts - sp.OldNumVerts
-	}
-	if wantVerts < 0 {
-		return nil, fmt.Errorf("snap: shard vertex counts shrink: %d -> %d", sp.OldNumVerts, sp.NumVerts)
-	}
-	sp.Verts, err = decodeVertexList(vsec, uint64(wantVerts))
+	sp.Verts, err = decodeVertexList(vsec, uint64(sp.NumVerts))
 	if err != nil {
 		return nil, err
 	}
@@ -173,10 +125,7 @@ func DecodeShard(data []byte) (*ShardPayload, error) {
 		return nil, fmt.Errorf("snap: shard carries %d partitions, topology has %d", n, sp.NumParts)
 	}
 	for i := 0; i < n && pr.err == nil; i++ {
-		p := ShardPart{
-			Index: int(pr.u32()),
-			Mode:  ShardPartMode(pr.u32()),
-		}
+		p := ShardPart{Index: int(pr.u32())}
 		lvb := pr.blob()
 		srcb := pr.blob()
 		dstb := pr.blob()
@@ -186,10 +135,8 @@ func DecodeShard(data []byte) (*ShardPayload, error) {
 		if p.Index < 0 || p.Index >= sp.NumParts {
 			return nil, fmt.Errorf("snap: shard partition index %d out of range [0,%d)", p.Index, sp.NumParts)
 		}
-		switch p.Mode {
-		case ShardPartUnchanged, ShardPartReplace, ShardPartAppend:
-		default:
-			return nil, fmt.Errorf("snap: shard partition %d has unknown mode %d", p.Index, uint32(p.Mode))
+		if i > 0 && p.Index <= sp.Parts[i-1].Index {
+			return nil, fmt.Errorf("snap: shard partition index %d follows %d, want strictly ascending", p.Index, sp.Parts[i-1].Index)
 		}
 		if p.LocalVerts, err = decodeI32s(lvb, "local verts"); err != nil {
 			return nil, err

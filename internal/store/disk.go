@@ -10,10 +10,6 @@ import (
 	"sync"
 
 	"cutfit/internal/graph"
-	"cutfit/internal/metrics"
-	"cutfit/internal/partition"
-	"cutfit/internal/pregel"
-	"cutfit/internal/snap"
 )
 
 // DefaultDiskMaxBytes bounds the disk tier when Config.DiskMaxBytes is
@@ -259,20 +255,11 @@ func (dt *diskTier) stat() (entries int, bytes int64) {
 // garbage and must not be spilled.
 func (st *Store) encodeEntry(e *entry) (name string, data []byte, ok bool) {
 	k := e.key
-	if k.version != k.g.Version() {
+	c, ok := codecs[k.kind]
+	if !ok || k.version != k.g.Version() {
 		return "", nil, false
 	}
-	switch k.kind {
-	case kindAssignment:
-		data = snap.EncodeAssignment(e.val.(*partition.Assignment))
-	case kindMetrics:
-		data = snap.EncodeMetrics(e.val.(*metrics.Result), k.g, k.strategy)
-	case kindBuilt:
-		data = snap.EncodeTopology(e.val.(*pregel.PartitionedGraph), k.strategy)
-	default:
-		return "", nil, false
-	}
-	return diskName(k.g.Fingerprint(), k.strategy, k.numParts, k.kind), data, true
+	return diskName(k.g.Fingerprint(), k.strategy, k.numParts, k.kind), c.encode(e.val, k.g, k.strategy), true
 }
 
 // spill writes evicted entries through to the disk tier (best effort; a
@@ -302,39 +289,7 @@ func (st *Store) fromDisk(g *graph.Graph, strategyKey string, numParts int, kd k
 	if !ok {
 		return nil, false
 	}
-	var (
-		val any
-		err error
-	)
-	switch kd {
-	case kindAssignment:
-		var a *partition.Assignment
-		if a, err = snap.DecodeAssignment(data, g, strategyKey); err == nil {
-			if a.NumParts != numParts {
-				err = fmt.Errorf("store: disk entry holds %d parts, want %d", a.NumParts, numParts)
-			} else {
-				val = a
-			}
-		}
-	case kindMetrics:
-		var m *metrics.Result
-		if m, err = snap.DecodeMetrics(data, g, strategyKey); err == nil {
-			if m.NumParts != numParts {
-				err = fmt.Errorf("store: disk entry holds %d parts, want %d", m.NumParts, numParts)
-			} else {
-				val = m
-			}
-		}
-	case kindBuilt:
-		var pg *pregel.PartitionedGraph
-		if pg, err = snap.DecodeTopology(data, g, strategyKey, st.build); err == nil {
-			if pg.NumParts != numParts {
-				err = fmt.Errorf("store: disk entry holds %d parts, want %d", pg.NumParts, numParts)
-			} else {
-				val = pg
-			}
-		}
-	}
+	val, err := codecs[kd].decodeFor(data, g, strategyKey, numParts, st.build)
 	if err != nil {
 		st.disk.remove(name)
 		return nil, false

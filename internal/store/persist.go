@@ -159,25 +159,15 @@ func (st *Store) Persist(w io.Writer, names map[string]*graph.Graph) (PersistSum
 	sa := make([]snap.StoreArtifact, 0, len(live))
 	for _, e := range live {
 		k := e.key
-		a := snap.StoreArtifact{
-			GraphIndex:  index[k.g],
-			StrategyKey: k.strategy,
-			NumParts:    k.numParts,
+		if c, ok := codecs[k.kind]; ok {
+			sa = append(sa, snap.StoreArtifact{
+				GraphIndex:  index[k.g],
+				Stage:       c.stage,
+				StrategyKey: k.strategy,
+				NumParts:    k.numParts,
+				Data:        c.encode(e.val, k.g, k.strategy),
+			})
 		}
-		switch k.kind {
-		case kindAssignment:
-			a.Stage = snap.StageAssignment
-			a.Data = snap.EncodeAssignment(e.val.(*partition.Assignment))
-		case kindMetrics:
-			a.Stage = snap.StageMetrics
-			a.Data = snap.EncodeMetrics(e.val.(*metrics.Result), k.g, k.strategy)
-		case kindBuilt:
-			a.Stage = snap.StageTopology
-			a.Data = snap.EncodeTopology(e.val.(*pregel.PartitionedGraph), k.strategy)
-		default:
-			continue
-		}
-		sa = append(sa, a)
 	}
 
 	data := snap.EncodeStore(sg, sa)
@@ -271,37 +261,78 @@ type restoredArtifact struct {
 }
 
 // decodeArtifact decodes one artifact record against its restored graph.
-// Each decode verifies the embedded container's strategy key against the
-// bundle record's — the key the artifact will be cached under — so a
-// relabeled record can never plant an artifact under another tuple's key;
-// the partition counts are cross-checked for the same reason.
 func (st *Store) decodeArtifact(rec snap.StoreArtifact, g *graph.Graph) (restoredArtifact, error) {
-	var (
-		r        restoredArtifact
-		numParts int
-	)
-	switch rec.Stage {
-	case snap.StageAssignment:
-		a, err := snap.DecodeAssignment(rec.Data, g, rec.StrategyKey)
-		if err != nil {
-			return r, err
+	for kd, c := range codecs {
+		if c.stage == rec.Stage {
+			v, err := c.decodeFor(rec.Data, g, rec.StrategyKey, rec.NumParts, st.build)
+			return restoredArtifact{v, kd}, err
 		}
-		r, numParts = restoredArtifact{a, kindAssignment}, a.NumParts
-	case snap.StageMetrics:
-		m, err := snap.DecodeMetrics(rec.Data, g, rec.StrategyKey)
-		if err != nil {
-			return r, err
-		}
-		r, numParts = restoredArtifact{m, kindMetrics}, m.NumParts
-	case snap.StageTopology:
-		pg, err := snap.DecodeTopology(rec.Data, g, rec.StrategyKey, st.build)
-		if err != nil {
-			return r, err
-		}
-		r, numParts = restoredArtifact{pg, kindBuilt}, pg.NumParts
 	}
-	if numParts != rec.NumParts {
-		return r, fmt.Errorf("holds %d parts, record says %d", numParts, rec.NumParts)
+	return restoredArtifact{}, fmt.Errorf("unknown stage %d", rec.Stage)
+}
+
+// artifactCodec is how one persisted kind travels as a standalone snap
+// container, in a disk-tier file and in a Persist bundle alike: its bundle
+// stage, its encoder, and its decoder, which validates the artifact against
+// the graph and strategy key it is cached under and reports its partition
+// count.
+type artifactCodec struct {
+	stage  snap.Stage
+	encode func(v any, g *graph.Graph, strategy string) []byte
+	decode func(data []byte, g *graph.Graph, strategy string, build pregel.BuildOptions) (v any, numParts int, err error)
+}
+
+// codecs holds every persisted kind; answers have none, so they are never
+// spilled or snapshotted.
+var codecs = map[kind]artifactCodec{
+	kindAssignment: {
+		stage:  snap.StageAssignment,
+		encode: func(v any, _ *graph.Graph, _ string) []byte { return snap.EncodeAssignment(v.(*partition.Assignment)) },
+		decode: func(data []byte, g *graph.Graph, strategy string, _ pregel.BuildOptions) (any, int, error) {
+			a, err := snap.DecodeAssignment(data, g, strategy)
+			if err != nil {
+				return nil, 0, err
+			}
+			return a, a.NumParts, nil
+		},
+	},
+	kindMetrics: {
+		stage: snap.StageMetrics,
+		encode: func(v any, g *graph.Graph, strategy string) []byte {
+			return snap.EncodeMetrics(v.(*metrics.Result), g, strategy)
+		},
+		decode: func(data []byte, g *graph.Graph, strategy string, _ pregel.BuildOptions) (any, int, error) {
+			m, err := snap.DecodeMetrics(data, g, strategy)
+			if err != nil {
+				return nil, 0, err
+			}
+			return m, m.NumParts, nil
+		},
+	},
+	kindBuilt: {
+		stage: snap.StageTopology,
+		encode: func(v any, _ *graph.Graph, strategy string) []byte {
+			return snap.EncodeTopology(v.(*pregel.PartitionedGraph), strategy)
+		},
+		decode: func(data []byte, g *graph.Graph, strategy string, build pregel.BuildOptions) (any, int, error) {
+			pg, err := snap.DecodeTopology(data, g, strategy, build)
+			if err != nil {
+				return nil, 0, err
+			}
+			return pg, pg.NumParts, nil
+		},
+	},
+}
+
+// decodeFor decodes one container to be cached under (g, strategy,
+// numParts). The decoder verifies the embedded strategy key against the one
+// it will be cached under, so a relabeled record or file can never plant an
+// artifact under another tuple's key; the partition count is cross-checked
+// for the same reason.
+func (c artifactCodec) decodeFor(data []byte, g *graph.Graph, strategy string, numParts int, build pregel.BuildOptions) (any, error) {
+	v, n, err := c.decode(data, g, strategy, build)
+	if err == nil && n != numParts {
+		err = fmt.Errorf("holds %d parts, record says %d", n, numParts)
 	}
-	return r, nil
+	return v, err
 }
