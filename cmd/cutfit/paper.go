@@ -14,7 +14,6 @@ import (
 	"cutfit/internal/datasets"
 	"cutfit/internal/metrics"
 	"cutfit/internal/partition"
-	"cutfit/internal/report"
 	"cutfit/internal/stats"
 )
 
@@ -194,7 +193,7 @@ func (p *paper) histogram(bins []stats.HistBin) error {
 		labels = append(labels, fmt.Sprintf("[%d..%d]", b.Lo, b.Hi))
 		counts = append(counts, b.Count)
 	}
-	return report.Histogram(p.w, labels, counts, 50)
+	return writeHistogram(p.w, labels, counts, 50)
 }
 
 // fig2 prints Figure 2, quantiles of the out/in degree ratio CDF.
@@ -296,12 +295,12 @@ func (p *paper) perDataset(values map[string]float64) {
 // axes log-scaled like the paper's figures) and writes its CSV file, as
 // -plot and -csv ask.
 func (p *paper) render(f bench.Figure, s *bench.CorrelationSeries) error {
-	points := make([]report.Point, 0, len(s.Points))
+	points := make([]plotPoint, 0, len(s.Points))
 	for _, pt := range s.Points {
-		points = append(points, report.Point{X: pt.Metric, Y: pt.SimSecs, Series: pt.Dataset})
+		points = append(points, plotPoint{X: pt.Metric, Y: pt.SimSecs, Series: pt.Dataset})
 	}
 	if p.plot {
-		err := report.Scatter(p.w, points, report.ScatterConfig{
+		err := writeScatter(p.w, points, scatterConfig{
 			Title:  fmt.Sprintf("%s: simulated time vs %s (%s, r=%.3f)", f.Title, s.Metric, s.Config, s.Pearson),
 			XLabel: s.Metric, YLabel: "secs", LogX: true, LogY: true,
 		})
@@ -317,7 +316,7 @@ func (p *paper) render(f bench.Figure, s *bench.CorrelationSeries) error {
 	if err != nil {
 		return err
 	}
-	if err := report.WriteCSV(out, points, s.Metric, "simsecs"); err != nil {
+	if err := writeCSV(out, points, s.Metric, "simsecs"); err != nil {
 		out.Close()
 		return err
 	}

@@ -1,8 +1,9 @@
-// Package report renders experiment results for humans and downstream
-// tools: ASCII scatter plots of the paper's correlation figures (readable
-// in a terminal, like the paper's Figures 3–6), log-log degree plots
-// (Figure 1), and CSV export for external plotting.
-package report
+package main
+
+// What `cutfit paper` draws for humans and downstream tools: ASCII scatter
+// plots of the paper's correlation figures (readable in a terminal, like the
+// paper's Figures 3–6), degree histograms (Figure 1), and CSV export for
+// external plotting.
 
 import (
 	"encoding/csv"
@@ -13,14 +14,14 @@ import (
 	"strings"
 )
 
-// Point is one (x, y) sample with an optional series label.
-type Point struct {
+// plotPoint is one (x, y) sample with an optional series label.
+type plotPoint struct {
 	X, Y   float64
 	Series string
 }
 
-// ScatterConfig controls ASCII scatter rendering.
-type ScatterConfig struct {
+// scatterConfig controls ASCII scatter rendering.
+type scatterConfig struct {
 	Width, Height int // plot area in characters; defaults 64×20
 	Title         string
 	XLabel        string
@@ -33,8 +34,8 @@ type ScatterConfig struct {
 // seriesGlyphs assigns stable glyphs to series in first-appearance order.
 var seriesGlyphs = []byte{'*', 'o', '+', 'x', '#', '@', '%', '&', '~', '^'}
 
-// Scatter renders an ASCII scatter plot of the points to w.
-func Scatter(w io.Writer, points []Point, cfg ScatterConfig) error {
+// writeScatter renders an ASCII scatter plot of the points to w.
+func writeScatter(w io.Writer, points []plotPoint, cfg scatterConfig) error {
 	width, height := cfg.Width, cfg.Height
 	if width <= 0 {
 		width = 64
@@ -71,7 +72,7 @@ func Scatter(w io.Writer, points []Point, cfg ScatterConfig) error {
 		data = append(data, xyg{x, y, gl})
 	}
 	if len(data) == 0 {
-		return fmt.Errorf("report: no plottable points")
+		return fmt.Errorf("no plottable points")
 	}
 	minX, maxX := data[0].x, data[0].x
 	minY, maxY := data[0].y, data[0].y
@@ -183,8 +184,8 @@ func firstKey(m map[string]byte) string {
 	return ""
 }
 
-// WriteCSV writes points as "series,x,y" rows with a header.
-func WriteCSV(w io.Writer, points []Point, xName, yName string) error {
+// writeCSV writes points as "series,x,y" rows with a header.
+func writeCSV(w io.Writer, points []plotPoint, xName, yName string) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"series", xName, yName}); err != nil {
 		return err
@@ -203,11 +204,11 @@ func WriteCSV(w io.Writer, points []Point, xName, yName string) error {
 	return cw.Error()
 }
 
-// Histogram renders a horizontal ASCII bar chart of (label, count) pairs,
+// writeHistogram renders a horizontal ASCII bar chart of (label, count) pairs,
 // scaled to barWidth characters.
-func Histogram(w io.Writer, labels []string, counts []int64, barWidth int) error {
+func writeHistogram(w io.Writer, labels []string, counts []int64, barWidth int) error {
 	if len(labels) != len(counts) {
-		return fmt.Errorf("report: %d labels for %d counts", len(labels), len(counts))
+		return fmt.Errorf("%d labels for %d counts", len(labels), len(counts))
 	}
 	if barWidth <= 0 {
 		barWidth = 50

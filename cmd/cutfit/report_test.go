@@ -1,4 +1,4 @@
-package report
+package main
 
 import (
 	"bytes"
@@ -7,13 +7,13 @@ import (
 )
 
 func TestScatterBasic(t *testing.T) {
-	points := []Point{
+	points := []plotPoint{
 		{X: 1, Y: 1, Series: "a"},
 		{X: 2, Y: 4, Series: "a"},
 		{X: 3, Y: 9, Series: "b"},
 	}
 	var buf bytes.Buffer
-	err := Scatter(&buf, points, ScatterConfig{
+	err := writeScatter(&buf, points, scatterConfig{
 		Width: 30, Height: 10, Title: "squares", XLabel: "x", YLabel: "y",
 	})
 	if err != nil {
@@ -36,13 +36,13 @@ func TestScatterBasic(t *testing.T) {
 }
 
 func TestScatterLogAxes(t *testing.T) {
-	points := []Point{
+	points := []plotPoint{
 		{X: 10, Y: 100, Series: "s"},
 		{X: 1000, Y: 1e6, Series: "s"},
 		{X: -5, Y: 3, Series: "s"}, // dropped under LogX
 	}
 	var buf bytes.Buffer
-	err := Scatter(&buf, points, ScatterConfig{LogX: true, LogY: true, XLabel: "m", YLabel: "t"})
+	err := writeScatter(&buf, points, scatterConfig{LogX: true, LogY: true, XLabel: "m", YLabel: "t"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,31 +53,31 @@ func TestScatterLogAxes(t *testing.T) {
 
 func TestScatterNoPoints(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Scatter(&buf, nil, ScatterConfig{}); err == nil {
+	if err := writeScatter(&buf, nil, scatterConfig{}); err == nil {
 		t.Fatal("empty input should error")
 	}
 	// All points dropped by log transform.
-	if err := Scatter(&buf, []Point{{X: -1, Y: 1}}, ScatterConfig{LogX: true}); err == nil {
+	if err := writeScatter(&buf, []plotPoint{{X: -1, Y: 1}}, scatterConfig{LogX: true}); err == nil {
 		t.Fatal("all-dropped input should error")
 	}
 }
 
 func TestScatterDegenerateRange(t *testing.T) {
 	// Identical points must not divide by zero.
-	points := []Point{{X: 5, Y: 5}, {X: 5, Y: 5}}
+	points := []plotPoint{{X: 5, Y: 5}, {X: 5, Y: 5}}
 	var buf bytes.Buffer
-	if err := Scatter(&buf, points, ScatterConfig{Width: 10, Height: 4}); err != nil {
+	if err := writeScatter(&buf, points, scatterConfig{Width: 10, Height: 4}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestWriteCSV(t *testing.T) {
-	points := []Point{
+	points := []plotPoint{
 		{X: 1.5, Y: 2.5, Series: "alpha"},
 		{X: 3, Y: 4, Series: "beta,comma"},
 	}
 	var buf bytes.Buffer
-	if err := WriteCSV(&buf, points, "metric", "secs"); err != nil {
+	if err := writeCSV(&buf, points, "metric", "secs"); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -95,7 +95,7 @@ func TestWriteCSV(t *testing.T) {
 
 func TestHistogram(t *testing.T) {
 	var buf bytes.Buffer
-	err := Histogram(&buf, []string{"[0..0]", "[1..1]", "[2..3]"}, []int64{10, 5, 0}, 20)
+	err := writeHistogram(&buf, []string{"[0..0]", "[1..1]", "[2..3]"}, []int64{10, 5, 0}, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,14 +110,14 @@ func TestHistogram(t *testing.T) {
 
 func TestHistogramErrors(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Histogram(&buf, []string{"a"}, []int64{1, 2}, 10); err == nil {
+	if err := writeHistogram(&buf, []string{"a"}, []int64{1, 2}, 10); err == nil {
 		t.Fatal("length mismatch should error")
 	}
 }
 
 func TestHistogramAllZero(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Histogram(&buf, []string{"a"}, []int64{0}, 10); err != nil {
+	if err := writeHistogram(&buf, []string{"a"}, []int64{0}, 10); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"cutfit/internal/graph"
+	"cutfit/internal/par"
 	"cutfit/internal/pregel"
 )
 
@@ -80,11 +81,11 @@ func TriangleCount(ctx context.Context, pg *pregel.PartitionedGraph) ([]int64, *
 		ss.BroadcastBytes += m * (16 + 4*int64(len(g.UndirectedNeighbors(v))))
 	}
 
-	// Compute phase: per-partition canonical-edge intersections.
-	// ForEachPartition runs concurrently; each closure writes only its own
-	// partition's slots.
+	// Compute phase: per-partition canonical-edge intersections, run
+	// concurrently; each closure writes only its own partition's slots, and
+	// no partition starts once ctx is done.
 	partCounts := make([][]int64, numParts)
-	if err := pg.ForEachPartition(func(p int) {
+	if err := par.ForEach(ctx, pg.Parallelism, numParts, func(p int) {
 		part := pg.Parts[p]
 		counts := make([]int64, part.NumLocalVertices())
 		marks := takeMarks(nv)
@@ -113,7 +114,7 @@ func TriangleCount(ctx context.Context, pg *pregel.PartitionedGraph) ([]int64, *
 		partCounts[p] = counts
 		ss.ComputePerPart[p] = hashSetOpUnits * float64(setOps)
 	}); err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("algorithms: TriangleCount: %w", err)
 	}
 	for _, runs := range plan {
 		ss.EdgesScanned += int64(len(runs.Leaf))

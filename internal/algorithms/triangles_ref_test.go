@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"cutfit/internal/gen"
 	"cutfit/internal/graph"
+	"cutfit/internal/par"
 	"cutfit/internal/partition"
 	"cutfit/internal/pregel"
 	"cutfit/internal/rng"
@@ -89,7 +91,7 @@ func triangleCountRef(pg *pregel.PartitionedGraph) ([]int64, *pregel.RunStats, e
 
 	partCounts := make([][]int64, numParts)
 	scannedPerPart := make([]int64, numParts)
-	if err := pg.ForEachPartition(func(p int) {
+	if err := par.ForEach(context.Background(), pg.Parallelism, numParts, func(p int) {
 		part := pg.Parts[p]
 		counts := make([]int64, part.NumLocalVertices())
 		var cost float64
@@ -271,6 +273,35 @@ func TestTriangleCountMatchesReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// cancelledAfterFirstCheck is a context whose Err is nil on its first call
+// and context.Canceled on every later one: a caller that gives up between
+// TriangleCount's entry check and its partition fan-out.
+type cancelledAfterFirstCheck struct {
+	context.Context
+	calls atomic.Int32
+}
+
+func (c *cancelledAfterFirstCheck) Err() error {
+	if c.calls.Add(1) == 1 {
+		return nil
+	}
+	return context.Canceled
+}
+
+// TestTriangleCountStopsWhenCancelledMidRun: cancellation after the entry
+// check still stops the run — no partition starts — and is the error.
+func TestTriangleCountStopsWhenCancelledMidRun(t *testing.T) {
+	g, err := gen.RMAT(gen.DefaultRMAT(8, 8, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg := mustPartition(t, g, partition.EdgePartition2D(), 16)
+	ctx := &cancelledAfterFirstCheck{Context: context.Background()}
+	if _, _, err := TriangleCount(ctx, pg); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err %v, want context.Canceled", err)
 	}
 }
 

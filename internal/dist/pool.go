@@ -13,6 +13,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"cutfit/internal/par"
 )
 
 // ErrShardMissing is RunStart's 404, which the transport maps to a sentinel
@@ -97,25 +99,23 @@ type WorkerStatus struct {
 	Error   string `json:"error,omitempty"`
 }
 
-// Status polls every worker's health endpoint concurrently.
+// Status polls every worker's health endpoint concurrently. Every worker
+// gets its row even once ctx is done: ctx bounds the polls, not the
+// hand-out, so a poll ctx cut short reads unhealthy, with ctx's error.
 func (p *Pool) Status(ctx context.Context) []WorkerStatus {
 	out := make([]WorkerStatus, len(p.urls))
-	var wg sync.WaitGroup
-	for i, url := range p.urls {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			out[i].URL = url
-			shards, err := p.tr.Healthz(ctx, url)
-			if err != nil {
-				out[i].Error = err.Error()
-				return
-			}
-			out[i].Healthy = true
-			out[i].Shards = shards
-		}()
+	if err := par.ForEach(context.Background(), len(p.urls), len(p.urls), func(i int) {
+		out[i].URL = p.urls[i]
+		shards, err := p.tr.Healthz(ctx, p.urls[i])
+		if err != nil {
+			out[i].Error = err.Error()
+			return
+		}
+		out[i].Healthy = true
+		out[i].Shards = shards
+	}); err != nil {
+		panic(err) // a Transport that panicked; raised here, on the caller
 	}
-	wg.Wait()
 	return out
 }
 

@@ -127,3 +127,25 @@ func TestSlowWorkerDoesNotDelayShipping(t *testing.T) {
 	}
 	assertBitEqualF64(t, "after the slow worker", res.vals, want)
 }
+
+// TestStatusFillsEveryRowWhenCancelled: a done ctx fails the polls, not the
+// hand-out — every worker still gets its row, with its URL and the error.
+func TestStatusFillsEveryRowWhenCancelled(t *testing.T) {
+	pool, _ := startCluster(t, 3)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rows := pool.Status(ctx)
+	if len(rows) != 3 {
+		t.Fatalf("%d rows for 3 workers", len(rows))
+	}
+	for i, row := range rows {
+		if row.URL != pool.URLs()[i] || row.Healthy || row.Error == "" {
+			t.Fatalf("row %d is %+v, want worker %s unhealthy with an error", i, row, pool.URLs()[i])
+		}
+	}
+	for i, row := range pool.Status(context.Background()) {
+		if !row.Healthy || row.Error != "" {
+			t.Fatalf("row %d is %+v with a live ctx, want healthy", i, row)
+		}
+	}
+}

@@ -1,5 +1,6 @@
-// Package par holds the process-wide default parallelism and the one
-// bounded fan-out helper built on it.
+// Package par holds the process-wide default parallelism and the two
+// bounded fan-out helpers built on it — the only place outside HTTP serving
+// and the ordered ingest pipeline that starts goroutines.
 //
 // Every layer that fans work over goroutines — the partition build, the
 // engine phases, the sharded hash assignment, restored topologies — accepts
@@ -10,6 +11,13 @@
 // (cutfit.SessionOptions.Parallelism, cutfitd -parallelism) the single
 // override point: a caller that sets an explicit count wins, everything
 // else degrades to one shared definition of "the machine's parallelism".
+//
+// ForEach is for items of uneven cost (partitions, artifacts, workers): it
+// hands them out one at a time and stops when its context ends. Ranges is
+// for a flat index space cut into equal contiguous pieces whose owner is
+// part of the result (a shard's counters, a bitset word's one writer).
+// Both return a panic in the work as an error instead of letting it kill
+// the process from a goroutine.
 package par
 
 import (
@@ -62,17 +70,52 @@ func (l *loop) spawned() {
 }
 
 func (l *loop) work() {
-	defer func() {
-		if r := recover(); r != nil {
-			err := fmt.Errorf("par: task panicked: %v", r)
-			l.panicked.CompareAndSwap(nil, &err)
-		}
-	}()
+	defer catch(&l.panicked)
 	for l.ctx.Err() == nil && l.panicked.Load() == nil {
 		i := l.next.Add(1) - 1
 		if i >= l.n {
 			return
 		}
 		l.fn(int(i))
+	}
+}
+
+// Ranges cuts [0, n) into at most workers contiguous ranges of
+// ceil(n / min(workers, n)) indices each — the last one possibly shorter,
+// and fewer ranges than workers when the division leaves some empty — and
+// runs fn(r, lo, hi) for the r-th range [lo, hi) on a goroutine of its own
+// while the caller waits. Range r starts at r times the first range's
+// length, so a caller that keeps per-range state sizes it by workers and
+// indexes it by r. workers < 1 counts as 1. Every range runs to its end; a
+// panic in any of them is returned as an error once all have finished.
+func Ranges(workers, n int, fn func(r, lo, hi int)) error {
+	if n <= 0 {
+		return nil
+	}
+	most := max(min(workers, n), 1)
+	chunk := (n + most - 1) / most
+	var wg sync.WaitGroup
+	var panicked atomic.Pointer[error]
+	for r, lo := 0, 0; lo < n; r, lo = r+1, lo+chunk {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer catch(&panicked)
+			fn(r, lo, min(lo+chunk, n))
+		}()
+	}
+	wg.Wait()
+	if err := panicked.Load(); err != nil {
+		return *err
+	}
+	return nil
+}
+
+// catch, deferred, records a panic of the goroutine it runs on as the first
+// error in *first unless one is already there.
+func catch(first *atomic.Pointer[error]) {
+	if r := recover(); r != nil {
+		err := fmt.Errorf("par: task panicked: %v", r)
+		first.CompareAndSwap(nil, &err)
 	}
 }

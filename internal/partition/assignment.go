@@ -230,32 +230,20 @@ func Assign(g *graph.Graph, s Strategy, numParts int) (*Assignment, error) {
 const parallelAssignThreshold = 1 << 14
 
 // assignHashParallel evaluates a stateless per-edge hash over contiguous
-// edge shards, one per GOMAXPROCS slot, writing into out. The output is
+// edge ranges, one per GOMAXPROCS slot, writing into out. The output is
 // index-addressed, so the result is identical to the sequential loop
-// regardless of scheduling.
+// regardless of scheduling; a panicking hash is an error.
 func assignHashParallel(edges []graph.Edge, out []PID, fn EdgeHashFunc, numParts int) error {
 	shards := par.DefaultParallelism()
 	if len(edges) < parallelAssignThreshold || shards < 2 {
 		return assignHashRange(edges, out, fn, numParts, 0, len(edges))
 	}
-	if shards > len(edges) {
-		shards = len(edges)
-	}
-	chunk := (len(edges) + shards - 1) / shards
 	errs := make([]error, shards)
-	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
-		lo, hi := s*chunk, (s+1)*chunk
-		if hi > len(edges) {
-			hi = len(edges)
-		}
-		wg.Add(1)
-		go func(s, lo, hi int) {
-			defer wg.Done()
-			errs[s] = assignHashRange(edges, out, fn, numParts, lo, hi)
-		}(s, lo, hi)
+	if err := par.Ranges(shards, len(edges), func(s, lo, hi int) {
+		errs[s] = assignHashRange(edges, out, fn, numParts, lo, hi)
+	}); err != nil {
+		return err
 	}
-	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return err

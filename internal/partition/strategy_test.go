@@ -1,6 +1,8 @@
 package partition
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -221,6 +223,29 @@ func TestHashStrategyRejectsOutOfRangePID(t *testing.T) {
 	g := graph.FromEdges([]graph.Edge{{Src: 0, Dst: 1}})
 	if _, err := s.Partition(g, 4); err == nil {
 		t.Fatal("out-of-range PID should error")
+	}
+}
+
+// TestAssignReturnsHashPanic: a hash that panics on one edge of a graph big
+// enough for the sharded path, with at least two procs to shard over, fails
+// the Assign call with an error instead of killing the process from a
+// worker goroutine.
+func TestAssignReturnsHashPanic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	edges := make([]graph.Edge, 2*parallelAssignThreshold)
+	for i := range edges {
+		edges[i] = graph.Edge{Src: graph.VertexID(i), Dst: graph.VertexID(i + 1)}
+	}
+	poison := graph.VertexID(len(edges) - 3)
+	s := NewHashStrategy("panicky", func(src, dst graph.VertexID, n int) PID {
+		if src == poison {
+			panic("boom")
+		}
+		return PID(int(src) % n)
+	})
+	_, err := Assign(graph.FromEdges(edges), s, 4)
+	if err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("err %v, want the hash's panic", err)
 	}
 }
 

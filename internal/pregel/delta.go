@@ -150,7 +150,7 @@ func (pg *PartitionedGraph) ApplyDelta(a *partition.Assignment, remap []int32) (
 	npg.assignShare, _ = a.PIDShare()
 	parts := make([]*Partition, numParts)
 	npg.Parts = parts
-	err = pg.forEachPart(func(p int) {
+	err = par.ForEach(context.Background(), pg.Parallelism, numParts, func(p int) {
 		old := pg.Parts[p]
 		np := &Partition{edges: edgeBuf[partStart[p]:partStart[p+1]:partStart[p+1]]}
 		if removed != nil && len(removed[p]) != 0 {

@@ -11,6 +11,7 @@ import (
 	"unsafe"
 
 	"cutfit/internal/graph"
+	"cutfit/internal/par"
 )
 
 // EdgeDirection selects which triplets the compute phase scans, matching
@@ -535,7 +536,7 @@ func runEngine[V, M any](ctx context.Context, pg *PartitionedGraph, prog Program
 			activeCount += int64(bits.OnesCount64(w))
 		}
 		fill = true
-	} else if err := pg.forEachShard(nw, func(lo, hi int) {
+	} else if err := par.Ranges(shards, nw, func(_, lo, hi int) {
 		// Superstep 0: every vertex applies the initial message at the
 		// master. Sharded over bitset words, so every changedBits word is
 		// written whole by exactly one shard.
@@ -566,10 +567,6 @@ func runEngine[V, M any](ctx context.Context, pg *PartitionedGraph, prog Program
 			Superstep:      step,
 			ActiveVertices: activeCount,
 		}
-		wShard := (nw + shards - 1) / shards
-		if wShard < 1 {
-			wShard = 1
-		}
 
 		if ex != nil {
 			// Phases 1–3, distributed: the exchanger ships the frontier,
@@ -597,11 +594,9 @@ func runEngine[V, M any](ctx context.Context, pg *PartitionedGraph, prog Program
 		// every changedBits word is rebuilt whole by exactly one shard.
 		counts := sc.applyCounts
 		applyPerShard := sc.applyPerShard
-		for sh := 0; sh < shards; sh++ {
-			counts[sh], applyPerShard[sh] = 0, 0
-		}
-		if err := pg.forEachShard(nw, func(lo, hi int) {
-			sh := lo / wShard
+		clear(counts)
+		clear(applyPerShard)
+		if err := par.Ranges(shards, nw, func(sh, lo, hi int) {
 			var n int64
 			for wi := lo; wi < hi; wi++ {
 				var w uint64
@@ -625,8 +620,8 @@ func runEngine[V, M any](ctx context.Context, pg *PartitionedGraph, prog Program
 					}
 				}
 			}
-			counts[sh] += n
-			applyPerShard[sh] += float64(n) * applyCost
+			counts[sh] = n
+			applyPerShard[sh] = float64(n) * applyCost
 		}); err != nil {
 			return nil, nil, fmt.Errorf("pregel: superstep %d apply: %w", step, err)
 		}
@@ -672,16 +667,14 @@ func localSuperstep[V, M any](ctx context.Context, pg *PartitionedGraph, prog *P
 	// or word is shared between workers, and masters are read-only until
 	// apply), then computePart scans — the same two calls the distributed
 	// worker makes, so both paths deliver messages in ascending edge order
-	// and results are identical; only where the scan executes differs. Like
-	// the worker's Scan, it starts no partition once ctx is done: a caller
-	// that gave up costs each scan goroutine at most the partition it is in.
+	// and results are identical; only where the scan executes differs. It
+	// hands ctx to the fan-out exactly as the worker's Scan does, so no
+	// partition starts once ctx is done: a caller that gave up costs each
+	// scan goroutine at most the partition it is in.
 	scanned := sc.scanned
 	emitted := sc.emitted
 	visited := sc.visited
-	if err := pg.forEachPart(func(p int) {
-		if ctx.Err() != nil {
-			return
-		}
+	if err := par.ForEach(ctx, pg.Parallelism, numParts, func(p int) {
 		part := pg.Parts[p]
 		em := &sc.emitters[p].partEmitter
 		em.emitted = 0
@@ -695,9 +688,6 @@ func localSuperstep[V, M any](ctx context.Context, pg *PartitionedGraph, prog *P
 		visited[p] = nVisited
 		sc.computePerPart[p] = cost
 	}); err != nil {
-		return fmt.Errorf("pregel: superstep %d compute: %w", step, err)
-	}
-	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("pregel: superstep %d compute: %w", step, err)
 	}
 	for p := 0; p < numParts; p++ {
@@ -716,45 +706,36 @@ func localSuperstep[V, M any](ctx context.Context, pg *PartitionedGraph, prog *P
 	// partition that emitted nothing has no has-flag set and is skipped.
 	rMsgs := sc.rMsgs
 	rBytes := sc.rBytes
-	for sh := 0; sh < shards; sh++ {
-		rMsgs[sh], rBytes[sh] = 0, 0
-	}
-	chunk := (nv + shards - 1) / shards
-	if err := pg.forEachShard(shards, func(shLo, shHi int) {
-		for sh := shLo; sh < shHi; sh++ {
-			gLo := int32(sh * chunk)
-			gHi := int32((sh + 1) * chunk)
-			if int(gHi) > nv {
-				gHi = int32(nv)
+	clear(rMsgs)
+	clear(rBytes)
+	if err := par.Ranges(shards, nv, func(sh, lo, hi int) {
+		gLo, gHi := int32(lo), int32(hi)
+		var msgs, bytes int64
+		for p := 0; p < numParts; p++ {
+			if emitted[p] == 0 {
+				continue
 			}
-			var msgs, bytes int64
-			for p := 0; p < numParts; p++ {
-				if emitted[p] == 0 {
+			lv := pg.Parts[p].LocalVerts
+			has := msgHas[p]
+			acc := msgAcc[p]
+			start := sort.Search(len(lv), func(i int) bool { return lv[i] >= gLo })
+			for l := start; l < len(lv) && lv[l] < gHi; l++ {
+				if !has[l] {
 					continue
 				}
-				lv := pg.Parts[p].LocalVerts
-				has := msgHas[p]
-				acc := msgAcc[p]
-				start := sort.Search(len(lv), func(i int) bool { return lv[i] >= gLo })
-				for l := start; l < len(lv) && lv[l] < gHi; l++ {
-					if !has[l] {
-						continue
-					}
-					gidx := lv[l]
-					m := acc[l]
-					if masterHas[gidx] {
-						masterMsg[gidx] = prog.MergeMsg(masterMsg[gidx], m)
-					} else {
-						masterMsg[gidx] = m
-						masterHas[gidx] = true
-					}
-					msgs++
-					bytes += int64(prog.MsgSize(m))
+				gidx := lv[l]
+				m := acc[l]
+				if masterHas[gidx] {
+					masterMsg[gidx] = prog.MergeMsg(masterMsg[gidx], m)
+				} else {
+					masterMsg[gidx] = m
+					masterHas[gidx] = true
 				}
+				msgs++
+				bytes += int64(prog.MsgSize(m))
 			}
-			rMsgs[sh] += msgs
-			rBytes[sh] += bytes
 		}
+		rMsgs[sh], rBytes[sh] = msgs, bytes
 	}); err != nil {
 		return fmt.Errorf("pregel: superstep %d reduce: %w", step, err)
 	}
@@ -767,7 +748,7 @@ func localSuperstep[V, M any](ctx context.Context, pg *PartitionedGraph, prog *P
 	// was emitted. (The frontier bitsets are rebuilt word-by-word each
 	// compute phase and the edge bitmaps self-clear during the scan, so
 	// neither needs a pass here.)
-	if err := pg.forEachPart(func(p int) {
+	if err := par.ForEach(context.Background(), pg.Parallelism, numParts, func(p int) {
 		if emitted[p] != 0 {
 			clear(msgHas[p])
 		}

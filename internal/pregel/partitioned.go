@@ -15,10 +15,12 @@
 //  3. reduce: one partial aggregate per (partition, vertex) is shipped back
 //     to the master and merged, then the vertex program is applied.
 //
-// The engine executes genuinely in parallel (one goroutine per partition,
-// sharded master apply) and simultaneously counts every message and byte
-// crossing a partition boundary; the cluster package converts those counts
-// into simulated wall-clock time for a configurable cluster.
+// The engine executes genuinely in parallel — partitions handed out to
+// Parallelism goroutines by par.ForEach, the master apply and reduce cut into
+// contiguous vertex ranges by par.Ranges; the package starts no goroutine of
+// its own — and simultaneously counts every message and byte crossing a
+// partition boundary; the cluster package converts those counts into
+// simulated wall-clock time for a configurable cluster.
 //
 // # Partition construction
 //
@@ -28,26 +30,28 @@
 // strategy and the build cost dominates that loop:
 //
 //  1. count: one pass over the edge assignment counts edges per partition
-//     (sharded over the worker pool) and validates every PID;
+//     (in contiguous edge ranges, one goroutine each, by par.Ranges) and
+//     validates every PID;
 //  2. scatter: prefix sums over the per-(shard, partition) counts give
 //     every shard a private cursor into one contiguous edge buffer, so all
 //     shards scatter their edges concurrently without locks while
 //     preserving global edge order within each partition (the AssignOrder
 //     alignment contract);
-//  3. localize: each partition — fanned out over the worker pool — marks
-//     its edge endpoints in a per-worker vertex bitset, emits the set bits
-//     in order as the LocalVerts mirror table (sorted and deduplicated by
-//     construction), and rewrites its edges to local indices by O(1) rank
-//     queries.
+//  3. localize: each partition — handed out by par.ForEach — marks its edge
+//     endpoints in a vertex bitset taken off a free list of Parallelism
+//     scratches, emits the set bits in order as the LocalVerts mirror table
+//     (sorted and deduplicated by construction), and rewrites its edges to
+//     local indices by O(1) rank queries.
 //
 // The only allocations retained per partition are the exact-size LocalVerts
 // table and a subslice of the shared edge buffer; all intermediate state
-// lives in per-worker scratch that is reused across the partitions a worker
-// processes. The reference hash-map construction lives in the tests, as
-// the equivalence oracle and the benchmark baseline.
+// lives in those scratches, each reused across the partitions it serves.
+// The reference hash-map construction lives in the tests, as the
+// equivalence oracle and the benchmark baseline.
 package pregel
 
 import (
+	"context"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -263,41 +267,39 @@ func (pg *PartitionedGraph) buildSortScatter() error {
 	if bs := g.Blocks(); bs != nil {
 		unit, units = bs.BlockEdges(), bs.NumBlocks()
 	}
+	// Ranges cuts the units into at most shards ranges, possibly fewer: the
+	// per-shard slots below are sized and initialised for all of them.
 	shards := max(min(pg.Parallelism, units), 1)
-	chunk := (units + shards - 1) / shards * unit
+	edgeRange := func(lo, hi int) (int, int) { return min(lo*unit, ne), min(hi*unit, ne) }
 
 	// Pass 1: per-(shard, partition) live edge counts. Each shard validates
 	// its own PIDs; it needs only the assignment and tombstones, never the
-	// edges themselves.
+	// edges themselves, and notes the first bad one it meets.
 	shardCounts := make([]int64, shards*numParts)
-	var badEdge, badPID int64 = -1, 0
-	var badMu sync.Mutex
-	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
-		wg.Add(1)
-		go func(s, lo, hi int) {
-			defer wg.Done()
-			counts := shardCounts[s*numParts : (s+1)*numParts]
-			for i := lo; i < hi; i++ {
-				p := assign[i]
-				if p < 0 || int(p) >= numParts {
-					badMu.Lock()
-					if badEdge < 0 || int64(i) < badEdge {
-						badEdge, badPID = int64(i), int64(p)
-					}
-					badMu.Unlock()
-					return
-				}
-				if numDead != 0 && !g.EdgeAlive(i) {
-					continue
-				}
-				counts[p]++
+	badAt := slices.Repeat([]int{-1}, shards)
+	if err := par.Ranges(shards, units, func(s, lo, hi int) {
+		lo, hi = edgeRange(lo, hi)
+		counts := shardCounts[s*numParts : (s+1)*numParts]
+		for i := lo; i < hi; i++ {
+			p := assign[i]
+			if p < 0 || int(p) >= numParts {
+				badAt[s] = i
+				return
 			}
-		}(s, min(s*chunk, ne), min((s+1)*chunk, ne))
+			if numDead != 0 && !g.EdgeAlive(i) {
+				continue
+			}
+			counts[p]++
+		}
+	}); err != nil {
+		return fmt.Errorf("pregel: %w", err)
 	}
-	wg.Wait()
-	if badEdge >= 0 {
-		return fmt.Errorf("pregel: edge %d assigned to out-of-range partition %d", badEdge, badPID)
+	// Shards are ascending, so the first one that met a bad PID met the
+	// lowest.
+	for _, i := range badAt {
+		if i >= 0 {
+			return fmt.Errorf("pregel: edge %d assigned to out-of-range partition %d", i, assign[i])
+		}
 	}
 
 	// Prefix sums: partStart[p] is the partition's region in the shared
@@ -328,72 +330,55 @@ func (pg *PartitionedGraph) buildSortScatter() error {
 	// with the same predicate, so the cursors line up exactly.
 	edgeBuf := make([]localEdge, partStart[numParts])
 	errs := make([]error, shards)
-	for s := 0; s < shards; s++ {
-		wg.Add(1)
-		go func(s, lo, hi int) {
-			defer wg.Done()
-			cur := cursors[s*numParts : (s+1)*numParts]
-			errs[s] = g.ForEachEndpointBlock(lo, hi, false, func(start int, srcIdx, dstIdx []int32, _ []float64) error {
-				for j := range srcIdx {
-					i := start + j
-					if numDead != 0 && !g.EdgeAlive(i) {
-						continue
-					}
-					p := assign[i]
-					edgeBuf[cur[p]] = localEdge{src: srcIdx[j], dst: dstIdx[j]}
-					cur[p]++
+	if err := par.Ranges(shards, units, func(s, lo, hi int) {
+		lo, hi = edgeRange(lo, hi)
+		cur := cursors[s*numParts : (s+1)*numParts]
+		errs[s] = g.ForEachEndpointBlock(lo, hi, false, func(start int, srcIdx, dstIdx []int32, _ []float64) error {
+			for j := range srcIdx {
+				i := start + j
+				if numDead != 0 && !g.EdgeAlive(i) {
+					continue
 				}
-				return nil
-			})
-		}(s, min(s*chunk, ne), min((s+1)*chunk, ne))
+				p := assign[i]
+				edgeBuf[cur[p]] = localEdge{src: srcIdx[j], dst: dstIdx[j]}
+				cur[p]++
+			}
+			return nil
+		})
+	}); err != nil {
+		return fmt.Errorf("pregel: %w", err)
 	}
-	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return fmt.Errorf("pregel: %w", err)
 		}
 	}
-	pg.scatterFinish(edgeBuf, partStart)
-	return nil
+	return pg.scatterFinish(edgeBuf, partStart)
 }
 
 // scatterFinish slices the shared edge buffer into Parts and runs the
-// localize pass (pass 3) on the worker pool: per-partition local vertex
-// tables by sort + dedup, then in-place rewrite of the staged global
-// endpoint indices to local ones. Every worker owns one growable endpoint
-// scratch reused across the partitions it takes.
-func (pg *PartitionedGraph) scatterFinish(edgeBuf []localEdge, partStart []int64) {
-	numParts := pg.NumParts
-	parts := make([]*Partition, numParts)
+// localize pass (pass 3) over the partitions: per-partition local vertex
+// tables, then in-place rewrite of the staged global endpoint indices to
+// local ones. A partition takes one growable endpoint scratch off a free
+// list of Parallelism slots — one per goroutine that can be localizing at
+// once — and puts it back when done.
+func (pg *PartitionedGraph) scatterFinish(edgeBuf []localEdge, partStart []int64) error {
+	parts := make([]*Partition, pg.NumParts)
 	for p := range parts {
 		parts[p] = &Partition{edges: edgeBuf[partStart[p]:partStart[p+1]:partStart[p+1]]}
 	}
 	pg.Parts = parts
-	workers := pg.Parallelism
-	if workers > numParts {
-		workers = numParts
+	workers := max(pg.Parallelism, 1)
+	free := make(chan *localizeScratch, workers)
+	for range workers {
+		free <- new(localizeScratch)
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	tasks := make(chan int, numParts)
-	for p := 0; p < numParts; p++ {
-		tasks <- p
-	}
-	close(tasks)
 	nv := pg.G.NumVertices()
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			var scratch localizeScratch
-			for p := range tasks {
-				scratch.localize(parts[p], nv)
-			}
-		}()
-	}
-	wg.Wait()
+	return par.ForEach(context.Background(), workers, len(parts), func(p int) {
+		s := <-free
+		s.localize(parts[p], nv)
+		free <- s
+	})
 }
 
 // buildEdgeIndex builds the partition's frontier index: stable counting
@@ -510,7 +495,7 @@ func (pg *PartitionedGraph) FrontierIndexes() int {
 // partition by binary search (LocalVerts is sorted) and owns its counts.
 func (pg *PartitionedGraph) ReplicaCounts() []int32 {
 	counts := make([]int32, pg.G.NumVertices())
-	if err := pg.forEachShard(len(counts), func(gLo, gHi int) {
+	if err := par.Ranges(pg.Parallelism, len(counts), func(_, gLo, gHi int) {
 		for _, part := range pg.Parts {
 			lo, _ := slices.BinarySearch(part.LocalVerts, int32(gLo))
 			hi, _ := slices.BinarySearch(part.LocalVerts, int32(gHi))
@@ -529,12 +514,6 @@ func (pg *PartitionedGraph) ReplicaCounts() []int32 {
 // a second pass over it reproduces local edge indices. Callers must not
 // modify the returned slice.
 func (pg *PartitionedGraph) AssignOrder() []partition.PID { return pg.assign }
-
-// ForEachPartition runs fn(p) for every partition index on the worker
-// pool, blocking until all complete. fn is called concurrently and must
-// only write state owned by its partition. A panic in fn is returned as
-// an error.
-func (pg *PartitionedGraph) ForEachPartition(fn func(p int)) error { return pg.forEachPart(fn) }
 
 // TopologySum content-addresses the partitioned topology: a fold over every
 // partition's local vertex table and edge list, one 64-bit word at a time
@@ -684,86 +663,4 @@ func (sp *scratchPool) parkedBytes() int64 {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
 	return sp.bytes
-}
-
-// panicCatcher records the first panic raised by any pool worker so it can
-// be surfaced as an error instead of crashing the process from a goroutine.
-type panicCatcher struct {
-	once sync.Once
-	err  error
-}
-
-func (pc *panicCatcher) capture() {
-	if r := recover(); r != nil {
-		pc.once.Do(func() {
-			pc.err = fmt.Errorf("pregel: user program panicked: %v", r)
-		})
-	}
-}
-
-// forEachPart runs fn(p) for every partition index on the worker pool,
-// blocking until all complete. A panic in fn is captured and returned as
-// an error (remaining work may be skipped or completed).
-func (pg *PartitionedGraph) forEachPart(fn func(p int)) error {
-	par := pg.Parallelism
-	if par < 1 {
-		par = 1
-	}
-	if par > pg.NumParts {
-		par = pg.NumParts
-	}
-	var wg sync.WaitGroup
-	var pc panicCatcher
-	next := make(chan int, pg.NumParts)
-	for p := 0; p < pg.NumParts; p++ {
-		next <- p
-	}
-	close(next)
-	wg.Add(par)
-	for w := 0; w < par; w++ {
-		go func() {
-			defer wg.Done()
-			for p := range next {
-				func() {
-					defer pc.capture()
-					fn(p)
-				}()
-			}
-		}()
-	}
-	wg.Wait()
-	return pc.err
-}
-
-// forEachShard splits [0, n) into parallelism contiguous shards and runs
-// fn(lo, hi) for each on the worker pool. Panics in fn are captured and
-// returned as an error.
-func (pg *PartitionedGraph) forEachShard(n int, fn func(lo, hi int)) error {
-	par := pg.Parallelism
-	if par < 1 {
-		par = 1
-	}
-	if par > n {
-		par = n
-	}
-	if n == 0 {
-		return nil
-	}
-	var wg sync.WaitGroup
-	var pc panicCatcher
-	chunk := (n + par - 1) / par
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			defer pc.capture()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-	return pc.err
 }

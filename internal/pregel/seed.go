@@ -9,6 +9,7 @@ import (
 	"unsafe"
 
 	"cutfit/internal/graph"
+	"cutfit/internal/par"
 )
 
 // Answer is a converged run's result kept for the generations that descend
@@ -222,7 +223,7 @@ func SeedLabels[V comparable](pg *PartitionedGraph, parent *Answer[V], oldLen in
 	// The trim walks a few neighbourhoods in partitions spread over the whole
 	// topology; building their frontier indexes one by one from here would
 	// serialize what the first sparse scan does on every core.
-	if err := pg.forEachPart(func(p int) { pg.Parts[p].ensureFrontierIndex() }); err != nil {
+	if err := par.ForEach(context.Background(), pg.Parallelism, pg.NumParts, func(p int) { pg.Parts[p].ensureFrontierIndex() }); err != nil {
 		return nil, err
 	}
 	reps := pg.ReplicaCounts()
@@ -248,7 +249,7 @@ func SeedLabels[V comparable](pg *PartitionedGraph, parent *Answer[V], oldLen in
 	// neighbour of equal value — every vertex it could have supported — so
 	// the worklist still reaches the one set of vertices left unsupported.
 	keep := make([]bool, len(suspects))
-	if err := pg.forEachShard(len(suspects), func(lo, hi int) {
+	if err := par.Ranges(pg.Parallelism, len(suspects), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			keep[i] = unsupported(suspects[i])
 		}

@@ -12,9 +12,9 @@ import (
 	"cutfit/internal/graph"
 )
 
-// DefaultDiskMaxBytes bounds the disk tier when Config.DiskMaxBytes is
-// zero: four times the default memory budget, so everything the memory
-// tier ever evicts in a typical serving session stays restorable.
+// DefaultDiskMaxBytes bounds the disk tier: four times the default memory
+// budget, so everything the memory tier ever evicts in a typical serving
+// session stays restorable.
 const DefaultDiskMaxBytes int64 = 4 * DefaultMaxBytes
 
 // diskTier is the optional durable layer under the in-memory cache.
@@ -31,7 +31,7 @@ const DefaultDiskMaxBytes int64 = 4 * DefaultMaxBytes
 // degrades to a miss, never to a wrong artifact.
 type diskTier struct {
 	dir string
-	max int64 // byte budget; < 0 unbounded
+	max int64 // byte budget
 
 	mu      sync.Mutex
 	entries map[string]int64 // filename -> size
@@ -142,9 +142,6 @@ func (dt *diskTier) put(name string, data []byte) error {
 	}
 	dt.entries[name] = int64(len(data))
 	dt.bytes += int64(len(data))
-	if dt.max < 0 {
-		return nil
-	}
 	for dt.bytes > dt.max {
 		idx := -1
 		for i, n := range dt.order {

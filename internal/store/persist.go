@@ -1,13 +1,12 @@
 package store
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"cutfit/internal/graph"
 	"cutfit/internal/metrics"
@@ -224,18 +223,11 @@ func (st *Store) Restore(r io.Reader) (map[string]*graph.Graph, error) {
 	if workers < 1 {
 		workers = par.DefaultParallelism()
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range min(workers, len(sa)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < len(sa); i = int(next.Add(1)) - 1 {
-				restored[i], errs[i] = st.decodeArtifact(sa[i], graphs[sa[i].GraphIndex])
-			}
-		}()
+	if err := par.ForEach(context.Background(), workers, len(sa), func(i int) {
+		restored[i], errs[i] = st.decodeArtifact(sa[i], graphs[sa[i].GraphIndex])
+	}); err != nil {
+		return nil, fmt.Errorf("store: restoring artifacts: %w", err)
 	}
-	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("store: restoring artifact %d: %w", i, err)

@@ -115,10 +115,9 @@ type Config struct {
 	// keyed by graph content, not pointers). The directory is created if
 	// missing; if it cannot be, the store silently runs memory-only —
 	// servers that must fail loudly should create the directory themselves.
+	// The tier holds at most DefaultDiskMaxBytes; oldest entries are dropped
+	// beyond it.
 	DiskDir string
-	// DiskMaxBytes bounds the disk tier; 0 means DefaultDiskMaxBytes,
-	// negative means unbounded. Oldest entries are dropped beyond it.
-	DiskMaxBytes int64
 }
 
 // Stats is a point-in-time snapshot of cache behavior. The JSON tags are
@@ -302,13 +301,9 @@ func New(cfg Config) *Store {
 		deltaBudget: budget,
 	}
 	if cfg.DiskDir != "" {
-		diskMax := cfg.DiskMaxBytes
-		if diskMax == 0 {
-			diskMax = DefaultDiskMaxBytes
-		}
 		// A failed open (unwritable path) leaves the store memory-only;
 		// see Config.DiskDir.
-		st.disk, _ = newDiskTier(cfg.DiskDir, diskMax)
+		st.disk, _ = newDiskTier(cfg.DiskDir, DefaultDiskMaxBytes)
 	}
 	return st
 }

@@ -31,20 +31,15 @@ type SessionOptions struct {
 	// default to the process's GOMAXPROCS. cmd/cutfitd surfaces it as the
 	// -parallelism flag.
 	Parallelism int
-	// Cluster is the simulated cluster configuration Run reports use for
-	// SimSecs; nil means ConfigI with NumPartitions overridden per run.
-	Cluster *ClusterConfig
 	// DiskDir, when non-empty, enables the durable disk tier under the
 	// artifact cache: artifacts evicted from memory spill to versioned
 	// snapshot files in this directory, cache misses check disk before
 	// recomputing, and spilled entries survive process restarts (files are
 	// keyed by graph content, so a re-registered identical graph warms
 	// straight from disk). The directory is created if needed; if it cannot
-	// be, the session runs memory-only.
+	// be, the session runs memory-only. The tier holds at most 4× the
+	// default memory budget, dropping its oldest files beyond that.
 	DiskDir string
-	// MaxDiskBytes bounds the disk tier; 0 means the default (4× the
-	// default memory budget), negative means unbounded.
-	MaxDiskBytes int64
 }
 
 // SnapshotSummary reports what one Snapshot call wrote.
@@ -69,9 +64,8 @@ type CacheStats = store.Stats
 // mutate a graph only before serving it (a mutation is detected and never
 // served stale, but it forfeits all cached artifacts of that graph).
 type Session struct {
-	st      *store.Store
-	cluster *ClusterConfig
-	pool    *dist.Pool
+	st   *store.Store
+	pool *dist.Pool
 }
 
 // WorkerPool is a fixed set of distributed worker processes a Session can
@@ -106,10 +100,8 @@ func NewSession(opts SessionOptions) *Session {
 				Parallelism:  opts.Parallelism,
 				ReuseBuffers: true,
 			},
-			DiskDir:      opts.DiskDir,
-			DiskMaxBytes: opts.MaxDiskBytes,
+			DiskDir: opts.DiskDir,
 		}),
-		cluster: opts.Cluster,
 	}
 }
 
@@ -414,12 +406,7 @@ func (se *Session) Run(ctx context.Context, g *Graph, s Strategy, numParts int, 
 		Summary:       e.Summarize(g, values, stats),
 	}
 
-	var cfg ClusterConfig
-	if se.cluster != nil {
-		cfg = *se.cluster
-	} else {
-		cfg = ConfigI()
-	}
+	cfg := ConfigI()
 	cfg.NumPartitions = numParts
 	b, err := cfg.Simulate(stats, EstimateGraphBytes(g.NumEdges()))
 	if err != nil {
