@@ -120,22 +120,22 @@ func TestSessionAppendEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ranks, _, err := cutfit.RunPageRank(ctx, pg, 8)
+			ranks, _, err := runAs[[]float64](ctx, pg, "pagerank", cutfit.ServedParams(8))
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantRanks, _, err := cutfit.RunPageRank(ctx, wantPG, 8)
+			wantRanks, _, err := runAs[[]float64](ctx, wantPG, "pagerank", cutfit.ServedParams(8))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(ranks, wantRanks) {
 				t.Fatalf("%s trial %d: PageRank over patched topology differs", s.Name(), trial)
 			}
-			cc, _, err := cutfit.RunConnectedComponents(ctx, pg, 0)
+			cc, _, err := runAs[[]cutfit.VertexID](ctx, pg, "cc", cutfit.ServedParams(0))
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantCC, _, err := cutfit.RunConnectedComponents(ctx, wantPG, 0)
+			wantCC, _, err := runAs[[]cutfit.VertexID](ctx, wantPG, "cc", cutfit.ServedParams(0))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,5 +1,5 @@
 // Tests for the assignment-centric pipeline: the Assignment artifact, the
-// equivalence of every metrics producer (MeasureAssignment, raw
+// equivalence of every metrics producer (metrics.FromAssignment, raw
 // metrics.Compute, PartitionedGraph.Metrics), and the single-pass guarantee
 // of empirical selection.
 package cutfit_test
@@ -12,6 +12,8 @@ import (
 	"cutfit/internal/gen"
 	"cutfit/internal/graph"
 	"cutfit/internal/metrics"
+	"cutfit/internal/partition"
+	"cutfit/internal/pregel"
 )
 
 // pipelineGraphs returns the three structurally distinct graph families the
@@ -76,7 +78,7 @@ func metricsDiff(a, b *cutfit.Metrics) string {
 }
 
 // TestMetricsProducersEquivalent asserts that the three ways of obtaining
-// the §3.1 metric set — MeasureAssignment on the one-pass artifact, raw
+// the §3.1 metric set — metrics.FromAssignment on the one-pass artifact, raw
 // metrics.Compute on the PID slice, and PartitionedGraph.Metrics derived
 // from the built engine topology — agree bit-for-bit for every shipped
 // strategy across the three graph families, at partition counts on both
@@ -88,7 +90,7 @@ func TestMetricsProducersEquivalent(t *testing.T) {
 			for _, parts := range []int{5, 128} {
 				name := fmt.Sprintf("%s/%s/%d", gName, s.Name(), parts)
 				t.Run(name, func(t *testing.T) {
-					a, err := cutfit.PartitionAssignment(g, s, parts)
+					a, err := partition.Assign(g, s, parts)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -99,7 +101,7 @@ func TestMetricsProducersEquivalent(t *testing.T) {
 					if int(total) != g.NumEdges() || a.NumEdges() != g.NumEdges() {
 						t.Fatalf("assignment histogram sums to %d, graph has %d edges", total, g.NumEdges())
 					}
-					mAssign, err := cutfit.MeasureAssignment(a)
+					mAssign, err := metrics.FromAssignment(a)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -107,13 +109,13 @@ func TestMetricsProducersEquivalent(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					pg, err := cutfit.PartitionFromAssignment(a, cutfit.PartitionOptions{})
+					pg, err := pregel.NewPartitionedGraphFromAssignment(a, pregel.BuildOptions{})
 					if err != nil {
 						t.Fatal(err)
 					}
 					mTopo := pg.Metrics()
 					if d := metricsDiff(mAssign, mRaw); d != "" {
-						t.Fatalf("MeasureAssignment vs metrics.Compute: %s", d)
+						t.Fatalf("metrics.FromAssignment vs metrics.Compute: %s", d)
 					}
 					if d := metricsDiff(mRaw, mTopo); d != "" {
 						t.Fatalf("metrics.Compute vs PartitionedGraph.Metrics: %s", d)
@@ -140,9 +142,9 @@ func (c *countingStrategy) Partition(g *graph.Graph, numParts int) ([]cutfit.PID
 }
 
 // TestSelectAssignsExactlyOncePerCandidate proves the single-pass contract
-// of empirical selection: Select invokes each candidate's Partition exactly
-// once, and building the winning topology from the retained Assignment
-// adds zero further passes.
+// of empirical selection: Session.Select invokes each candidate's Partition
+// exactly once, and building the winning topology from the session's cached
+// Assignment adds zero further passes.
 func TestSelectAssignsExactlyOncePerCandidate(t *testing.T) {
 	g := pipelineGraphs(t)["rmat"]
 	counters := make([]*countingStrategy, 0, 6)
@@ -152,7 +154,8 @@ func TestSelectAssignsExactlyOncePerCandidate(t *testing.T) {
 		counters = append(counters, c)
 		candidates = append(candidates, c)
 	}
-	sel, err := cutfit.Select(g, candidates, 16, cutfit.ProfilePageRank)
+	se := cutfit.NewSession(cutfit.SessionOptions{})
+	sel, err := se.Select(g, candidates, 16, cutfit.ProfilePageRank)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +164,7 @@ func TestSelectAssignsExactlyOncePerCandidate(t *testing.T) {
 			t.Fatalf("strategy %s partitioned %d times during selection, want exactly 1", c.Name(), c.calls)
 		}
 	}
-	pg, err := cutfit.PartitionFromAssignment(sel.Assignment, cutfit.PartitionOptions{})
+	pg, err := se.Partition(g, sel.Strategy, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,8 +177,12 @@ func TestSelectAssignsExactlyOncePerCandidate(t *testing.T) {
 	if d := metricsDiff(pg.Metrics(), sel.Results[sel.Strategy.Name()]); d != "" {
 		t.Fatalf("winner topology metrics diverge from measured selection: %s", d)
 	}
-	if sel.Assignment.Strategy != sel.Strategy.Name() {
-		t.Fatalf("assignment labeled %q, winner is %q", sel.Assignment.Strategy, sel.Strategy.Name())
+	a, err := se.Assignment(g, sel.Strategy, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Strategy != sel.Strategy.Name() {
+		t.Fatalf("assignment labeled %q, winner is %q", a.Strategy, sel.Strategy.Name())
 	}
 }
 
@@ -194,7 +201,8 @@ func TestTrainPredictorAssignsExactlyOncePerCandidate(t *testing.T) {
 		counters = append(counters, c)
 		candidates = append(candidates, c)
 	}
-	if _, _, err := cutfit.TrainPredictor(g, candidates, 8, cutfit.ProfilePageRank, times); err != nil {
+	se := cutfit.NewSession(cutfit.SessionOptions{})
+	if _, _, err := se.TrainPredictor(g, candidates, 8, cutfit.ProfilePageRank, times); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range counters {
@@ -212,7 +220,7 @@ func TestStrategyByNameExtensions(t *testing.T) {
 			t.Fatalf("StrategyByName(%q): %v", name, err)
 		}
 		g := pipelineGraphs(t)["road"]
-		if _, err := cutfit.Measure(g, s, 4); err != nil {
+		if _, err := cutfit.NewSession(cutfit.SessionOptions{}).Measure(g, s, 4); err != nil {
 			t.Fatalf("measuring %q: %v", name, err)
 		}
 	}

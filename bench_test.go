@@ -31,7 +31,18 @@ import (
 	"cutfit/internal/gen"
 	"cutfit/internal/metrics"
 	"cutfit/internal/partition"
+	"cutfit/internal/pregel"
 )
+
+// partitionWith assigns g with s and builds the engine topology from that
+// assignment with opts: the cold path of a cache miss, without the cache.
+func partitionWith(g *cutfit.Graph, s cutfit.Strategy, numParts int, opts pregel.BuildOptions) (*cutfit.PartitionedGraph, error) {
+	a, err := partition.Assign(g, s, numParts)
+	if err != nil {
+		return nil, err
+	}
+	return pregel.NewPartitionedGraphFromAssignment(a, opts)
+}
 
 // BenchmarkTable1Characterize regenerates Table 1: the structural
 // characterization of all nine datasets.
@@ -431,7 +442,7 @@ func BenchmarkPartitionBuild(b *testing.B) {
 			b.Run(dsName+"/"+strat.Name(), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := cutfit.PartitionWithOptions(g, strat, numParts, cutfit.PartitionOptions{}); err != nil {
+					if _, err := partitionWith(g, strat, numParts, pregel.BuildOptions{}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -462,19 +473,19 @@ func BenchmarkSuperstepAllocs(b *testing.B) {
 			name = "reuse"
 		}
 		b.Run(name, func(b *testing.B) {
-			pg, err := cutfit.PartitionWithOptions(g, cutfit.EdgePartition2D(), numParts,
-				cutfit.PartitionOptions{ReuseBuffers: reuse})
+			pg, err := partitionWith(g, cutfit.EdgePartition2D(), numParts,
+				pregel.BuildOptions{ReuseBuffers: reuse})
 			if err != nil {
 				b.Fatal(err)
 			}
 			// Prime: the first run builds the scratch that later runs revive.
-			if _, _, err := cutfit.RunPageRank(context.Background(), pg, iters); err != nil {
+			if _, _, err := runAs[[]float64](context.Background(), pg, "pagerank", cutfit.ServedParams(iters)); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := cutfit.RunPageRank(context.Background(), pg, iters); err != nil {
+				if _, _, err := runAs[[]float64](context.Background(), pg, "pagerank", cutfit.ServedParams(iters)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -493,14 +504,14 @@ func BenchmarkTriangleCount(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pg, err := cutfit.PartitionWithOptions(g, cutfit.EdgePartition2D(), 64, cutfit.PartitionOptions{ReuseBuffers: true})
+	pg, err := partitionWith(g, cutfit.EdgePartition2D(), 64, pregel.BuildOptions{ReuseBuffers: true})
 	if err != nil {
 		b.Fatal(err)
 	}
 	want := g.TotalTriangles()
 	ctx := context.Background()
 	run := func() {
-		counts, _, err := cutfit.RunTriangleCount(ctx, pg)
+		counts, _, err := runAs[[]int64](ctx, pg, "triangles", cutfit.Params{})
 		if err != nil {
 			b.Fatal(err)
 		}

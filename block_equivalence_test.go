@@ -6,7 +6,11 @@ import (
 	"testing"
 
 	"cutfit"
+	"cutfit/internal/gen"
 	"cutfit/internal/graph"
+	"cutfit/internal/metrics"
+	"cutfit/internal/partition"
+	"cutfit/internal/pregel"
 	"cutfit/internal/testutil"
 )
 
@@ -131,11 +135,11 @@ func TestBlockDenseEquivalence(t *testing.T) {
 			}
 			for name, s := range strategies {
 				t.Run(name, func(t *testing.T) {
-					da, err := cutfit.PartitionAssignment(dense, s, numParts)
+					da, err := partition.Assign(dense, s, numParts)
 					if err != nil {
 						t.Fatal(err)
 					}
-					ba, err := cutfit.PartitionAssignment(block, s, numParts)
+					ba, err := partition.Assign(block, s, numParts)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -143,11 +147,11 @@ func TestBlockDenseEquivalence(t *testing.T) {
 						t.Fatal("assignment PIDs differ")
 					}
 
-					dm, err := cutfit.MeasureAssignment(da)
+					dm, err := metrics.FromAssignment(da)
 					if err != nil {
 						t.Fatal(err)
 					}
-					bm, err := cutfit.MeasureAssignment(ba)
+					bm, err := metrics.FromAssignment(ba)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -155,11 +159,11 @@ func TestBlockDenseEquivalence(t *testing.T) {
 						t.Fatalf("metrics differ:\ndense %+v\nblock %+v", dm, bm)
 					}
 
-					dpg, err := cutfit.PartitionFromAssignment(da, cutfit.PartitionOptions{})
+					dpg, err := pregel.NewPartitionedGraphFromAssignment(da, pregel.BuildOptions{})
 					if err != nil {
 						t.Fatal(err)
 					}
-					bpg, err := cutfit.PartitionFromAssignment(ba, cutfit.PartitionOptions{})
+					bpg, err := pregel.NewPartitionedGraphFromAssignment(ba, pregel.BuildOptions{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -167,11 +171,11 @@ func TestBlockDenseEquivalence(t *testing.T) {
 						t.Fatal(err)
 					}
 
-					dRanks, _, err := cutfit.RunPageRank(ctx, dpg, 5)
+					dRanks, _, err := runAs[[]float64](ctx, dpg, "pagerank", cutfit.ServedParams(5))
 					if err != nil {
 						t.Fatal(err)
 					}
-					bRanks, _, err := cutfit.RunPageRank(ctx, bpg, 5)
+					bRanks, _, err := runAs[[]float64](ctx, bpg, "pagerank", cutfit.ServedParams(5))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -179,11 +183,11 @@ func TestBlockDenseEquivalence(t *testing.T) {
 						t.Fatal("PageRank ranks differ")
 					}
 
-					dCC, _, err := cutfit.RunConnectedComponents(ctx, dpg, 0)
+					dCC, _, err := runAs[[]cutfit.VertexID](ctx, dpg, "cc", cutfit.ServedParams(0))
 					if err != nil {
 						t.Fatal(err)
 					}
-					bCC, _, err := cutfit.RunConnectedComponents(ctx, bpg, 0)
+					bCC, _, err := runAs[[]cutfit.VertexID](ctx, bpg, "cc", cutfit.ServedParams(0))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -213,11 +217,11 @@ func TestBlockAssignAllocsOBlocks(t *testing.T) {
 	}
 	// Warm lazily-built views (vertex index, degrees) out of the measured
 	// region; they are one-time costs, not per-assignment ones.
-	if _, err := cutfit.PartitionAssignment(g, s, 16); err != nil {
+	if _, err := partition.Assign(g, s, 16); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := cutfit.PartitionAssignment(g, s, 16); err != nil {
+		if _, err := partition.Assign(g, s, 16); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -225,5 +229,43 @@ func TestBlockAssignAllocsOBlocks(t *testing.T) {
 	// pass; one allocation per edge (O(E) ≈ 32768) must fail loudly.
 	if limit := float64(g.Blocks().NumBlocks() * 8); allocs > limit {
 		t.Fatalf("streamed assignment made %.0f allocations for %d blocks (limit %.0f)", allocs, g.Blocks().NumBlocks(), limit)
+	}
+}
+
+// TestAdviseStreamsBlockGraph: Session.Advise gives a block-backed graph the
+// recommendation its dense twin gets — ID locality detected on a road grid,
+// not on a shuffled graph — and reads the edges block by block, so the
+// block graph gains no dense edge list, the 16-byte-per-edge allocation the
+// tier exists to avoid.
+func TestAdviseStreamsBlockGraph(t *testing.T) {
+	road, err := gen.Road(gen.RoadConfig{Rows: 30, Cols: 30, EdgeProb: 0.4, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	se := cutfit.NewSession(cutfit.SessionOptions{})
+	reasons := map[string]bool{}
+	for name, dense := range map[string]*cutfit.Graph{"road": road, "shuffled": gen.Relabel(road, 3)} {
+		block := blockGraphOf(t, dense.Edges(), nil)
+		had := map[any]bool{}
+		for _, s := range block.Shares() {
+			had[s.Key] = true
+		}
+		want := se.Advise(dense, cutfit.ProfilePageRank, 16)
+		got := se.Advise(block, cutfit.ProfilePageRank, 16)
+		if got.Strategy.Name() != want.Strategy.Name() || got.Metric != want.Metric || got.Reason != want.Reason {
+			t.Errorf("%s: block graph advised %+v, its dense twin %+v", name, got, want)
+		}
+		reasons[got.Reason] = true
+		for _, s := range block.Shares() {
+			if !had[s.Key] && s.Bytes >= 16*int64(block.NumEdges()) {
+				t.Errorf("%s: advising the block graph left a new %d-byte share behind, a dense edge list's size", name, s.Bytes)
+			}
+		}
+		if !block.BlockBacked() {
+			t.Fatalf("%s: the block graph lost its tier", name)
+		}
+	}
+	if len(reasons) != 2 {
+		t.Fatal("the road grid and its shuffled twin got the same advice: ID locality went undetected")
 	}
 }

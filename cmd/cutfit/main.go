@@ -194,7 +194,7 @@ func cmdMetrics(args []string) error {
 	if err != nil {
 		return err
 	}
-	m, err := cutfit.Measure(g, s, *parts)
+	m, err := cutfit.NewSession(cutfit.SessionOptions{}).Measure(g, s, *parts)
 	if err != nil {
 		return err
 	}
@@ -352,11 +352,11 @@ func cmdAdvise(args []string) error {
 	if err != nil {
 		return err
 	}
-	rec := (&cutfit.Session{}).Advise(g, profile, *parts)
-	rep := cutfit.NewAdviseReport(*alg, *parts, rec)
+	se := cutfit.NewSession(cutfit.SessionOptions{})
+	rep := cutfit.NewAdviseReport(*alg, *parts, se.Advise(g, profile, *parts))
 	rep.Graph = graphLabel(*in, *dataset)
 	if *measure {
-		sel, err := cutfit.Select(g, cutfit.Strategies(), *parts, profile)
+		sel, err := se.Select(g, cutfit.Strategies(), *parts, profile)
 		if err != nil {
 			return err
 		}

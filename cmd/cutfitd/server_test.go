@@ -91,7 +91,7 @@ func TestServerMetricsMatchesLibrary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := cutfit.Measure(g, cutfit.EdgePartition2D(), 4)
+	m, err := cutfit.NewSession(cutfit.SessionOptions{}).Measure(g, cutfit.EdgePartition2D(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"cutfit"
+	"cutfit/internal/pregel"
 )
 
 // BenchmarkConcurrentRuns executes PageRank from ≥4 goroutines at once on
@@ -27,13 +28,13 @@ func BenchmarkConcurrentRuns(b *testing.B) {
 		{"pooled", true},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			pg, err := cutfit.PartitionWithOptions(g, cutfit.EdgePartition2D(), numParts,
-				cutfit.PartitionOptions{ReuseBuffers: tc.reuse})
+			pg, err := partitionWith(g, cutfit.EdgePartition2D(), numParts,
+				pregel.BuildOptions{ReuseBuffers: tc.reuse})
 			if err != nil {
 				b.Fatal(err)
 			}
 			// Warm once so the pooled variant starts with a parked scratch.
-			if _, _, err := cutfit.RunPageRank(ctx, pg, 5); err != nil {
+			if _, _, err := runAs[[]float64](ctx, pg, "pagerank", cutfit.ServedParams(5)); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
@@ -41,7 +42,7 @@ func BenchmarkConcurrentRuns(b *testing.B) {
 			b.SetParallelism(4) // ≥4 concurrent runs even on one core
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
-					if _, _, err := cutfit.RunPageRank(ctx, pg, 5); err != nil {
+					if _, _, err := runAs[[]float64](ctx, pg, "pagerank", cutfit.ServedParams(5)); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -2,14 +2,18 @@
 // library, a from-scratch Go reproduction of "Cut to Fit: Tailoring the
 // Partitioning to the Computation" (Kolokasis & Pratikakis).
 //
-// Everything is organized around one artifact: the Assignment, the
-// validated edge→partition mapping a strategy produces in a single pass
-// (PartitionAssignment). The same Assignment feeds the §3.1 quality
-// metrics (MeasureAssignment), the engine topology
-// (PartitionFromAssignment), and empirical strategy selection (Select,
-// which retains the winner's Assignment so running the chosen strategy
-// never re-partitions). A built PartitionedGraph can also report its own
-// metric set directly (PartitionedGraph.Metrics) without any extra scan.
+// The paper's workflow is one pipeline: partition a graph with a strategy,
+// measure the §3.1 quality metrics, choose, run the computation. The library
+// exposes it as one handle and one call per computation. A Session holds the
+// pipeline behind a size-bounded, single-flight artifact cache organized
+// around one artifact, the Assignment — the validated edge→partition mapping
+// a strategy produces in a single pass — from which the metrics
+// (Session.Measure), the engine topology (Session.Partition) and empirical
+// strategy selection (Session.Select) are all derived, so measuring, choosing
+// and then running a strategy costs one assignment pass in total. Run executes
+// a served algorithm on a built topology; RunProgram executes a custom vertex
+// program. A built PartitionedGraph also reports its own metric set
+// (PartitionedGraph.Metrics) without any extra scan.
 //
 // The library provides:
 //
@@ -17,25 +21,20 @@
 //     (Graph, LoadEdgeList, Stats);
 //   - the six vertex-cut partitioning strategies of the paper — RVC, 1D,
 //     2D, CRVC, SC, DC — plus streaming Greedy/HDRF extensions
-//     (Strategies, StrategyByName);
-//   - the single-pass partitioning pipeline (PartitionAssignment,
-//     MeasureAssignment, PartitionFromAssignment) with Measure and
-//     Partition kept as thin one-call wrappers;
+//     (Strategies, StrategyByName) and extension partitioners (HybridCut,
+//     RangeCut, ExtendedStrategies);
 //   - a GraphX-style vertex-cut Pregel engine that executes computations
-//     in parallel while counting all cross-partition traffic (Partition,
-//     RunPageRank, RunConnectedComponents, RunTriangleCount,
-//     RunHopDistances, RunShortestPaths);
+//     in parallel while counting all cross-partition traffic, with the
+//     served algorithms — pagerank, dynamicpr, cc, triangles and sssp —
+//     behind Run and Session.Run;
 //   - a cluster cost model that converts engine statistics into simulated
 //     execution time for the paper's four cluster configurations
 //     (ConfigI…ConfigIV, Simulate);
 //   - the paper's contribution as a library: an advisor that tailors the
 //     partitioning strategy and granularity to the computation and the
-//     dataset (Advise, AdviseGranularity, Select, SelectEmpirically),
-//     plus a fitted metric→time predictor (TrainPredictor) that ranks
-//     partitionings without running them;
-//   - extension algorithms (RunDynamicPageRank, RunLabelPropagation,
-//     RunKCoreMembership) and extension partitioners (HybridCut,
-//     RangeCut, ExtendedStrategies);
+//     dataset (Advise, AdviseGranularity, Session.Advise, Session.Select),
+//     plus a fitted metric→time predictor (Session.TrainPredictor) that
+//     ranks partitionings without running them;
 //   - the generic engine itself (Program, RunProgram) for writing custom
 //     vertex programs, with panic-safe execution and an OnSuperstep
 //     monitoring/halting hook;
@@ -46,34 +45,30 @@
 // Quick start — one assignment pass from strategy to metrics to engine:
 //
 //	g, _ := cutfit.Datasets()[1].BuildCached() // the "youtube" analog
-//	a, _ := cutfit.PartitionAssignment(g, cutfit.EdgePartition2D(), 128)
-//	pg, _ := cutfit.PartitionFromAssignment(a, cutfit.PartitionOptions{})
-//	fmt.Println(pg.Metrics().CommCost) // §3.1 metrics, no extra scan
-//	ranks, stats, _ := cutfit.RunPageRank(context.Background(), pg, 10)
+//	se := cutfit.NewSession(cutfit.SessionOptions{})
+//	m, _ := se.Measure(g, cutfit.EdgePartition2D(), 128)    // assigns once
+//	pg, _ := se.Partition(g, cutfit.EdgePartition2D(), 128) // reuses that pass
+//	ranks, stats, _ := cutfit.Run(ctx, pg, "pagerank", cutfit.ServedParams(10))
 //	breakdown, _ := cutfit.ConfigI().Simulate(stats, 0)
-//	fmt.Println(len(ranks), breakdown.TotalSecs())
+//	fmt.Println(m.CommCost, len(ranks.([]float64)), breakdown.TotalSecs())
 //
 // Or let the advisor choose the strategy empirically — each candidate is
-// assigned exactly once and the winner is built from its retained
+// assigned exactly once, and building the winner reuses its cached
 // assignment:
 //
-//	sel, _ := cutfit.Select(g, cutfit.Strategies(), 128, cutfit.ProfilePageRank)
-//	pg, _ := cutfit.PartitionFromAssignment(sel.Assignment, cutfit.PartitionOptions{})
+//	sel, _ := se.Select(g, cutfit.Strategies(), 128, cutfit.ProfilePageRank)
+//	pg, _ := se.Partition(g, sel.Strategy, 128)
 //
 // # Serving
 //
-// For repeated or concurrent requests — the serving workload rather than
-// the batch one — wrap the pipeline in a Session. A Session memoizes every
-// pipeline artifact in a size-bounded, single-flight cache and runs the
-// engine with pooled scratch buffers, so identical requests cost one
-// partitioning pass total and N goroutines running algorithms on one
-// cached topology allocate almost nothing:
+// The same Session serves repeated and concurrent requests: identical
+// requests cost one partitioning pass total, and N goroutines running
+// algorithms on one cached topology draw engine scratch from pools and
+// allocate almost nothing. Session.Run does the whole pipeline in one call
+// and returns the run report the CLI and the daemon encode:
 //
-//	se := cutfit.NewSession(cutfit.SessionOptions{})
-//	m, _ := se.Measure(g, cutfit.EdgePartition2D(), 128)   // partitions once
-//	pg, _ := se.Partition(g, cutfit.EdgePartition2D(), 128) // reuses that pass
 //	rep, _ := se.Run(ctx, g, cutfit.EdgePartition2D(), 128, "pagerank", 10)
-//	fmt.Println(m.CommCost, pg.NumParts, rep.SimSecs, se.CacheStats())
+//	fmt.Println(rep.SimSecs, se.CacheStats())
 //
 // All Session methods are safe for concurrent use. The cmd/cutfitd command
 // serves exactly this Session surface over HTTP/JSON.
@@ -188,7 +183,6 @@ package cutfit
 
 import (
 	"context"
-	"fmt"
 	"io"
 
 	"cutfit/internal/algorithms"
@@ -224,12 +218,12 @@ type (
 	// Metrics is the §3.1 partitioning metric set.
 	Metrics = metrics.Result
 	// Assignment is the validated one-pass edge→partition artifact that
-	// flows through the whole pipeline: produce it once with
-	// PartitionAssignment, then measure (MeasureAssignment) and build the
-	// engine topology (PartitionFromAssignment) from the same pass.
+	// flows through the whole pipeline: a Session produces it once per
+	// (graph, strategy, partition count) and derives the metrics and the
+	// engine topology from it.
 	Assignment = partition.Assignment
-	// Selection is the outcome of empirical strategy selection: the winner,
-	// its retained Assignment, and every candidate's metric set.
+	// Selection is the outcome of empirical strategy selection: the winner
+	// and every candidate's metric set.
 	Selection = core.Selection
 )
 
@@ -244,12 +238,9 @@ type (
 	ClusterConfig = cluster.Config
 	// Breakdown is a simulated execution time split by phase.
 	Breakdown = cluster.Breakdown
-	// HopTable is the RunHopDistances result: a row-major vertices ×
+	// HopTable is what Run returns for sssp: a row-major vertices ×
 	// landmarks table of hop distances, Unreached where there is no path.
 	HopTable = algorithms.HopTable
-	// DistMap is the RunShortestPaths result per vertex: landmark →
-	// distance, holding only the landmarks the vertex reaches.
-	DistMap = algorithms.DistMap
 )
 
 // Shortest-paths limits and conventions.
@@ -361,134 +352,29 @@ func StrategyByName(name string) (Strategy, error) { return partition.ByName(nam
 // names StrategyByName accepts; empty elements are skipped).
 func StrategiesByNames(csv string) ([]Strategy, error) { return partition.ByNames(csv) }
 
-// PartitionAssignment runs strategy s over g exactly once and returns the
-// validated Assignment artifact — the head of the strategy → metrics →
-// engine pipeline. Hash strategies assign in parallel shards.
-func PartitionAssignment(g *Graph, s Strategy, numParts int) (*Assignment, error) {
-	return partition.Assign(g, s, numParts)
-}
+// Params are a served algorithm's run parameters; an algorithm reads the
+// ones it has (Iters, Tol, ResetProb, Landmarks).
+type Params = algorithms.Params
 
-// MeasureAssignment computes the full §3.1 metric set from an Assignment,
-// reusing its per-partition edge histogram.
-func MeasureAssignment(a *Assignment) (*Metrics, error) {
-	return metrics.FromAssignment(a)
-}
+// ServedParams are the parameters Session.Run runs with: the caller's
+// iteration cap, GraphX's reset probability and its runUntilConvergence
+// tolerance.
+func ServedParams(iters int) Params { return algorithms.ServedParams(iters) }
 
-// Measure partitions g with s into numParts partitions and computes the
-// full §3.1 metric set — a thin one-shot-session wrapper (nothing is
-// cached across calls; use a Session to serve repeated requests).
-func Measure(g *Graph, s Strategy, numParts int) (*Metrics, error) {
-	return oneShot.Measure(g, s, numParts)
-}
-
-// PartitionOptions tunes how the engine-ready partitioned representation
-// is built and executed. The zero value matches Partition's defaults.
-type PartitionOptions struct {
-	// Parallelism is the number of worker goroutines used for the build
-	// and for every engine phase; values < 1 default to GOMAXPROCS. The
-	// strategy's own assignment pass is not governed by this knob: hash
-	// strategies shard over GOMAXPROCS (constrain it to constrain them).
-	Parallelism int
-	// ReuseBuffers keeps the engine's run scratch (mirror tables, combine
-	// accumulators, phase counters) parked on the PartitionedGraph between
-	// runs, making repeated runs over the same topology — benchmark loops,
-	// empirical strategy selection — nearly allocation-free. Result slices
-	// are copied out, so returned values stay valid across runs.
-	ReuseBuffers bool
-}
-
-// PartitionFromAssignment builds the engine-ready partitioned
-// representation straight from an Assignment — the engine end of the
-// pipeline, with zero additional partitioning passes. The same Assignment
-// can feed MeasureAssignment and PartitionFromAssignment, so measuring and
-// then running a strategy costs one edge-assignment pass in total.
-func PartitionFromAssignment(a *Assignment, opts PartitionOptions) (*PartitionedGraph, error) {
-	return pregel.NewPartitionedGraphFromAssignment(a, pregel.BuildOptions{
-		Parallelism:  opts.Parallelism,
-		ReuseBuffers: opts.ReuseBuffers,
-	})
-}
-
-// Partition builds the engine-ready partitioned representation of g under
-// strategy s with default options — a thin one-shot-session wrapper.
-func Partition(g *Graph, s Strategy, numParts int) (*PartitionedGraph, error) {
-	pg, err := oneShot.Partition(g, s, numParts)
+// Run executes the served algorithm alg — any name Session.Run accepts — on
+// pg with parameters p, and returns its per-vertex values, aligned with
+// pg.G.Vertices(), with the run's statistics. The values' type is the
+// algorithm's: []float64 ranks (pagerank, dynamicpr), []VertexID component
+// labels (cc), []int64 per-vertex triangle counts (triangles), or a HopTable
+// (sssp, whose landmarks default to the graph's first vertex). An unknown
+// name or a refused parameter is an error before anything runs.
+func Run(ctx context.Context, pg *PartitionedGraph, alg string, p Params) (any, *RunStats, error) {
+	e, err := algorithms.Lookup(alg)
 	if err != nil {
-		return nil, fmt.Errorf("cutfit: %w", err)
+		return nil, nil, err
 	}
-	return pg, nil
+	return e.Run(ctx, pg, p)
 }
-
-// PartitionWithOptions builds the engine-ready partitioned representation
-// of g under strategy s using the sort/scatter parallel builder — a thin
-// wrapper over PartitionAssignment + PartitionFromAssignment.
-func PartitionWithOptions(g *Graph, s Strategy, numParts int, opts PartitionOptions) (*PartitionedGraph, error) {
-	a, err := PartitionAssignment(g, s, numParts)
-	if err != nil {
-		return nil, fmt.Errorf("cutfit: %w", err)
-	}
-	return PartitionFromAssignment(a, opts)
-}
-
-// RunPageRank executes static PageRank for numIter rounds (GraphX
-// semantics, reset probability 0.15). Ranks are aligned with
-// pg.G.Vertices().
-func RunPageRank(ctx context.Context, pg *PartitionedGraph, numIter int) ([]float64, *RunStats, error) {
-	return algorithms.PageRank(ctx, pg, numIter, algorithms.DefaultResetProb)
-}
-
-// RunConnectedComponents executes label-propagation connected components;
-// maxIter of 0 runs to convergence.
-func RunConnectedComponents(ctx context.Context, pg *PartitionedGraph, maxIter int) ([]VertexID, *RunStats, error) {
-	return algorithms.ConnectedComponents(ctx, pg, maxIter)
-}
-
-// RunTriangleCount counts triangles through every vertex.
-func RunTriangleCount(ctx context.Context, pg *PartitionedGraph) ([]int64, *RunStats, error) {
-	return algorithms.TriangleCount(ctx, pg)
-}
-
-// RunHopDistances computes every vertex's hop distance to each landmark
-// along outgoing edges and returns them as one flat table: a column per
-// distinct landmark (duplicates share one; at most MaxLandmarks, more is an
-// error), Unreached where no path exists — in particular a whole column of
-// it for a landmark that is not a vertex of the graph. maxIter of 0 runs to
-// convergence.
-func RunHopDistances(ctx context.Context, pg *PartitionedGraph, landmarks []VertexID, maxIter int) (HopTable, *RunStats, error) {
-	return algorithms.HopDistances(ctx, pg, landmarks, maxIter)
-}
-
-// RunShortestPaths is RunHopDistances with the result converted to one map
-// per vertex, landmark → distance, holding only the landmarks that vertex
-// reaches (an unreached landmark has no entry rather than Unreached). The
-// same limit applies: more than MaxLandmarks (64) distinct landmarks is an
-// error. Prefer RunHopDistances on large graphs — the maps are built after
-// the run, one per vertex.
-func RunShortestPaths(ctx context.Context, pg *PartitionedGraph, landmarks []VertexID, maxIter int) ([]DistMap, *RunStats, error) {
-	return algorithms.ShortestPaths(ctx, pg, landmarks, maxIter)
-}
-
-// RunDynamicPageRank runs PageRank to convergence with per-vertex delta
-// gating (GraphX's runUntilConvergence); the active edge set shrinks as
-// vertices converge. maxIter of 0 means no cap.
-func RunDynamicPageRank(ctx context.Context, pg *PartitionedGraph, tol float64, maxIter int) ([]float64, *RunStats, error) {
-	return algorithms.DynamicPageRank(ctx, pg, tol, algorithms.DefaultResetProb, maxIter)
-}
-
-// RunLabelPropagation runs community detection by synchronous label
-// propagation for numIter rounds.
-func RunLabelPropagation(ctx context.Context, pg *PartitionedGraph, numIter int) ([]VertexID, *RunStats, error) {
-	return algorithms.LabelPropagation(ctx, pg, numIter)
-}
-
-// RunKCoreMembership reports which vertices survive in the k-core.
-func RunKCoreMembership(ctx context.Context, pg *PartitionedGraph, k int32) ([]bool, *RunStats, error) {
-	return algorithms.KCoreMembership(ctx, pg, k)
-}
-
-// KCoreNumbers computes the exact core number of every vertex (sequential
-// peeling; aligned with g.Vertices()).
-func KCoreNumbers(g *Graph) []int32 { return algorithms.KCore(g) }
 
 // The paper's four cluster configurations (§4).
 var (
@@ -522,44 +408,12 @@ func Advise(p Profile, f GraphFacts, numParts int) Recommendation {
 	return core.Advise(p, f, numParts, core.DefaultAdvisorConfig())
 }
 
-// Select measures every candidate strategy on g — one edge-assignment pass
-// per candidate — and returns the Selection minimizing the profile's
-// predictive metric. The winner's Assignment is retained on the Selection,
-// so building it with PartitionFromAssignment re-partitions nothing. A
-// thin one-shot-session wrapper; Session.Select additionally caches every
-// candidate's assignment for later requests.
-func Select(g *Graph, candidates []Strategy, numParts int, p Profile) (*Selection, error) {
-	return oneShot.Select(g, candidates, numParts, p)
-}
-
-// SelectEmpirically measures every candidate strategy on g and returns the
-// one minimizing the profile's predictive metric, with all measurements —
-// a thin wrapper over Select for callers that only need the ranking.
-func SelectEmpirically(g *Graph, candidates []Strategy, numParts int, p Profile) (Strategy, map[string]*Metrics, error) {
-	sel, err := Select(g, candidates, numParts, p)
-	if err != nil {
-		return nil, nil, err
-	}
-	return sel.Strategy, sel.Results, nil
-}
-
 // Predictor is a fitted linear model from a partitioning metric to
 // execution time (the paper's correlation made executable).
 type Predictor = core.Predictor
 
 // GranularityAdvice recommends a partition count.
 type GranularityAdvice = core.GranularityAdvice
-
-// FitPredictor fits time ≈ a + b·metric by least squares.
-func FitPredictor(metricName string, metricValues, timesSecs []float64) (*Predictor, error) {
-	return core.FitPredictor(metricName, metricValues, timesSecs)
-}
-
-// TrainPredictor measures candidate strategies on g and fits a predictor
-// from the provided measured times (strategy name → seconds).
-func TrainPredictor(g *Graph, candidates []Strategy, numParts int, p Profile, timesByStrategy map[string]float64) (*Predictor, map[string]*Metrics, error) {
-	return core.TrainPredictor(g, candidates, numParts, p, timesByStrategy)
-}
 
 // AdviseGranularity recommends a partition count (coarse vs fine) per the
 // paper's §4 granularity findings.

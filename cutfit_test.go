@@ -6,7 +6,16 @@ import (
 	"testing"
 
 	"cutfit"
+	"cutfit/internal/algorithms"
 )
+
+// runAs is cutfit.Run with the values' type asserted: T is the type the
+// algorithm returns.
+func runAs[T any](ctx context.Context, pg *cutfit.PartitionedGraph, alg string, p cutfit.Params) (T, *cutfit.RunStats, error) {
+	v, stats, err := cutfit.Run(ctx, pg, alg, p)
+	typed, _ := v.(T)
+	return typed, stats, err
+}
 
 // TestPublicAPIEndToEnd drives the whole public surface: load a graph,
 // partition it with every strategy, measure, run all four algorithms, and
@@ -22,19 +31,20 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 
 	ctx := context.Background()
+	se := cutfit.NewSession(cutfit.SessionOptions{})
 	for _, s := range cutfit.Strategies() {
-		m, err := cutfit.Measure(g, s, 4)
+		m, err := se.Measure(g, s, 4)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
 		if m.NonCut+m.Cut != int64(g.NumVertices()) {
 			t.Fatalf("%s: metric identity violated", s.Name())
 		}
-		pg, err := cutfit.Partition(g, s, 4)
+		pg, err := se.Partition(g, s, 4)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
-		ranks, stats, err := cutfit.RunPageRank(ctx, pg, 5)
+		ranks, stats, err := runAs[[]float64](ctx, pg, "pagerank", cutfit.ServedParams(5))
 		if err != nil {
 			t.Fatalf("%s pagerank: %v", s.Name(), err)
 		}
@@ -49,7 +59,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 			t.Fatalf("%s: non-positive simulated time", s.Name())
 		}
 
-		labels, _, err := cutfit.RunConnectedComponents(ctx, pg, 0)
+		labels, _, err := runAs[[]cutfit.VertexID](ctx, pg, "cc", cutfit.ServedParams(0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +69,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 			}
 		}
 
-		tris, _, err := cutfit.RunTriangleCount(ctx, pg)
+		tris, _, err := runAs[[]int64](ctx, pg, "triangles", cutfit.Params{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,15 +81,15 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 			t.Fatalf("%s: triangles = %d, want 2", s.Name(), total/3)
 		}
 
-		dists, _, err := cutfit.RunShortestPaths(ctx, pg, []cutfit.VertexID{0}, 0)
+		dists, _, err := runAs[cutfit.HopTable](ctx, pg, "sssp", cutfit.Params{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		i4, _ := g.Index(4)
-		if d := dists[i4][0]; d != 2 { // 4 -> 2 -> 0
-			t.Fatalf("%s: dist(4,0) = %d, want 2", s.Name(), d)
+		if d := dists.Row(int(i4))[0]; dists.Landmarks[0] != 0 || d != 2 { // 4 -> 2 -> 0
+			t.Fatalf("%s: dist(4, landmark %d) = %d, want dist(4, 0) = 2", s.Name(), dists.Landmarks[0], d)
 		}
-		hops, _, err := cutfit.RunHopDistances(ctx, pg, []cutfit.VertexID{0, 99}, 0)
+		hops, _, err := runAs[cutfit.HopTable](ctx, pg, "sssp", cutfit.Params{Landmarks: []cutfit.VertexID{0, 99}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,12 +122,12 @@ func TestAdvisorSurface(t *testing.T) {
 		t.Fatalf("advice = %s", rec.Strategy.Name())
 	}
 	g := cutfit.FromEdges([]cutfit.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}})
-	best, results, err := cutfit.SelectEmpirically(g, cutfit.Strategies(), 2, p)
+	sel, err := cutfit.NewSession(cutfit.SessionOptions{}).Select(g, cutfit.Strategies(), 2, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if best == nil || len(results) != 6 {
-		t.Fatalf("empirical selection: %v, %d results", best, len(results))
+	if sel.Strategy == nil || len(sel.Results) != 6 {
+		t.Fatalf("empirical selection: %v, %d results", sel.Strategy, len(sel.Results))
 	}
 	if f := cutfit.Facts(g); f.Vertices != 3 {
 		t.Fatalf("facts = %+v", f)
@@ -165,35 +175,42 @@ func TestExtendedAlgorithmsSurface(t *testing.T) {
 		{Src: 3, Dst: 4}, {Src: 4, Dst: 3},
 		{Src: 4, Dst: 2}, {Src: 2, Dst: 4},
 	})
-	pg, err := cutfit.Partition(g, cutfit.HybridCut(2), 3)
+	pg, err := cutfit.NewSession(cutfit.SessionOptions{}).Partition(g, cutfit.HybridCut(2), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranks, stats, err := cutfit.RunDynamicPageRank(ctx, pg, 1e-6, 0)
+	p := cutfit.ServedParams(0)
+	p.Tol = 1e-6
+	ranks, stats, err := runAs[[]float64](ctx, pg, "dynamicpr", p)
 	if err != nil || !stats.Converged {
 		t.Fatalf("dynamic PR: %v converged=%v", err, stats != nil && stats.Converged)
 	}
 	if len(ranks) != 5 {
 		t.Fatalf("ranks = %d", len(ranks))
 	}
-	labels, _, err := cutfit.RunLabelPropagation(ctx, pg, 3)
-	if err != nil || len(labels) != 5 {
-		t.Fatalf("label propagation: %v, %d labels", err, len(labels))
-	}
-	member, _, err := cutfit.RunKCoreMembership(ctx, pg, 2)
+}
+
+// TestRunRefusesBeforeRunning: cutfit.Run names the served algorithms when
+// it does not know one, and an algorithm refuses parameters it cannot run
+// with, both before the engine starts.
+func TestRunRefusesBeforeRunning(t *testing.T) {
+	ctx := context.Background()
+	g := cutfit.FromEdges([]cutfit.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}})
+	pg, err := cutfit.NewSession(cutfit.SessionOptions{}).Partition(g, cutfit.EdgePartition2D(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, ok := range member {
-		if !ok {
-			t.Fatalf("vertex %d should be in the 2-core", i)
+	_, stats, err := cutfit.Run(ctx, pg, "nope", cutfit.ServedParams(5))
+	if err == nil || stats != nil {
+		t.Fatalf("unknown algorithm: err %v, stats %v", err, stats)
+	}
+	for _, e := range algorithms.Served() {
+		if !strings.Contains(err.Error(), e.Name) {
+			t.Errorf("error %q does not list %s", err, e.Name)
 		}
 	}
-	cores := cutfit.KCoreNumbers(g)
-	for i, c := range cores {
-		if c != 2 {
-			t.Fatalf("core(%d) = %d, want 2", i, c)
-		}
+	if _, stats, err := cutfit.Run(ctx, pg, "pagerank", cutfit.ServedParams(0)); err == nil || stats != nil {
+		t.Fatalf("pagerank for zero iterations: err %v, stats %v", err, stats)
 	}
 }
 
@@ -202,15 +219,16 @@ func TestPredictorSurface(t *testing.T) {
 		{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 3}, {Src: 3, Dst: 0},
 		{Src: 0, Dst: 2}, {Src: 1, Dst: 3},
 	})
+	se := cutfit.NewSession(cutfit.SessionOptions{})
 	times := map[string]float64{}
 	for _, s := range cutfit.Strategies() {
-		m, err := cutfit.Measure(g, s, 3)
+		m, err := se.Measure(g, s, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
 		times[s.Name()] = 1 + 0.001*float64(m.CommCost)
 	}
-	pred, results, err := cutfit.TrainPredictor(g, cutfit.Strategies(), 3, cutfit.ProfilePageRank, times)
+	pred, results, err := se.TrainPredictor(g, cutfit.Strategies(), 3, cutfit.ProfilePageRank, times)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +251,7 @@ func TestGranularityAdviceSurface(t *testing.T) {
 
 func TestRangeCutSurface(t *testing.T) {
 	g := cutfit.FromEdges([]cutfit.Edge{{Src: 0, Dst: 1}, {Src: 9, Dst: 8}})
-	m, err := cutfit.Measure(g, cutfit.RangeCut(), 2)
+	m, err := cutfit.NewSession(cutfit.SessionOptions{}).Measure(g, cutfit.RangeCut(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,37 +7,40 @@ import (
 	"cutfit"
 )
 
-// ExampleRunHopDistances runs shortest paths on a road network, the workload
+// ExampleRun runs shortest paths on a road network, the workload
 // the paper could not (GraphX ran out of memory on road networks for SSSP).
 // Road vertex IDs follow geography, the locality the paper's SC/DC proposal
 // assumes: CRVC reaches the lowest CommCost (it collocates both directions of
 // each symmetric edge), RVC the highest, and SC/DC match 1D almost exactly,
 // because modulo on grid-ordered IDs groups edges by source just as 1D's hash
-// does. The enormous diameter shows in the superstep count.
-func ExampleRunHopDistances() {
+// does. The enormous diameter shows in the superstep count. Run returns sssp's
+// values as a HopTable, one column per landmark.
+func ExampleRun() {
 	g := analog("roadnet-pa")
 	verts := g.Vertices()
 	landmarks := []cutfit.VertexID{verts[0], verts[len(verts)/2], verts[len(verts)-1]}
 	fmt.Printf("landmarks: %v\n", landmarks)
 
 	ctx := context.Background()
+	se := cutfit.NewSession(cutfit.SessionOptions{})
 	const parts = 64
 	cfg := cutfit.ConfigI()
 	cfg.NumPartitions = parts
 	fmt.Println("strategy  CommCost  supersteps  reached%  simulated-time")
 	for _, s := range cutfit.Strategies() {
-		m, err := cutfit.Measure(g, s, parts)
+		m, err := se.Measure(g, s, parts)
 		if err != nil {
 			panic(err)
 		}
-		pg, err := cutfit.Partition(g, s, parts)
+		pg, err := se.Partition(g, s, parts)
 		if err != nil {
 			panic(err)
 		}
-		hops, stats, err := cutfit.RunHopDistances(ctx, pg, landmarks, 0)
+		values, stats, err := cutfit.Run(ctx, pg, "sssp", cutfit.Params{Landmarks: landmarks})
 		if err != nil {
 			panic(err)
 		}
+		hops := values.(cutfit.HopTable)
 		b, err := cfg.Simulate(stats, cutfit.EstimateGraphBytes(g.NumEdges()))
 		if err != nil {
 			panic(err)

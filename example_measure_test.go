@@ -20,29 +20,30 @@ func analog(name string) *cutfit.Graph {
 	return g
 }
 
-// ExampleMeasure is the paper's core loop on the analog of its YouTube
+// ExampleSession_Measure is the paper's core loop on the analog of its YouTube
 // dataset: measure each strategy's partitioning (the §3.1 metrics), run ten
 // PageRank iterations on it and simulate the run on configuration (i), the
 // paper's cluster of 4 executors on 1 Gb/s with HDDs. Lower CommCost tracks
 // lower PageRank time, as in the paper's Figure 3.
-func ExampleMeasure() {
+func ExampleSession_Measure() {
 	g := analog("youtube")
 	fmt.Printf("graph: %d vertices, %d edges\n", g.NumVertices(), g.NumEdges())
 
 	ctx := context.Background()
+	se := cutfit.NewSession(cutfit.SessionOptions{})
 	const parts = 128
 	cfg := cutfit.ConfigI()
 	fmt.Println("strategy  CommCost  Cut    Balance  simulated-PR-time")
 	for _, s := range cutfit.Strategies() {
-		m, err := cutfit.Measure(g, s, parts)
+		m, err := se.Measure(g, s, parts)
 		if err != nil {
 			panic(err)
 		}
-		pg, err := cutfit.Partition(g, s, parts)
+		pg, err := se.Partition(g, s, parts) // built from Measure's assignment
 		if err != nil {
 			panic(err)
 		}
-		_, stats, err := cutfit.RunPageRank(ctx, pg, 10)
+		_, stats, err := cutfit.Run(ctx, pg, "pagerank", cutfit.ServedParams(10))
 		if err != nil {
 			panic(err)
 		}

@@ -13,8 +13,9 @@ import (
 // granularity.
 func ExampleEdgePartition2D() {
 	g := analog("youtube")
+	se := cutfit.NewSession(cutfit.SessionOptions{})
 	for _, parts := range []int{16, 64, 128, 256} {
-		m, err := cutfit.Measure(g, cutfit.EdgePartition2D(), parts)
+		m, err := se.Measure(g, cutfit.EdgePartition2D(), parts)
 		if err != nil {
 			panic(err)
 		}

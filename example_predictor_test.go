@@ -7,19 +7,20 @@ import (
 	"cutfit"
 )
 
-// ExampleTrainPredictor turns the paper's correlation result into a what-if
+// ExampleSession_TrainPredictor turns the paper's correlation result into a what-if
 // tool: run PageRank under three partitionings of one dataset, fit the
 // metric → time model, rank the partitionings of a different dataset by
 // prediction alone, then run them to check.
-func ExampleTrainPredictor() {
+func ExampleSession_TrainPredictor() {
 	ctx := context.Background()
+	se := cutfit.NewSession(cutfit.SessionOptions{})
 	cfg := cutfit.ConfigI()
 	simulatePR := func(g *cutfit.Graph, s cutfit.Strategy) float64 {
-		pg, err := cutfit.Partition(g, s, cfg.NumPartitions)
+		pg, err := se.Partition(g, s, cfg.NumPartitions)
 		if err != nil {
 			panic(err)
 		}
-		_, stats, err := cutfit.RunPageRank(ctx, pg, 10)
+		_, stats, err := cutfit.Run(ctx, pg, "pagerank", cutfit.ServedParams(10))
 		if err != nil {
 			panic(err)
 		}
@@ -39,7 +40,7 @@ func ExampleTrainPredictor() {
 		}
 		times[name] = simulatePR(train, s)
 	}
-	pred, _, err := cutfit.TrainPredictor(train, cutfit.Strategies(), cfg.NumPartitions, cutfit.ProfilePageRank, times)
+	pred, _, err := se.TrainPredictor(train, cutfit.Strategies(), cfg.NumPartitions, cutfit.ProfilePageRank, times)
 	if err != nil {
 		panic(err)
 	}
@@ -48,7 +49,7 @@ func ExampleTrainPredictor() {
 	test := analog("pocek")
 	candidates := map[string]*cutfit.Metrics{}
 	for _, s := range cutfit.Strategies() {
-		m, err := cutfit.Measure(test, s, cfg.NumPartitions)
+		m, err := se.Measure(test, s, cfg.NumPartitions)
 		if err != nil {
 			panic(err)
 		}

@@ -14,7 +14,7 @@ import (
 // to attribute time.
 func ExampleRunProgram() {
 	g := analog("roadnet-pa")
-	pg, err := cutfit.Partition(g, cutfit.CanonicalRandomVertexCut(), 32)
+	pg, err := cutfit.NewSession(cutfit.SessionOptions{}).Partition(g, cutfit.CanonicalRandomVertexCut(), 32)
 	if err != nil {
 		panic(err)
 	}

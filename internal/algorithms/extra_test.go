@@ -62,146 +62,3 @@ func TestDynamicPageRankErrors(t *testing.T) {
 		t.Error("resetProb=1 should error")
 	}
 }
-
-func TestLabelPropagationMatchesOracle(t *testing.T) {
-	check := func(seed uint64, partsRaw uint8) bool {
-		numParts := 1 + int(partsRaw)%8
-		g := randomGraph(seed, 30, 100)
-		want := LabelPropagationSeq(g, 4)
-		for _, s := range []partition.Strategy{partition.RandomVertexCut(), partition.DestinationCut()} {
-			assign, err := s.Partition(g, numParts)
-			if err != nil {
-				return false
-			}
-			pg, err := newPartitioned(g, assign, numParts)
-			if err != nil {
-				return false
-			}
-			got, _, err := LabelPropagation(context.Background(), pg, 4)
-			if err != nil {
-				return false
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 10}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLabelPropagationTwoCliques(t *testing.T) {
-	// Two 4-cliques joined by a single bridge edge: labels should settle
-	// within each clique to that clique's minimum vertex ID.
-	var edges []graph.Edge
-	cliq := func(base graph.VertexID) {
-		for i := graph.VertexID(0); i < 4; i++ {
-			for j := i + 1; j < 4; j++ {
-				edges = append(edges,
-					graph.Edge{Src: base + i, Dst: base + j},
-					graph.Edge{Src: base + j, Dst: base + i})
-			}
-		}
-	}
-	cliq(0)
-	cliq(10)
-	edges = append(edges, graph.Edge{Src: 0, Dst: 10})
-	g := graph.FromEdges(edges)
-	pg := mustPartition(t, g, partition.CanonicalRandomVertexCut(), 4)
-	labels, _, err := LabelPropagation(context.Background(), pg, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range g.Vertices() {
-		want := graph.VertexID(0)
-		if v >= 10 {
-			want = 10
-		}
-		// Allow the bridge endpoints to flip; interior clique members must
-		// hold their community.
-		if v != 0 && v != 10 && labels[i] != want {
-			t.Fatalf("vertex %d labeled %d, want %d", v, labels[i], want)
-		}
-	}
-}
-
-func TestLabelPropagationErrors(t *testing.T) {
-	g := graph.FromEdges([]graph.Edge{{Src: 0, Dst: 1}})
-	pg := mustPartition(t, g, partition.RandomVertexCut(), 1)
-	if _, _, err := LabelPropagation(context.Background(), pg, 0); err == nil {
-		t.Error("numIter=0 should error")
-	}
-}
-
-func TestKCoreKnownShapes(t *testing.T) {
-	// Triangle with a pendant: triangle vertices have core 2, pendant 1.
-	g := graph.FromEdges([]graph.Edge{
-		{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 0}, {Src: 2, Dst: 3},
-	})
-	core := KCore(g)
-	want := map[graph.VertexID]int32{0: 2, 1: 2, 2: 2, 3: 1}
-	for v, w := range want {
-		i, _ := g.Index(v)
-		if core[i] != w {
-			t.Fatalf("core(%d) = %d, want %d", v, core[i], w)
-		}
-	}
-}
-
-func TestKCoreK4(t *testing.T) {
-	g := graph.FromEdges([]graph.Edge{
-		{Src: 0, Dst: 1}, {Src: 0, Dst: 2}, {Src: 0, Dst: 3},
-		{Src: 1, Dst: 2}, {Src: 1, Dst: 3}, {Src: 2, Dst: 3},
-	})
-	for i, c := range KCore(g) {
-		if c != 3 {
-			t.Fatalf("K4 vertex %d core = %d, want 3", i, c)
-		}
-	}
-}
-
-func TestKCoreMembershipMatchesPeeling(t *testing.T) {
-	check := func(seed uint64, kRaw uint8) bool {
-		k := int32(kRaw % 5)
-		g := randomGraph(seed, 30, 150)
-		core := KCore(g)
-		assign, err := partition.RandomVertexCut().Partition(g, 4)
-		if err != nil {
-			return false
-		}
-		pg, err := newPartitioned(g, assign, 4)
-		if err != nil {
-			return false
-		}
-		member, _, err := KCoreMembership(context.Background(), pg, k)
-		if err != nil {
-			return false
-		}
-		for i := range member {
-			if member[i] != (core[i] >= k) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 10}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestKCoreMembershipErrors(t *testing.T) {
-	g := graph.FromEdges([]graph.Edge{{Src: 0, Dst: 1}})
-	pg := mustPartition(t, g, partition.RandomVertexCut(), 1)
-	if _, _, err := KCoreMembership(context.Background(), pg, -1); err == nil {
-		t.Error("negative k should error")
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, _, err := KCoreMembership(ctx, pg, 2); err == nil {
-		t.Error("cancelled context should abort")
-	}
-}

@@ -152,8 +152,8 @@ func beyondGraph(pg *pregel.PartitionedGraph) int64 {
 	return b
 }
 
-// TestOnlyPricedScratchesPark: on a ReuseBuffers topology label propagation,
-// whose messages are maps, leaves the lineage pool as it found it, while
+// TestOnlyPricedScratchesPark: on a ReuseBuffers topology a program whose
+// messages are maps leaves the lineage pool as it found it, while
 // pagerank, dynamicpr, cc and shortest paths at every vector width each park
 // one scratch that Shares prices at its slots' full size — which, their
 // values and messages being pointer-free, is all the scratch keeps alive.
@@ -180,11 +180,11 @@ func TestOnlyPricedScratchesPark(t *testing.T) {
 	bitsets := (slots+int64(g.NumEdges()))/8 + int64(8*(2*pg.NumParts+1))
 
 	before := beyondGraph(pg)
-	if _, _, err := LabelPropagation(ctx, pg, 3); err != nil {
+	if _, _, err := pregel.Run(ctx, pg, mapVotes(3)); err != nil {
 		t.Fatal(err)
 	}
 	if got := beyondGraph(pg); got != before {
-		t.Fatalf("label propagation left %d bytes in the scratch pool", got-before)
+		t.Fatalf("a map-message program left %d bytes in the scratch pool", got-before)
 	}
 
 	const f64 = 8
@@ -221,5 +221,42 @@ func TestOnlyPricedScratchesPark(t *testing.T) {
 		if again := beyondGraph(pg) - before; again != grew {
 			t.Fatalf("%s: pool holds %d bytes after a second run, %d after the first", p.name, again, grew)
 		}
+	}
+}
+
+// votes counts how often a neighbour's label was heard.
+type votes map[graph.VertexID]int64
+
+// mapVotes is a pointer-carrying program: label propagation by majority
+// vote, every message a map. Ties go to the smaller label.
+func mapVotes(rounds int) pregel.Program[graph.VertexID, votes] {
+	return pregel.Program[graph.VertexID, votes]{
+		Init: func(id graph.VertexID) graph.VertexID { return id },
+		VProg: func(_ graph.VertexID, val graph.VertexID, msg votes) graph.VertexID {
+			best, most := val, int64(-1)
+			for label, n := range msg {
+				if n > most || (n == most && label < best) {
+					best, most = label, n
+				}
+			}
+			return best
+		},
+		SendMsg: func(t *pregel.Triplet[graph.VertexID], emit pregel.Emitter[votes]) {
+			emit.ToDst(votes{t.SrcVal: 1})
+			emit.ToSrc(votes{t.DstVal: 1})
+		},
+		MergeMsg: func(a, b votes) votes {
+			out := make(votes, len(a)+len(b))
+			for l, n := range a {
+				out[l] += n
+			}
+			for l, n := range b {
+				out[l] += n
+			}
+			return out
+		},
+		MaxIterations:   rounds,
+		ActiveDirection: pregel.AllEdges,
+		MsgBytes:        func(m votes) int { return 16 + 12*len(m) },
 	}
 }

@@ -25,7 +25,6 @@ import (
 	"cutfit/internal/metrics"
 	"cutfit/internal/par"
 	"cutfit/internal/partition"
-	"cutfit/internal/pregel"
 	"cutfit/internal/store"
 )
 
@@ -142,14 +141,12 @@ func Advise(p Profile, f GraphFacts, numParts int, cfg AdvisorConfig) Recommenda
 }
 
 // Selection is the outcome of empirical strategy selection: the winning
-// strategy together with the Assignment it was measured from — so running
-// the winner never re-partitions — and the metric sets of every candidate.
+// strategy and the metric sets of every candidate. The winner's assignment
+// stays in the store that measured it, so building the winner re-partitions
+// nothing.
 type Selection struct {
 	// Strategy is the candidate minimizing the profile's predictive metric.
 	Strategy partition.Strategy
-	// Assignment is the winner's edge assignment, produced by the single
-	// measurement pass and ready to hand to the pregel builder.
-	Assignment *partition.Assignment
 	// Results holds the §3.1 metric set of every candidate, keyed by
 	// partition.KeyOf — the strategy name, except for parameterized
 	// strategies (Hybrid:<t>), whose variants must not collapse into one
@@ -157,42 +154,26 @@ type Selection struct {
 	Results map[string]*metrics.Result
 }
 
-// Build constructs the engine-ready partitioned topology of the winning
-// strategy straight from the retained Assignment — zero additional
-// partitioning passes after selection.
-func (s *Selection) Build(opts pregel.BuildOptions) (*pregel.PartitionedGraph, error) {
-	return pregel.NewPartitionedGraphFromAssignment(s.Assignment, opts)
-}
-
-// SelectEmpirically assigns g with every candidate strategy at numParts —
-// exactly one edge-assignment pass per candidate — measures the profile's
-// predictive metric from each assignment, and returns the minimizing
-// strategy with its Assignment retained, so the subsequent engine build
-// costs no further partitioning. This is the "measure, then choose"
+// SelectEmpirically measures every candidate strategy on g at numParts
+// through the artifact store st — one edge-assignment pass per candidate,
+// none for a candidate st already holds — and returns the strategy
+// minimizing the profile's predictive metric. Repeated selection over one
+// graph (different profiles, different callers, concurrent requests) reuses
+// candidate assignments, and the winner's cached Assignment is already in
+// place for the store's Built call. This is the "measure, then choose"
 // workflow the paper recommends when a pre-computation pass is affordable.
-func SelectEmpirically(g *graph.Graph, candidates []partition.Strategy, numParts int, p Profile) (*Selection, error) {
-	return SelectEmpiricallyIn(nil, g, candidates, numParts, p)
-}
-
-// SelectEmpiricallyIn is SelectEmpirically routed through an artifact
-// store: each candidate's assignment and metric set come from st, so
-// repeated selection over one graph — different profiles, different
-// callers, concurrent requests — reuses candidate assignments instead of
-// re-assigning, and the winner's cached Assignment is already in place for
-// the subsequent store Built call. A nil store computes directly (the
-// one-shot batch path).
-func SelectEmpiricallyIn(st *store.Store, g *graph.Graph, candidates []partition.Strategy, numParts int, p Profile) (*Selection, error) {
+func SelectEmpirically(st *store.Store, g *graph.Graph, candidates []partition.Strategy, numParts int, p Profile) (*Selection, error) {
 	if len(candidates) == 0 {
 		return nil, fmt.Errorf("core: no candidate strategies")
 	}
-	measured, err := measureCandidates(st, g, candidates, numParts, true)
+	measured, err := measureCandidates(st, g, candidates, numParts)
 	if err != nil {
 		return nil, err
 	}
 	sel := &Selection{Results: make(map[string]*metrics.Result, len(candidates))}
 	bestVal := 0.0
 	for i, s := range candidates {
-		m := measured[i].metrics
+		m := measured[i]
 		sel.Results[partition.KeyOf(s)] = m
 		v, err := m.MetricByName(p.Metric)
 		if err != nil {
@@ -200,63 +181,31 @@ func SelectEmpiricallyIn(st *store.Store, g *graph.Graph, candidates []partition
 		}
 		if sel.Strategy == nil || v < bestVal {
 			sel.Strategy = s
-			sel.Assignment = measured[i].assignment
 			bestVal = v
 		}
 	}
 	return sel, nil
 }
 
-// measurement is what measuring one candidate yields.
-type measurement struct {
-	assignment *partition.Assignment // nil unless asked for
-	metrics    *metrics.Result
-}
-
-// measureCandidates measures every candidate on g, concurrently: on as many
-// goroutines as the store's builds use (par.DefaultParallelism without a
-// store or a setting), each candidate through the store's single-flight
-// Assignment and Metrics when there is a store, directly otherwise. The
-// result is aligned with candidates, and so is the error: of several
-// failing candidates the first in candidate order is reported, whichever
-// failed first. Nothing a caller sees depends on which candidate finished
-// when — each measurement is a function of (g, strategy, numParts) alone,
-// and callers pick from the slice in candidate order. (The graph's lazy
-// views they share are each built by whichever needs one first, under the
-// graph's own once-guards; a selection the store answers builds none.)
-func measureCandidates(st *store.Store, g *graph.Graph, candidates []partition.Strategy, numParts int, withAssignments bool) ([]measurement, error) {
-	workers := 0
-	if st != nil {
-		workers = st.BuildOptions().Parallelism
-	}
+// measureCandidates measures every candidate on g through the store's
+// single-flight Metrics, concurrently, on as many goroutines as the store's
+// builds use (par.DefaultParallelism without a setting). The result is
+// aligned with candidates, and so is the error: of several failing
+// candidates the first in candidate order is reported, whichever failed
+// first. Nothing a caller sees depends on which candidate finished when —
+// each measurement is a function of (g, strategy, numParts) alone, and
+// callers pick from the slice in candidate order. (The graph's lazy views
+// they share are each built by whichever needs one first, under the graph's
+// own once-guards; a selection the store answers builds none.)
+func measureCandidates(st *store.Store, g *graph.Graph, candidates []partition.Strategy, numParts int) ([]*metrics.Result, error) {
+	workers := st.BuildOptions().Parallelism
 	if workers < 1 {
 		workers = par.DefaultParallelism()
 	}
-	out := make([]measurement, len(candidates))
+	out := make([]*metrics.Result, len(candidates))
 	errs := make([]error, len(candidates))
 	if err := par.ForEach(context.TODO(), workers, len(candidates), func(i int) {
-		var (
-			s   = candidates[i]
-			a   *partition.Assignment
-			m   *metrics.Result
-			err error
-		)
-		if st == nil {
-			if a, err = partition.Assign(g, s, numParts); err == nil {
-				m, err = metrics.FromAssignment(a)
-			}
-		} else {
-			if withAssignments {
-				a, err = st.Assignment(g, s, numParts)
-			}
-			if err == nil {
-				m, err = st.Metrics(g, s, numParts)
-			}
-		}
-		if !withAssignments {
-			a = nil
-		}
-		out[i], errs[i] = measurement{a, m}, err
+		out[i], errs[i] = st.Metrics(g, candidates[i], numParts)
 	}); err != nil {
 		return nil, err
 	}
@@ -272,21 +221,31 @@ func measureCandidates(st *store.Store, g *graph.Graph, candidates []partition.S
 // with adjacency by measuring the fraction of edges whose endpoint IDs
 // differ by at most window. Grid-ordered road networks score high; hashed
 // or crawled social graphs score low. Returns true above threshold (0.5 is
-// a robust default with window = ~2 rows of a grid).
+// a robust default with window = ~2 rows of a grid). The scan counts every
+// dense slot, tombstoned ones included, and streams a block-backed graph
+// block by block rather than materializing its dense edge list.
 func DetectIDLocality(g *graph.Graph, window int64, threshold float64) bool {
-	edges := g.Edges()
-	if len(edges) == 0 {
+	near, total := 0, 0
+	err := g.ForEachEdgeBlock(func(_ int, edges []graph.Edge, _ []float64) error {
+		n := 0
+		for _, e := range edges {
+			d := int64(e.Src) - int64(e.Dst)
+			if d < 0 {
+				d = -d
+			}
+			if d <= window {
+				n++
+			}
+		}
+		near += n
+		total += len(edges)
+		return nil
+	})
+	if err != nil {
+		panic("core: block decode failed: " + err.Error())
+	}
+	if total == 0 {
 		return false
 	}
-	near := 0
-	for _, e := range edges {
-		d := int64(e.Src) - int64(e.Dst)
-		if d < 0 {
-			d = -d
-		}
-		if d <= window {
-			near++
-		}
-	}
-	return float64(near)/float64(len(edges)) >= threshold
+	return float64(near)/float64(total) >= threshold
 }

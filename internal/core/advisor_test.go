@@ -6,7 +6,6 @@ import (
 	"cutfit/internal/gen"
 	"cutfit/internal/graph"
 	"cutfit/internal/partition"
-	"cutfit/internal/pregel"
 )
 
 func TestProfileFor(t *testing.T) {
@@ -86,7 +85,8 @@ func TestSelectEmpirically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel, err := SelectEmpirically(g, partition.All(), 16, ProfilePageRank)
+	st := storeOf(0)
+	sel, err := SelectEmpirically(st, g, partition.All(), 16, ProfilePageRank)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,12 +101,15 @@ func TestSelectEmpirically(t *testing.T) {
 				name, m.CommCost, best.Name(), bestVal)
 		}
 	}
-	if sel.Assignment == nil || sel.Assignment.Strategy != best.Name() {
-		t.Fatalf("selection should retain the winner's assignment, got %+v", sel.Assignment)
-	}
-	pg, err := sel.Build(pregel.BuildOptions{})
+	// Building the winner misses only on the topology: its assignment is
+	// the one the selection left in the store.
+	misses := st.Stats().Misses
+	pg, err := st.Built(g, best, 16)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := st.Stats().Misses - misses; got != 1 {
+		t.Fatalf("building the winner missed %d times, want 1 (the topology alone)", got)
 	}
 	if got := pg.Metrics().CommCost; got != bestVal {
 		t.Fatalf("built winner CommCost = %d, measured %d", got, bestVal)
@@ -115,7 +118,7 @@ func TestSelectEmpirically(t *testing.T) {
 
 func TestSelectEmpiricallyErrors(t *testing.T) {
 	g := graph.FromEdges([]graph.Edge{{Src: 0, Dst: 1}})
-	if _, err := SelectEmpirically(g, nil, 4, ProfilePageRank); err == nil {
+	if _, err := SelectEmpirically(storeOf(0), g, nil, 4, ProfilePageRank); err == nil {
 		t.Fatal("no candidates should error")
 	}
 }

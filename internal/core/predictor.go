@@ -160,25 +160,17 @@ func AdviseGranularity(p Profile, f GraphFacts, coarse, fine int, cfg AdvisorCon
 	}
 }
 
-// TrainPredictor measures every candidate strategy's metrics on g — one
-// edge-assignment pass per candidate, measured through the Assignment
-// artifact — and fits a predictor from the provided (strategy name →
-// measured seconds) samples; strategies without a time sample contribute
-// metrics only. It returns the fitted predictor and the per-strategy
-// metric sets, ready for RankByPrediction.
-func TrainPredictor(g *graph.Graph, candidates []partition.Strategy, numParts int, p Profile, timesByStrategy map[string]float64) (*Predictor, map[string]*metrics.Result, error) {
-	return TrainPredictorIn(nil, g, candidates, numParts, p, timesByStrategy)
-}
-
-// TrainPredictorIn is TrainPredictor routed through an artifact store: the
-// per-candidate metric sets come from st, so training after (or racing) an
-// empirical selection over the same graph re-measures nothing. A nil store
-// computes directly.
-func TrainPredictorIn(st *store.Store, g *graph.Graph, candidates []partition.Strategy, numParts int, p Profile, timesByStrategy map[string]float64) (*Predictor, map[string]*metrics.Result, error) {
+// TrainPredictor measures every candidate strategy's metrics on g through
+// the artifact store st — so training after (or racing) an empirical
+// selection over the same graph re-measures nothing — and fits a predictor
+// from the provided (strategy name → measured seconds) samples; strategies
+// without a time sample contribute metrics only. It returns the fitted
+// predictor and the per-strategy metric sets, ready for RankByPrediction.
+func TrainPredictor(st *store.Store, g *graph.Graph, candidates []partition.Strategy, numParts int, p Profile, timesByStrategy map[string]float64) (*Predictor, map[string]*metrics.Result, error) {
 	if len(timesByStrategy) < 2 {
 		return nil, nil, fmt.Errorf("core: need at least 2 timed strategies, got %d", len(timesByStrategy))
 	}
-	measured, err := measureCandidates(st, g, candidates, numParts, false)
+	measured, err := measureCandidates(st, g, candidates, numParts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -189,7 +181,7 @@ func TrainPredictorIn(st *store.Store, g *graph.Graph, candidates []partition.St
 		// strategy name except for parameterized variants (Hybrid:<t>,
 		// HDRF:<λ>), which must not alias one row or one time sample.
 		key := partition.KeyOf(s)
-		m := measured[i].metrics
+		m := measured[i]
 		results[key] = m
 		t, ok := timesByStrategy[key]
 		if !ok {

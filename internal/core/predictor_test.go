@@ -121,7 +121,7 @@ func TestTrainPredictorEndToEnd(t *testing.T) {
 		}
 		times[s.Name()] = 0.5 + 1e-6*float64(m.CommCost)
 	}
-	pred, results, err := TrainPredictor(g, partition.All(), 8, ProfilePageRank, times)
+	pred, results, err := TrainPredictor(storeOf(0), g, partition.All(), 8, ProfilePageRank, times)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestTrainPredictorErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = TrainPredictor(g, partition.All(), 4, ProfilePageRank, map[string]float64{"2D": 1})
+	_, _, err = TrainPredictor(storeOf(0), g, partition.All(), 4, ProfilePageRank, map[string]float64{"2D": 1})
 	if err == nil {
 		t.Fatal("one timed strategy should error")
 	}

@@ -14,31 +14,33 @@ import (
 	"cutfit/internal/store"
 )
 
-// selectEmpiricallyRef is SelectEmpiricallyIn as it was before candidates
+// selectEmpiricallyRef is SelectEmpirically as it was before candidates
 // were measured concurrently, kept as the oracle: one candidate after the
-// other, stopping at the first that fails.
-func selectEmpiricallyRef(g *graph.Graph, candidates []partition.Strategy, numParts int, p Profile) (*Selection, error) {
+// other, without a store, stopping at the first that fails. It also returns
+// the winner's assignment.
+func selectEmpiricallyRef(g *graph.Graph, candidates []partition.Strategy, numParts int, p Profile) (*Selection, *partition.Assignment, error) {
 	sel := &Selection{Results: make(map[string]*metrics.Result, len(candidates))}
+	var winner *partition.Assignment
 	bestVal := 0.0
 	for _, s := range candidates {
 		a, err := partition.Assign(g, s, numParts)
 		if err != nil {
-			return nil, fmt.Errorf("core: measuring %s: %w", s.Name(), err)
+			return nil, nil, fmt.Errorf("core: measuring %s: %w", s.Name(), err)
 		}
 		m, err := metrics.FromAssignment(a)
 		if err != nil {
-			return nil, fmt.Errorf("core: measuring %s: %w", s.Name(), err)
+			return nil, nil, fmt.Errorf("core: measuring %s: %w", s.Name(), err)
 		}
 		sel.Results[partition.KeyOf(s)] = m
 		v, err := m.MetricByName(p.Metric)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if sel.Strategy == nil || v < bestVal {
-			sel.Strategy, sel.Assignment, bestVal = s, a, v
+			sel.Strategy, winner, bestVal = s, a, v
 		}
 	}
-	return sel, nil
+	return sel, winner, nil
 }
 
 // storeOf returns a store whose builds — and so whose candidate fan-out —
@@ -72,9 +74,9 @@ func selectionEdges(n int) ([]graph.Edge, []float64) {
 
 // TestSelectConcurrentMatchesSequential: whatever order the candidates
 // finish in, Select returns what measuring them one after the other returns —
-// every metric of every candidate, the same winner, the same assignment — on
-// dense, tombstoned and block-backed graphs, weighted and not, with one
-// goroutine and with eight, through a store and without.
+// every metric of every candidate, the same winner, the same assignment left
+// in the store — on dense, tombstoned and block-backed graphs, weighted and
+// not, with one goroutine and with eight.
 func TestSelectConcurrentMatchesSequential(t *testing.T) {
 	edges, weights := selectionEdges(6000)
 	retract := []graph.Edge{edges[3], edges[700], edges[4100]}
@@ -112,14 +114,15 @@ func TestSelectConcurrentMatchesSequential(t *testing.T) {
 	for name, build := range graphs {
 		for _, candidates := range [][]partition.Strategy{partition.All(), partition.Extended()} {
 			for _, p := range []Profile{ProfilePageRank, ProfileTR} {
-				want, err := selectEmpiricallyRef(build(), candidates, 16, p)
+				want, b, err := selectEmpiricallyRef(build(), candidates, 16, p)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, st := range []*store.Store{nil, storeOf(1), storeOf(8)} {
+				for _, st := range []*store.Store{storeOf(1), storeOf(8)} {
 					// A fresh graph per selection: none of them finds a view
 					// an earlier one built.
-					got, err := SelectEmpiricallyIn(st, build(), candidates, 16, p)
+					g := build()
+					got, err := SelectEmpirically(st, g, candidates, 16, p)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -130,7 +133,14 @@ func TestSelectConcurrentMatchesSequential(t *testing.T) {
 					if !reflect.DeepEqual(got.Results, want.Results) {
 						t.Errorf("%s: metric sets differ from the sequential ones", where)
 					}
-					a, b := got.Assignment, want.Assignment
+					misses := st.Stats().Misses
+					a, err := st.Assignment(g, got.Strategy, 16)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if st.Stats().Misses != misses {
+						t.Errorf("%s: the winner's assignment is not in the store", where)
+					}
 					if a.Strategy != b.Strategy || a.NumParts != b.NumParts ||
 						!slices.Equal(a.PIDs, b.PIDs) || !slices.Equal(a.EdgesPerPart, b.EdgesPerPart) {
 						t.Errorf("%s: the winner's assignment differs from the sequential one", where)
@@ -228,29 +238,24 @@ func TestCandidateOrderDecides(t *testing.T) {
 				err: "core: measuring fails first in order: fails first in order refuses",
 			},
 		} {
-			for _, st := range []*store.Store{nil, storeOf(parallelism)} {
-				if st == nil && parallelism != 1 {
-					continue // without a store the fan-out is the machine's: staged only with a store
-				}
-				sel, err := SelectEmpiricallyIn(st, g, tc.candidates(), 16, ProfilePageRank)
-				switch {
-				case tc.err != "":
-					if err == nil || err.Error() != tc.err {
-						t.Errorf("%s, parallelism %d: error %v, want %s", tc.name, parallelism, err, tc.err)
-					}
-				case err != nil:
-					t.Errorf("%s, parallelism %d: %v", tc.name, parallelism, err)
-				case sel.Strategy.Name() != tc.winner || sel.Assignment.Strategy != tc.winner:
-					t.Errorf("%s, parallelism %d: chose %s with the assignment of %s, want %s",
-						tc.name, parallelism, sel.Strategy.Name(), sel.Assignment.Strategy, tc.winner)
-				}
-				if tc.err == "" {
-					continue
-				}
-				_, _, err = TrainPredictorIn(st, g, tc.candidates(), 16, ProfilePageRank, map[string]float64{"fine": 1, "also fine": 2})
+			st := storeOf(parallelism)
+			sel, err := SelectEmpirically(st, g, tc.candidates(), 16, ProfilePageRank)
+			switch {
+			case tc.err != "":
 				if err == nil || err.Error() != tc.err {
-					t.Errorf("%s, parallelism %d: TrainPredictor error %v, want %s", tc.name, parallelism, err, tc.err)
+					t.Errorf("%s, parallelism %d: error %v, want %s", tc.name, parallelism, err, tc.err)
 				}
+			case err != nil:
+				t.Errorf("%s, parallelism %d: %v", tc.name, parallelism, err)
+			case sel.Strategy.Name() != tc.winner:
+				t.Errorf("%s, parallelism %d: chose %s, want %s", tc.name, parallelism, sel.Strategy.Name(), tc.winner)
+			}
+			if tc.err == "" {
+				continue
+			}
+			_, _, err = TrainPredictor(st, g, tc.candidates(), 16, ProfilePageRank, map[string]float64{"fine": 1, "also fine": 2})
+			if err == nil || err.Error() != tc.err {
+				t.Errorf("%s, parallelism %d: TrainPredictor error %v, want %s", tc.name, parallelism, err, tc.err)
 			}
 		}
 	}
@@ -279,28 +284,28 @@ func TestTrainPredictorMeasuresOnce(t *testing.T) {
 	}
 	times := map[string]float64{"RVC": 3, "2D": 1, "DC": 2}
 	st := storeOf(8)
-	pred, results, err := TrainPredictorIn(st, g, candidates, 16, ProfilePageRank, times)
+	pred, results, err := TrainPredictor(st, g, candidates, 16, ProfilePageRank, times)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := calls.Load(); got != int64(len(candidates)) {
 		t.Fatalf("training ran %d assignment passes for %d candidates", got, len(candidates))
 	}
-	if _, err := SelectEmpiricallyIn(st, g, candidates, 16, ProfilePageRank); err != nil {
+	if _, err := SelectEmpirically(st, g, candidates, 16, ProfilePageRank); err != nil {
 		t.Fatal(err)
 	}
-	again, _, err := TrainPredictorIn(st, g, candidates, 16, ProfilePageRank, times)
+	again, _, err := TrainPredictor(st, g, candidates, 16, ProfilePageRank, times)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := calls.Load(); got != int64(len(candidates)) {
 		t.Fatalf("selecting and training again re-assigned: %d passes for %d candidates", got, len(candidates))
 	}
-	direct, directResults, err := TrainPredictor(g, partition.All(), 16, ProfilePageRank, times)
+	direct, directResults, err := TrainPredictor(storeOf(0), g, partition.All(), 16, ProfilePageRank, times)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if *pred != *direct || *again != *direct || !reflect.DeepEqual(results, directResults) {
-		t.Fatalf("the store's predictor %v (again %v) differs from the direct one %v", pred, again, direct)
+		t.Fatalf("the predictor %v (again %v) differs from a fresh store's %v", pred, again, direct)
 	}
 }

@@ -187,8 +187,8 @@ type PartitionedGraph struct {
 
 // maxScratchTypes bounds how many distinct program types park scratches in
 // one pool; beyond it, additional types simply run with fresh
-// buffers. Above the built-in algorithm mix (PageRank, dynamic PageRank, CC,
-// k-core and the seven shortest-paths widths), it exists so a server
+// buffers. Above the built-in algorithm mix (PageRank, dynamic PageRank, CC
+// and the seven shortest-paths widths), it exists so a server
 // executing arbitrary custom programs cannot grow the pool map without
 // bound.
 const maxScratchTypes = 16

@@ -58,6 +58,7 @@ package store
 
 import (
 	"container/list"
+	"fmt"
 	"slices"
 	"sync"
 
@@ -788,7 +789,7 @@ func (st *Store) do(k key, build func() (val any, err error)) (any, error) {
 	st.mu.Unlock()
 	mMisses.Inc()
 
-	v, err := build()
+	v, err := st.runFlight(k, f, build)
 	f.val, f.err = v, err
 	var p price
 	if err == nil {
@@ -808,6 +809,23 @@ func (st *Store) do(k key, build func() (val any, err error)) (any, error) {
 	// file I/O never stalls concurrent cache traffic.
 	st.spill(evicted)
 	return v, err
+}
+
+// runFlight runs the build of flight f on key k. A build that panics must
+// not strand the key: the flight's waiters get the panic as an error, the
+// next caller rebuilds, and the panic goes on up to the builder's caller.
+func (st *Store) runFlight(k key, f *flight, build func() (any, error)) (any, error) {
+	defer func() {
+		if r := recover(); r != nil {
+			f.err = fmt.Errorf("store: build panicked: %v", r)
+			st.mu.Lock()
+			delete(st.inflight, k)
+			st.mu.Unlock()
+			close(f.done)
+			panic(r)
+		}
+	}()
+	return build()
 }
 
 // insert adds an artifact and evicts from the LRU tail until the cache

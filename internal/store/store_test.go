@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"cutfit/internal/algorithms"
 	"cutfit/internal/gen"
@@ -270,6 +271,85 @@ func TestErrorsAreNotCached(t *testing.T) {
 	if st.Stats().Entries != 1 {
 		t.Fatalf("entries = %d, want 1 (error result must not be cached)", st.Stats().Entries)
 	}
+}
+
+// TestPanickingBuildReleasesItsKey: a strategy that panics mid-build hands
+// the panic to its caller, fails the request waiting on the same flight with
+// an error, and leaves the key free, so the next request rebuilds instead of
+// parking on a flight that never lands.
+func TestPanickingBuildReleasesItsKey(t *testing.T) {
+	g := testGraph(t, 50, 200, 7)
+	s := &panickyStrategy{inner: partition.RandomVertexCut(), arrived: make(chan struct{}), release: make(chan struct{})}
+	st := New(Config{})
+
+	leader := make(chan any, 1)
+	go func() {
+		defer func() { leader <- recover() }()
+		st.Assignment(g, s, 4)
+	}()
+	<-s.arrived
+	waiter := make(chan error, 1)
+	go func() {
+		_, err := st.Assignment(g, s, 4)
+		waiter <- err
+	}()
+	for st.Stats().Waits == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	close(s.release)
+
+	const bound = 5 * time.Second
+	select {
+	case r := <-leader:
+		if r == nil {
+			t.Fatal("the strategy's panic did not reach the building caller")
+		}
+	case <-time.After(bound):
+		t.Fatal("the building caller never returned")
+	}
+	select {
+	case err := <-waiter:
+		if err == nil {
+			t.Fatal("a waiter on the panicked flight got no error")
+		}
+	case <-time.After(bound):
+		t.Fatal("a waiter on the panicked flight is still parked")
+	}
+
+	next := make(chan error, 1)
+	go func() {
+		_, err := st.Assignment(g, s, 4)
+		next <- err
+	}()
+	select {
+	case err := <-next:
+		if err != nil {
+			t.Fatalf("rebuild after the panic: %v", err)
+		}
+	case <-time.After(bound):
+		t.Fatal("the next request on the key parked behind the panicked build")
+	}
+	if got := s.calls.Load(); got != 2 {
+		t.Fatalf("strategy ran %d times, want 2 (the panicked build and the rebuild)", got)
+	}
+}
+
+// panickyStrategy's first Partition call signals arrived, waits for release
+// and panics; later calls pass through.
+type panickyStrategy struct {
+	inner            partition.Strategy
+	arrived, release chan struct{}
+	calls            atomic.Int64
+}
+
+func (p *panickyStrategy) Name() string { return "panicky" }
+func (p *panickyStrategy) Partition(g *graph.Graph, numParts int) ([]partition.PID, error) {
+	if p.calls.Add(1) == 1 {
+		close(p.arrived)
+		<-p.release
+		panic("panicky strategy")
+	}
+	return p.inner.Partition(g, numParts)
 }
 
 type flakyStrategy struct {

@@ -12,6 +12,8 @@ import (
 	"cutfit"
 	"cutfit/internal/gen"
 	"cutfit/internal/graph"
+	"cutfit/internal/partition"
+	"cutfit/internal/pregel"
 )
 
 // peakHeapMB runs f while a background sampler tracks live heap, and
@@ -97,15 +99,15 @@ func runScalePipeline(b *testing.B, cfg gen.RMATConfig, block bool) {
 					b.Fatal(err)
 				}
 			}
-			a, err := cutfit.PartitionAssignment(g, s, 16)
+			a, err := partition.Assign(g, s, 16)
 			if err != nil {
 				b.Fatal(err)
 			}
-			pg, err := cutfit.PartitionFromAssignment(a, cutfit.PartitionOptions{})
+			pg, err := pregel.NewPartitionedGraphFromAssignment(a, pregel.BuildOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, _, err := cutfit.RunPageRank(ctx, pg, 5); err != nil {
+			if _, _, err := runAs[[]float64](ctx, pg, "pagerank", cutfit.ServedParams(5)); err != nil {
 				b.Fatal(err)
 			}
 		})

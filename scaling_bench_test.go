@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"cutfit"
+	"cutfit/internal/partition"
+	"cutfit/internal/pregel"
 )
 
 // BenchmarkScalingSweep times the engine-side components whose hot loops
@@ -25,7 +27,7 @@ func BenchmarkScalingSweep(b *testing.B) {
 		workers = workers[:1]
 	}
 
-	a, err := cutfit.PartitionAssignment(g, cutfit.EdgePartition2D(), numParts)
+	a, err := partition.Assign(g, cutfit.EdgePartition2D(), numParts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -33,7 +35,7 @@ func BenchmarkScalingSweep(b *testing.B) {
 		b.Run(benchWorkerName("build", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := cutfit.PartitionFromAssignment(a, cutfit.PartitionOptions{Parallelism: w}); err != nil {
+				if _, err := pregel.NewPartitionedGraphFromAssignment(a, pregel.BuildOptions{Parallelism: w}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -41,17 +43,17 @@ func BenchmarkScalingSweep(b *testing.B) {
 	}
 	for _, w := range workers {
 		b.Run(benchWorkerName("cc", w), func(b *testing.B) {
-			pg, err := cutfit.PartitionFromAssignment(a, cutfit.PartitionOptions{Parallelism: w, ReuseBuffers: true})
+			pg, err := pregel.NewPartitionedGraphFromAssignment(a, pregel.BuildOptions{Parallelism: w, ReuseBuffers: true})
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, _, err := cutfit.RunConnectedComponents(ctx, pg, 50); err != nil {
+			if _, _, err := runAs[[]cutfit.VertexID](ctx, pg, "cc", cutfit.ServedParams(50)); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := cutfit.RunConnectedComponents(ctx, pg, 50); err != nil {
+				if _, _, err := runAs[[]cutfit.VertexID](ctx, pg, "cc", cutfit.ServedParams(50)); err != nil {
 					b.Fatal(err)
 				}
 			}

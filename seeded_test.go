@@ -278,12 +278,12 @@ var seedScenarios = map[string]func(h *seedRig){
 		if err != nil {
 			h.t.Fatal(err)
 		}
-		want, err := (&cutfit.Session{}).Run(context.Background(), g, h.s, h.parts, "cc", 2)
+		want, err := cutfit.NewSession(cutfit.SessionOptions{}).Run(context.Background(), g, h.s, h.parts, "cc", 2)
 		if err != nil {
 			h.t.Fatal(err)
 		}
 		if rep.Seeded || rep.Components != want.Components || rep.Supersteps != 2 {
-			h.t.Fatalf("capped run on a generation with a parent answer: %+v, a one-shot session reports %+v", rep, want)
+			h.t.Fatalf("capped run on a generation with a parent answer: %+v, a fresh session reports %+v", rep, want)
 		}
 		if after := runStarts(h.t); after["cold/capped"] != before["cold/capped"]+2 {
 			h.t.Fatalf("two capped runs were not counted as cold/capped: %v -> %v", before, after)

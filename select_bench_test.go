@@ -10,6 +10,8 @@ import (
 
 	"cutfit"
 	"cutfit/internal/datasets"
+	"cutfit/internal/partition"
+	"cutfit/internal/pregel"
 )
 
 func benchGraph(b *testing.B, name string) *cutfit.Graph {
@@ -30,8 +32,9 @@ func benchGraph(b *testing.B, name string) *cutfit.Graph {
 
 // BenchmarkSelectEmpirically measures the full "measure, choose, build the
 // winner" advisor workflow on the youtube analog at the paper's coarse
-// granularity: every candidate strategy is measured, the CommCost winner is
-// selected, and the winning partitioned graph is constructed ready to run.
+// granularity: a fresh Session measures every candidate strategy, selects
+// the CommCost winner, and builds the winning partitioned graph, ready to
+// run, from the assignment the selection cached.
 func BenchmarkSelectEmpirically(b *testing.B) {
 	g := benchGraph(b, "youtube")
 	const numParts = 128
@@ -45,11 +48,12 @@ func BenchmarkSelectEmpirically(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sel, err := cutfit.Select(g, tc.candidates, numParts, cutfit.ProfilePageRank)
+				se := cutfit.NewSession(cutfit.SessionOptions{})
+				sel, err := se.Select(g, tc.candidates, numParts, cutfit.ProfilePageRank)
 				if err != nil {
 					b.Fatal(err)
 				}
-				pg, err := cutfit.PartitionFromAssignment(sel.Assignment, cutfit.PartitionOptions{})
+				pg, err := se.Partition(g, sel.Strategy, numParts)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -70,16 +74,16 @@ func BenchmarkMeasureThenRun(b *testing.B) {
 	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		a, err := cutfit.PartitionAssignment(g, cutfit.EdgePartition2D(), numParts)
+		a, err := partition.Assign(g, cutfit.EdgePartition2D(), numParts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		pg, err := cutfit.PartitionFromAssignment(a, cutfit.PartitionOptions{})
+		pg, err := pregel.NewPartitionedGraphFromAssignment(a, pregel.BuildOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
 		m := pg.Metrics()
-		if _, _, err := cutfit.RunPageRank(ctx, pg, 5); err != nil {
+		if _, _, err := runAs[[]float64](ctx, pg, "pagerank", cutfit.ServedParams(5)); err != nil {
 			b.Fatal(err)
 		}
 		if m.CommCost == 0 {

@@ -5,7 +5,9 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -81,5 +83,130 @@ func TestNoAlgorithmSwitchOutsideTheTable(t *testing.T) {
 	}
 	if files < 50 {
 		t.Fatalf("scanned %d files: the walk did not start at the module root", files)
+	}
+}
+
+// TestOneRunEntryPoint keeps the root package to one way of running a
+// served algorithm: no exported top-level function other than Run and
+// RunProgram may return *RunStats. A per-algorithm wrapper would be a second
+// dispatch beside the table, one that Session.Run, the CLI and the cluster
+// never see.
+func TestOneRunEntryPoint(t *testing.T) {
+	allowed := map[string]bool{"Run": true, "RunProgram": true}
+	isRunStats := func(x ast.Expr) bool {
+		star, ok := x.(*ast.StarExpr)
+		if !ok {
+			return false
+		}
+		switch n := star.X.(type) {
+		case *ast.Ident:
+			return n.Name == "RunStats"
+		case *ast.SelectorExpr:
+			return n.Sel.Name == "RunStats"
+		}
+		return false
+	}
+	found := map[string]bool{}
+	fset, files := rootFiles(t)
+	for _, f := range files {
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Recv != nil || !fn.Name.IsExported() || fn.Type.Results == nil {
+				continue
+			}
+			for _, r := range fn.Type.Results.List {
+				if !isRunStats(r.Type) {
+					continue
+				}
+				found[fn.Name.Name] = true
+				if !allowed[fn.Name.Name] {
+					t.Errorf("%s: %s returns *RunStats — a per-algorithm entry point; run served algorithms through cutfit.Run", fset.Position(fn.Pos()), fn.Name.Name)
+				}
+			}
+		}
+	}
+	for name := range allowed {
+		if !found[name] {
+			t.Errorf("%s is not an exported function returning *RunStats: the guard no longer sees the package's run entry points", name)
+		}
+	}
+}
+
+// rootFiles parses the root package's non-test files.
+func rootFiles(t *testing.T) (*token.FileSet, []*ast.File) {
+	t.Helper()
+	paths, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	var files []*ast.File
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, f)
+	}
+	if len(files) == 0 {
+		t.Fatal("no root package files: the test does not run at the module root")
+	}
+	return fset, files
+}
+
+// TestDocsNameOnlyWhatExists: every cutfit.<Name> the prose documentation
+// writes — docs/*.md, internal/README.md and the verify skill — is an
+// exported top-level identifier of package cutfit, so a removed or renamed
+// API cannot linger in the docs.
+func TestDocsNameOnlyWhatExists(t *testing.T) {
+	exported := map[string]bool{}
+	_, files := rootFiles(t)
+	for _, f := range files {
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					exported[d.Name.Name] = true
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						exported[spec.Name.Name] = true
+					case *ast.ValueSpec:
+						for _, n := range spec.Names {
+							exported[n.Name] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	docs, err := filepath.Glob(filepath.Join("docs", "*.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs = append(docs, filepath.Join("internal", "README.md"), filepath.Join(".claude", "skills", "verify", "SKILL.md"))
+	name := regexp.MustCompile(`\bcutfit\.([A-Z][A-Za-z0-9_]*)`)
+	seen := 0
+	for _, path := range docs {
+		text, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(text), "\n") {
+			for _, m := range name.FindAllStringSubmatch(line, -1) {
+				seen++
+				if !exported[m[1]] {
+					t.Errorf("%s:%d: cutfit.%s is not an exported identifier of package cutfit", path, i+1, m[1])
+				}
+			}
+		}
+	}
+	if seen == 0 {
+		t.Fatal("the docs name no cutfit identifier: the scan read the wrong files")
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"cutfit/internal/algorithms"
 	"cutfit/internal/core"
 	"cutfit/internal/dist"
-	"cutfit/internal/metrics"
 	"cutfit/internal/obsv"
 	"cutfit/internal/partition"
 	"cutfit/internal/pregel"
@@ -55,10 +54,8 @@ type CacheStats = store.Stats
 // repeated requests hit the cache, and concurrent Runs on one cached
 // topology check buffer sets out of per-program-type pools.
 //
-// The zero-value &Session{} is a valid one-shot session: every call
-// computes from scratch with nothing cached. The package-level Measure,
-// Partition and Select functions are thin wrappers over exactly that, so
-// batch callers keep batch semantics. NewSession returns the caching kind.
+// Make one with NewSession or RestoreSession. A batch caller uses one too:
+// a request made once costs its computation plus one cache insert.
 //
 // Graphs handed to a Session are treated as immutable shared inputs:
 // mutate a graph only before serving it (a mutation is detected and never
@@ -105,32 +102,18 @@ func NewSession(opts SessionOptions) *Session {
 	}
 }
 
-// oneShot backs the package-level one-shot functions: no store, no cache —
-// each call stands alone.
-var oneShot = &Session{}
-
 // Assignment returns the (cached) validated edge assignment of
 // (g, s, numParts) — at most one strategy pass per session, no matter how
 // many callers race.
 func (se *Session) Assignment(g *Graph, s Strategy, numParts int) (*Assignment, error) {
-	if se.st != nil {
-		return se.st.Assignment(g, s, numParts)
-	}
-	return partition.Assign(g, s, numParts)
+	return se.st.Assignment(g, s, numParts)
 }
 
 // Measure returns the (cached) §3.1 metric set of (g, s, numParts),
 // derived from the session's cached assignment. The result is shared;
 // treat it as immutable.
 func (se *Session) Measure(g *Graph, s Strategy, numParts int) (*Metrics, error) {
-	if se.st != nil {
-		return se.st.Metrics(g, s, numParts)
-	}
-	a, err := partition.Assign(g, s, numParts)
-	if err != nil {
-		return nil, err
-	}
-	return metrics.FromAssignment(a)
+	return se.st.Metrics(g, s, numParts)
 }
 
 // Partition returns the (cached) engine-ready topology of
@@ -138,21 +121,14 @@ func (se *Session) Measure(g *Graph, s Strategy, numParts int) (*Metrics, error)
 // returned PartitionedGraph is shared and safe for concurrent runs; do not
 // mutate it.
 func (se *Session) Partition(g *Graph, s Strategy, numParts int) (*PartitionedGraph, error) {
-	if se.st != nil {
-		return se.st.Built(g, s, numParts)
-	}
-	a, err := partition.Assign(g, s, numParts)
-	if err != nil {
-		return nil, err
-	}
-	return pregel.NewPartitionedGraphFromAssignment(a, pregel.BuildOptions{})
+	return se.st.Built(g, s, numParts)
 }
 
 // Select measures every candidate strategy on g through the session's
 // cache — repeated selection over one graph re-assigns nothing — and
 // returns the Selection minimizing the profile's predictive metric.
 func (se *Session) Select(g *Graph, candidates []Strategy, numParts int, p Profile) (*Selection, error) {
-	return core.SelectEmpiricallyIn(se.st, g, candidates, numParts, p)
+	return core.SelectEmpirically(se.st, g, candidates, numParts, p)
 }
 
 // Advise recommends a strategy for the algorithm profile on g, deriving
@@ -166,24 +142,16 @@ func (se *Session) Advise(g *Graph, p Profile, numParts int) Recommendation {
 // TrainPredictor fits a metric→time predictor from measured run times,
 // measuring each candidate through the session's cache.
 func (se *Session) TrainPredictor(g *Graph, candidates []Strategy, numParts int, p Profile, timesByStrategy map[string]float64) (*Predictor, map[string]*Metrics, error) {
-	return core.TrainPredictorIn(se.st, g, candidates, numParts, p, timesByStrategy)
+	return core.TrainPredictor(se.st, g, candidates, numParts, p, timesByStrategy)
 }
 
-// CacheStats returns the session's artifact-cache counters (zero value for
-// a one-shot session).
-func (se *Session) CacheStats() CacheStats {
-	if se.st == nil {
-		return CacheStats{}
-	}
-	return se.st.Stats()
-}
+// CacheStats returns the session's artifact-cache counters.
+func (se *Session) CacheStats() CacheStats { return se.st.Stats() }
 
 // Forget drops every cached artifact of g — used when replacing a served
 // graph's data under the same handle.
 func (se *Session) Forget(g *Graph) {
-	if se.st != nil {
-		se.st.InvalidateGraph(g)
-	}
+	se.st.InvalidateGraph(g)
 }
 
 // checkAppended rejects a batch holding a negative vertex ID: the engine
@@ -222,9 +190,7 @@ func (se *Session) AppendEdges(g *Graph, edges []Edge) (*Graph, error) {
 		return g, nil
 	}
 	ng, d := g.Grow(edges)
-	if se.st != nil {
-		se.st.RecordDelta(d)
-	}
+	se.st.RecordDelta(d)
 	return ng, nil
 }
 
@@ -246,9 +212,7 @@ func (se *Session) AppendWeightedEdges(g *Graph, edges []Edge, weights []float64
 	if err != nil {
 		return nil, err
 	}
-	if se.st != nil {
-		se.st.RecordDelta(d)
-	}
+	se.st.RecordDelta(d)
 	return ng, nil
 }
 
@@ -275,7 +239,7 @@ func (se *Session) RemoveEdges(g *Graph, edges []Edge) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	if se.st != nil && ng != g {
+	if ng != g {
 		se.st.RecordDelta(d)
 	}
 	return ng, nil
@@ -297,7 +261,7 @@ func (se *Session) SlideWindow(g *Graph, edges []Edge, weights []float64, expire
 	if err != nil {
 		return nil, err
 	}
-	if se.st != nil && ng != g {
+	if ng != g {
 		se.st.RecordDelta(d)
 	}
 	return ng, nil
@@ -320,9 +284,6 @@ func (se *Session) Snapshot(w io.Writer) error {
 // so a server can rebuild its registry on warm start. Graphs referenced
 // only by names (no cached artifacts yet) are snapshotted too.
 func (se *Session) SnapshotNamed(w io.Writer, names map[string]*Graph) (SnapshotSummary, error) {
-	if se.st == nil {
-		return SnapshotSummary{}, fmt.Errorf("cutfit: one-shot session holds no cache to snapshot")
-	}
 	return se.st.Persist(w, names)
 }
 
@@ -331,9 +292,6 @@ func (se *Session) SnapshotNamed(w io.Writer, names map[string]*Graph) (Snapshot
 // SessionOptions.DiskDir. Use it before shutdown when the disk tier alone
 // (rather than a Snapshot file) should carry the cache across restarts.
 func (se *Session) Flush() (int, error) {
-	if se.st == nil {
-		return 0, nil
-	}
 	return se.st.FlushDisk()
 }
 
@@ -361,7 +319,7 @@ func RestoreSession(r io.Reader, opts SessionOptions) (*Session, map[string]*Gra
 // table's Params.Iters. An unknown name or a refused parameter is an error
 // before anything is partitioned. Safe for any number of concurrent callers.
 //
-// A caching session keeps the converged answer of an algorithm that can
+// The session keeps the converged answer of an algorithm that can
 // resume from one (cc) with its generation, and a run to convergence on a
 // generation whose recorded delta chain reaches such an answer starts from it
 // instead of from superstep 0: same values, bit for bit, at the cost of the
@@ -385,12 +343,10 @@ func (se *Session) Run(ctx context.Context, g *Graph, s Strategy, numParts int, 
 	if err != nil {
 		return nil, err
 	}
-	if se.st != nil {
-		// The run may have built the topology's frontier index or triangle
-		// plan, and has parked its scratch: bring the cache's price for the
-		// entry up to date (and let it evict if that no longer fits).
-		se.st.RepriceBuilt(g, s, numParts)
-	}
+	// The run may have built the topology's frontier index or triangle plan,
+	// and has parked its scratch: bring the cache's price for the entry up to
+	// date (and let it evict if that no longer fits).
+	se.st.RepriceBuilt(g, s, numParts)
 	rep := &RunReport{
 		Algorithm:     alg,
 		Strategy:      s.Name(),
@@ -434,15 +390,12 @@ func (se *Session) neverSeeds(e *algorithms.Entry, p algorithms.Params) string {
 		return "capped"
 	case se.pool != nil:
 		return "workers"
-	case se.st == nil:
-		return "no_parent"
 	}
 	return ""
 }
 
 // execute runs e on pg and reports whether the run was seeded. An algorithm
-// that resumes, run to convergence on a caching session with no workers
-// attached, starts from the nearest cached ancestor answer when the store
+// that resumes, run to convergence on a session with no workers attached, starts from the nearest cached ancestor answer when the store
 // finds one (store.AnswerBase) and from superstep 0 otherwise, and leaves its
 // own converged answer with the generation either way. Everything else runs
 // cold: across the attached pool when the cluster runs e, else in process. A

@@ -10,6 +10,7 @@ import (
 
 	"cutfit"
 	"cutfit/internal/algorithms"
+	"cutfit/internal/pregel"
 )
 
 // sessionTestGraph builds a deterministic medium graph for the concurrency
@@ -159,7 +160,7 @@ func TestSessionConcurrentSelectsAssignOnce(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("select %d: %v", i, errs[i])
 		}
-		if sels[i].Strategy != sels[0].Strategy || sels[i].Assignment != sels[0].Assignment ||
+		if sels[i].Strategy != sels[0].Strategy ||
 			!reflect.DeepEqual(sels[i].Results, sels[0].Results) {
 			t.Fatalf("select %d chose %s, select 0 %s: not the same shared selection", i, sels[i].Strategy.Name(), sels[0].Strategy.Name())
 		}
@@ -185,20 +186,21 @@ func TestSessionConcurrentMixedWorkload(t *testing.T) {
 	ctx := context.Background()
 	const parts = 8
 
-	// Serial ground truth, computed one-shot (no session, no cache).
-	wantSel, err := cutfit.Select(g, cutfit.Strategies(), parts, cutfit.ProfilePageRank)
+	// Serial ground truth, computed up front on a session of its own and a
+	// topology built without the cache or buffer reuse.
+	wantSel, err := cutfit.NewSession(cutfit.SessionOptions{}).Select(g, cutfit.Strategies(), parts, cutfit.ProfilePageRank)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pgSerial, err := cutfit.Partition(g, cutfit.EdgePartition2D(), parts)
+	pgSerial, err := partitionWith(g, cutfit.EdgePartition2D(), parts, pregel.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRanks, _, err := cutfit.RunPageRank(ctx, pgSerial, 5)
+	wantRanks, _, err := runAs[[]float64](ctx, pgSerial, "pagerank", cutfit.ServedParams(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantLabels, _, err := cutfit.RunConnectedComponents(ctx, pgSerial, 0)
+	wantLabels, _, err := runAs[[]cutfit.VertexID](ctx, pgSerial, "cc", cutfit.ServedParams(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +238,7 @@ func TestSessionConcurrentMixedWorkload(t *testing.T) {
 						errs[w] = err
 						return
 					}
-					ranks, _, err := cutfit.RunPageRank(ctx, pg, 5)
+					ranks, _, err := runAs[[]float64](ctx, pg, "pagerank", cutfit.ServedParams(5))
 					if err != nil {
 						errs[w] = err
 						return
@@ -251,7 +253,7 @@ func TestSessionConcurrentMixedWorkload(t *testing.T) {
 						errs[w] = err
 						return
 					}
-					labels, _, err := cutfit.RunConnectedComponents(ctx, pg, 0)
+					labels, _, err := runAs[[]cutfit.VertexID](ctx, pg, "cc", cutfit.ServedParams(0))
 					if err != nil {
 						errs[w] = err
 						return
@@ -324,22 +326,6 @@ func TestSelectKeepsHybridVariantsDistinct(t *testing.T) {
 	}
 	if selected != 1 {
 		t.Fatalf("%d rows flagged selected, want exactly 1 (rows: %+v)", selected, rows)
-	}
-}
-
-// TestOneShotWrappersStayOneShot: the package-level functions must not
-// retain artifacts across calls (batch semantics).
-func TestOneShotWrappersStayOneShot(t *testing.T) {
-	g := sessionTestGraph(t)
-	cs := &countingSessionStrategy{inner: cutfit.EdgePartition2D()}
-	if _, err := cutfit.Measure(g, cs, 4); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cutfit.Measure(g, cs, 4); err != nil {
-		t.Fatal(err)
-	}
-	if got := cs.calls.Load(); got != 2 {
-		t.Fatalf("one-shot Measure called Partition %d times across two calls, want 2", got)
 	}
 }
 

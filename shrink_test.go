@@ -9,6 +9,8 @@ import (
 	"cutfit"
 	"cutfit/internal/datasets"
 	"cutfit/internal/gen"
+	"cutfit/internal/metrics"
+	"cutfit/internal/partition"
 )
 
 // retractBatch picks up to n distinct live edge positions of g at random
@@ -119,22 +121,22 @@ func TestSessionRemoveEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ranks, _, err := cutfit.RunPageRank(ctx, pg, 8)
+		ranks, _, err := runAs[[]float64](ctx, pg, "pagerank", cutfit.ServedParams(8))
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantRanks, _, err := cutfit.RunPageRank(ctx, wantPG, 8)
+		wantRanks, _, err := runAs[[]float64](ctx, wantPG, "pagerank", cutfit.ServedParams(8))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(ranks, wantRanks) {
 			t.Fatalf("%s: PageRank over patched shrunk topology differs", s.Name())
 		}
-		cc, _, err := cutfit.RunConnectedComponents(ctx, pg, 0)
+		cc, _, err := runAs[[]cutfit.VertexID](ctx, pg, "cc", cutfit.ServedParams(0))
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantCC, _, err := cutfit.RunConnectedComponents(ctx, wantPG, 0)
+		wantCC, _, err := runAs[[]cutfit.VertexID](ctx, wantPG, "cc", cutfit.ServedParams(0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,22 +209,22 @@ func TestWeightedMetricsEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, s := range strategies {
-			a, err := cutfit.PartitionAssignment(g, s, parts)
+			a, err := partition.Assign(g, s, parts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			aw, err := cutfit.PartitionAssignment(gw, s, parts)
+			aw, err := partition.Assign(gw, s, parts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(a.PIDs, aw.PIDs) {
 				t.Fatalf("%s/%s: weighted(1) assignment differs from unweighted", spec.Name, s.Name())
 			}
-			m, err := cutfit.MeasureAssignment(a)
+			m, err := metrics.FromAssignment(a)
 			if err != nil {
 				t.Fatal(err)
 			}
-			mw, err := cutfit.MeasureAssignment(aw)
+			mw, err := metrics.FromAssignment(aw)
 			if err != nil {
 				t.Fatal(err)
 			}

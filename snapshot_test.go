@@ -241,15 +241,3 @@ func TestRestoreSessionRejectsCorruption(t *testing.T) {
 		t.Fatal("truncated snapshot restored successfully")
 	}
 }
-
-// TestOneShotSessionSnapshotErrors: the zero-value one-shot session has no
-// cache and must refuse to snapshot rather than write an empty container.
-func TestOneShotSessionSnapshotErrors(t *testing.T) {
-	var se cutfit.Session
-	if err := se.Snapshot(&bytes.Buffer{}); err == nil {
-		t.Fatal("one-shot session snapshot must error")
-	}
-	if n, err := se.Flush(); n != 0 || err != nil {
-		t.Fatalf("one-shot Flush = (%d, %v), want (0, nil)", n, err)
-	}
-}

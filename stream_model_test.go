@@ -199,18 +199,18 @@ func (m *streamModel) step() bool {
 			m.t.Fatal(err)
 		}
 		m.push(sl, modelGen{g: g, live: append(live, batch...)})
-	case 6: // a capped run: leaves no answer, and must match a one-shot session's
+	case 6: // a capped run: leaves no answer, and must match a fresh session's
 		iters := 1 + m.next()%3
 		rep, err := m.se.Run(context.Background(), from.g, sl.s, sl.parts, "cc", iters)
 		if err != nil {
 			m.t.Fatal(err)
 		}
-		want, err := (&cutfit.Session{}).Run(context.Background(), from.g, sl.s, sl.parts, "cc", iters)
+		want, err := cutfit.NewSession(cutfit.SessionOptions{}).Run(context.Background(), from.g, sl.s, sl.parts, "cc", iters)
 		if err != nil {
 			m.t.Fatal(err)
 		}
 		if rep.Seeded || rep.Components != want.Components || rep.Supersteps != want.Supersteps {
-			m.t.Fatalf("capped run (%d rounds): %d components in %d supersteps (seeded=%v), a one-shot session %d in %d",
+			m.t.Fatalf("capped run (%d rounds): %d components in %d supersteps (seeded=%v), a fresh session %d in %d",
 				iters, rep.Components, rep.Supersteps, rep.Seeded, want.Components, want.Supersteps)
 		}
 	case 7: // run again where we are
