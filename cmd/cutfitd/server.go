@@ -16,14 +16,14 @@ import (
 
 	"cutfit"
 	"cutfit/internal/obsv"
+	"cutfit/internal/snap"
 )
 
 // serverOptions configures the daemon's Session and serving policy.
-// The zero value is fully usable: default cache budget, GOMAXPROCS
-// parallelism, default admission limits, discarded logs.
+// The zero value is fully usable: default cache budget, default admission
+// limits, discarded logs.
 type serverOptions struct {
-	cacheBytes  int64
-	parallelism int
+	cacheBytes int64
 	// dataDir enables durability: the artifact cache spills evicted entries
 	// to <dataDir>/cache/, and <dataDir>/cutfitd.snap — written by
 	// POST /v1/snapshot and on graceful shutdown — warm-starts the whole
@@ -122,10 +122,7 @@ var apiRoutes = []apiRoute{
 // <dataDir>/cache/. A corrupt snapshot fails loudly (delete the file to
 // boot cold) rather than silently paying a full re-partition.
 func newServer(opts serverOptions) (*server, error) {
-	sopts := cutfit.SessionOptions{
-		MaxCacheBytes: opts.cacheBytes,
-		Parallelism:   opts.parallelism,
-	}
+	sopts := cutfit.SessionOptions{MaxCacheBytes: opts.cacheBytes}
 	var (
 		session  *cutfit.Session
 		restored map[string]*cutfit.Graph
@@ -136,6 +133,11 @@ func newServer(opts serverOptions) (*server, error) {
 		}
 		sopts.DiskDir = filepath.Join(opts.dataDir, "cache")
 		path := filepath.Join(opts.dataDir, snapshotFile)
+		// A crash mid-persist leaves its temp file (cutfitd.snap.tmp*) behind.
+		orphans, _ := filepath.Glob(path + ".tmp*")
+		for _, o := range orphans {
+			os.Remove(o)
+		}
 		f, err := os.Open(path)
 		switch {
 		case err == nil:
@@ -225,7 +227,7 @@ func (s *server) handleMetricsScrape(w http.ResponseWriter, r *http.Request) {
 }
 
 // persist atomically writes the session snapshot (graph registry included)
-// to <dataDir>/cutfitd.snap via a temp file + rename, so a crash mid-write
+// to <dataDir>/cutfitd.snap with snap.WriteFileAtomic, so a crash mid-write
 // can never clobber the previous good snapshot.
 func (s *server) persist() (cutfit.SnapshotSummary, error) {
 	if s.dataDir == "" {
@@ -239,28 +241,12 @@ func (s *server) persist() (cutfit.SnapshotSummary, error) {
 		names[name] = e.g
 	}
 	s.mu.RUnlock()
-	path := filepath.Join(s.dataDir, snapshotFile)
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	var sum cutfit.SnapshotSummary
+	err := snap.WriteFileAtomic(filepath.Join(s.dataDir, snapshotFile), func(w io.Writer) (err error) {
+		sum, err = s.session.SnapshotNamed(w, names)
+		return err
+	})
 	if err != nil {
-		return cutfit.SnapshotSummary{}, err
-	}
-	sum, err := s.session.SnapshotNamed(f, names)
-	if err == nil {
-		// fsync before the rename: without it a system crash shortly after
-		// the rename could surface an empty file at the final path, and a
-		// corrupt snapshot deliberately fails the next boot.
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return cutfit.SnapshotSummary{}, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
 		return cutfit.SnapshotSummary{}, err
 	}
 	return sum, nil

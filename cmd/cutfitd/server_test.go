@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -438,7 +439,8 @@ func TestServerOversizedBodyReturns413(t *testing.T) {
 // serves runs, persists via POST /v1/snapshot, "dies", and a new daemon
 // over the same data dir answers the identical /v1/run without a single
 // re-partition — its registry and artifact cache come back from the
-// snapshot, asserted via the cache counters (zero misses).
+// snapshot, asserted via the cache counters (zero misses). The temp file
+// of a persist the kill interrupted is swept on boot.
 func TestServerSnapshotWarmStart(t *testing.T) {
 	dir := t.TempDir()
 	ts1 := httptest.NewServer(mustServer(t, serverOptions{dataDir: dir}))
@@ -455,9 +457,16 @@ func TestServerSnapshotWarmStart(t *testing.T) {
 		t.Fatalf("snapshot reply %+v, want 1 graph and ≥3 artifacts", snap)
 	}
 	ts1.Close() // the "kill"
+	orphan := filepath.Join(dir, snapshotFile+".tmp42")
+	if err := os.WriteFile(orphan, []byte("half a snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	ts2 := httptest.NewServer(mustServer(t, serverOptions{dataDir: dir}))
 	defer ts2.Close()
+	if _, err := os.Stat(orphan); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("boot left the interrupted persist's temp file: %v", err)
+	}
 
 	// The registry survived the restart.
 	var graphs []graphReply

@@ -73,13 +73,13 @@
 // All Session methods are safe for concurrent use. The cmd/cutfitd command
 // serves exactly this Session surface over HTTP/JSON.
 //
-// SessionOptions.Parallelism is the session-wide worker-count default: it
-// flows through the artifact store into every topology the session builds
-// and from there into every engine phase of every run on those topologies
-// (cutfitd exposes it as -parallelism). Values < 1 fall back to the
-// process's GOMAXPROCS — one shared definition, internal/par — so capping
-// GOMAXPROCS also caps the strategies' own assignment shards, which have no
-// per-call knob.
+// The library picks its own execution shape. Every parallel phase — ingest,
+// hash assignment, the partition build, every engine phase of a run,
+// selection, restore — fans out over the process's GOMAXPROCS, read when
+// the call starts (one shared definition, internal/par), so lowering
+// GOMAXPROCS bounds them all (cutfitd's -parallelism sets it). Each
+// partition scans densely or through its frontier index by one density
+// rule; neither choice ever changes a result.
 //
 // # Dynamic updates
 //
@@ -444,9 +444,6 @@ type (
 	MessageEmitter[M any] = pregel.Emitter[M]
 	// EdgeDirection selects which triplets the compute phase scans.
 	EdgeDirection = pregel.EdgeDirection
-	// ScanPolicy selects dense vs. frontier-index triplet scanning
-	// (Program.ScanPolicy); results are identical under every policy.
-	ScanPolicy = pregel.ScanPolicy
 	// SuperstepStats is the per-superstep work/traffic accounting.
 	SuperstepStats = pregel.SuperstepStats
 )
@@ -458,17 +455,6 @@ const (
 	DirectionEither = pregel.Either
 	DirectionBoth   = pregel.Both
 	DirectionAll    = pregel.AllEdges
-)
-
-// Compute-phase scan policies. ScanAuto (the default) switches each
-// partition to the sparse frontier-index path when under 12.5% of its local
-// vertices are active, and scans densely otherwise; ScanDense and
-// ScanSparse pin one path (for benchmarks and tests — the result never
-// depends on the choice).
-const (
-	ScanAuto   = pregel.ScanAuto
-	ScanDense  = pregel.ScanDense
-	ScanSparse = pregel.ScanSparse
 )
 
 // ErrHalt, returned from Program.OnSuperstep, stops a run gracefully.

@@ -17,7 +17,6 @@ import (
 func ExampleMetricNames() {
 	se := cutfit.NewSession(cutfit.SessionOptions{
 		MaxCacheBytes: 64 << 20, // the store budget the gauges track
-		Parallelism:   2,
 	})
 	g, _ := cutfit.Datasets()[0].BuildCached()
 

@@ -11,6 +11,7 @@ import (
 	"cutfit/internal/partition"
 	"cutfit/internal/pregel"
 	"cutfit/internal/rng"
+	"cutfit/internal/testutil"
 )
 
 // mergeMin returns the element-wise minimum union of a and b in a fresh map
@@ -144,7 +145,8 @@ func TestHopDistancesMatchesRef(t *testing.T) {
 			}
 			for _, reuse := range []bool{false, true} {
 				for _, par := range []int{1, 8} {
-					pg, err := pregel.NewPartitionedGraphFromAssignment(a, pregel.BuildOptions{Parallelism: par, ReuseBuffers: reuse})
+					testutil.SetGOMAXPROCS(t, par)
+					pg, err := pregel.NewPartitionedGraphFromAssignment(a, pregel.BuildOptions{ReuseBuffers: reuse})
 					if err != nil {
 						t.Fatal(err)
 					}

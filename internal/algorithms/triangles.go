@@ -85,7 +85,7 @@ func TriangleCount(ctx context.Context, pg *pregel.PartitionedGraph) ([]int64, *
 	// concurrently; each closure writes only its own partition's slots, and
 	// no partition starts once ctx is done.
 	partCounts := make([][]int64, numParts)
-	if err := par.ForEach(ctx, pg.Parallelism, numParts, func(p int) {
+	if err := par.ForEach(ctx, par.DefaultParallelism(), numParts, func(p int) {
 		part := pg.Parts[p]
 		counts := make([]int64, part.NumLocalVertices())
 		marks := takeMarks(nv)

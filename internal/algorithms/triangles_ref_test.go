@@ -13,6 +13,7 @@ import (
 	"cutfit/internal/partition"
 	"cutfit/internal/pregel"
 	"cutfit/internal/rng"
+	"cutfit/internal/testutil"
 )
 
 // triangleCountRef is the implementation TriangleCount replaced, kept as
@@ -91,7 +92,7 @@ func triangleCountRef(pg *pregel.PartitionedGraph) ([]int64, *pregel.RunStats, e
 
 	partCounts := make([][]int64, numParts)
 	scannedPerPart := make([]int64, numParts)
-	if err := par.ForEach(context.Background(), pg.Parallelism, numParts, func(p int) {
+	if err := par.ForEach(context.Background(), par.DefaultParallelism(), numParts, func(p int) {
 		part := pg.Parts[p]
 		counts := make([]int64, part.NumLocalVertices())
 		var cost float64
@@ -237,7 +238,8 @@ func TestTriangleCountMatchesReference(t *testing.T) {
 				}
 				var first *pregel.RunStats
 				for _, workers := range []int{1, 4} {
-					pg, err := pregel.NewPartitionedGraphFromAssignment(a, pregel.BuildOptions{Parallelism: workers})
+					testutil.SetGOMAXPROCS(t, workers)
+					pg, err := pregel.NewPartitionedGraphFromAssignment(a, pregel.BuildOptions{})
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -188,8 +188,7 @@ func SelectEmpirically(st *store.Store, g *graph.Graph, candidates []partition.S
 }
 
 // measureCandidates measures every candidate on g through the store's
-// single-flight Metrics, concurrently, on as many goroutines as the store's
-// builds use (par.DefaultParallelism without a setting). The result is
+// single-flight Metrics, concurrently, on GOMAXPROCS goroutines. The result is
 // aligned with candidates, and so is the error: of several failing
 // candidates the first in candidate order is reported, whichever failed
 // first. Nothing a caller sees depends on which candidate finished when —
@@ -198,13 +197,9 @@ func SelectEmpirically(st *store.Store, g *graph.Graph, candidates []partition.S
 // they share are each built by whichever needs one first, under the graph's
 // own once-guards; a selection the store answers builds none.)
 func measureCandidates(st *store.Store, g *graph.Graph, candidates []partition.Strategy, numParts int) ([]*metrics.Result, error) {
-	workers := st.BuildOptions().Parallelism
-	if workers < 1 {
-		workers = par.DefaultParallelism()
-	}
 	out := make([]*metrics.Result, len(candidates))
 	errs := make([]error, len(candidates))
-	if err := par.ForEach(context.TODO(), workers, len(candidates), func(i int) {
+	if err := par.ForEach(context.TODO(), par.DefaultParallelism(), len(candidates), func(i int) {
 		out[i], errs[i] = st.Metrics(g, candidates[i], numParts)
 	}); err != nil {
 		return nil, err

@@ -6,6 +6,7 @@ import (
 	"cutfit/internal/gen"
 	"cutfit/internal/graph"
 	"cutfit/internal/partition"
+	"cutfit/internal/store"
 )
 
 func TestProfileFor(t *testing.T) {
@@ -85,7 +86,7 @@ func TestSelectEmpirically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := storeOf(0)
+	st := store.New(store.Config{})
 	sel, err := SelectEmpirically(st, g, partition.All(), 16, ProfilePageRank)
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +119,7 @@ func TestSelectEmpirically(t *testing.T) {
 
 func TestSelectEmpiricallyErrors(t *testing.T) {
 	g := graph.FromEdges([]graph.Edge{{Src: 0, Dst: 1}})
-	if _, err := SelectEmpirically(storeOf(0), g, nil, 4, ProfilePageRank); err == nil {
+	if _, err := SelectEmpirically(store.New(store.Config{}), g, nil, 4, ProfilePageRank); err == nil {
 		t.Fatal("no candidates should error")
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"cutfit/internal/metrics"
 	"cutfit/internal/partition"
 	"cutfit/internal/rng"
+	"cutfit/internal/store"
 )
 
 func TestFitPredictorExactLine(t *testing.T) {
@@ -121,7 +122,7 @@ func TestTrainPredictorEndToEnd(t *testing.T) {
 		}
 		times[s.Name()] = 0.5 + 1e-6*float64(m.CommCost)
 	}
-	pred, results, err := TrainPredictor(storeOf(0), g, partition.All(), 8, ProfilePageRank, times)
+	pred, results, err := TrainPredictor(store.New(store.Config{}), g, partition.All(), 8, ProfilePageRank, times)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestTrainPredictorErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = TrainPredictor(storeOf(0), g, partition.All(), 4, ProfilePageRank, map[string]float64{"2D": 1})
+	_, _, err = TrainPredictor(store.New(store.Config{}), g, partition.All(), 4, ProfilePageRank, map[string]float64{"2D": 1})
 	if err == nil {
 		t.Fatal("one timed strategy should error")
 	}

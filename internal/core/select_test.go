@@ -10,8 +10,8 @@ import (
 	"cutfit/internal/graph"
 	"cutfit/internal/metrics"
 	"cutfit/internal/partition"
-	"cutfit/internal/pregel"
 	"cutfit/internal/store"
+	"cutfit/internal/testutil"
 )
 
 // selectEmpiricallyRef is SelectEmpirically as it was before candidates
@@ -41,12 +41,6 @@ func selectEmpiricallyRef(g *graph.Graph, candidates []partition.Strategy, numPa
 		}
 	}
 	return sel, winner, nil
-}
-
-// storeOf returns a store whose builds — and so whose candidate fan-out —
-// use the given number of goroutines.
-func storeOf(parallelism int) *store.Store {
-	return store.New(store.Config{Build: pregel.BuildOptions{Parallelism: parallelism}})
 }
 
 // selectionEdges is a skewed multigraph with a weighted minority, big enough
@@ -118,7 +112,9 @@ func TestSelectConcurrentMatchesSequential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, st := range []*store.Store{storeOf(1), storeOf(8)} {
+				for _, workers := range []int{1, 8} {
+					testutil.SetGOMAXPROCS(t, workers)
+					st := store.New(store.Config{})
 					// A fresh graph per selection: none of them finds a view
 					// an earlier one built.
 					g := build()
@@ -185,6 +181,7 @@ func TestCandidateOrderDecides(t *testing.T) {
 	edges, _ := selectionEdges(3000)
 	g := graph.FromEdges(edges)
 	for _, parallelism := range []int{1, 8} {
+		testutil.SetGOMAXPROCS(t, parallelism)
 		// pair returns the hooks that make the second of two candidates
 		// finish before the first starts assigning.
 		pair := func() (waitForSecond, secondDone func()) {
@@ -238,7 +235,7 @@ func TestCandidateOrderDecides(t *testing.T) {
 				err: "core: measuring fails first in order: fails first in order refuses",
 			},
 		} {
-			st := storeOf(parallelism)
+			st := store.New(store.Config{})
 			sel, err := SelectEmpirically(st, g, tc.candidates(), 16, ProfilePageRank)
 			switch {
 			case tc.err != "":
@@ -283,7 +280,8 @@ func TestTrainPredictorMeasuresOnce(t *testing.T) {
 		candidates = append(candidates, countingStrategy{s, &calls})
 	}
 	times := map[string]float64{"RVC": 3, "2D": 1, "DC": 2}
-	st := storeOf(8)
+	testutil.SetGOMAXPROCS(t, 8)
+	st := store.New(store.Config{})
 	pred, results, err := TrainPredictor(st, g, candidates, 16, ProfilePageRank, times)
 	if err != nil {
 		t.Fatal(err)
@@ -301,7 +299,7 @@ func TestTrainPredictorMeasuresOnce(t *testing.T) {
 	if got := calls.Load(); got != int64(len(candidates)) {
 		t.Fatalf("selecting and training again re-assigned: %d passes for %d candidates", got, len(candidates))
 	}
-	direct, directResults, err := TrainPredictor(storeOf(0), g, partition.All(), 16, ProfilePageRank, times)
+	direct, directResults, err := TrainPredictor(store.New(store.Config{}), g, partition.All(), 16, ProfilePageRank, times)
 	if err != nil {
 		t.Fatal(err)
 	}

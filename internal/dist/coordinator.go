@@ -116,7 +116,10 @@ type exchanger[V, M any] struct {
 
 func newExchanger[V, M any](pool *Pool, pg *pregel.PartitionedGraph, runID string, prog *pregel.Program[V, M], vc pregel.Codec[V], mc pregel.Codec[M]) *exchanger[V, M] {
 	W := pool.Size()
-	shards := max(pg.Parallelism, 1)
+	shards := par.DefaultParallelism()
+	if pool.mergeShards > 0 {
+		shards = pool.mergeShards
+	}
 	ex := &exchanger[V, M]{
 		pool:     pool,
 		pg:       pg,

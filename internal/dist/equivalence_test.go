@@ -7,7 +7,6 @@ import (
 	"math/bits"
 	"net/http/httptest"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"cutfit/internal/algorithms"
@@ -15,6 +14,7 @@ import (
 	"cutfit/internal/partition"
 	"cutfit/internal/pregel"
 	"cutfit/internal/rng"
+	"cutfit/internal/testutil"
 )
 
 // startCluster boots n workers on real 127.0.0.1 sockets and returns a
@@ -168,19 +168,11 @@ func assertStatsEqual(t *testing.T, label string, got, want *pregel.RunStats) {
 	}
 }
 
-// parallelShapes are the (worker scan goroutines, coordinator Parallelism)
-// pairs the equivalence suites run under: everything on one goroutine,
-// everything on eight, and the two mixed.
+// parallelShapes are the (GOMAXPROCS, coordinator merge shards) pairs the
+// equivalence suites run under: everything on one goroutine, everything on
+// eight, and the two mixed. GOMAXPROCS sizes the in-process workers' scans
+// and the local engine alike; the merge shards go through Pool.mergeShards.
 var parallelShapes = [][2]int{{1, 1}, {8, 8}, {1, 8}, {8, 1}}
-
-// setScanWorkers makes the in-process workers size their scan pools as a
-// process that can run n goroutines at once would — they take
-// par.DefaultParallelism() when a run starts — until the test ends.
-func setScanWorkers(t *testing.T, n int) {
-	t.Helper()
-	prev := runtime.GOMAXPROCS(n)
-	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-}
 
 // TestDistributedEquivalence is the core contract: every entry of the
 // served-algorithm table that carries codecs, over both graph families and
@@ -198,13 +190,13 @@ func TestDistributedEquivalence(t *testing.T) {
 	strat := partition.RandomVertexCut()
 	sawUnmirrored := false
 	for _, shape := range parallelShapes {
-		setScanWorkers(t, shape[0])
+		testutil.SetGOMAXPROCS(t, shape[0])
 		for _, W := range []int{1, 2, 3} {
 			pool, _ := startCluster(t, W)
+			pool.mergeShards = shape[1]
 			for gname, g := range graphs {
 				for _, parts := range []int{1, 4, 7} {
 					pg := mustPartition(t, g, strat, parts)
-					pg.Parallelism = shape[1]
 					label := fmt.Sprintf("%s W=%d parts=%d scan=%d merge=%d", gname, W, parts, shape[0], shape[1])
 
 					forEachClusterRun(func(run string, e *algorithms.Entry, p algorithms.Params) {
@@ -236,7 +228,7 @@ func TestDistributedEquivalence(t *testing.T) {
 // three workers under every parallel shape.
 func TestDistributedGenerations(t *testing.T) {
 	for _, shape := range parallelShapes {
-		setScanWorkers(t, shape[0])
+		testutil.SetGOMAXPROCS(t, shape[0])
 		for _, W := range []int{1, 2, 3} {
 			testGenerations(t, W, shape[1])
 		}
@@ -245,12 +237,12 @@ func TestDistributedGenerations(t *testing.T) {
 
 func testGenerations(t *testing.T, W, mergeShards int) {
 	pool, _ := startCluster(t, W)
+	pool.mergeShards = mergeShards
 	strat := partition.RandomVertexCut()
 	const parts = 5
 
 	check := func(label string, pg *pregel.PartitionedGraph) {
 		t.Helper()
-		pg.Parallelism = mergeShards
 		label = fmt.Sprintf("%s W=%d merge=%d", label, W, mergeShards)
 		fullBefore := cShards.With("full").Value()
 		forEachClusterRun(func(run string, e *algorithms.Entry, p algorithms.Params) {

@@ -64,6 +64,11 @@ type Pool struct {
 
 	runPrefix string
 	runSeq    atomic.Uint64
+
+	// mergeShards, when positive, replaces GOMAXPROCS as the coordinator's
+	// reduce-merge shard count; only this package's tests set it, to run a
+	// merge shape that differs from the workers' scan shape in one process.
+	mergeShards int
 }
 
 // NewPool builds a pool over the given worker base URLs (e.g.

@@ -1,16 +1,15 @@
-// Package par holds the process-wide default parallelism and the two
-// bounded fan-out helpers built on it — the only place outside HTTP serving
-// and the ordered ingest pipeline that starts goroutines.
+// Package par holds the process-wide worker count and the two bounded
+// fan-out helpers built on it — the only place outside HTTP serving and the
+// ordered ingest pipeline that starts goroutines.
 //
-// Every layer that fans work over goroutines — the partition build, the
-// engine phases, the sharded hash assignment, restored topologies — accepts
-// an explicit worker count and needs a fallback when the caller passes
-// none (< 1). Before this package each call site called
-// runtime.GOMAXPROCS(0) independently; routing them all through
-// DefaultParallelism makes the session-level default
-// (cutfit.SessionOptions.Parallelism, cutfitd -parallelism) the single
-// override point: a caller that sets an explicit count wins, everything
-// else degrades to one shared definition of "the machine's parallelism".
+// Every layer that fans work over goroutines — ingest, the sharded hash
+// assignment, the partition build and its patches, every engine phase,
+// selection, restore — takes DefaultParallelism when its call starts. There
+// is no per-call or per-session worker option: GOMAXPROCS is the one bound
+// (cutfitd's -parallelism sets it), and a caller that keeps per-range slots
+// reads the count once and hands that same number to Ranges. Only the
+// distributed coordinator's per-worker fan-outs use another count, the
+// number of workers.
 //
 // ForEach is for items of uneven cost (partitions, artifacts, workers): it
 // hands them out one at a time and stops when its context ends. Ranges is
@@ -28,9 +27,9 @@ import (
 	"sync/atomic"
 )
 
-// DefaultParallelism returns the worker count used when a caller does not
-// set one explicitly: the process's GOMAXPROCS at call time (respecting
-// runtime.GOMAXPROCS overrides, e.g. go test -cpu).
+// DefaultParallelism returns the worker count every fan-out uses: the
+// process's GOMAXPROCS at call time (respecting runtime.GOMAXPROCS
+// overrides, e.g. go test -cpu).
 func DefaultParallelism() int { return runtime.GOMAXPROCS(0) }
 
 // ForEach runs fn(i) for every i in [0, n) on up to workers goroutines —

@@ -175,9 +175,8 @@ func (a *Assignment) ExtendedFrom() (prefixLen int, ok bool) {
 // set and the engine topology share one Assign call instead of
 // re-partitioning per consumer.
 //
-// Hash strategies shard the assignment pass over GOMAXPROCS — the process
-// CPU limit, not any per-call Parallelism option (a Strategy has no
-// options to thread them through).
+// Hash strategies shard the assignment pass over GOMAXPROCS, the worker
+// count every fan-out in the library takes.
 //
 // For Resumable streaming strategies the produced Assignment retains the
 // run's StreamState, so a later Extend over an appended edge suffix

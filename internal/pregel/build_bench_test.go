@@ -46,9 +46,10 @@ func BenchmarkPartitionBuild(b *testing.B) {
 		}
 	})
 	b.Run("sortscatter-1worker", func(b *testing.B) {
+		setGOMAXPROCS(b, 1)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := NewPartitionedGraphOpts(g, assign, numParts, BuildOptions{Parallelism: 1}); err != nil {
+			if _, err := NewPartitionedGraph(g, assign, numParts); err != nil {
 				b.Fatal(err)
 			}
 		}

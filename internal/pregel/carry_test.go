@@ -42,7 +42,8 @@ func TestCarriedIndexChains(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				pg, err := NewPartitionedGraphFromAssignment(a, BuildOptions{Parallelism: par})
+				setGOMAXPROCS(t, par)
+				pg, err := NewPartitionedGraphFromAssignment(a, BuildOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -73,7 +74,7 @@ func TestCarriedIndexChains(t *testing.T) {
 					if n := child.FrontierIndexes(); n != numParts {
 						t.Fatalf("%s parts=%d step %d: %d of %d partitions indexed", s.Name(), numParts, step, n, numParts)
 					}
-					rebuilt, err := NewPartitionedGraphFromAssignment(na, BuildOptions{Parallelism: par})
+					rebuilt, err := NewPartitionedGraphFromAssignment(na, BuildOptions{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -115,7 +116,8 @@ func TestCarriedIndexIsPriced(t *testing.T) {
 	}
 	var children [2]*PartitionedGraph
 	for i, indexed := range []bool{false, true} {
-		pg, err := NewPartitionedGraphFromAssignment(a, BuildOptions{Parallelism: 4})
+		setGOMAXPROCS(t, 4)
+		pg, err := NewPartitionedGraphFromAssignment(a, BuildOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +164,8 @@ func TestApplyDeltaRacesIndexBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	for round := 0; round < 8; round++ {
-		pg, err := NewPartitionedGraphFromAssignment(a, BuildOptions{Parallelism: 4})
+		setGOMAXPROCS(t, 4)
+		pg, err := NewPartitionedGraphFromAssignment(a, BuildOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +173,7 @@ func TestApplyDeltaRacesIndexBuild(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, _, err := Run(context.Background(), pg, ccTestProgram(ScanSparse)); err != nil {
+			if _, _, err := Run(context.Background(), pg, ccTestProgram(scanSparse)); err != nil {
 				t.Error(err)
 			}
 		}()

@@ -46,8 +46,8 @@ func computePart[V, M any](prog *Program[V, M], part *Partition, verts []graph.V
 		return nScan, int64(len(edges)), unitCost(edgeCost, nScan, cost)
 	}
 
-	sparse := prog.ScanPolicy == ScanSparse ||
-		(prog.ScanPolicy == ScanAuto && act*sparseDenominator < len(lv))
+	sparse := prog.scan == scanSparse ||
+		(prog.scan == scanByDensity && act*sparseDenominator < len(lv))
 	if !sparse {
 		// Dense scan: every edge, activity by two frontier bit tests.
 		for i := range edges {

@@ -143,14 +143,13 @@ func (pg *PartitionedGraph) ApplyDelta(a *partition.Assignment, remap []int32) (
 		G:            a.G,
 		NumParts:     numParts,
 		assign:       a.PIDs,
-		Parallelism:  pg.Parallelism,
 		ReuseBuffers: pg.ReuseBuffers,
 		scratch:      pg.scratch,
 	}
 	npg.assignShare, _ = a.PIDShare()
 	parts := make([]*Partition, numParts)
 	npg.Parts = parts
-	err = par.ForEach(context.Background(), pg.Parallelism, numParts, func(p int) {
+	err = par.ForEach(context.Background(), par.DefaultParallelism(), numParts, func(p int) {
 		old := pg.Parts[p]
 		np := &Partition{edges: edgeBuf[partStart[p]:partStart[p+1]:partStart[p+1]]}
 		if removed != nil && len(removed[p]) != 0 {
@@ -184,7 +183,7 @@ const retractionChunk = 1 << 14
 // the build scattered them in) of the edges this step retracted. nil when
 // nothing was retracted.
 //
-// The old span is cut into chunks spread over Parallelism workers. Each chunk
+// The old span is cut into chunks spread over GOMAXPROCS workers. Each chunk
 // counts its live edges per partition and notes its retractions at their
 // positions within the chunk; a prefix sum over the chunks' counts, in chunk
 // order, then turns those into positions in the partition's whole list.
@@ -207,7 +206,7 @@ func retractionPositions(pg *PartitionedGraph, ng *graph.Graph, oldLen int) ([][
 	type hit struct{ p, pos int32 }
 	hits := make([][]hit, nChunks)
 	counts := make([]int32, nChunks*numParts)
-	if err := par.ForEach(context.Background(), pg.Parallelism, nChunks, func(c int) {
+	if err := par.ForEach(context.Background(), par.DefaultParallelism(), nChunks, func(c int) {
 		cc := counts[c*numParts : (c+1)*numParts]
 		hi := min((c+1)*retractionChunk, oldLen)
 		// A tombstone word at a time: a word of live edges none of which

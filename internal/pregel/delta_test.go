@@ -65,7 +65,8 @@ func buildDelta(t testing.TB, s partition.Strategy, base, suffix []graph.Edge, n
 	if err != nil {
 		t.Fatal(err)
 	}
-	pg, err := NewPartitionedGraphFromAssignment(a, BuildOptions{Parallelism: par})
+	setGOMAXPROCS(t, par)
+	pg, err := NewPartitionedGraphFromAssignment(a, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func buildDelta(t testing.TB, s partition.Strategy, base, suffix []graph.Edge, n
 		t.Fatal(err)
 	}
 	patched = deltaStep(t, pg, na, remap, indexParent)
-	rebuilt, err = NewPartitionedGraphFromAssignment(na, BuildOptions{Parallelism: par})
+	rebuilt, err = NewPartitionedGraphFromAssignment(na, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

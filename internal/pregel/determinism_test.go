@@ -14,6 +14,7 @@ import (
 	"cutfit/internal/gen"
 	"cutfit/internal/partition"
 	"cutfit/internal/pregel"
+	"cutfit/internal/testutil"
 )
 
 func TestParallelismDeterminism(t *testing.T) {
@@ -28,21 +29,23 @@ func TestParallelismDeterminism(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	// Parallelism = 1 and Parallelism > NumParts, with and without buffer
+	// GOMAXPROCS = 1 and GOMAXPROCS > NumParts, with and without buffer
 	// reuse; every combination must agree exactly with the serial baseline.
 	type variant struct {
-		name string
-		opts pregel.BuildOptions
+		name    string
+		workers int
+		opts    pregel.BuildOptions
 	}
 	variants := []variant{
-		{"serial", pregel.BuildOptions{Parallelism: 1}},
-		{"oversubscribed", pregel.BuildOptions{Parallelism: numParts + 5}},
-		{"oversubscribed-reuse", pregel.BuildOptions{Parallelism: numParts + 5, ReuseBuffers: true}},
+		{"serial", 1, pregel.BuildOptions{}},
+		{"oversubscribed", numParts + 5, pregel.BuildOptions{}},
+		{"oversubscribed-reuse", numParts + 5, pregel.BuildOptions{ReuseBuffers: true}},
 	}
 
 	var baseRanks []float64
 	var baseCC []int64
 	for i, v := range variants {
+		testutil.SetGOMAXPROCS(t, v.workers)
 		pg, err := pregel.NewPartitionedGraphOpts(g, assign, numParts, v.opts)
 		if err != nil {
 			t.Fatal(err)

@@ -9,7 +9,8 @@ import (
 
 func TestBuildEmptyGraph(t *testing.T) {
 	g := graph.FromEdges(nil)
-	pg, err := NewPartitionedGraphOpts(g, []partition.PID{}, 4, BuildOptions{Parallelism: 3})
+	setGOMAXPROCS(t, 3)
+	pg, err := NewPartitionedGraphOpts(g, []partition.PID{}, 4, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

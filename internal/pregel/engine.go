@@ -48,41 +48,13 @@ func (d EdgeDirection) String() string {
 	return fmt.Sprintf("EdgeDirection(%d)", int(d))
 }
 
-// ScanPolicy selects how the compute phase visits a partition's triplets.
-type ScanPolicy int
-
-const (
-	// ScanAuto (the default) picks per partition per superstep: when fewer
-	// than 1/8 of the partition's local vertices are on the frontier, the
-	// sparse path walks only edges incident to frontier vertices through the
-	// partition's frontier index; otherwise the dense scan visits every
-	// edge. Both paths deliver messages in identical (ascending edge) order,
-	// so the choice never changes results — only the work done.
-	ScanAuto ScanPolicy = iota
-	// ScanDense forces the full edge scan every superstep.
-	ScanDense
-	// ScanSparse forces the frontier-index path regardless of density
-	// (AllEdges programs still scan densely: every edge is live by
-	// definition). Useful for tests and benchmarks; production callers
-	// should prefer ScanAuto.
-	ScanSparse
-)
-
-// String implements fmt.Stringer.
-func (sp ScanPolicy) String() string {
-	switch sp {
-	case ScanAuto:
-		return "Auto"
-	case ScanDense:
-		return "Dense"
-	case ScanSparse:
-		return "Sparse"
-	}
-	return fmt.Sprintf("ScanPolicy(%d)", int(sp))
-}
-
-// sparseDenominator is ScanAuto's density threshold: the sparse path runs
-// when active*sparseDenominator < localVertices (frontier below 12.5%).
+// sparseDenominator is the density rule that picks each partition's scan
+// every superstep: the sparse path walks only the edges incident to
+// frontier vertices, through the partition's frontier index, when
+// active*sparseDenominator < localVertices (frontier below 12.5%); otherwise
+// the dense scan visits every edge. Both paths deliver messages in identical
+// (ascending edge) order, so the choice never changes results — only the
+// work done.
 // Below it the gather+scan cost (Σ deg(active) mark operations plus one
 // word-skip pass over the edge bitmap) undercuts the dense per-edge
 // activity tests; above it the dense scan's linear locality wins.
@@ -142,9 +114,6 @@ type Program[V, M any] struct {
 	MaxIterations int
 	// ActiveDirection selects which triplets are scanned (default Out).
 	ActiveDirection EdgeDirection
-	// ScanPolicy selects dense vs. frontier-index triplet scanning
-	// (default ScanAuto). Results are identical under every policy.
-	ScanPolicy ScanPolicy
 
 	// StateBytes sizes a vertex value for traffic accounting; nil means a
 	// constant 8 bytes, and costs no call per mirror.
@@ -166,7 +135,21 @@ type Program[V, M any] struct {
 	// Use it for convergence monitoring, logging or step budgets that
 	// depend on runtime behavior rather than a fixed iteration count.
 	OnSuperstep func(ss *SuperstepStats) error
+
+	// scan overrides the density rule; only this package's tests set it,
+	// to compare the dense and sparse paths directly.
+	scan scanPath
 }
+
+// scanPath is the compute phase's scan choice: the density rule (the zero
+// value, and the only one outside tests) or one path pinned.
+type scanPath uint8
+
+const (
+	scanByDensity scanPath = iota
+	scanDense
+	scanSparse // AllEdges programs still scan densely: every edge is live
+)
 
 // ErrHalt, returned from Program.OnSuperstep, stops the computation after
 // the current superstep without error.
@@ -497,10 +480,9 @@ func runEngine[V, M any](ctx context.Context, pg *PartitionedGraph, prog Program
 	// word has exactly one writer.
 	nw := (nv + 63) / 64
 
-	shards := pg.Parallelism
-	if shards < 1 {
-		shards = 1
-	}
+	// One worker count for the whole run: the apply and reduce counters are
+	// sized by it and par.Ranges must cut the same number of ranges.
+	shards := par.DefaultParallelism()
 
 	reuse := pg.ReuseBuffers && parkable[V, M]()
 	sc := scratchFor[V, M](pg, shards, prog.ActiveDirection != AllEdges, reuse)
@@ -674,7 +656,7 @@ func localSuperstep[V, M any](ctx context.Context, pg *PartitionedGraph, prog *P
 	scanned := sc.scanned
 	emitted := sc.emitted
 	visited := sc.visited
-	if err := par.ForEach(ctx, pg.Parallelism, numParts, func(p int) {
+	if err := par.ForEach(ctx, shards, numParts, func(p int) {
 		part := pg.Parts[p]
 		em := &sc.emitters[p].partEmitter
 		em.emitted = 0
@@ -748,7 +730,7 @@ func localSuperstep[V, M any](ctx context.Context, pg *PartitionedGraph, prog *P
 	// was emitted. (The frontier bitsets are rebuilt word-by-word each
 	// compute phase and the edge bitmaps self-clear during the scan, so
 	// neither needs a pass here.)
-	if err := par.ForEach(context.Background(), pg.Parallelism, numParts, func(p int) {
+	if err := par.ForEach(context.Background(), shards, numParts, func(p int) {
 		if emitted[p] != 0 {
 			clear(msgHas[p])
 		}

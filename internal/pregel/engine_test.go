@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -12,6 +13,16 @@ import (
 	"cutfit/internal/graph"
 	"cutfit/internal/partition"
 )
+
+// setGOMAXPROCS is testutil.SetGOMAXPROCS, which this package's own tests
+// cannot import (testutil imports pregel): GOMAXPROCS is n until tb ends, so
+// every build and run the test starts meanwhile fans out over n workers. A
+// test that calls it must not call t.Parallel.
+func setGOMAXPROCS(tb testing.TB, n int) {
+	tb.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	tb.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
 
 // sumProgram is a trivial one-round program: every vertex sends 1 along
 // each out-edge, then stops (messages of value 0 are not re-sent).
@@ -128,11 +139,11 @@ func TestResultsIndependentOfParallelism(t *testing.T) {
 	}
 	var reference []int64
 	for _, par := range []int{1, 2, 8} {
+		setGOMAXPROCS(t, par)
 		pg, err := NewPartitionedGraph(g, assign, 9)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pg.Parallelism = par
 		vals, _, err := Run(context.Background(), pg, degreeProgram())
 		if err != nil {
 			t.Fatal(err)
@@ -420,7 +431,8 @@ func TestLocalRunStopsWhenCancelled(t *testing.T) {
 		edges[i] = graph.Edge{Src: graph.VertexID(i % 97), Dst: graph.VertexID(i % 89)}
 		assign[i] = partition.PID(i / edgesPerPart)
 	}
-	pg, err := NewPartitionedGraphOpts(graph.FromEdges(edges), assign, numParts, BuildOptions{Parallelism: scanWorkers})
+	setGOMAXPROCS(t, scanWorkers)
+	pg, err := NewPartitionedGraph(graph.FromEdges(edges), assign, numParts)
 	if err != nil {
 		t.Fatal(err)
 	}

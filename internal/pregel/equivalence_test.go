@@ -89,7 +89,8 @@ func TestSortScatterMatchesMapsBuild(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, par := range []int{1, 4} {
-					got, err := NewPartitionedGraphOpts(g, assign, numParts, BuildOptions{Parallelism: par})
+					setGOMAXPROCS(t, par)
+					got, err := NewPartitionedGraphOpts(g, assign, numParts, BuildOptions{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -109,7 +110,8 @@ func TestSortScatterRejectsBadInput(t *testing.T) {
 	if _, err := NewPartitionedGraphOpts(g, []partition.PID{0, 5}, 2, BuildOptions{}); err == nil {
 		t.Error("out-of-range PID in second shard should error")
 	}
-	if _, err := NewPartitionedGraphOpts(g, []partition.PID{-1, 0}, 2, BuildOptions{Parallelism: 8}); err == nil {
+	setGOMAXPROCS(t, 8)
+	if _, err := NewPartitionedGraphOpts(g, []partition.PID{-1, 0}, 2, BuildOptions{}); err == nil {
 		t.Error("negative PID should error")
 	}
 }

@@ -274,7 +274,7 @@ func runBoth[V comparable, M any](t *testing.T, pg *PartitionedGraph, prog Progr
 // AllEdges program (PageRank-shaped, float64 merge-order-sensitive) and a
 // sparse frontier program (CC-shaped), across partition counts, worker
 // counts (with three workers some changed vertex has no mirror on one of
-// them), scan parallelism and both scan policies.
+// them), scan parallelism and both scan paths.
 func TestExchangerEquivalence(t *testing.T) {
 	for _, seed := range []uint64{7, 21} {
 		g := randomGraph(seed, 120, 900)
@@ -284,11 +284,11 @@ func TestExchangerEquivalence(t *testing.T) {
 			runBoth(t, pg, minLabelProgram(), i64Wire{}, i64Wire{})
 
 			sparse := minLabelProgram()
-			sparse.ScanPolicy = ScanSparse
+			sparse.scan = scanSparse
 			runBoth(t, pg, sparse, i64Wire{}, i64Wire{})
 
 			dense := minLabelProgram()
-			dense.ScanPolicy = ScanDense
+			dense.scan = scanDense
 			runBoth(t, pg, dense, i64Wire{}, i64Wire{})
 		}
 	}

@@ -10,7 +10,7 @@ import (
 
 // hotStride spaces the steady-state frontier of the sparse benchmark:
 // vertices with id%hotStride == 0 ("hot" vertices) re-activate every
-// superstep, ≈0.5% of the graph — far below the 12.5% ScanAuto threshold.
+// superstep, ≈0.5% of the graph — far below the 12.5% density-rule threshold.
 const hotStride = 199
 
 // sparseFrontierTopology builds the benchmark graph: a uniform random
@@ -43,7 +43,7 @@ func sparseFrontierTopology(tb testing.TB, nv, ne int) *PartitionedGraph {
 // hotRingProgram keeps exactly the hot vertices on the frontier: only
 // hot→hot edges (the ring) ever emit, so after the fully-active superstep 1
 // every later superstep runs with <1% of vertices active.
-func hotRingProgram(policy ScanPolicy, supersteps int) Program[int64, int64] {
+func hotRingProgram(policy scanPath, supersteps int) Program[int64, int64] {
 	return Program[int64, int64]{
 		Init:  func(id graph.VertexID) int64 { return int64(id) },
 		VProg: func(_ graph.VertexID, val, msg int64) int64 { return val + msg },
@@ -55,7 +55,7 @@ func hotRingProgram(policy ScanPolicy, supersteps int) Program[int64, int64] {
 		MergeMsg:        func(a, b int64) int64 { return a + b },
 		MaxIterations:   supersteps,
 		ActiveDirection: Out,
-		ScanPolicy:      policy,
+		scan:            policy,
 	}
 }
 
@@ -76,11 +76,11 @@ func BenchmarkSparseFrontier(b *testing.B) {
 	ctx := context.Background()
 	for _, bc := range []struct {
 		name   string
-		policy ScanPolicy
+		policy scanPath
 	}{
-		{"dense", ScanDense},
-		{"sparse", ScanSparse},
-		{"auto", ScanAuto},
+		{"dense", scanDense},
+		{"sparse", scanSparse},
+		{"auto", scanByDensity},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			prog := hotRingProgram(bc.policy, steps)
@@ -118,7 +118,7 @@ func BenchmarkSparseFrontier(b *testing.B) {
 func TestSparseFrontierBenchmarkFrontier(t *testing.T) {
 	const nv, ne, steps = 4000, 24000, 10
 	pg := sparseFrontierTopology(t, nv, ne)
-	_, stats, err := Run(context.Background(), pg, hotRingProgram(ScanAuto, steps))
+	_, stats, err := Run(context.Background(), pg, hotRingProgram(scanByDensity, steps))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 package pregel
 
 // Frontier-equivalence suite: the sparse (frontier-index) compute path, the
-// dense scan and every ScanAuto mix of the two must produce bit-identical
+// dense scan and every density-rule mix of the two must produce bit-identical
 // results at every parallelism — including order-sensitive float64 merges —
 // across strategies, graph families and grown/shrunk topology generations.
 
@@ -19,9 +19,9 @@ import (
 
 // ccTestProgram replicates the connected-components shape from
 // internal/algorithms: min-label flooding over Either. Its frontier decays
-// naturally (label waves die out per component), so under ScanAuto real runs
+// naturally (label waves die out per component), so under the density rule real runs
 // cross the density threshold mid-run.
-func ccTestProgram(policy ScanPolicy) Program[int64, int64] {
+func ccTestProgram(policy scanPath) Program[int64, int64] {
 	min := func(a, b int64) int64 {
 		if a < b {
 			return a
@@ -41,14 +41,14 @@ func ccTestProgram(policy ScanPolicy) Program[int64, int64] {
 		MergeMsg:        min,
 		InitialMsg:      math.MaxInt64,
 		ActiveDirection: Either,
-		ScanPolicy:      policy,
+		scan:            policy,
 	}
 }
 
 // pushTestProgram replicates the dynamic-PageRank shape: Out direction and
 // an order-sensitive float64 sum merge. Any reordering of message combines
 // between the dense and sparse paths shows up as a bit difference here.
-func pushTestProgram(policy ScanPolicy) Program[float64, float64] {
+func pushTestProgram(policy scanPath) Program[float64, float64] {
 	return Program[float64, float64]{
 		Init:  func(id graph.VertexID) float64 { return 1 + float64(id%97)/31 },
 		VProg: func(_ graph.VertexID, val, msg float64) float64 { return val*0.5 + msg*0.25 },
@@ -60,13 +60,13 @@ func pushTestProgram(policy ScanPolicy) Program[float64, float64] {
 		MergeMsg:        func(a, b float64) float64 { return a + b },
 		MaxIterations:   8,
 		ActiveDirection: Out,
-		ScanPolicy:      policy,
+		scan:            policy,
 	}
 }
 
 // floodTestProgram replicates the label-propagation shape: AllEdges, so the
 // engine must keep the unconditional dense scan regardless of policy.
-func floodTestProgram(policy ScanPolicy) Program[int64, int64] {
+func floodTestProgram(policy scanPath) Program[int64, int64] {
 	max := func(a, b int64) int64 {
 		if a > b {
 			return a
@@ -83,13 +83,13 @@ func floodTestProgram(policy ScanPolicy) Program[int64, int64] {
 		MergeMsg:        max,
 		MaxIterations:   4,
 		ActiveDirection: AllEdges,
-		ScanPolicy:      policy,
+		scan:            policy,
 	}
 }
 
 // reverseReachProgram covers the In direction: reverse BFS from seed
 // vertices, scanning only in-edges of frontier destinations.
-func reverseReachProgram(policy ScanPolicy) Program[int64, int64] {
+func reverseReachProgram(policy scanPath) Program[int64, int64] {
 	return Program[int64, int64]{
 		Init: func(id graph.VertexID) int64 {
 			if id%13 == 0 {
@@ -115,13 +115,13 @@ func reverseReachProgram(policy ScanPolicy) Program[int64, int64] {
 			return b
 		},
 		ActiveDirection: In,
-		ScanPolicy:      policy,
+		scan:            policy,
 	}
 }
 
 // handshakeProgram covers Both: the sparse gather walks source lists and
 // must re-check the destination frontier bit at visit time.
-func handshakeProgram(policy ScanPolicy) Program[int64, int64] {
+func handshakeProgram(policy scanPath) Program[int64, int64] {
 	return Program[int64, int64]{
 		Init:  func(id graph.VertexID) int64 { return int64(id % 5) },
 		VProg: func(_ graph.VertexID, val, msg int64) int64 { return val + msg },
@@ -134,13 +134,13 @@ func handshakeProgram(policy ScanPolicy) Program[int64, int64] {
 		MergeMsg:        func(a, b int64) int64 { return a + b },
 		MaxIterations:   6,
 		ActiveDirection: Both,
-		ScanPolicy:      policy,
+		scan:            policy,
 	}
 }
 
 // checkSameStats asserts the scan-path-independent statistics agree per
 // superstep: which triplets ran, what they emitted and who was active never
-// depend on the scan policy — only ActiveEdges (work examined) may differ.
+// depend on the scan path — only ActiveEdges (work examined) may differ.
 func checkSameStats(t *testing.T, label string, ref, got *RunStats) {
 	t.Helper()
 	if len(ref.Supersteps) != len(got.Supersteps) {
@@ -201,7 +201,8 @@ func frontierTopologies(t testing.TB, base []graph.Edge, s partition.Strategy, n
 	if err != nil {
 		t.Fatal(err)
 	}
-	pg, err := NewPartitionedGraphFromAssignment(a, BuildOptions{Parallelism: par})
+	setGOMAXPROCS(t, par)
+	pg, err := NewPartitionedGraphFromAssignment(a, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,17 +250,20 @@ func frontierGraphs(t testing.TB) map[string][]graph.Edge {
 	}
 }
 
+// scanNames labels the scan paths in failure messages.
+var scanNames = [...]string{scanByDensity: "density", scanDense: "dense", scanSparse: "sparse"}
+
 // frontierVariants are the (policy, parallelism) combinations compared
 // against the serial dense reference in every equivalence test.
 var frontierVariants = []struct {
 	name   string
-	policy ScanPolicy
+	policy scanPath
 	par    int
 }{
-	{"sparse-serial", ScanSparse, 1},
-	{"sparse-par", ScanSparse, 4},
-	{"dense-par", ScanDense, 4},
-	{"auto-par", ScanAuto, 4},
+	{"sparse-serial", scanSparse, 1},
+	{"sparse-par", scanSparse, 4},
+	{"dense-par", scanDense, 4},
+	{"auto-par", scanByDensity, 4},
 }
 
 // TestFrontierEquivalenceMatrix is the core of the suite: CC (Either),
@@ -285,20 +289,22 @@ func TestFrontierEquivalenceMatrix(t *testing.T) {
 					}
 				}
 				for genName, ref := range refTops {
-					ccRef, ccStats, err := Run(ctx, ref, ccTestProgram(ScanDense))
+					setGOMAXPROCS(t, 1)
+					ccRef, ccStats, err := Run(ctx, ref, ccTestProgram(scanDense))
 					if err != nil {
 						t.Fatal(err)
 					}
-					pushRef, pushStats, err := Run(ctx, ref, pushTestProgram(ScanDense))
+					pushRef, pushStats, err := Run(ctx, ref, pushTestProgram(scanDense))
 					if err != nil {
 						t.Fatal(err)
 					}
-					floodRef, floodStats, err := Run(ctx, ref, floodTestProgram(ScanDense))
+					floodRef, floodStats, err := Run(ctx, ref, floodTestProgram(scanDense))
 					if err != nil {
 						t.Fatal(err)
 					}
 					for _, v := range frontierVariants {
 						pg := variantTops[v.par][genName]
+						setGOMAXPROCS(t, v.par)
 						label := fmt.Sprintf("%s/%s/cc", genName, v.name)
 						vals, stats, err := Run(ctx, pg, ccTestProgram(v.policy))
 						if err != nil {
@@ -340,16 +346,18 @@ func TestFrontierDirectionCoverage(t *testing.T) {
 		variantTops := map[int]map[string]*PartitionedGraph{1: refTops}
 		variantTops[4] = frontierTopologies(t, base, s, 5, 4)
 		for genName, ref := range refTops {
-			inRef, inStats, err := Run(ctx, ref, reverseReachProgram(ScanDense))
+			setGOMAXPROCS(t, 1)
+			inRef, inStats, err := Run(ctx, ref, reverseReachProgram(scanDense))
 			if err != nil {
 				t.Fatal(err)
 			}
-			bothRef, bothStats, err := Run(ctx, ref, handshakeProgram(ScanDense))
+			bothRef, bothStats, err := Run(ctx, ref, handshakeProgram(scanDense))
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, v := range frontierVariants {
 				pg := variantTops[v.par][genName]
+				setGOMAXPROCS(t, v.par)
 				label := fmt.Sprintf("%s/%s/%s/in", s.Name(), genName, v.name)
 				vals, stats, err := Run(ctx, pg, reverseReachProgram(v.policy))
 				if err != nil {
@@ -371,7 +379,7 @@ func TestFrontierDirectionCoverage(t *testing.T) {
 }
 
 // TestAllEdgesIgnoresSparsePolicy: an AllEdges program visits every edge
-// every superstep even under ScanSparse — every edge is live by definition,
+// every superstep even under scanSparse — every edge is live by definition,
 // so the frontier index has nothing to skip.
 func TestAllEdgesIgnoresSparsePolicy(t *testing.T) {
 	g := graph.FromEdges(deltaEdges(51, 60, 400))
@@ -379,11 +387,12 @@ func TestAllEdgesIgnoresSparsePolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pg, err := NewPartitionedGraphFromAssignment(a, BuildOptions{Parallelism: 2})
+	setGOMAXPROCS(t, 2)
+	pg, err := NewPartitionedGraphFromAssignment(a, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := Run(context.Background(), pg, floodTestProgram(ScanSparse))
+	_, stats, err := Run(context.Background(), pg, floodTestProgram(scanSparse))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +406,7 @@ func TestAllEdgesIgnoresSparsePolicy(t *testing.T) {
 
 // chainEdges returns a directed path 0→1→…→n-1 — the worst case for a dense
 // scan (the CC frontier collapses to a single wavefront almost immediately)
-// and the cleanest way to force a ScanAuto density crossover.
+// and the cleanest way to force a density-rule crossover.
 func chainEdges(n int) []graph.Edge {
 	edges := make([]graph.Edge, n-1)
 	for i := range edges {
@@ -408,8 +417,8 @@ func chainEdges(n int) []graph.Edge {
 
 // bfsTestProgram is single-source BFS from vertex 0 over Out: after the
 // fully-active superstep 1 the frontier collapses to the one-vertex
-// wavefront, the cleanest way to force a ScanAuto dense→sparse crossover.
-func bfsTestProgram(policy ScanPolicy) Program[int64, int64] {
+// wavefront, the cleanest way to force a density-rule dense→sparse crossover.
+func bfsTestProgram(policy scanPath) Program[int64, int64] {
 	const unreached = int64(math.MaxInt64)
 	min := func(a, b int64) int64 {
 		if a < b {
@@ -433,11 +442,11 @@ func bfsTestProgram(policy ScanPolicy) Program[int64, int64] {
 		MergeMsg:        min,
 		InitialMsg:      unreached,
 		ActiveDirection: Out,
-		ScanPolicy:      policy,
+		scan:            policy,
 	}
 }
 
-// TestScanAutoCrossesDensityThreshold proves ScanAuto actually switches
+// TestScanAutoCrossesDensityThreshold proves the density rule actually switches
 // paths mid-run: BFS over a long chain starts with every vertex active
 // (dense superstep 1) and collapses to a single-vertex wavefront below the
 // 1/8 threshold, observable as ActiveEdges dropping below the full edge
@@ -449,16 +458,17 @@ func TestScanAutoCrossesDensityThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pg, err := NewPartitionedGraphFromAssignment(a, BuildOptions{Parallelism: 4})
+	setGOMAXPROCS(t, 4)
+	pg, err := NewPartitionedGraphFromAssignment(a, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bfsCapped := func(policy ScanPolicy) Program[int64, int64] {
+	bfsCapped := func(policy scanPath) Program[int64, int64] {
 		p := bfsTestProgram(policy)
 		p.MaxIterations = 40
 		return p
 	}
-	auto, stats, err := Run(context.Background(), pg, bfsCapped(ScanAuto))
+	auto, stats, err := Run(context.Background(), pg, bfsCapped(scanByDensity))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,15 +483,15 @@ func TestScanAutoCrossesDensityThreshold(t *testing.T) {
 		}
 	}
 	if !sawDense || !sawSparse {
-		t.Fatalf("ScanAuto never crossed the density threshold (dense=%v sparse=%v over %d supersteps)",
+		t.Fatalf("the density rule never crossed the density threshold (dense=%v sparse=%v over %d supersteps)",
 			sawDense, sawSparse, len(stats.Supersteps))
 	}
-	// And the crossover changes nothing: same distances as forced policies.
-	dense, _, err := Run(context.Background(), pg, bfsCapped(ScanDense))
+	// And the crossover changes nothing: same distances as either pinned path.
+	dense, _, err := Run(context.Background(), pg, bfsCapped(scanDense))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sparse, _, err := Run(context.Background(), pg, bfsCapped(ScanSparse))
+	sparse, _, err := Run(context.Background(), pg, bfsCapped(scanSparse))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,63 +520,64 @@ func FuzzFrontierScanEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pg, err := NewPartitionedGraphFromAssignment(a, BuildOptions{Parallelism: 4})
+		setGOMAXPROCS(t, 4)
+		pg, err := NewPartitionedGraphFromAssignment(a, BuildOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		ctx := context.Background()
 		switch dir % 4 {
 		case 0: // Either, int64 min
-			ref, refStats, err := Run(ctx, pg, ccTestProgram(ScanDense))
+			ref, refStats, err := Run(ctx, pg, ccTestProgram(scanDense))
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, policy := range []ScanPolicy{ScanSparse, ScanAuto} {
+			for _, policy := range []scanPath{scanSparse, scanByDensity} {
 				got, gotStats, err := Run(ctx, pg, ccTestProgram(policy))
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkSameInt64(t, policy.String(), ref, got)
-				checkSameStats(t, policy.String(), refStats, gotStats)
+				checkSameInt64(t, scanNames[policy], ref, got)
+				checkSameStats(t, scanNames[policy], refStats, gotStats)
 			}
 		case 1: // Out, order-sensitive float64
-			ref, refStats, err := Run(ctx, pg, pushTestProgram(ScanDense))
+			ref, refStats, err := Run(ctx, pg, pushTestProgram(scanDense))
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, policy := range []ScanPolicy{ScanSparse, ScanAuto} {
+			for _, policy := range []scanPath{scanSparse, scanByDensity} {
 				got, gotStats, err := Run(ctx, pg, pushTestProgram(policy))
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkSameFloat64(t, policy.String(), ref, got)
-				checkSameStats(t, policy.String(), refStats, gotStats)
+				checkSameFloat64(t, scanNames[policy], ref, got)
+				checkSameStats(t, scanNames[policy], refStats, gotStats)
 			}
 		case 2: // In
-			ref, refStats, err := Run(ctx, pg, reverseReachProgram(ScanDense))
+			ref, refStats, err := Run(ctx, pg, reverseReachProgram(scanDense))
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, policy := range []ScanPolicy{ScanSparse, ScanAuto} {
+			for _, policy := range []scanPath{scanSparse, scanByDensity} {
 				got, gotStats, err := Run(ctx, pg, reverseReachProgram(policy))
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkSameInt64(t, policy.String(), ref, got)
-				checkSameStats(t, policy.String(), refStats, gotStats)
+				checkSameInt64(t, scanNames[policy], ref, got)
+				checkSameStats(t, scanNames[policy], refStats, gotStats)
 			}
 		default: // Both
-			ref, refStats, err := Run(ctx, pg, handshakeProgram(ScanDense))
+			ref, refStats, err := Run(ctx, pg, handshakeProgram(scanDense))
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, policy := range []ScanPolicy{ScanSparse, ScanAuto} {
+			for _, policy := range []scanPath{scanSparse, scanByDensity} {
 				got, gotStats, err := Run(ctx, pg, handshakeProgram(policy))
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkSameInt64(t, policy.String(), ref, got)
-				checkSameStats(t, policy.String(), refStats, gotStats)
+				checkSameInt64(t, scanNames[policy], ref, got)
+				checkSameStats(t, scanNames[policy], refStats, gotStats)
 			}
 		}
 	})

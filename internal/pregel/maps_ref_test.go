@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"cutfit/internal/graph"
-	"cutfit/internal/par"
 	"cutfit/internal/partition"
 )
 
@@ -82,12 +81,11 @@ func newPartitionedGraphMaps(g *graph.Graph, assign []partition.PID, numParts in
 		})
 	}
 	return &PartitionedGraph{
-		G:           g,
-		NumParts:    numParts,
-		Parts:       parts,
-		assign:      assign,
-		Parallelism: par.DefaultParallelism(),
-		scratch:     &scratchPool{},
+		G:        g,
+		NumParts: numParts,
+		Parts:    parts,
+		assign:   assign,
+		scratch:  &scratchPool{},
 	}, nil
 }
 

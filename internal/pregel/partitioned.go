@@ -16,7 +16,7 @@
 //     to the master and merged, then the vertex program is applied.
 //
 // The engine executes genuinely in parallel — partitions handed out to
-// Parallelism goroutines by par.ForEach, the master apply and reduce cut into
+// GOMAXPROCS goroutines by par.ForEach, the master apply and reduce cut into
 // contiguous vertex ranges by par.Ranges; the package starts no goroutine of
 // its own — and simultaneously counts every message and byte crossing a
 // partition boundary; the cluster package converts those counts into
@@ -38,7 +38,7 @@
 //     preserving global edge order within each partition (the AssignOrder
 //     alignment contract);
 //  3. localize: each partition — handed out by par.ForEach — marks its edge
-//     endpoints in a vertex bitset taken off a free list of Parallelism
+//     endpoints in a vertex bitset taken off a free list of GOMAXPROCS
 //     scratches, emits the set bits in order as the LocalVerts mirror table
 //     (sorted and deduplicated by construction), and rewrites its edges to
 //     local indices by O(1) rank queries.
@@ -121,17 +121,16 @@ func (p *Partition) EdgeAt(j int) (src, dst int32) {
 func (p *Partition) NumLocalVertices() int { return len(p.LocalVerts) }
 
 // BuildOptions tunes partitioned-graph construction and engine execution.
-// The zero value is ready to use.
+// The zero value is ready to use. How many goroutines a build or a run fans
+// out over is not an option: every fan-out takes par.DefaultParallelism()
+// (GOMAXPROCS) when its call starts.
 type BuildOptions struct {
-	// Parallelism is the number of worker goroutines used for the build
-	// and for all engine phases; values < 1 default to GOMAXPROCS.
-	Parallelism int
 	// ReuseBuffers lets the engine park its run-scoped scratch (mirror
 	// value/activity tables, combine accumulators, per-phase counters) in
 	// per-program-type pools between runs, so repeated runs over the same
 	// topology — benchmark loops, advisor selection, concurrent serving —
 	// and first runs over a topology ApplyDelta derived from it reallocate
-	// nothing. Pools hold up to max(4, Parallelism) scratches per program
+	// nothing. Pools hold up to max(4, GOMAXPROCS) scratches per program
 	// type, so N simultaneous Runs of one algorithm all reuse buffers; runs
 	// that find their pool empty fall back to fresh allocation. Only
 	// programs whose vertex value and message types hold no pointers park
@@ -152,10 +151,6 @@ type PartitionedGraph struct {
 	// assign is the original per-edge partition assignment, retained so
 	// jobs can align global edge order with per-partition edge order.
 	assign []partition.PID
-
-	// Parallelism is the number of worker goroutines used for partition
-	// phases; defaults to GOMAXPROCS.
-	Parallelism int
 
 	// ReuseBuffers enables engine scratch reuse across runs (see
 	// BuildOptions.ReuseBuffers).
@@ -194,17 +189,14 @@ type PartitionedGraph struct {
 const maxScratchTypes = 16
 
 // minScratchDepth is the per-type pool depth floor. The effective depth is
-// max(minScratchDepth, Parallelism): concurrency beyond the worker pool
+// max(minScratchDepth, GOMAXPROCS): concurrency beyond the worker pool
 // gains nothing from extra parked buffers, but a small floor keeps
 // low-parallelism builds useful under bursty concurrent load.
 const minScratchDepth = 4
 
 // scratchDepth returns the per-program-type pool bound.
 func (pg *PartitionedGraph) scratchDepth() int {
-	if pg.Parallelism > minScratchDepth {
-		return pg.Parallelism
-	}
-	return minScratchDepth
+	return max(par.DefaultParallelism(), minScratchDepth)
 }
 
 // NewPartitionedGraph builds the partitioned representation from an edge
@@ -216,7 +208,7 @@ func NewPartitionedGraph(g *graph.Graph, assign []partition.PID, numParts int) (
 
 // NewPartitionedGraphOpts builds the partitioned representation with the
 // sort/scatter algorithm described in the package comment, fanning
-// per-partition work over opts.Parallelism workers.
+// per-partition work over GOMAXPROCS workers.
 func NewPartitionedGraphOpts(g *graph.Graph, assign []partition.PID, numParts int, opts BuildOptions) (*PartitionedGraph, error) {
 	if numParts <= 0 {
 		return nil, fmt.Errorf("pregel: numParts must be positive, got %d", numParts)
@@ -225,16 +217,10 @@ func NewPartitionedGraphOpts(g *graph.Graph, assign []partition.PID, numParts in
 	if len(assign) != ne {
 		return nil, fmt.Errorf("pregel: assignment has %d entries for %d edges", len(assign), ne)
 	}
-	workers := opts.Parallelism
-	if workers < 1 {
-		workers = par.DefaultParallelism()
-	}
-
 	pg := &PartitionedGraph{
 		G:            g,
 		NumParts:     numParts,
 		assign:       assign,
-		Parallelism:  workers,
 		ReuseBuffers: opts.ReuseBuffers,
 		scratch:      &scratchPool{},
 	}
@@ -269,7 +255,7 @@ func (pg *PartitionedGraph) buildSortScatter() error {
 	}
 	// Ranges cuts the units into at most shards ranges, possibly fewer: the
 	// per-shard slots below are sized and initialised for all of them.
-	shards := max(min(pg.Parallelism, units), 1)
+	shards := max(min(par.DefaultParallelism(), units), 1)
 	edgeRange := func(lo, hi int) (int, int) { return min(lo*unit, ne), min(hi*unit, ne) }
 
 	// Pass 1: per-(shard, partition) live edge counts. Each shard validates
@@ -360,7 +346,7 @@ func (pg *PartitionedGraph) buildSortScatter() error {
 // localize pass (pass 3) over the partitions: per-partition local vertex
 // tables, then in-place rewrite of the staged global endpoint indices to
 // local ones. A partition takes one growable endpoint scratch off a free
-// list of Parallelism slots — one per goroutine that can be localizing at
+// list of GOMAXPROCS slots — one per goroutine that can be localizing at
 // once — and puts it back when done.
 func (pg *PartitionedGraph) scatterFinish(edgeBuf []localEdge, partStart []int64) error {
 	parts := make([]*Partition, pg.NumParts)
@@ -368,7 +354,7 @@ func (pg *PartitionedGraph) scatterFinish(edgeBuf []localEdge, partStart []int64
 		parts[p] = &Partition{edges: edgeBuf[partStart[p]:partStart[p+1]:partStart[p+1]]}
 	}
 	pg.Parts = parts
-	workers := max(pg.Parallelism, 1)
+	workers := par.DefaultParallelism()
 	free := make(chan *localizeScratch, workers)
 	for range workers {
 		free <- new(localizeScratch)
@@ -490,12 +476,12 @@ func (pg *PartitionedGraph) FrontierIndexes() int {
 
 // ReplicaCounts returns, per global dense vertex, how many partitions mirror
 // it: the replica count the §3.1 metrics sum. Nothing is kept; every call
-// counts afresh, sharded by global vertex range over Parallelism workers the
+// counts afresh, sharded by global vertex range over GOMAXPROCS workers the
 // way the reduce phase splits its merge: a shard finds its range in each
 // partition by binary search (LocalVerts is sorted) and owns its counts.
 func (pg *PartitionedGraph) ReplicaCounts() []int32 {
 	counts := make([]int32, pg.G.NumVertices())
-	if err := par.Ranges(pg.Parallelism, len(counts), func(_, gLo, gHi int) {
+	if err := par.Ranges(par.DefaultParallelism(), len(counts), func(_, gLo, gHi int) {
 		for _, part := range pg.Parts {
 			lo, _ := slices.BinarySearch(part.LocalVerts, int32(gLo))
 			hi, _ := slices.BinarySearch(part.LocalVerts, int32(gHi))

@@ -51,30 +51,32 @@ func TestNewPartitionedGraphErrors(t *testing.T) {
 	}
 }
 
-// TestBuildWithFewerRangesThanShards: five edges over Parallelism 4 cut into
+// TestBuildWithFewerRangesThanShards: five edges over GOMAXPROCS 4 cut into
 // three ranges (2+2+1), so the fourth shard's count and error slots are never
 // written. The build must match a serial one, and a bad PID in the last range
 // must be the one reported — an unwritten slot must not read as a bad edge.
 func TestBuildWithFewerRangesThanShards(t *testing.T) {
 	g := graph.FromEdges([]graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 3}, {Src: 3, Dst: 4}, {Src: 4, Dst: 0}})
 	assign := []partition.PID{1, 0, 2, 1, 0}
-	serial, err := NewPartitionedGraphOpts(g, assign, 3, BuildOptions{Parallelism: 1})
+	setGOMAXPROCS(t, 1)
+	serial, err := NewPartitionedGraphOpts(g, assign, 3, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := NewPartitionedGraphOpts(g, assign, 3, BuildOptions{Parallelism: 4})
+	setGOMAXPROCS(t, 4)
+	sharded, err := NewPartitionedGraphOpts(g, assign, 3, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for p, want := range serial.Parts {
 		got := sharded.Parts[p]
 		if !slices.Equal(got.LocalVerts, want.LocalVerts) || !slices.Equal(got.edges, want.edges) {
-			t.Fatalf("partition %d: Parallelism 4 built %v %v, serial %v %v", p, got.LocalVerts, got.edges, want.LocalVerts, want.edges)
+			t.Fatalf("partition %d: GOMAXPROCS 4 built %v %v, serial %v %v", p, got.LocalVerts, got.edges, want.LocalVerts, want.edges)
 		}
 	}
 	bad := slices.Clone(assign)
 	bad[4] = 9
-	_, err = NewPartitionedGraphOpts(g, bad, 3, BuildOptions{Parallelism: 4})
+	_, err = NewPartitionedGraphOpts(g, bad, 3, BuildOptions{})
 	if err == nil || err.Error() != "pregel: edge 4 assigned to out-of-range partition 9" {
 		t.Fatalf("err %v, want edge 4 out of range", err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"cutfit/internal/graph"
-	"cutfit/internal/par"
 	"cutfit/internal/partition"
 )
 
@@ -131,16 +130,11 @@ func FromRawTables(g *graph.Graph, rt RawTables, opts BuildOptions) (*Partitione
 			}
 		}
 	}
-	workers := opts.Parallelism
-	if workers < 1 {
-		workers = par.DefaultParallelism()
-	}
 	pg := &PartitionedGraph{
 		G:            g,
 		NumParts:     numParts,
 		Parts:        make([]*Partition, numParts),
 		assign:       rt.Assign,
-		Parallelism:  workers,
 		ReuseBuffers: opts.ReuseBuffers,
 		scratch:      &scratchPool{},
 	}

@@ -19,11 +19,12 @@ func replicaTopologies(t *testing.T, nv, ne, par int) map[string]*PartitionedGra
 	if err != nil {
 		t.Fatal(err)
 	}
-	built, err := NewPartitionedGraphFromAssignment(a, BuildOptions{Parallelism: par})
+	setGOMAXPROCS(t, par)
+	built, err := NewPartitionedGraphFromAssignment(a, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := FromRawTables(g, built.RawTables(), BuildOptions{Parallelism: par})
+	restored, err := FromRawTables(g, built.RawTables(), BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,8 @@ func TestRetractionPositionsAcrossChunks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pg, err := NewPartitionedGraphFromAssignment(a, BuildOptions{Parallelism: par})
+		setGOMAXPROCS(t, par)
+		pg, err := NewPartitionedGraphFromAssignment(a, BuildOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

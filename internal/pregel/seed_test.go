@@ -65,7 +65,7 @@ func seededStep(t *testing.T, pg *PartitionedGraph, a *partition.Assignment, s p
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := ccTestProgram(ScanAuto)
+	prog := ccTestProgram(scanByDensity)
 	start, err := SeedLabels(npg, parent, d.OldLen, remap, prog.Init)
 	if err != nil {
 		t.Fatal(err)
@@ -116,15 +116,16 @@ func TestSeededChain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pg, err := NewPartitionedGraphFromAssignment(a, BuildOptions{Parallelism: 3, ReuseBuffers: true})
+		setGOMAXPROCS(t, 3)
+		pg, err := NewPartitionedGraphFromAssignment(a, BuildOptions{ReuseBuffers: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ans, stats, err := RunStamped(context.Background(), pg, ccTestProgram(ScanAuto), nil)
+		ans, stats, err := RunStamped(context.Background(), pg, ccTestProgram(scanByDensity), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, plainStats, _ := Run(context.Background(), pg, ccTestProgram(ScanAuto))
+		plain, plainStats, _ := Run(context.Background(), pg, ccTestProgram(scanByDensity))
 		if !slices.Equal(ans.Vals, plain) || stats.NumSupersteps() != plainStats.NumSupersteps() {
 			t.Fatal("recording stamps changed a cold run")
 		}
@@ -176,11 +177,11 @@ func TestSeedRefusesExhaustedClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	parent := &Answer[int64]{G: g, Vals: []int64{1, 1}, Stamps: []uint32{0, 1}, Clock: maxSeedClock}
-	if _, err := SeedLabels(pg, parent, 1, nil, ccTestProgram(ScanAuto).Init); !errors.Is(err, ErrStampClock) {
+	if _, err := SeedLabels(pg, parent, 1, nil, ccTestProgram(scanByDensity).Init); !errors.Is(err, ErrStampClock) {
 		t.Fatalf("SeedLabels at clock %d: %v, want ErrStampClock", parent.Clock, err)
 	}
 	parent.Clock--
-	if _, err := SeedLabels(pg, parent, 1, nil, ccTestProgram(ScanAuto).Init); err != nil {
+	if _, err := SeedLabels(pg, parent, 1, nil, ccTestProgram(scanByDensity).Init); err != nil {
 		t.Fatalf("SeedLabels one below the limit: %v", err)
 	}
 }
@@ -197,7 +198,8 @@ func TestSeededRunStopsWhenCancelled(t *testing.T) {
 		assign[i] = partition.PID(i / edgesPerPart)
 	}
 	g := graph.FromEdges(edges)
-	pg, err := NewPartitionedGraphOpts(g, assign, numParts, BuildOptions{Parallelism: scanWorkers})
+	setGOMAXPROCS(t, scanWorkers)
+	pg, err := NewPartitionedGraphOpts(g, assign, numParts, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +214,7 @@ func TestSeededRunStopsWhenCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var scanned atomic.Int64
-	prog := ccTestProgram(ScanAuto)
+	prog := ccTestProgram(scanByDensity)
 	prog.SendMsg = func(*Triplet[int64], Emitter[int64]) {
 		cancel()
 		scanned.Add(1)
@@ -243,11 +245,12 @@ func TestSeededAppendActivatesOnlyDisagreeingEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pg, err := NewPartitionedGraphFromAssignment(a, BuildOptions{Parallelism: 2})
+	setGOMAXPROCS(t, 2)
+	pg, err := NewPartitionedGraphFromAssignment(a, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, _, err := RunStamped(context.Background(), pg, ccTestProgram(ScanAuto), nil)
+	ans, _, err := RunStamped(context.Background(), pg, ccTestProgram(scanByDensity), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +263,7 @@ func TestSeededAppendActivatesOnlyDisagreeingEdges(t *testing.T) {
 	} {
 		ng, d := g.Grow(tc.batch)
 		npg, _, _, stats := seededStep(t, pg, a, s, ans, ng, d)
-		start, err := SeedLabels(npg, ans, d.OldLen, nil, ccTestProgram(ScanAuto).Init)
+		start, err := SeedLabels(npg, ans, d.OldLen, nil, ccTestProgram(scanByDensity).Init)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -351,7 +354,7 @@ func (r edgeRule) Partition(g *graph.Graph, numParts int) ([]partition.PID, erro
 }
 
 // TestSeedLabelsTrimMatchesSerial: the Start SeedLabels returns — values,
-// stamps and frontier — is the same at Parallelism 1 and 4 and equals the
+// stamps and frontier — is the same at GOMAXPROCS 1 and 4 and equals the
 // serial reference's, on the retraction shapes of the root package's
 // TestSeededRetractionShapes over 1, 4 and 64 partitions (most of them empty
 // at 64), and on a suspect mirrored only in the first and the last partition:
@@ -412,7 +415,7 @@ func TestSeedLabelsTrimMatchesSerial(t *testing.T) {
 		{"pendant endpoint left isolated", append(path(0, 30), E(50, 10)), []graph.Edge{E(50, 10)}},
 		{"tree under the cut", append(append(path(0, 20), star(10, 21, 30)...), star(25, 31, 40)...), []graph.Edge{E(10, 25)}},
 	}
-	init := ccTestProgram(ScanAuto).Init
+	init := ccTestProgram(scanByDensity).Init
 	for _, run := range []struct {
 		s      partition.Strategy
 		parts  []int
@@ -428,11 +431,12 @@ func TestSeedLabelsTrimMatchesSerial(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				pg, err := NewPartitionedGraphFromAssignment(a, BuildOptions{Parallelism: 4})
+				setGOMAXPROCS(t, 4)
+				pg, err := NewPartitionedGraphFromAssignment(a, BuildOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				ans, _, err := RunStamped(context.Background(), pg, ccTestProgram(ScanAuto), nil)
+				ans, _, err := RunStamped(context.Background(), pg, ccTestProgram(scanByDensity), nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -457,7 +461,7 @@ func TestSeedLabelsTrimMatchesSerial(t *testing.T) {
 					}
 					want := seedLabelsSerial(ng, ans, d.OldLen, remap, init)
 					for _, par := range []int{1, 4} {
-						npg.Parallelism = par
+						setGOMAXPROCS(t, par)
 						got, err := SeedLabels(npg, ans, d.OldLen, remap, init)
 						if err != nil {
 							t.Fatal(err)
@@ -467,7 +471,7 @@ func TestSeedLabelsTrimMatchesSerial(t *testing.T) {
 							t.Fatalf("%s/%d parts, step %d, parallelism %d: seeded start differs from the serial trim's", sh.name, parts, step, par)
 						}
 					}
-					if ans, _, err = RunStamped(context.Background(), npg, ccTestProgram(ScanAuto), want); err != nil {
+					if ans, _, err = RunStamped(context.Background(), npg, ccTestProgram(scanByDensity), want); err != nil {
 						t.Fatal(err)
 					}
 					g, a, pg = ng, na, npg

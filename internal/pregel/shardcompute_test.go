@@ -49,10 +49,10 @@ func TestVertexFrameFanOutMatchesSlabIngest(t *testing.T) {
 			pg := mustPartition(t, g, partition.RandomVertexCut(), numParts)
 			for _, W := range []int{1, 2} {
 				topo := shardTopologies(pg, W)[0]
-				for _, policy := range []ScanPolicy{ScanDense, ScanSparse} {
+				for _, policy := range []scanPath{scanDense, scanSparse} {
 					for _, scanWorkers := range []int{1, 8} {
 						prog := minLabelProgram()
-						prog.ScanPolicy = policy
+						prog.scan = policy
 						ref := newSlabRef(t, prog, topo, i64Wire{}, i64Wire{})
 						got, err := NewShardCompute(prog, topo, i64Wire{}, i64Wire{})
 						if err != nil {
@@ -244,7 +244,7 @@ type scanRecord struct {
 
 // recordingProgram scans every edge once (superstep 1, all vertices active in
 // both directions) and records what each triplet said about its endpoints.
-func recordingProgram(policy ScanPolicy, dir EdgeDirection, out *[]scanRecord) Program[int64, int64] {
+func recordingProgram(policy scanPath, dir EdgeDirection, out *[]scanRecord) Program[int64, int64] {
 	return Program[int64, int64]{
 		Init:  func(graph.VertexID) int64 { return 0 },
 		VProg: func(_ graph.VertexID, val, _ int64) int64 { return val },
@@ -254,7 +254,7 @@ func recordingProgram(policy ScanPolicy, dir EdgeDirection, out *[]scanRecord) P
 		MergeMsg:        func(a, _ int64) int64 { return a },
 		MaxIterations:   1,
 		ActiveDirection: dir,
-		ScanPolicy:      policy,
+		scan:            policy,
 	}
 }
 
@@ -277,9 +277,9 @@ func TestTripletIndexAddressing(t *testing.T) {
 	verts := g.Vertices()
 	srcIdx, dstIdx := g.EdgeEndpointIndices()
 
+	setGOMAXPROCS(t, 1) // partitions scan one after another, ascending
 	for _, numParts := range []int{1, 4} {
 		pg := mustPartition(t, g, partition.RandomVertexCut(), numParts)
-		pg.Parallelism = 1 // partitions scan one after another, ascending
 		// want[p] is partition p's edges in scan order.
 		want := make([][]scanRecord, numParts)
 		for i, p := range pg.AssignOrder() {
@@ -299,12 +299,12 @@ func TestTripletIndexAddressing(t *testing.T) {
 
 		scans := []struct {
 			name   string
-			policy ScanPolicy
+			policy scanPath
 			dir    EdgeDirection
 		}{
-			{"dense", ScanDense, Either},
-			{"sparse", ScanSparse, Either},
-			{"all-edges", ScanAuto, AllEdges},
+			{"dense", scanDense, Either},
+			{"sparse", scanSparse, Either},
+			{"all-edges", scanByDensity, AllEdges},
 		}
 		for _, s := range scans {
 			var got []scanRecord

@@ -46,7 +46,8 @@ func TestApplyDeltaShrinkMatchesFullBuild(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				pg, err := NewPartitionedGraphFromAssignment(a, BuildOptions{Parallelism: 4})
+				setGOMAXPROCS(t, 4)
+				pg, err := NewPartitionedGraphFromAssignment(a, BuildOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -70,7 +71,7 @@ func TestApplyDeltaShrinkMatchesFullBuild(t *testing.T) {
 					// Odd steps index the parent first: partitions the step
 					// retracted nothing from carry it.
 					patched := deltaStep(t, pg, na, remap, step%2 == 1)
-					rebuilt, err := NewPartitionedGraphFromAssignment(na, BuildOptions{Parallelism: 4})
+					rebuilt, err := NewPartitionedGraphFromAssignment(na, BuildOptions{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -157,7 +158,8 @@ func TestApplyDeltaSlideWindowMatchesFullBuild(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					pg, err := NewPartitionedGraphFromAssignment(a, BuildOptions{Parallelism: 4})
+					setGOMAXPROCS(t, 4)
+					pg, err := NewPartitionedGraphFromAssignment(a, BuildOptions{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -177,7 +179,7 @@ func TestApplyDeltaSlideWindowMatchesFullBuild(t *testing.T) {
 						t.Fatal(err)
 					}
 					patched := deltaStep(t, pg, na, remap, indexed)
-					rebuilt, err := NewPartitionedGraphFromAssignment(na, BuildOptions{Parallelism: 4})
+					rebuilt, err := NewPartitionedGraphFromAssignment(na, BuildOptions{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -212,7 +214,8 @@ func FuzzApplyShrink(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pg, err := NewPartitionedGraphFromAssignment(a, BuildOptions{Parallelism: 1 + r.Intn(4)})
+		setGOMAXPROCS(t, 1+r.Intn(4))
+		pg, err := NewPartitionedGraphFromAssignment(a, BuildOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +257,8 @@ func FuzzApplyShrink(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rebuilt, err := NewPartitionedGraphFromAssignment(na, BuildOptions{Parallelism: 1 + r.Intn(4)})
+		setGOMAXPROCS(t, 1+r.Intn(4))
+		rebuilt, err := NewPartitionedGraphFromAssignment(na, BuildOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

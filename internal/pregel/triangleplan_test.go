@@ -62,7 +62,8 @@ func TestTrianglePlan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pg, err := NewPartitionedGraphFromAssignment(a, BuildOptions{Parallelism: 4})
+		setGOMAXPROCS(t, 4)
+		pg, err := NewPartitionedGraphFromAssignment(a, BuildOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +105,8 @@ func TestTrianglePlan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rebuilt, err := NewPartitionedGraphFromAssignment(na, BuildOptions{Parallelism: 1})
+		setGOMAXPROCS(t, 1)
+		rebuilt, err := NewPartitionedGraphFromAssignment(na, BuildOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,7 +7,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 
 	"cutfit/internal/graph"
 )
@@ -125,24 +124,10 @@ func WriteBlockGraph(w io.Writer, g *graph.Graph) error {
 	return nil
 }
 
-// SaveBlockGraph writes g's block tier to path atomically (temp file in
-// the same directory, then rename).
+// SaveBlockGraph writes g's block tier to path atomically
+// (WriteFileAtomic).
 func SaveBlockGraph(path string, g *graph.Graph) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("snap: saving block graph: %w", err)
-	}
-	if err := WriteBlockGraph(tmp, g); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("snap: saving block graph: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	if err := WriteFileAtomic(path, func(w io.Writer) error { return WriteBlockGraph(w, g) }); err != nil {
 		return fmt.Errorf("snap: saving block graph: %w", err)
 	}
 	return nil

@@ -721,7 +721,7 @@ func decodeMetricsContainer(c *Container, g *graph.Graph, wantStrategyKey string
 // EncodeTopology encodes a built PartitionedGraph as a KindTopology
 // container: the dense tables of pregel.RawTables written verbatim as
 // little-endian arrays, plus the graph identity. Two things are
-// deliberately not persisted: build options (parallelism, buffer reuse —
+// deliberately not persisted: build options (buffer reuse —
 // execution policy, the restoring side applies its own) and per-vertex
 // replica counts, which are a pure function of the mirror tables; a reader
 // counts them off the restored tables (O(|V| + mirrors), no sort), which is

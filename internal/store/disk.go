@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -10,6 +11,7 @@ import (
 	"sync"
 
 	"cutfit/internal/graph"
+	"cutfit/internal/snap"
 )
 
 // DefaultDiskMaxBytes bounds the disk tier: four times the default memory
@@ -105,31 +107,17 @@ func diskName(fp uint64, strategyKey string, numParts int, kd kind) string {
 	return fmt.Sprintf("%016x-%016x.snap", fp, h.Sum64())
 }
 
-// put writes one entry atomically (unique temp file + fsync + rename, so
-// concurrent writers of one entry can never publish each other's partial
-// bytes and a crash after rename cannot surface an unsynced file) and
-// evicts the oldest entries beyond the byte budget; the entry just written
+// put writes one entry atomically (snap.WriteFileAtomic: each writer has
+// its own temp file, so concurrent writers of one entry can never publish
+// each other's partial bytes) and evicts the oldest entries beyond the byte budget; the entry just written
 // is never its own eviction victim. Errors are returned for observability
 // but leave the tier consistent — a failed spill just means a future disk
 // miss.
 func (dt *diskTier) put(name string, data []byte) error {
-	path := filepath.Join(dt.dir, name)
-	tmp, err := os.CreateTemp(dt.dir, name+".tmp*")
-	if err != nil {
+	if err := snap.WriteFileAtomic(filepath.Join(dt.dir, name), func(w io.Writer) error {
+		_, err := w.Write(data)
 		return err
-	}
-	if _, err := tmp.Write(data); err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	}); err != nil {
 		return err
 	}
 	dt.mu.Lock()

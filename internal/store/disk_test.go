@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"cutfit/internal/metrics"
 	"cutfit/internal/partition"
 	"cutfit/internal/pregel"
+	"cutfit/internal/testutil"
 )
 
 // diskFiles lists the .snap entries of a disk tier directory.
@@ -420,12 +422,14 @@ func TestRestoreParallelMatchesSerial(t *testing.T) {
 		t.Fatalf("snapshot holds %d artifacts, want %d", sum.Artifacts, want)
 	}
 
+	procs := runtime.GOMAXPROCS(0)
 	for _, maxBytes := range []int64{0, st.Stats().Bytes / 2} {
-		restore := func(parallelism int) ([]any, Stats) {
-			st := New(Config{MaxBytes: maxBytes, Build: pregel.BuildOptions{Parallelism: parallelism}})
+		restore := func(workers int) ([]any, Stats) {
+			testutil.SetGOMAXPROCS(t, workers)
+			st := New(Config{MaxBytes: maxBytes})
 			named, err := st.Restore(bytes.NewReader(buf.Bytes()))
 			if err != nil {
-				t.Fatalf("parallelism %d: %v", parallelism, err)
+				t.Fatalf("%d workers: %v", workers, err)
 			}
 			return restoredState(t, st, named), st.Stats()
 		}
@@ -433,13 +437,13 @@ func TestRestoreParallelMatchesSerial(t *testing.T) {
 		if maxBytes != 0 && serialStats.Evictions == 0 {
 			t.Fatalf("budget %d evicted nothing: the eviction order is not exercised", maxBytes)
 		}
-		for _, parallelism := range []int{0, 2, 8} {
-			got, stats := restore(parallelism)
+		for _, workers := range []int{procs, 2, 8} {
+			got, stats := restore(workers)
 			if !reflect.DeepEqual(got, serial) {
-				t.Errorf("budget %d: parallelism %d restored a different cache than parallelism 1", maxBytes, parallelism)
+				t.Errorf("budget %d: %d workers restored a different cache than one", maxBytes, workers)
 			}
 			if stats != serialStats {
-				t.Errorf("budget %d: parallelism %d stats %+v, serial %+v", maxBytes, parallelism, stats, serialStats)
+				t.Errorf("budget %d: %d workers stats %+v, serial %+v", maxBytes, workers, stats, serialStats)
 			}
 		}
 	}

@@ -212,18 +212,13 @@ func (st *Store) Restore(r io.Reader) (map[string]*graph.Graph, error) {
 		}
 	}
 	// The artifact records are independent of each other once their graphs
-	// exist, so they decode concurrently, on as many workers as the store's
-	// builds use; they enter the cache afterwards in record order, which keeps
+	// exist, so they decode concurrently, on GOMAXPROCS workers; they enter the cache afterwards in record order, which keeps
 	// LRU, eviction and spill order those of a serial restore. Everything
 	// decoded is held until then — no more than the persisting store's
 	// memory budget, since Persist writes only memory-resident entries.
 	restored := make([]restoredArtifact, len(sa))
 	errs := make([]error, len(sa))
-	workers := st.build.Parallelism
-	if workers < 1 {
-		workers = par.DefaultParallelism()
-	}
-	if err := par.ForEach(context.Background(), workers, len(sa), func(i int) {
+	if err := par.ForEach(context.Background(), par.DefaultParallelism(), len(sa), func(i int) {
 		restored[i], errs[i] = st.decodeArtifact(sa[i], graphs[sa[i].GraphIndex])
 	}); err != nil {
 		return nil, fmt.Errorf("store: restoring artifacts: %w", err)

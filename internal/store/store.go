@@ -754,9 +754,6 @@ func (st *Store) Stats() Stats {
 	}
 }
 
-// BuildOptions returns the options the store builds topologies with.
-func (st *Store) BuildOptions() pregel.BuildOptions { return st.build }
-
 func (st *Store) keyFor(g *graph.Graph, s partition.Strategy, numParts int, kd kind) key {
 	return key{g: g, version: g.Version(), strategy: partition.KeyOf(s), numParts: numParts, kind: kd}
 }

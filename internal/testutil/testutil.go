@@ -21,7 +21,8 @@
 //     from the raw assignment.
 //
 // It also holds CheckStalledHeadersAreClosed, the listener-configuration
-// check shared by the commands that serve HTTP.
+// check shared by the commands that serve HTTP, and SetGOMAXPROCS, how a
+// test picks the worker count every fan-out reads.
 package testutil
 
 import (

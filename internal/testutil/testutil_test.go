@@ -64,7 +64,8 @@ func TestInvariantsParallelismIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, par := range []int{1, 2, 5, 64} {
-		pg, err := pregel.NewPartitionedGraphOpts(g, assign, parts, pregel.BuildOptions{Parallelism: par})
+		SetGOMAXPROCS(t, par)
+		pg, err := pregel.NewPartitionedGraph(g, assign, parts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cutfit"
+	"cutfit/internal/testutil"
 )
 
 // pinnedGraph is a 120-vertex directed ring with two families of chords: a
@@ -45,7 +46,36 @@ func TestRunReportEncodingPinned(t *testing.T) {
 	if g.NumVertices() != 120 {
 		t.Fatalf("%d vertices, want 120", g.NumVertices())
 	}
-	se := cutfit.NewSession(cutfit.SessionOptions{})
+	checkPinnedReports(t, cutfit.NewSession(cutfit.SessionOptions{}), g)
+}
+
+// TestRunReportIndependentOfWorkerCount: the pinned reports come out the same
+// whether the topology is built on four workers and the five algorithms run
+// on one, or the other way round. A run takes its worker count when it
+// starts, not from the topology it runs on; RunStats.ApplyPerShard has one
+// entry per worker, but its sum — and so simSecs — must not move.
+func TestRunReportIndependentOfWorkerCount(t *testing.T) {
+	for _, order := range []struct{ build, run int }{{4, 1}, {1, 4}} {
+		g := pinnedGraph()
+		se := cutfit.NewSession(cutfit.SessionOptions{})
+		testutil.SetGOMAXPROCS(t, order.build)
+		if _, err := se.Partition(g, cutfit.EdgePartition2D(), 6); err != nil {
+			t.Fatal(err)
+		}
+		built := se.CacheStats().Misses
+		testutil.SetGOMAXPROCS(t, order.run)
+		checkPinnedReports(t, se, g)
+		if misses := se.CacheStats().Misses; misses != built {
+			t.Errorf("built on %d workers: the runs missed the store %d times, want 0", order.build, misses-built)
+		}
+	}
+}
+
+// checkPinnedReports runs the five served algorithms on g (2D, 6 partitions,
+// 8 iterations) through se and compares each report's JSON with its pinned
+// encoding.
+func checkPinnedReports(t *testing.T, se *cutfit.Session, g *cutfit.Graph) {
+	t.Helper()
 	for _, alg := range []string{"pagerank", "dynamicpr", "cc", "triangles", "sssp"} {
 		rep, err := se.Run(context.Background(), g, cutfit.EdgePartition2D(), 6, alg, 8)
 		if err != nil {

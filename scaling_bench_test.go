@@ -12,12 +12,14 @@ import (
 	"cutfit"
 	"cutfit/internal/partition"
 	"cutfit/internal/pregel"
+	"cutfit/internal/testutil"
 )
 
 // BenchmarkScalingSweep times the engine-side components whose hot loops
 // the per-partition workers parallelize — topology build and connected
-// components — at one worker and at GOMAXPROCS. On multi-core machines the
-// w1/wmax ratio is the scaling signal.
+// components — at one worker and at GOMAXPROCS, each sub-benchmark setting
+// GOMAXPROCS to its worker count. On multi-core machines the w1/wmax ratio
+// is the scaling signal.
 func BenchmarkScalingSweep(b *testing.B) {
 	g := benchGraph(b, "youtube")
 	const numParts = 64
@@ -33,9 +35,10 @@ func BenchmarkScalingSweep(b *testing.B) {
 	}
 	for _, w := range workers {
 		b.Run(benchWorkerName("build", w), func(b *testing.B) {
+			testutil.SetGOMAXPROCS(b, w)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := pregel.NewPartitionedGraphFromAssignment(a, pregel.BuildOptions{Parallelism: w}); err != nil {
+				if _, err := pregel.NewPartitionedGraphFromAssignment(a, pregel.BuildOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -43,7 +46,8 @@ func BenchmarkScalingSweep(b *testing.B) {
 	}
 	for _, w := range workers {
 		b.Run(benchWorkerName("cc", w), func(b *testing.B) {
-			pg, err := pregel.NewPartitionedGraphFromAssignment(a, pregel.BuildOptions{Parallelism: w, ReuseBuffers: true})
+			testutil.SetGOMAXPROCS(b, w)
+			pg, err := pregel.NewPartitionedGraphFromAssignment(a, pregel.BuildOptions{ReuseBuffers: true})
 			if err != nil {
 				b.Fatal(err)
 			}

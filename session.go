@@ -23,13 +23,6 @@ type SessionOptions struct {
 	// topologies, metric sets) by their approximate retained bytes;
 	// 0 means the default (512 MiB), negative means unbounded.
 	MaxCacheBytes int64
-	// Parallelism is the session-wide worker-count default: it is carried
-	// into every topology the session builds (cache hits included — the
-	// option is part of the build) and governs the partition build and all
-	// four engine phases of every run on those topologies. Values < 1
-	// default to the process's GOMAXPROCS. cmd/cutfitd surfaces it as the
-	// -parallelism flag.
-	Parallelism int
 	// DiskDir, when non-empty, enables the durable disk tier under the
 	// artifact cache: artifacts evicted from memory spill to versioned
 	// snapshot files in this directory, cache misses check disk before
@@ -93,11 +86,8 @@ func NewSession(opts SessionOptions) *Session {
 	return &Session{
 		st: store.New(store.Config{
 			MaxBytes: opts.MaxCacheBytes,
-			Build: pregel.BuildOptions{
-				Parallelism:  opts.Parallelism,
-				ReuseBuffers: true,
-			},
-			DiskDir: opts.DiskDir,
+			Build:    pregel.BuildOptions{ReuseBuffers: true},
+			DiskDir:  opts.DiskDir,
 		}),
 	}
 }

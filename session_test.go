@@ -11,6 +11,7 @@ import (
 	"cutfit"
 	"cutfit/internal/algorithms"
 	"cutfit/internal/pregel"
+	"cutfit/internal/testutil"
 )
 
 // sessionTestGraph builds a deterministic medium graph for the concurrency
@@ -140,7 +141,8 @@ func TestSessionConcurrentSelectsAssignOnce(t *testing.T) {
 		counted = append(counted, cs)
 		candidates = append(candidates, cs)
 	}
-	se := cutfit.NewSession(cutfit.SessionOptions{Parallelism: 8})
+	testutil.SetGOMAXPROCS(t, 8)
+	se := cutfit.NewSession(cutfit.SessionOptions{})
 	const k, parts = 8, 8
 	sels := make([]*cutfit.Selection, k)
 	errs := make([]error, k)
