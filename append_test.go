@@ -2,8 +2,10 @@ package cutfit_test
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -198,6 +200,39 @@ func sortInts(v []int) {
 	for i := 1; i < len(v); i++ {
 		for j := i; j > 0 && v[j] < v[j-1]; j-- {
 			v[j], v[j-1] = v[j-1], v[j]
+		}
+	}
+}
+
+// TestInvalidWeightsRefused: every library entry point that takes edge
+// weights refuses one that is not finite and positive, so no such weight
+// reaches a graph — or a snapshot that RestoreSession would then reject.
+func TestInvalidWeightsRefused(t *testing.T) {
+	edges := []cutfit.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}}
+	se := cutfit.NewSession(cutfit.SessionOptions{})
+	base := cutfit.FromEdges([]cutfit.Edge{{Src: 2, Dst: 0}})
+	entries := map[string]func(w []float64) error{
+		"FromWeightedEdges": func(w []float64) error {
+			_, err := cutfit.FromWeightedEdges(slices.Clone(edges), w)
+			return err
+		},
+		"AppendWeightedEdges": func(w []float64) error {
+			_, err := se.AppendWeightedEdges(base, edges, w)
+			return err
+		},
+		"SlideWindow": func(w []float64) error {
+			_, err := se.SlideWindow(base, edges, w, 1)
+			return err
+		},
+	}
+	for name, call := range entries {
+		for _, bad := range []float64{math.NaN(), 0, -1, math.Inf(1)} {
+			if err := call([]float64{1, bad}); err == nil {
+				t.Errorf("%s accepted weight %v", name, bad)
+			}
+		}
+		if err := call([]float64{1, 2.5}); err != nil {
+			t.Errorf("%s refused valid weights: %v", name, err)
 		}
 	}
 }

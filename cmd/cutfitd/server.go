@@ -423,7 +423,12 @@ func (s *server) handleRegisterGraph(w http.ResponseWriter, r *http.Request) {
 	case req.Edges != "":
 		var g *cutfit.Graph
 		if g, err = cutfit.LoadEdgeList(strings.NewReader(req.Edges)); err == nil {
-			e = s.register(req.Name, g)
+			// The engine reserves negative IDs, as on the append route.
+			if vs := g.Vertices(); len(vs) > 0 && vs[0] < 0 {
+				err = fmt.Errorf("edge list has negative vertex ID %d", vs[0])
+			} else {
+				e = s.register(req.Name, g)
+			}
 		}
 	default:
 		err = fmt.Errorf("one of dataset or edges is required")

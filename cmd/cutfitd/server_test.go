@@ -499,6 +499,42 @@ func TestServerSnapshotWarmStart(t *testing.T) {
 	}
 }
 
+// TestServerRegisterRefusesNegativeIDs: an edge list with a negative vertex
+// ID is refused at registration, as the append route refuses one, so it
+// never reaches a snapshot that no warm start could read. The registry keeps
+// what it had, and the daemon restarts from the snapshot taken afterwards.
+func TestServerRegisterRefusesNegativeIDs(t *testing.T) {
+	dir := t.TempDir()
+	ts1 := httptest.NewServer(mustServer(t, serverOptions{dataDir: dir}))
+	post(t, ts1, "/v1/graphs", map[string]any{"name": "tri", "edges": testEdges}, nil)
+	for _, name := range []string{"neg", "tri"} {
+		b, _ := json.Marshal(map[string]any{"name": name, "edges": "-5 1\n1 2\n2 -5\n"})
+		resp, err := http.Post(ts1.URL+"/v1/graphs", "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("registering %q with a negative vertex ID: status %d, want %d", name, resp.StatusCode, http.StatusBadRequest)
+		}
+	}
+	onlyTri := func(ts *httptest.Server) {
+		t.Helper()
+		var graphs []graphReply
+		get(t, ts, "/v1/graphs", &graphs)
+		if len(graphs) != 1 || graphs[0].Name != "tri" || graphs[0].Edges != 7 {
+			t.Fatalf("registry %+v, want tri with 7 edges", graphs)
+		}
+	}
+	onlyTri(ts1)
+	post(t, ts1, "/v1/snapshot", map[string]any{}, nil)
+	ts1.Close()
+
+	ts2 := httptest.NewServer(mustServer(t, serverOptions{dataDir: dir}))
+	defer ts2.Close()
+	onlyTri(ts2)
+}
+
 // TestServerSnapshotRequiresDataDir: POST /v1/snapshot on a memory-only
 // daemon is a client error, not a crash.
 func TestServerSnapshotRequiresDataDir(t *testing.T) {

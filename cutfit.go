@@ -97,8 +97,9 @@
 //	g, _ = se.AppendEdges(g, batch)                               // next generation
 //	rep, _ := se.Run(ctx, g, cutfit.EdgePartition2D(), 128, "dynamicpr", 0)
 //
-// Graphs are fully mutable, not append-only: RemoveEdges retracts edges by
-// tombstoning their dense positions (unfollows, expired interactions), and
+// A Graph is immutable; every change of edges is a generation step, and
+// steps are not append-only: RemoveEdges retracts edges by tombstoning
+// their dense positions (unfollows, expired interactions), and
 // SlideWindow appends a batch and expires the oldest live edges in one
 // generation step — the serving shape for time-windowed graphs. Retractions
 // ride the same delta machinery as appends: cached assignments subtract the
@@ -172,8 +173,7 @@
 // single file whose blocks are then served directly from disk. A
 // block-backed Graph flows through the entire pipeline — strategies,
 // metrics, the engine build, dynamic updates — bit-identically to its
-// dense twin, without ever materializing the dense edge list; mutating
-// one (AddEdge) densifies it first.
+// dense twin, without ever materializing the dense edge list.
 //
 //	g, _ := cutfit.LoadEdgeListBlocks(f, 0) // 0 = DefaultBlockEdges
 //	_ = cutfit.SaveBlockGraph("social.cfb", g)
@@ -264,9 +264,6 @@ type (
 	// DatasetSpec describes one of the paper's analog datasets.
 	DatasetSpec = datasets.Spec
 )
-
-// NewGraph returns an empty graph with capacity for hintEdges edges.
-func NewGraph(hintEdges int) *Graph { return graph.New(hintEdges) }
 
 // FromEdges builds a graph that takes ownership of the slice.
 func FromEdges(edges []Edge) *Graph { return graph.FromEdges(edges) }

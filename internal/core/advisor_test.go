@@ -136,7 +136,7 @@ func TestDetectIDLocality(t *testing.T) {
 	if DetectIDLocality(shuffled, 60, 0.5) {
 		t.Fatal("relabeled graph should not exhibit ID locality")
 	}
-	if DetectIDLocality(graph.New(0), 60, 0.5) {
+	if DetectIDLocality(graph.FromEdges(nil), 60, 0.5) {
 		t.Fatal("empty graph has no locality")
 	}
 }

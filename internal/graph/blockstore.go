@@ -51,7 +51,7 @@ type blockRef struct {
 // straight from a file).
 //
 // A BlockStore is immutable once built and safe for concurrent readers.
-// Generational graph mutation (Grow/Shrink/SlideWindow) builds a new store
+// A generation step (Grow/Shrink/SlideWindow) builds a new store
 // that shares every sealed full block with its parent; tombstones are NOT
 // stored here — the owning Graph keeps its position-indexed tombstone
 // bitset, which works unchanged because blocks never splice edge positions

@@ -396,19 +396,6 @@ func TestFromBlocksGrowShrinkEquivalence(t *testing.T) {
 	}
 }
 
-func TestBlockGraphEnsureDenseOnMutation(t *testing.T) {
-	edges := randEdges(300, 100, 16)
-	g := FromBlocks(buildBlocks(t, edges, nil, 128))
-	g.AddEdge(1000, 1001)
-	if g.NumEdges() != 301 {
-		t.Fatalf("NumEdges after AddEdge = %d, want 301", g.NumEdges())
-	}
-	want := FromEdges(append(append([]Edge{}, edges...), Edge{1000, 1001}))
-	if g.Fingerprint() != want.Fingerprint() {
-		t.Fatal("fingerprint after densifying mutation differs from dense build")
-	}
-}
-
 func TestForEachEdgeBlockAllocs(t *testing.T) {
 	edges := randEdges(1<<14, 4000, 17)
 	g := FromBlocks(buildBlocks(t, edges, nil, 1024))

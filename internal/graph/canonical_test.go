@@ -2,6 +2,7 @@ package graph
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -125,11 +126,11 @@ func TestEdgeViewsAcrossGenerations(t *testing.T) {
 	parentSym := g.SymmetryPct()
 
 	fromScratch := func(ng *Graph) *Graph {
-		fresh := FromEdges(append([]Edge(nil), ng.Edges()...))
-		if err := fresh.RestoreTombstones(cloneDead(ng.Tombstones()), ng.NumDeadEdges()); err != nil {
-			t.Fatal(err)
+		return &Graph{
+			edges:   slices.Clone(ng.Edges()),
+			dead:    slices.Clone(ng.Tombstones()),
+			numDead: ng.NumDeadEdges(),
 		}
-		return fresh
 	}
 	check := func(name string, ng *Graph) {
 		t.Helper()
@@ -163,12 +164,9 @@ func TestEdgeViewsAcrossGenerations(t *testing.T) {
 		t.Fatal("deriving generations changed the parent's views")
 	}
 
-	// In-place mutation and tombstone restore invalidate both views.
-	m := FromEdges([]Edge{{0, 1}, {1, 2}})
-	checkEdgeViews(t, m)
-	m.AddEdge(1, 0)
-	checkEdgeViews(t, m)
-	if err := m.RestoreTombstones([]uint64{1}, 1); err != nil {
+	// A graph restored with tombstones builds both views over its live edges.
+	m, err := FromEdgesAndVertices([]Edge{{0, 1}, {1, 2}, {1, 0}}, nil, []VertexID{0, 1, 2}, []uint64{1}, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
 	checkEdgeViews(t, m)

@@ -8,11 +8,15 @@
 // adjacency are derived views. Vertex identifiers do not need to be dense,
 // but all generators in this module produce dense IDs in [0, NumVertices).
 //
+// A Graph is immutable once its constructor returns. A change of edges is a
+// generation step (Grow, Shrink, SlideWindow) that derives a new Graph and
+// leaves its parent untouched, as GraphX's graphs do.
+//
 // Edges live in one of two tiers. The dense tier is a plain []Edge slice —
-// cheap to build and mutate, O(E) resident. The block tier (BlockStore)
-// keeps edges delta-varint-encoded in fixed-size blocks that decode on
-// demand, optionally served straight from an on-disk file, so a graph's
-// resident cost is the compressed bytes (or nothing at all). Both tiers
+// cheap to build, O(E) resident. The block tier (BlockStore) keeps edges
+// delta-varint-encoded in fixed-size blocks that decode on demand,
+// optionally served straight from an on-disk file, so a graph's resident
+// cost is the compressed bytes (or nothing at all). Both tiers
 // answer the same streaming iteration API (ForEachEdgeBlock / EdgeSeq) and
 // produce bit-identical derived views, fingerprints and generation chains;
 // only Edges()/Weights(), which promise a dense slice, force a block graph
@@ -44,8 +48,9 @@ type Edge struct {
 	Dst VertexID
 }
 
-// Graph is a directed multigraph stored as an edge list. It is cheap to
-// construct and append to; adjacency views are built lazily and cached.
+// Graph is a directed multigraph stored as an edge list. It is immutable
+// once constructed: generation steps derive new graphs from it, and
+// adjacency views are built lazily and cached.
 //
 // Retraction is represented by tombstones: Shrink marks dense edge
 // positions dead in a bitset instead of splicing the edge list, so every
@@ -62,13 +67,12 @@ type Edge struct {
 // through the partitioning metrics and the streaming strategies' degree
 // tables; an all-ones weighting is bit-identical to the unweighted path.
 //
-// Concurrency: a Graph is safe for any number of concurrent readers,
-// including concurrent *first* accesses — every lazy view build is guarded
-// by its own viewOnce, so N goroutines racing on an unbuilt view elect one
-// builder and the rest observe the finished result. This is what lets one
-// graph back many simultaneous engine runs and cache lookups in the serving
-// layer. Mutation (AddEdge/AddEdges) is NOT safe concurrently with reads;
-// mutate before sharing.
+// Concurrency: a Graph is immutable and safe for any number of concurrent
+// readers, including concurrent *first* accesses — every lazy view build is
+// guarded by its own viewOnce, so N goroutines racing on an unbuilt view
+// elect one builder and the rest observe the finished result. This is what
+// lets one graph back many simultaneous engine runs and cache lookups in
+// the serving layer.
 type Graph struct {
 	edges []Edge
 
@@ -81,8 +85,7 @@ type Graph struct {
 	// produced by Grow (see Tail): the slices above are clamped to this
 	// generation's length, the arrays may hold spare capacity that the next
 	// Grow claims instead of copying. Nil on a graph that owns its slices
-	// outright; mutation drops them (a mutated graph's slices live elsewhere,
-	// so it could not extend the arrays anyway and should not pin them).
+	// outright.
 	edgesTail        *Tail[Edge]
 	weightsTail      *Tail[float64]
 	srcTail, dstTail *Tail[int32]
@@ -90,8 +93,7 @@ type Graph struct {
 	// blocks, when non-nil, is the graph's canonical edge storage: the
 	// compressed block tier. edges/weights are then merely a cached dense
 	// materialization, built on demand under denseOnce (Edges() is the
-	// only path that forces it). Mutation (AddEdge/AddEdges) materializes
-	// and detaches the store, making the dense tier canonical again.
+	// only path that forces it).
 	blocks    *BlockStore
 	denseOnce viewOnce
 
@@ -100,11 +102,6 @@ type Graph struct {
 	// nil bitset means every edge is live. numDead counts the set bits.
 	dead    []uint64
 	numDead int
-
-	// version counts mutations; cache layers include it in their keys so
-	// entries computed against a superseded edge list can never be served
-	// for the mutated graph.
-	version atomic.Uint64
 
 	// Cached derived views, built on first use. Each group is guarded by
 	// its own viewOnce; the fields themselves are written only inside the
@@ -135,12 +132,12 @@ type Graph struct {
 	fpEdges      uint64 // sequential edge/weight fold only (extendable by Grow)
 
 	// step is what the generation step that minted this graph resolved (see
-	// StepFrom); nil on a graph no step minted, and dropped by mutation.
+	// StepFrom); nil on a graph no step minted.
 	step *Step
 }
 
 // viewOnce guards one lazily-built derived view for concurrent first use.
-// Unlike sync.Once it is resettable (mutation invalidates views), and the
+// Unlike sync.Once a failed build publishes nothing (see tryDo), and the
 // fast path is a single atomic load. The atomic store after build publishes
 // the view fields to every goroutine that observes ready == true.
 type viewOnce struct {
@@ -148,21 +145,32 @@ type viewOnce struct {
 	mu    sync.Mutex
 }
 
-// do runs build exactly once between resets, blocking concurrent callers
-// until the view is published.
+// do runs build exactly once, blocking concurrent callers until the view is
+// published.
 func (o *viewOnce) do(build func()) {
 	if o.ready.Load() {
 		return
 	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if !o.ready.Load() {
-		build()
-		o.ready.Store(true)
-	}
+	_ = o.tryDo(func() error { build(); return nil })
 }
 
-func (o *viewOnce) reset() { o.ready.Store(false) }
+// tryDo is do for a build that can fail: the view is published only when
+// build returns nil, so a later call builds again.
+func (o *viewOnce) tryDo(build func() error) error {
+	if o.ready.Load() {
+		return nil
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.ready.Load() {
+		return nil
+	}
+	if err := build(); err != nil {
+		return err
+	}
+	o.ready.Store(true)
+	return nil
+}
 
 // markBuilt publishes a view that was seeded directly (Grow pre-populates
 // derived views on a new generation before it escapes to other goroutines).
@@ -171,48 +179,46 @@ func (o *viewOnce) markBuilt() { o.ready.Store(true) }
 // built reports whether the view is currently available without building it.
 func (o *viewOnce) built() bool { return o.ready.Load() }
 
-// generationSeed hands out process-unique version bases for graphs created
-// from other graphs (Clone, Reverse, Grow). Cache layers key artifacts by
-// (graph pointer, version); a derived graph allocated at a freed parent's
-// address with version 0 would alias the parent's key space, so every
-// derived graph starts from a fresh, never-reused version range. The <<32
-// shift leaves each generation 2^32 in-place mutations before ranges could
-// collide.
-var generationSeed atomic.Uint64
-
-func nextGenerationVersion() uint64 { return generationSeed.Add(1) << 32 }
-
-// New returns an empty graph with capacity for hintEdges edges.
-func New(hintEdges int) *Graph {
-	if hintEdges < 0 {
-		hintEdges = 0
-	}
-	return &Graph{edges: make([]Edge, 0, hintEdges)}
-}
-
 // FromEdges builds a graph that takes ownership of edges.
 func FromEdges(edges []Edge) *Graph {
 	return &Graph{edges: edges}
 }
 
 // FromWeightedEdges builds a weighted graph that takes ownership of both
-// slices; weights[i] is the weight of edges[i]. A nil weights is the
-// unweighted graph (every edge weighs 1). Lengths must match.
+// slices; weights[i] is the weight of edges[i] and must be finite and
+// positive. A nil weights is the unweighted graph (every edge weighs 1).
+// Lengths must match.
 func FromWeightedEdges(edges []Edge, weights []float64) (*Graph, error) {
-	if weights != nil && len(weights) != len(edges) {
-		return nil, fmt.Errorf("graph: %d weights for %d edges", len(weights), len(edges))
+	if err := checkWeights(0, edges, weights); err != nil {
+		return nil, err
 	}
 	return &Graph{edges: edges, weights: weights}, nil
 }
 
-// FromBlocks builds a graph over a block-compressed edge store (see
-// BlockBuilder and OpenBlocks). Like other derived-graph constructors it
-// starts at a fresh process-unique version.
-func FromBlocks(bs *BlockStore) *Graph {
-	g := &Graph{blocks: bs}
-	g.version.Store(nextGenerationVersion())
-	return g
+// validWeight is the one rule for an edge weight: finite and positive.
+func validWeight(w float64) bool { return w > 0 && !math.IsInf(w, 1) }
+
+// checkWeights checks a weight slice against the edges it belongs to: nil
+// (unweighted), or one valid weight per edge. start is the dense position
+// of edges[0], for the error message.
+func checkWeights(start int, edges []Edge, weights []float64) error {
+	if weights == nil {
+		return nil
+	}
+	if len(weights) != len(edges) {
+		return fmt.Errorf("graph: %d weights for %d edges", len(weights), len(edges))
+	}
+	for i, w := range weights {
+		if !validWeight(w) {
+			return fmt.Errorf("graph: edge %d has invalid weight %v (must be finite and positive)", start+i, w)
+		}
+	}
+	return nil
 }
+
+// FromBlocks builds a graph over a block-compressed edge store (see
+// BlockBuilder and OpenBlocks).
+func FromBlocks(bs *BlockStore) *Graph { return &Graph{blocks: bs} }
 
 // Blocks returns the graph's block store, or nil on the dense tier.
 // Consumers that can iterate block-at-a-time check this to avoid forcing
@@ -246,70 +252,6 @@ func (g *Graph) ensureDense() {
 		g.edges = edges
 		g.weights = weights
 	})
-}
-
-// detachBlocks makes the dense tier canonical before a mutation: the
-// materialized slices become the graph's storage and the immutable store
-// (possibly shared with clones or parent generations) is dropped.
-func (g *Graph) detachBlocks() {
-	if g.blocks == nil {
-		return
-	}
-	g.ensureDense()
-	g.blocks = nil
-	g.denseOnce.reset()
-}
-
-// AddEdge appends a directed edge. Any cached views are invalidated.
-func (g *Graph) AddEdge(src, dst VertexID) {
-	g.detachBlocks()
-	g.edges = append(g.edges, Edge{Src: src, Dst: dst})
-	if g.weights != nil {
-		g.weights = append(g.weights, 1)
-	}
-	g.invalidate()
-}
-
-// AddEdges appends a batch of directed edges (weight 1 each on a weighted
-// graph).
-func (g *Graph) AddEdges(edges ...Edge) {
-	g.detachBlocks()
-	g.edges = append(g.edges, edges...)
-	if g.weights != nil {
-		for range edges {
-			g.weights = append(g.weights, 1)
-		}
-	}
-	g.invalidate()
-}
-
-func (g *Graph) invalidate() {
-	g.version.Add(1)
-	g.edgesTail, g.weightsTail, g.srcTail, g.dstTail = nil, nil, nil, nil
-	g.vertsOnce.reset()
-	g.verts = nil
-	g.idxOnce.reset()
-	g.index = nil
-	g.indexArr = nil
-	g.degOnce.reset()
-	g.outDeg = nil
-	g.inDeg = nil
-	g.endpointOnce.reset()
-	g.srcIdx = nil
-	g.dstIdx = nil
-	g.csrOutOnce.reset()
-	g.csrOut = nil
-	g.csrInOnce.reset()
-	g.csrIn = nil
-	g.csrUndirOnce.reset()
-	g.csrUndir = nil
-	g.canonOnce.reset()
-	g.canon = nil
-	g.symOnce.reset()
-	g.fpOnce.reset()
-	g.fp = 0
-	g.fpEdges = 0
-	g.step = nil
 }
 
 // fingerprintSeed starts every fingerprint chain; folding edges onto it is
@@ -376,57 +318,46 @@ func foldDeadFingerprint(h uint64, dead []uint64, numDead int) uint64 {
 	return h
 }
 
-// Fingerprint returns a 64-bit content fingerprint of the graph content —
-// unlike Version (a process-local mutation counter) it is a pure function
-// of the edges, their weights and the tombstone set, so it identifies the
-// same graph content across processes. Persistence layers use it to pair
-// durable artifacts with the graph they were computed for and as the
-// stable part of disk-tier cache keys. Built lazily and cached; mutation
-// invalidates it like any other derived view.
+// Fingerprint returns a 64-bit content fingerprint of the graph: a pure
+// function of the edges, their weights and the tombstone set, so it
+// identifies the same graph content across processes. Persistence layers
+// use it to pair durable artifacts with the graph they were computed for
+// and as the stable part of disk-tier cache keys. Built lazily and cached.
+// A block decode failure panics; see CheckedFingerprint.
 func (g *Graph) Fingerprint() uint64 {
-	g.fpOnce.do(func() {
-		h := uint64(fingerprintSeed)
-		weighted := g.Weighted()
-		g.mustEdgeBlocks(func(_ int, edges []Edge, weights []float64) {
-			if weighted {
-				h = foldFingerprintW(h, edges, weights)
-			} else {
-				h = foldFingerprint(h, edges)
-			}
-		})
-		g.fpEdges = h
-		g.fp = foldDeadFingerprint(g.fpEdges, g.dead, g.numDead)
-	})
-	return g.fp
+	fp, err := g.CheckedFingerprint()
+	if err != nil {
+		panic("graph: block decode failed: " + err.Error())
+	}
+	return fp
 }
 
 // CheckedFingerprint is Fingerprint with block decode failures returned
 // as errors instead of panicking. Restore paths validating untrusted
 // on-disk block graphs go through here, where a bad payload is an input
-// error, not a programmer error; the computed value is cached exactly as
-// Fingerprint's is, so a successful check makes later Fingerprint calls
-// free.
+// error, not a programmer error. Only a successful computation is cached,
+// so it makes later Fingerprint calls free and a failed one publishes
+// nothing.
 func (g *Graph) CheckedFingerprint() (uint64, error) {
-	var ferr error
-	g.fpOnce.do(func() {
+	err := g.fpOnce.tryDo(func() error {
 		h := uint64(fingerprintSeed)
 		weighted := g.Weighted()
-		if ferr = g.edgeBlocks(func(_ int, edges []Edge, weights []float64) error {
+		if err := g.edgeBlocks(func(_ int, edges []Edge, weights []float64) error {
 			if weighted {
 				h = foldFingerprintW(h, edges, weights)
 			} else {
 				h = foldFingerprint(h, edges)
 			}
 			return nil
-		}); ferr != nil {
-			return
+		}); err != nil {
+			return err
 		}
 		g.fpEdges = h
-		g.fp = foldDeadFingerprint(g.fpEdges, g.dead, g.numDead)
+		g.fp = foldDeadFingerprint(h, g.dead, g.numDead)
+		return nil
 	})
-	if ferr != nil {
-		g.fpOnce.reset()
-		return 0, ferr
+	if err != nil {
+		return 0, err
 	}
 	return g.fp, nil
 }
@@ -649,13 +580,6 @@ func (g *Graph) ForEachEndpointBlock(lo, hi int, withWeights bool, fn func(start
 	}
 	return nil
 }
-
-// Version returns the mutation counter: 0 for a graph built by New or
-// FromEdges, a fresh process-unique base for graphs derived from another
-// graph (Clone, Reverse, Grow), incremented by every AddEdge/AddEdges.
-// Cache layers keying artifacts by graph include it so entries for a
-// superseded edge list are unreachable.
-func (g *Graph) Version() uint64 { return g.version.Load() }
 
 // NumEdges returns the number of dense edge slots, including duplicates,
 // self loops and tombstoned edges. Per-edge artifacts (assignments,
@@ -968,84 +892,6 @@ func (g *Graph) InDegrees() []int32 {
 	return g.inDeg
 }
 
-// Reverse returns a new graph with every edge direction flipped. The new
-// graph starts at a fresh, process-unique nonzero version so cache layers
-// keying artifacts by (pointer, version) can never serve it entries that
-// belonged to a freed graph reallocated at the same address.
-func (g *Graph) Reverse() *Graph {
-	if g.blocks != nil && !g.denseOnce.built() {
-		// Stream block-at-a-time into a reversed block store: edge
-		// positions are preserved, so the tombstone bitset carries over.
-		bb := NewBlockBuilder(g.blocks.blockEdges)
-		scratch := make([]Edge, 0, g.blocks.blockEdges)
-		g.mustEdgeBlocks(func(_ int, edges []Edge, weights []float64) {
-			scratch = scratch[:0]
-			for _, e := range edges {
-				scratch = append(scratch, Edge{Src: e.Dst, Dst: e.Src})
-			}
-			if g.blocks.weighted && weights == nil {
-				weights = g.blocks.onesSlice(len(edges))
-			}
-			bb.Append(scratch, weights)
-		})
-		out := FromBlocks(bb.Finish())
-		out.dead = cloneDead(g.dead)
-		out.numDead = g.numDead
-		return out
-	}
-	rev := make([]Edge, len(g.edges))
-	for i, e := range g.edges {
-		rev[i] = Edge{Src: e.Dst, Dst: e.Src}
-	}
-	out := FromEdges(rev)
-	out.weights = cloneWeights(g.weights)
-	out.dead = cloneDead(g.dead)
-	out.numDead = g.numDead
-	out.version.Store(nextGenerationVersion())
-	return out
-}
-
-// Clone returns an independent copy of the graph: mutating either graph
-// can never affect the other. On the dense tier the edge list, weights and
-// tombstones are deep-copied; a block-backed clone shares the immutable
-// block store (mutation detaches it first, so independence holds) and
-// copies only the tombstones. Like Reverse, the copy starts at a fresh
-// nonzero version, never shared with any other graph in this process.
-func (g *Graph) Clone() *Graph {
-	if g.blocks != nil && !g.denseOnce.built() {
-		out := FromBlocks(g.blocks)
-		out.dead = cloneDead(g.dead)
-		out.numDead = g.numDead
-		return out
-	}
-	edges := make([]Edge, len(g.edges))
-	copy(edges, g.edges)
-	out := FromEdges(edges)
-	out.weights = cloneWeights(g.weights)
-	out.dead = cloneDead(g.dead)
-	out.numDead = g.numDead
-	out.version.Store(nextGenerationVersion())
-	return out
-}
-
-func cloneWeights(w []float64) []float64 {
-	if w == nil {
-		return nil
-	}
-	out := make([]float64, len(w))
-	copy(out, w)
-	return out
-}
-
-func cloneDead(d []uint64) []uint64 {
-	if d == nil {
-		return nil
-	}
-	out := make([]uint64, len(d))
-	copy(out, d)
-	return out
-}
-
 // popcount counts the set bits of a tombstone bitset.
 func popcount(words []uint64) int {
 	n := 0
@@ -1055,40 +901,9 @@ func popcount(words []uint64) int {
 	return n
 }
 
-// RestoreWeights attaches a decoded weight slice to the graph (persistence
-// layers reassemble graph state section by section). The weights must
-// align with the dense edge list and be finite and positive. Only the
-// fingerprint view is invalidated — weights change no structural view.
-func (g *Graph) RestoreWeights(weights []float64) error {
-	if g.blocks != nil {
-		return fmt.Errorf("graph: cannot restore a dense weight slice onto a block-backed graph (weights live in the block sidecars)")
-	}
-	if weights == nil {
-		g.weights = nil
-		g.fpOnce.reset()
-		return nil
-	}
-	if len(weights) != len(g.edges) {
-		return fmt.Errorf("graph: %d weights for %d edges", len(weights), len(g.edges))
-	}
-	for i, w := range weights {
-		if !(w > 0) || math.IsInf(w, 1) {
-			return fmt.Errorf("graph: edge %d has invalid weight %v (must be finite and positive)", i, w)
-		}
-	}
-	g.weights = weights
-	g.fpOnce.reset()
-	return nil
-}
-
-// RestoreTombstones attaches a decoded tombstone bitset. The bitset must
-// fit the dense edge list (no bits at or beyond NumEdges) and numDead must
-// equal its popcount. The vertex set is unchanged by tombstones (dead
-// edges keep their endpoints listed), so only the views that skip dead
-// edges — degrees, CSRs, the canonical-edge and symmetry views, the
-// fingerprint — are invalidated.
-func (g *Graph) RestoreTombstones(dead []uint64, numDead int) error {
-	ne := g.NumEdges()
+// checkTombstones checks a tombstone bitset against a dense edge list of ne
+// slots: no words or bits at or beyond ne, and numDead its popcount.
+func checkTombstones(dead []uint64, numDead, ne int) error {
 	if len(dead)*64 > (ne+63)&^63 {
 		return fmt.Errorf("graph: tombstone bitset spans %d words for %d edges", len(dead), ne)
 	}
@@ -1100,20 +915,6 @@ func (g *Graph) RestoreTombstones(dead []uint64, numDead int) error {
 	if pc := popcount(dead); pc != numDead {
 		return fmt.Errorf("graph: tombstone count %d disagrees with bitset popcount %d", numDead, pc)
 	}
-	g.dead = dead
-	g.numDead = numDead
-	g.degOnce.reset()
-	g.outDeg, g.inDeg = nil, nil
-	g.csrOutOnce.reset()
-	g.csrOut = nil
-	g.csrInOnce.reset()
-	g.csrIn = nil
-	g.csrUndirOnce.reset()
-	g.csrUndir = nil
-	g.canonOnce.reset()
-	g.canon = nil
-	g.symOnce.reset()
-	g.fpOnce.reset()
 	return nil
 }
 
@@ -1121,8 +922,8 @@ func (g *Graph) RestoreTombstones(dead []uint64, numDead int) error {
 // first problem found. A valid graph has no negative vertex IDs (negative
 // IDs are legal for Graph itself but rejected by the generators and the
 // engine, which reserve them for internal sentinels), weights aligned with
-// the dense edge list (finite, positive), and a tombstone bitset whose
-// popcount matches the recorded dead count with no bits beyond the list.
+// the dense edge list (finite, positive), and a tombstone bitset that fits
+// the list with a popcount matching the recorded dead count.
 func (g *Graph) Validate() error {
 	if g.blocks == nil && g.weights != nil && len(g.weights) != len(g.edges) {
 		return fmt.Errorf("graph: %d weights for %d edges", len(g.weights), len(g.edges))
@@ -1134,27 +935,14 @@ func (g *Graph) Validate() error {
 				return fmt.Errorf("graph: edge %d (%d -> %d) has negative vertex ID", start+i, e.Src, e.Dst)
 			}
 		}
-		if weighted && weights != nil {
-			for i, w := range weights {
-				if !(w > 0) || math.IsInf(w, 1) {
-					return fmt.Errorf("graph: edge %d has invalid weight %v (must be finite and positive)", start+i, w)
-				}
-			}
+		if weighted {
+			return checkWeights(start, edges, weights)
 		}
 		return nil
 	}); err != nil {
 		return err
 	}
-	ne := g.NumEdges()
-	if pc := popcount(g.dead); pc != g.numDead {
-		return fmt.Errorf("graph: tombstone count %d disagrees with bitset popcount %d", g.numDead, pc)
-	}
-	for i := ne; i < len(g.dead)*64; i++ {
-		if !g.EdgeAlive(i) {
-			return fmt.Errorf("graph: tombstone bitset has bits beyond edge %d", ne-1)
-		}
-	}
-	return nil
+	return checkTombstones(g.dead, g.numDead, g.NumEdges())
 }
 
 // String returns a short human-readable summary.

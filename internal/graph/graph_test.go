@@ -1,6 +1,9 @@
 package graph
 
 import (
+	"reflect"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -13,7 +16,7 @@ func tri() *Graph {
 }
 
 func TestEmptyGraph(t *testing.T) {
-	g := New(0)
+	g := FromEdges(nil)
 	if g.NumVertices() != 0 || g.NumEdges() != 0 {
 		t.Fatalf("empty graph reports V=%d E=%d", g.NumVertices(), g.NumEdges())
 	}
@@ -23,10 +26,7 @@ func TestEmptyGraph(t *testing.T) {
 }
 
 func TestAddEdgeAndCounts(t *testing.T) {
-	g := New(4)
-	g.AddEdge(5, 9)
-	g.AddEdge(9, 5)
-	g.AddEdge(5, 7)
+	g := FromEdges([]Edge{{5, 9}, {9, 5}, {5, 7}})
 	if g.NumEdges() != 3 {
 		t.Fatalf("NumEdges = %d, want 3", g.NumEdges())
 	}
@@ -92,44 +92,10 @@ func TestDegreeSumsEqualEdges(t *testing.T) {
 	}
 }
 
-func TestReverse(t *testing.T) {
-	g := tri()
-	r := g.Reverse()
-	if r.NumEdges() != 3 {
-		t.Fatalf("reverse edges = %d", r.NumEdges())
-	}
-	if r.Edges()[0] != (Edge{1, 0}) {
-		t.Fatalf("reverse edge[0] = %v", r.Edges()[0])
-	}
-	if g.OutDegree(0) != r.InDegree(0) {
-		t.Fatal("reverse should swap degrees")
-	}
-}
-
-func TestCloneIndependent(t *testing.T) {
-	g := tri()
-	c := g.Clone()
-	c.AddEdge(9, 9)
-	if g.NumEdges() != 3 || c.NumEdges() != 4 {
-		t.Fatalf("clone not independent: g=%d c=%d", g.NumEdges(), c.NumEdges())
-	}
-}
-
 func TestValidateRejectsNegativeIDs(t *testing.T) {
 	g := FromEdges([]Edge{{-1, 2}})
 	if err := g.Validate(); err == nil {
 		t.Fatal("expected error for negative vertex ID")
-	}
-}
-
-func TestInvalidationOnMutation(t *testing.T) {
-	g := tri()
-	if g.NumVertices() != 3 {
-		t.Fatal("setup")
-	}
-	g.AddEdge(10, 11)
-	if g.NumVertices() != 5 {
-		t.Fatalf("NumVertices after mutation = %d, want 5", g.NumVertices())
 	}
 }
 
@@ -175,4 +141,113 @@ func randomGraph(seed uint64, maxV, maxE int) *Graph {
 		}
 	}
 	return FromEdges(edges)
+}
+
+// TestConcurrentFirstUse: eight goroutines make the first call of every lazy
+// view at once, each in its own order, on a dense, a weighted sparse-ID and
+// a block-backed graph; every goroutine sees exactly what a serial build on
+// a twin graph produces, and the built views price the same.
+func TestConcurrentFirstUse(t *testing.T) {
+	edges := randEdges(3000, 400, 5)
+	sparse := make([]Edge, len(edges))
+	for i, e := range edges {
+		sparse[i] = Edge{Src: e.Src * 1_000_003, Dst: e.Dst * 1_000_003}
+	}
+	weights := randWeights(len(edges), 6)
+	graphs := map[string]func() *Graph{
+		"dense": func() *Graph { return FromEdges(slices.Clone(edges)) },
+		"weighted": func() *Graph {
+			g, err := FromWeightedEdges(slices.Clone(sparse), slices.Clone(weights))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return g
+		},
+		"block": func() *Graph { return FromBlocks(buildBlocks(t, edges, nil, 256)) },
+	}
+	rows := func(g *Graph, nb func(int32) []int32) [][]int32 {
+		out := make([][]int32, g.NumVertices())
+		for i := range out {
+			out[i] = slices.Clone(nb(int32(i)))
+		}
+		return out
+	}
+	views := []struct {
+		name string
+		get  func(g *Graph) any
+	}{
+		{"Vertices", func(g *Graph) any { return slices.Clone(g.Vertices()) }},
+		{"Index", func(g *Graph) any {
+			var out []int32
+			for _, e := range edges {
+				i, _ := g.Index(e.Src * 1_000_003)
+				j, _ := g.Index(e.Dst)
+				out = append(out, i, j)
+			}
+			return out
+		}},
+		{"OutDegrees", func(g *Graph) any { return slices.Clone(g.OutDegrees()) }},
+		{"InDegrees", func(g *Graph) any { return slices.Clone(g.InDegrees()) }},
+		{"EdgeEndpointIndices", func(g *Graph) any {
+			src, dst := g.EdgeEndpointIndices()
+			return [][]int32{slices.Clone(src), slices.Clone(dst)}
+		}},
+		{"OutNeighbors", func(g *Graph) any { return rows(g, g.OutNeighbors) }},
+		{"InNeighbors", func(g *Graph) any { return rows(g, g.InNeighbors) }},
+		{"UndirectedNeighbors", func(g *Graph) any { return rows(g, g.UndirectedNeighbors) }},
+		{"CanonicalEdges", func(g *Graph) any { return slices.Clone(g.CanonicalEdges()) }},
+		{"SymmetryPct", func(g *Graph) any { return g.SymmetryPct() }},
+		{"Fingerprint", func(g *Graph) any { return g.Fingerprint() }},
+		{"CheckedFingerprint", func(g *Graph) any {
+			fp, err := g.CheckedFingerprint()
+			if err != nil {
+				return err
+			}
+			return fp
+		}},
+		{"Shares", func(g *Graph) any { return len(g.Shares()) > 0 }},
+	}
+	priced := func(g *Graph) []int64 {
+		var out []int64
+		for _, s := range g.Shares() {
+			out = append(out, s.Bytes)
+		}
+		slices.Sort(out)
+		return out
+	}
+	for name, mk := range graphs {
+		t.Run(name, func(t *testing.T) {
+			serial := mk()
+			want := make(map[string]any, len(views))
+			for _, v := range views {
+				want[v.name] = v.get(serial)
+			}
+			g := mk()
+			const readers = 8
+			got := make([]map[string]any, readers)
+			var wg sync.WaitGroup
+			for w := range readers {
+				order := rng.New(uint64(w) + 1).Perm(len(views))
+				got[w] = make(map[string]any, len(views))
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for _, k := range order {
+						got[w][views[k].name] = views[k].get(g)
+					}
+				}()
+			}
+			wg.Wait()
+			for w := range readers {
+				for _, v := range views {
+					if !reflect.DeepEqual(got[w][v.name], want[v.name]) {
+						t.Fatalf("reader %d: %s differs from the serial build", w, v.name)
+					}
+				}
+			}
+			if a, b := priced(g), priced(serial); !slices.Equal(a, b) {
+				t.Fatalf("built views price %v, serial build %v", a, b)
+			}
+		})
+	}
 }

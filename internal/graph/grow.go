@@ -24,10 +24,6 @@ type Delta struct {
 	// appended suffix. When Compacted is set the prefix relationship does
 	// not hold.
 	OldLen int
-	// OldVersion and NewVersion are the generations' version counters at
-	// the time of the step, so cache keys recorded against either side
-	// stay pinned even if a graph is later mutated in place.
-	OldVersion, NewVersion uint64
 	// OldVerts is the parent's sorted vertex list, shared (not copied) with
 	// the parent. Callers must not modify it. RemapVertices turns it into a
 	// dense-index remap against any descendant generation.
@@ -45,8 +41,7 @@ type Delta struct {
 // deriving from the direct parent need not search the vertex list again.
 // Read-only once published.
 type Step struct {
-	parent        weak.Pointer[Graph]
-	parentVersion uint64
+	parent weak.Pointer[Graph]
 	// SufSrc and SufDst index the endpoints of the appended suffix — the
 	// edges at dense positions [parent.NumEdges(), NumEdges()) — in order.
 	SufSrc, SufDst []int32
@@ -57,12 +52,11 @@ type Step struct {
 }
 
 // StepFrom returns what the step that minted g resolved, when parent is the
-// graph that step started from, as it was then; nil otherwise — an older
-// ancestor, a graph not minted by a step (built, restored, compacted) or
-// either graph mutated since.
+// graph that step started from; nil otherwise — an older ancestor, or a
+// graph not minted by a step (built, restored, compacted).
 func (g *Graph) StepFrom(parent *Graph) *Step {
 	st := g.step
-	if st == nil || st.parent.Value() != parent || parent.Version() != st.parentVersion {
+	if st == nil || st.parent.Value() != parent {
 		return nil
 	}
 	return st
@@ -91,14 +85,12 @@ const compactionThreshold = 4 // compact when numDead*compactionThreshold >= len
 // spare capacity (Tail); from then on each generation of the lineage holds a
 // length- and capacity-clamped slice of that one array and Grow writes only
 // the suffix into slots no existing generation covers. A second child of
-// the same parent, or a parent since mutated by AddEdge, loses the claim
-// and copies, so no generation can ever observe another's edges, and
-// AddEdge on any generation still reallocates. Shares reports the array
-// under one key from every generation of the lineage, so a cache charges it
-// once however many generations it holds. The vertex list is shared when the
-// suffix adds no vertex, the tombstone bitset when the step retracts
-// nothing; degree tables are per generation. The new generation starts at a
-// fresh process-unique version.
+// the same parent loses the claim and copies, so no generation can ever
+// observe another's edges. Shares reports the array under one key from
+// every generation of the lineage, so a cache charges it once however many
+// generations it holds. The vertex list is shared when the suffix adds no
+// vertex, the tombstone bitset when the step retracts nothing; degree
+// tables are per generation.
 //
 // An empty suffix is a no-op: Grow returns g itself (Delta.Old ==
 // Delta.New), never minting a content-identical generation that would
@@ -111,12 +103,12 @@ func (g *Graph) Grow(newEdges []Edge) (*Graph, Delta) {
 }
 
 // GrowWeighted is Grow with per-edge weights for the appended suffix
-// (weights[i] belongs to newEdges[i]; nil means weight 1 each). Growing an
-// unweighted parent with a weighted suffix promotes the child to weighted
-// — the parent's edges keep weight 1.
+// (weights[i] belongs to newEdges[i], finite and positive; nil means weight
+// 1 each). Growing an unweighted parent with a weighted suffix promotes the
+// child to weighted — the parent's edges keep weight 1.
 func (g *Graph) GrowWeighted(newEdges []Edge, weights []float64) (*Graph, Delta, error) {
-	if weights != nil && len(weights) != len(newEdges) {
-		return nil, Delta{}, fmt.Errorf("graph: %d weights for %d appended edges", len(weights), len(newEdges))
+	if err := checkWeights(g.NumEdges(), newEdges, weights); err != nil {
+		return nil, Delta{}, err
 	}
 	ng, d := g.advance(newEdges, weights, nil)
 	return ng, d, nil
@@ -136,13 +128,7 @@ func (g *Graph) advance(suffix []Edge, sufWeights []float64, removeIdx []int) (*
 	oldVerts := g.Vertices()
 
 	if len(suffix) == 0 && len(removeIdx) == 0 {
-		v := g.Version()
-		return g, Delta{
-			Old: g, New: g,
-			OldLen:     oldLen,
-			OldVersion: v, NewVersion: v,
-			OldVerts: oldVerts,
-		}
+		return g, Delta{Old: g, New: g, OldLen: oldLen, OldVerts: oldVerts}
 	}
 
 	childWeighted := g.Weighted() || sufWeights != nil
@@ -190,7 +176,6 @@ func (g *Graph) advance(suffix []Edge, sufWeights []float64, removeIdx []int) (*
 			ng.weights, ng.weightsTail = g.weightsTail.Extend(prefixW, sufW)
 		}
 	}
-	ng.version.Store(nextGenerationVersion())
 
 	// Tombstones: the parent's set plus this step's retractions.
 	if len(removeIdx) > 0 {
@@ -216,8 +201,7 @@ func (g *Graph) advance(suffix []Edge, sufWeights []float64, removeIdx []int) (*
 		compacted := ng.compact()
 		return compacted, Delta{
 			Old: g, New: compacted,
-			OldLen:     oldLen,
-			OldVersion: g.Version(), NewVersion: compacted.Version(),
+			OldLen:    oldLen,
 			OldVerts:  oldVerts,
 			Compacted: true,
 		}
@@ -304,7 +288,7 @@ func (g *Graph) advance(suffix []Edge, sufWeights []float64, removeIdx []int) (*
 			sufDst[i] += int32(di)
 		}
 	}
-	step := &Step{parent: weak.Make(g), parentVersion: g.Version(), SufSrc: sufSrc, SufDst: sufDst}
+	step := &Step{parent: weak.Make(g), SufSrc: sufSrc, SufDst: sufDst}
 	ng.step = step
 
 	nv := len(ng.verts)
@@ -355,12 +339,7 @@ func (g *Graph) advance(suffix []Edge, sufWeights []float64, removeIdx []int) (*
 		ng.endpointOnce.markBuilt()
 	}
 
-	return ng, Delta{
-		Old: g, New: ng,
-		OldLen:     oldLen,
-		OldVersion: g.Version(), NewVersion: ng.Version(),
-		OldVerts: oldVerts,
-	}
+	return ng, Delta{Old: g, New: ng, OldLen: oldLen, OldVerts: oldVerts}
 }
 
 // compact rewrites the dense edge list of a tombstoned graph, dropping
@@ -413,10 +392,7 @@ func (g *Graph) compact() *Graph {
 			weights = append(weights, g.weights[i])
 		}
 	}
-	out := FromEdges(edges)
-	out.weights = weights
-	out.version.Store(nextGenerationVersion())
-	return out
+	return &Graph{edges: edges, weights: weights}
 }
 
 // RemapVertices returns the dense-index remap from a sorted ancestor

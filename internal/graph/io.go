@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"math/bits"
 	"slices"
 	"strconv"
@@ -375,7 +374,7 @@ func parseEdgeLines(block []byte, lineNo, rows int, edges []Edge, weights []floa
 				err = fmt.Errorf("graph: line %d: bad edge weight %q: %w", lineNo, wtField, werr)
 				break
 			}
-			if !(wt > 0) || math.IsInf(wt, 1) {
+			if !validWeight(wt) {
 				err = fmt.Errorf("graph: line %d: edge weight %g must be finite and positive", lineNo, wt)
 				break
 			}
@@ -566,7 +565,6 @@ func readEdgeList(r io.Reader, chunkBytes, workers int) (*Graph, error) {
 			}
 		}
 	}
-	g.invalidate()
 	return g, nil
 }
 
@@ -776,42 +774,50 @@ func checkVertexCoverage(edges []Edge, verts []VertexID) error {
 	return nil
 }
 
-// FromEdgesAndVertices restores a graph from a decoded edge list plus its
-// sorted unique vertex list, as persisted by the snapshot codec. The vertex
-// list is validated against the edges — strictly ascending, non-negative,
-// every edge endpoint present, every listed vertex used — and then seeded
-// as the graph's vertex view, so NumVertices and Vertices never pay the
-// O(|E|) derivation scan on a restored graph. The graph starts at a fresh
-// process-unique version (like Clone/Grow), so cache layers can never
-// confuse it with a freed graph reallocated at the same address.
-func FromEdgesAndVertices(edges []Edge, verts []VertexID) (*Graph, error) {
+// FromEdgesAndVertices restores a graph as the snapshot codec persists it:
+// the edge list, its weights (nil when unweighted), its sorted unique
+// vertex list and its tombstone bitset with the dead count (nil and 0 when
+// nothing is retracted). Everything is validated: the vertex list against
+// the edges — strictly ascending, non-negative, every edge endpoint
+// present, every listed vertex used —, the weights as FromWeightedEdges
+// does, and the bitset as fitting the edge list with numDead its popcount.
+// The vertex list is seeded as the graph's vertex view, so NumVertices and
+// Vertices never pay the O(|E|) derivation scan on a restored graph.
+func FromEdgesAndVertices(edges []Edge, weights []float64, verts []VertexID, dead []uint64, numDead int) (*Graph, error) {
 	if err := checkVertexListShape(verts); err != nil {
 		return nil, err
 	}
 	if err := checkVertexCoverage(edges, verts); err != nil {
 		return nil, err
 	}
-	g := FromEdges(edges)
-	g.verts = verts
+	if err := checkWeights(0, edges, weights); err != nil {
+		return nil, err
+	}
+	if err := checkTombstones(dead, numDead, len(edges)); err != nil {
+		return nil, err
+	}
+	g := &Graph{edges: edges, weights: weights, dead: dead, numDead: numDead, verts: verts}
 	g.vertsOnce.markBuilt()
-	g.version.Store(nextGenerationVersion())
 	return g, nil
 }
 
 // FromBlocksAndVertices restores a block-backed graph from an assembled
-// store plus its sorted unique vertex list, as persisted by the block
-// snapshot codec. Unlike FromEdgesAndVertices, the edges stay encoded —
-// only the vertex list's shape (strictly ascending, non-negative) is
+// store plus its sorted unique vertex list and tombstone bitset (nil and 0
+// when nothing is retracted), as persisted by the block snapshot codec.
+// Unlike FromEdgesAndVertices, the edges stay encoded — only the vertex
+// list's shape (strictly ascending, non-negative) and the bitset are
 // validated here; endpoint membership is implicitly covered by the codec's
 // fingerprint check, because a wrong vertex list cannot reproduce the
 // recorded fingerprint chain. The list is seeded as the graph's vertex
 // view so restoring never pays the O(|E|) derivation scan.
-func FromBlocksAndVertices(bs *BlockStore, verts []VertexID) (*Graph, error) {
+func FromBlocksAndVertices(bs *BlockStore, verts []VertexID, dead []uint64, numDead int) (*Graph, error) {
 	if err := checkVertexListShape(verts); err != nil {
 		return nil, err
 	}
-	g := FromBlocks(bs)
-	g.verts = verts
+	if err := checkTombstones(dead, numDead, bs.NumEdges()); err != nil {
+		return nil, err
+	}
+	g := &Graph{blocks: bs, dead: dead, numDead: numDead, verts: verts}
 	g.vertsOnce.markBuilt()
 	return g, nil
 }

@@ -69,7 +69,7 @@ func TestBinaryTruncated(t *testing.T) {
 }
 
 func TestBinaryEmptyGraph(t *testing.T) {
-	back, err := DecodeEdges(EncodeEdges(nil, New(0).Edges()))
+	back, err := DecodeEdges(EncodeEdges(nil, FromEdges(nil).Edges()))
 	if err != nil {
 		t.Fatal(err)
 	}

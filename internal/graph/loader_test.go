@@ -580,7 +580,7 @@ func TestFromEdgesAndVerticesRejectsHostileLists(t *testing.T) {
 		{"sparse: vertex unused", wide, []VertexID{7, 8, 1 << 39, 1 << 40}},
 	}
 	for _, c := range cases {
-		_, err := FromEdgesAndVertices(slices.Clone(c.edges), slices.Clone(c.verts))
+		_, err := FromEdgesAndVertices(slices.Clone(c.edges), nil, slices.Clone(c.verts), nil, 0)
 		want := checkRestoredVertsRef(c.edges, c.verts)
 		if want == nil {
 			t.Fatalf("%s: the reference accepts the case", c.name)
@@ -610,7 +610,7 @@ func TestFromEdgesAndVerticesAccepts(t *testing.T) {
 		if err := checkRestoredVertsRef(edges, verts); err != nil {
 			t.Fatalf("%s: the reference rejects the case: %v", name, err)
 		}
-		g, err := FromEdgesAndVertices(slices.Clone(edges), verts)
+		g, err := FromEdgesAndVertices(slices.Clone(edges), nil, verts, nil, 0)
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue

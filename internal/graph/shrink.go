@@ -47,14 +47,14 @@ func (g *Graph) ShrinkBefore(n int) (*Graph, Delta) {
 // SlideWindow advances the graph one sliding-window step: append newEdges
 // (with optional per-edge weights, as in GrowWeighted) and expire every
 // live edge at a dense position < expireBefore, in ONE generation step —
-// a single new version, a single Delta, so the serving layer's delta
+// a single new generation, a single Delta, so the serving layer's delta
 // chain records one boundary instead of an append generation followed by
 // an expire generation. expireBefore positions refer to the parent's
 // dense list (it is clamped to the parent's edge count; the appended
 // suffix is never expired by the same step).
 func (g *Graph) SlideWindow(newEdges []Edge, weights []float64, expireBefore int) (*Graph, Delta, error) {
-	if weights != nil && len(weights) != len(newEdges) {
-		return nil, Delta{}, fmt.Errorf("graph: %d weights for %d appended edges", len(weights), len(newEdges))
+	if err := checkWeights(g.NumEdges(), newEdges, weights); err != nil {
+		return nil, Delta{}, err
 	}
 	ng, d := g.advance(newEdges, weights, g.liveBefore(expireBefore))
 	return ng, d, nil

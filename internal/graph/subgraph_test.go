@@ -27,7 +27,7 @@ func TestDegreeStats(t *testing.T) {
 }
 
 func TestDegreeStatsEmpty(t *testing.T) {
-	st := New(0).Degrees()
+	st := FromEdges(nil).Degrees()
 	if st.MeanOut != 0 || st.MaxOut != 0 {
 		t.Fatal("empty graph degree stats should be zero")
 	}

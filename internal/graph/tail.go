@@ -13,8 +13,8 @@ import (
 // claims spare slots with one compare-and-swap and writes only them — slots
 // no existing slice covers — so a generation step costs the suffix, not a
 // copy of the prefix, and readers of older generations are never raced.
-// Whoever loses the claim (a second child of one parent, a generation whose
-// slice was reallocated by AddEdge) copies, exactly as before Tail existed.
+// Whoever loses the claim (a second child of one parent, a full array)
+// copies, exactly as before Tail existed.
 type Tail[T any] struct {
 	used atomic.Int64 // slots handed out so far: buf[:used] is immutable
 	buf  []T          // len == cap; never reallocated

@@ -88,41 +88,6 @@ func TestSecondChildCopies(t *testing.T) {
 	}
 }
 
-// TestParentMutationNeverShowsInChild: AddEdge on any generation
-// reallocates (its slice is capacity-clamped), so neither an earlier child
-// nor a later one ever observes it, and a mutated generation no longer
-// extends the lineage's array.
-func TestParentMutationNeverShowsInChild(t *testing.T) {
-	g0 := FromEdges(randomEdges(1, 50, 400))
-	g1, _ := g0.Grow(randomEdges(2, 50, 20))
-	child, _ := g1.Grow(randomEdges(3, 50, 20))
-	before := slices.Clone(child.Edges())
-
-	g1.AddEdge(1000, 1001)
-	if !slices.Equal(child.Edges(), before) {
-		t.Fatal("parent AddEdge after Grow changed the child's edge list")
-	}
-	if sameArray(g1.Edges(), child.Edges()) {
-		t.Fatal("AddEdge appended into the lineage's shared array")
-	}
-	late, _ := g1.Grow([]Edge{{Src: 7, Dst: 8}})
-	if sameArray(late.Edges(), child.Edges()) {
-		t.Fatal("a mutated generation extended the lineage's array")
-	}
-	if got := late.Edges()[g1.NumEdges()-1]; got != (Edge{Src: 1000, Dst: 1001}) {
-		t.Fatalf("child of the mutated parent lost the added edge: %v", got)
-	}
-	if !slices.Equal(child.Edges(), before) {
-		t.Fatal("growing the mutated parent changed its earlier child")
-	}
-
-	child.AddEdge(2000, 2001)
-	grand, _ := child.Grow([]Edge{{Src: 9, Dst: 9}})
-	if e := grand.Edges(); e[len(e)-2] != (Edge{Src: 2000, Dst: 2001}) || e[len(e)-1] != (Edge{Src: 9, Dst: 9}) {
-		t.Fatal("Grow after AddEdge on the tip lost an edge")
-	}
-}
-
 // TestWeightedLineage: weights follow the edges in place, and promoting an
 // unweighted lineage to weighted gives the prefix weight 1.
 func TestWeightedLineage(t *testing.T) {

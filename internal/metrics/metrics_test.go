@@ -169,7 +169,7 @@ func TestMetricByName(t *testing.T) {
 }
 
 func TestEmptyGraphMetrics(t *testing.T) {
-	g := graph.New(0)
+	g := graph.FromEdges(nil)
 	m, err := Compute(g, nil, 4)
 	if err != nil {
 		t.Fatal(err)

@@ -83,28 +83,6 @@ func TestExtendMatchesOneShot(t *testing.T) {
 	}
 }
 
-// TestExtendInPlaceGrowth covers the AddEdges-on-the-same-graph flavor.
-func TestExtendInPlaceGrowth(t *testing.T) {
-	all := genEdges(7, 60, 800)
-	for _, s := range extendStrategies() {
-		g := graph.FromEdges(append([]graph.Edge(nil), all[:500]...))
-		a, err := Assign(g, s, 6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g.AddEdges(all[500:]...)
-		a, err = a.Extend(g, s)
-		if err != nil {
-			t.Fatalf("%s: %v", s.Name(), err)
-		}
-		want, err := Assign(graph.FromEdges(append([]graph.Edge(nil), all...)), s, 6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSamePIDs(t, s, a, want)
-	}
-}
-
 // TestExtendReplayFallback: a second Extend from the same base assignment
 // finds its stream state already taken and must replay — still
 // bit-identical.

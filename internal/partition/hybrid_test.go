@@ -138,7 +138,7 @@ func TestRangeBeatsSCOnGridLocality(t *testing.T) {
 }
 
 func TestRangeEmptyGraph(t *testing.T) {
-	assign, err := Range().Partition(graph.New(0), 4)
+	assign, err := Range().Partition(graph.FromEdges(nil), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -135,8 +135,8 @@ func SaveBlockGraph(path string, g *graph.Graph) error {
 
 // OpenBlockGraph opens a block-graph file and returns a graph that serves
 // its blocks straight from the file. The returned closer owns the file
-// handle: close it only when the graph is no longer in use (mutating the
-// graph densifies it first, after which the file is no longer read).
+// handle: close it only when the graph and every generation derived from
+// it are no longer in use.
 func OpenBlockGraph(path string) (*graph.Graph, io.Closer, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -287,18 +287,18 @@ func decodeBlockGraph(c *Container, src io.ReaderAt, base, size int64) (*graph.G
 	if bs.NumEdges() != int(numEdges) {
 		return nil, fmt.Errorf("snap: block index holds %d edges, meta says %d", bs.NumEdges(), numEdges)
 	}
-	g, err := graph.FromBlocksAndVertices(bs, verts)
+	var (
+		dead    []uint64
+		numDead int
+	)
+	if tsec, ok := c.Section(secBlockTombstones); ok {
+		if dead, numDead, err = decodeTombstones(tsec, int(numEdges)); err != nil {
+			return nil, err
+		}
+	}
+	g, err := graph.FromBlocksAndVertices(bs, verts, dead, numDead)
 	if err != nil {
 		return nil, err
-	}
-	if tsec, ok := c.Section(secBlockTombstones); ok {
-		dead, numDead, err := decodeTombstones(tsec, int(numEdges))
-		if err != nil {
-			return nil, err
-		}
-		if err := g.RestoreTombstones(dead, numDead); err != nil {
-			return nil, err
-		}
 	}
 	// The fingerprint is canonical over edges, weights and the tombstone
 	// set; recomputing it streams every block once through pooled scratch,

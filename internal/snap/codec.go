@@ -264,9 +264,7 @@ func decodePIDsValidated(p []byte, numParts int, counts []int64) ([]partition.PI
 // varints, tombstoned slots included so positions survive the round trip).
 // Per-edge weights and the tombstone bitset ride in optional trailing
 // sections written only when present, so unweighted fully-live graphs keep
-// their original byte encoding. The process-local Version is deliberately
-// not persisted — restored graphs start at a fresh generation version of
-// their own.
+// their original byte encoding.
 func EncodeGraph(g *graph.Graph) []byte {
 	verts := g.Vertices()
 	var meta []byte
@@ -368,8 +366,7 @@ func decodeTombstones(tsec []byte, numEdges int) ([]uint64, int, error) {
 
 // DecodeGraph decodes a KindGraph container, validating counts, the vertex
 // list against the edge list (graph.FromEdgesAndVertices), and the content
-// fingerprint. The restored graph has its vertex view pre-seeded and starts
-// at a fresh process-unique version.
+// fingerprint. The restored graph has its vertex view pre-seeded.
 func DecodeGraph(data []byte) (*graph.Graph, error) {
 	c, err := Decode(data)
 	if err != nil {
@@ -414,27 +411,24 @@ func decodeGraphContainer(c *Container) (*graph.Graph, error) {
 	if uint64(len(edges)) != numEdges {
 		return nil, fmt.Errorf("snap: edge list holds %d entries, meta says %d", len(edges), numEdges)
 	}
-	g, err := graph.FromEdgesAndVertices(edges, verts)
+	var weights []float64
+	if wsec, ok := c.Section(secGraphWeights); ok {
+		if weights, err = decodeF64s(wsec, "edge weights"); err != nil {
+			return nil, err
+		}
+	}
+	var (
+		dead    []uint64
+		numDead int
+	)
+	if tsec, ok := c.Section(secGraphTombstones); ok {
+		if dead, numDead, err = decodeTombstones(tsec, len(edges)); err != nil {
+			return nil, err
+		}
+	}
+	g, err := graph.FromEdgesAndVertices(edges, weights, verts, dead, numDead)
 	if err != nil {
 		return nil, err
-	}
-	if wsec, ok := c.Section(secGraphWeights); ok {
-		weights, err := decodeF64s(wsec, "edge weights")
-		if err != nil {
-			return nil, err
-		}
-		if err := g.RestoreWeights(weights); err != nil {
-			return nil, err
-		}
-	}
-	if tsec, ok := c.Section(secGraphTombstones); ok {
-		dead, numDead, err := decodeTombstones(tsec, len(edges))
-		if err != nil {
-			return nil, err
-		}
-		if err := g.RestoreTombstones(dead, numDead); err != nil {
-			return nil, err
-		}
 	}
 	// The fingerprint is canonical over edges, weights and the tombstone
 	// set, so recomputing it here proves all three sections round-tripped.
@@ -469,10 +463,10 @@ func checkGraphIdentity(g *graph.Graph, numEdges, fp uint64, what string) error 
 // ---- assignment codec ------------------------------------------------------
 
 // EncodeAssignment encodes a as a KindAssignment container: strategy name
-// and cache key, partition count, graph identity (edge count, fingerprint,
-// version), the raw PID slice and the per-partition histogram. Retained
-// streaming state is deliberately not persisted — a restored assignment
-// Extends via the deterministic replay path.
+// and cache key, partition count, graph identity (edge count, fingerprint),
+// the raw PID slice and the per-partition histogram. Retained streaming
+// state is deliberately not persisted — a restored assignment Extends via
+// the deterministic replay path.
 func EncodeAssignment(a *partition.Assignment) []byte {
 	var meta []byte
 	meta = binary.LittleEndian.AppendUint32(meta, uint32(a.NumParts))

@@ -49,17 +49,9 @@ func TestGraphRoundTrip(t *testing.T) {
 	if back.Fingerprint() != g.Fingerprint() {
 		t.Fatal("fingerprint differs after round trip")
 	}
-	if back.Version() == 0 || back.Version() == g.Version() {
-		t.Fatalf("restored graph must start at a fresh nonzero version, got %d (original %d)", back.Version(), g.Version())
-	}
-	// Canonical encoding: re-encoding the decoded graph differs only in the
-	// recorded version field, so compare via a second decode.
-	again, err := DecodeGraph(EncodeGraph(back))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(again.Edges(), g.Edges()) {
-		t.Fatal("edges differ after double round trip")
+	// Canonical encoding: re-encoding the decoded graph reproduces the bytes.
+	if !bytes.Equal(EncodeGraph(back), data) {
+		t.Fatal("re-encoding the decoded graph changed the bytes")
 	}
 }
 

@@ -244,11 +244,10 @@ func pricedBytes(vals ...any) int64 {
 // budget), not just the record count.
 func TestRecordDeltaByteBudget(t *testing.T) {
 	st := New(Config{MaxBytes: 1 << 20}) // pinned-generation budget: 256 KiB
-	child := graph.FromEdges([]graph.Edge{{Src: 0, Dst: 1}})
 	for i := 0; i < 10; i++ {
 		// Each record pins a 256 KiB parent edge list (16 Ki edges x 16 B)
 		// that the child does not share.
-		st.RecordDelta(graph.Delta{Old: graph.FromEdges(make([]graph.Edge, 1<<14)), New: child.Clone(), OldLen: 1 << 14})
+		st.RecordDelta(graph.Delta{Old: graph.FromEdges(make([]graph.Edge, 1<<14)), New: graph.FromEdges([]graph.Edge{{Src: 0, Dst: 1}}), OldLen: 1 << 14})
 	}
 	st.mu.Lock()
 	n, pinned, budget := len(st.deltas), st.deltaBytes, st.deltaBudget

@@ -27,8 +27,7 @@ const DefaultDiskMaxBytes int64 = 4 * DefaultMaxBytes
 //
 // The graph's content fingerprint leads the name, so every spilled entry of
 // one graph can be found (and invalidated) by prefix even across process
-// restarts — the in-memory key's graph pointer and version never touch
-// disk. Reads validate the decoded artifact against the requesting graph
+// restarts — the in-memory key's graph pointer never touches disk. Reads validate the decoded artifact against the requesting graph
 // (fingerprint, counts, structural invariants), so a stale or corrupt file
 // degrades to a miss, never to a wrong artifact.
 type diskTier struct {
@@ -235,13 +234,11 @@ func (dt *diskTier) stat() (entries int, bytes int64) {
 // ---- store integration ----------------------------------------------------
 
 // encodeEntry serializes one cache entry as its standalone snap container.
-// ok is false for entries whose graph was mutated after they were computed
-// (their content no longer matches the live fingerprint) — those are
-// garbage and must not be spilled.
+// ok is false for a stage with no codec (answers stay in memory).
 func (st *Store) encodeEntry(e *entry) (name string, data []byte, ok bool) {
 	k := e.key
 	c, ok := codecs[k.kind]
-	if !ok || k.version != k.g.Version() {
+	if !ok {
 		return "", nil, false
 	}
 	return diskName(k.g.Fingerprint(), k.strategy, k.numParts, k.kind), c.encode(e.val, k.g, k.strategy), true
@@ -286,10 +283,9 @@ func (st *Store) fromDisk(g *graph.Graph, strategyKey string, numParts int, kd k
 	return val, true
 }
 
-// FlushDisk writes every live cached artifact through to the disk tier
-// (entries whose graph was mutated since they were computed are skipped).
-// It returns the number of entries written. A no-op without a disk tier.
-// Useful before shutdown when only the disk tier — not a full Persist
+// FlushDisk writes every cached artifact through to the disk tier (answers
+// stay in memory). It returns the number of entries written. A no-op
+// without a disk tier. Useful before shutdown when only the disk tier — not a full Persist
 // snapshot — carries state across restarts.
 func (st *Store) FlushDisk() (int, error) {
 	if st.disk == nil {

@@ -81,9 +81,9 @@ type PersistSummary struct {
 // every distinct graph referenced by a live cache entry or by names, then
 // every live cached artifact (assignments, metric sets, built topologies).
 // names label graphs for the restoring side (a server's name registry);
-// multiple names may share one graph. Entries whose graph was mutated
-// after they were computed are skipped — they are garbage under the live
-// fingerprint. The encoding is deterministic for a given cache state.
+// multiple names may share one graph. A graph with a negative vertex ID is
+// an error, returned before anything is written. The encoding is
+// deterministic for a given cache state.
 //
 // Persist holds the store lock only while listing entries; encoding runs
 // concurrently with normal cache traffic against the immutable artifacts.
@@ -91,9 +91,7 @@ func (st *Store) Persist(w io.Writer, names map[string]*graph.Graph) (PersistSum
 	st.mu.Lock()
 	live := make([]*entry, 0, len(st.entries))
 	for _, e := range st.entries {
-		if e.key.version == e.key.g.Version() {
-			live = append(live, e)
-		}
+		live = append(live, e)
 	}
 	st.mu.Unlock()
 
@@ -117,7 +115,7 @@ func (st *Store) Persist(w io.Writer, names map[string]*graph.Graph) (PersistSum
 		}
 	}
 	// Canonical graph order: labeled graphs first by their sorted label
-	// list, then unlabeled by (fingerprint, version).
+	// list, then unlabeled by fingerprint.
 	for _, g := range graphs {
 		sort.Strings(labels[g])
 	}
@@ -129,11 +127,15 @@ func (st *Store) Persist(w io.Writer, names map[string]*graph.Graph) (PersistSum
 		if li != lj {
 			return li < lj
 		}
-		if graphs[i].Fingerprint() != graphs[j].Fingerprint() {
-			return graphs[i].Fingerprint() < graphs[j].Fingerprint()
-		}
-		return graphs[i].Version() < graphs[j].Version()
+		return graphs[i].Fingerprint() < graphs[j].Fingerprint()
 	})
+	// The snapshot's vertex lists are non-negative; refuse before writing a
+	// byte rather than leave a file that no restore can read.
+	for _, g := range graphs {
+		if vs := g.Vertices(); len(vs) > 0 && vs[0] < 0 {
+			return PersistSummary{}, fmt.Errorf("store: graph %q (fingerprint %016x) has negative vertex ID %d, which a snapshot cannot hold", labels[g], g.Fingerprint(), vs[0])
+		}
+	}
 	index := make(map[*graph.Graph]int, len(graphs))
 	sg := make([]snap.StoreGraph, len(graphs))
 	for i, g := range graphs {
@@ -177,13 +179,12 @@ func (st *Store) Persist(w io.Writer, names map[string]*graph.Graph) (PersistSum
 }
 
 // Restore loads a Persist snapshot into the cache: graphs are decoded
-// (fresh objects at fresh process-unique versions, vertex views
-// pre-seeded), every artifact is decoded against its graph with the full
-// codec validation, and the results are inserted under the restored
-// graphs' live keys — so the very first request against a restored graph
-// is a cache hit. The labeled graphs are returned by name so callers can
-// rebuild their registries. Entries that do not fit the memory budget
-// spill straight to the disk tier (when configured).
+// (fresh objects, vertex views pre-seeded), every artifact is decoded
+// against its graph with the full codec validation, and the results are
+// inserted under the restored graphs' keys — so the very first request
+// against a restored graph is a cache hit. The labeled graphs are returned
+// by name so callers can rebuild their registries. Entries that do not fit
+// the memory budget spill straight to the disk tier (when configured).
 func (st *Store) Restore(r io.Reader) (map[string]*graph.Graph, error) {
 	data, err := readAllSized(r)
 	if err != nil {
@@ -230,7 +231,7 @@ func (st *Store) Restore(r io.Reader) (map[string]*graph.Graph, error) {
 	}
 	for i, rec := range sa {
 		g := graphs[rec.GraphIndex]
-		k := key{g: g, version: g.Version(), strategy: rec.StrategyKey, numParts: rec.NumParts, kind: restored[i].kind}
+		k := key{g: g, strategy: rec.StrategyKey, numParts: rec.NumParts, kind: restored[i].kind}
 		p := priceOf(restored[i].val)
 		st.mu.Lock()
 		evicted := st.insert(k, restored[i].val, p)

@@ -26,9 +26,9 @@
 //     artifacts remain valid for holders — eviction only means the next
 //     request recomputes.
 //
-// Keys include the graph's mutation version, so a graph that is mutated
-// (against the serving contract, but possible) can never be served stale
-// artifacts; the superseded entries age out of the LRU.
+// Keys hold the graph by pointer. Graphs are immutable, so an entry can
+// never go stale, and the key itself keeps its graph reachable: a freed
+// graph's address cannot be reused while any entry is keyed by it.
 //
 // # Delta chains
 //
@@ -83,13 +83,11 @@ const (
 	kindAnswer
 )
 
-// key identifies one artifact: the graph (by pointer identity and mutation
-// version), the strategy's cache identity (partition.KeyOf, so
-// parameterized variants never alias), the partition count and the
-// pipeline stage.
+// key identifies one artifact: the graph (by pointer identity), the
+// strategy's cache identity (partition.KeyOf, so parameterized variants
+// never alias), the partition count and the pipeline stage.
 type key struct {
 	g        *graph.Graph
-	version  uint64
 	strategy string
 	numParts int
 	kind     kind
@@ -455,7 +453,7 @@ func (st *Store) findBase(g *graph.Graph, strategyKey string, numParts int, kd k
 			break
 		}
 		d := rec.Delta
-		k := key{g: d.Old, version: d.OldVersion, strategy: strategyKey, numParts: numParts, kind: kd}
+		k := key{g: d.Old, strategy: strategyKey, numParts: numParts, kind: kd}
 		if v, ok := st.peek(k); ok {
 			return v, d, true
 		}
@@ -502,7 +500,7 @@ func (st *Store) assignmentViaDelta(g *graph.Graph, s partition.Strategy, numPar
 	// Extend moves the ancestor's retained streaming state into the
 	// derived assignment; re-price the cached ancestor so the LRU
 	// accounting keeps matching actually-retained memory.
-	st.reprice(key{g: d.Old, version: d.OldVersion, strategy: partition.KeyOf(s), numParts: numParts, kind: kindAssignment})
+	st.reprice(key{g: d.Old, strategy: partition.KeyOf(s), numParts: numParts, kind: kindAssignment})
 	st.countDerived()
 	return na, true
 }
@@ -651,8 +649,8 @@ func (st *Store) metricsViaDelta(g *graph.Graph, s partition.Strategy, numParts 
 // cutfit_run_starts_total reason label: "no_parent" — g has no recorded
 // parent (a first generation, one past a compaction, a chain dropped by
 // RecordDelta's bounds or by InvalidateGraph); "no_answer" — no generation
-// within maxDeltaDepth holds one (never run to convergence, evicted, or
-// mutated since); "remap" — the ancestor's vertices do not map onto g's.
+// within maxDeltaDepth holds one (never run to convergence, or evicted);
+// "remap" — the ancestor's vertices do not map onto g's.
 func (st *Store) AnswerBase(g *graph.Graph, alg string) (*pregel.Parent, string) {
 	st.mu.Lock()
 	_, chained := st.deltas[g]
@@ -661,7 +659,7 @@ func (st *Store) AnswerBase(g *graph.Graph, alg string) (*pregel.Parent, string)
 		return nil, "no_parent"
 	}
 	v, d, ok := st.findBase(g, alg, 0, kindAnswer)
-	if !ok || d.Old.Version() != d.OldVersion {
+	if !ok {
 		return nil, "no_answer"
 	}
 	remap, err := graph.RemapVertices(d.OldVerts, g)
@@ -675,7 +673,7 @@ func (st *Store) AnswerBase(g *graph.Graph, alg string) (*pregel.Parent, string)
 // to start from, priced and evicted like any entry; seeded says the run that
 // produced it started from an ancestor's (counted in Stats.Seeded).
 func (st *Store) PutAnswer(g *graph.Graph, alg string, a pregel.StoredAnswer, seeded bool) {
-	k := key{g: g, version: g.Version(), strategy: alg, kind: kindAnswer}
+	k := key{g: g, strategy: alg, kind: kindAnswer}
 	p := priceOf(a)
 	st.mu.Lock()
 	if seeded {
@@ -701,8 +699,8 @@ func (st *Store) Answers() []pregel.StoredAnswer {
 	return out
 }
 
-// InvalidateGraph drops every cached artifact of g (all versions, all
-// strategies, all stages), every delta record touching g — severing any
+// InvalidateGraph drops every cached artifact of g (all strategies, all
+// stages), every delta record touching g — severing any
 // derivation chain that runs through it — and every disk-tier entry spilled
 // under g's content fingerprint, including files left by previous
 // processes. Used when a server re-registers a graph name with new data.
@@ -755,7 +753,7 @@ func (st *Store) Stats() Stats {
 }
 
 func (st *Store) keyFor(g *graph.Graph, s partition.Strategy, numParts int, kd kind) key {
-	return key{g: g, version: g.Version(), strategy: partition.KeyOf(s), numParts: numParts, kind: kd}
+	return key{g: g, strategy: partition.KeyOf(s), numParts: numParts, kind: kd}
 }
 
 // do implements cache lookup with single-flight computation: a hit returns

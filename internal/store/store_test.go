@@ -366,29 +366,6 @@ func (f *flakyStrategy) Partition(g *graph.Graph, numParts int) ([]partition.PID
 	return f.inner.Partition(g, numParts)
 }
 
-// TestGraphVersionInvalidates: mutating a graph bumps its version, so the
-// store recomputes rather than serving an assignment of the old edge list.
-func TestGraphVersionInvalidates(t *testing.T) {
-	g := testGraph(t, 50, 200, 6)
-	cs := &countingStrategy{inner: partition.RandomVertexCut(), name: "vtest"}
-	st := New(Config{})
-	a1, err := st.Assignment(g, cs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.AddEdge(1000, 1001)
-	a2, err := st.Assignment(g, cs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cs.calls.Load() != 2 {
-		t.Fatalf("mutated graph served stale assignment (calls = %d)", cs.calls.Load())
-	}
-	if len(a2.PIDs) != len(a1.PIDs)+1 {
-		t.Fatalf("new assignment has %d PIDs, want %d", len(a2.PIDs), len(a1.PIDs)+1)
-	}
-}
-
 // TestInvalidateGraph drops all of one graph's artifacts and nothing else.
 func TestInvalidateGraph(t *testing.T) {
 	g1 := testGraph(t, 50, 200, 7)

@@ -50,9 +50,9 @@ type CacheStats = store.Stats
 // Make one with NewSession or RestoreSession. A batch caller uses one too:
 // a request made once costs its computation plus one cache insert.
 //
-// Graphs handed to a Session are treated as immutable shared inputs:
-// mutate a graph only before serving it (a mutation is detected and never
-// served stale, but it forfeits all cached artifacts of that graph).
+// Graphs are immutable, so any number of requests may share one.
+// AppendEdges, RemoveEdges and SlideWindow derive a new generation and
+// leave the graph they start from serving as it was.
 type Session struct {
 	st   *store.Store
 	pool *dist.Pool
@@ -185,9 +185,9 @@ func (se *Session) AppendEdges(g *Graph, edges []Edge) (*Graph, error) {
 }
 
 // AppendWeightedEdges is AppendEdges with per-edge weights for the batch
-// (weights[i] belongs to edges[i]; nil means weight 1 each). Appending a
-// weighted batch to an unweighted graph promotes the new generation to
-// weighted — the existing edges keep weight 1.
+// (weights[i] belongs to edges[i], finite and positive; nil means weight 1
+// each). Appending a weighted batch to an unweighted graph promotes the new
+// generation to weighted — the existing edges keep weight 1.
 func (se *Session) AppendWeightedEdges(g *Graph, edges []Edge, weights []float64) (*Graph, error) {
 	if weights == nil {
 		return se.AppendEdges(g, edges)
@@ -238,11 +238,11 @@ func (se *Session) RemoveEdges(g *Graph, edges []Edge) (*Graph, error) {
 // SlideWindow advances g one sliding-window step: append edges (with
 // optional per-edge weights, as in AppendWeightedEdges) and expire every
 // live edge older than the expireBefore-th append, in ONE generation (one
-// new version, one recorded delta) — the serving shape for time-windowed
-// graphs, where each batch both adds fresh interactions and retires the
-// oldest ones. expireBefore counts dense positions of g (append order); it
-// is clamped to g's edge count and never expires the suffix appended by the
-// same step. A step netting zero change returns g unchanged.
+// recorded delta) — the serving shape for time-windowed graphs, where each
+// batch both adds fresh interactions and retires the oldest ones.
+// expireBefore counts dense positions of g (append order); it is clamped to
+// g's edge count and never expires the suffix appended by the same step. A
+// step netting zero change returns g unchanged.
 func (se *Session) SlideWindow(g *Graph, edges []Edge, weights []float64, expireBefore int) (*Graph, error) {
 	if err := checkAppended(edges); err != nil {
 		return nil, err
@@ -272,7 +272,9 @@ func (se *Session) Snapshot(w io.Writer) error {
 // to the graphs they serve (several names may share a graph), and
 // RestoreSession returns the same mapping over the restored graph objects
 // so a server can rebuild its registry on warm start. Graphs referenced
-// only by names (no cached artifacts yet) are snapshotted too.
+// only by names (no cached artifacts yet) are snapshotted too. A graph with
+// a negative vertex ID cannot be restored, so SnapshotNamed refuses it,
+// naming it, before writing anything.
 func (se *Session) SnapshotNamed(w io.Writer, names map[string]*Graph) (SnapshotSummary, error) {
 	return se.st.Persist(w, names)
 }

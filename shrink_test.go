@@ -275,7 +275,7 @@ func TestEmptyBatchMintsNoGeneration(t *testing.T) {
 	if ng, err := se.SlideWindow(g, nil, nil, 0); err != nil || ng != g {
 		t.Fatalf("SlideWindow(nil, 0) = (%p, %v), want the parent back", ng, err)
 	}
-	if ng, d := g.Grow(nil); ng != g || d.NewVersion != d.OldVersion {
+	if ng, d := g.Grow(nil); ng != g || d.New != d.Old {
 		t.Fatal("Grow(nil) minted a generation")
 	}
 

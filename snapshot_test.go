@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"cutfit"
@@ -239,5 +240,22 @@ func TestRestoreSessionRejectsCorruption(t *testing.T) {
 	}
 	if _, _, err := cutfit.RestoreSession(bytes.NewReader(data[:len(data)/2]), cutfit.SessionOptions{}); err == nil {
 		t.Fatal("truncated snapshot restored successfully")
+	}
+}
+
+// TestSnapshotRefusesNegativeVertexIDs: a snapshot's vertex lists are
+// non-negative, so SnapshotNamed refuses a graph with a negative ID, naming
+// it, before it writes a byte — rather than leave a file RestoreSession
+// cannot read.
+func TestSnapshotRefusesNegativeVertexIDs(t *testing.T) {
+	se := cutfit.NewSession(cutfit.SessionOptions{})
+	g := cutfit.FromEdges([]cutfit.Edge{{Src: -5, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: -5}})
+	var buf bytes.Buffer
+	_, err := se.SnapshotNamed(&buf, map[string]*cutfit.Graph{"neg": g})
+	if err == nil || !strings.Contains(err.Error(), `"neg"`) {
+		t.Fatalf("SnapshotNamed over a negative vertex ID: err = %v, want one naming the graph", err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("SnapshotNamed wrote %d bytes before refusing", buf.Len())
 	}
 }
