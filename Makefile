@@ -70,14 +70,16 @@ lint: vet
 # an edgeless input and `cutfit paper`'s goldens, and seeded starts (root package: the cc equivalence
 # matrix, the retraction shapes, the 700-step stateful model test with
 # answers evicted mid-chain, eight goroutines seeding sibling generations off
-# one parent answer). The engine, the distributed runtime, the selection
-# fan-out and the metrics it calls, the Triangle Count kernel and the store's
-# parallel restore run at -cpu 1,4: every fan-out sizes itself by GOMAXPROCS,
-# so their parallel paths are exercised with all goroutines interleaved on
-# one thread and truly concurrent on four.
+# one parent answer), and the block tier (eight goroutines interleaving
+# every read of one file-backed store). The graph package's chunked text
+# ingest, the engine, the distributed runtime, the selection fan-out and the
+# metrics it calls, the Triangle Count kernel and the store's parallel
+# restore run at -cpu 1,4: every fan-out sizes itself by GOMAXPROCS, so
+# their parallel paths are exercised with all goroutines interleaved on one
+# thread and truly concurrent on four.
 race:
-	$(GO) test -race . ./cmd/cutfit/... ./cmd/cutfitd/... ./cmd/cutfit-worker/... ./internal/graph/... ./internal/testutil/... ./internal/partition/... ./internal/snap/... ./internal/obsv/...
-	$(GO) test -race -cpu 1,4 ./internal/par/... ./internal/pregel/... ./internal/dist/... ./internal/core/... ./internal/metrics/... ./internal/algorithms/... ./internal/store/...
+	$(GO) test -race . ./cmd/cutfit/... ./cmd/cutfitd/... ./cmd/cutfit-worker/... ./internal/testutil/... ./internal/partition/... ./internal/snap/... ./internal/obsv/...
+	$(GO) test -race -cpu 1,4 ./internal/graph/... ./internal/par/... ./internal/pregel/... ./internal/dist/... ./internal/core/... ./internal/metrics/... ./internal/algorithms/... ./internal/store/...
 
 # Hot-path benchmarks: partition construction (old vs new, and across
 # dataset analogs × strategies), the sparse-frontier scan payoff, an append

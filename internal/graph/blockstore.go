@@ -15,12 +15,6 @@ import (
 // encoding wins big on real (locality-heavy) edge lists.
 const DefaultBlockEdges = 1 << 16
 
-// blockCacheCap bounds the per-store LRU of decoded blocks used by random
-// access (EdgeAt / EdgeWeight / EdgeRange). Full scans bypass the cache and
-// decode into pooled scratch instead, so the cap only needs to cover a
-// handful of hot blocks.
-const blockCacheCap = 8
-
 // blockRef describes one block's encoded payload. A block lives either on
 // the heap (enc non-nil; EncodeEdges always emits at least the count byte,
 // so a heap block's enc is never empty) or in the store's backing ReaderAt
@@ -44,11 +38,10 @@ type blockRef struct {
 
 // BlockStore is the memory-lean edge tier: edges in fixed-size blocks,
 // each encoded with the same delta-varint codec the snapshot format uses,
-// with optional per-block weight sidecars. Blocks decode on demand — full
-// scans stream through pooled scratch, random access goes through a small
-// LRU of hot decoded blocks — so a store's resident cost is the encoded
-// bytes (or nothing at all for a ReaderAt-backed store serving blocks
-// straight from a file).
+// with optional per-block weight sidecars. Blocks decode on demand, one at
+// a time into pooled scratch (decode), so a store's resident cost is the
+// encoded bytes (or nothing at all for a ReaderAt-backed store serving
+// blocks straight from a file).
 //
 // A BlockStore is immutable once built and safe for concurrent readers.
 // A generation step (Grow/Shrink/SlideWindow) builds a new store
@@ -64,17 +57,8 @@ type BlockStore struct {
 	refs       []blockRef
 	src        io.ReaderAt // backing file for refs with enc == nil
 
-	mu    sync.Mutex
-	cache map[int]*decodedBlock
-	order []int // LRU, oldest first
-	ones  []float64
-}
-
-// decodedBlock is one cached decode. Cached blocks are never mutated after
-// insertion, so readers may hold them across an eviction.
-type decodedBlock struct {
-	edges   []Edge
-	weights []float64 // nil on an unweighted store
+	onesOnce sync.Once
+	ones     []float64 // shared read-only weights of a block without a sidecar
 }
 
 // NumEdges returns the total number of edges across all blocks.
@@ -113,8 +97,8 @@ func (bs *BlockStore) EncodedBytes() int64 {
 }
 
 // HeapBytes returns the heap-resident payload bytes: what the store
-// actually costs in RAM, excluding the decode cache. File-backed blocks
-// contribute nothing.
+// actually costs in RAM, excluding pooled decode scratch. File-backed
+// blocks contribute nothing.
 func (bs *BlockStore) HeapBytes() int64 {
 	var n int64
 	for i := range bs.refs {
@@ -128,233 +112,112 @@ func (bs *BlockStore) HeapBytes() int64 {
 // BlockPayload returns block b's encoded edge payload and weight sidecar
 // (nil sidecar = implicitly all ones). For file-backed blocks the payload
 // is read and CRC-checked into fresh slices the caller owns; heap blocks
-// return their retained slices, which callers must not modify. Decode
-// paths that drop the payload immediately go through readPayload with
-// pooled scratch instead — this entry point is for callers that keep the
-// bytes (the snapshot writer re-emitting payloads verbatim).
+// return their retained slices, which callers must not modify. This entry
+// point is for callers that keep the bytes (the snapshot writer
+// re-emitting payloads verbatim); everything that decodes goes through
+// decode.
 func (bs *BlockStore) BlockPayload(b int) (enc, wenc []byte, err error) {
 	r := &bs.refs[b]
 	if r.enc != nil {
 		return r.enc, r.wenc, nil
 	}
-	var sc payloadScratch
-	if enc, wenc, err = bs.readPayload(b, &sc); err != nil {
+	if enc, err = bs.read(b, "edge payload", nil, r.off, r.encLen, r.crc); err != nil {
 		return nil, nil, err
-	}
-	return enc, wenc, nil
-}
-
-// payloadScratch is a reusable read-buffer pair for file-backed payload
-// reads whose bytes are decoded and dropped immediately. Full scans over a
-// file-backed store would otherwise allocate one fresh payload buffer per
-// block per pass — O(encoded bytes) of garbage for every assignment,
-// degree, or fingerprint pass.
-type payloadScratch struct{ enc, wenc []byte }
-
-var payloadScratchPool = sync.Pool{New: func() any {
-	mScratchAllocs.Inc()
-	return new(payloadScratch)
-}}
-
-// readPayload returns block b's encoded payloads, reading file-backed
-// blocks into sc's buffers (grown as needed) and CRC-checking them. Heap
-// blocks return their retained slices, untouched by sc. The results alias
-// sc and are valid only until its next use.
-func (bs *BlockStore) readPayload(b int, sc *payloadScratch) (enc, wenc []byte, err error) {
-	r := &bs.refs[b]
-	if r.enc != nil {
-		return r.enc, r.wenc, nil
-	}
-	if cap(sc.enc) < int(r.encLen) {
-		sc.enc = make([]byte, r.encLen)
-	}
-	enc = sc.enc[:r.encLen]
-	if _, err := bs.src.ReadAt(enc, r.off); err != nil {
-		return nil, nil, fmt.Errorf("graph: block %d: read edges: %w", b, err)
-	}
-	if c := crc32.ChecksumIEEE(enc); c != r.crc {
-		return nil, nil, fmt.Errorf("graph: block %d: edge payload CRC mismatch (%08x != %08x)", b, c, r.crc)
 	}
 	if r.wencLen > 0 {
-		if cap(sc.wenc) < int(r.wencLen) {
-			sc.wenc = make([]byte, r.wencLen)
-		}
-		wenc = sc.wenc[:r.wencLen]
-		if _, err := bs.src.ReadAt(wenc, r.woff); err != nil {
-			return nil, nil, fmt.Errorf("graph: block %d: read weights: %w", b, err)
-		}
-		if c := crc32.ChecksumIEEE(wenc); c != r.wcrc {
-			return nil, nil, fmt.Errorf("graph: block %d: weight sidecar CRC mismatch (%08x != %08x)", b, c, r.wcrc)
+		if wenc, err = bs.read(b, "weight sidecar", nil, r.woff, r.wencLen, r.wcrc); err != nil {
+			return nil, nil, err
 		}
 	}
 	return enc, wenc, nil
 }
 
-// onesSlice returns the store's shared all-ones weight slice, sized to
-// cover any block. Callers must treat it as read-only.
-func (bs *BlockStore) onesSlice(n int) []float64 {
-	bs.mu.Lock()
-	if bs.ones == nil {
-		ones := make([]float64, bs.blockEdges)
-		for i := range ones {
-			ones[i] = 1
-		}
-		bs.ones = ones
+// read reads n bytes at off from the backing file into buf (grown as
+// needed) and checks them against crc. The result reuses buf's capacity.
+func (bs *BlockStore) read(b int, what string, buf []byte, off int64, n, crc uint32) ([]byte, error) {
+	if cap(buf) < int(n) {
+		buf = make([]byte, n)
 	}
-	s := bs.ones[:n]
-	bs.mu.Unlock()
-	return s
+	buf = buf[:n]
+	if _, err := bs.src.ReadAt(buf, off); err != nil {
+		return nil, fmt.Errorf("graph: block %d: read %s: %w", b, what, err)
+	}
+	if c := crc32.ChecksumIEEE(buf); c != crc {
+		return nil, fmt.Errorf("graph: block %d: %s CRC mismatch (%08x != %08x)", b, what, c, crc)
+	}
+	return buf, nil
 }
 
-// DecodeBlockInto decodes block b into the provided scratch slices (grown
-// as needed; pass nil to allocate fresh) and returns the decoded edges and
-// weights. The weights result is nil on an unweighted store, and may be a
-// shared read-only all-ones slice when the block has no explicit sidecar —
-// callers must not write into either result. Safe for concurrent use; the
-// hot parallel consumers (the partitioned-graph scatter pass) decode into
-// per-worker scratch through here and never touch the LRU.
-func (bs *BlockStore) DecodeBlockInto(b int, edges []Edge, weights []float64) ([]Edge, []float64, error) {
-	sc := getPayloadScratch()
-	defer payloadScratchPool.Put(sc)
-	enc, wenc, err := bs.readPayload(b, sc)
-	if err != nil {
-		return nil, nil, err
-	}
+// blockScratch is the one pooled decode buffer set: the payload read
+// buffers of a file-backed block, the decoded edges and weights, and the
+// endpoint indices ForEachEndpointBlock resolves them into. Every block
+// read checks one out for the length of the call (getScratch).
+type blockScratch struct {
+	enc, wenc []byte
+	edges     []Edge
+	weights   []float64
+	src, dst  []int32
+}
+
+var blockScratchPool = sync.Pool{New: func() any {
+	mScratchAllocs.Inc()
+	return new(blockScratch)
+}}
+
+// decode reads block b into sc and returns its edges and, when withWeights
+// is set on a weighted store, its weights — the store's shared all-ones
+// slice for a block without a sidecar; nil otherwise. A file-backed
+// block's payload is read and CRC-checked, its sidecar only when the
+// weights are asked for. The results alias sc (or the shared ones) and are
+// valid until sc's next use; callers must not modify them. Every block
+// read goes through here; it is safe for concurrent use with distinct
+// scratch.
+func (bs *BlockStore) decode(b int, sc *blockScratch, withWeights bool) ([]Edge, []float64, error) {
 	r := &bs.refs[b]
-	es, err := decodeEdgesInto(enc, edges)
+	enc, wenc := r.enc, r.wenc
+	if enc == nil {
+		var err error
+		if sc.enc, err = bs.read(b, "edge payload", sc.enc, r.off, r.encLen, r.crc); err != nil {
+			return nil, nil, err
+		}
+		enc = sc.enc
+	}
+	es, err := decodeEdgesInto(enc, sc.edges)
 	if err != nil {
 		return nil, nil, fmt.Errorf("graph: block %d: %w", b, err)
 	}
+	sc.edges = es
 	if len(es) != int(r.count) {
 		return nil, nil, fmt.Errorf("graph: block %d decodes to %d edges, index says %d", b, len(es), r.count)
 	}
-	if !bs.weighted {
+	if !withWeights || !bs.weighted {
 		return es, nil, nil
 	}
-	if wenc == nil {
-		return es, bs.onesSlice(len(es)), nil
+	if r.enc == nil && r.wencLen > 0 {
+		if sc.wenc, err = bs.read(b, "weight sidecar", sc.wenc, r.woff, r.wencLen, r.wcrc); err != nil {
+			return nil, nil, err
+		}
+		wenc = sc.wenc
 	}
-	ws, err := decodeWeightSidecarInto(wenc, weights)
+	if wenc == nil {
+		bs.onesOnce.Do(func() {
+			bs.ones = make([]float64, bs.blockEdges)
+			for i := range bs.ones {
+				bs.ones[i] = 1
+			}
+		})
+		return es, bs.ones[:len(es)], nil
+	}
+	ws, err := decodeWeightSidecarInto(wenc, sc.weights)
 	if err != nil {
 		return nil, nil, fmt.Errorf("graph: block %d: %w", b, err)
 	}
+	sc.weights = ws
 	if len(ws) != len(es) {
 		return nil, nil, fmt.Errorf("graph: block %d has %d weights for %d edges", b, len(ws), len(es))
 	}
 	return es, ws, nil
 }
-
-// DecodeBlockEdges decodes just block b's edges into the provided scratch
-// (grown as needed; nil allocates fresh), skipping the weight sidecar
-// entirely — for parallel consumers that need topology only (the
-// partitioned-graph scatter pass decodes blocks into per-worker scratch
-// through here). Safe for concurrent use.
-func (bs *BlockStore) DecodeBlockEdges(b int, edges []Edge) ([]Edge, error) {
-	r := &bs.refs[b]
-	enc := r.enc
-	if enc == nil {
-		sc := getPayloadScratch()
-		defer payloadScratchPool.Put(sc)
-		if cap(sc.enc) < int(r.encLen) {
-			sc.enc = make([]byte, r.encLen)
-		}
-		enc = sc.enc[:r.encLen]
-		if _, err := bs.src.ReadAt(enc, r.off); err != nil {
-			return nil, fmt.Errorf("graph: block %d: read edges: %w", b, err)
-		}
-		if c := crc32.ChecksumIEEE(enc); c != r.crc {
-			return nil, fmt.Errorf("graph: block %d: edge payload CRC mismatch (%08x != %08x)", b, c, r.crc)
-		}
-	}
-	es, err := decodeEdgesInto(enc, edges)
-	if err != nil {
-		return nil, fmt.Errorf("graph: block %d: %w", b, err)
-	}
-	if len(es) != int(r.count) {
-		return nil, fmt.Errorf("graph: block %d decodes to %d edges, index says %d", b, len(es), r.count)
-	}
-	return es, nil
-}
-
-// block returns block b via the LRU cache, decoding on miss. Decoded
-// blocks are immutable, so a cached block stays valid for readers that
-// obtained it even after eviction.
-func (bs *BlockStore) block(b int) (*decodedBlock, error) {
-	bs.mu.Lock()
-	if d, ok := bs.cache[b]; ok {
-		for i, o := range bs.order {
-			if o == b {
-				copy(bs.order[i:], bs.order[i+1:])
-				bs.order[len(bs.order)-1] = b
-				break
-			}
-		}
-		bs.mu.Unlock()
-		mBlockCacheHits.Inc()
-		return d, nil
-	}
-	bs.mu.Unlock()
-	mBlockCacheMisses.Inc()
-
-	es, ws, err := bs.DecodeBlockInto(b, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	d := &decodedBlock{edges: es, weights: ws}
-
-	bs.mu.Lock()
-	if prev, ok := bs.cache[b]; ok {
-		// Lost the race to another decoder; keep its entry.
-		bs.mu.Unlock()
-		return prev, nil
-	}
-	if bs.cache == nil {
-		bs.cache = make(map[int]*decodedBlock, blockCacheCap)
-	}
-	bs.cache[b] = d
-	bs.order = append(bs.order, b)
-	if len(bs.order) > blockCacheCap {
-		evict := bs.order[0]
-		bs.order = bs.order[1:]
-		delete(bs.cache, evict)
-	}
-	bs.mu.Unlock()
-	return d, nil
-}
-
-// EdgeAt returns the edge at dense position i, decoding its block on
-// demand through the LRU cache.
-func (bs *BlockStore) EdgeAt(i int) (Edge, error) {
-	b := i / bs.blockEdges
-	d, err := bs.block(b)
-	if err != nil {
-		return Edge{}, err
-	}
-	return d.edges[i-b*bs.blockEdges], nil
-}
-
-// WeightAt returns the weight of the edge at dense position i (1 on an
-// unweighted store).
-func (bs *BlockStore) WeightAt(i int) (float64, error) {
-	if !bs.weighted {
-		return 1, nil
-	}
-	b := i / bs.blockEdges
-	d, err := bs.block(b)
-	if err != nil {
-		return 0, err
-	}
-	return d.weights[i-b*bs.blockEdges], nil
-}
-
-// blockScratch is a pooled decode buffer pair for full scans.
-type blockScratch struct {
-	edges    []Edge
-	weights  []float64
-	src, dst []int32 // endpoint indices of edges (ForEachEndpointBlock)
-}
-
-var blockScratchPool = sync.Pool{New: func() any { return &blockScratch{} }}
 
 // forEach streams every block through fn in dense order: fn(start, edges,
 // weights) where start is the dense position of edges[0] and weights is
@@ -362,19 +225,13 @@ var blockScratchPool = sync.Pool{New: func() any { return &blockScratch{} }}
 // during the callback; fn must not retain or modify them. A non-nil error
 // from fn stops the scan and is returned.
 func (bs *BlockStore) forEach(fn func(start int, edges []Edge, weights []float64) error) error {
-	sc := blockScratchPool.Get().(*blockScratch)
+	sc := getScratch()
 	defer blockScratchPool.Put(sc)
 	start := 0
 	for b := range bs.refs {
-		es, ws, err := bs.DecodeBlockInto(b, sc.edges, sc.weights)
+		es, ws, err := bs.decode(b, sc, true)
 		if err != nil {
 			return err
-		}
-		sc.edges = es[:0]
-		if ws != nil && !bs.isSharedOnes(ws) {
-			// Adopt (possibly regrown) sidecar decode buffers as scratch;
-			// the shared all-ones slice must never become scratch.
-			sc.weights = ws[:0]
 		}
 		if err := fn(start, es, ws); err != nil {
 			return err
@@ -382,14 +239,6 @@ func (bs *BlockStore) forEach(fn func(start int, edges []Edge, weights []float64
 		start += len(es)
 	}
 	return nil
-}
-
-// isSharedOnes reports whether ws is the store's shared all-ones slice.
-func (bs *BlockStore) isSharedOnes(ws []float64) bool {
-	bs.mu.Lock()
-	o := bs.ones
-	bs.mu.Unlock()
-	return o != nil && len(ws) > 0 && &ws[0] == &o[0]
 }
 
 // extend returns a new store holding this store's edges followed by
@@ -404,11 +253,12 @@ func (bs *BlockStore) extend(suffix []Edge, sufWeights []float64, weighted bool)
 	var tailW []float64
 	if full > 0 && int(bs.refs[full-1].count) < bs.blockEdges {
 		full--
-		es, ws, err := bs.DecodeBlockInto(full, nil, nil)
-		if err != nil {
+		sc := getScratch()
+		defer blockScratchPool.Put(sc)
+		var err error
+		if tailEdges, tailW, err = bs.decode(full, sc, true); err != nil {
 			return nil, err
 		}
-		tailEdges, tailW = es, ws
 	}
 	bb := &BlockBuilder{blockEdges: bs.blockEdges, weighted: weighted, src: bs.src}
 	bb.refs = append(bb.refs, bs.refs[:full]...)

@@ -3,6 +3,8 @@ package graph
 import (
 	"bytes"
 	"hash/crc32"
+	"slices"
+	"sync"
 	"testing"
 
 	"cutfit/internal/rng"
@@ -79,14 +81,11 @@ func TestBlockStoreRoundTrip(t *testing.T) {
 			t.Fatalf("edge %d = %v, want %v", i, got[i], edges[i])
 		}
 	}
-	// Random access via the LRU (more blocks than the cache holds).
-	for _, i := range []int{0, 127, 128, 500, len(edges) - 1} {
-		e, err := bs.EdgeAt(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if e != edges[i] {
-			t.Fatalf("EdgeAt(%d) = %v, want %v", i, e, edges[i])
+	// Positional reads, on both sides of block boundaries.
+	idx := []int{0, 127, 128, 500, len(edges) - 1}
+	for k, e := range FromBlocks(bs).EdgesAt(idx) {
+		if e != edges[idx[k]] {
+			t.Fatalf("EdgesAt: edge %d = %v, want %v", idx[k], e, edges[idx[k]])
 		}
 	}
 }
@@ -113,13 +112,13 @@ func TestBlockStoreWeights(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	for _, i := range []int{0, 129, 599} {
-		w, err := bs.WeightAt(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if w != weights[i] {
-			t.Fatalf("WeightAt(%d) = %g, want %g", i, w, weights[i])
+	_, ws := FromBlocks(bs).EdgeRange(100, 600)
+	if len(ws) != 500 {
+		t.Fatalf("EdgeRange(100, 600) returned %d weights", len(ws))
+	}
+	for i, w := range ws {
+		if w != weights[100+i] {
+			t.Fatalf("EdgeRange weight %d = %g, want %g", 100+i, w, weights[100+i])
 		}
 	}
 }
@@ -134,22 +133,17 @@ func TestBlockBuilderWeightPromotion(t *testing.T) {
 	if !bs.Weighted() {
 		t.Fatal("store not promoted to weighted")
 	}
-	for i := 0; i < 200; i++ {
-		got, err := bs.WeightAt(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != 1 {
-			t.Fatalf("pre-promotion weight %d = %g, want 1", i, got)
-		}
+	_, ws := FromBlocks(bs).EdgeRange(0, 300)
+	if len(ws) != 300 {
+		t.Fatalf("EdgeRange(0, 300) returned %d weights", len(ws))
 	}
-	for i := 200; i < 300; i++ {
-		got, err := bs.WeightAt(i)
-		if err != nil {
-			t.Fatal(err)
+	for i, got := range ws {
+		want := 1.0
+		if i >= 200 {
+			want = w[i-200]
 		}
-		if got != w[i-200] {
-			t.Fatalf("weight %d = %g, want %g", i, got, w[i-200])
+		if got != want {
+			t.Fatalf("weight %d = %g, want %g", i, got, want)
 		}
 	}
 	// The block sealed before promotion must carry no sidecar.
@@ -264,7 +258,7 @@ func TestOpenBlocksDetectsCorruption(t *testing.T) {
 	bs := buildBlocks(t, edges, nil, 128)
 	fb, data := fileBackedCopy(t, bs)
 	data[3] ^= 0xff
-	if _, err := fb.EdgeAt(0); err == nil {
+	if err := fb.forEach(func(int, []Edge, []float64) error { return nil }); err == nil {
 		t.Fatal("corrupted payload decoded without error")
 	}
 }
@@ -319,10 +313,9 @@ func TestFromBlocksGraphEquivalence(t *testing.T) {
 			t.Fatalf("degree mismatch at vertex %d", v)
 		}
 	}
-	for _, i := range []int{0, 255, 256, 1999} {
-		if dense.EdgeAt(i) != block.EdgeAt(i) || dense.EdgeWeight(i) != block.EdgeWeight(i) {
-			t.Fatalf("edge/weight mismatch at %d", i)
-		}
+	idx := []int{0, 255, 256, 1999}
+	if de, be := dense.EdgesAt(idx), block.EdgesAt(idx); !slices.Equal(de, be) {
+		t.Fatalf("EdgesAt(%v): dense %v block %v", idx, de, be)
 	}
 	// EdgeRange across a block boundary.
 	de, dw := dense.EdgeRange(200, 600)
@@ -499,22 +492,95 @@ func TestForEachEndpointBlockMatchesLookup(t *testing.T) {
 	}
 }
 
-func TestEdgeSeqStreams(t *testing.T) {
-	edges := randEdges(500, 100, 18)
-	g := FromBlocks(buildBlocks(t, edges, nil, 128))
-	i := 0
-	for pos, e := range g.EdgeSeq() {
-		if pos != i || e != edges[i] {
-			t.Fatalf("EdgeSeq yielded (%d, %v), want (%d, %v)", pos, e, i, edges[i])
-		}
-		i++
-		if i == 200 {
-			break // early break must not panic
+// TestConcurrentFileBackedReads has eight goroutines interleave every block
+// read — EdgeRange, EdgesAt, ForEachEdgeBlock and ForEachEndpointBlock —
+// over one file-backed weighted store whose first blocks carry no weight
+// sidecar (sealed before the weight promotion) and one whose sidecar was
+// omitted as all ones. Every result must equal the serial read: readers
+// share the pool and the store's all-ones slice with nothing ordering them.
+func TestConcurrentFileBackedReads(t *testing.T) {
+	const blockEdges, n = 128, 128*12 + 50
+	edges := randEdges(n, 400, 31)
+	weights := randWeights(n, 32)
+	for i := 0; i < 3*blockEdges; i++ {
+		weights[i] = 1 // appended unweighted below
+	}
+	for i := 6 * blockEdges; i < 7*blockEdges; i++ {
+		weights[i] = 1 // an all-ones sidecar is omitted
+	}
+	bb := NewBlockBuilder(blockEdges)
+	bb.Append(edges[:3*blockEdges], nil)
+	bb.Append(edges[3*blockEdges:], weights[3*blockEdges:])
+	fb, _ := fileBackedCopy(t, bb.Finish())
+	var bare int
+	for _, r := range fb.refs {
+		if r.wencLen == 0 {
+			bare++
 		}
 	}
-	if i != 200 {
-		t.Fatalf("iterated %d edges, want 200", i)
+	if bare != 4 {
+		t.Fatalf("%d blocks without a sidecar, want 4", bare)
 	}
+	g := FromBlocks(fb)
+	twin, err := FromWeightedEdges(edges, weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSrc, wantDst := twin.EdgeEndpointIndices()
+
+	var wg sync.WaitGroup
+	for w := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r := rng.New(uint64(100 + w))
+			for it := range 40 {
+				lo := r.Intn(n)
+				hi := lo + r.Intn(n-lo+1)
+				switch (w + it) % 4 {
+				case 0:
+					es, ws := g.EdgeRange(lo, hi)
+					if !slices.Equal(es, edges[lo:hi]) || !slices.Equal(ws, weights[lo:hi]) {
+						t.Errorf("worker %d: EdgeRange(%d, %d) differs from the serial read", w, lo, hi)
+					}
+				case 1:
+					var idx []int
+					for i := lo; i < hi; i += 1 + r.Intn(97) {
+						idx = append(idx, i)
+					}
+					for k, e := range g.EdgesAt(idx) {
+						if e != edges[idx[k]] {
+							t.Errorf("worker %d: EdgesAt: edge %d = %v, want %v", w, idx[k], e, edges[idx[k]])
+						}
+					}
+				case 2:
+					next := 0
+					if err := g.ForEachEdgeBlock(func(start int, es []Edge, ws []float64) error {
+						if start != next || !slices.Equal(es, edges[start:start+len(es)]) || !slices.Equal(ws, weights[start:start+len(es)]) {
+							t.Errorf("worker %d: ForEachEdgeBlock block at %d differs from the serial read", w, start)
+						}
+						next += len(es)
+						return nil
+					}); err != nil || next != n {
+						t.Errorf("worker %d: ForEachEdgeBlock scanned %d edges: %v", w, next, err)
+					}
+				default:
+					withWeights := it%2 == 0
+					if err := g.ForEachEndpointBlock(lo, hi, withWeights, func(start int, src, dst []int32, ws []float64) error {
+						end := start + len(src)
+						if !slices.Equal(src, wantSrc[start:end]) || !slices.Equal(dst, wantDst[start:end]) ||
+							(withWeights && !slices.Equal(ws, weights[start:end])) || (!withWeights && ws != nil) {
+							t.Errorf("worker %d: ForEachEndpointBlock piece at %d differs from the serial read", w, start)
+						}
+						return nil
+					}); err != nil {
+						t.Errorf("worker %d: ForEachEndpointBlock: %v", w, err)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestReadEdgeListBlocks(t *testing.T) {

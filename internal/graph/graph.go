@@ -17,16 +17,14 @@
 // delta-varint-encoded in fixed-size blocks that decode on demand,
 // optionally served straight from an on-disk file, so a graph's resident
 // cost is the compressed bytes (or nothing at all). Both tiers
-// answer the same streaming iteration API (ForEachEdgeBlock / EdgeSeq) and
-// produce bit-identical derived views, fingerprints and generation chains;
-// only Edges()/Weights(), which promise a dense slice, force a block graph
-// to materialize.
+// answer the same reads (ForEachEdgeBlock, EdgeRange, EdgesAt,
+// ForEachEndpointBlock) and produce bit-identical derived views,
+// fingerprints and generation chains; only Edges()/Weights(), which promise
+// a dense slice, force a block graph to materialize.
 package graph
 
 import (
-	"errors"
 	"fmt"
-	"iter"
 	"math"
 	"math/bits"
 	"slices"
@@ -342,7 +340,7 @@ func (g *Graph) CheckedFingerprint() (uint64, error) {
 	err := g.fpOnce.tryDo(func() error {
 		h := uint64(fingerprintSeed)
 		weighted := g.Weighted()
-		if err := g.edgeBlocks(func(_ int, edges []Edge, weights []float64) error {
+		if err := g.ForEachEdgeBlock(func(_ int, edges []Edge, weights []float64) error {
 			if weighted {
 				h = foldFingerprintW(h, edges, weights)
 			} else {
@@ -362,33 +360,12 @@ func (g *Graph) CheckedFingerprint() (uint64, error) {
 	return g.fp, nil
 }
 
-// errStopIteration signals a deliberate early exit from ForEachEdgeBlock;
-// it is swallowed before reaching the caller.
-var errStopIteration = errors.New("graph: stop iteration")
-
-// edgeBlocks streams the dense edge list block-at-a-time through fn:
-// fn(start, edges, weights) where start is the dense position of edges[0]
-// and weights is nil on an unweighted graph. The dense tier yields one
-// block (the whole slice); the block tier decodes each block into pooled
-// scratch, valid only during the callback. Tombstoned slots are included
-// (filter with EdgeAlive on start+i). A non-nil error from fn stops the
-// scan; block decode failures surface the same way.
-func (g *Graph) edgeBlocks(fn func(start int, edges []Edge, weights []float64) error) error {
-	if g.blocks != nil && !g.denseOnce.built() {
-		return g.blocks.forEach(fn)
-	}
-	if len(g.edges) == 0 {
-		return nil
-	}
-	return fn(0, g.edges, g.weights)
-}
-
-// mustEdgeBlocks is edgeBlocks for the internal view builders, which have
-// no error channel. A block decode failure (an I/O error on a file-backed
-// store, or payload corruption) is unrecoverable mid-build and panics —
-// the same way an mmap-backed store would surface I/O failure.
+// mustEdgeBlocks is ForEachEdgeBlock for the internal view builders, which
+// have no error channel. A block decode failure (an I/O error on a
+// file-backed store, or payload corruption) is unrecoverable mid-build and
+// panics — the same way an mmap-backed store would surface I/O failure.
 func (g *Graph) mustEdgeBlocks(fn func(start int, edges []Edge, weights []float64)) {
-	err := g.edgeBlocks(func(start int, edges []Edge, weights []float64) error {
+	err := g.ForEachEdgeBlock(func(start int, edges []Edge, weights []float64) error {
 		fn(start, edges, weights)
 		return nil
 	})
@@ -405,47 +382,45 @@ func (g *Graph) mustEdgeBlocks(fn func(start int, edges []Edge, weights []float6
 // callback — fn must not retain or modify the slices. Tombstoned slots
 // are included, aligned with the dense index space (filter with
 // EdgeAlive(start+i)). Returning a non-nil error stops the scan and
-// propagates, except errStopIteration-style sentinels the caller defines;
-// block decode failures also surface here.
+// propagates (a caller stopping early defines its own sentinel); block
+// decode failures also surface here.
 func (g *Graph) ForEachEdgeBlock(fn func(start int, edges []Edge, weights []float64) error) error {
-	return g.edgeBlocks(fn)
-}
-
-// EdgeSeq returns a range-able sequence over (dense position, edge),
-// including tombstoned slots, streaming block-at-a-time on the block
-// tier. Breaking out of the range is O(1); the sequence is single-use per
-// call but re-obtainable.
-func (g *Graph) EdgeSeq() iter.Seq2[int, Edge] {
-	return func(yield func(int, Edge) bool) {
-		err := g.edgeBlocks(func(start int, edges []Edge, _ []float64) error {
-			for i, e := range edges {
-				if !yield(start+i, e) {
-					return errStopIteration
-				}
-			}
-			return nil
-		})
-		if err != nil && err != errStopIteration {
-			panic("graph: block decode failed: " + err.Error())
-		}
-	}
-}
-
-// EdgeAt returns the edge at dense position i without materializing the
-// dense slice: block graphs decode the covering block through a small LRU.
-func (g *Graph) EdgeAt(i int) Edge {
-	return g.edgeAt(i)
-}
-
-func (g *Graph) edgeAt(i int) Edge {
 	if g.blocks != nil && !g.denseOnce.built() {
-		e, err := g.blocks.EdgeAt(i)
-		if err != nil {
-			panic("graph: block decode failed: " + err.Error())
-		}
-		return e
+		return g.blocks.forEach(fn)
 	}
-	return g.edges[i]
+	if len(g.edges) == 0 {
+		return nil
+	}
+	return fn(0, g.edges, g.weights)
+}
+
+// EdgesAt returns the edges at the dense positions idx (tombstoned slots
+// included), which ascend. The dense tier indexes its slice; the block tier
+// decodes each covering block once.
+func (g *Graph) EdgesAt(idx []int) []Edge {
+	out := make([]Edge, len(idx))
+	bs := g.blocks
+	if bs == nil || g.denseOnce.built() {
+		for k, i := range idx {
+			out[k] = g.edges[i]
+		}
+		return out
+	}
+	sc := getScratch()
+	defer blockScratchPool.Put(sc)
+	var es []Edge
+	cur := -1
+	for k, i := range idx {
+		if b := i / bs.blockEdges; b != cur {
+			var err error
+			if es, _, err = bs.decode(b, sc, false); err != nil {
+				panic("graph: block decode failed: " + err.Error())
+			}
+			cur = b
+		}
+		out[k] = es[i-cur*bs.blockEdges]
+	}
+	return out
 }
 
 // EdgeRange returns the edges and weights of dense positions [lo, hi).
@@ -468,16 +443,12 @@ func (g *Graph) EdgeRange(lo, hi int) ([]Edge, []float64) {
 	if bs.weighted {
 		w = make([]float64, hi-lo)
 	}
-	sc := blockScratchPool.Get().(*blockScratch)
+	sc := getScratch()
 	defer blockScratchPool.Put(sc)
 	for b := lo / bs.blockEdges; b*bs.blockEdges < hi; b++ {
-		es, ws, err := bs.DecodeBlockInto(b, sc.edges, sc.weights)
+		es, ws, err := bs.decode(b, sc, true)
 		if err != nil {
 			panic("graph: block decode failed: " + err.Error())
-		}
-		sc.edges = es[:0]
-		if ws != nil && !bs.isSharedOnes(ws) {
-			sc.weights = ws[:0]
 		}
 		bLo, _ := bs.BlockRange(b)
 		from, to := 0, len(es)
@@ -543,25 +514,12 @@ func (g *Graph) ForEachEndpointBlock(lo, hi int, withWeights bool, fn func(start
 		}
 		return fn(lo, src[lo:hi], dst[lo:hi], ws)
 	}
-	sc := blockScratchPool.Get().(*blockScratch)
+	sc := getScratch()
 	defer blockScratchPool.Put(sc)
 	for b := lo / bs.blockEdges; b*bs.blockEdges < hi; b++ {
-		var (
-			es  []Edge
-			ws  []float64
-			err error
-		)
-		if withWeights {
-			es, ws, err = bs.DecodeBlockInto(b, sc.edges, sc.weights)
-		} else {
-			es, err = bs.DecodeBlockEdges(b, sc.edges)
-		}
+		es, ws, err := bs.decode(b, sc, withWeights)
 		if err != nil {
 			return err
-		}
-		sc.edges = es[:0]
-		if ws != nil && !bs.isSharedOnes(ws) {
-			sc.weights = ws[:0]
 		}
 		start := b * bs.blockEdges
 		from, to := max(lo-start, 0), min(hi-start, len(es))
@@ -617,7 +575,7 @@ func (g *Graph) Tombstones() []uint64 { return g.dead }
 // modify it. On a block-backed graph this is the compatibility fallback:
 // it materializes (and caches) the full dense slice, defeating the block
 // tier's memory advantage — streaming consumers use ForEachEdgeBlock,
-// EdgeSeq, EdgeAt or EdgeRange instead.
+// EdgeRange or EdgesAt instead.
 func (g *Graph) Edges() []Edge {
 	g.ensureDense()
 	return g.edges
@@ -640,22 +598,6 @@ func (g *Graph) Weights() []float64 {
 	}
 	g.ensureDense()
 	return g.weights
-}
-
-// EdgeWeight returns the weight of dense edge slot i (1 on an unweighted
-// graph), without materializing a block-backed graph.
-func (g *Graph) EdgeWeight(i int) float64 {
-	if g.blocks != nil && !g.denseOnce.built() {
-		w, err := g.blocks.WeightAt(i)
-		if err != nil {
-			panic("graph: block decode failed: " + err.Error())
-		}
-		return w
-	}
-	if g.weights == nil {
-		return 1
-	}
-	return g.weights[i]
 }
 
 // buildVerts computes the sorted unique vertex list by scanning the edge
@@ -929,7 +871,7 @@ func (g *Graph) Validate() error {
 		return fmt.Errorf("graph: %d weights for %d edges", len(g.weights), len(g.edges))
 	}
 	weighted := g.Weighted()
-	if err := g.edgeBlocks(func(start int, edges []Edge, weights []float64) error {
+	if err := g.ForEachEdgeBlock(func(start int, edges []Edge, weights []float64) error {
 		for i, e := range edges {
 			if e.Src < 0 || e.Dst < 0 {
 				return fmt.Errorf("graph: edge %d (%d -> %d) has negative vertex ID", start+i, e.Src, e.Dst)

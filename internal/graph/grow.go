@@ -310,8 +310,7 @@ func (g *Graph) advance(suffix []Edge, sufWeights []float64, removeIdx []int) (*
 		}
 		step.RemSrc = make([]int32, len(removeIdx))
 		step.RemDst = make([]int32, len(removeIdx))
-		for k, i := range removeIdx {
-			e := g.edgeAt(i)
+		for k, e := range g.EdgesAt(removeIdx) {
 			si, _ := slices.BinarySearch(ng.verts, e.Src)
 			di, _ := slices.BinarySearch(ng.verts, e.Dst)
 			step.RemSrc[k], step.RemDst[k] = int32(si), int32(di)

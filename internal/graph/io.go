@@ -26,7 +26,7 @@ func (g *Graph) WriteEdgeList(w io.Writer) error {
 		return err
 	}
 	weighted := g.Weighted()
-	if err := g.edgeBlocks(func(start int, edges []Edge, weights []float64) error {
+	if err := g.ForEachEdgeBlock(func(start int, edges []Edge, weights []float64) error {
 		for i, e := range edges {
 			if g.numDead != 0 && !g.EdgeAlive(start+i) {
 				continue
@@ -594,18 +594,33 @@ func ReadEdgeListBlocks(r io.Reader, blockEdges int) (*Graph, error) {
 // EncodeEdges appends the delta-varint binary encoding of edges to dst and
 // returns the extended slice.
 func EncodeEdges(dst []byte, edges []Edge) []byte {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], uint64(len(edges)))
-	dst = append(dst, buf[:n]...)
+	dst = binary.AppendUvarint(dst, uint64(len(edges)))
+	dst, _ = appendEdgeRun(dst, edges, 0)
+	return dst
+}
+
+// AppendEncodedEdges appends the EncodeEdges encoding of g's dense edge
+// list (tombstoned slots included) to dst and returns the extended slice.
+// It encodes a block at a time, so a block-backed graph stays unmaterialized.
+func (g *Graph) AppendEncodedEdges(dst []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(g.NumEdges()))
 	var prevSrc int64
+	g.mustEdgeBlocks(func(_ int, edges []Edge, _ []float64) {
+		dst, prevSrc = appendEdgeRun(dst, edges, prevSrc)
+	})
+	return dst
+}
+
+// appendEdgeRun appends the per-edge varints of edges to dst, the first
+// source delta taken from prevSrc, and returns the extended slice and the
+// last source.
+func appendEdgeRun(dst []byte, edges []Edge, prevSrc int64) ([]byte, int64) {
 	for _, e := range edges {
-		n = binary.PutVarint(buf[:], int64(e.Src)-prevSrc)
-		dst = append(dst, buf[:n]...)
-		n = binary.PutVarint(buf[:], int64(e.Dst)-int64(e.Src))
-		dst = append(dst, buf[:n]...)
+		dst = binary.AppendVarint(dst, int64(e.Src)-prevSrc)
+		dst = binary.AppendVarint(dst, int64(e.Dst)-int64(e.Src))
 		prevSrc = int64(e.Src)
 	}
-	return dst
+	return dst, prevSrc
 }
 
 // DecodeEdges parses an EncodeEdges payload, requiring that it is consumed

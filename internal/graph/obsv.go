@@ -6,20 +6,16 @@ import "cutfit/internal/obsv"
 // the default registry at package init. Process-wide aggregates across
 // every BlockStore in the process.
 var (
-	mBlockCacheHits = obsv.Default.Counter("cutfit_blockstore_cache_hits_total",
-		"Random-access block lookups served by the decoded-block LRU cache.")
-	mBlockCacheMisses = obsv.Default.Counter("cutfit_blockstore_cache_misses_total",
-		"Random-access block lookups that had to decode the block's payload.")
 	mScratchGets = obsv.Default.Counter("cutfit_blockstore_scratch_gets_total",
-		"Payload scratch-buffer checkouts for file-backed block reads.")
+		"Decode-scratch checkouts: one per block read (a scan, a range, a batch of positions).")
 	mScratchAllocs = obsv.Default.Counter("cutfit_blockstore_scratch_allocs_total",
 		"Checkouts the pool could not serve from a recycled buffer (fresh allocations).")
 )
 
-// getPayloadScratch checks a read-buffer pair out of the pool, counting
-// the checkout; the pool's New hook counts the allocations that missed,
-// so gets - allocs = recycles.
-func getPayloadScratch() *payloadScratch {
+// getScratch checks a decode scratch out of the pool, counting the
+// checkout; the pool's New hook counts the allocations that missed, so
+// gets - allocs = recycles.
+func getScratch() *blockScratch {
 	mScratchGets.Inc()
-	return payloadScratchPool.Get().(*payloadScratch)
+	return blockScratchPool.Get().(*blockScratch)
 }

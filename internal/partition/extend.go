@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"cutfit/internal/graph"
 )
@@ -13,9 +14,9 @@ import (
 var errStopReplay = errors.New("partition: stop prefix replay")
 
 // Extend returns the Assignment of grown — a graph that contains exactly
-// this assignment's edges as a prefix, as produced by Graph.Grow, Shrink
-// or SlideWindow (a new generation) or by AddEdges on a.G itself
-// (in-place growth) — under the same strategy and partition count.
+// this assignment's edges as a prefix, as a generation step (Graph.Grow,
+// Shrink or SlideWindow) produces — under the same strategy and partition
+// count.
 // Retraction needs no strategy work at all: tombstoned slots keep their
 // assignment (the dense alignment is the whole point of tombstones), so a
 // shrink step reuses every PID and only subtracts the newly-dead edges
@@ -46,10 +47,11 @@ func (a *Assignment) Extend(grown *graph.Graph, s Strategy) (*Assignment, error)
 	}
 	// Cheap prefix sanity check: the grown edge list must start with the
 	// assigned one. Spot-check the boundary edges; full equality is the
-	// caller's contract (Graph.Grow guarantees it). EdgeAt keeps this O(1)
-	// decodes on a block-backed graph.
+	// caller's contract (Graph.Grow guarantees it). EdgesAt keeps this to
+	// at most two block decodes per graph on the block tier.
 	if oldLen > 0 {
-		if a.G.NumEdges() < oldLen || a.G.EdgeAt(0) != grown.EdgeAt(0) || a.G.EdgeAt(oldLen-1) != grown.EdgeAt(oldLen-1) {
+		ends := []int{0, oldLen - 1}
+		if a.G.NumEdges() < oldLen || !slices.Equal(a.G.EdgesAt(ends), grown.EdgesAt(ends)) {
 			return nil, fmt.Errorf("partition: grown graph does not extend the assigned edge list")
 		}
 	}

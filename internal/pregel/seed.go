@@ -188,33 +188,35 @@ func SeedLabels[V comparable](pg *PartitionedGraph, parent *Answer[V], oldLen in
 	}
 
 	// Retracted since the ancestor: the later-stamped endpoint is a suspect.
+	// The step resolved its retractions' endpoints when it patched degree
+	// tables; otherwise one batched read fetches the edges.
 	var suspects []int32
-	oldDead, newDead := parent.G.Tombstones(), g.Tombstones()
-	k := 0 // retracted edges met so far, in position order
-	for w := 0; w<<6 < oldLen && w < len(newDead); w++ {
-		diff := newDead[w]
-		if w < len(oldDead) {
-			diff &^= oldDead[w]
+	suspect := func(a, b int32) {
+		switch {
+		case stamps[a] < stamps[b]:
+			suspects = append(suspects, b)
+		case stamps[b] < stamps[a]:
+			suspects = append(suspects, a)
 		}
-		if diff &= fullWord(w, oldLen); diff == 0 {
-			continue
+	}
+	if step != nil && step.RemSrc != nil {
+		for k := range step.RemSrc {
+			suspect(step.RemSrc[k], step.RemDst[k])
 		}
-		edges, _ := g.EdgeRange(w<<6, min(w<<6+64, oldLen))
-		for ; diff != 0; diff &= diff - 1 {
-			var a, b int32
-			if step != nil && step.RemSrc != nil {
-				a, b = step.RemSrc[k], step.RemDst[k]
-			} else {
-				e := edges[bits.TrailingZeros64(diff)]
-				a, b = index(e.Src), index(e.Dst)
+	} else {
+		var retracted []int
+		oldDead, newDead := parent.G.Tombstones(), g.Tombstones()
+		for w := 0; w<<6 < oldLen && w < len(newDead); w++ {
+			diff := newDead[w]
+			if w < len(oldDead) {
+				diff &^= oldDead[w]
 			}
-			k++
-			switch {
-			case stamps[a] < stamps[b]:
-				suspects = append(suspects, b)
-			case stamps[b] < stamps[a]:
-				suspects = append(suspects, a)
+			for diff &= fullWord(w, oldLen); diff != 0; diff &= diff - 1 {
+				retracted = append(retracted, w<<6+bits.TrailingZeros64(diff))
 			}
+		}
+		for _, e := range g.EdgesAt(retracted) {
+			suspect(index(e.Src), index(e.Dst))
 		}
 	}
 	if len(suspects) == 0 {

@@ -140,13 +140,13 @@ func TestSeededChain(t *testing.T) {
 				batch := []graph.Edge{edge(300), edge(300), {Src: graph.VertexID(step), Dst: 150}, {Src: 250, Dst: graph.VertexID(1000 + step)}}
 				ng, d = g.Grow(batch)
 			case 1:
-				var batch []graph.Edge
-				for i := 0; len(batch) < 9 && i < g.NumEdges(); i += 1 + r.Intn(40) {
+				var idx []int
+				for i := 0; len(idx) < 9 && i < g.NumEdges(); i += 1 + r.Intn(40) {
 					if g.EdgeAlive(i) {
-						batch = append(batch, g.EdgeAt(i))
+						idx = append(idx, i)
 					}
 				}
-				ng, d, err = g.Shrink(batch)
+				ng, d, err = g.Shrink(g.EdgesAt(idx))
 			default:
 				ng, d, err = g.SlideWindow([]graph.Edge{edge(300), edge(300), edge(300)}, nil, 3*step)
 			}

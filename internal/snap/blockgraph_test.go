@@ -169,3 +169,55 @@ func TestSaveBlockGraphAtomic(t *testing.T) {
 		t.Fatalf("directory holds %d entries after save, want only graph.cfb", len(ents))
 	}
 }
+
+// TestEncodeGraphStreamsBlocks: encoding a block-backed graph reads it a
+// block at a time — the graph pins no more heap afterwards than before (no
+// dense copy left behind) — and yields the bytes its dense twin encodes to,
+// across weighted blocks, blocks without a sidecar and tombstones.
+func TestEncodeGraphStreamsBlocks(t *testing.T) {
+	const ne = 4000
+	edges := make([]graph.Edge, ne)
+	weights := make([]float64, ne)
+	for i := range edges {
+		edges[i] = graph.Edge{Src: graph.VertexID((i * 7919) % 900), Dst: graph.VertexID((i * 104729) % 1100)}
+		weights[i] = 1
+		if i >= 600 && i%3 == 0 {
+			weights[i] = 0.25 + float64(i%11)
+		}
+	}
+	bb := graph.NewBlockBuilder(256)
+	bb.Append(edges[:600], nil) // sealed before the weight promotion: no sidecar
+	bb.Append(edges[600:], weights[600:])
+	retract := []graph.Edge{edges[3], edges[1000], edges[ne-1]}
+	block, _, err := graph.FromBlocks(bb.Finish()).Shrink(retract)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dense, err := graph.FromWeightedEdges(edges, weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dense, _, err = dense.Shrink(retract); err != nil {
+		t.Fatal(err)
+	}
+	pinned := func() int64 {
+		seen := map[any]bool{}
+		var n int64
+		for _, s := range block.Shares() {
+			if !seen[s.Key] {
+				seen[s.Key] = true
+				n += s.Bytes
+			}
+		}
+		return n
+	}
+	block.Vertices()
+	before := pinned()
+	got := EncodeGraph(block)
+	if after := pinned(); after != before {
+		t.Fatalf("encoding pinned %d B on the block graph, was %d B: it materialized", after, before)
+	}
+	if !block.BlockBacked() || !bytes.Equal(got, EncodeGraph(dense)) {
+		t.Fatal("a block graph encodes differently from its dense twin")
+	}
+}

@@ -151,12 +151,11 @@ func encodeI64s(vals []int64) []byte {
 	return out
 }
 
-func encodeF64s(vals []float64) []byte {
-	out := make([]byte, 0, 8*len(vals))
+func appendF64s(dst []byte, vals []float64) []byte {
 	for _, v := range vals {
-		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 	}
-	return out
+	return dst
 }
 
 func decodeF64s(p []byte, name string) ([]float64, error) {
@@ -261,7 +260,8 @@ func decodePIDsValidated(p []byte, numParts int, counts []int64) ([]partition.PI
 // EncodeGraph encodes g as a KindGraph container: a meta section (vertex
 // and dense edge counts, content fingerprint), the sorted vertex list
 // (delta uvarints) and the full dense edge list (graph.EncodeEdges delta
-// varints, tombstoned slots included so positions survive the round trip).
+// varints, tombstoned slots included so positions survive the round trip),
+// read a block at a time so a block-backed graph stays unmaterialized.
 // Per-edge weights and the tombstone bitset ride in optional trailing
 // sections written only when present, so unweighted fully-live graphs keep
 // their original byte encoding.
@@ -275,9 +275,16 @@ func EncodeGraph(g *graph.Graph) []byte {
 	b := NewBuilder(KindGraph)
 	b.Section(secMeta, meta)
 	b.Section(secGraphVerts, encodeVertexList(verts))
-	b.Section(secGraphEdges, graph.EncodeEdges(nil, g.Edges()))
-	if w := g.Weights(); w != nil {
-		b.Section(secGraphWeights, encodeF64s(w))
+	b.Section(secGraphEdges, g.AppendEncodedEdges(nil))
+	if g.Weighted() {
+		wsec := make([]byte, 0, 8*g.NumEdges())
+		if err := g.ForEachEdgeBlock(func(_ int, _ []graph.Edge, ws []float64) error {
+			wsec = appendF64s(wsec, ws)
+			return nil
+		}); err != nil {
+			panic("snap: block decode failed: " + err.Error())
+		}
+		b.Section(secGraphWeights, wsec)
 	}
 	if g.NumDeadEdges() > 0 {
 		b.Section(secGraphTombstones, encodeTombstones(g))
@@ -589,7 +596,7 @@ func EncodeMetrics(m *metrics.Result, g *graph.Graph, strategyKey string) []byte
 		// per-partition weight totals. The weighted derived fields
 		// (WeightedBalance, MaxWeight) are recomputed by Finalize on decode.
 		wsec := binary.LittleEndian.AppendUint64(nil, math.Float64bits(m.WeightedCommCost))
-		wsec = append(wsec, encodeF64s(m.WeightPerPart)...)
+		wsec = appendF64s(wsec, m.WeightPerPart)
 		b.Section(secMetricsWeights, wsec)
 	}
 	return b.Bytes()

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"cutfit"
+	"cutfit/internal/gen"
 	"cutfit/internal/graph"
 	"cutfit/internal/pregel"
 )
@@ -41,20 +42,26 @@ func checkStamps(t testing.TB, a *ccAnswer) {
 		return v
 	}
 	supported := make([]bool, len(verts))
-	for i, e := range g.EdgeSeq() {
-		if !g.EdgeAlive(i) {
-			continue
+	if err := g.ForEachEdgeBlock(func(start int, edges []cutfit.Edge, _ []float64) error {
+		for j, e := range edges {
+			i := start + j
+			if !g.EdgeAlive(i) {
+				continue
+			}
+			u, v := index(e.Src), index(e.Dst)
+			if a.Vals[u] != a.Vals[v] {
+				t.Fatalf("edge %d (%d -> %d): labels %d and %d differ in a stored answer", i, e.Src, e.Dst, a.Vals[u], a.Vals[v])
+			}
+			switch {
+			case a.Stamps[u] < a.Stamps[v]:
+				supported[v] = true
+			case a.Stamps[v] < a.Stamps[u]:
+				supported[u] = true
+			}
 		}
-		u, v := index(e.Src), index(e.Dst)
-		if a.Vals[u] != a.Vals[v] {
-			t.Fatalf("edge %d (%d -> %d): labels %d and %d differ in a stored answer", i, e.Src, e.Dst, a.Vals[u], a.Vals[v])
-		}
-		switch {
-		case a.Stamps[u] < a.Stamps[v]:
-			supported[v] = true
-		case a.Stamps[v] < a.Stamps[u]:
-			supported[u] = true
-		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 	for v, id := range verts {
 		if a.Stamps[v] > a.Clock {
@@ -186,13 +193,15 @@ func (h *seedRig) edges(k, lo, n int) []cutfit.Edge {
 // live picks k live edges of g, oldest first.
 func (h *seedRig) live(g *cutfit.Graph, k int) []cutfit.Edge {
 	var out []cutfit.Edge
-	for i, e := range g.EdgeSeq() {
-		if len(out) == k {
-			break
+	if err := g.ForEachEdgeBlock(func(start int, edges []cutfit.Edge, _ []float64) error {
+		for j, e := range edges {
+			if len(out) < k && g.EdgeAlive(start+j) && h.r.Intn(3) == 0 {
+				out = append(out, e)
+			}
 		}
-		if g.EdgeAlive(i) && h.r.Intn(3) == 0 {
-			out = append(out, e)
-		}
+		return nil
+	}); err != nil {
+		h.t.Fatal(err)
 	}
 	return out
 }
@@ -408,5 +417,70 @@ func TestSeededRetractionShapes(t *testing.T) {
 				h.run(h.must(h.se.AppendEdges(cut, sh.retract)), "seeded/parent")
 			})
 		}
+	}
+}
+
+// blockReads reads cutfit_blockstore_scratch_gets_total — one count per
+// block read — off the process's metrics.
+func blockReads(t testing.TB) int64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := cutfit.WriteMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if val, ok := strings.CutPrefix(line, "cutfit_blockstore_scratch_gets_total "); ok {
+			n, err := strconv.ParseInt(val, 10, 64)
+			if err != nil {
+				t.Fatalf("metrics line %q: %v", line, err)
+			}
+			return n
+		}
+	}
+	return 0
+}
+
+// TestSeededRetractionBlockReads: a seeded cc run after a retraction spread
+// over a whole block graph reads no more blocks than the graph has — the
+// retracted edges are resolved in one batch, not a block decode per
+// tombstone word.
+func TestSeededRetractionBlockReads(t *testing.T) {
+	g, err := gen.RMATBlocks(gen.DefaultRMAT(14, 8, 1), 8192)
+	if err != nil {
+		t.Fatal(err)
+	}
+	se := cutfit.NewSession(cutfit.SessionOptions{})
+	s, parts := cutfit.EdgePartition2D(), 16
+	if _, err := se.Run(context.Background(), g, s, parts, "cc", 0); err != nil {
+		t.Fatal(err)
+	}
+	var batch []cutfit.Edge
+	stride := g.NumEdges() / 2000
+	if err := g.ForEachEdgeBlock(func(start int, edges []cutfit.Edge, _ []float64) error {
+		for i := (stride - start%stride) % stride; i < len(edges); i += stride {
+			batch = append(batch, edges[i])
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	cut, err := se.RemoveEdges(g, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := blockReads(t)
+	rep, err := se.Run(context.Background(), cut, s, parts, "cc", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := blockReads(t) - before
+	if !rep.Seeded {
+		t.Fatal("the run after the retraction was not seeded")
+	}
+	if blocks := int64(cut.Blocks().NumBlocks()); reads > blocks {
+		t.Fatalf("the seeded run read %d blocks of a %d-block graph after %d retractions", reads, blocks, len(batch))
+	}
+	if _, want := cut.ConnectedComponents(); rep.Components != want {
+		t.Fatalf("seeded run found %d components, union-find %d", rep.Components, want)
 	}
 }

@@ -179,20 +179,22 @@ func (m *streamModel) step() bool {
 	case 5: // slide: append and expire a prefix of the dense list
 		batch := m.edges(m.next() % 5)
 		before := m.next() % (from.g.NumEdges() + 1)
-		for i, e := range from.g.EdgeSeq() {
-			if i >= before {
-				break
-			}
-			if !from.g.EdgeAlive(i) {
-				continue
-			}
-			for j := range live {
-				if live[j] == e {
-					live[j] = live[len(live)-1]
-					live = live[:len(live)-1]
-					break
+		if err := from.g.ForEachEdgeBlock(func(start int, edges []cutfit.Edge, _ []float64) error {
+			for i, e := range edges {
+				if start+i >= before || !from.g.EdgeAlive(start+i) {
+					continue
+				}
+				for j := range live {
+					if live[j] == e {
+						live[j] = live[len(live)-1]
+						live = live[:len(live)-1]
+						break
+					}
 				}
 			}
+			return nil
+		}); err != nil {
+			m.t.Fatal(err)
 		}
 		g, err := m.se.SlideWindow(from.g, batch, nil, before)
 		if err != nil {
