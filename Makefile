@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test benchmark-test benchmark vet lint race bench bench-smoke bench-scale bench-scale-xl fuzz fuzz-smoke compat check
+.PHONY: all build test benchmark-test benchmark vet lint loc race bench bench-smoke bench-scale bench-scale-xl fuzz fuzz-smoke compat check
 
 all: check
 
@@ -46,6 +46,19 @@ lint: vet
 	else \
 		echo "staticcheck not installed; skipping"; \
 	fi
+
+# Non-test Go lines of the root module per package, and their total against
+# the line budget (ROADMAP item 12: at most 21,500). Counted as
+# `find . -name '*.go' ! -name '*_test.go' -not -path './benchmark/*' |
+# xargs cat | wc -l` counts them; fails over the budget. The CI lint job
+# runs it.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './benchmark/*' | xargs wc -l | \
+	awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); sub(/^\.\/?/, "", d); \
+		n[d == "" ? "cutfit" : "cutfit/" d] += $$1; t += $$1 } \
+	END { for (d in n) printf "%6d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); \
+		printf "%6d  total (budget 21500)\n", t; \
+		if (t > 21500) { print "make loc: over the line budget"; exit 1 } }'
 
 # Race determinism regression for the parallel partition build, the
 # parallel hash assignment, the scratch-pool engine, the serving layer

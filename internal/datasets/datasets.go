@@ -281,16 +281,6 @@ func ByName(name string) (Spec, error) {
 	return Spec{}, fmt.Errorf("datasets: unknown dataset %q", name)
 }
 
-// Names returns the dataset names in suite order.
-func Names() []string {
-	suite := Suite()
-	out := make([]string, len(suite))
-	for i, s := range suite {
-		out[i] = s.Name
-	}
-	return out
-}
-
 // cache memoizes built graphs: experiment harnesses build each dataset
 // once per process.
 var cache sync.Map // name -> *graph.Graph

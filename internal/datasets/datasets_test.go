@@ -58,13 +58,13 @@ func TestNamesOrderMatchesPaper(t *testing.T) {
 		"roadnet-pa", "youtube", "roadnet-tx", "pocek", "roadnet-ca",
 		"orkut", "soclivejournal", "follow-jul", "follow-dec",
 	}
-	got := Names()
-	if len(got) != len(want) {
-		t.Fatalf("Names() = %v", got)
+	suite := Suite()
+	if len(suite) != len(want) {
+		t.Fatalf("Suite() holds %d datasets, want %d", len(suite), len(want))
 	}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Names()[%d] = %q, want %q", i, got[i], want[i])
+		if suite[i].Name != want[i] {
+			t.Fatalf("Suite()[%d] = %q, want %q", i, suite[i].Name, want[i])
 		}
 	}
 }

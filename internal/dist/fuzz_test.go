@@ -18,10 +18,21 @@ const (
 	containerEntry  = 4 + 8 + 4
 )
 
-// shardSeeds returns a real shard container plus structured mutations of
-// it: truncations at structural boundaries, header and section-table bit
-// flips, and re-encoded payloads that pass the CRCs but break one decoder
-// rule each, so the fuzzer starts where the checks are.
+// shardRejects are shard mutations that pass the CRCs but break one install
+// rule each. TestShardInstallRejects checks the worker refuses every one.
+var shardRejects = []func(sp *snap.ShardPayload){
+	func(sp *snap.ShardPayload) { sp.Owned[1] = sp.Owned[0] }, // partition twice
+	func(sp *snap.ShardPayload) { sp.Verts[1] = sp.Verts[0] }, // vertex repeated
+	func(sp *snap.ShardPayload) { // a mirror equal to the vertex count
+		sp.Tables.LocalVerts[sp.Tables.LocalVertsOffsets[1]-1] = int32(sp.NumVerts)
+	},
+	func(sp *snap.ShardPayload) { sp.NumParts = 1 }, // too few for the owned list
+}
+
+// shardSeeds returns a real shard container (worker 0 of 2 on four
+// partitions) plus structured mutations of it: truncations at structural
+// boundaries, header and section-table bit flips, and shardRejects, so the
+// fuzzer starts where the checks are.
 func shardSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	pg := mustPartition(tb, randomGraph(5, 30, 120), partition.EdgePartition2D(), 4)
@@ -35,12 +46,7 @@ func shardSeeds(tb testing.TB) [][]byte {
 		m[off] ^= 0x01
 		seeds = append(seeds, m)
 	}
-	for _, mutate := range []func(sp *snap.ShardPayload){
-		func(sp *snap.ShardPayload) { sp.Parts[1].Index = sp.Parts[0].Index }, // partition twice
-		func(sp *snap.ShardPayload) { sp.Verts[1] = sp.Verts[0] },             // vertex repeated
-		func(sp *snap.ShardPayload) { sp.Parts[0].LocalVerts[0] = int32(sp.NumVerts) },
-		func(sp *snap.ShardPayload) { sp.NumParts = 1 },
-	} {
+	for _, mutate := range shardRejects {
 		sp := extractShard(pg, 0, 2)
 		mutate(sp)
 		seeds = append(seeds, snap.EncodeShard(sp))
@@ -86,17 +92,17 @@ func FuzzShardInstall(f *testing.F) {
 			t.Fatalf("shard holds %d vertices and %d out-degrees, meta says %d", len(ws.verts), len(ws.outDeg), sp.NumVerts)
 		}
 		owned := ws.topo.Owned()
-		if len(owned) != len(sp.Parts) {
-			t.Fatalf("shard owns %d partitions, payload carries %d", len(owned), len(sp.Parts))
+		if len(owned) != len(sp.Owned) {
+			t.Fatalf("shard owns %d partitions, payload carries %d", len(owned), len(sp.Owned))
 		}
-		for i, p := range sp.Parts {
-			if p.Index != owned[i] || p.Index < 0 || p.Index >= sp.NumParts {
-				t.Fatalf("partition %d of %d installed as %d", p.Index, sp.NumParts, owned[i])
+		for i, p := range sp.Owned {
+			if int(p) != owned[i] || p < 0 || int(p) >= sp.NumParts {
+				t.Fatalf("partition %d of %d installed as %d", p, sp.NumParts, owned[i])
 			}
-			for _, v := range p.LocalVerts {
-				if v < 0 || int(v) >= len(ws.verts) {
-					t.Fatalf("partition %d mirrors vertex %d outside the table of %d", p.Index, v, len(ws.verts))
-				}
+		}
+		for _, v := range sp.Tables.LocalVerts {
+			if v < 0 || int(v) >= len(ws.verts) {
+				t.Fatalf("a partition mirrors vertex %d outside the table of %d", v, len(ws.verts))
 			}
 		}
 	})

@@ -29,30 +29,22 @@ func shardKey(g *graph.Graph, sum uint64, numParts, wIdx, W int) string {
 }
 
 // extractShard builds worker wIdx's shard payload: the whole vertex and
-// out-degree tables, and each owned partition flattened into wire tables,
+// out-degree tables, and the partition tables of the partitions it owns,
 // ascending by index.
 func extractShard(pg *pregel.PartitionedGraph, wIdx, W int) *snap.ShardPayload {
 	g := pg.G
+	owned := ownedParts(pg.NumParts, wIdx, W)
 	sp := &snap.ShardPayload{
 		GraphFP:  g.Fingerprint(),
 		NumParts: pg.NumParts,
 		NumVerts: g.NumVertices(),
 		Verts:    g.Vertices(),
 		OutDeg:   g.OutDegrees(),
+		Owned:    make([]int32, len(owned)),
+		Tables:   pg.Tables(owned),
 	}
-	for _, p := range ownedParts(pg.NumParts, wIdx, W) {
-		part := pg.Parts[p]
-		ne := part.NumEdges()
-		sp.Parts = append(sp.Parts, snap.ShardPart{
-			Index:      p,
-			LocalVerts: part.LocalVerts,
-			EdgeSrc:    make([]int32, ne),
-			EdgeDst:    make([]int32, ne),
-		})
-		sh := &sp.Parts[len(sp.Parts)-1]
-		for j := range ne {
-			sh.EdgeSrc[j], sh.EdgeDst[j] = part.EdgeAt(j)
-		}
+	for i, p := range owned {
+		sp.Owned[i] = int32(p)
 	}
 	return sp
 }

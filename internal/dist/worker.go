@@ -35,11 +35,6 @@ const maxBodyBytes = 1 << 30
 // net/http has no name for it). Nothing reads the reply.
 const statusClientClosedRequest = 499
 
-// maxNumParts caps the partition count a shard may declare: the worker's
-// tables are indexed by partition, so the count sizes allocations before any
-// partition has been seen.
-const maxNumParts = 1 << 20
-
 // workerShard is one installed shard generation: the built engine partitions
 // with their mirrored-vertex set, and the vertex/degree tables the algorithm
 // programs need.
@@ -50,25 +45,16 @@ type workerShard struct {
 	topo   *pregel.ShardTopology
 }
 
-// buildWorkerShard materializes a decoded shard payload.
+// buildWorkerShard checks a decoded shard's partition tables with the
+// validator a topology restore uses, and indexes the partitions it owns.
 func buildWorkerShard(key string, sp *snap.ShardPayload) (*workerShard, error) {
-	if sp.NumParts > maxNumParts {
-		return nil, fmt.Errorf("dist: shard %s claims %d partitions, limit %d", key, sp.NumParts, maxNumParts)
-	}
-	if len(sp.Verts) != sp.NumVerts {
-		return nil, fmt.Errorf("dist: shard %s holds %d vertices, meta says %d", key, len(sp.Verts), sp.NumVerts)
-	}
-	if len(sp.OutDeg) != sp.NumVerts {
-		return nil, fmt.Errorf("dist: shard %s out-degree table holds %d entries, want %d", key, len(sp.OutDeg), sp.NumVerts)
+	owned, err := sp.Tables.Partitions(len(sp.Owned), sp.NumVerts)
+	if err != nil {
+		return nil, fmt.Errorf("dist: shard %s: %w", key, err)
 	}
 	parts := make([]*pregel.Partition, sp.NumParts)
-	for i := range sp.Parts {
-		p := &sp.Parts[i]
-		part, err := pregel.NewPartition(sp.NumVerts, p.LocalVerts, p.EdgeSrc, p.EdgeDst)
-		if err != nil {
-			return nil, fmt.Errorf("dist: shard %s partition %d: %w", key, p.Index, err)
-		}
-		parts[p.Index] = part
+	for i, p := range sp.Owned {
+		parts[p] = owned[i]
 	}
 	return &workerShard{
 		key:    key,

@@ -277,13 +277,3 @@ func ByNames(csv string) ([]Strategy, error) {
 	}
 	return out, nil
 }
-
-// Names returns the names of the paper's six strategies in table order.
-func Names() []string {
-	all := All()
-	out := make([]string, len(all))
-	for i, s := range all {
-		out[i] = s.Name()
-	}
-	return out
-}

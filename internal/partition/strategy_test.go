@@ -205,13 +205,13 @@ func TestByName(t *testing.T) {
 
 func TestNamesOrder(t *testing.T) {
 	want := []string{"RVC", "1D", "2D", "CRVC", "SC", "DC"}
-	got := Names()
-	if len(got) != len(want) {
-		t.Fatalf("Names() = %v", got)
+	all := All()
+	if len(all) != len(want) {
+		t.Fatalf("All() holds %d strategies, want %d", len(all), len(want))
 	}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Names() = %v, want %v", got, want)
+		if all[i].Name() != want[i] {
+			t.Fatalf("All()[%d] = %q, want %q", i, all[i].Name(), want[i])
 		}
 	}
 }

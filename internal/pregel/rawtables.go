@@ -7,25 +7,21 @@ import (
 	"cutfit/internal/partition"
 )
 
-// RawTables is the flat, persistable form of a PartitionedGraph: the dense
-// arrays the build produces, with nothing derived and nothing pointer-shaped.
-// The snapshot codec (internal/snap) writes these tables verbatim, so a
-// restore is one big read plus FromRawTables' validation pass — no strategy
-// pass, no sort, no dedup.
-type RawTables struct {
-	// NumParts is the partition count.
-	NumParts int
-	// Assign is the per-global-edge partition assignment (AssignOrder).
-	Assign []partition.PID
+// PartTables is the flat, columnar form of a list of partitions: the dense
+// arrays the build produces, with nothing derived and nothing
+// pointer-shaped. A topology snapshot (RawTables) carries them for every
+// partition and a distributed worker's shard for the partitions it owns;
+// internal/snap writes both verbatim, and Partitions is the one way back.
+type PartTables struct {
 	// PartStart delimits each partition's span in the scattered edge
-	// arrays: partition p's edges are indices [PartStart[p], PartStart[p+1]).
-	// len == NumParts+1, PartStart[NumParts] == len(EdgeSrc).
+	// arrays: the i-th partition's edges are indices
+	// [PartStart[i], PartStart[i+1]), and PartStart ends at len(EdgeSrc).
 	PartStart []int64
 	// EdgeSrc/EdgeDst are the partition-local endpoint indices of every
 	// scattered edge, aligned with each other.
 	EdgeSrc, EdgeDst []int32
 	// LocalVertsOffsets delimits each partition's mirror table in
-	// LocalVerts; len == NumParts+1.
+	// LocalVerts, as PartStart does the edges.
 	LocalVertsOffsets []int64
 	// LocalVerts is the concatenation of every partition's sorted mirror
 	// table (global dense vertex indices). Replica counts are a pure function
@@ -34,67 +30,126 @@ type RawTables struct {
 	LocalVerts []int32
 }
 
+// RawTables is the flat, persistable form of a whole PartitionedGraph: the
+// tables of all its partitions plus the per-edge assignment. A restore is
+// one big read plus FromRawTables' validation pass — no strategy pass, no
+// sort, no dedup.
+type RawTables struct {
+	// NumParts is the partition count.
+	NumParts int
+	// Assign is the per-global-edge partition assignment (AssignOrder).
+	Assign []partition.PID
+	PartTables
+}
+
+// Tables flattens the partitions named by idx, in that order, into their
+// columnar form. All slices are freshly allocated; mutating them never
+// touches pg.
+func (pg *PartitionedGraph) Tables(idx []int) PartTables {
+	pt := PartTables{
+		PartStart:         make([]int64, len(idx)+1),
+		LocalVertsOffsets: make([]int64, len(idx)+1),
+	}
+	var ne, nlv int64
+	for i, p := range idx {
+		part := pg.Parts[p]
+		ne += int64(len(part.edges))
+		nlv += int64(len(part.LocalVerts))
+		pt.PartStart[i+1] = ne
+		pt.LocalVertsOffsets[i+1] = nlv
+	}
+	pt.EdgeSrc = make([]int32, ne)
+	pt.EdgeDst = make([]int32, ne)
+	pt.LocalVerts = make([]int32, nlv)
+	for i, p := range idx {
+		part := pg.Parts[p]
+		base := pt.PartStart[i]
+		for j, e := range part.edges {
+			pt.EdgeSrc[base+int64(j)] = e.src
+			pt.EdgeDst[base+int64(j)] = e.dst
+		}
+		copy(pt.LocalVerts[pt.LocalVertsOffsets[i]:], part.LocalVerts)
+	}
+	return pt
+}
+
 // RawTables flattens the partitioned topology into its persistable form.
 // All slices are freshly allocated; mutating them never touches pg.
 func (pg *PartitionedGraph) RawTables() RawTables {
-	rt := RawTables{
-		NumParts:          pg.NumParts,
-		Assign:            append([]partition.PID(nil), pg.assign...),
-		PartStart:         make([]int64, pg.NumParts+1),
-		LocalVertsOffsets: make([]int64, pg.NumParts+1),
+	all := make([]int, pg.NumParts)
+	for p := range all {
+		all[p] = p
 	}
-	var ne, nlv int64
-	for p, part := range pg.Parts {
-		ne += int64(len(part.edges))
-		nlv += int64(len(part.LocalVerts))
-		rt.PartStart[p+1] = ne
-		rt.LocalVertsOffsets[p+1] = nlv
+	return RawTables{
+		NumParts:   pg.NumParts,
+		Assign:     append([]partition.PID(nil), pg.assign...),
+		PartTables: pg.Tables(all),
 	}
-	rt.EdgeSrc = make([]int32, ne)
-	rt.EdgeDst = make([]int32, ne)
-	rt.LocalVerts = make([]int32, nlv)
-	for p, part := range pg.Parts {
-		base := rt.PartStart[p]
-		for j, e := range part.edges {
-			rt.EdgeSrc[base+int64(j)] = e.src
-			rt.EdgeDst[base+int64(j)] = e.dst
+}
+
+// Partitions validates the tables of n partitions over a graph of nv
+// vertices and assembles them: both offset tables hold n+1 entries from 0,
+// never decrease and end at their column's length; every mirror table
+// ascends strictly within [0, nv); every edge endpoint indexes into its
+// partition's mirror table. Corrupt or forged tables therefore fail loudly
+// instead of producing a wrong-but-plausible topology. The mirror tables
+// are retained (not copied); callers must hand over ownership.
+func (pt PartTables) Partitions(n, nv int) ([]*Partition, error) {
+	if len(pt.EdgeSrc) != len(pt.EdgeDst) {
+		return nil, fmt.Errorf("pregel: partition tables hold %d edge sources but %d destinations", len(pt.EdgeSrc), len(pt.EdgeDst))
+	}
+	if err := checkOffsets("PartStart", pt.PartStart, n, int64(len(pt.EdgeSrc))); err != nil {
+		return nil, err
+	}
+	if err := checkOffsets("LocalVertsOffsets", pt.LocalVertsOffsets, n, int64(len(pt.LocalVerts))); err != nil {
+		return nil, err
+	}
+	parts := make([]*Partition, n)
+	edgeBuf := make([]localEdge, len(pt.EdgeSrc))
+	for p := range parts {
+		lo, hi := pt.LocalVertsOffsets[p], pt.LocalVertsOffsets[p+1]
+		lv := pt.LocalVerts[lo:hi:hi]
+		// Strict ascent plus in-range endpoints proves every slot in range.
+		if len(lv) > 0 && (lv[0] < 0 || int(lv[len(lv)-1]) >= nv) {
+			return nil, fmt.Errorf("pregel: partition %d mirror table spans [%d, %d], graph has %d vertices", p, lv[0], lv[len(lv)-1], nv)
 		}
-		copy(rt.LocalVerts[rt.LocalVertsOffsets[p]:], part.LocalVerts)
+		for j := 1; j < len(lv); j++ {
+			if lv[j-1] >= lv[j] {
+				return nil, fmt.Errorf("pregel: partition %d mirror table not strictly ascending at slot %d", p, j)
+			}
+		}
+		// Assemble the edge buffer, validating each localized endpoint
+		// against the mirror-table size in the same pass.
+		m := uint32(len(lv))
+		es, ee := pt.PartStart[p], pt.PartStart[p+1]
+		for i := es; i < ee; i++ {
+			s, d := pt.EdgeSrc[i], pt.EdgeDst[i]
+			if uint32(s) >= m || uint32(d) >= m {
+				return nil, fmt.Errorf("pregel: partition %d edge %d references local vertex outside its %d-slot mirror table", p, i-es, m)
+			}
+			edgeBuf[i] = localEdge{src: s, dst: d}
+		}
+		parts[p] = &Partition{LocalVerts: lv, edges: edgeBuf[es:ee:ee]}
 	}
-	return rt
+	return parts, nil
 }
 
 // FromRawTables assembles a PartitionedGraph for g from its persisted
-// tables, validating every structural invariant first: PID ranges and
-// per-partition counts against PartStart, offset monotonicity of both
-// CSR-shaped tables, sorted deduplicated mirror tables with in-range global
-// indices, and in-range local edge endpoints. Corrupt or forged tables
-// therefore fail loudly instead of producing a wrong-but-plausible topology.
-// The tables are retained (not copied); callers must hand over ownership.
+// tables: every PID in range and each partition's live edge count equal to
+// its span of the edge tables, then Partitions' validation of the tables
+// themselves. The tables are retained (not copied); callers must hand over
+// ownership.
 func FromRawTables(g *graph.Graph, rt RawTables, opts BuildOptions) (*PartitionedGraph, error) {
 	numParts := rt.NumParts
 	if numParts <= 0 {
 		return nil, fmt.Errorf("pregel: restored numParts must be positive, got %d", numParts)
 	}
-	ne := g.NumEdges()
-	if len(rt.Assign) != ne {
-		return nil, fmt.Errorf("pregel: restored assignment has %d entries for %d edges", len(rt.Assign), ne)
+	if len(rt.Assign) != g.NumEdges() {
+		return nil, fmt.Errorf("pregel: restored assignment has %d entries for %d edges", len(rt.Assign), g.NumEdges())
 	}
 	// The scattered edge tables hold live edges only; the assignment stays
 	// dense-aligned with tombstoned slots included.
 	numDead := g.NumDeadEdges()
-	live := g.NumLiveEdges()
-	if len(rt.EdgeSrc) != live || len(rt.EdgeDst) != live {
-		return nil, fmt.Errorf("pregel: restored edge tables have %d/%d entries for %d live edges", len(rt.EdgeSrc), len(rt.EdgeDst), live)
-	}
-	if err := checkOffsets("PartStart", rt.PartStart, numParts, int64(live)); err != nil {
-		return nil, err
-	}
-	if err := checkOffsets("LocalVertsOffsets", rt.LocalVertsOffsets, numParts, int64(len(rt.LocalVerts))); err != nil {
-		return nil, err
-	}
-	// Per-partition live edge counts must match the assignment exactly (this
-	// also validates every PID's range, including tombstoned slots).
 	counts := make([]int64, numParts)
 	for i, p := range rt.Assign {
 		// One unsigned compare covers both negative and too-large PIDs.
@@ -106,57 +161,26 @@ func FromRawTables(g *graph.Graph, rt RawTables, opts BuildOptions) (*Partitione
 		}
 		counts[p]++
 	}
-	for p := 0; p < numParts; p++ {
-		if counts[p] != rt.PartStart[p+1]-rt.PartStart[p] {
-			return nil, fmt.Errorf("pregel: partition %d holds %d edges but assignment counts %d", p, rt.PartStart[p+1]-rt.PartStart[p], counts[p])
-		}
+	parts, err := rt.Partitions(numParts, g.NumVertices())
+	if err != nil {
+		return nil, err
 	}
-	nv := g.NumVertices()
-	// Mirror tables: sorted, deduplicated, in range. The localized edge
-	// range check below is fused with the edge-buffer build — every element
-	// is touched exactly once.
-	for p := 0; p < numParts; p++ {
-		lv := rt.LocalVerts[rt.LocalVertsOffsets[p]:rt.LocalVertsOffsets[p+1]]
-		if len(lv) == 0 {
-			continue
-		}
-		// Strict ascent plus in-range endpoints proves every slot in range.
-		if lv[0] < 0 || int(lv[len(lv)-1]) >= nv {
-			return nil, fmt.Errorf("pregel: partition %d mirror table spans [%d, %d], graph has %d vertices", p, lv[0], lv[len(lv)-1], nv)
-		}
-		for j := 1; j < len(lv); j++ {
-			if lv[j-1] >= lv[j] {
-				return nil, fmt.Errorf("pregel: partition %d mirror table not strictly ascending at slot %d", p, j)
-			}
+	// Matching counts per partition also pin the edge tables' length to the
+	// live edge count.
+	for p, part := range parts {
+		if int64(len(part.edges)) != counts[p] {
+			return nil, fmt.Errorf("pregel: partition %d holds %d edges but assignment counts %d", p, len(part.edges), counts[p])
 		}
 	}
 	pg := &PartitionedGraph{
 		G:            g,
 		NumParts:     numParts,
-		Parts:        make([]*Partition, numParts),
+		Parts:        parts,
 		assign:       rt.Assign,
 		ReuseBuffers: opts.ReuseBuffers,
 		scratch:      &scratchPool{},
 	}
 	pg.assignShare, _ = graph.SliceShare(rt.Assign, nil)
-	// Assemble the edge buffer, validating each localized endpoint against
-	// its partition's mirror-table size in the same pass.
-	edgeBuf := make([]localEdge, live)
-	for p := 0; p < numParts; p++ {
-		lo, hi := rt.LocalVertsOffsets[p], rt.LocalVertsOffsets[p+1]
-		n := int32(hi - lo)
-		for i := rt.PartStart[p]; i < rt.PartStart[p+1]; i++ {
-			s, d := rt.EdgeSrc[i], rt.EdgeDst[i]
-			if uint32(s) >= uint32(n) || uint32(d) >= uint32(n) {
-				return nil, fmt.Errorf("pregel: partition %d edge %d references local vertex outside its %d-slot mirror table", p, i-rt.PartStart[p], n)
-			}
-			edgeBuf[i] = localEdge{src: s, dst: d}
-		}
-		pg.Parts[p] = &Partition{
-			LocalVerts: rt.LocalVerts[lo:hi:hi],
-			edges:      edgeBuf[rt.PartStart[p]:rt.PartStart[p+1]:rt.PartStart[p+1]],
-		}
-	}
 	// The frontier index and the replica counts are derived rather than
 	// persisted: pure functions of the (validated) tables, the index built by
 	// its first reader, the counts by every reader that wants them.
@@ -167,18 +191,18 @@ func FromRawTables(g *graph.Graph, rt RawTables, opts BuildOptions) (*Partitione
 // non-decreasing, ending at total.
 func checkOffsets(name string, offsets []int64, n int, total int64) error {
 	if len(offsets) != n+1 {
-		return fmt.Errorf("pregel: restored %s has %d entries, want %d", name, len(offsets), n+1)
+		return fmt.Errorf("pregel: %s has %d entries, want %d", name, len(offsets), n+1)
 	}
 	if offsets[0] != 0 {
-		return fmt.Errorf("pregel: restored %s does not start at 0", name)
+		return fmt.Errorf("pregel: %s does not start at 0", name)
 	}
 	for i := 0; i < n; i++ {
 		if offsets[i+1] < offsets[i] {
-			return fmt.Errorf("pregel: restored %s decreases at entry %d", name, i+1)
+			return fmt.Errorf("pregel: %s decreases at entry %d", name, i+1)
 		}
 	}
 	if offsets[n] != total {
-		return fmt.Errorf("pregel: restored %s ends at %d, want %d", name, offsets[n], total)
+		return fmt.Errorf("pregel: %s ends at %d, want %d", name, offsets[n], total)
 	}
 	return nil
 }

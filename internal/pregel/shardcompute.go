@@ -9,35 +9,6 @@ import (
 	"cutfit/internal/par"
 )
 
-// NewPartition builds a standalone Partition from local-index tables — the
-// distributed worker's entry point for reconstructing its shard from a wire
-// snapshot. localVerts must be strictly ascending global dense indices and
-// every edge endpoint must index into it; the frontier index is built lazily
-// on first sparse scan, exactly as for coordinator-built partitions.
-func NewPartition(nv int, localVerts, edgeSrc, edgeDst []int32) (*Partition, error) {
-	if len(edgeSrc) != len(edgeDst) {
-		return nil, fmt.Errorf("pregel: NewPartition: %d edge sources vs %d destinations", len(edgeSrc), len(edgeDst))
-	}
-	for i, g := range localVerts {
-		if g < 0 || int(g) >= nv {
-			return nil, fmt.Errorf("pregel: NewPartition: local vertex %d maps to global %d, graph has %d", i, g, nv)
-		}
-		if i > 0 && localVerts[i-1] >= g {
-			return nil, fmt.Errorf("pregel: NewPartition: LocalVerts not strictly ascending at %d", i)
-		}
-	}
-	n := int32(len(localVerts))
-	edges := make([]localEdge, len(edgeSrc))
-	for j := range edgeSrc {
-		s, d := edgeSrc[j], edgeDst[j]
-		if s < 0 || s >= n || d < 0 || d >= n {
-			return nil, fmt.Errorf("pregel: NewPartition: edge %d endpoints (%d,%d) out of range [0,%d)", j, s, d, n)
-		}
-		edges[j] = localEdge{src: s, dst: d}
-	}
-	return &Partition{LocalVerts: localVerts, edges: edges}, nil
-}
-
 // ComputeStats is one partition's compute-phase counters, reported by
 // ShardCompute.Section so the distributed reduce frame can carry them back
 // to the coordinator's SuperstepStats.

@@ -9,8 +9,6 @@
 // for bulk generation.
 package rng
 
-import "math"
-
 // SplitMix64 is the splitmix64 generator of Steele, Lea and Flood. It is
 // primarily used to derive well-distributed seeds and as a 64-bit mixing
 // function for hash partitioners.
@@ -121,17 +119,6 @@ func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// ExpFloat64 returns an exponentially distributed float64 with rate 1,
-// via inverse-transform sampling.
-func (r *Rand) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
-}
-
 // Perm returns a random permutation of [0, n) using Fisher–Yates.
 func (r *Rand) Perm(n int) []int {
 	p := make([]int, n)
@@ -149,43 +136,4 @@ func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 		j := r.Intn(i + 1)
 		swap(i, j)
 	}
-}
-
-// Zipf samples integers in [0, n) with probability proportional to
-// 1/(k+1)^s. It precomputes the CDF once, so sampling is O(log n).
-type Zipf struct {
-	cdf []float64
-	r   *Rand
-}
-
-// NewZipf returns a Zipf sampler over [0, n) with exponent s > 0.
-func NewZipf(r *Rand, s float64, n int) *Zipf {
-	if n <= 0 {
-		panic("rng: NewZipf called with non-positive n")
-	}
-	cdf := make([]float64, n)
-	sum := 0.0
-	for k := 0; k < n; k++ {
-		sum += 1.0 / math.Pow(float64(k+1), s)
-		cdf[k] = sum
-	}
-	for k := range cdf {
-		cdf[k] /= sum
-	}
-	return &Zipf{cdf: cdf, r: r}
-}
-
-// Next returns the next Zipf-distributed integer.
-func (z *Zipf) Next() int {
-	u := z.r.Float64()
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }

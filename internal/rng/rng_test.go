@@ -1,7 +1,6 @@
 package rng
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -132,23 +131,6 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
-func TestExpFloat64Positive(t *testing.T) {
-	r := New(5)
-	var sum float64
-	const n = 50000
-	for i := 0; i < n; i++ {
-		v := r.ExpFloat64()
-		if v < 0 {
-			t.Fatalf("ExpFloat64 = %g negative", v)
-		}
-		sum += v
-	}
-	mean := sum / n
-	if math.Abs(mean-1) > 0.05 {
-		t.Fatalf("ExpFloat64 mean %g, want ≈1", mean)
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	check := func(seed uint64, n uint8) bool {
 		r := New(seed)
@@ -185,31 +167,6 @@ func TestShufflePreservesMultiset(t *testing.T) {
 	if sum != after {
 		t.Fatalf("shuffle changed contents: sum %d -> %d", sum, after)
 	}
-}
-
-func TestZipfRangeAndSkew(t *testing.T) {
-	r := New(13)
-	z := NewZipf(r, 1.2, 100)
-	var counts [100]int
-	for i := 0; i < 50000; i++ {
-		v := z.Next()
-		if v < 0 || v >= 100 {
-			t.Fatalf("Zipf value %d out of range", v)
-		}
-		counts[v]++
-	}
-	if counts[0] <= counts[50] {
-		t.Fatalf("Zipf not skewed: counts[0]=%d counts[50]=%d", counts[0], counts[50])
-	}
-}
-
-func TestNewZipfPanicsOnBadN(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewZipf(n=0) should panic")
-		}
-	}()
-	NewZipf(New(1), 1, 0)
 }
 
 func BenchmarkUint64(b *testing.B) {

@@ -31,18 +31,25 @@ const (
 	// Optional: weighted counterparts, written only for weighted graphs.
 	secMetricsWeights = 4
 
-	secTopoAssign       = 2
-	secTopoPartStart    = 3
-	secTopoEdgeSrc      = 4
-	secTopoEdgeDst      = 5
-	secTopoLocalOffsets = 6
-	secTopoLocalVerts   = 7
+	secTopoAssign = 2
+	// The partition tables (pregel.PartTables), in a topology and a shard
+	// alike.
+	secPartStart    = 3
+	secEdgeSrc      = 4
+	secEdgeDst      = 5
+	secLocalOffsets = 6
+	secLocalVerts   = 7
 
 	secBlockVerts = 2
 	secBlockIndex = 3
 	// Optional: present only when the graph carries tombstones.
 	secBlockTombstones = 4
 )
+
+// maxNumParts caps the partition count a topology or a shard may declare:
+// its readers size per-partition tables by the count before any partition
+// has been seen.
+const maxNumParts = 1 << 20
 
 // ---- field-level primitives ----------------------------------------------
 
@@ -742,12 +749,49 @@ func EncodeTopology(pg *pregel.PartitionedGraph, strategyKey string) []byte {
 	b := NewBuilder(KindTopology)
 	b.Section(secMeta, meta)
 	b.Section(secTopoAssign, encodePIDs(rt.Assign, rt.NumParts))
-	b.Section(secTopoPartStart, encodeI64s(rt.PartStart))
-	b.Section(secTopoEdgeSrc, encodeI32s(rt.EdgeSrc))
-	b.Section(secTopoEdgeDst, encodeI32s(rt.EdgeDst))
-	b.Section(secTopoLocalOffsets, encodeI64s(rt.LocalVertsOffsets))
-	b.Section(secTopoLocalVerts, encodeI32s(rt.LocalVerts))
+	addPartTables(b, &rt.PartTables)
 	return b.Bytes()
+}
+
+// addPartTables writes the five partition-table sections, ids 3–7 in order.
+func addPartTables(b *Builder, pt *pregel.PartTables) {
+	b.Section(secPartStart, encodeI64s(pt.PartStart))
+	b.Section(secEdgeSrc, encodeI32s(pt.EdgeSrc))
+	b.Section(secEdgeDst, encodeI32s(pt.EdgeDst))
+	b.Section(secLocalOffsets, encodeI64s(pt.LocalVertsOffsets))
+	b.Section(secLocalVerts, encodeI32s(pt.LocalVerts))
+}
+
+// readPartTables reads the five partition-table sections back. Their
+// structure is checked by pregel.PartTables.Partitions, not here.
+func readPartTables(c *Container) (pregel.PartTables, error) {
+	var pt pregel.PartTables
+	var err error
+	get := func(id uint32, name string) []byte {
+		var p []byte
+		if err == nil {
+			p, err = section(c, id, name)
+		}
+		return p
+	}
+	i32 := func(id uint32, name string) (out []int32) {
+		if p := get(id, name); err == nil {
+			out, err = decodeI32s(p, name)
+		}
+		return out
+	}
+	i64 := func(id uint32, name string) (out []int64) {
+		if p := get(id, name); err == nil {
+			out, err = decodeI64s(p, name)
+		}
+		return out
+	}
+	pt.PartStart = i64(secPartStart, "PartStart")
+	pt.EdgeSrc = i32(secEdgeSrc, "EdgeSrc")
+	pt.EdgeDst = i32(secEdgeDst, "EdgeDst")
+	pt.LocalVertsOffsets = i64(secLocalOffsets, "LocalVertsOffsets")
+	pt.LocalVerts = i32(secLocalVerts, "LocalVerts")
+	return pt, err
 }
 
 // DecodeTopology decodes a KindTopology container against g — one big read
@@ -790,49 +834,19 @@ func decodeTopologyContainer(c *Container, g *graph.Graph, wantStrategyKey strin
 		return nil, fmt.Errorf("snap: topology recorded for %d vertices, graph has %d", numVerts, g.NumVertices())
 	}
 
-	rt := pregel.RawTables{NumParts: numParts}
-	var serr error
-	i32 := func(id uint32, name string) []int32 {
-		if serr != nil {
-			return nil
-		}
-		var p []byte
-		if p, serr = section(c, id, name); serr != nil {
-			return nil
-		}
-		var out []int32
-		out, serr = decodeI32s(p, name)
-		return out
-	}
-	i64 := func(id uint32, name string) []int64 {
-		if serr != nil {
-			return nil
-		}
-		var p []byte
-		if p, serr = section(c, id, name); serr != nil {
-			return nil
-		}
-		var out []int64
-		out, serr = decodeI64s(p, name)
-		return out
-	}
 	psec, err := section(c, secTopoAssign, "assignment")
 	if err != nil {
 		return nil, err
 	}
-	if numParts <= 0 || numParts > 1<<20 {
+	if numParts <= 0 || numParts > maxNumParts {
 		return nil, fmt.Errorf("snap: topology numParts %d out of range", numParts)
 	}
+	rt := pregel.RawTables{NumParts: numParts}
 	if rt.Assign, err = decodePIDsValidated(psec, numParts, nil); err != nil {
 		return nil, err
 	}
-	rt.PartStart = i64(secTopoPartStart, "PartStart")
-	rt.EdgeSrc = i32(secTopoEdgeSrc, "EdgeSrc")
-	rt.EdgeDst = i32(secTopoEdgeDst, "EdgeDst")
-	rt.LocalVertsOffsets = i64(secTopoLocalOffsets, "LocalVertsOffsets")
-	rt.LocalVerts = i32(secTopoLocalVerts, "LocalVerts")
-	if serr != nil {
-		return nil, serr
+	if rt.PartTables, err = readPartTables(c); err != nil {
+		return nil, err
 	}
 	return pregel.FromRawTables(g, rt, opts)
 }

@@ -40,7 +40,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 )
 
 // magic opens every snapshot container. The non-ASCII first byte and the
@@ -71,7 +70,8 @@ const (
 	// OpenBlockGraph without a dense round-trip.
 	KindBlockGraph Kind = 6
 	// KindShard is one worker's slice of a partitioned topology — the
-	// vertex table, out-degrees and owned partitions the distributed
+	// vertex table, out-degrees, the owned-partition list and a topology's
+	// partition-table sections for those partitions — that the distributed
 	// coordinator ships to a worker. A wire form only: never persisted.
 	KindShard Kind = 7
 )
@@ -227,15 +227,6 @@ func Decode(data []byte) (*Container, error) {
 		return nil, fmt.Errorf("snap: %d trailing bytes after last section", len(data)-off)
 	}
 	return c, nil
-}
-
-// Read decodes a container from r, consuming it fully.
-func Read(r io.Reader) (*Container, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("snap: reading container: %w", err)
-	}
-	return Decode(data)
 }
 
 // expectKind rejects a container holding the wrong artifact kind.

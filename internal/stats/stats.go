@@ -179,51 +179,3 @@ func LogHistogram(values []int64) []HistBin {
 	}
 	return bins
 }
-
-// Summary holds the five-number-style summary used in reports.
-type Summary struct {
-	N            int
-	Min, Max     float64
-	Mean, StdDev float64
-	Median       float64
-	P90, P99     float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) Summary {
-	s := Summary{N: len(xs)}
-	if len(xs) == 0 {
-		return s
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	s.Min = sorted[0]
-	s.Max = sorted[len(sorted)-1]
-	s.Mean = Mean(xs)
-	s.StdDev = StdDev(xs)
-	s.Median = Quantile(sorted, 0.5)
-	s.P90 = Quantile(sorted, 0.9)
-	s.P99 = Quantile(sorted, 0.99)
-	return s
-}
-
-// Quantile returns the q-quantile (0..1) of an already sorted slice using
-// linear interpolation.
-func Quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[lo]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
-}

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -188,44 +187,5 @@ func TestLogHistogramCoversAllValues(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	sorted := []float64{1, 2, 3, 4, 5}
-	if !almost(Quantile(sorted, 0), 1) || !almost(Quantile(sorted, 1), 5) {
-		t.Fatal("extremes wrong")
-	}
-	if !almost(Quantile(sorted, 0.5), 3) {
-		t.Fatalf("median = %g", Quantile(sorted, 0.5))
-	}
-	if !almost(Quantile(sorted, 0.25), 2) {
-		t.Fatalf("q25 = %g", Quantile(sorted, 0.25))
-	}
-	if Quantile(nil, 0.5) != 0 {
-		t.Fatal("empty quantile should be 0")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	xs := []float64{5, 1, 3, 2, 4}
-	s := Summarize(xs)
-	if s.N != 5 || s.Min != 1 || s.Max != 5 || !almost(s.Median, 3) {
-		t.Fatalf("summary = %+v", s)
-	}
-	empty := Summarize(nil)
-	if empty.N != 0 {
-		t.Fatal("empty summary N != 0")
-	}
-}
-
-func TestSummarizeDoesNotMutate(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	Summarize(xs)
-	if !sort.Float64sAreSorted(xs) && xs[0] == 3 {
-		return // unchanged, fine
-	}
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Fatal("Summarize mutated its input")
 	}
 }
