@@ -186,32 +186,6 @@ func TestSelectAssignsExactlyOncePerCandidate(t *testing.T) {
 	}
 }
 
-// TestTrainPredictorAssignsExactlyOncePerCandidate extends the single-pass
-// contract to predictor training.
-func TestTrainPredictorAssignsExactlyOncePerCandidate(t *testing.T) {
-	g := pipelineGraphs(t)["random"]
-	times := map[string]float64{}
-	for i, s := range cutfit.Strategies() {
-		times[s.Name()] = 1 + float64(i)
-	}
-	counters := make([]*countingStrategy, 0, 6)
-	candidates := make([]cutfit.Strategy, 0, 6)
-	for _, s := range cutfit.Strategies() {
-		c := &countingStrategy{inner: s}
-		counters = append(counters, c)
-		candidates = append(candidates, c)
-	}
-	se := cutfit.NewSession(cutfit.SessionOptions{})
-	if _, _, err := se.TrainPredictor(g, candidates, 8, cutfit.ProfilePageRank, times); err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range counters {
-		if c.calls != 1 {
-			t.Fatalf("TrainPredictor partitioned %s %d times, want exactly 1", c.Name(), c.calls)
-		}
-	}
-}
-
 // TestStrategyByNameExtensions covers the Hybrid/Range resolver additions.
 func TestStrategyByNameExtensions(t *testing.T) {
 	for _, name := range []string{"Range", "Hybrid", "Hybrid:250"} {

@@ -530,31 +530,3 @@ func BenchmarkTriangleCount(b *testing.B) {
 		run()
 	}
 }
-
-// BenchmarkGranularityAdvisor (E12 companion) checks the granularity
-// heuristic against measurement: for CC on the large datasets the fine
-// configuration should win, as the advisor predicts.
-func BenchmarkGranularityAdvisor(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := runFigure("cc")
-		if err != nil {
-			b.Fatal(err)
-		}
-		sp := res.GranularitySpeedup("config-i", "config-ii")
-		agree, total := 0, 0
-		for _, spec := range datasets.Suite() {
-			g, err := spec.BuildCached()
-			if err != nil {
-				b.Fatal(err)
-			}
-			adv := cutfit.AdviseGranularity(cutfit.ProfileConnectedComponents, cutfit.Facts(g), 128, 256)
-			fineWon := sp[spec.Name] > 1.0
-			advisedFine := adv.NumPartitions == 256
-			total++
-			if fineWon == advisedFine {
-				agree++
-			}
-		}
-		b.ReportMetric(float64(agree)/float64(total)*100, "granularity_agreement_%")
-	}
-}

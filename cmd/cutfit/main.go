@@ -15,10 +15,10 @@
 //	    the same with AdviseReport).
 //
 //	cutfit run -in graph.txt -alg pagerank -strategy 2D -parts 128
-//	    Execute an algorithm on the partitioned graph and print the
-//	    simulated cluster time breakdown. -strategy auto empirically
-//	    selects the best strategy for -alg and runs the winner from its
-//	    already-computed assignment.
+//	    Execute an algorithm on the partitioned graph and print its
+//	    result, superstep count and engine message counts. -strategy auto
+//	    empirically selects the best strategy for -alg and runs the winner
+//	    from its already-computed assignment.
 //
 //	cutfit advise -in graph.txt -alg pagerank -parts 128 [-measure]
 //	    Recommend a partitioning strategy for the computation; with
@@ -252,7 +252,6 @@ func cmdRun(args []string) error {
 	}
 	fmt.Println(rep.Text)
 	fmt.Printf("supersteps=%d broadcastMsgs=%d reduceMsgs=%d\n", rep.Supersteps, rep.BroadcastMsgs, rep.ReduceMsgs)
-	fmt.Println("simulated cluster time:", rep.Sim)
 	return nil
 }
 

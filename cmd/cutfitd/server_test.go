@@ -138,7 +138,7 @@ func TestServerAdviseAndRun(t *testing.T) {
 	if run.Components != 1 {
 		t.Fatalf("cc found %d components, want 1", run.Components)
 	}
-	if !run.Converged || run.SimSecs <= 0 {
+	if !run.Converged || run.BroadcastMsgs <= 0 {
 		t.Fatalf("bad run report: %+v", run)
 	}
 }

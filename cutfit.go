@@ -27,14 +27,12 @@
 //     in parallel while counting all cross-partition traffic, with the
 //     served algorithms — pagerank, dynamicpr, cc, triangles and sssp —
 //     behind Run and Session.Run;
-//   - a cluster cost model that converts engine statistics into simulated
-//     execution time for the paper's four cluster configurations
-//     (ConfigI…ConfigIV, Simulate);
-//   - the paper's contribution as a library: an advisor that tailors the
-//     partitioning strategy and granularity to the computation and the
-//     dataset (Advise, AdviseGranularity, Session.Advise, Session.Select),
-//     plus a fitted metric→time predictor (Session.TrainPredictor) that
-//     ranks partitionings without running them;
+//   - the paper's contribution as a library: two ways to tailor the
+//     partitioning strategy to the computation and the dataset — an
+//     advisor that applies the paper's §4 rules (Advise, Session.Advise)
+//     and an empirical selector that measures every candidate and takes
+//     the one minimizing the algorithm's predictive metric
+//     (Session.Select);
 //   - the generic engine itself (Program, RunProgram) for writing custom
 //     vertex programs, with panic-safe execution and an OnSuperstep
 //     monitoring/halting hook;
@@ -49,8 +47,7 @@
 //	m, _ := se.Measure(g, cutfit.EdgePartition2D(), 128)    // assigns once
 //	pg, _ := se.Partition(g, cutfit.EdgePartition2D(), 128) // reuses that pass
 //	ranks, stats, _ := cutfit.Run(ctx, pg, "pagerank", cutfit.ServedParams(10))
-//	breakdown, _ := cutfit.ConfigI().Simulate(stats, 0)
-//	fmt.Println(m.CommCost, len(ranks.([]float64)), breakdown.TotalSecs())
+//	fmt.Println(m.CommCost, len(ranks.([]float64)), stats.TotalBroadcastMsgs())
 //
 // Or let the advisor choose the strategy empirically — each candidate is
 // assigned exactly once, and building the winner reuses its cached
@@ -68,7 +65,7 @@
 // and returns the run report the CLI and the daemon encode:
 //
 //	rep, _ := se.Run(ctx, g, cutfit.EdgePartition2D(), 128, "pagerank", 10)
-//	fmt.Println(rep.SimSecs, se.CacheStats())
+//	fmt.Println(rep.BroadcastMsgs+rep.ReduceMsgs, se.CacheStats())
 //
 // All Session methods are safe for concurrent use. The cmd/cutfitd command
 // serves exactly this Session surface over HTTP/JSON.
@@ -186,7 +183,6 @@ import (
 	"io"
 
 	"cutfit/internal/algorithms"
-	"cutfit/internal/cluster"
 	"cutfit/internal/core"
 	"cutfit/internal/datasets"
 	"cutfit/internal/graph"
@@ -227,17 +223,13 @@ type (
 	Selection = core.Selection
 )
 
-// Engine and simulation types.
+// Engine types.
 type (
 	// PartitionedGraph is the vertex-cut partitioned topology the engine
 	// executes on.
 	PartitionedGraph = pregel.PartitionedGraph
 	// RunStats is the per-superstep work and traffic accounting.
 	RunStats = pregel.RunStats
-	// ClusterConfig describes a simulated cluster.
-	ClusterConfig = cluster.Config
-	// Breakdown is a simulated execution time split by phase.
-	Breakdown = cluster.Breakdown
 	// HopTable is what Run returns for sssp: a row-major vertices ×
 	// landmarks table of hop distances, Unreached where there is no path.
 	HopTable = algorithms.HopTable
@@ -373,17 +365,6 @@ func Run(ctx context.Context, pg *PartitionedGraph, alg string, p Params) (any, 
 	return e.Run(ctx, pg, p)
 }
 
-// The paper's four cluster configurations (§4).
-var (
-	ConfigI   = cluster.ConfigI
-	ConfigII  = cluster.ConfigII
-	ConfigIII = cluster.ConfigIII
-	ConfigIV  = cluster.ConfigIV
-)
-
-// EstimateGraphBytes approximates the on-disk size of an edge list.
-func EstimateGraphBytes(numEdges int) int64 { return cluster.EstimateGraphBytes(numEdges) }
-
 // Built-in algorithm profiles for the advisor.
 var (
 	ProfilePageRank            = core.ProfilePageRank
@@ -403,19 +384,6 @@ func Facts(g *Graph) GraphFacts { return core.Facts(g) }
 // and partition count, following the paper's §4 heuristics.
 func Advise(p Profile, f GraphFacts, numParts int) Recommendation {
 	return core.Advise(p, f, numParts, core.DefaultAdvisorConfig())
-}
-
-// Predictor is a fitted linear model from a partitioning metric to
-// execution time (the paper's correlation made executable).
-type Predictor = core.Predictor
-
-// GranularityAdvice recommends a partition count.
-type GranularityAdvice = core.GranularityAdvice
-
-// AdviseGranularity recommends a partition count (coarse vs fine) per the
-// paper's §4 granularity findings.
-func AdviseGranularity(p Profile, f GraphFacts, coarse, fine int) GranularityAdvice {
-	return core.AdviseGranularity(p, f, coarse, fine, core.DefaultAdvisorConfig())
 }
 
 // Datasets returns the nine analog datasets of the paper's evaluation in

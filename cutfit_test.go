@@ -18,8 +18,7 @@ func runAs[T any](ctx context.Context, pg *cutfit.PartitionedGraph, alg string, 
 }
 
 // TestPublicAPIEndToEnd drives the whole public surface: load a graph,
-// partition it with every strategy, measure, run all four algorithms, and
-// simulate cluster time.
+// partition it with every strategy, measure, and run all four algorithms.
 func TestPublicAPIEndToEnd(t *testing.T) {
 	in := strings.NewReader("0 1\n1 2\n2 0\n2 3\n3 4\n4 2\n")
 	g, err := cutfit.LoadEdgeList(in)
@@ -44,19 +43,12 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
-		ranks, stats, err := runAs[[]float64](ctx, pg, "pagerank", cutfit.ServedParams(5))
+		ranks, _, err := runAs[[]float64](ctx, pg, "pagerank", cutfit.ServedParams(5))
 		if err != nil {
 			t.Fatalf("%s pagerank: %v", s.Name(), err)
 		}
 		if len(ranks) != g.NumVertices() {
 			t.Fatalf("%s: ranks = %d", s.Name(), len(ranks))
-		}
-		b, err := cutfit.ConfigI().Simulate(stats, cutfit.EstimateGraphBytes(g.NumEdges()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b.TotalSecs() <= 0 {
-			t.Fatalf("%s: non-positive simulated time", s.Name())
 		}
 
 		labels, _, err := runAs[[]cutfit.VertexID](ctx, pg, "cc", cutfit.ServedParams(0))
@@ -152,18 +144,6 @@ func TestDatasetsSurface(t *testing.T) {
 	}
 }
 
-func TestClusterConfigsSurface(t *testing.T) {
-	if cutfit.ConfigI().NumPartitions != 128 || cutfit.ConfigII().NumPartitions != 256 {
-		t.Fatal("paper configs wrong")
-	}
-	if cutfit.ConfigIII().NetworkGbps != 40 {
-		t.Fatal("config iii should be 40 Gb/s")
-	}
-	if cutfit.ConfigIV().StorageMBps <= cutfit.ConfigIII().StorageMBps {
-		t.Fatal("config iv should have faster storage")
-	}
-}
-
 func TestExtendedAlgorithmsSurface(t *testing.T) {
 	ctx := context.Background()
 	// Two triangles sharing vertex 2 — a connected, clustered shape.
@@ -211,41 +191,6 @@ func TestRunRefusesBeforeRunning(t *testing.T) {
 	}
 	if _, stats, err := cutfit.Run(ctx, pg, "pagerank", cutfit.ServedParams(0)); err == nil || stats != nil {
 		t.Fatalf("pagerank for zero iterations: err %v, stats %v", err, stats)
-	}
-}
-
-func TestPredictorSurface(t *testing.T) {
-	g := cutfit.FromEdges([]cutfit.Edge{
-		{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 3}, {Src: 3, Dst: 0},
-		{Src: 0, Dst: 2}, {Src: 1, Dst: 3},
-	})
-	se := cutfit.NewSession(cutfit.SessionOptions{})
-	times := map[string]float64{}
-	for _, s := range cutfit.Strategies() {
-		m, err := se.Measure(g, s, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		times[s.Name()] = 1 + 0.001*float64(m.CommCost)
-	}
-	pred, results, err := se.TrainPredictor(g, cutfit.Strategies(), 3, cutfit.ProfilePageRank, times)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ranked, err := pred.RankByPrediction(results)
-	if err != nil || len(ranked) != 6 {
-		t.Fatalf("rank: %v, %v", ranked, err)
-	}
-}
-
-func TestGranularityAdviceSurface(t *testing.T) {
-	a := cutfit.AdviseGranularity(cutfit.ProfileConnectedComponents, cutfit.GraphFacts{Edges: 5_000_000}, 128, 256)
-	if a.NumPartitions != 256 || a.Reason == "" {
-		t.Fatalf("advice = %+v", a)
-	}
-	b := cutfit.AdviseGranularity(cutfit.ProfilePageRank, cutfit.GraphFacts{Edges: 5_000_000}, 128, 256)
-	if b.NumPartitions != 128 {
-		t.Fatalf("PR advice = %+v", b)
 	}
 }
 

@@ -11,8 +11,9 @@ import (
 // ExampleAdvise is the paper's contribution as a workflow: ask the advisor
 // which partitioning strategy fits each computation on a dataset, then check
 // the recommendation by running the computation under every strategy and
-// ranking them by simulated time (* marks the advised one). The caching
-// Session assigns and builds each strategy once for both algorithms.
+// ranking them by the engine messages each run sent, broadcast plus reduce
+// (* marks the advised one). The caching Session assigns and builds each
+// strategy once for both algorithms.
 func ExampleAdvise() {
 	g := analog("youtube")
 	ctx := context.Background()
@@ -28,7 +29,7 @@ func ExampleAdvise() {
 
 		type measured struct {
 			name string
-			secs float64
+			msgs int64
 		}
 		var ranking []measured
 		for _, s := range cutfit.Strategies() {
@@ -36,22 +37,22 @@ func ExampleAdvise() {
 			if err != nil {
 				panic(err)
 			}
-			ranking = append(ranking, measured{s.Name(), rep.SimSecs})
+			ranking = append(ranking, measured{s.Name(), rep.BroadcastMsgs + rep.ReduceMsgs})
 		}
-		sort.SliceStable(ranking, func(i, j int) bool { return ranking[i].secs < ranking[j].secs })
+		sort.SliceStable(ranking, func(i, j int) bool { return ranking[i].msgs < ranking[j].msgs })
 		fmt.Print("  measured:")
 		for _, r := range ranking {
 			mark := ""
 			if r.name == rec.Strategy.Name() {
 				mark = "*"
 			}
-			fmt.Printf(" %s%s=%.3fs", mark, r.name, r.secs)
+			fmt.Printf(" %s%s=%d", mark, r.name, r.msgs)
 		}
 		fmt.Println()
 	}
 	// Output:
 	// pagerank: advisor recommends DC (optimize CommCost)
-	//   measured: *DC=0.097s CRVC=0.115s 2D=0.119s 1D=0.120s SC=0.120s RVC=0.140s
+	//   measured: *DC=801920 CRVC=1168580 2D=1251570 1D=1273300 SC=1277390 RVC=1694700
 	// triangles: advisor recommends CRVC (optimize Cut)
-	//   measured: *CRVC=0.052s DC=0.054s 2D=0.062s RVC=0.072s SC=0.108s 1D=0.109s
+	//   measured: 1D=97086 SC=97385 DC=99886 *CRVC=102201 2D=118885 RVC=154837
 }

@@ -13,7 +13,8 @@ import (
 // assumes: CRVC reaches the lowest CommCost (it collocates both directions of
 // each symmetric edge), RVC the highest, and SC/DC match 1D almost exactly,
 // because modulo on grid-ordered IDs groups edges by source just as 1D's hash
-// does. The enormous diameter shows in the superstep count. Run returns sssp's
+// does. The enormous diameter shows in the superstep count; the last column
+// is each run's engine messages, broadcast plus reduce. Run returns sssp's
 // values as a HopTable, one column per landmark.
 func ExampleRun() {
 	g := analog("roadnet-pa")
@@ -24,9 +25,7 @@ func ExampleRun() {
 	ctx := context.Background()
 	se := cutfit.NewSession(cutfit.SessionOptions{})
 	const parts = 64
-	cfg := cutfit.ConfigI()
-	cfg.NumPartitions = parts
-	fmt.Println("strategy  CommCost  supersteps  reached%  simulated-time")
+	fmt.Println("strategy  CommCost  supersteps  reached%  engine-messages")
 	for _, s := range cutfit.Strategies() {
 		m, err := se.Measure(g, s, parts)
 		if err != nil {
@@ -41,20 +40,16 @@ func ExampleRun() {
 			panic(err)
 		}
 		hops := values.(cutfit.HopTable)
-		b, err := cfg.Simulate(stats, cutfit.EstimateGraphBytes(g.NumEdges()))
-		if err != nil {
-			panic(err)
-		}
-		fmt.Printf("%-8s  %-8d  %-10d  %-8.1f  %.4fs\n", s.Name(), m.CommCost, stats.NumSupersteps(),
-			100*float64(hops.Reached())/float64(hops.NumVertices()), b.TotalSecs())
+		fmt.Printf("%-8s  %-8d  %-10d  %-8.1f  %d\n", s.Name(), m.CommCost, stats.NumSupersteps(),
+			100*float64(hops.Reached())/float64(hops.NumVertices()), stats.TotalBroadcastMsgs()+stats.TotalReduceMsgs())
 	}
 	// Output:
 	// landmarks: [0 5407 10813]
-	// strategy  CommCost  supersteps  reached%  simulated-time
-	// RVC       59104     182         96.2      0.9492s
-	// 1D        40567     182         96.2      0.9386s
-	// 2D        50363     182         96.2      0.9447s
-	// CRVC      29544     182         96.2      0.9349s
-	// SC        41596     182         96.2      0.9391s
-	// DC        41596     182         96.2      0.9405s
+	// strategy  CommCost  supersteps  reached%  engine-messages
+	// RVC       59104     182         96.2      202005
+	// 1D        40567     182         96.2      140205
+	// 2D        50363     182         96.2      175679
+	// CRVC      29544     182         96.2      116918
+	// SC        41596     182         96.2      143212
+	// DC        41596     182         96.2      150013
 }

@@ -46,7 +46,7 @@ var dynamicPRAlg = vertexEntry(Entry{
 		return pregel.Program[PRState, float64]{
 			Init: func(id graph.VertexID) PRState { return PRState{} },
 			VProg: func(id graph.VertexID, val PRState, msg float64) PRState {
-				newRank := val.Rank + (1-resetProb)*msg
+				newRank := val.Rank + float64((1-resetProb)*msg)
 				return PRState{Rank: newRank, Delta: newRank - val.Rank}
 			},
 			SendMsg: func(t *pregel.Triplet[PRState], emit pregel.Emitter[float64]) {
@@ -101,7 +101,7 @@ func DynamicPageRankSeq(g *graph.Graph, tol, resetProb float64) []float64 {
 		}
 		maxDelta := 0.0
 		for i := range ranks {
-			next := resetProb + (1-resetProb)*contrib[i]
+			next := resetProb + float64((1-resetProb)*contrib[i])
 			d := next - ranks[i]
 			if d < 0 {
 				d = -d

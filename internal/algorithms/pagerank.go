@@ -52,7 +52,7 @@ var pageRankAlg = vertexEntry(Entry{
 				if msg == prInitSentinel {
 					return val
 				}
-				return resetProb + (1-resetProb)*msg
+				return resetProb + float64((1-resetProb)*msg)
 			},
 			SendMsg: func(t *pregel.Triplet[float64], emit pregel.Emitter[float64]) {
 				if d := outDeg[t.SrcIdx]; d > 0 {
@@ -95,7 +95,7 @@ func PageRankSeq(g *graph.Graph, numIter int, resetProb float64) []float64 {
 		}
 		for i := range ranks {
 			if inDeg[i] > 0 {
-				ranks[i] = resetProb + (1-resetProb)*next[i]
+				ranks[i] = resetProb + float64((1-resetProb)*next[i])
 			}
 		}
 	}

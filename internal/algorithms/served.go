@@ -22,17 +22,14 @@ type Profile struct {
 	// Metric is the partitioning metric that predicts execution time for
 	// this profile: "CommCost" for edge-bound algorithms, "Cut" otherwise.
 	Metric string
-	// IterationsScaleWithDiameter is true for algorithms whose superstep
-	// count follows the graph diameter (SSSP, CC to convergence).
-	IterationsScaleWithDiameter bool
 }
 
 // The profiles of the paper's four algorithms.
 var (
 	ProfilePageRank = Profile{Name: "pagerank", EdgeBound: true, Metric: "CommCost"}
-	ProfileCC       = Profile{Name: "cc", EdgeBound: true, Metric: "CommCost", IterationsScaleWithDiameter: true}
+	ProfileCC       = Profile{Name: "cc", EdgeBound: true, Metric: "CommCost"}
 	ProfileTR       = Profile{Name: "triangles", EdgeBound: false, Metric: "Cut"}
-	ProfileSSSP     = Profile{Name: "sssp", EdgeBound: true, Metric: "CommCost", IterationsScaleWithDiameter: true}
+	ProfileSSSP     = Profile{Name: "sssp", EdgeBound: true, Metric: "CommCost"}
 )
 
 // Params are the knobs of a served run; an algorithm reads the ones it has.

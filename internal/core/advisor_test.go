@@ -31,9 +31,6 @@ func TestProfileMetrics(t *testing.T) {
 	if ProfileTR.Metric != "Cut" || ProfileTR.EdgeBound {
 		t.Fatal("Triangle profile should be vertex-state-bound / Cut")
 	}
-	if !ProfileSSSP.IterationsScaleWithDiameter || !ProfileCC.IterationsScaleWithDiameter {
-		t.Fatal("SSSP and CC iterations scale with diameter")
-	}
 }
 
 func TestAdviseLargeDataset(t *testing.T) {

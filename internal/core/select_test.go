@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
-	"sync/atomic"
 	"testing"
 
 	"cutfit/internal/graph"
@@ -247,63 +246,6 @@ func TestCandidateOrderDecides(t *testing.T) {
 			case sel.Strategy.Name() != tc.winner:
 				t.Errorf("%s, parallelism %d: chose %s, want %s", tc.name, parallelism, sel.Strategy.Name(), tc.winner)
 			}
-			if tc.err == "" {
-				continue
-			}
-			_, _, err = TrainPredictor(st, g, tc.candidates(), 16, ProfilePageRank, map[string]float64{"fine": 1, "also fine": 2})
-			if err == nil || err.Error() != tc.err {
-				t.Errorf("%s, parallelism %d: TrainPredictor error %v, want %s", tc.name, parallelism, err, tc.err)
-			}
 		}
-	}
-}
-
-// countingStrategy counts its Partition calls.
-type countingStrategy struct {
-	partition.Strategy
-	calls *atomic.Int64
-}
-
-func (c countingStrategy) Partition(g *graph.Graph, numParts int) ([]partition.PID, error) {
-	c.calls.Add(1)
-	return c.Strategy.Partition(g, numParts)
-}
-
-// TestTrainPredictorMeasuresOnce: training after a selection over the same
-// store re-measures nothing, and training alone assigns each candidate once.
-func TestTrainPredictorMeasuresOnce(t *testing.T) {
-	edges, _ := selectionEdges(3000)
-	g := graph.FromEdges(edges)
-	var calls atomic.Int64
-	var candidates []partition.Strategy
-	for _, s := range partition.All() {
-		candidates = append(candidates, countingStrategy{s, &calls})
-	}
-	times := map[string]float64{"RVC": 3, "2D": 1, "DC": 2}
-	testutil.SetGOMAXPROCS(t, 8)
-	st := store.New(store.Config{})
-	pred, results, err := TrainPredictor(st, g, candidates, 16, ProfilePageRank, times)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := calls.Load(); got != int64(len(candidates)) {
-		t.Fatalf("training ran %d assignment passes for %d candidates", got, len(candidates))
-	}
-	if _, err := SelectEmpirically(st, g, candidates, 16, ProfilePageRank); err != nil {
-		t.Fatal(err)
-	}
-	again, _, err := TrainPredictor(st, g, candidates, 16, ProfilePageRank, times)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := calls.Load(); got != int64(len(candidates)) {
-		t.Fatalf("selecting and training again re-assigned: %d passes for %d candidates", got, len(candidates))
-	}
-	direct, directResults, err := TrainPredictor(store.New(store.Config{}), g, partition.All(), 16, ProfilePageRank, times)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *pred != *direct || *again != *direct || !reflect.DeepEqual(results, directResults) {
-		t.Fatalf("the predictor %v (again %v) differs from a fresh store's %v", pred, again, direct)
 	}
 }

@@ -1012,11 +1012,6 @@ func (g *Graph) undirCSR() *csr {
 	return g.csrUndir
 }
 
-// OutNeighbors returns the dense indices of out-neighbors of dense vertex i,
-// sorted, possibly with duplicates if the graph has parallel edges. Callers
-// must not modify the returned slice.
-func (g *Graph) OutNeighbors(i int32) []int32 { return g.outCSR().neighbors(i) }
-
 // InNeighbors returns the dense indices of in-neighbors of dense vertex i.
 func (g *Graph) InNeighbors(i int32) []int32 { return g.inCSR().neighbors(i) }
 

@@ -102,14 +102,14 @@ func TestValidateRejectsNegativeIDs(t *testing.T) {
 func TestOutNeighborsSorted(t *testing.T) {
 	g := FromEdges([]Edge{{0, 3}, {0, 1}, {0, 2}, {1, 0}})
 	i, _ := g.Index(0)
-	nb := g.OutNeighbors(i)
+	nb := g.outCSR().neighbors(i)
 	for j := 1; j < len(nb); j++ {
 		if nb[j-1] > nb[j] {
-			t.Fatalf("OutNeighbors not sorted: %v", nb)
+			t.Fatalf("out row not sorted: %v", nb)
 		}
 	}
 	if len(nb) != 3 {
-		t.Fatalf("OutNeighbors(0) len = %d, want 3", len(nb))
+		t.Fatalf("out row of 0 has %d entries, want 3", len(nb))
 	}
 }
 
@@ -192,7 +192,7 @@ func TestConcurrentFirstUse(t *testing.T) {
 			src, dst := g.EdgeEndpointIndices()
 			return [][]int32{slices.Clone(src), slices.Clone(dst)}
 		}},
-		{"OutNeighbors", func(g *Graph) any { return rows(g, g.OutNeighbors) }},
+		{"outCSR", func(g *Graph) any { return rows(g, g.outCSR().neighbors) }},
 		{"InNeighbors", func(g *Graph) any { return rows(g, g.InNeighbors) }},
 		{"UndirectedNeighbors", func(g *Graph) any { return rows(g, g.UndirectedNeighbors) }},
 		{"CanonicalEdges", func(g *Graph) any { return slices.Clone(g.CanonicalEdges()) }},

@@ -145,7 +145,7 @@ func FromAssignment(a *partition.Assignment) (*Result, error) {
 			res.Cut++
 			res.CommCost += int64(replicas)
 			if wdeg != nil {
-				res.WeightedCommCost += float64(replicas) * wdeg[v]
+				res.WeightedCommCost += float64(float64(replicas) * wdeg[v])
 			}
 		}
 	}
@@ -184,7 +184,7 @@ func (r *Result) Finalize(numVertices int) {
 	var ss float64
 	for _, c := range r.EdgesPerPart {
 		d := float64(c) - mean
-		ss += d * d
+		ss += float64(d * d)
 	}
 	r.PartStDev = math.Sqrt(ss / float64(r.NumParts))
 	if numVertices > 0 {

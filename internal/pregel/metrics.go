@@ -81,7 +81,7 @@ func (pg *PartitionedGraph) Metrics() *metrics.Result {
 			res.Cut++
 			res.CommCost += int64(replicas)
 			if wdeg != nil {
-				res.WeightedCommCost += float64(replicas) * wdeg[v]
+				res.WeightedCommCost += float64(float64(replicas) * wdeg[v])
 			}
 		}
 	}

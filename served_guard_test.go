@@ -135,7 +135,17 @@ func TestOneRunEntryPoint(t *testing.T) {
 // rootFiles parses the root package's non-test files.
 func rootFiles(t *testing.T) (*token.FileSet, []*ast.File) {
 	t.Helper()
-	paths, err := filepath.Glob("*.go")
+	fset, files := packageFiles(t, ".")
+	if len(files) == 0 {
+		t.Fatal("no root package files: the test does not run at the module root")
+	}
+	return fset, files
+}
+
+// packageFiles parses the non-test Go files of the package in dir.
+func packageFiles(t *testing.T, dir string) (*token.FileSet, []*ast.File) {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,47 +161,67 @@ func rootFiles(t *testing.T) (*token.FileSet, []*ast.File) {
 		}
 		files = append(files, f)
 	}
-	if len(files) == 0 {
-		t.Fatal("no root package files: the test does not run at the module root")
-	}
 	return fset, files
 }
 
-// TestDocsNameOnlyWhatExists: every cutfit.<Name> the prose documentation
-// writes — docs/*.md, internal/README.md and the verify skill — is an
-// exported top-level identifier of package cutfit, so a removed or renamed
-// API cannot linger in the docs.
-func TestDocsNameOnlyWhatExists(t *testing.T) {
-	exported := map[string]bool{}
-	_, files := rootFiles(t)
+// topLevelNames returns the top-level identifiers the files declare:
+// functions, types, constants and variables, not methods.
+func topLevelNames(files []*ast.File) map[string]bool {
+	names := map[string]bool{}
 	for _, f := range files {
 		for _, d := range f.Decls {
 			switch d := d.(type) {
 			case *ast.FuncDecl:
 				if d.Recv == nil {
-					exported[d.Name.Name] = true
+					names[d.Name.Name] = true
 				}
 			case *ast.GenDecl:
 				for _, spec := range d.Specs {
 					switch spec := spec.(type) {
 					case *ast.TypeSpec:
-						exported[spec.Name.Name] = true
+						names[spec.Name.Name] = true
 					case *ast.ValueSpec:
 						for _, n := range spec.Names {
-							exported[n.Name] = true
+							names[n.Name] = true
 						}
 					}
 				}
 			}
 		}
 	}
+	return names
+}
+
+// TestDocsNameOnlyWhatExists: every <pkg>.<Name> the prose documentation
+// writes — docs/*.md, internal/README.md and the verify skill — where pkg is
+// cutfit or a package under internal/, is an exported top-level identifier
+// of that package, so a removed or renamed API cannot linger in the docs.
+func TestDocsNameOnlyWhatExists(t *testing.T) {
+	_, root := rootFiles(t)
+	pkgs := map[string]map[string]bool{"cutfit": topLevelNames(root)}
+	dirs, err := os.ReadDir("internal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range dirs {
+		if !d.IsDir() {
+			continue
+		}
+		if _, files := packageFiles(t, filepath.Join("internal", d.Name())); len(files) > 0 {
+			pkgs[d.Name()] = topLevelNames(files)
+		}
+	}
+	var alt []string
+	for p := range pkgs {
+		alt = append(alt, regexp.QuoteMeta(p))
+	}
+	name := regexp.MustCompile(`\b(` + strings.Join(alt, "|") + `)\.([A-Z][A-Za-z0-9_]*)`)
 	docs, err := filepath.Glob(filepath.Join("docs", "*.md"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	docs = append(docs, filepath.Join("internal", "README.md"), filepath.Join(".claude", "skills", "verify", "SKILL.md"))
-	name := regexp.MustCompile(`\bcutfit\.([A-Z][A-Za-z0-9_]*)`)
-	seen := 0
+	seen := map[string]int{}
 	for _, path := range docs {
 		text, err := os.ReadFile(path)
 		if err != nil {
@@ -199,14 +229,14 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		}
 		for i, line := range strings.Split(string(text), "\n") {
 			for _, m := range name.FindAllStringSubmatch(line, -1) {
-				seen++
-				if !exported[m[1]] {
-					t.Errorf("%s:%d: cutfit.%s is not an exported identifier of package cutfit", path, i+1, m[1])
+				seen[m[1]]++
+				if !pkgs[m[1]][m[2]] {
+					t.Errorf("%s:%d: %s.%s is not an exported top-level identifier of package %s", path, i+1, m[1], m[2], m[1])
 				}
 			}
 		}
 	}
-	if seen == 0 {
-		t.Fatal("the docs name no cutfit identifier: the scan read the wrong files")
+	if seen["cutfit"] == 0 || len(seen) < 2 {
+		t.Fatalf("the docs name identifiers of %d packages (%v): the scan read the wrong files", len(seen), seen)
 	}
 }

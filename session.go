@@ -129,12 +129,6 @@ func (se *Session) Advise(g *Graph, p Profile, numParts int) Recommendation {
 	return core.Advise(p, facts, numParts, core.DefaultAdvisorConfig())
 }
 
-// TrainPredictor fits a metric→time predictor from measured run times,
-// measuring each candidate through the session's cache.
-func (se *Session) TrainPredictor(g *Graph, candidates []Strategy, numParts int, p Profile, timesByStrategy map[string]float64) (*Predictor, map[string]*Metrics, error) {
-	return core.TrainPredictor(se.st, g, candidates, numParts, p, timesByStrategy)
-}
-
 // CacheStats returns the session's artifact-cache counters.
 func (se *Session) CacheStats() CacheStats { return se.st.Stats() }
 
@@ -306,10 +300,10 @@ func RestoreSession(r io.Reader, opts SessionOptions) (*Session, map[string]*Gra
 
 // Run executes the named algorithm — an entry of the served-algorithm table
 // in internal/algorithms — on the session's cached topology of (g, s,
-// numParts) and returns the shared run encoding: superstep/traffic counts, a
-// simulated cluster time, and the algorithm's headline result. iters is the
-// table's Params.Iters. An unknown name or a refused parameter is an error
-// before anything is partitioned. Safe for any number of concurrent callers.
+// numParts) and returns the shared run encoding: superstep/traffic counts and
+// the algorithm's headline result. iters is the table's Params.Iters. An
+// unknown name or a refused parameter is an error before anything is
+// partitioned. Safe for any number of concurrent callers.
 //
 // The session keeps the converged answer of an algorithm that can
 // resume from one (cc) with its generation, and a run to convergence on a
@@ -339,7 +333,7 @@ func (se *Session) Run(ctx context.Context, g *Graph, s Strategy, numParts int, 
 	// and has parked its scratch: bring the cache's price for the entry up to
 	// date (and let it evict if that no longer fits).
 	se.st.RepriceBuilt(g, s, numParts)
-	rep := &RunReport{
+	return &RunReport{
 		Algorithm:     alg,
 		Strategy:      s.Name(),
 		Parts:         numParts,
@@ -352,16 +346,7 @@ func (se *Session) Run(ctx context.Context, g *Graph, s Strategy, numParts int, 
 		Frontier:      frontierTrace(stats),
 		Seeded:        seeded,
 		Summary:       e.Summarize(g, values, stats),
-	}
-
-	cfg := ConfigI()
-	cfg.NumPartitions = numParts
-	b, err := cfg.Simulate(stats, EstimateGraphBytes(g.NumEdges()))
-	if err != nil {
-		return nil, err
-	}
-	rep.Sim, rep.SimSecs = b, b.TotalSecs()
-	return rep, nil
+	}, nil
 }
 
 // mRunStarts counts Session.Run executions by how they started: seeded from a
@@ -567,8 +552,7 @@ func frontierTrace(stats *RunStats) []FrontierStep {
 }
 
 // RunReport is the JSON encoding of one algorithm execution: engine
-// accounting, the simulated cluster time, and the algorithm's headline
-// result — the embedded Summary's TopRanks, Components, Triangles, Landmark
+// accounting and the algorithm's headline result — the embedded Summary's TopRanks, Components, Triangles, Landmark
 // and Reached, of which only the matching ones are populated.
 type RunReport struct {
 	Graph         string `json:"graph,omitempty"`
@@ -589,9 +573,7 @@ type RunReport struct {
 	// Frontier then describe that shorter run (whose first superstep ships
 	// every master to its mirrors, as a cold one's does). The result is the
 	// cold run's, bit for bit.
-	Seeded  bool      `json:"seeded,omitempty"`
-	SimSecs float64   `json:"simSecs"`
-	Sim     Breakdown `json:"-"` // SimSecs by phase
+	Seeded bool `json:"seeded,omitempty"`
 
 	algorithms.Summary
 }
