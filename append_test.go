@@ -216,8 +216,8 @@ func TestInvalidWeightsRefused(t *testing.T) {
 			_, err := cutfit.FromWeightedEdges(slices.Clone(edges), w)
 			return err
 		},
-		"AppendWeightedEdges": func(w []float64) error {
-			_, err := se.AppendWeightedEdges(base, edges, w)
+		"SlideWindow append": func(w []float64) error {
+			_, err := se.SlideWindow(base, edges, w, 0)
 			return err
 		},
 		"SlideWindow": func(w []float64) error {

@@ -1,7 +1,7 @@
 // Tests for the assignment-centric pipeline: the Assignment artifact, the
-// equivalence of every metrics producer (metrics.FromAssignment, raw
-// metrics.Compute, PartitionedGraph.Metrics), and the single-pass guarantee
-// of empirical selection.
+// equivalence of the two metrics producers (metrics.FromAssignment and
+// PartitionedGraph.Metrics, each the other's oracle), and the single-pass
+// guarantee of empirical selection.
 package cutfit_test
 
 import (
@@ -78,8 +78,9 @@ func metricsDiff(a, b *cutfit.Metrics) string {
 }
 
 // TestMetricsProducersEquivalent asserts that the three ways of obtaining
-// the §3.1 metric set — metrics.FromAssignment on the one-pass artifact, raw
-// metrics.Compute on the PID slice, and PartitionedGraph.Metrics derived
+// the §3.1 metric set — metrics.FromAssignment on the one-pass artifact, on
+// the raw PID slice re-validated by partition.NewAssignment, and
+// PartitionedGraph.Metrics derived
 // from the built engine topology — agree bit-for-bit for every shipped
 // strategy across the three graph families, at partition counts on both
 // sides of the 64-partition bitset-word boundary.
@@ -105,7 +106,11 @@ func TestMetricsProducersEquivalent(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					mRaw, err := metrics.Compute(g, a.PIDs, parts)
+					raw, err := partition.NewAssignment(g, "", a.PIDs, parts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					mRaw, err := metrics.FromAssignment(raw)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -115,10 +120,10 @@ func TestMetricsProducersEquivalent(t *testing.T) {
 					}
 					mTopo := pg.Metrics()
 					if d := metricsDiff(mAssign, mRaw); d != "" {
-						t.Fatalf("metrics.FromAssignment vs metrics.Compute: %s", d)
+						t.Fatalf("metrics.FromAssignment: artifact vs raw PIDs: %s", d)
 					}
 					if d := metricsDiff(mRaw, mTopo); d != "" {
-						t.Fatalf("metrics.Compute vs PartitionedGraph.Metrics: %s", d)
+						t.Fatalf("metrics.FromAssignment on raw PIDs vs PartitionedGraph.Metrics: %s", d)
 					}
 				})
 			}

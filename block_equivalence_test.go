@@ -63,11 +63,11 @@ func generations(t *testing.T) map[string][2]*cutfit.Graph {
 	block := blockGraphOf(t, edges, weights)
 
 	suffix, sufW := equivEdges(1024, 99)
-	dGrown, _, err := dense.GrowWeighted(suffix, sufW)
+	dGrown, _, err := dense.SlideWindow(suffix, sufW, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bGrown, _, err := block.GrowWeighted(suffix, sufW)
+	bGrown, _, err := block.SlideWindow(suffix, sufW, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

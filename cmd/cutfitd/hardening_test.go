@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -172,12 +173,12 @@ func TestPerGraphAdmission429(t *testing.T) {
 	post(t, ts, "/v1/graphs", map[string]any{"name": "a", "edges": testEdges}, nil)
 	post(t, ts, "/v1/graphs", map[string]any{"name": "b", "edges": testEdges}, nil)
 
-	// Prime graph a's limiter (created lazily on first admission) and
-	// hold its only slot.
-	post(t, ts, "/v1/metrics", map[string]any{"graph": "a", "strategy": "2D", "parts": 2}, nil)
-	s.limMu.Lock()
-	lim := s.graphLims["a"]
-	s.limMu.Unlock()
+	// Hold the only slot of graph a's limiter, created by its registration.
+	e, err := s.lookup("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lim := e.lim
 	if lim == nil {
 		t.Fatal("graph limiter for a was not created")
 	}
@@ -187,20 +188,74 @@ func TestPerGraphAdmission429(t *testing.T) {
 	}
 	defer release()
 
-	body := `{"graph":"a","strategy":"2D","parts":2}`
-	resp, err := http.Post(ts.URL+"/v1/metrics", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var e errorReply
-	_ = json.NewDecoder(resp.Body).Decode(&e)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests || e.Code != codeOverCapacity {
-		t.Fatalf("graph a request: got (%d, %q), want (429, %q)", resp.StatusCode, e.Code, codeOverCapacity)
-	}
+	wantStatus(t, s, "/v1/metrics", `{"graph":"a","strategy":"2D","parts":2}`, http.StatusTooManyRequests, codeOverCapacity)
 
 	// Graph b is governed by its own limiter and still serves.
 	post(t, ts, "/v1/metrics", map[string]any{"graph": "b", "strategy": "2D", "parts": 2}, nil)
+}
+
+// wantStatus serves one POST in process and checks its status and error
+// code.
+func wantStatus(t *testing.T, s *server, path, body string, status int, code string) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+	var e errorReply
+	_ = json.NewDecoder(rec.Body).Decode(&e)
+	if rec.Code != status || e.Code != code {
+		t.Fatalf("POST %s: got (%d, %q), want (%d, %q)", path, rec.Code, e.Code, status, code)
+	}
+}
+
+// TestAppendToUnknownGraphLeavesNoState: an append to a name nobody
+// registered is a 404 that leaves nothing behind — admission state lives
+// on the registry entry, and there is none to create. Every map the server
+// holds stays empty.
+func TestAppendToUnknownGraphLeavesNoState(t *testing.T) {
+	s := mustServer(t, serverOptions{graphConcurrent: 1, maxQueue: -1})
+	for i := range 1000 {
+		wantStatus(t, s, "/v1/graphs/ghost"+strconv.Itoa(i)+"/edges", `{"edges":"0 1"}`, http.StatusNotFound, codeNotFound)
+	}
+	v := reflect.ValueOf(s).Elem()
+	for i := range v.NumField() {
+		if f := v.Field(i); f.Kind() == reflect.Map && f.Len() != 0 {
+			t.Errorf("server.%s holds %d entries after appends to unknown names, want 0", v.Type().Field(i).Name, f.Len())
+		}
+	}
+}
+
+// TestGraphSlotSpansGenerations: the admission limiter belongs to the
+// name, so a slot taken on one generation still counts against the next
+// one — made by an append or by registering the name again.
+func TestGraphSlotSpansGenerations(t *testing.T) {
+	s := mustServer(t, serverOptions{graphConcurrent: 1, maxQueue: -1})
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+	post(t, ts, "/v1/graphs", map[string]any{"name": "a", "edges": testEdges}, nil)
+	gen0, err := s.lookup("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	post(t, ts, "/v1/graphs/a/edges", map[string]any{"edges": "7 8"}, nil)
+	gen1, err := s.lookup("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gen1 == gen0 || gen1.g == gen0.g {
+		t.Fatal("append did not advance the registry entry")
+	}
+	// A request admitted on generation 0 and still running.
+	release := gen0.lim.TryAcquire()
+	if release == nil {
+		t.Fatal("could not take generation 0's slot")
+	}
+	metrics := `{"graph":"a","strategy":"2D","parts":2}`
+	wantStatus(t, s, "/v1/metrics", metrics, http.StatusTooManyRequests, codeOverCapacity)
+	wantStatus(t, s, "/v1/graphs/a/edges", `{"edges":"8 9"}`, http.StatusTooManyRequests, codeOverCapacity)
+	post(t, ts, "/v1/graphs", map[string]any{"name": "a", "edges": testEdges}, nil)
+	wantStatus(t, s, "/v1/metrics", metrics, http.StatusTooManyRequests, codeOverCapacity)
+	release()
+	post(t, ts, "/v1/metrics", map[string]any{"graph": "a", "strategy": "2D", "parts": 2}, nil)
 }
 
 // TestMetricsEndpointSpansLayers: GET /metrics parses as Prometheus

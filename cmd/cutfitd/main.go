@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	cutfitd [-addr :8080] [-cache-mb 512] [-parallelism N] [-preload youtube,roadnet-ca] [-block-graph social=/data/social.cfb] [-data-dir /var/lib/cutfitd]
+//	cutfitd [-addr :8080] [-cache-mb 512] [-preload youtube,roadnet-ca] [-block-graph social=/data/social.cfb] [-data-dir /var/lib/cutfitd]
 //
 // With -data-dir the daemon is durable: evicted cache entries spill to
 // <dir>/cache/ (and satisfy later misses from disk), POST /v1/snapshot and
@@ -18,9 +18,9 @@
 // warm-starts from it, so a restarted daemon serves /v1/run without
 // re-partitioning anything.
 //
-// -parallelism N sets GOMAXPROCS to N before anything starts. It is the one
-// worker count of the process: every ingest, hash assignment, build, run,
-// selection and restore fans out over GOMAXPROCS.
+// GOMAXPROCS, set in the environment and read by the Go runtime before main
+// runs, is the one worker count of the process: every ingest, hash
+// assignment, build, run, selection and restore fans out over it.
 //
 // -block-graph registers graphs from on-disk block-graph files (written by
 // cutfit.SaveBlockGraph): name=path pairs, comma-separated, repeatable.
@@ -100,7 +100,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -138,7 +137,6 @@ func (l *stringList) Set(v string) error {
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	cacheMB := flag.Int64("cache-mb", 0, "artifact cache budget in MiB (0 = default 512, negative = unbounded)")
-	parallelism := flag.Int("parallelism", 0, "GOMAXPROCS: worker goroutines per ingest, build, run and selection (<1 = leave GOMAXPROCS as is)")
 	preload := flag.String("preload", "", "comma-separated analog dataset names to register at boot under their own names")
 	dataDir := flag.String("data-dir", "", "durability directory: disk cache tier under <dir>/cache, warm-start snapshot at <dir>/cutfitd.snap (empty = in-memory only)")
 	maxConcurrent := flag.Int("max-concurrent", 0, "daemon-wide concurrent request bound (0 = default 64, negative = unlimited)")
@@ -150,9 +148,6 @@ func main() {
 	var workers stringList
 	flag.Var(&workers, "workers", "cutfit-worker base URLs (comma-separated, repeatable); non-empty enables distributed runs for "+algorithms.NameList(algorithms.ClusterServed(), "and")+" with local fallback")
 	flag.Parse()
-	if *parallelism >= 1 {
-		runtime.GOMAXPROCS(*parallelism)
-	}
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	srv, err := newServer(serverOptions{

@@ -235,19 +235,3 @@ func (s *server) admit(w http.ResponseWriter, r *http.Request, scope string, lim
 	hAdmissionWait.Observe(waited.Seconds())
 	return release, true
 }
-
-// admitGraph applies the per-graph concurrency limit once a handler has
-// resolved which graph the request targets. Same contract as admit.
-func (s *server) admitGraph(w http.ResponseWriter, r *http.Request, name string) (release func(), ok bool) {
-	if s.graphLimit.MaxConcurrent < 0 {
-		return func() {}, true
-	}
-	s.limMu.Lock()
-	lim, found := s.graphLims[name]
-	if !found {
-		lim = obsv.NewLimiter(s.graphLimit)
-		s.graphLims[name] = lim
-	}
-	s.limMu.Unlock()
-	return s.admit(w, r, "graph", lim)
-}

@@ -54,11 +54,14 @@ type serverOptions struct {
 // snapshotFile is the session snapshot inside -data-dir.
 const snapshotFile = "cutfitd.snap"
 
-// graphEntry is one registered graph with its summary.
+// graphEntry is one registered graph with its summary and its name's
+// admission limiter (nil with a negative -graph-concurrent), which
+// register and every append carry over from the entry they replace.
 type graphEntry struct {
 	g        *cutfit.Graph
 	vertices int
 	edges    int
+	lim      *obsv.Limiter
 }
 
 // server is the HTTP facade over one concurrent cutfit.Session plus a
@@ -72,13 +75,11 @@ type server struct {
 	dataDir string
 	logger  *slog.Logger
 
-	// limiter is the global admission bound; graphLims holds one lazily
-	// created limiter per registered graph name, each sized by
-	// graphLimit. See middleware.go for the admission protocol.
+	// limiter is the global admission bound; graphLimit sizes the
+	// limiter each registered name carries on its graphEntry. See
+	// middleware.go for the admission protocol.
 	limiter    *obsv.Limiter
 	graphLimit obsv.LimiterConfig
-	limMu      sync.Mutex
-	graphLims  map[string]*obsv.Limiter
 
 	mu     sync.RWMutex
 	graphs map[string]*graphEntry
@@ -178,12 +179,11 @@ func newServer(opts serverOptions) (*server, error) {
 			MaxQueue:      opts.maxQueue,
 			QueueTimeout:  opts.queueTimeout,
 		},
-		graphLims: make(map[string]*obsv.Limiter),
-		graphs:    make(map[string]*graphEntry, len(restored)),
-		mux:       http.NewServeMux(),
+		graphs: make(map[string]*graphEntry, len(restored)),
+		mux:    http.NewServeMux(),
 	}
 	for name, g := range restored {
-		s.graphs[name] = &graphEntry{g: g, vertices: g.NumVertices(), edges: g.NumLiveEdges()}
+		s.register(name, g)
 	}
 	// Register the method-qualified routes, then a path-only fallback per
 	// path: the Go 1.22 mux prefers the more specific method patterns, so
@@ -341,6 +341,11 @@ func (s *server) register(name string, g *cutfit.Graph) *graphEntry {
 	e := &graphEntry{g: g, vertices: g.NumVertices(), edges: g.NumLiveEdges()}
 	s.mu.Lock()
 	old := s.graphs[name]
+	if old != nil {
+		e.lim = old.lim
+	} else if s.graphLimit.MaxConcurrent >= 0 {
+		e.lim = obsv.NewLimiter(s.graphLimit)
+	}
 	s.graphs[name] = e
 	var forget *cutfit.Graph
 	if old != nil && old.g != g {
@@ -499,31 +504,27 @@ func (s *server) handleAppendEdges(w http.ResponseWriter, r *http.Request) {
 		batch, weights = parsed.Edges(), parsed.Weights()
 	}
 	name := r.PathValue("name")
-	releaseGraph, ok := s.admitGraph(w, r, name)
+	e, err := s.lookup(name)
+	if err != nil {
+		writeError(w, http.StatusNotFound, err)
+		return
+	}
+	releaseGraph, ok := s.admit(w, r, "graph", e.lim)
 	if !ok {
 		return
 	}
 	defer releaseGraph()
 	for {
-		e, err := s.lookup(name)
-		if err != nil {
-			writeError(w, http.StatusNotFound, err)
-			return
-		}
 		oldLive := e.g.NumLiveEdges()
-		var ng *cutfit.Graph
-		if req.ExpireBefore > 0 {
-			ng, err = s.session.SlideWindow(e.g, batch, weights, req.ExpireBefore)
-		} else {
-			ng, err = s.session.AppendWeightedEdges(e.g, batch, weights)
-		}
+		ng, err := s.session.SlideWindow(e.g, batch, weights, req.ExpireBefore)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		ne := &graphEntry{g: ng, vertices: ng.NumVertices(), edges: ng.NumLiveEdges()}
+		ne := &graphEntry{g: ng, vertices: ng.NumVertices(), edges: ng.NumLiveEdges(), lim: e.lim}
 		s.mu.Lock()
-		if s.graphs[name] == e {
+		cur := s.graphs[name]
+		if cur == e {
 			s.graphs[name] = ne
 			s.mu.Unlock()
 			writeJSON(w, http.StatusOK, appendReply{
@@ -538,11 +539,12 @@ func (s *server) handleAppendEdges(w http.ResponseWriter, r *http.Request) {
 		// Another append (or re-register) won the swap; drop the loser's
 		// generation from the session (its delta record would otherwise
 		// pin the discarded edge-list copy) and retry against the current
-		// one.
+		// one. Names are never unregistered, so cur is not nil.
 		s.mu.Unlock()
 		if ng != e.g {
 			s.session.Forget(ng)
 		}
+		e = cur
 	}
 }
 
@@ -573,7 +575,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
-	releaseGraph, ok := s.admitGraph(w, r, req.Graph)
+	releaseGraph, ok := s.admit(w, r, "graph", e.lim)
 	if !ok {
 		return
 	}
@@ -610,7 +612,7 @@ func (s *server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
-	releaseGraph, ok := s.admitGraph(w, r, req.Graph)
+	releaseGraph, ok := s.admit(w, r, "graph", e.lim)
 	if !ok {
 		return
 	}
@@ -657,7 +659,7 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
-	releaseGraph, ok := s.admitGraph(w, r, req.Graph)
+	releaseGraph, ok := s.admit(w, r, "graph", e.lim)
 	if !ok {
 		return
 	}

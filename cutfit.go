@@ -29,7 +29,7 @@
 //     behind Run and Session.Run;
 //   - the paper's contribution as a library: two ways to tailor the
 //     partitioning strategy to the computation and the dataset — an
-//     advisor that applies the paper's §4 rules (Advise, Session.Advise)
+//     advisor that applies the paper's §4 rules (Session.Advise)
 //     and an empirical selector that measures every candidate and takes
 //     the one minimizing the algorithm's predictive metric
 //     (Session.Select);
@@ -74,7 +74,8 @@
 // hash assignment, the partition build, every engine phase of a run,
 // selection, restore — fans out over the process's GOMAXPROCS, read when
 // the call starts (one shared definition, internal/par), so lowering
-// GOMAXPROCS bounds them all (cutfitd's -parallelism sets it). Each
+// GOMAXPROCS bounds them all (for cutfitd, set GOMAXPROCS in its
+// environment: the Go runtime reads it before main runs). Each
 // partition scans densely or through its frontier index by one density
 // rule; neither choice ever changes a result.
 //
@@ -154,7 +155,7 @@
 // evicted artifacts spill to content-addressed snapshot files, misses check
 // disk before recomputing, and the files outlive the process. The cmd/cutfitd
 // daemon composes both via -data-dir (warm start on boot, POST /v1/snapshot,
-// persist on graceful shutdown); see ExampleSession_Snapshot.
+// persist on graceful shutdown); see ExampleSession_SnapshotNamed.
 //
 // # Out-of-core scale
 //
@@ -249,8 +250,6 @@ const (
 type (
 	// Profile classifies an algorithm's communication structure.
 	Profile = core.Profile
-	// GraphFacts are dataset properties consulted by the advisor.
-	GraphFacts = core.GraphFacts
 	// Recommendation is the advisor's output.
 	Recommendation = core.Recommendation
 	// DatasetSpec describes one of the paper's analog datasets.
@@ -376,15 +375,6 @@ var (
 // ProfileFor resolves a served algorithm's profile by name — any name
 // Session.Run accepts.
 func ProfileFor(alg string) (Profile, error) { return core.ProfileFor(alg) }
-
-// Facts extracts advisor-relevant facts from a graph.
-func Facts(g *Graph) GraphFacts { return core.Facts(g) }
-
-// Advise recommends a strategy for the algorithm profile, dataset facts
-// and partition count, following the paper's §4 heuristics.
-func Advise(p Profile, f GraphFacts, numParts int) Recommendation {
-	return core.Advise(p, f, numParts, core.DefaultAdvisorConfig())
-}
 
 // Datasets returns the nine analog datasets of the paper's evaluation in
 // Table 1 order.

@@ -8,13 +8,13 @@ import (
 	"cutfit"
 )
 
-// ExampleAdvise is the paper's contribution as a workflow: ask the advisor
+// ExampleSession_Advise is the paper's contribution as a workflow: ask the advisor
 // which partitioning strategy fits each computation on a dataset, then check
 // the recommendation by running the computation under every strategy and
 // ranking them by the engine messages each run sent, broadcast plus reduce
 // (* marks the advised one). The caching Session assigns and builds each
 // strategy once for both algorithms.
-func ExampleAdvise() {
+func ExampleSession_Advise() {
 	g := analog("youtube")
 	ctx := context.Background()
 	const parts = 128
@@ -24,7 +24,7 @@ func ExampleAdvise() {
 		if err != nil {
 			panic(err)
 		}
-		rec := cutfit.Advise(profile, cutfit.Facts(g), parts)
+		rec := se.Advise(g, profile, parts)
 		fmt.Printf("%s: advisor recommends %s (optimize %s)\n", alg, rec.Strategy.Name(), rec.Metric)
 
 		type measured struct {

@@ -7,11 +7,11 @@ import (
 	"cutfit"
 )
 
-// ExampleSession_Snapshot persists a warmed session — measured metrics and
+// ExampleSession_SnapshotNamed persists a warmed session — measured metrics and
 // a built engine topology — and restores it into a "new process": the
 // restored session answers the same requests as pure cache hits, so a
 // restart costs one read instead of a re-partition.
-func ExampleSession_Snapshot() {
+func ExampleSession_SnapshotNamed() {
 	g := cutfit.FromEdges([]cutfit.Edge{
 		{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 0},
 		{Src: 2, Dst: 3}, {Src: 3, Dst: 4}, {Src: 4, Dst: 2},

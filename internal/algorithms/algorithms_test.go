@@ -28,11 +28,11 @@ func randomGraph(seed uint64, maxV, maxE int) *graph.Graph {
 
 func mustPartition(t *testing.T, g *graph.Graph, s partition.Strategy, parts int) *pregel.PartitionedGraph {
 	t.Helper()
-	assign, err := s.Partition(g, parts)
+	a, err := partition.Assign(g, s, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pg, err := pregel.NewPartitionedGraph(g, assign, parts)
+	pg, err := pregel.NewPartitionedGraphFromAssignment(a, pregel.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,11 +54,11 @@ func TestPageRankMatchesOracle(t *testing.T) {
 		g := randomGraph(seed, 40, 200)
 		want := PageRankSeq(g, 5, DefaultResetProb)
 		for _, s := range testStrategies {
-			assign, err := s.Partition(g, numParts)
+			a, err := partition.Assign(g, s, numParts)
 			if err != nil {
 				return false
 			}
-			pg, err := pregel.NewPartitionedGraph(g, assign, numParts)
+			pg, err := pregel.NewPartitionedGraphFromAssignment(a, pregel.BuildOptions{})
 			if err != nil {
 				return false
 			}
@@ -113,11 +113,11 @@ func TestConnectedComponentsMatchesOracle(t *testing.T) {
 		g := randomGraph(seed, 50, 120)
 		want := ConnectedComponentsSeq(g)
 		for _, s := range testStrategies {
-			assign, err := s.Partition(g, numParts)
+			a, err := partition.Assign(g, s, numParts)
 			if err != nil {
 				return false
 			}
-			pg, err := pregel.NewPartitionedGraph(g, assign, numParts)
+			pg, err := pregel.NewPartitionedGraphFromAssignment(a, pregel.BuildOptions{})
 			if err != nil {
 				return false
 			}
@@ -174,11 +174,11 @@ func TestTriangleCountMatchesOracle(t *testing.T) {
 		g := randomGraph(seed, 30, 150)
 		want := TriangleCountSeq(g)
 		for _, s := range testStrategies {
-			assign, err := s.Partition(g, numParts)
+			a, err := partition.Assign(g, s, numParts)
 			if err != nil {
 				return false
 			}
-			pg, err := pregel.NewPartitionedGraph(g, assign, numParts)
+			pg, err := pregel.NewPartitionedGraphFromAssignment(a, pregel.BuildOptions{})
 			if err != nil {
 				return false
 			}
@@ -243,11 +243,11 @@ func TestShortestPathsMatchesOracle(t *testing.T) {
 		}
 		want := ShortestPathsSeq(g, landmarks)
 		for _, s := range testStrategies {
-			assign, err := s.Partition(g, numParts)
+			a, err := partition.Assign(g, s, numParts)
 			if err != nil {
 				return false
 			}
-			pg, err := pregel.NewPartitionedGraph(g, assign, numParts)
+			pg, err := pregel.NewPartitionedGraphFromAssignment(a, pregel.BuildOptions{})
 			if err != nil {
 				return false
 			}
@@ -334,9 +334,4 @@ func TestTriangleStatsCutSensitivity(t *testing.T) {
 	if a16 <= a1 {
 		t.Fatalf("apply units with 16 parts (%.0f) not above 1 part (%.0f)", a16, a1)
 	}
-}
-
-// newPartitioned is a non-fataling helper for quick.Check closures.
-func newPartitioned(g *graph.Graph, assign []partition.PID, parts int) (*pregel.PartitionedGraph, error) {
-	return pregel.NewPartitionedGraph(g, assign, parts)
 }

@@ -451,11 +451,11 @@ func TestTriangleExperimentCounts(t *testing.T) {
 		}
 		want := g.TotalTriangles()
 		for _, s := range partition.All() {
-			assign, err := s.Partition(g, 16)
+			a, err := partition.Assign(g, s, 16)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pg, err := pregel.NewPartitionedGraph(g, assign, 16)
+			pg, err := pregel.NewPartitionedGraphFromAssignment(a, pregel.BuildOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

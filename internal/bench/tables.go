@@ -71,7 +71,11 @@ func MetricsTable(specs []datasets.Spec, strategies []partition.Strategy, numPar
 			return nil, err
 		}
 		for _, s := range strategies {
-			m, err := metrics.ComputeFor(g, s, numParts)
+			a, err := partition.Assign(g, s, numParts)
+			if err != nil {
+				return nil, fmt.Errorf("bench: %s/%s: %w", spec.Name, s.Name(), err)
+			}
+			m, err := metrics.FromAssignment(a)
 			if err != nil {
 				return nil, fmt.Errorf("bench: %s/%s: %w", spec.Name, s.Name(), err)
 			}

@@ -53,10 +53,7 @@ func ProfileFor(alg string) (Profile, error) {
 
 // GraphFacts are the dataset properties the heuristic advisor consults.
 type GraphFacts struct {
-	Vertices int
-	Edges    int
-	// Symmetric is true for (effectively) undirected graphs.
-	Symmetric bool
+	Edges int
 	// IDLocality is true when consecutive vertex IDs are correlated with
 	// graph locality (e.g. road networks with geographic ID order), which
 	// the SC/DC modulo partitioners exploit.
@@ -66,11 +63,7 @@ type GraphFacts struct {
 // Facts extracts GraphFacts from a graph (IDLocality cannot be derived
 // from structure alone and defaults to false; see DetectIDLocality).
 func Facts(g *graph.Graph) GraphFacts {
-	return GraphFacts{
-		Vertices:  g.NumVertices(),
-		Edges:     g.NumEdges(),
-		Symmetric: g.SymmetryPct() > 99.0,
-	}
+	return GraphFacts{Edges: g.NumEdges()}
 }
 
 // AdvisorConfig tunes the heuristic thresholds.

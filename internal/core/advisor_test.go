@@ -73,7 +73,7 @@ func TestAdviseZeroConfigUsesDefaults(t *testing.T) {
 func TestFacts(t *testing.T) {
 	g := graph.FromEdges([]graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 0}})
 	f := Facts(g)
-	if f.Vertices != 2 || f.Edges != 2 || !f.Symmetric {
+	if f.Edges != 2 || f.IDLocality {
 		t.Fatalf("facts = %+v", f)
 	}
 }

@@ -22,11 +22,11 @@ func benchCluster(b *testing.B) (*Pool, *pregel.PartitionedGraph) {
 		b.Fatal(err)
 	}
 	const parts = 64
-	assign, err := partition.EdgePartition2D().Partition(g, parts)
+	a, err := partition.Assign(g, partition.EdgePartition2D(), parts)
 	if err != nil {
 		b.Fatal(err)
 	}
-	pg, err := pregel.NewPartitionedGraph(g, assign, parts)
+	pg, err := pregel.NewPartitionedGraphFromAssignment(a, pregel.BuildOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

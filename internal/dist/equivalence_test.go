@@ -87,11 +87,11 @@ func runPageRank(ctx context.Context, pool *Pool, pg *pregel.PartitionedGraph, i
 
 func mustPartition(t testing.TB, g *graph.Graph, s partition.Strategy, parts int) *pregel.PartitionedGraph {
 	t.Helper()
-	assign, err := s.Partition(g, parts)
+	a, err := partition.Assign(g, s, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pg, err := pregel.NewPartitionedGraph(g, assign, parts)
+	pg, err := pregel.NewPartitionedGraphFromAssignment(a, pregel.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,10 @@ func testGenerations(t *testing.T, W, mergeShards int) {
 	check("grown", mustPartition(t, g2, strat, parts))
 
 	// Shrink: retire the oldest quarter of the edge window.
-	g3, _ := g2.ShrinkBefore(g2.NumEdges() / 4)
+	g3, _, err := g2.SlideWindow(nil, nil, g2.NumEdges()/4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	check("shrunk", mustPartition(t, g3, strat, parts))
 }
 

@@ -116,7 +116,11 @@ func TestCancelledRunStopsScanning(t *testing.T) {
 		assign[i] = partition.PID(i / edgesPerPart)
 	}
 	g := graph.FromEdges(edges)
-	pg, err := pregel.NewPartitionedGraph(g, assign, numParts)
+	a, err := partition.NewAssignment(g, "", assign, numParts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg, err := pregel.NewPartitionedGraphFromAssignment(a, pregel.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,11 +82,11 @@ func newStepRig(tb testing.TB) *stepRig {
 	// A dozen vertices: the fuzzer minimizes every interesting frame in time
 	// quadratic in its length, and kilobyte frames stall it for a minute each.
 	g := randomGraph(4, 12, 24)
-	assign, err := partition.RandomVertexCut().Partition(g, 4)
+	a, err := partition.Assign(g, partition.RandomVertexCut(), 4)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	pg, err := pregel.NewPartitionedGraph(g, assign, 4)
+	pg, err := pregel.NewPartitionedGraphFromAssignment(a, pregel.BuildOptions{})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -102,22 +102,10 @@ func (g *Graph) Grow(newEdges []Edge) (*Graph, Delta) {
 	return g.advance(newEdges, nil, nil)
 }
 
-// GrowWeighted is Grow with per-edge weights for the appended suffix
-// (weights[i] belongs to newEdges[i], finite and positive; nil means weight
-// 1 each). Growing an unweighted parent with a weighted suffix promotes the
-// child to weighted — the parent's edges keep weight 1.
-func (g *Graph) GrowWeighted(newEdges []Edge, weights []float64) (*Graph, Delta, error) {
-	if err := checkWeights(g.NumEdges(), newEdges, weights); err != nil {
-		return nil, Delta{}, err
-	}
-	ng, d := g.advance(newEdges, weights, nil)
-	return ng, d, nil
-}
-
-// advance is the one generation-step primitive behind Grow, GrowWeighted,
-// Shrink, ShrinkBefore and SlideWindow: append suffix (with optional
-// weights) and tombstone the dense positions in removeIdx, producing a new
-// generation without mutating g. removeIdx must be sorted ascending,
+// advance is the one generation-step primitive behind Grow, Shrink and
+// SlideWindow: append suffix (with optional weights) and tombstone the
+// dense positions in removeIdx, producing a new generation without
+// mutating g. removeIdx must be sorted ascending,
 // deduplicated, in [0, len(g.edges)), and every listed position must be
 // live in g — callers resolve and validate. A step with nothing to do
 // returns g itself (Delta.Old == Delta.New). A step that pushes tombstone

@@ -34,24 +34,14 @@ func (g *Graph) Shrink(retract []Edge) (*Graph, Delta, error) {
 	return ng, d, nil
 }
 
-// ShrinkBefore returns a new generation with every live edge at a dense
-// position < n tombstoned — the expiry half of sliding-window serving
-// (positions are append order, so "before n" is "older than the n-th
-// append"). n is clamped to the dense edge count. A step that nets zero
-// retractions returns g itself.
-func (g *Graph) ShrinkBefore(n int) (*Graph, Delta) {
-	ng, d := g.advance(nil, nil, g.liveBefore(n))
-	return ng, d
-}
-
-// SlideWindow advances the graph one sliding-window step: append newEdges
-// (with optional per-edge weights, as in GrowWeighted) and expire every
-// live edge at a dense position < expireBefore, in ONE generation step —
-// a single new generation, a single Delta, so the serving layer's delta
-// chain records one boundary instead of an append generation followed by
-// an expire generation. expireBefore positions refer to the parent's
-// dense list (it is clamped to the parent's edge count; the appended
-// suffix is never expired by the same step).
+// SlideWindow is the general generation step: append newEdges (weights[i],
+// finite and positive, belongs to newEdges[i]; nil means weight 1 each,
+// and a weighted suffix promotes an unweighted parent's edges to weight 1)
+// and expire every live edge at a dense position < expireBefore — older
+// than the expireBefore-th append — in ONE step: one generation, one Delta.
+// expireBefore is clamped to the parent's edge count, so the suffix is
+// never expired by the same step. SlideWindow(e, w, 0) is a weighted
+// append, SlideWindow(nil, nil, n) an expiry; a no-op step returns g.
 func (g *Graph) SlideWindow(newEdges []Edge, weights []float64, expireBefore int) (*Graph, Delta, error) {
 	if err := checkWeights(g.NumEdges(), newEdges, weights); err != nil {
 		return nil, Delta{}, err

@@ -92,12 +92,12 @@ func TestSecondChildCopies(t *testing.T) {
 // unweighted lineage to weighted gives the prefix weight 1.
 func TestWeightedLineage(t *testing.T) {
 	g0 := FromEdges(randomEdges(1, 30, 100))
-	g1, _, err := g0.GrowWeighted(randomEdges(2, 30, 10), slices.Repeat([]float64{2}, 10))
+	g1, _, err := g0.SlideWindow(randomEdges(2, 30, 10), slices.Repeat([]float64{2}, 10), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g2, _ := g1.Grow(randomEdges(3, 30, 10))
-	g3, _, err := g2.GrowWeighted(randomEdges(4, 30, 10), slices.Repeat([]float64{3}, 10))
+	g3, _, err := g2.SlideWindow(randomEdges(4, 30, 10), slices.Repeat([]float64{3}, 10), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,6 @@ import (
 	"math"
 	"math/bits"
 
-	"cutfit/internal/graph"
 	"cutfit/internal/partition"
 )
 
@@ -62,18 +61,6 @@ type Result struct {
 	WeightedBalance  float64
 	MaxWeight        float64
 	WeightedCommCost float64
-}
-
-// Compute derives the full metric set from a raw edge assignment. assign
-// must be aligned with g.Edges() and every PID must be in [0, numParts).
-// Callers that already hold a validated partition.Assignment should use
-// FromAssignment, which skips re-validation and re-counting.
-func Compute(g *graph.Graph, assign []partition.PID, numParts int) (*Result, error) {
-	a, err := partition.NewAssignment(g, "", assign, numParts)
-	if err != nil {
-		return nil, fmt.Errorf("metrics: %w", err)
-	}
-	return FromAssignment(a)
 }
 
 // FromAssignment derives the full metric set from a validated Assignment.
@@ -207,17 +194,6 @@ func (r *Result) Finalize(numVertices int) {
 			r.WeightedBalance = 1
 		}
 	}
-}
-
-// ComputeFor partitions g with strategy s and computes the metrics in one
-// call — the common path for tables and tests. The assignment is produced
-// once via partition.Assign.
-func ComputeFor(g *graph.Graph, s partition.Strategy, numParts int) (*Result, error) {
-	a, err := partition.Assign(g, s, numParts)
-	if err != nil {
-		return nil, fmt.Errorf("metrics: %w", err)
-	}
-	return FromAssignment(a)
 }
 
 // MetricByName extracts a metric value from a Result by its table name:

@@ -23,13 +23,32 @@ func randomGraph(seed uint64, maxV, maxE int) *graph.Graph {
 	return graph.FromEdges(edges)
 }
 
+// compute measures a raw assignment the way every caller does: validated
+// by partition.NewAssignment, then measured by FromAssignment.
+func compute(g *graph.Graph, assign []partition.PID, numParts int) (*Result, error) {
+	a, err := partition.NewAssignment(g, "", assign, numParts)
+	if err != nil {
+		return nil, err
+	}
+	return FromAssignment(a)
+}
+
+// computeFor measures strategy s's assignment of g.
+func computeFor(g *graph.Graph, s partition.Strategy, numParts int) (*Result, error) {
+	a, err := partition.Assign(g, s, numParts)
+	if err != nil {
+		return nil, err
+	}
+	return FromAssignment(a)
+}
+
 func TestComputeHandWorkedExample(t *testing.T) {
 	// Edges: (0,1)->p0, (1,2)->p0, (2,3)->p1, (3,0)->p1.
 	// Partition 0 holds vertices {0,1,2}; partition 1 holds {2,3,0}.
 	// Vertex replicas: 0->2, 1->1, 2->2, 3->1.
 	g := graph.FromEdges([]graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 3}, {Src: 3, Dst: 0}})
 	assign := []partition.PID{0, 0, 1, 1}
-	m, err := Compute(g, assign, 2)
+	m, err := compute(g, assign, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +78,7 @@ func TestComputeHandWorkedExample(t *testing.T) {
 func TestComputeImbalanced(t *testing.T) {
 	g := graph.FromEdges([]graph.Edge{{Src: 0, Dst: 1}, {Src: 0, Dst: 2}, {Src: 0, Dst: 3}, {Src: 4, Dst: 5}})
 	assign := []partition.PID{0, 0, 0, 1}
-	m, err := Compute(g, assign, 2)
+	m, err := compute(g, assign, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,13 +92,13 @@ func TestComputeImbalanced(t *testing.T) {
 
 func TestComputeErrors(t *testing.T) {
 	g := graph.FromEdges([]graph.Edge{{Src: 0, Dst: 1}})
-	if _, err := Compute(g, []partition.PID{0}, 0); err == nil {
+	if _, err := compute(g, []partition.PID{0}, 0); err == nil {
 		t.Error("numParts=0 should error")
 	}
-	if _, err := Compute(g, []partition.PID{}, 2); err == nil {
+	if _, err := compute(g, []partition.PID{}, 2); err == nil {
 		t.Error("length mismatch should error")
 	}
-	if _, err := Compute(g, []partition.PID{5}, 2); err == nil {
+	if _, err := compute(g, []partition.PID{5}, 2); err == nil {
 		t.Error("out-of-range PID should error")
 	}
 }
@@ -93,7 +112,7 @@ func TestMetricIdentities(t *testing.T) {
 		numParts := 1 + int(partsRaw)%32
 		g := randomGraph(seed, 60, 300)
 		for _, s := range strategies {
-			m, err := ComputeFor(g, s, numParts)
+			m, err := computeFor(g, s, numParts)
 			if err != nil {
 				return false
 			}
@@ -134,7 +153,7 @@ func TestMetricIdentities(t *testing.T) {
 
 func TestSinglePartitionDegenerate(t *testing.T) {
 	g := randomGraph(3, 30, 100)
-	m, err := ComputeFor(g, partition.RandomVertexCut(), 1)
+	m, err := computeFor(g, partition.RandomVertexCut(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +170,7 @@ func TestSinglePartitionDegenerate(t *testing.T) {
 
 func TestMetricByName(t *testing.T) {
 	g := randomGraph(4, 20, 60)
-	m, err := ComputeFor(g, partition.EdgePartition2D(), 4)
+	m, err := computeFor(g, partition.EdgePartition2D(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +189,7 @@ func TestMetricByName(t *testing.T) {
 
 func TestEmptyGraphMetrics(t *testing.T) {
 	g := graph.FromEdges(nil)
-	m, err := Compute(g, nil, 4)
+	m, err := compute(g, nil, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,11 +202,11 @@ func Test2DCommCostUsuallyLowerThanRVC(t *testing.T) {
 	// The core rationale for 2D: bounded replication should beat random
 	// vertex cut on communication cost for dense-enough graphs.
 	g := randomGraph(1234, 100, 8000)
-	rvc, err := ComputeFor(g, partition.RandomVertexCut(), 64)
+	rvc, err := computeFor(g, partition.RandomVertexCut(), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := ComputeFor(g, partition.EdgePartition2D(), 64)
+	d2, err := computeFor(g, partition.EdgePartition2D(), 64)
 	if err != nil {
 		t.Fatal(err)
 	}

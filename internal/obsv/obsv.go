@@ -226,19 +226,6 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return v.f.instance(values).(*Counter)
 }
 
-// GaugeVec is a labeled gauge family.
-type GaugeVec struct{ f *family }
-
-// GaugeVec registers (or finds) a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{r.register(name, help, typeGauge, labels, nil, nil)}
-}
-
-// With returns the gauge for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	return v.f.instance(values).(*Gauge)
-}
-
 // HistogramVec is a labeled histogram family.
 type HistogramVec struct{ f *family }
 

@@ -6,7 +6,8 @@
 // assignment, the partition build and its patches, every engine phase,
 // selection, restore — takes DefaultParallelism when its call starts. There
 // is no per-call or per-session worker option: GOMAXPROCS is the one bound
-// (cutfitd's -parallelism sets it), and a caller that keeps per-range slots
+// (for cutfitd, set in its environment, which the Go runtime reads before
+// main runs), and a caller that keeps per-range slots
 // reads the count once and hands that same number to Ranges. Only the
 // distributed coordinator's per-worker fan-outs use another count, the
 // number of workers.

@@ -101,17 +101,12 @@ func newStreamState(kind streamKind, numParts int) (*StreamState, error) {
 // NumParts returns the partition count the state targets.
 func (st *StreamState) NumParts() int { return st.numParts }
 
-// AssignEdges streams unweighted edges through the state in order, writing
-// one PID per edge into out (len(out) == len(edges)). Calling it
-// repeatedly over consecutive chunks of one edge list is equivalent to a
-// single call over the whole list.
-func (st *StreamState) AssignEdges(edges []graph.Edge, out []PID) {
-	st.AssignWeightedEdges(edges, nil, out)
-}
-
 // AssignWeightedEdges streams edges with per-edge weights (weights[i]
 // belongs to edges[i]; nil means weight 1 each) through the degree and
-// load tables. An all-ones weighting is bit-identical to AssignEdges.
+// load tables, writing one PID per edge into out (len(out) == len(edges)).
+// Calling it repeatedly over consecutive chunks of one edge list is
+// equivalent to a single call over the whole list, and an all-ones
+// weighting is bit-identical to nil.
 func (st *StreamState) AssignWeightedEdges(edges []graph.Edge, weights []float64, out []PID) {
 	w := 1.0
 	switch st.kind {
@@ -327,7 +322,7 @@ func (st *StreamState) minLoadVal() float64 {
 // strategies: fresh state, one pass, block at a time — a block-backed
 // graph streams through its compressed tier without ever materializing
 // the dense edge list (chunked assignment is exactly equivalent to a
-// single pass; see AssignEdges).
+// single pass; see AssignWeightedEdges).
 func streamPartition(r Resumable, g *graph.Graph, numParts int) ([]PID, error) {
 	st, err := r.NewStream(numParts)
 	if err != nil {

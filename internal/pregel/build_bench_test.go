@@ -21,10 +21,11 @@ func BenchmarkPartitionBuild(b *testing.B) {
 		b.Fatal(err)
 	}
 	const numParts = 128
-	assign, err := partition.EdgePartition2D().Partition(g, numParts)
+	a, err := partition.Assign(g, partition.EdgePartition2D(), numParts)
 	if err != nil {
 		b.Fatal(err)
 	}
+	assign := a.PIDs
 	// Warm the graph's cached views so both variants measure construction,
 	// not first-touch index building.
 	g.EdgeEndpointIndices()
@@ -40,7 +41,7 @@ func BenchmarkPartitionBuild(b *testing.B) {
 	b.Run("sortscatter", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := NewPartitionedGraphOpts(g, assign, numParts, BuildOptions{}); err != nil {
+			if _, err := NewPartitionedGraphFromAssignment(a, BuildOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -49,7 +50,7 @@ func BenchmarkPartitionBuild(b *testing.B) {
 		setGOMAXPROCS(b, 1)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := NewPartitionedGraph(g, assign, numParts); err != nil {
+			if _, err := NewPartitionedGraphFromAssignment(a, BuildOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -23,7 +23,7 @@ func TestParallelismDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	const numParts = 8
-	assign, err := partition.EdgePartition2D().Partition(g, numParts)
+	a, err := partition.Assign(g, partition.EdgePartition2D(), numParts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestParallelismDeterminism(t *testing.T) {
 	var baseCC []int64
 	for i, v := range variants {
 		testutil.SetGOMAXPROCS(t, v.workers)
-		pg, err := pregel.NewPartitionedGraphOpts(g, assign, numParts, v.opts)
+		pg, err := pregel.NewPartitionedGraphFromAssignment(a, v.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,11 +97,11 @@ func TestReuseBuffersResultIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	const numParts = 4
-	assign, err := partition.RandomVertexCut().Partition(g, numParts)
+	a, err := partition.Assign(g, partition.RandomVertexCut(), numParts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pg, err := pregel.NewPartitionedGraphOpts(g, assign, numParts, pregel.BuildOptions{ReuseBuffers: true})
+	pg, err := pregel.NewPartitionedGraphFromAssignment(a, pregel.BuildOptions{ReuseBuffers: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 func TestBuildEmptyGraph(t *testing.T) {
 	g := graph.FromEdges(nil)
 	setGOMAXPROCS(t, 3)
-	pg, err := NewPartitionedGraphOpts(g, []partition.PID{}, 4, BuildOptions{})
+	pg, err := buildFrom(g, []partition.PID{}, 4, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

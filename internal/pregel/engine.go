@@ -125,9 +125,6 @@ type Program[V, M any] struct {
 	// means 1, and costs no call per edge. Heavy per-edge algorithms
 	// (triangle intersection) override it.
 	EdgeCost func(t *Triplet[V]) float64
-	// ApplyCost is the abstract compute cost of one vertex-program
-	// application (default 1).
-	ApplyCost float64
 
 	// OnSuperstep, if set, is called after every superstep with its
 	// statistics. Returning ErrHalt stops the computation gracefully
@@ -467,11 +464,6 @@ func runEngine[V, M any](ctx context.Context, pg *PartitionedGraph, prog Program
 	if err := prog.validate(); err != nil {
 		return nil, nil, err
 	}
-	applyCost := prog.ApplyCost
-	if applyCost == 0 {
-		applyCost = 1
-	}
-
 	g := pg.G
 	verts := g.Vertices()
 	nv := len(verts)
@@ -603,7 +595,7 @@ func runEngine[V, M any](ctx context.Context, pg *PartitionedGraph, prog Program
 				}
 			}
 			counts[sh] = n
-			applyPerShard[sh] = float64(n) * applyCost
+			applyPerShard[sh] = float64(n) // one unit per applied vertex
 		}); err != nil {
 			return nil, nil, fmt.Errorf("pregel: superstep %d apply: %w", step, err)
 		}

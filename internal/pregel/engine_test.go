@@ -140,7 +140,7 @@ func TestResultsIndependentOfParallelism(t *testing.T) {
 	var reference []int64
 	for _, par := range []int{1, 2, 8} {
 		setGOMAXPROCS(t, par)
-		pg, err := NewPartitionedGraph(g, assign, 9)
+		pg, err := buildFrom(g, assign, 9, BuildOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -432,7 +432,7 @@ func TestLocalRunStopsWhenCancelled(t *testing.T) {
 		assign[i] = partition.PID(i / edgesPerPart)
 	}
 	setGOMAXPROCS(t, scanWorkers)
-	pg, err := NewPartitionedGraph(graph.FromEdges(edges), assign, numParts)
+	pg, err := buildFrom(graph.FromEdges(edges), assign, numParts, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,7 +90,7 @@ func TestSortScatterMatchesMapsBuild(t *testing.T) {
 				}
 				for _, par := range []int{1, 4} {
 					setGOMAXPROCS(t, par)
-					got, err := NewPartitionedGraphOpts(g, assign, numParts, BuildOptions{})
+					got, err := buildFrom(g, assign, numParts, BuildOptions{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -104,14 +104,15 @@ func TestSortScatterMatchesMapsBuild(t *testing.T) {
 }
 
 // TestSortScatterRejectsBadInput mirrors the error contract of the
-// original construction.
+// original construction. The assignments are literals, never validated by
+// partition.NewAssignment, so the rejection is the build's own.
 func TestSortScatterRejectsBadInput(t *testing.T) {
 	g := graph.FromEdges([]graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}})
-	if _, err := NewPartitionedGraphOpts(g, []partition.PID{0, 5}, 2, BuildOptions{}); err == nil {
+	if _, err := NewPartitionedGraphFromAssignment(&partition.Assignment{G: g, NumParts: 2, PIDs: []partition.PID{0, 5}}, BuildOptions{}); err == nil {
 		t.Error("out-of-range PID in second shard should error")
 	}
 	setGOMAXPROCS(t, 8)
-	if _, err := NewPartitionedGraphOpts(g, []partition.PID{-1, 0}, 2, BuildOptions{}); err == nil {
+	if _, err := NewPartitionedGraphFromAssignment(&partition.Assignment{G: g, NumParts: 2, PIDs: []partition.PID{-1, 0}}, BuildOptions{}); err == nil {
 		t.Error("negative PID should error")
 	}
 }

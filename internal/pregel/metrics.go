@@ -1,23 +1,6 @@
 package pregel
 
-import (
-	"cutfit/internal/metrics"
-	"cutfit/internal/partition"
-)
-
-// NewPartitionedGraphFromAssignment builds the partitioned representation
-// from a validated Assignment artifact — the engine end of the
-// strategy → metrics → engine pipeline. The assignment's PID slice is used
-// directly; no re-partitioning or re-validation pass runs beyond the
-// build's own sharded count.
-func NewPartitionedGraphFromAssignment(a *partition.Assignment, opts BuildOptions) (*PartitionedGraph, error) {
-	pg, err := NewPartitionedGraphOpts(a.G, a.PIDs, a.NumParts, opts)
-	if err != nil {
-		return nil, err
-	}
-	pg.assignShare, _ = a.PIDShare()
-	return pg, nil
-}
+import "cutfit/internal/metrics"
 
 // Metrics derives the full §3.1 metric set from the already-built
 // partitioned topology. The per-partition edge lists and local vertex tables
@@ -31,10 +14,12 @@ func NewPartitionedGraphFromAssignment(a *partition.Assignment, opts BuildOption
 //   - the derived fields (Balance, PartStDev, MaxEdges, MaxVertices,
 //     ReplicationFactor) come from metrics.Finalize, the same code every
 //     other Result producer uses, so results are bit-for-bit identical to
-//     metrics.Compute on the originating assignment.
+//     metrics.FromAssignment on the originating assignment, each the
+//     other's oracle.
 //
 // Any path that builds the topology anyway (run-after-measure, the bench
-// grid) should read metrics here instead of calling metrics.Compute.
+// grid) should read metrics here instead of calling
+// metrics.FromAssignment.
 //
 // On a weighted graph one extra O(|E|) pass over the retained assignment
 // accumulates the weighted counterparts (WeightPerPart, WeightedCommCost) in

@@ -199,22 +199,19 @@ func (pg *PartitionedGraph) scratchDepth() int {
 	return max(par.DefaultParallelism(), minScratchDepth)
 }
 
-// NewPartitionedGraph builds the partitioned representation from an edge
-// assignment (one PID per edge, aligned with g.Edges()) with default
-// options.
-func NewPartitionedGraph(g *graph.Graph, assign []partition.PID, numParts int) (*PartitionedGraph, error) {
-	return NewPartitionedGraphOpts(g, assign, numParts, BuildOptions{})
-}
-
-// NewPartitionedGraphOpts builds the partitioned representation with the
-// sort/scatter algorithm described in the package comment, fanning
-// per-partition work over GOMAXPROCS workers.
-func NewPartitionedGraphOpts(g *graph.Graph, assign []partition.PID, numParts int, opts BuildOptions) (*PartitionedGraph, error) {
+// NewPartitionedGraphFromAssignment builds the partitioned representation
+// of an assignment — the engine end of the strategy → metrics → engine
+// pipeline — with the sort/scatter algorithm described in the package
+// comment, fanning per-partition work over GOMAXPROCS workers. The PID
+// slice is used directly; its range is checked by the build's own sharded
+// count, since Assignment's fields are exported and a literal may never
+// have passed partition.NewAssignment.
+func NewPartitionedGraphFromAssignment(a *partition.Assignment, opts BuildOptions) (*PartitionedGraph, error) {
+	g, assign, numParts := a.G, a.PIDs, a.NumParts
 	if numParts <= 0 {
 		return nil, fmt.Errorf("pregel: numParts must be positive, got %d", numParts)
 	}
-	ne := g.NumEdges()
-	if len(assign) != ne {
+	if ne := g.NumEdges(); len(assign) != ne {
 		return nil, fmt.Errorf("pregel: assignment has %d entries for %d edges", len(assign), ne)
 	}
 	pg := &PartitionedGraph{
@@ -224,7 +221,7 @@ func NewPartitionedGraphOpts(g *graph.Graph, assign []partition.PID, numParts in
 		ReuseBuffers: opts.ReuseBuffers,
 		scratch:      &scratchPool{},
 	}
-	pg.assignShare, _ = graph.SliceShare(assign, nil)
+	pg.assignShare, _ = a.PIDShare()
 	if err := pg.buildSortScatter(); err != nil {
 		return nil, err
 	}

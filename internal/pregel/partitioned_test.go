@@ -25,13 +25,23 @@ func randomGraph(seed uint64, maxV, maxE int) *graph.Graph {
 	return graph.FromEdges(edges)
 }
 
+// buildFrom validates a raw per-edge assignment with partition.NewAssignment
+// and builds its topology.
+func buildFrom(g *graph.Graph, assign []partition.PID, numParts int, opts BuildOptions) (*PartitionedGraph, error) {
+	a, err := partition.NewAssignment(g, "", assign, numParts)
+	if err != nil {
+		return nil, err
+	}
+	return NewPartitionedGraphFromAssignment(a, opts)
+}
+
 func mustPartition(t *testing.T, g *graph.Graph, s partition.Strategy, parts int) *PartitionedGraph {
 	t.Helper()
 	assign, err := s.Partition(g, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pg, err := NewPartitionedGraph(g, assign, parts)
+	pg, err := buildFrom(g, assign, parts, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,13 +50,19 @@ func mustPartition(t *testing.T, g *graph.Graph, s partition.Strategy, parts int
 
 func TestNewPartitionedGraphErrors(t *testing.T) {
 	g := graph.FromEdges([]graph.Edge{{Src: 0, Dst: 1}})
-	if _, err := NewPartitionedGraph(g, []partition.PID{0}, 0); err == nil {
+	// Literals, never validated by partition.NewAssignment: each rejection
+	// is the build's own.
+	build := func(pids []partition.PID, numParts int) error {
+		_, err := NewPartitionedGraphFromAssignment(&partition.Assignment{G: g, NumParts: numParts, PIDs: pids}, BuildOptions{})
+		return err
+	}
+	if err := build([]partition.PID{0}, 0); err == nil {
 		t.Error("numParts=0 should error")
 	}
-	if _, err := NewPartitionedGraph(g, nil, 2); err == nil {
+	if err := build(nil, 2); err == nil {
 		t.Error("assignment length mismatch should error")
 	}
-	if _, err := NewPartitionedGraph(g, []partition.PID{7}, 2); err == nil {
+	if err := build([]partition.PID{7}, 2); err == nil {
 		t.Error("out-of-range PID should error")
 	}
 }
@@ -59,12 +75,12 @@ func TestBuildWithFewerRangesThanShards(t *testing.T) {
 	g := graph.FromEdges([]graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 3}, {Src: 3, Dst: 4}, {Src: 4, Dst: 0}})
 	assign := []partition.PID{1, 0, 2, 1, 0}
 	setGOMAXPROCS(t, 1)
-	serial, err := NewPartitionedGraphOpts(g, assign, 3, BuildOptions{})
+	serial, err := buildFrom(g, assign, 3, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	setGOMAXPROCS(t, 4)
-	sharded, err := NewPartitionedGraphOpts(g, assign, 3, BuildOptions{})
+	sharded, err := buildFrom(g, assign, 3, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +92,7 @@ func TestBuildWithFewerRangesThanShards(t *testing.T) {
 	}
 	bad := slices.Clone(assign)
 	bad[4] = 9
-	_, err = NewPartitionedGraphOpts(g, bad, 3, BuildOptions{})
+	_, err = NewPartitionedGraphFromAssignment(&partition.Assignment{G: g, NumParts: 3, PIDs: bad}, BuildOptions{})
 	if err == nil || err.Error() != "pregel: edge 4 assigned to out-of-range partition 9" {
 		t.Fatalf("err %v, want edge 4 out of range", err)
 	}
@@ -85,7 +101,7 @@ func TestBuildWithFewerRangesThanShards(t *testing.T) {
 func TestPartitionedGraphStructure(t *testing.T) {
 	g := graph.FromEdges([]graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 3}, {Src: 3, Dst: 0}})
 	assign := []partition.PID{0, 0, 1, 1}
-	pg, err := NewPartitionedGraph(g, assign, 2)
+	pg, err := buildFrom(g, assign, 2, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,15 +141,15 @@ func TestMirrorsMatchMetrics(t *testing.T) {
 		numParts := 1 + int(partsRaw)%24
 		g := randomGraph(seed, 50, 250)
 		for _, s := range []partition.Strategy{partition.RandomVertexCut(), partition.EdgePartition2D()} {
-			assign, err := s.Partition(g, numParts)
+			a, err := partition.Assign(g, s, numParts)
 			if err != nil {
 				return false
 			}
-			pg, err := NewPartitionedGraph(g, assign, numParts)
+			pg, err := NewPartitionedGraphFromAssignment(a, BuildOptions{})
 			if err != nil {
 				return false
 			}
-			m, err := metrics.Compute(g, assign, numParts)
+			m, err := metrics.FromAssignment(a)
 			if err != nil {
 				return false
 			}
@@ -166,7 +182,7 @@ func TestAssignOrderAlignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pg, err := NewPartitionedGraph(g, assign, parts)
+	pg, err := buildFrom(g, assign, parts, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +210,7 @@ func TestEdgeConservation(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		pg, err := NewPartitionedGraph(g, assign, numParts)
+		pg, err := buildFrom(g, assign, numParts, BuildOptions{})
 		if err != nil {
 			return false
 		}

@@ -37,7 +37,7 @@ func TestScratchPoolsKeepDistinctProgramTypes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pg, err := NewPartitionedGraphOpts(g, assign, 4, BuildOptions{ReuseBuffers: true})
+	pg, err := buildFrom(g, assign, 4, BuildOptions{ReuseBuffers: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestScratchPoolBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pg, err := NewPartitionedGraphOpts(g, assign, 4, BuildOptions{ReuseBuffers: true})
+	pg, err := buildFrom(g, assign, 4, BuildOptions{ReuseBuffers: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestConcurrentRunsShareGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pg, err := NewPartitionedGraphOpts(g, assign, 8, BuildOptions{ReuseBuffers: true})
+	pg, err := buildFrom(g, assign, 8, BuildOptions{ReuseBuffers: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +404,7 @@ func TestPointerValuedProgramNeverParks(t *testing.T) {
 	}
 	var want []graph.VertexID
 	for _, reuse := range []bool{false, true, true} {
-		pg, err := NewPartitionedGraphOpts(g, assign, 4, BuildOptions{ReuseBuffers: reuse})
+		pg, err := buildFrom(g, assign, 4, BuildOptions{ReuseBuffers: reuse})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -172,7 +172,7 @@ func TestSeededChain(t *testing.T) {
 // not continued.
 func TestSeedRefusesExhaustedClock(t *testing.T) {
 	g := graph.FromEdges([]graph.Edge{{Src: 1, Dst: 2}})
-	pg, err := NewPartitionedGraph(g, []partition.PID{0}, 1)
+	pg, err := buildFrom(g, []partition.PID{0}, 1, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestSeededRunStopsWhenCancelled(t *testing.T) {
 	}
 	g := graph.FromEdges(edges)
 	setGOMAXPROCS(t, scanWorkers)
-	pg, err := NewPartitionedGraphOpts(g, assign, numParts, BuildOptions{})
+	pg, err := buildFrom(g, assign, numParts, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

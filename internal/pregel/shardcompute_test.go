@@ -207,7 +207,7 @@ func TestScanStopsWhenCancelled(t *testing.T) {
 		assign[i] = partition.PID(i / edgesPerPart)
 	}
 	g := graph.FromEdges(edges)
-	pg, err := NewPartitionedGraph(g, assign, numParts)
+	pg, err := buildFrom(g, assign, numParts, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

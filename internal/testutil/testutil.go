@@ -152,7 +152,11 @@ func CheckPartitionInvariants(g *graph.Graph, assign []partition.PID, numParts i
 	if pg.TotalMirrors() != totalMirrors {
 		return fmt.Errorf("TotalMirrors() = %d, recount gives %d", pg.TotalMirrors(), totalMirrors)
 	}
-	m, err := metrics.Compute(g, assign, numParts)
+	a, err := partition.NewAssignment(g, "", assign, numParts)
+	if err != nil {
+		return fmt.Errorf("metrics recomputation: %w", err)
+	}
+	m, err := metrics.FromAssignment(a)
 	if err != nil {
 		return fmt.Errorf("metrics recomputation: %w", err)
 	}
@@ -170,7 +174,11 @@ func CheckStrategy(g *graph.Graph, s partition.Strategy, numParts int) error {
 	if err != nil {
 		return fmt.Errorf("partitioning with %s: %w", s.Name(), err)
 	}
-	pg, err := pregel.NewPartitionedGraph(g, assign, numParts)
+	a, err := partition.NewAssignment(g, s.Name(), assign, numParts)
+	if err != nil {
+		return fmt.Errorf("partitioning with %s: %w", s.Name(), err)
+	}
+	pg, err := pregel.NewPartitionedGraphFromAssignment(a, pregel.BuildOptions{})
 	if err != nil {
 		return fmt.Errorf("building partitioned graph for %s: %w", s.Name(), err)
 	}

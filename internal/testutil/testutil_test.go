@@ -59,13 +59,14 @@ func TestInvariantsParallelismIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	const parts = 32
-	assign, err := partition.EdgePartition2D().Partition(g, parts)
+	a, err := partition.Assign(g, partition.EdgePartition2D(), parts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	assign := a.PIDs
 	for _, par := range []int{1, 2, 5, 64} {
 		SetGOMAXPROCS(t, par)
-		pg, err := pregel.NewPartitionedGraph(g, assign, parts)
+		pg, err := pregel.NewPartitionedGraphFromAssignment(a, pregel.BuildOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,11 +84,12 @@ func TestInvariantCheckerCatchesViolations(t *testing.T) {
 		t.Fatal(err)
 	}
 	const parts = 4
-	assign, err := partition.RandomVertexCut().Partition(g, parts)
+	a, err := partition.Assign(g, partition.RandomVertexCut(), parts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pg, err := pregel.NewPartitionedGraph(g, assign, parts)
+	assign := a.PIDs
+	pg, err := pregel.NewPartitionedGraphFromAssignment(a, pregel.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -178,28 +178,6 @@ func (se *Session) AppendEdges(g *Graph, edges []Edge) (*Graph, error) {
 	return ng, nil
 }
 
-// AppendWeightedEdges is AppendEdges with per-edge weights for the batch
-// (weights[i] belongs to edges[i], finite and positive; nil means weight 1
-// each). Appending a weighted batch to an unweighted graph promotes the new
-// generation to weighted — the existing edges keep weight 1.
-func (se *Session) AppendWeightedEdges(g *Graph, edges []Edge, weights []float64) (*Graph, error) {
-	if weights == nil {
-		return se.AppendEdges(g, edges)
-	}
-	if err := checkAppended(edges); err != nil {
-		return nil, err
-	}
-	if len(edges) == 0 {
-		return g, nil
-	}
-	ng, d, err := g.GrowWeighted(edges, weights)
-	if err != nil {
-		return nil, err
-	}
-	se.st.RecordDelta(d)
-	return ng, nil
-}
-
 // RemoveEdges returns the next generation of g with the given edges
 // retracted (graph.Shrink): each element removes the oldest live occurrence
 // of that edge value, positions are tombstoned rather than spliced, and g
@@ -229,14 +207,12 @@ func (se *Session) RemoveEdges(g *Graph, edges []Edge) (*Graph, error) {
 	return ng, nil
 }
 
-// SlideWindow advances g one sliding-window step: append edges (with
-// optional per-edge weights, as in AppendWeightedEdges) and expire every
-// live edge older than the expireBefore-th append, in ONE generation (one
-// recorded delta) — the serving shape for time-windowed graphs, where each
-// batch both adds fresh interactions and retires the oldest ones.
-// expireBefore counts dense positions of g (append order); it is clamped to
-// g's edge count and never expires the suffix appended by the same step. A
-// step netting zero change returns g unchanged.
+// SlideWindow advances g one sliding-window step (graph.SlideWindow):
+// append edges, with optional weights, and expire every live edge older
+// than the expireBefore-th append, in ONE generation (one recorded delta) —
+// the serving shape for time-windowed graphs, where each batch both adds
+// fresh interactions and retires the oldest ones. With expireBefore 0 it
+// is a weighted append; a step netting zero change returns g unchanged.
 func (se *Session) SlideWindow(g *Graph, edges []Edge, weights []float64, expireBefore int) (*Graph, error) {
 	if err := checkAppended(edges); err != nil {
 		return nil, err
@@ -251,19 +227,14 @@ func (se *Session) SlideWindow(g *Graph, edges []Edge, weights []float64, expire
 	return ng, nil
 }
 
-// Snapshot writes the session's whole artifact cache to w as one
+// SnapshotNamed writes the session's whole artifact cache to w as one
 // versioned, CRC-checked snapshot: every cached graph and every cached
 // assignment, metric set and built topology. cutfit.RestoreSession reads
 // it back into a fresh session whose first requests are cache hits — a
-// restart costs one read instead of re-partitioning everything. See
-// SnapshotNamed to label graphs for a name registry.
-func (se *Session) Snapshot(w io.Writer) error {
-	_, err := se.SnapshotNamed(w, nil)
-	return err
-}
-
-// SnapshotNamed is Snapshot with graph labels: names maps registry names
-// to the graphs they serve (several names may share a graph), and
+// restart costs one read instead of re-partitioning everything.
+//
+// names labels graphs for a name registry: it maps registry names to the
+// graphs they serve (several names may share a graph; nil labels none), and
 // RestoreSession returns the same mapping over the restored graph objects
 // so a server can rebuild its registry on warm start. Graphs referenced
 // only by names (no cached artifacts yet) are snapshotted too. A graph with
@@ -276,12 +247,12 @@ func (se *Session) SnapshotNamed(w io.Writer, names map[string]*Graph) (Snapshot
 // Flush writes every cached artifact through to the session's disk tier,
 // returning how many entries were written — a no-op (0, nil) without
 // SessionOptions.DiskDir. Use it before shutdown when the disk tier alone
-// (rather than a Snapshot file) should carry the cache across restarts.
+// (rather than a snapshot file) should carry the cache across restarts.
 func (se *Session) Flush() (int, error) {
 	return se.st.FlushDisk()
 }
 
-// RestoreSession reads a Session.Snapshot/SnapshotNamed stream into a new
+// RestoreSession reads a Session.SnapshotNamed stream into a new
 // Session configured by opts, and returns the label → graph mapping
 // recorded at snapshot time (over the freshly restored graph objects).
 // Every artifact is re-validated by the snapshot codec before it enters

@@ -3,6 +3,7 @@ package cutfit_test
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -10,6 +11,7 @@ import (
 
 	"cutfit"
 	"cutfit/internal/algorithms"
+	"cutfit/internal/gen"
 	"cutfit/internal/pregel"
 	"cutfit/internal/testutil"
 )
@@ -354,5 +356,24 @@ func TestRunRefusedBeforePartitioning(t *testing.T) {
 	}
 	if after := se.CacheStats(); after != before {
 		t.Errorf("refused runs moved the cache: %+v, was %+v", after, before)
+	}
+}
+
+// TestAdviseBuildsNoAdjacency: advice reads the edge count and scans the
+// edges once for ID locality; it builds no adjacency view of the graph
+// (the out- and in-CSR cost about 8 B per edge between them).
+func TestAdviseBuildsNoAdjacency(t *testing.T) {
+	g, err := gen.RMAT(gen.DefaultRMAT(14, 16, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	se := cutfit.NewSession(cutfit.SessionOptions{})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	se.Advise(g, cutfit.ProfilePageRank, 64)
+	runtime.ReadMemStats(&after)
+	perEdge := float64(after.TotalAlloc-before.TotalAlloc) / float64(g.NumEdges())
+	if perEdge >= 2 {
+		t.Fatalf("Session.Advise allocated %.2f B per edge, want under 2", perEdge)
 	}
 }

@@ -227,7 +227,7 @@ func TestRestoreSessionRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := se.Snapshot(&buf); err != nil {
+	if _, err := se.SnapshotNamed(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
