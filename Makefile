@@ -143,7 +143,10 @@ bench-smoke:
 # shortest-paths program against its map-valued reference (random graphs and
 # landmark sets, duplicates and absent landmarks included), the snapshot
 # decoders (container parsing + the assignment codec, seeded from the
-# golden corpus), the distributed worker's step endpoint (arbitrary
+# golden corpus), a whole-store restore (snapshot bytes through
+# Store.Restore, seeded from a real snapshot, its truncations, bit flips and
+# resealed identity mismatches: an error or a restored store, never a panic
+# or a hang), the distributed worker's step endpoint (arbitrary
 # broadcast frames against a bound run) and its shard-install endpoint
 # (arbitrary shard containers, seeded from a real one and its mutations:
 # 204 or 400, and an installed shard indexes only inside its own tables),
@@ -165,13 +168,14 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzHopDistances -fuzztime=$(FUZZTIME) ./internal/algorithms/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeSnapshot -fuzztime=$(FUZZTIME) ./internal/snap/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeAssignment -fuzztime=$(FUZZTIME) ./internal/snap/
+	$(GO) test -run='^$$' -fuzz=FuzzRestore -fuzztime=$(FUZZTIME) ./internal/store/
 	$(GO) test -run='^$$' -fuzz=FuzzStepFrame -fuzztime=$(FUZZTIME) ./internal/dist/
 	$(GO) test -run='^$$' -fuzz=FuzzShardInstall -fuzztime=$(FUZZTIME) ./internal/dist/
 	$(GO) test -run='^$$' -fuzz=FuzzSessionStream -fuzztime=$(FUZZTIME) -fuzzminimizetime=5s .
 
 # Seconds-long fuzz smoke for make check: long enough to catch parser,
-# delta-patch, snapshot-decoder, step-frame and shard-install regressions on the seed
-# corpus, short enough for every PR.
+# delta-patch, snapshot-decoder, store-restore, step-frame and shard-install regressions
+# on the seed corpus, short enough for every PR.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadEdgeList -fuzztime=5s ./internal/graph/
 	$(GO) test -run='^$$' -fuzz=FuzzStreamEdgeList -fuzztime=5s ./internal/graph/
@@ -182,6 +186,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzHopDistances -fuzztime=5s ./internal/algorithms/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeSnapshot -fuzztime=5s ./internal/snap/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeAssignment -fuzztime=5s ./internal/snap/
+	$(GO) test -run='^$$' -fuzz=FuzzRestore -fuzztime=5s ./internal/store/
 	$(GO) test -run='^$$' -fuzz=FuzzStepFrame -fuzztime=5s ./internal/dist/
 	$(GO) test -run='^$$' -fuzz=FuzzShardInstall -fuzztime=5s ./internal/dist/
 	$(GO) test -run='^$$' -fuzz=FuzzSessionStream -fuzztime=5s -fuzzminimizetime=1s .

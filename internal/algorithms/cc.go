@@ -32,7 +32,7 @@ var ccAlg = resumable[graph.VertexID, graph.VertexID](vertexEntry(Entry{
 	},
 	Seq: func(g *graph.Graph, _ Params) any { return ConnectedComponentsSeq(g) },
 }, Vertex[graph.VertexID, graph.VertexID]{
-	Program: func(p Params, _ []int32) pregel.Program[graph.VertexID, graph.VertexID] {
+	Program: func(p Params, _ func() []int32) pregel.Program[graph.VertexID, graph.VertexID] {
 		return pregel.Program[graph.VertexID, graph.VertexID]{
 			Init: func(id graph.VertexID) graph.VertexID { return id },
 			VProg: func(id graph.VertexID, val, msg graph.VertexID) graph.VertexID {

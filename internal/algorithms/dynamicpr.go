@@ -41,8 +41,8 @@ var dynamicPRAlg = vertexEntry(Entry{
 	Summarize: summarizeRanks,
 	Seq:       func(g *graph.Graph, p Params) any { return DynamicPageRankSeq(g, p.Tol, p.ResetProb) },
 }, Vertex[PRState, float64]{
-	Program: func(p Params, outDeg []int32) pregel.Program[PRState, float64] {
-		tol, resetProb := p.Tol, p.ResetProb
+	Program: func(p Params, degrees func() []int32) pregel.Program[PRState, float64] {
+		tol, resetProb, outDeg := p.Tol, p.ResetProb, degrees()
 		return pregel.Program[PRState, float64]{
 			Init: func(id graph.VertexID) PRState { return PRState{} },
 			VProg: func(id graph.VertexID, val PRState, msg float64) PRState {

@@ -44,8 +44,8 @@ var pageRankAlg = vertexEntry(Entry{
 	Summarize: summarizeRanks,
 	Seq:       func(g *graph.Graph, p Params) any { return PageRankSeq(g, p.Iters, p.ResetProb) },
 }, Vertex[float64, float64]{
-	Program: func(p Params, outDeg []int32) pregel.Program[float64, float64] {
-		resetProb := p.ResetProb
+	Program: func(p Params, degrees func() []int32) pregel.Program[float64, float64] {
+		resetProb, outDeg := p.ResetProb, degrees()
 		return pregel.Program[float64, float64]{
 			Init: func(id graph.VertexID) float64 { return 1.0 },
 			VProg: func(id graph.VertexID, val, msg float64) float64 {

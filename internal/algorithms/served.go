@@ -106,11 +106,12 @@ type Entry struct {
 // Vertex is a served Pregel vertex program over values V and messages M with
 // their wire codecs: what the cluster needs to run it on both sides.
 type Vertex[V, M any] struct {
-	// Program instantiates the program over an out-degree table indexed by
-	// dense vertex: Graph.OutDegrees() locally and on the coordinator, the
-	// copy shipped in the shard on a worker — the same integers, so the
-	// same float operations in the same order.
-	Program func(p Params, outDeg []int32) pregel.Program[V, M]
+	// Program instantiates the program. degrees yields the out-degree table
+	// by dense vertex — Graph.OutDegrees locally and on the coordinator, the
+	// copy shipped in the shard on a worker: the same integers, so the same
+	// float operations. Only pagerank and dynamicpr call it, once, so cc on
+	// a freshly restored graph never builds the O(|E|) degree view.
+	Program func(p Params, degrees func() []int32) pregel.Program[V, M]
 	VC      pregel.Codec[V]
 	MC      pregel.Codec[M]
 	// Values projects final vertex states to the values Entry.Run returns.
@@ -124,7 +125,7 @@ func vertexEntry[V, M any](e Entry, v Vertex[V, M]) *Entry {
 		if err := e.Check(p); err != nil {
 			return nil, nil, err
 		}
-		vals, stats, err := pregel.Run(ctx, pg, v.Program(p, pg.G.OutDegrees()))
+		vals, stats, err := pregel.Run(ctx, pg, v.Program(p, pg.G.OutDegrees))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -144,7 +145,7 @@ func resumable[V comparable, M any](e *Entry) *Entry {
 		if err := e.Check(p); err != nil {
 			return nil, nil, nil, err
 		}
-		prog := v.Program(p, pg.G.OutDegrees())
+		prog := v.Program(p, pg.G.OutDegrees)
 		var start *pregel.Start[V]
 		if from != nil {
 			var err error

@@ -209,31 +209,12 @@ func measureCandidates(st *store.Store, g *graph.Graph, candidates []partition.S
 // with adjacency by measuring the fraction of edges whose endpoint IDs
 // differ by at most window. Grid-ordered road networks score high; hashed
 // or crawled social graphs score low. Returns true above threshold (0.5 is
-// a robust default with window = ~2 rows of a grid). The scan counts every
-// dense slot, tombstoned ones included, and streams a block-backed graph
-// block by block rather than materializing its dense edge list.
+// a robust default with window = graph.LocalityWindow, the window whose
+// count the graph caches: see Graph.NearIDEdges).
 func DetectIDLocality(g *graph.Graph, window int64, threshold float64) bool {
-	near, total := 0, 0
-	err := g.ForEachEdgeBlock(func(_ int, edges []graph.Edge, _ []float64) error {
-		n := 0
-		for _, e := range edges {
-			d := int64(e.Src) - int64(e.Dst)
-			if d < 0 {
-				d = -d
-			}
-			if d <= window {
-				n++
-			}
-		}
-		near += n
-		total += len(edges)
-		return nil
-	})
-	if err != nil {
-		panic("core: block decode failed: " + err.Error())
-	}
+	total := g.NumEdges()
 	if total == 0 {
 		return false
 	}
-	return float64(near)/float64(total) >= threshold
+	return float64(g.NearIDEdges(window))/float64(total) >= threshold
 }

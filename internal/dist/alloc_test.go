@@ -99,7 +99,7 @@ func TestExchangeAllocs(t *testing.T) {
 	pg := allocGraph(t)
 	pool, _ := startCluster(t, 2)
 	pr := vertexOf[float64, float64](t, "pagerank")
-	prog := pr.Program(algorithms.ServedParams(1000), pg.G.OutDegrees())
+	prog := pr.Program(algorithms.ServedParams(1000), pg.G.OutDegrees)
 	for w := 0; w < 2; w++ {
 		key := shardKey(pg.G, pg.TopologySum(), pg.NumParts, w, 2)
 		if err := pool.prepareWorker(ctx, w, key, pg); err != nil {

@@ -148,7 +148,7 @@ func TestCancelledRunStopsScanning(t *testing.T) {
 	defer cancel()
 	var scanned atomic.Int64
 	pr := vertexOf[float64, float64](t, "pagerank")
-	prog := pr.Program(algorithms.ServedParams(1), g.OutDegrees())
+	prog := pr.Program(algorithms.ServedParams(1), g.OutDegrees)
 	prog.SendMsg = func(*pregel.Triplet[float64], pregel.Emitter[float64]) {
 		cancel()
 		scanned.Add(1)

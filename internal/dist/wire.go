@@ -23,16 +23,16 @@ type wiring struct {
 // Both sides build the program from the run spec, after the entry's own
 // parameter check — on a worker the spec came off the network.
 func wire[V, M any](e *algorithms.Entry, v algorithms.Vertex[V, M]) wiring {
-	build := func(spec RunSpec, outDeg []int32) (pregel.Program[V, M], error) {
+	build := func(spec RunSpec, degrees func() []int32) (pregel.Program[V, M], error) {
 		p := algorithms.Params{Iters: spec.Iters, Tol: spec.Tol, ResetProb: spec.ResetProb}
 		if err := e.Check(p); err != nil {
 			return pregel.Program[V, M]{}, err
 		}
-		return v.Program(p, outDeg), nil
+		return v.Program(p, degrees), nil
 	}
 	return wiring{
 		run: func(ctx context.Context, pool *Pool, pg *pregel.PartitionedGraph, spec RunSpec) (any, *pregel.RunStats, error) {
-			prog, err := build(spec, pg.G.OutDegrees())
+			prog, err := build(spec, pg.G.OutDegrees)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -43,7 +43,7 @@ func wire[V, M any](e *algorithms.Entry, v algorithms.Vertex[V, M]) wiring {
 			return v.Values(vals), stats, nil
 		},
 		shard: func(spec RunSpec, ws *workerShard) (shardRun, int, error) {
-			prog, err := build(spec, ws.outDeg)
+			prog, err := build(spec, func() []int32 { return ws.outDeg })
 			if err != nil {
 				return nil, 0, err
 			}

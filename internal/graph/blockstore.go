@@ -182,7 +182,7 @@ func (bs *BlockStore) decode(b int, sc *blockScratch, withWeights bool) ([]Edge,
 		}
 		enc = sc.enc
 	}
-	es, err := decodeEdgesInto(enc, sc.edges)
+	es, err := decodeEdgesInto(enc, sc.edges, nil)
 	if err != nil {
 		return nil, nil, fmt.Errorf("graph: block %d: %w", b, err)
 	}

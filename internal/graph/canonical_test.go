@@ -165,7 +165,7 @@ func TestEdgeViewsAcrossGenerations(t *testing.T) {
 	}
 
 	// A graph restored with tombstones builds both views over its live edges.
-	m, err := FromEdgesAndVertices([]Edge{{0, 1}, {1, 2}, {1, 0}}, nil, []VertexID{0, 1, 2}, []uint64{1}, 1)
+	m, err := FromEdgesAndVertices(EncodeEdges(nil, []Edge{{0, 1}, {1, 2}, {1, 0}}), nil, []VertexID{0, 1, 2}, []uint64{1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

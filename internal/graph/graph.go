@@ -125,6 +125,8 @@ type Graph struct {
 	canon        []uint64 // canonical-undirected-edge bitset over dense edge positions
 	symOnce      viewOnce
 	symPct       float64 // SymmetryPct
+	nearOnce     viewOnce
+	nearEdges    int // NearIDEdges(LocalityWindow)
 	fpOnce       viewOnce
 	fp           uint64 // content fingerprint: edge fold + tombstone fold
 	fpEdges      uint64 // sequential edge/weight fold only (extendable by Grow)

@@ -3,6 +3,7 @@ package graph
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -628,13 +629,14 @@ func appendEdgeRun(dst []byte, edges []Edge, prevSrc int64) ([]byte, int64) {
 // the payload size before any allocation, so a forged count can never force
 // an allocation larger than the input itself.
 func DecodeEdges(data []byte) ([]Edge, error) {
-	return decodeEdgesInto(data, nil)
+	return decodeEdgesInto(data, nil, nil)
 }
 
 // decodeEdgesInto is DecodeEdges decoding into dst's capacity when it
 // suffices (the block tier's scan path reuses one scratch slice across
-// every block this way; pass nil to allocate fresh).
-func decodeEdgesInto(data []byte, dst []Edge) ([]Edge, error) {
+// every block this way; pass nil to allocate fresh). A non-nil chunks, with
+// room for all of them, gets each run of foldChunk edges once decoded.
+func decodeEdgesInto(data []byte, dst []Edge, chunks chan<- []Edge) ([]Edge, error) {
 	count, n := binary.Uvarint(data)
 	if n <= 0 {
 		return nil, fmt.Errorf("graph: reading edge count: malformed varint")
@@ -670,6 +672,9 @@ func decodeEdgesInto(data []byte, dst []Edge) ([]Edge, error) {
 		p += n
 		edges[i] = Edge{Src: VertexID(src), Dst: VertexID(src + dd)}
 		prevSrc = src
+		if end := i + 1; chunks != nil && (end%foldChunk == 0 || end == len(edges)) {
+			chunks <- edges[i-i%foldChunk : end]
+		}
 	}
 	if p != len(data) {
 		return nil, fmt.Errorf("graph: %d trailing bytes after edge payload", len(data)-p)
@@ -713,99 +718,135 @@ func checkVertexListShape(verts []VertexID) error {
 	return nil
 }
 
-// checkVertexCoverage proves that a shape-checked vertex list is exactly
-// the endpoint set of edges: every endpoint listed, every listed vertex an
-// endpoint. One pass over the edges with no per-endpoint search: ID spaces
-// the buildVerts bitmap rule covers (every generator in this module, real
-// SNAP datasets) test and mark two bitsets — listed and used — which must
-// come out equal; sparse or huge ID spaces pay one hash lookup per endpoint.
-func checkVertexCoverage(edges []Edge, verts []VertexID) error {
-	missing := func(i int) error {
-		return fmt.Errorf("graph: edge %d (%d -> %d) has an endpoint missing from the restored vertex list", i, edges[i].Src, edges[i].Dst)
+// restoreFold is what FromEdgesAndVertices folds over each chunk of edges
+// right behind the decoder: the fingerprint chain (as foldFingerprintW
+// folds it) and the coverage marks, every endpoint looked up in the vertex
+// list and marked used — in two bitsets for lists the buildVerts bitmap
+// rule covers, with a hash lookup for sparse or huge ID spaces.
+type restoreFold struct {
+	h            uint64
+	weights      []float64
+	next         int // the dense slot of the next edge to fold
+	maxV         uint64
+	listed, used []uint64
+	sparse       map[VertexID]bool // used, by listed vertex; nil when the bitsets are in use
+}
+
+// newRestoreFold starts the fold for a shape-checked vertex list.
+func newRestoreFold(verts []VertexID, weights []float64) *restoreFold {
+	f := &restoreFold{h: fingerprintSeed, weights: weights}
+	n := len(verts)
+	if n == 0 || !bitmapFits(verts[n-1], n) {
+		f.sparse = make(map[VertexID]bool, n)
+	} else {
+		f.maxV = uint64(verts[n-1])
+		f.listed, f.used = make([]uint64, f.maxV/64+1), make([]uint64, f.maxV/64+1)
 	}
-	unused := func(i int) error {
-		return fmt.Errorf("graph: restored vertex list entry %d (vertex %d) appears in no edge", i, verts[i])
-	}
-	if len(verts) == 0 {
-		if len(edges) > 0 {
-			return missing(0)
-		}
-		return nil
-	}
-	last := verts[len(verts)-1]
-	if !bitmapFits(last, len(edges)) {
-		used := make(map[VertexID]bool, len(verts))
-		for _, v := range verts {
-			used[v] = false
-		}
-		for i, e := range edges {
-			su, sok := used[e.Src]
-			du, dok := used[e.Dst]
-			if !sok || !dok {
-				return missing(i)
-			}
-			if !su {
-				used[e.Src] = true
-			}
-			if !du {
-				used[e.Dst] = true
-			}
-		}
-		for i, v := range verts {
-			if !used[v] {
-				return unused(i)
-			}
-		}
-		return nil
-	}
-	maxV := uint64(last)
-	nw := int(maxV>>6) + 1
-	words := make([]uint64, 2*nw)
-	listed, used := words[:nw], words[nw:]
 	for _, v := range verts {
-		listed[v>>6] |= 1 << (uint64(v) & 63)
+		if f.sparse != nil {
+			f.sparse[v] = false
+		} else {
+			f.listed[v>>6] |= 1 << (uint64(v) & 63)
+		}
+	}
+	return f
+}
+
+// foldChunk is the edges the decoder hands the fold at once: 16 KiB, still
+// in cache when folded.
+const foldChunk = 1024
+
+// fold folds the next decoded edges.
+func (f *restoreFold) fold(edges []Edge) error {
+	start := f.next
+	f.next += len(edges)
+	if f.weights == nil {
+		f.h = foldFingerprint(f.h, edges)
+	} else {
+		f.h = foldFingerprintW(f.h, edges, f.weights[start:f.next])
 	}
 	for i, e := range edges {
-		// A negative ID converts to a value above maxV.
-		s, d := uint64(e.Src), uint64(e.Dst)
-		if s > maxV || d > maxV {
-			return missing(i)
+		if !f.mark(e.Src) || !f.mark(e.Dst) {
+			return fmt.Errorf("graph: edge %d (%d -> %d) has an endpoint missing from the restored vertex list", start+i, e.Src, e.Dst)
 		}
-		sw, sb := s>>6, uint64(1)<<(s&63)
-		dw, db := d>>6, uint64(1)<<(d&63)
-		if listed[sw]&sb == 0 || listed[dw]&db == 0 {
-			return missing(i)
-		}
-		used[sw] |= sb
-		used[dw] |= db
 	}
-	if !slices.Equal(listed, used) {
-		for i, v := range verts {
-			if used[v>>6]&(1<<(uint64(v)&63)) == 0 {
-				return unused(i)
-			}
+	return nil
+}
+
+// mark marks v used, reporting whether the vertex list holds it.
+func (f *restoreFold) mark(v VertexID) bool {
+	if f.sparse != nil {
+		used, ok := f.sparse[v]
+		if ok && !used {
+			f.sparse[v] = true
+		}
+		return ok
+	}
+	x := uint64(v) // a negative ID converts to a value above maxV
+	if x > f.maxV || f.listed[x>>6]&(1<<(x&63)) == 0 {
+		return false
+	}
+	f.used[x>>6] |= 1 << (x & 63)
+	return true
+}
+
+// checkUsed finishes the coverage check: every listed vertex an endpoint.
+func (f *restoreFold) checkUsed(verts []VertexID) error {
+	if f.sparse == nil && slices.Equal(f.listed, f.used) {
+		return nil
+	}
+	for i, v := range verts {
+		if f.sparse != nil && !f.sparse[v] || f.sparse == nil && f.used[v>>6]&(1<<(uint64(v)&63)) == 0 {
+			return fmt.Errorf("graph: restored vertex list entry %d (vertex %d) appears in no edge", i, v)
 		}
 	}
 	return nil
 }
 
 // FromEdgesAndVertices restores a graph as the snapshot codec persists it:
-// the edge list, its weights (nil when unweighted), its sorted unique
-// vertex list and its tombstone bitset with the dead count (nil and 0 when
-// nothing is retracted). Everything is validated: the vertex list against
-// the edges — strictly ascending, non-negative, every edge endpoint
-// present, every listed vertex used —, the weights as FromWeightedEdges
-// does, and the bitset as fitting the edge list with numDead its popcount.
-// The vertex list is seeded as the graph's vertex view, so NumVertices and
-// Vertices never pay the O(|E|) derivation scan on a restored graph.
-func FromEdgesAndVertices(edges []Edge, weights []float64, verts []VertexID, dead []uint64, numDead int) (*Graph, error) {
+// the EncodeEdges payload of its dense edge list, its weights (nil when
+// unweighted), its sorted unique vertex list and its tombstone bitset with
+// the dead count (nil and 0 when nothing is retracted). Everything is
+// validated: the vertex list against the edges — strictly ascending,
+// non-negative, every edge endpoint present, every listed vertex used —,
+// the weights as FromWeightedEdges does, and the bitset as fitting the edge
+// list with numDead its popcount. The edge list is read once (restoreFold);
+// the vertex list and the fingerprint are seeded as the graph's views.
+func FromEdgesAndVertices(payload []byte, weights []float64, verts []VertexID, dead []uint64, numDead int) (*Graph, error) {
 	if err := checkVertexListShape(verts); err != nil {
 		return nil, err
 	}
-	if err := checkVertexCoverage(edges, verts); err != nil {
+	// The fold's chain is serial and costs about what the decode does, so
+	// it runs on a second worker. The channel has room for every chunk (an
+	// edge is at least two bytes): on one worker the fold runs after.
+	f := newRestoreFold(verts, weights)
+	chunks := make(chan []Edge, len(payload)/(2*foldChunk)+1)
+	var edges []Edge
+	var decErr, foldErr error
+	if err := par.ForEach(context.TODO(), par.DefaultParallelism(), 2, func(task int) {
+		if task == 0 {
+			defer close(chunks)
+			edges, decErr = decodeEdgesInto(payload, nil, chunks)
+			return
+		}
+		for c := range chunks {
+			if foldErr == nil && (weights == nil || f.next+len(c) <= len(weights)) {
+				foldErr = f.fold(c)
+			}
+		}
+	}); err != nil {
 		return nil, err
 	}
+	if decErr != nil {
+		return nil, decErr
+	}
 	if err := checkWeights(0, edges, weights); err != nil {
+		return nil, err
+	}
+	if foldErr != nil {
+		return nil, foldErr
+	}
+	if err := f.checkUsed(verts); err != nil {
 		return nil, err
 	}
 	if err := checkTombstones(dead, numDead, len(edges)); err != nil {
@@ -813,6 +854,9 @@ func FromEdgesAndVertices(edges []Edge, weights []float64, verts []VertexID, dea
 	}
 	g := &Graph{edges: edges, weights: weights, dead: dead, numDead: numDead, verts: verts}
 	g.vertsOnce.markBuilt()
+	g.fpEdges = f.h
+	g.fp = foldDeadFingerprint(f.h, dead, numDead)
+	g.fpOnce.markBuilt()
 	return g, nil
 }
 

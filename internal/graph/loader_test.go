@@ -580,7 +580,7 @@ func TestFromEdgesAndVerticesRejectsHostileLists(t *testing.T) {
 		{"sparse: vertex unused", wide, []VertexID{7, 8, 1 << 39, 1 << 40}},
 	}
 	for _, c := range cases {
-		_, err := FromEdgesAndVertices(slices.Clone(c.edges), nil, slices.Clone(c.verts), nil, 0)
+		_, err := FromEdgesAndVertices(EncodeEdges(nil, c.edges), nil, slices.Clone(c.verts), nil, 0)
 		want := checkRestoredVertsRef(c.edges, c.verts)
 		if want == nil {
 			t.Fatalf("%s: the reference accepts the case", c.name)
@@ -610,13 +610,41 @@ func TestFromEdgesAndVerticesAccepts(t *testing.T) {
 		if err := checkRestoredVertsRef(edges, verts); err != nil {
 			t.Fatalf("%s: the reference rejects the case: %v", name, err)
 		}
-		g, err := FromEdgesAndVertices(slices.Clone(edges), nil, verts, nil, 0)
+		g, err := FromEdgesAndVertices(EncodeEdges(nil, edges), nil, verts, nil, 0)
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
 		}
 		if !slices.Equal(g.Vertices(), verts) || g.NumEdges() != len(edges) {
 			t.Errorf("%s: restored %d vertices, %d edges", name, g.NumVertices(), g.NumEdges())
+		}
+		if want := FromEdges(slices.Clone(edges)).Fingerprint(); g.Fingerprint() != want {
+			t.Errorf("%s: seeded fingerprint %016x, recomputed %016x", name, g.Fingerprint(), want)
+		}
+	}
+}
+
+// TestFromEdgesAndVerticesSeedsFingerprint: the fingerprint the decode loop
+// folds equals the one a graph computes from its own edges, weights and
+// tombstones, on both coverage paths.
+func TestFromEdgesAndVerticesSeedsFingerprint(t *testing.T) {
+	for name, edges := range map[string][]Edge{
+		"bitmap": {{0, 5}, {5, 9}, {9, 0}, {3, 3}, {9, 5}},
+		"sparse": {{1 << 40, 7}, {7, 1 << 39}, {1<<40 - 1, 1 << 40}, {7, 7}, {1 << 39, 7}},
+	} {
+		weights := []float64{1, 0.5, 2, 3, 1.25}
+		dead := []uint64{0b10010}
+		verts := FromEdges(slices.Clone(edges)).Vertices()
+		g, err := FromEdgesAndVertices(EncodeEdges(nil, edges), slices.Clone(weights), verts, slices.Clone(dead), 2)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want := &Graph{edges: slices.Clone(edges), weights: weights, dead: dead, numDead: 2}
+		if g.Fingerprint() != want.Fingerprint() {
+			t.Errorf("%s: seeded fingerprint %016x, recomputed %016x", name, g.Fingerprint(), want.Fingerprint())
+		}
+		if _, err := FromEdgesAndVertices(EncodeEdges(nil, edges), weights[:4], verts, nil, 0); err == nil {
+			t.Errorf("%s: a weight list one short was accepted", name)
 		}
 	}
 }

@@ -54,6 +54,31 @@ func (g *Graph) SymmetryPct() float64 {
 	return g.symPct
 }
 
+// LocalityWindow is the endpoint ID distance the advisor's ID-locality
+// detection asks about (about two rows of a grid-ordered road network).
+const LocalityWindow = 256
+
+// NearIDEdges counts the dense edge slots, tombstoned ones included, whose
+// endpoint IDs are at most window apart. The count at LocalityWindow, which
+// the advisor asks for on every request, is computed once and cached.
+func (g *Graph) NearIDEdges(window int64) int {
+	count := func() (near int) {
+		g.mustEdgeBlocks(func(_ int, edges []Edge, _ []float64) {
+			for _, e := range edges {
+				if d := int64(e.Src) - int64(e.Dst); -window <= d && d <= window {
+					near++
+				}
+			}
+		})
+		return near
+	}
+	if window != LocalityWindow {
+		return count()
+	}
+	g.nearOnce.do(func() { g.nearEdges = count() })
+	return g.nearEdges
+}
+
 // computeSymmetryPct merges each vertex's out-row against its in-row (both
 // sorted): an out-edge u→v is reciprocated exactly when v is among u's
 // in-neighbors. Every parallel copy on the out side counts (the measure is

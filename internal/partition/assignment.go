@@ -127,36 +127,15 @@ func NewAssignment(g *graph.Graph, strategy string, pids []PID, numParts int) (*
 // it was computed for.
 func (a *Assignment) StrategyKey() string { return a.strategyKey }
 
-// RestoreAssignmentCounted rebuilds a validated Assignment from its
-// persisted parts on the warm-start path. The caller — a snapshot decoder
-// that already range-validated every PID and counted the histogram in its
-// decode pass — hands both in, and only the cross-checks that cost
-// O(parts) run here (lengths, count bounds, histogram total). Callers MUST
-// have validated every pids entry against numParts; nothing here re-scans
-// the slice. The restored assignment carries the recorded strategy cache
+// RestoreAssignmentCounted rebuilds an Assignment from its persisted parts
+// on the warm-start path. Its one caller, the snapshot decoder, has checked
+// every PID against numParts, the slice against g's dense edge count and
+// counts against its recount of g's live edges, so nothing is checked
+// again here. The restored assignment carries the recorded strategy cache
 // key and retains no streaming state — a later Extend falls back to the
 // deterministic prefix replay.
-func RestoreAssignmentCounted(g *graph.Graph, strategy, strategyKey string, pids []PID, counts []int64, numParts int) (*Assignment, error) {
-	if err := checkParts(numParts); err != nil {
-		return nil, err
-	}
-	if ne := g.NumEdges(); len(pids) != ne {
-		return nil, fmt.Errorf("partition: assignment has %d entries for %d edges", len(pids), ne)
-	}
-	if len(counts) != numParts {
-		return nil, fmt.Errorf("partition: histogram has %d partitions, want %d", len(counts), numParts)
-	}
-	var total int64
-	for p, c := range counts {
-		if c < 0 {
-			return nil, fmt.Errorf("partition: negative histogram count at partition %d", p)
-		}
-		total += c
-	}
-	if total != int64(g.NumLiveEdges()) {
-		return nil, fmt.Errorf("partition: histogram sums to %d for %d live edges", total, g.NumLiveEdges())
-	}
-	return &Assignment{G: g, Strategy: strategy, strategyKey: strategyKey, NumParts: numParts, PIDs: pids, EdgesPerPart: counts, extendedFrom: -1}, nil
+func RestoreAssignmentCounted(g *graph.Graph, strategy, strategyKey string, pids []PID, counts []int64, numParts int) *Assignment {
+	return &Assignment{G: g, Strategy: strategy, strategyKey: strategyKey, NumParts: numParts, PIDs: pids, EdgesPerPart: counts, extendedFrom: -1}
 }
 
 // ExtendedFrom reports the prefix length this assignment inherited

@@ -134,46 +134,30 @@ func (pt PartTables) Partitions(n, nv int) ([]*Partition, error) {
 	return parts, nil
 }
 
-// FromRawTables assembles a PartitionedGraph for g from its persisted
-// tables: every PID in range and each partition's live edge count equal to
-// its span of the edge tables, then Partitions' validation of the tables
-// themselves. The tables are retained (not copied); callers must hand over
-// ownership.
-func FromRawTables(g *graph.Graph, rt RawTables, opts BuildOptions) (*PartitionedGraph, error) {
+// FromRawTables assembles a topology from its persisted tables over a
+// graph of nv vertices: Partitions' validation, then each partition's edge
+// span held to counts, the live edges per partition that the caller
+// counted while range-checking rt.Assign. G is left nil for the caller to
+// set before the topology is shared. The tables are retained (not copied);
+// callers must hand over ownership.
+func FromRawTables(nv int, rt RawTables, counts []int64, opts BuildOptions) (*PartitionedGraph, error) {
 	numParts := rt.NumParts
-	if numParts <= 0 {
-		return nil, fmt.Errorf("pregel: restored numParts must be positive, got %d", numParts)
+	if numParts <= 0 || len(counts) != numParts {
+		return nil, fmt.Errorf("pregel: restored topology has %d partitions and %d edge counts", numParts, len(counts))
 	}
-	if len(rt.Assign) != g.NumEdges() {
-		return nil, fmt.Errorf("pregel: restored assignment has %d entries for %d edges", len(rt.Assign), g.NumEdges())
-	}
-	// The scattered edge tables hold live edges only; the assignment stays
-	// dense-aligned with tombstoned slots included.
-	numDead := g.NumDeadEdges()
-	counts := make([]int64, numParts)
-	for i, p := range rt.Assign {
-		// One unsigned compare covers both negative and too-large PIDs.
-		if uint32(p) >= uint32(numParts) {
-			return nil, fmt.Errorf("pregel: restored edge %d assigned to out-of-range partition %d", i, p)
-		}
-		if numDead != 0 && !g.EdgeAlive(i) {
-			continue
-		}
-		counts[p]++
-	}
-	parts, err := rt.Partitions(numParts, g.NumVertices())
+	parts, err := rt.Partitions(numParts, nv)
 	if err != nil {
 		return nil, err
 	}
-	// Matching counts per partition also pin the edge tables' length to the
-	// live edge count.
+	// The scattered edge tables hold live edges only; the assignment stays
+	// dense-aligned with tombstoned slots included. Matching counts per
+	// partition also pin the edge tables' length to the live edge count.
 	for p, part := range parts {
 		if int64(len(part.edges)) != counts[p] {
 			return nil, fmt.Errorf("pregel: partition %d holds %d edges but assignment counts %d", p, len(part.edges), counts[p])
 		}
 	}
 	pg := &PartitionedGraph{
-		G:            g,
 		NumParts:     numParts,
 		Parts:        parts,
 		assign:       rt.Assign,

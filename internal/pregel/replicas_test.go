@@ -24,10 +24,15 @@ func replicaTopologies(t *testing.T, nv, ne, par int) map[string]*PartitionedGra
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := FromRawTables(g, built.RawTables(), BuildOptions{})
+	counts := make([]int64, built.NumParts)
+	for p, part := range built.Parts {
+		counts[p] = int64(len(part.edges))
+	}
+	restored, err := FromRawTables(g.NumVertices(), built.RawTables(), counts, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	restored.G = g
 	patched, _ := buildDelta(t, s, deltaEdges(int64(ne), nv, ne), deltaEdges(int64(ne)+1, nv+3, ne/4+1), 9, par, false)
 	return map[string]*PartitionedGraph{"built": built, "restored": restored, "patched": patched}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"cutfit/internal/graph"
 	"cutfit/internal/metrics"
@@ -231,35 +232,44 @@ func encodePIDs(pids []partition.PID, numParts int) []byte {
 	}
 }
 
-// decodePIDsValidated decodes a PID section in one fused pass: convert,
-// range-validate against numParts, and (when counts is non-nil, sized
-// numParts) histogram-count. The entry width follows pidWidth(numParts).
-func decodePIDsValidated(p []byte, numParts int, counts []int64) ([]partition.PID, error) {
+// decodePIDs decodes a PID section of one entry per dense edge slot of the
+// graph id names, in one pass: convert, range-check against numParts and
+// count each partition's live edges. The width follows pidWidth(numParts).
+func decodePIDs(p []byte, numParts int, id *GraphIdentity) ([]partition.PID, []int64, error) {
 	w := pidWidth(numParts)
 	if len(p)%w != 0 {
-		return nil, fmt.Errorf("snap: PID section length %d not a multiple of width %d", len(p), w)
+		return nil, nil, fmt.Errorf("snap: PID section length %d not a multiple of width %d", len(p), w)
+	}
+	if n := len(p) / w; n != id.NumEdges {
+		return nil, nil, fmt.Errorf("snap: PID section holds %d entries, graph has %d edges", n, id.NumEdges)
 	}
 	out := make([]partition.PID, len(p)/w)
+	counts := make([]int64, numParts)
 	for i := range out {
 		var v uint32
 		switch w {
 		case 1:
-			v = uint32(p[0])
+			v = uint32(p[i])
 		case 2:
-			v = uint32(binary.LittleEndian.Uint16(p[:2]))
+			v = uint32(binary.LittleEndian.Uint16(p[2*i:]))
 		default:
-			v = binary.LittleEndian.Uint32(p[:4])
+			v = binary.LittleEndian.Uint32(p[4*i:])
 		}
-		p = p[w:]
 		if v >= uint32(numParts) {
-			return nil, fmt.Errorf("snap: edge %d assigned to out-of-range partition %d", i, int32(v))
+			return nil, nil, fmt.Errorf("snap: edge %d assigned to out-of-range partition %d", i, int32(v))
 		}
 		out[i] = partition.PID(v)
-		if counts != nil {
-			counts[v]++
+		counts[v]++
+	}
+	// Tombstoned slots were counted above; take them back off.
+	for wi, word := range id.dead {
+		for ; word != 0; word &= word - 1 {
+			if i := wi*64 + bits.TrailingZeros64(word); i < len(out) {
+				counts[out[i]]--
+			}
 		}
 	}
-	return out, nil
+	return out, counts, nil
 }
 
 // ---- graph codec -----------------------------------------------------------
@@ -378,18 +388,36 @@ func decodeTombstones(tsec []byte, numEdges int) ([]uint64, int, error) {
 	return dead, int(numDead), nil
 }
 
-// DecodeGraph decodes a KindGraph container, validating counts, the vertex
-// list against the edge list (graph.FromEdgesAndVertices), and the content
-// fingerprint. The restored graph has its vertex view pre-seeded.
-func DecodeGraph(data []byte) (*graph.Graph, error) {
+// GraphIdentity is what an artifact records of the graph it was computed
+// for, and what its decoder checks it against. IdentityOf reads it off a
+// live graph; OpenGraph reads it from a graph record before any edge is
+// decoded, and the record decodes only if its graph matches it.
+type GraphIdentity struct {
+	NumVertices, NumEdges int
+	Fingerprint           uint64
+	dead                  []uint64 // the tombstone set: slots no per-partition count includes
+	numDead               int
+}
+
+// IdentityOf is g's identity.
+func IdentityOf(g *graph.Graph) GraphIdentity {
+	return GraphIdentity{g.NumVertices(), g.NumEdges(), g.Fingerprint(), g.Tombstones(), g.NumDeadEdges()}
+}
+
+// GraphRecord is a graph container whose identity has been read and whose
+// vertex and edge lists are not yet decoded.
+type GraphRecord struct {
+	Identity GraphIdentity
+	c        *Container
+}
+
+// OpenGraph checks a KindGraph container's CRCs and reads its identity
+// from the meta and tombstone sections.
+func OpenGraph(data []byte) (*GraphRecord, error) {
 	c, err := Decode(data)
 	if err != nil {
 		return nil, err
 	}
-	return decodeGraphContainer(c)
-}
-
-func decodeGraphContainer(c *Container) (*graph.Graph, error) {
 	if err := expectKind(c, KindGraph); err != nil {
 		return nil, err
 	}
@@ -398,58 +426,65 @@ func decodeGraphContainer(c *Container) (*graph.Graph, error) {
 		return nil, err
 	}
 	mr := &fieldReader{b: msec}
-	numVerts := mr.u64()
-	numEdges := mr.u64()
-	fp := mr.u64()
+	numVerts, numEdges, fp := mr.u64(), mr.u64(), mr.u64()
 	if err := mr.finish(); err != nil {
 		return nil, err
 	}
+	r := &GraphRecord{GraphIdentity{NumVertices: int(numVerts), NumEdges: int(numEdges), Fingerprint: fp}, c}
+	if tsec, ok := c.Section(secGraphTombstones); ok {
+		if r.Identity.dead, r.Identity.numDead, err = decodeTombstones(tsec, r.Identity.NumEdges); err != nil {
+			return nil, err
+		}
+	}
+	return r, nil
+}
 
-	vsec, err := section(c, secGraphVerts, "vertex list")
+// Decode decodes the record's graph: the vertex list against the edge list
+// (graph.FromEdgesAndVertices, which folds the fingerprint as it decodes),
+// both counts and the recomputed fingerprint against the identity. The
+// graph has its vertex view and fingerprint pre-seeded.
+func (r *GraphRecord) Decode() (*graph.Graph, error) {
+	id := &r.Identity
+	vsec, err := section(r.c, secGraphVerts, "vertex list")
 	if err != nil {
 		return nil, err
 	}
-	verts, err := decodeVertexList(vsec, numVerts)
+	verts, err := decodeVertexList(vsec, uint64(id.NumVertices))
 	if err != nil {
 		return nil, err
-	}
-
-	esec, err := section(c, secGraphEdges, "edge list")
-	if err != nil {
-		return nil, err
-	}
-	edges, err := graph.DecodeEdges(esec)
-	if err != nil {
-		return nil, err
-	}
-	if uint64(len(edges)) != numEdges {
-		return nil, fmt.Errorf("snap: edge list holds %d entries, meta says %d", len(edges), numEdges)
 	}
 	var weights []float64
-	if wsec, ok := c.Section(secGraphWeights); ok {
+	if wsec, ok := r.c.Section(secGraphWeights); ok {
 		if weights, err = decodeF64s(wsec, "edge weights"); err != nil {
 			return nil, err
 		}
 	}
-	var (
-		dead    []uint64
-		numDead int
-	)
-	if tsec, ok := c.Section(secGraphTombstones); ok {
-		if dead, numDead, err = decodeTombstones(tsec, len(edges)); err != nil {
-			return nil, err
-		}
-	}
-	g, err := graph.FromEdgesAndVertices(edges, weights, verts, dead, numDead)
+	esec, err := section(r.c, secGraphEdges, "edge list")
 	if err != nil {
 		return nil, err
 	}
+	g, err := graph.FromEdgesAndVertices(esec, weights, verts, id.dead, id.numDead)
+	if err != nil {
+		return nil, err
+	}
+	if g.NumEdges() != id.NumEdges {
+		return nil, fmt.Errorf("snap: edge list holds %d entries, meta says %d", g.NumEdges(), id.NumEdges)
+	}
 	// The fingerprint is canonical over edges, weights and the tombstone
-	// set, so recomputing it here proves all three sections round-tripped.
-	if g.Fingerprint() != fp {
-		return nil, fmt.Errorf("snap: graph fingerprint mismatch: decoded %016x, recorded %016x", g.Fingerprint(), fp)
+	// set, so matching it proves all three sections round-tripped.
+	if g.Fingerprint() != id.Fingerprint {
+		return nil, fmt.Errorf("snap: graph fingerprint mismatch: decoded %016x, recorded %016x", g.Fingerprint(), id.Fingerprint)
 	}
 	return g, nil
+}
+
+// DecodeGraph decodes a KindGraph container: OpenGraph, then Decode.
+func DecodeGraph(data []byte) (*graph.Graph, error) {
+	r, err := OpenGraph(data)
+	if err != nil {
+		return nil, err
+	}
+	return r.Decode()
 }
 
 // checkStrategyKey pairs a decoded artifact with the strategy tuple it is
@@ -463,15 +498,52 @@ func checkStrategyKey(got, want, what string) error {
 }
 
 // checkGraphIdentity pairs a decoded artifact with the graph it claims to
-// belong to: the recorded edge count and content fingerprint must match g.
-func checkGraphIdentity(g *graph.Graph, numEdges, fp uint64, what string) error {
-	if numEdges != uint64(g.NumEdges()) {
-		return fmt.Errorf("snap: %s was computed for a graph with %d edges, this graph has %d", what, numEdges, g.NumEdges())
+// belong to: the recorded edge count and content fingerprint must match.
+func checkGraphIdentity(id *GraphIdentity, numEdges, fp uint64, what string) error {
+	if numEdges != uint64(id.NumEdges) {
+		return fmt.Errorf("snap: %s was computed for a graph with %d edges, this graph has %d", what, numEdges, id.NumEdges)
 	}
-	if fp != g.Fingerprint() {
-		return fmt.Errorf("snap: %s graph fingerprint mismatch: recorded %016x, graph has %016x", what, fp, g.Fingerprint())
+	if fp != id.Fingerprint {
+		return fmt.Errorf("snap: %s graph fingerprint mismatch: recorded %016x, graph has %016x", what, fp, id.Fingerprint)
 	}
 	return nil
+}
+
+// Unbound is an artifact decoded and checked against a graph identity.
+// Bind attaches it to the graph of that identity, once that graph exists.
+type Unbound struct {
+	NumParts int
+	Bind     func(g *graph.Graph) any
+}
+
+// DecodeArtifact decodes an artifact container of the given stage against
+// id, the identity of the graph it belongs to, with every check the
+// stage's decoder (DecodeAssignment, DecodeMetrics, DecodeTopology)
+// makes. opts is the restoring side's build policy for a topology.
+func DecodeArtifact(stage Stage, data []byte, id GraphIdentity, wantStrategyKey string, opts pregel.BuildOptions) (Unbound, error) {
+	c, err := Decode(data)
+	if err != nil {
+		return Unbound{}, err
+	}
+	switch stage {
+	case StageAssignment:
+		return decodeAssignmentContainer(c, &id, wantStrategyKey)
+	case StageMetrics:
+		return decodeMetricsContainer(c, &id, wantStrategyKey)
+	case StageTopology:
+		return decodeTopologyContainer(c, &id, wantStrategyKey, opts)
+	}
+	return Unbound{}, fmt.Errorf("snap: unknown stage %d", stage)
+}
+
+// decodeBound decodes an artifact container against the live graph g.
+func decodeBound[T any](stage Stage, data []byte, g *graph.Graph, wantStrategyKey string, opts pregel.BuildOptions) (T, error) {
+	var t T
+	u, err := DecodeArtifact(stage, data, IdentityOf(g), wantStrategyKey, opts)
+	if err == nil {
+		t = u.Bind(g).(T)
+	}
+	return t, err
 }
 
 // ---- assignment codec ------------------------------------------------------
@@ -501,20 +573,16 @@ func EncodeAssignment(a *partition.Assignment) []byte {
 // match wantStrategyKey ("" skips), every PID is range-validated and the
 // histogram is recounted and compared to the recorded one.
 func DecodeAssignment(data []byte, g *graph.Graph, wantStrategyKey string) (*partition.Assignment, error) {
-	c, err := Decode(data)
-	if err != nil {
-		return nil, err
-	}
-	return decodeAssignmentContainer(c, g, wantStrategyKey)
+	return decodeBound[*partition.Assignment](StageAssignment, data, g, wantStrategyKey, pregel.BuildOptions{})
 }
 
-func decodeAssignmentContainer(c *Container, g *graph.Graph, wantStrategyKey string) (*partition.Assignment, error) {
+func decodeAssignmentContainer(c *Container, id *GraphIdentity, wantStrategyKey string) (Unbound, error) {
 	if err := expectKind(c, KindAssignment); err != nil {
-		return nil, err
+		return Unbound{}, err
 	}
 	msec, err := section(c, secMeta, "meta")
 	if err != nil {
-		return nil, err
+		return Unbound{}, err
 	}
 	mr := &fieldReader{b: msec}
 	numParts := mr.u32()
@@ -523,54 +591,41 @@ func decodeAssignmentContainer(c *Container, g *graph.Graph, wantStrategyKey str
 	name := mr.str()
 	strategyKey := mr.str()
 	if err := mr.finish(); err != nil {
-		return nil, err
+		return Unbound{}, err
 	}
-	if err := checkGraphIdentity(g, numEdges, fp, "assignment"); err != nil {
-		return nil, err
+	if err := checkGraphIdentity(id, numEdges, fp, "assignment"); err != nil {
+		return Unbound{}, err
 	}
 	if err := checkStrategyKey(strategyKey, wantStrategyKey, "assignment"); err != nil {
-		return nil, err
+		return Unbound{}, err
 	}
-	if numParts == 0 || numParts > 1<<20 {
-		return nil, fmt.Errorf("snap: assignment numParts %d out of range", numParts)
+	if numParts == 0 || numParts > maxNumParts {
+		return Unbound{}, fmt.Errorf("snap: assignment numParts %d out of range", numParts)
 	}
 	psec, err := section(c, secAssignPIDs, "PID")
 	if err != nil {
-		return nil, err
+		return Unbound{}, err
 	}
-	// One fused pass: convert, range-validate and recount the histogram.
-	// The recorded histogram counts live edges only, so on a tombstoned
-	// graph the recount runs separately and skips dead slots.
-	counts := make([]int64, numParts)
-	var pids []partition.PID
-	if g.NumDeadEdges() != 0 {
-		if pids, err = decodePIDsValidated(psec, int(numParts), nil); err != nil {
-			return nil, err
-		}
-		if len(pids) != g.NumEdges() {
-			return nil, fmt.Errorf("snap: PID section holds %d entries, graph has %d edges", len(pids), g.NumEdges())
-		}
-		for i, p := range pids {
-			if g.EdgeAlive(i) {
-				counts[p]++
-			}
-		}
-	} else if pids, err = decodePIDsValidated(psec, int(numParts), counts); err != nil {
-		return nil, err
+	// One pass converts, range-checks and recounts the live histogram.
+	pids, counts, err := decodePIDs(psec, int(numParts), id)
+	if err != nil {
+		return Unbound{}, err
 	}
 	hsec, err := section(c, secAssignHist, "histogram")
 	if err != nil {
-		return nil, err
+		return Unbound{}, err
 	}
 	if len(hsec) != 8*int(numParts) {
-		return nil, fmt.Errorf("snap: histogram section holds %d partitions, want %d", len(hsec)/8, numParts)
+		return Unbound{}, fmt.Errorf("snap: histogram section holds %d partitions, want %d", len(hsec)/8, numParts)
 	}
 	for p := range counts {
 		if want := binary.LittleEndian.Uint64(hsec[8*p:]); uint64(counts[p]) != want {
-			return nil, fmt.Errorf("snap: partition %d recounts %d edges, recorded histogram says %d", p, counts[p], want)
+			return Unbound{}, fmt.Errorf("snap: partition %d recounts %d edges, recorded histogram says %d", p, counts[p], want)
 		}
 	}
-	return partition.RestoreAssignmentCounted(g, name, strategyKey, pids, counts, int(numParts))
+	return Unbound{int(numParts), func(g *graph.Graph) any {
+		return partition.RestoreAssignmentCounted(g, name, strategyKey, pids, counts, int(numParts))
+	}}, nil
 }
 
 // ---- metrics codec ---------------------------------------------------------
@@ -616,20 +671,16 @@ func EncodeMetrics(m *metrics.Result, g *graph.Graph, strategyKey string) []byte
 // CommCost+NonCut, edges sum to the graph's edge count) before recomputing
 // the derived fields.
 func DecodeMetrics(data []byte, g *graph.Graph, wantStrategyKey string) (*metrics.Result, error) {
-	c, err := Decode(data)
-	if err != nil {
-		return nil, err
-	}
-	return decodeMetricsContainer(c, g, wantStrategyKey)
+	return decodeBound[*metrics.Result](StageMetrics, data, g, wantStrategyKey, pregel.BuildOptions{})
 }
 
-func decodeMetricsContainer(c *Container, g *graph.Graph, wantStrategyKey string) (*metrics.Result, error) {
+func decodeMetricsContainer(c *Container, id *GraphIdentity, wantStrategyKey string) (Unbound, error) {
 	if err := expectKind(c, KindMetrics); err != nil {
-		return nil, err
+		return Unbound{}, err
 	}
 	msec, err := section(c, secMeta, "meta")
 	if err != nil {
-		return nil, err
+		return Unbound{}, err
 	}
 	mr := &fieldReader{b: msec}
 	numParts := int(mr.u32())
@@ -641,60 +692,60 @@ func decodeMetricsContainer(c *Container, g *graph.Graph, wantStrategyKey string
 	cut := mr.u64()
 	commCost := mr.u64()
 	if err := mr.finish(); err != nil {
-		return nil, err
+		return Unbound{}, err
 	}
-	if err := checkGraphIdentity(g, numEdges, fp, "metrics"); err != nil {
-		return nil, err
+	if err := checkGraphIdentity(id, numEdges, fp, "metrics"); err != nil {
+		return Unbound{}, err
 	}
 	if err := checkStrategyKey(strategyKey, wantStrategyKey, "metrics"); err != nil {
-		return nil, err
+		return Unbound{}, err
 	}
-	if numVerts != uint64(g.NumVertices()) {
-		return nil, fmt.Errorf("snap: metrics recorded for %d vertices, graph has %d", numVerts, g.NumVertices())
+	if numVerts != uint64(id.NumVertices) {
+		return Unbound{}, fmt.Errorf("snap: metrics recorded for %d vertices, graph has %d", numVerts, id.NumVertices)
 	}
 	if numParts <= 0 {
-		return nil, fmt.Errorf("snap: metrics numParts must be positive, got %d", numParts)
+		return Unbound{}, fmt.Errorf("snap: metrics numParts must be positive, got %d", numParts)
 	}
 	if nonCut > math.MaxInt64 || cut > math.MaxInt64 || commCost > math.MaxInt64 {
-		return nil, fmt.Errorf("snap: metrics counter overflows int64")
+		return Unbound{}, fmt.Errorf("snap: metrics counter overflows int64")
 	}
 	if nonCut+cut > numVerts {
-		return nil, fmt.Errorf("snap: NonCut+Cut = %d exceeds %d vertices", nonCut+cut, numVerts)
+		return Unbound{}, fmt.Errorf("snap: NonCut+Cut = %d exceeds %d vertices", nonCut+cut, numVerts)
 	}
 	esec, err := section(c, secMetricsEdges, "edges-per-partition")
 	if err != nil {
-		return nil, err
+		return Unbound{}, err
 	}
 	edgesPerPart, err := decodeI64s(esec, "edges-per-partition")
 	if err != nil {
-		return nil, err
+		return Unbound{}, err
 	}
 	vsec, err := section(c, secMetricsVerts, "vertices-per-partition")
 	if err != nil {
-		return nil, err
+		return Unbound{}, err
 	}
 	vertsPerPart, err := decodeI64s(vsec, "vertices-per-partition")
 	if err != nil {
-		return nil, err
+		return Unbound{}, err
 	}
 	if len(edgesPerPart) != numParts || len(vertsPerPart) != numParts {
-		return nil, fmt.Errorf("snap: per-partition sections hold %d/%d entries, want %d", len(edgesPerPart), len(vertsPerPart), numParts)
+		return Unbound{}, fmt.Errorf("snap: per-partition sections hold %d/%d entries, want %d", len(edgesPerPart), len(vertsPerPart), numParts)
 	}
 	var edgeSum, mirrorSum int64
 	for p := 0; p < numParts; p++ {
 		if edgesPerPart[p] < 0 || vertsPerPart[p] < 0 {
-			return nil, fmt.Errorf("snap: negative per-partition count at partition %d", p)
+			return Unbound{}, fmt.Errorf("snap: negative per-partition count at partition %d", p)
 		}
 		edgeSum += edgesPerPart[p]
 		mirrorSum += vertsPerPart[p]
 	}
 	// Metrics count live edges only, so on a tombstoned graph the
 	// per-partition totals sum below the dense edge count.
-	if edgeSum != int64(g.NumLiveEdges()) {
-		return nil, fmt.Errorf("snap: per-partition edges sum to %d, graph has %d live edges", edgeSum, g.NumLiveEdges())
+	if live := id.NumEdges - id.numDead; edgeSum != int64(live) {
+		return Unbound{}, fmt.Errorf("snap: per-partition edges sum to %d, graph has %d live edges", edgeSum, live)
 	}
 	if mirrorSum != int64(commCost+nonCut) {
-		return nil, fmt.Errorf("snap: %d mirror slots but CommCost+NonCut = %d", mirrorSum, commCost+nonCut)
+		return Unbound{}, fmt.Errorf("snap: %d mirror slots but CommCost+NonCut = %d", mirrorSum, commCost+nonCut)
 	}
 	res := &metrics.Result{
 		NumParts:        numParts,
@@ -707,21 +758,22 @@ func decodeMetricsContainer(c *Container, g *graph.Graph, wantStrategyKey string
 	if wsec, ok := c.Section(secMetricsWeights); ok {
 		wvals, err := decodeF64s(wsec, "weighted metrics")
 		if err != nil {
-			return nil, err
+			return Unbound{}, err
 		}
 		if len(wvals) != numParts+1 {
-			return nil, fmt.Errorf("snap: weighted metrics section holds %d values, want %d", len(wvals), numParts+1)
+			return Unbound{}, fmt.Errorf("snap: weighted metrics section holds %d values, want %d", len(wvals), numParts+1)
 		}
 		for i, v := range wvals {
 			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-				return nil, fmt.Errorf("snap: weighted metrics value %d is not finite and non-negative", i)
+				return Unbound{}, fmt.Errorf("snap: weighted metrics value %d is not finite and non-negative", i)
 			}
 		}
 		res.WeightedCommCost = wvals[0]
 		res.WeightPerPart = wvals[1:]
 	}
 	res.Finalize(int(numVerts))
-	return res, nil
+	// A metric set holds no reference to its graph: binding attaches nothing.
+	return Unbound{numParts, func(*graph.Graph) any { return res }}, nil
 }
 
 // ---- topology codec --------------------------------------------------------
@@ -800,20 +852,16 @@ func readPartTables(c *Container) (pregel.PartTables, error) {
 // recorded strategy key must match wantStrategyKey ("" skips). opts is the
 // restoring side's build/execution policy.
 func DecodeTopology(data []byte, g *graph.Graph, wantStrategyKey string, opts pregel.BuildOptions) (*pregel.PartitionedGraph, error) {
-	c, err := Decode(data)
-	if err != nil {
-		return nil, err
-	}
-	return decodeTopologyContainer(c, g, wantStrategyKey, opts)
+	return decodeBound[*pregel.PartitionedGraph](StageTopology, data, g, wantStrategyKey, opts)
 }
 
-func decodeTopologyContainer(c *Container, g *graph.Graph, wantStrategyKey string, opts pregel.BuildOptions) (*pregel.PartitionedGraph, error) {
+func decodeTopologyContainer(c *Container, id *GraphIdentity, wantStrategyKey string, opts pregel.BuildOptions) (Unbound, error) {
 	if err := expectKind(c, KindTopology); err != nil {
-		return nil, err
+		return Unbound{}, err
 	}
 	msec, err := section(c, secMeta, "meta")
 	if err != nil {
-		return nil, err
+		return Unbound{}, err
 	}
 	mr := &fieldReader{b: msec}
 	numParts := int(mr.u32())
@@ -822,31 +870,41 @@ func decodeTopologyContainer(c *Container, g *graph.Graph, wantStrategyKey strin
 	fp := mr.u64()
 	strategyKey := mr.str()
 	if err := mr.finish(); err != nil {
-		return nil, err
+		return Unbound{}, err
 	}
-	if err := checkGraphIdentity(g, numEdges, fp, "topology"); err != nil {
-		return nil, err
+	if err := checkGraphIdentity(id, numEdges, fp, "topology"); err != nil {
+		return Unbound{}, err
 	}
 	if err := checkStrategyKey(strategyKey, wantStrategyKey, "topology"); err != nil {
-		return nil, err
+		return Unbound{}, err
 	}
-	if numVerts != uint64(g.NumVertices()) {
-		return nil, fmt.Errorf("snap: topology recorded for %d vertices, graph has %d", numVerts, g.NumVertices())
+	if numVerts != uint64(id.NumVertices) {
+		return Unbound{}, fmt.Errorf("snap: topology recorded for %d vertices, graph has %d", numVerts, id.NumVertices)
 	}
 
 	psec, err := section(c, secTopoAssign, "assignment")
 	if err != nil {
-		return nil, err
+		return Unbound{}, err
 	}
 	if numParts <= 0 || numParts > maxNumParts {
-		return nil, fmt.Errorf("snap: topology numParts %d out of range", numParts)
+		return Unbound{}, fmt.Errorf("snap: topology numParts %d out of range", numParts)
 	}
 	rt := pregel.RawTables{NumParts: numParts}
-	if rt.Assign, err = decodePIDsValidated(psec, numParts, nil); err != nil {
-		return nil, err
+	// The one pass over the PIDs: range checks and each partition's live
+	// edge count, which FromRawTables holds the edge tables to.
+	var counts []int64
+	if rt.Assign, counts, err = decodePIDs(psec, numParts, id); err != nil {
+		return Unbound{}, err
 	}
 	if rt.PartTables, err = readPartTables(c); err != nil {
-		return nil, err
+		return Unbound{}, err
 	}
-	return pregel.FromRawTables(g, rt, opts)
+	pg, err := pregel.FromRawTables(id.NumVertices, rt, counts, opts)
+	if err != nil {
+		return Unbound{}, err
+	}
+	return Unbound{numParts, func(g *graph.Graph) any {
+		pg.G = g
+		return pg
+	}}, nil
 }

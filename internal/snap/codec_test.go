@@ -3,6 +3,7 @@ package snap
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"cutfit/internal/graph"
@@ -131,6 +132,33 @@ func TestTopologyRoundTrip(t *testing.T) {
 		if !back.ReuseBuffers {
 			t.Fatalf("%s: restore must apply the restoring side's build options", s.Name())
 		}
+	}
+}
+
+// TestDecodeTopologyRejectsMovedEdge: a CRC-valid topology whose per-edge
+// assignment moves one edge to another partition than its edge tables hold
+// it in must fail: each partition's span is held to the PID recount.
+func TestDecodeTopologyRejectsMovedEdge(t *testing.T) {
+	g := testGraph(t)
+	pg, err := pregel.NewPartitionedGraphFromAssignment(testAssignment(t, g, partition.EdgePartition2D(), 4), pregel.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Decode(EncodeTopology(pg, "2D"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBuilder(KindTopology)
+	for id := uint32(secMeta); id <= secLocalVerts; id++ {
+		p, _ := c.Section(id)
+		if id == secTopoAssign {
+			p = append([]byte(nil), p...)
+			p[0] = (p[0] + 1) % 4 // one-byte PIDs at four partitions
+		}
+		b.Section(id, p)
+	}
+	if _, err := DecodeTopology(b.Bytes(), g, "2D", pregel.BuildOptions{}); err == nil || !strings.Contains(err.Error(), "assignment counts") {
+		t.Fatalf("a topology with an edge moved between partitions decoded: %v", err)
 	}
 }
 

@@ -178,13 +178,19 @@ func (st *Store) Persist(w io.Writer, names map[string]*graph.Graph) (PersistSum
 	return PersistSummary{Graphs: len(sg), Artifacts: len(sa), Bytes: int64(len(data))}, nil
 }
 
-// Restore loads a Persist snapshot into the cache: graphs are decoded
-// (fresh objects, vertex views pre-seeded), every artifact is decoded
-// against its graph with the full codec validation, and the results are
-// inserted under the restored graphs' keys — so the very first request
-// against a restored graph is a cache hit. The labeled graphs are returned
-// by name so callers can rebuild their registries. Entries that do not fit
-// the memory budget spill straight to the disk tier (when configured).
+// Restore loads a Persist snapshot into the cache: fresh graphs (vertex
+// views and fingerprints pre-seeded) and every artifact, fully validated,
+// under the restored graphs' keys — so the very first request against a
+// restored graph is a cache hit. The labeled graphs are returned by name
+// so callers can rebuild their registries. Entries that do not fit the
+// memory budget spill straight to the disk tier (when configured).
+//
+// Decoding is one fan-out on GOMAXPROCS workers: the graphs' edge decodes
+// first, and meanwhile every artifact checked against its graph record's
+// identity (snap.OpenGraph), to bind once that graph has matched it.
+// Errors come out as a serial restore meets them (graphs, then artifacts,
+// in record order); the cache is touched only when all of it decoded, in
+// record order, so LRU, eviction and spill order are a serial restore's.
 func (st *Store) Restore(r io.Reader) (map[string]*graph.Graph, error) {
 	data, err := readAllSized(r)
 	if err != nil {
@@ -194,14 +200,34 @@ func (st *Store) Restore(r io.Reader) (map[string]*graph.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
+	records := make([]*snap.GraphRecord, len(sg))
 	graphs := make([]*graph.Graph, len(sg))
+	graphErrs := make([]error, len(sg))
+	for i, rec := range sg {
+		records[i], graphErrs[i] = snap.OpenGraph(rec.Data)
+	}
+	unbound := make([]snap.Unbound, len(sa))
+	artErrs := make([]error, len(sa))
+	if err := par.ForEach(context.TODO(), par.DefaultParallelism(), len(sg)+len(sa), func(i int) {
+		if i < len(sg) {
+			if records[i] != nil {
+				graphs[i], graphErrs[i] = records[i].Decode()
+			}
+			return
+		}
+		i -= len(sg)
+		if gr := records[sa[i].GraphIndex]; gr != nil {
+			a := sa[i]
+			unbound[i], artErrs[i] = decodeUnbound(a.Stage, a.Data, gr.Identity, a.StrategyKey, a.NumParts, st.build)
+		}
+	}); err != nil {
+		return nil, fmt.Errorf("store: restoring: %w", err)
+	}
 	named := make(map[string]*graph.Graph)
 	for i, rec := range sg {
-		g, err := snap.DecodeGraph(rec.Data)
-		if err != nil {
-			return nil, fmt.Errorf("store: restoring graph %d: %w", i, err)
+		if graphErrs[i] != nil {
+			return nil, fmt.Errorf("store: restoring graph %d: %w", i, graphErrs[i])
 		}
-		graphs[i] = g
 		for _, label := range rec.Labels {
 			if label == "" {
 				continue
@@ -209,32 +235,20 @@ func (st *Store) Restore(r io.Reader) (map[string]*graph.Graph, error) {
 			if _, dup := named[label]; dup {
 				return nil, fmt.Errorf("store: snapshot labels %q twice", label)
 			}
-			named[label] = g
+			named[label] = graphs[i]
 		}
 	}
-	// The artifact records are independent of each other once their graphs
-	// exist, so they decode concurrently, on GOMAXPROCS workers; they enter the cache afterwards in record order, which keeps
-	// LRU, eviction and spill order those of a serial restore. Everything
-	// decoded is held until then — no more than the persisting store's
-	// memory budget, since Persist writes only memory-resident entries.
-	restored := make([]restoredArtifact, len(sa))
-	errs := make([]error, len(sa))
-	if err := par.ForEach(context.Background(), par.DefaultParallelism(), len(sa), func(i int) {
-		restored[i], errs[i] = st.decodeArtifact(sa[i], graphs[sa[i].GraphIndex])
-	}); err != nil {
-		return nil, fmt.Errorf("store: restoring artifacts: %w", err)
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("store: restoring artifact %d: %w", i, err)
+	for i := range sa {
+		if artErrs[i] != nil {
+			return nil, fmt.Errorf("store: restoring artifact %d: %w", i, artErrs[i])
 		}
 	}
 	for i, rec := range sa {
 		g := graphs[rec.GraphIndex]
-		k := key{g: g, strategy: rec.StrategyKey, numParts: rec.NumParts, kind: restored[i].kind}
-		p := priceOf(restored[i].val)
+		v := unbound[i].Bind(g)
+		k := key{g: g, strategy: rec.StrategyKey, numParts: rec.NumParts, kind: kindOf(rec.Stage)}
 		st.mu.Lock()
-		evicted := st.insert(k, restored[i].val, p)
+		evicted := st.insert(k, v, priceOf(v))
 		st.syncGauges()
 		st.mu.Unlock()
 		st.spill(evicted)
@@ -242,32 +256,25 @@ func (st *Store) Restore(r io.Reader) (map[string]*graph.Graph, error) {
 	return named, nil
 }
 
-// restoredArtifact is one decoded artifact record on its way into the cache.
-type restoredArtifact struct {
-	val  any
-	kind kind
-}
-
-// decodeArtifact decodes one artifact record against its restored graph.
-func (st *Store) decodeArtifact(rec snap.StoreArtifact, g *graph.Graph) (restoredArtifact, error) {
+// kindOf is the cached kind a bundle stage restores as (DecodeStore has
+// rejected every other stage).
+func kindOf(stage snap.Stage) kind {
 	for kd, c := range codecs {
-		if c.stage == rec.Stage {
-			v, err := c.decodeFor(rec.Data, g, rec.StrategyKey, rec.NumParts, st.build)
-			return restoredArtifact{v, kd}, err
+		if c.stage == stage {
+			return kd
 		}
 	}
-	return restoredArtifact{}, fmt.Errorf("unknown stage %d", rec.Stage)
+	panic(fmt.Sprintf("store: no codec for stage %d", stage))
 }
 
 // artifactCodec is how one persisted kind travels as a standalone snap
 // container, in a disk-tier file and in a Persist bundle alike: its bundle
-// stage, its encoder, and its decoder, which validates the artifact against
-// the graph and strategy key it is cached under and reports its partition
-// count.
+// stage and its encoder. Decoding goes through snap.DecodeArtifact for the
+// stage, which validates the artifact against the graph identity and
+// strategy key it is cached under and reports its partition count.
 type artifactCodec struct {
 	stage  snap.Stage
 	encode func(v any, g *graph.Graph, strategy string) []byte
-	decode func(data []byte, g *graph.Graph, strategy string, build pregel.BuildOptions) (v any, numParts int, err error)
 }
 
 // codecs holds every persisted kind; answers have none, so they are never
@@ -276,25 +283,11 @@ var codecs = map[kind]artifactCodec{
 	kindAssignment: {
 		stage:  snap.StageAssignment,
 		encode: func(v any, _ *graph.Graph, _ string) []byte { return snap.EncodeAssignment(v.(*partition.Assignment)) },
-		decode: func(data []byte, g *graph.Graph, strategy string, _ pregel.BuildOptions) (any, int, error) {
-			a, err := snap.DecodeAssignment(data, g, strategy)
-			if err != nil {
-				return nil, 0, err
-			}
-			return a, a.NumParts, nil
-		},
 	},
 	kindMetrics: {
 		stage: snap.StageMetrics,
 		encode: func(v any, g *graph.Graph, strategy string) []byte {
 			return snap.EncodeMetrics(v.(*metrics.Result), g, strategy)
-		},
-		decode: func(data []byte, g *graph.Graph, strategy string, _ pregel.BuildOptions) (any, int, error) {
-			m, err := snap.DecodeMetrics(data, g, strategy)
-			if err != nil {
-				return nil, 0, err
-			}
-			return m, m.NumParts, nil
 		},
 	},
 	kindBuilt: {
@@ -302,25 +295,29 @@ var codecs = map[kind]artifactCodec{
 		encode: func(v any, _ *graph.Graph, strategy string) []byte {
 			return snap.EncodeTopology(v.(*pregel.PartitionedGraph), strategy)
 		},
-		decode: func(data []byte, g *graph.Graph, strategy string, build pregel.BuildOptions) (any, int, error) {
-			pg, err := snap.DecodeTopology(data, g, strategy, build)
-			if err != nil {
-				return nil, 0, err
-			}
-			return pg, pg.NumParts, nil
-		},
 	},
 }
 
-// decodeFor decodes one container to be cached under (g, strategy,
-// numParts). The decoder verifies the embedded strategy key against the one
-// it will be cached under, so a relabeled record or file can never plant an
-// artifact under another tuple's key; the partition count is cross-checked
-// for the same reason.
-func (c artifactCodec) decodeFor(data []byte, g *graph.Graph, strategy string, numParts int, build pregel.BuildOptions) (any, error) {
-	v, n, err := c.decode(data, g, strategy, build)
-	if err == nil && n != numParts {
-		err = fmt.Errorf("holds %d parts, record says %d", n, numParts)
+// decodeUnbound decodes one container of the given stage to be cached
+// under (strategy, numParts) for a graph of identity id, unbound. The
+// decoder verifies the embedded strategy key against the one it will be
+// cached under, so a relabeled record or file can never plant an artifact
+// under another tuple's key; the partition count is cross-checked for the
+// same reason.
+func decodeUnbound(stage snap.Stage, data []byte, id snap.GraphIdentity, strategy string, numParts int, build pregel.BuildOptions) (snap.Unbound, error) {
+	u, err := snap.DecodeArtifact(stage, data, id, strategy, build)
+	if err == nil && u.NumParts != numParts {
+		err = fmt.Errorf("holds %d parts, record says %d", u.NumParts, numParts)
 	}
-	return v, err
+	return u, err
+}
+
+// decodeFor decodes one container to be cached under (g, strategy,
+// numParts): decodeUnbound against g's own identity, then bound to g.
+func (c artifactCodec) decodeFor(data []byte, g *graph.Graph, strategy string, numParts int, build pregel.BuildOptions) (any, error) {
+	u, err := decodeUnbound(c.stage, data, snap.IdentityOf(g), strategy, numParts, build)
+	if err != nil {
+		return nil, err
+	}
+	return u.Bind(g), nil
 }

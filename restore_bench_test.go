@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+	"time"
 	"unsafe"
 
 	"cutfit"
@@ -51,7 +52,61 @@ func BenchmarkRestoreVsRebuild(b *testing.B) {
 		b.Fatal(err)
 	}
 	benchRestoreVsRebuild(b, g)
-	b.Run("rmat16", func(b *testing.B) { benchRestoreVsRebuild(b, rmat16(b)) })
+	b.Run("rmat16", func(b *testing.B) {
+		g := rmat16(b)
+		benchRestoreVsRebuild(b, g)
+		b.Run("restart-cc", func(b *testing.B) { benchRestartCC(b, g) })
+	})
+}
+
+// benchRestartCC is one operation of the warm-restart benchmark workload
+// (benchmark/w_restart.go) inside the test binary: the snapshot holds the
+// six paper assignments with their metric sets and the 2D topology at 64
+// partitions; an operation restores a session from the snapshot bytes and
+// runs cc on the restored graph. restore_ms and run_ms split the operation's
+// wall time between the two calls.
+func benchRestartCC(b *testing.B, g *cutfit.Graph) {
+	const parts = 64
+	s := cutfit.EdgePartition2D()
+	warm := cutfit.NewSession(cutfit.SessionOptions{})
+	if _, err := warm.Select(g, cutfit.Strategies(), parts, cutfit.ProfilePageRank); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := warm.Partition(g, s, parts); err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := warm.SnapshotNamed(&buf, map[string]*cutfit.Graph{"g": g}); err != nil {
+		b.Fatal(err)
+	}
+	want, err := warm.Run(context.Background(), g, s, parts, "cc", 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	var restore, run time.Duration
+	for b.Loop() {
+		t0 := time.Now()
+		se, named, err := cutfit.RestoreSession(bytes.NewReader(buf.Bytes()), cutfit.SessionOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		t1 := time.Now()
+		rep, err := se.Run(context.Background(), named["g"], s, parts, "cc", 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		restore += t1.Sub(t0)
+		run += time.Since(t1)
+		if rep.Components != want.Components {
+			b.Fatalf("restored cc found %d components, want %d", rep.Components, want.Components)
+		}
+		if st := se.CacheStats(); st.Misses != 0 {
+			b.Fatalf("restart recomputed %d artifacts: %+v", st.Misses, st)
+		}
+	}
+	b.ReportMetric(float64(restore.Microseconds())/1e3/float64(b.N), "restore_ms")
+	b.ReportMetric(float64(run.Microseconds())/1e3/float64(b.N), "run_ms")
 }
 
 // rmat16 is the 524,288-edge R-MAT graph (scale 16, 8 edges per vertex)

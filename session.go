@@ -11,6 +11,7 @@ import (
 	"cutfit/internal/algorithms"
 	"cutfit/internal/core"
 	"cutfit/internal/dist"
+	"cutfit/internal/graph"
 	"cutfit/internal/obsv"
 	"cutfit/internal/partition"
 	"cutfit/internal/pregel"
@@ -122,10 +123,11 @@ func (se *Session) Select(g *Graph, candidates []Strategy, numParts int, p Profi
 }
 
 // Advise recommends a strategy for the algorithm profile on g, deriving
-// the dataset facts (including ID-locality detection) from the graph.
+// the dataset facts (including ID-locality detection, which scans the
+// edges once per graph) from the graph.
 func (se *Session) Advise(g *Graph, p Profile, numParts int) Recommendation {
 	facts := core.Facts(g)
-	facts.IDLocality = core.DetectIDLocality(g, 256, 0.5)
+	facts.IDLocality = core.DetectIDLocality(g, graph.LocalityWindow, 0.5)
 	return core.Advise(p, facts, numParts, core.DefaultAdvisorConfig())
 }
 

@@ -359,6 +359,33 @@ func TestRunRefusedBeforePartitioning(t *testing.T) {
 	}
 }
 
+// TestAdviseScansOnce: a Graph is immutable, so its ID-locality count is a
+// cached view — repeated advice on one graph scans its edges once (on a
+// block-backed graph, the first call reads blocks and the later ones none)
+// and returns the same recommendation.
+func TestAdviseScansOnce(t *testing.T) {
+	g, err := gen.RMATBlocks(gen.DefaultRMAT(12, 8, 5), 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	se := cutfit.NewSession(cutfit.SessionOptions{})
+	before := blockReads(t)
+	first := se.Advise(g, cutfit.ProfilePageRank, 64)
+	if blockReads(t) == before {
+		t.Fatal("the first Advise read no block: the scan is not observed")
+	}
+	for i := 0; i < 3; i++ {
+		before = blockReads(t)
+		rec := se.Advise(g, cutfit.ProfilePageRank, 64)
+		if rec.Strategy.Name() != first.Strategy.Name() || rec.Metric != first.Metric || rec.Reason != first.Reason {
+			t.Fatalf("Advise %d recommended %+v, the first %+v", i+2, rec, first)
+		}
+		if n := blockReads(t) - before; n != 0 {
+			t.Fatalf("Advise %d read %d blocks: the locality scan ran again", i+2, n)
+		}
+	}
+}
+
 // TestAdviseBuildsNoAdjacency: advice reads the edge count and scans the
 // edges once for ID locality; it builds no adjacency view of the graph
 // (the out- and in-CSR cost about 8 B per edge between them).
