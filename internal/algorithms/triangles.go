@@ -64,6 +64,10 @@ func TriangleCount(ctx context.Context, pg *pregel.PartitionedGraph) ([]int64, *
 	nv := g.NumVertices()
 	numParts := pg.NumParts
 	plan := pg.TrianglePlan()
+	lvs := make([][]int32, numParts) // mirror tables in the plan's local numbering
+	for p, part := range pg.Parts {
+		lvs[p], _ = part.Live()
+	}
 
 	ss := pregel.SuperstepStats{
 		Superstep:      1,
@@ -86,8 +90,8 @@ func TriangleCount(ctx context.Context, pg *pregel.PartitionedGraph) ([]int64, *
 	// no partition starts once ctx is done.
 	partCounts := make([][]int64, numParts)
 	if err := par.ForEach(ctx, par.DefaultParallelism(), numParts, func(p int) {
-		part := pg.Parts[p]
-		counts := make([]int64, part.NumLocalVertices())
+		lv := lvs[p]
+		counts := make([]int64, len(lv))
 		marks := takeMarks(nv)
 		// setOps is Σ (|N(u)| + |N(v)|) over the partition's canonical edges:
 		// the model charges GraphX's two boxed hash sets per edge whatever
@@ -99,10 +103,10 @@ func TriangleCount(ctx context.Context, pg *pregel.PartitionedGraph) ([]int64, *
 			if len(leaves) == 0 {
 				continue
 			}
-			hub := g.UndirectedNeighbors(part.LocalVerts[hubL])
+			hub := g.UndirectedNeighbors(lv[hubL])
 			marks.set(hub)
 			for _, leafL := range leaves {
-				leaf := g.UndirectedNeighbors(part.LocalVerts[leafL])
+				leaf := g.UndirectedNeighbors(lv[leafL])
 				common := int64(marks.count(leaf))
 				counts[hubL] += common
 				counts[leafL] += common
@@ -124,12 +128,11 @@ func TriangleCount(ctx context.Context, pg *pregel.PartitionedGraph) ([]int64, *
 	// count) back to the master, then a per-vertex reduction.
 	total := make([]int64, nv)
 	for p := 0; p < numParts; p++ {
-		part := pg.Parts[p]
 		for l, c := range partCounts[p] {
 			if c == 0 {
 				continue
 			}
-			gidx := part.LocalVerts[l]
+			gidx := lvs[p][l]
 			total[gidx] += c
 			ss.ReduceMsgs++
 			ss.ReduceBytes += 12

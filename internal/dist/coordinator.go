@@ -98,8 +98,12 @@ type exchanger[V, M any] struct {
 	// partition worker w owns, as a bitset over global dense indices: ANDed
 	// with the frontier it is exactly what w's broadcast frame must carry.
 	// replicas[v] is how many partitions, on any worker, mirror vertex v.
-	mirrored [][]uint64
-	replicas []int32
+	// liveVerts[p] is partition p's mirror table as the worker's shard holds
+	// it — ghosts left out (pregel.Partition.Live) — so it maps the
+	// local indices of p's reduce section back to global ones.
+	mirrored  [][]uint64
+	replicas  []int32
+	liveVerts [][]int32
 
 	// Scratch reused across supersteps: the broadcast frames, each worker's
 	// reduce frame (read into the same storage every superstep), the reduce
@@ -121,21 +125,22 @@ func newExchanger[V, M any](pool *Pool, pg *pregel.PartitionedGraph, runID strin
 		shards = pool.mergeShards
 	}
 	ex := &exchanger[V, M]{
-		pool:     pool,
-		pg:       pg,
-		runID:    runID,
-		prog:     prog,
-		vc:       vc,
-		mc:       mc,
-		mirrored: make([][]uint64, W),
-		replicas: make([]int32, pg.G.NumVertices()),
-		frames:   make([][]byte, W),
-		replies:  make([][]byte, W),
-		sections: make([]reduceSection, pg.NumParts),
-		rtt:      make([]time.Duration, W),
-		errs:     make([]error, W),
-		rMsgs:    make([]int64, shards),
-		rBytes:   make([]int64, shards),
+		pool:      pool,
+		pg:        pg,
+		runID:     runID,
+		prog:      prog,
+		vc:        vc,
+		mc:        mc,
+		mirrored:  make([][]uint64, W),
+		replicas:  make([]int32, pg.G.NumVertices()),
+		liveVerts: make([][]int32, pg.NumParts),
+		frames:    make([][]byte, W),
+		replies:   make([][]byte, W),
+		sections:  make([]reduceSection, pg.NumParts),
+		rtt:       make([]time.Duration, W),
+		errs:      make([]error, W),
+		rMsgs:     make([]int64, shards),
+		rBytes:    make([]int64, shards),
 	}
 	words := (pg.G.NumVertices() + 63) / 64
 	for w := range ex.mirrored {
@@ -143,7 +148,8 @@ func newExchanger[V, M any](pool *Pool, pg *pregel.PartitionedGraph, runID strin
 	}
 	for p, part := range pg.Parts {
 		m := ex.mirrored[workerOf(p, W)]
-		for _, v := range part.LocalVerts {
+		ex.liveVerts[p], _ = part.Live()
+		for _, v := range ex.liveVerts[p] {
 			m[v>>6] |= 1 << (uint32(v) & 63)
 			ex.replicas[v]++
 		}
@@ -236,7 +242,7 @@ func (ex *exchanger[V, M]) mergeShard(sh int, deliver func(gidx int32, m M)) {
 	var msgs, bytes int64
 	for p := range ex.sections {
 		sec := &ex.sections[p]
-		lv := ex.pg.Parts[p].LocalVerts
+		lv := ex.liveVerts[p]
 		lLo, _ := slices.BinarySearch(lv, gLo)
 		lHi, _ := slices.BinarySearch(lv, gHi)
 		first := sort.Search(sec.n, func(i int) bool {

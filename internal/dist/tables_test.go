@@ -99,7 +99,7 @@ func TestBadTablesRefusedByBothEntryPoints(t *testing.T) {
 			pt.LocalVerts[pt.LocalVertsOffsets[1]-1] = int32(nv)
 		}},
 		{"endpoint outside its mirror table", func(pt *pregel.PartTables) {
-			pt.EdgeSrc[0] = int32(pt.LocalVertsOffsets[1])
+			pt.Edges[0].Src = int32(pt.LocalVertsOffsets[1])
 		}},
 		{"edge offsets decrease", func(pt *pregel.PartTables) {
 			pt.PartStart[1] = pt.PartStart[2] + 1

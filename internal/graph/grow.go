@@ -47,7 +47,8 @@ type Step struct {
 	SufSrc, SufDst []int32
 	// RemSrc and RemDst index the endpoints of the edges the step retracted,
 	// ascending by dense position; nil when the step did not resolve them
-	// (it does only when it patches built degree tables).
+	// (it does when the parent's endpoint view was built and no vertex index
+	// shifted, or when it patches built degree tables).
 	RemSrc, RemDst []int32
 }
 
@@ -278,6 +279,16 @@ func (g *Graph) advance(suffix []Edge, sufWeights []float64, removeIdx []int) (*
 	}
 	step := &Step{parent: weak.Make(g), SufSrc: sufSrc, SufDst: sufDst}
 	ng.step = step
+	// The retracted edges' endpoints: read off the parent's endpoint view
+	// when it is built and indices did not shift, else searched below when
+	// the degree tables need them.
+	if len(removeIdx) > 0 && remap == nil && g.endpointOnce.built() {
+		step.RemSrc = make([]int32, len(removeIdx))
+		step.RemDst = make([]int32, len(removeIdx))
+		for k, i := range removeIdx {
+			step.RemSrc[k], step.RemDst[k] = g.srcIdx[i], g.dstIdx[i]
+		}
+	}
 
 	nv := len(ng.verts)
 	if g.degOnce.built() {
@@ -296,14 +307,18 @@ func (g *Graph) advance(suffix []Edge, sufWeights []float64, removeIdx []int) (*
 			out[sufSrc[i]]++
 			in[sufDst[i]]++
 		}
-		step.RemSrc = make([]int32, len(removeIdx))
-		step.RemDst = make([]int32, len(removeIdx))
-		for k, e := range g.EdgesAt(removeIdx) {
-			si, _ := slices.BinarySearch(ng.verts, e.Src)
-			di, _ := slices.BinarySearch(ng.verts, e.Dst)
-			step.RemSrc[k], step.RemDst[k] = int32(si), int32(di)
-			out[si]--
-			in[di]--
+		if step.RemSrc == nil {
+			step.RemSrc = make([]int32, len(removeIdx))
+			step.RemDst = make([]int32, len(removeIdx))
+			for k, e := range g.EdgesAt(removeIdx) {
+				si, _ := slices.BinarySearch(ng.verts, e.Src)
+				di, _ := slices.BinarySearch(ng.verts, e.Dst)
+				step.RemSrc[k], step.RemDst[k] = int32(si), int32(di)
+			}
+		}
+		for k := range removeIdx {
+			out[step.RemSrc[k]]--
+			in[step.RemDst[k]]--
 		}
 		ng.outDeg, ng.inDeg = out, in
 		ng.degOnce.markBuilt()

@@ -3,6 +3,8 @@ package graph
 import (
 	"fmt"
 	"math/bits"
+
+	"cutfit/internal/par"
 )
 
 // Shrink returns a new Graph — the next generation of g with the given
@@ -78,7 +80,10 @@ func (g *Graph) liveBefore(n int) []int {
 // multiply-shift hash into a bit filter sized from the batch (the power of
 // two holding at least 32 bits per retracted value: 32 KiB for a 5k-edge
 // batch, cache-resident, at most one false hit in 32) and only a hit
-// consults the map.
+// consults the map. The scan is cut into contiguous ranges — whole blocks on
+// the block tier — one per GOMAXPROCS worker, each collecting the positions
+// whose value is in the batch; the multiplicities are then spent over those
+// hits in position order, so the result is the one a single pass gives.
 func (g *Graph) resolveRetractions(retract []Edge) ([]int, error) {
 	if len(retract) == 0 {
 		return nil, nil
@@ -96,24 +101,59 @@ func (g *Graph) resolveRetractions(retract []Edge) ([]int, error) {
 		h := retractHash(e) >> shift
 		filter[h>>6] |= 1 << (h & 63)
 	}
-	idx := make([]int, 0, len(retract))
-	seen := make(map[Edge]bool, len(want))
-	g.mustEdgeBlocks(func(start int, edges []Edge, _ []float64) {
+	type hit struct {
+		i int
+		e Edge
+	}
+	bs := g.blocks
+	if g.denseOnce.built() {
+		bs = nil
+	}
+	units := g.NumEdges()
+	if bs != nil {
+		units = bs.NumBlocks()
+	}
+	workers := par.DefaultParallelism()
+	hits := make([][]hit, workers)
+	collect := func(r, start int, edges []Edge) {
 		for i, e := range edges {
 			if h := retractHash(e) >> shift; filter[h>>6]>>(h&63)&1 == 0 {
 				continue
 			}
-			n, ok := want[e]
-			if !ok {
-				continue
-			}
-			seen[e] = true
-			if n > 0 && g.EdgeAlive(start+i) {
-				idx = append(idx, start+i)
-				want[e] = n - 1
+			if _, ok := want[e]; ok {
+				hits[r] = append(hits[r], hit{start + i, e})
 			}
 		}
-	})
+	}
+	if err := par.Ranges(workers, units, func(r, lo, hi int) {
+		if bs == nil {
+			collect(r, lo, g.edges[lo:hi])
+			return
+		}
+		sc := getScratch()
+		defer blockScratchPool.Put(sc)
+		for b := lo; b < hi; b++ {
+			es, _, err := bs.decode(b, sc, false)
+			if err != nil {
+				panic("graph: block decode failed: " + err.Error())
+			}
+			start, _ := bs.BlockRange(b)
+			collect(r, start, es)
+		}
+	}); err != nil {
+		return nil, err
+	}
+	idx := make([]int, 0, len(retract))
+	seen := make(map[Edge]bool, len(want))
+	for _, hs := range hits {
+		for _, h := range hs {
+			seen[h.e] = true
+			if n := want[h.e]; n > 0 && g.EdgeAlive(h.i) {
+				idx = append(idx, h.i)
+				want[h.e] = n - 1
+			}
+		}
+	}
 	for e, n := range want {
 		if n > 0 && !seen[e] {
 			return nil, fmt.Errorf("graph: cannot retract edge %d -> %d: not in graph", e.Src, e.Dst)

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -38,6 +39,38 @@ func (g *Graph) resolveRetractionsRef(retract []Edge) ([]int, error) {
 		}
 	}
 	return idx, nil
+}
+
+// TestResolveRetractionsAcrossRanges: one edge value repeated on both sides
+// of the boundary between two scan ranges, its first occurrence already
+// dead, is retracted oldest-live-first exactly as one serial pass does, on
+// the dense tier and on blocks that split the list at the same boundary.
+func TestResolveRetractionsAcrossRanges(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	x := Edge{Src: 7, Dst: 9}
+	// Eight edges over four ranges of two: x sits at 1, 2 (the first
+	// position of the second range) and 5.
+	edges := []Edge{{1, 2}, x, x, {2, 3}, {3, 4}, x, {4, 5}, {5, 6}}
+	dense := FromEdges(slices.Clone(edges))
+	bb := NewBlockBuilder(2)
+	bb.Append(edges, nil)
+	for name, g := range map[string]*Graph{"dense": dense, "block": FromBlocks(bb.Finish())} {
+		sg, _, err := g.Shrink([]Edge{x})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, batch := range [][]Edge{{x}, {x, x}, {x, x, x}} {
+			got, err := sg.resolveRetractions(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := sg.resolveRetractionsRef(batch)
+			if !slices.Equal(got, want) || got[0] != 2 {
+				t.Fatalf("%s: retracting %d copies resolved %v, the serial pass %v", name, len(batch), got, want)
+			}
+		}
+	}
 }
 
 // retractFuzzCase builds a graph and a retraction batch from fuzz inputs:

@@ -253,11 +253,11 @@ func BenchmarkCarryFrontierIndex(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for p, part := range child.Parts {
-			np := &Partition{LocalVerts: part.LocalVerts, edges: part.edges}
+			np := &Partition{LocalVerts: part.LocalVerts, edgeSpan: &edgeSpan{edges: part.edges}}
 			start := time.Now()
 			np.carryFrontierIndex(pg.Parts[p], fresh[p])
 			carried += time.Since(start)
-			np = &Partition{LocalVerts: part.LocalVerts, edges: part.edges}
+			np = &Partition{LocalVerts: part.LocalVerts, edgeSpan: &edgeSpan{edges: part.edges}}
 			start = time.Now()
 			buildEdgeIndex(np)
 			rebuilt += time.Since(start)

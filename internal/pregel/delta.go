@@ -23,34 +23,32 @@ import (
 // graph's, as produced by graph.RemapVertices; nil means identity (every
 // vertex added since sorts after the old maximum).
 //
-// Retractions are patched out by diffing the two generations' tombstone
-// bitsets over the old dense span: a newly-dead edge is dropped from its
-// partition's span, and mirrors left with no referencing edge are dropped
-// from the LocalVerts table — exactly what the full rebuild over the live
-// edge set produces.
-//
-// The derived topology is structurally identical to what
-// NewPartitionedGraphFromAssignment would build from scratch — same
-// per-partition edge order (global edge order within each partition), same
-// sorted LocalVerts tables, hence the same replica counts — so engine runs
-// and derived metrics are bit-for-bit equal to the full rebuild. The receiver is only read, never mutated: in-flight runs on the
+// Nothing moves: a retracted edge's slot stays in its span, marked dead, and
+// a mirror left with no live edge stays in LocalVerts as a ghost. A step
+// that only retracts shares every partition's span and frontier index,
+// built now or later, and writes two bitsets where it retracted; a step
+// that appends copies each span with the suffix behind it (a suffix edge a
+// later generation retracted takes a dead slot) and carries the frontier
+// index (carryFrontierIndex). Live edges keep global edge order and the live
+// mirror tables are the sorted tables a rebuild produces, so engine runs,
+// metrics and everything read off Partition.Live are bit-for-bit what
+// NewPartitionedGraphFromAssignment builds from scratch. Only the graph's
+// own compaction (graph.Delta.Compacted) ends a span, by forcing that
+// build. The receiver is only read, never mutated: in-flight runs on the
 // old topology are unaffected.
 //
 // What the two topologies share, and who is charged (see Shares): the
 // engine scratch pool — one per lineage, so the derived topology's first run
 // revives buffers its parent parked, refitted to the new sizes, instead of
 // allocating a set and leaving the parent's behind a topology nobody will
-// run again; the assignment's PID array; every partition's mirror table
-// that the step left unchanged (counted by both MemoryFootprints). Edge
-// buffers are the derived topology's own, and so are the lazily built
-// tables (frontier index, triangle plan). A partition the step
-// appended to without retracting from it, whose parent already holds a
-// frontier index, gets its own index at once, carried from the parent's by
-// run copies (carryFrontierIndex) rather than left to a counting sort.
+// run again; the assignment's PID array; every mirror table the step left
+// unchanged and, on a retract-only step, the spans and frontier indexes
+// (counted by both MemoryFootprints).
 //
-// Cost: O(|E|) straight copies and merges plus O(|delta| log |delta|)
-// sorting of the suffix endpoints — no per-partition endpoint re-sort, no
-// strategy pass, no hash-map rebuild.
+// Cost: a retract-only step is one pass over the old assignment plus
+// O(|delta|) bitset work; an appending step is O(|E|) straight copies and
+// merges plus O(|delta| log |delta|) sorting of the suffix endpoints — no
+// per-partition endpoint re-sort, no strategy pass, no hash-map rebuild.
 func (pg *PartitionedGraph) ApplyDelta(a *partition.Assignment, remap []int32) (*PartitionedGraph, error) {
 	if a.NumParts != pg.NumParts {
 		return nil, fmt.Errorf("pregel: delta assignment targets %d partitions, topology has %d", a.NumParts, pg.NumParts)
@@ -72,6 +70,44 @@ func (pg *PartitionedGraph) ApplyDelta(a *partition.Assignment, remap []int32) (
 		}
 	}
 	numParts := pg.NumParts
+
+	// Retractions this step introduced, as slots of each partition's span;
+	// nil when the step retracted nothing.
+	removed, err := retractionPositions(pg, a.G, oldLen)
+	if err != nil {
+		return nil, err
+	}
+	npg := &PartitionedGraph{
+		G:            a.G,
+		NumParts:     numParts,
+		assign:       a.PIDs,
+		ReuseBuffers: pg.ReuseBuffers,
+		scratch:      pg.scratch,
+		spanDead:     pg.slotless(),
+		hasSpanDead:  true,
+	}
+	npg.assignShare, _ = a.PIDShare()
+	parts := make([]*Partition, numParts)
+	npg.Parts = parts
+	workers := par.DefaultParallelism()
+	if ne == oldLen {
+		// Retract only: no vertex came or went, so remap is the identity and
+		// each partition keeps its mirror table, span and frontier index.
+		err = par.ForEach(context.Background(), workers, numParts, func(p int) {
+			old := pg.Parts[p]
+			np := *old
+			if removed != nil && len(removed[p]) != 0 {
+				np.markDead(old, removed[p])
+				np.markGhosts(old.ghost, removed[p])
+			}
+			parts[p] = &np
+		})
+		if err != nil {
+			return nil, err
+		}
+		return npg, nil
+	}
+
 	// Dense endpoint indices of just the suffix: the ones the generation step
 	// resolved when this topology's graph is its direct parent, else by
 	// binary search on the grown vertex list — O(|delta| log |V|), without
@@ -91,78 +127,60 @@ func (pg *PartitionedGraph) ApplyDelta(a *partition.Assignment, remap []int32) (
 		}
 	}
 
-	// Retractions this step introduced, as positions in each partition's old
-	// (live) edge list; nil when the step retracted nothing.
-	removed, err := retractionPositions(pg, a.G, oldLen)
-	if err != nil {
-		return nil, err
-	}
-
-	// Per-partition span sizes: old counts from the built partitions minus
-	// this step's retractions, delta counts from the suffix (already
-	// range-validated by the Assignment; appended edges are live, but skip
-	// dead suffix slots defensively for hand-built generations).
-	oldCounts := make([]int64, numParts)
-	for p, part := range pg.Parts {
-		oldCounts[p] = int64(len(part.edges))
-		if removed != nil {
-			oldCounts[p] -= int64(len(removed[p]))
-		}
-	}
-	sufDead := a.G.NumDeadEdges()
-	newCounts := make([]int64, numParts)
-	for i := oldLen; i < ne; i++ {
-		if sufDead != 0 && !a.G.EdgeAlive(i) {
-			continue
-		}
-		newCounts[a.PIDs[i]]++
-	}
+	// Per-partition span sizes: the old span, dead slots and all, and the
+	// suffix edges the assignment gives the partition (already
+	// range-validated by the Assignment).
 	partStart := make([]int64, numParts+1)
+	for p, part := range pg.Parts {
+		partStart[p+1] = int64(len(part.edges))
+	}
+	for _, p := range a.PIDs[oldLen:] {
+		partStart[p+1]++
+	}
 	for p := 0; p < numParts; p++ {
-		partStart[p+1] = partStart[p] + oldCounts[p] + newCounts[p]
+		partStart[p+1] += partStart[p]
 	}
 
 	// Stage the suffix: scatter the new edges — with their *grown-graph*
 	// dense endpoint indices — into the tail of each partition's span, in
-	// global edge order (sequential pass, per-partition cursors).
-	edgeBuf := make([]localEdge, partStart[numParts])
+	// global edge order (sequential pass, per-partition cursors). A suffix
+	// edge a later generation retracted (an ancestor's topology patched
+	// forward) takes its slot dead.
+	edgeBuf := make([]LocalEdge, partStart[numParts])
 	cursors := make([]int64, numParts)
-	for p := 0; p < numParts; p++ {
-		cursors[p] = partStart[p] + oldCounts[p]
+	for p, part := range pg.Parts {
+		cursors[p] = partStart[p] + int64(len(part.edges))
 	}
+	sufDead := a.G.NumDeadEdges() != 0
 	for i := oldLen; i < ne; i++ {
-		if sufDead != 0 && !a.G.EdgeAlive(i) {
-			continue
-		}
 		p := a.PIDs[i]
-		edgeBuf[cursors[p]] = localEdge{src: sufSrc[i-oldLen], dst: sufDst[i-oldLen]}
+		edgeBuf[cursors[p]] = LocalEdge{Src: sufSrc[i-oldLen], Dst: sufDst[i-oldLen]}
+		if sufDead && !a.G.EdgeAlive(i) {
+			if removed == nil {
+				removed = make([][]int32, numParts)
+			}
+			removed[p] = append(removed[p], int32(cursors[p]-partStart[p]))
+		}
 		cursors[p]++
 	}
 
-	npg := &PartitionedGraph{
-		G:            a.G,
-		NumParts:     numParts,
-		assign:       a.PIDs,
-		ReuseBuffers: pg.ReuseBuffers,
-		scratch:      pg.scratch,
-	}
-	npg.assignShare, _ = a.PIDShare()
-	parts := make([]*Partition, numParts)
-	npg.Parts = parts
-	err = par.ForEach(context.Background(), par.DefaultParallelism(), numParts, func(p int) {
+	err = par.ForEach(context.Background(), workers, numParts, func(p int) {
 		old := pg.Parts[p]
-		np := &Partition{edges: edgeBuf[partStart[p]:partStart[p+1]:partStart[p+1]]}
-		if removed != nil && len(removed[p]) != 0 {
-			// Retracting shifts every later edge position, and remapping them
-			// all costs about what the counting sort does: the child builds
-			// its frontier index lazily, like every other construction path.
-			np.LocalVerts = patchPartitionRetract(old, np.edges, remap, removed[p])
-		} else {
-			var freshAt []int32
-			np.LocalVerts, freshAt = patchPartition(old, np.edges, remap)
-			if old.frontierBuilt.Load() {
-				np.carryFrontierIndex(old, freshAt)
-			}
+		np := &Partition{edgeSpan: &edgeSpan{edges: edgeBuf[partStart[p]:partStart[p+1]:partStart[p+1]]}}
+		var freshAt []int32
+		np.LocalVerts, freshAt = patchPartition(old, np.edges, remap)
+		if old.frontierBuilt.Load() {
+			np.carryFrontierIndex(old, freshAt)
+		}
+		var gone []int32
+		if removed != nil {
+			gone = removed[p]
+		}
+		if old.nDead != 0 || len(gone) != 0 {
+			np.markDead(old, gone)
+		}
+		if old.nGhost != 0 || len(gone) != 0 {
+			np.markGhosts(np.inheritGhosts(old, freshAt), gone)
 		}
 		parts[p] = np
 	})
@@ -172,6 +190,96 @@ func (pg *PartitionedGraph) ApplyDelta(a *partition.Assignment, remap []int32) (
 	return npg, nil
 }
 
+// inheritGhosts returns old's ghosts renumbered to np, which patchPartition
+// derived from old with the fresh mirrors freshAt, less the mirrors a live
+// slot of the appended suffix references again. np's dead slots must be
+// marked.
+func (np *Partition) inheritGhosts(old *Partition, freshAt []int32) []uint64 {
+	ghost := make([]uint64, (len(np.LocalVerts)+63)/64)
+	f := 0 // fresh mirrors placed before the old local at hand
+	for w, word := range old.ghost {
+		for ; word != 0; word &= word - 1 {
+			l := w<<6 + bits.TrailingZeros64(word)
+			for f < len(freshAt) && int(freshAt[f]) <= l+f {
+				f++
+			}
+			ghost[(l+f)>>6] |= 1 << (uint(l+f) & 63)
+		}
+	}
+	for j := len(old.edges); j < len(np.edges); j++ {
+		if e := np.edges[j]; !np.Dead(j) {
+			ghost[e.Src>>6] &^= 1 << (uint32(e.Src) & 63)
+			ghost[e.Dst>>6] &^= 1 << (uint32(e.Dst) & 63)
+		}
+	}
+	return ghost
+}
+
+// markDead sets np's dead slots: old's, whose span np's begins with, plus
+// the slots in gone. Neither old's set nor its storage is written.
+func (np *Partition) markDead(old *Partition, gone []int32) {
+	dead := make([]uint64, (len(np.edges)+63)/64)
+	copy(dead, old.dead)
+	for _, j := range gone {
+		dead[j>>6] |= 1 << (uint32(j) & 63)
+	}
+	np.dead, np.nDead = dead, old.nDead+len(gone)
+}
+
+// markGhosts sets np's ghosts: the mirrors no live slot references. prev is
+// the ghost set np inherited, in np's local numbering (never written), and
+// only the endpoints of the slots in gone, which died since, can have
+// joined it: a built frontier index finds their live slots, or, without
+// one, a pass over the span marks every referenced mirror.
+func (np *Partition) markGhosts(prev []uint64, gone []int32) {
+	n := len(np.LocalVerts)
+	ghost := make([]uint64, (n+63)/64)
+	if len(gone) == 0 || np.frontierBuilt.Load() {
+		copy(ghost, prev)
+		for _, j := range gone {
+			for _, l := range [2]int32{np.edges[j].Src, np.edges[j].Dst} {
+				if !bitSet(ghost, int(l)) && !np.liveAt(l) {
+					ghost[l>>6] |= 1 << (uint32(l) & 63)
+				}
+			}
+		}
+	} else {
+		for j, e := range np.edges {
+			if !np.Dead(j) {
+				ghost[e.Src>>6] |= 1 << (uint32(e.Src) & 63)
+				ghost[e.Dst>>6] |= 1 << (uint32(e.Dst) & 63)
+			}
+		}
+		for w := range ghost {
+			ghost[w] = ^ghost[w] & fullWord(w, n)
+		}
+	}
+	count := 0
+	for _, w := range ghost {
+		count += bits.OnesCount64(w)
+	}
+	if count == 0 {
+		ghost = nil
+	}
+	np.ghost, np.nGhost = ghost, count
+}
+
+// liveAt reports whether local vertex l is an endpoint of a live slot,
+// through the frontier index, which must be built.
+func (np *Partition) liveAt(l int32) bool {
+	for _, j := range np.srcPos[np.srcOff[l]:np.srcOff[l+1]] {
+		if !np.Dead(int(j)) {
+			return true
+		}
+	}
+	for _, j := range np.dstPos[np.dstOff[l]:np.dstOff[l+1]] {
+		if !np.Dead(int(j)) {
+			return true
+		}
+	}
+	return false
+}
+
 // retractionChunk is the dense edge span one task of retractionPositions
 // covers; a multiple of 64, so chunks split the tombstone bitsets at word
 // boundaries.
@@ -179,17 +287,18 @@ const retractionChunk = 1 << 14
 
 // retractionPositions diffs the tombstone bitsets of the built generation
 // and the advanced one over the old dense span and returns, per partition,
-// the ascending positions (in the old partition's live edge list, the order
-// the build scattered them in) of the edges this step retracted. nil when
-// nothing was retracted.
+// the ascending slots (in the partition's span, where the scatter put them
+// against the tombstone set it skipped — see PartitionedGraph.spanDead) of
+// the edges this step retracted. nil when nothing was retracted.
 //
-// The old span is cut into chunks spread over GOMAXPROCS workers. Each chunk
-// counts its live edges per partition and notes its retractions at their
-// positions within the chunk; a prefix sum over the chunks' counts, in chunk
-// order, then turns those into positions in the partition's whole list.
+// The old dense span is cut into chunks spread over GOMAXPROCS workers. Each
+// chunk counts its slotted positions per partition and notes its
+// retractions at their slots within the chunk; a prefix sum over the
+// chunks' counts, in chunk order, then turns those into slots of the
+// partition's whole span.
 func retractionPositions(pg *PartitionedGraph, ng *graph.Graph, oldLen int) ([][]int32, error) {
 	og := pg.G
-	newDead, oldDead := ng.Tombstones(), og.Tombstones()
+	newDead, oldDead, slotless := ng.Tombstones(), og.Tombstones(), pg.slotless()
 	found := false
 	for w := 0; w<<6 < oldLen && w < len(newDead) && !found; w++ {
 		d := newDead[w] & fullWord(w, oldLen)
@@ -209,26 +318,29 @@ func retractionPositions(pg *PartitionedGraph, ng *graph.Graph, oldLen int) ([][
 	if err := par.ForEach(context.Background(), par.DefaultParallelism(), nChunks, func(c int) {
 		cc := counts[c*numParts : (c+1)*numParts]
 		hi := min((c+1)*retractionChunk, oldLen)
-		// A tombstone word at a time: a word of live edges none of which
+		// A tombstone word at a time: a word of slotted edges none of which
 		// this step retracted only counts.
 		for base := c * retractionChunk; base < hi; base += 64 {
 			w := base >> 6
-			live, gone := fullWord(w, oldLen), uint64(0)
-			if w < len(oldDead) {
-				live &^= oldDead[w]
+			slots, gone := fullWord(w, oldLen), uint64(0)
+			if w < len(slotless) {
+				slots &^= slotless[w]
 			}
 			if w < len(newDead) {
 				gone = newDead[w]
+				if w < len(oldDead) {
+					gone &^= oldDead[w]
+				}
 			}
 			assign := pg.assign[base:min(base+64, hi)]
-			if live == ^uint64(0) && gone == 0 {
+			if slots == ^uint64(0) && gone == 0 {
 				for _, p := range assign {
 					cc[p]++
 				}
 				continue
 			}
-			for ; live != 0; live &= live - 1 {
-				b := bits.TrailingZeros64(live)
+			for ; slots != 0; slots &= slots - 1 {
+				b := bits.TrailingZeros64(slots)
 				p := assign[b]
 				if gone>>b&1 != 0 {
 					hits[c] = append(hits[c], hit{int32(p), cc[p]})
@@ -253,44 +365,45 @@ func retractionPositions(pg *PartitionedGraph, ng *graph.Graph, oldLen int) ([][
 }
 
 // patchPartition derives one partition of the advanced topology on a step
-// that retracted none of its edges, and returns its new LocalVerts table and
-// the new local indices of the mirrors the step added (see mergedMirrors):
+// that appended, and returns its new LocalVerts table and the new local
+// indices of the mirrors the step added (see mergedMirrors):
 //
 //  1. the old LocalVerts table is remapped to grown-graph dense indices
 //     (remapping is monotone, so the table stays sorted);
 //  2. suffix endpoints not yet mirrored in the partition are merge-inserted,
 //     keeping the table sorted and deduplicated — exactly the table the
 //     full rebuild's sort+dedup would produce;
-//  3. the old edges are copied into the span head with their local indices
-//     shifted by the number of new mirrors inserted before them;
+//  3. the old slots, dead ones included, are copied into the span head with
+//     their local indices shifted by the number of new mirrors inserted
+//     before them;
 //  4. the staged suffix edges (global indices) are rewritten in place to
 //     local indices by binary search, as in the full build.
 //
 // It is called per partition on the worker pool; span is the partition's
 // region of the new shared edge buffer, whose tail holds the staged suffix.
-func patchPartition(old *Partition, span []localEdge, remap []int32) (merged, freshAt []int32) {
+func patchPartition(old *Partition, span []LocalEdge, remap []int32) (merged, freshAt []int32) {
 	merged, shift, freshAt := mergedMirrors(old, span, remap)
 	oldEdges := old.edges
 	if shift == nil {
 		copy(span, oldEdges)
 	} else {
 		for j, e := range oldEdges {
-			span[j] = localEdge{src: e.src + shift[e.src], dst: e.dst + shift[e.dst]}
+			span[j] = LocalEdge{Src: e.Src + shift[e.Src], Dst: e.Dst + shift[e.Dst]}
 		}
 	}
 	for j := len(oldEdges); j < len(span); j++ {
 		e := span[j] // staged: grown-graph dense indices
-		src, _ := slices.BinarySearch(merged, e.src)
-		dst, _ := slices.BinarySearch(merged, e.dst)
-		span[j] = localEdge{src: int32(src), dst: int32(dst)}
+		src, _ := slices.BinarySearch(merged, e.Src)
+		dst, _ := slices.BinarySearch(merged, e.Dst)
+		span[j] = LocalEdge{Src: int32(src), Dst: int32(dst)}
 	}
 	return merged, freshAt
 }
 
 // carryFrontierIndex gives np, which patchPartition derived from old, old's
 // frontier index carried over instead of a counting sort. freshAt lists the
-// new local indices of the mirrors the step added, ascending. Nothing was
-// retracted, so old edge j is still edge j, and old locals keep their order
+// new local indices of the mirrors the step added, ascending. Nothing
+// moves, so old slot j is still slot j, and old locals keep their order
 // with the fresh mirrors slotted in between: every group of the child is its
 // old local's group, unchanged, followed by the batch's positions (all ≥
 // len(old.edges), so ascending after it), and a fresh mirror's group is batch
@@ -303,8 +416,8 @@ func (np *Partition) carryFrontierIndex(old *Partition, freshAt []int32) {
 	srcKeys := make([]uint64, 0, len(np.edges)-base)
 	dstKeys := make([]uint64, 0, len(np.edges)-base)
 	for j, e := range np.edges[base:] {
-		srcKeys = append(srcKeys, uint64(e.src)<<32|uint64(base+j))
-		dstKeys = append(dstKeys, uint64(e.dst)<<32|uint64(base+j))
+		srcKeys = append(srcKeys, uint64(e.Src)<<32|uint64(base+j))
+		dstKeys = append(dstKeys, uint64(e.Dst)<<32|uint64(base+j))
 	}
 	// One allocation holds all four tables.
 	n, m := len(np.LocalVerts), len(np.edges)
@@ -361,117 +474,6 @@ func carryGroups(off, pos, oldOff, oldPos, freshAt []int32, keys []uint64) {
 	}
 }
 
-// patchPartitionRetract is the retraction path of patchPartition: drop the
-// removed edge positions, drop mirrors no surviving or suffix edge
-// references, merge-insert fresh suffix mirrors, and rewrite both edge
-// halves to the merged table's local indices. Everything is O(part size)
-// scans plus sorting only the (small) fresh mirror set — no per-partition
-// endpoint re-sort — and the resulting table is exactly what the full
-// rebuild's sort+dedup over the surviving edges produces.
-func patchPartitionRetract(old *Partition, span []localEdge, remap, removed []int32) []int32 {
-	lv := old.LocalVerts
-	at := func(i int32) int32 {
-		if remap == nil {
-			return lv[i]
-		}
-		return remap[lv[i]]
-	}
-	// find locates an advanced-graph dense index in the remapped view of the
-	// old table (monotone remap keeps it sorted) without materializing it.
-	find := func(v int32) (int32, bool) {
-		lo, hi := int32(0), int32(len(lv))
-		for lo < hi {
-			mid := int32(uint32(lo+hi) >> 1)
-			if at(mid) < v {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo < int32(len(lv)) && at(lo) == v {
-			return lo, true
-		}
-		return 0, false
-	}
-	nOldSurvive := len(old.edges) - len(removed)
-	// Mirrors referenced by surviving old edges.
-	ref := make([]bool, len(lv))
-	ri := 0
-	for j, e := range old.edges {
-		if ri < len(removed) && int32(j) == removed[ri] {
-			ri++
-			continue
-		}
-		ref[e.src] = true
-		ref[e.dst] = true
-	}
-	// Suffix endpoints: an existing mirror is kept alive, an unknown one is
-	// a fresh mirror to insert.
-	var fresh []int32
-	for _, e := range span[nOldSurvive:] {
-		if l, ok := find(e.src); ok {
-			ref[l] = true
-		} else {
-			fresh = append(fresh, e.src)
-		}
-		if e.dst != e.src {
-			if l, ok := find(e.dst); ok {
-				ref[l] = true
-			} else {
-				fresh = append(fresh, e.dst)
-			}
-		}
-	}
-	slices.Sort(fresh)
-	fresh = slices.Compact(fresh)
-	// Merge referenced old mirrors with the fresh ones; both runs are sorted
-	// and disjoint. shift[l] is old local l's index in the merged table (only
-	// read for referenced mirrors).
-	nRef := 0
-	for _, r := range ref {
-		if r {
-			nRef++
-		}
-	}
-	if nRef+len(fresh) == 0 {
-		return nil
-	}
-	merged := make([]int32, 0, nRef+len(fresh))
-	shift := make([]int32, len(lv))
-	i, j := int32(0), 0
-	for int(i) < len(lv) || j < len(fresh) {
-		if j == len(fresh) || (int(i) < len(lv) && at(i) < fresh[j]) {
-			if ref[i] {
-				shift[i] = int32(len(merged))
-				merged = append(merged, at(i))
-			}
-			i++
-		} else {
-			merged = append(merged, fresh[j])
-			j++
-		}
-	}
-	// Surviving old edges compact into the span head with rewritten locals.
-	ri, w := 0, 0
-	for j2, e := range old.edges {
-		if ri < len(removed) && int32(j2) == removed[ri] {
-			ri++
-			continue
-		}
-		span[w] = localEdge{src: shift[e.src], dst: shift[e.dst]}
-		w++
-	}
-	// Staged suffix edges rewrite to locals by binary search, as in the full
-	// build.
-	for j2 := nOldSurvive; j2 < len(span); j2++ {
-		e := span[j2]
-		src, _ := slices.BinarySearch(merged, e.src)
-		dst, _ := slices.BinarySearch(merged, e.dst)
-		span[j2] = localEdge{src: int32(src), dst: int32(dst)}
-	}
-	return merged
-}
-
 // mergedMirrors computes the partition's new sorted mirror table, the new
 // local indices of the mirrors it inserted (ascending; nil when none) and,
 // when mirrors were inserted (not just appended), the per-old-local-index
@@ -479,7 +481,7 @@ func patchPartitionRetract(old *Partition, span []localEdge, remap, removed []in
 // shift means old local indices are unchanged. The remap of the old table
 // to grown-graph dense indices is fused into the merge/copy passes, so the
 // only allocations are the outputs themselves.
-func mergedMirrors(old *Partition, span []localEdge, remap []int32) (merged, shift, freshAt []int32) {
+func mergedMirrors(old *Partition, span []LocalEdge, remap []int32) (merged, shift, freshAt []int32) {
 	lv := old.LocalVerts
 	// at maps an old-table entry to grown-graph dense indexing. Remapping
 	// is monotone, so the remapped view of lv is still sorted and can be
@@ -505,11 +507,11 @@ func mergedMirrors(old *Partition, span []localEdge, remap []int32) (merged, shi
 	// Collect suffix endpoints not already mirrored here.
 	var fresh []int32
 	for _, e := range span[len(old.edges):] {
-		if !contains(e.src) {
-			fresh = append(fresh, e.src)
+		if !contains(e.Src) {
+			fresh = append(fresh, e.Src)
 		}
-		if e.dst != e.src && !contains(e.dst) {
-			fresh = append(fresh, e.dst)
+		if e.Dst != e.Src && !contains(e.Dst) {
+			fresh = append(fresh, e.Dst)
 		}
 	}
 	if len(fresh) == 0 {

@@ -18,10 +18,11 @@ func deltaEdges(seed int64, nv, ne int) []graph.Edge {
 }
 
 // deltaStep patches pg to na. With indexParent it first builds every
-// partition's frontier index, so that ApplyDelta carries it; either way it
-// checks that exactly the partitions whose parent held an index and which
-// the step retracted nothing from come out indexed, carried rather than
-// built.
+// partition's frontier index. Nothing moves in a patch, so either way it
+// checks that the child's partitions are indexed exactly where the
+// parent's are, and that none of those indexes was built by a counting
+// sort: a step that only retracted shares each partition's span and index
+// with the parent, an appending step carries every parent index.
 func deltaStep(t testing.TB, pg *PartitionedGraph, na *partition.Assignment, remap []int32, indexParent bool) *PartitionedGraph {
 	t.Helper()
 	if indexParent {
@@ -29,23 +30,24 @@ func deltaStep(t testing.TB, pg *PartitionedGraph, na *partition.Assignment, rem
 			part.ensureFrontierIndex()
 		}
 	}
-	removed, err := retractionPositions(pg, na.G, len(pg.assign))
-	if err != nil {
-		t.Fatal(err)
-	}
 	built, carried := mFrontierBuilt.Value(), mFrontierCarried.Value()
 	child, err := pg.ApplyDelta(na, remap)
 	if err != nil {
 		t.Fatal(err)
 	}
+	retractOnly := len(na.PIDs) == len(pg.assign)
 	want := 0
 	for p, part := range child.Parts {
-		carry := pg.Parts[p].frontierBuilt.Load() && (removed == nil || len(removed[p]) == 0)
-		if carry {
+		old := pg.Parts[p]
+		if shared := part.edgeSpan == old.edgeSpan; shared != retractOnly {
+			t.Fatalf("partition %d: span shared=%v on a step that retract-only=%v", p, shared, retractOnly)
+		}
+		indexed := old.frontierBuilt.Load()
+		if indexed && !retractOnly {
 			want++
 		}
-		if got := part.frontierBuilt.Load(); got != carry {
-			t.Fatalf("partition %d: indexed=%v after ApplyDelta, want %v", p, got, carry)
+		if got := part.frontierBuilt.Load(); got != indexed {
+			t.Fatalf("partition %d: indexed=%v after ApplyDelta, parent indexed=%v", p, got, indexed)
 		}
 	}
 	if b, c := mFrontierBuilt.Value()-built, mFrontierCarried.Value()-carried; b != 0 || c != int64(want) {

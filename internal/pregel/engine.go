@@ -654,7 +654,7 @@ func localSuperstep[V, M any](ctx context.Context, pg *PartitionedGraph, prog *P
 		em.emitted = 0
 
 		fw := sc.frontier[p] // nil for an AllEdges program
-		act, msgs, bytes := pullMirrors(prog, part.LocalVerts, sc.vals[p], sc.masterVals, sc.changedBits, fill, fw)
+		act, msgs, bytes := pullMirrors(prog, part, sc.vals[p], sc.masterVals, sc.changedBits, fill, fw)
 		sc.bMsgs[p], sc.bBytes[p] = msgs, bytes
 		nScan, nVisited, cost := computePart(prog, part, verts, sc.vals[p], fw, act, sc.edgeMask[p], em)
 		scanned[p] = nScan
@@ -736,13 +736,15 @@ func localSuperstep[V, M any](ctx context.Context, pg *PartitionedGraph, prog *P
 // at the start of its compute: every mirror whose master changed last round —
 // every mirror when fill is set — copies masterVals[lv[l]] into its slot
 // vals[l] and counts as one broadcast message of Program.StateSize bytes,
-// which is the paper's CommCost, per mirror. The same pass fills fw, when
-// non-nil, with the partition's frontier (bit l ⇔ local vertex l's master
-// changed, fill or not) and returns its popcount act, which decides the
-// scan's density. The changed bits are gathered branch-free, one per mirror.
-// Only this partition's slots and words are written, so partitions pull
+// which is the paper's CommCost, per mirror. Ghosts are no mirror: they pull
+// nothing and stay off the frontier. The same pass fills fw, when non-nil,
+// with the partition's frontier (bit l ⇔ local vertex l's master changed,
+// fill or not) and returns its popcount act, which decides the scan's
+// density. The changed bits are gathered branch-free, one per mirror. Only
+// this partition's slots and words are written, so partitions pull
 // concurrently.
-func pullMirrors[V, M any](prog *Program[V, M], lv []int32, vals, masterVals []V, changed []uint64, fill bool, fw []uint64) (act int, msgs, bytes int64) {
+func pullMirrors[V, M any](prog *Program[V, M], part *Partition, vals, masterVals []V, changed []uint64, fill bool, fw []uint64) (act int, msgs, bytes int64) {
+	lv, ghost := part.LocalVerts, part.ghost
 	for base := 0; base < len(lv); base += 64 {
 		end := min(base+64, len(lv))
 		var w uint64
@@ -750,12 +752,18 @@ func pullMirrors[V, M any](prog *Program[V, M], lv []int32, vals, masterVals []V
 			gi := lv[l]
 			w |= (changed[gi>>6] >> (uint32(gi) & 63) & 1) << uint(l-base)
 		}
+		if ghost != nil {
+			w &^= ghost[base>>6]
+		}
 		if fw != nil {
 			fw[base>>6] = w
 			act += bits.OnesCount64(w)
 		}
 		if fill {
 			w = fullWord(base>>6, len(lv))
+			if ghost != nil {
+				w &^= ghost[base>>6]
+			}
 		}
 		msgs += int64(bits.OnesCount64(w))
 		for ; w != 0; w &= w - 1 {

@@ -2,6 +2,7 @@ package pregel
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"testing"
 
@@ -10,47 +11,87 @@ import (
 )
 
 // checkEquivalent compares two partitioned representations structurally:
-// same partitions, same local vertex tables, same local edges in the same
-// order, same replica counts.
+// the same partitions with the same live views — local vertex tables, local
+// edges in the same order (Partition.live) — and the same replica counts,
+// and each partition's dead, ghost and frontier-index state is what its own
+// span gives (checkSpan).
 func checkEquivalent(a, b *PartitionedGraph) error {
 	if a.NumParts != b.NumParts {
 		return fmt.Errorf("NumParts %d != %d", a.NumParts, b.NumParts)
 	}
 	for p := range a.Parts {
 		pa, pb := a.Parts[p], b.Parts[p]
-		if len(pa.LocalVerts) != len(pb.LocalVerts) {
-			return fmt.Errorf("partition %d: %d local verts != %d", p, len(pa.LocalVerts), len(pb.LocalVerts))
+		lva, ea := pa.Live()
+		lvb, eb := pb.Live()
+		if len(lva) != len(lvb) {
+			return fmt.Errorf("partition %d: %d local verts != %d", p, len(lva), len(lvb))
 		}
-		for l := range pa.LocalVerts {
-			if pa.LocalVerts[l] != pb.LocalVerts[l] {
-				return fmt.Errorf("partition %d: LocalVerts[%d] %d != %d", p, l, pa.LocalVerts[l], pb.LocalVerts[l])
+		for l := range lva {
+			if lva[l] != lvb[l] {
+				return fmt.Errorf("partition %d: LocalVerts[%d] %d != %d", p, l, lva[l], lvb[l])
 			}
 		}
-		if pa.NumEdges() != pb.NumEdges() {
-			return fmt.Errorf("partition %d: %d edges != %d", p, pa.NumEdges(), pb.NumEdges())
+		if len(ea) != len(eb) || pa.NumEdges() != len(ea) || pb.NumEdges() != len(eb) {
+			return fmt.Errorf("partition %d: %d edges != %d", p, len(ea), len(eb))
 		}
-		for j := range pa.edges {
-			if pa.edges[j] != pb.edges[j] {
-				return fmt.Errorf("partition %d: edge %d %v != %v", p, j, pa.edges[j], pb.edges[j])
+		for j := range ea {
+			if ea[j] != eb[j] {
+				return fmt.Errorf("partition %d: edge %d %v != %v", p, j, ea[j], eb[j])
 			}
 		}
-		// The frontier index is derived lazily on every construction path
-		// (full build, hash-map oracle, delta patch, snapshot restore);
-		// forcing both builds here proves equivalent topologies derive
-		// identical indexes.
-		pa.ensureFrontierIndex()
-		pb.ensureFrontierIndex()
-		if !slices.Equal(pa.srcOff, pb.srcOff) || !slices.Equal(pa.srcPos, pb.srcPos) {
-			return fmt.Errorf("partition %d: source frontier index differs", p)
-		}
-		if !slices.Equal(pa.dstOff, pb.dstOff) || !slices.Equal(pa.dstPos, pb.dstPos) {
-			return fmt.Errorf("partition %d: destination frontier index differs", p)
+		for _, part := range []*Partition{pa, pb} {
+			if err := checkSpan(part); err != nil {
+				return fmt.Errorf("partition %d: %w", p, err)
+			}
 		}
 	}
 	for _, pg := range []*PartitionedGraph{a, b} {
 		if err := checkReplicas(pg); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// checkSpan requires part's bookkeeping to match its span: the dead and
+// ghost counts are the popcounts of their sets, a ghost is exactly a
+// mirror no live slot references, and the frontier index — whether built
+// by a sparse scan, carried by an append or shared by a retraction — is the
+// counting sort of the span, as buildEdgeIndex makes it on a fresh copy.
+// It builds the index when nobody has.
+func checkSpan(part *Partition) error {
+	nDead, nGhost := 0, 0
+	for _, w := range part.dead {
+		nDead += bits.OnesCount64(w)
+	}
+	for _, w := range part.ghost {
+		nGhost += bits.OnesCount64(w)
+	}
+	if nDead != part.nDead || nGhost != part.nGhost {
+		return fmt.Errorf("%d dead and %d ghost bits, counted %d and %d", nDead, nGhost, part.nDead, part.nGhost)
+	}
+	if part.dead != nil && len(part.dead) != (len(part.edges)+63)/64 {
+		return fmt.Errorf("dead set of %d words over %d slots", len(part.dead), len(part.edges))
+	}
+	ref := make([]bool, len(part.LocalVerts))
+	for j, e := range part.edges {
+		if !part.Dead(j) {
+			ref[e.Src], ref[e.Dst] = true, true
+		}
+	}
+	for l, r := range ref {
+		if r == part.Ghost(l) {
+			return fmt.Errorf("local vertex %d: referenced=%v but ghost=%v", l, r, part.Ghost(l))
+		}
+	}
+	part.ensureFrontierIndex()
+	fresh := &Partition{LocalVerts: part.LocalVerts, edgeSpan: &edgeSpan{edges: part.edges}}
+	buildEdgeIndex(fresh)
+	if !slices.Equal(part.srcOff, fresh.srcOff) || !slices.Equal(part.srcPos, fresh.srcPos) {
+		return fmt.Errorf("source frontier index differs from the counting sort of the span")
+	}
+	if !slices.Equal(part.dstOff, fresh.dstOff) || !slices.Equal(part.dstPos, fresh.dstPos) {
+		return fmt.Errorf("destination frontier index differs from the counting sort of the span")
 	}
 	return nil
 }

@@ -503,12 +503,16 @@ func TestScanAutoCrossesDensityThreshold(t *testing.T) {
 // random graph shapes, partition counts and directions. The seed corpus
 // includes a chain (density-threshold crossover mid-run, see
 // TestScanAutoCrossesDensityThreshold) and a dense clique-ish graph that
-// stays on the dense path throughout.
+// stays on the dense path throughout. Odd seeds draw a tombstoned topology:
+// a retraction patched in by ApplyDelta, dead slots and ghosts in place,
+// whose every scan must also match the dense scan of a cold build of the
+// same generation.
 func FuzzFrontierScanEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(60), uint16(400), uint8(7), uint8(0))
 	f.Add(int64(2), uint8(200), uint16(220), uint8(4), uint8(1)) // sparse chain-like: crossover
 	f.Add(int64(3), uint8(24), uint16(500), uint8(3), uint8(2))  // dense: stays above threshold
 	f.Add(int64(4), uint8(90), uint16(300), uint8(16), uint8(3))
+	f.Add(int64(5), uint8(120), uint16(700), uint8(9), uint8(1))
 	f.Fuzz(func(t *testing.T, seed int64, nv uint8, ne uint16, parts uint8, dir uint8) {
 		if nv < 2 {
 			nv = 2
@@ -516,7 +520,8 @@ func FuzzFrontierScanEquivalence(f *testing.F) {
 		numParts := int(parts%32) + 1
 		base := deltaEdges(seed, int(nv), int(ne)%1200+1)
 		g := graph.FromEdges(base)
-		a, err := partition.Assign(g, partition.EdgePartition2D(), numParts)
+		s := partition.EdgePartition2D()
+		a, err := partition.Assign(g, s, numParts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -525,60 +530,56 @@ func FuzzFrontierScanEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx := context.Background()
-		switch dir % 4 {
-		case 0: // Either, int64 min
-			ref, refStats, err := Run(ctx, pg, ccTestProgram(scanDense))
+		cold := pg
+		if seed%2 != 0 {
+			if seed%4 == 1 {
+				IndexFrontiers(pg) // the child shares its parent's index
+			}
+			ng, d, err := g.Shrink(retractBatch(rand.New(rand.NewSource(seed)), g, len(base)/5))
+			if err != nil || d.Compacted {
+				t.Fatalf("shrink: %v (compacted %v)", err, d.Compacted)
+			}
+			na, err := a.Extend(ng, s)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, policy := range []scanPath{scanSparse, scanByDensity} {
-				got, gotStats, err := Run(ctx, pg, ccTestProgram(policy))
-				if err != nil {
-					t.Fatal(err)
-				}
-				checkSameInt64(t, scanNames[policy], ref, got)
-				checkSameStats(t, scanNames[policy], refStats, gotStats)
-			}
-		case 1: // Out, order-sensitive float64
-			ref, refStats, err := Run(ctx, pg, pushTestProgram(scanDense))
-			if err != nil {
+			if pg, err = pg.ApplyDelta(na, nil); err != nil {
 				t.Fatal(err)
 			}
-			for _, policy := range []scanPath{scanSparse, scanByDensity} {
-				got, gotStats, err := Run(ctx, pg, pushTestProgram(policy))
-				if err != nil {
-					t.Fatal(err)
-				}
-				checkSameFloat64(t, scanNames[policy], ref, got)
-				checkSameStats(t, scanNames[policy], refStats, gotStats)
-			}
-		case 2: // In
-			ref, refStats, err := Run(ctx, pg, reverseReachProgram(scanDense))
-			if err != nil {
+			if cold, err = NewPartitionedGraphFromAssignment(na, BuildOptions{}); err != nil {
 				t.Fatal(err)
-			}
-			for _, policy := range []scanPath{scanSparse, scanByDensity} {
-				got, gotStats, err := Run(ctx, pg, reverseReachProgram(policy))
-				if err != nil {
-					t.Fatal(err)
-				}
-				checkSameInt64(t, scanNames[policy], ref, got)
-				checkSameStats(t, scanNames[policy], refStats, gotStats)
-			}
-		default: // Both
-			ref, refStats, err := Run(ctx, pg, handshakeProgram(scanDense))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, policy := range []scanPath{scanSparse, scanByDensity} {
-				got, gotStats, err := Run(ctx, pg, handshakeProgram(policy))
-				if err != nil {
-					t.Fatal(err)
-				}
-				checkSameInt64(t, scanNames[policy], ref, got)
-				checkSameStats(t, scanNames[policy], refStats, gotStats)
 			}
 		}
+		switch dir % 4 {
+		case 0: // Either, int64 min
+			checkScans(t, pg, cold, ccTestProgram, checkSameInt64)
+		case 1: // Out, order-sensitive float64
+			checkScans(t, pg, cold, pushTestProgram, checkSameFloat64)
+		case 2: // In
+			checkScans(t, pg, cold, reverseReachProgram, checkSameInt64)
+		default: // Both
+			checkScans(t, pg, cold, handshakeProgram, checkSameInt64)
+		}
 	})
+}
+
+// checkScans runs the program mk builds on pg pinned to the dense scan, on
+// cold (a cold build of pg's generation, or pg itself) likewise, and on pg
+// pinned sparse and by the density rule, and requires the same values and
+// statistics from all four.
+func checkScans[V, M any](t *testing.T, pg, cold *PartitionedGraph, mk func(scanPath) Program[V, M], same func(*testing.T, string, []V, []V)) {
+	t.Helper()
+	ctx := context.Background()
+	ref, refStats, err := Run(ctx, cold, mk(scanDense))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, policy := range []scanPath{scanDense, scanSparse, scanByDensity} {
+		got, gotStats, err := Run(ctx, pg, mk(policy))
+		if err != nil {
+			t.Fatal(err)
+		}
+		same(t, scanNames[policy], ref, got)
+		checkSameStats(t, scanNames[policy], refStats, gotStats)
+	}
 }

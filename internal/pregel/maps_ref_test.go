@@ -23,7 +23,7 @@ func newPartitionedGraphMaps(g *graph.Graph, assign []partition.PID, numParts in
 
 	parts := make([]*Partition, numParts)
 	for p := range parts {
-		parts[p] = &Partition{}
+		parts[p] = &Partition{edgeSpan: &edgeSpan{}}
 	}
 	numDead := g.NumDeadEdges()
 	counts := make([]int, numParts)
@@ -66,7 +66,7 @@ func newPartitionedGraphMaps(g *graph.Graph, assign []partition.PID, numParts in
 			seen[p][gidx] = int32(l)
 		}
 		parts[p].LocalVerts = lv
-		parts[p].edges = make([]localEdge, 0, counts[p])
+		parts[p].edges = make([]LocalEdge, 0, counts[p])
 	}
 	for i, e := range edges {
 		if numDead != 0 && !g.EdgeAlive(i) {
@@ -75,9 +75,9 @@ func newPartitionedGraphMaps(g *graph.Graph, assign []partition.PID, numParts in
 		p := assign[i]
 		si, _ := g.Index(e.Src)
 		di, _ := g.Index(e.Dst)
-		parts[p].edges = append(parts[p].edges, localEdge{
-			src: seen[p][si],
-			dst: seen[p][di],
+		parts[p].edges = append(parts[p].edges, LocalEdge{
+			Src: seen[p][si],
+			Dst: seen[p][di],
 		})
 	}
 	return &PartitionedGraph{
@@ -91,15 +91,16 @@ func newPartitionedGraphMaps(g *graph.Graph, assign []partition.PID, numParts in
 
 // replicaCountsRef is the serial reference count of every vertex's
 // replicas over nv global dense vertices, kept as the oracle for the sharded
-// ReplicaCounts: one pass over the mirror tables. nil entries of parts
-// contribute nothing.
+// ReplicaCounts: one pass over the live mirror tables (ghosts are no
+// replica). nil entries of parts contribute nothing.
 func replicaCountsRef(nv int, parts []*Partition) []int32 {
 	counts := make([]int32, nv)
 	for _, part := range parts {
 		if part == nil {
 			continue
 		}
-		for _, gidx := range part.LocalVerts {
+		lv, _ := part.Live()
+		for _, gidx := range lv {
 			counts[gidx]++
 		}
 	}

@@ -64,32 +64,49 @@ import (
 	"cutfit/internal/rng"
 )
 
-// localEdge is an edge expressed in partition-local vertex indices.
-type localEdge struct {
-	src, dst int32 // indices into Partition.LocalVerts
+// LocalEdge is an edge expressed in partition-local vertex indices: indices
+// into its partition's LocalVerts.
+type LocalEdge struct {
+	Src, Dst int32
 }
 
-// Partition is one edge partition with its local vertex mirror table.
+// Partition is one edge partition with its local vertex mirror table. A
+// retraction leaves a dead slot in the span and, for a mirror it leaves with
+// no live edge, a ghost in LocalVerts (see ApplyDelta); the engine skips
+// both, and whatever names the topology or leaves the process reads the
+// live view (Live), what a cold build of the generation holds.
 type Partition struct {
 	// LocalVerts maps local vertex index -> global dense vertex index,
-	// sorted ascending by global index.
+	// sorted ascending by global index; ghosts included.
 	LocalVerts []int32
-	edges      []localEdge
+	*edgeSpan
+
+	// dead marks the span slots whose edge a retraction tombstoned and ghost
+	// the mirrors no live edge references, nDead and nGhost counting them;
+	// both nil on a partition that has none.
+	dead, ghost   []uint64
+	nDead, nGhost int
+}
+
+// edgeSpan is a partition's edges and the frontier index over them: what a
+// retract step's child shares with its parent.
+type edgeSpan struct {
+	edges []LocalEdge
 
 	// srcOff/srcPos and dstOff/dstPos are the frontier index: two CSR
 	// groupings of the partition's edge positions by local source and local
 	// destination vertex. Edges of local vertex l are
 	// srcPos[srcOff[l]:srcOff[l+1]] (positions into edges, ascending within
-	// each group because the grouping pass is a stable counting sort). The
-	// engine's sparse compute path walks only the groups of frontier-active
-	// vertices instead of scanning every edge. The index costs 8 bytes per
-	// edge, so it is built lazily on the first sparse scan that needs it
-	// (frontierOnce) — dense-only workloads such as full PageRank supersteps
-	// never pay for it — and never changes afterwards: it is a pure function
-	// of the edge list, which is immutable once the partition is built. The
-	// one exception to lazy: ApplyDelta derives an append-only child's index
-	// from its parent's when the parent has one (carryFrontierIndex), and
-	// hands the child over with frontierOnce already done.
+	// each group because the grouping pass is a stable counting sort; dead
+	// slots included). The engine's sparse compute path walks only the
+	// groups of frontier-active vertices instead of scanning every edge. The
+	// index costs 8 bytes per edge, so it is built lazily on the first sparse
+	// scan that needs it (frontierOnce) — dense-only workloads such as full
+	// PageRank supersteps never pay for it — and never changes afterwards: it
+	// is a pure function of the edge list, which is immutable once the
+	// partition is built and shared by every retract child. An append child
+	// derives its index from its parent's when the parent has one
+	// (carryFrontierIndex), and is handed over with frontierOnce already done.
 	srcOff, srcPos []int32
 	dstOff, dstPos []int32
 	frontierOnce   sync.Once
@@ -107,18 +124,56 @@ func (p *Partition) ensureFrontierIndex() {
 	})
 }
 
-// NumEdges returns the number of edges in the partition.
-func (p *Partition) NumEdges() int { return len(p.edges) }
+// NumEdges returns the number of live edges in the partition.
+func (p *Partition) NumEdges() int { return len(p.edges) - p.nDead }
 
-// EdgeAt returns the local vertex indices of the partition's j-th edge.
+// NumSlots returns the length of the partition's edge span: its live edges
+// and the dead slots retractions left among them.
+func (p *Partition) NumSlots() int { return len(p.edges) }
+
+// EdgeAt returns the local vertex indices of the edge in slot j.
 func (p *Partition) EdgeAt(j int) (src, dst int32) {
 	e := p.edges[j]
-	return e.src, e.dst
+	return e.Src, e.Dst
 }
 
-// NumLocalVertices returns the number of distinct vertices reconstructed in
-// the partition.
-func (p *Partition) NumLocalVertices() int { return len(p.LocalVerts) }
+// Dead reports whether slot j holds a retracted edge.
+func (p *Partition) Dead(j int) bool { return p.dead != nil && bitSet(p.dead, j) }
+
+// Ghost reports whether local vertex l is a mirror no live edge references.
+func (p *Partition) Ghost(l int) bool { return p.ghost != nil && bitSet(p.ghost, l) }
+
+// NumLocalVertices returns the number of distinct vertices the partition's
+// live edges touch: its mirrors, ghosts excluded.
+func (p *Partition) NumLocalVertices() int { return len(p.LocalVerts) - p.nGhost }
+
+// Live returns the partition as a cold build of its generation holds it: the
+// mirror table without ghosts and the live edges renumbered to it. A
+// partition with no dead slot and no ghost returns its own tables, which
+// callers must not modify; otherwise both are fresh.
+func (p *Partition) Live() ([]int32, []LocalEdge) {
+	if p.nDead == 0 && p.nGhost == 0 {
+		return p.LocalVerts, p.edges
+	}
+	lv := make([]int32, 0, p.NumLocalVertices())
+	to := make([]int32, len(p.LocalVerts))
+	for l, g := range p.LocalVerts {
+		if !p.Ghost(l) {
+			to[l] = int32(len(lv))
+			lv = append(lv, g)
+		}
+	}
+	out := make([]LocalEdge, 0, p.NumEdges())
+	for j, e := range p.edges {
+		if !p.Dead(j) {
+			out = append(out, LocalEdge{Src: to[e.Src], Dst: to[e.Dst]})
+		}
+	}
+	return lv, out
+}
+
+// bitSet reports bit i of a bitset.
+func bitSet(b []uint64, i int) bool { return b[i>>6]>>(uint(i)&63)&1 != 0 }
 
 // BuildOptions tunes partitioned-graph construction and engine execution.
 // The zero value is ready to use. How many goroutines a build or a run fans
@@ -178,6 +233,22 @@ type PartitionedGraph struct {
 	// (see TopologySum).
 	topoOnce sync.Once
 	topoSum  uint64
+
+	// spanDead is, when hasSpanDead, the tombstone set the spans were
+	// scattered against — a position whose bit is set has no slot — for
+	// ApplyDelta keeps slots in place: it is the set of the generation last
+	// built or restored, and every position appended since has a slot.
+	spanDead    []uint64
+	hasSpanDead bool
+}
+
+// slotless returns the tombstone set the partitions' spans were scattered
+// against: spanDead, or G's own.
+func (pg *PartitionedGraph) slotless() []uint64 {
+	if pg.hasSpanDead {
+		return pg.spanDead
+	}
+	return pg.G.Tombstones()
 }
 
 // maxScratchTypes bounds how many distinct program types park scratches in
@@ -311,7 +382,7 @@ func (pg *PartitionedGraph) buildSortScatter() error {
 	// indices; the localize pass rewrites them in place to local indices.
 	// The buffer holds live edges only — the count pass skipped tombstones
 	// with the same predicate, so the cursors line up exactly.
-	edgeBuf := make([]localEdge, partStart[numParts])
+	edgeBuf := make([]LocalEdge, partStart[numParts])
 	errs := make([]error, shards)
 	if err := par.Ranges(shards, units, func(s, lo, hi int) {
 		lo, hi = edgeRange(lo, hi)
@@ -323,7 +394,7 @@ func (pg *PartitionedGraph) buildSortScatter() error {
 					continue
 				}
 				p := assign[i]
-				edgeBuf[cur[p]] = localEdge{src: srcIdx[j], dst: dstIdx[j]}
+				edgeBuf[cur[p]] = LocalEdge{Src: srcIdx[j], Dst: dstIdx[j]}
 				cur[p]++
 			}
 			return nil
@@ -345,10 +416,10 @@ func (pg *PartitionedGraph) buildSortScatter() error {
 // local ones. A partition takes one growable endpoint scratch off a free
 // list of GOMAXPROCS slots — one per goroutine that can be localizing at
 // once — and puts it back when done.
-func (pg *PartitionedGraph) scatterFinish(edgeBuf []localEdge, partStart []int64) error {
+func (pg *PartitionedGraph) scatterFinish(edgeBuf []LocalEdge, partStart []int64) error {
 	parts := make([]*Partition, pg.NumParts)
 	for p := range parts {
-		parts[p] = &Partition{edges: edgeBuf[partStart[p]:partStart[p+1]:partStart[p+1]]}
+		parts[p] = &Partition{edgeSpan: &edgeSpan{edges: edgeBuf[partStart[p]:partStart[p+1]:partStart[p+1]]}}
 	}
 	pg.Parts = parts
 	workers := par.DefaultParallelism()
@@ -375,8 +446,8 @@ func buildEdgeIndex(part *Partition) {
 	srcOff := make([]int32, n+1)
 	dstOff := make([]int32, n+1)
 	for _, e := range part.edges {
-		srcOff[e.src+1]++
-		dstOff[e.dst+1]++
+		srcOff[e.Src+1]++
+		dstOff[e.Dst+1]++
 	}
 	for i := 0; i < n; i++ {
 		srcOff[i+1] += srcOff[i]
@@ -385,10 +456,10 @@ func buildEdgeIndex(part *Partition) {
 	srcPos := make([]int32, m)
 	dstPos := make([]int32, m)
 	for j, e := range part.edges {
-		srcPos[srcOff[e.src]] = int32(j)
-		srcOff[e.src]++
-		dstPos[dstOff[e.dst]] = int32(j)
-		dstOff[e.dst]++
+		srcPos[srcOff[e.Src]] = int32(j)
+		srcOff[e.Src]++
+		dstPos[dstOff[e.Dst]] = int32(j)
+		dstOff[e.Dst]++
 	}
 	copy(srcOff[1:], srcOff[:n])
 	srcOff[0] = 0
@@ -426,8 +497,8 @@ func (s *localizeScratch) localize(part *Partition, nv int) {
 	}
 	words, rank := s.words[:nw], s.rank[:nw+1]
 	for _, e := range edges {
-		words[e.src>>6] |= 1 << (uint32(e.src) & 63)
-		words[e.dst>>6] |= 1 << (uint32(e.dst) & 63)
+		words[e.Src>>6] |= 1 << (uint32(e.Src) & 63)
+		words[e.Dst>>6] |= 1 << (uint32(e.Dst) & 63)
 	}
 	n := int32(0)
 	for w, word := range words {
@@ -450,7 +521,7 @@ func (s *localizeScratch) localize(part *Partition, nv int) {
 		return rank[g>>6] + int32(bits.OnesCount64(words[g>>6]&(1<<(uint32(g)&63)-1)))
 	}
 	for j, e := range edges {
-		edges[j] = localEdge{src: local(e.src), dst: local(e.dst)}
+		edges[j] = LocalEdge{Src: local(e.Src), Dst: local(e.Dst)}
 	}
 	// Clear only the words this partition touched, via the vertex table
 	// itself — partitions far smaller than the graph don't pay O(nv).
@@ -472,8 +543,8 @@ func (pg *PartitionedGraph) FrontierIndexes() int {
 }
 
 // ReplicaCounts returns, per global dense vertex, how many partitions mirror
-// it: the replica count the §3.1 metrics sum. Nothing is kept; every call
-// counts afresh, sharded by global vertex range over GOMAXPROCS workers the
+// it (a ghost is no mirror): the replica count the §3.1 metrics sum. Nothing
+// is kept; every call counts afresh, sharded by global vertex range over GOMAXPROCS workers the
 // way the reduce phase splits its merge: a shard finds its range in each
 // partition by binary search (LocalVerts is sorted) and owns its counts.
 func (pg *PartitionedGraph) ReplicaCounts() []int32 {
@@ -482,8 +553,10 @@ func (pg *PartitionedGraph) ReplicaCounts() []int32 {
 		for _, part := range pg.Parts {
 			lo, _ := slices.BinarySearch(part.LocalVerts, int32(gLo))
 			hi, _ := slices.BinarySearch(part.LocalVerts, int32(gHi))
-			for _, g := range part.LocalVerts[lo:hi] {
-				counts[g]++
+			for l := lo; l < hi; l++ {
+				if !part.Ghost(l) {
+					counts[part.LocalVerts[l]]++
+				}
 			}
 		}
 	}); err != nil {
@@ -499,8 +572,8 @@ func (pg *PartitionedGraph) ReplicaCounts() []int32 {
 func (pg *PartitionedGraph) AssignOrder() []partition.PID { return pg.assign }
 
 // TopologySum content-addresses the partitioned topology: a fold over every
-// partition's local vertex table and edge list, one 64-bit word at a time
-// (the chaining Graph.Fingerprint uses).
+// partition's live local vertex table and edge list (Partition.Live), one
+// 64-bit word at a time (the chaining Graph.Fingerprint uses).
 // Combined with the graph fingerprint it names a shard generation in
 // internal/dist, so a worker holding a stale shard can never silently serve
 // the wrong topology. A built topology is immutable — ApplyDelta returns a
@@ -510,13 +583,14 @@ func (pg *PartitionedGraph) TopologySum() uint64 {
 	pg.topoOnce.Do(func() {
 		h := rng.Combine2(0, uint64(pg.NumParts))
 		for _, part := range pg.Parts {
-			h = rng.Combine2(h, uint64(len(part.LocalVerts)))
-			for _, g := range part.LocalVerts {
+			lv, edges := part.Live()
+			h = rng.Combine2(h, uint64(len(lv)))
+			for _, g := range lv {
 				h = rng.Combine2(h, uint64(uint32(g)))
 			}
-			h = rng.Combine2(h, uint64(len(part.edges)))
-			for _, e := range part.edges {
-				h = rng.Combine2(h, uint64(uint32(e.src))<<32|uint64(uint32(e.dst)))
+			h = rng.Combine2(h, uint64(len(edges)))
+			for _, e := range edges {
+				h = rng.Combine2(h, uint64(uint32(e.Src))<<32|uint64(uint32(e.Dst)))
 			}
 		}
 		pg.topoSum = h
@@ -524,28 +598,29 @@ func (pg *PartitionedGraph) TopologySum() uint64 {
 	return pg.topoSum
 }
 
-// TotalMirrors returns the total number of mirror slots across all
-// partitions (= Σ ReplicaCounts = metrics CommCost + NonCut).
+// TotalMirrors returns the total number of mirrors across all partitions,
+// ghosts excluded (= Σ ReplicaCounts = metrics CommCost + NonCut).
 func (pg *PartitionedGraph) TotalMirrors() int64 {
 	var n int64
 	for _, part := range pg.Parts {
-		n += int64(len(part.LocalVerts))
+		n += int64(part.NumLocalVertices())
 	}
 	return n
 }
 
-// MemoryFootprint approximates the bytes the topology alone retains — the
-// shared edge buffer, per-partition mirror tables, and the lazily built
-// frontier index and triangle plan once they exist — and so grows when a
-// first reader builds one of them; cache layers re-price after a run. What
-// the topology holds together with others is priced by Shares instead: the
-// Graph, the assignment's PID slice, the lineage's parked engine scratch.
-// Mirror tables an ApplyDelta child inherited unchanged are counted by both
-// topologies.
+// MemoryFootprint approximates the bytes the topology retains — the edge
+// spans, dead slots included, per-partition mirror tables, ghosts included,
+// the dead and ghost bitsets, and the lazily built frontier index and
+// triangle plan once they exist — and so grows when a first reader builds
+// one of them; cache layers re-price after a run. What the topology holds
+// together with others is priced by Shares instead: the Graph, the
+// assignment's PID slice, the lineage's parked engine scratch. Mirror
+// tables an ApplyDelta child inherited unchanged, and the spans and
+// frontier indexes a retract child shares, are counted by both topologies.
 func (pg *PartitionedGraph) MemoryFootprint() int64 {
 	var b int64
 	for _, part := range pg.Parts {
-		b += int64(len(part.edges))*8 + int64(len(part.LocalVerts))*4
+		b += int64(len(part.edges))*8 + int64(len(part.LocalVerts))*4 + int64(len(part.dead)+len(part.ghost))*8
 		// Frontier index: two position arrays and two offset tables. Built
 		// lazily, so a topology that has only run dense scans costs nothing
 		// here. The size is computed from the flag rather than the slices —

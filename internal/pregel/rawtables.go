@@ -14,12 +14,12 @@ import (
 // internal/snap writes both verbatim, and Partitions is the one way back.
 type PartTables struct {
 	// PartStart delimits each partition's span in the scattered edge
-	// arrays: the i-th partition's edges are indices
-	// [PartStart[i], PartStart[i+1]), and PartStart ends at len(EdgeSrc).
+	// array: the i-th partition's edges are indices
+	// [PartStart[i], PartStart[i+1]), and PartStart ends at len(Edges).
 	PartStart []int64
-	// EdgeSrc/EdgeDst are the partition-local endpoint indices of every
-	// scattered edge, aligned with each other.
-	EdgeSrc, EdgeDst []int32
+	// Edges holds the partition-local endpoint indices of every scattered
+	// edge; Partitions keeps it as the partitions' edge buffer.
+	Edges []LocalEdge
 	// LocalVertsOffsets delimits each partition's mirror table in
 	// LocalVerts, as PartStart does the edges.
 	LocalVertsOffsets []int64
@@ -43,7 +43,9 @@ type RawTables struct {
 }
 
 // Tables flattens the partitions named by idx, in that order, into their
-// columnar form. All slices are freshly allocated; mutating them never
+// columnar form: each partition's live view (Partition.Live), so a
+// tombstoned topology flattens to the tables a cold build of its
+// generation does. All slices are freshly allocated; mutating them never
 // touches pg.
 func (pg *PartitionedGraph) Tables(idx []int) PartTables {
 	pt := PartTables{
@@ -53,22 +55,17 @@ func (pg *PartitionedGraph) Tables(idx []int) PartTables {
 	var ne, nlv int64
 	for i, p := range idx {
 		part := pg.Parts[p]
-		ne += int64(len(part.edges))
-		nlv += int64(len(part.LocalVerts))
+		ne += int64(part.NumEdges())
+		nlv += int64(part.NumLocalVertices())
 		pt.PartStart[i+1] = ne
 		pt.LocalVertsOffsets[i+1] = nlv
 	}
-	pt.EdgeSrc = make([]int32, ne)
-	pt.EdgeDst = make([]int32, ne)
+	pt.Edges = make([]LocalEdge, ne)
 	pt.LocalVerts = make([]int32, nlv)
 	for i, p := range idx {
-		part := pg.Parts[p]
-		base := pt.PartStart[i]
-		for j, e := range part.edges {
-			pt.EdgeSrc[base+int64(j)] = e.src
-			pt.EdgeDst[base+int64(j)] = e.dst
-		}
-		copy(pt.LocalVerts[pt.LocalVertsOffsets[i]:], part.LocalVerts)
+		lv, edges := pg.Parts[p].Live()
+		copy(pt.Edges[pt.PartStart[i]:], edges)
+		copy(pt.LocalVerts[pt.LocalVertsOffsets[i]:], lv)
 	}
 	return pt
 }
@@ -93,19 +90,16 @@ func (pg *PartitionedGraph) RawTables() RawTables {
 // ascends strictly within [0, nv); every edge endpoint indexes into its
 // partition's mirror table. Corrupt or forged tables therefore fail loudly
 // instead of producing a wrong-but-plausible topology. The mirror tables
-// are retained (not copied); callers must hand over ownership.
+// and the edge array are retained (not copied); callers must hand over
+// ownership.
 func (pt PartTables) Partitions(n, nv int) ([]*Partition, error) {
-	if len(pt.EdgeSrc) != len(pt.EdgeDst) {
-		return nil, fmt.Errorf("pregel: partition tables hold %d edge sources but %d destinations", len(pt.EdgeSrc), len(pt.EdgeDst))
-	}
-	if err := checkOffsets("PartStart", pt.PartStart, n, int64(len(pt.EdgeSrc))); err != nil {
+	if err := checkOffsets("PartStart", pt.PartStart, n, int64(len(pt.Edges))); err != nil {
 		return nil, err
 	}
 	if err := checkOffsets("LocalVertsOffsets", pt.LocalVertsOffsets, n, int64(len(pt.LocalVerts))); err != nil {
 		return nil, err
 	}
 	parts := make([]*Partition, n)
-	edgeBuf := make([]localEdge, len(pt.EdgeSrc))
 	for p := range parts {
 		lo, hi := pt.LocalVertsOffsets[p], pt.LocalVertsOffsets[p+1]
 		lv := pt.LocalVerts[lo:hi:hi]
@@ -118,18 +112,16 @@ func (pt PartTables) Partitions(n, nv int) ([]*Partition, error) {
 				return nil, fmt.Errorf("pregel: partition %d mirror table not strictly ascending at slot %d", p, j)
 			}
 		}
-		// Assemble the edge buffer, validating each localized endpoint
-		// against the mirror-table size in the same pass.
+		// Every localized endpoint must index the mirror table.
 		m := uint32(len(lv))
 		es, ee := pt.PartStart[p], pt.PartStart[p+1]
-		for i := es; i < ee; i++ {
-			s, d := pt.EdgeSrc[i], pt.EdgeDst[i]
-			if uint32(s) >= m || uint32(d) >= m {
-				return nil, fmt.Errorf("pregel: partition %d edge %d references local vertex outside its %d-slot mirror table", p, i-es, m)
+		edges := pt.Edges[es:ee:ee]
+		for j, e := range edges {
+			if uint32(e.Src) >= m || uint32(e.Dst) >= m {
+				return nil, fmt.Errorf("pregel: partition %d edge %d references local vertex outside its %d-slot mirror table", p, j, m)
 			}
-			edgeBuf[i] = localEdge{src: s, dst: d}
 		}
-		parts[p] = &Partition{LocalVerts: lv, edges: edgeBuf[es:ee:ee]}
+		parts[p] = &Partition{LocalVerts: lv, edgeSpan: &edgeSpan{edges: edges}}
 	}
 	return parts, nil
 }

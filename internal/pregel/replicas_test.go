@@ -92,16 +92,18 @@ func TestShardTopologyMirroredSet(t *testing.T) {
 
 // retractionPositionsRef is the serial construction retractionPositions
 // replaced: one ascending pass over the old span tracking each partition's
-// running position in its live edge list.
+// running slot in its span — every position the scatter gave a slot, dead
+// or alive (see PartitionedGraph.spanDead).
 func retractionPositionsRef(pg *PartitionedGraph, ng *graph.Graph, oldLen int) [][]int32 {
 	var removed [][]int32
 	pos := make([]int32, pg.NumParts)
+	slotless := pg.slotless()
 	for i := 0; i < oldLen; i++ {
-		if !pg.G.EdgeAlive(i) {
+		if i>>6 < len(slotless) && bitSet(slotless, i) {
 			continue
 		}
 		p := pg.assign[i]
-		if !ng.EdgeAlive(i) {
+		if pg.G.EdgeAlive(i) && !ng.EdgeAlive(i) {
 			if removed == nil {
 				removed = make([][]int32, pg.NumParts)
 			}

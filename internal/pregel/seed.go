@@ -115,8 +115,7 @@ func RunStamped[V, M any](ctx context.Context, pg *PartitionedGraph, prog Progra
 //     neighbours become suspects in turn. The retracted edges' suspects are
 //     checked on every core before the serial worklist takes the unsupported
 //     ones. Neighbours are read off pg's frontier index, which the seeded run
-//     needs anyway, in the partitions a binary search of their sorted mirror
-//     tables finds the vertex in, stopping once its replica count is met;
+//     needs anyway, in the partitions that mirror the vertex (mirrorSets);
 //   - puts the reset vertices, and both endpoints of every appended edge
 //     whose endpoints' values disagree, on the frontier.
 //
@@ -228,7 +227,7 @@ func SeedLabels[V comparable](pg *PartitionedGraph, parent *Answer[V], oldLen in
 	if err := par.ForEach(context.Background(), par.DefaultParallelism(), pg.NumParts, func(p int) { pg.Parts[p].ensureFrontierIndex() }); err != nil {
 		return nil, err
 	}
-	reps := pg.ReplicaCounts()
+	holders := pg.mirrorSets()
 	// A reset vertex holds its own initial value again, so it reads as a root
 	// from then on: never reset twice, and no support for a neighbour (whose
 	// value it could only share by having been that value's root, and roots
@@ -238,7 +237,7 @@ func SeedLabels[V comparable](pg *PartitionedGraph, parent *Answer[V], oldLen in
 		if val == init(verts[v]) {
 			return false
 		}
-		for u := range pg.neighbors(reps, v) {
+		for u := range pg.neighbors(holders, v) {
 			if vals[u] == val && stamps[u] < stamp {
 				return false
 			}
@@ -273,7 +272,7 @@ func SeedLabels[V comparable](pg *PartitionedGraph, parent *Answer[V], oldLen in
 		val, stamp := vals[v], stamps[v]
 		vals[v], stamps[v] = init(verts[v]), clock
 		activate(v)
-		for u := range pg.neighbors(reps, v) {
+		for u := range pg.neighbors(holders, v) {
 			if vals[u] == val && stamps[u] > stamp {
 				work = append(work, u)
 			}
@@ -282,34 +281,54 @@ func SeedLabels[V comparable](pg *PartitionedGraph, parent *Answer[V], oldLen in
 	return st, nil
 }
 
-// neighbors yields the other endpoint of every live edge at global dense
-// vertex v, partition by partition through the frontier index (an edge met
-// from both sides, a parallel edge or a self-loop yields its vertex again).
-// The partitions holding v are found by binary search in their sorted
-// LocalVerts, ascending, and the search stops once it has found all reps[v]
-// of them (reps from ReplicaCounts). The partitions' frontier indexes are
-// built as needed.
-func (pg *PartitionedGraph) neighbors(reps []int32, v int32) iter.Seq[int32] {
-	return func(yield func(int32) bool) {
-		left := reps[v]
-		for _, part := range pg.Parts {
-			if left == 0 {
-				return
-			}
-			l, ok := slices.BinarySearch(part.LocalVerts, v)
-			if !ok {
-				continue
-			}
-			left--
-			part.ensureFrontierIndex()
-			for _, j := range part.srcPos[part.srcOff[l]:part.srcOff[l+1]] {
-				if !yield(part.LocalVerts[part.edges[j].dst]) {
-					return
+// mirrorSets returns, per global dense vertex v, the set of partitions
+// that mirror it (ghosts are no mirror) as the bits of
+// sets[v*w:(v+1)*w], w = ⌈NumParts/64⌉ words: counted like ReplicaCounts,
+// sharded by global vertex range.
+func (pg *PartitionedGraph) mirrorSets() []uint64 {
+	w := (pg.NumParts + 63) / 64
+	nv := pg.G.NumVertices()
+	sets := make([]uint64, nv*w)
+	if err := par.Ranges(par.DefaultParallelism(), nv, func(_, gLo, gHi int) {
+		for p, part := range pg.Parts {
+			lo, _ := slices.BinarySearch(part.LocalVerts, int32(gLo))
+			hi, _ := slices.BinarySearch(part.LocalVerts, int32(gHi))
+			for l := lo; l < hi; l++ {
+				if !part.Ghost(l) {
+					sets[int(part.LocalVerts[l])*w+p>>6] |= 1 << (uint(p) & 63)
 				}
 			}
-			for _, j := range part.dstPos[part.dstOff[l]:part.dstOff[l+1]] {
-				if !yield(part.LocalVerts[part.edges[j].src]) {
-					return
+		}
+	}); err != nil {
+		panic(err)
+	}
+	return sets
+}
+
+// neighbors yields the other endpoint of every live edge at global dense
+// vertex v, partition by partition through the frontier index, dead slots
+// skipped (an edge met from both sides, a parallel edge or a self-loop
+// yields its vertex again). The partitions mirroring v are the bits of its
+// mirrorSets entry, ascending; in each, v's slot is found by binary search
+// in the sorted LocalVerts. The partitions' frontier indexes are built as
+// needed.
+func (pg *PartitionedGraph) neighbors(sets []uint64, v int32) iter.Seq[int32] {
+	w := (pg.NumParts + 63) / 64
+	return func(yield func(int32) bool) {
+		for i, word := range sets[int(v)*w : int(v+1)*w] {
+			for ; word != 0; word &= word - 1 {
+				part := pg.Parts[i<<6+bits.TrailingZeros64(word)]
+				l, _ := slices.BinarySearch(part.LocalVerts, v)
+				part.ensureFrontierIndex()
+				for _, j := range part.srcPos[part.srcOff[l]:part.srcOff[l+1]] {
+					if !part.Dead(int(j)) && !yield(part.LocalVerts[part.edges[j].Dst]) {
+						return
+					}
+				}
+				for _, j := range part.dstPos[part.dstOff[l]:part.dstOff[l+1]] {
+					if !part.Dead(int(j)) && !yield(part.LocalVerts[part.edges[j].Src]) {
+						return
+					}
 				}
 			}
 		}

@@ -14,7 +14,7 @@ import (
 // to the coordinator's SuperstepStats.
 type ComputeStats struct {
 	Scanned int64   // edges whose SendMsg actually ran
-	Visited int64   // edges examined (dense: all; sparse: candidate set)
+	Visited int64   // edges examined (dense: all live; sparse: live candidates)
 	Emitted int64   // messages emitted before local combining
 	Cost    float64 // summed EdgeCost of scanned triplets
 }
@@ -225,7 +225,7 @@ func (sc *ShardCompute[V, M]) Scan(ctx context.Context) error {
 // scanOwned is Scan's share for the i-th owned partition.
 func (sc *ShardCompute[V, M]) scanOwned(i int) {
 	sp := &sc.parts[sc.topo.owned[i]]
-	act, _, _ := pullMirrors(&sc.prog, sp.part.LocalVerts, sp.vals, sc.master, sc.changed, false, sp.fw)
+	act, _, _ := pullMirrors(&sc.prog, sp.part, sp.vals, sc.master, sc.changed, false, sp.fw)
 	em := &sp.em
 	clear(em.has)
 	em.emitted = 0

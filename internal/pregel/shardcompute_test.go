@@ -357,7 +357,7 @@ func TestTopologySumOncePerTopology(t *testing.T) {
 	sum := pg.TopologySum()
 	// Were the second call to hash again it would see this edit.
 	e := &pg.Parts[0].edges[0]
-	e.src, e.dst = e.dst, e.src+1
+	e.Src, e.Dst = e.Dst, e.Src+1
 	if again := pg.TopologySum(); again != sum {
 		t.Fatalf("second TopologySum re-hashed the topology: %016x then %016x", sum, again)
 	}

@@ -194,9 +194,10 @@ func TestApplyDeltaSlideWindowMatchesFullBuild(t *testing.T) {
 
 // FuzzApplyShrink drives random (base, retraction, suffix, strategy, parts)
 // tuples through the shrink/slide delta path and cross-checks against the
-// full rebuild. Compacted generations sever the delta chain by contract;
-// for those the fuzzer only proves the rebuild still works. Run long via
-// `make fuzz`; the seed corpus runs on every `go test`.
+// full rebuild; about half the draws start from a tombstoned parent, a
+// retraction patched in first. Compacted generations sever the delta chain
+// by contract; for those the fuzzer only proves the rebuild still works.
+// Run long via `make fuzz`; the seed corpus runs on every `go test`.
 func FuzzApplyShrink(f *testing.F) {
 	f.Add(int64(1), uint16(300), uint16(30), uint16(0), uint8(8), uint8(0))
 	f.Add(int64(2), uint16(1), uint16(1), uint16(1), uint8(1), uint8(1))
@@ -218,6 +219,16 @@ func FuzzApplyShrink(f *testing.F) {
 		pg, err := NewPartitionedGraphFromAssignment(a, BuildOptions{})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if r.Intn(2) == 0 {
+			// A tombstoned parent: a retraction patched in first.
+			if pre, pd, err := g.Shrink(retractBatch(r, g, len(base)/10)); err == nil && !pd.Compacted && pre != g {
+				pa, err := a.Extend(pre, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				g, a, pg = pre, pa, deltaStep(t, pg, pa, nil, r.Intn(2) == 0)
+			}
 		}
 		var ng *graph.Graph
 		var d graph.Delta

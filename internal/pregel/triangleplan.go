@@ -8,7 +8,8 @@ import (
 
 // TriangleRuns is one partition's share of the triangle plan: its canonical
 // undirected edges — graph.CanonicalEdges restricted to the live edges the
-// partition holds — as a CSR from hub to leaves. An edge's hub is its
+// partition holds — as a CSR from hub to leaves, in the partition's live
+// view (Partition.Live numbers the local vertices). An edge's hub is its
 // endpoint with the larger undirected neighbor set (the source on ties), its
 // leaf the other endpoint; both are local vertex indices. The leaves of
 // local vertex l, one per canonical edge whose hub is l, are
@@ -44,7 +45,8 @@ func (pg *PartitionedGraph) buildTrianglePlan() []TriangleRuns {
 	canon := g.CanonicalEdges()
 	numDead := g.NumDeadEdges()
 
-	// Partitions hold their live edges in global edge order, so one pass
+	// Partitions hold their live edges in global edge order (dead slots
+	// aside, which the live views below drop), so one pass
 	// over the assignment with a cursor per partition recovers every
 	// canonical edge's local position. Tombstoned slots advance nothing.
 	canonPos := make([][]int32, pg.NumParts)
@@ -64,10 +66,11 @@ func (pg *PartitionedGraph) buildTrianglePlan() []TriangleRuns {
 	plan := make([]TriangleRuns, pg.NumParts)
 	for p, part := range pg.Parts {
 		pos := canonPos[p]
-		nLocal := part.NumLocalVertices()
+		lv, edges := part.Live()
+		nLocal := len(lv)
 		off := make([]int32, nLocal+1)
 		for _, j := range pos {
-			hub, _ := hubAndLeaf(g, part, j)
+			hub, _ := hubAndLeaf(g, lv, edges[j])
 			off[hub+1]++
 		}
 		for l := 0; l < nLocal; l++ {
@@ -76,7 +79,7 @@ func (pg *PartitionedGraph) buildTrianglePlan() []TriangleRuns {
 		leaf := make([]int32, len(pos))
 		fill := slices.Clone(off[:nLocal]) // where each hub's next leaf goes
 		for _, j := range pos {
-			hub, lf := hubAndLeaf(g, part, j)
+			hub, lf := hubAndLeaf(g, lv, edges[j])
 			leaf[fill[hub]] = lf
 			fill[hub]++
 		}
@@ -85,11 +88,10 @@ func (pg *PartitionedGraph) buildTrianglePlan() []TriangleRuns {
 	return plan
 }
 
-// hubAndLeaf splits the partition's j-th edge by the hub rule.
-func hubAndLeaf(g *graph.Graph, p *Partition, j int32) (hub, leaf int32) {
-	e := p.edges[j]
-	if len(g.UndirectedNeighbors(p.LocalVerts[e.dst])) > len(g.UndirectedNeighbors(p.LocalVerts[e.src])) {
-		return e.dst, e.src
+// hubAndLeaf splits a local edge over mirror table lv by the hub rule.
+func hubAndLeaf(g *graph.Graph, lv []int32, e LocalEdge) (hub, leaf int32) {
+	if len(g.UndirectedNeighbors(lv[e.Dst])) > len(g.UndirectedNeighbors(lv[e.Src])) {
+		return e.Dst, e.Src
 	}
-	return e.src, e.dst
+	return e.Src, e.Dst
 }

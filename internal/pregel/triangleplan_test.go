@@ -21,7 +21,10 @@ func checkTrianglePlan(t *testing.T, pg *PartitionedGraph) {
 	g := pg.G
 	canon := g.CanonicalEdges()
 	want := make([][][]int32, pg.NumParts) // partition -> hub -> leaves
+	lvs := make([][]int32, pg.NumParts)
+	edges := make([][]LocalEdge, pg.NumParts)
 	for p, part := range pg.Parts {
+		lvs[p], edges[p] = part.Live()
 		want[p] = make([][]int32, part.NumLocalVertices())
 	}
 	cursor := make([]int, pg.NumParts)
@@ -30,9 +33,9 @@ func checkTrianglePlan(t *testing.T, pg *PartitionedGraph) {
 			continue
 		}
 		if canon[i>>6]&(1<<(uint(i)&63)) != 0 {
-			part := pg.Parts[p]
-			hub, leaf := part.EdgeAt(cursor[p])
-			if len(g.UndirectedNeighbors(part.LocalVerts[leaf])) > len(g.UndirectedNeighbors(part.LocalVerts[hub])) {
+			e, lv := edges[p][cursor[p]], lvs[p]
+			hub, leaf := e.Src, e.Dst
+			if len(g.UndirectedNeighbors(lv[leaf])) > len(g.UndirectedNeighbors(lv[hub])) {
 				hub, leaf = leaf, hub
 			}
 			want[p][hub] = append(want[p][hub], leaf)

@@ -151,6 +151,20 @@ func decodeI32s(p []byte, name string) ([]int32, error) {
 	return out, nil
 }
 
+// decodeLocalEdges pairs the EdgeSrc and EdgeDst sections, two aligned
+// little-endian int32 arrays, into one edge array.
+func decodeLocalEdges(src, dst []byte) ([]pregel.LocalEdge, error) {
+	if len(src)%4 != 0 || len(src) != len(dst) {
+		return nil, fmt.Errorf("snap: EdgeSrc and EdgeDst sections of %d and %d bytes are not aligned int32 arrays", len(src), len(dst))
+	}
+	out := make([]pregel.LocalEdge, len(src)/4)
+	for i := range out {
+		out[i].Src = int32(binary.LittleEndian.Uint32(src[4*i:]))
+		out[i].Dst = int32(binary.LittleEndian.Uint32(dst[4*i:]))
+	}
+	return out, nil
+}
+
 func encodeI64s(vals []int64) []byte {
 	out := make([]byte, 0, 8*len(vals))
 	for _, v := range vals {
@@ -808,13 +822,20 @@ func EncodeTopology(pg *pregel.PartitionedGraph, strategyKey string) []byte {
 // addPartTables writes the five partition-table sections, ids 3–7 in order.
 func addPartTables(b *Builder, pt *pregel.PartTables) {
 	b.Section(secPartStart, encodeI64s(pt.PartStart))
-	b.Section(secEdgeSrc, encodeI32s(pt.EdgeSrc))
-	b.Section(secEdgeDst, encodeI32s(pt.EdgeDst))
+	src := make([]byte, 0, 4*len(pt.Edges))
+	dst := make([]byte, 0, 4*len(pt.Edges))
+	for _, e := range pt.Edges {
+		src = binary.LittleEndian.AppendUint32(src, uint32(e.Src))
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(e.Dst))
+	}
+	b.Section(secEdgeSrc, src)
+	b.Section(secEdgeDst, dst)
 	b.Section(secLocalOffsets, encodeI64s(pt.LocalVertsOffsets))
 	b.Section(secLocalVerts, encodeI32s(pt.LocalVerts))
 }
 
-// readPartTables reads the five partition-table sections back. Their
+// readPartTables reads the five partition-table sections back, the two edge
+// halves straight into the one edge array the partitions keep. Their
 // structure is checked by pregel.PartTables.Partitions, not here.
 func readPartTables(c *Container) (pregel.PartTables, error) {
 	var pt pregel.PartTables
@@ -839,8 +860,10 @@ func readPartTables(c *Container) (pregel.PartTables, error) {
 		return out
 	}
 	pt.PartStart = i64(secPartStart, "PartStart")
-	pt.EdgeSrc = i32(secEdgeSrc, "EdgeSrc")
-	pt.EdgeDst = i32(secEdgeDst, "EdgeDst")
+	src, dst := get(secEdgeSrc, "EdgeSrc"), get(secEdgeDst, "EdgeDst")
+	if err == nil {
+		pt.Edges, err = decodeLocalEdges(src, dst)
+	}
 	pt.LocalVertsOffsets = i64(secLocalOffsets, "LocalVertsOffsets")
 	pt.LocalVerts = i32(secLocalVerts, "LocalVerts")
 	return pt, err

@@ -21,8 +21,7 @@ func testShard() *ShardPayload {
 		Owned:    []int32{1, 3},
 		Tables: pregel.PartTables{
 			PartStart:         []int64{0, 2, 4},
-			EdgeSrc:           []int32{0, 1, 0, 2},
-			EdgeDst:           []int32{1, 0, 1, 1},
+			Edges:             []pregel.LocalEdge{{Src: 0, Dst: 1}, {Src: 1, Dst: 0}, {Src: 0, Dst: 1}, {Src: 2, Dst: 1}},
 			LocalVertsOffsets: []int64{0, 2, 5},
 			LocalVerts:        []int32{0, 1, 1, 2, 3},
 		},

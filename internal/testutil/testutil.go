@@ -10,12 +10,15 @@
 // depends on:
 //
 //   - the assignment covers every edge exactly once with an in-range PID,
-//     and each partition holds exactly its assigned live edges, in global
-//     edge order (the AssignOrder alignment contract); tombstoned slots
-//     keep a valid PID but appear in no partition;
-//   - local vertex tables are strictly sorted, deduplicated, in-range, and
-//     contain exactly the vertices touched by the partition's edges — no
-//     phantom mirrors;
+//     and each partition's live slots hold exactly its assigned live edges,
+//     in global edge order (the AssignOrder alignment contract); tombstoned
+//     edges keep a valid PID and appear in no live slot — a topology a
+//     retraction was patched into keeps them as dead slots among the live
+//     ones, a cold build leaves them out;
+//   - local vertex tables are strictly sorted, deduplicated and in-range,
+//     and their mirrors that are not ghosts are exactly the vertices touched
+//     by the partition's live edges — no phantom mirrors, no ghost with a
+//     live edge;
 //   - the replica counts agree with an independent recount, and
 //     TotalMirrors == CommCost + NonCut as computed by the metrics package
 //     from the raw assignment.
@@ -90,13 +93,13 @@ func CheckPartitionInvariants(g *graph.Graph, assign []partition.PID, numParts i
 	}
 
 	// Every edge assigned exactly once with exact endpoints: walking the
-	// assignment must reproduce each partition's edges in local order.
+	// assignment must reproduce each partition's live slots in order.
 	verts := g.Vertices()
 	edges := g.Edges()
 	cursor := make([]int, numParts)
 	touched := make([][]bool, numParts)
 	for p, part := range pg.Parts {
-		touched[p] = make([]bool, part.NumLocalVertices())
+		touched[p] = make([]bool, len(part.LocalVerts))
 	}
 	for i, p := range pg.AssignOrder() {
 		if assign[i] != p {
@@ -107,12 +110,15 @@ func CheckPartitionInvariants(g *graph.Graph, assign []partition.PID, numParts i
 		}
 		part := pg.Parts[p]
 		j := cursor[p]
-		if j >= part.NumEdges() {
+		for j < part.NumSlots() && part.Dead(j) {
+			j++
+		}
+		if j >= part.NumSlots() {
 			return fmt.Errorf("partition %d exhausted at global edge %d", p, i)
 		}
 		sL, dL := part.EdgeAt(j)
-		cursor[p]++
-		if sL < 0 || int(sL) >= part.NumLocalVertices() || dL < 0 || int(dL) >= part.NumLocalVertices() {
+		cursor[p] = j + 1
+		if sL < 0 || int(sL) >= len(part.LocalVerts) || dL < 0 || int(dL) >= len(part.LocalVerts) {
 			return fmt.Errorf("partition %d edge %d has out-of-range local endpoints (%d, %d)", p, j, sL, dL)
 		}
 		touched[p][sL] = true
@@ -124,21 +130,34 @@ func CheckPartitionInvariants(g *graph.Graph, assign []partition.PID, numParts i
 				i, p, j, src, dst, edges[i].Src, edges[i].Dst)
 		}
 	}
+	for p, part := range pg.Parts {
+		for j := cursor[p]; j < part.NumSlots(); j++ {
+			if !part.Dead(j) {
+				return fmt.Errorf("partition %d slot %d is live but no assigned edge is left for it", p, j)
+			}
+		}
+	}
 	for p, t := range touched {
 		for l, ok := range t {
-			if !ok {
+			switch ghost := pg.Parts[p].Ghost(l); {
+			case !ok && !ghost:
 				return fmt.Errorf("partition %d local vertex %d (global index %d) has no incident edge — phantom mirror",
+					p, l, pg.Parts[p].LocalVerts[l])
+			case ok && ghost:
+				return fmt.Errorf("partition %d local vertex %d (global index %d) is a ghost with a live edge",
 					p, l, pg.Parts[p].LocalVerts[l])
 			}
 		}
 	}
 
 	// Replica counts vs an independent recount, and vs the metrics package
-	// computed from the raw assignment.
+	// computed from the raw assignment. Ghosts are no replica.
 	mirrorCount := make([]int32, nv)
 	for _, part := range pg.Parts {
-		for _, gidx := range part.LocalVerts {
-			mirrorCount[gidx]++
+		for l, gidx := range part.LocalVerts {
+			if !part.Ghost(l) {
+				mirrorCount[gidx]++
+			}
 		}
 	}
 	var totalMirrors int64
