@@ -48,7 +48,7 @@ lint: vet
 	fi
 
 # Non-test Go lines of the root module per package, and their total against
-# the line budget (ROADMAP item 12: at most 21,242). Counted as
+# the line budget (ROADMAP item 12: at most 20,700). Counted as
 # `find . -name '*.go' ! -name '*_test.go' -not -path './benchmark/*' |
 # xargs cat | wc -l` counts them; fails over the budget. The CI lint job
 # runs it.
@@ -57,8 +57,8 @@ loc:
 	awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); sub(/^\.\/?/, "", d); \
 		n[d == "" ? "cutfit" : "cutfit/" d] += $$1; t += $$1 } \
 	END { for (d in n) printf "%6d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); \
-		printf "%6d  total (budget 21242)\n", t; \
-		if (t > 21242) { print "make loc: over the line budget"; exit 1 } }'
+		printf "%6d  total (budget 20700)\n", t; \
+		if (t > 20700) { print "make loc: over the line budget"; exit 1 } }'
 
 # Race determinism regression for the parallel partition build, the
 # parallel hash assignment, the scratch-pool engine, the serving layer

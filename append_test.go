@@ -2,14 +2,15 @@ package cutfit_test
 
 import (
 	"context"
-	"math"
+	"fmt"
 	"math/rand"
 	"reflect"
-	"slices"
+	"strings"
 	"sync"
 	"testing"
 
 	"cutfit"
+	"cutfit/internal/graph"
 )
 
 // appendTestEdges builds a deterministic edge list with enough structure
@@ -204,35 +205,54 @@ func sortInts(v []int) {
 	}
 }
 
-// TestInvalidWeightsRefused: every library entry point that takes edge
-// weights refuses one that is not finite and positive, so no such weight
-// reaches a graph — or a snapshot that RestoreSession would then reject.
-func TestInvalidWeightsRefused(t *testing.T) {
-	edges := []cutfit.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}}
-	se := cutfit.NewSession(cutfit.SessionOptions{})
-	base := cutfit.FromEdges([]cutfit.Edge{{Src: 2, Dst: 0}})
-	entries := map[string]func(w []float64) error{
-		"FromWeightedEdges": func(w []float64) error {
-			_, err := cutfit.FromWeightedEdges(slices.Clone(edges), w)
+// TestThirdFieldRefused: edges have no weight, so every text loader refuses
+// a line with a third field, naming the line, instead of dropping the field
+// and changing what the metrics mean — numeric or not, in the first batch
+// or behind a full one, on the dense and the block tier.
+func TestThirdFieldRefused(t *testing.T) {
+	full := strings.Repeat("1 2\n", 8192)
+	loaders := map[string]func(string) error{
+		"LoadEdgeList": func(in string) error {
+			_, err := cutfit.LoadEdgeList(strings.NewReader(in))
 			return err
 		},
-		"SlideWindow append": func(w []float64) error {
-			_, err := se.SlideWindow(base, edges, w, 0)
+		"LoadEdgeListBlocks": func(in string) error {
+			_, err := cutfit.LoadEdgeListBlocks(strings.NewReader(in), 64)
 			return err
 		},
-		"SlideWindow": func(w []float64) error {
-			_, err := se.SlideWindow(base, edges, w, 1)
+		"StreamEdgeList": func(in string) error {
+			return cutfit.StreamEdgeList(strings.NewReader(in), func([]cutfit.Edge) error { return nil })
+		},
+		"graph.ReadEdgeList": func(in string) error {
+			_, err := graph.ReadEdgeList(strings.NewReader(in))
+			return err
+		},
+		"graph.ReadEdgeListBlocks": func(in string) error {
+			_, err := graph.ReadEdgeListBlocks(strings.NewReader(in), 0)
 			return err
 		},
 	}
-	for name, call := range entries {
-		for _, bad := range []float64{math.NaN(), 0, -1, math.Inf(1)} {
-			if err := call([]float64{1, bad}); err == nil {
-				t.Errorf("%s accepted weight %v", name, bad)
+	for _, c := range []struct {
+		in   string
+		line int
+	}{
+		{"0 1\n1 2 2.5\n", 2},
+		{"0 1 1\n", 1},
+		{"# header\n0 1\t7 8\n", 2},
+		{"0 1\n\n1 2 heavy\n", 3},
+		{full + "3 4 0.5\n", 8193},
+	} {
+		want := fmt.Sprintf("line %d: unexpected third field", c.line)
+		for name, load := range loaders {
+			err := load(c.in)
+			if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "edge weights are not supported") {
+				t.Errorf("%s, third field on line %d: error %v", name, c.line, err)
 			}
 		}
-		if err := call([]float64{1, 2.5}); err != nil {
-			t.Errorf("%s refused valid weights: %v", name, err)
+	}
+	for name, load := range loaders {
+		if err := load(full + "0 1\n1 2\n"); err != nil {
+			t.Errorf("%s refused a two-field list: %v", name, err)
 		}
 	}
 }

@@ -14,11 +14,10 @@ import (
 	"cutfit/internal/testutil"
 )
 
-// equivEdges generates a deterministic skewed edge stream with a weighted
-// minority, sized to span many 256-edge blocks.
-func equivEdges(n int, seed uint64) ([]cutfit.Edge, []float64) {
+// equivEdges generates a deterministic skewed edge stream, sized to span
+// many 256-edge blocks.
+func equivEdges(n int, seed uint64) []cutfit.Edge {
 	edges := make([]cutfit.Edge, n)
-	weights := make([]float64, n)
 	x := seed | 1
 	for i := range edges {
 		x = x*6364136223846793005 + 1442695040888963407
@@ -29,21 +28,16 @@ func equivEdges(n int, seed uint64) ([]cutfit.Edge, []float64) {
 			dst %= 40
 		}
 		edges[i] = cutfit.Edge{Src: cutfit.VertexID(src), Dst: cutfit.VertexID(dst)}
-		weights[i] = 1
-		if i%11 == 0 {
-			weights[i] = 0.25 + float64(i%7)
-		}
 	}
-	return edges, weights
+	return edges
 }
 
-// blockGraphOf rebuilds g's exact edge content (weights included) into a
-// fresh block-backed graph with small blocks, so every scan crosses many
-// block boundaries.
-func blockGraphOf(t *testing.T, edges []cutfit.Edge, weights []float64) *cutfit.Graph {
+// blockGraphOf rebuilds g's exact edge content into a fresh block-backed
+// graph with small blocks, so every scan crosses many block boundaries.
+func blockGraphOf(t *testing.T, edges []cutfit.Edge) *cutfit.Graph {
 	t.Helper()
 	bb := graph.NewBlockBuilder(256)
-	bb.Append(edges, weights)
+	bb.Append(edges)
 	return graph.FromBlocks(bb.Finish())
 }
 
@@ -54,23 +48,14 @@ func blockGraphOf(t *testing.T, edges []cutfit.Edge, weights []float64) *cutfit.
 func generations(t *testing.T) map[string][2]*cutfit.Graph {
 	t.Helper()
 	const n = 8192
-	edges, weights := equivEdges(n, 42)
+	edges := equivEdges(n, 42)
 
-	dense, err := cutfit.FromWeightedEdges(append([]cutfit.Edge(nil), edges...), append([]float64(nil), weights...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	block := blockGraphOf(t, edges, weights)
+	dense := cutfit.FromEdges(append([]cutfit.Edge(nil), edges...))
+	block := blockGraphOf(t, edges)
 
-	suffix, sufW := equivEdges(1024, 99)
-	dGrown, _, err := dense.SlideWindow(suffix, sufW, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bGrown, _, err := block.SlideWindow(suffix, sufW, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	suffix := equivEdges(1024, 99)
+	dGrown, _ := dense.SlideWindow(suffix, 0)
+	bGrown, _ := block.SlideWindow(suffix, 0)
 
 	retract := []cutfit.Edge{edges[10], edges[777], edges[5000], suffix[3]}
 	dShrunk, _, err := dGrown.Shrink(retract)
@@ -82,15 +67,9 @@ func generations(t *testing.T) map[string][2]*cutfit.Graph {
 		t.Fatal(err)
 	}
 
-	more, moreW := equivEdges(512, 7)
-	dSlid, _, err := dShrunk.SlideWindow(more, moreW, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bSlid, _, err := bShrunk.SlideWindow(more, moreW, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
+	more := equivEdges(512, 7)
+	dSlid, _ := dShrunk.SlideWindow(more, 300)
+	bSlid, _ := bShrunk.SlideWindow(more, 300)
 
 	gens := map[string][2]*cutfit.Graph{
 		"base":   {dense, block},
@@ -207,9 +186,9 @@ func TestBlockDenseEquivalence(t *testing.T) {
 // isolates block-tier decode overhead from any per-vertex strategy state.
 func TestBlockAssignAllocsOBlocks(t *testing.T) {
 	const n = 1 << 15 // 128 blocks of 256
-	edges, _ := equivEdges(n, 5)
+	edges := equivEdges(n, 5)
 	bb := graph.NewBlockBuilder(256)
-	bb.Append(edges, nil)
+	bb.Append(edges)
 	g := graph.FromBlocks(bb.Finish())
 	s, err := cutfit.StrategyByName("2D")
 	if err != nil {
@@ -245,7 +224,7 @@ func TestAdviseStreamsBlockGraph(t *testing.T) {
 	se := cutfit.NewSession(cutfit.SessionOptions{})
 	reasons := map[string]bool{}
 	for name, dense := range map[string]*cutfit.Graph{"road": road, "shuffled": gen.Relabel(road, 3)} {
-		block := blockGraphOf(t, dense.Edges(), nil)
+		block := blockGraphOf(t, dense.Edges())
 		had := map[any]bool{}
 		for _, s := range block.Shares() {
 			had[s.Key] = true

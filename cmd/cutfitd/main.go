@@ -40,9 +40,9 @@
 //	                  derived from the previous one's (suffix-only assignment,
 //	                  patched topology) — a run after an append costs O(batch),
 //	                  not a cold re-partition; in-flight requests keep reading
-//	                  the old generation. Edge lines may carry a third column
-//	                  (a float weight); weighted metrics are reported alongside
-//	                  the edge-count metrics. An "expire_before": N field
+//	                  the old generation. Edges have no weight: a line with a
+//	                  third column is refused with a 400 naming the line
+//	                  (here and on registration). An "expire_before": N field
 //	                  tombstones every edge position below N while appending —
 //	                  sliding-window serving in one generation step; the reply's
 //	                  "expired" counts retired edges and "edges" is the live

@@ -446,8 +446,8 @@ func (s *server) handleRegisterGraph(w http.ResponseWriter, r *http.Request) {
 }
 
 // appendRequest carries an edge batch in the same SNAP-style edge-list
-// encoding the register endpoint accepts (an optional third column weights
-// each edge), plus the sliding-window expiry bound. ExpireBefore > 0
+// encoding the register endpoint accepts (two columns; a third is refused
+// with a 400), plus the sliding-window expiry bound. ExpireBefore > 0
 // additionally retires every live edge older than the graph's
 // expire_before-th append — append and expiry land in ONE generation step.
 // Edges may be empty when expire_before is set (pure expiry).
@@ -494,14 +494,13 @@ func (s *server) handleAppendEdges(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var batch []cutfit.Edge
-	var weights []float64
 	if req.Edges != "" {
 		parsed, err := cutfit.LoadEdgeList(strings.NewReader(req.Edges))
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		batch, weights = parsed.Edges(), parsed.Weights()
+		batch = parsed.Edges()
 	}
 	name := r.PathValue("name")
 	e, err := s.lookup(name)
@@ -516,7 +515,7 @@ func (s *server) handleAppendEdges(w http.ResponseWriter, r *http.Request) {
 	defer releaseGraph()
 	for {
 		oldLive := e.g.NumLiveEdges()
-		ng, err := s.session.SlideWindow(e.g, batch, weights, req.ExpireBefore)
+		ng, err := s.session.SlideWindow(e.g, batch, req.ExpireBefore)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -533,6 +534,43 @@ func TestServerRegisterRefusesNegativeIDs(t *testing.T) {
 	ts2 := httptest.NewServer(mustServer(t, serverOptions{dataDir: dir}))
 	defer ts2.Close()
 	onlyTri(ts2)
+}
+
+// TestServerRefusesThirdColumn: edges have no weight, so an edge list with a
+// third column is a 400 on registration and on append, naming the line — no
+// graph is registered or advanced, and the cache is not touched.
+func TestServerRefusesThirdColumn(t *testing.T) {
+	ts := newTestServer(t)
+	post(t, ts, "/v1/metrics", map[string]any{"graph": "tri", "strategy": "2D", "parts": 4}, nil)
+	var before cutfit.CacheStats
+	get(t, ts, "/v1/stats", &before)
+	for _, c := range []struct{ name, path, body string }{
+		{"register", "/v1/graphs", `{"name": "w", "edges": "0 1\n1 2 2.5\n"}`},
+		{"re-register", "/v1/graphs", `{"name": "tri", "edges": "0 1\n1 2 2.5\n"}`},
+		{"append", "/v1/graphs/tri/edges", `{"edges": "0 1\n1 2 2.5\n"}`},
+		{"slide", "/v1/graphs/tri/edges", `{"edges": "0 1\n1 2 2.5\n", "expire_before": 1}`},
+	} {
+		resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e errorReply
+		_ = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "line 2") || !strings.Contains(e.Error, "edge weights are not supported") {
+			t.Errorf("%s: status %d, error %q; want 400 naming line 2 and refusing weights", c.name, resp.StatusCode, e.Error)
+		}
+	}
+	var graphs []graphReply
+	get(t, ts, "/v1/graphs", &graphs)
+	if len(graphs) != 1 || graphs[0].Name != "tri" || graphs[0].Edges != 7 {
+		t.Fatalf("registry %+v, want tri with 7 edges", graphs)
+	}
+	var after cutfit.CacheStats
+	get(t, ts, "/v1/stats", &after)
+	if !reflect.DeepEqual(after, before) {
+		t.Fatalf("refused requests changed the cache: %+v, was %+v", after, before)
+	}
 }
 
 // TestServerSnapshotRequiresDataDir: POST /v1/snapshot on a memory-only

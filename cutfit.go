@@ -107,12 +107,9 @@
 // severs the delta chain, so the next request pays one full partition pass
 // (never a wrong answer, just a cold one).
 //
-// Graphs may also carry optional per-edge weights (FromWeightedEdges, or a
-// third column in LoadEdgeList input). Weighted graphs flow through the
-// same pipeline and additionally report the weighted metric counterparts
-// (Metrics.WeightedBalance, WeightPerPart, WeightedCommCost); a graph whose
-// weights are all 1 produces bit-identical base metrics to its unweighted
-// twin.
+// Edges have no weight, as in the paper's metrics and datasets: every
+// loader refuses an input line with a third column, naming the line,
+// rather than ignoring what it would mean.
 //
 // See ExampleSession_AppendEdges and ExampleSession_RemoveEdges for the
 // full loops.
@@ -259,16 +256,8 @@ type (
 // FromEdges builds a graph that takes ownership of the slice.
 func FromEdges(edges []Edge) *Graph { return graph.FromEdges(edges) }
 
-// FromWeightedEdges builds a weighted graph that takes ownership of both
-// slices; weights[i] is the weight of edges[i] and must be finite and
-// positive. Weighted graphs report the weighted metric counterparts
-// (WeightPerPart, WeightedBalance, WeightedCommCost) alongside the base
-// set.
-func FromWeightedEdges(edges []Edge, weights []float64) (*Graph, error) {
-	return graph.FromWeightedEdges(edges, weights)
-}
-
-// LoadEdgeList parses a SNAP-style whitespace-separated edge list.
+// LoadEdgeList parses a SNAP-style whitespace-separated edge list of
+// "src dst" lines; a line with a third field is refused.
 func LoadEdgeList(r io.Reader) (*Graph, error) { return graph.ReadEdgeList(r) }
 
 // DefaultBlockEdges is the block granularity LoadEdgeListBlocks uses when
@@ -287,11 +276,10 @@ func LoadEdgeListBlocks(r io.Reader, blockEdges int) (*Graph, error) {
 }
 
 // StreamEdgeList parses a SNAP-style edge list in batches, invoking fn
-// for each: weights is nil until a weighted (three-column) line is seen
-// and aligned with edges afterwards. The slices are reused between
-// batches — fn must copy anything it retains. Nothing is materialized, so
-// arbitrarily large inputs stream in constant memory.
-func StreamEdgeList(r io.Reader, fn func(edges []Edge, weights []float64) error) error {
+// for each. The batch slice is reused between calls — fn must copy
+// anything it retains. Nothing is materialized, so arbitrarily large
+// inputs stream in constant memory.
+func StreamEdgeList(r io.Reader, fn func(edges []Edge) error) error {
 	return graph.StreamEdgeList(r, fn)
 }
 

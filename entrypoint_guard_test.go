@@ -16,8 +16,8 @@ import (
 
 // TestOneGraphStep: the exported methods of *graph.Graph that return
 // (*Graph, Delta, …) are Grow (append), Shrink (retract by value) and
-// SlideWindow, the general step — SlideWindow(e, w, 0) is a weighted
-// append and SlideWindow(nil, nil, n) an expiry.
+// SlideWindow, the general step — SlideWindow(e, 0) is an append and
+// SlideWindow(nil, n) an expiry.
 func TestOneGraphStep(t *testing.T) {
 	fset, files := packageFiles(t, filepath.Join("internal", "graph"))
 	checkDoors(t, fset, files, "Graph", []string{"*Graph", "Delta"}, []string{"Grow", "Shrink", "SlideWindow"})

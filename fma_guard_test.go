@@ -21,15 +21,13 @@ import (
 // (https://go.dev/ref/spec#Floating_point_operators). The test compiles the
 // float-bearing packages for arm64 with -S and fails on any fused
 // multiply-add the compiler emitted for their source lines; it needs only
-// the go command, no arm64 machine. internal/cluster is not listed: its cost
-// model is a reproduction artifact off the serving path, and its products
-// are left to fuse.
+// the go command, no arm64 machine.
 func TestNoFusedMultiplyAdd(t *testing.T) {
 	goBin, err := exec.LookPath("go")
 	if err != nil {
 		t.Skip("go command not found")
 	}
-	pkgs := []string{"internal/algorithms", "internal/pregel", "internal/metrics"}
+	pkgs := []string{"internal/algorithms", "internal/pregel", "internal/metrics", "internal/cluster", "internal/stats"}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
 	args := []string{"build", "-gcflags=-S"}

@@ -179,12 +179,12 @@ func (c Config) Simulate(stats *pregel.RunStats, graphBytes int64) (Breakdown, e
 		if avg > compute {
 			compute = avg
 		}
-		b.ComputeSecs += compute * c.SecsPerComputeUnit
+		b.ComputeSecs += float64(compute * c.SecsPerComputeUnit)
 		var apply float64
 		for _, a := range ss.ApplyPerShard {
 			apply += a
 		}
-		b.ComputeSecs += apply / cores * c.SecsPerApplyUnit
+		b.ComputeSecs += float64(apply / cores * c.SecsPerApplyUnit)
 		b.NetworkSecs += remote * float64(ss.TotalNetworkBytes()) / bandwidthBytes
 		b.BarrierSecs += c.NetworkLatencySecs
 	}

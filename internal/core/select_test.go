@@ -42,11 +42,10 @@ func selectEmpiricallyRef(g *graph.Graph, candidates []partition.Strategy, numPa
 	return sel, winner, nil
 }
 
-// selectionEdges is a skewed multigraph with a weighted minority, big enough
-// to span many 256-edge blocks.
-func selectionEdges(n int) ([]graph.Edge, []float64) {
+// selectionEdges is a skewed multigraph, big enough to span many 256-edge
+// blocks.
+func selectionEdges(n int) []graph.Edge {
 	edges := make([]graph.Edge, n)
-	weights := make([]float64, n)
 	x := uint64(7)
 	for i := range edges {
 		x = x*6364136223846793005 + 1442695040888963407
@@ -57,31 +56,20 @@ func selectionEdges(n int) ([]graph.Edge, []float64) {
 			dst %= 25
 		}
 		edges[i] = graph.Edge{Src: graph.VertexID(src), Dst: graph.VertexID(dst)}
-		weights[i] = 1
-		if i%11 == 0 {
-			weights[i] = 0.25 + float64(i%7)
-		}
 	}
-	return edges, weights
+	return edges
 }
 
 // TestSelectConcurrentMatchesSequential: whatever order the candidates
 // finish in, Select returns what measuring them one after the other returns —
 // every metric of every candidate, the same winner, the same assignment left
-// in the store — on dense, tombstoned and block-backed graphs, weighted and
-// not, with one goroutine and with eight.
+// in the store — on dense, tombstoned and block-backed graphs, with one
+// goroutine and with eight.
 func TestSelectConcurrentMatchesSequential(t *testing.T) {
-	edges, weights := selectionEdges(6000)
+	edges := selectionEdges(6000)
 	retract := []graph.Edge{edges[3], edges[700], edges[4100]}
 	graphs := map[string]func() *graph.Graph{
 		"dense": func() *graph.Graph { return graph.FromEdges(slices.Clone(edges)) },
-		"dense weighted": func() *graph.Graph {
-			g, err := graph.FromWeightedEdges(slices.Clone(edges), slices.Clone(weights))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return g
-		},
 		"tombstoned": func() *graph.Graph {
 			g, _, err := graph.FromEdges(slices.Clone(edges)).Shrink(retract)
 			if err != nil || g.NumDeadEdges() == 0 {
@@ -91,12 +79,12 @@ func TestSelectConcurrentMatchesSequential(t *testing.T) {
 		},
 		"block": func() *graph.Graph {
 			bb := graph.NewBlockBuilder(256)
-			bb.Append(edges, nil)
+			bb.Append(edges)
 			return graph.FromBlocks(bb.Finish())
 		},
-		"block weighted tombstoned": func() *graph.Graph {
+		"block tombstoned": func() *graph.Graph {
 			bb := graph.NewBlockBuilder(256)
-			bb.Append(edges, weights)
+			bb.Append(edges)
 			g, _, err := graph.FromBlocks(bb.Finish()).Shrink(retract)
 			if err != nil || !g.BlockBacked() || g.NumDeadEdges() == 0 {
 				t.Fatalf("shrink: %v, block-backed %t", err, g.BlockBacked())
@@ -177,7 +165,7 @@ func (s stagedStrategy) Partition(g *graph.Graph, numParts int) ([]partition.PID
 // run in order: a tie goes to the earlier candidate, and of two failures the
 // earlier is the one reported.
 func TestCandidateOrderDecides(t *testing.T) {
-	edges, _ := selectionEdges(3000)
+	edges := selectionEdges(3000)
 	g := graph.FromEdges(edges)
 	for _, parallelism := range []int{1, 8} {
 		testutil.SetGOMAXPROCS(t, parallelism)

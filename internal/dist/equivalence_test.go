@@ -269,10 +269,7 @@ func testGenerations(t *testing.T, W, mergeShards int) {
 	check("grown", mustPartition(t, g2, strat, parts))
 
 	// Shrink: retire the oldest quarter of the edge window.
-	g3, _, err := g2.SlideWindow(nil, nil, g2.NumEdges()/4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g3, _ := g2.SlideWindow(nil, g2.NumEdges()/4)
 	check("shrunk", mustPartition(t, g3, strat, parts))
 }
 

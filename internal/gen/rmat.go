@@ -125,7 +125,7 @@ func RMATStream(cfg RMATConfig, batchEdges int, fn func(batch []graph.Edge) erro
 func RMATBlocks(cfg RMATConfig, blockEdges int) (*graph.Graph, error) {
 	bb := graph.NewBlockBuilder(blockEdges)
 	if err := RMATStream(cfg, 0, func(batch []graph.Edge) error {
-		bb.Append(batch, nil)
+		bb.Append(batch)
 		return nil
 	}); err != nil {
 		return nil, err

@@ -102,7 +102,7 @@ func TestEdgeViewsMatchReference(t *testing.T) {
 			if len(dead) == 0 {
 				return
 			}
-			ng, d := g.advance(nil, nil, dead)
+			ng, d := g.advance(nil, dead)
 			if d.Compacted || ng.NumDeadEdges() != len(dead) {
 				t.Fatalf("want %d tombstones, got %d (compacted=%v)", len(dead), ng.NumDeadEdges(), d.Compacted)
 			}
@@ -154,10 +154,7 @@ func TestEdgeViewsAcrossGenerations(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("shrink", shrunk)
-	slid, _, err := shrunk.SlideWindow(randomEdges(5, 40, 60), nil, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
+	slid, _ := shrunk.SlideWindow(randomEdges(5, 40, 60), 20)
 	check("slide", slid)
 
 	if !reflect.DeepEqual(g.CanonicalEdges(), parentCanon) || g.SymmetryPct() != parentSym {
@@ -165,7 +162,7 @@ func TestEdgeViewsAcrossGenerations(t *testing.T) {
 	}
 
 	// A graph restored with tombstones builds both views over its live edges.
-	m, err := FromEdgesAndVertices(EncodeEdges(nil, []Edge{{0, 1}, {1, 2}, {1, 0}}), nil, []VertexID{0, 1, 2}, []uint64{1}, 1)
+	m, err := FromEdgesAndVertices(EncodeEdges(nil, []Edge{{0, 1}, {1, 2}, {1, 0}}), []VertexID{0, 1, 2}, []uint64{1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +174,7 @@ func TestEdgeViewsAcrossGenerations(t *testing.T) {
 func TestCanonicalEdgesStreamsBlocks(t *testing.T) {
 	edges := randomEdges(6, 60, 1500)
 	dense := FromEdges(edges)
-	blocked := FromBlocks(buildBlocks(t, edges, nil, 64))
+	blocked := FromBlocks(buildBlocks(t, edges, 64))
 	if !reflect.DeepEqual(blocked.CanonicalEdges(), dense.CanonicalEdges()) {
 		t.Fatal("block-backed canonical view differs from the dense graph's")
 	}

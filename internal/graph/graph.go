@@ -19,8 +19,8 @@
 // cost is the compressed bytes (or nothing at all). Both tiers
 // answer the same reads (ForEachEdgeBlock, EdgeRange, EdgesAt,
 // ForEachEndpointBlock) and produce bit-identical derived views,
-// fingerprints and generation chains; only Edges()/Weights(), which promise
-// a dense slice, force a block graph to materialize.
+// fingerprints and generation chains; only Edges(), which promises a dense
+// slice, forces a block graph to materialize.
 package graph
 
 import (
@@ -60,11 +60,6 @@ type Edge struct {
 // pass a density threshold a new generation is compacted to a fresh dense
 // list (see Shrink).
 //
-// Edges optionally carry float64 weights in a parallel slice (nil when
-// the graph is unweighted, so the common case pays nothing). Weights flow
-// through the partitioning metrics and the streaming strategies' degree
-// tables; an all-ones weighting is bit-identical to the unweighted path.
-//
 // Concurrency: a Graph is immutable and safe for any number of concurrent
 // readers, including concurrent *first* accesses — every lazy view build is
 // guarded by its own viewOnce, so N goroutines racing on an unbuilt view
@@ -74,22 +69,17 @@ type Edge struct {
 type Graph struct {
 	edges []Edge
 
-	// weights holds the per-edge weight aligned with edges, or nil for an
-	// unweighted graph (every edge then weighs 1).
-	weights []float64
-
-	// edgesTail, weightsTail, srcTail and dstTail are the shared backing
-	// arrays behind edges, weights, srcIdx and dstIdx on a generation
+	// edgesTail, srcTail and dstTail are the shared backing arrays behind
+	// edges, srcIdx and dstIdx on a generation
 	// produced by Grow (see Tail): the slices above are clamped to this
 	// generation's length, the arrays may hold spare capacity that the next
 	// Grow claims instead of copying. Nil on a graph that owns its slices
 	// outright.
 	edgesTail        *Tail[Edge]
-	weightsTail      *Tail[float64]
 	srcTail, dstTail *Tail[int32]
 
 	// blocks, when non-nil, is the graph's canonical edge storage: the
-	// compressed block tier. edges/weights are then merely a cached dense
+	// compressed block tier. edges is then merely a cached dense
 	// materialization, built on demand under denseOnce (Edges() is the
 	// only path that forces it).
 	blocks    *BlockStore
@@ -129,7 +119,7 @@ type Graph struct {
 	nearEdges    int // NearIDEdges(LocalityWindow)
 	fpOnce       viewOnce
 	fp           uint64 // content fingerprint: edge fold + tombstone fold
-	fpEdges      uint64 // sequential edge/weight fold only (extendable by Grow)
+	fpEdges      uint64 // sequential edge fold only (extendable by Grow)
 
 	// step is what the generation step that minted this graph resolved (see
 	// StepFrom); nil on a graph no step minted.
@@ -184,38 +174,6 @@ func FromEdges(edges []Edge) *Graph {
 	return &Graph{edges: edges}
 }
 
-// FromWeightedEdges builds a weighted graph that takes ownership of both
-// slices; weights[i] is the weight of edges[i] and must be finite and
-// positive. A nil weights is the unweighted graph (every edge weighs 1).
-// Lengths must match.
-func FromWeightedEdges(edges []Edge, weights []float64) (*Graph, error) {
-	if err := checkWeights(0, edges, weights); err != nil {
-		return nil, err
-	}
-	return &Graph{edges: edges, weights: weights}, nil
-}
-
-// validWeight is the one rule for an edge weight: finite and positive.
-func validWeight(w float64) bool { return w > 0 && !math.IsInf(w, 1) }
-
-// checkWeights checks a weight slice against the edges it belongs to: nil
-// (unweighted), or one valid weight per edge. start is the dense position
-// of edges[0], for the error message.
-func checkWeights(start int, edges []Edge, weights []float64) error {
-	if weights == nil {
-		return nil
-	}
-	if len(weights) != len(edges) {
-		return fmt.Errorf("graph: %d weights for %d edges", len(weights), len(edges))
-	}
-	for i, w := range weights {
-		if !validWeight(w) {
-			return fmt.Errorf("graph: edge %d has invalid weight %v (must be finite and positive)", start+i, w)
-		}
-	}
-	return nil
-}
-
 // FromBlocks builds a graph over a block-compressed edge store (see
 // BlockBuilder and OpenBlocks).
 func FromBlocks(bs *BlockStore) *Graph { return &Graph{blocks: bs} }
@@ -229,28 +187,19 @@ func (g *Graph) Blocks() *BlockStore { return g.blocks }
 // compressed block tier.
 func (g *Graph) BlockBacked() bool { return g.blocks != nil }
 
-// ensureDense materializes the dense edge (and weight) slices of a
-// block-backed graph, once. The dense copy caches alongside the store;
-// Edges()/Weights() document this as the compatibility fallback.
+// ensureDense materializes the dense edge slice of a block-backed graph,
+// once. The dense copy caches alongside the store; Edges() documents this
+// as the compatibility fallback.
 func (g *Graph) ensureDense() {
 	if g.blocks == nil {
 		return
 	}
 	g.denseOnce.do(func() {
-		ne := g.blocks.numEdges
-		edges := make([]Edge, 0, ne)
-		var weights []float64
-		if g.blocks.weighted {
-			weights = make([]float64, 0, ne)
-		}
-		g.mustEdgeBlocks(func(_ int, es []Edge, ws []float64) {
+		edges := make([]Edge, 0, g.blocks.numEdges)
+		g.mustEdgeBlocks(func(_ int, es []Edge) {
 			edges = append(edges, es...)
-			if weights != nil {
-				weights = append(weights, ws...)
-			}
 		})
 		g.edges = edges
-		g.weights = weights
 	})
 }
 
@@ -264,32 +213,6 @@ const fingerprintSeed = 0x637574666974_3031 // "cutfit01"
 func foldFingerprint(h uint64, edges []Edge) uint64 {
 	for _, e := range edges {
 		h = rng.Combine2(h, rng.Combine2(uint64(e.Src), uint64(e.Dst)))
-	}
-	return h
-}
-
-// foldFingerprintW chains weighted edges onto a running fingerprint. A nil
-// weights degrades to the unweighted fold, so unweighted graphs keep their
-// historical fingerprints.
-func foldFingerprintW(h uint64, edges []Edge, weights []float64) uint64 {
-	if weights == nil {
-		return foldFingerprint(h, edges)
-	}
-	for i, e := range edges {
-		h = rng.Combine2(h, rng.Combine2(uint64(e.Src), uint64(e.Dst)))
-		h = rng.Combine2(h, math.Float64bits(weights[i]))
-	}
-	return h
-}
-
-// foldFingerprintOnes folds an unweighted suffix onto a weighted chain:
-// every edge carries the implicit weight 1, folded exactly as
-// foldFingerprintW would fold an explicit 1.
-func foldFingerprintOnes(h uint64, edges []Edge) uint64 {
-	one := math.Float64bits(1)
-	for _, e := range edges {
-		h = rng.Combine2(h, rng.Combine2(uint64(e.Src), uint64(e.Dst)))
-		h = rng.Combine2(h, one)
 	}
 	return h
 }
@@ -319,7 +242,7 @@ func foldDeadFingerprint(h uint64, dead []uint64, numDead int) uint64 {
 }
 
 // Fingerprint returns a 64-bit content fingerprint of the graph: a pure
-// function of the edges, their weights and the tombstone set, so it
+// function of the edges and the tombstone set, so it
 // identifies the same graph content across processes. Persistence layers
 // use it to pair durable artifacts with the graph they were computed for
 // and as the stable part of disk-tier cache keys. Built lazily and cached.
@@ -341,13 +264,8 @@ func (g *Graph) Fingerprint() uint64 {
 func (g *Graph) CheckedFingerprint() (uint64, error) {
 	err := g.fpOnce.tryDo(func() error {
 		h := uint64(fingerprintSeed)
-		weighted := g.Weighted()
-		if err := g.ForEachEdgeBlock(func(_ int, edges []Edge, weights []float64) error {
-			if weighted {
-				h = foldFingerprintW(h, edges, weights)
-			} else {
-				h = foldFingerprint(h, edges)
-			}
+		if err := g.ForEachEdgeBlock(func(_ int, edges []Edge) error {
+			h = foldFingerprint(h, edges)
 			return nil
 		}); err != nil {
 			return err
@@ -366,9 +284,9 @@ func (g *Graph) CheckedFingerprint() (uint64, error) {
 // have no error channel. A block decode failure (an I/O error on a
 // file-backed store, or payload corruption) is unrecoverable mid-build and
 // panics — the same way an mmap-backed store would surface I/O failure.
-func (g *Graph) mustEdgeBlocks(fn func(start int, edges []Edge, weights []float64)) {
-	err := g.ForEachEdgeBlock(func(start int, edges []Edge, weights []float64) error {
-		fn(start, edges, weights)
+func (g *Graph) mustEdgeBlocks(fn func(start int, edges []Edge)) {
+	err := g.ForEachEdgeBlock(func(start int, edges []Edge) error {
+		fn(start, edges)
 		return nil
 	})
 	if err != nil {
@@ -377,23 +295,22 @@ func (g *Graph) mustEdgeBlocks(fn func(start int, edges []Edge, weights []float6
 }
 
 // ForEachEdgeBlock streams the dense edge list through fn in contiguous
-// chunks without materializing it: fn(start, edges, weights) where start
-// is the dense position of edges[0] and weights is nil on an unweighted
-// graph. On the dense tier fn sees the whole list once; on the block tier
-// each block decodes into pooled scratch that is valid only during the
-// callback — fn must not retain or modify the slices. Tombstoned slots
-// are included, aligned with the dense index space (filter with
-// EdgeAlive(start+i)). Returning a non-nil error stops the scan and
+// chunks without materializing it: fn(start, edges) where start is the
+// dense position of edges[0]. On the dense tier fn sees the whole list
+// once; on the block tier each block decodes into pooled scratch that is
+// valid only during the callback — fn must not retain or modify the slice.
+// Tombstoned slots are included, aligned with the dense index space (filter
+// with EdgeAlive(start+i)). Returning a non-nil error stops the scan and
 // propagates (a caller stopping early defines its own sentinel); block
 // decode failures also surface here.
-func (g *Graph) ForEachEdgeBlock(fn func(start int, edges []Edge, weights []float64) error) error {
+func (g *Graph) ForEachEdgeBlock(fn func(start int, edges []Edge) error) error {
 	if g.blocks != nil && !g.denseOnce.built() {
 		return g.blocks.forEach(fn)
 	}
 	if len(g.edges) == 0 {
 		return nil
 	}
-	return fn(0, g.edges, g.weights)
+	return fn(0, g.edges)
 }
 
 // EdgesAt returns the edges at the dense positions idx (tombstoned slots
@@ -415,7 +332,7 @@ func (g *Graph) EdgesAt(idx []int) []Edge {
 	for k, i := range idx {
 		if b := i / bs.blockEdges; b != cur {
 			var err error
-			if es, _, err = bs.decode(b, sc, false); err != nil {
+			if es, err = bs.decode(b, sc); err != nil {
 				panic("graph: block decode failed: " + err.Error())
 			}
 			cur = b
@@ -425,30 +342,22 @@ func (g *Graph) EdgesAt(idx []int) []Edge {
 	return out
 }
 
-// EdgeRange returns the edges and weights of dense positions [lo, hi).
-// On the dense tier the results alias the graph's slices (do not modify);
-// on the block tier they are freshly decoded copies. weights is nil on an
-// unweighted graph.
-func (g *Graph) EdgeRange(lo, hi int) ([]Edge, []float64) {
+// EdgeRange returns the edges of dense positions [lo, hi). On the dense
+// tier the result aliases the graph's slice (do not modify); on the block
+// tier it is a freshly decoded copy.
+func (g *Graph) EdgeRange(lo, hi int) []Edge {
 	if hi <= lo {
-		return nil, nil
+		return nil
 	}
 	if g.blocks == nil || g.denseOnce.built() {
-		if g.weights == nil {
-			return g.edges[lo:hi:hi], nil
-		}
-		return g.edges[lo:hi:hi], g.weights[lo:hi:hi]
+		return g.edges[lo:hi:hi]
 	}
 	bs := g.blocks
 	out := make([]Edge, hi-lo)
-	var w []float64
-	if bs.weighted {
-		w = make([]float64, hi-lo)
-	}
 	sc := getScratch()
 	defer blockScratchPool.Put(sc)
 	for b := lo / bs.blockEdges; b*bs.blockEdges < hi; b++ {
-		es, ws, err := bs.decode(b, sc, true)
+		es, err := bs.decode(b, sc)
 		if err != nil {
 			panic("graph: block decode failed: " + err.Error())
 		}
@@ -461,11 +370,8 @@ func (g *Graph) EdgeRange(lo, hi int) ([]Edge, []float64) {
 			to = hi - bLo
 		}
 		copy(out[bLo+from-lo:], es[from:to])
-		if w != nil {
-			copy(w[bLo+from-lo:], ws[from:to])
-		}
 	}
-	return out, w
+	return out
 }
 
 // LookupIndices fills src and dst (each at least len(edges) long) with
@@ -490,51 +396,42 @@ func (g *Graph) LookupIndices(edges []Edge, src, dst []int32) {
 
 // ForEachEndpointBlock streams the dense endpoint indices of the edge
 // positions [lo, hi) through fn in contiguous pieces, in ascending order:
-// fn(start, src, dst, weights), where edge start+j goes from dense vertex
-// src[j] to dst[j] and, when withWeights is set and the graph is weighted,
-// weighs weights[j] (weights is nil otherwise). Tombstoned slots are
-// included (filter with EdgeAlive(start+j)).
+// fn(start, src, dst), where edge start+j goes from dense vertex src[j] to
+// dst[j]. Tombstoned slots are included (filter with EdgeAlive(start+j)).
 //
 // A dense graph hands fn one piece of its cached EdgeEndpointIndices
 // slices, so every consumer after the first pays no lookup at all. A
 // block-backed graph never materializes those O(E) slices: it decodes the
-// covering blocks one at a time — skipping the weight sidecar unless asked
-// for it — and resolves each into pooled block-sized scratch that is valid
+// covering blocks one at a time and resolves each into pooled block-sized
+// scratch that is valid
 // only during the callback. fn must not retain or modify the slices. Safe
 // for concurrent use, which is how the partition build calls it: one range
 // per worker.
-func (g *Graph) ForEachEndpointBlock(lo, hi int, withWeights bool, fn func(start int, src, dst []int32, weights []float64) error) error {
+func (g *Graph) ForEachEndpointBlock(lo, hi int, fn func(start int, src, dst []int32) error) error {
 	if hi <= lo {
 		return nil
 	}
 	bs := g.blocks
 	if bs == nil {
 		src, dst := g.EdgeEndpointIndices()
-		var ws []float64
-		if withWeights && g.weights != nil {
-			ws = g.weights[lo:hi]
-		}
-		return fn(lo, src[lo:hi], dst[lo:hi], ws)
+		return fn(lo, src[lo:hi], dst[lo:hi])
 	}
 	sc := getScratch()
 	defer blockScratchPool.Put(sc)
 	for b := lo / bs.blockEdges; b*bs.blockEdges < hi; b++ {
-		es, ws, err := bs.decode(b, sc, withWeights)
+		es, err := bs.decode(b, sc)
 		if err != nil {
 			return err
 		}
 		start := b * bs.blockEdges
 		from, to := max(lo-start, 0), min(hi-start, len(es))
-		if ws != nil {
-			ws = ws[from:to]
-		}
 		if cap(sc.src) < to-from {
 			sc.src = make([]int32, max(to-from, bs.blockEdges))
 			sc.dst = make([]int32, len(sc.src))
 		}
 		src, dst := sc.src[:to-from], sc.dst[:to-from]
 		g.LookupIndices(es[from:to], src, dst)
-		if err := fn(start+from, src, dst, ws); err != nil {
+		if err := fn(start+from, src, dst); err != nil {
 			return err
 		}
 	}
@@ -583,25 +480,6 @@ func (g *Graph) Edges() []Edge {
 	return g.edges
 }
 
-// Weighted reports whether the graph carries per-edge weights.
-func (g *Graph) Weighted() bool {
-	if g.blocks != nil {
-		return g.blocks.weighted
-	}
-	return g.weights != nil
-}
-
-// Weights returns the per-edge weight slice aligned with Edges(), or nil
-// for an unweighted graph (every edge then weighs 1). Callers must not
-// modify it. Like Edges, this materializes a block-backed graph.
-func (g *Graph) Weights() []float64 {
-	if g.blocks != nil && !g.blocks.weighted {
-		return nil
-	}
-	g.ensureDense()
-	return g.weights
-}
-
 // buildVerts computes the sorted unique vertex list by scanning the edge
 // list. The dense index map is a separate view (buildIndex) so generations
 // seeded by Grow — which inherit a merged vertex list without scanning —
@@ -621,7 +499,7 @@ func (g *Graph) buildVerts() {
 			return
 		}
 		minV, maxV := VertexID(math.MaxInt64), VertexID(math.MinInt64)
-		g.mustEdgeBlocks(func(_ int, edges []Edge, _ []float64) {
+		g.mustEdgeBlocks(func(_ int, edges []Edge) {
 			for _, e := range edges {
 				if e.Src < minV {
 					minV = e.Src
@@ -639,7 +517,7 @@ func (g *Graph) buildVerts() {
 		})
 		if minV >= 0 && bitmapFits(maxV, ne) {
 			words := make([]uint64, (int64(maxV)>>6)+1)
-			g.mustEdgeBlocks(func(_ int, edges []Edge, _ []float64) {
+			g.mustEdgeBlocks(func(_ int, edges []Edge) {
 				for _, e := range edges {
 					words[e.Src>>6] |= 1 << (uint64(e.Src) & 63)
 					words[e.Dst>>6] |= 1 << (uint64(e.Dst) & 63)
@@ -657,7 +535,7 @@ func (g *Graph) buildVerts() {
 			return
 		}
 		seen := make(map[VertexID]struct{}, ne)
-		g.mustEdgeBlocks(func(_ int, edges []Edge, _ []float64) {
+		g.mustEdgeBlocks(func(_ int, edges []Edge) {
 			for _, e := range edges {
 				seen[e.Src] = struct{}{}
 				seen[e.Dst] = struct{}{}
@@ -772,7 +650,7 @@ func (g *Graph) EdgeEndpointIndices() (src, dst []int32) {
 		ne := g.NumEdges()
 		srcIdx := make([]int32, ne)
 		dstIdx := make([]int32, ne)
-		g.mustEdgeBlocks(func(start int, edges []Edge, _ []float64) {
+		g.mustEdgeBlocks(func(start int, edges []Edge) {
 			g.LookupIndices(edges, srcIdx[start:], dstIdx[start:])
 		})
 		g.srcIdx = srcIdx
@@ -788,7 +666,7 @@ func (g *Graph) buildDegrees() {
 		g.buildVertexIndex()
 		out := make([]int32, len(g.verts))
 		in := make([]int32, len(g.verts))
-		g.mustEdgeBlocks(func(start int, edges []Edge, _ []float64) {
+		g.mustEdgeBlocks(func(start int, edges []Edge) {
 			for i, e := range edges {
 				if g.numDead != 0 && !g.EdgeAlive(start+i) {
 					continue
@@ -865,22 +743,14 @@ func checkTombstones(dead []uint64, numDead, ne int) error {
 // Validate checks internal consistency and returns an error describing the
 // first problem found. A valid graph has no negative vertex IDs (negative
 // IDs are legal for Graph itself but rejected by the generators and the
-// engine, which reserve them for internal sentinels), weights aligned with
-// the dense edge list (finite, positive), and a tombstone bitset that fits
-// the list with a popcount matching the recorded dead count.
+// engine, which reserve them for internal sentinels) and a tombstone bitset
+// that fits the list with a popcount matching the recorded dead count.
 func (g *Graph) Validate() error {
-	if g.blocks == nil && g.weights != nil && len(g.weights) != len(g.edges) {
-		return fmt.Errorf("graph: %d weights for %d edges", len(g.weights), len(g.edges))
-	}
-	weighted := g.Weighted()
-	if err := g.ForEachEdgeBlock(func(start int, edges []Edge, weights []float64) error {
+	if err := g.ForEachEdgeBlock(func(start int, edges []Edge) error {
 		for i, e := range edges {
 			if e.Src < 0 || e.Dst < 0 {
 				return fmt.Errorf("graph: edge %d (%d -> %d) has negative vertex ID", start+i, e.Src, e.Dst)
 			}
-		}
-		if weighted {
-			return checkWeights(start, edges, weights)
 		}
 		return nil
 	}); err != nil {
@@ -916,7 +786,7 @@ func (g *Graph) buildCSR(direction string, undirected, dedup bool) *csr {
 	add := func(a, b int32) {
 		counts[a+1]++
 	}
-	g.mustEdgeBlocks(func(start int, edges []Edge, _ []float64) {
+	g.mustEdgeBlocks(func(start int, edges []Edge) {
 		for i, e := range edges {
 			if g.numDead != 0 && !g.EdgeAlive(start+i) {
 				continue
@@ -947,7 +817,7 @@ func (g *Graph) buildCSR(direction string, undirected, dedup bool) *csr {
 		adj[offsets[a]+cursor[a]] = b
 		cursor[a]++
 	}
-	g.mustEdgeBlocks(func(start int, edges []Edge, _ []float64) {
+	g.mustEdgeBlocks(func(start int, edges []Edge) {
 		for i, e := range edges {
 			if g.numDead != 0 && !g.EdgeAlive(start+i) {
 				continue
@@ -1054,7 +924,7 @@ func (g *Graph) buildCanonicalEdges() []uint64 {
 	}
 	slotWords := (len(c.adj) + 63) / 64
 	forward := make([]uint64, slotWords)
-	g.mustEdgeBlocks(func(start int, edges []Edge, _ []float64) {
+	g.mustEdgeBlocks(func(start int, edges []Edge) {
 		for i, e := range edges {
 			if e.Src >= e.Dst || (g.numDead != 0 && !g.EdgeAlive(start+i)) {
 				continue
@@ -1064,7 +934,7 @@ func (g *Graph) buildCanonicalEdges() []uint64 {
 		}
 	})
 	chosen := make([]uint64, slotWords)
-	g.mustEdgeBlocks(func(start int, edges []Edge, _ []float64) {
+	g.mustEdgeBlocks(func(start int, edges []Edge) {
 		for i, e := range edges {
 			if e.Src == e.Dst || (g.numDead != 0 && !g.EdgeAlive(start+i)) {
 				continue

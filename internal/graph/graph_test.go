@@ -144,8 +144,8 @@ func randomGraph(seed uint64, maxV, maxE int) *Graph {
 }
 
 // TestConcurrentFirstUse: eight goroutines make the first call of every lazy
-// view at once, each in its own order, on a dense, a weighted sparse-ID and
-// a block-backed graph; every goroutine sees exactly what a serial build on
+// view at once, each in its own order, on a dense, a sparse-ID and a
+// block-backed graph; every goroutine sees exactly what a serial build on
 // a twin graph produces, and the built views price the same.
 func TestConcurrentFirstUse(t *testing.T) {
 	edges := randEdges(3000, 400, 5)
@@ -153,17 +153,10 @@ func TestConcurrentFirstUse(t *testing.T) {
 	for i, e := range edges {
 		sparse[i] = Edge{Src: e.Src * 1_000_003, Dst: e.Dst * 1_000_003}
 	}
-	weights := randWeights(len(edges), 6)
 	graphs := map[string]func() *Graph{
-		"dense": func() *Graph { return FromEdges(slices.Clone(edges)) },
-		"weighted": func() *Graph {
-			g, err := FromWeightedEdges(slices.Clone(sparse), slices.Clone(weights))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return g
-		},
-		"block": func() *Graph { return FromBlocks(buildBlocks(t, edges, nil, 256)) },
+		"dense":  func() *Graph { return FromEdges(slices.Clone(edges)) },
+		"sparse": func() *Graph { return FromEdges(slices.Clone(sparse)) },
+		"block":  func() *Graph { return FromBlocks(buildBlocks(t, edges, 256)) },
 	}
 	rows := func(g *Graph, nb func(int32) []int32) [][]int32 {
 		out := make([][]int32, g.NumVertices())

@@ -81,8 +81,8 @@ const compactionThreshold = 4 // compact when numDead*compactionThreshold >= len
 //     vertices shifted dense indices — and patched with the suffix;
 //   - the ID->index map and the CSR adjacency views stay lazy.
 //
-// What is shared and who pays: the edge list (and weights, and the endpoint
-// view) is copied once, on a graph's first Grow, into a backing array with
+// What is shared and who pays: the edge list (and the endpoint view) is
+// copied once, on a graph's first Grow, into a backing array with
 // spare capacity (Tail); from then on each generation of the lineage holds a
 // length- and capacity-clamped slice of that one array and Grow writes only
 // the suffix into slots no existing generation covers. A second child of
@@ -100,27 +100,24 @@ const compactionThreshold = 4 // compact when numDead*compactionThreshold >= len
 // Grow only reads g through its concurrency-safe view builders, so it may
 // run while other goroutines read g.
 func (g *Graph) Grow(newEdges []Edge) (*Graph, Delta) {
-	return g.advance(newEdges, nil, nil)
+	return g.advance(newEdges, nil)
 }
 
 // advance is the one generation-step primitive behind Grow, Shrink and
-// SlideWindow: append suffix (with optional weights) and tombstone the
-// dense positions in removeIdx, producing a new generation without
+// SlideWindow: append suffix and tombstone the dense positions in removeIdx, producing a new generation without
 // mutating g. removeIdx must be sorted ascending,
 // deduplicated, in [0, len(g.edges)), and every listed position must be
 // live in g — callers resolve and validate. A step with nothing to do
 // returns g itself (Delta.Old == Delta.New). A step that pushes tombstone
 // density past the compaction threshold rewrites the dense list instead
 // (Delta.Compacted).
-func (g *Graph) advance(suffix []Edge, sufWeights []float64, removeIdx []int) (*Graph, Delta) {
+func (g *Graph) advance(suffix []Edge, removeIdx []int) (*Graph, Delta) {
 	oldLen := g.NumEdges()
 	oldVerts := g.Vertices()
 
 	if len(suffix) == 0 && len(removeIdx) == 0 {
 		return g, Delta{Old: g, New: g, OldLen: oldLen, OldVerts: oldVerts}
 	}
-
-	childWeighted := g.Weighted() || sufWeights != nil
 
 	var ng *Graph
 	if g.blocks != nil && !g.denseOnce.built() {
@@ -131,7 +128,7 @@ func (g *Graph) advance(suffix []Edge, sufWeights []float64, removeIdx []int) (*
 		if len(suffix) == 0 {
 			ng = FromBlocks(g.blocks)
 		} else {
-			ext, err := g.blocks.extend(suffix, sufWeights, childWeighted)
+			ext, err := g.blocks.extend(suffix)
 			if err != nil {
 				panic("graph: block decode failed: " + err.Error())
 			}
@@ -140,30 +137,17 @@ func (g *Graph) advance(suffix []Edge, sufWeights []float64, removeIdx []int) (*
 	} else if len(suffix) == 0 {
 		// Pure shrink: the dense list is unchanged, so the child shares the
 		// parent's edge slice (capacity-clamped — neither generation can
-		// append into the other) and, when weighted, the weight slice. It
-		// shares the backing arrays' spare capacity too: whichever of the two
-		// grows first extends in place, the other copies.
+		// append into the other). It shares the backing array's spare
+		// capacity too: whichever of the two grows first extends in place,
+		// the other copies.
 		ng = FromEdges(g.edges[:oldLen:oldLen])
 		ng.edgesTail = g.edgesTail
-		if childWeighted {
-			ng.weights, ng.weightsTail = g.weights[:oldLen:oldLen], g.weightsTail
-		}
 	} else {
 		// Append: claim the suffix's slots in the lineage's backing arrays,
 		// copying only when there is no spare capacity to claim (the first
 		// growth of a graph, a second child of one parent, a full array).
 		ng = &Graph{}
 		ng.edges, ng.edgesTail = g.edgesTail.Extend(g.edges, suffix)
-		if childWeighted {
-			prefixW, sufW := g.weights, sufWeights
-			if prefixW == nil {
-				prefixW = slices.Repeat([]float64{1}, oldLen) // promotion: the parent's edges keep weight 1
-			}
-			if sufW == nil {
-				sufW = slices.Repeat([]float64{1}, len(suffix))
-			}
-			ng.weights, ng.weightsTail = g.weightsTail.Extend(prefixW, sufW)
-		}
 	}
 
 	// Tombstones: the parent's set plus this step's retractions.
@@ -198,18 +182,9 @@ func (g *Graph) advance(suffix []Edge, sufWeights []float64, removeIdx []int) (*
 
 	// The content fingerprint chains sequentially over the edge list, so a
 	// parent's built fingerprint extends to the child by folding only the
-	// suffix and re-folding the tombstone set. The chain only holds when
-	// parent and child agree on weightedness (promoting to weighted
-	// re-folds the prefix with weights, so the view stays lazy then).
-	if g.fpOnce.built() && g.Weighted() == childWeighted {
-		switch {
-		case !childWeighted:
-			ng.fpEdges = foldFingerprint(g.fpEdges, suffix)
-		case sufWeights != nil:
-			ng.fpEdges = foldFingerprintW(g.fpEdges, suffix, sufWeights)
-		default:
-			ng.fpEdges = foldFingerprintOnes(g.fpEdges, suffix)
-		}
+	// suffix and re-folding the tombstone set.
+	if g.fpOnce.built() {
+		ng.fpEdges = foldFingerprint(g.fpEdges, suffix)
 		ng.fp = foldDeadFingerprint(ng.fpEdges, ng.dead, ng.numDead)
 		ng.fpOnce.markBuilt()
 	}
@@ -345,7 +320,7 @@ func (g *Graph) advance(suffix []Edge, sufWeights []float64, removeIdx []int) (*
 }
 
 // compact rewrites the dense edge list of a tombstoned graph, dropping
-// dead slots (and their weights). The result is a fresh generation with no
+// dead slots. The result is a fresh generation with no
 // tombstones and fully lazy views — vertices that only backed dead edges
 // disappear here, which is why per-edge artifacts cannot survive the
 // boundary.
@@ -354,17 +329,13 @@ func (g *Graph) compact() *Graph {
 		// Stream live runs into a fresh block store; the compacted
 		// generation keeps the block tier.
 		bb := NewBlockBuilder(g.blocks.blockEdges)
-		g.mustEdgeBlocks(func(start int, edges []Edge, weights []float64) {
+		g.mustEdgeBlocks(func(start int, edges []Edge) {
 			runStart := -1
 			flush := func(end int) {
 				if runStart < 0 {
 					return
 				}
-				if weights != nil {
-					bb.Append(edges[runStart:end], weights[runStart:end])
-				} else {
-					bb.Append(edges[runStart:end], nil)
-				}
+				bb.Append(edges[runStart:end])
 				runStart = -1
 			}
 			for i := range edges {
@@ -381,20 +352,12 @@ func (g *Graph) compact() *Graph {
 		return FromBlocks(bb.Finish())
 	}
 	edges := make([]Edge, 0, len(g.edges)-g.numDead)
-	var weights []float64
-	if g.weights != nil {
-		weights = make([]float64, 0, len(g.edges)-g.numDead)
-	}
 	for i, e := range g.edges {
-		if !g.EdgeAlive(i) {
-			continue
-		}
-		edges = append(edges, e)
-		if weights != nil {
-			weights = append(weights, g.weights[i])
+		if g.EdgeAlive(i) {
+			edges = append(edges, e)
 		}
 	}
-	return &Graph{edges: edges, weights: weights}
+	return &Graph{edges: edges}
 }
 
 // RemapVertices returns the dense-index remap from a sorted ancestor

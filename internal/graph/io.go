@@ -20,25 +20,18 @@ import (
 // WriteEdgeList writes the graph in SNAP-style text format: one "src dst"
 // pair per live edge, tab separated, with a leading comment header.
 // Tombstoned edges are not written (the text format has no liveness
-// column); a weighted graph writes a third tab-separated weight field.
+// column).
 func (g *Graph) WriteEdgeList(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	if _, err := fmt.Fprintf(bw, "# cutfit edge list: %d vertices, %d edges\n", g.NumVertices(), g.NumLiveEdges()); err != nil {
 		return err
 	}
-	weighted := g.Weighted()
-	if err := g.ForEachEdgeBlock(func(start int, edges []Edge, weights []float64) error {
+	if err := g.ForEachEdgeBlock(func(start int, edges []Edge) error {
 		for i, e := range edges {
 			if g.numDead != 0 && !g.EdgeAlive(start+i) {
 				continue
 			}
-			var err error
-			if weighted {
-				_, err = fmt.Fprintf(bw, "%d\t%d\t%g\n", e.Src, e.Dst, weights[i])
-			} else {
-				_, err = fmt.Fprintf(bw, "%d\t%d\n", e.Src, e.Dst)
-			}
-			if err != nil {
+			if _, err := fmt.Fprintf(bw, "%d\t%d\n", e.Src, e.Dst); err != nil {
 				return err
 			}
 		}
@@ -66,26 +59,21 @@ const (
 
 // StreamEdgeList parses a SNAP-style text edge list (the ReadEdgeList
 // format) and delivers the edges to fn in batches instead of materializing
-// them: fn(edges, weights) where weights is nil until the stream encounters
-// its first weighted line and aligned with edges afterwards (weight-less
-// lines weigh 1). Batches delivered before the first weighted line
-// implicitly weigh 1 per edge; a consumer building a weighted artifact must
-// backfill ones for them, exactly as the dense tier's weight promotion
-// does. The slices are reused between batches — fn must not retain them.
+// them. The batch slice is reused between calls — fn must not retain it.
 //
 // The text is parsed a chunk of whole lines at a time, on up to
 // par.DefaultParallelism() goroutines that run at most twice that many
 // chunks ahead of fn; fn itself is called from the caller's goroutine, in
 // input order, and sees what a line-by-line parser would have shown it. The
-// two vertex IDs are scanned straight from the chunk, so an unweighted line
-// costs no allocation. The accepted language is that of strings.Fields +
+// two vertex IDs are scanned straight from the chunk, so a line costs no
+// allocation. The accepted language is that of strings.Fields +
 // strconv.ParseInt(·, 10, 64), and a rejected field goes through strconv for
 // its error.
-func StreamEdgeList(r io.Reader, fn func(edges []Edge, weights []float64) error) error {
+func StreamEdgeList(r io.Reader, fn func(edges []Edge) error) error {
 	return streamEdgeList(r, ingestChunkBytes, par.DefaultParallelism(), fn)
 }
 
-func streamEdgeList(r io.Reader, chunkBytes, workers int, fn func(edges []Edge, weights []float64) error) error {
+func streamEdgeList(r io.Reader, chunkBytes, workers int, fn func(edges []Edge) error) error {
 	b := edgeBatcher{fn: fn, edges: make([]Edge, 0, streamBatchEdges)}
 	if err := streamSlabs(r, chunkBytes, workers, b.add); err != nil {
 		return err
@@ -94,28 +82,16 @@ func streamEdgeList(r io.Reader, chunkBytes, workers int, fn func(edges []Edge, 
 }
 
 // edgeBatcher cuts the parsed slabs, taken in input order, into
-// StreamEdgeList's batches: streamBatchEdges edges each but the last,
-// weights nil until the batch that holds the first weighted line.
+// StreamEdgeList's batches: streamBatchEdges edges each but the last.
 type edgeBatcher struct {
-	fn      func(edges []Edge, weights []float64) error
-	edges   []Edge
-	weights []float64
+	fn    func(edges []Edge) error
+	edges []Edge
 }
 
 func (b *edgeBatcher) add(s *edgeSlab) error {
 	for i := 0; i < len(s.edges); {
 		n := min(streamBatchEdges-len(b.edges), len(s.edges)-i)
-		if b.weights == nil && s.firstWeighted >= 0 && s.firstWeighted < i+n {
-			b.weights = appendOnes(make([]float64, 0, streamBatchEdges), len(b.edges))
-		}
 		b.edges = append(b.edges, s.edges[i:i+n]...)
-		if b.weights != nil {
-			if s.firstWeighted >= 0 {
-				b.weights = append(b.weights, s.weights[i:i+n]...)
-			} else {
-				b.weights = appendOnes(b.weights, n)
-			}
-		}
 		i += n
 		if len(b.edges) == streamBatchEdges {
 			if err := b.flush(); err != nil {
@@ -130,19 +106,9 @@ func (b *edgeBatcher) flush() error {
 	if len(b.edges) == 0 {
 		return nil
 	}
-	err := b.fn(b.edges, b.weights)
+	err := b.fn(b.edges)
 	b.edges = b.edges[:0]
-	if b.weights != nil {
-		b.weights = b.weights[:0]
-	}
 	return err
-}
-
-func appendOnes(ws []float64, n int) []float64 {
-	for ; n > 0; n-- {
-		ws = append(ws, 1)
-	}
-	return ws
 }
 
 // edgeSlab is one chunk of the text and what its lines parse to.
@@ -152,13 +118,9 @@ type edgeSlab struct {
 	rows int    // lines in text, an upper bound on its edges
 
 	// edges holds the edges of the lines up to the first one rejected, err
-	// that line's error. firstWeighted is the edge of the first line that
-	// carries a weight, -1 when none does; from there on weights is aligned
-	// with edges, and holds ones in front of it.
-	edges         []Edge
-	weights       []float64
-	firstWeighted int
-	err           error
+	// that line's error.
+	edges []Edge
+	err   error
 
 	parsed chan struct{} // receives once per parse
 }
@@ -168,8 +130,8 @@ type edgeSlab struct {
 // calling goroutine. At most 2 × workers chunks are read beyond the one being
 // delivered; with one worker, or when a chunk is all there is to parse, the
 // caller parses it itself and no goroutine is started. Slabs are reused once
-// delivered: deliver keeps a slab's edges or weights beyond its return by
-// setting the field to nil. It stops at the first error, in input order: a
+// delivered: deliver keeps a slab's edges beyond its return by setting the
+// field to nil. It stops at the first error, in input order: a
 // rejected line (after its slab, which holds the edges in front of it, has
 // been delivered), deliver's own, or — after everything read has been
 // delivered — a read error or an over-long line.
@@ -321,22 +283,21 @@ func (s *edgeSlab) parse() {
 	if cap(s.edges) < s.rows {
 		s.edges = make([]Edge, 0, s.rows)
 	}
-	s.edges, s.weights, s.firstWeighted, s.err = parseEdgeLines(s.text, s.line, s.rows, s.edges[:0], s.weights[:0])
+	s.edges, s.err = parseEdgeLines(s.text, s.line, s.edges[:0])
 	s.parsed <- struct{}{}
 }
 
 // parseEdgeLines parses the lines of block, the first of which is line
 // lineNo+1 of the input, and appends their edges to edges, which has room
-// for one per line, up to the first line it rejects. weights is appended to
-// from the first weighted line on, after ones for the edges in front of it;
-// firstWeighted is that line's edge, or -1.
+// for one per line, up to the first line it rejects. Edges have no weight:
+// a third field is refused, never ignored, since dropping it would change
+// what the input's metrics mean.
 //
 // The block is parsed in place: '\n' is whitespace to every helper but
 // skipBlank, which stops in front of it, so a field scan can never run on
 // into the next line. Each line's handling leaves p on the line's '\n' (or at
 // the end of the block).
-func parseEdgeLines(block []byte, lineNo, rows int, edges []Edge, weights []float64) (_ []Edge, _ []float64, firstWeighted int, err error) {
-	firstWeighted = -1
+func parseEdgeLines(block []byte, lineNo int, edges []Edge) (_ []Edge, err error) {
 	for p := 0; p < len(block); p++ {
 		lineNo++
 		p = skipBlank(block, p)
@@ -368,32 +329,12 @@ func parseEdgeLines(block []byte, lineNo, rows int, edges []Edge, weights []floa
 			break
 		}
 		if p = skipBlank(block, dstEnd); !atLineEnd(block, p) {
-			wtEnd := fieldEnd(block, p)
-			wtField := block[p:wtEnd]
-			wt, werr := strconv.ParseFloat(string(wtField), 64)
-			if werr != nil {
-				err = fmt.Errorf("graph: line %d: bad edge weight %q: %w", lineNo, wtField, werr)
-				break
-			}
-			if !validWeight(wt) {
-				err = fmt.Errorf("graph: line %d: edge weight %g must be finite and positive", lineNo, wt)
-				break
-			}
-			if firstWeighted < 0 {
-				firstWeighted = len(edges)
-				if cap(weights) < rows {
-					weights = make([]float64, 0, rows)
-				}
-				weights = appendOnes(weights, len(edges))
-			}
-			weights = append(weights, wt)
-			p = lineEnd(block, wtEnd)
-		} else if firstWeighted >= 0 {
-			weights = append(weights, 1)
+			err = fmt.Errorf("graph: line %d: unexpected third field %q: edge weights are not supported", lineNo, block[p:fieldEnd(block, p)])
+			break
 		}
 		edges = append(edges, Edge{Src: VertexID(src), Dst: VertexID(dst)})
 	}
-	return edges, weights, firstWeighted, err
+	return edges, err
 }
 
 // asciiSpace marks the ASCII whitespace characters (strings.Fields' set).
@@ -518,55 +459,34 @@ func badVertexField(lineNo int, which string, field []byte) error {
 }
 
 // ReadEdgeList parses a SNAP-style text edge list: lines of "src dst"
-// separated by whitespace, with an optional third field holding a
-// positive float64 edge weight; lines starting with '#' or '%' are
-// comments. If any line carries a weight the graph is weighted and
-// weight-less lines default to 1. It parses like StreamEdgeList, keeps the
-// parsed slabs and copies them into an edge array (and weight array)
-// allocated once at its final size — so ingest allocates about twice the
-// result, and both are live until it returns.
+// separated by whitespace; lines starting with '#' or '%' are comments. A
+// line with a third field is refused (edges have no weight). It parses like
+// StreamEdgeList, keeps the parsed slabs and copies them into an edge
+// array allocated once at its final size — so ingest allocates about twice
+// the result, and both are live until it returns.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
 	return readEdgeList(r, ingestChunkBytes, par.DefaultParallelism())
 }
 
 func readEdgeList(r io.Reader, chunkBytes, workers int) (*Graph, error) {
-	type slab struct {
-		edges   []Edge
-		weights []float64 // nil: no weighted line in the slab
-	}
-	var slabs []slab
-	total, weighted := 0, false
+	var slabs [][]Edge
+	total := 0
 	if err := streamSlabs(r, chunkBytes, workers, func(s *edgeSlab) error {
-		kept := slab{edges: s.edges}
+		slabs = append(slabs, s.edges)
+		total += len(s.edges)
 		s.edges = nil
-		if s.firstWeighted >= 0 {
-			kept.weights, s.weights, weighted = s.weights, nil, true
-		}
-		slabs = append(slabs, kept)
-		total += len(kept.edges)
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	g := &Graph{}
 	if len(slabs) == 1 {
-		g.edges, g.weights = slabs[0].edges, slabs[0].weights
-	} else {
-		g.edges = make([]Edge, 0, total)
-		if weighted {
-			g.weights = make([]float64, 0, total)
-		}
-		for _, sl := range slabs {
-			g.edges = append(g.edges, sl.edges...)
-			switch {
-			case sl.weights != nil:
-				g.weights = append(g.weights, sl.weights...)
-			case weighted:
-				g.weights = appendOnes(g.weights, len(sl.edges))
-			}
-		}
+		return FromEdges(slabs[0]), nil
 	}
-	return g, nil
+	edges := make([]Edge, 0, total)
+	for _, sl := range slabs {
+		edges = append(edges, sl...)
+	}
+	return FromEdges(edges), nil
 }
 
 // ReadEdgeListBlocks parses the ReadEdgeList text format directly into a
@@ -576,8 +496,8 @@ func readEdgeList(r io.Reader, chunkBytes, workers int) (*Graph, error) {
 // DefaultBlockEdges.
 func ReadEdgeListBlocks(r io.Reader, blockEdges int) (*Graph, error) {
 	bb := NewBlockBuilder(blockEdges)
-	if err := StreamEdgeList(r, func(edges []Edge, weights []float64) error {
-		bb.Append(edges, weights)
+	if err := StreamEdgeList(r, func(edges []Edge) error {
+		bb.Append(edges)
 		return nil
 	}); err != nil {
 		return nil, err
@@ -606,7 +526,7 @@ func EncodeEdges(dst []byte, edges []Edge) []byte {
 func (g *Graph) AppendEncodedEdges(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(g.NumEdges()))
 	var prevSrc int64
-	g.mustEdgeBlocks(func(_ int, edges []Edge, _ []float64) {
+	g.mustEdgeBlocks(func(_ int, edges []Edge) {
 		dst, prevSrc = appendEdgeRun(dst, edges, prevSrc)
 	})
 	return dst
@@ -719,13 +639,12 @@ func checkVertexListShape(verts []VertexID) error {
 }
 
 // restoreFold is what FromEdgesAndVertices folds over each chunk of edges
-// right behind the decoder: the fingerprint chain (as foldFingerprintW
+// right behind the decoder: the fingerprint chain (as foldFingerprint
 // folds it) and the coverage marks, every endpoint looked up in the vertex
 // list and marked used — in two bitsets for lists the buildVerts bitmap
 // rule covers, with a hash lookup for sparse or huge ID spaces.
 type restoreFold struct {
 	h            uint64
-	weights      []float64
 	next         int // the dense slot of the next edge to fold
 	maxV         uint64
 	listed, used []uint64
@@ -733,8 +652,8 @@ type restoreFold struct {
 }
 
 // newRestoreFold starts the fold for a shape-checked vertex list.
-func newRestoreFold(verts []VertexID, weights []float64) *restoreFold {
-	f := &restoreFold{h: fingerprintSeed, weights: weights}
+func newRestoreFold(verts []VertexID) *restoreFold {
+	f := &restoreFold{h: fingerprintSeed}
 	n := len(verts)
 	if n == 0 || !bitmapFits(verts[n-1], n) {
 		f.sparse = make(map[VertexID]bool, n)
@@ -760,11 +679,7 @@ const foldChunk = 1024
 func (f *restoreFold) fold(edges []Edge) error {
 	start := f.next
 	f.next += len(edges)
-	if f.weights == nil {
-		f.h = foldFingerprint(f.h, edges)
-	} else {
-		f.h = foldFingerprintW(f.h, edges, f.weights[start:f.next])
-	}
+	f.h = foldFingerprint(f.h, edges)
 	for i, e := range edges {
 		if !f.mark(e.Src) || !f.mark(e.Dst) {
 			return fmt.Errorf("graph: edge %d (%d -> %d) has an endpoint missing from the restored vertex list", start+i, e.Src, e.Dst)
@@ -804,22 +719,21 @@ func (f *restoreFold) checkUsed(verts []VertexID) error {
 }
 
 // FromEdgesAndVertices restores a graph as the snapshot codec persists it:
-// the EncodeEdges payload of its dense edge list, its weights (nil when
-// unweighted), its sorted unique vertex list and its tombstone bitset with
-// the dead count (nil and 0 when nothing is retracted). Everything is
-// validated: the vertex list against the edges — strictly ascending,
-// non-negative, every edge endpoint present, every listed vertex used —,
-// the weights as FromWeightedEdges does, and the bitset as fitting the edge
-// list with numDead its popcount. The edge list is read once (restoreFold);
+// the EncodeEdges payload of its dense edge list, its sorted unique vertex
+// list and its tombstone bitset with the dead count (nil and 0 when nothing
+// is retracted). Everything is validated: the vertex list against the
+// edges — strictly ascending, non-negative, every edge endpoint present,
+// every listed vertex used —, and the bitset as fitting the edge list with
+// numDead its popcount. The edge list is read once (restoreFold);
 // the vertex list and the fingerprint are seeded as the graph's views.
-func FromEdgesAndVertices(payload []byte, weights []float64, verts []VertexID, dead []uint64, numDead int) (*Graph, error) {
+func FromEdgesAndVertices(payload []byte, verts []VertexID, dead []uint64, numDead int) (*Graph, error) {
 	if err := checkVertexListShape(verts); err != nil {
 		return nil, err
 	}
 	// The fold's chain is serial and costs about what the decode does, so
 	// it runs on a second worker. The channel has room for every chunk (an
 	// edge is at least two bytes): on one worker the fold runs after.
-	f := newRestoreFold(verts, weights)
+	f := newRestoreFold(verts)
 	chunks := make(chan []Edge, len(payload)/(2*foldChunk)+1)
 	var edges []Edge
 	var decErr, foldErr error
@@ -830,7 +744,7 @@ func FromEdgesAndVertices(payload []byte, weights []float64, verts []VertexID, d
 			return
 		}
 		for c := range chunks {
-			if foldErr == nil && (weights == nil || f.next+len(c) <= len(weights)) {
+			if foldErr == nil {
 				foldErr = f.fold(c)
 			}
 		}
@@ -839,9 +753,6 @@ func FromEdgesAndVertices(payload []byte, weights []float64, verts []VertexID, d
 	}
 	if decErr != nil {
 		return nil, decErr
-	}
-	if err := checkWeights(0, edges, weights); err != nil {
-		return nil, err
 	}
 	if foldErr != nil {
 		return nil, foldErr
@@ -852,7 +763,7 @@ func FromEdgesAndVertices(payload []byte, weights []float64, verts []VertexID, d
 	if err := checkTombstones(dead, numDead, len(edges)); err != nil {
 		return nil, err
 	}
-	g := &Graph{edges: edges, weights: weights, dead: dead, numDead: numDead, verts: verts}
+	g := &Graph{edges: edges, dead: dead, numDead: numDead, verts: verts}
 	g.vertsOnce.markBuilt()
 	g.fpEdges = f.h
 	g.fp = foldDeadFingerprint(f.h, dead, numDead)

@@ -16,14 +16,15 @@ func FuzzReadEdgeList(f *testing.F) {
 		"",
 		"\n\n\n",
 		"   \t  \n",
-		"1 2 weighted-extra-field 0.5\n",
-		"9223372036854775807 0\n",  // max int64
-		"-42 -7\n",                 // negative IDs parse; Validate rejects later
-		"99999999999999999999 1\n", // overflows int64
-		"a b\n",                    // non-numeric
-		"1\n",                      // one field
-		"0x10 7\n",                 // hex not accepted
-		"3.14 1\n",                 // float not accepted
+		"1 2 weighted-extra-field 0.5\n", // a third field: refused
+		"1 2 2.5\n3 4\n",                 // ... numeric or not
+		"9223372036854775807 0\n",        // max int64
+		"-42 -7\n",                       // negative IDs parse; Validate rejects later
+		"99999999999999999999 1\n",       // overflows int64
+		"a b\n",                          // non-numeric
+		"1\n",                            // one field
+		"0x10 7\n",                       // hex not accepted
+		"3.14 1\n",                       // float not accepted
 		"7 8\n# trailing comment",
 		"\ufeff1 2\n", // BOM glued to first token
 	}

@@ -5,34 +5,30 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"slices"
 	"strconv"
 	"strings"
 )
 
-// The loaders' previous implementations, kept verbatim as test oracles:
+// The loaders' previous implementations, kept as test oracles:
 // the per-line strings/strconv text parser, the binary-search validator of
 // a restored vertex list and the binary.Varint edge decoder. The
 // differential tests in loader_test.go require the production code to agree
 // with them on every result and every error.
 
 // streamEdgeListRef is StreamEdgeList as it was: Scanner.Text,
-// strings.Fields and strconv.ParseInt per line.
-func streamEdgeListRef(r io.Reader, fn func(edges []Edge, weights []float64) error) error {
+// strings.Fields and strconv.ParseInt per line. Like the parser, it refuses
+// a third field.
+func streamEdgeListRef(r io.Reader, fn func(edges []Edge) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<20)
 	edges := make([]Edge, 0, streamBatchEdges)
-	var weights []float64
 	flush := func() error {
 		if len(edges) == 0 {
 			return nil
 		}
-		err := fn(edges, weights)
+		err := fn(edges)
 		edges = edges[:0]
-		if weights != nil {
-			weights = weights[:0]
-		}
 		return err
 	}
 	lineNo := 0
@@ -55,22 +51,7 @@ func streamEdgeListRef(r io.Reader, fn func(edges []Edge, weights []float64) err
 			return fmt.Errorf("graph: line %d: bad destination vertex %q: %w", lineNo, fields[1], err)
 		}
 		if len(fields) >= 3 {
-			wt, err := strconv.ParseFloat(fields[2], 64)
-			if err != nil {
-				return fmt.Errorf("graph: line %d: bad edge weight %q: %w", lineNo, fields[2], err)
-			}
-			if !(wt > 0) || math.IsInf(wt, 1) {
-				return fmt.Errorf("graph: line %d: edge weight %g must be finite and positive", lineNo, wt)
-			}
-			if weights == nil {
-				weights = make([]float64, len(edges), streamBatchEdges)
-				for i := range weights {
-					weights[i] = 1
-				}
-			}
-			weights = append(weights, wt)
-		} else if weights != nil {
-			weights = append(weights, 1)
+			return fmt.Errorf("graph: line %d: unexpected third field %q: edge weights are not supported", lineNo, fields[2])
 		}
 		edges = append(edges, Edge{Src: VertexID(src), Dst: VertexID(dst)})
 		if len(edges) == streamBatchEdges {

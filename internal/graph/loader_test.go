@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"runtime"
 	"slices"
 	"strconv"
@@ -17,18 +16,16 @@ import (
 )
 
 // streamResult is everything StreamEdgeList shows a caller: the batches in
-// order (weights nil or aligned) and the error.
+// order and the error.
 type streamResult struct {
-	edges   [][]Edge
-	weights [][]float64
-	err     string
+	edges [][]Edge
+	err   string
 }
 
-func collectStream(stream func(io.Reader, func([]Edge, []float64) error) error, data []byte) streamResult {
+func collectStream(stream func(io.Reader, func([]Edge) error) error, data []byte) streamResult {
 	var res streamResult
-	err := stream(bytes.NewReader(data), func(edges []Edge, weights []float64) error {
+	err := stream(bytes.NewReader(data), func(edges []Edge) error {
 		res.edges = append(res.edges, slices.Clone(edges))
-		res.weights = append(res.weights, slices.Clone(weights))
 		return nil
 	})
 	if err != nil {
@@ -37,8 +34,7 @@ func collectStream(stream func(io.Reader, func([]Edge, []float64) error) error, 
 	return res
 }
 
-// sameStream compares two results; weights by bit pattern, so NaN payloads
-// and signed zeros cannot hide a difference.
+// sameStream compares two results.
 func sameStream(a, b streamResult) error {
 	if a.err != b.err {
 		return fmt.Errorf("error %q, reference %q", a.err, b.err)
@@ -50,21 +46,14 @@ func sameStream(a, b streamResult) error {
 		if !slices.Equal(a.edges[i], b.edges[i]) {
 			return fmt.Errorf("batch %d: edges differ from the reference", i)
 		}
-		if (a.weights[i] == nil) != (b.weights[i] == nil) {
-			return fmt.Errorf("batch %d: weights nil = %t, reference %t", i, a.weights[i] == nil, b.weights[i] == nil)
-		}
-		if !slices.EqualFunc(a.weights[i], b.weights[i], func(x, y float64) bool {
-			return math.Float64bits(x) == math.Float64bits(y)
-		}) {
-			return fmt.Errorf("batch %d: weights differ from the reference", i)
-		}
 	}
 	return nil
 }
 
 // streamSeeds are the inputs the text parser's two implementations are
 // compared on before the fuzzer mutates them: every construct of the
-// accepted language and every rejection, by line position.
+// accepted language and every rejection, by line position — a third field
+// (edges have no weight) among them, numeric or not.
 var streamSeeds = []string{
 	"1 2\n3 4\n",
 	"# cutfit edge list: 2 vertices, 1 edges\n1\t2\n",
@@ -115,7 +104,7 @@ var streamSeeds = []string{
 	"# only a comment",
 	"%\n#\n",
 	"5 6 7 8 9\n",
-	strings.Repeat("1 2\n", streamBatchEdges) + "3 4 2.5\n5 6\n", // weight after a full batch
+	strings.Repeat("1 2\n", streamBatchEdges) + "3 4 2.5\n5 6\n", // a third field after a full batch
 	"1 2 " + strings.Repeat("x", 70<<10) + "\n3 4\n",             // a 70 KiB line grows the buffer
 	strings.Repeat(" ", 70<<10) + "1 2\n",
 }
@@ -177,10 +166,10 @@ func (c *chunkReader) Read(p []byte) (int, error) {
 }
 
 func TestStreamEdgeListShortReads(t *testing.T) {
-	in := "# header\n12 34\r\n\n56 78 1.5\n9 10\n11"
+	in := "# header\n12 34\r\n\n56 78\n9 10\n11"
 	for n := 1; n <= 7; n++ {
 		var got []Edge
-		err := StreamEdgeList(&chunkReader{data: []byte(in), n: n}, func(edges []Edge, _ []float64) error {
+		err := StreamEdgeList(&chunkReader{data: []byte(in), n: n}, func(edges []Edge) error {
 			got = append(got, edges...)
 			return nil
 		})
@@ -196,35 +185,25 @@ func TestStreamEdgeListShortReads(t *testing.T) {
 
 // chunked is the parser cutting its input every chunkBytes bytes (moved up
 // to the next line end) and parsing on workers goroutines.
-func chunked(chunkBytes, workers int) func(io.Reader, func([]Edge, []float64) error) error {
-	return func(r io.Reader, fn func([]Edge, []float64) error) error {
+func chunked(chunkBytes, workers int) func(io.Reader, func([]Edge) error) error {
+	return func(r io.Reader, fn func([]Edge) error) error {
 		return streamEdgeList(r, chunkBytes, workers, fn)
 	}
 }
 
 // readResult is what ReadEdgeList shows a caller.
 type readResult struct {
-	edges   []Edge
-	weights []float64
-	err     string
+	edges []Edge
+	err   string
 }
 
 // readRef is ReadEdgeList as it was: the reference parser's batches appended
-// to one array, weights promoted at the first weighted batch.
+// to one array.
 func readRef(data []byte) readResult {
 	var res readResult
 	res.edges = []Edge{}
-	err := streamEdgeListRef(bytes.NewReader(data), func(edges []Edge, weights []float64) error {
-		if weights != nil && res.weights == nil {
-			res.weights = appendOnes(make([]float64, 0, len(res.edges)), len(res.edges))
-		}
+	err := streamEdgeListRef(bytes.NewReader(data), func(edges []Edge) error {
 		res.edges = append(res.edges, edges...)
-		switch {
-		case weights != nil:
-			res.weights = append(res.weights, weights...)
-		case res.weights != nil:
-			res.weights = appendOnes(res.weights, len(edges))
-		}
 		return nil
 	})
 	if err != nil {
@@ -243,30 +222,27 @@ func sameRead(g *Graph, err error, want readResult) error {
 	if !slices.Equal(g.Edges(), want.edges) || g.Edges() == nil {
 		return fmt.Errorf("edges differ from the reference")
 	}
-	if (g.Weights() == nil) != (want.weights == nil) || !slices.Equal(g.Weights(), want.weights) {
-		return fmt.Errorf("weights differ from the reference")
-	}
 	return nil
 }
 
 // TestStreamEdgeListChunkBoundaries cuts the parser's input every few
-// bytes, so that chunk ends fall everywhere a line, a batch and the first
-// weight can meet them, and requires of one and of eight parsing goroutines
-// what the line-by-line reference delivers: batches, weights, error text and
-// line number — and of ReadEdgeList the same edge and weight arrays.
+// bytes, so that chunk ends fall everywhere a line, a batch and a refused
+// third field can meet them, and requires of one and of eight parsing
+// goroutines what the line-by-line reference delivers: batches, error text
+// and line number — and of ReadEdgeList the same edge array.
 func TestStreamEdgeListChunkBoundaries(t *testing.T) {
 	batch := strings.Repeat("1 2\n", streamBatchEdges)
 	inputs := append([]string{
-		"1 2\n3 4\n5 6\n7 8 2.5\n9 10\n",                     // the first weight in a later chunk than weightless lines
+		"1 2\n3 4\n5 6\n7 8 2.5\n9 10\n",                     // a third field in a later chunk than two-field lines
 		batch + "1 2\n3 4\n" + "5 6 0.5\n" + batch + "7 8\n", // ... and in a later batch, mid-batch
 		batch[:len(batch)-4] + "5 6 0.5\n" + batch,           // ... on a batch's last edge
 		"1 2\r\n3 4 1.5\r\n\r\n5 6\r\n",                      // CRLF
 		"1 2\n3 4\n5 6",                                      // no trailing newline
-		"1 2\n3 4 7",                                         // ... on a weighted line
+		"1 2\n3 4 7",                                         // ... on a line with a third field
 		"1 2\n# one\n# two\n\n%\n   \n# three\n3 4\n",        // chunks of comments and blanks only
 		"1 2\n3 4 " + strings.Repeat("9", 300) + "\n5 6\n",   // a line longer than any chunk here
 		"1 2\nx y\n3 4\nz\n5 6 -1\n",                         // bad lines in later chunks too: the first one wins
-		"1 2\n3 4 0\n5\n",                                    // ... a bad weight before a lone field
+		"1 2\n3 4 0\n5\n",                                    // ... a third field before a lone field
 		batch + "1 2\n3 4\nx\n" + batch + "y\n",              // ... after a full batch was delivered
 	}, streamSeeds...)
 	for _, in := range inputs {
@@ -336,8 +312,8 @@ func TestStreamEdgeListReadError(t *testing.T) {
 	boom := fmt.Errorf("boom")
 	for _, in := range []string{"1 2\n3 4\n5 6", "1 2\nx\n3 4\n", ""} {
 		for _, size := range []int{2, 5, 1 << 16} {
-			collect := func(stream func(io.Reader, func([]Edge, []float64) error) error) (edges []Edge, err error) {
-				err = stream(&failingReader{data: []byte(in), err: boom}, func(es []Edge, _ []float64) error {
+			collect := func(stream func(io.Reader, func([]Edge) error) error) (edges []Edge, err error) {
+				err = stream(&failingReader{data: []byte(in), err: boom}, func(es []Edge) error {
 					edges = append(edges, es...)
 					return nil
 				})
@@ -359,7 +335,7 @@ func TestStreamEdgeListStopsOnCallbackError(t *testing.T) {
 	stop := fmt.Errorf("stop")
 	for _, workers := range []int{1, 8} {
 		calls := 0
-		err := streamEdgeList(strings.NewReader(in), 1000, workers, func([]Edge, []float64) error {
+		err := streamEdgeList(strings.NewReader(in), 1000, workers, func([]Edge) error {
 			if calls++; calls == 2 {
 				return stop
 			}
@@ -372,8 +348,7 @@ func TestStreamEdgeListStopsOnCallbackError(t *testing.T) {
 }
 
 // FuzzStreamEdgeList requires the parser and its strconv reference to agree
-// on every input: the same batches of edges, the same weights, the same
-// error text with the same line number — as shipped (chunk 0) and cut every
+// on every input: the same batches of edges, the same error text with the same line number — as shipped (chunk 0) and cut every
 // chunk bytes for one to eight parsing goroutines.
 func FuzzStreamEdgeList(f *testing.F) {
 	for _, s := range streamSeeds {
@@ -479,31 +454,6 @@ func TestReadEdgeListAllocatesTwiceTheResult(t *testing.T) {
 	}
 }
 
-func TestReadEdgeListWeightsAcrossBatches(t *testing.T) {
-	var text strings.Builder
-	for i := 0; i < streamBatchEdges+10; i++ {
-		fmt.Fprintf(&text, "%d %d\n", i, i+1)
-	}
-	text.WriteString("1 2 2.5\n3 4\n")
-	g, err := ReadEdgeList(strings.NewReader(text.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := g.NumEdges()
-	if n != streamBatchEdges+12 || len(g.Weights()) != n {
-		t.Fatalf("%d edges, %d weights", n, len(g.Weights()))
-	}
-	for i, w := range g.Weights() {
-		want := 1.0
-		if i == n-2 {
-			want = 2.5
-		}
-		if w != want {
-			t.Fatalf("weight %d = %g, want %g", i, w, want)
-		}
-	}
-}
-
 // TestDecodeEdgesMatchesReference compares the short-varint decoder with
 // binary.Varint on deltas around every encoding-length boundary, on
 // payloads cut short at every byte, and on non-canonical and overlong
@@ -580,7 +530,7 @@ func TestFromEdgesAndVerticesRejectsHostileLists(t *testing.T) {
 		{"sparse: vertex unused", wide, []VertexID{7, 8, 1 << 39, 1 << 40}},
 	}
 	for _, c := range cases {
-		_, err := FromEdgesAndVertices(EncodeEdges(nil, c.edges), nil, slices.Clone(c.verts), nil, 0)
+		_, err := FromEdgesAndVertices(EncodeEdges(nil, c.edges), slices.Clone(c.verts), nil, 0)
 		want := checkRestoredVertsRef(c.edges, c.verts)
 		if want == nil {
 			t.Fatalf("%s: the reference accepts the case", c.name)
@@ -610,7 +560,7 @@ func TestFromEdgesAndVerticesAccepts(t *testing.T) {
 		if err := checkRestoredVertsRef(edges, verts); err != nil {
 			t.Fatalf("%s: the reference rejects the case: %v", name, err)
 		}
-		g, err := FromEdgesAndVertices(EncodeEdges(nil, edges), nil, verts, nil, 0)
+		g, err := FromEdgesAndVertices(EncodeEdges(nil, edges), verts, nil, 0)
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
@@ -625,26 +575,22 @@ func TestFromEdgesAndVerticesAccepts(t *testing.T) {
 }
 
 // TestFromEdgesAndVerticesSeedsFingerprint: the fingerprint the decode loop
-// folds equals the one a graph computes from its own edges, weights and
-// tombstones, on both coverage paths.
+// folds equals the one a graph computes from its own edges and tombstones,
+// on both coverage paths.
 func TestFromEdgesAndVerticesSeedsFingerprint(t *testing.T) {
 	for name, edges := range map[string][]Edge{
 		"bitmap": {{0, 5}, {5, 9}, {9, 0}, {3, 3}, {9, 5}},
 		"sparse": {{1 << 40, 7}, {7, 1 << 39}, {1<<40 - 1, 1 << 40}, {7, 7}, {1 << 39, 7}},
 	} {
-		weights := []float64{1, 0.5, 2, 3, 1.25}
 		dead := []uint64{0b10010}
 		verts := FromEdges(slices.Clone(edges)).Vertices()
-		g, err := FromEdgesAndVertices(EncodeEdges(nil, edges), slices.Clone(weights), verts, slices.Clone(dead), 2)
+		g, err := FromEdgesAndVertices(EncodeEdges(nil, edges), verts, slices.Clone(dead), 2)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		want := &Graph{edges: slices.Clone(edges), weights: weights, dead: dead, numDead: 2}
+		want := &Graph{edges: slices.Clone(edges), dead: dead, numDead: 2}
 		if g.Fingerprint() != want.Fingerprint() {
 			t.Errorf("%s: seeded fingerprint %016x, recomputed %016x", name, g.Fingerprint(), want.Fingerprint())
-		}
-		if _, err := FromEdgesAndVertices(EncodeEdges(nil, edges), weights[:4], verts, nil, 0); err == nil {
-			t.Errorf("%s: a weight list one short was accepted", name)
 		}
 	}
 }

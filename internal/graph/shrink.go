@@ -32,24 +32,18 @@ func (g *Graph) Shrink(retract []Edge) (*Graph, Delta, error) {
 	if err != nil {
 		return nil, Delta{}, err
 	}
-	ng, d := g.advance(nil, nil, removeIdx)
+	ng, d := g.advance(nil, removeIdx)
 	return ng, d, nil
 }
 
-// SlideWindow is the general generation step: append newEdges (weights[i],
-// finite and positive, belongs to newEdges[i]; nil means weight 1 each,
-// and a weighted suffix promotes an unweighted parent's edges to weight 1)
-// and expire every live edge at a dense position < expireBefore — older
-// than the expireBefore-th append — in ONE step: one generation, one Delta.
+// SlideWindow is the general generation step: append newEdges and expire
+// every live edge at a dense position < expireBefore — older than the
+// expireBefore-th append — in ONE step: one generation, one Delta.
 // expireBefore is clamped to the parent's edge count, so the suffix is
-// never expired by the same step. SlideWindow(e, w, 0) is a weighted
-// append, SlideWindow(nil, nil, n) an expiry; a no-op step returns g.
-func (g *Graph) SlideWindow(newEdges []Edge, weights []float64, expireBefore int) (*Graph, Delta, error) {
-	if err := checkWeights(g.NumEdges(), newEdges, weights); err != nil {
-		return nil, Delta{}, err
-	}
-	ng, d := g.advance(newEdges, weights, g.liveBefore(expireBefore))
-	return ng, d, nil
+// never expired by the same step. SlideWindow(e, 0) is an append,
+// SlideWindow(nil, n) an expiry; a no-op step returns g.
+func (g *Graph) SlideWindow(newEdges []Edge, expireBefore int) (*Graph, Delta) {
+	return g.advance(newEdges, g.liveBefore(expireBefore))
 }
 
 // liveBefore lists the live dense positions < n, ascending (n clamped to
@@ -133,7 +127,7 @@ func (g *Graph) resolveRetractions(retract []Edge) ([]int, error) {
 		sc := getScratch()
 		defer blockScratchPool.Put(sc)
 		for b := lo; b < hi; b++ {
-			es, _, err := bs.decode(b, sc, false)
+			es, err := bs.decode(b, sc)
 			if err != nil {
 				panic("graph: block decode failed: " + err.Error())
 			}

@@ -20,7 +20,7 @@ func (g *Graph) resolveRetractionsRef(retract []Edge) ([]int, error) {
 	}
 	idx := make([]int, 0, len(retract))
 	seen := make(map[Edge]bool, len(want))
-	g.mustEdgeBlocks(func(start int, edges []Edge, _ []float64) {
+	g.mustEdgeBlocks(func(start int, edges []Edge) {
 		for i, e := range edges {
 			n, ok := want[e]
 			if !ok {
@@ -54,7 +54,7 @@ func TestResolveRetractionsAcrossRanges(t *testing.T) {
 	edges := []Edge{{1, 2}, x, x, {2, 3}, {3, 4}, x, {4, 5}, {5, 6}}
 	dense := FromEdges(slices.Clone(edges))
 	bb := NewBlockBuilder(2)
-	bb.Append(edges, nil)
+	bb.Append(edges)
 	for name, g := range map[string]*Graph{"dense": dense, "block": FromBlocks(bb.Finish())} {
 		sg, _, err := g.Shrink([]Edge{x})
 		if err != nil {
@@ -85,7 +85,7 @@ func retractFuzzCase(seed int64, edgesN, batchN uint16, nv uint8, missing, block
 	var g *Graph
 	if block {
 		bb := NewBlockBuilder(64)
-		bb.Append(edges, nil)
+		bb.Append(edges)
 		g = FromBlocks(bb.Finish())
 	} else {
 		g = FromEdges(slices.Clone(edges))

@@ -63,7 +63,7 @@ const LocalityWindow = 256
 // the advisor asks for on every request, is computed once and cached.
 func (g *Graph) NearIDEdges(window int64) int {
 	count := func() (near int) {
-		g.mustEdgeBlocks(func(_ int, edges []Edge, _ []float64) {
+		g.mustEdgeBlocks(func(_ int, edges []Edge) {
 			for _, e := range edges {
 				if d := int64(e.Src) - int64(e.Dst); -window <= d && d <= window {
 					near++
@@ -229,7 +229,7 @@ func (g *Graph) ConnectedComponents() (labels []VertexID, count int) {
 			}
 		}
 	}
-	g.mustEdgeBlocks(func(start int, edges []Edge, _ []float64) {
+	g.mustEdgeBlocks(func(start int, edges []Edge) {
 		for i, e := range edges {
 			if g.numDead != 0 && !g.EdgeAlive(start+i) {
 				continue

@@ -73,7 +73,7 @@ type Share struct {
 }
 
 // Shares lists the heap storage g keeps alive, one Share per allocation
-// that a related graph may also hold — the dense edge, weight and endpoint
+// that a related graph may also hold — the dense edge and endpoint
 // arrays (a lineage's generations all report the same backing arrays), the
 // vertex list (inherited when a step adds no vertex), the tombstone bitset
 // (inherited by an append step), a block store (shared by a pure shrink) —
@@ -95,7 +95,6 @@ func (g *Graph) Shares() []Share {
 	}
 	if g.blocks == nil || g.denseOnce.built() {
 		add(SliceShare(g.edges, g.edgesTail))
-		add(SliceShare(g.weights, g.weightsTail))
 	}
 	if g.endpointOnce.built() {
 		add(SliceShare(g.srcIdx, g.srcTail))

@@ -88,32 +88,6 @@ func TestSecondChildCopies(t *testing.T) {
 	}
 }
 
-// TestWeightedLineage: weights follow the edges in place, and promoting an
-// unweighted lineage to weighted gives the prefix weight 1.
-func TestWeightedLineage(t *testing.T) {
-	g0 := FromEdges(randomEdges(1, 30, 100))
-	g1, _, err := g0.SlideWindow(randomEdges(2, 30, 10), slices.Repeat([]float64{2}, 10), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, _ := g1.Grow(randomEdges(3, 30, 10))
-	g3, _, err := g2.SlideWindow(randomEdges(4, 30, 10), slices.Repeat([]float64{3}, 10), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameArray(g3.Weights(), g1.Weights()) {
-		t.Fatal("weights of a weighted lineage were copied, not extended in place")
-	}
-	want := slices.Concat(slices.Repeat([]float64{1}, 100), slices.Repeat([]float64{2}, 10),
-		slices.Repeat([]float64{1}, 10), slices.Repeat([]float64{3}, 10))
-	if !slices.Equal(g3.Weights(), want) {
-		t.Fatal("weights along the lineage are wrong")
-	}
-	if g0.Weighted() || len(g1.Weights()) != 110 || len(g2.Weights()) != 120 {
-		t.Fatal("older generations see the wrong weights")
-	}
-}
-
 // TestConcurrentGrowOffOneLineage: goroutines growing, shrinking and
 // reading generations of one lineage at once never observe a torn or
 // foreign edge list (run under -race by `make race`).

@@ -48,19 +48,6 @@ type Result struct {
 	// (tombstoned edges never count).
 	EdgesPerPart    []int64
 	VerticesPerPart []int64
-
-	// Weighted counterparts, populated only when the graph carries edge
-	// weights (nil/zero otherwise — the unweighted path is untouched).
-	// WeightPerPart is the per-partition total live edge weight;
-	// WeightedBalance and MaxWeight are its max/mean ratio and maximum;
-	// WeightedCommCost scales each cut vertex's synchronization copies by
-	// the vertex's weighted degree, so hot (heavy-edge) vertices dominate
-	// the cost the way they dominate real superstep traffic. With all
-	// weights 1, WeightPerPart equals EdgesPerPart exactly.
-	WeightPerPart    []float64
-	WeightedBalance  float64
-	MaxWeight        float64
-	WeightedCommCost float64
 }
 
 // FromAssignment derives the full metric set from a validated Assignment.
@@ -76,18 +63,11 @@ func FromAssignment(a *partition.Assignment) (*Result, error) {
 	// replicaBits[v*words : (v+1)*words] is the partition bitset of dense
 	// vertex v. Tombstoned edges replicate nothing.
 	replicaBits := make([]uint64, nv*words)
-	weighted := g.Weighted()
-	var weightPerPart, wdeg []float64
-	if weighted {
-		weightPerPart = make([]float64, numParts)
-		wdeg = make([]float64, nv)
-	}
 	numDead := g.NumDeadEdges()
-	// Ascending edge order on either tier, so the float sums are
-	// bit-identical: the dense tier reads the graph's cached endpoint
-	// indices — the ones the build of whichever candidate wins needs anyway —
-	// and the block tier resolves them a block at a time.
-	if err := g.ForEachEndpointBlock(0, g.NumEdges(), true, func(start int, sidx, didx []int32, ws []float64) error {
+	// The dense tier reads the graph's cached endpoint indices — the ones
+	// the build of whichever candidate wins needs anyway — and the block
+	// tier resolves them a block at a time.
+	if err := g.ForEachEndpointBlock(0, g.NumEdges(), func(start int, sidx, didx []int32) error {
 		for j := range sidx {
 			i := start + j
 			if numDead != 0 && !g.EdgeAlive(i) {
@@ -97,12 +77,6 @@ func FromAssignment(a *partition.Assignment) (*Result, error) {
 			w, b := int(p)/64, uint(p)%64
 			replicaBits[int(sidx[j])*words+w] |= 1 << b
 			replicaBits[int(didx[j])*words+w] |= 1 << b
-			if weighted {
-				wt := ws[j]
-				weightPerPart[p] += wt
-				wdeg[sidx[j]] += wt
-				wdeg[didx[j]] += wt
-			}
 		}
 		return nil
 	}); err != nil {
@@ -111,7 +85,7 @@ func FromAssignment(a *partition.Assignment) (*Result, error) {
 
 	edgesPerPart := make([]int64, numParts)
 	copy(edgesPerPart, a.EdgesPerPart)
-	res := &Result{NumParts: numParts, EdgesPerPart: edgesPerPart, WeightPerPart: weightPerPart}
+	res := &Result{NumParts: numParts, EdgesPerPart: edgesPerPart}
 	vertsPerPart := make([]int64, numParts)
 	for v := 0; v < nv; v++ {
 		replicas := 0
@@ -131,9 +105,6 @@ func FromAssignment(a *partition.Assignment) (*Result, error) {
 		case replicas > 1:
 			res.Cut++
 			res.CommCost += int64(replicas)
-			if wdeg != nil {
-				res.WeightedCommCost += float64(float64(replicas) * wdeg[v])
-			}
 		}
 	}
 	res.VerticesPerPart = vertsPerPart
@@ -179,21 +150,6 @@ func (r *Result) Finalize(numVertices int) {
 	} else {
 		r.ReplicationFactor = 0
 	}
-	if r.WeightPerPart != nil {
-		var wsum, wmax float64
-		for _, c := range r.WeightPerPart {
-			wsum += c
-			if c > wmax {
-				wmax = c
-			}
-		}
-		r.MaxWeight = wmax
-		if wmean := wsum / float64(r.NumParts); wmean > 0 {
-			r.WeightedBalance = wmax / wmean
-		} else {
-			r.WeightedBalance = 1
-		}
-	}
 }
 
 // MetricByName extracts a metric value from a Result by its table name:
@@ -212,10 +168,6 @@ func (r *Result) MetricByName(name string) (float64, error) {
 		return r.PartStDev, nil
 	case "ReplicationFactor":
 		return r.ReplicationFactor, nil
-	case "WeightedBalance":
-		return r.WeightedBalance, nil
-	case "WeightedCommCost":
-		return r.WeightedCommCost, nil
 	}
 	return 0, fmt.Errorf("metrics: unknown metric %q", name)
 }

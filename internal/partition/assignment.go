@@ -174,11 +174,11 @@ func Assign(g *graph.Graph, s Strategy, numParts int) (*Assignment, error) {
 		}
 		// One streamed pass, block at a time: chunked assignment is exactly
 		// equivalent to a single call over the full edge list (see
-		// AssignWeightedEdges), and a block-backed graph never materializes
+		// AssignEdges), and a block-backed graph never materializes
 		// its dense []Edge here.
 		pids = make([]PID, g.NumEdges())
-		if err := g.ForEachEdgeBlock(func(start int, edges []graph.Edge, weights []float64) error {
-			st.AssignWeightedEdges(edges, weights, pids[start:start+len(edges)])
+		if err := g.ForEachEdgeBlock(func(start int, edges []graph.Edge) error {
+			st.AssignEdges(edges, pids[start:start+len(edges)])
 			return nil
 		}); err != nil {
 			return nil, err

@@ -59,7 +59,7 @@ func (a *Assignment) Extend(grown *graph.Graph, s Strategy) (*Assignment, error)
 	// The appended suffix is tiny relative to the graph in steady-state
 	// serving; EdgeRange materializes just it (a copy on a block-backed
 	// graph, a subslice on a dense one).
-	suffix, wSuffix := grown.EdgeRange(oldLen, ne)
+	suffix := grown.EdgeRange(oldLen, ne)
 	// inherit returns the grown PID slice with the suffix's slots claimed
 	// (zeroed, for the strategy to fill): this assignment's own slice on a
 	// pure shrink — PIDs are immutable, so the two share it — and otherwise
@@ -99,24 +99,21 @@ func (a *Assignment) Extend(grown *graph.Graph, s Strategy) (*Assignment, error)
 			if err != nil {
 				return nil, err
 			}
-			if err := grown.ForEachEdgeBlock(func(start int, edges []graph.Edge, weights []float64) error {
+			if err := grown.ForEachEdgeBlock(func(start int, edges []graph.Edge) error {
 				if start >= oldLen {
 					return errStopReplay
 				}
 				if start+len(edges) > oldLen {
 					edges = edges[:oldLen-start]
-					if weights != nil {
-						weights = weights[:oldLen-start]
-					}
 				}
-				fresh.AssignWeightedEdges(edges, weights, pids[start:start+len(edges)])
+				fresh.AssignEdges(edges, pids[start:start+len(edges)])
 				return nil
 			}); err != nil && err != errStopReplay {
 				return nil, err
 			}
 			st = fresh
 		}
-		st.AssignWeightedEdges(suffix, wSuffix, pids[oldLen:])
+		st.AssignEdges(suffix, pids[oldLen:])
 		retained = st
 	default:
 		full, err := s.Partition(grown, a.NumParts)

@@ -82,7 +82,7 @@ func (rangeStrategy) Partition(g *graph.Graph, numParts int) ([]PID, error) {
 	lo := int64(verts[0])
 	hi := int64(verts[len(verts)-1])
 	span := hi - lo + 1
-	if err := g.ForEachEdgeBlock(func(start int, edges []graph.Edge, _ []float64) error {
+	if err := g.ForEachEdgeBlock(func(start int, edges []graph.Edge) error {
 		for i, e := range edges {
 			out[start+i] = PID((int64(e.Src) - lo) * int64(numParts) / span)
 		}

@@ -93,7 +93,7 @@ func (s *hashStrategy) Partition(g *graph.Graph, numParts int) ([]PID, error) {
 	// Block at a time: a block-backed graph never materializes its dense
 	// edge list here, and each block is still sharded over all cores.
 	out := make([]PID, g.NumEdges())
-	if err := g.ForEachEdgeBlock(func(start int, edges []graph.Edge, _ []float64) error {
+	if err := g.ForEachEdgeBlock(func(start int, edges []graph.Edge) error {
 		return assignHashParallel(edges, out[start:start+len(edges)], fn, numParts)
 	}); err != nil {
 		return nil, fmt.Errorf("partition: strategy %s: %w", s.name, err)

@@ -54,13 +54,11 @@ const (
 
 // streamVertex is one vertex's retained streaming state: the partitions it
 // has been replicated to and the partial degrees observed so far. Degrees
-// and loads are float64 so weighted edges stream through the same tables;
-// unweighted edges contribute exactly 1.0, and float64 addition over
-// integers below 2^53 is exact, so the unweighted path stays bit-identical
-// to the historical integer tables.
+// and loads are float64 (HDRF's scores divide them); each edge contributes
+// exactly 1.0, and float64 addition over integers below 2^53 is exact.
 type streamVertex struct {
 	replicas []PID
-	deg      float64 // total partial (weighted) degree (HDRF's θ)
+	deg      float64 // total partial degree (HDRF's θ)
 	inDeg    int64   // partial in-degree edge count (Hybrid's threshold)
 }
 
@@ -101,28 +99,19 @@ func newStreamState(kind streamKind, numParts int) (*StreamState, error) {
 // NumParts returns the partition count the state targets.
 func (st *StreamState) NumParts() int { return st.numParts }
 
-// AssignWeightedEdges streams edges with per-edge weights (weights[i]
-// belongs to edges[i]; nil means weight 1 each) through the degree and
-// load tables, writing one PID per edge into out (len(out) == len(edges)).
+// AssignEdges streams edges through the degree and load tables, each
+// adding 1, writing one PID per edge into out (len(out) == len(edges)).
 // Calling it repeatedly over consecutive chunks of one edge list is
-// equivalent to a single call over the whole list, and an all-ones
-// weighting is bit-identical to nil.
-func (st *StreamState) AssignWeightedEdges(edges []graph.Edge, weights []float64, out []PID) {
-	w := 1.0
+// equivalent to a single call over the whole list.
+func (st *StreamState) AssignEdges(edges []graph.Edge, out []PID) {
 	switch st.kind {
 	case streamGreedy:
 		for i, e := range edges {
-			if weights != nil {
-				w = weights[i]
-			}
-			out[i] = st.assignGreedy(e, w)
+			out[i] = st.assignGreedy(e)
 		}
 	case streamHDRF:
 		for i, e := range edges {
-			if weights != nil {
-				w = weights[i]
-			}
-			out[i] = st.assignHDRF(e, w)
+			out[i] = st.assignHDRF(e)
 		}
 	case streamHybrid:
 		for i, e := range edges {
@@ -164,10 +153,10 @@ func (st *StreamState) place(sv *streamVertex, p PID) {
 	}
 }
 
-func (st *StreamState) commit(s, d *streamVertex, p PID, w float64) PID {
+func (st *StreamState) commit(s, d *streamVertex, p PID) PID {
 	st.place(s, p)
 	st.place(d, p)
-	st.load[p] += w
+	st.load[p]++
 	if st.load[p] > st.maxLoad {
 		st.maxLoad = st.load[p]
 	}
@@ -215,7 +204,7 @@ func (st *StreamState) leastLoadedAll(tiebreak uint64) PID {
 	return best
 }
 
-func (st *StreamState) assignGreedy(e graph.Edge, w float64) PID {
+func (st *StreamState) assignGreedy(e graph.Edge) PID {
 	sv, dv := st.vert(e.Src), st.vert(e.Dst)
 	rs, rd := sv.replicas, dv.replicas
 	// Intersection: least-loaded partition holding both endpoints. The scan
@@ -231,7 +220,7 @@ func (st *StreamState) assignGreedy(e graph.Edge, w float64) PID {
 		}
 	}
 	if both >= 0 {
-		return st.commit(sv, dv, both, w)
+		return st.commit(sv, dv, both)
 	}
 	if len(rs) > 0 && len(rd) > 0 {
 		// Cut the vertex whose replicas live on more-loaded partitions:
@@ -248,23 +237,23 @@ func (st *StreamState) assignGreedy(e graph.Edge, w float64) PID {
 				best = p
 			}
 		}
-		return st.commit(sv, dv, best, w)
+		return st.commit(sv, dv, best)
 	}
 	if len(rs) > 0 {
-		return st.commit(sv, dv, st.leastLoaded(rs), w)
+		return st.commit(sv, dv, st.leastLoaded(rs))
 	}
 	if len(rd) > 0 {
-		return st.commit(sv, dv, st.leastLoaded(rd), w)
+		return st.commit(sv, dv, st.leastLoaded(rd))
 	}
-	return st.commit(sv, dv, st.leastLoadedAll(rng.Combine2(uint64(e.Src), uint64(e.Dst))), w)
+	return st.commit(sv, dv, st.leastLoadedAll(rng.Combine2(uint64(e.Src), uint64(e.Dst))))
 }
 
-func (st *StreamState) assignHDRF(e graph.Edge, w float64) PID {
+func (st *StreamState) assignHDRF(e graph.Edge) PID {
 	sv, dv := st.vert(e.Src), st.vert(e.Dst)
 	// Partial degrees: count the current edge first, so a first-seen
-	// endpoint has degree w and θ is always well defined.
-	sv.deg += w
-	dv.deg += w
+	// endpoint has degree 1 and θ is always well defined.
+	sv.deg++
+	dv.deg++
 	degS, degD := sv.deg, dv.deg
 	// Normalized "partial degrees" θ: the lower-degree endpoint should be
 	// kept whole; the higher-degree one is cheap to replicate.
@@ -292,7 +281,7 @@ func (st *StreamState) assignHDRF(e graph.Edge, w float64) PID {
 			bestP = pid
 		}
 	}
-	return st.commit(sv, dv, bestP, w)
+	return st.commit(sv, dv, bestP)
 }
 
 // assignHybrid applies the PowerLyra rule on the in-degree observed so
@@ -322,15 +311,15 @@ func (st *StreamState) minLoadVal() float64 {
 // strategies: fresh state, one pass, block at a time — a block-backed
 // graph streams through its compressed tier without ever materializing
 // the dense edge list (chunked assignment is exactly equivalent to a
-// single pass; see AssignWeightedEdges).
+// single pass; see AssignEdges).
 func streamPartition(r Resumable, g *graph.Graph, numParts int) ([]PID, error) {
 	st, err := r.NewStream(numParts)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]PID, g.NumEdges())
-	if err := g.ForEachEdgeBlock(func(start int, edges []graph.Edge, weights []float64) error {
-		st.AssignWeightedEdges(edges, weights, out[start:start+len(edges)])
+	if err := g.ForEachEdgeBlock(func(start int, edges []graph.Edge) error {
+		st.AssignEdges(edges, out[start:start+len(edges)])
 		return nil
 	}); err != nil {
 		return nil, err

@@ -117,7 +117,7 @@ func (pg *PartitionedGraph) ApplyDelta(a *partition.Assignment, remap []int32) (
 		sufSrc, sufDst = st.SufSrc, st.SufDst
 	} else {
 		verts := a.G.Vertices()
-		sufEdges, _ := a.G.EdgeRange(oldLen, ne)
+		sufEdges := a.G.EdgeRange(oldLen, ne)
 		sufSrc = make([]int32, len(sufEdges))
 		sufDst = make([]int32, len(sufEdges))
 		for i, e := range sufEdges {

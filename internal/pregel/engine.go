@@ -64,7 +64,7 @@ const sparseDenominator = 8
 // endpoints to the send-message function. Endpoints are addressed by global
 // dense vertex index — the position in Graph.Vertices(), Graph.OutDegrees()
 // and every other per-vertex table — which is what the scan has in hand;
-// per-vertex side data (degrees, weights, precomputed sets) should be a slice
+// per-vertex side data (degrees, precomputed sets) should be a slice
 // indexed by SrcIdx/DstIdx, not a map keyed by vertex ID.
 type Triplet[V any] struct {
 	SrcIdx, DstIdx int32

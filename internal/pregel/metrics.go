@@ -20,11 +20,6 @@ import "cutfit/internal/metrics"
 // Any path that builds the topology anyway (run-after-measure, the bench
 // grid) should read metrics here instead of calling
 // metrics.FromAssignment.
-//
-// On a weighted graph one extra O(|E|) pass over the retained assignment
-// accumulates the weighted counterparts (WeightPerPart, WeightedCommCost) in
-// the same ascending-edge order metrics.FromAssignment uses, so the float
-// sums are bit-for-bit identical too.
 func (pg *PartitionedGraph) Metrics() *metrics.Result {
 	numParts := pg.NumParts
 	res := &metrics.Result{
@@ -36,40 +31,15 @@ func (pg *PartitionedGraph) Metrics() *metrics.Result {
 		res.EdgesPerPart[p] = int64(part.NumEdges())
 		res.VerticesPerPart[p] = int64(part.NumLocalVertices())
 	}
-	nv := pg.G.NumVertices()
-	var wdeg []float64
-	if g := pg.G; g.Weighted() {
-		numDead := g.NumDeadEdges()
-		res.WeightPerPart = make([]float64, numParts)
-		wdeg = make([]float64, nv)
-		if err := g.ForEachEndpointBlock(0, g.NumEdges(), true, func(start int, sidx, didx []int32, weights []float64) error {
-			for j := range sidx {
-				i := start + j
-				if numDead != 0 && !g.EdgeAlive(i) {
-					continue
-				}
-				wt := weights[j]
-				res.WeightPerPart[pg.assign[i]] += wt
-				wdeg[sidx[j]] += wt
-				wdeg[didx[j]] += wt
-			}
-			return nil
-		}); err != nil {
-			panic("pregel: block decode failed: " + err.Error())
-		}
-	}
-	for v, replicas := range pg.ReplicaCounts() {
+	for _, replicas := range pg.ReplicaCounts() {
 		switch {
 		case replicas == 1:
 			res.NonCut++
 		case replicas > 1:
 			res.Cut++
 			res.CommCost += int64(replicas)
-			if wdeg != nil {
-				res.WeightedCommCost += float64(float64(replicas) * wdeg[v])
-			}
 		}
 	}
-	res.Finalize(nv)
+	res.Finalize(pg.G.NumVertices())
 	return res
 }

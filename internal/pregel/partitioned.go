@@ -387,7 +387,7 @@ func (pg *PartitionedGraph) buildSortScatter() error {
 	if err := par.Ranges(shards, units, func(s, lo, hi int) {
 		lo, hi = edgeRange(lo, hi)
 		cur := cursors[s*numParts : (s+1)*numParts]
-		errs[s] = g.ForEachEndpointBlock(lo, hi, false, func(start int, srcIdx, dstIdx []int32, _ []float64) error {
+		errs[s] = g.ForEachEndpointBlock(lo, hi, func(start int, srcIdx, dstIdx []int32) error {
 			for j := range srcIdx {
 				i := start + j
 				if numDead != 0 && !g.EdgeAlive(i) {

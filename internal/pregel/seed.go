@@ -168,7 +168,7 @@ func SeedLabels[V comparable](pg *PartitionedGraph, parent *Answer[V], oldLen in
 	// nothing; should the trim below reset an endpoint, the reset activates it.
 	if ne := g.NumEdges(); ne > oldLen {
 		dead := g.NumDeadEdges()
-		edges, _ := g.EdgeRange(oldLen, ne)
+		edges := g.EdgeRange(oldLen, ne)
 		for i, e := range edges {
 			if dead != 0 && !g.EdgeAlive(oldLen+i) {
 				continue

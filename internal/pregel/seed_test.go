@@ -148,7 +148,7 @@ func TestSeededChain(t *testing.T) {
 				}
 				ng, d, err = g.Shrink(g.EdgesAt(idx))
 			default:
-				ng, d, err = g.SlideWindow([]graph.Edge{edge(300), edge(300), edge(300)}, nil, 3*step)
+				ng, d = g.SlideWindow([]graph.Edge{edge(300), edge(300), edge(300)}, 3*step)
 			}
 			if err != nil {
 				t.Fatal(err)

@@ -163,10 +163,7 @@ func TestApplyDeltaSlideWindowMatchesFullBuild(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					ng, d, err := g.SlideWindow(append([]graph.Edge(nil), suffix...), nil, expire)
-					if err != nil {
-						t.Fatal(err)
-					}
+					ng, d := g.SlideWindow(append([]graph.Edge(nil), suffix...), expire)
 					if d.Compacted {
 						t.Fatal("unexpected compaction")
 					}
@@ -240,7 +237,7 @@ func FuzzApplyShrink(f *testing.F) {
 					Dst: graph.VertexID(r.Intn(3 * nv)),
 				}
 			}
-			ng, d, err = g.SlideWindow(suffix, nil, int(retractN)%(len(base)+1))
+			ng, d = g.SlideWindow(suffix, int(retractN)%(len(base)+1))
 		} else {
 			ng, d, err = g.Shrink(retractBatch(r, g, int(retractN)%(len(base)+1)))
 		}

@@ -48,7 +48,8 @@ func tombstoneSteps(r *rand.Rand) []struct {
 	}{
 		{"retract", retract},
 		{"slide", func(g *graph.Graph) (*graph.Graph, graph.Delta, error) {
-			return g.SlideWindow(fresh(20), nil, g.NumEdges()/30)
+			ng, d := g.SlideWindow(fresh(20), g.NumEdges()/30)
+			return ng, d, nil
 		}},
 		{"append", func(g *graph.Graph) (*graph.Graph, graph.Delta, error) {
 			ng, d := g.Grow(fresh(20))

@@ -18,19 +18,21 @@ import (
 //
 //	container prefix:
 //	  meta section        vertex/edge counts, fingerprint, block geometry,
-//	                      weightedness, payload-region length
+//	                      a weighted flag (always 0), payload-region length
 //	  vertex list section delta uvarints (same encoding as KindGraph)
 //	  block index section one fixed 36-byte entry per block: edge count,
 //	                      then byte extent + CRC-32 (IEEE) for the encoded
-//	                      edges and for the optional weight sidecar
-//	                      (length 0 = the block's weights are implicitly
-//	                      all ones); offsets are relative to the payload
+//	                      edges, then a weight-sidecar extent that is
+//	                      always zero; offsets are relative to the payload
 //	                      region start and must chain contiguously
 //	  tombstones section  optional, same encoding as KindGraph
 //	payload region:
-//	  per block, in order: delta-varint edge payload, then the weight
-//	  sidecar when present — exactly the bytes the index describes,
-//	  ending at end-of-file
+//	  per block, in order: delta-varint edge payload — exactly the bytes
+//	  the index describes, ending at end-of-file
+//
+// Edges have no weight. The weighted flag and the sidecar extents are
+// format-v1 fields the writer sets to zero; a file with a non-zero one is
+// refused.
 //
 // Unlike every other kind, the payload region lives OUTSIDE the container
 // so OpenBlockGraph can serve blocks straight from the file through
@@ -40,7 +42,8 @@ import (
 // memory), which doubles as an eager integrity check of every block.
 
 // blockIndexEntryBytes is the fixed on-disk size of one block index entry:
-// count u32, off u64, len u32, crc u32, woff u64, wlen u32, wcrc u32.
+// count u32, off u64, len u32, crc u32, then the zero sidecar extent:
+// woff u64, wlen u32, wcrc u32.
 const blockIndexEntryBytes = 4 + 8 + 4 + 4 + 8 + 4 + 4
 
 // EncodeBlockGraphPrefix builds the container prefix for g's block tier
@@ -53,10 +56,10 @@ func EncodeBlockGraphPrefix(g *graph.Graph) (prefix []byte, payloads [][]byte, e
 	}
 	nb := bs.NumBlocks()
 	index := make([]byte, 0, nb*blockIndexEntryBytes)
-	payloads = make([][]byte, 0, 2*nb)
+	payloads = make([][]byte, 0, nb)
 	var off uint64
 	for b := 0; b < nb; b++ {
-		enc, wenc, err := bs.BlockPayload(b)
+		enc, err := bs.BlockPayload(b)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -65,19 +68,9 @@ func EncodeBlockGraphPrefix(g *graph.Graph) (prefix []byte, payloads [][]byte, e
 		index = binary.LittleEndian.AppendUint64(index, off)
 		index = binary.LittleEndian.AppendUint32(index, uint32(len(enc)))
 		index = binary.LittleEndian.AppendUint32(index, crc32.ChecksumIEEE(enc))
+		index = append(index, make([]byte, 8+4+4)...) // no weight sidecar
 		payloads = append(payloads, enc)
 		off += uint64(len(enc))
-		if len(wenc) > 0 {
-			index = binary.LittleEndian.AppendUint64(index, off)
-			index = binary.LittleEndian.AppendUint32(index, uint32(len(wenc)))
-			index = binary.LittleEndian.AppendUint32(index, crc32.ChecksumIEEE(wenc))
-			payloads = append(payloads, wenc)
-			off += uint64(len(wenc))
-		} else {
-			index = binary.LittleEndian.AppendUint64(index, 0)
-			index = binary.LittleEndian.AppendUint32(index, 0)
-			index = binary.LittleEndian.AppendUint32(index, 0)
-		}
 	}
 
 	verts := g.Vertices()
@@ -87,11 +80,7 @@ func EncodeBlockGraphPrefix(g *graph.Graph) (prefix []byte, payloads [][]byte, e
 	meta = binary.LittleEndian.AppendUint64(meta, g.Fingerprint())
 	meta = binary.LittleEndian.AppendUint32(meta, uint32(bs.BlockEdges()))
 	meta = binary.LittleEndian.AppendUint32(meta, uint32(nb))
-	var wflag uint32
-	if bs.Weighted() {
-		wflag = 1
-	}
-	meta = binary.LittleEndian.AppendUint32(meta, wflag)
+	meta = binary.LittleEndian.AppendUint32(meta, 0) // weighted flag
 	meta = binary.LittleEndian.AppendUint64(meta, off)
 
 	b := NewBuilder(KindBlockGraph)
@@ -215,8 +204,8 @@ func decodeBlockGraph(c *Container, src io.ReaderAt, base, size int64) (*graph.G
 	if err := mr.finish(); err != nil {
 		return nil, err
 	}
-	if wflag > 1 {
-		return nil, fmt.Errorf("snap: bad weighted flag %d", wflag)
+	if wflag != 0 {
+		return nil, fmt.Errorf("snap: block graph has weighted flag %d: edge weights are not supported", wflag)
 	}
 	if numEdges > math.MaxInt64/2 {
 		return nil, fmt.Errorf("snap: implausible edge count %d", numEdges)
@@ -248,9 +237,12 @@ func decodeBlockGraph(c *Container, src io.ReaderAt, base, size int64) (*graph.G
 			Off:   binary.LittleEndian.Uint64(e[4:]),
 			Len:   binary.LittleEndian.Uint32(e[12:]),
 			CRC:   binary.LittleEndian.Uint32(e[16:]),
-			WOff:  binary.LittleEndian.Uint64(e[20:]),
-			WLen:  binary.LittleEndian.Uint32(e[28:]),
-			WCRC:  binary.LittleEndian.Uint32(e[32:]),
+		}
+		if wlen := binary.LittleEndian.Uint32(e[28:]); wlen != 0 {
+			return nil, fmt.Errorf("snap: block %d has a %d-byte weight sidecar: edge weights are not supported", i, wlen)
+		}
+		if binary.LittleEndian.Uint64(e[20:]) != 0 || binary.LittleEndian.Uint32(e[32:]) != 0 {
+			return nil, fmt.Errorf("snap: block %d has weight extent fields but no sidecar", i)
 		}
 		// Payloads must chain contiguously through the payload region —
 		// the offsets are fully determined by the lengths, keeping the
@@ -259,18 +251,7 @@ func decodeBlockGraph(c *Container, src io.ReaderAt, base, size int64) (*graph.G
 			return nil, fmt.Errorf("snap: block %d edge payload at offset %d, want %d", i, ent.Off, cur)
 		}
 		cur += uint64(ent.Len)
-		if ent.WLen > 0 {
-			if ent.WOff != cur {
-				return nil, fmt.Errorf("snap: block %d weight sidecar at offset %d, want %d", i, ent.WOff, cur)
-			}
-			cur += uint64(ent.WLen)
-		} else if ent.WOff != 0 || ent.WCRC != 0 {
-			return nil, fmt.Errorf("snap: block %d has weight extent fields but no sidecar", i)
-		}
 		ent.Off += uint64(base)
-		if ent.WLen > 0 {
-			ent.WOff += uint64(base)
-		}
 		index[i] = ent
 	}
 	if cur != payloadLen {
@@ -280,7 +261,7 @@ func decodeBlockGraph(c *Container, src io.ReaderAt, base, size int64) (*graph.G
 		return nil, fmt.Errorf("snap: file holds %d payload bytes, meta says %d", uint64(size)-uint64(base), payloadLen)
 	}
 
-	bs, err := graph.OpenBlocks(src, int(blockEdges), wflag == 1, index)
+	bs, err := graph.OpenBlocks(src, int(blockEdges), index)
 	if err != nil {
 		return nil, err
 	}
@@ -300,8 +281,7 @@ func decodeBlockGraph(c *Container, src io.ReaderAt, base, size int64) (*graph.G
 	if err != nil {
 		return nil, err
 	}
-	// The fingerprint is canonical over edges, weights and the tombstone
-	// set; recomputing it streams every block once through pooled scratch,
+	// The fingerprint is canonical over edges and the tombstone set; recomputing it streams every block once through pooled scratch,
 	// CRC-checking the whole payload region without materializing it.
 	got, err := g.CheckedFingerprint()
 	if err != nil {

@@ -11,28 +11,21 @@ import (
 	"cutfit/internal/graph"
 )
 
-// testBlockGraph builds a block-backed graph (block size 256) with a
-// weight sidecar on some blocks, implicit all-ones on others, and a few
-// tombstoned edges — every optional feature of the on-disk format.
+// testBlockGraph builds a block-backed graph (block size 256) with a few
+// tombstoned edges — the optional feature of the on-disk format.
 func testBlockGraph(t testing.TB) *graph.Graph {
 	t.Helper()
 	const ne = 2400
 	bb := graph.NewBlockBuilder(256)
 	edges := make([]graph.Edge, 0, 100)
-	weights := make([]float64, 0, 100)
 	for i := 0; i < ne; i++ {
 		edges = append(edges, graph.Edge{Src: graph.VertexID(i / 50), Dst: graph.VertexID(100 + i%50)})
-		w := 1.0
-		if i%7 == 0 {
-			w = 0.5 + float64(i%13)
-		}
-		weights = append(weights, w)
 		if len(edges) == 100 {
-			bb.Append(edges, weights)
-			edges, weights = edges[:0], weights[:0]
+			bb.Append(edges)
+			edges = edges[:0]
 		}
 	}
-	bb.Append(edges, weights)
+	bb.Append(edges)
 	g := graph.FromBlocks(bb.Finish())
 	gs, _, err := g.Shrink([]graph.Edge{{Src: 0, Dst: 103}, {Src: 11, Dst: 117}, {Src: 40, Dst: 149}})
 	if err != nil {
@@ -65,13 +58,11 @@ func TestBlockGraphRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(back.Vertices(), g.Vertices()) {
 		t.Fatal("vertices differ after round trip")
 	}
-	if back.NumEdges() != g.NumEdges() || back.NumDeadEdges() != g.NumDeadEdges() || back.Weighted() != g.Weighted() {
+	if back.NumEdges() != g.NumEdges() || back.NumDeadEdges() != g.NumDeadEdges() {
 		t.Fatal("counts differ after round trip")
 	}
-	wantE, wantW := g.EdgeRange(0, g.NumEdges())
-	gotE, gotW := back.EdgeRange(0, back.NumEdges())
-	if !reflect.DeepEqual(gotE, wantE) || !reflect.DeepEqual(gotW, wantW) {
-		t.Fatal("edges or weights differ after round trip")
+	if !reflect.DeepEqual(back.EdgeRange(0, back.NumEdges()), g.EdgeRange(0, g.NumEdges())) {
+		t.Fatal("edges differ after round trip")
 	}
 	for _, i := range []int{0, 3, 550, g.NumEdges() - 1} {
 		if back.EdgeAlive(i) != g.EdgeAlive(i) {
@@ -173,31 +164,23 @@ func TestSaveBlockGraphAtomic(t *testing.T) {
 // TestEncodeGraphStreamsBlocks: encoding a block-backed graph reads it a
 // block at a time — the graph pins no more heap afterwards than before (no
 // dense copy left behind) — and yields the bytes its dense twin encodes to,
-// across weighted blocks, blocks without a sidecar and tombstones.
+// across blocks and tombstones.
 func TestEncodeGraphStreamsBlocks(t *testing.T) {
 	const ne = 4000
 	edges := make([]graph.Edge, ne)
-	weights := make([]float64, ne)
 	for i := range edges {
 		edges[i] = graph.Edge{Src: graph.VertexID((i * 7919) % 900), Dst: graph.VertexID((i * 104729) % 1100)}
-		weights[i] = 1
-		if i >= 600 && i%3 == 0 {
-			weights[i] = 0.25 + float64(i%11)
-		}
 	}
 	bb := graph.NewBlockBuilder(256)
-	bb.Append(edges[:600], nil) // sealed before the weight promotion: no sidecar
-	bb.Append(edges[600:], weights[600:])
+	bb.Append(edges[:600])
+	bb.Append(edges[600:])
 	retract := []graph.Edge{edges[3], edges[1000], edges[ne-1]}
 	block, _, err := graph.FromBlocks(bb.Finish()).Shrink(retract)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense, err := graph.FromWeightedEdges(edges, weights)
+	dense, _, err := graph.FromEdges(edges).Shrink(retract)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if dense, _, err = dense.Shrink(retract); err != nil {
 		t.Fatal(err)
 	}
 	pinned := func() int64 {

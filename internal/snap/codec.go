@@ -18,19 +18,21 @@ const (
 
 	secGraphVerts = 2
 	secGraphEdges = 3
-	// Optional trailing sections, written only when the graph carries the
-	// feature — an unweighted, untombstoned graph encodes byte-identically
-	// to format-version-1 snapshots that predate them.
-	secGraphWeights    = 4
+	// Optional trailing section, written only when the graph carries
+	// tombstones — an untombstoned graph encodes byte-identically to
+	// format-version-1 snapshots that predate it.
 	secGraphTombstones = 5
+
+	// Section 4 of a graph or metrics container is reserved for per-edge
+	// weights and their metrics. Edges have no weight: a container that
+	// carries it is refused (refuseWeights).
+	secWeights = 4
 
 	secAssignPIDs = 2
 	secAssignHist = 3
 
 	secMetricsEdges = 2
 	secMetricsVerts = 3
-	// Optional: weighted counterparts, written only for weighted graphs.
-	secMetricsWeights = 4
 
 	secTopoAssign = 2
 	// The partition tables (pregel.PartTables), in a topology and a shard
@@ -173,23 +175,13 @@ func encodeI64s(vals []int64) []byte {
 	return out
 }
 
-func appendF64s(dst []byte, vals []float64) []byte {
-	for _, v := range vals {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+// refuseWeights refuses a graph or metrics container carrying the weight
+// section (secWeights).
+func refuseWeights(c *Container, kind string) error {
+	if _, ok := c.Section(secWeights); ok {
+		return fmt.Errorf("snap: %s container carries a weight section (section %d): edge weights are not supported", kind, secWeights)
 	}
-	return dst
-}
-
-func decodeF64s(p []byte, name string) ([]float64, error) {
-	if len(p)%8 != 0 {
-		return nil, fmt.Errorf("snap: %s section length %d not a multiple of 8", name, len(p))
-	}
-	out := make([]float64, len(p)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[:8]))
-		p = p[8:]
-	}
-	return out, nil
+	return nil
 }
 
 func decodeI64s(p []byte, name string) ([]int64, error) {
@@ -293,9 +285,8 @@ func decodePIDs(p []byte, numParts int, id *GraphIdentity) ([]partition.PID, []i
 // (delta uvarints) and the full dense edge list (graph.EncodeEdges delta
 // varints, tombstoned slots included so positions survive the round trip),
 // read a block at a time so a block-backed graph stays unmaterialized.
-// Per-edge weights and the tombstone bitset ride in optional trailing
-// sections written only when present, so unweighted fully-live graphs keep
-// their original byte encoding.
+// The tombstone bitset rides in an optional trailing section written only
+// when present, so fully-live graphs keep their original byte encoding.
 func EncodeGraph(g *graph.Graph) []byte {
 	verts := g.Vertices()
 	var meta []byte
@@ -307,16 +298,6 @@ func EncodeGraph(g *graph.Graph) []byte {
 	b.Section(secMeta, meta)
 	b.Section(secGraphVerts, encodeVertexList(verts))
 	b.Section(secGraphEdges, g.AppendEncodedEdges(nil))
-	if g.Weighted() {
-		wsec := make([]byte, 0, 8*g.NumEdges())
-		if err := g.ForEachEdgeBlock(func(_ int, _ []graph.Edge, ws []float64) error {
-			wsec = appendF64s(wsec, ws)
-			return nil
-		}); err != nil {
-			panic("snap: block decode failed: " + err.Error())
-		}
-		b.Section(secGraphWeights, wsec)
-	}
 	if g.NumDeadEdges() > 0 {
 		b.Section(secGraphTombstones, encodeTombstones(g))
 	}
@@ -435,6 +416,9 @@ func OpenGraph(data []byte) (*GraphRecord, error) {
 	if err := expectKind(c, KindGraph); err != nil {
 		return nil, err
 	}
+	if err := refuseWeights(c, "graph"); err != nil {
+		return nil, err
+	}
 	msec, err := section(c, secMeta, "meta")
 	if err != nil {
 		return nil, err
@@ -467,25 +451,19 @@ func (r *GraphRecord) Decode() (*graph.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	var weights []float64
-	if wsec, ok := r.c.Section(secGraphWeights); ok {
-		if weights, err = decodeF64s(wsec, "edge weights"); err != nil {
-			return nil, err
-		}
-	}
 	esec, err := section(r.c, secGraphEdges, "edge list")
 	if err != nil {
 		return nil, err
 	}
-	g, err := graph.FromEdgesAndVertices(esec, weights, verts, id.dead, id.numDead)
+	g, err := graph.FromEdgesAndVertices(esec, verts, id.dead, id.numDead)
 	if err != nil {
 		return nil, err
 	}
 	if g.NumEdges() != id.NumEdges {
 		return nil, fmt.Errorf("snap: edge list holds %d entries, meta says %d", g.NumEdges(), id.NumEdges)
 	}
-	// The fingerprint is canonical over edges, weights and the tombstone
-	// set, so matching it proves all three sections round-tripped.
+	// The fingerprint is canonical over edges and the tombstone set, so
+	// matching it proves both sections round-tripped.
 	if g.Fingerprint() != id.Fingerprint {
 		return nil, fmt.Errorf("snap: graph fingerprint mismatch: decoded %016x, recorded %016x", g.Fingerprint(), id.Fingerprint)
 	}
@@ -667,14 +645,6 @@ func EncodeMetrics(m *metrics.Result, g *graph.Graph, strategyKey string) []byte
 	b.Section(secMeta, meta)
 	b.Section(secMetricsEdges, encodeI64s(m.EdgesPerPart))
 	b.Section(secMetricsVerts, encodeI64s(m.VerticesPerPart))
-	if m.WeightPerPart != nil {
-		// Optional trailing section: WeightedCommCost followed by the
-		// per-partition weight totals. The weighted derived fields
-		// (WeightedBalance, MaxWeight) are recomputed by Finalize on decode.
-		wsec := binary.LittleEndian.AppendUint64(nil, math.Float64bits(m.WeightedCommCost))
-		wsec = appendF64s(wsec, m.WeightPerPart)
-		b.Section(secMetricsWeights, wsec)
-	}
 	return b.Bytes()
 }
 
@@ -690,6 +660,9 @@ func DecodeMetrics(data []byte, g *graph.Graph, wantStrategyKey string) (*metric
 
 func decodeMetricsContainer(c *Container, id *GraphIdentity, wantStrategyKey string) (Unbound, error) {
 	if err := expectKind(c, KindMetrics); err != nil {
+		return Unbound{}, err
+	}
+	if err := refuseWeights(c, "metrics"); err != nil {
 		return Unbound{}, err
 	}
 	msec, err := section(c, secMeta, "meta")
@@ -768,22 +741,6 @@ func decodeMetricsContainer(c *Container, id *GraphIdentity, wantStrategyKey str
 		CommCost:        int64(commCost),
 		EdgesPerPart:    edgesPerPart,
 		VerticesPerPart: vertsPerPart,
-	}
-	if wsec, ok := c.Section(secMetricsWeights); ok {
-		wvals, err := decodeF64s(wsec, "weighted metrics")
-		if err != nil {
-			return Unbound{}, err
-		}
-		if len(wvals) != numParts+1 {
-			return Unbound{}, fmt.Errorf("snap: weighted metrics section holds %d values, want %d", len(wvals), numParts+1)
-		}
-		for i, v := range wvals {
-			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-				return Unbound{}, fmt.Errorf("snap: weighted metrics value %d is not finite and non-negative", i)
-			}
-		}
-		res.WeightedCommCost = wvals[0]
-		res.WeightPerPart = wvals[1:]
 	}
 	res.Finalize(int(numVerts))
 	// A metric set holds no reference to its graph: binding attaches nothing.

@@ -254,19 +254,11 @@ func TestStoreBundleRoundTrip(t *testing.T) {
 	}
 }
 
-// weightedShrunkGraph builds a weighted graph and tombstones two edges via
-// Shrink, giving every optional snapshot section something to carry.
-func weightedShrunkGraph(t testing.TB) *graph.Graph {
+// shrunkGraph tombstones two edges of the test graph via Shrink, giving the
+// optional tombstone section something to carry.
+func shrunkGraph(t testing.TB) *graph.Graph {
 	t.Helper()
-	base := testGraph(t)
-	weights := make([]float64, base.NumEdges())
-	for i := range weights {
-		weights[i] = float64(i%5) + 0.5
-	}
-	g, err := graph.FromWeightedEdges(append([]graph.Edge(nil), base.Edges()...), weights)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := graph.FromEdges(append([]graph.Edge(nil), testGraph(t).Edges()...))
 	ng, d, err := g.Shrink([]graph.Edge{g.Edges()[3], g.Edges()[9]})
 	if err != nil {
 		t.Fatal(err)
@@ -277,22 +269,19 @@ func weightedShrunkGraph(t testing.TB) *graph.Graph {
 	return ng
 }
 
-// TestWeightedShrunkRoundTrip: a weighted generation carrying tombstones
-// round-trips through every artifact kind with zero recomputation — the
-// restored graph keeps its weights and tombstone set, and the dependent
-// assignment, metrics and topology artifacts decode against the restored
-// graph with their recorded numbers intact.
-func TestWeightedShrunkRoundTrip(t *testing.T) {
-	g := weightedShrunkGraph(t)
+// TestShrunkRoundTrip: a generation carrying tombstones round-trips through
+// every artifact kind with zero recomputation — the restored graph keeps
+// its tombstone set, and the dependent assignment, metrics and topology
+// artifacts decode against the restored graph with their recorded numbers
+// intact.
+func TestShrunkRoundTrip(t *testing.T) {
+	g := shrunkGraph(t)
 	back, err := DecodeGraph(EncodeGraph(g))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(back.Edges(), g.Edges()) {
 		t.Fatal("edges differ after round trip")
-	}
-	if !reflect.DeepEqual(back.Weights(), g.Weights()) {
-		t.Fatal("weights differ after round trip")
 	}
 	if !reflect.DeepEqual(back.Tombstones(), g.Tombstones()) || back.NumDeadEdges() != g.NumDeadEdges() {
 		t.Fatal("tombstone set differs after round trip")
@@ -314,9 +303,6 @@ func TestWeightedShrunkRoundTrip(t *testing.T) {
 		m, err := metrics.FromAssignment(a)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if m.WeightPerPart == nil {
-			t.Fatalf("%s: weighted graph must yield weighted metrics", s.Name())
 		}
 		bm, err := DecodeMetrics(EncodeMetrics(m, g, s.Name()), back, s.Name())
 		if err != nil {
@@ -343,9 +329,9 @@ func TestWeightedShrunkRoundTrip(t *testing.T) {
 	}
 }
 
-// TestUnweightedEncodingUnchanged: optional sections must not change the
-// byte encoding of unweighted fully-live artifacts — a graph stripped of its
-// optional features encodes exactly like one that never had them.
+// TestUnweightedEncodingUnchanged: the byte encoding of fully-live
+// artifacts is canonical — a graph encodes exactly like a fresh copy of
+// its edges — and a metrics container carries no weight section.
 func TestUnweightedEncodingUnchanged(t *testing.T) {
 	g := testGraph(t)
 	if got, want := EncodeGraph(g), EncodeGraph(graph.FromEdges(append([]graph.Edge(nil), g.Edges()...))); !bytes.Equal(got, want) {
@@ -356,15 +342,12 @@ func TestUnweightedEncodingUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.WeightPerPart != nil {
-		t.Fatal("unweighted graph must not yield weighted metrics")
-	}
 	data := EncodeMetrics(m, g, "2D")
 	c, err := Decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.Section(secMetricsWeights); ok {
-		t.Fatal("unweighted metrics container carries a weighted section")
+	if _, ok := c.Section(secWeights); ok {
+		t.Fatal("metrics container carries a weight section")
 	}
 }

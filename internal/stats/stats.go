@@ -38,9 +38,9 @@ func Pearson(xs, ys []float64) (float64, error) {
 	var sxy, sxx, syy float64
 	for i := range xs {
 		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
+		sxy += float64(dx * dy)
+		sxx += float64(dx * dx)
+		syy += float64(dy * dy)
 	}
 	if sxx == 0 || syy == 0 {
 		return 0, nil
@@ -72,7 +72,7 @@ func Ranks(xs []float64) []float64 {
 		for j+1 < n && xs[idx[j+1]] == xs[idx[i]] {
 			j++
 		}
-		mean := float64(i+j)/2 + 1
+		mean := float64(float64(i+j)/2) + 1
 		for k := i; k <= j; k++ {
 			ranks[idx[k]] = mean
 		}

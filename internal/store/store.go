@@ -611,10 +611,9 @@ func (st *Store) builtViaDelta(g *graph.Graph, s partition.Strategy, numParts in
 // metricsViaDelta derives g's metric set from its built topology — exact
 // (O(|V| + mirrors)) and far cheaper than the replica-bitset scan — when the
 // topology is already cached for g or derivable from a cached ancestor. The
-// replica counts the metrics read are kept nowhere, but on a weighted graph
-// Metrics walks the edges' endpoint indices, which can build the graph's
-// endpoint view (ForEachEndpointBlock → EdgeEndpointIndices) and grow what
-// the entry holds, so the topology's entry is re-priced afterwards.
+// replica counts the metrics read are kept nowhere; the topology's entry is
+// re-priced afterwards all the same, so it is charged for whatever graph
+// views it shares that were built since it was priced.
 func (st *Store) metricsViaDelta(g *graph.Graph, s partition.Strategy, numParts int) (*metrics.Result, bool) {
 	// A topology already cached for g answers exactly, delta or not — not
 	// counted as DeltaDerived, since no chain was crossed.

@@ -149,7 +149,8 @@ func checkTombstonedChain(t *testing.T, g *graph.Graph, s partition.Strategy, in
 	}{
 		{"retract", func(g *graph.Graph) (*graph.Graph, graph.Delta, error) { return g.Shrink(every(0, 23)) }},
 		{"slide", func(g *graph.Graph) (*graph.Graph, graph.Delta, error) {
-			return g.SlideWindow(every(5, 41), nil, n/40)
+			ng, d := g.SlideWindow(every(5, 41), n/40)
+			return ng, d, nil
 		}},
 		{"append", func(g *graph.Graph) (*graph.Graph, graph.Delta, error) {
 			ng, d := g.Grow([]graph.Edge{{Src: 1 << 40, Dst: edges[0].Src}, {Src: edges[1].Dst, Dst: 1 << 41}})

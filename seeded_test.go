@@ -42,7 +42,7 @@ func checkStamps(t testing.TB, a *ccAnswer) {
 		return v
 	}
 	supported := make([]bool, len(verts))
-	if err := g.ForEachEdgeBlock(func(start int, edges []cutfit.Edge, _ []float64) error {
+	if err := g.ForEachEdgeBlock(func(start int, edges []cutfit.Edge) error {
 		for j, e := range edges {
 			i := start + j
 			if !g.EdgeAlive(i) {
@@ -131,7 +131,7 @@ func (h *seedRig) graphOf(edges []cutfit.Edge) *cutfit.Graph {
 		return cutfit.FromEdges(append([]cutfit.Edge(nil), edges...))
 	}
 	bb := graph.NewBlockBuilder(64)
-	bb.Append(edges, nil)
+	bb.Append(edges)
 	return graph.FromBlocks(bb.Finish())
 }
 
@@ -193,7 +193,7 @@ func (h *seedRig) edges(k, lo, n int) []cutfit.Edge {
 // live picks k live edges of g, oldest first.
 func (h *seedRig) live(g *cutfit.Graph, k int) []cutfit.Edge {
 	var out []cutfit.Edge
-	if err := g.ForEachEdgeBlock(func(start int, edges []cutfit.Edge, _ []float64) error {
+	if err := g.ForEachEdgeBlock(func(start int, edges []cutfit.Edge) error {
 		for j, e := range edges {
 			if len(out) < k && g.EdgeAlive(start+j) && h.r.Intn(3) == 0 {
 				out = append(out, e)
@@ -235,7 +235,7 @@ var seedScenarios = map[string]func(h *seedRig){
 		h.run(g, "seeded/parent")
 	},
 	"slide": func(h *seedRig) {
-		g := h.must(h.se.SlideWindow(h.base(), h.edges(20, 100, 300), nil, 40))
+		g := h.must(h.se.SlideWindow(h.base(), h.edges(20, 100, 300), 40))
 		h.run(g, "seeded/parent")
 	},
 	"new vertices": func(h *seedRig) {
@@ -262,7 +262,7 @@ var seedScenarios = map[string]func(h *seedRig){
 	},
 	"compaction boundary": func(h *seedRig) {
 		g := h.base()
-		g = h.must(h.se.SlideWindow(g, nil, nil, g.NumEdges()/3))
+		g = h.must(h.se.SlideWindow(g, nil, g.NumEdges()/3))
 		if g.NumDeadEdges() != 0 {
 			h.t.Fatalf("retracting a third of the edges left %d tombstones: no compaction", g.NumDeadEdges())
 		}
@@ -456,7 +456,7 @@ func TestSeededRetractionBlockReads(t *testing.T) {
 	}
 	var batch []cutfit.Edge
 	stride := g.NumEdges() / 2000
-	if err := g.ForEachEdgeBlock(func(start int, edges []cutfit.Edge, _ []float64) error {
+	if err := g.ForEachEdgeBlock(func(start int, edges []cutfit.Edge) error {
 		for i := (stride - start%stride) % stride; i < len(edges); i += stride {
 			batch = append(batch, edges[i])
 		}

@@ -210,19 +210,16 @@ func (se *Session) RemoveEdges(g *Graph, edges []Edge) (*Graph, error) {
 }
 
 // SlideWindow advances g one sliding-window step (graph.SlideWindow):
-// append edges, with optional weights, and expire every live edge older
-// than the expireBefore-th append, in ONE generation (one recorded delta) —
-// the serving shape for time-windowed graphs, where each batch both adds
-// fresh interactions and retires the oldest ones. With expireBefore 0 it
-// is a weighted append; a step netting zero change returns g unchanged.
-func (se *Session) SlideWindow(g *Graph, edges []Edge, weights []float64, expireBefore int) (*Graph, error) {
+// append edges and expire every live edge older than the expireBefore-th
+// append, in ONE generation (one recorded delta) — the serving shape for
+// time-windowed graphs, where each batch both adds fresh interactions and
+// retires the oldest ones. With expireBefore 0 it is an append; a step
+// netting zero change returns g unchanged.
+func (se *Session) SlideWindow(g *Graph, edges []Edge, expireBefore int) (*Graph, error) {
 	if err := checkAppended(edges); err != nil {
 		return nil, err
 	}
-	ng, d, err := g.SlideWindow(edges, weights, expireBefore)
-	if err != nil {
-		return nil, err
-	}
+	ng, d := g.SlideWindow(edges, expireBefore)
 	if ng != g {
 		se.st.RecordDelta(d)
 	}

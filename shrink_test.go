@@ -7,10 +7,7 @@ import (
 	"testing"
 
 	"cutfit"
-	"cutfit/internal/datasets"
 	"cutfit/internal/gen"
-	"cutfit/internal/metrics"
-	"cutfit/internal/partition"
 )
 
 // retractBatch picks up to n distinct live edge positions of g at random
@@ -186,73 +183,6 @@ func TestSessionRemoveCompactionServesFresh(t *testing.T) {
 	}
 }
 
-// TestWeightedMetricsEquivalence: a graph whose weights are all 1 must be
-// indistinguishable from its unweighted twin on the base pipeline — same
-// PIDs, bit-identical base metric set — while additionally reporting the
-// weighted counterparts, with WeightPerPart exactly mirroring EdgesPerPart.
-// Across strategies × datasets; runs under -race via make race.
-func TestWeightedMetricsEquivalence(t *testing.T) {
-	const parts = 32
-	strategies := append(cutfit.ExtendedStrategies(), cutfit.HybridCut(8), cutfit.RangeCut())
-	for _, spec := range datasets.TinySuite() {
-		g, err := spec.BuildCached()
-		if err != nil {
-			t.Fatal(err)
-		}
-		edges := append([]cutfit.Edge(nil), g.Edges()...)
-		w := make([]float64, len(edges))
-		for i := range w {
-			w[i] = 1
-		}
-		gw, err := cutfit.FromWeightedEdges(edges, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, s := range strategies {
-			a, err := partition.Assign(g, s, parts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			aw, err := partition.Assign(gw, s, parts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(a.PIDs, aw.PIDs) {
-				t.Fatalf("%s/%s: weighted(1) assignment differs from unweighted", spec.Name, s.Name())
-			}
-			m, err := metrics.FromAssignment(a)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mw, err := metrics.FromAssignment(aw)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if mw.WeightPerPart == nil {
-				t.Fatalf("%s/%s: weighted graph yielded no weighted metrics", spec.Name, s.Name())
-			}
-			for p, wt := range mw.WeightPerPart {
-				if wt != float64(mw.EdgesPerPart[p]) {
-					t.Fatalf("%s/%s: WeightPerPart[%d] = %v, EdgesPerPart[%d] = %d", spec.Name, s.Name(), p, wt, p, mw.EdgesPerPart[p])
-				}
-			}
-			if mw.WeightedBalance != mw.Balance || mw.MaxWeight != float64(mw.MaxEdges) {
-				t.Fatalf("%s/%s: weighted derived fields diverge from base with unit weights", spec.Name, s.Name())
-			}
-			// Strip the weighted extras: the base fields must be
-			// bit-identical to the unweighted run.
-			base := *mw
-			base.WeightPerPart = nil
-			base.WeightedBalance = 0
-			base.MaxWeight = 0
-			base.WeightedCommCost = 0
-			if !reflect.DeepEqual(&base, m) {
-				t.Fatalf("%s/%s: base metrics differ under unit weights:\n got %+v\nwant %+v", spec.Name, s.Name(), &base, m)
-			}
-		}
-	}
-}
-
 // TestEmptyBatchMintsNoGeneration pins the no-op contract for every
 // generation-step method: an empty (or all-surplus) batch returns the
 // parent graph itself, minting no version — so serving the "new" graph
@@ -272,7 +202,7 @@ func TestEmptyBatchMintsNoGeneration(t *testing.T) {
 	if ng, err := se.RemoveEdges(g, nil); err != nil || ng != g {
 		t.Fatalf("RemoveEdges(nil) = (%p, %v), want the parent back", ng, err)
 	}
-	if ng, err := se.SlideWindow(g, nil, nil, 0); err != nil || ng != g {
+	if ng, err := se.SlideWindow(g, nil, 0); err != nil || ng != g {
 		t.Fatalf("SlideWindow(nil, 0) = (%p, %v), want the parent back", ng, err)
 	}
 	if ng, d := g.Grow(nil); ng != g || d.New != d.Old {

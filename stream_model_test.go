@@ -139,7 +139,7 @@ func (m *streamModel) step() bool {
 		var g *cutfit.Graph
 		if flags&2 != 0 {
 			bb := graph.NewBlockBuilder(16)
-			bb.Append(edges, nil)
+			bb.Append(edges)
 			g = graph.FromBlocks(bb.Finish())
 		} else {
 			g = cutfit.FromEdges(append([]cutfit.Edge(nil), edges...))
@@ -179,7 +179,7 @@ func (m *streamModel) step() bool {
 	case 5: // slide: append and expire a prefix of the dense list
 		batch := m.edges(m.next() % 5)
 		before := m.next() % (from.g.NumEdges() + 1)
-		if err := from.g.ForEachEdgeBlock(func(start int, edges []cutfit.Edge, _ []float64) error {
+		if err := from.g.ForEachEdgeBlock(func(start int, edges []cutfit.Edge) error {
 			for i, e := range edges {
 				if start+i >= before || !from.g.EdgeAlive(start+i) {
 					continue
@@ -196,7 +196,7 @@ func (m *streamModel) step() bool {
 		}); err != nil {
 			m.t.Fatal(err)
 		}
-		g, err := m.se.SlideWindow(from.g, batch, nil, before)
+		g, err := m.se.SlideWindow(from.g, batch, before)
 		if err != nil {
 			m.t.Fatal(err)
 		}
